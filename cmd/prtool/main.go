@@ -12,11 +12,13 @@
 // Subcommands:
 //
 //	create  bulk-load -in into the on-disk index file -index (built once,
-//	        queryable across process runs)
+//	        queryable across process runs); prints the file's footprint
 //	shard   partition -in into -shards trees (space- or Hilbert-ordered)
 //	        and bulk-load them into the index directory -out, writing a
-//	        manifest prtreeserve serves from
-//	stats   print tree shape, utilization and build I/O
+//	        manifest prtreeserve serves from; prints each shard file's size
+//	stats   print tree shape, utilization and build I/O, and for an index
+//	        file its footprint: pages in use of pages allocated, bytes on
+//	        disk, bytes per item
 //	query   run one window query (x1,y1,x2,y2) and print matches
 //	bench   run random square queries and report the paper's cost metric
 //	fsck    verify every in-use page's checksum and the tree's structure
@@ -44,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -124,7 +127,8 @@ func main() {
 		fmt.Printf("sharded %d items into %s (%s partition, loader %v):\n",
 			man.Items, *out, man.Partition, loader)
 		for i, si := range man.Shards {
-			fmt.Printf("  shard %3d: %s (%d items)\n", i, si.File, si.Items)
+			fmt.Printf("  shard %3d: %s (%d items); %s\n", i, si.File, si.Items,
+				fileSize(filepath.Join(*out, si.File), si.Items))
 		}
 		return
 	}
@@ -146,11 +150,13 @@ func main() {
 			fatal(err)
 		}
 		buildIO := tree.IOStats()
+		total, inUse := tree.PageCounts()
 		if err := tree.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("created %s: %d items with loader %v (%d reads, %d writes)\n",
+		fmt.Printf("created %s: %d items with loader %v (%d reads, %d writes incl. the scratch file)\n",
 			*index, len(items), loader, buildIO.Reads, buildIO.Writes)
+		fmt.Printf("pages %d in use of %d allocated, %s\n", inUse, total, fileSize(*index, len(items)))
 		return
 	}
 
@@ -218,6 +224,10 @@ func main() {
 		fmt.Printf("items:         %d\n", tree.Len())
 		fmt.Printf("height:        %d\n", tree.Height())
 		fmt.Printf("nodes:         %d\n", tree.Nodes())
+		if tree.Path() != "" {
+			total, inUse := tree.PageCounts()
+			fmt.Printf("footprint:     pages %d in use of %d allocated, %s\n", inUse, total, fileSize(tree.Path(), tree.Len()))
+		}
 		fmt.Printf("leaf fill:     %.2f%%\n", 100*leaf)
 		fmt.Printf("internal fill: %.2f%%\n", 100*internal)
 		if tree.Path() == "" {
@@ -339,6 +349,20 @@ func printDynamicShape(label string, d *prtree.Dynamic) {
 		fmt.Printf("%s:   no occupied levels\n", label)
 	}
 	fmt.Printf("%s: pages %d in use of %d allocated\n", label, inUse, total)
+}
+
+// fileSize renders an index file's size on disk, absolute and per stored
+// item (the paper's record is 36 bytes).
+func fileSize(path string, items int) string {
+	st, err := os.Stat(path)
+	if err != nil {
+		return "index file size unknown: " + err.Error()
+	}
+	s := fmt.Sprintf("index file %d bytes", st.Size())
+	if items > 0 {
+		s += fmt.Sprintf(" (%.1f bytes per item)", float64(st.Size())/float64(items))
+	}
+	return s
 }
 
 // printCache reports the pager's cache behavior: the active eviction

@@ -108,6 +108,12 @@ func main() {
 		}()
 	}
 
+	// The drain handler goes in before any listener exists: a probe can see
+	// "healthy" only after this point, so a SIGTERM sent the moment it does
+	// is queued for the drain below instead of killing the process undrained.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+
 	blis, err := net.Listen("tcp", *bind)
 	if err != nil {
 		fatal(err)
@@ -131,8 +137,6 @@ func main() {
 	fmt.Printf("prtreeserve: serving %d shards (%d items) from %s\n", set.Shards(), set.Len(), *shards)
 	fmt.Printf("prtreeserve: binary %s  http %s\n", addr, orNone(httpAddr))
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	got := <-sig
 	fmt.Printf("prtreeserve: %v — draining (in-flight requests finish, new ones rejected)\n", got)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)

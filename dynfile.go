@@ -30,6 +30,9 @@ import (
 // CreateDynamic always uses the file-backed store at path.
 func CreateDynamic(path string, opts *Options) (*Dynamic, error) {
 	o := opts.normalized()
+	if err := storage.RemoveScratch(path); err != nil {
+		return nil, fmt.Errorf("prtree: create %s: %w", path, err)
+	}
 	fb, err := storage.CreateFile(path, o.BlockSize)
 	if err != nil {
 		return nil, fmt.Errorf("prtree: create %s: %w", path, err)
@@ -59,6 +62,9 @@ func OpenDynamic(path string, opts *Options) (*Dynamic, error) {
 		expect = opts.BlockSize
 	}
 	o := opts.normalized()
+	if err := storage.RemoveScratch(path); err != nil {
+		return nil, fmt.Errorf("prtree: open %s: %w", path, err)
+	}
 	fb, err := storage.OpenFile(path, expect)
 	if err != nil {
 		return nil, fmt.Errorf("prtree: %w", err)
@@ -108,7 +114,12 @@ func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byt
 			return nil, err
 		}
 	}
-	return &Dynamic{inner: inner, io: counting, pager: pager, persist: true, path: path}, nil
+	// Level builds (inline carries, rebuilds, the compactor's merges) put
+	// their temporaries on one scratch file beside the index, kept for the
+	// handle's lifetime so a carry pays no file create and delete.
+	scratch := storage.NewScratch(path, fb.BlockSize())
+	inner.SetScratch(scratch)
+	return &Dynamic{inner: inner, io: counting, pager: pager, scratch: scratch, persist: true, path: path}, nil
 }
 
 // Path returns the index file path, or "" for non-file backends.
@@ -141,13 +152,7 @@ func (d *Dynamic) CheckPages() error {
 // those slots the index currently references (the rest sit on the free
 // list, available for reuse without growing the file). Both are zero for
 // non-file backends.
-func (d *Dynamic) PageCounts() (total, inUse int) {
-	fb, ok := storage.AsFile(d.io)
-	if !ok {
-		return 0, 0
-	}
-	return fb.NumPages(), fb.PagesInUse()
-}
+func (d *Dynamic) PageCounts() (total, inUse int) { return filePageCounts(d.io) }
 
 // Sync persists the index's current state — pages, allocator and the
 // component directory — through the backend (an fsync'd header rewrite

@@ -1,6 +1,7 @@
 package prtree
 
 import (
+	"errors"
 	"fmt"
 
 	"prtree/internal/rtree"
@@ -18,6 +19,9 @@ import (
 // the file-backed store at path.
 func Create(path string, opts *Options) (*Tree, error) {
 	o := opts.normalized()
+	if err := storage.RemoveScratch(path); err != nil {
+		return nil, fmt.Errorf("prtree: create %s: %w", path, err)
+	}
 	fb, err := storage.CreateFile(path, o.BlockSize)
 	if err != nil {
 		return nil, fmt.Errorf("prtree: create %s: %w", path, err)
@@ -40,7 +44,10 @@ func Create(path string, opts *Options) (*Tree, error) {
 		Split:  o.Update,
 		Layout: o.Layout,
 	})
-	t := &Tree{inner: inner, pager: pager, io: counting, bopts: o.bulkOptions(), path: path}
+	t := &Tree{
+		inner: inner, pager: pager, io: counting, bopts: o.bulkOptions(), path: path,
+		scratch: storage.NewScratch(path, fb.BlockSize()),
+	}
 	if err := t.Sync(); err != nil {
 		fb.Abandon()
 		return nil, err
@@ -60,6 +67,9 @@ func Open(path string, opts *Options) (*Tree, error) {
 		expect = opts.BlockSize
 	}
 	o := opts.normalized()
+	if err := storage.RemoveScratch(path); err != nil {
+		return nil, fmt.Errorf("prtree: open %s: %w", path, err)
+	}
 	fb, err := storage.OpenFile(path, expect)
 	if err != nil {
 		return nil, fmt.Errorf("prtree: %w", err)
@@ -89,6 +99,7 @@ func Open(path string, opts *Options) (*Tree, error) {
 	bopts.Fanout, bopts.Layout, bopts.Split = cfg.Fanout, cfg.Layout, cfg.Split
 	return &Tree{
 		inner: inner, pager: pager, io: counting, bopts: bopts, path: path,
+		scratch:  storage.NewScratch(path, fb.BlockSize()),
 		recovery: fb.RecoveryInfo(),
 	}, nil
 }
@@ -123,6 +134,22 @@ func (t *Tree) CheckPages() error {
 	return nil
 }
 
+// PageCounts reports the backing file's page-slot total and how many of
+// those slots the tree currently references (the rest sit on the free
+// list, available for reuse without growing the file). Both are zero for
+// non-file backends. A freshly created index that was bulk-loaded once
+// reports total == inUse == Nodes().
+func (t *Tree) PageCounts() (total, inUse int) { return filePageCounts(t.io) }
+
+// filePageCounts is PageCounts for either kind of handle.
+func filePageCounts(b storage.Backend) (total, inUse int) {
+	fb, ok := storage.AsFile(b)
+	if !ok {
+		return 0, 0
+	}
+	return fb.NumPages(), fb.PagesInUse()
+}
+
 // Sync persists the tree's current state — pages, allocator and metadata —
 // through the backend (an fsync'd header rewrite for file-backed trees, a
 // no-op for in-memory ones). The tree remains usable.
@@ -147,7 +174,7 @@ func (t *Tree) Close() error {
 	t.closed = true
 	t.pager.Close() // stop prefetch workers before the backend goes away
 	t.io.SetMeta(t.inner.EncodeMeta())
-	if err := t.io.Close(); err != nil {
+	if err := errors.Join(t.io.Close(), t.scratch.Close()); err != nil {
 		return fmt.Errorf("prtree: close: %w", err)
 	}
 	return nil

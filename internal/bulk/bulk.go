@@ -5,6 +5,14 @@
 // storage.ItemFile and performs its passes through the simulated disk, so
 // bulk-loading I/O is measured operationally, matching the accounting of
 // the paper's Figures 9-11.
+//
+// A load touches two stores. Finished tree pages go to the pager's
+// backend, through rtree.Builder and nothing else. Everything temporary —
+// sort runs, sorted lists, grid partitions, the files between stages —
+// goes to the store the input file lives on (in.Backend()). When that is
+// the pager's own backend (FromItems; the paper's set-up) one device sees
+// all the I/O; a file-backed index hands in a file on its scratch store
+// instead, and its index file holds exactly the tree.
 package bulk
 
 import (
@@ -112,7 +120,8 @@ func (l Loader) String() string {
 	}
 }
 
-// Load bulk-loads a tree with the chosen algorithm, consuming in.
+// Load bulk-loads a tree with the chosen algorithm onto the pager,
+// consuming in; temporaries go to in's store, and every one is freed.
 func Load(l Loader, pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	switch l {
 	case LoaderHilbert:
@@ -134,7 +143,8 @@ func Load(l Loader, pager *storage.Pager, in *storage.ItemFile, opt Options) *rt
 var Loaders = []Loader{LoaderHilbert, LoaderHilbert4D, LoaderPR, LoaderTGS}
 
 // FromItems is a convenience wrapper: it writes items to a fresh file on
-// the pager's disk (counting the writes) and bulk-loads it.
+// the pager's disk (counting the writes) and bulk-loads it, so input,
+// temporaries and tree share one backend.
 func FromItems(l Loader, pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
 	return Load(l, pager, storage.NewItemFileFrom(pager.Backend(), items), opt)
 }

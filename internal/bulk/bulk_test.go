@@ -2,6 +2,7 @@ package bulk
 
 import (
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -167,13 +168,47 @@ func TestBuildIOOrdering(t *testing.T) {
 
 func TestLoadersFreeScratchSpace(t *testing.T) {
 	items := randItems(8000, 8)
+	opt := Options{Fanout: 32, MemoryItems: 2048}
 	for _, l := range allLoaders() {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, -1)
-		tr := FromItems(l, pager, items, Options{Fanout: 32, MemoryItems: 2048})
+		tr := FromItems(l, pager, items, opt)
 		if disk.PagesInUse() != tr.Nodes() {
 			t.Errorf("%v: %d pages in use for %d tree nodes (scratch leaked)",
 				l, disk.PagesInUse(), tr.Nodes())
+		}
+
+		// The same load with its input on a scratch store: every temporary
+		// follows the input there and is freed, the tree's device holds
+		// nothing but the tree — densely, since no temporary ever took a
+		// page id — and the two stores together do the same block I/O.
+		treeDisk := storage.NewDisk(storage.DefaultBlockSize)
+		scratch := storage.NewScratch(filepath.Join(t.TempDir(), "index.pr"), storage.DefaultBlockSize)
+		var split *rtree.Tree
+		err := scratch.Use(func() error {
+			in := storage.NewItemFileFrom(scratch, items)
+			split = Load(l, storage.NewPager(treeDisk, -1), in, opt)
+			if scratch.PagesInUse() != 0 {
+				t.Errorf("%v: scratch store ends at %d pages in use (scratch leaked)", l, scratch.PagesInUse())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if treeDisk.NumPages() != split.Nodes() || treeDisk.PagesInUse() != split.Nodes() {
+			t.Errorf("%v: tree device has %d pages, %d in use, for %d tree nodes",
+				l, treeDisk.NumPages(), treeDisk.PagesInUse(), split.Nodes())
+		}
+		if split.Nodes() != tr.Nodes() || split.Height() != tr.Height() {
+			t.Errorf("%v: shape %d nodes / height %d with a scratch store, %d / %d without",
+				l, split.Nodes(), split.Height(), tr.Nodes(), tr.Height())
+		}
+		if got, want := treeDisk.Stats().Add(scratch.Stats()), disk.Stats(); got != want {
+			t.Errorf("%v: block I/O %v across tree device and scratch store, %v on one device", l, got, want)
+		}
+		if err := scratch.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

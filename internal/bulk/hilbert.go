@@ -21,7 +21,7 @@ func Hilbert2D(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.T
 		return b.FinishEmpty()
 	}
 	q := hilbert.NewQuantizer2D(worldOf(in), opt.HilbertBits)
-	sorted := extsort.Sort(pager.Backend(), in, extsort.UintKey(func(it geom.Item) uint64 {
+	sorted := extsort.Sort(in, extsort.UintKey(func(it geom.Item) uint64 {
 		return q.CenterKey(it.Rect)
 	}), opt.sortConfig())
 	in.Free()
@@ -40,7 +40,7 @@ func Hilbert4D(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.T
 		return b.FinishEmpty()
 	}
 	q := hilbert.NewQuantizer4D(worldOf(in), opt.HilbertBits)
-	sorted := extsort.Sort(pager.Backend(), in, extsort.UintKey(func(it geom.Item) uint64 {
+	sorted := extsort.Sort(in, extsort.UintKey(func(it geom.Item) uint64 {
 		return q.Key(it.Rect)
 	}), opt.sortConfig())
 	in.Free()

@@ -27,7 +27,7 @@ func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree
 		in.Free()
 		return b.FinishEmpty()
 	}
-	disk := pager.Backend()
+	disk := in.Backend()
 	cfg := pseudo.ExternalConfig{B: opt.Fanout, M: opt.MemoryItems, Workers: opt.Parallelism}
 
 	cur := in
@@ -36,7 +36,7 @@ func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree
 		next := storage.NewItemFile(disk)
 		count := 0
 		var last rtree.ChildEntry
-		pseudo.BuildExternal(disk, cur, cfg, func(lg pseudo.LeafGroup) {
+		pseudo.BuildExternal(cur, cfg, func(lg pseudo.LeafGroup) {
 			if level == 0 {
 				// A pseudo-leaf group may become several pages when the
 				// compressed layout falls back to raw; every page joins the

@@ -22,8 +22,8 @@ func STR(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 		in.Free()
 		return b.FinishEmpty()
 	}
-	disk := pager.Backend()
-	byX := extsort.Sort(disk, in, extsort.UintKey(func(it geom.Item) uint64 {
+	disk := in.Backend()
+	byX := extsort.Sort(in, extsort.UintKey(func(it geom.Item) uint64 {
 		cx, _ := it.Rect.Center()
 		return extsort.Float64Key(cx)
 	}), opt.sortConfig())
@@ -42,7 +42,7 @@ func STR(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 			slab.Free()
 			return
 		}
-		byY := extsort.Sort(disk, slab, extsort.UintKey(func(it geom.Item) uint64 {
+		byY := extsort.Sort(slab, extsort.UintKey(func(it geom.Item) uint64 {
 			_, cy := it.Rect.Center()
 			return extsort.Float64Key(cy)
 		}), opt.sortConfig())

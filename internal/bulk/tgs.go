@@ -28,7 +28,7 @@ func TGS(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 		in.Free()
 		return b.FinishEmpty()
 	}
-	disk := pager.Backend()
+	disk := in.Backend()
 	// TGS's top-down partition fixes the leaf group size before the groups
 	// are known, so under the compressed layout it runs one probe pass
 	// (N/B reads, dwarfed by TGS's O((N/B) log N) sort cost): when every
@@ -51,7 +51,7 @@ func TGS(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	scfg := opt.sortConfig()
 	scfg.Workers = (opt.Parallelism + 3) / 4
 	extsort.Parallel(opt.Parallelism, 4, func(d int) {
-		lists[d] = extsort.Sort(disk, in, extsort.AxisKey(d), scfg)
+		lists[d] = extsort.Sort(in, extsort.AxisKey(d), scfg)
 	})
 	in.Free()
 	t := &tgsBuilder{disk: disk, b: b, fanout: opt.Fanout, leafCap: leafCap}

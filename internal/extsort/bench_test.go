@@ -27,7 +27,7 @@ func BenchmarkExtSort(b *testing.B) {
 				in := storage.NewItemFileFrom(d, items)
 				d.ResetStats()
 				b.StartTimer()
-				out := Sort(d, in, AxisKey(0), Config{MemoryItems: mem, Workers: workers})
+				out := Sort(in, AxisKey(0), Config{MemoryItems: mem, Workers: workers})
 				lastIO = d.Stats().Total()
 				if out.Len() != n {
 					b.Fatalf("lost records: %d != %d", out.Len(), n)

@@ -95,10 +95,12 @@ type Config struct {
 }
 
 // Sort externally sorts in by key and returns a new sealed file with the
-// sorted records. The input file is left intact; intermediate runs are
-// freed. MemoryItems must allow at least three blocks (two inputs + one
-// output) or Sort panics.
-func Sort(disk storage.Backend, in *storage.ItemFile, key KeyFunc, cfg Config) *storage.ItemFile {
+// sorted records, on the store the input lives on — as are the
+// intermediate runs, which are freed. The input file is left intact.
+// MemoryItems must allow at least three blocks (two inputs + one output)
+// or Sort panics.
+func Sort(in *storage.ItemFile, key KeyFunc, cfg Config) *storage.ItemFile {
+	disk := in.Backend()
 	perBlock := storage.ItemsPerBlock(disk.BlockSize())
 	m := cfg.MemoryItems
 	if m < 3*perBlock {

@@ -88,7 +88,7 @@ func TestSortSmallSingleRun(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
 	items := randItems(200, 1)
 	in := storage.NewItemFileFrom(d, items)
-	out := Sort(d, in, AxisKey(0), Config{MemoryItems: 10000})
+	out := Sort(in, AxisKey(0), Config{MemoryItems: 10000})
 	got := out.ReadAll()
 	if len(got) != 200 {
 		t.Fatalf("len = %d", len(got))
@@ -103,7 +103,7 @@ func TestSortMultiPass(t *testing.T) {
 	items := randItems(n, 2)
 	in := storage.NewItemFileFrom(d, items)
 	// Tiny memory: runs of 3 blocks, fan-in 2 => several merge passes.
-	out := Sort(d, in, AxisKey(2), Config{MemoryItems: 3 * per})
+	out := Sort(in, AxisKey(2), Config{MemoryItems: 3 * per})
 	got := out.ReadAll()
 	if len(got) != n {
 		t.Fatalf("len = %d, want %d", len(got), n)
@@ -116,7 +116,7 @@ func TestSortAllAxes(t *testing.T) {
 	items := randItems(1500, 3)
 	for axis := 0; axis < 4; axis++ {
 		in := storage.NewItemFileFrom(d, items)
-		out := Sort(d, in, AxisKey(axis), Config{MemoryItems: 500})
+		out := Sort(in, AxisKey(axis), Config{MemoryItems: 500})
 		checkSortedByAxis(t, out.ReadAll(), axis)
 		out.Free()
 		in.Free()
@@ -127,7 +127,7 @@ func TestSortPreservesMultiset(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
 	items := randItems(777, 4)
 	in := storage.NewItemFileFrom(d, items)
-	out := Sort(d, in, AxisKey(1), Config{MemoryItems: 400})
+	out := Sort(in, AxisKey(1), Config{MemoryItems: 400})
 	got := out.ReadAll()
 	seen := make(map[uint32]geom.Item, len(got))
 	for _, it := range got {
@@ -146,12 +146,12 @@ func TestSortPreservesMultiset(t *testing.T) {
 func TestSortEmptyAndSingle(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
 	empty := storage.NewItemFileFrom(d, nil)
-	out := Sort(d, empty, AxisKey(0), Config{MemoryItems: 1000})
+	out := Sort(empty, AxisKey(0), Config{MemoryItems: 1000})
 	if out.Len() != 0 {
 		t.Errorf("empty sort len = %d", out.Len())
 	}
 	one := storage.NewItemFileFrom(d, randItems(1, 5))
-	out = Sort(d, one, AxisKey(0), Config{MemoryItems: 1000})
+	out = Sort(one, AxisKey(0), Config{MemoryItems: 1000})
 	if out.Len() != 1 {
 		t.Errorf("single sort len = %d", out.Len())
 	}
@@ -164,7 +164,7 @@ func TestSortDuplicateCoordinatesStableByID(t *testing.T) {
 		items[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(99 - i)}
 	}
 	in := storage.NewItemFileFrom(d, items)
-	out := Sort(d, in, AxisKey(0), Config{MemoryItems: 400})
+	out := Sort(in, AxisKey(0), Config{MemoryItems: 400})
 	got := out.ReadAll()
 	for i := 1; i < len(got); i++ {
 		if got[i-1].ID >= got[i].ID {
@@ -177,7 +177,7 @@ func TestReverseAxisKey(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
 	items := randItems(300, 6)
 	in := storage.NewItemFileFrom(d, items)
-	out := Sort(d, in, ReverseAxisKey(3), Config{MemoryItems: 400})
+	out := Sort(in, ReverseAxisKey(3), Config{MemoryItems: 400})
 	got := out.ReadAll()
 	for i := 1; i < len(got); i++ {
 		if got[i-1].Rect.MaxY < got[i].Rect.MaxY {
@@ -190,7 +190,7 @@ func TestUintKey(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
 	items := randItems(300, 7)
 	in := storage.NewItemFileFrom(d, items)
-	out := Sort(d, in, UintKey(func(it geom.Item) uint64 { return uint64(it.ID % 7) }),
+	out := Sort(in, UintKey(func(it geom.Item) uint64 { return uint64(it.ID % 7) }),
 		Config{MemoryItems: 400})
 	got := out.ReadAll()
 	for i := 1; i < len(got); i++ {
@@ -211,7 +211,7 @@ func TestSortIOComplexity(t *testing.T) {
 	items := randItems(nBlocks*per, 8)
 	in := storage.NewItemFileFrom(d, items)
 	d.ResetStats()
-	out := Sort(d, in, AxisKey(0), Config{MemoryItems: memBlocks * per})
+	out := Sort(in, AxisKey(0), Config{MemoryItems: memBlocks * per})
 	st := d.Stats()
 	// passes = 1 (runs) + ceil(log_3(16 runs)) = 1+3 = 4; each pass reads+writes n blocks.
 	maxIO := uint64(2 * nBlocks * 6)
@@ -227,7 +227,7 @@ func TestSortFreesIntermediateRuns(t *testing.T) {
 	items := randItems(per*20, 9)
 	in := storage.NewItemFileFrom(d, items)
 	before := d.PagesInUse()
-	out := Sort(d, in, AxisKey(0), Config{MemoryItems: 3 * per})
+	out := Sort(in, AxisKey(0), Config{MemoryItems: 3 * per})
 	// Only the output file (20 blocks) should remain beyond the input.
 	if got := d.PagesInUse() - before; got != out.Blocks() {
 		t.Errorf("leaked pages: %d in use beyond input, output has %d", got, out.Blocks())
@@ -269,7 +269,7 @@ func TestSortSerialParallelEquivalence(t *testing.T) {
 					ds := storage.NewDisk(storage.DefaultBlockSize)
 					ins := storage.NewItemFileFrom(ds, items)
 					ds.ResetStats()
-					outS := Sort(ds, ins, key, Config{MemoryItems: mem, Workers: 1})
+					outS := Sort(ins, key, Config{MemoryItems: mem, Workers: 1})
 					statS := ds.Stats()
 					bytesS := rawBytes(ds, outS)
 
@@ -277,7 +277,7 @@ func TestSortSerialParallelEquivalence(t *testing.T) {
 						dp := storage.NewDisk(storage.DefaultBlockSize)
 						inp := storage.NewItemFileFrom(dp, items)
 						dp.ResetStats()
-						outP := Sort(dp, inp, key, Config{MemoryItems: mem, Workers: workers})
+						outP := Sort(inp, key, Config{MemoryItems: mem, Workers: workers})
 						statP := dp.Stats()
 						if statP != statS {
 							t.Fatalf("seed=%d n=%d mem=%d key=%s workers=%d: stats %v != serial %v",
@@ -311,7 +311,7 @@ func TestSortReleasesScratchPages(t *testing.T) {
 		items := randItems(per*20+17, 9)
 		in := storage.NewItemFileFrom(d, items)
 		// Tiny memory: fan-in 2, three merge passes over 7 runs.
-		out := Sort(d, in, AxisKey(0), Config{MemoryItems: 3 * per, Workers: workers})
+		out := Sort(in, AxisKey(0), Config{MemoryItems: 3 * per, Workers: workers})
 		if got, want := d.PagesInUse(), in.Blocks()+out.Blocks(); got != want {
 			t.Errorf("workers=%d: %d pages in use after sort, want input+output = %d", workers, got, want)
 		}
@@ -380,7 +380,7 @@ func TestSortTinyMemoryPanics(t *testing.T) {
 			t.Error("sub-3-block memory should panic")
 		}
 	}()
-	Sort(d, in, AxisKey(0), Config{MemoryItems: 5})
+	Sort(in, AxisKey(0), Config{MemoryItems: 5})
 }
 
 func TestSortItemsMatchesStdSort(t *testing.T) {
@@ -420,7 +420,7 @@ func TestSortParallelWorkerPanicPropagates(t *testing.T) {
 	done := make(chan any, 1)
 	go func() {
 		defer func() { done <- recover() }()
-		Sort(d, in, poison, Config{MemoryItems: 3 * per, Workers: 4})
+		Sort(in, poison, Config{MemoryItems: 3 * per, Workers: 4})
 	}()
 	select {
 	case r := <-done:

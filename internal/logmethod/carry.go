@@ -1,7 +1,6 @@
 package logmethod
 
 import (
-	"prtree/internal/bulk"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 )
@@ -21,11 +20,17 @@ import (
 //  3. Install (under the tree lock, inside the caller's backend
 //     transaction): the new level replaces the consumed components in
 //     one atomic state swap, and the old levels' pages are freed —
-//     epoch-pinned for any reader still traversing them. A crash before
-//     the install commit recovers to the pre-carry state via WAL replay;
-//     the half-built pages are garbage the next checkpoint truncates or,
-//     if interleaved commits extended the file past them, a bounded leak
-//     (never corruption — they are unreferenced).
+//     epoch-pinned for any reader still traversing them; they join the
+//     backend's free list with the commit and later allocations recycle
+//     them (no checkpoint shrinks the file below its recorded page
+//     count). A crash before the install commit recovers to the
+//     pre-carry state via WAL replay: half-built pages past the
+//     recovered page count are cut off when the reopening checkpoint
+//     truncates the file to its recorded size; any below it (an
+//     interleaved commit recorded the larger count) stay allocated but
+//     unreferenced — a bounded leak, never corruption. The build's
+//     temporaries never reach the index file at all: they live on the
+//     handle's scratch store (see Tree.build).
 //
 // Abort unwinds phase 1: the merging snapshot returns to the buffer
 // (dropping items tombstoned while in flight) and the half-built level is
@@ -112,7 +117,7 @@ func (c *Carry) Build() {
 	for _, l := range c.consumed {
 		items = append(items, l.Items()...)
 	}
-	c.built = bulk.FromItems(bulk.LoaderPR, c.t.pager, items, c.t.opt)
+	c.built = c.t.build(items)
 }
 
 // InputItems returns how many items the merge consumed in total.
@@ -172,9 +177,10 @@ func (c *Carry) Install() {
 //
 // releaseBuilt says whether the half-built level's pages may be freed for
 // reuse: true normally; false when the allocator state was externally
-// rolled back during the build (the pages may already belong to someone
-// else — abandon them; on a durable backend they are reclaimed by the
-// next checkpoint truncate or remain a bounded, unreferenced leak).
+// rolled back during the build. The rollback restored the pre-transaction
+// page count and free list, so the build's page ids are already back with
+// the allocator and may belong to someone else — abandon them without
+// freeing; later allocations hand the ids out again.
 func (c *Carry) Abort(releaseBuilt bool) {
 	t := c.t
 	t.mu.Lock()

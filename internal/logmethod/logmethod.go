@@ -78,10 +78,11 @@ type state struct {
 // mutations in backend transactions (see prtree.Dynamic) must serialize
 // those brackets themselves — backend transactions do not nest.
 type Tree struct {
-	pager *storage.Pager
-	opt   bulk.Options
-	base  int
-	snap  storage.Snapshotter
+	pager   *storage.Pager
+	opt     bulk.Options
+	base    int
+	snap    storage.Snapshotter
+	scratch *storage.Scratch // where builds put their temporaries; nil = the pager's backend
 
 	st atomic.Pointer[state]
 
@@ -114,6 +115,29 @@ func New(pager *storage.Pager, opt bulk.Options, base int) *Tree {
 	t.idle = sync.NewCond(&t.mu)
 	t.st.Store(&state{dead: map[uint32]geom.Rect{}})
 	return t
+}
+
+// SetScratch makes every later level build put its input file and
+// temporaries on s instead of the pager's backend, which then receives
+// finished tree pages only. Call it before the first mutation.
+func (t *Tree) SetScratch(s *storage.Scratch) { t.scratch = s }
+
+// build bulk-loads one static level over items. It takes no tree lock (a
+// background carry builds while writers commit), and the scratch store is
+// safe for that.
+func (t *Tree) build(items []geom.Item) *rtree.Tree {
+	var built *rtree.Tree
+	err := t.scratch.Use(func() error {
+		in := storage.NewItemFileFrom(t.scratch.Or(t.pager.Backend()), items)
+		built = bulk.Load(bulk.LoaderPR, t.pager, in, t.opt)
+		return nil
+	})
+	if err != nil {
+		// Only the scratch file's creation can fail here; like every other
+		// backend I/O failure inside a mutation it surfaces as a panic.
+		panic(err)
+	}
+	return built
 }
 
 // Base returns the buffer capacity.
@@ -227,7 +251,7 @@ func (t *Tree) carryLocked() {
 	} else {
 		t.rebuf = nil
 	}
-	built := bulk.FromItems(bulk.LoaderPR, t.pager, items, t.opt)
+	built := t.build(items)
 	ns := *s
 	ns.buffer = nil
 	ns.levels = make([]*rtree.Tree, maxInt(len(s.levels), k+1))
@@ -354,7 +378,7 @@ func (t *Tree) rebuildLocked() {
 			k++
 		}
 		ns.levels = make([]*rtree.Tree, k+1)
-		ns.levels[k] = bulk.FromItems(bulk.LoaderPR, t.pager, items, t.opt)
+		ns.levels[k] = t.build(items)
 	} else {
 		ns.buffer = items
 	}

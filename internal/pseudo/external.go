@@ -30,13 +30,15 @@ type ExternalConfig struct {
 // kd levels per round, priority-leaf filling by filtering, and distribution
 // of the sorted lists to the recursive subproblems. Every pass streams
 // through storage.ItemFile so the O((N/B) log_{M/B}(N/B)) I/O cost is
-// measured on the disk.
+// measured on the disk. The sorted lists and the recursion's partitions go
+// on the store the input lives on.
 //
 // The kd divisions follow the paper's external variant: priority
 // rectangles are not removed before the division is computed (the query
 // bound of Lemma 2 is unaffected; each child still receives at most half
 // of its parent's points). The input file is consumed and freed.
-func BuildExternal(disk storage.Backend, in *storage.ItemFile, cfg ExternalConfig, emit func(LeafGroup)) {
+func BuildExternal(in *storage.ItemFile, cfg ExternalConfig, emit func(LeafGroup)) {
+	disk := in.Backend()
 	if cfg.B < 1 {
 		panic("pseudo: external build with B < 1")
 	}
@@ -50,7 +52,7 @@ func BuildExternal(disk storage.Backend, in *storage.ItemFile, cfg ExternalConfi
 		emitInMemory(items, cfg.B, emit)
 		return
 	}
-	lists := sortAxes(disk, in, cfg)
+	lists := sortAxes(in, cfg)
 	in.Free()
 	e := &externalBuilder{disk: disk, cfg: cfg, emit: emit}
 	e.recurse(lists, 0)
@@ -60,14 +62,14 @@ func BuildExternal(disk storage.Backend, in *storage.ItemFile, cfg ExternalConfi
 // Workers > 1 the four sorts run concurrently; each sort's reads and
 // writes are those of its serial execution, so the total block-I/O count
 // is unchanged.
-func sortAxes(disk storage.Backend, in *storage.ItemFile, cfg ExternalConfig) [4]*storage.ItemFile {
+func sortAxes(in *storage.ItemFile, cfg ExternalConfig) [4]*storage.ItemFile {
 	var lists [4]*storage.ItemFile
 	// Four sorts run concurrently, so each inner sort gets a quarter of
 	// the worker budget: total goroutines and transient chunk memory stay
 	// proportional to Workers, not 4x it.
 	scfg := extsort.Config{MemoryItems: cfg.M, Workers: (cfg.Workers + 3) / 4}
 	extsort.Parallel(cfg.Workers, 4, func(d int) {
-		lists[d] = extsort.Sort(disk, in, extsort.AxisKey(d), scfg)
+		lists[d] = extsort.Sort(in, extsort.AxisKey(d), scfg)
 	})
 	return lists
 }

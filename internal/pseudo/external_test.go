@@ -16,7 +16,7 @@ func collectExternal(t *testing.T, items []geom.Item, b, m int) (*storage.Disk, 
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	in := storage.NewItemFileFrom(disk, items)
 	var groups []LeafGroup
-	BuildExternal(disk, in, ExternalConfig{B: b, M: m}, func(lg LeafGroup) {
+	BuildExternal(in, ExternalConfig{B: b, M: m}, func(lg LeafGroup) {
 		// Copy: builder may reuse backing arrays.
 		cp := make([]geom.Item, len(lg.Items))
 		copy(cp, lg.Items)
@@ -130,7 +130,7 @@ func TestExternalIOWithinSortBound(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	in := storage.NewItemFileFrom(disk, items)
 	disk.ResetStats()
-	BuildExternal(disk, in, ExternalConfig{B: per, M: 30 * per}, func(LeafGroup) {})
+	BuildExternal(in, ExternalConfig{B: per, M: 30 * per}, func(LeafGroup) {})
 	total := disk.Stats().Total()
 	nBlocks := uint64((n + per - 1) / per)
 	// 4 sorts (~4 passes each here) + a few linear passes per round.
@@ -144,7 +144,7 @@ func TestExternalFreesIntermediateFiles(t *testing.T) {
 	items := randItems(12000, 7)
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	in := storage.NewItemFileFrom(disk, items)
-	BuildExternal(disk, in, ExternalConfig{B: per, M: 12 * per}, func(LeafGroup) {})
+	BuildExternal(in, ExternalConfig{B: per, M: 12 * per}, func(LeafGroup) {})
 	if disk.PagesInUse() != 0 {
 		t.Errorf("%d pages leaked after external build", disk.PagesInUse())
 	}
@@ -219,14 +219,14 @@ func TestExternalPanicsOnBadConfig(t *testing.T) {
 			t.Error("tiny memory should panic")
 		}
 	}()
-	BuildExternal(disk, in, ExternalConfig{B: 16, M: 10}, func(LeafGroup) {})
+	BuildExternal(in, ExternalConfig{B: 16, M: 10}, func(LeafGroup) {})
 }
 
 func TestExternalEmptyInput(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	in := storage.NewItemFileFrom(disk, nil)
 	calls := 0
-	BuildExternal(disk, in, ExternalConfig{B: 16, M: 4 * storage.ItemsPerBlock(storage.DefaultBlockSize)},
+	BuildExternal(in, ExternalConfig{B: 16, M: 4 * storage.ItemsPerBlock(storage.DefaultBlockSize)},
 		func(LeafGroup) { calls++ })
 	if calls != 0 {
 		t.Errorf("empty input emitted %d groups", calls)
@@ -250,7 +250,7 @@ func TestExternalSerialParallelEquivalence(t *testing.T) {
 		d := storage.NewDisk(storage.DefaultBlockSize)
 		in := storage.NewItemFileFrom(d, items)
 		d.ResetStats()
-		BuildExternal(d, in, ExternalConfig{B: 16, M: 1024, Workers: workers}, func(lg LeafGroup) {
+		BuildExternal(in, ExternalConfig{B: 16, M: 1024, Workers: workers}, func(lg LeafGroup) {
 			cp := LeafGroup{Items: append([]geom.Item(nil), lg.Items...), Priority: lg.Priority, Dir: lg.Dir}
 			groups = append(groups, cp)
 		})

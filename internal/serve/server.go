@@ -374,22 +374,33 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		out := s.dispatch(req)
-		if out.code != 0 {
-			buf = AppendErrResponse(buf[:0], req.Op, out.code, out.msg)
-		} else {
-			buf = AppendOKResponse(buf[:0], req.Op, out.failed, out.sets, out.nbs, out.stats)
-		}
-		if s.cfg.ConnTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.ConnTimeout))
-		}
-		if err := WriteFrame(bw, buf); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if buf, err = s.respond(conn, bw, buf, req); err != nil {
 			return
 		}
 	}
+}
+
+// respond serves one decoded request and writes its response frame. The
+// request stays in flight until the frame is flushed: Shutdown cuts every
+// connection the moment nothing is in flight, and a response still in the
+// write buffer at that moment would reach the client torn.
+func (s *Server) respond(conn net.Conn, bw *bufio.Writer, buf []byte, req Request) ([]byte, error) {
+	if s.begin() {
+		defer s.end()
+	}
+	out := s.dispatch(req)
+	if out.code != 0 {
+		buf = AppendErrResponse(buf[:0], req.Op, out.code, out.msg)
+	} else {
+		buf = AppendOKResponse(buf[:0], req.Op, out.failed, out.sets, out.nbs, out.stats)
+	}
+	if s.cfg.ConnTimeout > 0 {
+		conn.SetWriteDeadline(time.Now().Add(s.cfg.ConnTimeout))
+	}
+	if err := WriteFrame(bw, buf); err != nil {
+		return buf, err
+	}
+	return buf, bw.Flush()
 }
 
 // isTimeout reports whether err is a net timeout (an expired conn

@@ -114,6 +114,7 @@ var (
 	_ Backend = (*MmapBackend)(nil)
 	_ Backend = (*Counting)(nil)
 	_ Backend = (*Faulty)(nil)
+	_ Backend = (*Scratch)(nil)
 
 	_ Transactional = (*FileBackend)(nil)
 	_ Transactional = (*MmapBackend)(nil)

@@ -44,6 +44,15 @@ type Stats struct {
 // the paper's accounting, and live in PrefetchReads.
 func (s Stats) Total() uint64 { return s.Reads + s.Writes }
 
+// Add returns s plus t, component-wise: the total of two stores' counters.
+func (s Stats) Add(t Stats) Stats {
+	return Stats{
+		Reads:         s.Reads + t.Reads,
+		Writes:        s.Writes + t.Writes,
+		PrefetchReads: s.PrefetchReads + t.PrefetchReads,
+	}
+}
+
 // Sub returns s minus t, component-wise. Useful for measuring an interval:
 // capture stats before and after, then Sub.
 func (s Stats) Sub(t Stats) Stats {

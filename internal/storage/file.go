@@ -50,7 +50,9 @@ import (
 // Sync checkpoints: it rewrites the header and freelist trailer, fsyncs
 // the page file and truncates the log, making the page file alone the
 // committed state. Open replays any committed log transactions (a crash
-// between Commit and Sync), discards uncommitted or torn tails, and then
+// between Commit and Sync) — except images of pages a later committed
+// state lists as free, whose next owner wrote them directly (see
+// dropStaleImages) — discards uncommitted or torn tails, and then
 // checkpoints; what it did is reported through RecoveryInfo. A log with
 // committed transactions supersedes the header entirely, so a crash
 // anywhere inside a checkpoint recovers cleanly; and because direct
@@ -371,6 +373,7 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		// the last committed state, ignoring the header's possibly
 		// mid-checkpoint geometry and trailer.
 		fb.walSeq = res.lastSeq
+		dropStaleImages(res.txs)
 		for _, tx := range res.txs {
 			for _, pg := range tx.pages {
 				fb.writePageRaw(pg.id, pg.data)
@@ -409,6 +412,29 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		return fail(err)
 	}
 	return fb, nil
+}
+
+// dropStaleImages removes from txs the redo images replay must not apply:
+// those of a page that a later committed state lists as free. Once a page
+// has been freed, whatever was written to it afterwards went either
+// through the journal — a later image, which replay applies in its turn —
+// or straight to the page file, as writes to committed-free pages do;
+// re-applying the older image would put a dead page's bytes over that
+// live content.
+func dropStaleImages(txs []walTx) {
+	freedLater := make(map[PageID]struct{})
+	for i := len(txs) - 1; i >= 0; i-- {
+		live := txs[i].pages[:0]
+		for _, pg := range txs[i].pages {
+			if _, freed := freedLater[pg.id]; !freed {
+				live = append(live, pg)
+			}
+		}
+		txs[i].pages = live
+		for _, id := range txs[i].state.free {
+			freedLater[id] = struct{}{}
+		}
+	}
 }
 
 // loadCheckpoint reads the committed state (geometry, freelist, metadata)
@@ -553,9 +579,17 @@ func (fb *FileBackend) checkIDLocked(id PageID) {
 // bytes are stale data); fresh pages extend the file lazily — reads past
 // EOF already yield zeros, the first Write extends the file, and the next
 // checkpoint's truncate materializes any unwritten tail — so bulk loads
-// issue one pwrite per page, not two. During a transaction only pages
-// free in the last committed state are recycled; pages freed within the
-// transaction become allocatable after Commit.
+// issue one pwrite per page, not two.
+//
+// During a transaction only pages free in the last committed state are
+// recycled; pages freed within the transaction still hold content a crash
+// must be able to roll back to, and become allocatable after Commit. The
+// one exception is an allocation into a store the transaction has emptied
+// — every committed page freed, nothing allocated since — which reuses one
+// of those pages through the redo journal (Write buffers an image of every
+// committed-live page) instead of extending the file: a bulk load into a
+// freshly created index takes over the empty root's page, so the file is
+// exactly the new tree and page 0 is not a hole for ever.
 func (fb *FileBackend) Alloc() PageID {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -570,16 +604,29 @@ func (fb *FileBackend) Alloc() PageID {
 		fb.writePage(id, fb.zero)
 		return id
 	}
+	if tx := fb.tx; tx != nil && fb.numPages == len(fb.free)+len(tx.freed) {
+		if i := fb.pickFree(tx.freed); i >= 0 && tx.inUseCommitted(tx.freed[i]) {
+			var id PageID
+			tx.freed, id = removeAt(tx.freed, i)
+			// The zero fill is a redo image like any other overwrite of a
+			// committed page. Holding mu exclusively excludes every Write,
+			// so the overlay needs no txMu here (as in Free).
+			tx.overlay[id] = make([]byte, fb.blockSize)
+			return id
+		}
+	}
 	id := PageID(fb.numPages)
 	fb.numPages++
 	return id
 }
 
-// Free implements Backend. While snapshot readers are active the page is
-// retired (see Snapshotter): it reaches the freelist as usual — inside a
+// Free implements Backend. The page joins the free list — inside a
 // transaction at Commit, so the committed state never leaks it across a
-// crash — but Alloc withholds it until the readers that might still
-// dereference its bytes drain.
+// crash — and stays a slot of the file: the list is written out as the
+// checkpoint's trailer and later allocations recycle from it; no
+// checkpoint truncates freed pages away. While snapshot readers are
+// active the page is also retired (see Snapshotter): Alloc withholds it
+// until the readers that might still dereference its bytes drain.
 func (fb *FileBackend) Free(id PageID) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -961,9 +1008,11 @@ func (fb *FileBackend) Commit() error {
 
 // Rollback implements Transactional: it discards the open transaction,
 // restoring the committed allocator state and metadata. Pages freshly
-// written during the transaction are left as garbage beyond the committed
-// geometry; the next checkpoint's truncate reclaims them. A Rollback with
-// no open transaction is a no-op.
+// written during the transaction are left as garbage beyond the restored
+// page count: later allocations extend over them again, and a checkpoint
+// taken first cuts them off (it truncates the file to its recorded size —
+// that, and not freed pages, is all a checkpoint ever truncates). A
+// Rollback with no open transaction is a no-op.
 func (fb *FileBackend) Rollback() {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -991,10 +1040,11 @@ func (fb *FileBackend) Rollback() {
 func (fb *FileBackend) Rollbacks() uint64 { return fb.rollbacks.Load() }
 
 // Sync implements Backend: a checkpoint. It rewrites the header block and
-// the freelist trailer, truncates the file to its exact recorded size,
-// fsyncs, and retires the write-ahead log — after Sync the page file
-// alone describes the committed state. Syncing inside an open transaction
-// is an error; Commit first.
+// the freelist trailer, truncates the file to its exact recorded size
+// (header, every page slot ever allocated — free ones included — and the
+// trailer), fsyncs, and retires the write-ahead log — after Sync the page
+// file alone describes the committed state. Syncing inside an open
+// transaction is an error; Commit first.
 func (fb *FileBackend) Sync() error {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()

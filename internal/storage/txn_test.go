@@ -213,8 +213,9 @@ func TestFileBackendTxAllocDoesNotRecycleTxFreed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fb.Close()
-	a := fb.Alloc()
+	a, keep := fb.Alloc(), fb.Alloc()
 	fb.Write(a, bytes.Repeat([]byte{0xA1}, 256))
+	fb.Write(keep, bytes.Repeat([]byte{0xA2}, 256))
 	if err := fb.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +230,130 @@ func TestFileBackendTxAllocDoesNotRecycleTxFreed(t *testing.T) {
 	// After commit the freed page is recyclable.
 	if id := fb.Alloc(); id != a {
 		t.Errorf("Alloc = %d after commit, want recycled %d", id, a)
+	}
+}
+
+// TestFileBackendTxEmptiedStoreReusesAPage: the exception to the rule
+// above. A transaction that frees every page of the store and then
+// allocates gets one of them back — through the redo journal, so a crash
+// before the commit marker still recovers the old bytes — and the file
+// does not grow by the page it replaced.
+func TestFileBackendTxEmptiedStoreReusesAPage(t *testing.T) {
+	path := tempIndex(t)
+	fb, err := CreateFile(path, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := fb.Alloc()
+	old := bytes.Repeat([]byte{0xA1}, 256)
+	fb.Write(root, old)
+	if err := fb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := [][]byte{bytes.Repeat([]byte{0xB1}, 256), bytes.Repeat([]byte{0xB2}, 200)}
+	rebuild := func() (ids []PageID) {
+		fb.Begin()
+		fb.Free(root)
+		for _, data := range fresh {
+			id := fb.Alloc()
+			fb.Write(id, data)
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	if ids := rebuild(); ids[0] != root || ids[1] != 1 {
+		t.Fatalf("rebuild allocated pages %v, want [%d 1]: the emptied store's page first, then growth", ids, root)
+	}
+	if got := fb.ReadNoCopy(root); !bytes.Equal(got, fresh[0]) {
+		t.Error("the reused page does not read back its transactional content")
+	}
+	// Crash inside Commit, before the marker (PAGE is appended, STATE dies).
+	fb.SetCrashAfterSteps(fb.PersistSteps() + 3)
+	expectFaultPanic(t, func() { fb.Commit() })
+	fb.Abandon()
+	if fb, err = OpenFile(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := fb.ReadNoCopy(root); !bytes.Equal(got, old) {
+		t.Fatal("an uncommitted rebuild overwrote the committed page in place")
+	}
+	if fb.NumPages() != 1 || fb.PagesInUse() != 1 {
+		t.Fatalf("recovered %d pages, %d in use; want 1, 1", fb.NumPages(), fb.PagesInUse())
+	}
+
+	// The same rebuild, committed and reopened: two dense pages, no hole.
+	ids := rebuild()
+	if err := fb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != 256+2*(256+8) {
+		t.Errorf("file is %d bytes (%v), want header + 2 slots = %d", st.Size(), err, 256+2*(256+8))
+	}
+	re, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.NumPages() != 2 || re.PagesInUse() != 2 {
+		t.Errorf("%d pages, %d in use; want 2, 2", re.NumPages(), re.PagesInUse())
+	}
+	for i, id := range ids {
+		if got := re.ReadNoCopy(id); !bytes.Equal(got[:len(fresh[i])], fresh[i]) {
+			t.Errorf("page %d lost the committed write", id)
+		}
+	}
+	if err := re.Fsck(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFileBackendReplaySkipsImagesOfPagesFreedLater: a journaled image of
+// a page must not be replayed once a later committed transaction freed the
+// page — its next owner wrote it directly (writes to committed-free pages
+// bypass the journal), and the old image would clobber that content.
+func TestFileBackendReplaySkipsImagesOfPagesFreedLater(t *testing.T) {
+	path := tempIndex(t)
+	fb, err := CreateFile(path, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fb.Alloc()
+	fb.Write(p, bytes.Repeat([]byte{0x01}, 256))
+	if err := fb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(fn func()) {
+		t.Helper()
+		fb.Begin()
+		fn()
+		if err := fb.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(func() { fb.Write(p, bytes.Repeat([]byte{0x02}, 256)) }) // journaled image of p
+	commit(func() { fb.Free(p) })
+	final := bytes.Repeat([]byte{0x03}, 256)
+	commit(func() {
+		if id := fb.Alloc(); id != p {
+			t.Fatalf("Alloc = %d, want the committed-free page %d", id, p)
+		}
+		fb.Write(p, final) // direct write: p is free in the committed state
+	})
+	fb.Abandon() // crash with all three transactions still in the log
+
+	re, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if ri := re.RecoveryInfo(); ri == nil || ri.ReplayedTxs != 3 || ri.ReplayedPages != 0 {
+		t.Errorf("RecoveryInfo = %+v, want 3 replayed transactions and the stale image skipped", ri)
+	}
+	if got := re.ReadNoCopy(p); !bytes.Equal(got, final) {
+		t.Fatalf("page %d reads %#x..., want the last committed content %#x...", p, got[0], final[0])
 	}
 }
 

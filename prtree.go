@@ -47,6 +47,7 @@
 package prtree
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -193,8 +194,9 @@ type Options struct {
 	// NewFaultyBackend under a real on-disk tree. The wrapper should
 	// expose the wrapped backend via an Unwrap() Backend method (as the
 	// fault decorator does) so file-level tools — CheckPages, transaction
-	// brackets — keep reaching the underlying store. Ignored by the
-	// in-memory constructors.
+	// brackets — keep reaching the underlying store. Only the index file
+	// is wrapped; a load's scratch file (see BulkLoad) holds nothing a
+	// fault could corrupt. Ignored by the in-memory constructors.
 	WrapBackend func(Backend) Backend
 }
 
@@ -234,6 +236,7 @@ type Tree struct {
 	inner    *rtree.Tree
 	pager    *storage.Pager
 	io       *storage.Counting
+	scratch  *storage.Scratch // bulk-load temporaries of a file-backed tree; nil otherwise
 	bopts    bulk.Options
 	path     string // index file path; "" for non-file backends
 	closed   bool
@@ -301,19 +304,33 @@ func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 // l: existing pages are released back to the backend and the new tree is
 // built on the same storage, so a file-backed index is rebuilt within its
 // file. The tree must not be queried concurrently.
+//
 // On a durable backend the rebuild is one transaction: a crash mid-load
 // recovers to the previous tree, and only Commit's success publishes the
-// new one. Pages of the old tree become reusable after the commit, so the
-// file may transiently hold both trees; the next checkpoint reclaims the
-// tail.
+// new one. The old tree's pages join the free list with the commit, so
+// after rebuilding a non-empty index the file holds both trees' page
+// slots; the freed ones are recycled by later allocations, and no
+// checkpoint shrinks the file below its recorded page count.
+//
+// Scratch space: a file-backed tree writes only finished tree pages to its
+// index file. The input file, sort runs and every other temporary of the
+// load go to a private scratch file beside the index (path + ".scratch"),
+// which needs transient disk space of three (Hilbert, STR) to eight (PR)
+// times the input, is never journaled or fsynced, and is deleted when the
+// tree closes or the load fails. A load into a freshly created index therefore leaves an index
+// file of exactly Nodes() pages. IOStats counts the scratch I/O too.
 func (t *Tree) BulkLoad(l Loader, items []Item) error {
 	if t.closed {
 		return fmt.Errorf("prtree: BulkLoad on closed tree")
 	}
-	if err := t.mutate(func() {
-		t.inner.Release()
-		t.inner = bulk.FromItems(l, t.pager, items, t.bopts)
-	}); err != nil {
+	err := t.scratch.Use(func() error {
+		return t.mutate(func() {
+			t.inner.Release()
+			in := storage.NewItemFileFrom(t.scratch.Or(t.io), items)
+			t.inner = bulk.Load(l, t.pager, in, t.bopts)
+		})
+	})
+	if err != nil {
 		return fmt.Errorf("prtree: bulk load: %w", err)
 	}
 	return nil
@@ -386,15 +403,19 @@ func (t *Tree) Layout() PageLayout { return t.inner.Config().Layout }
 // Utilization returns the average leaf and internal node fill fractions.
 func (t *Tree) Utilization() (leaf, internal float64) { return t.inner.Utilization() }
 
-// IOStats returns cumulative block reads/writes on the tree's backend.
-// The counters are atomic: IOStats is safe to call while queries
-// (including QueryBatch) run.
-func (t *Tree) IOStats() IOStats { return t.io.Stats() }
+// IOStats returns cumulative block reads/writes on the tree's backend
+// plus, for a file-backed tree, its bulk-load scratch store — so build
+// I/O is the same quantity on every backend. The counters are atomic:
+// IOStats is safe to call while queries (including QueryBatch) run.
+func (t *Tree) IOStats() IOStats { return t.io.Stats().Add(t.scratch.Stats()) }
 
 // ResetIOStats zeroes the I/O counters (e.g. before measuring a query).
 // Like IOStats it is safe to call while queries run; in-flight queries
 // simply split their I/O across the two measurement intervals.
-func (t *Tree) ResetIOStats() { t.io.ResetStats() }
+func (t *Tree) ResetIOStats() {
+	t.io.ResetStats()
+	t.scratch.ResetStats()
+}
 
 // CacheStats returns the page cache's hit/miss/eviction and prefetch
 // counters plus the active capacity and eviction policy. Safe to call
@@ -457,9 +478,10 @@ func Load(r io.Reader, opts *Options) (*Tree, error) {
 // on a supervisor goroutine (see CompactionStats) instead of inside
 // InsertE.
 type Dynamic struct {
-	inner *logmethod.Tree
-	io    *storage.Counting
-	pager *storage.Pager
+	inner   *logmethod.Tree
+	io      *storage.Counting
+	pager   *storage.Pager
+	scratch *storage.Scratch // level-build temporaries of a file-backed index; nil otherwise
 
 	wmu      sync.Mutex // serializes writer transaction brackets
 	comp     *compact.Compactor
@@ -530,7 +552,7 @@ func (d *Dynamic) Close() error {
 	if d.persist {
 		d.io.SetMeta(d.inner.SaveState(d.io))
 	}
-	if err := d.io.Close(); err != nil {
+	if err := errors.Join(d.io.Close(), d.scratch.Close()); err != nil {
 		return fmt.Errorf("prtree: close: %w", err)
 	}
 	return nil
@@ -734,8 +756,12 @@ func (d *Dynamic) CompactionStats() CompactionStats {
 	return st
 }
 
-// IOStats returns cumulative block reads/writes on the index's backend.
-func (d *Dynamic) IOStats() IOStats { return d.io.Stats() }
+// IOStats returns cumulative block reads/writes on the index's backend
+// plus, for a file-backed index, its level-build scratch store.
+func (d *Dynamic) IOStats() IOStats { return d.io.Stats().Add(d.scratch.Stats()) }
 
 // ResetIOStats zeroes the I/O counters.
-func (d *Dynamic) ResetIOStats() { d.io.ResetStats() }
+func (d *Dynamic) ResetIOStats() {
+	d.io.ResetStats()
+	d.scratch.ResetStats()
+}
