@@ -206,15 +206,29 @@ func BenchmarkTheorem3(b *testing.B) {
 
 // --- Core micro-benchmarks ---
 
+// BenchmarkPseudoPRBuildInMemory times the in-memory build every load
+// bottoms out in, on the uniform set and on one served shard's worth of
+// the repository benchmark's dataset, serial and with the kd recursion on
+// two workers (clamped to GOMAXPROCS).
 func BenchmarkPseudoPRBuildInMemory(b *testing.B) {
-	items := dataset.Uniform(50000, 0.001, 19)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		work := make([]geom.Item, len(items))
-		copy(work, items)
-		t := pseudo.Build(work, 113, true)
-		if t.N != len(items) {
-			b.Fatal("bad build")
+	for _, ds := range []struct {
+		name  string
+		items []geom.Item
+	}{
+		{"uniform50k", dataset.Uniform(50000, 0.001, 19)},
+		{"western54k", dataset.Western(75000, 2004)},
+	} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", ds.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					work := make([]geom.Item, len(ds.items))
+					copy(work, ds.items)
+					t := pseudo.Build(work, 113, true, w)
+					if t.N != len(ds.items) {
+						b.Fatal("bad build")
+					}
+				}
+			})
 		}
 	}
 }

@@ -47,6 +47,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -103,6 +104,9 @@ func main() {
 		Eviction:      policy,
 		Prefetch:      *prefetch,
 		Mmap:          *useMmap,
+		// Every load builds the same tree at any setting, so there is no
+		// flag: use the machine.
+		Parallelism: runtime.GOMAXPROCS(0),
 	}
 
 	if flag.Arg(0) == "shard" {
@@ -120,6 +124,7 @@ func main() {
 			Loader:      loader,
 			Layout:      layout,
 			MemoryItems: *mem,
+			Parallelism: opts.Parallelism,
 		})
 		if err != nil {
 			fatal(err)

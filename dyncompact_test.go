@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -154,6 +155,47 @@ func TestDynamicBackgroundEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDynamicParallelismIdentical: a file-backed dynamic index hands
+// Options.Parallelism to every level build — carries spill to the external
+// pipeline here, M being a few blocks — and ends in the same state at any
+// setting: level occupancy, page counts, block I/O and every answer.
+func TestDynamicParallelismIdentical(t *testing.T) {
+	// Let Parallelism 4 mean four workers on a smaller machine too.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	type outcome struct {
+		levels       string
+		total, inUse int
+		io           IOStats
+		digest       uint32
+	}
+	items := scratchTestItems(700, 5)
+	run := func(parallelism int) outcome {
+		path := filepath.Join(t.TempDir(), "par.prd")
+		d, err := CreateDynamic(path, &Options{BlockSize: 512, MemoryItems: 64, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		for i, it := range items {
+			if err := d.InsertE(it); err != nil {
+				t.Fatal(err)
+			}
+			if i%9 == 4 {
+				if _, err := d.DeleteE(items[i-3]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		out := outcome{levels: fmt.Sprint(d.LevelSizes()), io: d.IOStats(), digest: dynDigest(t, d)}
+		out.total, out.inUse = d.PageCounts()
+		return out
+	}
+	want := run(1)
+	if got := run(4); got != want {
+		t.Errorf("Parallelism 4 ends at %+v, Parallelism 1 at %+v", got, want)
 	}
 }
 

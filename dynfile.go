@@ -3,7 +3,6 @@ package prtree
 import (
 	"fmt"
 
-	"prtree/internal/bulk"
 	"prtree/internal/logmethod"
 	"prtree/internal/storage"
 )
@@ -98,11 +97,7 @@ func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byt
 		dev = o.WrapBackend(dev)
 	}
 	counting, pager := newTree(dev, o)
-	bopts := bulk.Options{
-		Fanout:      o.Fanout,
-		Layout:      o.Layout,
-		MemoryItems: o.MemoryItems,
-	}
+	bopts := o.bulkOptions()
 	var inner *logmethod.Tree
 	if meta == nil {
 		inner = logmethod.New(pager, bopts, 0)

@@ -44,13 +44,16 @@ type Options struct {
 	Split rtree.SplitKind
 	// Parallelism bounds the bulk-load pipeline's worker pool (clamped to
 	// GOMAXPROCS; 0 or 1 means serial). Every loader produces the same
-	// tree shape and identical block-I/O counts at every setting — the
-	// knob only spreads the CPU work (sorting, key computation, node
-	// encoding of independent sort runs) across cores. Parallel loads
+	// tree shape and identical block-I/O counts at every setting; the
+	// knob only spreads the CPU work across cores: sorting, key
+	// computation and node encoding of independent sort runs, and in the
+	// PR loader the kd recursion of every in-memory pseudo-PR-tree build
+	// (pseudo.Build), whose pages come out byte-identical. Parallel loads
 	// temporarily hold up to Parallelism+1 sort chunks of MemoryItems
-	// records in memory; the PR and TGS loaders run their four axis
-	// sorts concurrently with a quarter of the budget each, peaking at
-	// about (Parallelism+4)x MemoryItems records transiently.
+	// records in memory; the PR and TGS loaders run their four axis sorts
+	// concurrently with a quarter of the budget each, peaking at about
+	// (Parallelism+4)x MemoryItems records transiently. The in-memory
+	// builds work in place and add nothing.
 	Parallelism int
 }
 

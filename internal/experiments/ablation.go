@@ -20,9 +20,11 @@ func buildFromPseudo(items []geom.Item, fanout int, priority, roundToB bool) *rt
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	b := rtree.NewBuilder(storage.NewPager(disk, -1), rtree.Config{Fanout: fanout})
 	fanout = b.Fanout()
-	build := pseudo.Build
-	if !priority {
-		build = pseudo.BuildKDOnly
+	build := pseudo.BuildKDOnly
+	if priority {
+		build = func(items []geom.Item, b int, roundToB bool) *pseudo.Tree {
+			return pseudo.Build(items, b, roundToB, 1)
+		}
 	}
 
 	level := make([]rtree.ChildEntry, 0)

@@ -95,7 +95,7 @@ func Lemma2Check(cfg Config) Table {
 	for _, base := range []int{20000, 80000, 320000} {
 		n := cfg.n(base)
 		items := dataset.WorstCase(n, b)
-		tr := pseudo.Build(items, b, true)
+		tr := pseudo.Build(items, b, true, cfg.Workers)
 		cols := len(items) / b
 		worst := 0
 		for i := 0; i < cfg.Queries; i++ {

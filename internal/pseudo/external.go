@@ -1,7 +1,6 @@
 package pseudo
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -17,10 +16,14 @@ type ExternalConfig struct {
 	// Workers bounds the construction's parallelism (clamped to
 	// GOMAXPROCS; zero or one means serial): the grid stage's four axis
 	// sorts run concurrently — each inner sort receiving a quarter of the
-	// budget — and each sort parallelizes its run formation and merge
-	// groups. Block-I/O counts and the emitted leaf groups are identical
-	// at every worker count; the axis-sort phase temporarily holds up to
-	// about (Workers+4)*M records of chunk buffers instead of M.
+	// budget — each sort parallelizes its run formation and merge
+	// groups, and every in-memory build (an input or a recursion leaf of
+	// at most M records) spreads its kd recursion over the whole budget
+	// (see Build). Block-I/O counts and the emitted leaf groups — their
+	// order, members and the order within each — are identical at every
+	// worker count; the axis-sort phase temporarily holds up to about
+	// (Workers+4)*M records of chunk buffers instead of M, the in-memory
+	// builds work in place.
 	Workers int
 }
 
@@ -49,7 +52,7 @@ func BuildExternal(in *storage.ItemFile, cfg ExternalConfig, emit func(LeafGroup
 	if in.Len() <= cfg.M {
 		items := in.ReadAll()
 		in.Free()
-		emitInMemory(items, cfg.B, emit)
+		emitInMemory(items, cfg, emit)
 		return
 	}
 	lists := sortAxes(in, cfg)
@@ -74,11 +77,11 @@ func sortAxes(in *storage.ItemFile, cfg ExternalConfig) [4]*storage.ItemFile {
 	return lists
 }
 
-func emitInMemory(items []geom.Item, b int, emit func(LeafGroup)) {
+func emitInMemory(items []geom.Item, cfg ExternalConfig, emit func(LeafGroup)) {
 	if len(items) == 0 {
 		return
 	}
-	t := Build(items, b, true)
+	t := Build(items, cfg.B, true, cfg.Workers)
 	for _, lg := range t.Leaves() {
 		emit(lg)
 	}
@@ -169,7 +172,7 @@ func (e *externalBuilder) recurse(lists [4]*storage.ItemFile, axis int) {
 		for d := 0; d < 4; d++ {
 			lists[d].Free()
 		}
-		emitInMemory(items, e.cfg.B, e.emit)
+		emitInMemory(items, e.cfg, e.emit)
 		return
 	}
 
@@ -188,7 +191,7 @@ func (e *externalBuilder) recurse(lists [4]*storage.ItemFile, axis int) {
 		for d := 0; d < 4; d++ {
 			lists[d].Free()
 		}
-		emitInMemory(items, e.cfg.B, e.emit)
+		emitInMemory(items, e.cfg, e.emit)
 		return
 	}
 
@@ -487,14 +490,13 @@ func (e *externalBuilder) fillPriorityLeaves(root int) {
 			placedHere := false
 			for dir := 0; dir < 4; dir++ {
 				pq := n.pq[dir]
-				if pq.Len() < pq.cap {
-					heap.Push(pq, cur)
+				if len(pq.items) < pq.cap {
+					pq.push(cur)
 					placedHere = true
 					break
 				}
-				if pq.moreExtreme(cur, pq.items[0]) {
-					cur, pq.items[0] = pq.items[0], cur
-					heap.Fix(pq, 0)
+				if pq.ord.less(cur, pq.items[0]) {
+					cur = pq.replaceTop(cur)
 				}
 			}
 			if placedHere {
@@ -602,30 +604,49 @@ func (e *externalBuilder) finish(root int, outLists [][4]*storage.ItemFile, axis
 	dfs(root)
 }
 
-// prioHeap keeps the capacity-B most extreme items in one direction; the
-// heap top is the least extreme member (the eviction candidate).
+// prioHeap keeps the capacity-B most extreme items in one direction as a
+// binary heap whose top is the least extreme member (the eviction
+// candidate).
 type prioHeap struct {
 	items []geom.Item
 	cap   int
-	// moreExtreme(a, b) reports a strictly more extreme than b.
-	moreExtreme func(a, b geom.Item) bool
+	ord   order // ord.less(a, b): a is strictly more extreme than b
 }
 
 func newPrioHeap(dir, capacity int) *prioHeap {
-	return &prioHeap{cap: capacity, moreExtreme: extremeLess(dir)}
+	return &prioHeap{cap: capacity, ord: extremeOrder(dir)}
 }
 
-func (h *prioHeap) Len() int { return len(h.items) }
-func (h *prioHeap) Less(i, j int) bool {
-	// Min-extremeness heap: the root is the least extreme item.
-	return h.moreExtreme(h.items[j], h.items[i])
+// push adds it and sifts it up.
+func (h *prioHeap) push(it geom.Item) {
+	h.items = append(h.items, it)
+	for j := len(h.items) - 1; j > 0; {
+		parent := (j - 1) / 2
+		if !h.ord.less(h.items[parent], h.items[j]) {
+			break
+		}
+		h.items[parent], h.items[j] = h.items[j], h.items[parent]
+		j = parent
+	}
 }
-func (h *prioHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *prioHeap) Push(x interface{}) { h.items = append(h.items, x.(geom.Item)) }
-func (h *prioHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
+
+// replaceTop swaps it for the least extreme member, restores the heap and
+// returns the evicted item.
+func (h *prioHeap) replaceTop(it geom.Item) geom.Item {
+	it, h.items[0] = h.items[0], it
+	for i, n := 0, len(h.items); ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.ord.less(h.items[j], h.items[r]) {
+			j = r // the less extreme child
+		}
+		if !h.ord.less(h.items[i], h.items[j]) {
+			break
+		}
+		h.items[i], h.items[j] = h.items[j], h.items[i]
+		i = j
+	}
+	return it
 }

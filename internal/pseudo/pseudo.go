@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"prtree/internal/geom"
+	"prtree/internal/parallel"
 )
 
 // PriorityDirs names the four priority-leaf directions in construction
@@ -42,13 +43,24 @@ type Tree struct {
 	N    int // rectangles stored
 }
 
+// forkItems is the least kd remainder whose two children build on separate
+// goroutines. Each child of a remainder this size is about a millisecond
+// of selection work, beside which a goroutine hand-off and join are noise.
+const forkItems = 4096
+
 // Build constructs a pseudo-PR-tree with leaf capacity B on items using the
 // exact recursive definition of Section 2.1: priority leaves are peeled off
 // before the kd median is taken. The input slice is reordered in place.
 // Divisions round to multiples of B (the paper's near-100%-utilization
 // refinement) when roundToB is true.
-func Build(items []geom.Item, b int, roundToB bool) *Tree {
-	return buildTree(items, b, roundToB, true)
+//
+// workers bounds the goroutines the kd recursion may occupy (clamped to
+// GOMAXPROCS; one or less means serial). The two children of a kd node are
+// disjoint subslices and every selection's pivots depend on its own input
+// alone, so the tree — nodes, leaf membership and the order of items
+// within each leaf — is the same at every setting.
+func Build(items []geom.Item, b int, roundToB bool, workers int) *Tree {
+	return buildTree(items, b, roundToB, true, parallel.Bound(workers))
 }
 
 // BuildKDOnly constructs the ablated structure: the same four-dimensional
@@ -57,17 +69,17 @@ func Build(items []geom.Item, b int, roundToB bool) *Tree {
 // idea removed. It exists to measure how much of the worst-case robustness
 // the priority leaves themselves contribute (see experiments.AblationPriority).
 func BuildKDOnly(items []geom.Item, b int, roundToB bool) *Tree {
-	return buildTree(items, b, roundToB, false)
+	return buildTree(items, b, roundToB, false, 1)
 }
 
-func buildTree(items []geom.Item, b int, roundToB, priority bool) *Tree {
+func buildTree(items []geom.Item, b int, roundToB, priority bool, workers int) *Tree {
 	if b < 1 {
 		panic(fmt.Sprintf("pseudo: leaf capacity %d", b))
 	}
 	t := &Tree{B: b, N: len(items)}
 	if len(items) > 0 {
 		if priority {
-			t.Root = build(items, b, 0, roundToB)
+			t.Root = build(items, b, 0, roundToB, workers)
 		} else {
 			t.Root = buildKD(items, b, 0, roundToB)
 		}
@@ -89,21 +101,30 @@ func buildKD(items []geom.Item, b, axis int, roundToB bool) *Node {
 			half = r
 		}
 	}
-	less := axisLess(n.Axis)
-	selectK(items, half, less)
-	minRight := items[half]
-	for _, it := range items[half+1:] {
-		if less(it, minRight) {
-			minRight = it
-		}
-	}
-	n.SplitValue = minRight.Rect.Coord(n.Axis)
+	selectK(items, half, axisOrder(n.Axis))
+	n.SplitValue = minCoord(items[half:], n.Axis)
 	n.Left = buildKD(items[:half:half], b, axis+1, roundToB)
 	n.Right = buildKD(items[half:], b, axis+1, roundToB)
 	return n
 }
 
-func build(items []geom.Item, b, axis int, roundToB bool) *Node {
+// minCoord returns the least axis coordinate among items. After a kd
+// selection it is the split value: quickselect only guarantees that the
+// left side orders before the right side element-wise, not that the first
+// right-side item is the minimum of its side.
+func minCoord(items []geom.Item, axis int) float64 {
+	min := items[0].Rect.Coord(axis)
+	for i := 1; i < len(items); i++ {
+		if v := items[i].Rect.Coord(axis); v < min {
+			min = v
+		}
+	}
+	return min
+}
+
+// build is the recursive construction. workers is the number of goroutines
+// this subtree may keep busy, the caller's included.
+func build(items []geom.Item, b, axis int, roundToB bool, workers int) *Node {
 	n := &Node{Axis: axis & 3, Bounds: geom.ItemsMBR(items)}
 	if len(items) <= b {
 		n.Items = items
@@ -122,7 +143,7 @@ func build(items []geom.Item, b, axis int, roundToB bool) *Node {
 			if dir == groups-1 {
 				take = len(rest)
 			}
-			selectK(rest, take, extremeLess(dir))
+			selectK(rest, take, extremeOrder(dir))
 			n.Priority[dir] = rest[:take:take]
 			rest = rest[take:]
 		}
@@ -131,7 +152,7 @@ func build(items []geom.Item, b, axis int, roundToB bool) *Node {
 
 	rest := items
 	for dir := 0; dir < 4; dir++ {
-		selectK(rest, b, extremeLess(dir))
+		selectK(rest, b, extremeOrder(dir))
 		n.Priority[dir] = rest[:b:b]
 		rest = rest[b:]
 	}
@@ -147,24 +168,27 @@ func build(items []geom.Item, b, axis int, roundToB bool) *Node {
 	}
 	if half == 0 || half == len(rest) {
 		// Cannot split (all remaining on one side); make a child leaf.
-		n.Left = build(rest, b, axis+1, roundToB)
+		n.Left = build(rest, b, axis+1, roundToB, workers)
 		n.SplitValue = rest[0].Rect.Coord(n.Axis)
 		return n
 	}
-	less := axisLess(n.Axis)
-	selectK(rest, half, less)
-	// The split value is the least right-side coordinate: quickselect only
-	// guarantees rest[:half] <= rest[half:] element-wise, not that
-	// rest[half] is the minimum of the tail.
-	minRight := rest[half]
-	for _, it := range rest[half+1:] {
-		if less(it, minRight) {
-			minRight = it
-		}
+	selectK(rest, half, axisOrder(n.Axis))
+	n.SplitValue = minCoord(rest[half:], n.Axis)
+	left, right := rest[:half:half], rest[half:]
+	if workers < 2 || len(rest) < forkItems {
+		n.Left = build(left, b, axis+1, roundToB, workers)
+		n.Right = build(right, b, axis+1, roundToB, workers)
+		return n
 	}
-	n.SplitValue = minRight.Rect.Coord(n.Axis)
-	n.Left = build(rest[:half:half], b, axis+1, roundToB)
-	n.Right = build(rest[half:], b, axis+1, roundToB)
+	// The halves are near-equal, so the budget splits evenly between them.
+	// Run re-raises a child's panic here once both have stopped.
+	parallel.Run(2, 2, func(i int) {
+		if i == 0 {
+			n.Left = build(left, b, axis+1, roundToB, workers/2)
+		} else {
+			n.Right = build(right, b, axis+1, roundToB, workers-workers/2)
+		}
+	})
 	return n
 }
 
@@ -315,7 +339,7 @@ func validate(n *Node, b int) (int, error) {
 			continue
 		}
 		count += len(p)
-		less := extremeLess(dir)
+		less := extremeOrder(dir).less
 		// Find the least extreme member of p.
 		worst := p[0]
 		inLeaf := make(map[uint32]bool, len(p))

@@ -3,6 +3,8 @@ package pseudo
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -23,65 +25,126 @@ func randItems(n int, seed int64) []geom.Item {
 	return items
 }
 
-func TestSelectKPartitions(t *testing.T) {
-	for _, dir := range []int{0, 1, 2, 3} {
-		items := randItems(500, int64(dir+1))
-		less := extremeLess(dir)
-		selectK(items, 100, less)
-		// max of first 100 must not exceed min of the rest.
-		worstIn := items[0]
-		for _, it := range items[:100] {
-			if less(worstIn, it) {
-				worstIn = it
-			}
-		}
-		for _, it := range items[100:] {
-			if less(it, worstIn) {
-				t.Fatalf("dir %d: item outside first 100 is more extreme", dir)
-			}
+// buildOrders lists every order the construction selects under: the four
+// priority directions and the four kd axes.
+func buildOrders() []order {
+	var out []order
+	for d := 0; d < 4; d++ {
+		out = append(out, extremeOrder(d), axisOrder(d))
+	}
+	return out
+}
+
+// checkSelect runs selectK on a copy of items and compares with a full
+// sort: once each side of the cut is sorted, the whole slice must read as
+// the sorted input, so items[:k] holds exactly the k first and nothing was
+// lost or duplicated.
+func checkSelect(t *testing.T, items []geom.Item, k int, o order) {
+	t.Helper()
+	byOrder := func(s []geom.Item) {
+		sort.SliceStable(s, func(i, j int) bool { return o.less(s[i], s[j]) })
+	}
+	got := append([]geom.Item(nil), items...)
+	selectK(got, k, o)
+	cut := min(max(k, 0), len(got))
+	byOrder(got[:cut])
+	byOrder(got[cut:])
+	want := append([]geom.Item(nil), items...)
+	byOrder(want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order %+v n=%d k=%d: position %d holds item %d, full sort has item %d",
+				o, len(items), k, i, got[i].ID, want[i].ID)
 		}
 	}
 }
 
-func TestSelectKQuick(t *testing.T) {
-	prop := func(seed int64, kRaw uint8) bool {
-		items := randItems(64, seed)
-		k := int(kRaw) % 64
-		less := axisLess(0)
-		selectK(items, k, less)
-		if k == 0 {
-			return true
-		}
-		worst := items[0]
-		for _, it := range items[:k] {
-			if less(worst, it) {
-				worst = it
-			}
-		}
-		for _, it := range items[k:] {
-			if less(it, worst) {
-				return false
-			}
-		}
-		return true
+// gridItems draws coordinates from a handful of values, so every order
+// sees long runs of equal coordinates that only the id separates.
+func gridItems(n int, seed int64) []geom.Item {
+	rng := rand.New(rand.NewSource(seed))
+	items := make([]geom.Item, n)
+	for i := range items {
+		x, y := float64(rng.Intn(5)), float64(rng.Intn(5))
+		items[i] = geom.Item{Rect: geom.NewRect(x, y, x+float64(rng.Intn(3)), y+float64(rng.Intn(3))), ID: uint32(i)}
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	return items
+}
+
+func TestSelectKPartitions(t *testing.T) {
+	for i, o := range buildOrders() {
+		checkSelect(t, randItems(500, int64(i+1)), 100, o)
+		checkSelect(t, gridItems(500, int64(i+1)), 100, o)
+	}
+}
+
+func TestSelectKQuick(t *testing.T) {
+	orders := buildOrders()
+	prop := func(seed int64, kRaw, oRaw uint8, dup bool) bool {
+		items := randItems(64, seed)
+		if dup {
+			items = gridItems(64, seed)
+		}
+		checkSelect(t, items, int(kRaw)%65, orders[int(oRaw)%len(orders)])
+		return !t.Failed()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestSelectKEdges(t *testing.T) {
-	items := randItems(10, 1)
-	orig := append([]geom.Item{}, items...)
-	selectK(items, 0, axisLess(0))
-	selectK(items, 10, axisLess(0))
-	selectK(items, 15, axisLess(0))
-	// Multiset unchanged.
-	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-	sort.Slice(orig, func(i, j int) bool { return orig[i].ID < orig[j].ID })
-	for i := range orig {
-		if items[i] != orig[i] {
-			t.Fatal("selectK corrupted items")
+	same := make([]geom.Item, 40)  // one rectangle, distinct ids
+	twins := make([]geom.Item, 40) // all-equal keys: ids repeat too
+	for i := range same {
+		same[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(len(same) - i)}
+		twins[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(i % 2)}
+	}
+	inputs := [][]geom.Item{randItems(10, 1), gridItems(40, 2), same, twins, randItems(1, 3), nil}
+	for _, o := range buildOrders() {
+		for _, items := range inputs {
+			n := len(items)
+			for _, k := range []int{-1, 0, 1, n / 2, n - 1, n, n + 5} {
+				checkSelect(t, items, k, o)
+			}
+		}
+	}
+}
+
+// TestBuildWorkersIdentical: the kd recursion forks under the worker
+// budget, and the tree must not depend on it — same leaf groups, in the
+// same order, with the same members in the same positions.
+func TestBuildWorkersIdentical(t *testing.T) {
+	// Let workers=8 fork three levels deep even on a small machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, tc := range []struct {
+		name  string
+		items []geom.Item
+		b     int
+	}{
+		{"random", randItems(20000, 7), 64},
+		{"duplicates", gridItems(10000, 8), 113},
+	} {
+		var want []LeafGroup
+		for _, workers := range []int{1, 2, 8} {
+			work := append([]geom.Item(nil), tc.items...)
+			tr := Build(work, tc.b, true, workers)
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			got := tr.Leaves()
+			if workers == 1 {
+				want = got
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: %d leaf groups, serial build has %d", tc.name, workers, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Priority != want[i].Priority || got[i].Dir != want[i].Dir || !slices.Equal(got[i].Items, want[i].Items) {
+					t.Fatalf("%s workers=%d: leaf group %d differs from the serial build", tc.name, workers, i)
+				}
+			}
 		}
 	}
 }
@@ -94,7 +157,7 @@ func TestBuildSizes(t *testing.T) {
 		{100, 8}, {1000, 8}, {5000, 16}, {200, 1}, {500, 113},
 	} {
 		items := randItems(tc.n, int64(tc.n))
-		tr := Build(items, tc.b, false)
+		tr := Build(items, tc.b, false, 1)
 		if tr.N != tc.n {
 			t.Fatalf("n=%d b=%d: N=%d", tc.n, tc.b, tr.N)
 		}
@@ -108,7 +171,7 @@ func TestBuildSizes(t *testing.T) {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	tr := Build(nil, 8, false)
+	tr := Build(nil, 8, false, 1)
 	if tr.Root != nil || tr.N != 0 {
 		t.Error("empty build should have nil root")
 	}
@@ -122,7 +185,7 @@ func TestBuildEmpty(t *testing.T) {
 
 func TestBuildRoundToBFillsLeaves(t *testing.T) {
 	items := randItems(113*40, 42)
-	tr := Build(items, 113, true)
+	tr := Build(items, 113, true, 1)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +208,7 @@ func TestBuildRoundToBFillsLeaves(t *testing.T) {
 
 func TestLeavesPartitionItems(t *testing.T) {
 	items := randItems(3000, 7)
-	tr := Build(items, 16, false)
+	tr := Build(items, 16, false, 1)
 	seen := make(map[uint32]bool)
 	for _, lg := range tr.Leaves() {
 		if len(lg.Items) == 0 || len(lg.Items) > 16 {
@@ -165,7 +228,7 @@ func TestLeavesPartitionItems(t *testing.T) {
 
 func TestPriorityLeavesAreExtreme(t *testing.T) {
 	items := randItems(2000, 8)
-	tr := Build(items, 32, false)
+	tr := Build(items, 32, false, 1)
 	root := tr.Root
 	if root.IsLeaf() {
 		t.Fatal("root should be internal")
@@ -195,7 +258,7 @@ func TestPriorityLeavesAreExtreme(t *testing.T) {
 
 func TestQueryMatchesBruteForce(t *testing.T) {
 	items := randItems(4000, 9)
-	tr := Build(items, 16, true)
+	tr := Build(items, 16, true, 1)
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 60; i++ {
 		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
@@ -218,7 +281,7 @@ func TestQueryMatchesBruteForce(t *testing.T) {
 
 func TestQueryEarlyStop(t *testing.T) {
 	items := randItems(1000, 11)
-	tr := Build(items, 16, false)
+	tr := Build(items, 16, false, 1)
 	count := 0
 	tr.Query(geom.NewRect(0, 0, 2, 2), func(geom.Item) bool {
 		count++
@@ -242,7 +305,7 @@ func TestLemma2QueryBound(t *testing.T) {
 			// Points on a jittered grid, off the probe lines.
 			items[i] = geom.Item{Rect: geom.PointRect(rng.Float64(), math.Floor(rng.Float64()*1000)/1000+0.0003), ID: uint32(i)}
 		}
-		tr := Build(items, b, true)
+		tr := Build(items, b, true, 1)
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +333,7 @@ func TestBuildManyDuplicates(t *testing.T) {
 	for i := range items {
 		items[i] = geom.Item{Rect: geom.NewRect(0.5, 0.5, 0.6, 0.6), ID: uint32(i)}
 	}
-	tr := Build(items, 8, true)
+	tr := Build(items, 8, true, 1)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -286,12 +349,12 @@ func TestBuildBadCapacityPanics(t *testing.T) {
 			t.Error("B=0 should panic")
 		}
 	}()
-	Build(randItems(10, 1), 0, false)
+	Build(randItems(10, 1), 0, false, 1)
 }
 
 func TestBoundsCoverSubtrees(t *testing.T) {
 	items := randItems(2000, 12)
-	tr := Build(items, 16, false)
+	tr := Build(items, 16, false, 1)
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n == nil {

@@ -2,54 +2,58 @@
 // paper: a four-dimensional kd-tree over the corner transform
 // (xmin, ymin, xmax, ymax) where every internal node carries four priority
 // leaves holding the B most extreme rectangles in each direction. It
-// provides the exact in-memory construction, the I/O-efficient external
-// grid construction, and a window-query engine used to verify Lemma 2.
+// provides the exact in-memory construction (a keyed in-place selection
+// kernel, with the kd recursion spread over a bounded number of workers),
+// the I/O-efficient external grid construction, and a window-query engine
+// used to verify Lemma 2.
 package pseudo
 
 import "prtree/internal/geom"
 
-// extremeLess orders items by "more extreme first" along a priority
-// direction: directions 0 and 1 (xmin, ymin) prefer small coordinates,
-// directions 2 and 3 (xmax, ymax) prefer large ones. Ties break by id so
-// every order is strict.
-func extremeLess(dir int) func(a, b geom.Item) bool {
+// order is one of the construction's strict total orders on items: one
+// corner-transform coordinate, ascending or descending, ties broken by
+// ascending id. It is a value, so the selection loop compares keys inline
+// instead of calling a comparator.
+type order struct {
+	axis int     // corner-transform coordinate, 0..3
+	sign float64 // +1 ascending, -1 descending
+}
+
+// extremeOrder is "more extreme first" along a priority direction:
+// directions 0 and 1 (xmin, ymin) prefer small coordinates, directions 2
+// and 3 (xmax, ymax) prefer large ones.
+func extremeOrder(dir int) order {
 	if dir < 2 {
-		return func(a, b geom.Item) bool {
-			av, bv := a.Rect.Coord(dir), b.Rect.Coord(dir)
-			if av != bv {
-				return av < bv
-			}
-			return a.ID < b.ID
-		}
+		return order{axis: dir, sign: 1}
 	}
-	return func(a, b geom.Item) bool {
-		av, bv := a.Rect.Coord(dir), b.Rect.Coord(dir)
-		if av != bv {
-			return av > bv
-		}
-		return a.ID < b.ID
-	}
+	return order{axis: dir, sign: -1}
 }
 
-// axisLess orders items ascending by the corner-transform coordinate with
-// id tie-break — the kd-split order.
-func axisLess(axis int) func(a, b geom.Item) bool {
-	return func(a, b geom.Item) bool {
-		av, bv := a.Rect.Coord(axis), b.Rect.Coord(axis)
-		if av != bv {
-			return av < bv
-		}
-		return a.ID < b.ID
+// axisOrder is ascending by the corner-transform coordinate — the kd-split
+// order.
+func axisOrder(axis int) order { return order{axis: axis & 3, sign: 1} }
+
+// key is the item's coordinate under o, negated for descending orders so
+// that every order compares (key, id) ascending.
+func (o order) key(it *geom.Item) float64 { return it.Rect.Coord(o.axis) * o.sign }
+
+// less reports whether a orders strictly before b.
+func (o order) less(a, b geom.Item) bool {
+	av, bv := o.key(&a), o.key(&b)
+	if av != bv {
+		return av < bv
 	}
+	return a.ID < b.ID
 }
 
-// selectK partially sorts items so that the k smallest under less occupy
+// selectK partially sorts items so that the k smallest under o occupy
 // items[:k] (in unspecified order). It is the in-place quickselect used to
 // peel off priority leaves and to find kd medians. A deterministic
 // xorshift pivot choice with three-way partitioning keeps it expected
 // linear on any input, including the partially-partitioned arrays the
-// pseudo-PR-tree construction itself produces.
-func selectK(items []geom.Item, k int, less func(a, b geom.Item) bool) {
+// pseudo-PR-tree construction itself produces; the permutation it leaves
+// depends only on the input, never on who else is running.
+func selectK(items []geom.Item, k int, o order) {
 	if k <= 0 || k >= len(items) {
 		return
 	}
@@ -59,8 +63,7 @@ func selectK(items []geom.Item, k int, less func(a, b geom.Item) bool) {
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
-		pivot := items[lo+int(rng%uint64(hi-lo))]
-		lt, gt := threeWayPartition(items, lo, hi, pivot, less)
+		lt, gt := partition3(items, lo, hi, lo+int(rng%uint64(hi-lo)), o)
 		switch {
 		case k <= lt:
 			hi = lt
@@ -72,17 +75,21 @@ func selectK(items []geom.Item, k int, less func(a, b geom.Item) bool) {
 	}
 }
 
-// threeWayPartition rearranges items[lo:hi] into < pivot, == pivot,
-// > pivot runs and returns the equal run's bounds [lt, gt).
-func threeWayPartition(items []geom.Item, lo, hi int, pivot geom.Item, less func(a, b geom.Item) bool) (int, int) {
+// partition3 rearranges items[lo:hi] into runs ordering before, equal to
+// and after items[pivot] under o and returns the equal run's bounds
+// [lt, gt). The pivot's key is read once and each element's key once per
+// visit.
+func partition3(items []geom.Item, lo, hi, pivot int, o order) (int, int) {
+	pv, pid := o.key(&items[pivot]), items[pivot].ID
 	lt, i, gt := lo, lo, hi
 	for i < gt {
+		v, id := o.key(&items[i]), items[i].ID
 		switch {
-		case less(items[i], pivot):
+		case v < pv || v == pv && id < pid:
 			items[lt], items[i] = items[i], items[lt]
 			lt++
 			i++
-		case less(pivot, items[i]):
+		case v > pv || v == pv && id > pid:
 			gt--
 			items[gt], items[i] = items[i], items[gt]
 		default:

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,6 +19,7 @@ import (
 	"prtree"
 	"prtree/internal/geom"
 	"prtree/internal/hilbert"
+	"prtree/internal/parallel"
 	"prtree/internal/storage"
 )
 
@@ -70,7 +73,13 @@ type BuildOptions struct {
 	Layout      prtree.PageLayout
 	BlockSize   int
 	MemoryItems int
-	// Parallelism bounds each shard's bulk-load pipeline.
+	// Parallelism is the build's worker budget (clamped to GOMAXPROCS; 0
+	// or 1 means serial). Shards come first: up to Parallelism of them
+	// load at once, and each shard's bulk-load pipeline gets an equal
+	// share of what is left (prtree.Options.Parallelism). The shard files
+	// and the manifest are byte-identical at every setting. Each shard
+	// in flight holds its own copy of its items and its page cache, so
+	// peak memory grows by about one shard's items per extra worker.
 	Parallelism int
 }
 
@@ -117,26 +126,49 @@ func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 		BlockSize: opt.BlockSize,
 		Items:     len(items),
 	}
+	// One budget, shards first: what the concurrent shard builds leave
+	// over is divided among their pipelines instead of multiplying it.
+	budget := parallel.Bound(opt.Parallelism)
+	workers := min(budget, len(parts))
 	topts := &prtree.Options{
 		BlockSize:   opt.BlockSize,
 		Layout:      opt.Layout,
 		MemoryItems: opt.MemoryItems,
-		Parallelism: opt.Parallelism,
+		Parallelism: budget / workers,
 	}
+	man.Shards = make([]ShardInfo, len(parts))
 	for i, part := range parts {
-		name := fmt.Sprintf("shard-%03d.pr", i)
-		tree, err := prtree.Create(filepath.Join(dir, name), topts)
+		man.Shards[i] = ShardInfo{File: fmt.Sprintf("shard-%03d.pr", i), Items: len(part)}
+	}
+	path := func(i int) string { return filepath.Join(dir, man.Shards[i].File) }
+	created := make([]bool, len(parts)) // Create succeeded: the files are this call's
+	errs := make([]error, len(parts))
+	parallel.Run(workers, len(parts), func(i int) {
+		tree, err := prtree.Create(path(i), topts)
 		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
+			errs[i] = err
+			return
 		}
-		if err := tree.BulkLoad(opt.Loader, part); err != nil {
-			tree.Close()
-			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
+		created[i] = true
+		if err := tree.BulkLoad(opt.Loader, parts[i]); err != nil {
+			tree.Close() // the load's error is the one to report
+			errs[i] = err
+			return
 		}
-		if err := tree.Close(); err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
+		errs[i] = tree.Close()
+	})
+	// Workers finish in any order; the error reported is the lowest
+	// failing shard's, and a failed build leaves none of its files behind.
+	for i, err := range errs {
+		if err == nil {
+			continue
 		}
-		man.Shards = append(man.Shards, ShardInfo{File: name, Items: len(part)})
+		for j, made := range created {
+			if made {
+				_ = storage.RemoveFiles(path(j)) // best effort: the shard's error is the one to report
+			}
+		}
+		return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 	}
 	if err := writeManifest(dir, man); err != nil {
 		return nil, err
@@ -168,67 +200,58 @@ func layoutName(l prtree.PageLayout) string {
 	return "raw"
 }
 
+// sortedBy returns a copy of items ordered by (key, ID). It sorts compact
+// (key, id, position) records and gathers, so the sort moves 16 bytes per
+// exchange and never touches the rectangles.
+func sortedBy[K uint64 | float64](items []geom.Item, key func(geom.Rect) K) []geom.Item {
+	type rec struct {
+		key K
+		id  uint32
+		pos uint32
+	}
+	recs := make([]rec, len(items))
+	for i, it := range items {
+		recs[i] = rec{key: key(it.Rect), id: it.ID, pos: uint32(i)}
+	}
+	slices.SortFunc(recs, func(a, b rec) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	sorted := make([]geom.Item, len(items))
+	for i, r := range recs {
+		sorted[i] = items[r.pos]
+	}
+	return sorted
+}
+
 // partitionHilbert cuts the Hilbert-order of item centers into n
 // equal-count contiguous runs. Ties (identical centers) break by ID so
 // the partition is deterministic for any input order.
 func partitionHilbert(items []geom.Item, n int) [][]geom.Item {
-	world := geom.ItemsMBR(items)
-	q := hilbert.NewQuantizer2D(world, 16)
-	type keyed struct {
-		key uint64
-		it  geom.Item
-	}
-	ks := make([]keyed, len(items))
-	for i, it := range items {
-		ks[i] = keyed{key: q.CenterKey(it.Rect), it: it}
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].key != ks[j].key {
-			return ks[i].key < ks[j].key
-		}
-		return ks[i].it.ID < ks[j].it.ID
-	})
-	sorted := make([]geom.Item, len(ks))
-	for i, k := range ks {
-		sorted[i] = k.it
-	}
-	return chunks(sorted, n)
+	q := hilbert.NewQuantizer2D(geom.ItemsMBR(items), 16)
+	return chunks(sortedBy(items, q.CenterKey), n)
 }
 
 // partitionGrid tiles by ~sqrt(n) equal-count X-slabs, each cut into
-// equal-count cells by Y, yielding exactly n non-empty tiles.
+// equal-count cells by Y, yielding exactly n non-empty tiles. Slabs and
+// cells order by center coordinate, ties by ID.
 func partitionGrid(items []geom.Item, n int) [][]geom.Item {
-	sorted := make([]geom.Item, len(items))
-	copy(sorted, items)
-	centerLess := func(axis int) func(a, b geom.Item) bool {
-		return func(a, b geom.Item) bool {
-			var ca, cb float64
-			if axis == 0 {
-				ca, cb = a.Rect.MinX+a.Rect.MaxX, b.Rect.MinX+b.Rect.MaxX
-			} else {
-				ca, cb = a.Rect.MinY+a.Rect.MaxY, b.Rect.MinY+b.Rect.MaxY
-			}
-			if ca != cb {
-				return ca < cb
-			}
-			return a.ID < b.ID
-		}
-	}
-	lessX, lessY := centerLess(0), centerLess(1)
-	sort.Slice(sorted, func(i, j int) bool { return lessX(sorted[i], sorted[j]) })
+	centerX := func(r geom.Rect) float64 { return r.MinX + r.MaxX }
+	centerY := func(r geom.Rect) float64 { return r.MinY + r.MaxY }
 	cols := int(math.Sqrt(float64(n)))
 	if cols < 1 {
 		cols = 1
 	}
-	slabs := chunksWeighted(sorted, cols, n)
+	slabs := chunksWeighted(sortedBy(items, centerX), cols, n)
 	var out [][]geom.Item
 	for i, slab := range slabs {
 		rows := (n / cols)
 		if i < n%cols {
 			rows++
 		}
-		sort.Slice(slab, func(a, b int) bool { return lessY(slab[a], slab[b]) })
-		out = append(out, chunks(slab, rows)...)
+		out = append(out, chunks(sortedBy(slab, centerY), rows)...)
 	}
 	return out
 }

@@ -241,6 +241,18 @@ func CreateFile(path string, blockSize int) (*FileBackend, error) {
 // walPath returns the sidecar log path for a page file.
 func walPath(pagePath string) string { return pagePath + ".wal" }
 
+// RemoveFiles deletes the page file at path together with its write-ahead
+// log and its scratch file. Files that do not exist are not an error.
+func RemoveFiles(path string) error {
+	var errs []error
+	for _, p := range []string{path, walPath(path), ScratchPath(path)} {
+		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // OpenFile opens an existing page file, validating its header and
 // geometry and replaying the write-ahead log if the file was not cleanly
 // checkpointed. expectBlockSize 0 accepts whatever block size the file

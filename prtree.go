@@ -164,9 +164,13 @@ type Options struct {
 	// Update selects the dynamic-update heuristic for Insert/Delete
 	// (default GuttmanQuadratic).
 	Update UpdateHeuristic
-	// Parallelism bounds the bulk-load pipeline's worker pool (clamped
-	// to GOMAXPROCS; 0 or 1 means serial). The built tree and the
-	// backend's I/O counts are identical at every setting.
+	// Parallelism is the worker budget of every bulk load (clamped to
+	// GOMAXPROCS; 0 or 1 means serial): Bulk, BulkWith and BulkLoad, and
+	// on a Dynamic the carries, rebuilds and background merges. It
+	// spreads the external sorts and, for the PR loader, the kd recursion
+	// of the in-memory construction. The built tree — for PR, byte for
+	// byte on a file-backed index — and the backend's I/O counts are
+	// identical at every setting.
 	Parallelism int
 	// BackgroundCompaction moves the dynamic index's logarithmic-method
 	// merges off the insert path: a supervisor goroutine (internal/compact)
@@ -508,11 +512,7 @@ func NewDynamic(opts *Options) *Dynamic {
 		dev = storage.NewDisk(o.BlockSize)
 	}
 	counting, pager := newTree(dev, o)
-	inner := logmethod.New(pager, bulk.Options{
-		Fanout:      o.Fanout,
-		Layout:      o.Layout,
-		MemoryItems: o.MemoryItems,
-	}, 0)
+	inner := logmethod.New(pager, o.bulkOptions(), 0)
 	d := &Dynamic{inner: inner, io: counting, pager: pager}
 	d.startCompaction(o)
 	return d

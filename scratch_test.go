@@ -1,11 +1,13 @@
 package prtree
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -100,6 +102,45 @@ func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 					t.Error(err)
 				}
 			})
+		}
+	}
+}
+
+// TestBulkLoadParallelismByteIdentical: an external PR load (input well
+// above M, recursion leaves above the in-memory fork threshold) writes the
+// same index file for the same block I/O at every Parallelism.
+func TestBulkLoadParallelismByteIdentical(t *testing.T) {
+	// Let Parallelism 8 mean eight workers on a smaller machine too.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	items := scratchTestItems(40000, 11)
+	var wantFile []byte
+	var wantIO IOStats
+	for _, p := range []int{1, 2, 8} {
+		path := filepath.Join(t.TempDir(), "par.pr")
+		tr, err := Create(path, &Options{MemoryItems: 12000, Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.BulkLoad(PR, items); err != nil {
+			t.Fatal(err)
+		}
+		io := tr.IOStats()
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == 1 {
+			wantFile, wantIO = file, io
+			continue
+		}
+		if io != wantIO {
+			t.Errorf("Parallelism=%d: block I/O %v, serial load %v", p, io, wantIO)
+		}
+		if !bytes.Equal(file, wantFile) {
+			t.Errorf("Parallelism=%d: index file differs from the serial load's", p)
 		}
 	}
 }
