@@ -12,6 +12,7 @@ package prtree
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -34,7 +35,7 @@ func benchBuild(b *testing.B, l bulk.Loader, items []geom.Item) {
 	benchBuildOpt(b, l, items, bulk.Options{MemoryItems: benchMem})
 }
 
-func benchBuildOpt(b *testing.B, l bulk.Loader, items []geom.Item, opt bulk.Options) {
+func benchBuildOpt(b *testing.B, l bulk.Loader, items []geom.Item, opt bulk.Options) uint64 {
 	b.Helper()
 	var lastIO uint64
 	for i := 0; i < b.N; i++ {
@@ -49,6 +50,7 @@ func benchBuildOpt(b *testing.B, l bulk.Loader, items []geom.Item, opt bulk.Opti
 		}
 	}
 	b.ReportMetric(float64(lastIO), "blockIO/op")
+	return lastIO
 }
 
 // benchQueries builds once, then measures query cost per iteration.
@@ -234,19 +236,56 @@ func BenchmarkPseudoPRBuildInMemory(b *testing.B) {
 }
 
 func BenchmarkPRBulkLoadExternal(b *testing.B) {
-	items := dataset.Uniform(50000, 0.001, 20)
-	benchBuild(b, bulk.LoaderPR, items)
+	b.Run("uniform50k", func(b *testing.B) {
+		benchBuild(b, bulk.LoaderPR, dataset.Uniform(50000, 0.001, 20))
+	})
+	// The benchmark's embedded workload as it loads: a file-backed index,
+	// its temporaries on the scratch store beside it, default M, serial.
+	// blockIO/op is what IOStats reports (index file plus scratch store);
+	// B/op is the load's allocation, the sort arenas included.
+	b.Run("western216k/M=65536", func(b *testing.B) {
+		items := dataset.Western(300000, 2004)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var lastIO uint64
+		for i := 0; i < b.N; i++ {
+			tree, err := Create(filepath.Join(b.TempDir(), fmt.Sprintf("w%d.pr", i)), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := tree.BulkLoad(PR, items); err != nil {
+				b.Fatal(err)
+			}
+			lastIO = tree.IOStats().Total()
+			if tree.Len() != len(items) {
+				b.Fatalf("lost items: %d != %d", tree.Len(), len(items))
+			}
+			if err := tree.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(lastIO), "blockIO/op")
+	})
 }
 
-// BenchmarkPRBulkLoadExternalParallel is the serial benchmark above with
-// the pipeline's worker pool engaged (workers are clamped to GOMAXPROCS).
-// The reported blockIO/op is identical to the serial run at every worker
-// count — only wall-clock changes.
+// BenchmarkPRBulkLoadExternalParallel is the serial uniform50k benchmark
+// above with the pipeline's worker pool engaged (workers are clamped to
+// GOMAXPROCS, raised here so that they do fan out). It FAILS if blockIO/op
+// differs between worker counts — only wall-clock may change.
 func BenchmarkPRBulkLoadExternalParallel(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 8 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	}
 	items := dataset.Uniform(50000, 0.001, 20)
-	for _, w := range []int{2, 4, 8} {
+	var first uint64
+	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchBuildOpt(b, bulk.LoaderPR, items, bulk.Options{MemoryItems: benchMem, Parallelism: w})
+			io := benchBuildOpt(b, bulk.LoaderPR, items, bulk.Options{MemoryItems: benchMem, Parallelism: w})
+			if first == 0 {
+				first = io
+			} else if io != first {
+				b.Fatalf("workers=%d: blockIO %d differs from the %d of the first worker count run", w, io, first)
+			}
 		})
 	}
 }

@@ -48,12 +48,14 @@ type Options struct {
 	// knob only spreads the CPU work across cores: sorting, key
 	// computation and node encoding of independent sort runs, and in the
 	// PR loader the kd recursion of every in-memory pseudo-PR-tree build
-	// (pseudo.Build), whose pages come out byte-identical. Parallel loads
-	// temporarily hold up to Parallelism+1 sort chunks of MemoryItems
-	// records in memory; the PR and TGS loaders run their four axis sorts
-	// concurrently with a quarter of the budget each, peaking at about
-	// (Parallelism+4)x MemoryItems records transiently. The in-memory
-	// builds work in place and add nothing.
+	// (pseudo.Build), whose pages come out byte-identical. A sort's run
+	// formation holds one chunk of MemoryItems decoded records (40 bytes
+	// each) and one sort arena of 32 bytes a record; a parallel one holds
+	// an arena per worker and Parallelism+1 chunks — fewer in the PR and
+	// TGS loaders, which sort every chunk by all four axes from one scan
+	// of the input and so keep four workers busy per chunk (two chunks up
+	// to Parallelism 4). The in-memory builds work in place and add
+	// nothing.
 	Parallelism int
 }
 

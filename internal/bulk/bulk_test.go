@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"prtree/internal/dataset"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
@@ -137,13 +138,13 @@ func TestUtilizationAbove99Percent(t *testing.T) {
 	}
 }
 
-func TestBuildIOOrdering(t *testing.T) {
-	// Figure 9: I/O cost ordering H (cheapest) < PR < TGS, with
-	// PR within a small factor of H and TGS well above PR.
-	items := randItems(40000, 7)
-	opt := Options{Fanout: 113, MemoryItems: 4096}
+// buildCost bulk-loads items with each loader on a fresh in-memory disk —
+// input, temporaries and tree on the one device, the paper's set-up — and
+// returns the block I/Os of each load.
+func buildCost(t *testing.T, items []geom.Item, opt Options, loaders ...Loader) map[Loader]uint64 {
+	t.Helper()
 	cost := map[Loader]uint64{}
-	for _, l := range []Loader{LoaderHilbert, LoaderPR, LoaderTGS} {
+	for _, l := range loaders {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, -1)
 		in := storage.NewItemFileFrom(disk, items)
@@ -154,16 +155,40 @@ func TestBuildIOOrdering(t *testing.T) {
 			t.Fatalf("%v: %v", l, err)
 		}
 	}
+	return cost
+}
+
+func TestBuildIOOrdering(t *testing.T) {
+	// Figure 9: I/O cost ordering H (cheapest) < PR < TGS, with
+	// PR within a small factor of H and TGS well above PR. With M this
+	// small the first round's regions need a second external round and are
+	// handed four lists each; measured 4.23x H (5.43x when the input was
+	// scanned four times and every region got four lists).
+	cost := buildCost(t, randItems(40000, 7), Options{Fanout: 113, MemoryItems: 4096},
+		LoaderHilbert, LoaderPR, LoaderTGS)
 	if !(cost[LoaderHilbert] < cost[LoaderPR] && cost[LoaderPR] < cost[LoaderTGS]) {
 		t.Errorf("I/O ordering violated: H=%d PR=%d TGS=%d",
 			cost[LoaderHilbert], cost[LoaderPR], cost[LoaderTGS])
 	}
-	if cost[LoaderPR] > 8*cost[LoaderHilbert] {
-		t.Errorf("PR build cost %d too far above H %d", cost[LoaderPR], cost[LoaderHilbert])
+	if 10*cost[LoaderPR] > 45*cost[LoaderHilbert] {
+		t.Errorf("PR build cost %d is more than 4.5x H %d", cost[LoaderPR], cost[LoaderHilbert])
 	}
 	if cost[LoaderTGS] < 2*cost[LoaderPR] {
 		t.Errorf("TGS cost %d suspiciously close to PR %d", cost[LoaderTGS], cost[LoaderPR])
 	}
+}
+
+// TestBuildIOFigure9 holds the PR load to the paper's Figure 9 relation —
+// about 2.5x the packed Hilbert tree's block I/Os — at a scale where, as
+// in the paper, one external round suffices: the benchmark's 216k
+// rectangles at the default M. Measured 37,176 against 13,402 = 2.77x.
+func TestBuildIOFigure9(t *testing.T) {
+	cost := buildCost(t, dataset.Western(300000, 2004), Options{}, LoaderHilbert, LoaderPR)
+	if cost[LoaderPR] > 3*cost[LoaderHilbert] {
+		t.Errorf("PR build cost %d is more than 3x H %d", cost[LoaderPR], cost[LoaderHilbert])
+	}
+	t.Logf("PR %d, H %d block I/Os: %.2fx", cost[LoaderPR], cost[LoaderHilbert],
+		float64(cost[LoaderPR])/float64(cost[LoaderHilbert]))
 }
 
 func TestLoadersFreeScratchSpace(t *testing.T) {

@@ -17,8 +17,9 @@ import (
 //
 // Each stage runs the external grid algorithm (O((n/B) log_{M/B}(n/B))
 // I/Os on a stage of n rectangles), so the whole bulk-load costs
-// O((N/B) log_{M/B}(N/B)) I/Os — about 2.5x the Hilbert loaders and far
-// below TGS in measured block transfers, matching Figure 9. The resulting
+// O((N/B) log_{M/B}(N/B)) I/Os — about 2.5x the Hilbert loaders in the
+// paper's Figure 9, 2.8x measured here when one external round suffices
+// (TestBuildIOFigure9), and far below TGS. The resulting
 // tree answers any window query in O(sqrt(N/B) + T/B) I/Os.
 func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())

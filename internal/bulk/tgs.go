@@ -43,16 +43,8 @@ func TGS(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 			leafCap = raw
 		}
 	}
-	var lists [4]*storage.ItemFile
-	// The four orderings are independent; with Parallelism > 1 they sort
-	// concurrently (identical I/O counts — each sort performs its serial
-	// reads and writes regardless of interleaving), each inner sort
-	// taking a quarter of the worker budget.
-	scfg := opt.sortConfig()
-	scfg.Workers = (opt.Parallelism + 3) / 4
-	extsort.Parallel(opt.Parallelism, 4, func(d int) {
-		lists[d] = extsort.Sort(in, extsort.AxisKey(d), scfg)
-	})
+	// The four orderings come from one scan of the input.
+	lists := [4]*storage.ItemFile(extsort.SortKeys(in, extsort.AxisKeys(), opt.sortConfig()))
 	in.Free()
 	t := &tgsBuilder{disk: disk, b: b, fanout: opt.Fanout, leafCap: leafCap}
 	h := tgsHeight(n, leafCap, opt.Fanout)

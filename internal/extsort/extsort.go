@@ -5,22 +5,27 @@
 // storage.ItemFile, so the sort's I/O cost is measured, not modeled.
 //
 // The pipeline is allocation-lean and optionally parallel. Run formation
-// precomputes every record's Key once, sorts (key, record) pairs with an
-// LSD radix sort, and reuses per-worker buffers across runs; merge passes
-// drive a flat loser tree that moves encoded records (and, for run copies,
-// whole blocks) without decode/encode round trips. With Config.Workers > 1
-// run formation and the independent merge groups of each pass run on a
-// GOMAXPROCS-bounded worker pool. Run boundaries, output bytes, and the
-// disk's read/write counters are identical at every worker count: the input
-// scan stays sequential, runs are fixed M-record chunks, and each merge
-// group's output depends only on its own inputs.
+// takes a list of keys: the input is scanned once, and each M-record chunk
+// is sorted once per key — the key computed once per record, an LSD radix
+// sort over 16-byte (key, position-in-chunk) records, the run written by
+// gathering from the chunk — with per-worker buffers reused across runs.
+// Merge passes drive a flat loser tree that moves encoded records (and,
+// for run copies, whole blocks) without decode/encode round trips. With
+// Config.Workers > 1 the (chunk, key) sorts and the independent merge
+// groups of each pass run on a GOMAXPROCS-bounded worker pool. Run
+// boundaries, output bytes, and the disk's read/write counters are
+// identical at every worker count: the input scan stays sequential, runs
+// are fixed M-record chunks, and each merge group's output depends only on
+// its own inputs.
 package extsort
 
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"prtree/internal/geom"
+	"prtree/internal/parallel"
 	"prtree/internal/storage"
 )
 
@@ -81,6 +86,12 @@ func UintKey(f func(geom.Item) uint64) KeyFunc {
 	}
 }
 
+// AxisKeys returns the four corner-transform orderings, AxisKey(0..3): the
+// key list of the loaders that work on four sorted lists (PR, TGS).
+func AxisKeys() []KeyFunc {
+	return []KeyFunc{AxisKey(0), AxisKey(1), AxisKey(2), AxisKey(3)}
+}
+
 // Config controls the sort's memory budget and parallelism.
 type Config struct {
 	// MemoryItems is M: the number of records that fit in main memory.
@@ -89,52 +100,70 @@ type Config struct {
 	// Workers bounds the sort's concurrency: at most Workers run-formation
 	// or merge tasks in flight, further capped at GOMAXPROCS. Zero or one
 	// means serial. Any value produces byte-identical output and identical
-	// block-I/O counts; parallel runs temporarily hold up to about
-	// Workers+1 chunks of M records in memory instead of one.
+	// block-I/O counts. Run formation holds one chunk of M decoded records
+	// (40 bytes each) plus one 32-byte-a-record sort arena; a parallel one
+	// holds an arena per worker and enough chunks to keep the workers busy
+	// while the next is read (Workers/keys, rounded up, plus one).
 	Workers int
 }
 
-// Sort externally sorts in by key and returns a new sealed file with the
-// sorted records, on the store the input lives on — as are the
-// intermediate runs, which are freed. The input file is left intact.
-// MemoryItems must allow at least three blocks (two inputs + one output)
-// or Sort panics.
+// Sort externally sorts in by key: SortKeys with one key.
 func Sort(in *storage.ItemFile, key KeyFunc, cfg Config) *storage.ItemFile {
+	return SortKeys(in, []KeyFunc{key}, cfg)[0]
+}
+
+// SortKeys externally sorts in once per key and returns, in the order of
+// keys, new sealed files with the sorted records, on the store the input
+// lives on — as are the intermediate runs, which are freed. Each output,
+// its runs and their boundaries are those of a sort by that key alone; the
+// input is scanned once for all of them. The input file is left intact.
+// MemoryItems must allow at least three blocks (two inputs + one output)
+// or SortKeys panics.
+func SortKeys(in *storage.ItemFile, keys []KeyFunc, cfg Config) []*storage.ItemFile {
 	disk := in.Backend()
 	perBlock := storage.ItemsPerBlock(disk.BlockSize())
 	m := cfg.MemoryItems
 	if m < 3*perBlock {
 		panic("extsort: memory budget below three blocks")
 	}
+	out := make([]*storage.ItemFile, len(keys))
 	if in.Len() == 0 {
-		out := storage.NewItemFile(disk)
-		out.Seal()
+		for k := range out {
+			out[k] = storage.NewItemFile(disk)
+			out[k].Seal()
+		}
 		return out
 	}
-	workers := boundWorkers(cfg.Workers)
+	workers := parallel.Bound(cfg.Workers)
 
-	runs := formRuns(disk, in, key, m, workers)
+	runs := formRuns(disk, in, keys, m, workers)
 	fanIn := m/perBlock - 1
 	if fanIn < 2 {
 		fanIn = 2
 	}
-	for len(runs) > 1 {
-		groups := (len(runs) + fanIn - 1) / fanIn
-		next := make([]*storage.ItemFile, groups)
-		// Merge groups are independent: group g always merges the same
-		// slice of runs into next[g], so output order and per-group bytes
-		// match the serial pass exactly.
-		Parallel(workers, groups, func(g int) {
+	// Every key has the same number of runs, so the keys go through the
+	// merge passes together, their groups sharing one pool.
+	for nRuns := len(runs[0]); nRuns > 1; {
+		groups := (nRuns + fanIn - 1) / fanIn
+		next := make([][]*storage.ItemFile, len(keys))
+		for k := range next {
+			next[k] = make([]*storage.ItemFile, groups)
+		}
+		// Merge groups are independent: group g of key k always merges the
+		// same slice of runs into next[k][g], so output order and per-group
+		// bytes match the serial pass exactly.
+		parallel.Run(workers, len(keys)*groups, func(i int) {
+			k, g := i/groups, i%groups
 			lo := g * fanIn
-			hi := lo + fanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			next[g] = mergeRuns(disk, runs[lo:hi], key)
+			hi := min(lo+fanIn, nRuns)
+			next[k][g] = mergeRuns(disk, runs[k][lo:hi], keys[k])
 		})
-		runs = next
+		runs, nRuns = next, groups
 	}
-	return runs[0]
+	for k := range out {
+		out[k] = runs[k][0]
+	}
+	return out
 }
 
 // SortItems sorts an in-memory slice by key (used when N <= M, where the
@@ -144,99 +173,118 @@ func SortItems(items []geom.Item, key KeyFunc) []geom.Item {
 	if len(items) < 2 {
 		return items
 	}
-	keyed := make([]keyedItem, len(items))
-	for i, it := range items {
-		keyed[i] = keyedItem{key: key(it), item: it}
-	}
-	scratch := make([]keyedItem, len(items))
-	sorted := sortKeyed(keyed, scratch)
+	sorted := newRunSorter(len(items)).sort(items, key)
+	out := make([]geom.Item, len(items))
 	for i := range sorted {
-		items[i] = sorted[i].item
+		out[i] = items[sorted[i].pos]
 	}
+	copy(items, out)
 	return items
 }
 
 // runChunk is one M-record slice of the input, tagged with its position so
-// parallel workers can deposit the finished run at the right index.
+// parallel workers can deposit the finished runs at the right index, and
+// counting the keys it has yet to be sorted by.
 type runChunk struct {
-	idx   int
-	items []geom.Item
+	idx     int
+	items   []geom.Item
+	pending atomic.Int32
 }
 
-// formRuns cuts the input into fixed chunks of m records, sorts each, and
-// writes each as a run. The input scan is a single sequential reader in
-// every mode, so each input block is read exactly once; only the sort and
-// the run writes fan out to workers.
-func formRuns(disk storage.Backend, in *storage.ItemFile, key KeyFunc, m, workers int) []*storage.ItemFile {
+// runTask is one unit of run formation: sort a chunk by one of the keys.
+type runTask struct {
+	chunk *runChunk
+	key   int
+}
+
+// formRuns cuts the input into fixed chunks of m records, sorts each by
+// every key, and writes each as one run per key: runs[k][i] is chunk i
+// sorted by keys[k]. The input scan is a single sequential reader in every
+// mode, so each input block is read exactly once whatever the number of
+// keys; only the sorts and the run writes fan out to workers.
+func formRuns(disk storage.Backend, in *storage.ItemFile, keys []KeyFunc, m, workers int) [][]*storage.ItemFile {
 	nRuns := (in.Len() + m - 1) / m
-	runs := make([]*storage.ItemFile, nRuns)
-	if workers > nRuns {
-		workers = nRuns // never size buffers or goroutines beyond the work
+	runs := make([][]*storage.ItemFile, len(keys))
+	for k := range runs {
+		runs[k] = make([]*storage.ItemFile, nRuns)
 	}
-	if workers <= 1 || nRuns <= 1 {
-		s := newRunSorter(m)
-		r := in.Reader()
-		buf := make([]geom.Item, 0, min(m, in.Len()))
+	if tasks := nRuns * len(keys); workers > tasks {
+		workers = tasks // never size buffers or goroutines beyond the work
+	}
+	chunkCap := min(m, in.Len())
+	r := in.Reader()
+	if workers <= 1 {
+		s := newRunSorter(chunkCap)
+		buf := make([]geom.Item, 0, chunkCap)
 		for idx := 0; idx < nRuns; idx++ {
 			buf = fillChunk(r, buf[:0], m)
-			runs[idx] = s.writeRun(disk, buf, key)
+			for k, key := range keys {
+				runs[k][idx] = s.writeRun(disk, buf, key)
+			}
 		}
 		return runs
 	}
 
-	// Pipeline: the caller's goroutine reads chunks in order while workers
-	// sort and write them. Chunk buffers are recycled through a channel so
-	// steady-state memory stays at about (workers+1) chunks.
-	chunks := make(chan runChunk, workers)
-	spare := make(chan []geom.Item, workers+1)
-	for i := 0; i < workers+1; i++ {
-		spare <- make([]geom.Item, 0, m)
+	// Pipeline: the caller's goroutine reads chunks in order and queues one
+	// task per key; workers sort and write. A chunk returns to the reader
+	// when its last key is done. There are as many chunks as keep every
+	// worker busy (workers/keys, rounded up) plus the one being read.
+	nChunks := min((workers+len(keys)-1)/len(keys)+1, nRuns)
+	spare := make(chan *runChunk, nChunks) // holds every chunk: a release never blocks
+	for i := 0; i < nChunks; i++ {
+		spare <- &runChunk{items: make([]geom.Item, 0, chunkCap)}
 	}
-	var wg sync.WaitGroup
-	var pmu sync.Mutex
-	var pval any
+	tasks := make(chan runTask, workers) // a task ready for each worker the moment it is free
+	var (
+		wg     sync.WaitGroup
+		failed atomic.Bool
+		pmu    sync.Mutex
+		pval   any
+	)
+	// form runs one task. Whatever happens the chunk is released, or the
+	// reader would starve on <-spare and a panic would turn into a deadlock
+	// instead of propagating; once one task has failed the rest only release.
+	form := func(s *runSorter, t runTask) {
+		defer func() {
+			if r := recover(); r != nil {
+				failed.Store(true)
+				pmu.Lock()
+				if pval == nil {
+					pval = r
+				}
+				pmu.Unlock()
+			}
+			if t.chunk.pending.Add(-1) == 0 {
+				spare <- t.chunk
+			}
+		}()
+		if !failed.Load() {
+			runs[t.key][t.chunk.idx] = s.writeRun(disk, t.chunk.items, keys[t.key])
+		}
+	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					pmu.Lock()
-					if pval == nil {
-						pval = r
-					}
-					pmu.Unlock()
-					// Drain so the reader never blocks — recycling each
-					// drained buffer, or the reader would eventually
-					// starve on <-spare and the panic would turn into a
-					// deadlock instead of propagating.
-					for c := range chunks {
-						select {
-						case spare <- c.items[:0]:
-						default:
-						}
-					}
-				}
-			}()
-			var s *runSorter // arena allocated on first claimed chunk
-			for c := range chunks {
+			var s *runSorter // arena allocated on first claimed task
+			for t := range tasks {
 				if s == nil {
-					s = newRunSorter(m)
+					s = newRunSorter(chunkCap)
 				}
-				runs[c.idx] = s.writeRun(disk, c.items, key)
-				select {
-				case spare <- c.items[:0]:
-				default:
-				}
+				form(s, t)
 			}
 		}()
 	}
-	r := in.Reader()
-	for idx := 0; idx < nRuns; idx++ {
-		buf := fillChunk(r, (<-spare)[:0], m)
-		chunks <- runChunk{idx: idx, items: buf}
+	for idx := 0; idx < nRuns && !failed.Load(); idx++ {
+		c := <-spare
+		c.idx = idx
+		c.items = fillChunk(r, c.items[:0], m)
+		c.pending.Store(int32(len(keys)))
+		for k := range keys {
+			tasks <- runTask{chunk: c, key: k}
+		}
 	}
-	close(chunks)
+	close(tasks)
 	wg.Wait()
 	if pval != nil {
 		panic(pval)
@@ -255,30 +303,34 @@ func fillChunk(r *storage.ItemReader, buf []geom.Item, m int) []geom.Item {
 	return buf
 }
 
-// runSorter is one worker's scratch arena: the keyed and scratch slices
-// are reused for every run the worker forms, so steady-state run formation
+// runSorter is one worker's scratch arena: the two record slices are
+// reused for every run the worker forms, so steady-state run formation
 // allocates nothing beyond the run files themselves.
 type runSorter struct {
-	keyed   []keyedItem
-	scratch []keyedItem
+	recs    []sortRec
+	scratch []sortRec
 }
 
 func newRunSorter(m int) *runSorter {
-	return &runSorter{
-		keyed:   make([]keyedItem, 0, m),
-		scratch: make([]keyedItem, m),
+	return &runSorter{recs: make([]sortRec, m), scratch: make([]sortRec, m)}
+}
+
+// sort returns the positions of items in key order, each key computed
+// once. The result aliases the arena and is valid until the next call.
+func (s *runSorter) sort(items []geom.Item, key KeyFunc) []sortRec {
+	recs := s.recs[:len(items)]
+	for i := range items {
+		k := key(items[i])
+		recs[i] = sortRec{main: k.Main, tie: k.Tie, pos: uint32(i)}
 	}
+	return sortRecs(recs, s.scratch)
 }
 
 func (s *runSorter) writeRun(disk storage.Backend, items []geom.Item, key KeyFunc) *storage.ItemFile {
-	keyed := s.keyed[:0]
-	for _, it := range items {
-		keyed = append(keyed, keyedItem{key: key(it), item: it})
-	}
-	sorted := sortKeyed(keyed, s.scratch)
+	sorted := s.sort(items, key)
 	f := storage.NewItemFile(disk)
 	for i := range sorted {
-		f.Append(sorted[i].item)
+		f.Append(items[sorted[i].pos])
 	}
 	f.Seal()
 	return f

@@ -251,20 +251,27 @@ func rawBytes(d *storage.Disk, f *storage.ItemFile) []byte {
 // TestSortSerialParallelEquivalence is the determinism property test: for
 // every (seed, memory budget, worker count) the parallel sort must produce
 // byte-identical output and identical disk read/write counters to the
-// serial sort of the same input.
+// serial sort of the same input — and one SortKeys call for all the keys
+// must produce, per key, the bytes of that key's own sort, with the writes
+// of the separate sorts and their reads less the input scans it saves:
+// exactly (keys - 1) x input blocks.
 func TestSortSerialParallelEquivalence(t *testing.T) {
 	defer allowParallelism()()
 	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
-	keys := map[string]KeyFunc{
-		"axis0": AxisKey(0),
-		"rev3":  ReverseAxisKey(3),
-		"uint":  UintKey(func(it geom.Item) uint64 { return uint64(it.ID) % 97 }),
+	names := []string{"axis0", "rev3", "uint"}
+	keys := []KeyFunc{
+		AxisKey(0),
+		ReverseAxisKey(3),
+		UintKey(func(it geom.Item) uint64 { return uint64(it.ID) % 97 }),
 	}
 	for _, seed := range []int64{1, 7} {
 		for _, n := range []int{1, per * 2, 5000, 20011} {
 			items := randItems(n, seed)
 			for _, mem := range []int{3 * per, 8 * per, 4096} {
-				for name, key := range keys {
+				var separate storage.Stats
+				serial := make([][]byte, len(keys))
+				for k, key := range keys {
+					name := names[k]
 					// Serial reference.
 					ds := storage.NewDisk(storage.DefaultBlockSize)
 					ins := storage.NewItemFileFrom(ds, items)
@@ -272,6 +279,8 @@ func TestSortSerialParallelEquivalence(t *testing.T) {
 					outS := Sort(ins, key, Config{MemoryItems: mem, Workers: 1})
 					statS := ds.Stats()
 					bytesS := rawBytes(ds, outS)
+					separate = separate.Add(statS)
+					serial[k] = bytesS
 
 					for _, workers := range []int{2, 3, 8} {
 						dp := storage.NewDisk(storage.DefaultBlockSize)
@@ -291,6 +300,25 @@ func TestSortSerialParallelEquivalence(t *testing.T) {
 						if string(bytesP) != string(bytesS) {
 							t.Fatalf("seed=%d n=%d mem=%d key=%s workers=%d: output bytes differ from serial",
 								seed, n, mem, name, workers)
+						}
+					}
+				}
+
+				for _, workers := range []int{1, 2, 8} {
+					d := storage.NewDisk(storage.DefaultBlockSize)
+					in := storage.NewItemFileFrom(d, items)
+					d.ResetStats()
+					outs := SortKeys(in, keys, Config{MemoryItems: mem, Workers: workers})
+					want := separate
+					want.Reads -= uint64((len(keys) - 1) * in.Blocks())
+					if got := d.Stats(); got != want {
+						t.Fatalf("seed=%d n=%d mem=%d workers=%d: all keys at once cost %v, want %v (separate sorts %v less %d input scans of %d blocks)",
+							seed, n, mem, workers, got, want, separate, len(keys)-1, in.Blocks())
+					}
+					for k, out := range outs {
+						if string(rawBytes(d, out)) != string(serial[k]) {
+							t.Fatalf("seed=%d n=%d mem=%d workers=%d: key %s sorted with the others differs from its own sort",
+								seed, n, mem, workers, names[k])
 						}
 					}
 				}
@@ -329,47 +357,22 @@ func TestSortReleasesScratchPages(t *testing.T) {
 func TestSortKeyedMatchesStdSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{0, 1, 2, radixMinN - 1, radixMinN, 1000, 10000} {
-		a := make([]keyedItem, n)
+		a := make([]sortRec, n)
 		for i := range a {
-			a[i] = keyedItem{
-				key:  Key{Main: uint64(rng.Intn(8)) << 40, Tie: uint32(rng.Uint64())},
-				item: geom.Item{ID: uint32(i)},
-			}
+			// Few distinct ties as well, so equal keys occur and the
+			// positions check stability.
+			a[i] = sortRec{main: uint64(rng.Intn(8)) << 40, tie: uint32(rng.Intn(50)) << 9, pos: uint32(i)}
 		}
-		ref := make([]keyedItem, n)
+		ref := make([]sortRec, n)
 		copy(ref, a)
-		sort.SliceStable(ref, func(i, j int) bool { return ref[i].key.Less(ref[j].key) })
-		got := sortKeyed(a, make([]keyedItem, n))
+		sort.SliceStable(ref, func(i, j int) bool { return ref[i].key().Less(ref[j].key()) })
+		got := sortRecs(a, make([]sortRec, n))
 		for i := range got {
-			if got[i].key != ref[i].key {
-				t.Fatalf("n=%d: mismatch at %d: %+v != %+v", n, i, got[i].key, ref[i].key)
+			if got[i] != ref[i] {
+				t.Fatalf("n=%d: mismatch at %d: %+v != %+v", n, i, got[i], ref[i])
 			}
 		}
 	}
-}
-
-func TestParallelHelper(t *testing.T) {
-	defer allowParallelism()()
-	hits := make([]int32, 1000)
-	Parallel(8, len(hits), func(i int) { hits[i]++ })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d run %d times", i, h)
-		}
-	}
-	// Serial fallback.
-	Parallel(1, 10, func(i int) { hits[i]++ })
-	// Panic propagation.
-	defer func() {
-		if recover() == nil {
-			t.Error("worker panic not propagated")
-		}
-	}()
-	Parallel(4, 100, func(i int) {
-		if i == 37 {
-			panic("boom")
-		}
-	})
 }
 
 func TestSortTinyMemoryPanics(t *testing.T) {
@@ -402,8 +405,8 @@ func TestSortItemsMatchesStdSort(t *testing.T) {
 }
 
 // TestSortParallelWorkerPanicPropagates: a panicking KeyFunc must surface
-// on the caller's goroutine even with the pipeline engaged — the panic
-// path recycles chunk buffers, so the reader can never starve into a
+// on the caller's goroutine even with the pipeline engaged — a failed task
+// still releases its chunk, so the reader can never starve into a
 // deadlock. A regression here shows up as this test timing out.
 func TestSortParallelWorkerPanicPropagates(t *testing.T) {
 	defer allowParallelism()()
@@ -417,17 +420,25 @@ func TestSortParallelWorkerPanicPropagates(t *testing.T) {
 		}
 		return Key{Main: uint64(it.ID)}
 	}
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		Sort(in, poison, Config{MemoryItems: 3 * per, Workers: 4})
-	}()
-	select {
-	case r := <-done:
-		if r == nil {
-			t.Fatal("worker panic was swallowed")
+	// The poisoned key alone, and as one of four: the chunk it fails on is
+	// also being sorted by the other keys, and must still come back to the
+	// reader however many of its keys were done.
+	for _, keys := range [][]KeyFunc{
+		{poison},
+		{AxisKey(0), AxisKey(1), poison, AxisKey(3)},
+	} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			SortKeys(in, keys, Config{MemoryItems: 3 * per, Workers: 4})
+		}()
+		select {
+		case r := <-done:
+			if r == nil {
+				t.Fatalf("%d keys: worker panic was swallowed", len(keys))
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d keys: the sort deadlocked instead of propagating the worker panic", len(keys))
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Sort deadlocked instead of propagating the worker panic")
 	}
 }

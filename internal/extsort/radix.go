@@ -1,14 +1,17 @@
 package extsort
 
-import "prtree/internal/geom"
-
-// keyedItem pairs a record with its precomputed sort key. Run formation
-// computes every key exactly once, sorts the pairs, and never calls the
-// KeyFunc again for that pass.
-type keyedItem struct {
-	key  Key
-	item geom.Item
+// sortRec is what the radix sort moves: a record's precomputed Key and its
+// position in the chunk being sorted, 16 bytes in all. Run formation
+// computes every key exactly once, sorts these, and gathers the 40-byte
+// records from the chunk in the sorted order of positions — the records
+// themselves are never moved by a sorting pass.
+type sortRec struct {
+	main uint64
+	tie  uint32
+	pos  uint32
 }
+
+func (r sortRec) key() Key { return Key{Main: r.main, Tie: r.tie} }
 
 // radixDigits is the number of 8-bit digit positions in a Key: four for
 // the Tie (least significant) and eight for the Main.
@@ -18,22 +21,22 @@ const radixDigits = 12
 // up histograms.
 const radixMinN = 48
 
-// keyDigit extracts digit position p (LSD order) of k.
-func keyDigit(k Key, p int) uint8 {
+// digit extracts digit position p (LSD order) of r's key.
+func (r sortRec) digit(p int) uint8 {
 	if p < 4 {
-		return uint8(k.Tie >> (8 * p))
+		return uint8(r.tie >> (8 * p))
 	}
-	return uint8(k.Main >> (8 * (p - 4)))
+	return uint8(r.main >> (8 * (p - 4)))
 }
 
-// sortKeyed sorts a by (key, insertion order) using an LSD radix sort on
+// sortRecs sorts a by (key, insertion order) using an LSD radix sort on
 // the 96-bit key, stable, with trivial digit positions skipped. scratch
 // must be at least len(a) long. The sorted data ends up in the returned
 // slice, which is either a or scratch[:len(a)].
-func sortKeyed(a, scratch []keyedItem) []keyedItem {
+func sortRecs(a, scratch []sortRec) []sortRec {
 	n := len(a)
 	if n < radixMinN {
-		insertionSortKeyed(a)
+		insertionSortRecs(a)
 		return a
 	}
 	// One scan builds the histogram of every digit position, so passes
@@ -41,19 +44,19 @@ func sortKeyed(a, scratch []keyedItem) []keyedItem {
 	// both Tie and Main) are skipped without touching the data.
 	var counts [radixDigits][256]int32
 	for i := range a {
-		k := a[i].key
-		counts[0][uint8(k.Tie)]++
-		counts[1][uint8(k.Tie>>8)]++
-		counts[2][uint8(k.Tie>>16)]++
-		counts[3][uint8(k.Tie>>24)]++
-		counts[4][uint8(k.Main)]++
-		counts[5][uint8(k.Main>>8)]++
-		counts[6][uint8(k.Main>>16)]++
-		counts[7][uint8(k.Main>>24)]++
-		counts[8][uint8(k.Main>>32)]++
-		counts[9][uint8(k.Main>>40)]++
-		counts[10][uint8(k.Main>>48)]++
-		counts[11][uint8(k.Main>>56)]++
+		tie, main := a[i].tie, a[i].main
+		counts[0][uint8(tie)]++
+		counts[1][uint8(tie>>8)]++
+		counts[2][uint8(tie>>16)]++
+		counts[3][uint8(tie>>24)]++
+		counts[4][uint8(main)]++
+		counts[5][uint8(main>>8)]++
+		counts[6][uint8(main>>16)]++
+		counts[7][uint8(main>>24)]++
+		counts[8][uint8(main>>32)]++
+		counts[9][uint8(main>>40)]++
+		counts[10][uint8(main>>48)]++
+		counts[11][uint8(main>>56)]++
 	}
 	src, dst := a, scratch[:n]
 	for p := 0; p < radixDigits; p++ {
@@ -67,7 +70,7 @@ func sortKeyed(a, scratch []keyedItem) []keyedItem {
 			sum, c[v] = sum+c[v], sum
 		}
 		for i := range src {
-			d := keyDigit(src[i].key, p)
+			d := src[i].digit(p)
 			dst[c[d]] = src[i]
 			c[d]++
 		}
@@ -90,11 +93,11 @@ func trivialDigit(c *[256]int32, n int) bool {
 	return true
 }
 
-func insertionSortKeyed(a []keyedItem) {
+func insertionSortRecs(a []sortRec) {
 	for i := 1; i < len(a); i++ {
 		x := a[i]
 		j := i - 1
-		for j >= 0 && x.key.Less(a[j].key) {
+		for j >= 0 && x.key().Less(a[j].key()) {
 			a[j+1] = a[j]
 			j--
 		}

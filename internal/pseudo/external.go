@@ -15,14 +15,15 @@ type ExternalConfig struct {
 	M int // records that fit in main memory
 	// Workers bounds the construction's parallelism (clamped to
 	// GOMAXPROCS; zero or one means serial): the grid stage's four axis
-	// sorts run concurrently — each inner sort receiving a quarter of the
-	// budget — each sort parallelizes its run formation and merge
-	// groups, and every in-memory build (an input or a recursion leaf of
-	// at most M records) spreads its kd recursion over the whole budget
-	// (see Build). Block-I/O counts and the emitted leaf groups — their
+	// orderings come from one extsort.SortKeys call, which spreads the
+	// (chunk, axis) sorts of its run formation and the merge groups of all
+	// four axes over the budget, and every in-memory build (an input or a
+	// recursion leaf of at most M records) spreads its kd recursion over
+	// it (see Build). Block-I/O counts and the emitted leaf groups — their
 	// order, members and the order within each — are identical at every
-	// worker count; the axis-sort phase temporarily holds up to about
-	// (Workers+4)*M records of chunk buffers instead of M, the in-memory
+	// worker count. The axis-sort phase holds about M*40 bytes of decoded
+	// chunk plus M*32 bytes of sort arena when serial, one arena per
+	// worker and (Workers/4 rounded up)+1 chunks otherwise; the in-memory
 	// builds work in place.
 	Workers int
 }
@@ -31,10 +32,13 @@ type ExternalConfig struct {
 // groups using the external grid algorithm of Section 2.1: four sorted
 // lists, a z^4 in-memory grid with z = Theta(M^(1/4)) to build Theta(log M)
 // kd levels per round, priority-leaf filling by filtering, and distribution
-// of the sorted lists to the recursive subproblems. Every pass streams
-// through storage.ItemFile so the O((N/B) log_{M/B}(N/B)) I/O cost is
-// measured on the disk. The sorted lists and the recursion's partitions go
-// on the store the input lives on.
+// to the recursive subproblems of what each will read: all four sorted
+// lists to a subproblem that needs another external round, the xmin list
+// alone to one that fits in memory (the in-memory construction sorts
+// nothing). The four lists come from one scan of the input. Every pass
+// streams through storage.ItemFile so the O((N/B) log_{M/B}(N/B)) I/O cost
+// is measured on the disk. The sorted lists and the recursion's partitions
+// go on the store the input lives on.
 //
 // The kd divisions follow the paper's external variant: priority
 // rectangles are not removed before the division is computed (the query
@@ -61,20 +65,21 @@ func BuildExternal(in *storage.ItemFile, cfg ExternalConfig, emit func(LeafGroup
 	e.recurse(lists, 0)
 }
 
-// sortAxes produces the four corner-transform orderings of in. With
-// Workers > 1 the four sorts run concurrently; each sort's reads and
-// writes are those of its serial execution, so the total block-I/O count
-// is unchanged.
+// sortAxes produces the four corner-transform orderings of in from one
+// scan of it.
 func sortAxes(in *storage.ItemFile, cfg ExternalConfig) [4]*storage.ItemFile {
-	var lists [4]*storage.ItemFile
-	// Four sorts run concurrently, so each inner sort gets a quarter of
-	// the worker budget: total goroutines and transient chunk memory stay
-	// proportional to Workers, not 4x it.
-	scfg := extsort.Config{MemoryItems: cfg.M, Workers: (cfg.Workers + 3) / 4}
-	extsort.Parallel(cfg.Workers, 4, func(d int) {
-		lists[d] = extsort.Sort(in, extsort.AxisKey(d), scfg)
-	})
-	return lists
+	scfg := extsort.Config{MemoryItems: cfg.M, Workers: cfg.Workers}
+	return [4]*storage.ItemFile(extsort.SortKeys(in, extsort.AxisKeys(), scfg))
+}
+
+// freeLists frees the lists of a subproblem; one that fits in memory was
+// handed list 0 only.
+func freeLists(lists [4]*storage.ItemFile) {
+	for _, f := range lists {
+		if f != nil {
+			f.Free()
+		}
+	}
 }
 
 func emitInMemory(items []geom.Item, cfg ExternalConfig, emit func(LeafGroup)) {
@@ -149,29 +154,33 @@ type externalBuilder struct {
 	cfg  ExternalConfig
 	emit func(LeafGroup)
 
+	// displaced counts, over all rounds, the records a priority heap
+	// evicted after having admitted them: the work the fill order decides.
+	displaced int
+
 	// Per-round state.
-	slabs   [4][]slab
-	nextID  int32
-	counts  map[cellKey]int
-	lists   [4]*storage.ItemFile
-	nodes   []extNode
-	regions []region
-	axis0   int
+	slabs        [4][]slab
+	nextID       int32
+	counts       map[cellKey]int
+	lists        [4]*storage.ItemFile
+	nodes        []extNode
+	regions      []region
+	regionCounts []int // records of each region, priority leaves included
+	axis0        int
 }
 
+// recurse builds the subproblem whose records are in lists — all four
+// orderings, or list 0 alone when the caller knew it fits in memory — and
+// frees them.
 func (e *externalBuilder) recurse(lists [4]*storage.ItemFile, axis int) {
 	n := lists[0].Len()
 	if n == 0 {
-		for d := 0; d < 4; d++ {
-			lists[d].Free()
-		}
+		freeLists(lists)
 		return
 	}
 	if n <= e.cfg.M {
 		items := lists[0].ReadAll()
-		for d := 0; d < 4; d++ {
-			lists[d].Free()
-		}
+		freeLists(lists)
 		emitInMemory(items, e.cfg, e.emit)
 		return
 	}
@@ -182,15 +191,14 @@ func (e *externalBuilder) recurse(lists [4]*storage.ItemFile, axis int) {
 	levels := e.kdLevels(n)
 	e.nodes = e.nodes[:0]
 	e.regions = e.regions[:0]
+	e.regionCounts = e.regionCounts[:0]
 	root := e.buildSubtree(fullRegion(), n, 0, levels)
 
 	if root < 0 {
 		// Could not split at all (pathological duplicates): fall back to
 		// in-memory construction despite the memory budget.
 		items := lists[0].ReadAll()
-		for d := 0; d < 4; d++ {
-			lists[d].Free()
-		}
+		freeLists(lists)
 		emitInMemory(items, e.cfg, e.emit)
 		return
 	}
@@ -198,9 +206,7 @@ func (e *externalBuilder) recurse(lists [4]*storage.ItemFile, axis int) {
 	e.fillPriorityLeaves(root)
 	placed := e.placedIDs()
 	outLists := e.distribute(placed)
-	for d := 0; d < 4; d++ {
-		lists[d].Free()
-	}
+	freeLists(lists)
 	// Emit priority leaves and recurse into leaf regions in DFS order so
 	// that spatially close groups stay adjacent for the level above.
 	e.finish(root, outLists, axis, levels)
@@ -313,14 +319,12 @@ func (e *externalBuilder) cellOf(it geom.Item) cellKey {
 // memory. It returns a node index (>= 0) or ~regionIndex (< 0).
 func (e *externalBuilder) buildSubtree(r region, total, depth, levels int) int {
 	if depth >= levels || total <= e.cfg.M/2 {
-		e.regions = append(e.regions, r)
-		return ^(len(e.regions) - 1)
+		return e.leafRegion(r, total)
 	}
 	axis := (e.axis0 + depth) & 3
 	key, leftCount, ok := e.split(r, axis, total)
 	if !ok {
-		e.regions = append(e.regions, r)
-		return ^(len(e.regions) - 1)
+		return e.leafRegion(r, total)
 	}
 	leftR, rightR := r, r
 	leftR.hi[axis] = key
@@ -335,6 +339,12 @@ func (e *externalBuilder) buildSubtree(r region, total, depth, levels int) int {
 	e.nodes[idx].left = l
 	e.nodes[idx].right = rgt
 	return idx
+}
+
+func (e *externalBuilder) leafRegion(r region, total int) int {
+	e.regions = append(e.regions, r)
+	e.regionCounts = append(e.regionCounts, total)
+	return ^(len(e.regions) - 1)
 }
 
 // split finds the exact weighted median of region r along axis using the
@@ -473,40 +483,79 @@ func (e *externalBuilder) slabIndexByID(d int, id int32) int {
 	panic("pseudo: slab id not found")
 }
 
-// fillPriorityLeaves streams every item through the kd-subtree, maintaining
+// fillPriorityLeaves passes every item through the kd-subtree, maintaining
 // the B most extreme rectangles per direction per node with bounded heaps;
 // displaced rectangles continue filtering exactly as in the paper.
+//
+// The outcome does not depend on the order the items arrive in: a heap ends
+// with the B most extreme of the items that reach it, everything else that
+// reached it moves on, and so — by induction over a node's four directions
+// and then over the levels — which items reach a heap is fixed too. The
+// cost does depend on it. A sorted list is the worst order there is for a
+// heap of the opposite direction — each record beats all before it, is
+// admitted, and is evicted B records later — and where rectangles are small
+// xmax rises with xmin, so list 0 read in order is that list for the xmax
+// heap of every node. So the blocks of list 0 are visited with a stride
+// near blocks/phi, the most evenly scattered order a fixed stride gives:
+// after any prefix the visited blocks are spread over the whole list, and a
+// heap soon holds a sample few later blocks can beat. One counted read per
+// block, as in a scan.
 func (e *externalBuilder) fillPriorityLeaves(root int) {
+	perBlock := storage.ItemsPerBlock(e.disk.BlockSize())
+	blocks := e.lists[0].Blocks()
+	stride := scatterStride(blocks)
 	r := e.lists[0].Reader()
-	for {
-		it, ok := r.Next()
-		if !ok {
-			return
+	for i, b := 0, 0; i < blocks; i, b = i+1, (b+stride)%blocks {
+		r.Seek(b * perBlock)
+		for j := 0; j < perBlock; j++ {
+			it, ok := r.Next()
+			if !ok {
+				break // the last block may be partial
+			}
+			e.filter(root, it)
 		}
-		cur := it
-		node := root
-		for node >= 0 {
-			n := &e.nodes[node]
-			placedHere := false
-			for dir := 0; dir < 4; dir++ {
-				pq := n.pq[dir]
-				if len(pq.items) < pq.cap {
-					pq.push(cur)
-					placedHere = true
-					break
-				}
-				if pq.ord.less(cur, pq.items[0]) {
-					cur = pq.replaceTop(cur)
-				}
+	}
+}
+
+// scatterStride returns the first stride coprime to n from n/phi up: taking
+// blocks 0, s, 2s, ... mod n visits each of the n exactly once.
+func scatterStride(n int) int {
+	s := max(1, int(float64(n)/math.Phi))
+	for gcd(s, n) != 1 {
+		s++ // ends at n-1 at the latest
+	}
+	return s
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// filter sends one item down from the node: it stays in the first heap on
+// its way that has room, and wherever it is more extreme than a full
+// heap's least extreme member it takes that member's place and the member
+// travels on.
+func (e *externalBuilder) filter(node int, cur geom.Item) {
+	for node >= 0 {
+		n := &e.nodes[node]
+		for dir := 0; dir < 4; dir++ {
+			pq := n.pq[dir]
+			if len(pq.items) < pq.cap {
+				pq.push(cur)
+				return
 			}
-			if placedHere {
-				break
+			if pq.ord.less(cur, pq.items[0]) {
+				cur = pq.replaceTop(cur)
+				e.displaced++
 			}
-			if itemKey(cur, n.axis).less(n.key) {
-				node = n.left
-			} else {
-				node = n.right
-			}
+		}
+		if itemKey(cur, n.axis).less(n.key) {
+			node = n.left
+		} else {
+			node = n.right
 		}
 	}
 }
@@ -523,17 +572,24 @@ func (e *externalBuilder) placedIDs() map[uint32]bool {
 	return placed
 }
 
-// distribute scans each sorted list once, routing every unplaced item to
-// its leaf region's list for that dimension (order is preserved, so the
-// child lists remain sorted).
+// distribute routes every unplaced item to its leaf region, once per list
+// the region will read (order is preserved, so the child lists remain
+// sorted). A region of at most M records is built in memory from list 0 and
+// gets no other; lists 1-3 go to the regions that need another external
+// round, and are not even scanned when the round has none.
 func (e *externalBuilder) distribute(placed map[uint32]bool) [][4]*storage.ItemFile {
 	out := make([][4]*storage.ItemFile, len(e.regions))
-	for i := range out {
-		for d := 0; d < 4; d++ {
-			out[i][d] = storage.NewItemFile(e.disk)
-		}
-	}
 	for d := 0; d < 4; d++ {
+		wanted := false
+		for i := range out {
+			if d == 0 || e.regionCounts[i] > e.cfg.M {
+				out[i][d] = storage.NewItemFile(e.disk)
+				wanted = true
+			}
+		}
+		if !wanted {
+			continue
+		}
 		rd := e.lists[d].Reader()
 		for {
 			it, ok := rd.Next()
@@ -543,12 +599,14 @@ func (e *externalBuilder) distribute(placed map[uint32]bool) [][4]*storage.ItemF
 			if placed[it.ID] {
 				continue
 			}
-			out[e.routeToRegion(it)][d].Append(it)
+			if f := out[e.routeToRegion(it)][d]; f != nil {
+				f.Append(it)
+			}
 		}
-	}
-	for i := range out {
-		for d := 0; d < 4; d++ {
-			out[i][d].Seal()
+		for i := range out {
+			if out[i][d] != nil {
+				out[i][d].Seal()
+			}
 		}
 	}
 	return out

@@ -75,35 +75,182 @@ func TestExternalTinyMemoryManyRounds(t *testing.T) {
 	checkPartition(t, items, groups, per)
 }
 
+// checkRootLeavesExtreme checks the first four emitted groups of an
+// external build: they are the root node's priority leaves, and the leaf
+// of direction dir must hold exactly the b most extreme rectangles in that
+// direction among those the leaves before it left over — whatever order
+// the rectangles reached the heaps in.
+func checkRootLeavesExtreme(t *testing.T, items []geom.Item, groups []LeafGroup, b int) {
+	t.Helper()
+	taken := make(map[uint32]bool)
+	for dir := 0; dir < 4; dir++ {
+		lg := groups[dir]
+		if !lg.Priority || lg.Dir != dir {
+			t.Fatalf("group %d: priority=%v dir=%d", dir, lg.Priority, lg.Dir)
+		}
+		if len(lg.Items) != b {
+			t.Fatalf("root leaf %d holds %d items, want %d", dir, len(lg.Items), b)
+		}
+		o := extremeOrder(dir)
+		worst := lg.Items[0]
+		for _, it := range lg.Items {
+			if o.less(worst, it) {
+				worst = it
+			}
+		}
+		// The order is strict, so the leaf holds the b most extreme exactly
+		// when b-1 of the rectangles still available beat its worst member.
+		better := 0
+		for _, it := range items {
+			if !taken[it.ID] && o.less(it, worst) {
+				better++
+			}
+		}
+		if better != b-1 {
+			t.Errorf("root leaf %d: %d available rectangles beat its worst member, want %d", dir, better, b-1)
+		}
+		for _, it := range lg.Items {
+			taken[it.ID] = true
+		}
+	}
+}
+
 func TestExternalPriorityGroupsAreExtreme(t *testing.T) {
 	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
 	items := randItems(20000, 4)
 	_, groups := collectExternal(t, items, per, 20*per)
-	// The very first emitted group is the root node's xmin priority leaf:
-	// it must hold the globally most extreme xmin rectangles.
-	first := groups[0]
-	if !first.Priority || first.Dir != 0 {
-		t.Fatalf("first group: priority=%v dir=%d", first.Priority, first.Dir)
+	checkRootLeavesExtreme(t, items, groups, per)
+}
+
+// runExternal is BuildExternal's external path taken apart, so that a test
+// can read the builder afterwards. It returns the builder, the emitted
+// groups, and the disk's counters after the sort and at the end.
+func runExternal(items []geom.Item, b, m int) (e *externalBuilder, groups []LeafGroup, sorted, done storage.Stats) {
+	disk := storage.NewDisk(storage.DefaultBlockSize)
+	in := storage.NewItemFileFrom(disk, items)
+	disk.ResetStats()
+	cfg := ExternalConfig{B: b, M: m}
+	lists := sortAxes(in, cfg)
+	in.Free()
+	sorted = disk.Stats()
+	e = &externalBuilder{disk: disk, cfg: cfg, emit: func(lg LeafGroup) {
+		groups = append(groups, LeafGroup{Items: append([]geom.Item(nil), lg.Items...), Priority: lg.Priority, Dir: lg.Dir})
+	}}
+	e.recurse(lists, 0)
+	return e, groups, sorted, disk.Stats()
+}
+
+// diagonal returns n rectangles whose four coordinates all rise with the
+// id — equal squares along the diagonal, or points on it when side is 0.
+// All four sorted lists are then the same list, and an in-order scan of
+// any of them is the worst order there is for two of the four heaps of
+// every node: each rectangle beats all before it.
+func diagonal(n int, side float64) []geom.Item {
+	items := make([]geom.Item, n)
+	for i := range items {
+		v := float64(i)
+		items[i] = geom.Item{Rect: geom.NewRect(v, v, v+side, v+side), ID: uint32(i)}
 	}
-	if len(first.Items) != per {
-		t.Fatalf("root xmin leaf holds %d items", len(first.Items))
+	return items
+}
+
+// TestExternalFillOrder: the priority heaps are fed out of order, so the
+// number of rectangles a heap admits and later evicts in one external
+// round is about 4B log(N/B) a kd node whatever N is (30,000 to 35,000
+// here) — where a scan of the xmin list costs more than 2N of them on the
+// benchmark's dataset, and 2N per kd level on the diagonals — and what the
+// heaps end up holding is what it must be.
+func TestExternalFillOrder(t *testing.T) {
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	cases := []struct {
+		name  string
+		items []geom.Item
+		m     int
+	}{
+		{"western", western(), 65536},
+		{"diagonal squares", diagonal(100000, 1), 30000},
+		{"diagonal points", diagonal(100000, 0), 30000},
 	}
-	worst := first.Items[0].Rect.MinX
-	for _, it := range first.Items {
-		if it.Rect.MinX > worst {
-			worst = it.Rect.MinX
+	for _, c := range cases {
+		e, groups, _, _ := runExternal(c.items, per, c.m)
+		if len(e.regions) < 2 {
+			t.Fatalf("%s: no external round ran", c.name)
 		}
+		if n := len(c.items); e.displaced >= n/2 {
+			t.Errorf("%s: %d heap displacements for %d rectangles, want fewer than N/2", c.name, e.displaced, n)
+		}
+		checkPartition(t, c.items, groups, per)
+		checkRootLeavesExtreme(t, c.items, groups, per)
 	}
-	// Count how many dataset items are strictly more extreme than the
-	// worst member: must be < len(first.Items).
-	better := 0
+}
+
+// TestExternalOneListRegions: a region that fits in memory is built from
+// its xmin list, so it is handed no other. With N <= 4M every region of the
+// first round fits, and after the sort the load writes the regions' xmin
+// lists and nothing else; a round whose regions need another round still
+// hands each all four orderings.
+func TestExternalOneListRegions(t *testing.T) {
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	blocks := func(n int) int { return (n + per - 1) / per }
+
+	items := randItems(9000, 13)
+	m := 20 * per // 2260: N just under 4M
+	e, groups, sorted, done := runExternal(items, per, m)
+	checkPartition(t, items, groups, per)
+	// The builder still holds the state of its only round: route every
+	// rectangle that no priority leaf took, as distribute did.
+	placed := e.placedIDs()
+	regionLen := make([]int, len(e.regions))
 	for _, it := range items {
-		if it.Rect.MinX < worst {
-			better++
+		if !placed[it.ID] {
+			regionLen[e.routeToRegion(it)]++
 		}
 	}
-	if better >= len(first.Items)+1 {
-		t.Errorf("root xmin leaf misses extremes: %d items beat its worst member", better)
+	want := 0
+	for i, n := range regionLen {
+		if e.regionCounts[i] > m {
+			t.Fatalf("region %d holds %d > M records: not the one-round load this test wants", i, e.regionCounts[i])
+		}
+		want += blocks(n)
+	}
+	if got := int(done.Writes - sorted.Writes); got != want {
+		t.Errorf("after the sort the load wrote %d blocks, want the %d of the regions' xmin lists", got, want)
+	}
+	// Lists 1-3 are read for the grid's quantiles and the split slabs, never
+	// scanned: two full passes over list 0 (cell counts, heap fill), one to
+	// distribute it, and one over each region.
+	in := blocks(len(items))
+	if got := int(done.Reads - sorted.Reads); got > 3*in+want+in {
+		t.Errorf("after the sort the load read %d blocks for an input of %d", got, in)
+	}
+
+	// First round of a load that needs two: every region is above M.
+	items = randItems(30000, 14)
+	disk := storage.NewDisk(storage.DefaultBlockSize)
+	cfg := ExternalConfig{B: per, M: m}
+	e = &externalBuilder{disk: disk, cfg: cfg, emit: func(LeafGroup) {}}
+	e.lists = sortAxes(storage.NewItemFileFrom(disk, items), cfg)
+	n := len(items)
+	e.buildGrid(n)
+	root := e.buildSubtree(fullRegion(), n, 0, e.kdLevels(n))
+	e.fillPriorityLeaves(root)
+	for i, lists := range e.distribute(e.placedIDs()) {
+		if e.regionCounts[i] <= m {
+			t.Fatalf("region %d holds %d <= M records: not the two-round load this test wants", i, e.regionCounts[i])
+		}
+		for d, f := range lists {
+			if f == nil || f.Len() != lists[0].Len() || f.Len() <= m {
+				t.Fatalf("region %d of %d records: list %d is missing or short", i, e.regionCounts[i], d)
+			}
+			prev := negInfKey()
+			for _, it := range f.ReadAll() {
+				if k := itemKey(it, d); !prev.less(k) {
+					t.Fatalf("region %d list %d is not sorted on its axis", i, d)
+				} else {
+					prev = k
+				}
+			}
+		}
 	}
 }
 
@@ -133,9 +280,12 @@ func TestExternalIOWithinSortBound(t *testing.T) {
 	BuildExternal(in, ExternalConfig{B: per, M: 30 * per}, func(LeafGroup) {})
 	total := disk.Stats().Total()
 	nBlocks := uint64((n + per - 1) / per)
-	// 4 sorts (~4 passes each here) + a few linear passes per round.
-	if total > 100*nBlocks {
-		t.Errorf("external build cost %d I/Os for %d blocks", total, nBlocks)
+	// One input scan, four lists through run formation and one merge pass,
+	// then two rounds, the second over four lists a region: 7,584 I/Os
+	// measured (28.5 per input block; 9,774 before the input was scanned
+	// once and in-memory regions got one list), allowed 15 % more.
+	if limit := uint64(7584 * 115 / 100); total > limit {
+		t.Errorf("external build cost %d I/Os for %d blocks, want at most %d", total, nBlocks, limit)
 	}
 }
 
