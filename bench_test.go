@@ -427,6 +427,90 @@ func BenchmarkLogMethodInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkDynamicDurableMutation is the durable write path of the
+// file-backed Dynamic at the benchmark's shape (bench/dyn.go): 4,096
+// preloaded mutations, then 20,000 measured ones — every tenth a DeleteE of
+// an earlier item, the rest InsertE — over the benchmark's dataset, each a
+// committed transaction with its fsync. One iteration is the whole run
+// (use -benchtime 1x); the custom metrics are per measured mutation:
+// persistence steps, page writes, log bytes, fsyncs (page file + log), and
+// allocated bytes and objects in place of the per-iteration B/op and
+// allocs/op. It FAILS above 4 steps, 1 page write, 150 log bytes or
+// 1.05 fsyncs per mutation — the budget of "a mutation is one small log
+// record and one fsync, the state is rewritten when the level directory
+// changes"; saving the state with every mutation cost ≈31 steps, ≈13 page
+// writes and 2.0 fsyncs at this length.
+func BenchmarkDynamicDurableMutation(b *testing.B) {
+	const preload, measured, deleteEvery = 4096, 20000, 10
+	items := dataset.Western(300000, 2004)
+	var steps, writes, walBytes, fsyncs, allocated, objects float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := CreateDynamic(filepath.Join(b.TempDir(), fmt.Sprintf("durable-%d.prd", i)), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fb, _ := storage.AsFile(d.io)
+		fresh, live := items, []Item(nil)
+		mutate := func(n int) {
+			if n%deleteEvery == 0 && len(live) > 0 {
+				j := (n * 7919) % len(live)
+				victim := live[j]
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				if ok, err := d.DeleteE(victim); err != nil || !ok {
+					b.Fatalf("mutation %d: DeleteE = %v, %v", n, ok, err)
+				}
+				return
+			}
+			it := fresh[0]
+			fresh = fresh[1:]
+			live = append(live, it)
+			if err := d.InsertE(it); err != nil {
+				b.Fatalf("mutation %d: %v", n, err)
+			}
+		}
+		for n := 1; n <= preload; n++ {
+			mutate(n)
+		}
+		s0, io0, w0, f0 := fb.PersistSteps(), d.IOStats(), fb.WALStats(), fb.FsyncStats()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		for n := preload + 1; n <= preload+measured; n++ {
+			mutate(n)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		io1, w1, f1 := d.IOStats(), fb.WALStats(), fb.FsyncStats()
+		steps = float64(fb.PersistSteps()-s0) / measured
+		writes = float64(io1.Writes-io0.Writes) / measured
+		walBytes = float64(w1.Bytes-w0.Bytes) / measured
+		fsyncs = float64(f1.Log-f0.Log+f1.PageFile-f0.PageFile) / measured
+		allocated = float64(m1.TotalAlloc-m0.TotalAlloc) / measured
+		objects = float64(m1.Mallocs-m0.Mallocs) / measured
+		if d.Len() != len(live) {
+			b.Fatalf("index holds %d items, the live set %d", d.Len(), len(live))
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(steps, "steps/op")
+	b.ReportMetric(writes, "pagewrites/op")
+	b.ReportMetric(walBytes, "walB/op")
+	b.ReportMetric(fsyncs, "fsyncs/op")
+	b.ReportMetric(allocated, "B/op")
+	b.ReportMetric(objects, "allocs/op")
+	b.ReportMetric(float64(measured)*float64(b.N)/b.Elapsed().Seconds(), "mutations/sec")
+	if steps > 4 || writes > 1 || walBytes > 150 || fsyncs > 1.05 {
+		b.Fatalf("a durable mutation costs %.2f steps, %.2f page writes, %.0f log bytes, %.3f fsyncs; budget 4, 1, 150, 1.05",
+			steps, writes, walBytes, fsyncs)
+	}
+}
+
 func BenchmarkHilbert2DIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = hilbert.Index2D(uint32(i)&0xffff, uint32(i*7)&0xffff, 16)

@@ -28,7 +28,10 @@
 //	compact force a full synchronous compaction of a dynamic index file
 //	        (-index): merge the buffer and every logarithmic-method level
 //	        into one static PR-tree, printing level occupancy and page
-//	        counts before and after
+//	        counts before and after. Opening the file recovers it first —
+//	        a dynamic index's mutations since its last saved state are log
+//	        records, re-applied here — and the "recovery:" line reports
+//	        the transactions replayed and the notes re-applied
 //
 // With -index and no -in, the index file is opened in place (no rebuild);
 // with -in and no -index, the tree is built in memory as before.

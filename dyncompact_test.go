@@ -343,7 +343,9 @@ func dynCrashBackend(t *testing.T, d *Dynamic) *storage.FileBackend {
 // shape the compaction subsystem commits: inline carries (sync inserts
 // across a full buffer), deletes with tombstones, one manually-driven
 // background carry (build off to the side, then the epoch-swap install
-// commit — the exact transaction the compactor runs), and a full flush.
+// commit — the exact transaction the compactor runs), a full flush, and a
+// tail of logged mutations that Close finds in the buffer and the
+// tombstone set.
 func dynCrashWorkload(d *Dynamic, afterTx func()) {
 	step := func() {
 		if afterTx != nil {
@@ -377,7 +379,7 @@ func dynCrashWorkload(d *Dynamic, afterTx func()) {
 		panic("BeginCarry refused with a full buffer")
 	}
 	job.Build()
-	if err := d.mutate(func() { job.Install() }); err != nil {
+	if err := d.mutate(nil, func() { job.Install() }); err != nil {
 		panic(err)
 	}
 	storage.EnsureSnapshotter(d.io).SnapshotAdvance()
@@ -385,6 +387,16 @@ func dynCrashWorkload(d *Dynamic, afterTx func()) {
 	d.inner.SetBackground(false)
 
 	d.Flush()
+	step()
+
+	// Leave the buffer and the tombstone set non-empty, so that Close (the
+	// victim's next call) has state pages to write: its save must be as
+	// atomic as any other transaction's.
+	for _, it := range crashItems(r, 3, 9000) {
+		d.Insert(it)
+		step()
+	}
+	d.Delete(items[5]) // sits in the flushed level: a tombstone
 	step()
 }
 

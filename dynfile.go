@@ -1,6 +1,7 @@
 package prtree
 
 import (
+	"errors"
 	"fmt"
 
 	"prtree/internal/logmethod"
@@ -9,19 +10,29 @@ import (
 
 // File-backed dynamic indexes: CreateDynamic makes a new index file,
 // InsertE/DeleteE commit each mutation durably (WAL-bracketed, like the
-// static tree's updates), CloseDynamic-via-Close persists in place and
-// OpenDynamic serves it again — including recovery from a crash at any
-// point, background merges included.
+// static tree's updates), Close persists in place and OpenDynamic serves it
+// again — including recovery from a crash at any point, background merges
+// included.
 //
 // The on-disk format extends the static page file: the header's metadata
 // blob holds the logarithmic method's component directory (one static
 // PR-tree meta record per occupied level) and the heads of two chained
-// state-page lists carrying the insert buffer and the tombstone set. The
-// directory blob is staged inside the same transaction as the page writes
-// of the mutation it describes, so a crash recovers either the whole old
-// state or the whole new one — in particular, a crash while a background
-// merge was mid-build recovers the pre-merge directory, and the merge's
-// half-built pages are unreferenced garbage, never corruption.
+// state-page lists carrying the insert buffer and the tombstone set.
+//
+// That is the saved state, and it is not rewritten by every mutation. It
+// is saved — blob and chains, inside the transaction of the change, so a
+// crash recovers either the whole old state or the whole new one — when
+// the level directory changes (a carry, a rebuild, a background merge's
+// install, a flush) and by Sync and Close. A mutation that changes only
+// the buffer or the tombstone set commits as a note in the write-ahead
+// log (storage.FileBackend.Note): "insert item" or "delete item", 37
+// bytes, one log fsync, no page write. The committed index is the last
+// saved state plus the notes logged after it; OpenDynamic finds them in a
+// log a crash left behind and runs them through the ordinary Insert and
+// Delete, in one transaction that saves the result, before anyone sees the
+// index. In particular a crash while a background merge was mid-build
+// recovers the pre-merge directory with every acknowledged mutation, and
+// the merge's half-built pages are unreferenced garbage, never corruption.
 
 // CreateDynamic makes a new (or truncates an existing) index file at path
 // and returns an empty file-backed dynamic index on it. Close persists it
@@ -52,9 +63,10 @@ func CreateDynamic(path string, opts *Options) (*Dynamic, error) {
 // OpenDynamic reopens the dynamic index file at path. The component
 // directory and configuration come from the file; opts controls the page
 // cache and compaction, and a non-zero opts.BlockSize is validated against
-// the file's. Crash recovery (WAL replay) happens inside storage.OpenFile
-// before the directory is read, so an index that died mid-merge opens to
-// its last committed state.
+// the file's. Crash recovery happens before the index is returned: the
+// page-level replay inside storage.OpenFile, then the mutations the log
+// holds as notes (see Recovery), so an index that died at any point — mid
+// merge included — opens to its last acknowledged mutation.
 func OpenDynamic(path string, opts *Options) (*Dynamic, error) {
 	expect := 0
 	if opts != nil {
@@ -75,9 +87,52 @@ func OpenDynamic(path string, opts *Options) (*Dynamic, error) {
 		fb.Abandon()
 		return nil, fmt.Errorf("prtree: open %s: %w", path, err)
 	}
-	d.recovery = fb.RecoveryInfo()
+	if err := d.reapplyNotes(); err != nil {
+		// Nor retire a log whose notes nobody applied.
+		d.pager.Close()
+		fb.Abandon()
+		return nil, fmt.Errorf("prtree: open %s: %w", path, errors.Join(err, d.scratch.Close()))
+	}
 	d.startCompaction(o)
 	return d, nil
+}
+
+// reapplyNotes finishes crash recovery: the backend replayed the log's
+// pages and kept the log because it holds notes; the mutations noted after
+// the last save run again here, through the ordinary Insert and Delete —
+// inline carries included — in one transaction that saves the result.
+// Then the notes are history, and the checkpoint the backend put off at
+// open retires the log. A crash anywhere in here finds the same log, or
+// the same log with the saved result at its end, and does it again.
+func (d *Dynamic) reapplyNotes() error {
+	if ri := d.fb.RecoveryInfo(); ri != nil {
+		info := *ri
+		d.recovery = &info
+	}
+	notes := d.fb.RecoveredNotes()
+	if len(notes) == 0 {
+		return nil
+	}
+	pending, err := logmethod.PendingMutations(notes)
+	if err != nil {
+		return err
+	}
+	if len(pending) > 0 {
+		err := d.mutate(nil, func() {
+			for _, m := range pending {
+				d.inner.Apply(m)
+			}
+		})
+		if err != nil {
+			return fmt.Errorf("re-applying %d logged mutations: %w", len(pending), err)
+		}
+		d.recovery.ReappliedNotes = len(pending)
+	}
+	d.fb.ConsumeNotes()
+	if err := d.io.Sync(); err != nil {
+		return fmt.Errorf("checkpoint after recovery: %w", err)
+	}
+	return nil
 }
 
 // assembleDynamic stacks the backend decorators (optional mmap, optional
@@ -114,7 +169,7 @@ func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byt
 	// handle's lifetime so a carry pays no file create and delete.
 	scratch := storage.NewScratch(path, fb.BlockSize())
 	inner.SetScratch(scratch)
-	return &Dynamic{inner: inner, io: counting, pager: pager, scratch: scratch, persist: true, path: path}, nil
+	return &Dynamic{inner: inner, io: counting, pager: pager, scratch: scratch, fb: fb, path: path}, nil
 }
 
 // Path returns the index file path, or "" for non-file backends.
@@ -122,8 +177,9 @@ func (d *Dynamic) Path() string { return d.path }
 
 // Recovery reports what crash recovery did when this index was opened:
 // nil for a cleanly closed (or non-file) index, a populated RecoveryInfo
-// when OpenDynamic found work in the write-ahead log. The index is fully
-// consistent either way.
+// when OpenDynamic found work in the write-ahead log — ReappliedNotes is
+// the number of logged mutations it ran again on top of the last saved
+// state. The index is fully consistent either way.
 func (d *Dynamic) Recovery() *RecoveryInfo { return d.recovery }
 
 // CheckPages verifies the checksum trailer of every in-use page of a
@@ -150,10 +206,14 @@ func (d *Dynamic) CheckPages() error {
 func (d *Dynamic) PageCounts() (total, inUse int) { return filePageCounts(d.io) }
 
 // Sync persists the index's current state — pages, allocator and the
-// component directory — through the backend (an fsync'd header rewrite
-// for file-backed indexes, a no-op for in-memory ones). The index remains
-// usable. With background compaction the in-flight merge, if any, is
-// drained first.
+// component directory — through the backend and leaves the page file
+// alone describing it: for a file-backed index one committed transaction
+// that saves the state, then the backend's checkpoint (an fsync'd header
+// rewrite, the log truncated); a no-op for in-memory ones. Mutations are
+// durable when InsertE/DeleteE return, with or without Sync; what Sync
+// buys is an empty log and an index file that opens without recovery. The
+// index remains usable. With background compaction the in-flight merge, if
+// any, is drained first.
 func (d *Dynamic) Sync() error {
 	if d.closed {
 		return fmt.Errorf("prtree: Sync on closed index")
@@ -164,8 +224,10 @@ func (d *Dynamic) Sync() error {
 	}
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if d.persist {
-		d.io.SetMeta(d.inner.SaveState(d.io))
+	if d.fb != nil {
+		if err := d.transact(nil, func() {}); err != nil {
+			return fmt.Errorf("prtree: sync: %w", err)
+		}
 	}
 	if err := d.io.Sync(); err != nil {
 		return fmt.Errorf("prtree: sync: %w", err)

@@ -1,0 +1,442 @@
+package prtree
+
+import (
+	"errors"
+	"math/rand"
+	"path/filepath"
+	"testing"
+
+	"prtree/internal/storage"
+)
+
+// Tests for the dynamic index's logged mutations: what a mutation costs
+// between two saves of the state, that Close and Sync save atomically,
+// that a background level is on disk before the commit that publishes it,
+// that recovery's own re-apply can be killed at every step, and that a
+// log holding notes survives handles that do not understand it.
+
+// expectInjectedCrash runs fn and reports whether it died of an injected
+// fault; any other panic fails the test.
+func expectInjectedCrash(t *testing.T, what string, fn func() error) (crashed bool) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			err, ok := r.(error)
+			if !ok || !errors.Is(err, storage.ErrInjectedFault) {
+				t.Fatalf("%s: panic %v, want ErrInjectedFault", what, r)
+			}
+			crashed = true
+		}
+	}()
+	if err := fn(); err != nil {
+		if !errors.Is(err, storage.ErrInjectedFault) {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return true
+	}
+	return false
+}
+
+// TestDynamicCloseSyncCrashEveryStep: Close and Sync rewrite the state
+// pages, and used to do so outside any transaction — the committed chains'
+// pages were freed, handed out again and overwritten in place before the
+// checkpoint's header was durable, so a crash inside Close left a log that
+// still pointed at the old chain heads and an index that did not open.
+// Kill both at every persistence step; the reopen must succeed and hold
+// exactly the last committed state.
+func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
+	dir := t.TempDir()
+	opts := &Options{BlockSize: 512}
+	seed := filepath.Join(dir, "seed.prd")
+	d, err := CreateDynamic(seed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(31))
+	items := crashItems(r, 5*d.Base()/2, 0)
+	for _, it := range items {
+		d.Insert(it)
+	}
+	// Two that already sit in levels: tombstones. With the half-full buffer
+	// both state chains are non-empty.
+	d.Delete(items[0])
+	d.Delete(items[d.Base()+1])
+	dynCrashBackend(t, d).Abandon() // dies without Close: the log is the state
+	extra := crashItems(r, 1, 7000)[0]
+
+	for _, op := range []string{"Close", "Sync"} {
+		work := filepath.Join(dir, op+".prd")
+		survived := false
+		for k := int64(1); !survived; k++ {
+			if k > 200 {
+				t.Fatalf("%s still crashing after %d steps", op, k)
+			}
+			copyCrashFiles(t, seed, work)
+			victim, err := OpenDynamic(work, opts)
+			if err != nil {
+				t.Fatalf("%s step %d: open: %v", op, k, err)
+			}
+			victim.Insert(extra) // one more committed mutation: the state to find
+			want := dynDigest(t, victim)
+			fb := dynCrashBackend(t, victim)
+			fb.SetCrashAfterSteps(fb.PersistSteps() + k)
+			crashed := expectInjectedCrash(t, op, func() error {
+				if op == "Sync" {
+					return victim.Sync()
+				}
+				return victim.Close()
+			})
+			if crashed {
+				fb.Abandon()
+			} else {
+				survived = true
+				fb.SetCrashAfterSteps(0)
+				if err := victim.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			re, err := OpenDynamic(work, opts)
+			if err != nil {
+				t.Fatalf("%s killed at step %d: reopen: %v", op, k, err)
+			}
+			if got := dynDigest(t, re); got != want {
+				t.Fatalf("%s killed at step %d: reopened to digest %08x, last committed state is %08x (recovery: %v)",
+					op, k, got, want, re.Recovery())
+			}
+			if err := re.CheckPages(); err != nil {
+				t.Fatalf("%s killed at step %d: checksum scrub: %v", op, k, err)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestDynamicInstallFlushesBuiltLevel: a background carry builds its level
+// outside every transaction, and the install commit that makes the level
+// reachable may write no page of its own — with an empty buffer and no
+// tombstones there are no state pages. The level must be flushed before
+// that commit's marker all the same: it is the backend, not the
+// transaction, that remembers unflushed page writes.
+func TestDynamicInstallFlushesBuiltLevel(t *testing.T) {
+	d, err := CreateDynamic(filepath.Join(t.TempDir(), "install.prd"), &Options{BlockSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.inner.SetBackground(true) // inserts only fill the buffer
+	for _, it := range crashItems(rand.New(rand.NewSource(5)), d.Base(), 0) {
+		d.Insert(it)
+	}
+	if err := d.Sync(); err != nil { // everything so far is flushed, the log empty
+		t.Fatal(err)
+	}
+	job, ok := d.inner.BeginCarry()
+	if !ok {
+		t.Fatal("BeginCarry refused with a full buffer")
+	}
+	job.Build()
+	if job.BuiltNodes() == 0 {
+		t.Fatal("the build wrote no page")
+	}
+	fb := dynCrashBackend(t, d)
+	f0, w0, s0 := fb.FsyncStats(), d.IOStats().Writes, fb.PersistSteps()
+	if err := d.mutate(nil, func() { job.Install() }); err != nil {
+		t.Fatal(err)
+	}
+	f1 := fb.FsyncStats()
+	if got := d.IOStats().Writes - w0; got != 0 {
+		t.Fatalf("the install transaction wrote %d pages; the test wants one that writes none", got)
+	}
+	if f1.PageFile-f0.PageFile != 1 || f1.Log-f0.Log != 1 {
+		t.Fatalf("install commit: %d page-file fsyncs, %d log fsyncs; want the built level flushed once, then the log",
+			f1.PageFile-f0.PageFile, f1.Log-f0.Log)
+	}
+	// fsync(pages) first, then NOTE STATE COMMIT and the log's fsync.
+	if got := fb.PersistSteps() - s0; got != 5 {
+		t.Errorf("install commit took %d persistence steps, want 5", got)
+	}
+}
+
+// TestDynamicMutationBudget: between two carries a durable mutation is one
+// small log record — 3 persistence steps (NOTE, COMMIT, fsync), no page
+// write, at most 64 log bytes, one log fsync — whatever the buffer and the
+// tombstone set hold; Sync right after one is the save transaction plus the
+// checkpoint.
+func TestDynamicMutationBudget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "budget.prd")
+	opts := &Options{BlockSize: 512}
+	d, err := CreateDynamic(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(17))
+	base := d.Base()
+	items := crashItems(r, 3*base, 0)
+	for _, it := range items {
+		d.Insert(it) // ends right after a carry: the buffer is empty
+	}
+	if d.BufferLen() != 0 {
+		t.Fatalf("buffer holds %d items, want the state right after a carry", d.BufferLen())
+	}
+	fb := dynCrashBackend(t, d)
+	type cost struct{ steps, writes, walBytes, walRecords, logSyncs, fileSyncs int64 }
+	measure := func(fn func()) cost {
+		s0, io0, w0, f0 := fb.PersistSteps(), d.IOStats(), fb.WALStats(), fb.FsyncStats()
+		fn()
+		io1, w1, f1 := d.IOStats(), fb.WALStats(), fb.FsyncStats()
+		return cost{fb.PersistSteps() - s0, int64(io1.Writes - io0.Writes), w1.Bytes - w0.Bytes,
+			w1.Records - w0.Records, f1.Log - f0.Log, f1.PageFile - f0.PageFile}
+	}
+	light := cost{steps: 3, walBytes: 63, walRecords: 2, logSyncs: 1}
+	absent := Item{Rect: NewRect(0.5, 0.5, 0.6, 0.6), ID: 99999}
+	more := crashItems(r, base-1, 4000)
+	for i, it := range more {
+		if c := measure(func() { d.Insert(it) }); c != light {
+			t.Fatalf("insert %d of %d between carries cost %+v, want %+v", i, base-1, c, light)
+		}
+		switch i {
+		case 2: // an item in a level: a tombstone
+			if c := measure(func() { d.Delete(items[1]) }); c != light {
+				t.Fatalf("tombstoning delete cost %+v, want %+v", c, light)
+			}
+		case 3: // an item in the buffer: removed physically
+			if c := measure(func() { d.Delete(more[0]) }); c != light {
+				t.Fatalf("buffer delete cost %+v, want %+v", c, light)
+			}
+		case 4: // nothing to delete: logged all the same
+			var ok bool
+			if c := measure(func() { ok = d.Delete(absent) }); c != light || ok {
+				t.Fatalf("delete of an absent item = %v, cost %+v; want false, %+v", ok, c, light)
+			}
+		case 5: // a revive: the tombstone goes
+			if c := measure(func() { d.Insert(items[1]) }); c != light {
+				t.Fatalf("reviving insert cost %+v, want %+v", c, light)
+			}
+		}
+	}
+	if light.walBytes > 64 {
+		t.Fatalf("a light mutation logs %d bytes, budget 64", light.walBytes)
+	}
+	// The buffer delete left room for one more light insert; the one after
+	// it fills the buffer and carries: the state is saved with the level.
+	last := crashItems(r, 3, 8000)
+	if c := measure(func() { d.Insert(last[0]) }); c != light {
+		t.Fatalf("last insert before the carry cost %+v, want %+v", c, light)
+	}
+	if c := measure(func() { d.Insert(last[1]) }); c.writes == 0 || c.walRecords < 3 || c.fileSyncs != 1 || d.BufferLen() != 0 {
+		t.Errorf("carrying insert cost %+v and left %d items in the buffer; want page writes, a STATE, an empty buffer", c, d.BufferLen())
+	}
+	d.Insert(last[2])
+
+	// Sync right after a committed mutation: the save transaction — one
+	// buffer page; the revive emptied the tombstone set — then the
+	// checkpoint (header, freelist trailer, fsync, log truncate).
+	sync := measure(func() {
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sync.writes != 1 || sync.walRecords != 3 || sync.logSyncs != 2 || sync.fileSyncs != 2 {
+		t.Errorf("Sync cost %+v, want 1 state page, NOTE+STATE+COMMIT, and the checkpoint's fsyncs", sync)
+	}
+	if got := fb.WALStats().Size; got != 16 {
+		t.Errorf("log is %d bytes after Sync, want the bare header", got)
+	}
+
+	// Die with a logged tail that includes the absent delete's twin, and
+	// find every acknowledged mutation — the no-op replayed as a no-op.
+	d.Insert(crashItems(r, 1, 8003)[0])
+	d.Delete(absent)
+	d.Delete(items[2])
+	want := dynDigest(t, d)
+	fb.Abandon()
+	re, err := OpenDynamic(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := dynDigest(t, re); got != want {
+		t.Errorf("recovered digest %08x, want %08x", got, want)
+	}
+	if ri := re.Recovery(); ri == nil || ri.ReappliedNotes != 3 {
+		t.Errorf("Recovery() = %+v, want 3 re-applied notes", ri)
+	}
+}
+
+// dynCrashedWithTail builds an index whose log ends in enough logged
+// mutations that re-applying them crosses an inline carry and leaves a
+// tombstone, then kills it. With inFlight the tail was logged while a
+// background carry was mid-build (its snapshot frozen in the merging slot,
+// one of its items deleted meanwhile), the way the compactor runs.
+func dynCrashedWithTail(t *testing.T, path string, opts *Options, inFlight bool) (want uint32) {
+	t.Helper()
+	d, err := CreateDynamic(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(23))
+	base := d.Base()
+	items := crashItems(r, 2*base, 0)
+	for _, it := range items {
+		d.Insert(it)
+	}
+	if inFlight {
+		d.inner.SetBackground(true)
+	}
+	tail := crashItems(r, base+3, 3000)
+	for _, it := range tail[:base] {
+		d.Insert(it)
+	}
+	if inFlight {
+		job, ok := d.inner.BeginCarry()
+		if !ok {
+			t.Fatal("BeginCarry refused with a full buffer")
+		}
+		job.Build()       // never installed: the process dies first
+		d.Delete(tail[1]) // an item of the frozen snapshot: a tombstone for now
+	}
+	for _, it := range tail[base:] {
+		d.Insert(it)
+	}
+	d.Delete(items[3]) // sits in a level
+	d.Delete(tail[base])
+	want = dynDigest(t, d)
+	dynCrashBackend(t, d).Abandon()
+	return want
+}
+
+// TestDynamicRecoveryCrashEveryStep kills recovery itself: OpenDynamic on
+// an index that died with logged mutations re-applies them in one commit
+// (carries included) and checkpoints. A crash at any persistence step of
+// that — the level build's page writes, the commit's records, the
+// checkpoint — must leave a log the next open recovers from, to the digest
+// of the last acknowledged mutation. Both carry modes: the tail logged
+// with inline carries, and logged beside a background carry in flight.
+func TestDynamicRecoveryCrashEveryStep(t *testing.T) {
+	for _, mode := range []struct {
+		name     string
+		inFlight bool
+	}{{"inline", false}, {"background", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := &Options{BlockSize: 512}
+			seed := filepath.Join(dir, "seed.prd")
+			want := dynCrashedWithTail(t, seed, opts, mode.inFlight)
+			work := filepath.Join(dir, "work.prd")
+			stride := int64(1)
+			if testing.Short() {
+				stride = 5
+			}
+			for k := int64(1); ; k += stride {
+				if k > 400 {
+					t.Fatalf("recovery still crashing after %d steps", k)
+				}
+				copyCrashFiles(t, seed, work)
+				// The hook sees the backend before recovery's re-apply runs.
+				var fb *storage.FileBackend
+				armed := *opts
+				armed.WrapBackend = func(b Backend) Backend {
+					fb, _ = storage.AsFile(b)
+					fb.SetCrashAfterSteps(fb.PersistSteps() + k)
+					return b
+				}
+				var victim *Dynamic
+				crashed := expectInjectedCrash(t, "recovery", func() (err error) {
+					victim, err = OpenDynamic(work, &armed)
+					return err
+				})
+				if !crashed {
+					// The whole recovery fits in fewer than k steps.
+					fb.SetCrashAfterSteps(0)
+					if ri := victim.Recovery(); ri == nil || ri.ReappliedNotes == 0 {
+						t.Fatalf("uninterrupted recovery reports %+v, want re-applied notes", ri)
+					}
+					if got := dynDigest(t, victim); got != want {
+						t.Fatalf("uninterrupted recovery: digest %08x, want %08x", got, want)
+					}
+					if err := victim.Close(); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				fb.Abandon()
+				re, err := OpenDynamic(work, opts)
+				if err != nil {
+					t.Fatalf("recovery killed at step %d: reopen: %v", k, err)
+				}
+				if got := dynDigest(t, re); got != want {
+					t.Fatalf("recovery killed at step %d: digest %08x, want %08x (recovery: %v)", k, got, want, re.Recovery())
+				}
+				if err := re.CheckPages(); err != nil {
+					t.Fatalf("recovery killed at step %d: checksum scrub: %v", k, err)
+				}
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestDynamicNotesSurviveForeignHandles: the log of a crashed dynamic index
+// is the only copy of its logged mutations. Handles that do not consume
+// them — the raw page store opened and closed (or synced), the static
+// tree's Open, which fails on the directory blob — must leave the file
+// recoverable: OpenDynamic afterwards still finds every acknowledged
+// mutation.
+func TestDynamicNotesSurviveForeignHandles(t *testing.T) {
+	dir := t.TempDir()
+	opts := &Options{BlockSize: 512}
+	path := filepath.Join(dir, "owned.prd")
+	want := dynCrashedWithTail(t, path, opts, false)
+
+	for _, withSync := range []bool{false, true} {
+		fb, err := storage.OpenFile(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fb.RecoveredNotes()) == 0 {
+			t.Fatal("the crashed index's log holds no notes")
+		}
+		if withSync {
+			if err := fb.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fb.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr, err := Open(path, opts); err == nil {
+		tr.Close()
+		t.Fatal("the static Open accepted a dynamic index")
+	}
+
+	re, err := OpenDynamic(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dynDigest(t, re); got != want {
+		t.Errorf("after foreign handles: digest %08x, want %08x (recovery: %v)", got, want, re.Recovery())
+	}
+	if ri := re.Recovery(); ri == nil || ri.ReappliedNotes == 0 {
+		t.Errorf("Recovery() = %+v, want re-applied notes", ri)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Consumed and checkpointed: the next open is clean.
+	re, err = OpenDynamic(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Recovery() != nil {
+		t.Errorf("reopen after a clean close reports recovery: %v", re.Recovery())
+	}
+	if got := dynDigest(t, re); got != want {
+		t.Errorf("clean reopen: digest %08x, want %08x", got, want)
+	}
+}

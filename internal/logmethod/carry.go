@@ -161,6 +161,7 @@ func (c *Carry) Install() {
 	}
 	ns.levels[c.k] = c.built
 	t.st.Store(&ns)
+	t.dirChanged = true
 	for _, l := range c.consumed {
 		// FreePages, not Release: readers on a pre-install snapshot still
 		// traverse these structs; the epoch pins keep the freed bytes
@@ -189,16 +190,11 @@ func (c *Carry) Abort(releaseBuilt bool) {
 	ns := *s
 	buf := make([]geom.Item, 0, len(s.merging)+len(s.buffer))
 	dead := s.dead
-	copied := false
 	for _, it := range s.merging {
-		if r, gone := dead[it.ID]; gone && r == it.Rect {
+		if r, gone := dead.get(it.ID); gone && r == it.Rect {
 			// Tombstoned while the carry was in flight: dropping the item
 			// here removes it physically, so the tombstone resolves.
-			if !copied {
-				dead = copyDead(dead)
-				copied = true
-			}
-			delete(dead, it.ID)
+			dead = dead.remove(it.ID)
 			ns.stored--
 			continue
 		}
@@ -263,7 +259,7 @@ func (t *Tree) RunGC() {
 		return
 	}
 	s := t.st.Load()
-	if 2*len(s.dead) >= s.stored && s.stored > 0 {
+	if 2*s.dead.len() >= s.stored && s.stored > 0 {
 		t.rebuildLocked()
 	}
 }

@@ -24,8 +24,9 @@
 // because the freed pages are epoch-pinned until the reader drains.
 // Writers (Insert, Delete, Flush) serialize on an internal mutex and
 // publish copy-on-write states: a visible buffer slice is never mutated
-// in place, the tombstone map is copied per change, and replaced levels
-// are released only after the new state is visible.
+// in place, the tombstone set is immutable (a change derives a new one at
+// amortised small cost, see tombstones), and replaced levels are released
+// only after the new state is visible.
 //
 // Carry merges can also run off to the side: see carry.go and
 // internal/compact for the background protocol (a merge consumes a
@@ -51,16 +52,16 @@ import (
 //
 // Copy-on-write rules: buffer is append-only — growing it in place is
 // safe (no published state can see past its own length), but removing an
-// item allocates a fresh slice; dead is copied on every mutation; levels
-// is copied whenever an entry changes. merging is the buffer snapshot an
-// in-flight background carry consumed — still visible to queries, frozen
-// until the carry installs or aborts.
+// item allocates a fresh slice; dead is an immutable set, replaced on every
+// change; levels is copied whenever an entry changes. merging is the
+// buffer snapshot an in-flight background carry consumed — still visible
+// to queries, frozen until the carry installs or aborts.
 type state struct {
 	buffer  []geom.Item   // live items not yet in any static level
 	merging []geom.Item   // buffer snapshot owned by the in-flight carry (nil when idle)
 	mergeK  int           // levels[0:mergeK] are also consumed by that carry
 	levels  []*rtree.Tree // levels[i] is nil or holds ~base*2^i items
-	dead    map[uint32]geom.Rect
+	dead    tombstones
 	live    int // live items (excludes tombstoned ones)
 	stored  int // items physically present in buffer+merging+levels
 }
@@ -86,12 +87,13 @@ type Tree struct {
 
 	st atomic.Pointer[state]
 
-	mu        sync.Mutex    // serializes writers and carry transitions
-	idle      *sync.Cond    // broadcast when an in-flight carry installs or aborts
-	flight    bool          // a background carry is in flight
-	backgrnd  bool          // inline carries disabled; a compactor drives them
-	gcPending bool          // a tombstone-GC rebuild is due but was deferred
-	kick      chan struct{} // buffered signal: buffer is full, carry wanted
+	mu         sync.Mutex    // serializes writers and carry transitions
+	idle       *sync.Cond    // broadcast when an in-flight carry installs or aborts
+	flight     bool          // a background carry is in flight
+	backgrnd   bool          // inline carries disabled; a compactor drives them
+	gcPending  bool          // a tombstone-GC rebuild is due but was deferred
+	dirChanged bool          // the level directory changed since TakeDirectoryChanged
+	kick       chan struct{} // buffered signal: buffer is full, carry wanted
 
 	visitors sync.Pool // query-path scratch (*levelVisitor)
 	rebuf    []geom.Item
@@ -113,7 +115,7 @@ func New(pager *storage.Pager, opt bulk.Options, base int) *Tree {
 		kick:  make(chan struct{}, 1),
 	}
 	t.idle = sync.NewCond(&t.mu)
-	t.st.Store(&state{dead: map[uint32]geom.Rect{}})
+	t.st.Store(&state{})
 	return t
 }
 
@@ -174,15 +176,6 @@ func (t *Tree) LevelSizes() []int {
 	return out
 }
 
-// copyDead returns a mutable copy of m.
-func copyDead(m map[uint32]geom.Rect) map[uint32]geom.Rect {
-	out := make(map[uint32]geom.Rect, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // Insert adds a rectangle. Amortized cost is O((log_{M/B} N)(log2 N)/B)
 // block I/Os; the worst case (a full carry) rebuilds O(N) items — unless
 // a background compactor is attached, in which case Insert only appends
@@ -191,15 +184,14 @@ func (t *Tree) Insert(it geom.Item) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.st.Load()
-	if r, ok := s.dead[it.ID]; ok {
+	if r, ok := s.dead.get(it.ID); ok {
 		// Reinserting a tombstoned id revives it only if the rect matches;
 		// otherwise the id would be ambiguous.
 		if r != it.Rect {
 			panic(fmt.Sprintf("logmethod: id %d reused with different rect", it.ID))
 		}
 		ns := *s
-		ns.dead = copyDead(s.dead)
-		delete(ns.dead, it.ID)
+		ns.dead = s.dead.remove(it.ID)
 		ns.live++
 		t.st.Store(&ns)
 		return
@@ -261,6 +253,7 @@ func (t *Tree) carryLocked() {
 	}
 	ns.levels[k] = built
 	t.st.Store(&ns)
+	t.dirChanged = true
 	// Free replaced levels only after the new state is visible, so a
 	// reader still traversing them holds epoch pins on every freed page;
 	// FreePages leaves the structs untouched for those same readers.
@@ -285,7 +278,7 @@ func (t *Tree) Delete(it geom.Item) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.st.Load()
-	if _, gone := s.dead[it.ID]; gone {
+	if s.dead.has(it.ID) {
 		return false
 	}
 	// Fast path: still in the buffer. Removal copies — the old slice may
@@ -305,11 +298,10 @@ func (t *Tree) Delete(it geom.Item) bool {
 		return false
 	}
 	ns := *s
-	ns.dead = copyDead(s.dead)
-	ns.dead[it.ID] = it.Rect
+	ns.dead = s.dead.add(it.ID, it.Rect)
 	ns.live--
 	t.st.Store(&ns)
-	if 2*len(ns.dead) >= ns.stored && ns.stored > 0 {
+	if 2*ns.dead.len() >= ns.stored && ns.stored > 0 {
 		if t.flight {
 			// A background carry holds references to the levels; the GC
 			// rebuild would release them. Defer it to the compactor.
@@ -359,14 +351,14 @@ func (t *Tree) rebuildLocked() {
 			continue
 		}
 		for _, it := range l.Items() {
-			if _, gone := s.dead[it.ID]; !gone {
+			if !s.dead.has(it.ID) {
 				items = append(items, it)
 			}
 		}
 	}
 	ns := *s
 	ns.buffer, ns.levels = nil, nil
-	ns.dead = map[uint32]geom.Rect{}
+	ns.dead = tombstones{}
 	ns.stored = len(items)
 	ns.live = len(items)
 	// Small remainders go back to the buffer; otherwise the compacted tree
@@ -384,6 +376,7 @@ func (t *Tree) rebuildLocked() {
 	}
 	t.st.Store(&ns)
 	t.gcPending = false
+	t.dirChanged = true
 	for _, l := range s.levels {
 		if l != nil {
 			l.FreePages() // structs stay intact for stale-snapshot readers
@@ -406,7 +399,7 @@ type QueryStats struct {
 // many static levels it fans across. Nested queries (issued from fn) each
 // grab their own visitor.
 type levelVisitor struct {
-	dead    map[uint32]geom.Rect
+	dead    tombstones
 	st      *QueryStats
 	fn      func(geom.Item) bool
 	aborted bool
@@ -418,7 +411,7 @@ func (t *Tree) grabVisitor() *levelVisitor {
 	if v == nil {
 		v = &levelVisitor{}
 		v.visit = func(it geom.Item) bool {
-			if _, gone := v.dead[it.ID]; gone {
+			if v.dead.has(it.ID) {
 				return true
 			}
 			v.st.Results++
@@ -433,7 +426,7 @@ func (t *Tree) grabVisitor() *levelVisitor {
 }
 
 func (t *Tree) releaseVisitor(v *levelVisitor) {
-	v.dead, v.st, v.fn = nil, nil, nil
+	v.dead, v.st, v.fn = tombstones{}, nil, nil
 	t.visitors.Put(v)
 }
 
@@ -483,7 +476,7 @@ func (t *Tree) queryState(s *state, q geom.Rect, contain bool, fn func(geom.Item
 		}
 	}
 	for _, it := range s.merging {
-		if _, gone := s.dead[it.ID]; gone {
+		if s.dead.has(it.ID) {
 			continue
 		}
 		if match(it.Rect) {
@@ -542,20 +535,20 @@ func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
 		add(it)
 	}
 	for _, it := range s.merging {
-		if _, gone := s.dead[it.ID]; !gone {
+		if !s.dead.has(it.ID) {
 			add(it)
 		}
 	}
 	// A level's k nearest may all be tombstoned, so over-fetch by the
 	// tombstone count; the merge below filters and truncates.
-	want := k + len(s.dead)
+	want := k + s.dead.len()
 	for _, l := range s.levels {
 		if l == nil {
 			continue
 		}
 		nb, _, _ := l.RunNearest(x, y, want, rtree.RunOptions{})
 		for _, n := range nb {
-			if _, gone := s.dead[n.Item.ID]; !gone {
+			if !s.dead.has(n.Item.ID) {
 				cand = append(cand, n)
 			}
 		}
@@ -615,7 +608,7 @@ func (t *Tree) Items() []geom.Item {
 	out := make([]geom.Item, 0, s.live)
 	out = append(out, s.buffer...)
 	for _, it := range s.merging {
-		if _, gone := s.dead[it.ID]; !gone {
+		if !s.dead.has(it.ID) {
 			out = append(out, it)
 		}
 	}
@@ -624,7 +617,7 @@ func (t *Tree) Items() []geom.Item {
 			continue
 		}
 		for _, it := range l.Items() {
-			if _, gone := s.dead[it.ID]; !gone {
+			if !s.dead.has(it.ID) {
 				out = append(out, it)
 			}
 		}

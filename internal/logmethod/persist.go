@@ -11,8 +11,8 @@ import (
 	"prtree/internal/storage"
 )
 
-// Persistence for the dynamized tree. The component directory is split
-// between the backend's metadata blob and dedicated state pages:
+// Persistence for the dynamized tree. A saved state is split between the
+// backend's metadata blob and dedicated state pages:
 //
 //   - The meta blob (staged with SetMeta inside the caller's commit, so
 //     it swaps atomically with the page writes) holds the fixed-size
@@ -20,16 +20,26 @@ import (
 //     and one rtree meta record per level slot.
 //   - The buffer and the tombstone set can outgrow the meta blob's
 //     one-block budget, so their records spill into chained state pages
-//     (each page: next-pointer, count, packed 36-byte records). The
-//     chains are rewritten wholesale on every SaveState — the buffer is
-//     small by construction (≤ base items, a few pages) and the
-//     tombstone set is bounded by the GC rebuild at half the stored
-//     items.
+//     (each page: next-pointer, count, packed 36-byte records). SaveState
+//     rewrites both chains wholesale.
 //
-// SaveState must run inside the same backend transaction as the mutation
+// That rewrite is O(buffer + tombstones), so it is not what a mutation
+// pays. The owner (prtree.Dynamic) saves the state when the level
+// directory changes — an inline carry, a rebuild, a background carry's
+// install, a flush: TakeDirectoryChanged tells it — and when it
+// checkpoints (Sync, Close). A mutation in between, which changes the
+// buffer or the tombstone set only, is logged instead: Mutation.Note is
+// its 37-byte record for the backend's write-ahead log, SavedNote the
+// marker that goes with every save, and PendingMutations finds, in the
+// notes a crash left in the log, the mutations to run again through
+// Apply on top of the last saved state.
+//
+// SaveState must run inside a backend transaction, the one of the change
 // it records: the chain rewrite (frees + fresh pages) then commits
 // atomically with the meta swap, and a crash recovers either the whole
-// new state or the whole old one via the existing WAL replay.
+// new state or the whole old one via the existing WAL replay. Outside a
+// transaction the freed chain pages would be handed out again and
+// overwritten while the committed state still points at them.
 
 // dynMagic identifies a serialized logmethod directory (version 1).
 var dynMagic = [8]byte{'P', 'R', 'D', 'Y', 'N', 'A', '0', '1'}
@@ -40,10 +50,80 @@ const (
 	dynHeaderSize   = 8 + 4*8 // magic + base,live,stored,bufHead,bufCount,deadHead,deadCount,nLevels
 )
 
+// TakeDirectoryChanged reports whether the level directory changed — a
+// carry, a rebuild or an install replaced levels — since the last call,
+// and forgets it. The owner asks inside the transaction bracket of every
+// mutation: true means the state must be saved in that transaction (its
+// committed pages are about to be freed), false that a note will do.
+func (t *Tree) TakeDirectoryChanged() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	changed := t.dirChanged
+	t.dirChanged = false
+	return changed
+}
+
+// Mutation is one logged change to the buffer or the tombstone set.
+type Mutation struct {
+	Delete bool // Delete(Item) rather than Insert(Item)
+	Item   geom.Item
+}
+
+// Note kinds: the first byte of a note.
+const (
+	noteInsert byte = 1
+	noteDelete byte = 2
+	noteSaved  byte = 3
+)
+
+// Note encodes m for the write-ahead log: the kind, then the item as the
+// state pages store it.
+func (m Mutation) Note() []byte {
+	kind := noteInsert
+	if m.Delete {
+		kind = noteDelete
+	}
+	return appendItem(append(make([]byte, 0, 1+itemRecSize), kind), m.Item)
+}
+
+// SavedNote returns the note that marks a SaveState in the log: every note
+// before it is history, part of the state saved with it. It is a record of
+// its own because nothing else tells a save apart — the blob of a save that
+// changed nothing is byte-identical to the one before.
+func SavedNote() []byte { return []byte{noteSaved} }
+
+// PendingMutations decodes the notes recovered from a log, in commit
+// order, and returns the mutations logged after the last SavedNote: the
+// ones the last saved state does not hold yet.
+func PendingMutations(notes [][]byte) ([]Mutation, error) {
+	var out []Mutation
+	for i, n := range notes {
+		switch {
+		case len(n) == 1 && n[0] == noteSaved:
+			out = out[:0]
+		case len(n) == 1+itemRecSize && (n[0] == noteInsert || n[0] == noteDelete):
+			out = append(out, Mutation{Delete: n[0] == noteDelete, Item: decodeItem(n[1:])})
+		default:
+			return nil, fmt.Errorf("logmethod: note %d of %d bytes is no mutation record", i, len(n))
+		}
+	}
+	return out, nil
+}
+
+// Apply runs m through the ordinary Insert or Delete. A logged delete of
+// an item that was not there is the no-op it was the first time.
+func (t *Tree) Apply(m Mutation) {
+	if m.Delete {
+		t.Delete(m.Item)
+	} else {
+		t.Insert(m.Item)
+	}
+}
+
 // SaveState rewrites the spill chains on dev and returns the meta blob
-// describing the full directory. Call inside the transaction bracketing
-// the mutation being persisted; stage the returned blob with SetMeta
-// before committing.
+// describing the full directory. Call inside a backend transaction — the
+// one bracketing the change being persisted; stage the returned blob with
+// SetMeta before committing.
 func (t *Tree) SaveState(dev storage.Backend) []byte {
 	s := t.st.Load()
 
@@ -54,20 +134,13 @@ func (t *Tree) SaveState(dev storage.Backend) []byte {
 	items := make([]geom.Item, 0, len(s.buffer)+len(s.merging))
 	dead := s.dead
 	stored := s.stored
-	if len(s.merging) > 0 {
-		copied := false
-		for _, it := range s.merging {
-			if r, gone := dead[it.ID]; gone && r == it.Rect {
-				if !copied {
-					dead = copyDead(dead)
-					copied = true
-				}
-				delete(dead, it.ID)
-				stored--
-				continue
-			}
-			items = append(items, it)
+	for _, it := range s.merging {
+		if r, gone := dead.get(it.ID); gone && r == it.Rect {
+			dead = dead.remove(it.ID)
+			stored--
+			continue
 		}
+		items = append(items, it)
 	}
 	items = append(items, s.buffer...)
 
@@ -76,8 +149,10 @@ func (t *Tree) SaveState(dev storage.Backend) []byte {
 		dev.Free(id)
 	}
 	t.spill = t.spill[:0]
-	bufHead, bufPages := t.writeChain(dev, items, nil)
-	deadHead, deadPages := t.writeChain(dev, nil, dead)
+	deadItems := make([]geom.Item, 0, dead.len())
+	dead.each(func(id uint32, r geom.Rect) { deadItems = append(deadItems, geom.Item{ID: id, Rect: r}) })
+	bufHead, bufPages := t.writeChain(dev, items)
+	deadHead, deadPages := t.writeChain(dev, deadItems)
 	t.spill = append(t.spill, bufPages...)
 	t.spill = append(t.spill, deadPages...)
 
@@ -89,7 +164,7 @@ func (t *Tree) SaveState(dev storage.Backend) []byte {
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(bufHead))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(items)))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(deadHead))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(dead)))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(dead.len()))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(s.levels)))
 	for _, l := range s.levels {
 		if l == nil {
@@ -102,17 +177,9 @@ func (t *Tree) SaveState(dev storage.Backend) []byte {
 	return meta
 }
 
-// writeChain packs records (either an item slice or a tombstone map) into
-// a fresh chain of state pages and returns the head id (NilPage when
-// empty) plus the allocated pages.
-func (t *Tree) writeChain(dev storage.Backend, items []geom.Item, dead map[uint32]geom.Rect) (storage.PageID, []storage.PageID) {
-	recs := items
-	if dead != nil {
-		recs = make([]geom.Item, 0, len(dead))
-		for id, r := range dead {
-			recs = append(recs, geom.Item{ID: id, Rect: r})
-		}
-	}
+// writeChain packs recs into a fresh chain of state pages and returns the
+// head id (NilPage when empty) plus the allocated pages.
+func (t *Tree) writeChain(dev storage.Backend, recs []geom.Item) (storage.PageID, []storage.PageID) {
 	if len(recs) == 0 {
 		return storage.NilPage, nil
 	}
@@ -198,10 +265,11 @@ func OpenState(pager *storage.Pager, opt bulk.Options, meta []byte) (*Tree, erro
 	if err != nil {
 		return nil, fmt.Errorf("logmethod: tombstone chain: %w", err)
 	}
-	dead := make(map[uint32]geom.Rect, len(deadItems))
+	dead := tombstones{base: make(map[uint32]geom.Rect, len(deadItems))}
 	for _, it := range deadItems {
-		dead[it.ID] = it.Rect
+		dead.base[it.ID] = it.Rect
 	}
+	dead.n = len(dead.base)
 
 	levels := make([]*rtree.Tree, nLevels)
 	off := dynHeaderSize

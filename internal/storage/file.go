@@ -42,10 +42,26 @@ import (
 //   - writes to pages live in the last committed state are buffered as
 //     full-block images and journaled at commit before being applied;
 //   - writes to fresh or committed-free pages go straight to the page
-//     file (bulk loads pay one extra fsync, not a doubled write volume)
-//     and are fsynced before the commit marker;
-//   - Commit appends the images, the post-state (allocator + metadata)
-//     and a commit marker, fsyncs the log once, then applies the images.
+//     file (bulk loads pay one extra fsync, not a doubled write volume);
+//   - Note logs opaque bytes of the owner with the transaction — a logical
+//     record of a change that touched no page;
+//   - Commit appends the images, the notes, the post-state (allocator +
+//     metadata) and a commit marker, fsyncs the log once, then applies the
+//     images.
+//
+// A light transaction — one that logged notes and did nothing else: no
+// page image, nothing freed, the metadata left alone — commits without
+// the post-state, which is still the last STATE record's: two small
+// appends and one log fsync, nothing proportional to the freelist. The
+// first transaction of a log generation is never light.
+//
+// The fsync rule of the commit path: a STATE-bearing commit makes pages
+// reachable, so it first flushes the page file if any page was written
+// directly since the page file's last fsync — by the transaction or by
+// anyone else (a background level build writes outside every
+// transaction; the install commit that publishes the level is the one
+// that must find its pages durable). A light commit references no page
+// and flushes only the log. FsyncStats counts both kinds.
 //
 // Sync checkpoints: it rewrites the header and freelist trailer, fsyncs
 // the page file and truncates the log, making the page file alone the
@@ -60,14 +76,41 @@ import (
 // first transaction after a checkpoint re-journals that state into the
 // log before any page write (one extra fsync per log generation).
 //
-// Writes outside a transaction keep the legacy contract: they reach the
-// file immediately and are made durable and consistent only by Sync.
+// Notes change what Open does with the log. They are the only durable
+// copy of the changes they describe, so when the committed transactions
+// hold any, Open replays the page images as usual but does not
+// checkpoint: it cuts the log at its last commit marker and keeps it,
+// hands the notes to the owner (RecoveredNotes), and refuses to retire
+// the log — Sync and Close flush the page file and leave header and log
+// alone — until the owner declares them part of a committed state
+// (ConsumeNotes). A handle that never looks at the notes therefore cannot
+// destroy them, and replaying the same log twice is idempotent.
 //
-// Like Disk, a FileBackend is safe for concurrent use: allocation, the
-// freelist and the metadata blob are mutex-protected, and page reads and
-// writes use pread/pwrite, which are safe from many goroutines. Individual
+// Writes outside a transaction keep the legacy contract: they reach the
+// file immediately and are made durable and consistent only by Sync (or
+// by the next STATE-bearing commit, see the fsync rule).
+//
+// # Locks
+//
+// Like Disk, a FileBackend is safe for concurrent use. mu guards the
+// allocator, the freelist, the metadata blob and the open transaction;
+// page reads and writes hold it shared around pread/pwrite, which are
+// safe from many goroutines. txMu guards the transaction's overlay and
+// lazily built snapshot for writers that hold mu only shared. Individual
 // pages keep the single-writer / no-use-after-Free contract; Begin, Commit
 // and Rollback delimit one transaction at a time.
+//
+// Commit does not hold mu while it waits for the disk: a reader's page
+// miss must not queue behind a log fsync. What it holds instead is the
+// commit gate (commitMu, taken before mu): Alloc, Free and Write (and Sync
+// and Close, which must find no commit half done) pass it shared, Commit
+// holds it exclusively from the moment it reads the
+// transaction's images and the freelist until the transaction is gone, so
+// neither can change under the wait — a page allocated meanwhile would be
+// missing from the post-commit freelist's view and handed out twice, a
+// write landing in the overlay after the images were collected would be
+// dropped with the transaction. Read, Meta and the counters never touch
+// the gate.
 //
 // Open-time corruption (short header, bad magic or version, mismatched
 // block size, truncated page data, out-of-range or duplicated freelist
@@ -93,17 +136,36 @@ type FileBackend struct {
 	crashAfter atomic.Int64
 	rollbacks  atomic.Uint64
 
-	mu         sync.RWMutex
-	numPages   int
-	free       []PageID
-	meta       []byte
-	zero       []byte // shared all-zero block for Alloc
-	closed     bool
-	walSize    int64
-	walSeq     uint64
-	walRecords int64
-	walBytes   int64
-	recovery   *RecoveryInfo
+	// pagesDirty records a direct page write (anyone's, in or out of a
+	// transaction) since the page file's last fsync; the next STATE-bearing
+	// commit or checkpoint flushes it. fileSyncs and walSyncs count fsyncs.
+	pagesDirty atomic.Bool
+	fileSyncs  atomic.Int64
+	walSyncs   atomic.Int64
+
+	// The log's size and append counters are atomics because Commit appends
+	// under the commit gate, not under mu, while WALStats reads.
+	walSize    atomic.Int64
+	walRecords atomic.Int64
+	walBytes   atomic.Int64
+
+	// commitMu is the commit gate (see "# Locks"); it is taken before mu.
+	commitMu sync.RWMutex
+
+	mu       sync.RWMutex
+	numPages int
+	free     []PageID
+	meta     []byte
+	zero     []byte // shared all-zero block for Alloc
+	closed   bool
+	walSeq   uint64
+	recovery *RecoveryInfo
+
+	// recNotes are the notes recovery found in committed transactions, in
+	// commit order; while notesPending the log is their only durable copy
+	// and no checkpoint may retire it (see ConsumeNotes).
+	recNotes     [][]byte
+	notesPending bool
 
 	// ckpt snapshots the state the last completed checkpoint wrote into
 	// the header, and walHasState records whether the current log
@@ -114,8 +176,8 @@ type FileBackend struct {
 	ckpt        walState
 	walHasState bool
 
-	// txMu guards the open transaction's overlay and flags; it nests
-	// inside mu (writers hold mu.RLock, Begin/Commit/Rollback hold mu).
+	// txMu guards the open transaction's overlay and allocator snapshot; it
+	// nests inside mu (writers hold mu.RLock, Begin/Commit/Rollback hold mu).
 	txMu sync.Mutex
 	tx   *fileTx
 
@@ -123,27 +185,57 @@ type FileBackend struct {
 }
 
 // fileTx is one open transaction: the pre-transaction state needed for
-// rollback and the redo images of committed-live pages overwritten so far.
+// rollback, the redo images of committed-live pages overwritten so far and
+// the owner's notes.
+//
+// The freelist as it stood at Begin is captured on first need — before
+// Alloc first takes a page off it, or when a Write first has to classify a
+// page — and not at Begin: nothing else changes fb.free while a
+// transaction is open (Free parks pages in freed), and a transaction that
+// only logs a note never needs the copy or the set.
 type fileTx struct {
-	prevNumPages  int
+	prevNumPages int
+	prevMeta     []byte // the metadata at Begin, saved by the first SetMeta
+	metaSet      bool
+
+	snapped       bool
 	prevFree      []PageID
-	prevMeta      []byte
 	committedFree map[PageID]struct{}
 
-	overlay     map[PageID][]byte // full-block images, keyed by page
-	freed       []PageID          // pages freed during the transaction
-	directDirty bool              // fresh/committed-free pages were pwritten
+	overlay map[PageID][]byte // full-block images, keyed by page
+	freed   []PageID          // pages freed during the transaction
+	notes   [][]byte
+}
+
+// snapshot captures the freelist the transaction began with. The caller
+// holds mu exclusively, or mu shared plus txMu.
+func (tx *fileTx) snapshot(free []PageID) {
+	if tx.snapped {
+		return
+	}
+	tx.snapped = true
+	tx.prevFree = append([]PageID(nil), free...)
+	tx.committedFree = make(map[PageID]struct{}, len(free))
+	for _, id := range free {
+		tx.committedFree[id] = struct{}{}
+	}
 }
 
 // inUseCommitted reports whether id holds live data in the last committed
 // state — the pages whose overwrite must be journaled, because a crash
-// must be able to roll back to that state.
+// must be able to roll back to that state. The snapshot must exist.
 func (tx *fileTx) inUseCommitted(id PageID) bool {
 	if int(id) >= tx.prevNumPages {
 		return false
 	}
 	_, free := tx.committedFree[id]
 	return !free
+}
+
+// light reports whether the transaction did nothing but log notes, so its
+// commit can leave the STATE record out.
+func (tx *fileTx) light() bool {
+	return len(tx.notes) > 0 && len(tx.overlay) == 0 && len(tx.freed) == 0 && !tx.metaSet
 }
 
 // Page-file corruption sentinels, matchable with errors.Is through the
@@ -230,7 +322,7 @@ func CreateFile(path string, blockSize int) (*FileBackend, error) {
 		cleanup()
 		return nil, fmt.Errorf("storage: fsync write-ahead log: %w", err)
 	}
-	fb.walSize = walHeaderSize
+	fb.walSize.Store(walHeaderSize)
 	if err := fb.Sync(); err != nil {
 		cleanup()
 		return nil, err
@@ -352,6 +444,7 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		return nil, err
 	}
 	var res walScanResult
+	logVersion := walVersion
 	wf, err := os.OpenFile(walPath(path), os.O_RDWR, 0o644)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -370,14 +463,14 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 			if _, err := io.ReadFull(io.NewSectionReader(wf, 0, st.Size()), data); err != nil {
 				return fail(fmt.Errorf("reading write-ahead log: %w", err))
 			}
-			if err := checkWALHeader(data, fb.blockSize); err != nil {
+			if logVersion, err = checkWALHeader(data, fb.blockSize); err != nil {
 				return fail(err)
 			}
 			res, err = scanWAL(data[walHeaderSize:], fb.blockSize)
 			if err != nil {
 				return fail(err)
 			}
-			fb.walSize = st.Size()
+			fb.walSize.Store(st.Size())
 		}
 	}
 	if len(res.txs) > 0 {
@@ -391,12 +484,17 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 				fb.writePageRaw(pg.id, pg.data)
 				res.info.ReplayedPages++
 			}
-			fb.numPages = tx.state.numPages
-			fb.free = append(fb.free[:0], tx.state.free...)
-			fb.meta = append(fb.meta[:0], tx.state.meta...)
+			if tx.state != nil {
+				fb.numPages = tx.state.numPages
+				fb.free = append(fb.free[:0], tx.state.free...)
+				fb.meta = append(fb.meta[:0], tx.state.meta...)
+			}
 			res.info.ReplayedTxs++
 		}
 		fb.walHasState = true
+		// The notes alias the scanned buffer, which lives as long as they do.
+		fb.recNotes = res.notes()
+		fb.notesPending = len(fb.recNotes) > 0
 	} else if err := fb.loadCheckpoint(hdr); err != nil {
 		return fail(err)
 	}
@@ -407,7 +505,7 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		}
 		fb.wal = wf
 	}
-	if fb.walSize < walHeaderSize {
+	if fb.walSize.Load() < walHeaderSize {
 		// Missing sidecar or a header torn during its creation: no commit
 		// can exist yet, start a fresh log.
 		if err := fb.resetWALFile(); err != nil {
@@ -418,10 +516,26 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		info := res.info
 		fb.recovery = &info
 	}
+	if fb.notesPending {
+		// The log is the only durable copy of its notes: keep it, cut at the
+		// last commit marker so later commits append to a clean tail, and
+		// leave the checkpoint to whoever consumes them.
+		if err := fb.cutWAL(walHeaderSize + int64(res.committedEnd)); err != nil {
+			return fail(err)
+		}
+		return fb, nil
+	}
 	// Checkpoint: the recovered state becomes the page file's durable
 	// identity and the log is retired, exactly as a clean Sync would.
 	if err := fb.syncLocked(); err != nil {
 		return fail(err)
+	}
+	if logVersion != walVersion {
+		// An older build's log, now empty: stamp it with the version whose
+		// records this handle will append.
+		if err := fb.resetWALFile(); err != nil {
+			return fail(err)
+		}
 	}
 	return fb, nil
 }
@@ -443,6 +557,9 @@ func dropStaleImages(txs []walTx) {
 			}
 		}
 		txs[i].pages = live
+		if txs[i].state == nil {
+			continue
+		}
 		for _, id := range txs[i].state.free {
 			freedLater[id] = struct{}{}
 		}
@@ -503,11 +620,46 @@ func (fb *FileBackend) resetWALFile() error {
 	if _, err := fb.wal.WriteAt(encodeWALHeader(fb.blockSize), 0); err != nil {
 		return fmt.Errorf("writing log header: %w", err)
 	}
-	if err := fb.wal.Sync(); err != nil {
+	if err := fb.syncWAL(); err != nil {
 		return fmt.Errorf("fsync write-ahead log: %w", err)
 	}
-	fb.walSize = walHeaderSize
+	fb.walSize.Store(walHeaderSize)
 	return nil
+}
+
+// cutWAL truncates the log to size bytes — the end of its last commit
+// marker — dropping a torn or uncommitted tail for good.
+func (fb *FileBackend) cutWAL(size int64) error {
+	if size < fb.walSize.Load() {
+		if err := fb.wal.Truncate(size); err != nil {
+			return fmt.Errorf("truncating write-ahead log: %w", err)
+		}
+		if err := fb.syncWAL(); err != nil {
+			return fmt.Errorf("fsync write-ahead log: %w", err)
+		}
+	}
+	fb.walSize.Store(size)
+	return nil
+}
+
+// RecoveredNotes returns the notes (see Note) of the committed
+// transactions recovery found in the log, in commit order, or nil when
+// there were none. The backend does not interpret them; it only keeps the
+// log that holds them until ConsumeNotes. The slices must not be modified.
+func (fb *FileBackend) RecoveredNotes() [][]byte {
+	fb.mu.RLock()
+	defer fb.mu.RUnlock()
+	return fb.recNotes
+}
+
+// ConsumeNotes declares the recovered notes dealt with: every change they
+// describe is part of the committed state (the owner committed a
+// transaction that holds it, or they described nothing new). From here on
+// Sync and Close checkpoint and retire the log as usual.
+func (fb *FileBackend) ConsumeNotes() {
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	fb.recNotes, fb.notesPending = nil, false
 }
 
 // RecoveryInfo reports what crash recovery did when this backend was
@@ -528,9 +680,34 @@ type WALStats struct {
 // WALStats returns the log counters — the direct measure of WAL overhead
 // on a write path.
 func (fb *FileBackend) WALStats() WALStats {
-	fb.mu.RLock()
-	defer fb.mu.RUnlock()
-	return WALStats{Records: fb.walRecords, Bytes: fb.walBytes, Size: fb.walSize}
+	return WALStats{Records: fb.walRecords.Load(), Bytes: fb.walBytes.Load(), Size: fb.walSize.Load()}
+}
+
+// FsyncStats counts the fsyncs a backend has issued since it was opened,
+// by file: what a commit costs beyond its bytes.
+type FsyncStats struct {
+	PageFile int64
+	Log      int64
+}
+
+// FsyncStats returns the fsync counters. A light commit adds one to Log
+// and nothing to PageFile.
+func (fb *FileBackend) FsyncStats() FsyncStats {
+	return FsyncStats{PageFile: fb.fileSyncs.Load(), Log: fb.walSyncs.Load()}
+}
+
+// syncPageFile flushes the page file. The flag is cleared first, so a
+// direct write racing with the flush leaves it set for the next one.
+func (fb *FileBackend) syncPageFile() error {
+	fb.pagesDirty.Store(false)
+	fb.fileSyncs.Add(1)
+	return fb.f.Sync()
+}
+
+// syncWAL flushes the log.
+func (fb *FileBackend) syncWAL() error {
+	fb.walSyncs.Add(1)
+	return fb.wal.Sync()
 }
 
 // SetCrashAfterSteps arranges for the backend to panic with an error
@@ -603,20 +780,23 @@ func (fb *FileBackend) checkIDLocked(id PageID) {
 // freshly created index takes over the empty root's page, so the file is
 // exactly the new tree and page 0 is not a hole for ever.
 func (fb *FileBackend) Alloc() PageID {
+	fb.commitMu.RLock()
+	defer fb.commitMu.RUnlock()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	if i := fb.pickFree(fb.free); i >= 0 {
+		if fb.tx != nil {
+			fb.tx.snapshot(fb.free)
+		}
 		var id PageID
 		fb.free, id = removeAt(fb.free, i)
-		if fb.tx != nil {
-			// The zero fill must be durable by commit time even though
-			// the page is never explicitly written.
-			fb.tx.directDirty = true
-		}
-		fb.writePage(id, fb.zero)
+		// The zero fill is a direct write: it must be durable by the commit
+		// that makes the page reachable even if nobody writes the page.
+		fb.writeDirect(id, fb.zero)
 		return id
 	}
 	if tx := fb.tx; tx != nil && fb.numPages == len(fb.free)+len(tx.freed) {
+		tx.snapshot(fb.free)
 		if i := fb.pickFree(tx.freed); i >= 0 && tx.inUseCommitted(tx.freed[i]) {
 			var id PageID
 			tx.freed, id = removeAt(tx.freed, i)
@@ -640,6 +820,8 @@ func (fb *FileBackend) Alloc() PageID {
 // active the page is also retired (see Snapshotter): Alloc withholds it
 // until the readers that might still dereference its bytes drain.
 func (fb *FileBackend) Free(id PageID) {
+	fb.commitMu.RLock()
+	defer fb.commitMu.RUnlock()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	fb.checkIDLocked(id)
@@ -816,12 +998,15 @@ func (fb *FileBackend) Write(id PageID, data []byte) {
 	if len(data) > fb.blockSize {
 		panic(fmt.Sprintf("storage: write of %d bytes exceeds block size %d", len(data), fb.blockSize))
 	}
+	fb.commitMu.RLock()
+	defer fb.commitMu.RUnlock()
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	fb.checkIDLocked(id)
 	if tx := fb.tx; tx != nil {
+		fb.txMu.Lock()
+		tx.snapshot(fb.free)
 		if tx.inUseCommitted(id) {
-			fb.txMu.Lock()
 			defer fb.txMu.Unlock()
 			img, ok := tx.overlay[id]
 			if !ok {
@@ -835,11 +1020,9 @@ func (fb *FileBackend) Write(id PageID, data []byte) {
 			copy(img, data)
 			return
 		}
-		fb.txMu.Lock()
-		tx.directDirty = true
 		fb.txMu.Unlock()
 	}
-	fb.writePage(id, data)
+	fb.writeDirect(id, data)
 }
 
 // writePage pwrites data and its trailer into page id's slot. The caller
@@ -847,6 +1030,14 @@ func (fb *FileBackend) Write(id PageID, data []byte) {
 func (fb *FileBackend) writePage(id PageID, data []byte) {
 	fb.persistStep()
 	fb.writePageRaw(id, data)
+}
+
+// writeDirect is writePage for a write no redo image covers: it marks the
+// page file as holding bytes only an fsync makes durable. The mark follows
+// the pwrite, so a flush that clears it has the bytes (see syncPageFile).
+func (fb *FileBackend) writeDirect(id PageID, data []byte) {
+	fb.writePage(id, data)
+	fb.pagesDirty.Store(true)
 }
 
 // writePageRaw is writePage without crash-point accounting, used by WAL
@@ -870,6 +1061,10 @@ func (fb *FileBackend) writePageRaw(id PageID, data []byte) {
 func (fb *FileBackend) SetMeta(meta []byte) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
+	if tx := fb.tx; tx != nil && !tx.metaSet {
+		tx.metaSet = true
+		tx.prevMeta = append([]byte(nil), fb.meta...)
+	}
 	fb.meta = append(fb.meta[:0], meta...)
 }
 
@@ -885,8 +1080,9 @@ func (fb *FileBackend) Meta() []byte {
 	return out
 }
 
-// Begin implements Transactional: it opens a transaction, snapshotting
-// the committed allocator state for Rollback. Transactions do not nest.
+// Begin implements Transactional: it opens a transaction. What Rollback
+// needs of the committed allocator state is captured when the transaction
+// first touches it (see fileTx). Transactions do not nest.
 func (fb *FileBackend) Begin() {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -896,17 +1092,7 @@ func (fb *FileBackend) Begin() {
 	if fb.tx != nil {
 		panic("storage: nested transaction on page file")
 	}
-	tx := &fileTx{
-		prevNumPages:  fb.numPages,
-		prevFree:      append([]PageID(nil), fb.free...),
-		prevMeta:      append([]byte(nil), fb.meta...),
-		committedFree: make(map[PageID]struct{}, len(fb.free)),
-		overlay:       make(map[PageID][]byte),
-	}
-	for _, id := range fb.free {
-		tx.committedFree[id] = struct{}{}
-	}
-	fb.tx = tx
+	fb.tx = &fileTx{prevNumPages: fb.numPages, overlay: make(map[PageID][]byte)}
 	// The first transaction of a log generation re-journals the
 	// checkpointed state before any page write: direct writes to fresh
 	// pages extend the file over the on-disk freelist trailer, and a crash
@@ -918,104 +1104,143 @@ func (fb *FileBackend) Begin() {
 	}
 }
 
+// Note logs data — opaque to the backend — with the open transaction: it
+// becomes durable with the commit and comes back from RecoveredNotes, in
+// commit order, when the log is replayed after a crash. A transaction that
+// does nothing else commits as a light transaction (see "# Durability").
+// Notes are for changes to state the owner keeps outside the page file's
+// pages and saves there only now and then; the owner must be able to
+// re-apply them to the state of its last save. Outside a transaction there
+// is nothing to log a note with and it is dropped, as the transaction
+// hooks themselves are no-ops on a backend that has none.
+func (fb *FileBackend) Note(data []byte) {
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	if fb.tx != nil {
+		fb.tx.notes = append(fb.tx.notes, append([]byte(nil), data...))
+	}
+}
+
 // journalCheckpointState appends the last checkpoint's state as a
 // committed (empty) transaction and fsyncs it. I/O failures panic: the
 // caller is Begin, which has no error path, and a log that cannot be
 // appended to cannot honor any later Commit either.
 func (fb *FileBackend) journalCheckpointState() {
-	recs := [][]byte{
-		encodeWALState(fb.ckpt.numPages, fb.ckpt.free, fb.ckpt.meta),
-		encodeWALCommit(fb.walSeq + 1),
-	}
-	start := fb.walSize
-	for _, rec := range recs {
-		fb.persistStep()
-		if _, err := fb.wal.WriteAt(rec, fb.walSize); err != nil {
-			fb.walSize = start
-			panic(fmt.Sprintf("storage: journaling checkpoint state: %v", err))
-		}
-		fb.walSize += int64(len(rec))
-		fb.walRecords++
-		fb.walBytes += int64(len(rec))
-	}
-	fb.persistStep()
-	if err := fb.wal.Sync(); err != nil {
-		fb.walSize = start
-		panic(fmt.Sprintf("storage: fsync write-ahead log: %v", err))
+	tx := walTx{seq: fb.walSeq + 1, state: &fb.ckpt}
+	if err := fb.appendWAL(tx.records()); err != nil {
+		panic(fmt.Sprintf("storage: journaling checkpoint state: %v", err))
 	}
 	fb.walSeq++
 	fb.walHasState = true
 }
 
-// Commit implements Transactional. It makes the transaction durable and
-// atomic: direct writes to fresh pages are fsynced first, then the redo
-// images, the post-state and a commit marker are appended to the log and
-// fsynced (one fsync — the commit point), and finally the images are
-// applied to the page file (the log replays them if a crash interrupts).
-func (fb *FileBackend) Commit() error {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	tx := fb.tx
-	if tx == nil {
-		return fmt.Errorf("storage: commit without begin")
-	}
-	if fb.closed {
-		return fmt.Errorf("storage: commit on closed page file")
-	}
-	if len(fb.meta) > fb.blockSize-fileHeaderSize {
-		return fmt.Errorf("storage: metadata blob of %d bytes overflows the %d-byte header block",
-			len(fb.meta), fb.blockSize)
-	}
-	if tx.directDirty {
+// appendWAL appends recs at the log's end, one pwrite each, and fsyncs the
+// log. On an append or fsync error the log offset rewinds, so the dangling
+// (uncommitted) records are overwritten by the next append. The caller
+// owns the log's tail: it holds mu, or the commit gate.
+func (fb *FileBackend) appendWAL(recs [][]byte) error {
+	start := fb.walSize.Load()
+	for _, rec := range recs {
 		fb.persistStep()
-		if err := fb.f.Sync(); err != nil {
+		if _, err := fb.wal.WriteAt(rec, fb.walSize.Load()); err != nil {
+			fb.walSize.Store(start)
+			return fmt.Errorf("storage: appending to write-ahead log: %w", err)
+		}
+		fb.walSize.Add(int64(len(rec)))
+		fb.walRecords.Add(1)
+		fb.walBytes.Add(int64(len(rec)))
+	}
+	fb.persistStep()
+	if err := fb.syncWAL(); err != nil {
+		fb.walSize.Store(start)
+		return fmt.Errorf("storage: fsync write-ahead log: %w", err)
+	}
+	return nil
+}
+
+// Commit implements Transactional. It makes the transaction durable and
+// atomic: direct page writes since the page file's last fsync are flushed
+// first (unless the commit is light), then the redo images, the notes, the
+// post-state (unless light) and a commit marker are appended to the log
+// and fsynced (one fsync — the commit point), and finally the images are
+// applied to the page file (the log replays them if a crash interrupts).
+//
+// The disk is waited for under the commit gate, not under mu: readers go
+// on, Alloc, Free and Write wait (see "# Locks"). On an error the
+// transaction stays open for the caller to Rollback.
+func (fb *FileBackend) Commit() error {
+	fb.commitMu.Lock()
+	defer fb.commitMu.Unlock()
+	c, err := fb.prepareCommit()
+	if err != nil {
+		return err
+	}
+	if c.flushPages {
+		fb.persistStep()
+		if err := fb.syncPageFile(); err != nil {
 			return fmt.Errorf("storage: fsync page file before commit: %w", err)
 		}
 	}
-	ids := make([]PageID, 0, len(tx.overlay))
-	for id := range tx.overlay {
-		ids = append(ids, id)
+	if err := fb.appendWAL(c.recs); err != nil {
+		return err
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	newFree := make([]PageID, 0, len(fb.free)+len(tx.freed))
-	newFree = append(newFree, fb.free...)
-	newFree = append(newFree, tx.freed...)
-	seq := fb.walSeq + 1
-	recs := make([][]byte, 0, len(ids)+2)
-	for _, id := range ids {
-		recs = append(recs, encodeWALPage(id, tx.overlay[id]))
-	}
-	recs = append(recs, encodeWALState(fb.numPages, newFree, fb.meta))
-	recs = append(recs, encodeWALCommit(seq))
-	// On an append or fsync error the log offset rewinds so the dangling
-	// (uncommitted) records are overwritten by the next commit; the
-	// transaction stays open for the caller to Rollback.
-	startSize := fb.walSize
-	for _, rec := range recs {
-		fb.persistStep()
-		if _, err := fb.wal.WriteAt(rec, fb.walSize); err != nil {
-			fb.walSize = startSize
-			return fmt.Errorf("storage: appending to write-ahead log: %w", err)
-		}
-		fb.walSize += int64(len(rec))
-		fb.walRecords++
-		fb.walBytes += int64(len(rec))
-	}
-	fb.persistStep()
-	if err := fb.wal.Sync(); err != nil {
-		fb.walSize = startSize
-		return fmt.Errorf("storage: fsync write-ahead log: %w", err)
-	}
-	fb.walHasState = true
-	// Committed. Apply the redo images in place; on a crash from here on
-	// the log replays them.
-	for _, id := range ids {
-		fb.writePage(id, tx.overlay[id])
-	}
-	fb.free = newFree
-	fb.walSeq = seq
-	fb.tx = nil
+	fb.finishCommit(c)
 	return nil
+}
+
+// fileCommit is what prepareCommit hands to the rest of Commit.
+type fileCommit struct {
+	tx         walTx // as it goes to the log; the images alias the overlay
+	recs       [][]byte
+	flushPages bool
+}
+
+// prepareCommit validates the open transaction and frames its records.
+// The gate keeps what it read — the overlay, the freelist — unchanged
+// until finishCommit.
+func (fb *FileBackend) prepareCommit() (fileCommit, error) {
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	var c fileCommit
+	tx := fb.tx
+	if tx == nil {
+		return c, fmt.Errorf("storage: commit without begin")
+	}
+	if fb.closed {
+		return c, fmt.Errorf("storage: commit on closed page file")
+	}
+	if len(fb.meta) > fb.blockSize-fileHeaderSize {
+		return c, fmt.Errorf("storage: metadata blob of %d bytes overflows the %d-byte header block",
+			len(fb.meta), fb.blockSize)
+	}
+	c.tx = walTx{seq: fb.walSeq + 1, notes: tx.notes, pages: make([]walPageImage, 0, len(tx.overlay))}
+	for id, img := range tx.overlay {
+		c.tx.pages = append(c.tx.pages, walPageImage{id: id, data: img})
+	}
+	sort.Slice(c.tx.pages, func(i, j int) bool { return c.tx.pages[i].id < c.tx.pages[j].id })
+	if !fb.walHasState || !tx.light() {
+		free := make([]PageID, 0, len(fb.free)+len(tx.freed))
+		free = append(append(free, fb.free...), tx.freed...)
+		c.tx.state = &walState{numPages: fb.numPages, free: free, meta: fb.meta}
+		c.flushPages = fb.pagesDirty.Load()
+	}
+	c.recs = c.tx.records()
+	return c, nil
+}
+
+// finishCommit runs once the commit marker is durable: it applies the
+// redo images in place (on a crash from here on the log replays them),
+// hands the freed pages to the allocator and closes the transaction.
+func (fb *FileBackend) finishCommit(c fileCommit) {
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	fb.walHasState = true
+	for _, pg := range c.tx.pages {
+		fb.writePage(pg.id, pg.data)
+	}
+	fb.free = append(fb.free, fb.tx.freed...)
+	fb.walSeq = c.tx.seq
+	fb.tx = nil
 }
 
 // Rollback implements Transactional: it discards the open transaction,
@@ -1033,8 +1258,12 @@ func (fb *FileBackend) Rollback() {
 		return
 	}
 	fb.numPages = tx.prevNumPages
-	fb.free = tx.prevFree
-	fb.meta = tx.prevMeta
+	if tx.snapped {
+		fb.free = tx.prevFree
+	}
+	if tx.metaSet {
+		fb.meta = tx.prevMeta
+	}
 	fb.tx = nil
 	// Restoring the pre-transaction allocator state also revokes any page
 	// a concurrent off-transaction producer (a background compaction
@@ -1057,7 +1286,13 @@ func (fb *FileBackend) Rollbacks() uint64 { return fb.rollbacks.Load() }
 // trailer), fsyncs, and retires the write-ahead log — after Sync the page
 // file alone describes the committed state. Syncing inside an open
 // transaction is an error; Commit first.
+//
+// While recovered notes are unconsumed (see RecoveredNotes) the log is the
+// committed state and must outlive this handle: Sync then flushes the page
+// file and leaves the header and the log as they are.
 func (fb *FileBackend) Sync() error {
+	fb.commitMu.RLock() // a commit in flight finishes first
+	defer fb.commitMu.RUnlock()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	return fb.syncLocked()
@@ -1073,6 +1308,13 @@ func (fb *FileBackend) syncLocked() error {
 	if len(fb.meta) > fb.blockSize-fileHeaderSize {
 		return fmt.Errorf("storage: metadata blob of %d bytes overflows the %d-byte header block",
 			len(fb.meta), fb.blockSize)
+	}
+	if fb.notesPending {
+		fb.persistStep()
+		if err := fb.syncPageFile(); err != nil {
+			return fmt.Errorf("storage: fsync page file: %w", err)
+		}
+		return nil
 	}
 	hdr := make([]byte, fileHeaderSize+len(fb.meta))
 	copy(hdr[0:6], fileMagic[:])
@@ -1102,18 +1344,18 @@ func (fb *FileBackend) syncLocked() error {
 		return fmt.Errorf("storage: truncating page file: %w", err)
 	}
 	fb.persistStep()
-	if err := fb.f.Sync(); err != nil {
+	if err := fb.syncPageFile(); err != nil {
 		return fmt.Errorf("storage: fsync page file: %w", err)
 	}
-	if fb.wal != nil && fb.walSize > walHeaderSize {
+	if fb.wal != nil && fb.walSize.Load() > walHeaderSize {
 		fb.persistStep()
 		if err := fb.wal.Truncate(walHeaderSize); err != nil {
 			return fmt.Errorf("storage: truncating write-ahead log: %w", err)
 		}
-		if err := fb.wal.Sync(); err != nil {
+		if err := fb.syncWAL(); err != nil {
 			return fmt.Errorf("storage: fsync write-ahead log: %w", err)
 		}
-		fb.walSize = walHeaderSize
+		fb.walSize.Store(walHeaderSize)
 	}
 	// The checkpoint is complete: snapshot what the header now records for
 	// the next transaction's state guard, and start a fresh log generation.
@@ -1146,6 +1388,8 @@ func (fb *FileBackend) Abandon() {
 // Close implements Backend: it checkpoints (Sync) and closes the file.
 // Closing an already closed backend is a no-op.
 func (fb *FileBackend) Close() error {
+	fb.commitMu.RLock() // a commit in flight finishes first
+	defer fb.commitMu.RUnlock()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	if fb.closed {

@@ -12,13 +12,21 @@ import (
 //
 //   - one PAGE record per committed-live page the transaction overwrote
 //     (a full block image — the redo copy applied on replay),
+//   - one NOTE record per FileBackend.Note call: opaque bytes of the
+//     backend's owner, a logical description of a change that touched no
+//     page (the dynamic index logs "insert item" / "delete item" this way),
 //   - one STATE record carrying the post-transaction allocator state
-//     (page count, freelist) and superblock metadata blob,
+//     (page count, freelist) and superblock metadata blob — omitted by a
+//     light transaction, one that logged notes and did nothing else: the
+//     state is then still the last STATE record's, freelist included,
 //   - one COMMIT record with a monotonically increasing sequence number,
 //
 // followed by a single fsync. A transaction is committed iff its COMMIT
 // record is fully on disk; recovery replays committed transactions in
-// order and discards everything after the last commit marker.
+// order, hands their notes to the owner in commit order, and discards
+// everything after the last commit marker. The first transaction of a log
+// generation always carries a STATE, so a log with committed transactions
+// describes the committed state without the page-file header.
 //
 // Wire format. The file starts with a 16-byte header (magic, version,
 // block size) and then holds length-prefixed records:
@@ -38,10 +46,19 @@ import (
 //	PAGE   u32 pageID | u32 dataLen | data
 //	STATE  u32 numPages | u32 metaLen | meta | u32 freeCount | u32 free...
 //	COMMIT u64 seq
+//	NOTE   opaque bytes
+//
+// NOTE records arrived with log version 2. A version-1 log is a valid
+// version-2 log without them and is read as such; the header is rewritten
+// at version 2 once the log has been checkpointed away.
 //
 // Checkpointing (FileBackend.Sync) rewrites the page-file header, fsyncs
 // the page file and truncates the log back to its 16-byte header: at that
-// point the page file alone describes the committed state.
+// point the page file alone describes the committed state. Notes are the
+// exception: they are the only durable copy of the changes they describe,
+// so a log that was recovered with notes in it is kept — cut at its last
+// commit marker — until the owner has consumed them (see
+// FileBackend.RecoveredNotes).
 
 // castagnoli is the CRC32C table shared by WAL records and page trailers.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -55,12 +72,13 @@ var ErrWALCorrupt = errors.New("write-ahead log corrupt")
 var walMagic = [6]byte{'P', 'R', 'W', 'A', 'L', 0}
 
 const (
-	walVersion    = 1
+	walVersion    = 2  // version 1 (no NOTE records) stays readable
 	walHeaderSize = 16 // magic[6] version:u16 blockSize:u32 reserved:u32
 
 	walRecPage   byte = 1
 	walRecState  byte = 2
 	walRecCommit byte = 3
+	walRecNote   byte = 4
 
 	// walRecOverhead is the framing around a payload: length, type, CRC.
 	walRecOverhead = 4 + 1 + 4
@@ -82,23 +100,28 @@ func encodeWALHeader(blockSize int) []byte {
 }
 
 // checkWALHeader validates a log header against the page file it rides
-// with. A nil error means the records after it may be scanned.
-func checkWALHeader(hdr []byte, blockSize int) error {
+// with and returns the log's version. A nil error means the records after
+// it may be scanned.
+func checkWALHeader(hdr []byte, blockSize int) (version int, err error) {
 	if [6]byte(hdr[0:6]) != walMagic {
-		return fmt.Errorf("%w: bad magic %q", ErrWALCorrupt, hdr[0:6])
+		return 0, fmt.Errorf("%w: bad magic %q", ErrWALCorrupt, hdr[0:6])
 	}
-	if v := binary.LittleEndian.Uint16(hdr[6:8]); v != walVersion {
-		return fmt.Errorf("%w: version %d (this build reads version %d)", ErrWALCorrupt, v, walVersion)
+	version = int(binary.LittleEndian.Uint16(hdr[6:8]))
+	if version < 1 || version > walVersion {
+		return 0, fmt.Errorf("%w: version %d (this build reads versions 1-%d)", ErrWALCorrupt, version, walVersion)
 	}
 	if bs := binary.LittleEndian.Uint32(hdr[8:12]); int(bs) != blockSize {
-		return fmt.Errorf("%w: log written for %d-byte blocks, page file has %d", ErrWALCorrupt, bs, blockSize)
+		return 0, fmt.Errorf("%w: log written for %d-byte blocks, page file has %d", ErrWALCorrupt, bs, blockSize)
 	}
-	return nil
+	return version, nil
 }
 
 // appendWALRecord frames payload as one record (length, type, payload,
 // CRC32C) and appends it to dst.
 func appendWALRecord(dst []byte, typ byte, payload []byte) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, walRecOverhead+len(payload))
+	}
 	start := len(dst)
 	var lenbuf [4]byte
 	binary.LittleEndian.PutUint32(lenbuf[:], uint32(len(payload)))
@@ -137,6 +160,9 @@ func encodeWALState(numPages int, free []PageID, meta []byte) []byte {
 	return appendWALRecord(nil, walRecState, payload)
 }
 
+// encodeWALNote frames one opaque note of the backend's owner.
+func encodeWALNote(data []byte) []byte { return appendWALRecord(nil, walRecNote, data) }
+
 // encodeWALCommit frames a commit marker.
 func encodeWALCommit(seq uint64) []byte {
 	var payload [8]byte
@@ -157,11 +183,29 @@ type walState struct {
 	meta     []byte
 }
 
-// walTx is one committed transaction recovered from the log.
+// walTx is one committed transaction recovered from the log. state is nil
+// for a light transaction (notes only): the state is the previous one's.
 type walTx struct {
 	seq   uint64
 	pages []walPageImage
-	state walState
+	notes [][]byte // alias the scanned buffer
+	state *walState
+}
+
+// records frames the transaction the way Commit appends it: page images,
+// notes, the state unless the transaction is light, the commit marker.
+func (tx *walTx) records() [][]byte {
+	recs := make([][]byte, 0, len(tx.pages)+len(tx.notes)+2)
+	for _, pg := range tx.pages {
+		recs = append(recs, encodeWALPage(pg.id, pg.data))
+	}
+	for _, note := range tx.notes {
+		recs = append(recs, encodeWALNote(note))
+	}
+	if st := tx.state; st != nil {
+		recs = append(recs, encodeWALState(st.numPages, st.free, st.meta))
+	}
+	return append(recs, encodeWALCommit(tx.seq))
 }
 
 // RecoveryInfo reports what crash recovery found and did when a page
@@ -173,6 +217,12 @@ type RecoveryInfo struct {
 	ReplayedTxs int
 	// ReplayedPages is the number of page images rewritten during replay.
 	ReplayedPages int
+	// ReappliedNotes is the number of logical notes — mutations committed
+	// as a log record only, after the last full save of the owner's state —
+	// that the owner re-applied on top of the replayed pages. The storage
+	// layer hands notes over uninterpreted (FileBackend.RecoveredNotes);
+	// OpenDynamic fills this in.
+	ReappliedNotes int
 	// DuplicateCommits counts commit markers whose sequence number had
 	// already been applied (e.g. a record duplicated by a retried append);
 	// their transactions are skipped, replay stays idempotent.
@@ -195,15 +245,27 @@ func (ri *RecoveryInfo) dirty() bool {
 
 // String renders the report in prose, for logs and prtool.
 func (ri *RecoveryInfo) String() string {
-	return fmt.Sprintf("replayed %d tx (%d pages), discarded %d uncommitted records, %d duplicate commits, %d torn tail bytes",
-		ri.ReplayedTxs, ri.ReplayedPages, ri.DiscardedRecords, ri.DuplicateCommits, ri.TornTailBytes)
+	return fmt.Sprintf("replayed %d tx (%d pages), re-applied %d notes, discarded %d uncommitted records, %d duplicate commits, %d torn tail bytes",
+		ri.ReplayedTxs, ri.ReplayedPages, ri.ReappliedNotes, ri.DiscardedRecords, ri.DuplicateCommits, ri.TornTailBytes)
 }
 
 // walScanResult is everything scanWAL learned from a log body.
 type walScanResult struct {
 	txs     []walTx
 	lastSeq uint64
-	info    RecoveryInfo
+	// committedEnd is the offset, within the body, just past the last
+	// commit marker: where a log that is kept is cut.
+	committedEnd int
+	info         RecoveryInfo
+}
+
+// notes returns the notes of every committed transaction, in commit order.
+func (res *walScanResult) notes() [][]byte {
+	var out [][]byte
+	for _, tx := range res.txs {
+		out = append(out, tx.notes...)
+	}
+	return out
 }
 
 // nextWALRecord validates the frame at the head of b. ok=false means the
@@ -241,11 +303,13 @@ func scanWAL(data []byte, blockSize int) (walScanResult, error) {
 	var res walScanResult
 	res.info.WALBytes = int64(len(data))
 	var (
-		pages   []walPageImage
-		state   *walState
-		pending int
+		pages    []walPageImage
+		notes    [][]byte
+		state    *walState
+		pending  int
+		anyState bool // a committed transaction carried a STATE
 	)
-	reset := func() { pages, state, pending = nil, nil, 0 }
+	reset := func() { pages, notes, state, pending = nil, nil, nil, 0 }
 	off := 0
 	for off < len(data) {
 		typ, payload, size, ok := nextWALRecord(data[off:])
@@ -276,6 +340,9 @@ func scanWAL(data []byte, blockSize int) (walScanResult, error) {
 			}
 			state = st
 			pending++
+		case walRecNote:
+			notes = append(notes, payload)
+			pending++
 		case walRecCommit:
 			if len(payload) != 8 {
 				return res, fmt.Errorf("%w: commit record of %d bytes", ErrWALCorrupt, len(payload))
@@ -285,11 +352,15 @@ func scanWAL(data []byte, blockSize int) (walScanResult, error) {
 				// A replayed or duplicated commit: its transaction has
 				// already been applied, skip it idempotently.
 				res.info.DuplicateCommits++
+				res.committedEnd = off + size
 				reset()
 				break
 			}
-			if state == nil {
-				return res, fmt.Errorf("%w: commit %d without a state record", ErrWALCorrupt, seq)
+			if state == nil && (len(notes) == 0 || len(pages) > 0 || !anyState) {
+				// Only a light transaction — notes and nothing else, after a
+				// transaction that said what the state is — may omit it.
+				return res, fmt.Errorf("%w: commit %d without a state record (%d notes, %d page images)",
+					ErrWALCorrupt, seq, len(notes), len(pages))
 			}
 			for _, pg := range pages {
 				if int(pg.id) >= state.numPages {
@@ -297,8 +368,10 @@ func scanWAL(data []byte, blockSize int) (walScanResult, error) {
 						ErrWALCorrupt, pg.id, state.numPages)
 				}
 			}
-			res.txs = append(res.txs, walTx{seq: seq, pages: pages, state: *state})
+			anyState = anyState || state != nil
+			res.txs = append(res.txs, walTx{seq: seq, pages: pages, notes: notes, state: state})
 			res.lastSeq = seq
+			res.committedEnd = off + size
 			reset()
 		default:
 			return res, fmt.Errorf("%w: unknown record type %d", ErrWALCorrupt, typ)

@@ -4,17 +4,64 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 )
 
 // walTxBytes frames one committed transaction for tests.
 func walTxBytes(seq uint64, pages []walPageImage, numPages int, free []PageID, meta []byte) []byte {
-	var out []byte
-	for _, pg := range pages {
-		out = append(out, encodeWALPage(pg.id, pg.data)...)
+	tx := walTx{seq: seq, pages: pages, state: &walState{numPages: numPages, free: free, meta: meta}}
+	return bytes.Join(tx.records(), nil)
+}
+
+// walNotesBytes frames one light transaction: notes and a commit marker.
+func walNotesBytes(seq uint64, notes ...string) []byte {
+	tx := walTx{seq: seq}
+	for _, n := range notes {
+		tx.notes = append(tx.notes, []byte(n))
 	}
-	out = append(out, encodeWALState(numPages, free, meta)...)
-	return append(out, encodeWALCommit(seq)...)
+	return bytes.Join(tx.records(), nil)
+}
+
+// TestWALScanNotes: NOTE records come back with their transactions, in
+// commit order, whether the transaction is light (no STATE: the state is
+// the previous one's) or carries a STATE beside them; committedEnd is
+// where the last commit marker ends.
+func TestWALScanNotes(t *testing.T) {
+	tx1 := walTxBytes(1, nil, 2, []PageID{1}, []byte("m1"))
+	tx2 := walNotesBytes(2, "insert a", "insert b")
+	both := walTx{seq: 3, notes: [][]byte{[]byte("saved")}, pages: []walPageImage{{0, []byte{7}}},
+		state: &walState{numPages: 3, meta: []byte("m3")}}
+	tx3 := bytes.Join(both.records(), nil)
+	tx4 := walNotesBytes(4, "delete a")
+	log := bytes.Join([][]byte{tx1, tx2, tx3, tx4}, nil)
+	tail := encodeWALNote([]byte("never committed"))
+
+	res, err := scanWAL(append(append([]byte(nil), log...), tail...), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.txs) != 4 || res.lastSeq != 4 {
+		t.Fatalf("decoded %d txs, lastSeq %d; want 4 and 4", len(res.txs), res.lastSeq)
+	}
+	if res.txs[1].state != nil || res.txs[3].state != nil {
+		t.Errorf("light transactions decoded with a state")
+	}
+	if st := res.txs[2].state; st == nil || st.numPages != 3 || string(st.meta) != "m3" || len(res.txs[2].pages) != 1 {
+		t.Errorf("notes + STATE + PAGE transaction decoded wrong: %+v", res.txs[2])
+	}
+	var got []string
+	for _, n := range res.notes() {
+		got = append(got, string(n))
+	}
+	if want := "insert a|insert b|saved|delete a"; strings.Join(got, "|") != want {
+		t.Errorf("notes = %q, want %q", strings.Join(got, "|"), want)
+	}
+	if res.committedEnd != len(log) || res.info.DiscardedRecords != 1 {
+		t.Errorf("committedEnd %d (log %d), %d discarded; want the cut before the 1 uncommitted note",
+			res.committedEnd, len(log), res.info.DiscardedRecords)
+	}
 }
 
 // TestWALScanRoundTrip: a log of well-formed committed transactions must
@@ -148,6 +195,10 @@ func TestWALScanCorrupt(t *testing.T) {
 		log  []byte
 	}{
 		{"commit without state", encodeWALCommit(1)},
+		{"stateless commit with a page image", append(walTxBytes(1, nil, 2, nil, nil),
+			append(append(encodeWALPage(0, []byte{1}), encodeWALNote([]byte("n"))...), encodeWALCommit(2)...)...)},
+		{"stateless commit without notes after a state", append(walTxBytes(1, nil, 2, nil, nil), encodeWALCommit(2)...)},
+		{"notes-only transaction opening the log", walNotesBytes(1, "n")},
 		{"two states", append(append(encodeWALState(1, nil, nil), encodeWALState(1, nil, nil)...), encodeWALCommit(1)...)},
 		{"unknown record type", appendWALRecord(nil, 99, []byte("??"))},
 		{"short page record", appendWALRecord(nil, walRecPage, []byte{1, 2, 3})},
@@ -185,21 +236,26 @@ func TestWALHeader(t *testing.T) {
 	if len(hdr) != walHeaderSize {
 		t.Fatalf("header is %d bytes, want %d", len(hdr), walHeaderSize)
 	}
-	if err := checkWALHeader(hdr, 4096); err != nil {
-		t.Fatal(err)
+	if v, err := checkWALHeader(hdr, 4096); err != nil || v != walVersion {
+		t.Fatalf("checkWALHeader = version %d, %v; want %d, nil", v, err, walVersion)
 	}
-	if err := checkWALHeader(hdr, 512); !errors.Is(err, ErrWALCorrupt) {
+	if _, err := checkWALHeader(hdr, 512); !errors.Is(err, ErrWALCorrupt) {
 		t.Errorf("block-size mismatch: %v, want ErrWALCorrupt", err)
 	}
 	bad := append([]byte(nil), hdr...)
 	bad[0] = 'X'
-	if err := checkWALHeader(bad, 4096); !errors.Is(err, ErrWALCorrupt) {
+	if _, err := checkWALHeader(bad, 4096); !errors.Is(err, ErrWALCorrupt) {
 		t.Errorf("bad magic: %v, want ErrWALCorrupt", err)
 	}
 	vbad := append([]byte(nil), hdr...)
 	binary.LittleEndian.PutUint16(vbad[6:8], 9)
-	if err := checkWALHeader(vbad, 4096); !errors.Is(err, ErrWALCorrupt) {
+	if _, err := checkWALHeader(vbad, 4096); !errors.Is(err, ErrWALCorrupt) {
 		t.Errorf("bad version: %v, want ErrWALCorrupt", err)
+	}
+	v1 := append([]byte(nil), hdr...)
+	binary.LittleEndian.PutUint16(v1[6:8], 1)
+	if v, err := checkWALHeader(v1, 4096); err != nil || v != 1 {
+		t.Errorf("version-1 header: version %d, %v; want 1, nil", v, err)
 	}
 }
 
@@ -216,6 +272,19 @@ func FuzzWALScan(f *testing.F) {
 	long := walTxBytes(3, []walPageImage{{1, bytes.Repeat([]byte{7}, 256)}}, 4, []PageID{0, 2}, nil)
 	f.Add(long)
 	f.Add(long[:len(long)-2])
+	// A version-1 log: every transaction carries its STATE, no NOTE anywhere.
+	f.Add(append(walTxBytes(1, nil, 1, nil, []byte("v1")), walTxBytes(2, []walPageImage{{0, []byte{1}}}, 2, []PageID{1}, []byte("v1"))...))
+	// Version 2: a lone NOTE, light transactions after a STATE, notes beside
+	// a STATE and an image, and the two shapes that must be corruption — a
+	// stateless commit with a page image, a notes-only log.
+	f.Add(encodeWALNote([]byte("note")))
+	light := append(walTxBytes(1, nil, 2, []PageID{1}, []byte("m")), walNotesBytes(2, "insert", "delete")...)
+	f.Add(light)
+	f.Add(light[:len(light)-3])
+	both := walTx{seq: 3, notes: [][]byte{[]byte("saved")}, pages: []walPageImage{{0, []byte{9}}}, state: &walState{numPages: 2}}
+	f.Add(append(append([]byte(nil), light...), bytes.Join(both.records(), nil)...))
+	f.Add(append(append(append(append([]byte(nil), light...), encodeWALPage(0, []byte{1})...), encodeWALNote([]byte("n"))...), encodeWALCommit(3)...))
+	f.Add(walNotesBytes(1, "orphan"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const blockSize = 256
@@ -232,12 +301,24 @@ func FuzzWALScan(f *testing.F) {
 			}
 			return
 		}
+		if res.committedEnd < 0 || int64(res.committedEnd)+res.info.TornTailBytes > int64(len(data)) {
+			t.Fatalf("committedEnd %d with %d torn bytes in %d", res.committedEnd, res.info.TornTailBytes, len(data))
+		}
 		var lastSeq uint64
-		for _, tx := range res.txs {
+		var canonical []byte
+		for i, tx := range res.txs {
 			if tx.seq <= lastSeq {
 				t.Fatalf("non-monotonic commit seq %d after %d", tx.seq, lastSeq)
 			}
 			lastSeq = tx.seq
+			canonical = append(canonical, bytes.Join(tx.records(), nil)...)
+			if tx.state == nil {
+				// A light transaction: notes, nothing else, never first.
+				if i == 0 || len(tx.notes) == 0 || len(tx.pages) != 0 {
+					t.Fatalf("tx %d (#%d) has no state, %d notes, %d images", tx.seq, i, len(tx.notes), len(tx.pages))
+				}
+				continue
+			}
 			if tx.state.numPages < 0 {
 				t.Fatalf("negative page count")
 			}
@@ -254,6 +335,21 @@ func FuzzWALScan(f *testing.F) {
 		}
 		if lastSeq != res.lastSeq {
 			t.Fatalf("lastSeq %d, decoded max %d", res.lastSeq, lastSeq)
+		}
+		// Canonical re-encode: the decoded transactions, framed the way
+		// Commit frames them, scan back to themselves with nothing left
+		// over. (The input may differ from it: duplicates, uncommitted
+		// records, a torn tail, records of one transaction in another order.)
+		again, err := scanWAL(canonical, blockSize)
+		if err != nil {
+			t.Fatalf("re-encoded log does not scan: %v", err)
+		}
+		if again.committedEnd != len(canonical) || again.info.DiscardedRecords != 0 ||
+			again.info.DuplicateCommits != 0 || again.info.TornTailBytes != 0 {
+			t.Fatalf("re-encoded log is not clean: end %d of %d, %+v", again.committedEnd, len(canonical), again.info)
+		}
+		if !reflect.DeepEqual(again.txs, res.txs) && (len(again.txs) != 0 || len(res.txs) != 0) {
+			t.Fatalf("re-encoded log decodes to different transactions")
 		}
 	})
 }

@@ -489,8 +489,8 @@ type Dynamic struct {
 
 	wmu      sync.Mutex // serializes writer transaction brackets
 	comp     *compact.Compactor
-	persist  bool   // file-backed: stage the directory blob each commit
-	path     string // index file path; "" for non-file backends
+	fb       *storage.FileBackend // file-backed: where the state is saved and mutations are logged; nil otherwise
+	path     string               // index file path; "" for non-file backends
 	closed   bool
 	recovery *storage.RecoveryInfo
 }
@@ -527,7 +527,7 @@ func (d *Dynamic) startCompaction(o Options) {
 	}
 	d.comp = compact.New(compact.Config{
 		Tree:      d.inner,
-		Commit:    d.mutate,
+		Commit:    func(fn func()) error { return d.mutate(nil, fn) }, // no record to offer: saves
 		Backend:   d.io,
 		MaxBuffer: o.CompactionMaxBuffer,
 	})
@@ -536,8 +536,10 @@ func (d *Dynamic) startCompaction(o Options) {
 
 // Close stops the background compactor (waiting for an in-flight merge to
 // land or abort), releases the prefetch worker pool, persists a
-// file-backed index in place and closes the backend. Using the index
-// after Close is invalid. Closing twice is a no-op.
+// file-backed index in place and closes the backend: the state is saved in
+// one last committed transaction, then the backend checkpoints — a crash
+// anywhere inside Close reopens to the last acknowledged mutation. Using
+// the index after Close is invalid. Closing twice is a no-op.
 func (d *Dynamic) Close() error {
 	if d.closed {
 		return nil
@@ -549,10 +551,11 @@ func (d *Dynamic) Close() error {
 	defer d.wmu.Unlock()
 	d.closed = true
 	d.pager.Close()
-	if d.persist {
-		d.io.SetMeta(d.inner.SaveState(d.io))
+	var saveErr error
+	if d.fb != nil {
+		saveErr = d.transact(nil, func() {})
 	}
-	if err := errors.Join(d.io.Close(), d.scratch.Close()); err != nil {
+	if err := errors.Join(saveErr, d.io.Close(), d.scratch.Close()); err != nil {
 		return fmt.Errorf("prtree: close: %w", err)
 	}
 	return nil
@@ -560,15 +563,31 @@ func (d *Dynamic) Close() error {
 
 // mutate is Tree.mutate for the dynamic index: one backend transaction
 // per mutation batch, serialized against every other writer (including
-// the background compactor's install commit). On a file-backed index the
-// refreshed component directory is staged inside the same transaction, so
-// the directory swap and the page writes commit atomically.
-func (d *Dynamic) mutate(fn func()) error {
+// the background compactor's install commit).
+func (d *Dynamic) mutate(m *logmethod.Mutation, fn func()) error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	if d.closed {
 		return fmt.Errorf("prtree: index is closed")
 	}
+	return d.transact(m, fn)
+}
+
+// transact runs fn inside one backend transaction and, on a file-backed
+// index, records in the same transaction what fn did. The caller holds
+// wmu.
+//
+// m is fn's change as a logical record: a change to the insert buffer or
+// the tombstone set alone commits as that record's note and nothing else —
+// no page written, one log fsync — and is re-applied from the log if the
+// process dies before the next save. The full state — directory blob and
+// state pages, rewritten by logmethod's SaveState — is saved instead when
+// fn changed the level directory (it freed the pages the committed state
+// points at, so the swap must commit with it), and when m is nil: the
+// caller has no record to offer (an install, a flush, recovery's
+// re-apply) or wants the save itself (Sync, Close). A save is followed by
+// logmethod.SavedNote, which makes every earlier note history.
+func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 	tx := storage.EnsureTransactional(d.io)
 	tx.Begin()
 	done := false
@@ -578,8 +597,13 @@ func (d *Dynamic) mutate(fn func()) error {
 		}
 	}()
 	fn()
-	if d.persist {
-		d.io.SetMeta(d.inner.SaveState(d.io))
+	if d.fb != nil {
+		if changed := d.inner.TakeDirectoryChanged(); changed || m == nil {
+			d.io.SetMeta(d.inner.SaveState(d.io))
+			d.fb.Note(logmethod.SavedNote())
+		} else {
+			d.fb.Note(m.Note())
+		}
 	}
 	done = true
 	if err := tx.Commit(); err != nil {
@@ -595,13 +619,20 @@ func (d *Dynamic) mutate(fn func()) error {
 // triggers — commits as one transaction. With background compaction the
 // rebuild work happens off this path; InsertE only blocks (briefly) when
 // the insert buffer is at its in-flight-merge bound.
+//
+// On a file-backed index an insert that only appends to the buffer — all
+// but one in Base() of them — is durable as one small record in the
+// write-ahead log and one fsync of it; no page is written. The state pages
+// are rewritten by the insert that fills the buffer and carries, together
+// with the new level. After a crash OpenDynamic re-applies the logged
+// inserts to the last saved state.
 func (d *Dynamic) InsertE(it Item) error {
 	if c := d.comp; c != nil {
 		// Backpressure outside the transaction bracket: the in-flight
 		// merge needs its own transaction to land.
 		c.Throttle()
 	}
-	if err := d.mutate(func() { d.inner.Insert(it) }); err != nil {
+	if err := d.mutate(&logmethod.Mutation{Item: it}, func() { d.inner.Insert(it) }); err != nil {
 		return fmt.Errorf("prtree: dynamic insert: %w", err)
 	}
 	return nil
@@ -616,10 +647,13 @@ func (d *Dynamic) Insert(it Item) {
 }
 
 // DeleteE removes an item by (rect, id), reporting success and the
-// transaction error, if any. Transactional like InsertE.
+// transaction error, if any. Transactional like InsertE, and logged like
+// it on a file-backed index: a delete commits as one log record unless it
+// triggers the tombstone rebuild, which saves the state. Deleting an item
+// that is not there is logged too, and re-applies as the no-op it was.
 func (d *Dynamic) DeleteE(it Item) (bool, error) {
 	var ok bool
-	if err := d.mutate(func() { ok = d.inner.Delete(it) }); err != nil {
+	if err := d.mutate(&logmethod.Mutation{Delete: true, Item: it}, func() { ok = d.inner.Delete(it) }); err != nil {
 		return false, fmt.Errorf("prtree: dynamic delete: %w", err)
 	}
 	return ok, nil
@@ -729,7 +763,7 @@ func (d *Dynamic) FlushE() error {
 		release := c.Drain()
 		defer release()
 	}
-	if err := d.mutate(func() { d.inner.Flush() }); err != nil {
+	if err := d.mutate(nil, func() { d.inner.Flush() }); err != nil {
 		return fmt.Errorf("prtree: dynamic flush: %w", err)
 	}
 	return nil
