@@ -14,8 +14,8 @@
 // every injected failure mode (error, torn write, crash, silent stop) and
 // report what crash recovery restores.
 // -cachesweep is shorthand for -only cachesweep: serve a file-backed tree
-// at pager capacities far below the index size, sweeping eviction policy
-// (lru, s3fifo), structure-aware prefetch and the mmap read path.
+// at pager capacities far below the index size under each eviction policy
+// (lru, s3fifo).
 // -serve is shorthand for -only serve: load-test the sharded network
 // server (in-process by default; -serveaddr drives a running prtreeserve
 // instead) across a client-concurrency sweep, reporting qps and exact

@@ -75,8 +75,6 @@ func main() {
 	partition := flag.String("partition", "hilbert", "shard: partitioning scheme: hilbert|grid")
 	cache := flag.Int("cache", 0, "page-cache capacity in pages (0 = unbounded, -1 disables)")
 	policyName := flag.String("policy", "lru", "bounded-cache eviction policy: lru|s3fifo")
-	prefetch := flag.Bool("prefetch", false, "enable structure-aware speculative read-ahead")
-	useMmap := flag.Bool("mmap", false, "serve file-backed reads through a read-only memory mapping")
 	flag.Parse()
 
 	if flag.NArg() < 1 {
@@ -105,8 +103,6 @@ func main() {
 		Layout:        layout,
 		CacheCapacity: capacity,
 		Eviction:      policy,
-		Prefetch:      *prefetch,
-		Mmap:          *useMmap,
 		// Every load builds the same tree at any setting, so there is no
 		// flag: use the machine.
 		Parallelism: runtime.GOMAXPROCS(0),
@@ -277,11 +273,6 @@ func main() {
 			leaves += st.LeavesVisited
 			results += st.Results
 		}
-		// Close first: it drains the prefetch worker pool, so the I/O and
-		// cache counters below are settled (the deferred Close is a no-op).
-		if err := tree.Close(); err != nil {
-			fatal(err)
-		}
 		io := tree.IOStats()
 		fmt.Printf("queries:      %d squares of %.2f%% area\n", *queries, *area*100)
 		fmt.Printf("avg T:        %.1f\n", float64(results)/float64(*queries))
@@ -290,7 +281,7 @@ func main() {
 			pct := 100 * float64(leaves) / (float64(results) / float64(tree.Fanout()))
 			fmt.Printf("cost:         %.1f%% of T/B\n", pct)
 		}
-		fmt.Printf("block I/O:    %d demand reads, %d prefetch reads\n", io.Reads, io.PrefetchReads)
+		fmt.Printf("block I/O:    %d demand reads\n", io.Reads)
 		printCache(tree)
 	case "fsck":
 		if tree.Path() == "" {
@@ -374,8 +365,8 @@ func fileSize(path string, items int) string {
 }
 
 // printCache reports the pager's cache behavior: the active eviction
-// policy and capacity plus the hit/miss/eviction (and prefetch) counters
-// accumulated so far in this process.
+// policy and capacity plus the hit/miss/eviction counters accumulated so
+// far in this process.
 func printCache(tree *prtree.Tree) {
 	cs := tree.CacheStats()
 	capStr := "unbounded"
@@ -388,9 +379,6 @@ func printCache(tree *prtree.Tree) {
 	fmt.Printf("cache:        policy=%s capacity=%s\n", cs.Policy, capStr)
 	fmt.Printf("              hits=%d misses=%d evictions=%d (hit rate %.1f%%)\n",
 		cs.Hits, cs.Misses, cs.Evictions, 100*cs.HitRatio())
-	if cs.PrefetchIssued > 0 || cs.PrefetchUsed > 0 {
-		fmt.Printf("              prefetch issued=%d used=%d\n", cs.PrefetchIssued, cs.PrefetchUsed)
-	}
 }
 
 func usage() {

@@ -7,7 +7,7 @@
 //
 //	prtool shard -in roads.bin -out roads.shards -shards 8
 //	prtreeserve -shards roads.shards -bind :9045 -http :9046 \
-//	            -cache 65536 -policy s3fifo -prefetch -tenantcap 256 \
+//	            -cache 65536 -policy s3fifo -tenantcap 256 \
 //	            -deadline 2s -maxdeadline 30s
 //
 // Queries scatter across every shard concurrently and gather into a
@@ -16,9 +16,9 @@
 // error, checksum mismatch) is quarantined instead of failing the query:
 // responses degrade to the healthy subset (and say so), and a background
 // supervisor reopens, scrubs and restores the shard — see -maxrecoveries
-// and -recoverybackoff. GET /statsz reports pager, prefetch and IO
-// counters, per-shard health and per-endpoint latency histograms; GET
-// /healthz is the readiness probe (ok / degraded / 503 down-or-draining).
+// and -recoverybackoff. GET /statsz reports pager and IO counters,
+// per-shard health and per-endpoint latency histograms; GET /healthz is
+// the readiness probe (ok / degraded / 503 down-or-draining).
 //
 // The -faultshard/-faultreads and -netfault/-netfaultafter flags inject
 // deterministic storage and network faults for chaos testing; they have
@@ -46,8 +46,6 @@ func main() {
 	httpBind := flag.String("http", "127.0.0.1:9046", "HTTP/JSON listen address (empty disables)")
 	cache := flag.Int("cache", 0, "global page-cache budget in pages, split across shards (0 = unbounded)")
 	policyName := flag.String("policy", "lru", "bounded-cache eviction policy: lru|s3fifo")
-	prefetch := flag.Bool("prefetch", false, "enable structure-aware speculative read-ahead")
-	useMmap := flag.Bool("mmap", false, "serve shard reads through read-only memory mappings")
 	tenantCap := flag.Int("tenantcap", 0, "per-tenant in-flight request cap (0 = unlimited)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for requests that carry none (0 = none)")
 	maxDeadline := flag.Duration("maxdeadline", 0, "clamp on client-supplied deadlines (0 = no clamp)")
@@ -77,8 +75,6 @@ func main() {
 	set, err := serve.Open(*shards, serve.OpenOptions{
 		CachePages:      *cache,
 		Policy:          policy,
-		Prefetch:        *prefetch,
-		Mmap:            *useMmap,
 		MaxRecoveries:   *maxRecoveries,
 		RecoveryBackoff: *recoveryBackoff,
 		FaultShard:      *faultShard,

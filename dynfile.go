@@ -89,7 +89,6 @@ func OpenDynamic(path string, opts *Options) (*Dynamic, error) {
 	}
 	if err := d.reapplyNotes(); err != nil {
 		// Nor retire a log whose notes nobody applied.
-		d.pager.Close()
 		fb.Abandon()
 		return nil, fmt.Errorf("prtree: open %s: %w", path, errors.Join(err, d.scratch.Close()))
 	}
@@ -135,19 +134,12 @@ func (d *Dynamic) reapplyNotes() error {
 	return nil
 }
 
-// assembleDynamic stacks the backend decorators (optional mmap, optional
-// WrapBackend, counting, pager) and builds or reopens the logmethod tree.
+// assembleDynamic stacks the backend decorators (optional WrapBackend,
+// counting, pager) and builds or reopens the logmethod tree.
 // meta == nil means a fresh empty tree; otherwise it is the directory blob
 // a previous SaveState wrote.
 func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byte) (*Dynamic, error) {
 	dev := storage.Backend(fb)
-	if o.Mmap {
-		m, err := storage.NewMmap(fb)
-		if err != nil {
-			return nil, err
-		}
-		dev = m
-	}
 	if o.WrapBackend != nil {
 		dev = o.WrapBackend(dev)
 	}
@@ -160,7 +152,6 @@ func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byt
 		var err error
 		inner, err = logmethod.OpenState(pager, bopts, meta)
 		if err != nil {
-			pager.Close()
 			return nil, err
 		}
 	}

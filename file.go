@@ -27,14 +27,6 @@ func Create(path string, opts *Options) (*Tree, error) {
 		return nil, fmt.Errorf("prtree: create %s: %w", path, err)
 	}
 	dev := storage.Backend(fb)
-	if o.Mmap {
-		m, merr := storage.NewMmap(fb)
-		if merr != nil {
-			fb.Abandon()
-			return nil, fmt.Errorf("prtree: create %s: %w", path, merr)
-		}
-		dev = m
-	}
 	if o.WrapBackend != nil {
 		dev = o.WrapBackend(dev)
 	}
@@ -75,14 +67,6 @@ func Open(path string, opts *Options) (*Tree, error) {
 		return nil, fmt.Errorf("prtree: %w", err)
 	}
 	dev := storage.Backend(fb)
-	if o.Mmap {
-		m, merr := storage.NewMmap(fb)
-		if merr != nil {
-			fb.Abandon()
-			return nil, fmt.Errorf("prtree: open %s: %w", path, merr)
-		}
-		dev = m
-	}
 	if o.WrapBackend != nil {
 		dev = o.WrapBackend(dev)
 	}
@@ -172,7 +156,6 @@ func (t *Tree) Close() error {
 		return nil
 	}
 	t.closed = true
-	t.pager.Close() // stop prefetch workers before the backend goes away
 	t.io.SetMeta(t.inner.EncodeMeta())
 	if err := errors.Join(t.io.Close(), t.scratch.Close()); err != nil {
 		return fmt.Errorf("prtree: close: %w", err)

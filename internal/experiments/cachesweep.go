@@ -14,57 +14,37 @@ import (
 	"prtree/internal/workload"
 )
 
-// CacheSweep measures the raw-speed I/O tier under cache pressure: a
-// file-backed Fig12-style tree is served with the pager capacity capped
-// far below the index size (10% and 25% of its pages), sweeping the
-// eviction policy (lru, s3fifo), the structure-aware prefetcher (off, on)
-// and the read path (plain file, mmap). The workload interleaves a hot
-// working set — small windows confined to one corner of the world, whose
-// leaf pages and ancestors are re-read constantly — with periodic large
-// scan windows that flood the cache with one-touch pages: the access
-// pattern LRU handles worst and S3-FIFO's probationary queue is built
-// for.
+// CacheSweep measures the file-backed read path under cache pressure: a
+// Fig12-style tree is served with the pager capacity capped far below the
+// index size (10% and 25% of its pages) under each eviction policy (lru,
+// s3fifo), on the one read path the platform has — views of the page file's
+// own mapping on Linux, verified preads elsewhere. The workload interleaves
+// a hot working set — small windows confined to one corner of the world,
+// whose leaf pages and ancestors are re-read constantly — with periodic
+// large scan windows that flood the cache with one-touch pages: the access
+// pattern LRU handles worst and S3-FIFO's probationary queue is built for.
 //
-// Two invariants are gated by TestCacheSweepGate (and CI) on top of the
-// headline queries/sec:
-//   - demand block reads are bit-identical with prefetch on and off at
-//     every capacity, policy and backend — speculative I/O lands in the
-//     separate PrefetchReads counter, never in the paper's accounting;
-//   - the s3fifo hit rate is at least the lru hit rate on this workload.
+// TestCacheSweepGate (and CI) hold the s3fifo hit rate to at least the lru
+// hit rate on this workload; which policy serves more queries per second
+// is what the table is for.
 func CacheSweep(cfg Config) Table {
-	pts := cacheSweepRun(cfg)
+	pts, readPath := cacheSweepRun(cfg)
 	t := Table{
 		ID:    "cachesweep",
-		Title: "Cache-pressure sweep: eviction policy x prefetch x read path (file backend)",
+		Title: "Cache-pressure sweep: capacity x eviction policy (file backend)",
 		Columns: []string{
-			"capacity", "backend", "policy", "prefetch", "queries/sec",
-			"hit rate", "evictions", "demand reads", "prefetch reads", "demand identity",
+			"capacity", "policy", "queries/sec", "hit rate", "evictions", "demand reads",
 		},
-		Notes: "hot-set windows interleaved with scan floods; capacity in pages (percent of index); demand reads must be identical prefetch on vs off (speculative I/O is counted separately)",
+		Notes: "hot-set windows interleaved with scan floods; capacity in pages (percent of index); read path: " + readPath,
 	}
 	for _, p := range pts {
-		onOff := "off"
-		if p.Prefetch {
-			onOff = "on"
-		}
-		ident := "baseline"
-		if p.Prefetch {
-			ident = "identical"
-			if p.DemandReads != p.BaselineReads {
-				ident = fmt.Sprintf("DIVERGED (%+d)", int64(p.DemandReads)-int64(p.BaselineReads))
-			}
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d (%d%%)", p.Capacity, p.CapPct),
-			p.Backend,
 			p.Policy.String(),
-			onOff,
 			fmt.Sprintf("%.0f", p.QPS),
 			fmt.Sprintf("%.1f%%", 100*p.HitRate),
 			fmtInt(p.Evictions),
 			fmtInt(p.DemandReads),
-			fmtInt(p.PrefetchReads),
-			ident,
 		})
 	}
 	return t
@@ -72,20 +52,14 @@ func CacheSweep(cfg Config) Table {
 
 // cachePoint is one sweep configuration's measurement.
 type cachePoint struct {
-	Backend  string // "file" or "mmap"
 	CapPct   int
 	Capacity int
 	Policy   storage.EvictionPolicy
-	Prefetch bool
 
-	QPS           float64
-	HitRate       float64
-	Evictions     uint64
-	DemandReads   uint64
-	PrefetchReads uint64
-	// BaselineReads is the demand-read count of the matching prefetch-off
-	// run (equal to DemandReads for prefetch-off points).
-	BaselineReads uint64
+	QPS         float64
+	HitRate     float64
+	Evictions   uint64
+	DemandReads uint64
 }
 
 // cacheSweepWorkload builds the interleaved hot/scan query sequence. The
@@ -109,7 +83,9 @@ func cacheSweepWorkload(world geom.Rect, rounds int, seed int64) []geom.Rect {
 	return out
 }
 
-func cacheSweepRun(cfg Config) []cachePoint {
+// cacheSweepRun builds the tree once and runs the workload at every
+// capacity and policy; it also names the read path the platform chose.
+func cacheSweepRun(cfg Config) ([]cachePoint, string) {
 	cfg = cfg.normalized()
 	dir, err := os.MkdirTemp("", "prtree-cachesweep")
 	if err != nil {
@@ -121,6 +97,7 @@ func cacheSweepRun(cfg Config) []cachePoint {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
+	defer fb.Close()
 	items := dataset.Western(cfg.n(60000), cfg.Seed)
 	var tree *rtree.Tree
 	{
@@ -138,79 +115,37 @@ func cacheSweepRun(cfg Config) []cachePoint {
 	pages := tree.Nodes()
 	world := geom.ItemsMBR(items)
 	queries := cacheSweepWorkload(world, 4*cfg.Queries, cfg.Seed)
-
-	// The mmap wrapper shares fb; closing it closes fb too.
-	mm, err := storage.NewMmap(fb)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: cachesweep mmap: %v", err))
-	}
-	defer mm.Close()
-
-	run := func(dev storage.Backend, capacity int, pol storage.EvictionPolicy, prefetch bool) cachePoint {
-		counting := storage.NewCounting(dev)
-		pager := storage.NewPagerWith(counting, storage.PagerOptions{
-			Capacity: capacity,
-			Policy:   pol,
-			Prefetch: prefetch,
-		})
-		defer pager.Close()
-		rt, err := rtree.OpenFromMeta(pager, fb.Meta())
-		if err != nil {
-			panic(fmt.Sprintf("experiments: cachesweep reopen: %v", err))
-		}
-		start := time.Now()
-		for _, q := range queries {
-			rt.QueryCount(q)
-		}
-		elapsed := time.Since(start)
-		// Close drains the prefetch queue before returning, so the
-		// counters below are settled (Close is idempotent; the deferred
-		// one becomes a no-op).
-		pager.Close()
-		io := counting.Stats()
-		cs := pager.CacheStats()
-		return cachePoint{
-			Capacity:      capacity,
-			Policy:        pol,
-			Prefetch:      prefetch,
-			QPS:           float64(len(queries)) / elapsed.Seconds(),
-			HitRate:       cs.HitRatio(),
-			Evictions:     cs.Evictions,
-			DemandReads:   io.Reads,
-			PrefetchReads: io.PrefetchReads,
-		}
+	readPath := "verified pread"
+	if _, ok := storage.Backend(fb).(storage.StableReader); ok {
+		readPath = "views of the file's mapping"
 	}
 
 	var pts []cachePoint
 	for _, pct := range []int{10, 25} {
-		capacity := pages * pct / 100
-		if capacity < 4 {
-			capacity = 4
-		}
-		for _, bk := range []struct {
-			name string
-			dev  storage.Backend
-		}{{"file", fb}, {"mmap", mm}} {
-			policies := []storage.EvictionPolicy{storage.EvictLRU, storage.EvictS3FIFO}
-			if bk.name == "mmap" {
-				// The mmap rows exist to price the zero-copy read path;
-				// the policy comparison is covered by the file rows.
-				policies = []storage.EvictionPolicy{storage.EvictS3FIFO}
+		capacity := max(pages*pct/100, 4)
+		for _, pol := range []storage.EvictionPolicy{storage.EvictLRU, storage.EvictS3FIFO} {
+			counting := storage.NewCounting(fb)
+			pager := storage.NewPagerWith(counting, storage.PagerOptions{Capacity: capacity, Policy: pol})
+			rt, err := rtree.OpenFromMeta(pager, fb.Meta())
+			if err != nil {
+				panic(fmt.Sprintf("experiments: cachesweep reopen: %v", err))
 			}
-			for _, pol := range policies {
-				var baseline uint64
-				for _, prefetch := range []bool{false, true} {
-					p := run(bk.dev, capacity, pol, prefetch)
-					p.Backend = bk.name
-					p.CapPct = pct
-					if !prefetch {
-						baseline = p.DemandReads
-					}
-					p.BaselineReads = baseline
-					pts = append(pts, p)
-				}
+			start := time.Now()
+			for _, q := range queries {
+				rt.QueryCount(q)
 			}
+			elapsed := time.Since(start)
+			cs := pager.CacheStats()
+			pts = append(pts, cachePoint{
+				CapPct:      pct,
+				Capacity:    capacity,
+				Policy:      pol,
+				QPS:         float64(len(queries)) / elapsed.Seconds(),
+				HitRate:     cs.HitRatio(),
+				Evictions:   cs.Evictions,
+				DemandReads: counting.Stats().Reads,
+			})
 		}
 	}
-	return pts
+	return pts, readPath
 }

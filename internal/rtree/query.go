@@ -3,6 +3,7 @@ package rtree
 import (
 	"container/heap"
 	"math"
+	"runtime/debug"
 	"sort"
 
 	"prtree/internal/geom"
@@ -46,16 +47,9 @@ type RunOptions struct {
 // no truly matching subtree is ever skipped. Leaf entries are exact under
 // both layouts (lossless compression or raw fallback), keeping reported
 // results bit-identical to the raw layout.
-// When the pager has prefetch enabled, each internal visit hands it the
-// batch of matching children before descending: the PR-tree structure makes
-// these hints free — a node's four priority leaves (and its filtered
-// subtree children) are all known the moment the node is decoded, before
-// any recursion — and every pushed page is guaranteed to be visited absent
-// early exit, so speculative reads are almost never wasted. The next page
-// to be visited (top of stack) is excluded: demand fetches it immediately.
 func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt RunOptions) (QueryStats, error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	var st QueryStats
-	prefetch := t.pager.PrefetchEnabled()
 	sp := t.grabStack()
 	stack := append(*sp, t.root)
 	for len(stack) > 0 {
@@ -93,7 +87,6 @@ func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt
 			continue
 		}
 		st.InternalVisited++
-		base := len(stack)
 		if v.comp {
 			qq := v.qz.CoverQuery(q)
 			for i := v.count() - 1; i >= 0; i-- {
@@ -107,9 +100,6 @@ func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt
 					stack = append(stack, storage.PageID(v.refAt(i)))
 				}
 			}
-		}
-		if prefetch && len(stack)-base > 1 {
-			t.pager.Prefetch(stack[base : len(stack)-1])
 		}
 	}
 	t.releaseStack(sp, stack)
@@ -128,11 +118,6 @@ func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt
 // the items were loaded into. Compressed internal pages contribute
 // admissible lower-bound distances (their entries are conservative covers
 // of the true child MBRs), which preserves best-first correctness.
-// With pager prefetch enabled, expanding an internal node hints its
-// zero-distance children (the subtrees containing the query point): under
-// best-first order they sit at the top of the queue and are all but certain
-// to be expanded, so they are the kNN analogue of the window walk's
-// known-before-recursion priority-leaf hints.
 func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, QueryStats, error) {
 	var st QueryStats
 	if opt.Limit > 0 && opt.Limit < k {
@@ -141,6 +126,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 	if k <= 0 || t.nItems == 0 {
 		return nil, st, nil
 	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	pq := knnHeaps.Get().(*distHeap)
 	defer func() { *pq = (*pq)[:0]; knnHeaps.Put(pq) }()
 	*pq = (*pq)[:0]
@@ -184,29 +170,12 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 			}
 		} else {
 			st.InternalVisited++
-			if t.pager.PrefetchEnabled() {
-				var hints [8]storage.PageID
-				nh := 0
-				for i, cnt := 0, v.count(); i < cnt; i++ {
-					d := pointRectDist2(x, y, v.rectAt(i))
-					child := storage.PageID(v.refAt(i))
-					heap.Push(pq, distEntry{dist2: d, page: child, isNode: true})
-					if d == 0 && nh < len(hints) {
-						hints[nh] = child
-						nh++
-					}
-				}
-				if nh > 1 {
-					t.pager.Prefetch(hints[:nh])
-				}
-			} else {
-				for i, cnt := 0, v.count(); i < cnt; i++ {
-					heap.Push(pq, distEntry{
-						dist2:  pointRectDist2(x, y, v.rectAt(i)),
-						page:   storage.PageID(v.refAt(i)),
-						isNode: true,
-					})
-				}
+			for i, cnt := 0, v.count(); i < cnt; i++ {
+				heap.Push(pq, distEntry{
+					dist2:  pointRectDist2(x, y, v.rectAt(i)),
+					page:   storage.PageID(v.refAt(i)),
+					isNode: true,
+				})
 			}
 		}
 	}

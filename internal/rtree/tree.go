@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"prtree/internal/geom"
@@ -126,6 +127,13 @@ func (t *Tree) Nodes() int { return t.nNodes }
 
 // readView returns a zero-copy view of the page. The view borrows the
 // pager's cached slice and stays valid only until the page is written.
+//
+// On a file-backed tree that slice can be the index file's own mapping,
+// and an index file cut short under a live handle turns the next touch of
+// a lost page into SIGBUS. Every entry point that walks views therefore
+// runs with debug.SetPanicOnFault for its duration (and restores the
+// caller's setting): the fault is a panic on the walking goroutine, which
+// callers handle like a failed checksum, not the death of the process.
 func (t *Tree) readView(id storage.PageID) nodeView {
 	return makeView(t.pager.Read(id))
 }
@@ -261,6 +269,7 @@ func (t *Tree) QueryCount(q geom.Rect) QueryStats {
 // (0 = leaf level) and entries. Internal entries carry child page ids in
 // Item.ID. Walk is intended for inspection, validation and pinning.
 func (t *Tree) Walk(fn func(page storage.PageID, level int, isLeaf bool, entries []geom.Item)) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	type frame struct {
 		page  storage.PageID
 		level int
@@ -315,6 +324,7 @@ func (t *Tree) MBR() geom.Rect {
 	if t.root == storage.NilPage {
 		return geom.EmptyRect()
 	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	return t.readView(t.root).mbr()
 }
 

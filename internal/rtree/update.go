@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"prtree/internal/geom"
 	"prtree/internal/storage"
@@ -14,6 +15,7 @@ import (
 // standard R-tree updating algorithms" — at the cost of its worst-case
 // query guarantee; these are those standard algorithms.
 func (t *Tree) Insert(it geom.Item) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	if t.cfg.Split == RStarSplit {
 		t.insertRStar(it.Rect, it.ID, 0, make(map[int]bool))
 	} else {
@@ -324,6 +326,7 @@ func (t *Tree) splitGuttman(n *node, s1, s2 int) (*node, *node) {
 // underfull nodes are dissolved and their entries reinserted at their
 // original level; the root is collapsed when it has a single child.
 func (t *Tree) Delete(it geom.Item) bool {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	path, idx := t.findLeaf(t.root, t.height-1, it, nil)
 	if path == nil {
 		return false

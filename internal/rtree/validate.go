@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"prtree/internal/geom"
 	"prtree/internal/storage"
@@ -18,6 +19,7 @@ import (
 //   - the recorded item and node counts match the actual tree;
 //   - no page is referenced twice.
 func (t *Tree) Validate() error {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	seen := make(map[storage.PageID]bool)
 	items, nodes, err := t.validate(t.root, t.height-1, seen)
 	if err != nil {

@@ -705,6 +705,8 @@ type Statsz struct {
 
 	ShardDetail []ShardStatsz `json:"shard_detail,omitempty"`
 
+	// The three prefetch fields below read 0 (the speculative read tier is
+	// gone); they stay because the benchmark harness decodes them.
 	IO struct {
 		Reads         uint64 `json:"reads"`
 		Writes        uint64 `json:"writes"`
@@ -763,12 +765,11 @@ func (s *Server) Statsz() Statsz {
 				PinnedPages:     sd.Snapshot.PinnedPages,
 			})
 		}
-		st.IO.Reads, st.IO.Writes, st.IO.PrefetchReads = ss.IO.Reads, ss.IO.Writes, ss.IO.PrefetchReads
+		st.IO.Reads, st.IO.Writes = ss.IO.Reads, ss.IO.Writes
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions = ss.Cache.Hits, ss.Cache.Misses, ss.Cache.Evictions
 		st.Cache.HitRate = ss.Cache.HitRatio()
 		st.Cache.Resident, st.Cache.Capacity = ss.Cache.Resident, ss.Cache.Capacity
 		st.Cache.Policy = ss.Cache.Policy.String()
-		st.Cache.PrefetchIssued, st.Cache.PrefetchUsed = ss.Cache.PrefetchIssued, ss.Cache.PrefetchUsed
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	s.metricsMu.RLock()

@@ -306,11 +306,6 @@ type OpenOptions struct {
 	CachePages int
 	// Policy selects the bounded-cache eviction policy (lru or s3fifo).
 	Policy prtree.EvictionPolicy
-	// Prefetch enables structure-aware read-ahead on every shard.
-	Prefetch bool
-	// Mmap serves shard reads through read-only memory mappings where the
-	// platform supports it.
-	Mmap bool
 
 	// MaxRecoveries caps reopen attempts per quarantine before the shard
 	// is declared permanently failed (default 5; negative retries
@@ -490,8 +485,6 @@ func (s *Set) shardOptions(idx, attempt int) *prtree.Options {
 	o := &prtree.Options{
 		CacheCapacity: s.perCache,
 		Eviction:      s.opt.Policy,
-		Prefetch:      s.opt.Prefetch,
-		Mmap:          s.opt.Mmap,
 	}
 	if hook := s.opt.wrapShard; hook != nil {
 		o.WrapBackend = func(b prtree.Backend) prtree.Backend { return hook(idx, attempt, b) }
@@ -501,7 +494,7 @@ func (s *Set) shardOptions(idx, attempt int) *prtree.Options {
 
 // Open opens the sharded index directory dir. The manifest names the
 // shard files; opt controls caching (one budget across all shards),
-// eviction policy, prefetch, mmap, and the failure-isolation knobs.
+// eviction policy, and the failure-isolation knobs.
 func Open(dir string, opt OpenOptions) (*Set, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -1041,14 +1034,11 @@ func (s *Set) Stats() SetStats {
 		io := t.IOStats()
 		st.IO.Reads += io.Reads
 		st.IO.Writes += io.Writes
-		st.IO.PrefetchReads += io.PrefetchReads
 		cs := t.CacheStats()
 		sh.mu.RUnlock()
 		st.Cache.Hits += cs.Hits
 		st.Cache.Misses += cs.Misses
 		st.Cache.Evictions += cs.Evictions
-		st.Cache.PrefetchIssued += cs.PrefetchIssued
-		st.Cache.PrefetchUsed += cs.PrefetchUsed
 		st.Cache.Resident += cs.Resident
 		if first {
 			st.Cache.Policy = cs.Policy

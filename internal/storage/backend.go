@@ -57,89 +57,33 @@ type Backend interface {
 	Close() error
 }
 
-// BlockReader is the optional batched-read capability: a demand fetch of
-// several pages in one call, so backends with real syscalls underneath
-// (FileBackend via preadv, MmapBackend via its mapping) can amortize the
-// per-page cost. bufs[i] receives page ids[i]; each buffer must hold
-// BlockSize bytes. Decorators count it exactly like len(ids) Reads.
-type BlockReader interface {
-	ReadBlocks(ids []PageID, bufs [][]byte)
-}
-
-// SpeculativeReader is the optional speculative batched-read capability used
-// by the pager's prefetcher. Physically it behaves like ReadBlocks, but the
-// accounting differs: the Counting decorator tallies it in PrefetchReads and
-// the Disk simulator not at all, so the paper's demand block-I/O counters
-// stay bit-identical whether prefetch is on or off. A pager only issues
-// prefetch against backends implementing this interface.
-type SpeculativeReader interface {
-	ReadBlocksSpeculative(ids []PageID, bufs [][]byte)
-}
-
-// DemandAccounter is the optional accounting hook the pager uses when a
-// demand access consumes a block the prefetcher already staged: the block's
-// demand read is charged (without physical I/O) at exactly the moment a
-// no-prefetch run would have performed it, so demand counters match
-// bit-for-bit. Decorators forward it down the chain.
-type DemandAccounter interface {
-	AccountDemandReads(n int)
-}
-
-// StableReader is the optional zero-copy capability of mapped backends: a
-// demand read (counted like Read) returning a view that stays valid and
-// coherent with Writes for the backend's lifetime — no read buffer, no
-// copy. ok=false means the page has no stable view (e.g. it lies beyond
-// the mapping or a transaction overlay hides it) and the caller must fall
-// back to Read.
+// StableReader is the optional zero-copy capability of a backend that maps
+// its own storage (FileBackend on Linux): a demand read (counted like Read)
+// returning a view that stays valid, and coherent with every Write that
+// reaches the storage, until the backend is closed — no read buffer, no
+// copy, no syscall. ok=false means the page has no stable view (it lies
+// beyond the written extent, or a transaction overlay hides it) and the
+// caller must fall back to Read.
 type StableReader interface {
 	ReadStable(id PageID) (data []byte, ok bool)
-}
-
-// ReadBlocksInto performs a demand batch read through b's BlockReader
-// capability when present, and otherwise falls back to one Read per page.
-func ReadBlocksInto(b Backend, ids []PageID, bufs [][]byte) {
-	if br, ok := b.(BlockReader); ok {
-		br.ReadBlocks(ids, bufs)
-		return
-	}
-	for i, id := range ids {
-		b.Read(id, bufs[i])
-	}
 }
 
 // Compile-time interface conformance.
 var (
 	_ Backend = (*Disk)(nil)
 	_ Backend = (*FileBackend)(nil)
-	_ Backend = (*MmapBackend)(nil)
 	_ Backend = (*Counting)(nil)
 	_ Backend = (*Faulty)(nil)
 	_ Backend = (*Scratch)(nil)
 
 	_ Transactional = (*FileBackend)(nil)
-	_ Transactional = (*MmapBackend)(nil)
 	_ Transactional = (*Counting)(nil)
 	_ Transactional = (*Faulty)(nil)
 
-	_ BlockReader = (*Disk)(nil)
-	_ BlockReader = (*FileBackend)(nil)
-	_ BlockReader = (*MmapBackend)(nil)
-	_ BlockReader = (*Counting)(nil)
-
-	_ SpeculativeReader = (*Disk)(nil)
-	_ SpeculativeReader = (*FileBackend)(nil)
-	_ SpeculativeReader = (*MmapBackend)(nil)
-	_ SpeculativeReader = (*Counting)(nil)
-
-	_ DemandAccounter = (*Disk)(nil)
-	_ DemandAccounter = (*Counting)(nil)
-
-	_ StableReader = (*MmapBackend)(nil)
-	_ StableReader = (*Counting)(nil)
+	_ StableReader = (*Counting)(nil) // and, on Linux, *FileBackend: filemap_linux.go
 
 	_ Snapshotter = (*Disk)(nil)
 	_ Snapshotter = (*FileBackend)(nil)
-	_ Snapshotter = (*MmapBackend)(nil)
 	_ Snapshotter = (*Counting)(nil)
 	_ Snapshotter = (*Faulty)(nil)
 )

@@ -15,9 +15,8 @@ import "sync/atomic"
 type Counting struct {
 	inner Backend
 
-	reads    atomic.Uint64
-	writes   atomic.Uint64
-	prefetch atomic.Uint64
+	reads  atomic.Uint64
+	writes atomic.Uint64
 }
 
 // NewCounting wraps b with fresh zeroed counters.
@@ -27,15 +26,8 @@ func NewCounting(b Backend) *Counting { return &Counting{inner: b} }
 func (c *Counting) Unwrap() Backend { return c.inner }
 
 // Stats returns the cumulative block I/O observed through the wrapper.
-// Reads and Writes are demand I/O (the paper's accounting); PrefetchReads
-// counts speculative fetches separately, so prefetch never perturbs the
-// demand counters.
 func (c *Counting) Stats() Stats {
-	return Stats{
-		Reads:         c.reads.Load(),
-		Writes:        c.writes.Load(),
-		PrefetchReads: c.prefetch.Load(),
-	}
+	return Stats{Reads: c.reads.Load(), Writes: c.writes.Load()}
 }
 
 // ResetStats zeroes the wrapper's counters (the inner backend's own
@@ -43,7 +35,6 @@ func (c *Counting) Stats() Stats {
 func (c *Counting) ResetStats() {
 	c.reads.Store(0)
 	c.writes.Store(0)
-	c.prefetch.Store(0)
 }
 
 // BlockSize implements Backend.
@@ -75,45 +66,6 @@ func (c *Counting) ReadNoCopy(id PageID) []byte {
 
 // PeekNoCopy implements Backend (uncounted).
 func (c *Counting) PeekNoCopy(id PageID) []byte { return c.inner.PeekNoCopy(id) }
-
-// ReadBlocks implements BlockReader, counting len(ids) demand block reads
-// and forwarding to the wrapped backend's batch capability when present.
-func (c *Counting) ReadBlocks(ids []PageID, bufs [][]byte) {
-	c.reads.Add(uint64(len(ids)))
-	if br, ok := c.inner.(BlockReader); ok {
-		br.ReadBlocks(ids, bufs)
-		return
-	}
-	for i, id := range ids {
-		c.inner.Read(id, bufs[i])
-	}
-}
-
-// ReadBlocksSpeculative implements SpeculativeReader, tallying the fetch in
-// PrefetchReads — never Reads — so the demand stream is unchanged by
-// prefetch. Backends without the capability are served through the
-// uncounted PeekNoCopy path, keeping any inner demand counters clean too.
-func (c *Counting) ReadBlocksSpeculative(ids []PageID, bufs [][]byte) {
-	c.prefetch.Add(uint64(len(ids)))
-	if sr, ok := c.inner.(SpeculativeReader); ok {
-		sr.ReadBlocksSpeculative(ids, bufs)
-		return
-	}
-	for i, id := range ids {
-		copy(bufs[i], c.inner.PeekNoCopy(id))
-	}
-}
-
-// AccountDemandReads implements DemandAccounter: the pager charges promoted
-// prefetched blocks here, at the moment a demand access consumes them, so
-// Reads matches a no-prefetch run bit-for-bit. The charge is forwarded down
-// the chain so an inner Disk simulator stays consistent as well.
-func (c *Counting) AccountDemandReads(n int) {
-	c.reads.Add(uint64(n))
-	if da, ok := c.inner.(DemandAccounter); ok {
-		da.AccountDemandReads(n)
-	}
-}
 
 // ReadStable implements StableReader, forwarding to the wrapped backend's
 // zero-copy capability and counting one demand read on success. A miss

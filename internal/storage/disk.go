@@ -28,47 +28,30 @@ const NilPage PageID = ^PageID(0)
 
 // Stats counts block-granular I/O operations. Reads and Writes follow the
 // paper's demand accounting: they count only blocks an algorithm asked for.
-// Speculative blocks fetched by the pager's prefetcher are tallied apart in
-// PrefetchReads, so enabling prefetch never changes Reads — the demand
-// stream stays bit-identical to a run without prefetch (a prefetched block
-// is charged to Reads at the moment a demand access consumes it, exactly
-// when a no-prefetch run would have read it).
 type Stats struct {
-	Reads         uint64 // blocks read on demand
-	Writes        uint64 // blocks written
-	PrefetchReads uint64 // blocks fetched speculatively by the prefetcher
+	Reads  uint64 // blocks read on demand
+	Writes uint64 // blocks written
+	// PrefetchReads reads 0: the speculative read tier it counted is gone.
+	// The field stays because the benchmark harness reports it.
+	PrefetchReads uint64
 }
 
 // Total returns demand reads plus writes — the paper's block-I/O metric.
-// Speculative prefetch reads are excluded: they are overlap, not cost, in
-// the paper's accounting, and live in PrefetchReads.
 func (s Stats) Total() uint64 { return s.Reads + s.Writes }
 
 // Add returns s plus t, component-wise: the total of two stores' counters.
 func (s Stats) Add(t Stats) Stats {
-	return Stats{
-		Reads:         s.Reads + t.Reads,
-		Writes:        s.Writes + t.Writes,
-		PrefetchReads: s.PrefetchReads + t.PrefetchReads,
-	}
+	return Stats{Reads: s.Reads + t.Reads, Writes: s.Writes + t.Writes}
 }
 
 // Sub returns s minus t, component-wise. Useful for measuring an interval:
 // capture stats before and after, then Sub.
 func (s Stats) Sub(t Stats) Stats {
-	return Stats{
-		Reads:         s.Reads - t.Reads,
-		Writes:        s.Writes - t.Writes,
-		PrefetchReads: s.PrefetchReads - t.PrefetchReads,
-	}
+	return Stats{Reads: s.Reads - t.Reads, Writes: s.Writes - t.Writes}
 }
 
-// String implements fmt.Stringer. The prefetch counter appears only when
-// nonzero, keeping the common demand-only rendering stable.
+// String implements fmt.Stringer.
 func (s Stats) String() string {
-	if s.PrefetchReads != 0 {
-		return fmt.Sprintf("reads=%d writes=%d prefetch=%d", s.Reads, s.Writes, s.PrefetchReads)
-	}
 	return fmt.Sprintf("reads=%d writes=%d", s.Reads, s.Writes)
 }
 
@@ -177,32 +160,6 @@ func (d *Disk) ReadNoCopy(id PageID) []byte {
 // test assertions and cache internals; algorithm code must use Read.
 func (d *Disk) PeekNoCopy(id PageID) []byte {
 	return d.page(id)
-}
-
-// ReadBlocks implements BlockReader: a demand batch read, counted exactly
-// like len(ids) individual Reads (the simulator has no syscalls to batch).
-func (d *Disk) ReadBlocks(ids []PageID, bufs [][]byte) {
-	for i, id := range ids {
-		d.Read(id, bufs[i])
-	}
-}
-
-// ReadBlocksSpeculative implements SpeculativeReader. The simulator's own
-// counters model the paper's demand accounting, so speculative fetches are
-// deliberately uncounted here; the Counting decorator tallies them in
-// PrefetchReads and the pager charges AccountDemandReads when a demand
-// access later consumes a prefetched block.
-func (d *Disk) ReadBlocksSpeculative(ids []PageID, bufs [][]byte) {
-	for i, id := range ids {
-		copy(bufs[i], d.page(id))
-	}
-}
-
-// AccountDemandReads implements DemandAccounter: it charges n demand block
-// reads without physical I/O, keeping the simulator's counters bit-identical
-// to a no-prefetch run when the pager promotes prefetched blocks.
-func (d *Disk) AccountDemandReads(n int) {
-	d.reads.Add(uint64(n))
 }
 
 // Stats returns the cumulative I/O counters.

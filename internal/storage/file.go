@@ -33,6 +33,19 @@ import (
 // without panicking. Version-1 files (no trailers) remain readable and
 // writable in their original format.
 //
+// # Read paths
+//
+// There are two, and the platform picks. On Linux the backend maps its own
+// page file read-only and shared, and lends views of it (ReadStable, the
+// StableReader capability the pager looks for): a page read copies,
+// allocates and syscalls nothing, and its checksum is verified once per
+// content — on the first view after every write of the page — not once per
+// read. The mapping only grows and is released at Close or Abandon, so a
+// view stays valid for the handle's lifetime, across Sync and any growth
+// of the file (see filemap_linux.go). Everywhere else, and for the pages
+// the mapping cannot serve (never written, or shadowed by the open
+// transaction's redo image), Read's verified pread is the path.
+//
 // # Durability
 //
 // A FileBackend carries a sidecar write-ahead log at path+".wal" (see
@@ -148,6 +161,13 @@ type FileBackend struct {
 	walSize    atomic.Int64
 	walRecords atomic.Int64
 	walBytes   atomic.Int64
+
+	// extent is the page file's size as this handle's writes and
+	// checkpoints made it. Page slots that end within it have bytes on disk
+	// and may be viewed through the mapping; a file found shorter has been
+	// truncated under the handle.
+	extent atomic.Int64
+	pm     pageMap // the file's mapping of itself; empty on platforms without one
 
 	// commitMu is the commit gate (see "# Locks"); it is taken before mu.
 	commitMu sync.RWMutex
@@ -443,6 +463,11 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		}
 		return nil, err
 	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	fb.extent.Store(st.Size())
 	var res walScanResult
 	logVersion := walVersion
 	wf, err := os.OpenFile(walPath(path), os.O_RDWR, 0o644)
@@ -572,14 +597,10 @@ func dropStaleImages(txs []walTx) {
 // mid-checkpoint crash the header can be ahead of the trailer, and the
 // log's last state wins instead.
 func (fb *FileBackend) loadCheckpoint(hdr fileHeader) error {
-	st, err := fb.f.Stat()
-	if err != nil {
-		return err
-	}
 	want := int64(hdr.blockSize) + int64(hdr.numPages)*int64(hdr.slotSize) + 4*int64(hdr.freeCount)
-	if st.Size() < want {
+	if size := fb.extent.Load(); size < want {
 		return fmt.Errorf("%w: %d bytes on disk, header records %d pages of %d bytes (want %d bytes)",
-			ErrTruncated, st.Size(), hdr.numPages, hdr.slotSize, want)
+			ErrTruncated, size, hdr.numPages, hdr.slotSize, want)
 	}
 	meta := make([]byte, hdr.metaLen)
 	if _, err := fb.f.ReadAt(meta, fileHeaderSize); err != nil {
@@ -888,20 +909,27 @@ func (fb *FileBackend) verifyTrailer(id PageID, buf []byte) error {
 	if tn < pageTrailerSize {
 		return nil // page beyond EOF: unwritten, zeros by construction
 	}
-	want := binary.LittleEndian.Uint32(tr[0:4])
-	dataLen := int(binary.LittleEndian.Uint32(tr[4:8]))
-	if dataLen > fb.blockSize {
-		return fmt.Errorf("storage: page %d: %w: trailer claims %d bytes in a %d-byte block",
-			id, ErrChecksum, dataLen, fb.blockSize)
-	}
 	data := buf
-	if dataLen > len(buf) {
+	if dataLen := int(binary.LittleEndian.Uint32(tr[4:8])); dataLen > len(buf) && dataLen <= fb.blockSize {
 		// The caller asked for a prefix shorter than the checksummed
 		// content; fetch the full extent to verify.
 		data = make([]byte, dataLen)
 		if _, err := fb.f.ReadAt(data, fb.offset(id)); err != nil && err != io.EOF {
 			panic(fmt.Sprintf("storage: reading page %d: %v", id, err))
 		}
+	}
+	return checkTrailer(id, data, tr[:], fb.blockSize)
+}
+
+// checkTrailer verifies data — the head of page id, at least as long as
+// the trailer's checksummed length if that is a possible one — against
+// the slot's checksum trailer.
+func checkTrailer(id PageID, data, trailer []byte, blockSize int) error {
+	want := binary.LittleEndian.Uint32(trailer[0:4])
+	dataLen := int(binary.LittleEndian.Uint32(trailer[4:8]))
+	if dataLen > blockSize {
+		return fmt.Errorf("storage: page %d: %w: trailer claims %d bytes in a %d-byte block",
+			id, ErrChecksum, dataLen, blockSize)
 	}
 	if got := crc32.Checksum(data[:dataLen], castagnoli); got != want {
 		return fmt.Errorf("storage: page %d: %w: stored %08x, computed %08x over %d bytes",
@@ -956,9 +984,9 @@ func (fb *FileBackend) Fsck() error {
 	return nil
 }
 
-// ReadNoCopy implements Backend. The file cannot hand out a stable view of
-// its own storage, so each call returns a private copy of the page — still
-// read-only to honor the shared contract.
+// ReadNoCopy implements Backend. Each call returns a private copy of the
+// page — still read-only to honor the shared contract; the zero-copy read
+// is ReadStable, where the platform has one.
 func (fb *FileBackend) ReadNoCopy(id PageID) []byte {
 	buf := make([]byte, fb.blockSize)
 	fb.Read(id, buf)
@@ -1043,6 +1071,7 @@ func (fb *FileBackend) writeDirect(id PageID, data []byte) {
 // writePageRaw is writePage without crash-point accounting, used by WAL
 // replay before the backend is live.
 func (fb *FileBackend) writePageRaw(id PageID, data []byte) {
+	end := fb.offset(id) + int64(len(data))
 	if _, err := fb.f.WriteAt(data, fb.offset(id)); err != nil {
 		panic(fmt.Sprintf("storage: writing page %d: %v", id, err))
 	}
@@ -1052,6 +1081,16 @@ func (fb *FileBackend) writePageRaw(id PageID, data []byte) {
 		binary.LittleEndian.PutUint32(tr[4:8], uint32(len(data)))
 		if _, err := fb.f.WriteAt(tr[:], fb.offset(id)+int64(fb.blockSize)); err != nil {
 			panic(fmt.Sprintf("storage: writing page %d trailer: %v", id, err))
+		}
+		end = fb.offset(id) + int64(fb.slotSize)
+	}
+	// The bytes are in the file: the next view of the page verifies them
+	// afresh, and the page may now lie within the extent.
+	fb.pm.unverify(id)
+	for {
+		cur := fb.extent.Load()
+		if end <= cur || fb.extent.CompareAndSwap(cur, end) {
+			return
 		}
 	}
 }
@@ -1309,6 +1348,16 @@ func (fb *FileBackend) syncLocked() error {
 		return fmt.Errorf("storage: metadata blob of %d bytes overflows the %d-byte header block",
 			len(fb.meta), fb.blockSize)
 	}
+	// A checkpoint sets the file's size. Over a file someone cut short it
+	// would put zeros where pages were and call the result consistent.
+	st, err := fb.f.Stat()
+	if err != nil {
+		return fmt.Errorf("storage: sync: %w", err)
+	}
+	if want := fb.extent.Load(); st.Size() < want {
+		return fmt.Errorf("storage: sync %s: %w: %d bytes on disk, this handle left %d",
+			fb.path, ErrTruncated, st.Size(), want)
+	}
 	if fb.notesPending {
 		fb.persistStep()
 		if err := fb.syncPageFile(); err != nil {
@@ -1343,6 +1392,7 @@ func (fb *FileBackend) syncLocked() error {
 	if err := fb.f.Truncate(end); err != nil {
 		return fmt.Errorf("storage: truncating page file: %w", err)
 	}
+	fb.extent.Store(end)
 	fb.persistStep()
 	if err := fb.syncPageFile(); err != nil {
 		return fmt.Errorf("storage: fsync page file: %w", err)
@@ -1379,6 +1429,7 @@ func (fb *FileBackend) Abandon() {
 		return
 	}
 	fb.closed = true
+	fb.pm.unmap()
 	fb.f.Close()
 	if fb.wal != nil {
 		fb.wal.Close()
@@ -1395,6 +1446,7 @@ func (fb *FileBackend) Close() error {
 	if fb.closed {
 		return nil
 	}
+	defer fb.pm.unmap()
 	if err := fb.syncLocked(); err != nil {
 		fb.closed = true
 		fb.f.Close()

@@ -8,131 +8,57 @@ import (
 	"testing"
 )
 
-// --- Counting: the accounting contract of the raw-speed I/O tier ---
+// The page file's two read paths — Read's verified pread everywhere, and
+// on platforms that have it the views ReadStable lends out of the file's
+// own mapping — must agree on every page, in and out of transactions.
 
-func TestCountingSpeculativeReadsAreNotDemandReads(t *testing.T) {
-	d := NewDisk(64)
-	ids := make([]PageID, 4)
-	for i := range ids {
-		ids[i] = d.Alloc()
-		d.Write(ids[i], bytes.Repeat([]byte{byte(i + 1)}, 64))
+// stableViews returns b's zero-copy capability, or skips the test on a
+// platform whose page files do not map themselves.
+func stableViews(t *testing.T, b Backend) StableReader {
+	t.Helper()
+	sr, ok := b.(StableReader)
+	if !ok {
+		t.Skip("page files do not map themselves on this platform")
 	}
-	c := NewCounting(d)
-	c.ResetStats()
-
-	bufs := make([][]byte, len(ids))
-	for i := range bufs {
-		bufs[i] = make([]byte, 64)
-	}
-	c.ReadBlocksSpeculative(ids, bufs)
-	for i, id := range ids {
-		want := make([]byte, 64)
-		d.Read(id, want)
-		if !bytes.Equal(bufs[i], want) {
-			t.Errorf("speculative read of page %d returned wrong bytes", id)
-		}
-	}
-	d.ResetStats() // drop the comparison reads just made
-
-	st := c.Stats()
-	if st.PrefetchReads != uint64(len(ids)) {
-		t.Errorf("PrefetchReads = %d, want %d", st.PrefetchReads, len(ids))
-	}
-	if st.Reads != 0 {
-		t.Errorf("speculative reads leaked into Reads: %d", st.Reads)
-	}
-	if st.Total() != 0 {
-		t.Errorf("Total() = %d includes speculative reads; they are overlap, not cost", st.Total())
-	}
+	return sr
 }
 
-func TestCountingReadBlocksCountsDemandReads(t *testing.T) {
-	d := NewDisk(64)
-	ids := []PageID{d.Alloc(), d.Alloc(), d.Alloc()}
-	c := NewCounting(d)
-	c.ResetStats()
-	bufs := [][]byte{make([]byte, 64), make([]byte, 64), make([]byte, 64)}
-	c.ReadBlocks(ids, bufs)
-	if st := c.Stats(); st.Reads != 3 || st.PrefetchReads != 0 {
-		t.Errorf("ReadBlocks stats = %+v, want 3 demand reads", st)
+// view is ReadStable for a page that must have a view.
+func view(t *testing.T, sr StableReader, id PageID) []byte {
+	t.Helper()
+	data, ok := sr.ReadStable(id)
+	if !ok {
+		t.Fatalf("page %d has no stable view", id)
 	}
+	return data
 }
 
-func TestCountingAccountDemandReads(t *testing.T) {
-	d := NewDisk(64)
-	c := NewCounting(d)
-	c.ResetStats()
-	d.ResetStats()
-	c.AccountDemandReads(5)
-	if st := c.Stats(); st.Reads != 5 {
-		t.Errorf("Counting.Reads = %d, want 5", st.Reads)
+func TestCountingStableReadsCountDemandReads(t *testing.T) {
+	fb, err := CreateFile(tempIndex(t), 128)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := d.Stats(); st.Reads != 5 {
-		t.Errorf("inner Disk.Reads = %d, want 5 (charge must forward down the chain)", st.Reads)
+	defer fb.Close()
+	written, blank := fb.Alloc(), fb.Alloc()
+	fb.Write(written, bytes.Repeat([]byte{1}, 128))
+	c := NewCounting(fb)
+	stableViews(t, fb)
+	sr := StableReader(c)
+	view(t, sr, written)
+	if st := c.Stats(); st.Reads != 1 {
+		t.Errorf("a view taken counted %d reads, want 1", st.Reads)
 	}
-}
-
-// TestPrefetchDemandIdentity is the core invariant of the prefetch design:
-// at every capacity and policy, enabling prefetch changes neither the
-// demand-read count nor the cache hit/miss/eviction counters — staged
-// pages live outside the cache and only enter it when a demand miss
-// consumes them, charged as the read they replaced.
-func TestPrefetchDemandIdentity(t *testing.T) {
-	const pages = 64
-	d := NewDisk(64)
-	ids := make([]PageID, pages)
-	for i := range ids {
-		ids[i] = d.Alloc()
-		d.Write(ids[i], []byte{byte(i)})
+	// A page with no view counts nothing: the caller's fallback Read does.
+	if _, ok := sr.ReadStable(blank); ok {
+		t.Fatal("a never-written page has a stable view")
 	}
-	// A deterministic access trace with reuse and scans.
-	rng := rand.New(rand.NewSource(42))
-	trace := make([]PageID, 0, 2000)
-	for len(trace) < 2000 {
-		if rng.Intn(3) == 0 { // scan burst
-			s := rng.Intn(pages - 8)
-			for k := 0; k < 8; k++ {
-				trace = append(trace, ids[s+k])
-			}
-		} else { // hot set
-			trace = append(trace, ids[rng.Intn(8)])
-		}
+	if st := c.Stats(); st.Reads != 1 {
+		t.Errorf("a refused view counted a read: %d, want 1", st.Reads)
 	}
-
-	type outcome struct {
-		reads, hits, misses, evictions uint64
-	}
-	run := func(capacity int, pol EvictionPolicy, prefetch bool) outcome {
-		c := NewCounting(d)
-		p := NewPagerWith(c, PagerOptions{Capacity: capacity, Policy: pol, Prefetch: prefetch})
-		for i, id := range trace {
-			if prefetch && i%7 == 0 {
-				// Hint a window of upcoming pages, like a traversal would.
-				end := i + 5
-				if end > len(trace) {
-					end = len(trace)
-				}
-				p.Prefetch(trace[i:end])
-			}
-			p.Read(id)
-		}
-		p.Close()
-		cs := p.CacheStats()
-		return outcome{c.Stats().Reads, cs.Hits, cs.Misses, cs.Evictions}
-	}
-
-	for _, capacity := range []int{-1, 0, 1, 2, 7, 16, pages} {
-		for _, pol := range []EvictionPolicy{EvictLRU, EvictS3FIFO} {
-			base := run(capacity, pol, false)
-			got := run(capacity, pol, true)
-			if got != base {
-				t.Errorf("cap=%d policy=%v: prefetch on %+v != off %+v", capacity, pol, got, base)
-			}
-		}
+	if _, ok := StableReader(NewCounting(NewDisk(128))).ReadStable(0); ok {
+		t.Error("Counting over a backend without views lent one")
 	}
 }
-
-// --- FileBackend.ReadBlocks: batched reads must match per-page reads ---
 
 func TestFileReadBlocksMatchesPerPageReads(t *testing.T) {
 	fb, err := CreateFile(tempIndex(t), 256)
@@ -142,28 +68,37 @@ func TestFileReadBlocksMatchesPerPageReads(t *testing.T) {
 	defer fb.Close()
 	const n = 40
 	ids := make([]PageID, n)
+	want := make(map[PageID][]byte, n+1)
 	for i := range ids {
 		ids[i] = fb.Alloc()
-		fb.Write(ids[i], bytes.Repeat([]byte{byte(i + 1)}, 50+i))
+		data := bytes.Repeat([]byte{byte(i + 1)}, 50+i)
+		fb.Write(ids[i], data)
+		want[ids[i]] = append(data, make([]byte, 256-len(data))...)
 	}
-	// Shuffle so the batch exercises both run-grouping and singletons,
-	// and leave one allocated-but-unwritten page (reads as zeros).
+	// One allocated-but-unwritten page (reads as zeros, has no view), and a
+	// shuffled order so neighbours are not read in sequence.
 	blank := fb.Alloc()
+	want[blank] = make([]byte, 256)
 	rng := rand.New(rand.NewSource(7))
-	batch := append([]PageID{}, ids...)
-	rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-	batch = append(batch, blank)
+	order := append(append([]PageID{}, ids...), blank)
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-	bufs := make([][]byte, len(batch))
-	for i := range bufs {
-		bufs[i] = make([]byte, 256)
-	}
-	fb.ReadBlocks(batch, bufs)
-	for i, id := range batch {
-		want := make([]byte, 256)
-		fb.Read(id, want)
-		if !bytes.Equal(bufs[i], want) {
-			t.Errorf("batched read of page %d diverges from Read", id)
+	sr, _ := Backend(fb).(StableReader)
+	for _, id := range order {
+		got := make([]byte, 256)
+		fb.Read(id, got)
+		if !bytes.Equal(got, want[id]) {
+			t.Errorf("Read of page %d diverges from what was written", id)
+		}
+		if sr == nil {
+			continue
+		}
+		v, ok := sr.ReadStable(id)
+		if ok != (id != blank) {
+			t.Errorf("page %d: stable view = %v", id, ok)
+		}
+		if ok && !bytes.Equal(v, got) {
+			t.Errorf("stable view of page %d diverges from Read", id)
 		}
 	}
 }
@@ -179,7 +114,8 @@ func TestFileReadBlocksShortBuffers(t *testing.T) {
 	fb.Write(b, bytes.Repeat([]byte{0xbb}, 128))
 	short := make([]byte, 16)
 	full := make([]byte, 128)
-	fb.ReadBlocks([]PageID{a, b}, [][]byte{short, full})
+	fb.Read(a, short)
+	fb.Read(b, full)
 	if !bytes.Equal(short, bytes.Repeat([]byte{0xaa}, 16)) {
 		t.Error("short buffer not filled with the page prefix")
 	}
@@ -200,21 +136,23 @@ func TestFileReadBlocksSeesTxOverlay(t *testing.T) {
 	if err := fb.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	first := func(id PageID) byte {
+		buf := make([]byte, 128)
+		fb.Read(id, buf)
+		return buf[0]
+	}
 
 	fb.Begin()
 	fb.Write(a, bytes.Repeat([]byte{9}, 128))
-	bufs := [][]byte{make([]byte, 128), make([]byte, 128)}
-	fb.ReadBlocks([]PageID{a, b}, bufs)
-	if bufs[0][0] != 9 {
-		t.Errorf("in-tx batched read of overlaid page sees %d, want 9", bufs[0][0])
+	if got := first(a); got != 9 {
+		t.Errorf("in-tx read of overlaid page sees %d, want 9", got)
 	}
-	if bufs[1][0] != 2 {
-		t.Errorf("in-tx batched read of clean page sees %d, want 2", bufs[1][0])
+	if got := first(b); got != 2 {
+		t.Errorf("in-tx read of clean page sees %d, want 2", got)
 	}
 	fb.Rollback()
-	fb.ReadBlocks([]PageID{a}, bufs[:1])
-	if bufs[0][0] != 1 {
-		t.Errorf("post-rollback batched read sees %d, want 1", bufs[0][0])
+	if got := first(a); got != 1 {
+		t.Errorf("post-rollback read sees %d, want 1", got)
 	}
 }
 
@@ -238,24 +176,26 @@ func TestFileReadBlocksChecksumPanic(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("batched read of a corrupt page did not panic")
+			t.Fatal("read of a corrupt page did not panic")
 		}
 		err, ok := r.(error)
 		if !ok || !errors.Is(err, ErrChecksum) {
 			t.Fatalf("panic %v, want ErrChecksum", r)
 		}
 	}()
-	re.ReadBlocks([]PageID{id}, [][]byte{make([]byte, 128)})
+	re.Read(id, make([]byte, 128))
 }
 
-// --- MmapBackend ---
+// --- The mapping ---
 
-func newMmapFixture(t *testing.T, blockSize, pages int) (*MmapBackend, []PageID) {
+func newMmapFixture(t *testing.T, blockSize, pages int) (*FileBackend, StableReader, []PageID) {
 	t.Helper()
 	fb, err := CreateFile(tempIndex(t), blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { fb.Close() })
+	sr := stableViews(t, fb)
 	ids := make([]PageID, pages)
 	for i := range ids {
 		ids[i] = fb.Alloc()
@@ -264,100 +204,90 @@ func newMmapFixture(t *testing.T, blockSize, pages int) (*MmapBackend, []PageID)
 	if err := fb.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMmap(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	return m, ids
+	return fb, sr, ids
 }
 
 func TestMmapReadsMatchFileReads(t *testing.T) {
-	m, ids := newMmapFixture(t, 256, 10)
+	fb, sr, ids := newMmapFixture(t, 256, 10)
 	for _, id := range ids {
-		got := make([]byte, 256)
-		m.Read(id, got)
 		want := make([]byte, 256)
-		m.Unwrap().Read(id, want)
-		if !bytes.Equal(got, want) {
-			t.Errorf("mmap Read of page %d diverges", id)
-		}
-		if sv, ok := m.ReadStable(id); ok && !bytes.Equal(sv, want) {
+		fb.Read(id, want)
+		if !bytes.Equal(view(t, sr, id), want) {
 			t.Errorf("stable view of page %d diverges", id)
-		}
-	}
-	bufs := make([][]byte, len(ids))
-	for i := range bufs {
-		bufs[i] = make([]byte, 256)
-	}
-	m.ReadBlocks(ids, bufs)
-	for i, id := range ids {
-		want := make([]byte, 256)
-		m.Unwrap().Read(id, want)
-		if !bytes.Equal(bufs[i], want) {
-			t.Errorf("mmap batched read of page %d diverges", id)
 		}
 	}
 }
 
 func TestMmapWriteCoherence(t *testing.T) {
-	m, ids := newMmapFixture(t, 128, 3)
+	fb, sr, ids := newMmapFixture(t, 128, 3)
 	id := ids[1]
-	if _, ok := m.ReadStable(id); !ok && m.Mapped() > int(id) {
-		t.Fatal("expected a stable view before the write")
+	before := view(t, sr, id)
+	fb.Write(id, bytes.Repeat([]byte{0x7e}, 128))
+	want := bytes.Repeat([]byte{0x7e}, 128)
+	if !bytes.Equal(view(t, sr, id), want) {
+		t.Error("stable view is stale after the write")
 	}
-	m.Write(id, bytes.Repeat([]byte{0x7e}, 128))
-	got := make([]byte, 128)
-	m.Read(id, got)
-	if !bytes.Equal(got, bytes.Repeat([]byte{0x7e}, 128)) {
-		t.Fatal("read after write returned stale bytes")
-	}
-	if sv, ok := m.ReadStable(id); ok && !bytes.Equal(sv, got) {
-		t.Error("stable view is stale after the write (verify bit not cleared or mapping incoherent)")
+	if !bytes.Equal(before, want) {
+		t.Error("a view taken before the write does not show it")
 	}
 }
 
+// A page the open transaction holds a redo image of has no view — the file
+// still has the committed bytes — and every other page keeps its own.
 func TestMmapStableViewsSuspendedDuringTx(t *testing.T) {
-	m, ids := newMmapFixture(t, 128, 3)
-	m.Begin()
-	if _, ok := m.ReadStable(ids[0]); ok {
-		t.Error("stable view served during an open transaction")
+	fb, sr, ids := newMmapFixture(t, 128, 3)
+	fb.Begin()
+	view(t, sr, ids[0])
+	fb.Write(ids[0], bytes.Repeat([]byte{3}, 128))
+	if _, ok := sr.ReadStable(ids[0]); ok {
+		t.Error("stable view served for a page the transaction shadows")
 	}
-	// Ordinary reads must still work and see the overlay.
-	m.Write(ids[0], bytes.Repeat([]byte{3}, 128))
+	if v := view(t, sr, ids[1]); v[0] != 2 {
+		t.Errorf("view of an untouched page in a transaction sees %d, want 2", v[0])
+	}
 	got := make([]byte, 128)
-	m.Read(ids[0], got)
+	fb.Read(ids[0], got)
 	if got[0] != 3 {
 		t.Errorf("in-tx read sees %d, want overlay 3", got[0])
 	}
-	m.Rollback()
-	if m.Mapped() > 0 {
-		if _, ok := m.ReadStable(ids[0]); !ok {
-			t.Error("stable views did not resume after the transaction")
-		}
+	if err := fb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v := view(t, sr, ids[0]); v[0] != 3 {
+		t.Errorf("view after commit sees %d, want the committed 3", v[0])
 	}
 }
 
-func TestMmapGrowthNeedsRemap(t *testing.T) {
-	m, ids := newMmapFixture(t, 128, 2)
-	before := m.Mapped()
-	id := m.Alloc()
-	m.Write(id, bytes.Repeat([]byte{0x42}, 128))
-	// The new page is beyond the mapping until a Sync (or Remap).
-	got := make([]byte, 128)
-	m.Read(id, got)
-	if got[0] != 0x42 {
-		t.Fatalf("read of page beyond the mapping = %d, want 0x42 via file fallback", got[0])
+// TestMmapGrowthKeepsViews: the mapping only grows. A view taken when the
+// file held 300 pages still reads its page after the file has grown tenfold
+// (past what any reservation made at 300 pages covers) and been
+// checkpointed — the sequence that unmapped it under the cache when a Sync
+// remapped — and the pages appended since have views of their own, before
+// any Sync.
+func TestMmapGrowthKeepsViews(t *testing.T) {
+	const blockSize = 4096
+	fb, sr, ids := newMmapFixture(t, blockSize, 300)
+	old := view(t, sr, ids[0])
+	var last PageID
+	for i := 0; i < 9*len(ids); i++ {
+		last = fb.Alloc()
+		fb.Write(last, bytes.Repeat([]byte{0x42}, blockSize))
 	}
-	if err := m.Sync(); err != nil {
+	if v := view(t, sr, last); v[0] != 0x42 || v[blockSize-1] != 0x42 {
+		t.Errorf("view of an appended page before Sync = %#x", v[0])
+	}
+	if err := fb.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Mapped() <= before && m.Mapped() != 0 {
-		t.Errorf("mapping did not grow after Sync: %d -> %d pages", before, m.Mapped())
+	if old[0] != 1 || old[blockSize-1] != 1 {
+		t.Errorf("view taken before the file grew reads %#x after Sync, want 1", old[0])
 	}
-	m.Read(ids[0], got)
-	if got[0] != 1 {
-		t.Errorf("old page unreadable after remap: %d", got[0])
+	if v := view(t, sr, ids[0]); &v[0] != &old[0] {
+		t.Error("page 0 moved to another mapping")
+	}
+	fb.Write(ids[0], bytes.Repeat([]byte{0x17}, blockSize))
+	if old[0] != 0x17 {
+		t.Errorf("old view does not show a later write: %#x", old[0])
 	}
 }
 
@@ -374,14 +304,12 @@ func TestMmapChecksumVerifiedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	corruptPageByte(t, path, blockSize, id)
-	m, err := OpenMmap(path, 0)
+	re, err := OpenFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Abandon()
-	if m.Mapped() == 0 {
-		t.Skip("no mapping on this platform")
-	}
+	defer re.Abandon()
+	sr := stableViews(t, re)
 	func() {
 		defer func() {
 			r := recover()
@@ -390,15 +318,14 @@ func TestMmapChecksumVerifiedOnce(t *testing.T) {
 				t.Fatalf("stable read of corrupt page: panic %v, want ErrChecksum", r)
 			}
 		}()
-		m.ReadStable(id)
+		sr.ReadStable(id)
 		t.Fatal("stable read of corrupt page did not panic")
 	}()
-}
-
-// Abandon releases the mmap wrapper without the header rewrite Close does
-// (mirrors FileBackend.Abandon for tests holding corrupt files).
-func (m *MmapBackend) Abandon() {
-	m.fb.Abandon()
+	// A write is new content: it re-arms the check, and good bytes pass.
+	re.Write(id, bytes.Repeat([]byte{7}, blockSize))
+	if v := view(t, sr, id); v[0] != 7 {
+		t.Errorf("view after rewrite sees %d, want 7", v[0])
+	}
 }
 
 // corruptPageByte flips one data byte of page id in a closed index file.
@@ -418,5 +345,37 @@ func corruptPageByte(t *testing.T, path string, blockSize int, id PageID) {
 	b[0] ^= 0xff
 	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A write inside a transaction reaches the file only at Commit, so a view
+// the pager cached (or pinned) before it would show the page's committed
+// bytes to the rest of the transaction. Write swaps the view for a copy of
+// what was written, as a cache of copies would hold.
+func TestPagerWriteInTxReplacesStableViews(t *testing.T) {
+	fb, _, ids := newMmapFixture(t, 128, 4)
+	for _, capacity := range []int{-1, 2} {
+		p := NewPager(NewCounting(fb), capacity)
+		cached, pinned := ids[0], ids[1]
+		p.Read(cached)
+		p.Pin(pinned)
+		fb.Begin()
+		for _, id := range []PageID{cached, pinned} {
+			old := p.Read(id)[0]
+			p.Write(id, bytes.Repeat([]byte{old + 100}, 128))
+			if got := p.Read(id)[0]; got != old+100 {
+				t.Errorf("capacity %d: page %d reads %d inside the transaction that wrote %d", capacity, id, got, old+100)
+			}
+		}
+		if err := fb.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []PageID{cached, pinned} {
+			want := make([]byte, 128)
+			fb.Read(id, want)
+			if got := p.Read(id); !bytes.Equal(got, want) {
+				t.Errorf("capacity %d: page %d reads %d after commit, file has %d", capacity, id, got[0], want[0])
+			}
+		}
 	}
 }

@@ -11,8 +11,16 @@ import (
 // the paper's query-time buffer: all internal R-tree nodes are pinned so
 // the reported query cost is the number of leaf blocks fetched.
 //
-// The cache is read-only: writers go directly to the Disk. Writing through
-// the pager refreshes the cached copy.
+// The cache is read-only: writers go directly to the backend. Writing
+// through the pager refreshes the cached copy.
+//
+// What the cache holds depends on the backend. A backend that maps its own
+// storage (StableReader: the page file on Linux) lends the pager views of
+// its pages, so a miss is a counted block read that copies, allocates and
+// syscalls nothing; every other backend fills a private BlockSize buffer
+// through Read. Capacity, policy and every counter are the same on both
+// paths — a view taken is one miss and one block read, exactly like a
+// buffer filled — so the paper's numbers do not depend on the platform.
 //
 // Alongside the byte cache the pager keeps a decoded-page cache: consumers
 // that materialize an in-memory form of a page (e.g. an R-tree node) may
@@ -52,23 +60,6 @@ import (
 // unbounded throughput path. Bounded eviction is pluggable via
 // PagerOptions.Policy: exact LRU (the default, byte-for-byte the historical
 // order) or S3-FIFO (small/main/ghost queues, scan-resistant).
-//
-// # Prefetch
-//
-// With PagerOptions.Prefetch enabled (and a backend implementing
-// SpeculativeReader), Prefetch(ids) hands hint batches to a small worker
-// pool that fetches them speculatively — via the backend's batched
-// ReadBlocksSpeculative, one vectored syscall per consecutive run on the
-// file backend — into a bounded staging area outside the cache proper.
-// Staging, not caching, is what keeps the paper's accounting honest: the
-// cache's content and eviction sequence remain exactly those of a
-// no-prefetch run at any capacity and policy, because a staged page enters
-// the cache only at the moment a demand miss consumes it, at which point
-// the miss is counted and one demand read is charged through the
-// DemandAccounter chain (no physical I/O — the bytes are already here).
-// Speculative fetches themselves are tallied apart as Stats.PrefetchReads.
-// Demand misses that find a fetch in flight wait for it (single-flight
-// dedup) instead of issuing a duplicate read.
 type Pager struct {
 	dev      Backend
 	capacity int // max unpinned cached pages; <0 means unbounded, 0 disables
@@ -76,14 +67,11 @@ type Pager struct {
 	shards   []pagerShard
 	mask     uint32
 
-	stable StableReader    // non-nil when dev offers zero-copy stable views
-	acct   DemandAccounter // non-nil when dev can be charged promoted reads
-	pf     *prefetcher     // non-nil when prefetch is enabled
+	stable StableReader // non-nil when dev offers zero-copy stable views
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-	pfUsed    atomic.Uint64
 }
 
 // EvictionPolicy selects how a bounded pager chooses eviction victims.
@@ -131,12 +119,6 @@ type PagerOptions struct {
 	// Policy selects the bounded-cache eviction policy; unbounded and
 	// disabled caches never evict, so it only matters when Capacity > 0.
 	Policy EvictionPolicy
-	// Prefetch enables the speculative read-ahead machinery. It requires a
-	// backend implementing SpeculativeReader (all in-tree backends do);
-	// otherwise Prefetch hints are ignored.
-	Prefetch bool
-	// PrefetchWorkers sizes the prefetch worker pool; 0 means default (2).
-	PrefetchWorkers int
 }
 
 // pagerShardCount is the stripe width for unbounded and capacity-0 pagers.
@@ -148,8 +130,8 @@ type pagerShard struct {
 	evict   evictor // victim order over entries; non-nil only when bounded
 	entries map[PageID]*cacheEntry
 	pinned  map[PageID][]byte
-	// stablePins marks pinned pages whose bytes are zero-copy stable views
-	// (mmap): coherent with Writes on their own and never written through.
+	// stablePins marks pinned pages whose bytes are zero-copy stable views:
+	// read-only, so Write replaces them instead of writing through.
 	stablePins map[PageID]struct{}
 	decoded    map[PageID]interface{}
 }
@@ -161,7 +143,7 @@ type pagerShard struct {
 type cacheEntry struct {
 	id     PageID
 	data   []byte
-	stable bool          // data is a zero-copy stable view; never write into it
+	stable bool          // data is a zero-copy stable view: read-only, Write replaces it
 	ready  chan struct{} // nil in bounded shards (filled synchronously)
 
 	// Evictor state (bounded shards only): the entry's position in the
@@ -174,8 +156,8 @@ type cacheEntry struct {
 
 // NewPager returns a pager over a backend whose cache holds at most
 // capacity unpinned pages. capacity 0 disables unpinned caching entirely;
-// a negative capacity means "unbounded". The eviction policy is LRU and
-// prefetch is off; use NewPagerWith for the full option surface.
+// a negative capacity means "unbounded". The eviction policy is LRU; use
+// NewPagerWith to choose another.
 func NewPager(dev Backend, capacity int) *Pager {
 	return NewPagerWith(dev, PagerOptions{Capacity: capacity})
 }
@@ -198,9 +180,6 @@ func NewPagerWith(dev Backend, opt PagerOptions) *Pager {
 	if sr, ok := dev.(StableReader); ok {
 		p.stable = sr
 	}
-	if da, ok := dev.(DemandAccounter); ok {
-		p.acct = da
-	}
 	for i := range p.shards {
 		s := &p.shards[i]
 		if opt.Capacity > 0 {
@@ -216,15 +195,6 @@ func NewPagerWith(dev Backend, opt PagerOptions) *Pager {
 		s.stablePins = make(map[PageID]struct{})
 		s.decoded = make(map[PageID]interface{})
 	}
-	if opt.Prefetch {
-		if sr, ok := dev.(SpeculativeReader); ok {
-			workers := opt.PrefetchWorkers
-			if workers <= 0 {
-				workers = defaultPrefetchWorkers
-			}
-			p.pf = newPrefetcher(p, sr, workers)
-		}
-	}
 	return p
 }
 
@@ -236,38 +206,16 @@ func (p *Pager) Backend() Backend { return p.dev }
 // Policy returns the configured eviction policy.
 func (p *Pager) Policy() EvictionPolicy { return p.policy }
 
-// PrefetchEnabled reports whether Prefetch hints are acted upon.
-func (p *Pager) PrefetchEnabled() bool { return p.pf != nil }
-
-// Close releases the pager's background resources (the prefetch worker
-// pool); the pager must not be used after Close. Pagers without prefetch
-// need no Close, which keeps every historical call site valid.
-func (p *Pager) Close() {
-	if p.pf != nil {
-		p.pf.close()
-	}
-}
-
 // Disk returns the underlying in-memory Disk when the backend is (or
 // wraps) one, and nil otherwise.
 //
 // Deprecated: use Backend; Disk exists for simulator-specific tests.
 func (p *Pager) Disk() *Disk { d, _ := AsDisk(p.dev); return d }
 
-// fetchDemand obtains page id's bytes for a counted demand miss, in cost
-// order: consume a staged prefetched copy (charging the demand read the
-// paper's accounting expects, with no physical I/O), take a zero-copy
-// stable view, or fall back to an allocated buffer filled by one Read.
+// fetchDemand obtains page id's bytes for a counted demand miss: a
+// zero-copy stable view when the backend lends one, an allocated buffer
+// filled by one Read otherwise.
 func (p *Pager) fetchDemand(id PageID) (data []byte, stable bool) {
-	if p.pf != nil {
-		if d, ok := p.pf.take(id); ok {
-			if p.acct != nil {
-				p.acct.AccountDemandReads(1)
-			}
-			p.pfUsed.Add(1)
-			return d, false
-		}
-	}
 	if p.stable != nil {
 		if d, ok := p.stable.ReadStable(id); ok {
 			return d, true
@@ -338,8 +286,7 @@ func (p *Pager) readStriped(id PageID) []byte {
 	}
 	if p.capacity == 0 {
 		// Caching disabled: every unpinned access is a miss, exactly as it
-		// would be serially; a staged prefetched copy still satisfies it
-		// (charged as the demand read it replaces).
+		// would be serially.
 		p.misses.Add(1)
 		data, _ := p.fetchDemand(id)
 		return data
@@ -500,26 +447,31 @@ func (p *Pager) StoreDecoded(id PageID, v interface{}) {
 
 // Write stores data to page id on disk and refreshes any cached copy. The
 // decoded entry, parsed from the overwritten bytes, is dropped; callers
-// writing an already-materialized form may StoreDecoded it again. Stable
-// (mapped) views are never written into — the backend's own write keeps
-// them coherent. Any staged prefetched copy is discarded: it predates the
-// write.
+// writing an already-materialized form may StoreDecoded it again. A stable
+// (mapped) view is read-only, and shows the write only once it reaches the
+// storage — inside a transaction the backend may hold it back as a redo
+// image until Commit — so a cached view is replaced by a private copy of
+// what was written, which is what a cache of copies would hold.
 func (p *Pager) Write(id PageID, data []byte) {
 	s := p.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.decoded, id)
-	if p.pf != nil {
-		p.pf.invalidate(id)
-	}
 	p.dev.Write(id, data)
 	if pd, ok := s.pinned[id]; ok {
-		if _, stable := s.stablePins[id]; !stable {
-			refreshCopy(pd, data)
+		if _, stable := s.stablePins[id]; stable {
+			delete(s.stablePins, id)
+			pd = make([]byte, len(pd))
+			s.pinned[id] = pd
 		}
+		refreshCopy(pd, data)
 		return
 	}
-	if ce, ok := s.entries[id]; ok && ce.data != nil && !ce.stable {
+	if ce, ok := s.entries[id]; ok && ce.data != nil {
+		if ce.stable {
+			ce.stable = false
+			ce.data = make([]byte, len(ce.data))
+		}
 		refreshCopy(ce.data, data)
 	}
 }
@@ -533,8 +485,8 @@ func refreshCopy(dst, data []byte) {
 	}
 }
 
-// Invalidate drops any cached copy of page id (bytes, staged prefetch and
-// decoded form) without touching the disk.
+// Invalidate drops any cached copy of page id (bytes and decoded form)
+// without touching the disk.
 func (p *Pager) Invalidate(id PageID) {
 	s := p.shard(id)
 	s.mu.Lock()
@@ -542,9 +494,6 @@ func (p *Pager) Invalidate(id PageID) {
 	delete(s.decoded, id)
 	delete(s.pinned, id)
 	delete(s.stablePins, id)
-	if p.pf != nil {
-		p.pf.invalidate(id)
-	}
 	if ce, ok := s.entries[id]; ok {
 		if s.evict != nil {
 			s.evict.remove(ce)
@@ -553,8 +502,7 @@ func (p *Pager) Invalidate(id PageID) {
 	}
 }
 
-// DropCache empties the cache, the pin set, the decoded cache and the
-// prefetch staging area.
+// DropCache empties the cache, the pin set and the decoded cache.
 func (p *Pager) DropCache() {
 	for i := range p.shards {
 		s := &p.shards[i]
@@ -568,9 +516,6 @@ func (p *Pager) DropCache() {
 		s.decoded = make(map[PageID]interface{})
 		s.mu.Unlock()
 	}
-	if p.pf != nil {
-		p.pf.dropAll()
-	}
 }
 
 // HitRate returns cache hits and misses since construction. It is safe to
@@ -582,11 +527,14 @@ func (p *Pager) HitRate() (hits, misses uint64) {
 // CacheStats is the pager's cumulative cache-behavior snapshot.
 type CacheStats struct {
 	Hits      uint64 // reads served from the cache or pin set
-	Misses    uint64 // reads that had to fetch (or consume a staged page)
+	Misses    uint64 // reads that had to fetch
 	Evictions uint64 // entries evicted from a bounded cache
 
-	PrefetchIssued uint64 // pages speculatively fetched by the prefetcher
-	PrefetchUsed   uint64 // staged pages later consumed by a demand miss
+	// PrefetchIssued and PrefetchUsed read 0: the speculative read tier
+	// they counted is gone. The fields stay because the benchmark harness
+	// reports them.
+	PrefetchIssued uint64
+	PrefetchUsed   uint64
 
 	Resident int            // currently resident pages (pinned + cached)
 	Capacity int            // configured capacity (<0 unbounded, 0 disabled)
@@ -605,22 +553,13 @@ func (cs CacheStats) HitRatio() float64 {
 // CacheStats returns the pager's counters; safe during concurrent reads.
 func (p *Pager) CacheStats() CacheStats {
 	return CacheStats{
-		Hits:           p.hits.Load(),
-		Misses:         p.misses.Load(),
-		Evictions:      p.evictions.Load(),
-		PrefetchIssued: p.prefetchIssued(),
-		PrefetchUsed:   p.pfUsed.Load(),
-		Resident:       p.CachedPages(),
-		Capacity:       p.capacity,
-		Policy:         p.policy,
+		Hits:      p.hits.Load(),
+		Misses:    p.misses.Load(),
+		Evictions: p.evictions.Load(),
+		Resident:  p.CachedPages(),
+		Capacity:  p.capacity,
+		Policy:    p.policy,
 	}
-}
-
-func (p *Pager) prefetchIssued() uint64 {
-	if p.pf == nil {
-		return 0
-	}
-	return p.pf.issued.Load()
 }
 
 // CachedPages returns the number of resident pages (pinned + cached).

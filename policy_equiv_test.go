@@ -11,15 +11,13 @@ import (
 	"prtree/internal/workload"
 )
 
-// TestCrossPolicyEquivalence is the I/O tier's end-to-end correctness
-// gate: one index file, reopened under every combination of page layout,
-// read path (plain file, mmap), eviction policy and prefetch, at a sweep
-// of cache capacities from pathological (1 page) to unbounded. Query
-// results must be bit-identical to the plain-file/lru/no-prefetch
-// reference everywhere — caching and speculation are pure performance
-// knobs — and within each configuration the demand read count must be
-// identical with prefetch on and off (speculative I/O is accounted
-// separately and must never perturb the paper's block-I/O numbers).
+// TestCrossPolicyEquivalence is the page cache's end-to-end correctness
+// gate: one index file, reopened under both page layouts and both eviction
+// policies, at a sweep of cache capacities from pathological (1 page) to
+// unbounded, on the read path the platform gives a file-backed tree. Query
+// results must be bit-identical to the unbounded-cache reference everywhere
+// — capacity and policy are pure performance knobs — and a counted demand
+// read must be exactly a cache miss, whichever way the page's bytes arrive.
 func TestCrossPolicyEquivalence(t *testing.T) {
 	for _, layout := range []PageLayout{LayoutRaw, LayoutCompressed} {
 		t.Run(fmt.Sprintf("layout=%v", layout), func(t *testing.T) {
@@ -39,7 +37,7 @@ func TestCrossPolicyEquivalence(t *testing.T) {
 			world := geom.ItemsMBR(items)
 			queries := workload.Squares(world, 0.01, 25, 18)
 
-			run := func(opts *Options) ([][]Item, uint64) {
+			run := func(opts *Options) ([][]Item, IOStats, CacheStats) {
 				tree, err := Open(path, opts)
 				if err != nil {
 					t.Fatalf("open %+v: %v", opts, err)
@@ -52,38 +50,23 @@ func TestCrossPolicyEquivalence(t *testing.T) {
 					}
 					results = append(results, got)
 				}
-				// Close drains the prefetch pool so the counters are settled.
+				io, cs := tree.IOStats(), tree.CacheStats()
 				if err := tree.Close(); err != nil {
 					t.Fatalf("close under %+v: %v", opts, err)
 				}
-				return results, tree.IOStats().Reads
+				return results, io, cs
 			}
 
+			ref, _, _ := run(nil)
 			for _, capacity := range []int{1, 2, 3, 8, 32, -1} {
-				ref, _ := run(&Options{CacheCapacity: capacity, Eviction: EvictLRU})
-				for _, mmap := range []bool{false, true} {
-					for _, policy := range []EvictionPolicy{EvictLRU, EvictS3FIFO} {
-						var demandOff uint64
-						for _, prefetch := range []bool{false, true} {
-							got, reads := run(&Options{
-								CacheCapacity: capacity,
-								Eviction:      policy,
-								Prefetch:      prefetch,
-								Mmap:          mmap,
-							})
-							if !reflect.DeepEqual(got, ref) {
-								t.Fatalf("cap=%d mmap=%v policy=%v prefetch=%v: query results diverge from reference",
-									capacity, mmap, policy, prefetch)
-							}
-							if prefetch {
-								if reads != demandOff {
-									t.Fatalf("cap=%d mmap=%v policy=%v: demand reads %d with prefetch, %d without — must be identical",
-										capacity, mmap, policy, reads, demandOff)
-								}
-							} else {
-								demandOff = reads
-							}
-						}
+				for _, policy := range []EvictionPolicy{EvictLRU, EvictS3FIFO} {
+					got, io, cs := run(&Options{CacheCapacity: capacity, Eviction: policy})
+					if !reflect.DeepEqual(got, ref) {
+						t.Fatalf("cap=%d policy=%v: query results diverge from reference", capacity, policy)
+					}
+					if io.Reads != cs.Misses {
+						t.Fatalf("cap=%d policy=%v: %d demand reads for %d cache misses — must be one each",
+							capacity, policy, io.Reads, cs.Misses)
 					}
 				}
 			}

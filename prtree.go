@@ -127,6 +127,12 @@ const (
 
 // Options tunes a tree. The zero value (or nil) reproduces the paper's
 // setup: 4 KB blocks, 36-byte entries, fanout 113, in-memory storage.
+//
+// How a file-backed tree reads its pages is not among them: on Linux the
+// index file maps itself and the page cache holds views of the mapping, so
+// a cache miss is a counted block read that copies and allocates nothing;
+// elsewhere a miss is a checksummed pread into a fresh buffer. Results,
+// CacheStats and IOStats are the same on both.
 type Options struct {
 	// BlockSize is the storage block size in bytes (default 4096). Open
 	// treats a non-zero value as a requirement the index file must match.
@@ -148,19 +154,6 @@ type Options struct {
 	// totals are identical under every policy — only which pages stay
 	// resident (and hence the hit rate) changes.
 	Eviction EvictionPolicy
-	// Prefetch enables structure-aware speculative read-ahead: query
-	// traversals hand the pager the child pages they are about to visit
-	// (the PR-tree's priority leaves are known before recursion), and a
-	// small worker pool fills them in the background. Speculative reads
-	// are counted separately (IOStats.PrefetchReads) and demand I/O
-	// accounting stays bit-identical to a run without prefetch.
-	Prefetch bool
-	// Mmap serves reads of a file-backed tree (Create/Open) through a
-	// read-only memory mapping: zero-copy page views with checksums
-	// verified once per mapped page. On platforms without the mapping
-	// path (non-Linux builds) the option is accepted and reads fall back
-	// to the ordinary verified file reads. Ignored for non-file backends.
-	Mmap bool
 	// Update selects the dynamic-update heuristic for Insert/Delete
 	// (default GuttmanQuadratic).
 	Update UpdateHeuristic
@@ -192,8 +185,8 @@ type Options struct {
 	// size wins over BlockSize when both are set.
 	Backend Backend
 	// WrapBackend, when set, decorates the raw block store of a
-	// file-backed tree (Create/Open) after the optional mmap layer and
-	// before the counting decorator and pager are assembled on top. It is
+	// file-backed tree (Create/Open) before the counting decorator and
+	// pager are assembled on top. It is
 	// the seam fault-injection harnesses use to place a decorator such as
 	// NewFaultyBackend under a real on-disk tree. The wrapper should
 	// expose the wrapped backend via an Unwrap() Backend method (as the
@@ -282,7 +275,6 @@ func newTree(dev storage.Backend, o Options) (*storage.Counting, *storage.Pager)
 	return counting, storage.NewPagerWith(counting, storage.PagerOptions{
 		Capacity: o.CacheCapacity,
 		Policy:   o.Eviction,
-		Prefetch: o.Prefetch,
 	})
 }
 
@@ -421,8 +413,8 @@ func (t *Tree) ResetIOStats() {
 	t.scratch.ResetStats()
 }
 
-// CacheStats returns the page cache's hit/miss/eviction and prefetch
-// counters plus the active capacity and eviction policy. Safe to call
+// CacheStats returns the page cache's hit/miss/eviction counters plus the
+// active capacity and eviction policy. Safe to call
 // while queries run.
 func (t *Tree) CacheStats() CacheStats { return t.pager.CacheStats() }
 
@@ -535,8 +527,7 @@ func (d *Dynamic) startCompaction(o Options) {
 }
 
 // Close stops the background compactor (waiting for an in-flight merge to
-// land or abort), releases the prefetch worker pool, persists a
-// file-backed index in place and closes the backend: the state is saved in
+// land or abort), persists a file-backed index in place and closes the backend: the state is saved in
 // one last committed transaction, then the backend checkpoints — a crash
 // anywhere inside Close reopens to the last acknowledged mutation. Using
 // the index after Close is invalid. Closing twice is a no-op.
@@ -550,7 +541,6 @@ func (d *Dynamic) Close() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	d.closed = true
-	d.pager.Close()
 	var saveErr error
 	if d.fb != nil {
 		saveErr = d.transact(nil, func() {})

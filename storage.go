@@ -63,22 +63,6 @@ func ParseEvictionPolicy(s string) (EvictionPolicy, error) {
 // CacheStats reports the page cache's counters; see Tree.CacheStats.
 type CacheStats = storage.CacheStats
 
-// NewMmapBackend opens the index file at path as a memory-mapped Backend:
-// reads come from a read-only shared mapping as zero-copy page views with
-// checksums verified once per mapped page, writes go through the regular
-// durable file path (the mapping stays coherent). A non-zero blockSize is
-// a requirement the file must match (like Open); <= 0 accepts the file's.
-// On platforms without the mapping support the backend still works,
-// serving every read through ordinary verified file reads. Most callers
-// want Open with Options.Mmap instead, which also manages the tree
-// metadata.
-func NewMmapBackend(path string, blockSize int) (Backend, error) {
-	if blockSize < 0 {
-		blockSize = 0
-	}
-	return storage.OpenMmap(path, blockSize)
-}
-
 // Index-file corruption sentinels, matchable through the errors Open
 // returns with errors.Is.
 var (
