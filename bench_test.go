@@ -435,11 +435,12 @@ func BenchmarkLogMethodInsert(b *testing.B) {
 // (use -benchtime 1x); the custom metrics are per measured mutation:
 // persistence steps, page writes, log bytes, fsyncs (page file + log), and
 // allocated bytes and objects in place of the per-iteration B/op and
-// allocs/op. It FAILS above 4 steps, 1 page write, 150 log bytes or
+// allocs/op. It FAILS above 4 steps, 0.1 page writes, 150 log bytes or
 // 1.05 fsyncs per mutation — the budget of "a mutation is one small log
 // record and one fsync, the state is rewritten when the level directory
-// changes"; saving the state with every mutation cost ≈31 steps, ≈13 page
-// writes and 2.0 fsyncs at this length.
+// changes, and that is once per memory-sized buffer": 0.04 page writes here,
+// 0.18 when the buffer was one leaf; saving the state with every mutation
+// cost ≈31 steps, ≈13 page writes and 2.0 fsyncs at this length.
 func BenchmarkDynamicDurableMutation(b *testing.B) {
 	const preload, measured, deleteEvery = 4096, 20000, 10
 	items := dataset.Western(300000, 2004)
@@ -505,8 +506,8 @@ func BenchmarkDynamicDurableMutation(b *testing.B) {
 	b.ReportMetric(allocated, "B/op")
 	b.ReportMetric(objects, "allocs/op")
 	b.ReportMetric(float64(measured)*float64(b.N)/b.Elapsed().Seconds(), "mutations/sec")
-	if steps > 4 || writes > 1 || walBytes > 150 || fsyncs > 1.05 {
-		b.Fatalf("a durable mutation costs %.2f steps, %.2f page writes, %.0f log bytes, %.3f fsyncs; budget 4, 1, 150, 1.05",
+	if steps > 4 || writes > 0.1 || walBytes > 150 || fsyncs > 1.05 {
+		b.Fatalf("a durable mutation costs %.2f steps, %.3f page writes, %.0f log bytes, %.3f fsyncs; budget 4, 0.1, 150, 1.05",
 			steps, writes, walBytes, fsyncs)
 	}
 }

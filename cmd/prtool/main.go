@@ -334,7 +334,7 @@ func main() {
 // accounting, labelled so compact's before/after pair reads as a diff.
 func printDynamicShape(label string, d *prtree.Dynamic) {
 	total, inUse := d.PageCounts()
-	fmt.Printf("%s: %d items (buffer %d, base %d)\n", label, d.Len(), d.BufferLen(), d.Base())
+	fmt.Printf("%s: %d items (buffer %d of %d, base %d)\n", label, d.Len(), d.BufferLen(), d.BufferCap(), d.Base())
 	sizes := d.LevelSizes()
 	occupied := 0
 	for k, sz := range sizes {

@@ -159,8 +159,8 @@ func TestDynamicInstallFlushesBuiltLevel(t *testing.T) {
 	}
 }
 
-// TestDynamicMutationBudget: between two carries a durable mutation is one
-// small log record — 3 persistence steps (NOTE, COMMIT, fsync), no page
+// TestDynamicMutationBudget: between two carries — BufferCap() inserts
+// apart, as the index stands — a durable mutation is one small log record — 3 persistence steps (NOTE, COMMIT, fsync), no page
 // write, at most 64 log bytes, one log fsync — whatever the buffer and the
 // tombstone set hold; Sync right after one is the save transaction plus the
 // checkpoint.
@@ -172,13 +172,13 @@ func TestDynamicMutationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(17))
-	base := d.Base()
-	items := crashItems(r, 3*base, 0)
+	items := crashItems(r, 2*d.Base(), 0)
 	for _, it := range items {
-		d.Insert(it) // ends right after a carry: the buffer is empty
+		d.Insert(it) // two doublings; ends right after the second carry: the buffer is empty
 	}
-	if d.BufferLen() != 0 {
-		t.Fatalf("buffer holds %d items, want the state right after a carry", d.BufferLen())
+	room := d.BufferCap()
+	if d.BufferLen() != 0 || room != len(items) {
+		t.Fatalf("buffer holds %d items of %d, want the state right after a carry: none of %d", d.BufferLen(), room, len(items))
 	}
 	fb := dynCrashBackend(t, d)
 	type cost struct{ steps, writes, walBytes, walRecords, logSyncs, fileSyncs int64 }
@@ -191,10 +191,10 @@ func TestDynamicMutationBudget(t *testing.T) {
 	}
 	light := cost{steps: 3, walBytes: 63, walRecords: 2, logSyncs: 1}
 	absent := Item{Rect: NewRect(0.5, 0.5, 0.6, 0.6), ID: 99999}
-	more := crashItems(r, base-1, 4000)
+	more := crashItems(r, room-1, 4000)
 	for i, it := range more {
 		if c := measure(func() { d.Insert(it) }); c != light {
-			t.Fatalf("insert %d of %d between carries cost %+v, want %+v", i, base-1, c, light)
+			t.Fatalf("insert %d of %d between carries cost %+v, want %+v", i, room-1, c, light)
 		}
 		switch i {
 		case 2: // an item in a level: a tombstone
@@ -277,16 +277,16 @@ func dynCrashedWithTail(t *testing.T, path string, opts *Options, inFlight bool)
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(23))
-	base := d.Base()
-	items := crashItems(r, 2*base, 0)
+	items := crashItems(r, 2*d.Base(), 0)
 	for _, it := range items {
 		d.Insert(it)
 	}
 	if inFlight {
 		d.inner.SetBackground(true)
 	}
-	tail := crashItems(r, base+3, 3000)
-	for _, it := range tail[:base] {
+	room := d.BufferCap() - d.BufferLen() // the insert that uses it up carries
+	tail := crashItems(r, room+3, 3000)
+	for _, it := range tail[:room] {
 		d.Insert(it)
 	}
 	if inFlight {
@@ -297,11 +297,11 @@ func dynCrashedWithTail(t *testing.T, path string, opts *Options, inFlight bool)
 		job.Build()       // never installed: the process dies first
 		d.Delete(tail[1]) // an item of the frozen snapshot: a tombstone for now
 	}
-	for _, it := range tail[base:] {
+	for _, it := range tail[room:] {
 		d.Insert(it)
 	}
 	d.Delete(items[3]) // sits in a level
-	d.Delete(tail[base])
+	d.Delete(tail[room])
 	want = dynDigest(t, d)
 	dynCrashBackend(t, d).Abandon()
 	return want

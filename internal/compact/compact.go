@@ -48,9 +48,10 @@ type Config struct {
 	Backend storage.Backend
 
 	// MaxBuffer bounds buffer growth while a merge is in flight: Throttle
-	// blocks inserts once the buffer holds this many items (default
-	// 8*base). The bound is what keeps the insert path's worst case at
-	// O(buffer merge) instead of unbounded memory.
+	// blocks inserts once the buffer holds this many items (default twice
+	// the buffer's largest capacity, so a full buffer fits beside the one
+	// being merged). The bound is what keeps the insert path's worst case
+	// at O(buffer merge) instead of unbounded memory.
 	MaxBuffer int
 
 	// Interval is the supervisor's poll fallback when no kick arrives
@@ -66,7 +67,7 @@ type Config struct {
 
 func (c Config) normalized() Config {
 	if c.MaxBuffer <= 0 {
-		c.MaxBuffer = 8 * c.Tree.Base()
+		c.MaxBuffer = 2 * c.Tree.BufferCeiling()
 	}
 	if c.Interval <= 0 {
 		c.Interval = 25 * time.Millisecond

@@ -87,7 +87,7 @@ func compactionRun(items []geom.Item, queries []geom.Rect, background bool) (max
 		deadline := time.Now().Add(2 * time.Minute)
 		for {
 			st = d.CompactionStats()
-			settled := d.BufferLen() < d.Base() &&
+			settled := d.BufferLen() < d.BufferCap() &&
 				st.MergesStarted == st.MergesCompleted+st.MergesAborted
 			if settled || time.Now().After(deadline) {
 				break

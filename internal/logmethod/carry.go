@@ -1,30 +1,31 @@
 package logmethod
 
-import (
-	"prtree/internal/geom"
-	"prtree/internal/rtree"
-)
+import "prtree/internal/geom"
 
 // This file is the background-merge half of the logarithmic method: the
 // carry protocol a compactor (internal/compact) drives. A carry runs in
 // three phases:
 //
-//  1. BeginCarry (under the tree lock, O(1)): the buffer moves into the
-//     state's merging slot and the occupied level prefix is claimed.
-//     Readers keep seeing every item (buffer ∪ merging ∪ levels);
-//     writers get a fresh empty buffer, so inserts during the merge land
-//     there and are carried into the *next* merge.
+//  1. BeginCarry (under the tree lock, O(1)): the full buffer moves into
+//     the state's merging slot, the levels carryTarget names are claimed
+//     and the tombstone set of that instant is kept (it is immutable, so
+//     keeping it is free). Readers keep seeing every item (buffer ∪
+//     merging ∪ levels); writers get a fresh empty buffer, so inserts
+//     during the merge land there and are carried into the *next* merge.
 //  2. Build (no locks, O(level) I/O): the merged level is bulk-loaded
 //     off to the side onto fresh pages while readers serve the old
-//     levels and writers commit their own transactions.
+//     levels and writers commit their own transactions. Items of the
+//     claimed levels that were tombstoned at BeginCarry are left out.
 //  3. Install (under the tree lock, inside the caller's backend
 //     transaction): the new level replaces the consumed components in
-//     one atomic state swap, and the old levels' pages are freed —
-//     epoch-pinned for any reader still traversing them; they join the
-//     backend's free list with the commit and later allocations recycle
-//     them (no checkpoint shrinks the file below its recorded page
-//     count). A crash before the install commit recovers to the
-//     pre-carry state via WAL replay: half-built pages past the
+//     one atomic state swap and the left-out items' tombstones leave the
+//     set — except that an id Insert revived while the build ran has no
+//     tombstone any more, and its item goes into the buffer instead of
+//     vanishing. The old levels' pages are freed — epoch-pinned for any
+//     reader still traversing them; they join the backend's free list
+//     with the commit and later allocations recycle them (no checkpoint
+//     shrinks the file below its recorded page count). A crash before the
+//     install commit recovers to the pre-carry state via WAL replay: half-built pages past the
 //     recovered page count are cut off when the reopening checkpoint
 //     truncates the file to its recorded size; any below it (an
 //     interleaved commit recorded the larger count) stay allocated but
@@ -33,26 +34,22 @@ import (
 //     handle's scratch store (see Tree.build).
 //
 // Abort unwinds phase 1: the merging snapshot returns to the buffer
-// (dropping items tombstoned while in flight) and the half-built level is
-// released or abandoned, depending on whether its pages are still safely
-// owned (see Carry.Abort).
+// (dropping items tombstoned while in flight), the claimed levels stay as
+// they were, tombstoned items and tombstones included, and the half-built
+// level is released or abandoned, depending on whether its pages are still
+// safely owned (see Carry.Abort).
 
 // Carry is an in-flight background merge. Exactly one may exist per tree;
 // it is created by BeginCarry and consumed by Install or Abort.
 type Carry struct {
-	t        *Tree
-	k        int           // target level
-	items    []geom.Item   // the buffer snapshot (state.merging)
-	consumed []*rtree.Tree // levels[0:k] at BeginCarry time
-	built    *rtree.Tree
-}
-
-// CarryReady reports whether a background carry would start work right
-// now: background mode, a full buffer, and no carry already in flight.
-func (t *Tree) CarryReady() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.backgrnd && !t.flight && len(t.st.Load().buffer) >= t.base
+	t      *Tree
+	take   []int       // claimed level slots
+	k      int         // target slot
+	items  []geom.Item // the buffer snapshot (state.merging)
+	levels []*level    // the directory at BeginCarry; frozen at take until Install/Abort
+	dead   tombstones  // the tombstone set at BeginCarry: what Build purges
+	purged []geom.Item // items of the claimed levels Build left out
+	built  *level
 }
 
 // CarryKick returns the channel the tree signals (non-blocking, buffered)
@@ -72,59 +69,44 @@ func (t *Tree) SetBackground(on bool) {
 }
 
 // BeginCarry claims a merge: the buffer becomes the carry's input
-// snapshot (readers still see it via state.merging) and the occupied
-// level prefix is claimed. Returns (nil, false) when there is nothing to
-// merge or a carry is already in flight.
+// snapshot (readers still see it via state.merging) and the levels
+// carryTarget names are claimed. Returns (nil, false) when the buffer is
+// not full or a carry is already in flight.
 func (t *Tree) BeginCarry() (*Carry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.st.Load()
-	if t.flight || len(s.buffer) < t.base {
+	if t.flight || len(s.buffer) < t.bufferCap(s) {
 		return nil, false
 	}
-	k := 0
-	for k < len(s.levels) && s.levels[k] != nil {
-		k++
-	}
+	take, k := t.carryTarget(s.levels, len(s.buffer))
 	ns := *s
 	ns.buffer = nil
 	ns.merging = s.buffer
-	ns.mergeK = k
 	t.st.Store(&ns)
 	t.flight = true
-	return &Carry{
-		t:        t,
-		k:        k,
-		items:    ns.merging,
-		consumed: append([]*rtree.Tree(nil), s.levels[:k]...),
-	}, true
+	return &Carry{t: t, take: take, k: k, items: ns.merging, levels: s.levels, dead: s.dead}, true
 }
 
 // Build constructs the merged level off to the side. It takes no locks:
-// the input snapshot and the consumed levels are frozen (BeginCarry
+// the input snapshot and the claimed levels are frozen (BeginCarry
 // guarantees no writer touches them until Install/Abort), and the bulk
 // load writes only fresh pages. Safe to run concurrently with readers
-// and with writer transactions. Tombstoned items are deliberately NOT
-// filtered — a carry preserves physical contents, so a tombstone revived
-// mid-merge (Insert of a dead id) stays correct.
+// and with writer transactions. Items tombstoned at BeginCarry are left
+// out and remembered: Install settles each against the tombstone set of
+// its own instant, which a Delete or a reviving Insert may have changed
+// meanwhile.
 func (c *Carry) Build() {
-	n := len(c.items)
-	for _, l := range c.consumed {
-		n += l.Len()
-	}
-	items := make([]geom.Item, 0, n)
-	items = append(items, c.items...)
-	for _, l := range c.consumed {
-		items = append(items, l.Items()...)
-	}
+	items := make([]geom.Item, 0, c.InputItems())
+	items, c.purged = gather(append(items, c.items...), c.levels, c.take, c.dead)
 	c.built = c.t.build(items)
 }
 
 // InputItems returns how many items the merge consumed in total.
 func (c *Carry) InputItems() int {
 	n := len(c.items)
-	for _, l := range c.consumed {
-		n += l.Len()
+	for _, i := range c.take {
+		n += c.levels[i].Len()
 	}
 	return n
 }
@@ -141,39 +123,48 @@ func (c *Carry) BuiltNodes() int {
 	return c.built.Nodes()
 }
 
-// Install atomically swaps the built level in: the consumed levels and
+// Install atomically swaps the built level in: the claimed levels and
 // the merging snapshot leave the state, the new level enters, and the old
-// levels' pages are freed (epoch-pinned while readers drain). The caller
-// must bracket Install in the backend transaction that makes the swap
-// durable — on a durable backend the frees join the committed freelist
-// with that transaction, so crash recovery never leaks them.
+// levels' pages are freed (epoch-pinned while readers drain). Of the items
+// Build left out, one that is still tombstoned is gone for good and takes
+// its tombstone along; one whose id Insert revived meanwhile is live and in
+// no level any more, so it joins the buffer. The caller must bracket
+// Install in the backend transaction that makes the swap durable — on a
+// durable backend the frees join the committed freelist with that
+// transaction, so crash recovery never leaks them.
 func (c *Carry) Install() {
 	t := c.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.st.Load()
 	ns := *s
-	ns.merging, ns.mergeK = nil, 0
-	ns.levels = make([]*rtree.Tree, maxInt(len(s.levels), c.k+1))
-	copy(ns.levels, s.levels)
-	for i := 0; i < c.k; i++ {
-		ns.levels[i] = nil
+	var gone []geom.Item
+	for _, it := range c.purged {
+		if s.dead.has(it.ID) {
+			gone = append(gone, it)
+		} else {
+			ns.buffer = append(ns.buffer, it) // append-only: see Insert
+		}
 	}
-	ns.levels[c.k] = c.built
+	ns.dead = s.dead.without(gone)
+	ns.stored -= len(gone)
+	ns.merging = nil
+	ns.levels = replaced(s.levels, c.take, c.k, c.built)
 	t.st.Store(&ns)
 	t.dirChanged = true
-	for _, l := range c.consumed {
+	for _, i := range c.take {
 		// FreePages, not Release: readers on a pre-install snapshot still
 		// traverse these structs; the epoch pins keep the freed bytes
 		// stable and the untouched struct keeps their root loads safe.
-		l.FreePages()
+		c.levels[i].FreePages()
 	}
 	t.flight = false
 	t.idle.Broadcast()
 }
 
 // Abort unwinds the carry: the merging snapshot returns to the buffer and
-// the consumed levels stay in place. Items tombstoned while in flight are
+// the claimed levels stay in place, with the items Build left out and
+// their tombstones. Snapshot items tombstoned while in flight are
 // physically dropped on the way back (their tombstones go with them).
 //
 // releaseBuilt says whether the half-built level's pages may be freed for
@@ -201,12 +192,12 @@ func (c *Carry) Abort(releaseBuilt bool) {
 		buf = append(buf, it)
 	}
 	buf = append(buf, s.buffer...)
-	ns.buffer, ns.merging, ns.mergeK, ns.dead = buf, nil, 0, dead
+	ns.buffer, ns.merging, ns.dead = buf, nil, dead
 	t.st.Store(&ns)
 	if releaseBuilt && c.built != nil {
 		c.built.Release()
 	}
-	c.built = nil
+	c.built, c.purged = nil, nil
 	t.flight = false
 	t.idle.Broadcast()
 }

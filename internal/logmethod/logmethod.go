@@ -3,15 +3,28 @@
 // dynamization as used by Arge & Vahrenhold and the Bkd-tree) layered over
 // static PR-trees.
 //
-// The structure keeps an in-memory buffer of up to base rectangles plus a
-// logarithmic number of static PR-trees, where level i is either empty or
-// holds exactly base*2^i rectangles. Inserting into a full buffer merges
-// the buffer with the occupied prefix of levels into the first empty level
-// — a binary-counter carry — so every rectangle is rebuilt O(log(N/base))
-// times, giving the amortized insertion bound of the paper while every
-// level keeps the worst-case-optimal PR-tree query bound. Deletions use
-// tombstones with a global rebuild once half the stored items are dead,
-// the standard amortization.
+// The structure keeps an in-memory buffer plus a logarithmic number of
+// static PR-trees, where level i is either empty or holds at most base*2^i
+// rectangles (base is one leaf's worth). The buffer is the method's first
+// component, the one that lives in memory, and it is memory-sized: it holds
+// as many rectangles as the levels already do, never fewer than one leaf
+// and never more than maxBufferLeaves (see bufferCap). A small index is
+// therefore one tree plus a buffer as big as it — plain doubling — and a
+// large one is a binary counter whose smallest digits are the buffer.
+// Inserting into a full buffer merges it with the occupied prefix of
+// levels and with every level no larger than what the merge has
+// accumulated so far, into the first empty slot that holds the result (see
+// carryTarget) — a carry — so a rectangle is rewritten only into a
+// component at least twice the size of the one it leaves, O(log(N/base))
+// times in all, giving the amortized insertion bound of the paper while
+// every level keeps the worst-case-optimal PR-tree query bound.
+//
+// Deletions use tombstones. Every merge purges: an item that is tombstoned
+// when the merge claims its level is not copied, and its tombstone leaves
+// the set with it, so the dead weight of a level lasts until its next
+// merge. A global rebuild once half the stored items are dead — the
+// standard amortization — remains for histories that delete without
+// inserting.
 //
 // # Concurrency
 //
@@ -57,13 +70,32 @@ import (
 // buffer snapshot an in-flight background carry consumed — still visible
 // to queries, frozen until the carry installs or aborts.
 type state struct {
-	buffer  []geom.Item   // live items not yet in any static level
-	merging []geom.Item   // buffer snapshot owned by the in-flight carry (nil when idle)
-	mergeK  int           // levels[0:mergeK] are also consumed by that carry
-	levels  []*rtree.Tree // levels[i] is nil or holds ~base*2^i items
+	buffer  []geom.Item // live items not yet in any static level
+	merging []geom.Item // buffer snapshot owned by the in-flight carry (nil when idle)
+	levels  []*level    // levels[i] is nil or holds at most base*2^i items
 	dead    tombstones
 	live    int // live items (excludes tombstoned ones)
 	stored  int // items physically present in buffer+merging+levels
+}
+
+// level is one static component. It never changes once built, so its
+// bounding box is taken once — when it is built or opened — and a query
+// that misses the box skips the level without reading its root.
+type level struct {
+	*rtree.Tree
+	mbr geom.Rect
+}
+
+// maxBufferLeaves caps the insert buffer, in leaves of base items: 16 × 113
+// raw items is 64 KB, and a linear scan of that many rectangles costs about
+// what the 8–13 node visits of the traversal beside it do.
+const maxBufferLeaves = 16
+
+// bufferCap returns the insert buffer's capacity in state s: the number of
+// items the levels hold, within [base, maxBufferLeaves*base].
+func (t *Tree) bufferCap(s *state) int {
+	inLevels := s.stored - len(s.buffer) - len(s.merging)
+	return min(max(inLevels, t.base), maxBufferLeaves*t.base)
 }
 
 // Tree is a dynamic spatial index over the logarithmic method.
@@ -96,13 +128,13 @@ type Tree struct {
 	kick       chan struct{} // buffered signal: buffer is full, carry wanted
 
 	visitors sync.Pool // query-path scratch (*levelVisitor)
-	rebuf    []geom.Item
 
 	spill []storage.PageID // state pages owned by the last SaveState
 }
 
-// New creates an empty dynamic tree. base is the buffer capacity (0 means
-// one leaf's worth, i.e. the layout's fanout).
+// New creates an empty dynamic tree. base is the unit of the level
+// geometry — slot i holds at most base*2^i items — and the insert buffer's
+// smallest capacity (0 means one leaf's worth, i.e. the layout's fanout).
 func New(pager *storage.Pager, opt bulk.Options, base int) *Tree {
 	if base <= 0 {
 		base = opt.Layout.MaxFanout(pager.Backend().BlockSize())
@@ -127,11 +159,11 @@ func (t *Tree) SetScratch(s *storage.Scratch) { t.scratch = s }
 // build bulk-loads one static level over items. It takes no tree lock (a
 // background carry builds while writers commit), and the scratch store is
 // safe for that.
-func (t *Tree) build(items []geom.Item) *rtree.Tree {
-	var built *rtree.Tree
+func (t *Tree) build(items []geom.Item) *level {
+	built := &level{mbr: geom.ItemsMBR(items)}
 	err := t.scratch.Use(func() error {
 		in := storage.NewItemFileFrom(t.scratch.Or(t.pager.Backend()), items)
-		built = bulk.Load(bulk.LoaderPR, t.pager, in, t.opt)
+		built.Tree = bulk.Load(bulk.LoaderPR, t.pager, in, t.opt)
 		return nil
 	})
 	if err != nil {
@@ -142,8 +174,17 @@ func (t *Tree) build(items []geom.Item) *rtree.Tree {
 	return built
 }
 
-// Base returns the buffer capacity.
+// Base returns the unit of the level geometry: slot i holds at most
+// Base()<<i items.
 func (t *Tree) Base() int { return t.base }
+
+// BufferCap returns the insert buffer's capacity as the index stands: the
+// insert that brings BufferLen() up to it carries (or, in background mode,
+// asks for a carry).
+func (t *Tree) BufferCap() int { return t.bufferCap(t.st.Load()) }
+
+// BufferCeiling returns the largest capacity the buffer ever has.
+func (t *Tree) BufferCeiling() int { return maxBufferLeaves * t.base }
 
 // Len returns the number of live rectangles.
 func (t *Tree) Len() int { return t.st.Load().live }
@@ -201,7 +242,7 @@ func (t *Tree) Insert(it geom.Item) {
 	ns.live++
 	ns.stored++
 	t.st.Store(&ns)
-	if len(ns.buffer) >= t.base {
+	if len(ns.buffer) >= t.bufferCap(&ns) {
 		if t.backgrnd {
 			t.signalCarry()
 		} else {
@@ -218,55 +259,81 @@ func (t *Tree) signalCarry() {
 	}
 }
 
-// carryLocked merges the buffer and the occupied prefix of levels into
-// the first empty level, synchronously. The merge scratch is retained
-// across carries (rebuf): every insertion that fills the in-memory buffer
-// triggers one, so reusing the slice keeps the steady-state insert path
-// allocation-lean. (The scratch is never published to readers — only the
-// built tree is.) Caller holds t.mu with no carry in flight.
-func (t *Tree) carryLocked() {
-	s := t.st.Load()
-	k := 0
-	for k < len(s.levels) && s.levels[k] != nil {
+// carryTarget plans the merge of n buffered items into levels: the slots it
+// takes and the slot k its result lands in. Taken are the occupied prefix —
+// the binary counter's carry chain — and every level no larger than what
+// the merge has accumulated by the time it reaches it, so an item is only
+// rewritten into a component at least twice the size of the one it leaves.
+// The result lands in the first slot, empty once the taken ones are, whose
+// nominal size base<<k holds everything accumulated; a purge makes it
+// smaller, never larger. A rebuild, which takes every level, asks with no
+// levels for the slot alone.
+func (t *Tree) carryTarget(levels []*level, n int) (take []int, k int) {
+	free := make([]bool, len(levels))
+	prefix := true
+	for i, l := range levels {
+		switch {
+		case l == nil:
+			free[i], prefix = true, false
+		case prefix || l.Len() <= n:
+			free[i] = true
+			take = append(take, i)
+			n += l.Len()
+		}
+	}
+	for (k < len(levels) && !free[k]) || t.base<<uint(k) < n {
 		k++
 	}
-	items := append(t.rebuf[:0], s.buffer...)
-	for i := 0; i < k; i++ {
-		items = append(items, s.levels[i].Items()...)
+	return take, k
+}
+
+// replaced returns levels with the taken slots emptied and built in slot k.
+func replaced(levels []*level, take []int, k int, built *level) []*level {
+	out := make([]*level, max(len(levels), k+1))
+	copy(out, levels)
+	for _, i := range take {
+		out[i] = nil
 	}
-	// Retain only modestly sized buffers: small carries (the geometrically
-	// common case) hit every base insertions, while a full-prefix carry is
-	// rare and O(N)-sized — keeping that one alive would pin the largest
-	// merge ever seen for the tree's lifetime.
-	if cap(items) <= 16*t.base {
-		t.rebuf = items
-	} else {
-		t.rebuf = nil
+	out[k] = built
+	return out
+}
+
+// gather appends to dst every item of levels[take...] that dead does not
+// name and returns it, with the items dead does name: the ones a merge
+// purges.
+func gather(dst []geom.Item, levels []*level, take []int, dead tombstones) (live, purged []geom.Item) {
+	for _, i := range take {
+		for _, it := range levels[i].Items() {
+			if dead.has(it.ID) {
+				purged = append(purged, it)
+			} else {
+				dst = append(dst, it)
+			}
+		}
 	}
-	built := t.build(items)
+	return dst, purged
+}
+
+// carryLocked merges the buffer and the levels carryTarget names into one
+// new level, synchronously, dropping the tombstoned items and their
+// tombstones on the way. Caller holds t.mu with no carry in flight.
+func (t *Tree) carryLocked() {
+	s := t.st.Load()
+	take, k := t.carryTarget(s.levels, len(s.buffer))
+	items, purged := gather(append([]geom.Item(nil), s.buffer...), s.levels, take, s.dead)
 	ns := *s
 	ns.buffer = nil
-	ns.levels = make([]*rtree.Tree, maxInt(len(s.levels), k+1))
-	copy(ns.levels, s.levels)
-	for i := 0; i < k; i++ {
-		ns.levels[i] = nil
-	}
-	ns.levels[k] = built
+	ns.levels = replaced(s.levels, take, k, t.build(items))
+	ns.dead = s.dead.without(purged)
+	ns.stored -= len(purged)
 	t.st.Store(&ns)
 	t.dirChanged = true
 	// Free replaced levels only after the new state is visible, so a
 	// reader still traversing them holds epoch pins on every freed page;
 	// FreePages leaves the structs untouched for those same readers.
-	for i := 0; i < k; i++ {
+	for _, i := range take {
 		s.levels[i].FreePages()
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Delete removes the rectangle with the given rect and id, returning false
@@ -344,33 +411,23 @@ func (t *Tree) containsStored(s *state, it geom.Item) bool {
 // Caller holds t.mu with no carry in flight.
 func (t *Tree) rebuildLocked() {
 	s := t.st.Load()
-	items := make([]geom.Item, 0, s.live)
-	items = append(items, s.buffer...)
-	for _, l := range s.levels {
-		if l == nil {
-			continue
-		}
-		for _, it := range l.Items() {
-			if !s.dead.has(it.ID) {
-				items = append(items, it)
-			}
+	var all []int
+	for i, l := range s.levels {
+		if l != nil {
+			all = append(all, i)
 		}
 	}
+	items, _ := gather(append(make([]geom.Item, 0, s.live), s.buffer...), s.levels, all, s.dead)
 	ns := *s
 	ns.buffer, ns.levels = nil, nil
 	ns.dead = tombstones{}
 	ns.stored = len(items)
 	ns.live = len(items)
-	// Small remainders go back to the buffer; otherwise the compacted tree
-	// lands at the level matching its size (sizes are approximate after a
-	// rebuild, which only affects constants in the amortized analysis).
-	if len(items) > 0 && len(items) >= t.base {
-		k := 0
-		for t.base<<uint(k+1) <= len(items) {
-			k++
-		}
-		ns.levels = make([]*rtree.Tree, k+1)
-		ns.levels[k] = t.build(items)
+	// Less than a leaf goes back to the buffer; otherwise the compacted
+	// tree lands in the slot a carry of that many items would pick.
+	if len(items) >= t.base {
+		_, k := t.carryTarget(nil, len(items))
+		ns.levels = replaced(nil, nil, k, t.build(items))
 	} else {
 		ns.buffer = items
 	}
@@ -490,8 +547,8 @@ func (t *Tree) queryState(s *state, q geom.Rect, contain bool, fn func(geom.Item
 	defer t.releaseVisitor(v)
 	v.dead, v.st, v.fn, v.aborted = s.dead, &st, fn, false
 	for _, l := range s.levels {
-		if l == nil {
-			continue
+		if l == nil || !q.Intersects(l.mbr) {
+			continue // a level the window misses costs no page, not even its root
 		}
 		ls, _ := l.RunWindow(q, contain, v.visit, rtree.RunOptions{})
 		st.LeavesVisited += ls.LeavesVisited
@@ -540,10 +597,16 @@ func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
 		}
 	}
 	// A level's k nearest may all be tombstoned, so over-fetch by the
-	// tombstone count; the merge below filters and truncates.
+	// tombstone count (the deletes since the levels' last merges: every
+	// merge purges); the merge below filters and truncates.
 	want := k + s.dead.len()
 	for _, l := range s.levels {
 		if l == nil {
+			continue
+		}
+		// A level whose box lies beyond the k-th candidate so far holds
+		// nothing closer: skipped unread, like a window that misses it.
+		if cand = closest(cand, k); len(cand) == k && cand[k-1].Dist2 < pointRectDist2(x, y, l.mbr) {
 			continue
 		}
 		nb, _, _ := l.RunNearest(x, y, want, rtree.RunOptions{})
@@ -553,6 +616,11 @@ func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
 			}
 		}
 	}
+	return closest(cand, k)
+}
+
+// closest sorts cand by ascending (distance, id) and cuts it to its first k.
+func closest(cand []Neighbor, k int) []Neighbor {
 	sort.Slice(cand, func(i, j int) bool {
 		if cand[i].Dist2 != cand[j].Dist2 {
 			return cand[i].Dist2 < cand[j].Dist2

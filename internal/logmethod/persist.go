@@ -271,7 +271,7 @@ func OpenState(pager *storage.Pager, opt bulk.Options, meta []byte) (*Tree, erro
 	}
 	dead.n = len(dead.base)
 
-	levels := make([]*rtree.Tree, nLevels)
+	levels := make([]*level, nLevels)
 	off := dynHeaderSize
 	for i := 0; i < nLevels; i++ {
 		if off >= len(meta) {
@@ -289,7 +289,7 @@ func OpenState(pager *storage.Pager, opt bulk.Options, meta []byte) (*Tree, erro
 		if err != nil {
 			return nil, fmt.Errorf("logmethod: level %d: %w", i, err)
 		}
-		levels[i] = l
+		levels[i] = &level{Tree: l, mbr: l.MBR()}
 		off += rtree.MetaSize
 	}
 

@@ -74,6 +74,24 @@ func (ts tombstones) remove(id uint32) tombstones {
 	return ts.with(id, tombChange{revived: true}, ts.n-1)
 }
 
+// without returns the set minus gone, all of which must be in it — what a
+// merge does with the tombstones of the items it did not copy. One fresh
+// base in O(set), not a derived set per id.
+func (ts tombstones) without(gone []geom.Item) tombstones {
+	if len(gone) == 0 {
+		return ts
+	}
+	if len(gone) == ts.n {
+		return tombstones{}
+	}
+	base := make(map[uint32]geom.Rect, ts.n)
+	ts.each(func(id uint32, r geom.Rect) { base[id] = r })
+	for _, it := range gone {
+		delete(base, it.ID)
+	}
+	return tombstones{base: base, n: len(base)}
+}
+
 // with returns the set after one change, n entries large.
 func (ts tombstones) with(id uint32, c tombChange, n int) tombstones {
 	if d := len(ts.delta); d >= minTombDelta && d*d > 2*len(ts.base) {

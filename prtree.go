@@ -175,8 +175,8 @@ type Options struct {
 	BackgroundCompaction bool
 	// CompactionMaxBuffer bounds insert-buffer growth while a background
 	// merge is in flight: InsertE applies backpressure once the buffer
-	// holds this many items (default 8× the component base size). Only
-	// meaningful with BackgroundCompaction.
+	// holds this many items (default twice the buffer's largest capacity,
+	// 32 leaves' worth). Only meaningful with BackgroundCompaction.
 	CompactionMaxBuffer int
 	// Backend supplies the block store trees are built on. nil (the
 	// default) means a fresh in-memory simulator of BlockSize-byte
@@ -610,12 +610,12 @@ func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 // rebuild work happens off this path; InsertE only blocks (briefly) when
 // the insert buffer is at its in-flight-merge bound.
 //
-// On a file-backed index an insert that only appends to the buffer — all
-// but one in Base() of them — is durable as one small record in the
-// write-ahead log and one fsync of it; no page is written. The state pages
-// are rewritten by the insert that fills the buffer and carries, together
-// with the new level. After a crash OpenDynamic re-applies the logged
-// inserts to the last saved state.
+// On a file-backed index an insert that only appends to the buffer — every
+// one but the insert that brings BufferLen() up to BufferCap() — is durable
+// as one small record in the write-ahead log and one fsync of it; no page
+// is written. The state pages are rewritten by the insert that fills the
+// buffer and carries, together with the new level. After a crash
+// OpenDynamic re-applies the logged inserts to the last saved state.
 func (d *Dynamic) InsertE(it Item) error {
 	if c := d.comp; c != nil {
 		// Backpressure outside the transaction bracket: the in-flight
@@ -736,8 +736,14 @@ func (d *Dynamic) Len() int { return d.inner.Len() }
 // un-merged component the logarithmic method fills first).
 func (d *Dynamic) BufferLen() int { return d.inner.BufferLen() }
 
-// Base returns the insert buffer's capacity (the logarithmic method's
-// component base): level i holds about Base()<<i items.
+// BufferCap returns the insert buffer's capacity as the index stands: as
+// many items as the levels hold, never fewer than Base() and never more
+// than 16 × Base(). The insert that fills the buffer merges it into the
+// levels.
+func (d *Dynamic) BufferCap() int { return d.inner.BufferCap() }
+
+// Base returns the logarithmic method's component base, one leaf's worth
+// of items: level i holds at most Base()<<i of them.
 func (d *Dynamic) Base() int { return d.inner.Base() }
 
 // LevelSizes returns the item count of each component level, smallest
