@@ -199,12 +199,17 @@ func (d *Dynamic) PageCounts() (total, inUse int) { return filePageCounts(d.io) 
 // Sync persists the index's current state — pages, allocator and the
 // component directory — through the backend and leaves the page file
 // alone describing it: for a file-backed index one committed transaction
-// that saves the state, then the backend's checkpoint (an fsync'd header
-// rewrite, the log truncated); a no-op for in-memory ones. Mutations are
-// durable when InsertE/DeleteE return, with or without Sync; what Sync
-// buys is an empty log and an index file that opens without recovery. The
-// index remains usable. With background compaction the in-flight merge, if
-// any, is drained first.
+// that saves the state, a second one if pages in the file's tail can move
+// into free pages below them (see saveAndSettle), then the backend's
+// checkpoint (an fsync'd header rewrite, the free tail of the file
+// truncated away, the log truncated); a no-op for in-memory ones. Mutations
+// are durable when InsertE/DeleteE return, with or without Sync; what Sync
+// buys is an empty log, an index file that opens without recovery and —
+// unless readers still hold pages of a replaced level, which then go at the
+// next Sync — a file no longer than the pages it uses. While a merge builds
+// the file still grows by the size of the level being built. The index
+// remains usable. With background compaction the in-flight merge, if any,
+// is drained first.
 func (d *Dynamic) Sync() error {
 	if d.closed {
 		return fmt.Errorf("prtree: Sync on closed index")
@@ -215,13 +220,31 @@ func (d *Dynamic) Sync() error {
 	}
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if d.fb != nil {
-		if err := d.transact(nil, func() {}); err != nil {
-			return fmt.Errorf("prtree: sync: %w", err)
-		}
+	if err := d.saveAndSettle(); err != nil {
+		return fmt.Errorf("prtree: sync: %w", err)
 	}
 	if err := d.io.Sync(); err != nil {
 		return fmt.Errorf("prtree: sync: %w", err)
 	}
 	return nil
+}
+
+// saveAndSettle is what Sync and Close do before the backend's checkpoint.
+// One committed transaction saves the state: the chains, rewritten
+// wholesale, take the lowest holes of the file. Then, if the index's pages
+// reach into the file's tail and the holes below can take them, a second
+// transaction moves them there (logmethod's Settle, whose save names the
+// chains of the first again), so that everything past the pages in use is
+// free and the checkpoint truncates it. An index with nothing to move pays
+// for the first transaction alone. The caller holds wmu, the compactor
+// drained or stopped.
+func (d *Dynamic) saveAndSettle() error {
+	if d.fb == nil {
+		return nil
+	}
+	if err := d.transact(nil, func() {}); err != nil {
+		return err
+	}
+	_, err := d.inner.Settle(d.fb.ReusablePages(), func(fn func()) error { return d.transact(nil, fn) })
+	return err
 }

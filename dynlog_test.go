@@ -62,13 +62,28 @@ func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
 	d.Delete(items[0])
 	d.Delete(items[d.Base()+1])
 	dynCrashBackend(t, d).Abandon() // dies without Close: the log is the state
-	extra := crashItems(r, 1, 7000)[0]
+	killCloseAndSync(t, seed, opts, crashItems(r, 1, 7000)[0], 1)
+}
 
+// syncOrCloseRun is what an uninterrupted Sync or Close did to the file.
+type syncOrCloseRun struct {
+	steps, walRecords           int64
+	pagesBefore                 int
+	pagesAfter, pagesInUseAfter int
+}
+
+// killCloseAndSync opens the index a dead process left at seed, commits one
+// more insert and kills Close, then Sync, before every stride-th of their
+// persistence steps. Every reopen must find the last committed state and a
+// clean scrub. It returns what the uninterrupted run of each did.
+func killCloseAndSync(t *testing.T, seed string, opts *Options, extra Item, stride int64) map[string]syncOrCloseRun {
+	t.Helper()
+	runs := make(map[string]syncOrCloseRun)
 	for _, op := range []string{"Close", "Sync"} {
-		work := filepath.Join(dir, op+".prd")
+		work := filepath.Join(filepath.Dir(seed), op+".prd")
 		survived := false
-		for k := int64(1); !survived; k++ {
-			if k > 200 {
+		for k := int64(1); !survived; k += stride {
+			if k > 2000 {
 				t.Fatalf("%s still crashing after %d steps", op, k)
 			}
 			copyCrashFiles(t, seed, work)
@@ -79,6 +94,8 @@ func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
 			victim.Insert(extra) // one more committed mutation: the state to find
 			want := dynDigest(t, victim)
 			fb := dynCrashBackend(t, victim)
+			run := syncOrCloseRun{steps: -fb.PersistSteps(), walRecords: -fb.WALStats().Records}
+			run.pagesBefore, _ = victim.PageCounts()
 			fb.SetCrashAfterSteps(fb.PersistSteps() + k)
 			crashed := expectInjectedCrash(t, op, func() error {
 				if op == "Sync" {
@@ -91,6 +108,8 @@ func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
 			} else {
 				survived = true
 				fb.SetCrashAfterSteps(0)
+				run.steps += fb.PersistSteps()
+				run.walRecords += fb.WALStats().Records
 				if err := victim.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -106,11 +125,16 @@ func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
 			if err := re.CheckPages(); err != nil {
 				t.Fatalf("%s killed at step %d: checksum scrub: %v", op, k, err)
 			}
+			if survived {
+				run.pagesAfter, run.pagesInUseAfter = re.PageCounts()
+				runs[op] = run
+			}
 			if err := re.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	return runs
 }
 
 // TestDynamicInstallFlushesBuiltLevel: a background carry builds its level
@@ -163,7 +187,8 @@ func TestDynamicInstallFlushesBuiltLevel(t *testing.T) {
 // apart, as the index stands — a durable mutation is one small log record — 3 persistence steps (NOTE, COMMIT, fsync), no page
 // write, at most 64 log bytes, one log fsync — whatever the buffer and the
 // tombstone set hold; Sync right after one is the save transaction plus the
-// checkpoint.
+// checkpoint, and one more commit when it moves the file's tail into its
+// holes.
 func TestDynamicMutationBudget(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "budget.prd")
 	opts := &Options{BlockSize: 512}
@@ -221,7 +246,7 @@ func TestDynamicMutationBudget(t *testing.T) {
 	}
 	// The buffer delete left room for one more light insert; the one after
 	// it fills the buffer and carries: the state is saved with the level.
-	last := crashItems(r, 3, 8000)
+	last := crashItems(r, 4, 8000)
 	if c := measure(func() { d.Insert(last[0]) }); c != light {
 		t.Fatalf("last insert before the carry cost %+v, want %+v", c, light)
 	}
@@ -230,16 +255,36 @@ func TestDynamicMutationBudget(t *testing.T) {
 	}
 	d.Insert(last[2])
 
-	// Sync right after a committed mutation: the save transaction — one
-	// buffer page; the revive emptied the tombstone set — then the
-	// checkpoint (header, freelist trailer, fsync, log truncate).
-	sync := measure(func() {
+	// Sync right after a committed mutation, over a file whose carries left
+	// the level in its tail and holes below: the save transaction — one
+	// buffer page; the revive emptied the tombstone set — then one more
+	// STATE-bearing commit for the level pages copied into the holes, no
+	// more of them than the checkpoint then truncates away, and the
+	// checkpoint.
+	doSync := func() {
 		if err := d.Sync(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if sync.writes != 1 || sync.walRecords != 3 || sync.logSyncs != 2 || sync.fileSyncs != 2 {
+	}
+	before, _ := d.PageCounts()
+	moving := measure(doSync)
+	total, inUse := d.PageCounts()
+	if copies := moving.writes - 1; copies < 1 || copies > int64(before-total) || total != inUse ||
+		moving.walRecords != 6 || moving.logSyncs != 3 || moving.fileSyncs != 3 {
+		t.Errorf("Sync over a file of %d pages cost %+v and left %d pages, %d in use; want 1 state page, copies no more than the pages returned, two NOTE+STATE+COMMIT, every page in use",
+			before, moving, total, inUse)
+	}
+	// And over a file with nothing above the pages in use, what it always
+	// cost: the save transaction, then the checkpoint (header, freelist
+	// trailer, fsync, log truncate).
+	d.Insert(last[3])
+	if sync := measure(doSync); sync.writes != 1 || sync.walRecords != 3 || sync.logSyncs != 2 || sync.fileSyncs != 2 {
 		t.Errorf("Sync cost %+v, want 1 state page, NOTE+STATE+COMMIT, and the checkpoint's fsyncs", sync)
+	}
+	// With no mutation since, the chains on disk are the state's: the save
+	// names them again and writes no page.
+	if again := measure(doSync); again.writes != 0 {
+		t.Errorf("Sync right after Sync cost %+v, want no page written", again)
 	}
 	if got := fb.WALStats().Size; got != 16 {
 		t.Errorf("log is %d bytes after Sync, want the bare header", got)

@@ -23,13 +23,14 @@ import "prtree/internal/geom"
 //     tombstone any more, and its item goes into the buffer instead of
 //     vanishing. The old levels' pages are freed — epoch-pinned for any
 //     reader still traversing them; they join the backend's free list
-//     with the commit and later allocations recycle them (no checkpoint
-//     shrinks the file below its recorded page count). A crash before the
-//     install commit recovers to the pre-carry state via WAL replay: half-built pages past the
-//     recovered page count are cut off when the reopening checkpoint
-//     truncates the file to its recorded size; any below it (an
-//     interleaved commit recorded the larger count) stay allocated but
-//     unreferenced — a bounded leak, never corruption. The build's
+//     with the commit and later allocations recycle them, lowest first
+//     (what is left of them at the file's end a checkpoint truncates, and
+//     Settle moves the new level down into the rest: settle.go). A crash
+//     before the install commit recovers to the pre-carry state via WAL
+//     replay: half-built pages past the recovered page count are cut off
+//     when the reopening checkpoint truncates the file to its recorded
+//     size; any below it (an interleaved commit recorded the larger count)
+//     stay allocated but unreferenced — a bounded leak, never corruption. The build's
 //     temporaries never reach the index file at all: they live on the
 //     handle's scratch store (see Tree.build).
 //

@@ -117,11 +117,12 @@ func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 // level directory changed; reopening replays the notes logged since the
 // last save.
 type durable struct {
-	t    *testing.T
-	path string
-	opt  bulk.Options
-	fb   *storage.FileBackend
-	tr   *Tree
+	t      *testing.T
+	path   string
+	opt    bulk.Options
+	fb     *storage.FileBackend
+	tr     *Tree
+	settle bool // a clean reopen settles the file first, as prtree.Dynamic's Sync and Close do
 }
 
 func (d *durable) transact(m *Mutation, fn func()) {
@@ -141,15 +142,35 @@ func (d *durable) transact(m *Mutation, fn func()) {
 
 func (d *durable) apply(m Mutation) { d.transact(&m, func() { d.tr.Apply(m) }) }
 
-// reopen closes the file — saved first, or abandoned as a crash leaves it —
-// and opens it again: OpenState on the saved directory, then the pending
-// notes through Apply, inline carries and all.
+// reopen closes the file — saved and, with settle, settled first, or
+// abandoned as a crash leaves it — and opens it again: OpenState on the
+// saved directory, then the pending notes through Apply, inline carries and
+// all. What the settling moved is held to its promises: it copied no more
+// pages than the checkpoint then returned, and the file ends at its cut,
+// with no more free pages left in it than the copied ancestors' and the
+// rewritten chains' old ones and the holes the plan had to spare.
 func (d *durable) reopen(crash bool) {
 	d.t.Helper()
 	if crash {
 		d.fb.Abandon()
 	} else {
 		d.transact(nil, func() {})
+		before, spare := d.fb.NumPages(), len(d.fb.ReusablePages())
+		var done Settled
+		if d.settle {
+			done, _ = d.tr.Settle(d.fb.ReusablePages(), func(fn func()) error { d.transact(nil, fn); return nil })
+		}
+		if err := d.fb.Sync(); err != nil {
+			d.t.Fatal(err)
+		}
+		if n, used := d.fb.NumPages(), d.fb.PagesInUse(); done.Copied > 0 {
+			copies := done.Copied + done.Chains
+			if n > int(done.Cut) || copies > before-n || n-used > spare-copies+done.Ancestors+done.Chains {
+				d.t.Fatalf("settling a file of %d pages, %d of them reusable holes, to %+v left %d pages, %d in use", before, spare, done, n, used)
+			}
+		} else if done != (Settled{}) {
+			d.t.Fatalf("a Settle that copied nothing reports %+v", done)
+		}
 		if err := d.fb.Close(); err != nil {
 			d.t.Fatal(err)
 		}
@@ -181,147 +202,180 @@ func (d *durable) reopen(crash bool) {
 }
 
 // TestGeneratedHistories drives generated histories — inserts, deletes,
-// revives, flushes, clean reopens, crashes with a logged tail, and in
-// background mode the carry protocol one step at a time, installs and
-// aborts both — and after every operation holds the directory to its
-// bookkeeping (checkDirectory), every freshly built level to "holds nothing
-// that was dead when it was built", and the answers to brute force.
+// revives, flushes, clean reopens that settle the file first, crashes with
+// a logged tail, and in background mode the carry protocol one step at a
+// time, installs and aborts both — and after every operation holds the
+// directory to its bookkeeping (checkDirectory), every freshly built level
+// to "holds nothing that was dead when it was built", and the answers to
+// brute force. Each history runs a second time with plain reopens, checks
+// off: after no reopen is the settled file the longer of the two.
 func TestGeneratedHistories(t *testing.T) {
-	const base, ops = 8, 3000
 	for _, background := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("background=%v/seed=%d", background, seed), func(t *testing.T) {
 				t.Parallel() // a history is a chain of fsyncs: they wait side by side
-				rng := rand.New(rand.NewSource(seed))
-				path := filepath.Join(t.TempDir(), "history.prd")
-				fb, err := storage.CreateFile(path, 512)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt := bulk.Options{MemoryItems: 4096}
-				d := &durable{t: t, path: path, opt: opt, fb: fb, tr: New(storage.NewPager(fb, -1), opt, base)}
-				d.transact(nil, func() {})
-				defer func() { d.fb.Abandon() }()
-
-				var (
-					live, graveyard  []geom.Item
-					nextID           uint32
-					job              *Carry
-					built            bool
-					seen             = map[*level]bool{}
-					carries, deepest int
-					lastLevels       []*level
-				)
-				// settle holds every level built since the last call to the
-				// tombstone set it was built against.
-				settle := func(dead tombstones) {
-					t.Helper()
-					s := d.tr.st.Load()
-					for k, l := range s.levels {
-						if l == nil || seen[l] {
-							continue
-						}
-						seen[l] = true
-						carries++
-						for _, it := range l.Items() {
-							if dead.has(it.ID) {
-								t.Fatalf("slot %d was built with item %d, dead at the time", k, it.ID)
-							}
-						}
+				settled := generatedHistory(t, background, seed, true)
+				plain := generatedHistory(t, background, seed, false)
+				shorter := 0
+				for i, n := range settled {
+					if n > plain[i] {
+						t.Fatalf("after reopen %d the settled file has %d pages, the unsettled one %d", i, n, plain[i])
+					}
+					if n < plain[i] {
+						shorter++
 					}
 				}
-				forget := func() { // every level is a new struct after a reopen
-					job, built = nil, false
-					d.tr.SetBackground(background)
-					seen = map[*level]bool{}
-					for _, l := range d.tr.st.Load().levels {
-						seen[l] = true
-					}
-				}
-				d.tr.SetBackground(background)
-
-				for op := 0; op < ops; op++ {
-					// What a level built by this op must not hold: whatever
-					// is tombstoned once the op is done — an inline merge
-					// copies nothing dead, and no op both merges and deletes —
-					// except after an install, whose level was built against
-					// the set BeginCarry kept and may hold later tombstones.
-					var installed *tombstones
-					p := rng.Intn(100)
-					if background && rng.Intn(3) == 0 {
-						p = 99 // the compactor's share of the schedule: a carry step
-					}
-					switch {
-					case p < 55:
-						x, y := rng.Float64(), rng.Float64()
-						it := geom.Item{Rect: geom.NewRect(x, y, x+rng.Float64()*0.05, y+rng.Float64()*0.05), ID: nextID}
-						nextID++
-						live = append(live, it)
-						d.apply(Mutation{Item: it})
-					case p < 75 && len(live) > 0:
-						j := rng.Intn(len(live))
-						it := live[j]
-						live[j] = live[len(live)-1]
-						live = live[:len(live)-1]
-						graveyard = append(graveyard, it)
-						d.apply(Mutation{Delete: true, Item: it})
-					case p < 83 && len(graveyard) > 0:
-						// A revive if the item is still tombstoned, a plain
-						// insert if a merge has purged it since.
-						j := rng.Intn(len(graveyard))
-						it := graveyard[j]
-						graveyard[j] = graveyard[len(graveyard)-1]
-						graveyard = graveyard[:len(graveyard)-1]
-						live = append(live, it)
-						d.apply(Mutation{Item: it})
-					case p < 84 && job == nil && rng.Intn(8) == 0: // rare: a flush resets the counter
-						d.transact(nil, d.tr.Flush)
-					case p < 87 && job == nil:
-						d.reopen(false)
-						forget()
-					case p < 90:
-						d.reopen(true) // a carry in flight dies with the process
-						forget()
-					case background && job == nil:
-						job, _ = d.tr.BeginCarry()
-					case background && !built:
-						job.Build()
-						built = true
-					case background:
-						if rng.Intn(4) == 0 {
-							job.Abort(true)
-						} else {
-							installed = &job.dead
-							d.transact(nil, job.Install)
-						}
-						job, built = nil, false
-						if d.tr.TakeGCPending() {
-							d.transact(nil, d.tr.RunGC)
-						}
-					}
-					if installed != nil {
-						settle(*installed)
-					} else {
-						settle(d.tr.st.Load().dead)
-					}
-					// The walk reads every level: after every operation while
-					// the index is small or when levels were replaced, every
-					// eighth otherwise.
-					if s := d.tr.st.Load(); s.stored < 256 || op%8 == 0 || !slices.Equal(s.levels, lastLevels) {
-						checkDirectory(t, d.tr)
-						lastLevels = s.levels
-					}
-					deepest = max(deepest, d.tr.Levels())
-					if op%20 == 0 || op == ops-1 {
-						checkAnswers(t, d.tr, live, rng)
-					}
-				}
-				t.Logf("%d levels built, at most %d at once; ends with %d live, %d tombstones, buffer %d of %d, slots %v",
-					carries, deepest, len(live), d.tr.st.Load().dead.len(), d.tr.BufferLen(), d.tr.BufferCap(), d.tr.LevelSizes())
-				if carries < 5 || deepest < 3 {
-					t.Fatalf("the history built %d levels, at most %d at once; want the doubling and the binary counter both exercised", carries, deepest)
+				t.Logf("%d clean reopens, the settled file shorter after %d", len(settled), shorter)
+				if shorter == 0 {
+					t.Fatal("settling never shortened the file")
 				}
 			})
 		}
 	}
+}
+
+// generatedHistory runs one history of TestGeneratedHistories and returns
+// the file's page count after every clean reopen. With settle the reopens
+// settle first and every check is on; without, the history is only run.
+func generatedHistory(t *testing.T, background bool, seed int64, settle bool) (pagesAfterReopen []int) {
+	const base, ops = 8, 3000
+	rng := rand.New(rand.NewSource(seed))
+	path := filepath.Join(t.TempDir(), "history.prd")
+	fb, err := storage.CreateFile(path, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := bulk.Options{MemoryItems: 4096}
+	d := &durable{t: t, path: path, opt: opt, fb: fb, tr: New(storage.NewPager(fb, -1), opt, base), settle: settle}
+	d.transact(nil, func() {})
+	defer func() { d.fb.Abandon() }()
+
+	var (
+		live, graveyard  []geom.Item
+		nextID           uint32
+		job              *Carry
+		built            bool
+		seen             = map[*level]bool{}
+		carries, deepest int
+		lastLevels       []*level
+	)
+	// holdBuilt holds every level built since the last call to the
+	// tombstone set it was built against.
+	holdBuilt := func(dead tombstones) {
+		t.Helper()
+		s := d.tr.st.Load()
+		for k, l := range s.levels {
+			if l == nil || seen[l] {
+				continue
+			}
+			seen[l] = true
+			carries++
+			for _, it := range l.Items() {
+				if dead.has(it.ID) {
+					t.Fatalf("slot %d was built with item %d, dead at the time", k, it.ID)
+				}
+			}
+		}
+	}
+	forget := func() { // every level is a new struct after a reopen
+		job, built = nil, false
+		d.tr.SetBackground(background)
+		seen = map[*level]bool{}
+		for _, l := range d.tr.st.Load().levels {
+			seen[l] = true
+		}
+	}
+	d.tr.SetBackground(background)
+
+	for op := 0; op < ops; op++ {
+		// What a level built by this op must not hold: whatever
+		// is tombstoned once the op is done — an inline merge
+		// copies nothing dead, and no op both merges and deletes —
+		// except after an install, whose level was built against
+		// the set BeginCarry kept and may hold later tombstones.
+		var installed *tombstones
+		p := rng.Intn(100)
+		if background && rng.Intn(3) == 0 {
+			p = 99 // the compactor's share of the schedule: a carry step
+		}
+		switch {
+		case p < 55:
+			x, y := rng.Float64(), rng.Float64()
+			it := geom.Item{Rect: geom.NewRect(x, y, x+rng.Float64()*0.05, y+rng.Float64()*0.05), ID: nextID}
+			nextID++
+			live = append(live, it)
+			d.apply(Mutation{Item: it})
+		case p < 75 && len(live) > 0:
+			j := rng.Intn(len(live))
+			it := live[j]
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			graveyard = append(graveyard, it)
+			d.apply(Mutation{Delete: true, Item: it})
+		case p < 83 && len(graveyard) > 0:
+			// A revive if the item is still tombstoned, a plain
+			// insert if a merge has purged it since.
+			j := rng.Intn(len(graveyard))
+			it := graveyard[j]
+			graveyard[j] = graveyard[len(graveyard)-1]
+			graveyard = graveyard[:len(graveyard)-1]
+			live = append(live, it)
+			d.apply(Mutation{Item: it})
+		case p < 84 && job == nil && rng.Intn(8) == 0: // rare: a flush resets the counter
+			d.transact(nil, d.tr.Flush)
+		case p < 87 && job == nil:
+			d.reopen(false)
+			forget()
+			pagesAfterReopen = append(pagesAfterReopen, d.fb.NumPages())
+		case p < 90:
+			d.reopen(true) // a carry in flight dies with the process
+			forget()
+		case background && job == nil:
+			job, _ = d.tr.BeginCarry()
+		case background && !built:
+			job.Build()
+			built = true
+		case background:
+			if rng.Intn(4) == 0 {
+				job.Abort(true)
+			} else {
+				installed = &job.dead
+				d.transact(nil, job.Install)
+			}
+			job, built = nil, false
+			if d.tr.TakeGCPending() {
+				d.transact(nil, d.tr.RunGC)
+			}
+		}
+		// The answers are checked in both runs: the probes come out of the
+		// history's own generator, and an unsettled file answers too.
+		if op%20 == 0 || op == ops-1 {
+			checkAnswers(t, d.tr, live, rng)
+		}
+		if !settle {
+			continue
+		}
+		if installed != nil {
+			holdBuilt(*installed)
+		} else {
+			holdBuilt(d.tr.st.Load().dead)
+		}
+		// The walk reads every level: after every operation while
+		// the index is small or when levels were replaced, every
+		// eighth otherwise.
+		if s := d.tr.st.Load(); s.stored < 256 || op%8 == 0 || !slices.Equal(s.levels, lastLevels) {
+			checkDirectory(t, d.tr)
+			lastLevels = s.levels
+		}
+		deepest = max(deepest, d.tr.Levels())
+	}
+	if !settle {
+		return pagesAfterReopen
+	}
+	t.Logf("%d levels built, at most %d at once; ends with %d live, %d tombstones, buffer %d of %d, slots %v",
+		carries, deepest, len(live), d.tr.st.Load().dead.len(), d.tr.BufferLen(), d.tr.BufferCap(), d.tr.LevelSizes())
+	if carries < 5 || deepest < 3 {
+		t.Fatalf("the history built %d levels, at most %d at once; want the doubling and the binary counter both exercised", carries, deepest)
+	}
+	return pagesAfterReopen
 }

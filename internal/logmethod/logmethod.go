@@ -45,6 +45,17 @@
 // internal/compact for the background protocol (a merge consumes a
 // snapshot of the buffer and the occupied level prefix while readers and
 // writers keep going, then installs atomically).
+//
+// # Space
+//
+// A merge builds its level beside the ones it replaces — the rewriting is
+// what dynamizing a static structure costs, and readers and crash recovery
+// need the old levels until the swap — so while a full merge builds, the
+// store holds both and is up to twice the size of its contents. What the
+// merge frees afterwards lies below the level it built. Settle (settle.go)
+// is the other half: at the owner's checkpoint it copies the levels' pages
+// out of the store's tail into those holes, under the same copy-on-write
+// rules, so that the store's end is free and the checkpoint can return it.
 package logmethod
 
 import (
@@ -129,7 +140,8 @@ type Tree struct {
 
 	visitors sync.Pool // query-path scratch (*levelVisitor)
 
-	spill []storage.PageID // state pages owned by the last SaveState
+	spill  []storage.PageID // state pages owned by the last SaveState
+	chains savedChains      // what those pages hold, and for which state
 }
 
 // New creates an empty dynamic tree. base is the unit of the level

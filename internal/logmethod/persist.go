@@ -21,7 +21,11 @@ import (
 //   - The buffer and the tombstone set can outgrow the meta blob's
 //     one-block budget, so their records spill into chained state pages
 //     (each page: next-pointer, count, packed 36-byte records). SaveState
-//     rewrites both chains wholesale.
+//     rewrites both chains wholesale — unless the chains on the device are
+//     the ones it wrote for this very buffer and tombstone set (no mutation
+//     since, see savedChains), in which case the blob names them again and
+//     the save writes no page: a Sync right after a Sync, and the save that
+//     follows Settle, which changes nothing but the levels' page ids.
 //
 // That rewrite is O(buffer + tombstones), so it is not what a mutation
 // pays. The owner (prtree.Dynamic) saves the state when the level
@@ -120,13 +124,49 @@ func (t *Tree) Apply(m Mutation) {
 	}
 }
 
-// SaveState rewrites the spill chains on dev and returns the meta blob
+// savedChains describes the state chains on the device: where they start,
+// what they hold, and the state they were written for. Every mutation
+// publishes a new state, so chains whose state is still the current one
+// hold exactly its buffer and tombstones and a save may name them again
+// instead of rewriting them. Settle, which publishes a state that differs
+// in the levels' pages alone, carries the mark over to it.
+type savedChains struct {
+	of                  *state
+	bufHead, deadHead   storage.PageID
+	bufCount, deadCount int
+	stored              int // the state's stored count once its merging snapshot is folded in
+}
+
+// SaveState brings the spill chains on dev up to the current state —
+// rewriting them unless they already hold it — and returns the meta blob
 // describing the full directory. Call inside a backend transaction — the
 // one bracketing the change being persisted; stage the returned blob with
 // SetMeta before committing.
 func (t *Tree) SaveState(dev storage.Backend) []byte {
 	s := t.st.Load()
+	if t.chains.of != s {
+		t.writeChains(dev, s)
+	}
+	c := &t.chains
+	meta := make([]byte, 0, dynHeaderSize+len(s.levels)*(1+rtree.MetaSize))
+	meta = append(meta, dynMagic[:]...)
+	for _, v := range [8]int{t.base, s.live, c.stored, int(c.bufHead), c.bufCount, int(c.deadHead), c.deadCount, len(s.levels)} {
+		meta = binary.LittleEndian.AppendUint32(meta, uint32(v))
+	}
+	for _, l := range s.levels {
+		if l == nil {
+			meta = append(meta, 0)
+			continue
+		}
+		meta = append(meta, 1)
+		meta = append(meta, l.EncodeMeta()...)
+	}
+	return meta
+}
 
+// writeChains replaces the spill chains on dev with s's buffer and
+// tombstone set.
+func (t *Tree) writeChains(dev storage.Backend, s *state) {
 	// Fold the in-flight merge snapshot back into the buffer image: on
 	// recovery the carry no longer exists, so its inputs are plain buffer
 	// items again. Tombstones that target merge-snapshot items resolve
@@ -155,26 +195,8 @@ func (t *Tree) SaveState(dev storage.Backend) []byte {
 	deadHead, deadPages := t.writeChain(dev, deadItems)
 	t.spill = append(t.spill, bufPages...)
 	t.spill = append(t.spill, deadPages...)
-
-	meta := make([]byte, 0, dynHeaderSize+len(s.levels)*(1+rtree.MetaSize))
-	meta = append(meta, dynMagic[:]...)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(t.base))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(s.live))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(stored))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(bufHead))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(items)))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(deadHead))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(dead.len()))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(s.levels)))
-	for _, l := range s.levels {
-		if l == nil {
-			meta = append(meta, 0)
-			continue
-		}
-		meta = append(meta, 1)
-		meta = append(meta, l.EncodeMeta()...)
-	}
-	return meta
+	t.chains = savedChains{of: s, bufHead: bufHead, deadHead: deadHead,
+		bufCount: len(items), deadCount: dead.len(), stored: stored}
 }
 
 // writeChain packs recs into a fresh chain of state pages and returns the
@@ -293,16 +315,20 @@ func OpenState(pager *storage.Pager, opt bulk.Options, meta []byte) (*Tree, erro
 		off += rtree.MetaSize
 	}
 
-	t.st.Store(&state{
+	s := &state{
 		buffer: buffer,
 		levels: levels,
 		dead:   dead,
 		live:   live,
 		stored: stored,
-	})
-	// The chains on disk are still the committed ones; the next SaveState
-	// frees them when it writes replacements.
+	}
+	t.st.Store(s)
+	// The chains on disk are the committed ones and hold this state; the
+	// first SaveState after a mutation frees them when it writes
+	// replacements.
 	t.spill = append(bufPages, deadPages...)
+	t.chains = savedChains{of: s, bufHead: bufHead, deadHead: deadHead,
+		bufCount: bufCount, deadCount: deadCount, stored: stored}
 	return t, nil
 }
 

@@ -11,22 +11,10 @@ import (
 )
 
 // buildLayout packs items in slice order into a tree of the given layout
-// on its own disk of the given block size, using the builder exactly as
-// the stream loaders do (WriteLeaves + FinishPacked).
+// on its own disk of the given block size (see packOn).
 func buildLayout(tb testing.TB, items []geom.Item, layout Layout, blockSize int) *Tree {
 	tb.Helper()
-	disk := storage.NewDisk(blockSize)
-	b := NewBuilder(storage.NewPager(disk, -1), Config{Layout: layout})
-	cap := b.LeafCapacity()
-	var leaves []ChildEntry
-	for lo := 0; lo < len(items); lo += cap {
-		hi := lo + cap
-		if hi > len(items) {
-			hi = len(items)
-		}
-		leaves = append(leaves, b.WriteLeaves(items[lo:hi])...)
-	}
-	tr := b.FinishPacked(leaves)
+	tr := packOn(tb, storage.NewPager(storage.NewDisk(blockSize), -1), items, layout)
 	if err := tr.Validate(); err != nil {
 		tb.Fatalf("%s layout tree invalid: %v", layout, err)
 	}

@@ -71,7 +71,7 @@ type Disk struct {
 
 	mu    sync.RWMutex // guards pages, free and meta slice headers
 	pages [][]byte
-	free  []PageID
+	free  freeHeap
 	meta  []byte
 
 	reads  atomic.Uint64
@@ -92,15 +92,14 @@ func NewDisk(blockSize int) *Disk {
 func (d *Disk) BlockSize() int { return d.blockSize }
 
 // Alloc reserves a page and returns its id. The page contents are zeroed.
-// Allocation itself is not counted as I/O; the subsequent Write is. Freed
-// pages pinned by an active snapshot reader (see Snapshotter) are skipped:
-// their bytes may still be dereferenced, so the disk extends instead.
+// Allocation itself is not counted as I/O; the subsequent Write is. The
+// lowest freed page is recycled first; freed pages pinned by an active
+// snapshot reader (see Snapshotter) are skipped: their bytes may still be
+// dereferenced, so the next one up is taken, or the disk extends.
 func (d *Disk) Alloc() PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if i := d.pickFree(d.free); i >= 0 {
-		var id PageID
-		d.free, id = removeAt(d.free, i)
+	if id, ok := d.takeLowest(&d.free); ok {
 		for j := range d.pages[id] {
 			d.pages[id][j] = 0
 		}
@@ -118,7 +117,7 @@ func (d *Disk) Free(id PageID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.checkIDLocked(id)
-	d.free = append(d.free, id)
+	d.free.push(id)
 	d.retire(id)
 }
 

@@ -1,6 +1,9 @@
 package storage
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // SnapshotStats is a point-in-time view of a backend's epoch machinery:
 // the current epoch, the number of in-flight snapshot readers, and how
@@ -68,7 +71,7 @@ func (nopSnap) SnapshotStats() SnapshotStats { return SnapshotStats{} }
 
 // epochPins implements the epoch bookkeeping shared by Disk and
 // FileBackend. It is deliberately decoupled from the backends' own
-// locks: retire and pickFree are called with the owner's allocator mutex
+// locks: retire, takeLowest and trimTail are called with the owner's allocator mutex
 // held, and epochPins never calls back into the backend, so the ordering
 // backend.mu → pins.mu is acyclic.
 //
@@ -156,7 +159,7 @@ func (p *epochPins) drainLocked() {
 }
 
 // retire records that page id was freed; if snapshot readers are active
-// it is pinned at the current epoch so pickFree withholds it from reuse.
+// it is pinned at the current epoch so takeLowest withholds it from reuse.
 // Called with the owning backend's allocator lock held.
 func (p *epochPins) retire(id PageID) {
 	p.mu.Lock()
@@ -171,31 +174,121 @@ func (p *epochPins) retire(id PageID) {
 	p.pins[id] = p.epoch
 }
 
-// pickFree returns the index of the entry in free that Alloc should
-// recycle — the highest-indexed page not pinned by an active snapshot —
-// or -1 when every free page is pinned (the caller must extend instead).
-// Called with the owning backend's allocator lock held.
-func (p *epochPins) pickFree(free []PageID) int {
-	if len(free) == 0 {
-		return -1
+// freeHeap is a free list kept as a binary min-heap on the page id, so the
+// allocator hands out the lowest free page without scanning the list: a
+// store fills the holes nearest its start first and its free pages gather
+// at the end, where a page file's checkpoint truncates them away. Any
+// order is a valid persisted form — a loader calls init — and an ascending
+// one is a heap as it stands.
+type freeHeap []PageID
+
+// init establishes the heap order over entries in arbitrary order.
+func (h freeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *freeHeap) push(id PageID) {
+	*h = append(*h, id)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent] <= s[i] {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+// popMin removes and returns the lowest page. The heap must not be empty.
+func (h *freeHeap) popMin() PageID {
+	s := *h
+	id, last := s[0], len(s)-1
+	s[0] = s[last]
+	*h = s[:last]
+	(*h).down(0)
+	return id
+}
+
+func (h freeHeap) down(i int) {
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h[c] < h[least] {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// takeLowest removes from free and returns the page Alloc should recycle —
+// the lowest one not pinned by an active snapshot — or reports false when
+// every free page is pinned (the caller must extend instead). Pinned pages
+// met on the way are skipped, not waited for, and stay on the list. Called
+// with the owning backend's allocator lock held.
+func (p *epochPins) takeLowest(free *freeHeap) (PageID, bool) {
+	if len(*free) == 0 {
+		return 0, false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.pins) == 0 {
-		return len(free) - 1
+		return free.popMin(), true
 	}
-	for i := len(free) - 1; i >= 0; i-- {
-		if _, pinned := p.pins[free[i]]; !pinned {
-			return i
+	var skipped []PageID
+	defer func() {
+		for _, id := range skipped {
+			free.push(id)
 		}
+	}()
+	for len(*free) > 0 {
+		id := free.popMin()
+		if _, pinned := p.pins[id]; !pinned {
+			return id, true
+		}
+		skipped = append(skipped, id)
 	}
-	return -1
+	return 0, false
 }
 
-// removeAt deletes the entry at index i from free, preserving order, and
-// returns the shortened slice along with the removed id.
-func removeAt(free []PageID, i int) ([]PageID, PageID) {
-	id := free[i]
-	copy(free[i:], free[i+1:])
-	return free[:len(free)-1], id
+// unpinned returns the pages of free no active snapshot pins. Called with
+// the owning backend's allocator lock held.
+func (p *epochPins) unpinned(free []PageID) []PageID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]PageID, 0, len(free))
+	for _, id := range free {
+		if _, pinned := p.pins[id]; !pinned {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// trimTail is the truncating half of a checkpoint: it drops from free the
+// run of free, unpinned pages that ends the store and returns what is left
+// of the list with the page count that remains. A pinned page stops the
+// run — a reader may still dereference its bytes — and goes at a later
+// checkpoint. Called with the owning backend's allocator lock held.
+func (p *epochPins) trimTail(free freeHeap, numPages int) (freeHeap, int) {
+	if len(free) == 0 || int(slices.Max(free)) != numPages-1 {
+		return free, numPages // the last page is in use: nothing to give up
+	}
+	slices.Sort(free) // ascending is heap order too
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for n := len(free); n > 0 && int(free[n-1]) == numPages-1; n-- {
+		if _, pinned := p.pins[free[n-1]]; pinned {
+			break
+		}
+		free, numPages = free[:n-1], numPages-1
+	}
+	return free, numPages
 }

@@ -76,9 +76,12 @@ import (
 // that must find its pages durable). A light commit references no page
 // and flushes only the log. FsyncStats counts both kinds.
 //
-// Sync checkpoints: it rewrites the header and freelist trailer, fsyncs
-// the page file and truncates the log, making the page file alone the
-// committed state. Open replays any committed log transactions (a crash
+// Sync checkpoints: it rewrites the header and freelist trailer, cuts the
+// file off after its last page in use — the allocator recycles the lowest
+// free page first, so free pages gather at the end, and the run of them
+// that ends the file leaves the page count and the free list (see Sync) —
+// fsyncs the page file and truncates the log, making the page file alone
+// the committed state. Open replays any committed log transactions (a crash
 // between Commit and Sync) — except images of pages a later committed
 // state lists as free, whose next owner wrote them directly (see
 // dropStaleImages) — discards uncommitted or torn tails, and then
@@ -174,7 +177,7 @@ type FileBackend struct {
 
 	mu       sync.RWMutex
 	numPages int
-	free     []PageID
+	free     freeHeap
 	meta     []byte
 	zero     []byte // shared all-zero block for Alloc
 	closed   bool
@@ -219,22 +222,22 @@ type fileTx struct {
 	metaSet      bool
 
 	snapped       bool
-	prevFree      []PageID
+	prevFree      freeHeap
 	committedFree map[PageID]struct{}
 
 	overlay map[PageID][]byte // full-block images, keyed by page
-	freed   []PageID          // pages freed during the transaction
+	freed   freeHeap          // pages freed during the transaction
 	notes   [][]byte
 }
 
 // snapshot captures the freelist the transaction began with. The caller
 // holds mu exclusively, or mu shared plus txMu.
-func (tx *fileTx) snapshot(free []PageID) {
+func (tx *fileTx) snapshot(free freeHeap) {
 	if tx.snapped {
 		return
 	}
 	tx.snapped = true
-	tx.prevFree = append([]PageID(nil), free...)
+	tx.prevFree = append(freeHeap(nil), free...)
 	tx.committedFree = make(map[PageID]struct{}, len(free))
 	for _, id := range free {
 		tx.committedFree[id] = struct{}{}
@@ -516,6 +519,7 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 			}
 			res.info.ReplayedTxs++
 		}
+		fb.free.init()
 		fb.walHasState = true
 		// The notes alias the scanned buffer, which lives as long as they do.
 		fb.recNotes = res.notes()
@@ -606,7 +610,7 @@ func (fb *FileBackend) loadCheckpoint(hdr fileHeader) error {
 	if _, err := fb.f.ReadAt(meta, fileHeaderSize); err != nil {
 		return fmt.Errorf("reading metadata blob: %w", err)
 	}
-	free := make([]PageID, hdr.freeCount)
+	free := make(freeHeap, hdr.freeCount)
 	if hdr.freeCount > 0 {
 		raw := make([]byte, 4*hdr.freeCount)
 		if _, err := fb.f.ReadAt(raw, int64(hdr.blockSize)+int64(hdr.numPages)*int64(hdr.slotSize)); err != nil {
@@ -629,6 +633,7 @@ func (fb *FileBackend) loadCheckpoint(hdr fileHeader) error {
 	}
 	fb.numPages = hdr.numPages
 	fb.free = free
+	fb.free.init() // the trailer holds the list in whatever order a checkpoint found it
 	fb.meta = meta
 	return nil
 }
@@ -774,6 +779,17 @@ func (fb *FileBackend) PagesInUse() int {
 	return n
 }
 
+// ReusablePages returns the free pages Alloc would recycle as things stand,
+// in no particular order: free in the committed state — pages freed by an
+// open transaction become free at its Commit — and not pinned by a snapshot
+// reader. It is what an owner that moves pages towards the start of the
+// file (see Sync) has to plan with.
+func (fb *FileBackend) ReusablePages() []PageID {
+	fb.mu.RLock()
+	defer fb.mu.RUnlock()
+	return fb.unpinned(fb.free)
+}
+
 // offset returns the file offset of page id's slot.
 func (fb *FileBackend) offset(id PageID) int64 {
 	return int64(fb.blockSize) + int64(id)*int64(fb.slotSize)
@@ -785,8 +801,10 @@ func (fb *FileBackend) checkIDLocked(id PageID) {
 	}
 }
 
-// Alloc implements Backend. Recycled pages are zeroed in place (their old
-// bytes are stale data); fresh pages extend the file lazily — reads past
+// Alloc implements Backend. The lowest reusable free page is recycled
+// first, so live pages gather at the start of the file and a checkpoint can
+// cut the free ones off its end (see Sync). Recycled pages are zeroed in
+// place (their old bytes are stale data); fresh pages extend the file lazily — reads past
 // EOF already yield zeros, the first Write extends the file, and the next
 // checkpoint's truncate materializes any unwritten tail — so bulk loads
 // issue one pwrite per page, not two.
@@ -805,27 +823,29 @@ func (fb *FileBackend) Alloc() PageID {
 	defer fb.commitMu.RUnlock()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if i := fb.pickFree(fb.free); i >= 0 {
+	if len(fb.free) > 0 {
 		if fb.tx != nil {
 			fb.tx.snapshot(fb.free)
 		}
-		var id PageID
-		fb.free, id = removeAt(fb.free, i)
-		// The zero fill is a direct write: it must be durable by the commit
-		// that makes the page reachable even if nobody writes the page.
-		fb.writeDirect(id, fb.zero)
-		return id
+		if id, ok := fb.takeLowest(&fb.free); ok {
+			// The zero fill is a direct write: it must be durable by the
+			// commit that makes the page reachable even if nobody writes the
+			// page.
+			fb.writeDirect(id, fb.zero)
+			return id
+		}
 	}
 	if tx := fb.tx; tx != nil && fb.numPages == len(fb.free)+len(tx.freed) {
 		tx.snapshot(fb.free)
-		if i := fb.pickFree(tx.freed); i >= 0 && tx.inUseCommitted(tx.freed[i]) {
-			var id PageID
-			tx.freed, id = removeAt(tx.freed, i)
-			// The zero fill is a redo image like any other overwrite of a
-			// committed page. Holding mu exclusively excludes every Write,
-			// so the overlay needs no txMu here (as in Free).
-			tx.overlay[id] = make([]byte, fb.blockSize)
-			return id
+		if id, ok := fb.takeLowest(&tx.freed); ok {
+			if tx.inUseCommitted(id) {
+				// The zero fill is a redo image like any other overwrite of a
+				// committed page. Holding mu exclusively excludes every
+				// Write, so the overlay needs no txMu here (as in Free).
+				tx.overlay[id] = make([]byte, fb.blockSize)
+				return id
+			}
+			tx.freed.push(id)
 		}
 	}
 	id := PageID(fb.numPages)
@@ -835,11 +855,12 @@ func (fb *FileBackend) Alloc() PageID {
 
 // Free implements Backend. The page joins the free list — inside a
 // transaction at Commit, so the committed state never leaks it across a
-// crash — and stays a slot of the file: the list is written out as the
-// checkpoint's trailer and later allocations recycle from it; no
-// checkpoint truncates freed pages away. While snapshot readers are
-// active the page is also retired (see Snapshotter): Alloc withholds it
-// until the readers that might still dereference its bytes drain.
+// crash. Later allocations recycle from the list, lowest page first; a
+// checkpoint writes it out as the file's trailer, less the free pages at
+// the file's end, which it truncates away (see Sync). While snapshot
+// readers are active the page is also retired (see Snapshotter): Alloc
+// withholds it, and the checkpoint leaves it in the file, until the readers
+// that might still dereference its bytes drain.
 func (fb *FileBackend) Free(id PageID) {
 	fb.commitMu.RLock()
 	defer fb.commitMu.RUnlock()
@@ -851,10 +872,10 @@ func (fb *FileBackend) Free(id PageID) {
 		// Freed pages join the allocator only at Commit; their redo
 		// image, if any, is dropped (the content no longer matters).
 		delete(tx.overlay, id)
-		tx.freed = append(tx.freed, id)
+		tx.freed.push(id)
 		return
 	}
-	fb.free = append(fb.free, id)
+	fb.free.push(id)
 }
 
 // Read implements Backend. Inside a transaction, pages with a buffered
@@ -1277,7 +1298,9 @@ func (fb *FileBackend) finishCommit(c fileCommit) {
 	for _, pg := range c.tx.pages {
 		fb.writePage(pg.id, pg.data)
 	}
-	fb.free = append(fb.free, fb.tx.freed...)
+	for _, id := range fb.tx.freed {
+		fb.free.push(id)
+	}
 	fb.walSeq = c.tx.seq
 	fb.tx = nil
 }
@@ -1286,9 +1309,8 @@ func (fb *FileBackend) finishCommit(c fileCommit) {
 // restoring the committed allocator state and metadata. Pages freshly
 // written during the transaction are left as garbage beyond the restored
 // page count: later allocations extend over them again, and a checkpoint
-// taken first cuts them off (it truncates the file to its recorded size —
-// that, and not freed pages, is all a checkpoint ever truncates). A
-// Rollback with no open transaction is a no-op.
+// taken first cuts them off (it truncates the file to its recorded size).
+// A Rollback with no open transaction is a no-op.
 func (fb *FileBackend) Rollback() {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -1319,12 +1341,25 @@ func (fb *FileBackend) Rollback() {
 // their work without freeing when it changed underneath them.
 func (fb *FileBackend) Rollbacks() uint64 { return fb.rollbacks.Load() }
 
-// Sync implements Backend: a checkpoint. It rewrites the header block and
-// the freelist trailer, truncates the file to its exact recorded size
-// (header, every page slot ever allocated — free ones included — and the
-// trailer), fsyncs, and retires the write-ahead log — after Sync the page
-// file alone describes the committed state. Syncing inside an open
-// transaction is an error; Commit first.
+// Sync implements Backend: a checkpoint. It gives up the free pages at the
+// end of the file — the run of free pages, not pinned by a snapshot reader,
+// that ends at the last slot leaves the page count and the free list —
+// rewrites the header block and the freelist trailer, truncates the file to
+// its exact recorded size (header, the page slots up to the last one in
+// use or pinned — free ones below it included — and the trailer), fsyncs,
+// and retires the write-ahead log: after Sync the page file alone describes
+// the committed state. Free pages in the middle of the file stay; the
+// allocator fills them lowest first, so whoever owns the pages can move the
+// file's tail into them and have the next checkpoint return the space.
+// Syncing inside an open transaction is an error; Commit first.
+//
+// The tail is given up only when the log holds a committed state (any
+// commit since the last checkpoint does that): a crash between the header
+// rewrite and the log's truncation then recovers from the log, whose state
+// still counts the dropped pages — as free ones, so nothing reads them —
+// and the reopening checkpoint drops them again. With an empty log the
+// header would be the only record of a geometry whose trailer is not
+// written yet.
 //
 // While recovered notes are unconsumed (see RecoveredNotes) the log is the
 // committed state and must outlive this handle: Sync then flushes the page
@@ -1364,6 +1399,9 @@ func (fb *FileBackend) syncLocked() error {
 			return fmt.Errorf("storage: fsync page file: %w", err)
 		}
 		return nil
+	}
+	if fb.walHasState {
+		fb.free, fb.numPages = fb.trimTail(fb.free, fb.numPages)
 	}
 	hdr := make([]byte, fileHeaderSize+len(fb.meta))
 	copy(hdr[0:6], fileMagic[:])

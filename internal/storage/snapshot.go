@@ -104,6 +104,7 @@ func ReadDiskFrom(r io.Reader) (*Disk, error) {
 		}
 		d.free[i] = PageID(v)
 	}
+	d.free.init()
 	d.pages = make([][]byte, numPages)
 	for i := range d.pages {
 		d.pages[i] = make([]byte, blockSize)

@@ -527,8 +527,9 @@ func (d *Dynamic) startCompaction(o Options) {
 }
 
 // Close stops the background compactor (waiting for an in-flight merge to
-// land or abort), persists a file-backed index in place and closes the backend: the state is saved in
-// one last committed transaction, then the backend checkpoints — a crash
+// land or abort), persists a file-backed index in place and closes the
+// backend: the state is saved and the file's tail moved into its holes as
+// Sync does it, then the backend checkpoints and truncates — a crash
 // anywhere inside Close reopens to the last acknowledged mutation. Using
 // the index after Close is invalid. Closing twice is a no-op.
 func (d *Dynamic) Close() error {
@@ -541,11 +542,7 @@ func (d *Dynamic) Close() error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	d.closed = true
-	var saveErr error
-	if d.fb != nil {
-		saveErr = d.transact(nil, func() {})
-	}
-	if err := errors.Join(saveErr, d.io.Close(), d.scratch.Close()); err != nil {
+	if err := errors.Join(d.saveAndSettle(), d.io.Close(), d.scratch.Close()); err != nil {
 		return fmt.Errorf("prtree: close: %w", err)
 	}
 	return nil
