@@ -223,9 +223,7 @@ func BenchmarkPseudoPRBuildInMemory(b *testing.B) {
 		for _, w := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", ds.name, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					work := make([]geom.Item, len(ds.items))
-					copy(work, ds.items)
-					t := pseudo.Build(work, 113, true, w)
+					t := pseudo.Build(ds.items, 113, true, w)
 					if t.N != len(ds.items) {
 						b.Fatal("bad build")
 					}
@@ -239,33 +237,56 @@ func BenchmarkPRBulkLoadExternal(b *testing.B) {
 	b.Run("uniform50k", func(b *testing.B) {
 		benchBuild(b, bulk.LoaderPR, dataset.Uniform(50000, 0.001, 20))
 	})
-	// The benchmark's embedded workload as it loads: a file-backed index,
-	// its temporaries on the scratch store beside it, default M, serial.
-	// blockIO/op is what IOStats reports (index file plus scratch store);
-	// B/op is the load's allocation, the sort arenas included.
+	// The benchmark's embedded set-up: a file-backed index, serial. Under
+	// an explicit M = 65536 the load is external, its temporaries on the
+	// scratch store beside the index; under the default budget it builds in
+	// memory and writes tree pages only. blockIO/op is what IOStats reports
+	// (index file plus scratch store); B/op is the load's allocation, the
+	// sort arenas included. The default load FAILS above 2,000 blockIO/op or
+	// 2 MB allocated.
+	items := dataset.Western(300000, 2004)
 	b.Run("western216k/M=65536", func(b *testing.B) {
-		items := dataset.Western(300000, 2004)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var lastIO uint64
-		for i := 0; i < b.N; i++ {
-			tree, err := Create(filepath.Join(b.TempDir(), fmt.Sprintf("w%d.pr", i)), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tree.BulkLoad(PR, items); err != nil {
-				b.Fatal(err)
-			}
-			lastIO = tree.IOStats().Total()
-			if tree.Len() != len(items) {
-				b.Fatalf("lost items: %d != %d", tree.Len(), len(items))
-			}
-			if err := tree.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(lastIO), "blockIO/op")
+		benchFileLoad(b, items, &Options{MemoryItems: 65536})
 	})
+	b.Run("western216k/default", func(b *testing.B) {
+		if io, alloc := benchFileLoad(b, items, nil); io > 2000 || alloc > 2<<20 {
+			b.Fatalf("a default-budget load costs %d block I/Os and %d bytes allocated; budget 2,000 and 2 MB", io, alloc)
+		}
+	})
+}
+
+// benchFileLoad creates a file-backed index and PR-loads items into it once
+// per iteration, and returns the last load's block I/O and the bytes the
+// loads allocated on average.
+func benchFileLoad(b *testing.B, items []Item, opts *Options) (io, alloc uint64) {
+	b.ReportAllocs()
+	var total uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tree, err := Create(filepath.Join(b.TempDir(), fmt.Sprintf("w%d.pr", i)), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		if err := tree.BulkLoad(PR, items); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		total += m1.TotalAlloc - m0.TotalAlloc
+		io = tree.IOStats().Total()
+		if tree.Len() != len(items) {
+			b.Fatalf("lost items: %d != %d", tree.Len(), len(items))
+		}
+		if err := tree.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(io), "blockIO/op")
+	return io, total / uint64(b.N)
 }
 
 // BenchmarkPRBulkLoadExternalParallel is the serial uniform50k benchmark

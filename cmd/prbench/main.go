@@ -80,7 +80,7 @@ type jsonReport struct {
 func main() {
 	scale := flag.Float64("scale", 1.0, "dataset size multiplier")
 	queries := flag.Int("queries", 100, "window queries per measurement point")
-	mem := flag.Int("mem", 0, "bulk-loading memory budget in records (0 = default 65536)")
+	mem := flag.Int("mem", 0, "bulk-loading memory budget in records (0 = 16384)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "bulk-load parallelism (1 = serial; I/O counts are identical at any setting)")
 	qworkers := flag.Int("qworkers", runtime.GOMAXPROCS(0), "highest worker count the query-throughput sweep reaches (I/O counts are identical at any setting)")
 	layoutFlag := flag.String("layout", "raw", "on-disk page layout for every experiment: raw (36 B entries, fanout 113) or compressed (12 B entries, fanout 338)")

@@ -65,7 +65,7 @@ func main() {
 	index := flag.String("index", "", "on-disk index file (create writes it, other subcommands open it)")
 	loaderName := flag.String("loader", "PR", "bulk loader: PR|H|H4|STR|TGS")
 	layoutName := flag.String("layout", "raw", "page layout: raw|compressed")
-	mem := flag.Int("mem", 0, "memory budget in records (0 = default)")
+	mem := flag.Int("mem", 0, "bulk-load memory budget in records (0 = no cap: a PR load builds in memory, other loaders use 65536; set it to make a PR load external)")
 	queries := flag.Int("queries", 100, "bench: number of queries")
 	area := flag.Float64("area", 0.01, "bench: query area fraction")
 	seed := flag.Int64("seed", 1, "bench: query seed")
@@ -158,7 +158,7 @@ func main() {
 		if err := tree.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("created %s: %d items with loader %v (%d reads, %d writes incl. the scratch file)\n",
+		fmt.Printf("created %s: %d items with loader %v (%d reads, %d writes, temporaries included)\n",
 			*index, len(items), loader, buildIO.Reads, buildIO.Writes)
 		fmt.Printf("pages %d in use of %d allocated, %s\n", inUse, total, fileSize(*index, len(items)))
 		return
@@ -235,7 +235,7 @@ func main() {
 		fmt.Printf("leaf fill:     %.2f%%\n", 100*leaf)
 		fmt.Printf("internal fill: %.2f%%\n", 100*internal)
 		if tree.Path() == "" {
-			fmt.Printf("build I/O:     %d reads, %d writes (incl. staging the input file)\n",
+			fmt.Printf("build I/O:     %d reads, %d writes (temporaries included)\n",
 				buildIO.Reads, buildIO.Writes)
 		}
 		if err := tree.Validate(); err != nil {

@@ -155,9 +155,10 @@ func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byt
 			return nil, err
 		}
 	}
-	// Level builds (inline carries, rebuilds, the compactor's merges) put
-	// their temporaries on one scratch file beside the index, kept for the
-	// handle's lifetime so a carry pays no file create and delete.
+	// Level builds (inline carries, rebuilds, the compactor's merges) above
+	// an explicit MemoryItems put their temporaries on one scratch file
+	// beside the index, kept for the handle's lifetime so a carry pays no
+	// file create and delete; the rest build in memory and never create it.
 	scratch := storage.NewScratch(path, fb.BlockSize())
 	inner.SetScratch(scratch)
 	return &Dynamic{inner: inner, io: counting, pager: pager, scratch: scratch, fb: fb, path: path}, nil

@@ -6,7 +6,14 @@
 // bulk-loading I/O is measured operationally, matching the accounting of
 // the paper's Figures 9-11.
 //
-// A load touches two stores. Finished tree pages go to the pager's
+// The PR loader has a second entry for records already in memory:
+// PRTreeSlice builds every stage with the exact in-memory construction over
+// a permutation of the slice, and writes nothing but tree pages. The
+// facade's loads of a slice take it whenever InMemory says so — under the
+// zero (uncapped) budget always — and the ItemFile path otherwise; within
+// the budget both build the same tree.
+//
+// An ItemFile load touches two stores. Finished tree pages go to the pager's
 // backend, through rtree.Builder and nothing else. Everything temporary —
 // sort runs, sorted lists, grid partitions, the files between stages —
 // goes to the store the input file lives on (in.Backend()). When that is
@@ -35,7 +42,7 @@ type Options struct {
 	// otherwise), so query results are identical under both layouts.
 	Layout rtree.Layout
 	// MemoryItems is M, the number of records that fit in main memory;
-	// 0 means DefaultMemoryItems.
+	// 0 means DefaultMemoryItems to Load, and no cap to InMemory.
 	MemoryItems int
 	// HilbertBits is the per-dimension Hilbert resolution; 0 means 16.
 	HilbertBits int
@@ -54,8 +61,8 @@ type Options struct {
 	// an arena per worker and Parallelism+1 chunks — fewer in the PR and
 	// TGS loaders, which sort every chunk by all four axes from one scan
 	// of the input and so keep four workers busy per chunk (two chunks up
-	// to Parallelism 4). The in-memory builds work in place and add
-	// nothing.
+	// to Parallelism 4). An in-memory build adds a four-byte permutation
+	// entry a record.
 	Parallelism int
 }
 

@@ -38,21 +38,11 @@ func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree
 		count := 0
 		var last rtree.ChildEntry
 		pseudo.BuildExternal(cur, cfg, func(lg pseudo.LeafGroup) {
-			if level == 0 {
-				// A pseudo-leaf group may become several pages when the
-				// compressed layout falls back to raw; every page joins the
-				// next stage as its own bounding box.
-				for _, entry := range b.WriteLeaves(lg.Items) {
-					next.Append(geom.Item{Rect: entry.Rect, ID: uint32(entry.Page)})
-					last = entry
-					count++
-				}
-				return
-			}
-			entry := b.WriteInternal(toChildEntries(lg.Items))
-			next.Append(geom.Item{Rect: entry.Rect, ID: uint32(entry.Page)})
-			last = entry
-			count++
+			writeGroup(b, level, lg, func(entry rtree.ChildEntry) {
+				next.Append(toItem(entry))
+				last = entry
+				count++
+			})
 		})
 		next.Seal()
 		if count == 1 {
@@ -69,6 +59,64 @@ func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree
 		level++
 	}
 }
+
+// PRTreeSlice is PRTree over a slice: every stage builds its pseudo-PR-tree
+// in memory (pseudo.Build) — the records of stage 0 over a permutation of
+// items, which is only read, each later stage over the entries of the one
+// before — so there is no ItemFile, no external sort and no temporary on any
+// store, and opt.MemoryItems is not consulted. It allocates four bytes of
+// permutation a record, the pseudo-trees' nodes and one leaf's worth of
+// gather buffer besides the pages. When len(items) <= MemoryItems PRTree
+// builds the same stages in memory too, so the two write the same pages in
+// the same order (InMemory says when a facade load takes this path).
+func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
+	opt = opt.normalized(pager.Backend().BlockSize())
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split, Layout: opt.Layout})
+	if len(items) == 0 {
+		return b.FinishEmpty()
+	}
+	cur := items
+	for level := 0; ; level++ {
+		next := make([]geom.Item, 0, len(cur)/opt.Fanout+1)
+		pseudo.Build(cur, opt.Fanout, true, opt.Parallelism).EachLeaf(func(lg pseudo.LeafGroup) {
+			writeGroup(b, level, lg, func(entry rtree.ChildEntry) { next = append(next, toItem(entry)) })
+		})
+		if len(next) == 1 {
+			return b.Finish(toChildEntries(next)[0], level+1)
+		}
+		if len(next) <= opt.Fanout {
+			return b.Finish(b.WriteInternal(toChildEntries(next)), level+2)
+		}
+		cur = next
+	}
+}
+
+// InMemory reports whether a facade load of n records held in a slice
+// builds with PRTreeSlice: a PR load whose budget is 0 (no cap) or covers
+// the input. Every other load goes through an ItemFile and Load, where a
+// zero budget means DefaultMemoryItems.
+func InMemory(l Loader, n int, opt Options) bool {
+	return l == LoaderPR && (opt.MemoryItems <= 0 || opt.MemoryItems >= n)
+}
+
+// writeGroup writes one leaf group of a stage as pages and hands each
+// page's entry to add: at stage 0 the group's records become leaf pages — a
+// group may become several when the compressed layout falls back to raw,
+// and every page joins the next stage as its own bounding box — above it
+// the group's entries become one internal page.
+func writeGroup(b *rtree.Builder, level int, lg pseudo.LeafGroup, add func(rtree.ChildEntry)) {
+	if level == 0 {
+		for _, entry := range b.WriteLeaves(lg.Items) {
+			add(entry)
+		}
+		return
+	}
+	add(b.WriteInternal(toChildEntries(lg.Items)))
+}
+
+// toItem carries a page's entry into the next stage as a record: rect =
+// node MBR, id = node page.
+func toItem(e rtree.ChildEntry) geom.Item { return geom.Item{Rect: e.Rect, ID: uint32(e.Page)} }
 
 // toChildEntries reinterprets bounding-box items produced by a previous
 // stage (rect = node MBR, id = node page) as child entries.

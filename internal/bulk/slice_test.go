@@ -1,0 +1,113 @@
+package bulk
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"prtree/internal/geom"
+	"prtree/internal/rtree"
+	"prtree/internal/storage"
+)
+
+// sameSquare returns n copies of one record, id included: no order
+// separates them, so every selection runs on one long equal run.
+func sameSquare(n int) []geom.Item {
+	items := make([]geom.Item, n)
+	for i := range items {
+		items[i] = geom.Item{Rect: geom.NewRect(3, 4, 5, 6), ID: 7}
+	}
+	return items
+}
+
+// TestPRTreeSliceMatchesItemFileLoad: within the memory budget the slice
+// path is the ItemFile load without the file. Over an input file on a
+// store of its own — so the tree's store receives tree pages only, as a
+// file-backed index's does — PRTree writes the same pages, byte for byte and
+// in the same order, and the same metadata as PRTreeSlice, under both
+// layouts and at Parallelism 1 and 2 (the largest input forks the kd
+// recursion, whose halves then select over one shared permutation), and
+// PRTreeSlice leaves its input as it found it.
+func TestPRTreeSliceMatchesItemFileLoad(t *testing.T) {
+	defer allowParallelism()()
+	const b = 16
+	cases := []struct {
+		name   string
+		items  []geom.Item
+		fanout int
+	}{
+		{"N=0", nil, b},
+		{"N=1", randItems(1, 1), b},
+		{"N=B", randItems(b, 2), b},
+		{"N=4B", randItems(4*b, 3), b},
+		{"N=4B+1", randItems(4*b+1, 4), b},
+		{"N=3000", randItems(3000, 5), b},
+		{"sameSquare", sameSquare(3000), b},
+		{"N=30000/default fanout", randItems(30000, 6), 0},
+	}
+	for _, layout := range []rtree.Layout{rtree.LayoutRaw, rtree.LayoutCompressed} {
+		for _, par := range []int{1, 2} {
+			for _, c := range cases {
+				t.Run(fmt.Sprintf("%v/Parallelism=%d/%s", layout, par, c.name), func(t *testing.T) {
+					opt := Options{Fanout: c.fanout, Layout: layout, Parallelism: par, MemoryItems: DefaultMemoryItems}
+					if !InMemory(LoaderPR, len(c.items), opt) || !InMemory(LoaderPR, len(c.items), Options{}) {
+						t.Fatal("InMemory refuses a PR load within its budget")
+					}
+
+					fileDisk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
+					fromFile := PRTree(storage.NewPager(fileDisk, -1), storage.NewItemFileFrom(tmp, c.items), opt)
+					if tmp.PagesInUse() != 0 {
+						t.Fatalf("the ItemFile load left %d temporary pages", tmp.PagesInUse())
+					}
+
+					input := slices.Clone(c.items)
+					sliceDisk := storage.NewDisk(storage.DefaultBlockSize)
+					fromSlice := PRTreeSlice(storage.NewPager(sliceDisk, -1), c.items, opt)
+					if !slices.Equal(c.items, input) {
+						t.Fatal("PRTreeSlice wrote its input")
+					}
+					if err := fromSlice.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					if fromSlice.Len() != len(c.items) {
+						t.Fatalf("slice load holds %d of %d items", fromSlice.Len(), len(c.items))
+					}
+
+					if !bytes.Equal(fromSlice.EncodeMeta(), fromFile.EncodeMeta()) {
+						t.Errorf("metadata differs: height %d root %d, ItemFile load height %d root %d",
+							fromSlice.Height(), fromSlice.Root(), fromFile.Height(), fromFile.Root())
+					}
+					if sliceDisk.NumPages() != fileDisk.NumPages() {
+						t.Fatalf("slice load wrote %d pages, the ItemFile load %d", sliceDisk.NumPages(), fileDisk.NumPages())
+					}
+					for id := 0; id < sliceDisk.NumPages(); id++ {
+						if !bytes.Equal(sliceDisk.PeekNoCopy(storage.PageID(id)), fileDisk.PeekNoCopy(storage.PageID(id))) {
+							t.Fatalf("page %d differs", id)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestInMemoryBudget: the slice path is the PR loader's, under the zero
+// budget or one that covers the input; everything else loads from a file.
+func TestInMemoryBudget(t *testing.T) {
+	for _, c := range []struct {
+		l    Loader
+		n, m int
+		want bool
+	}{
+		{LoaderPR, 1 << 20, 0, true},
+		{LoaderPR, 5000, 5000, true},
+		{LoaderPR, 5001, 5000, false},
+		{LoaderHilbert, 10, 0, false},
+		{LoaderTGS, 10, 1000, false},
+	} {
+		if got := InMemory(c.l, c.n, Options{MemoryItems: c.m}); got != c.want {
+			t.Errorf("InMemory(%v, n=%d, M=%d) = %v, want %v", c.l, c.n, c.m, got, c.want)
+		}
+	}
+}

@@ -28,9 +28,7 @@ func buildFromPseudo(items []geom.Item, fanout int, priority, roundToB bool) *rt
 	}
 
 	level := make([]rtree.ChildEntry, 0)
-	work := make([]geom.Item, len(items))
-	copy(work, items)
-	for _, lg := range build(work, fanout, roundToB).Leaves() {
+	for _, lg := range build(items, fanout, roundToB).Leaves() {
 		level = append(level, b.WriteLeaf(lg.Items))
 	}
 	height := 1

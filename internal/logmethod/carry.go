@@ -31,8 +31,8 @@ import "prtree/internal/geom"
 //     when the reopening checkpoint truncates the file to its recorded
 //     size; any below it (an interleaved commit recorded the larger count)
 //     stay allocated but unreferenced — a bounded leak, never corruption. The build's
-//     temporaries never reach the index file at all: they live on the
-//     handle's scratch store (see Tree.build).
+//     temporaries, if it has any, never reach the index file at all: they
+//     live on the handle's scratch store (see Tree.build).
 //
 // Abort unwinds phase 1: the merging snapshot returns to the buffer
 // (dropping items tombstoned while in flight), the claimed levels stay as

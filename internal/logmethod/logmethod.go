@@ -163,16 +163,23 @@ func New(pager *storage.Pager, opt bulk.Options, base int) *Tree {
 	return t
 }
 
-// SetScratch makes every later level build put its input file and
-// temporaries on s instead of the pager's backend, which then receives
+// SetScratch makes every later level build that has temporaries (see
+// build) put them on s instead of the pager's backend, which then receives
 // finished tree pages only. Call it before the first mutation.
 func (t *Tree) SetScratch(s *storage.Scratch) { t.scratch = s }
 
-// build bulk-loads one static level over items. It takes no tree lock (a
+// build bulk-loads one static level over items, which it only reads. A
+// level within the memory budget (always, under the zero budget) builds in
+// memory and touches no store but the pager's; a larger one puts its input
+// file and temporaries on the scratch store. It takes no tree lock (a
 // background carry builds while writers commit), and the scratch store is
 // safe for that.
 func (t *Tree) build(items []geom.Item) *level {
 	built := &level{mbr: geom.ItemsMBR(items)}
+	if bulk.InMemory(bulk.LoaderPR, len(items), t.opt) {
+		built.Tree = bulk.PRTreeSlice(t.pager, items, t.opt)
+		return built
+	}
 	err := t.scratch.Use(func() error {
 		in := storage.NewItemFileFrom(t.scratch.Or(t.pager.Backend()), items)
 		built.Tree = bulk.Load(bulk.LoaderPR, t.pager, in, t.opt)

@@ -23,8 +23,8 @@ type ExternalConfig struct {
 	// order, members and the order within each — are identical at every
 	// worker count. The axis-sort phase holds about M*40 bytes of decoded
 	// chunk plus M*32 bytes of sort arena when serial, one arena per
-	// worker and (Workers/4 rounded up)+1 chunks otherwise; the in-memory
-	// builds work in place.
+	// worker and (Workers/4 rounded up)+1 chunks otherwise; an in-memory
+	// build adds four bytes a record (see Build).
 	Workers int
 }
 
@@ -43,7 +43,9 @@ type ExternalConfig struct {
 // The kd divisions follow the paper's external variant: priority
 // rectangles are not removed before the division is computed (the query
 // bound of Lemma 2 is unaffected; each child still receives at most half
-// of its parent's points). The input file is consumed and freed.
+// of its parent's points). The input file is consumed and freed. emit must
+// not keep a group's items past the call: the in-memory builds gather each
+// group into one reused buffer.
 func BuildExternal(in *storage.ItemFile, cfg ExternalConfig, emit func(LeafGroup)) {
 	disk := in.Backend()
 	if cfg.B < 1 {
@@ -83,13 +85,7 @@ func freeLists(lists [4]*storage.ItemFile) {
 }
 
 func emitInMemory(items []geom.Item, cfg ExternalConfig, emit func(LeafGroup)) {
-	if len(items) == 0 {
-		return
-	}
-	t := Build(items, cfg.B, true, cfg.Workers)
-	for _, lg := range t.Leaves() {
-		emit(lg)
-	}
+	Build(items, cfg.B, true, cfg.Workers).EachLeaf(emit)
 }
 
 // key2 is a point in one dimension of the strict total order

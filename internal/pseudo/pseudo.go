@@ -2,6 +2,8 @@ package pseudo
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"prtree/internal/geom"
 	"prtree/internal/parallel"
@@ -15,15 +17,17 @@ var PriorityDirs = [4]string{"xmin", "ymin", "xmax", "ymax"}
 // Node is a pseudo-PR-tree node. A node is either a plain leaf (Items set,
 // everything else empty) or an internal kd-node with up to four priority
 // leaves and up to two children. Unlike a real R-tree, leaves appear at
-// every level and internal nodes have degree at most six.
+// every level and internal nodes have degree at most six. A node names its
+// members by their index into the tree's input, which the construction
+// never writes.
 type Node struct {
 	// Bounds is the minimal bounding box of every rectangle below the node.
 	Bounds geom.Rect
-	// Items is set for plain leaves only (at most B rectangles).
-	Items []geom.Item
+	// Items is set for plain leaves only (at most B members).
+	Items []int32
 	// Priority holds the four priority leaves (index = direction; empty
 	// slices mean the leaf does not exist).
-	Priority [4][]geom.Item
+	Priority [4][]int32
 	// Axis is the kd split axis (0..3) used to divide the remaining items.
 	Axis int
 	// SplitValue is the dividing coordinate on Axis.
@@ -41,6 +45,8 @@ type Tree struct {
 	Root *Node
 	B    int // leaf capacity
 	N    int // rectangles stored
+
+	items []geom.Item // the input the nodes index
 }
 
 // forkItems is the least kd remainder whose two children build on separate
@@ -50,15 +56,19 @@ const forkItems = 4096
 
 // Build constructs a pseudo-PR-tree with leaf capacity B on items using the
 // exact recursive definition of Section 2.1: priority leaves are peeled off
-// before the kd median is taken. The input slice is reordered in place.
-// Divisions round to multiples of B (the paper's near-100%-utilization
-// refinement) when roundToB is true.
+// before the kd median is taken. Divisions round to multiples of B (the
+// paper's near-100%-utilization refinement) when roundToB is true.
+//
+// items is read, never written, and must stay unchanged while the tree is
+// in use: the construction selects over a permutation of its indices (four
+// bytes a record), and the nodes name their members by index into it.
+// Leaves and EachLeaf gather the members back.
 //
 // workers bounds the goroutines the kd recursion may occupy (clamped to
 // GOMAXPROCS; one or less means serial). The two children of a kd node are
-// disjoint subslices and every selection's pivots depend on its own input
-// alone, so the tree — nodes, leaf membership and the order of items
-// within each leaf — is the same at every setting.
+// disjoint parts of the permutation and every selection's pivots depend on
+// its own part alone, so the tree — nodes, leaf membership and the order of
+// items within each leaf — is the same at every setting.
 func Build(items []geom.Item, b int, roundToB bool, workers int) *Tree {
 	return buildTree(items, b, roundToB, true, parallel.Bound(workers))
 }
@@ -76,83 +86,110 @@ func buildTree(items []geom.Item, b int, roundToB, priority bool, workers int) *
 	if b < 1 {
 		panic(fmt.Sprintf("pseudo: leaf capacity %d", b))
 	}
-	t := &Tree{B: b, N: len(items)}
-	if len(items) > 0 {
-		if priority {
-			t.Root = build(items, b, 0, roundToB, workers)
-		} else {
-			t.Root = buildKD(items, b, 0, roundToB)
-		}
+	if len(items) > math.MaxInt32 {
+		panic(fmt.Sprintf("pseudo: %d items exceed an int32 permutation", len(items)))
+	}
+	t := &Tree{B: b, N: len(items), items: items}
+	if len(items) == 0 {
+		return t
+	}
+	ids := make([]int32, len(items))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	if priority {
+		t.Root = t.build(ids, 0, roundToB, workers)
+	} else {
+		t.Root = t.buildKD(ids, 0, roundToB)
 	}
 	return t
 }
 
+// appendItems appends the items ids name to dst.
+func (t *Tree) appendItems(dst []geom.Item, ids []int32) []geom.Item {
+	for _, id := range ids {
+		dst = append(dst, t.items[id])
+	}
+	return dst
+}
+
+// mbr returns the bounding box of the non-empty set ids names.
+func (t *Tree) mbr(ids []int32) geom.Rect {
+	out := t.items[ids[0]].Rect
+	for _, id := range ids[1:] {
+		out = out.Union(t.items[id].Rect)
+	}
+	return out
+}
+
 // buildKD is the no-priority-leaf variant: a pure kd-tree whose leaves
-// hold at most b items.
-func buildKD(items []geom.Item, b, axis int, roundToB bool) *Node {
-	n := &Node{Axis: axis & 3, Bounds: geom.ItemsMBR(items)}
-	if len(items) <= b {
-		n.Items = items
+// hold at most B items.
+func (t *Tree) buildKD(ids []int32, axis int, roundToB bool) *Node {
+	n := &Node{Axis: axis & 3, Bounds: t.mbr(ids)}
+	if len(ids) <= t.B {
+		n.Items = ids
 		return n
 	}
-	half := len(items) / 2
+	half := len(ids) / 2
 	if roundToB {
-		if r := (half / b) * b; r > 0 {
+		if r := (half / t.B) * t.B; r > 0 {
 			half = r
 		}
 	}
-	selectK(items, half, axisOrder(n.Axis))
-	n.SplitValue = minCoord(items[half:], n.Axis)
-	n.Left = buildKD(items[:half:half], b, axis+1, roundToB)
-	n.Right = buildKD(items[half:], b, axis+1, roundToB)
+	selectK(t.items, ids, half, axisOrder(n.Axis))
+	n.SplitValue = t.minCoord(ids[half:], n.Axis)
+	n.Left = t.buildKD(ids[:half:half], axis+1, roundToB)
+	n.Right = t.buildKD(ids[half:], axis+1, roundToB)
 	return n
 }
 
-// minCoord returns the least axis coordinate among items. After a kd
-// selection it is the split value: quickselect only guarantees that the
-// left side orders before the right side element-wise, not that the first
-// right-side item is the minimum of its side.
-func minCoord(items []geom.Item, axis int) float64 {
-	min := items[0].Rect.Coord(axis)
-	for i := 1; i < len(items); i++ {
-		if v := items[i].Rect.Coord(axis); v < min {
+// minCoord returns the least axis coordinate among the items ids names.
+// After a kd selection it is the split value: quickselect only guarantees
+// that the left side orders before the right side element-wise, not that
+// the first right-side item is the minimum of its side.
+func (t *Tree) minCoord(ids []int32, axis int) float64 {
+	min := t.items[ids[0]].Rect.Coord(axis)
+	for _, id := range ids[1:] {
+		if v := t.items[id].Rect.Coord(axis); v < min {
 			min = v
 		}
 	}
 	return min
 }
 
-// build is the recursive construction. workers is the number of goroutines
-// this subtree may keep busy, the caller's included.
-func build(items []geom.Item, b, axis int, roundToB bool, workers int) *Node {
-	n := &Node{Axis: axis & 3, Bounds: geom.ItemsMBR(items)}
-	if len(items) <= b {
-		n.Items = items
+// build is the recursive construction over the members ids names. workers
+// is the number of goroutines this subtree may keep busy, the caller's
+// included.
+func (t *Tree) build(ids []int32, axis int, roundToB bool, workers int) *Node {
+	b := t.B
+	n := &Node{Axis: axis & 3, Bounds: t.mbr(ids)}
+	if len(ids) <= b {
+		n.Items = ids
 		return n
 	}
 
-	if len(items) <= 4*b {
+	if len(ids) <= 4*b {
 		// Too few rectangles to fill four priority leaves and recurse:
 		// split evenly into <= 4 priority leaves of >= len/4 >= B/4 each
 		// (footnote 2 + the "slightly smaller priority leaves" refinement),
 		// leaving no remainder.
-		rest := items
-		groups := (len(items) + b - 1) / b
+		rest := ids
+		groups := (len(ids) + b - 1) / b
 		for dir := 0; dir < groups; dir++ {
 			take := len(rest) / (groups - dir)
 			if dir == groups-1 {
 				take = len(rest)
 			}
-			selectK(rest, take, extremeOrder(dir))
+			selectK(t.items, rest, take, extremeOrder(dir))
 			n.Priority[dir] = rest[:take:take]
 			rest = rest[take:]
 		}
 		return n
 	}
 
-	rest := items
+	rest := ids
 	for dir := 0; dir < 4; dir++ {
-		selectK(rest, b, extremeOrder(dir))
+		selectK(t.items, rest, b, extremeOrder(dir))
 		n.Priority[dir] = rest[:b:b]
 		rest = rest[b:]
 	}
@@ -168,25 +205,25 @@ func build(items []geom.Item, b, axis int, roundToB bool, workers int) *Node {
 	}
 	if half == 0 || half == len(rest) {
 		// Cannot split (all remaining on one side); make a child leaf.
-		n.Left = build(rest, b, axis+1, roundToB, workers)
-		n.SplitValue = rest[0].Rect.Coord(n.Axis)
+		n.Left = t.build(rest, axis+1, roundToB, workers)
+		n.SplitValue = t.items[rest[0]].Rect.Coord(n.Axis)
 		return n
 	}
-	selectK(rest, half, axisOrder(n.Axis))
-	n.SplitValue = minCoord(rest[half:], n.Axis)
+	selectK(t.items, rest, half, axisOrder(n.Axis))
+	n.SplitValue = t.minCoord(rest[half:], n.Axis)
 	left, right := rest[:half:half], rest[half:]
 	if workers < 2 || len(rest) < forkItems {
-		n.Left = build(left, b, axis+1, roundToB, workers)
-		n.Right = build(right, b, axis+1, roundToB, workers)
+		n.Left = t.build(left, axis+1, roundToB, workers)
+		n.Right = t.build(right, axis+1, roundToB, workers)
 		return n
 	}
 	// The halves are near-equal, so the budget splits evenly between them.
 	// Run re-raises a child's panic here once both have stopped.
 	parallel.Run(2, 2, func(i int) {
 		if i == 0 {
-			n.Left = build(left, b, axis+1, roundToB, workers/2)
+			n.Left = t.build(left, axis+1, roundToB, workers/2)
 		} else {
-			n.Right = build(right, b, axis+1, roundToB, workers-workers/2)
+			n.Right = t.build(right, axis+1, roundToB, workers-workers/2)
 		}
 	})
 	return n
@@ -201,29 +238,43 @@ type LeafGroup struct {
 	Dir      int  // priority direction when Priority
 }
 
-// Leaves returns every leaf group in depth-first order (priority leaves of
-// a node before its children), which keeps spatially coherent groups
-// adjacent for the level above.
-func (t *Tree) Leaves() []LeafGroup {
-	var out []LeafGroup
+// EachLeaf calls fn with every leaf group in depth-first order (priority
+// leaves of a node before its children), which keeps spatially coherent
+// groups adjacent for the level above. Each group's items are gathered into
+// one buffer of B items that the next call reuses, so fn must not keep
+// them.
+func (t *Tree) EachLeaf(fn func(LeafGroup)) {
+	buf := make([]geom.Item, 0, t.B)
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n == nil {
 			return
 		}
 		if n.IsLeaf() {
-			out = append(out, LeafGroup{Items: n.Items})
+			buf = t.appendItems(buf[:0], n.Items)
+			fn(LeafGroup{Items: buf})
 			return
 		}
 		for dir := 0; dir < 4; dir++ {
-			if len(n.Priority[dir]) > 0 {
-				out = append(out, LeafGroup{Items: n.Priority[dir], Priority: true, Dir: dir})
+			if p := n.Priority[dir]; len(p) > 0 {
+				buf = t.appendItems(buf[:0], p)
+				fn(LeafGroup{Items: buf, Priority: true, Dir: dir})
 			}
 		}
 		walk(n.Left)
 		walk(n.Right)
 	}
 	walk(t.Root)
+}
+
+// Leaves returns every leaf group in EachLeaf's order, each with items of
+// its own.
+func (t *Tree) Leaves() []LeafGroup {
+	var out []LeafGroup
+	t.EachLeaf(func(lg LeafGroup) {
+		lg.Items = slices.Clone(lg.Items)
+		out = append(out, lg)
+	})
 	return out
 }
 
@@ -250,7 +301,7 @@ func (t *Tree) Query(q geom.Rect, fn func(geom.Item) bool) QueryStats {
 func (t *Tree) query(n *Node, q geom.Rect, fn func(geom.Item) bool, st *QueryStats) bool {
 	if n.IsLeaf() {
 		st.LeavesVisited++
-		return scanLeaf(n.Items, q, fn, st)
+		return t.scanLeaf(n.Items, q, fn, st)
 	}
 	st.InternalVisited++
 	for dir := 0; dir < 4; dir++ {
@@ -258,9 +309,9 @@ func (t *Tree) query(n *Node, q geom.Rect, fn func(geom.Item) bool, st *QuerySta
 		if len(p) == 0 {
 			continue
 		}
-		if q.Intersects(geom.ItemsMBR(p)) {
+		if q.Intersects(t.mbr(p)) {
 			st.LeavesVisited++
-			if !scanLeaf(p, q, fn, st) {
+			if !t.scanLeaf(p, q, fn, st) {
 				return false
 			}
 		}
@@ -275,9 +326,9 @@ func (t *Tree) query(n *Node, q geom.Rect, fn func(geom.Item) bool, st *QuerySta
 	return true
 }
 
-func scanLeaf(items []geom.Item, q geom.Rect, fn func(geom.Item) bool, st *QueryStats) bool {
-	for _, it := range items {
-		if q.Intersects(it.Rect) {
+func (t *Tree) scanLeaf(ids []int32, q geom.Rect, fn func(geom.Item) bool, st *QueryStats) bool {
+	for _, id := range ids {
+		if it := t.items[id]; q.Intersects(it.Rect) {
 			st.Results++
 			if fn != nil && !fn(it) {
 				return false
@@ -305,7 +356,7 @@ func (t *Tree) Validate() error {
 		}
 		return nil
 	}
-	n, err := validate(t.Root, t.B)
+	n, err := t.validate(t.Root)
 	if err != nil {
 		return err
 	}
@@ -315,9 +366,10 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-func validate(n *Node, b int) (int, error) {
+func (t *Tree) validate(n *Node) (int, error) {
+	b := t.B
 	subtree := collect(n, nil)
-	if got := geom.ItemsMBR(subtree); got != n.Bounds {
+	if got := t.mbr(subtree); got != n.Bounds {
 		return 0, fmt.Errorf("pseudo: bounds %v, actual MBR %v", n.Bounds, got)
 	}
 	if n.IsLeaf() {
@@ -341,24 +393,24 @@ func validate(n *Node, b int) (int, error) {
 		count += len(p)
 		less := extremeOrder(dir).less
 		// Find the least extreme member of p.
-		worst := p[0]
-		inLeaf := make(map[uint32]bool, len(p))
-		for _, it := range p {
-			if less(worst, it) {
-				worst = it
+		worst := t.items[p[0]]
+		inLeaf := make(map[int32]bool, len(p))
+		for _, id := range p {
+			if less(worst, t.items[id]) {
+				worst = t.items[id]
 			}
-			inLeaf[it.ID] = true
+			inLeaf[id] = true
 		}
 		next := remaining[:0:0]
-		for _, it := range remaining {
-			if !inLeaf[it.ID] {
-				next = append(next, it)
+		for _, id := range remaining {
+			if !inLeaf[id] {
+				next = append(next, id)
 			}
 		}
 		remaining = next
-		for _, it := range remaining {
-			if less(it, worst) {
-				return 0, fmt.Errorf("pseudo: %s priority leaf misses more-extreme item %d", PriorityDirs[dir], it.ID)
+		for _, id := range remaining {
+			if less(t.items[id], worst) {
+				return 0, fmt.Errorf("pseudo: %s priority leaf misses more-extreme item %d", PriorityDirs[dir], t.items[id].ID)
 			}
 		}
 	}
@@ -366,13 +418,13 @@ func validate(n *Node, b int) (int, error) {
 	// below the split coordinate, right child at or above (items equal to
 	// the split value may sit on either side thanks to the id tie-break).
 	if n.Left != nil && n.Right != nil {
-		for _, it := range collect(n.Left, nil) {
-			if it.Rect.Coord(n.Axis) > n.SplitValue {
+		for _, id := range collect(n.Left, nil) {
+			if it := t.items[id]; it.Rect.Coord(n.Axis) > n.SplitValue {
 				return 0, fmt.Errorf("pseudo: left child item %d violates split %g on axis %d", it.ID, n.SplitValue, n.Axis)
 			}
 		}
-		for _, it := range collect(n.Right, nil) {
-			if it.Rect.Coord(n.Axis) < n.SplitValue {
+		for _, id := range collect(n.Right, nil) {
+			if it := t.items[id]; it.Rect.Coord(n.Axis) < n.SplitValue {
 				return 0, fmt.Errorf("pseudo: right child item %d violates split %g on axis %d", it.ID, n.SplitValue, n.Axis)
 			}
 		}
@@ -381,7 +433,7 @@ func validate(n *Node, b int) (int, error) {
 		if c == nil {
 			continue
 		}
-		cn, err := validate(c, b)
+		cn, err := t.validate(c)
 		if err != nil {
 			return 0, err
 		}
@@ -390,7 +442,8 @@ func validate(n *Node, b int) (int, error) {
 	return count, nil
 }
 
-func collect(n *Node, out []geom.Item) []geom.Item {
+// collect appends the members of the subtree below n to out.
+func collect(n *Node, out []int32) []int32 {
 	if n == nil {
 		return out
 	}
@@ -406,5 +459,5 @@ func collect(n *Node, out []geom.Item) []geom.Item {
 
 // Items returns every rectangle stored in the tree.
 func (t *Tree) Items() []geom.Item {
-	return collect(t.Root, nil)
+	return t.appendItems(nil, collect(t.Root, nil))
 }

@@ -35,21 +35,33 @@ func buildOrders() []order {
 	return out
 }
 
-// checkSelect runs selectK on a copy of items and compares with a full
-// sort: once each side of the cut is sorted, the whole slice must read as
-// the sorted input, so items[:k] holds exactly the k first and nothing was
-// lost or duplicated.
+// checkSelect runs selectK over the identity permutation of items and
+// compares with a full sort: once each side of the cut is sorted, the items
+// the permutation names must read as the sorted input, so ids[:k] names
+// exactly the k first and no index was lost or duplicated. items itself
+// must come back untouched.
 func checkSelect(t *testing.T, items []geom.Item, k int, o order) {
 	t.Helper()
 	byOrder := func(s []geom.Item) {
 		sort.SliceStable(s, func(i, j int) bool { return o.less(s[i], s[j]) })
 	}
-	got := append([]geom.Item(nil), items...)
-	selectK(got, k, o)
+	input := slices.Clone(items)
+	ids := make([]int32, len(items))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	selectK(items, ids, k, o)
+	if !slices.Equal(items, input) {
+		t.Fatalf("order %+v n=%d k=%d: selectK wrote its input", o, len(items), k)
+	}
+	got := make([]geom.Item, len(ids))
+	for i, id := range ids {
+		got[i] = items[id]
+	}
 	cut := min(max(k, 0), len(got))
 	byOrder(got[:cut])
 	byOrder(got[cut:])
-	want := append([]geom.Item(nil), items...)
+	want := slices.Clone(items)
 	byOrder(want)
 	for i := range want {
 		if got[i] != want[i] {
@@ -113,7 +125,8 @@ func TestSelectKEdges(t *testing.T) {
 
 // TestBuildWorkersIdentical: the kd recursion forks under the worker
 // budget, and the tree must not depend on it — same leaf groups, in the
-// same order, with the same members in the same positions.
+// same order, with the same members in the same positions. Every build
+// reads the one input, which none of them writes.
 func TestBuildWorkersIdentical(t *testing.T) {
 	// Let workers=8 fork three levels deep even on a small machine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
@@ -125,10 +138,10 @@ func TestBuildWorkersIdentical(t *testing.T) {
 		{"random", randItems(20000, 7), 64},
 		{"duplicates", gridItems(10000, 8), 113},
 	} {
+		input := slices.Clone(tc.items)
 		var want []LeafGroup
 		for _, workers := range []int{1, 2, 8} {
-			work := append([]geom.Item(nil), tc.items...)
-			tr := Build(work, tc.b, true, workers)
+			tr := Build(tc.items, tc.b, true, workers)
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
@@ -145,6 +158,9 @@ func TestBuildWorkersIdentical(t *testing.T) {
 					t.Fatalf("%s workers=%d: leaf group %d differs from the serial build", tc.name, workers, i)
 				}
 			}
+		}
+		if !slices.Equal(tc.items, input) {
+			t.Fatalf("%s: a build wrote its input", tc.name)
 		}
 	}
 }
@@ -246,7 +262,7 @@ func TestPriorityLeavesAreExtreme(t *testing.T) {
 	for _, it := range sorted[:32] {
 		want[it.ID] = true
 	}
-	for _, it := range root.Priority[0] {
+	for _, it := range tr.appendItems(nil, root.Priority[0]) {
 		if !want[it.ID] {
 			t.Fatalf("root xmin leaf holds non-extreme item %d", it.ID)
 		}
@@ -360,7 +376,7 @@ func TestBoundsCoverSubtrees(t *testing.T) {
 		if n == nil {
 			return
 		}
-		for _, it := range collect(n, nil) {
+		for _, it := range tr.appendItems(nil, collect(n, nil)) {
 			if !n.Bounds.Contains(it.Rect) {
 				t.Fatalf("bounds %v miss item %v", n.Bounds, it.Rect)
 			}

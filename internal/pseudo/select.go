@@ -2,10 +2,10 @@
 // paper: a four-dimensional kd-tree over the corner transform
 // (xmin, ymin, xmax, ymax) where every internal node carries four priority
 // leaves holding the B most extreme rectangles in each direction. It
-// provides the exact in-memory construction (a keyed in-place selection
-// kernel, with the kd recursion spread over a bounded number of workers),
-// the I/O-efficient external grid construction, and a window-query engine
-// used to verify Lemma 2.
+// provides the exact in-memory construction (a keyed selection kernel over
+// a permutation of the read-only input, with the kd recursion spread over a
+// bounded number of workers), the I/O-efficient external grid
+// construction, and a window-query engine used to verify Lemma 2.
 package pseudo
 
 import "prtree/internal/geom"
@@ -46,24 +46,26 @@ func (o order) less(a, b geom.Item) bool {
 	return a.ID < b.ID
 }
 
-// selectK partially sorts items so that the k smallest under o occupy
-// items[:k] (in unspecified order). It is the in-place quickselect used to
-// peel off priority leaves and to find kd medians. A deterministic
-// xorshift pivot choice with three-way partitioning keeps it expected
-// linear on any input, including the partially-partitioned arrays the
-// pseudo-PR-tree construction itself produces; the permutation it leaves
-// depends only on the input, never on who else is running.
-func selectK(items []geom.Item, k int, o order) {
-	if k <= 0 || k >= len(items) {
+// selectK permutes ids, indices into items, so that the k smallest of the
+// items they name under o are named by ids[:k] (in unspecified order). It
+// is the quickselect used to peel off priority leaves and to find kd
+// medians; items is only read, so disjoint parts of one permutation can be
+// selected on concurrently. A deterministic xorshift pivot choice with
+// three-way partitioning keeps it expected linear on any input, including
+// the partially-partitioned permutations the pseudo-PR-tree construction
+// itself produces; the permutation it leaves depends only on the input,
+// never on who else is running.
+func selectK(items []geom.Item, ids []int32, k int, o order) {
+	if k <= 0 || k >= len(ids) {
 		return
 	}
-	lo, hi := 0, len(items) // half-open window still containing index k-1
+	lo, hi := 0, len(ids) // half-open window still containing index k-1
 	rng := uint64(0x9e3779b97f4a7c15)
 	for hi-lo > 1 {
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
-		lt, gt := partition3(items, lo, hi, lo+int(rng%uint64(hi-lo)), o)
+		lt, gt := partition3(items, ids, lo, hi, lo+int(rng%uint64(hi-lo)), o)
 		switch {
 		case k <= lt:
 			hi = lt
@@ -75,23 +77,25 @@ func selectK(items []geom.Item, k int, o order) {
 	}
 }
 
-// partition3 rearranges items[lo:hi] into runs ordering before, equal to
-// and after items[pivot] under o and returns the equal run's bounds
-// [lt, gt). The pivot's key is read once and each element's key once per
-// visit.
-func partition3(items []geom.Item, lo, hi, pivot int, o order) (int, int) {
-	pv, pid := o.key(&items[pivot]), items[pivot].ID
+// partition3 rearranges ids[lo:hi] into runs naming items that order
+// before, equal to and after the item ids[pivot] names under o and returns
+// the equal run's bounds [lt, gt). The pivot's key is read once and each
+// element's key once per visit.
+func partition3(items []geom.Item, ids []int32, lo, hi, pivot int, o order) (int, int) {
+	p := &items[ids[pivot]]
+	pv, pid := o.key(p), p.ID
 	lt, i, gt := lo, lo, hi
 	for i < gt {
-		v, id := o.key(&items[i]), items[i].ID
+		it := &items[ids[i]]
+		v, id := o.key(it), it.ID
 		switch {
 		case v < pv || v == pv && id < pid:
-			items[lt], items[i] = items[i], items[lt]
+			ids[lt], ids[i] = ids[i], ids[lt]
 			lt++
 			i++
 		case v > pv || v == pv && id > pid:
 			gt--
-			items[gt], items[i] = items[i], items[gt]
+			ids[gt], ids[i] = ids[i], ids[gt]
 		default:
 			i++
 		}

@@ -142,8 +142,12 @@ type Options struct {
 	Fanout int
 	// Layout selects the on-disk node format (default LayoutRaw).
 	Layout PageLayout
-	// MemoryItems is the bulk-loading memory budget M in records
-	// (default 65536).
+	// MemoryItems is the bulk-loading memory budget M in records. 0 (the
+	// default) means no cap: a PR load of a slice — Bulk, BulkWith,
+	// BulkLoad and a Dynamic's level builds — builds in memory over a
+	// permutation of it, with no temporaries; so does one within an explicit
+	// budget. A PR load above an explicit budget runs the paper's external
+	// construction, and the other loaders keep 2^16 for 0.
 	MemoryItems int
 	// CacheCapacity bounds the page cache in pages; negative means
 	// unbounded (the default), 0 disables caching entirely.
@@ -292,8 +296,14 @@ func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 		dev = storage.NewDisk(o.BlockSize)
 	}
 	counting, pager := newTree(dev, o)
-	tr := bulk.FromItems(l, pager, items, o.bulkOptions())
-	return &Tree{inner: tr, pager: pager, io: counting, bopts: o.bulkOptions()}
+	bopts := o.bulkOptions()
+	var tr *rtree.Tree
+	if bulk.InMemory(l, len(items), bopts) {
+		tr = bulk.PRTreeSlice(pager, items, bopts)
+	} else {
+		tr = bulk.FromItems(l, pager, items, bopts)
+	}
+	return &Tree{inner: tr, pager: pager, io: counting, bopts: bopts}
 }
 
 // BulkLoad (re)builds the tree's contents in place from items using loader
@@ -309,23 +319,34 @@ func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 // checkpoint shrinks the file below its recorded page count.
 //
 // Scratch space: a file-backed tree writes only finished tree pages to its
-// index file. The input file, sort runs and every other temporary of the
-// load go to a private scratch file beside the index (path + ".scratch"),
-// which needs transient disk space of three (Hilbert, STR) to eight (PR)
-// times the input, is never journaled or fsynced, and is deleted when the
-// tree closes or the load fails. A load into a freshly created index therefore leaves an index
-// file of exactly Nodes() pages. IOStats counts the scratch I/O too.
+// index file, so a load into a freshly created index leaves an index file
+// of exactly Nodes() pages. A PR load under the default MemoryItems (or
+// within an explicit one) has no temporaries at all: it builds in memory
+// over a permutation of items and creates no scratch file. Any other load
+// puts its input file, sort runs and every other temporary on a private
+// scratch file beside the index (path + ".scratch"), which needs transient
+// disk space of three (Hilbert, STR) to eight (PR) times the input, is
+// never journaled or fsynced, and is deleted when the tree closes or the
+// load fails. IOStats counts the scratch I/O too.
 func (t *Tree) BulkLoad(l Loader, items []Item) error {
 	if t.closed {
 		return fmt.Errorf("prtree: BulkLoad on closed tree")
 	}
-	err := t.scratch.Use(func() error {
-		return t.mutate(func() {
+	var err error
+	if bulk.InMemory(l, len(items), t.bopts) {
+		err = t.mutate(func() {
 			t.inner.Release()
-			in := storage.NewItemFileFrom(t.scratch.Or(t.io), items)
-			t.inner = bulk.Load(l, t.pager, in, t.bopts)
+			t.inner = bulk.PRTreeSlice(t.pager, items, t.bopts)
 		})
-	})
+	} else {
+		err = t.scratch.Use(func() error {
+			return t.mutate(func() {
+				t.inner.Release()
+				in := storage.NewItemFileFrom(t.scratch.Or(t.io), items)
+				t.inner = bulk.Load(l, t.pager, in, t.bopts)
+			})
+		})
+	}
 	if err != nil {
 		return fmt.Errorf("prtree: bulk load: %w", err)
 	}

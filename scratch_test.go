@@ -318,8 +318,9 @@ func TestStaleScratchRemovedOnOpen(t *testing.T) {
 	gone("a failed Open")
 }
 
-// TestDynamicCarriesUseScratch: inserts that cross many carries, inline
-// and on the compactor, build every level through the handle's one
+// TestDynamicCarriesUseScratch: under an explicit memory budget below the
+// levels it builds, inserts that cross many carries, inline and on the
+// compactor, build every level past the budget through the handle's one
 // scratch file — kept between carries, counted in IOStats, empty whenever
 // no build runs — and Close removes it. The index reopens to the same
 // answers.
@@ -330,8 +331,9 @@ func TestDynamicCarriesUseScratch(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "carry.prd")
 			// 512-byte blocks: a buffer of 14 items, so 1200 inserts carry
-			// some 85 times and reach level 6.
-			opts := &Options{BlockSize: 512, BackgroundCompaction: background}
+			// some 85 times and reach level 6; every level above 200 items
+			// is an external load.
+			opts := &Options{BlockSize: 512, MemoryItems: 200, BackgroundCompaction: background}
 			d, err := CreateDynamic(path, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -373,6 +375,85 @@ func TestDynamicCarriesUseScratch(t *testing.T) {
 			defer re.Close()
 			if got := re.Search(NewRect(0.2, 0.2, 0.6, 0.6)); len(got) != len(want) || re.Len() != len(items) {
 				t.Errorf("reopened index answers %d of %d items, want %d of %d", len(got), re.Len(), len(want), len(items))
+			}
+		})
+	}
+}
+
+// TestDefaultLoadsUseNoScratch: under the default memory budget a PR load
+// of a slice builds in memory. Create + BulkLoad(PR) and a Dynamic's carries,
+// inline and on the compactor, create no scratch file and do no scratch
+// I/O, and the load allocates at most eight bytes a record beyond the
+// pages it writes.
+func TestDefaultLoadsUseNoScratch(t *testing.T) {
+	noScratch := func(t *testing.T, dir string, sio IOStats) {
+		t.Helper()
+		if ents := scratchEntries(t, dir); len(ents) != 0 {
+			t.Errorf("scratch files %v beside a default-budget index", ents)
+		}
+		if sio.Total() != 0 {
+			t.Errorf("scratch store did %v of I/O", sio)
+		}
+	}
+
+	t.Run("BulkLoad", func(t *testing.T) {
+		// Above the old default budget of 2^16, so the parent's load was
+		// external.
+		items := scratchTestItems(80000, 8)
+		dir := t.TempDir()
+		tr, err := Create(filepath.Join(dir, "static.pr"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := tr.BulkLoad(PR, items); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		noScratch(t, dir, tr.scratch.Stats())
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != len(items) {
+			t.Fatalf("loaded %d of %d items", tr.Len(), len(items))
+		}
+		if total, inUse := tr.PageCounts(); total != tr.Nodes() || inUse != tr.Nodes() {
+			t.Errorf("%d pages allocated, %d in use, for a tree of %d", total, inUse, tr.Nodes())
+		}
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(8*len(items)); got > limit {
+			t.Errorf("the load allocated %d bytes for %d records, want at most %d", got, len(items), limit)
+		}
+	})
+
+	for _, background := range []bool{false, true} {
+		t.Run(fmt.Sprintf("Dynamic/background=%v", background), func(t *testing.T) {
+			items := scratchTestItems(1200, 7)
+			dir := t.TempDir()
+			opts := &Options{BlockSize: 512, BackgroundCompaction: background}
+			d, err := CreateDynamic(filepath.Join(dir, "carry.prd"), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			for i, it := range items {
+				if err := d.InsertE(it); err != nil {
+					t.Fatal(err)
+				}
+				if i == len(items)/2 {
+					noScratch(t, dir, d.scratch.Stats())
+				}
+			}
+			if err := d.Sync(); err != nil { // drains an in-flight merge
+				t.Fatal(err)
+			}
+			if len(d.LevelSizes()) < 5 {
+				t.Fatalf("levels %v: too few carries to prove anything", d.LevelSizes())
+			}
+			noScratch(t, dir, d.scratch.Stats())
+			if d.Len() != len(items) {
+				t.Errorf("index holds %d of %d items", d.Len(), len(items))
 			}
 		})
 	}
