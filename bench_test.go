@@ -429,16 +429,6 @@ func BenchmarkWindowQueryPR(b *testing.B) {
 	}
 }
 
-func BenchmarkGuttmanInsert(b *testing.B) {
-	disk := storage.NewDisk(storage.DefaultBlockSize)
-	tree := rtree.New(storage.NewPager(disk, -1), rtree.Config{})
-	items := dataset.Uniform(200000, 0.001, 23)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Insert(items[i%len(items)])
-	}
-}
-
 func BenchmarkLogMethodInsert(b *testing.B) {
 	d := NewDynamic(nil)
 	items := dataset.Uniform(200000, 0.001, 24)

@@ -117,7 +117,7 @@ func main() {
 		"table1", "theorem3", "lemma2", "utilization",
 		"ablation-priority", "ablation-roundb", "ablation-cache",
 		"futurework", "throughput", "layout",
-		"walbuild", "faults", "cachesweep", "serve", "compact",
+		"faults", "cachesweep", "serve", "compact",
 	}
 	if *list {
 		for _, id := range ids {
@@ -175,7 +175,6 @@ func main() {
 		"futurework":        experiments.FutureWorkUpdates,
 		"throughput":        experiments.QueryThroughput,
 		"layout":            experiments.LayoutSweep,
-		"walbuild":          experiments.WALBuild,
 		"faults":            experiments.FaultSweep,
 		"cachesweep":        experiments.CacheSweep,
 		"serve":             experiments.Serve,

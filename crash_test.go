@@ -13,7 +13,7 @@ import (
 	"prtree/internal/storage"
 )
 
-// The crash-recovery property test: run a mutation workload against a
+// The crash-recovery property test: run a rebuild workload against a
 // file-backed tree, kill the process (via the backend's deterministic
 // crash points) at EVERY persistence step — every WAL record append,
 // fsync, page write and header rewrite — reopen, and require that the
@@ -73,37 +73,19 @@ func crashDigest(t *testing.T, tr *Tree) uint32 {
 	return crc32.ChecksumIEEE([]byte(sb.String()))
 }
 
-// crashWorkload applies the deterministic mutation sequence: a bulk load,
-// single-item inserts and deletes, and a transactional rebuild. afterTx,
-// when non-nil, is called after every committed transaction.
+// crashWorkload applies the deterministic mutation sequence a static tree
+// knows: three rebuilds — PR, Hilbert, STR — over different item sets, one
+// transaction each, the first into the empty index. afterTx, when non-nil,
+// is called after every committed transaction.
 func crashWorkload(tr *Tree, afterTx func()) {
 	r := rand.New(rand.NewSource(7))
-	base := crashItems(r, 180, 0)
-	step := func() {
+	for i, l := range []Loader{PR, Hilbert, STR} {
+		if err := tr.BulkLoad(l, crashItems(r, 180-30*i, 1000*i)); err != nil {
+			panic(err)
+		}
 		if afterTx != nil {
 			afterTx()
 		}
-	}
-	if err := tr.BulkLoad(PR, base); err != nil {
-		panic(err)
-	}
-	step()
-	extra := crashItems(r, 6, 1000)
-	for _, it := range extra {
-		tr.Insert(it)
-		step()
-	}
-	for _, it := range []Item{base[3], base[77], extra[2]} {
-		tr.Delete(it)
-		step()
-	}
-	if err := tr.BulkLoad(Hilbert, crashItems(r, 120, 2000)); err != nil {
-		panic(err)
-	}
-	step()
-	for _, it := range crashItems(r, 3, 3000) {
-		tr.Insert(it)
-		step()
 	}
 }
 

@@ -33,9 +33,15 @@ func main() {
 	fmt.Printf("visited %d nodes (%d leaf blocks) for %d results\n",
 		st.NodesVisited, st.LeavesVisited, st.Results)
 
-	// Dynamic updates are available too (Guttman's algorithms).
-	tree.Insert(prtree.Item{Rect: prtree.NewRect(8.5, 47.3, 8.6, 47.43), ID: 6}) // Zurich
-	tree.Delete(items[0])
+	// A bulk-loaded tree is read-only. Insertions and deletions go to a
+	// Dynamic index (the paper's logarithmic method), which keeps the
+	// worst-case query bound under updates.
+	idx := prtree.NewDynamic(nil)
+	for _, it := range items {
+		idx.Insert(it)
+	}
+	idx.Insert(prtree.Item{Rect: prtree.NewRect(8.5, 47.3, 8.6, 47.43), ID: 6}) // Zurich
+	idx.Delete(items[0])
 	fmt.Printf("after update: %d rectangles, %d hits in Europe\n",
-		tree.Len(), len(tree.Search(q)))
+		idx.Len(), len(idx.Search(q)))
 }

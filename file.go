@@ -8,15 +8,19 @@ import (
 	"prtree/internal/storage"
 )
 
-// File-backed trees: Create a new index file, build into it (BulkLoad or
-// Insert), Close to persist, Open to serve it again — in place, with no
-// Save/Load round-trip through an in-memory copy.
+// File-backed trees: Create a new index file, build into it with BulkLoad,
+// Close to persist, Open to serve it again — in place.
+//
+// Durability rests on one invariant of the page store: a page reachable
+// from the committed state is never written. A load writes its tree into
+// fresh pages and one commit publishes it, so the write-ahead log holds
+// NOTE, STATE and COMMIT records only, never a page image.
 
 // Create makes a new (or truncates an existing) index file at path and
-// returns an empty file-backed tree on it. Fill it with BulkLoad or
-// Insert; Close (or Sync) persists the tree in place, and Open reopens it
-// with zero rebuild work. Options.Backend is ignored — Create always uses
-// the file-backed store at path.
+// returns an empty file-backed tree on it, which owns no page. Fill it
+// with BulkLoad; Close (or Sync) persists the tree in place, and Open
+// reopens it with zero rebuild work. Options.Backend is ignored — Create
+// always uses the file-backed store at path.
 func Create(path string, opts *Options) (*Tree, error) {
 	o := opts.normalized()
 	if err := storage.RemoveScratch(path); err != nil {
@@ -31,11 +35,7 @@ func Create(path string, opts *Options) (*Tree, error) {
 		dev = o.WrapBackend(dev)
 	}
 	counting, pager := newTree(dev, o)
-	inner := rtree.New(pager, rtree.Config{
-		Fanout: o.Fanout,
-		Split:  o.Update,
-		Layout: o.Layout,
-	})
+	inner := rtree.New(pager, rtree.Config{Fanout: o.Fanout, Layout: o.Layout})
 	t := &Tree{
 		inner: inner, pager: pager, io: counting, bopts: o.bulkOptions(), path: path,
 		scratch: storage.NewScratch(path, fb.BlockSize()),
@@ -80,7 +80,7 @@ func Open(path string, opts *Options) (*Tree, error) {
 	}
 	cfg := inner.Config()
 	bopts := o.bulkOptions()
-	bopts.Fanout, bopts.Layout, bopts.Split = cfg.Fanout, cfg.Layout, cfg.Split
+	bopts.Fanout, bopts.Layout = cfg.Fanout, cfg.Layout
 	return &Tree{
 		inner: inner, pager: pager, io: counting, bopts: bopts, path: path,
 		scratch:  storage.NewScratch(path, fb.BlockSize()),
@@ -93,8 +93,8 @@ func (t *Tree) Path() string { return t.path }
 
 // Recovery reports what crash recovery did when this tree was opened:
 // nil for a cleanly closed (or non-file) index, a populated RecoveryInfo
-// when Open found work in the write-ahead log — committed transactions to
-// replay, uncommitted tails to discard, or a torn tail to truncate. The
+// when Open found work in the write-ahead log — a committed state to
+// adopt, uncommitted tails to discard, or a torn tail to truncate. The
 // index is fully consistent either way; the report exists for operators
 // and tests that care whether the previous process died.
 func (t *Tree) Recovery() *RecoveryInfo { return t.recovery }

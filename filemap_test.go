@@ -43,18 +43,15 @@ func TestSyncKeepsCachedViews(t *testing.T) {
 				}
 			}
 			collect(len(items))
-			// Each round grows the file past the pages a checkpoint has
-			// seen, checkpoints, and reads every page again through whatever
-			// the cache and the pin set kept from before.
+			// Each round checkpoints and reads every page again through
+			// whatever the cache and the pin set kept from before. (A static
+			// tree is read-only, so the file does not grow here; the dynamic
+			// index below grows it between checkpoints.)
 			for round := 0; round < 3; round++ {
-				for i := 0; i < 200; i++ {
-					id := uint32(len(items) + round*200 + i)
-					tree.Insert(Item{Rect: items[int(id)%len(items)].Rect, ID: id})
-				}
 				if err := tree.Sync(); err != nil {
 					t.Fatal(err)
 				}
-				collect(len(items) + (round+1)*200)
+				collect(len(items))
 			}
 			if err := tree.Validate(); err != nil {
 				t.Fatal(err)

@@ -13,13 +13,12 @@ import (
 	"prtree/internal/storage"
 )
 
-// The durability experiments run on the real file backend (the only one
-// with a write-ahead log), not the simulated disk: WALBuild prices the
-// log on the build path, FaultSweep drives the recovery machinery through
-// every injected failure mode.
+// The durability experiment runs on the real file backend (the only one
+// with a write-ahead log), not the simulated disk: FaultSweep drives the
+// recovery machinery through every injected failure mode.
 
-// commitTx brackets one mutation in a backend transaction exactly the way
-// the public facade does: Begin, mutate, stage metadata, Commit.
+// commitTx brackets one rebuild in a backend transaction exactly the way
+// the public facade does: Begin, rebuild, stage metadata, Commit.
 func commitTx(b storage.Backend, tr **rtree.Tree, fn func()) error {
 	tx := storage.EnsureTransactional(b)
 	tx.Begin()
@@ -39,122 +38,55 @@ func commitTx(b storage.Backend, tr **rtree.Tree, fn func()) error {
 	return nil
 }
 
-// WALBuild measures what the write-ahead log costs on the two write
-// paths: a bulk load, whose fresh pages bypass the log entirely (one
-// state record and one fsync per transaction), and single-item inserts,
-// whose overwrites of committed-live pages are journaled as full block
-// images. Overhead is log bytes relative to page bytes written.
-func WALBuild(cfg Config) Table {
-	cfg = cfg.normalized()
-	dir, err := os.MkdirTemp("", "prtree-walbuild")
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	defer os.RemoveAll(dir)
-
-	fb, err := storage.CreateFile(filepath.Join(dir, "walbuild.pr"), storage.DefaultBlockSize)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	defer fb.Close()
-	counting := storage.NewCounting(fb)
-	pager := storage.NewPager(counting, 0)
-
-	items := dataset.Western(cfg.n(60000), cfg.Seed)
-	const inserts = 200
-
-	t := Table{
-		ID:    "walbuild",
-		Title: "Write-ahead-log overhead on the durable build path (file backend)",
-		Columns: []string{
-			"workload", "items", "txs", "page writes", "page KB", "WAL records", "WAL KB", "WAL overhead",
-		},
-		Notes: "overhead = WAL bytes / page bytes written; bulk loads journal only allocator state (fresh pages go direct, one fsync), per-insert commits journal full images of every live page they touch",
-	}
-
-	row := func(name string, items, txs int, writes, walRecords, walBytes uint64) {
-		pageBytes := writes * storage.DefaultBlockSize
-		t.Rows = append(t.Rows, []string{
-			name, fmtInt(uint64(items)), fmtInt(uint64(txs)),
-			fmtInt(writes), fmtInt(pageBytes / 1024),
-			fmtInt(walRecords), fmtInt(walBytes / 1024),
-			fmt.Sprintf("%.1f%%", 100*float64(walBytes)/float64(pageBytes)),
-		})
-	}
-
-	// Bulk load: one transaction, then a checkpoint.
-	var tree *rtree.Tree
-	counting.ResetStats()
-	w0 := fb.WALStats()
-	if err := commitTx(counting, &tree, func() {
-		tree = bulk.FromItems(bulk.LoaderPR, pager, items, cfg.bulkOptions())
-	}); err != nil {
-		panic(fmt.Sprintf("experiments: bulk commit: %v", err))
-	}
-	w1 := fb.WALStats()
-	row("bulk load (1 tx)", len(items), 1,
-		counting.Stats().Writes, uint64(w1.Records-w0.Records), uint64(w1.Bytes-w0.Bytes))
-	if err := counting.Sync(); err != nil {
-		panic(fmt.Sprintf("experiments: checkpoint: %v", err))
-	}
-
-	// Single-item inserts: one committed transaction each.
-	extra := dataset.Western(inserts, cfg.Seed+1)
-	counting.ResetStats()
-	w0 = fb.WALStats()
-	for i, it := range extra {
-		it.ID = uint32(1<<30 + i)
-		if err := commitTx(counting, &tree, func() { tree.Insert(it) }); err != nil {
-			panic(fmt.Sprintf("experiments: insert commit: %v", err))
-		}
-	}
-	w1 = fb.WALStats()
-	row(fmt.Sprintf("inserts (%d txs)", inserts), inserts, inserts,
-		counting.Stats().Writes, uint64(w1.Records-w0.Records), uint64(w1.Bytes-w0.Bytes))
-	return t
-}
-
 // safeCall runs fn, converting a panic into an error, so torture results
 // (a torn page that fails structural decoding, say) land in a table row
 // instead of killing the harness.
 func safeCall(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
+			if perr, ok := r.(error); ok {
+				err = fmt.Errorf("panic: %w", perr)
+			} else {
+				err = fmt.Errorf("panic: %v", r)
+			}
 		}
 	}()
 	return fn()
 }
 
 // FaultSweep drives a file-backed tree through every Faulty mode: build a
-// committed base, arm the fault, insert until the backend errors, dies or
-// silently stops persisting, then model process death (Abandon), reopen
-// and report what recovery restored. The invariant on the honest modes
-// (error, crash): every acked insert is recovered and nothing torn
-// survives. The stop mode is the treacherous disk — it acks commits it
-// dropped, so recovery honestly reports fewer.
+// committed base, arm the fault, rebuild the tree over a growing item set
+// — one committed transaction per rebuild, the way Tree.BulkLoad mutates
+// a static index — until the backend errors, dies or silently stops
+// persisting, then model process death (Abandon), reopen and report which
+// rebuild recovery restored. The invariant on the honest modes (error,
+// crash): the last acked rebuild is recovered and nothing torn survives.
+// The stop mode is the treacherous disk — it acks commits it dropped, so
+// recovery honestly reports an earlier one.
 func FaultSweep(cfg Config) Table {
 	cfg = cfg.normalized()
-	base := dataset.Western(cfg.n(20000), cfg.Seed)
-
 	t := Table{
 		ID:    "faults",
-		Title: "Fault-injected write paths and what recovery restores (file backend)",
+		Title: "Fault-injected rebuilds and what recovery restores (file backend)",
 		Columns: []string{
-			"fault", "workload outcome", "acked inserts", "recovered", "reopen", "validate", "scrub",
+			"fault", "workload outcome", "acked rebuilds", "recovered", "reopen", "validate", "scrub",
 		},
-		Notes: "fault armed 25 counted ops into the insert workload; the process then dies without checkpointing, so every reopen replays the log; a torn write is an application-level short write the checksum cannot see (it covers what was written) — structural validation is the net that catches it",
+		Notes: "rebuild i loads the base set plus i items, one transaction; fault armed 25 counted ops into the rebuilds; the process then dies without checkpointing, so every reopen adopts the log's last committed state; a torn write is an application-level short write the checksum cannot see (it covers what was written) — structural validation is the net that catches it",
 	}
-
+	const rebuilds = 40
+	items := dataset.Western(cfg.n(2000)+rebuilds, cfg.Seed)
 	for _, mode := range []storage.FaultMode{
 		storage.FaultError, storage.FaultTorn, storage.FaultCrash, storage.FaultStop,
 	} {
-		t.Rows = append(t.Rows, faultRow(cfg, mode, base))
+		t.Rows = append(t.Rows, faultRow(cfg, mode, items, rebuilds))
 	}
 	return t
 }
 
-func faultRow(cfg Config, mode storage.FaultMode, base []geom.Item) []string {
+// faultRow runs one mode: rebuild i (0 is the base) holds the first
+// len(items)-rebuilds+i items, so the recovered tree's size names the
+// rebuild it came from.
+func faultRow(cfg Config, mode storage.FaultMode, items []geom.Item, rebuilds int) []string {
 	dir, err := os.MkdirTemp("", "prtree-faults")
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
@@ -168,31 +100,31 @@ func faultRow(cfg Config, mode storage.FaultMode, base []geom.Item) []string {
 	}
 	faulty := storage.NewFaulty(fb, mode, 0) // disarmed during the base build
 	pager := storage.NewPager(faulty, 0)
-
+	base := len(items) - rebuilds
 	var tree *rtree.Tree
-	if err := commitTx(faulty, &tree, func() {
-		tree = bulk.FromItems(bulk.LoaderPR, pager, base, cfg.bulkOptions())
-	}); err != nil {
+	rebuild := func(i int) func() {
+		return func() {
+			if tree != nil {
+				tree.Release()
+			}
+			tree = bulk.PRTreeSlice(pager, items[:base+i], cfg.bulkOptions())
+		}
+	}
+	if err := commitTx(faulty, &tree, rebuild(0)); err != nil {
 		panic(fmt.Sprintf("experiments: base build: %v", err))
 	}
 	if err := faulty.Sync(); err != nil {
 		panic(fmt.Sprintf("experiments: base checkpoint: %v", err))
 	}
 
-	const inserts = 40
 	faulty.Arm(25)
 	acked := 0
 	outcome := "completed"
-	extra := dataset.Western(inserts, cfg.Seed+2)
-	for i := range extra {
-		extra[i].ID = uint32(1<<30 + i)
-		err := safeCall(func() error {
-			it := extra[i]
-			return commitTx(faulty, &tree, func() { tree.Insert(it) })
-		})
+	for i := 1; i <= rebuilds; i++ {
+		err := safeCall(func() error { return commitTx(faulty, &tree, rebuild(i)) })
 		if err != nil {
 			if errors.Is(err, storage.ErrInjectedFault) {
-				outcome = fmt.Sprintf("fault surfaced at insert %d", i+1)
+				outcome = fmt.Sprintf("fault surfaced at rebuild %d", i)
 			} else {
 				outcome = err.Error()
 			}
@@ -219,7 +151,7 @@ func faultRow(cfg Config, mode storage.FaultMode, base []geom.Item) []string {
 		if err != nil {
 			return err
 		}
-		recovered = fmtInt(uint64(rt.Len() - len(base)))
+		recovered = fmtInt(uint64(rt.Len() - base))
 		return rt.Validate()
 	}); err != nil {
 		validate = err.Error()

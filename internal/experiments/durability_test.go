@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestWALBuildShape(t *testing.T) {
-	tbl := WALBuild(Config{Scale: 0.02, Seed: 11})
-	if tbl.ID != "walbuild" || len(tbl.Rows) != 2 {
-		t.Fatalf("table %q has %d rows, want walbuild/2", tbl.ID, len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if len(row) != len(tbl.Columns) {
-			t.Fatalf("row %v has %d cells, want %d", row, len(row), len(tbl.Columns))
-		}
-	}
-	// The bulk path journals only allocator state; the insert path journals
-	// full page images. Its relative WAL overhead must be strictly higher.
-	overhead := func(row []string) string { return row[len(row)-1] }
-	bulkPct := parsePct(t, overhead(tbl.Rows[0]))
-	insPct := parsePct(t, overhead(tbl.Rows[1]))
-	if bulkPct >= insPct {
-		t.Errorf("bulk WAL overhead %.1f%% not below insert overhead %.1f%%", bulkPct, insPct)
-	}
-}
-
 func TestFaultSweepRecovery(t *testing.T) {
 	tbl := FaultSweep(Config{Scale: 0.02, Seed: 12})
 	if tbl.ID != "faults" || len(tbl.Rows) != 4 {
@@ -42,10 +22,10 @@ func TestFaultSweepRecovery(t *testing.T) {
 		}
 		switch mode {
 		case "error", "crash":
-			// Honest failure modes: recovery restores exactly what was
-			// acked, and the recovered index is sound.
+			// Honest failure modes: recovery restores exactly the last
+			// acked rebuild, and the recovered index is sound.
 			if recovered != acked {
-				t.Errorf("%s: recovered %s inserts, acked %s", mode, recovered, acked)
+				t.Errorf("%s: recovered rebuild %s, acked %s", mode, recovered, acked)
 			}
 			if validate := row[5]; validate != "ok" {
 				t.Errorf("%s: recovered tree failed validation: %s", mode, validate)

@@ -10,9 +10,12 @@ import (
 // Tree metadata: a small self-describing record (magic + eight words)
 // holding everything needed to reopen a tree over an existing page store —
 // the root page, shape counters and effective configuration. It is stored
-// as the trailing record of Save streams and as the superblock blob of
-// persistent backends (see storage.Backend.SetMeta), so a file-backed tree
-// reopens in place with zero rebuild work.
+// as the superblock blob of persistent backends (see
+// storage.Backend.SetMeta), so a file-backed tree reopens in place with
+// zero rebuild work. An empty tree records root NilPage and height 0.
+
+// Version 02 appended the layout word to the metadata record.
+var treeMagic = [8]byte{'P', 'R', 'T', 'R', 'E', 'E', '0', '2'}
 
 // MetaSize is the encoded size of a tree metadata record.
 const MetaSize = len(treeMagic) + 8*8
@@ -55,9 +58,10 @@ func OpenFromMeta(pager *storage.Pager, meta []byte) (*Tree, error) {
 		words[i] = binary.LittleEndian.Uint64(meta[len(treeMagic)+8*i:])
 	}
 	dev := pager.Backend()
+	empty := words[0] == uint64(storage.NilPage)
 	// Range-check the root id at full width before narrowing to PageID: a
 	// corrupt upper half would otherwise truncate onto a valid page.
-	if words[0] >= uint64(dev.NumPages()) {
+	if !empty && words[0] >= uint64(dev.NumPages()) {
 		return nil, fmt.Errorf("rtree: root page %d out of range", words[0])
 	}
 	if words[7] > uint64(LayoutCompressed) {
@@ -77,7 +81,11 @@ func OpenFromMeta(pager *storage.Pager, meta []byte) (*Tree, error) {
 		nNodes: int(words[3]),
 		buf:    make([]byte, dev.BlockSize()),
 	}
-	if t.height < 1 {
+	if empty {
+		if t.height != 0 || t.nItems != 0 || t.nNodes != 0 {
+			return nil, fmt.Errorf("rtree: a tree without a root records height %d, %d items, %d nodes", t.height, t.nItems, t.nNodes)
+		}
+	} else if t.height < 1 {
 		return nil, fmt.Errorf("rtree: implausible height %d", t.height)
 	}
 	// Sanity-check the root page header through a zero-copy view over the
@@ -92,6 +100,9 @@ func OpenFromMeta(pager *storage.Pager, meta []byte) (*Tree, error) {
 	}
 	if t.cfg.Fanout < 2 || t.cfg.Fanout > t.cfg.Layout.MaxFanout(dev.BlockSize()) {
 		return nil, fmt.Errorf("rtree: implausible fanout %d for %d-byte blocks under the %s layout", t.cfg.Fanout, dev.BlockSize(), t.cfg.Layout)
+	}
+	if empty {
+		return t, nil
 	}
 	root := makeView(dev.PeekNoCopy(t.root))
 	if kind := root.data[0]; kind != kindLeaf && kind != kindInternal {

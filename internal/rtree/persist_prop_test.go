@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,10 +9,10 @@ import (
 )
 
 // TestLoadRejectsRawFlaggedOversizedRoot covers the hostile flag/count
-// combination on the other side of the per-page-layout bound: a snapshot
-// of a compressed tree (fanout 338) whose root page has its compressed
-// flag cleared must be rejected, not indexed past the block as a raw page
-// holding more entries than a raw page can.
+// combination on the other side of the per-page-layout bound: a compressed
+// tree (fanout 338) whose root page has its compressed flag cleared must be
+// refused, not indexed past the block as a raw page holding more entries
+// than a raw page can.
 func TestLoadRejectsRawFlaggedOversizedRoot(t *testing.T) {
 	// Enough items for a root with > 113 children at compressed fanout.
 	items := xSorted(gridItems(338*130, 16, 1))
@@ -22,28 +21,23 @@ func TestLoadRejectsRawFlaggedOversizedRoot(t *testing.T) {
 	if rootView.isLeaf() || !rootView.comp || rootView.count() <= MaxFanout(4096) {
 		t.Fatalf("test premise: root comp=%v count=%d", rootView.comp, rootView.count())
 	}
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot layout: "PRDISK01" + blockSize u32 + numPages u32 +
-	// freeCount u32 + free[] + pages. Clear the root page's flag byte.
-	data := buf.Bytes()
-	freeCount := int(uint32(data[16]) | uint32(data[17])<<8 | uint32(data[18])<<16 | uint32(data[19])<<24)
-	pageOff := 20 + 4*freeCount + int(tr.Root())*4096
-	if data[pageOff+1]&flagCompressed == 0 {
+	dev := tr.Pager().Backend()
+	page := append([]byte(nil), dev.PeekNoCopy(tr.Root())...)
+	if page[1]&flagCompressed == 0 {
 		t.Fatal("did not land on the compressed root page")
 	}
-	data[pageOff+1] = 0
-	if _, err := Load(bytes.NewReader(data), -1); err == nil {
-		t.Fatal("Load accepted a raw-flagged root with a compressed-sized count")
+	page[1] = 0 // clear the root page's flag byte
+	dev.Write(tr.Root(), page)
+	if _, err := reopen(tr); err == nil {
+		t.Fatal("OpenFromMeta accepted a raw-flagged root with a compressed-sized count")
 	}
 }
 
 // TestPersistReopenProperty is the persistence acceptance property:
 // bulk-built trees of both layouts, across block sizes and seeds, must
-// survive a Save -> Load round trip with their structural invariants
-// intact (Validate walks every page) and bit-identical query results.
+// reopen from their metadata record over their pages with their structural
+// invariants intact (Validate walks every page) and bit-identical query
+// results.
 func TestPersistReopenProperty(t *testing.T) {
 	for _, blockSize := range []int{512, 1024, 4096, 8192} {
 		for _, layout := range []Layout{LayoutRaw, LayoutCompressed} {
@@ -59,7 +53,7 @@ func TestPersistReopenProperty(t *testing.T) {
 					items = xSorted(items)
 					orig := buildLayout(t, items, layout, blockSize)
 
-					// A few dynamic updates before saving, so reopened
+					// A few heuristic updates before reopening, so reopened
 					// trees carry update-path pages (requantized covers,
 					// raw-fallback splits) too.
 					rng := rand.New(rand.NewSource(seed))
@@ -71,19 +65,15 @@ func TestPersistReopenProperty(t *testing.T) {
 						orig.Delete(items[i*7])
 					}
 					if err := orig.Validate(); err != nil {
-						t.Fatalf("pre-save: %v", err)
+						t.Fatalf("pre-reopen: %v", err)
 					}
 
-					var buf bytes.Buffer
-					if err := orig.Save(&buf); err != nil {
-						t.Fatalf("save: %v", err)
-					}
-					reopened, err := Load(&buf, -1)
+					reopened, err := reopen(orig)
 					if err != nil {
-						t.Fatalf("load: %v", err)
+						t.Fatalf("reopen: %v", err)
 					}
 					if err := reopened.Validate(); err != nil {
-						t.Fatalf("post-load: %v", err)
+						t.Fatalf("post-reopen: %v", err)
 					}
 					if reopened.Layout() != layout || reopened.Len() != orig.Len() ||
 						reopened.Height() != orig.Height() || reopened.Nodes() != orig.Nodes() {

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -10,14 +9,20 @@ import (
 	"prtree/internal/storage"
 )
 
+// A tree persists as its pages plus its metadata record: a file-backed
+// index keeps the record in its superblock and reopens with OpenFromMeta.
+// These tests reopen trees that way, over the same pages, behind a cold
+// pager.
+
+// reopen reopens tr from its metadata record over the same page store.
+func reopen(tr *Tree) (*Tree, error) {
+	return OpenFromMeta(storage.NewPager(tr.Pager().Backend(), -1), tr.EncodeMeta())
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	items := randItems(3000, 1)
 	tr := buildPacked(t, items, 16)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf, -1)
+	got, err := reopen(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,19 +44,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveLoadThenUpdate(t *testing.T) {
 	items := randItems(500, 3)
 	tr := buildPacked(t, items, 8)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf, -1)
+	got, err := reopen(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The reopened tree must accept updates (freelist restored).
+	// The reopened tree carries its configuration: the heuristic updates
+	// run on it.
 	extra := geom.Item{Rect: geom.NewRect(0.1, 0.1, 0.2, 0.2), ID: 9999}
 	got.Insert(extra)
 	if !got.Delete(items[0]) {
-		t.Fatal("delete on loaded tree failed")
+		t.Fatal("delete on reopened tree failed")
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
@@ -61,171 +63,113 @@ func TestSaveLoadThenUpdate(t *testing.T) {
 	}
 }
 
+// TestSaveLoadEmptyTree: an empty tree owns no page, records a root-less
+// metadata record, reopens as one, answers nothing, and takes a first
+// insert.
 func TestSaveLoadEmptyTree(t *testing.T) {
 	tr := newTestTree(t, Config{Fanout: 8})
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
+	if tr.Root() != storage.NilPage || tr.Pager().Backend().NumPages() != 0 {
+		t.Fatalf("an empty tree owns root %d and %d pages", tr.Root(), tr.Pager().Backend().NumPages())
 	}
-	got, err := Load(&buf, -1)
+	got, err := reopen(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 0 || got.Height() != 1 {
+	if got.Len() != 0 || got.Height() != 0 || got.Nodes() != 0 || got.Root() != storage.NilPage {
 		t.Fatalf("empty round trip: %v", got)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if st := got.Query(geom.NewRect(0, 0, 1, 1), nil); st != (QueryStats{}) {
+		t.Errorf("a query of an empty tree did %+v", st)
+	}
+	got.Insert(geom.Item{Rect: geom.NewRect(0.1, 0.1, 0.2, 0.2), ID: 1})
+	if got.Len() != 1 || got.Height() != 1 || got.Nodes() != 1 {
+		t.Fatalf("after the first insert: %v", got)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a tree")), -1); err == nil {
-		t.Error("garbage should not load")
+	pager := storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1)
+	if _, err := OpenFromMeta(pager, []byte("not a tree")); err == nil {
+		t.Error("garbage should not open")
 	}
-	if _, err := Load(bytes.NewReader(nil), -1); err == nil {
-		t.Error("empty input should not load")
+	if _, err := OpenFromMeta(pager, nil); err == nil {
+		t.Error("an empty record should not open")
+	}
+	bad := make([]byte, MetaSize)
+	copy(bad, "PRTREE99")
+	if _, err := OpenFromMeta(pager, bad); err == nil {
+		t.Error("a record with a foreign magic should not open")
 	}
 }
 
+// TestLoadRejectsCorruptHeader: hostile metadata records and root pages
+// are refused with an error, never a panic.
 func TestLoadRejectsCorruptHeader(t *testing.T) {
-	items := randItems(200, 21)
-	tr := buildPacked(t, items, 8)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	pristine := buf.Bytes()
-
-	// Locate the root page and the tree metadata in the snapshot:
-	// PRDISK01 blockSize:u32 numPages:u32 freeCount:u32 free[]:u32 pages,
-	// then PRTREE01 root:u64 height:u64 ... fanout:u64 ...
-	blockSize := binary.LittleEndian.Uint32(pristine[8:])
-	numPages := binary.LittleEndian.Uint32(pristine[12:])
-	freeCount := binary.LittleEndian.Uint32(pristine[16:])
-	pagesOff := 20 + 4*freeCount
-	metaOff := pagesOff + numPages*blockSize + 8
-	root := binary.LittleEndian.Uint64(pristine[metaOff:])
-
-	corrupt := func(name string, mutate func(b []byte)) {
-		b := append([]byte(nil), pristine...)
-		mutate(b)
-		if _, err := Load(bytes.NewReader(b), -1); err == nil {
-			t.Errorf("%s: corrupt snapshot should not load", name)
+	// corrupt builds a fresh tree, lets mutate damage its record or pages,
+	// and requires the reopen to fail.
+	corrupt := func(name string, n int, mutate func(disk *storage.Disk, root storage.PageID, meta []byte)) {
+		t.Helper()
+		disk := storage.NewDisk(storage.DefaultBlockSize)
+		b := NewBuilder(storage.NewPager(disk, -1), Config{Fanout: 8})
+		var leaves []ChildEntry
+		items := randItems(n, 21)
+		for lo := 0; lo < len(items); lo += 8 {
+			leaves = append(leaves, b.WriteLeaf(items[lo:min(lo+8, len(items))]))
+		}
+		tr := b.FinishPacked(leaves)
+		meta := tr.EncodeMeta()
+		mutate(disk, tr.Root(), meta)
+		if _, err := OpenFromMeta(storage.NewPager(disk, -1), meta); err == nil {
+			t.Errorf("%s: a corrupt tree should not open", name)
 		}
 	}
-	corrupt("bad root kind", func(b []byte) {
-		b[pagesOff+uint32(root)*blockSize] = 7
+	word := func(meta []byte, i int, v uint64) {
+		binary.LittleEndian.PutUint64(meta[len(treeMagic)+8*i:], v)
+	}
+	corrupt("bad root kind", 200, func(disk *storage.Disk, root storage.PageID, _ []byte) {
+		page := append([]byte(nil), disk.PeekNoCopy(root)...)
+		page[0] = 7
+		disk.Write(root, page)
 	})
-	corrupt("oversized fanout", func(b []byte) {
-		binary.LittleEndian.PutUint64(b[metaOff+4*8:], 70000)
-	})
-	corrupt("internal root with height 1", func(b []byte) {
-		binary.LittleEndian.PutUint64(b[metaOff+8:], 1)
-	})
-	corrupt("root id overflowing uint32", func(b []byte) {
+	corrupt("oversized fanout", 200, func(_ *storage.Disk, _ storage.PageID, meta []byte) { word(meta, 4, 70000) })
+	corrupt("internal root with height 1", 200, func(_ *storage.Disk, _ storage.PageID, meta []byte) { word(meta, 1, 1) })
+	corrupt("root id overflowing uint32", 200, func(_ *storage.Disk, root storage.PageID, meta []byte) {
 		// 2^32 + root would truncate back onto the valid root page if the
 		// id were narrowed before range-checking.
-		binary.LittleEndian.PutUint64(b[metaOff:], 1<<32|root)
+		word(meta, 0, 1<<32|uint64(root))
 	})
-	// A leaf root with a recorded height > 1 must be rejected: save a
-	// single-leaf tree and bump its height metadata.
-	small := buildPacked(t, randItems(3, 22), 8)
-	var sb bytes.Buffer
-	if err := small.Save(&sb); err != nil {
-		t.Fatal(err)
-	}
-	s := sb.Bytes()
-	sFree := binary.LittleEndian.Uint32(s[16:])
-	sPages := binary.LittleEndian.Uint32(s[12:])
-	sMeta := 20 + 4*sFree + sPages*blockSize + 8
-	binary.LittleEndian.PutUint64(s[sMeta+8:], 2)
-	if _, err := Load(bytes.NewReader(s), -1); err == nil {
-		t.Error("leaf root with height 2 should not load")
-	}
+	corrupt("leaf root with height 2", 3, func(_ *storage.Disk, _ storage.PageID, meta []byte) { word(meta, 1, 2) })
+	corrupt("root-less record counting items", 200, func(_ *storage.Disk, _ storage.PageID, meta []byte) {
+		word(meta, 0, uint64(storage.NilPage))
+		word(meta, 1, 0)
+	})
 
-	// A snapshot whose block size cannot hold a node header must be
-	// rejected, not panic (the root view would index past the page).
+	// A store whose block size cannot hold a node header must be rejected,
+	// not panic (the root view would index past the page).
 	tiny := storage.NewDisk(2)
 	tiny.Alloc()
-	var tb bytes.Buffer
-	if _, err := tiny.WriteTo(&tb); err != nil {
-		t.Fatal(err)
+	meta := make([]byte, MetaSize)
+	copy(meta, treeMagic[:])
+	for i, v := range []uint64{0, 1, 0, 1, 8, 3, 0} { // root height items nodes fanout minfill split
+		word(meta, i, v)
 	}
-	tb.Write([]byte("PRTREE01"))
-	var u64 [8]byte
-	for _, v := range []uint64{0, 1, 0, 1, 8, 3, 0} { // root height items nodes fanout minfill split
-		binary.LittleEndian.PutUint64(u64[:], v)
-		tb.Write(u64[:])
-	}
-	if _, err := Load(bytes.NewReader(tb.Bytes()), -1); err == nil {
-		t.Error("tiny-block snapshot should not load")
+	if _, err := OpenFromMeta(storage.NewPager(tiny, -1), meta); err == nil {
+		t.Error("a tiny-block store should not open")
 	}
 }
 
 func TestLoadRejectsTruncated(t *testing.T) {
-	items := randItems(200, 4)
-	tr := buildPacked(t, items, 8)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, cut := range []int{10, len(data) / 2, len(data) - 4} {
-		if _, err := Load(bytes.NewReader(data[:cut]), -1); err == nil {
-			t.Errorf("truncation at %d should fail", cut)
+	tr := buildPacked(t, randItems(200, 4), 8)
+	meta := tr.EncodeMeta()
+	for _, cut := range []int{0, 10, len(meta) / 2, len(meta) - 4} {
+		if _, err := OpenFromMeta(storage.NewPager(tr.Pager().Backend(), -1), meta[:cut]); err == nil {
+			t.Errorf("a record truncated at %d should not open", cut)
 		}
-	}
-}
-
-func TestDiskSnapshotRoundTrip(t *testing.T) {
-	d := storage.NewDisk(128)
-	var ids []storage.PageID
-	for i := 0; i < 10; i++ {
-		id := d.Alloc()
-		d.Write(id, []byte{byte(i), byte(i * 2)})
-		ids = append(ids, id)
-	}
-	d.Free(ids[3])
-	d.Free(ids[7])
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := storage.ReadDiskFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumPages() != d.NumPages() || got.PagesInUse() != d.PagesInUse() {
-		t.Fatalf("page accounting mismatch")
-	}
-	for i, id := range ids {
-		if i == 3 || i == 7 {
-			continue
-		}
-		b := got.PeekNoCopy(id)
-		if b[0] != byte(i) || b[1] != byte(i*2) {
-			t.Fatalf("page %d content mismatch", id)
-		}
-	}
-	// Freed pages must be reused first, like the original.
-	if id := got.Alloc(); id != ids[7] && id != ids[3] {
-		t.Errorf("freelist not restored: alloc returned %d", id)
-	}
-}
-
-func TestSnapshotTrailingDataPreserved(t *testing.T) {
-	// ReadDiskFrom must not consume bytes beyond the snapshot.
-	d := storage.NewDisk(64)
-	id := d.Alloc()
-	d.Write(id, []byte{1})
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString("TRAILER")
-	if _, err := storage.ReadDiskFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rest := buf.String()
-	if rest != "TRAILER" {
-		t.Errorf("trailing data corrupted: %q", rest)
 	}
 }

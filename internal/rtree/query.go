@@ -48,8 +48,11 @@ type RunOptions struct {
 // both layouts (lossless compression or raw fallback), keeping reported
 // results bit-identical to the raw layout.
 func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt RunOptions) (QueryStats, error) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	var st QueryStats
+	if t.root == storage.NilPage {
+		return st, nil
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	sp := t.grabStack()
 	stack := append(*sp, t.root)
 	for len(stack) > 0 {

@@ -118,8 +118,6 @@ func TestRStarDuplicates(t *testing.T) {
 
 func TestRStarInsertIntoBulkLoadedTree(t *testing.T) {
 	items := randItems(1000, 7)
-	disk := newTestTree(t, Config{}).Pager().Disk()
-	_ = disk
 	tr := buildPacked(t, items, 16)
 	// Flip the tree's config to R* for subsequent inserts.
 	tr.cfg.Split = RStarSplit

@@ -45,11 +45,16 @@ const (
 // Reads come in two flavors. The query paths (Query, PointQuery,
 // ContainmentQuery, NearestNeighbors, Walk, Validate, MBR) use zero-copy
 // nodeViews over the pager's cached bytes, so a cache-hit node visit
-// allocates nothing. The mutation paths (Insert, Delete) materialize nodes
-// and memoize them in the pager's decoded cache, kept coherent by
-// write-through in writeNode and invalidation in freeNode and the pager
-// itself. Both flavors call Pager.Read first, so block-I/O accounting is
-// identical to an implementation that decodes eagerly.
+// allocates nothing. The heuristic update paths (Insert, Delete; internal,
+// for the in-memory update experiments) materialize nodes and memoize them
+// in the pager's decoded cache, kept coherent by write-through in writeNode
+// and invalidation in freeNode and the pager itself. Both flavors call
+// Pager.Read first, so block-I/O accounting is identical to an
+// implementation that decodes eagerly.
+//
+// An empty tree owns no page: its root is NilPage and its height 0. New
+// returns one, and Release leaves one behind; every read path treats it as
+// holding nothing.
 //
 // # Concurrency
 //
@@ -71,13 +76,11 @@ type Tree struct {
 	stacks sync.Pool // per-traversal scratch stacks (*[]storage.PageID)
 }
 
-// New creates an empty tree (a single empty leaf) on the pager.
+// New creates an empty tree on the pager. It allocates no page; the first
+// Insert writes the root leaf.
 func New(pager *storage.Pager, cfg Config) *Tree {
 	normalizeConfig(&cfg, pager.Backend().BlockSize())
-	t := &Tree{pager: pager, cfg: cfg, height: 1, buf: make([]byte, pager.Backend().BlockSize())}
-	root := &node{kind: kindLeaf}
-	t.root = t.allocNode(root)
-	return t
+	return &Tree{pager: pager, cfg: cfg, root: storage.NilPage, buf: make([]byte, pager.Backend().BlockSize())}
 }
 
 func normalizeConfig(cfg *Config, blockSize int) {
@@ -269,6 +272,9 @@ func (t *Tree) QueryCount(q geom.Rect) QueryStats {
 // (0 = leaf level) and entries. Internal entries carry child page ids in
 // Item.ID. Walk is intended for inspection, validation and pinning.
 func (t *Tree) Walk(fn func(page storage.PageID, level int, isLeaf bool, entries []geom.Item)) {
+	if t.root == storage.NilPage {
+		return
+	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	type frame struct {
 		page  storage.PageID
@@ -329,9 +335,9 @@ func (t *Tree) MBR() geom.Rect {
 }
 
 // Release frees every page of the tree back to the disk and invalidates
-// cached copies, zeroing all counters. The tree must not be queried
-// afterwards (MBR remains safe and reports an empty rect). Callers that
-// rebuild indexes (e.g. the logarithmic method) use this to reclaim space.
+// cached copies, leaving an empty tree that owns no page. Callers that
+// rebuild indexes (e.g. a bulk load into an existing index) use this to
+// reclaim space.
 func (t *Tree) Release() {
 	t.FreePages()
 	t.root = storage.NilPage

@@ -90,15 +90,23 @@ func TestNodeCodecFullFanout(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tr := newTestTree(t, Config{})
-	if tr.Len() != 0 || tr.Height() != 1 || tr.Nodes() != 1 {
+	if tr.Len() != 0 || tr.Height() != 0 || tr.Nodes() != 0 || tr.Root() != storage.NilPage {
 		t.Errorf("empty tree: %v", tr)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Errorf("empty tree invalid: %v", err)
 	}
 	st := tr.QueryCount(geom.NewRect(0, 0, 1, 1))
-	if st.Results != 0 || st.NodesVisited != 1 {
+	if st.Results != 0 || st.NodesVisited != 0 {
 		t.Errorf("empty query stats: %+v", st)
+	}
+	if tr.Delete(geom.Item{Rect: geom.NewRect(0, 0, 1, 1), ID: 1}) {
+		t.Error("a delete from an empty tree reported success")
+	}
+	walked := 0
+	tr.Walk(func(storage.PageID, int, bool, []geom.Item) { walked++ })
+	if walked != 0 {
+		t.Errorf("Walk of an empty tree visited %d pages", walked)
 	}
 }
 
@@ -319,7 +327,7 @@ func TestReleaseResetsCounters(t *testing.T) {
 	if tr.Height() < 2 || tr.Nodes() < 2 {
 		t.Fatalf("test tree too small: %v", tr)
 	}
-	disk := tr.Pager().Disk()
+	disk := tr.Pager().Backend().(*storage.Disk)
 	inUse := disk.PagesInUse()
 	tr.Release()
 	if tr.Len() != 0 || tr.Nodes() != 0 || tr.Height() != 0 {

@@ -16,6 +16,10 @@ import (
 // query guarantee; these are those standard algorithms.
 func (t *Tree) Insert(it geom.Item) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
+	if t.root == storage.NilPage {
+		t.root = t.allocNode(&node{kind: kindLeaf})
+		t.height = 1
+	}
 	if t.cfg.Split == RStarSplit {
 		t.insertRStar(it.Rect, it.ID, 0, make(map[int]bool))
 	} else {
@@ -326,6 +330,9 @@ func (t *Tree) splitGuttman(n *node, s1, s2 int) (*node, *node) {
 // underfull nodes are dissolved and their entries reinserted at their
 // original level; the root is collapsed when it has a single child.
 func (t *Tree) Delete(it geom.Item) bool {
+	if t.root == storage.NilPage {
+		return false
+	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	path, idx := t.findLeaf(t.root, t.height-1, it, nil)
 	if path == nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"prtree/internal/dataset"
 	"prtree/internal/geom"
 	"prtree/internal/storage"
 )
@@ -267,10 +268,21 @@ func TestInsertIOBounded(t *testing.T) {
 	// O(n). Allow generous slack for splits.
 	items := randItems(5000, 13)
 	tr := buildPacked(t, items, 16)
-	disk := tr.Pager().Disk()
+	disk := tr.Pager().Backend().(*storage.Disk)
 	disk.ResetStats()
 	tr.Insert(geom.Item{Rect: geom.NewRect(0.5, 0.5, 0.51, 0.51), ID: 99999})
 	if total := disk.Stats().Total(); total > uint64(6*tr.Height()+10) {
 		t.Errorf("insert cost %d I/Os for height-%d tree", total, tr.Height())
+	}
+}
+
+// BenchmarkGuttmanInsert prices one heuristic insert (Guttman's quadratic
+// split) into a growing in-memory tree.
+func BenchmarkGuttmanInsert(b *testing.B) {
+	tree := New(storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), Config{})
+	items := dataset.Uniform(200000, 0.001, 23)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.Insert(items[i%len(items)])
 	}
 }

@@ -18,7 +18,15 @@ import (
 //   - node counts are within [1, fanout] (the root leaf may be empty);
 //   - the recorded item and node counts match the actual tree;
 //   - no page is referenced twice.
+//
+// An empty tree that owns no page is valid when it counts nothing.
 func (t *Tree) Validate() error {
+	if t.root == storage.NilPage {
+		if t.nItems != 0 || t.nNodes != 0 || t.height != 0 {
+			return fmt.Errorf("rtree: a tree without a root reports %d items, %d nodes, height %d", t.nItems, t.nNodes, t.height)
+		}
+		return nil
+	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	seen := make(map[storage.PageID]bool)
 	items, nodes, err := t.validate(t.root, t.height-1, seen)

@@ -59,11 +59,10 @@ type Backend interface {
 
 // StableReader is the optional zero-copy capability of a backend that maps
 // its own storage (FileBackend on Linux): a demand read (counted like Read)
-// returning a view that stays valid, and coherent with every Write that
-// reaches the storage, until the backend is closed — no read buffer, no
-// copy, no syscall. ok=false means the page has no stable view (it lies
-// beyond the written extent, or a transaction overlay hides it) and the
-// caller must fall back to Read.
+// returning a view that stays valid, and coherent with every Write, until
+// the backend is closed — no read buffer, no copy, no syscall. ok=false
+// means the page has no stable view (it lies beyond the written extent) and
+// the caller must fall back to Read.
 type StableReader interface {
 	ReadStable(id PageID) (data []byte, ok bool)
 }
@@ -89,8 +88,9 @@ var (
 )
 
 // Transactional is the optional atomicity seam a Backend may implement.
-// Mutation paths (insert, delete, bulk load) bracket their page writes
-// with Begin/Commit so a durable backend can make the whole batch atomic:
+// Mutation paths (a dynamic index's mutations, a bulk load) bracket their
+// page writes with Begin/Commit so a durable backend can make the whole
+// batch atomic:
 // after Commit returns the mutation survives a crash, and a crash before
 // Commit rolls the store back to the previous committed state on reopen.
 // Rollback discards an open transaction in memory (e.g. on a mid-mutation
@@ -127,23 +127,6 @@ func EnsureTransactional(b Backend) Transactional {
 // unwrapper is implemented by decorators (e.g. Counting) so helpers can
 // reach the innermost backend.
 type unwrapper interface{ Unwrap() Backend }
-
-// AsDisk unwraps decorators and returns the underlying in-memory Disk, or
-// (nil, false) when the chain bottoms out in a different backend. It lets
-// snapshot-based persistence (rtree.Save) and simulator-only test hooks
-// state their requirement explicitly.
-func AsDisk(b Backend) (*Disk, bool) {
-	for {
-		if d, ok := b.(*Disk); ok {
-			return d, true
-		}
-		u, ok := b.(unwrapper)
-		if !ok {
-			return nil, false
-		}
-		b = u.Unwrap()
-	}
-}
 
 // AsFile unwraps decorators and returns the underlying FileBackend, or
 // (nil, false) when the chain bottoms out elsewhere. It gives durability

@@ -151,8 +151,8 @@ func TestFaultyTransparent(t *testing.T) {
 	if f.Ops() != 2 { // 1 write + 1 commit
 		t.Errorf("Ops = %d, want 2", f.Ops())
 	}
-	if d, ok := AsDisk(f); !ok || d == nil {
-		t.Error("AsDisk failed to unwrap Faulty")
+	if fb, ok := AsFile(f); ok || fb != nil {
+		t.Errorf("AsFile(Faulty over a Disk) = %v, %v; want nil, false", fb, ok)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)

@@ -7,14 +7,18 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // FileBackend stores pages in a real O_RDWR page file, so an index larger
-// than RAM can be built once and served across process runs with no
-// Save/Load round-trip through an in-memory copy.
+// than RAM can be built once and served across process runs.
+//
+// Its one invariant: a page reachable from the committed state is never
+// written. Every owner mutates copy-on-write — it writes pages it allocated,
+// frees the ones they replace and publishes the switch with a commit — so a
+// write always goes straight to the page file and the log never needs a
+// page's image.
 //
 // File layout (version 2; all page reads and writes are slot-aligned):
 //
@@ -43,8 +47,8 @@ import (
 // read. The mapping only grows and is released at Close or Abandon, so a
 // view stays valid for the handle's lifetime, across Sync and any growth
 // of the file (see filemap_linux.go). Everywhere else, and for the pages
-// the mapping cannot serve (never written, or shadowed by the open
-// transaction's redo image), Read's verified pread is the path.
+// the mapping cannot serve (never written), Read's verified pread is the
+// path.
 //
 // # Durability
 //
@@ -52,18 +56,17 @@ import (
 // wal.go for the record format). Mutations between Begin and Commit are
 // atomic and, after Commit returns, durable:
 //
-//   - writes to pages live in the last committed state are buffered as
-//     full-block images and journaled at commit before being applied;
-//   - writes to fresh or committed-free pages go straight to the page
-//     file (bulk loads pay one extra fsync, not a doubled write volume);
+//   - writes go straight to the page file: by the invariant they land on
+//     fresh or committed-free pages, which no committed state reads;
+//   - pages freed by the transaction stay out of the allocator until it
+//     commits, so their committed bytes survive a rollback or a crash;
 //   - Note logs opaque bytes of the owner with the transaction — a logical
 //     record of a change that touched no page;
-//   - Commit appends the images, the notes, the post-state (allocator +
-//     metadata) and a commit marker, fsyncs the log once, then applies the
-//     images.
+//   - Commit flushes the page file, appends the notes, the post-state
+//     (allocator + metadata) and a commit marker, and fsyncs the log once.
 //
-// A light transaction — one that logged notes and did nothing else: no
-// page image, nothing freed, the metadata left alone — commits without
+// A light transaction — one that logged notes and did nothing else:
+// nothing freed, the metadata left alone — commits without
 // the post-state, which is still the last STATE record's: two small
 // appends and one log fsync, nothing proportional to the freelist. The
 // first transaction of a log generation is never light.
@@ -81,11 +84,10 @@ import (
 // free page first, so free pages gather at the end, and the run of them
 // that ends the file leaves the page count and the free list (see Sync) —
 // fsyncs the page file and truncates the log, making the page file alone
-// the committed state. Open replays any committed log transactions (a crash
-// between Commit and Sync) — except images of pages a later committed
-// state lists as free, whose next owner wrote them directly (see
-// dropStaleImages) — discards uncommitted or torn tails, and then
-// checkpoints; what it did is reported through RecoveryInfo. A log with
+// the committed state. Open adopts the last state the log's committed
+// transactions record (a crash between Commit and Sync), discards
+// uncommitted or torn tails, and then checkpoints; what it did is reported
+// through RecoveryInfo. A log with
 // committed transactions supersedes the header entirely, so a crash
 // anywhere inside a checkpoint recovers cleanly; and because direct
 // writes can extend the file over the checkpointed freelist trailer, the
@@ -94,7 +96,7 @@ import (
 //
 // Notes change what Open does with the log. They are the only durable
 // copy of the changes they describe, so when the committed transactions
-// hold any, Open replays the page images as usual but does not
+// hold any, Open adopts the state as usual but does not
 // checkpoint: it cuts the log at its last commit marker and keeps it,
 // hands the notes to the owner (RecoveredNotes), and refuses to retire
 // the log — Sync and Close flush the page file and leave header and log
@@ -102,31 +104,27 @@ import (
 // (ConsumeNotes). A handle that never looks at the notes therefore cannot
 // destroy them, and replaying the same log twice is idempotent.
 //
-// Writes outside a transaction keep the legacy contract: they reach the
-// file immediately and are made durable and consistent only by Sync (or
-// by the next STATE-bearing commit, see the fsync rule).
+// Writes outside a transaction — a background level build's — are made
+// durable by Sync or by the next STATE-bearing commit (see the fsync rule).
 //
 // # Locks
 //
 // Like Disk, a FileBackend is safe for concurrent use. mu guards the
 // allocator, the freelist, the metadata blob and the open transaction;
 // page reads and writes hold it shared around pread/pwrite, which are
-// safe from many goroutines. txMu guards the transaction's overlay and
-// lazily built snapshot for writers that hold mu only shared. Individual
-// pages keep the single-writer / no-use-after-Free contract; Begin, Commit
-// and Rollback delimit one transaction at a time.
+// safe from many goroutines. Individual pages keep the single-writer /
+// no-use-after-Free contract; Begin, Commit and Rollback delimit one
+// transaction at a time.
 //
 // Commit does not hold mu while it waits for the disk: a reader's page
-// miss must not queue behind a log fsync. What it holds instead is the
-// commit gate (commitMu, taken before mu): Alloc, Free and Write (and Sync
-// and Close, which must find no commit half done) pass it shared, Commit
-// holds it exclusively from the moment it reads the
-// transaction's images and the freelist until the transaction is gone, so
-// neither can change under the wait — a page allocated meanwhile would be
-// missing from the post-commit freelist's view and handed out twice, a
-// write landing in the overlay after the images were collected would be
-// dropped with the transaction. Read, Meta and the counters never touch
-// the gate.
+// miss, or a background build's write, must not queue behind a log fsync.
+// What it holds instead is the commit gate (commitMu, taken before mu):
+// Alloc and Free (and Sync and Close, which must find no commit half done)
+// pass it shared, Commit holds it exclusively from the moment it reads the
+// freelist until the transaction is gone, so the freelist cannot change
+// under the wait — a page allocated meanwhile would be missing from the
+// post-commit freelist's view and handed out twice. Read, Write, Meta and
+// the counters never touch the gate.
 //
 // Open-time corruption (short header, bad magic or version, mismatched
 // block size, truncated page data, out-of-range or duplicated freelist
@@ -199,66 +197,34 @@ type FileBackend struct {
 	ckpt        walState
 	walHasState bool
 
-	// txMu guards the open transaction's overlay and allocator snapshot; it
-	// nests inside mu (writers hold mu.RLock, Begin/Commit/Rollback hold mu).
-	txMu sync.Mutex
-	tx   *fileTx
+	tx *fileTx // the open transaction; guarded by mu
 
 	epochPins // Snapshotter: epoch-pinned reclamation of freed pages
 }
 
 // fileTx is one open transaction: the pre-transaction state needed for
-// rollback, the redo images of committed-live pages overwritten so far and
-// the owner's notes.
+// rollback, the pages it freed and the owner's notes.
 //
-// The freelist as it stood at Begin is captured on first need — before
-// Alloc first takes a page off it, or when a Write first has to classify a
-// page — and not at Begin: nothing else changes fb.free while a
+// The freelist as it stood at Begin is captured before Alloc first takes
+// a page off it, and not at Begin: nothing else changes fb.free while a
 // transaction is open (Free parks pages in freed), and a transaction that
-// only logs a note never needs the copy or the set.
+// only logs a note never needs the copy.
 type fileTx struct {
 	prevNumPages int
 	prevMeta     []byte // the metadata at Begin, saved by the first SetMeta
 	metaSet      bool
 
-	snapped       bool
-	prevFree      freeHeap
-	committedFree map[PageID]struct{}
+	snapped  bool
+	prevFree freeHeap
 
-	overlay map[PageID][]byte // full-block images, keyed by page
-	freed   freeHeap          // pages freed during the transaction
-	notes   [][]byte
-}
-
-// snapshot captures the freelist the transaction began with. The caller
-// holds mu exclusively, or mu shared plus txMu.
-func (tx *fileTx) snapshot(free freeHeap) {
-	if tx.snapped {
-		return
-	}
-	tx.snapped = true
-	tx.prevFree = append(freeHeap(nil), free...)
-	tx.committedFree = make(map[PageID]struct{}, len(free))
-	for _, id := range free {
-		tx.committedFree[id] = struct{}{}
-	}
-}
-
-// inUseCommitted reports whether id holds live data in the last committed
-// state — the pages whose overwrite must be journaled, because a crash
-// must be able to roll back to that state. The snapshot must exist.
-func (tx *fileTx) inUseCommitted(id PageID) bool {
-	if int(id) >= tx.prevNumPages {
-		return false
-	}
-	_, free := tx.committedFree[id]
-	return !free
+	freed freeHeap // pages freed during the transaction
+	notes [][]byte
 }
 
 // light reports whether the transaction did nothing but log notes, so its
 // commit can leave the STATE record out.
 func (tx *fileTx) light() bool {
-	return len(tx.notes) > 0 && len(tx.overlay) == 0 && len(tx.freed) == 0 && !tx.metaSet
+	return len(tx.notes) > 0 && len(tx.freed) == 0 && !tx.metaSet
 }
 
 // Page-file corruption sentinels, matchable with errors.Is through the
@@ -502,16 +468,11 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		}
 	}
 	if len(res.txs) > 0 {
-		// The log is authoritative: replay the committed images and adopt
-		// the last committed state, ignoring the header's possibly
-		// mid-checkpoint geometry and trailer.
+		// The log is authoritative: adopt the last committed state, ignoring
+		// the header's possibly mid-checkpoint geometry and trailer. The
+		// pages that state reaches were flushed before its commit marker.
 		fb.walSeq = res.lastSeq
-		dropStaleImages(res.txs)
 		for _, tx := range res.txs {
-			for _, pg := range tx.pages {
-				fb.writePageRaw(pg.id, pg.data)
-				res.info.ReplayedPages++
-			}
 			if tx.state != nil {
 				fb.numPages = tx.state.numPages
 				fb.free = append(fb.free[:0], tx.state.free...)
@@ -567,32 +528,6 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		}
 	}
 	return fb, nil
-}
-
-// dropStaleImages removes from txs the redo images replay must not apply:
-// those of a page that a later committed state lists as free. Once a page
-// has been freed, whatever was written to it afterwards went either
-// through the journal — a later image, which replay applies in its turn —
-// or straight to the page file, as writes to committed-free pages do;
-// re-applying the older image would put a dead page's bytes over that
-// live content.
-func dropStaleImages(txs []walTx) {
-	freedLater := make(map[PageID]struct{})
-	for i := len(txs) - 1; i >= 0; i-- {
-		live := txs[i].pages[:0]
-		for _, pg := range txs[i].pages {
-			if _, freed := freedLater[pg.id]; !freed {
-				live = append(live, pg)
-			}
-		}
-		txs[i].pages = live
-		if txs[i].state == nil {
-			continue
-		}
-		for _, id := range txs[i].state.free {
-			freedLater[id] = struct{}{}
-		}
-	}
 }
 
 // loadCheckpoint reads the committed state (geometry, freelist, metadata)
@@ -811,21 +746,16 @@ func (fb *FileBackend) checkIDLocked(id PageID) {
 //
 // During a transaction only pages free in the last committed state are
 // recycled; pages freed within the transaction still hold content a crash
-// must be able to roll back to, and become allocatable after Commit. The
-// one exception is an allocation into a store the transaction has emptied
-// — every committed page freed, nothing allocated since — which reuses one
-// of those pages through the redo journal (Write buffers an image of every
-// committed-live page) instead of extending the file: a bulk load into a
-// freshly created index takes over the empty root's page, so the file is
-// exactly the new tree and page 0 is not a hole for ever.
+// must be able to roll back to, and become allocatable after Commit.
 func (fb *FileBackend) Alloc() PageID {
 	fb.commitMu.RLock()
 	defer fb.commitMu.RUnlock()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	if len(fb.free) > 0 {
-		if fb.tx != nil {
-			fb.tx.snapshot(fb.free)
+		if tx := fb.tx; tx != nil && !tx.snapped {
+			tx.snapped = true
+			tx.prevFree = append(freeHeap(nil), fb.free...)
 		}
 		if id, ok := fb.takeLowest(&fb.free); ok {
 			// The zero fill is a direct write: it must be durable by the
@@ -833,19 +763,6 @@ func (fb *FileBackend) Alloc() PageID {
 			// page.
 			fb.writeDirect(id, fb.zero)
 			return id
-		}
-	}
-	if tx := fb.tx; tx != nil && fb.numPages == len(fb.free)+len(tx.freed) {
-		tx.snapshot(fb.free)
-		if id, ok := fb.takeLowest(&tx.freed); ok {
-			if tx.inUseCommitted(id) {
-				// The zero fill is a redo image like any other overwrite of a
-				// committed page. Holding mu exclusively excludes every
-				// Write, so the overlay needs no txMu here (as in Free).
-				tx.overlay[id] = make([]byte, fb.blockSize)
-				return id
-			}
-			tx.freed.push(id)
 		}
 	}
 	id := PageID(fb.numPages)
@@ -869,19 +786,16 @@ func (fb *FileBackend) Free(id PageID) {
 	fb.checkIDLocked(id)
 	fb.retire(id)
 	if tx := fb.tx; tx != nil {
-		// Freed pages join the allocator only at Commit; their redo
-		// image, if any, is dropped (the content no longer matters).
-		delete(tx.overlay, id)
+		// Freed pages join the allocator only at Commit.
 		tx.freed.push(id)
 		return
 	}
 	fb.free.push(id)
 }
 
-// Read implements Backend. Inside a transaction, pages with a buffered
-// redo image read back their transactional content. On version-2 files
-// the block's CRC32C trailer is verified; a mismatch panics with an error
-// wrapping ErrChecksum (use CheckPage or Fsck for a non-panicking scan).
+// Read implements Backend. On version-2 files the block's CRC32C trailer
+// is verified; a mismatch panics with an error wrapping ErrChecksum (use
+// CheckPage or Fsck for a non-panicking scan).
 func (fb *FileBackend) Read(id PageID, buf []byte) int {
 	if len(buf) > fb.blockSize {
 		buf = buf[:fb.blockSize]
@@ -889,16 +803,6 @@ func (fb *FileBackend) Read(id PageID, buf []byte) int {
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	fb.checkIDLocked(id)
-	if tx := fb.tx; tx != nil {
-		fb.txMu.Lock()
-		img, ok := tx.overlay[id]
-		if ok {
-			n := copy(buf, img)
-			fb.txMu.Unlock()
-			return n
-		}
-		fb.txMu.Unlock()
-	}
 	return fb.readVerified(id, buf)
 }
 
@@ -1022,16 +926,6 @@ func (fb *FileBackend) PeekNoCopy(id PageID) []byte {
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	fb.checkIDLocked(id)
-	if tx := fb.tx; tx != nil {
-		fb.txMu.Lock()
-		img, ok := tx.overlay[id]
-		if ok {
-			copy(buf, img)
-			fb.txMu.Unlock()
-			return buf
-		}
-		fb.txMu.Unlock()
-	}
 	if _, err := fb.f.ReadAt(buf, fb.offset(id)); err != nil && err != io.EOF {
 		panic(fmt.Sprintf("storage: reading page %d: %v", id, err))
 	}
@@ -1039,59 +933,27 @@ func (fb *FileBackend) PeekNoCopy(id PageID) []byte {
 }
 
 // Write implements Backend: a slot-aligned pwrite of data plus, on
-// version-2 files, its checksum trailer. Shorter-than-block data leaves
-// the page tail untouched. Inside a transaction, a write to a page live
-// in the last committed state is buffered as a redo image instead and
-// reaches the file at Commit.
+// version-2 files, its checksum trailer, in a transaction or out of one.
+// Shorter-than-block data leaves the page tail untouched. The caller owns
+// the page: it allocated it and has not published it in a committed state
+// (see the invariant on FileBackend).
 func (fb *FileBackend) Write(id PageID, data []byte) {
 	if len(data) > fb.blockSize {
 		panic(fmt.Sprintf("storage: write of %d bytes exceeds block size %d", len(data), fb.blockSize))
 	}
-	fb.commitMu.RLock()
-	defer fb.commitMu.RUnlock()
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	fb.checkIDLocked(id)
-	if tx := fb.tx; tx != nil {
-		fb.txMu.Lock()
-		tx.snapshot(fb.free)
-		if tx.inUseCommitted(id) {
-			defer fb.txMu.Unlock()
-			img, ok := tx.overlay[id]
-			if !ok {
-				// Seed the image with the committed content so partial
-				// writes keep the old tail, matching direct-write
-				// semantics exactly.
-				img = make([]byte, fb.blockSize)
-				fb.readVerified(id, img)
-				tx.overlay[id] = img
-			}
-			copy(img, data)
-			return
-		}
-		fb.txMu.Unlock()
-	}
 	fb.writeDirect(id, data)
 }
 
-// writePage pwrites data and its trailer into page id's slot. The caller
-// holds at least a read lock (geometry is stable).
-func (fb *FileBackend) writePage(id PageID, data []byte) {
-	fb.persistStep()
-	fb.writePageRaw(id, data)
-}
-
-// writeDirect is writePage for a write no redo image covers: it marks the
-// page file as holding bytes only an fsync makes durable. The mark follows
-// the pwrite, so a flush that clears it has the bytes (see syncPageFile).
+// writeDirect pwrites data and its trailer into page id's slot and marks
+// the page file as holding bytes only an fsync makes durable. The mark
+// follows the pwrite, so a flush that clears it has the bytes (see
+// syncPageFile). The caller holds at least a read lock (geometry is
+// stable).
 func (fb *FileBackend) writeDirect(id PageID, data []byte) {
-	fb.writePage(id, data)
-	fb.pagesDirty.Store(true)
-}
-
-// writePageRaw is writePage without crash-point accounting, used by WAL
-// replay before the backend is live.
-func (fb *FileBackend) writePageRaw(id PageID, data []byte) {
+	fb.persistStep()
 	end := fb.offset(id) + int64(len(data))
 	if _, err := fb.f.WriteAt(data, fb.offset(id)); err != nil {
 		panic(fmt.Sprintf("storage: writing page %d: %v", id, err))
@@ -1111,9 +973,10 @@ func (fb *FileBackend) writePageRaw(id PageID, data []byte) {
 	for {
 		cur := fb.extent.Load()
 		if end <= cur || fb.extent.CompareAndSwap(cur, end) {
-			return
+			break
 		}
 	}
+	fb.pagesDirty.Store(true)
 }
 
 // SetMeta implements Backend. The blob is persisted by the next Commit or
@@ -1152,7 +1015,7 @@ func (fb *FileBackend) Begin() {
 	if fb.tx != nil {
 		panic("storage: nested transaction on page file")
 	}
-	fb.tx = &fileTx{prevNumPages: fb.numPages, overlay: make(map[PageID][]byte)}
+	fb.tx = &fileTx{prevNumPages: fb.numPages}
 	// The first transaction of a log generation re-journals the
 	// checkpointed state before any page write: direct writes to fresh
 	// pages extend the file over the on-disk freelist trailer, and a crash
@@ -1219,14 +1082,13 @@ func (fb *FileBackend) appendWAL(recs [][]byte) error {
 }
 
 // Commit implements Transactional. It makes the transaction durable and
-// atomic: direct page writes since the page file's last fsync are flushed
-// first (unless the commit is light), then the redo images, the notes, the
-// post-state (unless light) and a commit marker are appended to the log
-// and fsynced (one fsync — the commit point), and finally the images are
-// applied to the page file (the log replays them if a crash interrupts).
+// atomic: page writes since the page file's last fsync are flushed first
+// (unless the commit is light), then the notes, the post-state (unless
+// light) and a commit marker are appended to the log and fsynced — one
+// fsync, the commit point.
 //
-// The disk is waited for under the commit gate, not under mu: readers go
-// on, Alloc, Free and Write wait (see "# Locks"). On an error the
+// The disk is waited for under the commit gate, not under mu: readers and
+// writers go on, Alloc and Free wait (see "# Locks"). On an error the
 // transaction stays open for the caller to Rollback.
 func (fb *FileBackend) Commit() error {
 	fb.commitMu.Lock()
@@ -1244,20 +1106,20 @@ func (fb *FileBackend) Commit() error {
 	if err := fb.appendWAL(c.recs); err != nil {
 		return err
 	}
-	fb.finishCommit(c)
+	fb.finishCommit(c.seq)
 	return nil
 }
 
 // fileCommit is what prepareCommit hands to the rest of Commit.
 type fileCommit struct {
-	tx         walTx // as it goes to the log; the images alias the overlay
+	seq        uint64
 	recs       [][]byte
 	flushPages bool
 }
 
 // prepareCommit validates the open transaction and frames its records.
-// The gate keeps what it read — the overlay, the freelist — unchanged
-// until finishCommit.
+// The gate keeps what it read — the freelist — unchanged until
+// finishCommit.
 func (fb *FileBackend) prepareCommit() (fileCommit, error) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -1273,35 +1135,28 @@ func (fb *FileBackend) prepareCommit() (fileCommit, error) {
 		return c, fmt.Errorf("storage: metadata blob of %d bytes overflows the %d-byte header block",
 			len(fb.meta), fb.blockSize)
 	}
-	c.tx = walTx{seq: fb.walSeq + 1, notes: tx.notes, pages: make([]walPageImage, 0, len(tx.overlay))}
-	for id, img := range tx.overlay {
-		c.tx.pages = append(c.tx.pages, walPageImage{id: id, data: img})
-	}
-	sort.Slice(c.tx.pages, func(i, j int) bool { return c.tx.pages[i].id < c.tx.pages[j].id })
+	c.seq = fb.walSeq + 1
+	wtx := walTx{seq: c.seq, notes: tx.notes}
 	if !fb.walHasState || !tx.light() {
 		free := make([]PageID, 0, len(fb.free)+len(tx.freed))
 		free = append(append(free, fb.free...), tx.freed...)
-		c.tx.state = &walState{numPages: fb.numPages, free: free, meta: fb.meta}
+		wtx.state = &walState{numPages: fb.numPages, free: free, meta: fb.meta}
 		c.flushPages = fb.pagesDirty.Load()
 	}
-	c.recs = c.tx.records()
+	c.recs = wtx.records()
 	return c, nil
 }
 
-// finishCommit runs once the commit marker is durable: it applies the
-// redo images in place (on a crash from here on the log replays them),
-// hands the freed pages to the allocator and closes the transaction.
-func (fb *FileBackend) finishCommit(c fileCommit) {
+// finishCommit runs once the commit marker is durable: it hands the freed
+// pages to the allocator and closes the transaction.
+func (fb *FileBackend) finishCommit(seq uint64) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	fb.walHasState = true
-	for _, pg := range c.tx.pages {
-		fb.writePage(pg.id, pg.data)
-	}
 	for _, id := range fb.tx.freed {
 		fb.free.push(id)
 	}
-	fb.walSeq = c.tx.seq
+	fb.walSeq = seq
 	fb.tx = nil
 }
 

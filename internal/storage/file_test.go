@@ -336,10 +336,10 @@ func TestFileBackendCounting(t *testing.T) {
 	if got := c.Stats(); got.Total() != 0 {
 		t.Errorf("stats after reset = %v", got)
 	}
-	if d, ok := AsDisk(c); ok || d != nil {
-		t.Errorf("AsDisk(file-backed Counting) = %v, %v; want nil, false", d, ok)
+	if got, ok := AsFile(c); !ok || got != fb {
+		t.Errorf("AsFile(file-backed Counting) = %v, %v; want the page file", got, ok)
 	}
-	if _, ok := AsDisk(NewCounting(NewDisk(256))); !ok {
-		t.Errorf("AsDisk failed to unwrap Counting over Disk")
+	if _, ok := AsFile(NewCounting(NewDisk(256))); ok {
+		t.Errorf("AsFile found a page file under Counting over Disk")
 	}
 }

@@ -125,9 +125,8 @@ func (pm *pageMap) unmap() {
 }
 
 // ReadStable implements StableReader: the zero-copy demand read. A page
-// has no view while the open transaction holds a redo image of it (the
-// file still has the committed bytes) or before its slot has been written
-// (there are no bytes to map); Read serves both.
+// has no view before its slot has been written (there are no bytes to
+// map); Read serves it.
 //
 // On version-2 files the first view of a page after each write of it
 // verifies the CRC32C trailer against the mapped bytes, and a mismatch
@@ -136,14 +135,6 @@ func (fb *FileBackend) ReadStable(id PageID) ([]byte, bool) {
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	fb.checkIDLocked(id)
-	if tx := fb.tx; tx != nil {
-		fb.txMu.Lock()
-		_, shadowed := tx.overlay[id]
-		fb.txMu.Unlock()
-		if shadowed {
-			return nil, false
-		}
-	}
 	off := fb.offset(id)
 	if off+int64(fb.slotSize) > fb.extent.Load() {
 		return nil, false

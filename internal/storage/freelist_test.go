@@ -150,7 +150,7 @@ func TestCheckpointTruncatesFreeTail(t *testing.T) {
 	sync(9, 3) // nothing committed since the last checkpoint: not yet
 
 	fb.Begin()
-	fb.Write(6, page(16))
+	fb.SetMeta([]byte("a committed state"))
 	if err := fb.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +168,10 @@ func TestCheckpointTruncatesFreeTail(t *testing.T) {
 		t.Fatalf("reopened to %d pages, %d in use; want 7 and 6", fb.NumPages(), fb.PagesInUse())
 	}
 	for i := 0; i < 7; i++ {
-		want := page(i)
-		switch i {
-		case 2:
+		if i == 2 {
 			continue
-		case 6:
-			want = page(16)
 		}
-		if fb.Read(PageID(i), buf); !bytes.Equal(buf, want) {
+		if fb.Read(PageID(i), buf); !bytes.Equal(buf, page(i)) {
 			t.Fatalf("page %d changed across the truncating checkpoint", i)
 		}
 	}

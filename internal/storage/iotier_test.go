@@ -10,7 +10,7 @@ import (
 
 // The page file's two read paths — Read's verified pread everywhere, and
 // on platforms that have it the views ReadStable lends out of the file's
-// own mapping — must agree on every page, in and out of transactions.
+// own mapping — must agree on every page.
 
 // stableViews returns b's zero-copy capability, or skips the test on a
 // platform whose page files do not map themselves.
@@ -124,38 +124,6 @@ func TestFileReadBlocksShortBuffers(t *testing.T) {
 	}
 }
 
-func TestFileReadBlocksSeesTxOverlay(t *testing.T) {
-	fb, err := CreateFile(tempIndex(t), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	a, b := fb.Alloc(), fb.Alloc()
-	fb.Write(a, bytes.Repeat([]byte{1}, 128))
-	fb.Write(b, bytes.Repeat([]byte{2}, 128))
-	if err := fb.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	first := func(id PageID) byte {
-		buf := make([]byte, 128)
-		fb.Read(id, buf)
-		return buf[0]
-	}
-
-	fb.Begin()
-	fb.Write(a, bytes.Repeat([]byte{9}, 128))
-	if got := first(a); got != 9 {
-		t.Errorf("in-tx read of overlaid page sees %d, want 9", got)
-	}
-	if got := first(b); got != 2 {
-		t.Errorf("in-tx read of clean page sees %d, want 2", got)
-	}
-	fb.Rollback()
-	if got := first(a); got != 1 {
-		t.Errorf("post-rollback read sees %d, want 1", got)
-	}
-}
-
 func TestFileReadBlocksChecksumPanic(t *testing.T) {
 	path := tempIndex(t)
 	fb, err := CreateFile(path, 128)
@@ -229,32 +197,6 @@ func TestMmapWriteCoherence(t *testing.T) {
 	}
 	if !bytes.Equal(before, want) {
 		t.Error("a view taken before the write does not show it")
-	}
-}
-
-// A page the open transaction holds a redo image of has no view — the file
-// still has the committed bytes — and every other page keeps its own.
-func TestMmapStableViewsSuspendedDuringTx(t *testing.T) {
-	fb, sr, ids := newMmapFixture(t, 128, 3)
-	fb.Begin()
-	view(t, sr, ids[0])
-	fb.Write(ids[0], bytes.Repeat([]byte{3}, 128))
-	if _, ok := sr.ReadStable(ids[0]); ok {
-		t.Error("stable view served for a page the transaction shadows")
-	}
-	if v := view(t, sr, ids[1]); v[0] != 2 {
-		t.Errorf("view of an untouched page in a transaction sees %d, want 2", v[0])
-	}
-	got := make([]byte, 128)
-	fb.Read(ids[0], got)
-	if got[0] != 3 {
-		t.Errorf("in-tx read sees %d, want overlay 3", got[0])
-	}
-	if err := fb.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if v := view(t, sr, ids[0]); v[0] != 3 {
-		t.Errorf("view after commit sees %d, want the committed 3", v[0])
 	}
 }
 
@@ -345,37 +287,5 @@ func corruptPageByte(t *testing.T, path string, blockSize int, id PageID) {
 	b[0] ^= 0xff
 	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// A write inside a transaction reaches the file only at Commit, so a view
-// the pager cached (or pinned) before it would show the page's committed
-// bytes to the rest of the transaction. Write swaps the view for a copy of
-// what was written, as a cache of copies would hold.
-func TestPagerWriteInTxReplacesStableViews(t *testing.T) {
-	fb, _, ids := newMmapFixture(t, 128, 4)
-	for _, capacity := range []int{-1, 2} {
-		p := NewPager(NewCounting(fb), capacity)
-		cached, pinned := ids[0], ids[1]
-		p.Read(cached)
-		p.Pin(pinned)
-		fb.Begin()
-		for _, id := range []PageID{cached, pinned} {
-			old := p.Read(id)[0]
-			p.Write(id, bytes.Repeat([]byte{old + 100}, 128))
-			if got := p.Read(id)[0]; got != old+100 {
-				t.Errorf("capacity %d: page %d reads %d inside the transaction that wrote %d", capacity, id, got, old+100)
-			}
-		}
-		if err := fb.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range []PageID{cached, pinned} {
-			want := make([]byte, 128)
-			fb.Read(id, want)
-			if got := p.Read(id); !bytes.Equal(got, want) {
-				t.Errorf("capacity %d: page %d reads %d after commit, file has %d", capacity, id, got[0], want[0])
-			}
-		}
 	}
 }

@@ -279,14 +279,14 @@ func TestFileBackendVersion1Log(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := fb.Alloc()
-	fb.Write(a, bytes.Repeat([]byte{0xA1}, 256))
+	oldA := bytes.Repeat([]byte{0xA1}, 256)
+	fb.Write(a, oldA)
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	newA := bytes.Repeat([]byte{0xA2}, 256)
 	hdr := encodeWALHeader(256)
 	binary.LittleEndian.PutUint16(hdr[6:8], 1)
-	body := walTxBytes(1, []walPageImage{{a, newA}}, 1, nil, []byte("v1"))
+	body := walTxBytes(1, 1, nil, []byte("v1"))
 	if err := os.WriteFile(walPath(path), append(hdr, body...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestFileBackendVersion1Log(t *testing.T) {
 	if ri := re.RecoveryInfo(); ri == nil || ri.ReplayedTxs != 1 {
 		t.Fatalf("RecoveryInfo = %+v, want the version-1 transaction replayed", ri)
 	}
-	if got := re.ReadNoCopy(a); !bytes.Equal(got, newA) || string(re.Meta()) != "v1" {
+	if got := re.ReadNoCopy(a); !bytes.Equal(got, oldA) || string(re.Meta()) != "v1" {
 		t.Errorf("version-1 transaction not applied")
 	}
 	raw, err := os.ReadFile(walPath(path))
@@ -360,8 +360,7 @@ func TestFileBackendLightTxSkipsAllocatorSnapshot(t *testing.T) {
 // producer outside every transaction — a background level build —
 // allocates, writes and frees pages while transactions commit. No page may
 // be handed out twice, and every page must read back what its owner wrote
-// last, whether the write went straight to the file or through the
-// overlay of a transaction that happened to be open.
+// last, whether or not a transaction happened to be open.
 func TestFileBackendCommitGate(t *testing.T) {
 	fb, err := CreateFile(tempIndex(t), 256)
 	if err != nil {
@@ -397,7 +396,7 @@ func TestFileBackendCommitGate(t *testing.T) {
 				}
 				for _, id := range ids {
 					// Twice: the second write may find a transaction that
-					// began after the allocation and so journals the page.
+					// began after the allocation.
 					fb.Write(id, bytes.Repeat([]byte{0xFF}, 256))
 					v := byte(1 + (int(id)+r)%250)
 					fb.Write(id, bytes.Repeat([]byte{v}, 256))

@@ -206,12 +206,6 @@ func (p *Pager) Backend() Backend { return p.dev }
 // Policy returns the configured eviction policy.
 func (p *Pager) Policy() EvictionPolicy { return p.policy }
 
-// Disk returns the underlying in-memory Disk when the backend is (or
-// wraps) one, and nil otherwise.
-//
-// Deprecated: use Backend; Disk exists for simulator-specific tests.
-func (p *Pager) Disk() *Disk { d, _ := AsDisk(p.dev); return d }
-
 // fetchDemand obtains page id's bytes for a counted demand miss: a
 // zero-copy stable view when the backend lends one, an allocated buffer
 // filled by one Read otherwise.
@@ -448,10 +442,8 @@ func (p *Pager) StoreDecoded(id PageID, v interface{}) {
 // Write stores data to page id on disk and refreshes any cached copy. The
 // decoded entry, parsed from the overwritten bytes, is dropped; callers
 // writing an already-materialized form may StoreDecoded it again. A stable
-// (mapped) view is read-only, and shows the write only once it reaches the
-// storage — inside a transaction the backend may hold it back as a redo
-// image until Commit — so a cached view is replaced by a private copy of
-// what was written, which is what a cache of copies would hold.
+// (mapped) view needs no refresh: the write reaches the storage at once, in
+// a transaction or out of one, and the view shows it.
 func (p *Pager) Write(id PageID, data []byte) {
 	s := p.shard(id)
 	s.mu.Lock()
@@ -459,19 +451,12 @@ func (p *Pager) Write(id PageID, data []byte) {
 	delete(s.decoded, id)
 	p.dev.Write(id, data)
 	if pd, ok := s.pinned[id]; ok {
-		if _, stable := s.stablePins[id]; stable {
-			delete(s.stablePins, id)
-			pd = make([]byte, len(pd))
-			s.pinned[id] = pd
+		if _, stable := s.stablePins[id]; !stable {
+			refreshCopy(pd, data)
 		}
-		refreshCopy(pd, data)
 		return
 	}
-	if ce, ok := s.entries[id]; ok && ce.data != nil {
-		if ce.stable {
-			ce.stable = false
-			ce.data = make([]byte, len(ce.data))
-		}
+	if ce, ok := s.entries[id]; ok && ce.data != nil && !ce.stable {
 		refreshCopy(ce.data, data)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -25,8 +26,10 @@ func expectFaultPanic(t *testing.T, fn func()) {
 	fn()
 }
 
-// TestFileBackendTxCommitDurable: a committed transaction survives a
-// process that dies without ever checkpointing — the log replays it.
+// TestFileBackendTxCommitDurable: committed transactions survive a process
+// that dies without ever checkpointing — the log's last state is adopted,
+// and the pages it reaches hold what was written, including a page one
+// transaction freed and the next one reused.
 func TestFileBackendTxCommitDurable(t *testing.T) {
 	path := tempIndex(t)
 	fb, err := CreateFile(path, 256)
@@ -43,12 +46,21 @@ func TestFileBackendTxCommitDurable(t *testing.T) {
 	}
 
 	fb.Begin()
-	newA := bytes.Repeat([]byte{0xA2}, 256)
-	fb.Write(a, newA) // overwrite of a committed-live page: journaled
 	fb.Free(b)
-	c := fb.Alloc() // fresh page: direct write
+	c := fb.Alloc() // b is still the rollback target: the file grows
 	fb.Write(c, bytes.Repeat([]byte{0xC1}, 100))
 	fb.SetMeta([]byte("after"))
+	if err := fb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	fb.Begin()
+	d := fb.Alloc() // b, free in the committed state now
+	if d != b {
+		t.Fatalf("Alloc = %d, want the committed-free page %d", d, b)
+	}
+	newB := bytes.Repeat([]byte{0xB2}, 256)
+	fb.Write(d, newB)
+	fb.SetMeta([]byte("reused"))
 	if err := fb.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -60,21 +72,23 @@ func TestFileBackendTxCommitDurable(t *testing.T) {
 	}
 	defer re.Close()
 	ri := re.RecoveryInfo()
-	if ri == nil || ri.ReplayedTxs != 1 {
-		t.Fatalf("RecoveryInfo = %+v, want 1 replayed tx", ri)
+	if ri == nil || ri.ReplayedTxs != 2 {
+		t.Fatalf("RecoveryInfo = %+v, want 2 replayed txs", ri)
 	}
-	if got := re.ReadNoCopy(a); !bytes.Equal(got, newA) {
-		t.Errorf("page a lost the committed write")
+	if got := re.ReadNoCopy(a); !bytes.Equal(got, bytes.Repeat([]byte{0xA1}, 256)) {
+		t.Errorf("page a lost its bytes")
 	}
 	if got := re.ReadNoCopy(c)[:100]; !bytes.Equal(got, bytes.Repeat([]byte{0xC1}, 100)) {
 		t.Errorf("fresh page c lost the committed write")
 	}
-	if got := string(re.Meta()); got != "after" {
-		t.Errorf("meta = %q, want %q", got, "after")
+	if got := re.ReadNoCopy(b); !bytes.Equal(got, newB) {
+		t.Errorf("reused page b reads %#x..., want its last committed content %#x...", got[0], newB[0])
 	}
-	// b was freed in the committed transaction: it must recycle.
-	if id := re.Alloc(); id != b {
-		t.Errorf("Alloc = %d, want recycled %d", id, b)
+	if got := string(re.Meta()); got != "reused" {
+		t.Errorf("meta = %q, want %q", got, "reused")
+	}
+	if re.NumPages() != 3 || re.PagesInUse() != 3 {
+		t.Errorf("%d pages, %d in use; want 3, 3", re.NumPages(), re.PagesInUse())
 	}
 }
 
@@ -95,11 +109,12 @@ func TestFileBackendTxCrashBeforeCommitRollsBack(t *testing.T) {
 	}
 
 	fb.Begin()
-	fb.Write(a, bytes.Repeat([]byte{0xA2}, 256))
+	fb.Free(a)
+	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA2}, 256))
 	fb.SetMeta([]byte("after"))
-	// Kill inside Commit after the PAGE record is appended but before the
-	// commit marker: step base+1 appends PAGE, base+2 (STATE) dies.
-	fb.SetCrashAfterSteps(fb.PersistSteps() + 2)
+	// Kill inside Commit after the STATE record is appended but before the
+	// commit marker: +1 flushes the page file, +2 appends STATE, +3 dies.
+	fb.SetCrashAfterSteps(fb.PersistSteps() + 3)
 	expectFaultPanic(t, func() { fb.Commit() })
 	fb.Abandon()
 
@@ -113,48 +128,13 @@ func TestFileBackendTxCrashBeforeCommitRollsBack(t *testing.T) {
 		t.Fatalf("RecoveryInfo = %+v, want 0 replayed txs, 1 discarded record", ri)
 	}
 	if got := re.ReadNoCopy(a); !bytes.Equal(got, oldA) {
-		t.Errorf("uncommitted write leaked into page a")
+		t.Errorf("page a lost its committed bytes")
 	}
 	if got := string(re.Meta()); got != "before" {
 		t.Errorf("meta = %q, want %q", got, "before")
 	}
-}
-
-// TestFileBackendTxCrashBeforeApplyReplays: kill after the commit marker
-// is durable but before the images are applied to the page file — the
-// replay path must do real work.
-func TestFileBackendTxCrashBeforeApplyReplays(t *testing.T) {
-	path := tempIndex(t)
-	fb, err := CreateFile(path, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := fb.Alloc()
-	fb.Write(a, bytes.Repeat([]byte{0xA1}, 256))
-	if err := fb.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	fb.Begin()
-	newA := bytes.Repeat([]byte{0xA2}, 256)
-	fb.Write(a, newA)
-	// Steps inside Commit with one journaled page and no direct writes:
-	// +1 PAGE, +2 STATE, +3 COMMIT, +4 log fsync, +5 the in-place apply.
-	fb.SetCrashAfterSteps(fb.PersistSteps() + 5)
-	expectFaultPanic(t, func() { fb.Commit() })
-	fb.Abandon()
-
-	re, err := OpenFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	ri := re.RecoveryInfo()
-	if ri == nil || ri.ReplayedTxs != 1 || ri.ReplayedPages != 1 {
-		t.Fatalf("RecoveryInfo = %+v, want 1 tx / 1 page replayed", ri)
-	}
-	if got := re.ReadNoCopy(a); !bytes.Equal(got, newA) {
-		t.Errorf("committed-but-unapplied write lost")
+	if re.NumPages() != 1 || re.PagesInUse() != 1 {
+		t.Errorf("%d pages, %d in use; want 1, 1", re.NumPages(), re.PagesInUse())
 	}
 }
 
@@ -175,19 +155,24 @@ func TestFileBackendTxRollback(t *testing.T) {
 	}
 
 	fb.Begin()
-	fb.Write(a, bytes.Repeat([]byte{0xA2}, 256))
-	if got := fb.ReadNoCopy(a); got[0] != 0xA2 {
-		t.Errorf("transactional read did not see the overlay")
+	fb.Free(a)
+	c := fb.Alloc()
+	fb.Write(c, bytes.Repeat([]byte{0xA2}, 256))
+	if got := fb.ReadNoCopy(c); got[0] != 0xA2 {
+		t.Errorf("transactional read did not see the write")
 	}
 	fb.Alloc()
 	fb.SetMeta([]byte("doomed"))
 	fb.Rollback()
 
 	if got := fb.ReadNoCopy(a); !bytes.Equal(got, oldA) {
-		t.Errorf("rolled-back write visible on page a")
+		t.Errorf("rolled-back transaction damaged page a")
 	}
 	if got := fb.NumPages(); got != 1 {
 		t.Errorf("NumPages = %d after rollback, want 1", got)
+	}
+	if got := fb.PagesInUse(); got != 1 {
+		t.Errorf("PagesInUse = %d after rollback, want 1", got)
 	}
 	if got := string(fb.Meta()); got != "before" {
 		t.Errorf("meta = %q after rollback, want %q", got, "before")
@@ -195,11 +180,13 @@ func TestFileBackendTxRollback(t *testing.T) {
 
 	// The next transaction must work normally.
 	fb.Begin()
-	fb.Write(a, bytes.Repeat([]byte{0xA3}, 256))
+	c = fb.Alloc()
+	fb.Write(c, bytes.Repeat([]byte{0xA3}, 256))
+	fb.SetMeta([]byte("after"))
 	if err := fb.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fb.ReadNoCopy(a); got[0] != 0xA3 {
+	if got := fb.ReadNoCopy(c); got[0] != 0xA3 {
 		t.Errorf("post-rollback commit lost")
 	}
 }
@@ -233,145 +220,20 @@ func TestFileBackendTxAllocDoesNotRecycleTxFreed(t *testing.T) {
 	}
 }
 
-// TestFileBackendTxEmptiedStoreReusesAPage: the exception to the rule
-// above. A transaction that frees every page of the store and then
-// allocates gets one of them back — through the redo journal, so a crash
-// before the commit marker still recovers the old bytes — and the file
-// does not grow by the page it replaced.
-func TestFileBackendTxEmptiedStoreReusesAPage(t *testing.T) {
-	path := tempIndex(t)
-	fb, err := CreateFile(path, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := fb.Alloc()
-	old := bytes.Repeat([]byte{0xA1}, 256)
-	fb.Write(root, old)
-	if err := fb.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	fresh := [][]byte{bytes.Repeat([]byte{0xB1}, 256), bytes.Repeat([]byte{0xB2}, 200)}
-	rebuild := func() (ids []PageID) {
-		fb.Begin()
-		fb.Free(root)
-		for _, data := range fresh {
-			id := fb.Alloc()
-			fb.Write(id, data)
-			ids = append(ids, id)
-		}
-		return ids
-	}
-	if ids := rebuild(); ids[0] != root || ids[1] != 1 {
-		t.Fatalf("rebuild allocated pages %v, want [%d 1]: the emptied store's page first, then growth", ids, root)
-	}
-	if got := fb.ReadNoCopy(root); !bytes.Equal(got, fresh[0]) {
-		t.Error("the reused page does not read back its transactional content")
-	}
-	// Crash inside Commit, before the marker (PAGE is appended, STATE dies).
-	fb.SetCrashAfterSteps(fb.PersistSteps() + 3)
-	expectFaultPanic(t, func() { fb.Commit() })
-	fb.Abandon()
-	if fb, err = OpenFile(path, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := fb.ReadNoCopy(root); !bytes.Equal(got, old) {
-		t.Fatal("an uncommitted rebuild overwrote the committed page in place")
-	}
-	if fb.NumPages() != 1 || fb.PagesInUse() != 1 {
-		t.Fatalf("recovered %d pages, %d in use; want 1, 1", fb.NumPages(), fb.PagesInUse())
-	}
-
-	// The same rebuild, committed and reopened: two dense pages, no hole.
-	ids := rebuild()
-	if err := fb.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := os.Stat(path); err != nil || st.Size() != 256+2*(256+8) {
-		t.Errorf("file is %d bytes (%v), want header + 2 slots = %d", st.Size(), err, 256+2*(256+8))
-	}
-	re, err := OpenFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.NumPages() != 2 || re.PagesInUse() != 2 {
-		t.Errorf("%d pages, %d in use; want 2, 2", re.NumPages(), re.PagesInUse())
-	}
-	for i, id := range ids {
-		if got := re.ReadNoCopy(id); !bytes.Equal(got[:len(fresh[i])], fresh[i]) {
-			t.Errorf("page %d lost the committed write", id)
-		}
-	}
-	if err := re.Fsck(); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFileBackendReplaySkipsImagesOfPagesFreedLater: a journaled image of
-// a page must not be replayed once a later committed transaction freed the
-// page — its next owner wrote it directly (writes to committed-free pages
-// bypass the journal), and the old image would clobber that content.
-func TestFileBackendReplaySkipsImagesOfPagesFreedLater(t *testing.T) {
-	path := tempIndex(t)
-	fb, err := CreateFile(path, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fb.Alloc()
-	fb.Write(p, bytes.Repeat([]byte{0x01}, 256))
-	if err := fb.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	commit := func(fn func()) {
-		t.Helper()
-		fb.Begin()
-		fn()
-		if err := fb.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	commit(func() { fb.Write(p, bytes.Repeat([]byte{0x02}, 256)) }) // journaled image of p
-	commit(func() { fb.Free(p) })
-	final := bytes.Repeat([]byte{0x03}, 256)
-	commit(func() {
-		if id := fb.Alloc(); id != p {
-			t.Fatalf("Alloc = %d, want the committed-free page %d", id, p)
-		}
-		fb.Write(p, final) // direct write: p is free in the committed state
-	})
-	fb.Abandon() // crash with all three transactions still in the log
-
-	re, err := OpenFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if ri := re.RecoveryInfo(); ri == nil || ri.ReplayedTxs != 3 || ri.ReplayedPages != 0 {
-		t.Errorf("RecoveryInfo = %+v, want 3 replayed transactions and the stale image skipped", ri)
-	}
-	if got := re.ReadNoCopy(p); !bytes.Equal(got, final) {
-		t.Fatalf("page %d reads %#x..., want the last committed content %#x...", p, got[0], final[0])
-	}
-}
-
 // TestFileBackendTxPartialWriteKeepsTail: the Backend contract — shorter
-// data leaves the page tail untouched — must hold for journaled writes.
+// data leaves the page tail untouched — holds for writes in a transaction,
+// across the commit and a reopen.
 func TestFileBackendTxPartialWriteKeepsTail(t *testing.T) {
 	path := tempIndex(t)
 	fb, err := CreateFile(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fb.Begin()
 	a := fb.Alloc()
 	fb.Write(a, bytes.Repeat([]byte{0xFF}, 256))
-	if err := fb.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	fb.Begin()
-	fb.Write(a, []byte{1, 2, 3}) // journaled partial write
+	fb.Write(a, []byte{1, 2, 3}) // partial write
+	fb.SetMeta([]byte("points at a"))
 	if err := fb.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +247,7 @@ func TestFileBackendTxPartialWriteKeepsTail(t *testing.T) {
 	defer re.Close()
 	got := re.ReadNoCopy(a)
 	if !bytes.Equal(got[:3], []byte{1, 2, 3}) || got[3] != 0xFF || got[255] != 0xFF {
-		t.Errorf("partial journaled write damaged the page tail: % x...", got[:8])
+		t.Errorf("partial write damaged the page tail: % x...", got[:8])
 	}
 }
 
@@ -468,11 +330,12 @@ func TestFileBackendWALTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb.Begin()
-	fb.Write(a, bytes.Repeat([]byte{0xA2}, 256))
-	// Kill at the log fsync (+4): the records are in the OS page cache but
-	// never forced down, so losing part of the commit record is exactly
-	// what a power cut could do. Crucially the in-place apply (+5) has not
-	// run — a real crash can only tear the marker before the apply.
+	fb.Free(a)
+	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA2}, 256))
+	// Kill at the log fsync (+4, after the page-file flush, STATE and
+	// COMMIT): the records are in the OS page cache but never forced down,
+	// so losing part of the commit record is exactly what a power cut could
+	// do.
 	fb.SetCrashAfterSteps(fb.PersistSteps() + 4)
 	expectFaultPanic(t, func() { fb.Commit() })
 	walSize := fb.WALStats().Size
@@ -491,8 +354,8 @@ func TestFileBackendWALTruncatedTail(t *testing.T) {
 	if ri == nil || ri.ReplayedTxs != 0 || ri.TornTailBytes == 0 {
 		t.Fatalf("RecoveryInfo = %+v, want a torn tail and no replay", ri)
 	}
-	if got := re.ReadNoCopy(a); !bytes.Equal(got, oldA) {
-		t.Errorf("torn transaction partially applied")
+	if got := re.ReadNoCopy(a); !bytes.Equal(got, oldA) || re.NumPages() != 1 || re.PagesInUse() != 1 {
+		t.Errorf("torn transaction partially applied: %d pages, %d in use", re.NumPages(), re.PagesInUse())
 	}
 }
 
@@ -550,22 +413,18 @@ func TestFileBackendWALDuplicateCommitRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := fb.Alloc()
-	fb.Write(a, bytes.Repeat([]byte{0xA1}, 256))
+	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA1}, 256))
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Hand-craft a log: one committed transaction, its commit marker
 	// duplicated, then the same transaction appended again wholesale.
-	newA := bytes.Repeat([]byte{0xA2}, 256)
 	var body []byte
-	body = append(body, encodeWALPage(a, newA)...)
-	body = append(body, encodeWALState(1, nil, nil)...)
+	body = append(body, encodeWALState(1, nil, []byte("first"))...)
 	body = append(body, encodeWALCommit(1)...)
 	body = append(body, encodeWALCommit(1)...)
-	body = append(body, encodeWALPage(a, bytes.Repeat([]byte{0xEE}, 256))...)
-	body = append(body, encodeWALState(1, nil, nil)...)
+	body = append(body, encodeWALState(1, nil, []byte("again"))...)
 	body = append(body, encodeWALCommit(1)...)
 	if err := os.WriteFile(walPath(path), append(encodeWALHeader(256), body...), 0o644); err != nil {
 		t.Fatal(err)
@@ -580,8 +439,8 @@ func TestFileBackendWALDuplicateCommitRecord(t *testing.T) {
 	if ri == nil || ri.ReplayedTxs != 1 || ri.DuplicateCommits != 2 {
 		t.Fatalf("RecoveryInfo = %+v, want 1 replayed tx and 2 duplicate commits", ri)
 	}
-	if got := re.ReadNoCopy(a); !bytes.Equal(got, newA) {
-		t.Errorf("page a = %x..., want the first committed image", got[:4])
+	if got := string(re.Meta()); got != "first" {
+		t.Errorf("meta = %q, want the first committed state's", got)
 	}
 }
 
@@ -605,6 +464,21 @@ func TestFileBackendWALCorruptFailsOpen(t *testing.T) {
 	}
 	if _, err := OpenFile(path, 0); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("Open = %v, want ErrWALCorrupt", err)
+	}
+
+	// A committed in-place update of an earlier build: a page image, its
+	// state, its marker. Open refuses it and leaves the log for that build.
+	log := append(encodeWALHeader(256), bytes.Join([][]byte{
+		walPageRecord(0, bytes.Repeat([]byte{0xA2}, 256)), encodeWALState(1, nil, nil), encodeWALCommit(1),
+	}, nil)...)
+	if err := os.WriteFile(walPath(path), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFile(path, 0); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "earlier build") {
+		t.Fatalf("Open of a log holding a page image = %v, want ErrWALCorrupt naming the earlier build", err)
+	}
+	if kept, err := os.ReadFile(walPath(path)); err != nil || !bytes.Equal(kept, log) {
+		t.Errorf("the refused log was changed (%v)", err)
 	}
 }
 
@@ -745,9 +619,11 @@ func TestFileBackendV1Readable(t *testing.T) {
 	if err := fb.Fsck(); err != nil {
 		t.Errorf("Fsck on v1: %v", err)
 	}
-	// Transactional writes work on v1 files too (journaled, no trailers).
+	// Transactional writes work on v1 files too (no trailers).
 	fb.Begin()
-	fb.Write(1, bytes.Repeat([]byte{0xCC}, 256))
+	c := fb.Alloc()
+	fb.Write(c, bytes.Repeat([]byte{0xCC}, 256))
+	fb.SetMeta([]byte("v1 meta, page 2"))
 	if err := fb.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -759,8 +635,11 @@ func TestFileBackendV1Readable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := re.ReadNoCopy(1); got[0] != 0xCC {
+	if got := re.ReadNoCopy(c); got[0] != 0xCC || string(re.Meta()) != "v1 meta, page 2" {
 		t.Errorf("v1 committed write lost")
+	}
+	if got := re.ReadNoCopy(1); !bytes.Equal(got, pg1) {
+		t.Errorf("v1 page 1 changed")
 	}
 	// The file must still be version 1 (slot math unchanged).
 	raw, err := os.ReadFile(path)
@@ -789,13 +668,14 @@ func TestFileBackendWALStats(t *testing.T) {
 		t.Fatalf("WAL size %d after checkpoint, want %d", s.Size, walHeaderSize)
 	}
 	fb.Begin()
-	fb.Write(a, bytes.Repeat([]byte{2}, 256))
+	fb.Free(a)
+	fb.Write(fb.Alloc(), bytes.Repeat([]byte{2}, 256))
 	if err := fb.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	s := fb.WALStats()
-	if s.Records != 3 { // PAGE + STATE + COMMIT
-		t.Errorf("WAL records = %d, want 3", s.Records)
+	if s.Records != 2 { // STATE + COMMIT: no page image, ever
+		t.Errorf("WAL records = %d, want 2", s.Records)
 	}
 	if s.Size <= walHeaderSize || s.Bytes != s.Size-walHeaderSize {
 		t.Errorf("WAL stats inconsistent: %+v", s)

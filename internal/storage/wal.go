@@ -8,10 +8,10 @@ import (
 )
 
 // Write-ahead log: the sidecar `.wal` file that makes FileBackend
-// mutations atomic and durable. Every transaction appends, in order,
+// mutations atomic and durable. No page is ever rewritten in place (see
+// FileBackend), so the log holds no page images: every transaction
+// appends, in order,
 //
-//   - one PAGE record per committed-live page the transaction overwrote
-//     (a full block image — the redo copy applied on replay),
 //   - one NOTE record per FileBackend.Note call: opaque bytes of the
 //     backend's owner, a logical description of a change that touched no
 //     page (the dynamic index logs "insert item" / "delete item" this way),
@@ -22,8 +22,8 @@ import (
 //   - one COMMIT record with a monotonically increasing sequence number,
 //
 // followed by a single fsync. A transaction is committed iff its COMMIT
-// record is fully on disk; recovery replays committed transactions in
-// order, hands their notes to the owner in commit order, and discards
+// record is fully on disk; recovery adopts the last committed state,
+// hands the committed notes to the owner in commit order, and discards
 // everything after the last commit marker. The first transaction of a log
 // generation always carries a STATE, so a log with committed transactions
 // describes the committed state without the page-file header.
@@ -37,20 +37,22 @@ import (
 // torn append — a partial record at the tail, or a record whose bytes
 // never fully reached the platter — fails validation and is truncated
 // away on replay. A record that validates but decodes to nonsense (an
-// unknown type, a freelist with duplicates, a page image beyond the
-// recorded geometry) is not a torn tail: it is reported as a wrapped
-// ErrWALCorrupt and Open fails rather than guessing.
+// unknown type, a freelist with duplicates) is not a torn tail: it is
+// reported as a wrapped ErrWALCorrupt and Open fails rather than guessing.
 //
 // Payloads (all integers little-endian):
 //
-//	PAGE   u32 pageID | u32 dataLen | data
 //	STATE  u32 numPages | u32 metaLen | meta | u32 freeCount | u32 free...
 //	COMMIT u64 seq
 //	NOTE   opaque bytes
 //
 // NOTE records arrived with log version 2. A version-1 log is a valid
 // version-2 log without them and is read as such; the header is rewritten
-// at version 2 once the log has been checkpointed away.
+// at version 2 once the log has been checkpointed away. Record type 1, a
+// PAGE image, was written by earlier builds for an in-place update; a log
+// that still holds one is from such an update that crashed before its
+// checkpoint, and fails Open with ErrWALCorrupt: opening the file once with
+// that earlier build replays and retires it.
 //
 // Checkpointing (FileBackend.Sync) rewrites the page-file header, fsyncs
 // the page file and truncates the log back to its 16-byte header: at that
@@ -75,7 +77,7 @@ const (
 	walVersion    = 2  // version 1 (no NOTE records) stays readable
 	walHeaderSize = 16 // magic[6] version:u16 blockSize:u32 reserved:u32
 
-	walRecPage   byte = 1
+	walRecPage   byte = 1 // earlier builds only; refused (see above)
 	walRecState  byte = 2
 	walRecCommit byte = 3
 	walRecNote   byte = 4
@@ -85,7 +87,7 @@ const (
 
 	// maxWALPayload bounds a single record's declared payload so hostile
 	// lengths cannot overflow offset arithmetic; real payloads are at
-	// most a block image or a freelist (4 bytes/page).
+	// most a freelist (4 bytes/page).
 	maxWALPayload = 1 << 30
 )
 
@@ -133,15 +135,6 @@ func appendWALRecord(dst []byte, typ byte, payload []byte) []byte {
 	return append(dst, lenbuf[:]...)
 }
 
-// encodeWALPage frames one page-image record.
-func encodeWALPage(id PageID, data []byte) []byte {
-	payload := make([]byte, 8+len(data))
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(id))
-	binary.LittleEndian.PutUint32(payload[4:8], uint32(len(data)))
-	copy(payload[8:], data)
-	return appendWALRecord(nil, walRecPage, payload)
-}
-
 // encodeWALState frames the post-transaction allocator/metadata record.
 func encodeWALState(numPages int, free []PageID, meta []byte) []byte {
 	payload := make([]byte, 0, 12+len(meta)+4*len(free))
@@ -170,12 +163,6 @@ func encodeWALCommit(seq uint64) []byte {
 	return appendWALRecord(nil, walRecCommit, payload[:])
 }
 
-// walPageImage is one decoded PAGE record.
-type walPageImage struct {
-	id   PageID
-	data []byte // aliases the scanned buffer; at most blockSize bytes
-}
-
 // walState is one decoded STATE record.
 type walState struct {
 	numPages int
@@ -187,18 +174,14 @@ type walState struct {
 // for a light transaction (notes only): the state is the previous one's.
 type walTx struct {
 	seq   uint64
-	pages []walPageImage
 	notes [][]byte // alias the scanned buffer
 	state *walState
 }
 
-// records frames the transaction the way Commit appends it: page images,
-// notes, the state unless the transaction is light, the commit marker.
+// records frames the transaction the way Commit appends it: notes, the
+// state unless the transaction is light, the commit marker.
 func (tx *walTx) records() [][]byte {
-	recs := make([][]byte, 0, len(tx.pages)+len(tx.notes)+2)
-	for _, pg := range tx.pages {
-		recs = append(recs, encodeWALPage(pg.id, pg.data))
-	}
+	recs := make([][]byte, 0, len(tx.notes)+2)
 	for _, note := range tx.notes {
 		recs = append(recs, encodeWALNote(note))
 	}
@@ -212,14 +195,12 @@ func (tx *walTx) records() [][]byte {
 // file was opened with a non-empty write-ahead log. A nil *RecoveryInfo
 // means the file was clean (no log records to consider).
 type RecoveryInfo struct {
-	// ReplayedTxs is the number of committed transactions whose effects
-	// were replayed into the page file.
+	// ReplayedTxs is the number of committed transactions found in the log;
+	// the state the last of them records is the one recovery adopted.
 	ReplayedTxs int
-	// ReplayedPages is the number of page images rewritten during replay.
-	ReplayedPages int
 	// ReappliedNotes is the number of logical notes — mutations committed
 	// as a log record only, after the last full save of the owner's state —
-	// that the owner re-applied on top of the replayed pages. The storage
+	// that the owner re-applied on top of the recovered state. The storage
 	// layer hands notes over uninterpreted (FileBackend.RecoveredNotes);
 	// OpenDynamic fills this in.
 	ReappliedNotes int
@@ -245,8 +226,8 @@ func (ri *RecoveryInfo) dirty() bool {
 
 // String renders the report in prose, for logs and prtool.
 func (ri *RecoveryInfo) String() string {
-	return fmt.Sprintf("replayed %d tx (%d pages), re-applied %d notes, discarded %d uncommitted records, %d duplicate commits, %d torn tail bytes",
-		ri.ReplayedTxs, ri.ReplayedPages, ri.ReappliedNotes, ri.DiscardedRecords, ri.DuplicateCommits, ri.TornTailBytes)
+	return fmt.Sprintf("replayed %d tx, re-applied %d notes, discarded %d uncommitted records, %d duplicate commits, %d torn tail bytes",
+		ri.ReplayedTxs, ri.ReappliedNotes, ri.DiscardedRecords, ri.DuplicateCommits, ri.TornTailBytes)
 }
 
 // walScanResult is everything scanWAL learned from a log body.
@@ -303,13 +284,12 @@ func scanWAL(data []byte, blockSize int) (walScanResult, error) {
 	var res walScanResult
 	res.info.WALBytes = int64(len(data))
 	var (
-		pages    []walPageImage
 		notes    [][]byte
 		state    *walState
 		pending  int
 		anyState bool // a committed transaction carried a STATE
 	)
-	reset := func() { pages, notes, state, pending = nil, nil, nil, 0 }
+	reset := func() { notes, state, pending = nil, nil, 0 }
 	off := 0
 	for off < len(data) {
 		typ, payload, size, ok := nextWALRecord(data[off:])
@@ -319,17 +299,8 @@ func scanWAL(data []byte, blockSize int) (walScanResult, error) {
 		}
 		switch typ {
 		case walRecPage:
-			if len(payload) < 8 {
-				return res, fmt.Errorf("%w: page record of %d bytes", ErrWALCorrupt, len(payload))
-			}
-			id := PageID(binary.LittleEndian.Uint32(payload[0:4]))
-			n := int(binary.LittleEndian.Uint32(payload[4:8]))
-			if n != len(payload)-8 || n > blockSize {
-				return res, fmt.Errorf("%w: page %d image of %d bytes (payload %d, block %d)",
-					ErrWALCorrupt, id, n, len(payload), blockSize)
-			}
-			pages = append(pages, walPageImage{id: id, data: payload[8 : 8+n]})
-			pending++
+			return res, fmt.Errorf("%w: a page image at log offset %d: an in-place update by an earlier build crashed before its checkpoint; open the file once with that build to replay it",
+				ErrWALCorrupt, walHeaderSize+off)
 		case walRecState:
 			st, err := decodeWALState(payload, blockSize)
 			if err != nil {
@@ -356,20 +327,14 @@ func scanWAL(data []byte, blockSize int) (walScanResult, error) {
 				reset()
 				break
 			}
-			if state == nil && (len(notes) == 0 || len(pages) > 0 || !anyState) {
+			if state == nil && (len(notes) == 0 || !anyState) {
 				// Only a light transaction — notes and nothing else, after a
 				// transaction that said what the state is — may omit it.
-				return res, fmt.Errorf("%w: commit %d without a state record (%d notes, %d page images)",
-					ErrWALCorrupt, seq, len(notes), len(pages))
-			}
-			for _, pg := range pages {
-				if int(pg.id) >= state.numPages {
-					return res, fmt.Errorf("%w: committed image for page %d beyond %d pages",
-						ErrWALCorrupt, pg.id, state.numPages)
-				}
+				return res, fmt.Errorf("%w: commit %d without a state record (%d notes)",
+					ErrWALCorrupt, seq, len(notes))
 			}
 			anyState = anyState || state != nil
-			res.txs = append(res.txs, walTx{seq: seq, pages: pages, notes: notes, state: state})
+			res.txs = append(res.txs, walTx{seq: seq, notes: notes, state: state})
 			res.lastSeq = seq
 			res.committedEnd = off + size
 			reset()

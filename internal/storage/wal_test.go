@@ -10,9 +10,17 @@ import (
 )
 
 // walTxBytes frames one committed transaction for tests.
-func walTxBytes(seq uint64, pages []walPageImage, numPages int, free []PageID, meta []byte) []byte {
-	tx := walTx{seq: seq, pages: pages, state: &walState{numPages: numPages, free: free, meta: meta}}
+func walTxBytes(seq uint64, numPages int, free []PageID, meta []byte) []byte {
+	tx := walTx{seq: seq, state: &walState{numPages: numPages, free: free, meta: meta}}
 	return bytes.Join(tx.records(), nil)
+}
+
+// walPageRecord frames a PAGE record the way earlier builds journaled an
+// in-place update: u32 page id, u32 length, the image.
+func walPageRecord(id PageID, data []byte) []byte {
+	payload := binary.LittleEndian.AppendUint32(nil, uint32(id))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(data)))
+	return appendWALRecord(nil, walRecPage, append(payload, data...))
 }
 
 // walNotesBytes frames one light transaction: notes and a commit marker.
@@ -29,10 +37,9 @@ func walNotesBytes(seq uint64, notes ...string) []byte {
 // the previous one's) or carries a STATE beside them; committedEnd is
 // where the last commit marker ends.
 func TestWALScanNotes(t *testing.T) {
-	tx1 := walTxBytes(1, nil, 2, []PageID{1}, []byte("m1"))
+	tx1 := walTxBytes(1, 2, []PageID{1}, []byte("m1"))
 	tx2 := walNotesBytes(2, "insert a", "insert b")
-	both := walTx{seq: 3, notes: [][]byte{[]byte("saved")}, pages: []walPageImage{{0, []byte{7}}},
-		state: &walState{numPages: 3, meta: []byte("m3")}}
+	both := walTx{seq: 3, notes: [][]byte{[]byte("saved")}, state: &walState{numPages: 3, meta: []byte("m3")}}
 	tx3 := bytes.Join(both.records(), nil)
 	tx4 := walNotesBytes(4, "delete a")
 	log := bytes.Join([][]byte{tx1, tx2, tx3, tx4}, nil)
@@ -48,8 +55,8 @@ func TestWALScanNotes(t *testing.T) {
 	if res.txs[1].state != nil || res.txs[3].state != nil {
 		t.Errorf("light transactions decoded with a state")
 	}
-	if st := res.txs[2].state; st == nil || st.numPages != 3 || string(st.meta) != "m3" || len(res.txs[2].pages) != 1 {
-		t.Errorf("notes + STATE + PAGE transaction decoded wrong: %+v", res.txs[2])
+	if st := res.txs[2].state; st == nil || st.numPages != 3 || string(st.meta) != "m3" {
+		t.Errorf("notes + STATE transaction decoded wrong: %+v", res.txs[2])
 	}
 	var got []string
 	for _, n := range res.notes() {
@@ -67,11 +74,9 @@ func TestWALScanNotes(t *testing.T) {
 // TestWALScanRoundTrip: a log of well-formed committed transactions must
 // decode back to exactly the transactions that were framed.
 func TestWALScanRoundTrip(t *testing.T) {
-	img0 := bytes.Repeat([]byte{0x11}, 64)
-	img1 := bytes.Repeat([]byte{0x22}, 256)
 	var log []byte
-	log = append(log, walTxBytes(1, []walPageImage{{0, img0}}, 2, nil, []byte("m1"))...)
-	log = append(log, walTxBytes(2, []walPageImage{{1, img1}, {0, img0}}, 3, []PageID{2}, []byte("m2"))...)
+	log = append(log, walTxBytes(1, 2, nil, []byte("m1"))...)
+	log = append(log, walTxBytes(2, 3, []PageID{2}, []byte("m2"))...)
 
 	res, err := scanWAL(log, 256)
 	if err != nil {
@@ -84,7 +89,7 @@ func TestWALScanRoundTrip(t *testing.T) {
 		t.Errorf("clean log reported dirt: %+v", res.info)
 	}
 	tx := res.txs[1]
-	if tx.seq != 2 || len(tx.pages) != 2 || !bytes.Equal(tx.pages[0].data, img1) {
+	if tx.seq != 2 || len(tx.notes) != 0 {
 		t.Errorf("tx 2 decoded wrong: %+v", tx)
 	}
 	if tx.state.numPages != 3 || len(tx.state.free) != 1 || tx.state.free[0] != 2 ||
@@ -97,8 +102,8 @@ func TestWALScanRoundTrip(t *testing.T) {
 // only the transactions fully committed before it — never an error, never
 // a partial transaction.
 func TestWALScanTornTail(t *testing.T) {
-	tx1 := walTxBytes(1, []walPageImage{{0, bytes.Repeat([]byte{1}, 32)}}, 1, nil, nil)
-	tx2 := walTxBytes(2, []walPageImage{{0, bytes.Repeat([]byte{2}, 32)}}, 1, nil, nil)
+	tx1 := walTxBytes(1, 1, nil, bytes.Repeat([]byte{1}, 32))
+	tx2 := walTxBytes(2, 1, nil, bytes.Repeat([]byte{2}, 32))
 	log := append(append([]byte(nil), tx1...), tx2...)
 
 	for cut := 0; cut <= len(log); cut++ {
@@ -130,7 +135,7 @@ func TestWALScanTornTail(t *testing.T) {
 // TestWALScanBitFlipTail: flipping any byte of the final record makes it
 // (and only it) a torn tail — committed prefixes stay decodable.
 func TestWALScanBitFlipTail(t *testing.T) {
-	tx1 := walTxBytes(1, nil, 1, nil, nil)
+	tx1 := walTxBytes(1, 1, nil, nil)
 	commit2 := encodeWALCommit(2)
 	state2 := encodeWALState(1, nil, nil)
 	log := append(append(append([]byte(nil), tx1...), state2...), commit2...)
@@ -154,17 +159,17 @@ func TestWALScanBitFlipTail(t *testing.T) {
 // TestWALScanDuplicateCommit: a commit marker whose sequence number was
 // already applied is skipped idempotently and counted.
 func TestWALScanDuplicateCommit(t *testing.T) {
-	log := walTxBytes(1, []walPageImage{{0, []byte{9}}}, 1, nil, nil)
+	log := walTxBytes(1, 1, nil, []byte{9})
 	log = append(log, encodeWALCommit(1)...) // bare duplicate
-	// A full duplicated transaction (page+state+commit with an old seq)
-	// must also be skipped.
-	log = append(log, walTxBytes(1, []walPageImage{{0, []byte{7}}}, 1, nil, nil)...)
+	// A full duplicated transaction (state+commit with an old seq) must
+	// also be skipped.
+	log = append(log, walTxBytes(1, 1, nil, []byte{7})...)
 
 	res, err := scanWAL(log, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.txs) != 1 || res.txs[0].pages[0].data[0] != 9 {
+	if len(res.txs) != 1 || res.txs[0].state.meta[0] != 9 {
 		t.Fatalf("duplicate commit replayed: %d txs", len(res.txs))
 	}
 	if res.info.DuplicateCommits != 2 {
@@ -175,8 +180,8 @@ func TestWALScanDuplicateCommit(t *testing.T) {
 // TestWALScanUncommittedTail: intact records after the last commit are
 // discarded and counted, not replayed.
 func TestWALScanUncommittedTail(t *testing.T) {
-	log := walTxBytes(1, nil, 1, nil, nil)
-	log = append(log, encodeWALPage(0, []byte{1, 2, 3})...)
+	log := walTxBytes(1, 1, nil, nil)
+	log = append(log, encodeWALNote([]byte{1, 2, 3})...)
 	log = append(log, encodeWALState(1, nil, nil)...)
 	res, err := scanWAL(log, 256)
 	if err != nil {
@@ -188,24 +193,27 @@ func TestWALScanUncommittedTail(t *testing.T) {
 }
 
 // TestWALScanCorrupt drives every semantically-invalid-but-checksummed
-// shape to a wrapped ErrWALCorrupt.
+// shape to a wrapped ErrWALCorrupt — among them every shape holding a PAGE
+// record, which only an earlier build's in-place update wrote.
 func TestWALScanCorrupt(t *testing.T) {
 	cases := []struct {
 		name string
 		log  []byte
 	}{
 		{"commit without state", encodeWALCommit(1)},
-		{"stateless commit with a page image", append(walTxBytes(1, nil, 2, nil, nil),
-			append(append(encodeWALPage(0, []byte{1}), encodeWALNote([]byte("n"))...), encodeWALCommit(2)...)...)},
-		{"stateless commit without notes after a state", append(walTxBytes(1, nil, 2, nil, nil), encodeWALCommit(2)...)},
+		{"page record from an in-place update", bytes.Join([][]byte{walTxBytes(1, 2, nil, nil),
+			walPageRecord(0, bytes.Repeat([]byte{1}, 256)), encodeWALState(2, nil, nil), encodeWALCommit(2)}, nil)},
+		{"stateless commit with a page image", append(walTxBytes(1, 2, nil, nil),
+			append(append(walPageRecord(0, []byte{1}), encodeWALNote([]byte("n"))...), encodeWALCommit(2)...)...)},
+		{"stateless commit without notes after a state", append(walTxBytes(1, 2, nil, nil), encodeWALCommit(2)...)},
 		{"notes-only transaction opening the log", walNotesBytes(1, "n")},
 		{"two states", append(append(encodeWALState(1, nil, nil), encodeWALState(1, nil, nil)...), encodeWALCommit(1)...)},
 		{"unknown record type", appendWALRecord(nil, 99, []byte("??"))},
 		{"short page record", appendWALRecord(nil, walRecPage, []byte{1, 2, 3})},
 		{"page image exceeds block", func() []byte {
-			return encodeWALPage(0, bytes.Repeat([]byte{1}, 300)) // block size is 256
+			return walPageRecord(0, bytes.Repeat([]byte{1}, 300)) // block size is 256
 		}()},
-		{"page beyond state geometry", walTxBytes(1, []walPageImage{{7, []byte{1}}}, 2, nil, nil)},
+		{"page beyond state geometry", append(walPageRecord(7, []byte{1}), walTxBytes(1, 2, nil, nil)...)},
 		{"short commit record", appendWALRecord(nil, walRecCommit, []byte{1})},
 		{"short state record", appendWALRecord(nil, walRecState, []byte{0, 0})},
 		{"state freelist out of range", func() []byte {
@@ -264,26 +272,26 @@ func TestWALHeader(t *testing.T) {
 // geometry-consistent and the report never exceeds the input.
 func FuzzWALScan(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(walTxBytes(1, []walPageImage{{0, bytes.Repeat([]byte{0xAA}, 64)}}, 2, []PageID{1}, []byte("meta")))
-	f.Add(walTxBytes(1, nil, 1, nil, nil)[:7]) // torn frame
-	f.Add(encodeWALCommit(1))                  // corrupt: commit without state
-	f.Add(append(walTxBytes(1, nil, 1, nil, nil), encodeWALCommit(1)...))
+	f.Add(walTxBytes(1, 2, []PageID{1}, []byte("meta")))
+	f.Add(walTxBytes(1, 1, nil, nil)[:7]) // torn frame
+	f.Add(encodeWALCommit(1))             // corrupt: commit without state
+	f.Add(append(walTxBytes(1, 1, nil, nil), encodeWALCommit(1)...))
 	f.Add(appendWALRecord(nil, 200, []byte{1, 2, 3}))
-	long := walTxBytes(3, []walPageImage{{1, bytes.Repeat([]byte{7}, 256)}}, 4, []PageID{0, 2}, nil)
+	long := walTxBytes(3, 4, []PageID{0, 2}, bytes.Repeat([]byte{7}, 200))
 	f.Add(long)
 	f.Add(long[:len(long)-2])
 	// A version-1 log: every transaction carries its STATE, no NOTE anywhere.
-	f.Add(append(walTxBytes(1, nil, 1, nil, []byte("v1")), walTxBytes(2, []walPageImage{{0, []byte{1}}}, 2, []PageID{1}, []byte("v1"))...))
+	f.Add(append(walTxBytes(1, 1, nil, []byte("v1")), walTxBytes(2, 2, []PageID{1}, []byte("v1"))...))
 	// Version 2: a lone NOTE, light transactions after a STATE, notes beside
-	// a STATE and an image, and the two shapes that must be corruption — a
-	// stateless commit with a page image, a notes-only log.
+	// a STATE, and the two shapes that must be corruption — a transaction
+	// holding an earlier build's page image, a notes-only log.
 	f.Add(encodeWALNote([]byte("note")))
-	light := append(walTxBytes(1, nil, 2, []PageID{1}, []byte("m")), walNotesBytes(2, "insert", "delete")...)
+	light := append(walTxBytes(1, 2, []PageID{1}, []byte("m")), walNotesBytes(2, "insert", "delete")...)
 	f.Add(light)
 	f.Add(light[:len(light)-3])
-	both := walTx{seq: 3, notes: [][]byte{[]byte("saved")}, pages: []walPageImage{{0, []byte{9}}}, state: &walState{numPages: 2}}
+	both := walTx{seq: 3, notes: [][]byte{[]byte("saved")}, state: &walState{numPages: 2}}
 	f.Add(append(append([]byte(nil), light...), bytes.Join(both.records(), nil)...))
-	f.Add(append(append(append(append([]byte(nil), light...), encodeWALPage(0, []byte{1})...), encodeWALNote([]byte("n"))...), encodeWALCommit(3)...))
+	f.Add(append(append(append(append([]byte(nil), light...), walPageRecord(0, []byte{1})...), encodeWALNote([]byte("n"))...), encodeWALCommit(3)...))
 	f.Add(walNotesBytes(1, "orphan"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -314,18 +322,13 @@ func FuzzWALScan(f *testing.F) {
 			canonical = append(canonical, bytes.Join(tx.records(), nil)...)
 			if tx.state == nil {
 				// A light transaction: notes, nothing else, never first.
-				if i == 0 || len(tx.notes) == 0 || len(tx.pages) != 0 {
-					t.Fatalf("tx %d (#%d) has no state, %d notes, %d images", tx.seq, i, len(tx.notes), len(tx.pages))
+				if i == 0 || len(tx.notes) == 0 {
+					t.Fatalf("tx %d (#%d) has no state and %d notes", tx.seq, i, len(tx.notes))
 				}
 				continue
 			}
 			if tx.state.numPages < 0 {
 				t.Fatalf("negative page count")
-			}
-			for _, pg := range tx.pages {
-				if int(pg.id) >= tx.state.numPages || len(pg.data) > blockSize {
-					t.Fatalf("tx %d: image for page %d (%d bytes) outside geometry", tx.seq, pg.id, len(pg.data))
-				}
 			}
 			for _, id := range tx.state.free {
 				if int(id) >= tx.state.numPages {

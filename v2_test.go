@@ -77,8 +77,9 @@ func TestBackendEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer file.Close()
-				file.ResetIOStats() // Create wrote the empty root; compare the load alone
-				replaced := uint64(file.Nodes())
+				if io := file.IOStats(); io.Total() != 0 {
+					t.Fatalf("Create did block I/O %v: an empty index owns no page", io)
+				}
 				if err := file.BulkLoad(PR, items); err != nil {
 					t.Fatal(err)
 				}
@@ -87,10 +88,7 @@ func TestBackendEquivalence(t *testing.T) {
 				// file-backed load's temporaries live on its scratch store,
 				// whose reads and writes IOStats still counts, and its index
 				// file took one write per tree page and nothing else.
-				// (BulkLoad first walks the tree it replaces to free it: one
-				// read for the empty root.)
 				buildM, buildF := mem.IOStats(), file.IOStats()
-				buildM.Reads += replaced
 				if buildM != buildF {
 					t.Fatalf("build block-I/O differs: in-memory %v, file-backed (index + scratch) %v", buildM, buildF)
 				}
@@ -167,6 +165,67 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
+// TestEmptyIndexOwnsNoPage: a created index owns no page — across Close and
+// Open, and to every query — so its first BulkLoad writes the tree from
+// page 0 and the file holds exactly its nodes, with no page left over from
+// the empty state.
+func TestEmptyIndexOwnsNoPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.pr")
+	tree, err := Create(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total, inUse := tree.PageCounts(); total != 0 || inUse != 0 {
+		t.Fatalf("a created index has %d pages, %d in use", total, inUse)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 0 || re.Nodes() != 0 || re.Height() != 0 || re.MBR().Valid() {
+		t.Fatalf("reopened empty index: len %d, nodes %d, height %d, MBR %v", re.Len(), re.Nodes(), re.Height(), re.MBR())
+	}
+	if err := re.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	world := NewRect(0, 0, 1, 1)
+	if n, err := re.Count(Window(world)); n != 0 || err != nil {
+		t.Errorf("window count %d (%v)", n, err)
+	}
+	if got := re.SearchContained(world); len(got) != 0 {
+		t.Errorf("containment found %d", len(got))
+	}
+	if got := re.SearchPoint(0.5, 0.5); len(got) != 0 {
+		t.Errorf("point query found %d", len(got))
+	}
+	if got := re.NearestNeighbors(0.5, 0.5, 3); len(got) != 0 {
+		t.Errorf("k-NN found %d", len(got))
+	}
+	if got := re.SearchBatch([]Rect{world, world}, 2); len(got[0])+len(got[1]) != 0 {
+		t.Errorf("batch found %d", len(got[0])+len(got[1]))
+	}
+	if got := re.Items(); len(got) != 0 {
+		t.Errorf("Items() = %d", len(got))
+	}
+	if io := re.IOStats(); io.Total() != 0 {
+		t.Errorf("queries of an empty index did block I/O %v", io)
+	}
+
+	if err := re.BulkLoad(PR, randItems(3000, 41)); err != nil {
+		t.Fatal(err)
+	}
+	if total, inUse := re.PageCounts(); total != re.Nodes() || inUse != re.Nodes() {
+		t.Fatalf("after the first load: %d pages, %d in use, for a tree of %d", total, inUse, re.Nodes())
+	}
+	if err := re.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCreateCloseOpen proves the persistence contract: Open after
 // Create+Close returns a tree whose Items and query results match the
 // original with zero rebuild work (no page writes at all).
@@ -231,8 +290,10 @@ func TestCreateCloseOpen(t *testing.T) {
 	}
 }
 
-// TestFileBackedUpdatesPersist: dynamic inserts and deletes on a
-// file-backed tree survive Close/Open.
+// TestFileBackedUpdatesPersist: updates to a file-backed tree — BulkLoad
+// rebuilds, one transaction each, every one written beside the tree it
+// replaces — survive Close/Open, and the freed pages of one rebuild house
+// the next.
 func TestFileBackedUpdatesPersist(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "updates.pr")
 	tree, err := Create(path, nil)
@@ -241,18 +302,20 @@ func TestFileBackedUpdatesPersist(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	var items []Item
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 5000; i++ {
 		x, y := rng.Float64(), rng.Float64()
-		it := Item{Rect: NewRect(x, y, x+0.01, y+0.01), ID: uint32(i)}
-		items = append(items, it)
-		tree.Insert(it)
+		items = append(items, Item{Rect: NewRect(x, y, x+0.01, y+0.01), ID: uint32(i)})
 	}
-	for i := 0; i < 100; i++ {
-		if !tree.Delete(items[i]) {
-			t.Fatalf("delete %d failed", i)
+	for _, step := range []struct {
+		l        Loader
+		from, to int
+	}{{PR, 0, 5000}, {Hilbert, 1000, 5000}, {PR, 0, 4000}} {
+		if err := tree.BulkLoad(step.l, items[step.from:step.to]); err != nil {
+			t.Fatal(err)
 		}
 	}
 	want := tree.Search(NewRect(0, 0, 1, 1))
+	nodes := tree.Nodes()
 	if err := tree.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +324,22 @@ func TestFileBackedUpdatesPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 400 {
-		t.Fatalf("reopened Len = %d, want 400", re.Len())
+	if re.Len() != 4000 || re.Nodes() != nodes {
+		t.Fatalf("reopened Len = %d, Nodes = %d; want 4000, %d", re.Len(), re.Nodes(), nodes)
 	}
 	if got := re.Search(NewRect(0, 0, 1, 1)); !reflect.DeepEqual(got, want) {
 		t.Fatal("reopened search differs after updates")
+	}
+	if err := re.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.CheckPages(); err != nil {
+		t.Fatal(err)
+	}
+	// The third tree took the first one's pages, lowest first, and the
+	// checkpoints cut off the second one's: the file is the live tree.
+	if total, inUse := re.PageCounts(); inUse != nodes || total != nodes {
+		t.Errorf("%d pages, %d in use, for a tree of %d", total, inUse, nodes)
 	}
 }
 
