@@ -3,6 +3,7 @@ package prtree
 import (
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -177,16 +178,20 @@ func TestDynamicInstallFlushesBuiltLevel(t *testing.T) {
 		t.Fatalf("install commit: %d page-file fsyncs, %d log fsyncs; want the built level flushed once, then the log",
 			f1.PageFile-f0.PageFile, f1.Log-f0.Log)
 	}
-	// fsync(pages) first, then NOTE STATE COMMIT and the log's fsync.
-	if got := fb.PersistSteps() - s0; got != 5 {
-		t.Errorf("install commit took %d persistence steps, want 5", got)
+	// fsync(pages) first, then — the first commit since the Sync emptied the
+	// log — its first extension of zeros, NOTE STATE COMMIT and the log's
+	// fsync.
+	if got := fb.PersistSteps() - s0; got != 6 {
+		t.Errorf("install commit took %d persistence steps, want 6", got)
 	}
 }
 
 // TestDynamicMutationBudget: between two carries — BufferCap() inserts
-// apart, as the index stands — a durable mutation is one small log record — 3 persistence steps (NOTE, COMMIT, fsync), no page
-// write, at most 64 log bytes, one log fsync — whatever the buffer and the
-// tombstone set hold; Sync right after one is the save transaction plus the
+// apart, as the index stands — a durable mutation is one small log record
+// — 3 persistence steps (NOTE, COMMIT, fsync), no page write, at most 64
+// log bytes, one log fsync — whatever the buffer and the tombstone set
+// hold, and the one that writes the log's next extension of zeros costs
+// one step more; Sync right after one is the save transaction plus the
 // checkpoint, and one more commit when it moves the file's tail into its
 // holes.
 func TestDynamicMutationBudget(t *testing.T) {
@@ -289,6 +294,35 @@ func TestDynamicMutationBudget(t *testing.T) {
 	if got := fb.WALStats().Size; got != 16 {
 		t.Errorf("log is %d bytes after Sync, want the bare header", got)
 	}
+
+	// The first commit after the Sync writes the log's first extension of
+	// zeros; light mutations then fill it, each at the same cost, until one
+	// writes the next extension: one step more — its pwrite — and no more
+	// fsyncs.
+	walFile := func() int64 {
+		st, err := os.Stat(path + ".wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	d.Insert(crashItems(r, 1, 9000)[0])
+	extending := light
+	extending.steps++
+	for i, size := 0, walFile(); ; i++ {
+		c := measure(func() { d.Delete(absent) })
+		if walFile() == size {
+			if c != light {
+				t.Fatalf("light mutation %d after the Sync cost %+v, want %+v", i, c, light)
+			}
+			continue
+		}
+		if c != extending {
+			t.Errorf("light mutation %d extended the log at a cost of %+v, want %+v", i, c, extending)
+		}
+		break
+	}
+	doSync()
 
 	// Die with a logged tail that includes the absent delete's twin, and
 	// find every acknowledged mutation — the no-op replayed as a no-op.

@@ -62,14 +62,21 @@ import (
 //     commits, so their committed bytes survive a rollback or a crash;
 //   - Note logs opaque bytes of the owner with the transaction — a logical
 //     record of a change that touched no page;
-//   - Commit flushes the page file, appends the notes, the post-state
-//     (allocator + metadata) and a commit marker, and fsyncs the log once.
+//   - Commit flushes the page file, writes the notes, the post-state
+//     (allocator + metadata) and a commit marker over the zeros past the
+//     log's last record, and fsyncs the log once.
 //
 // A light transaction — one that logged notes and did nothing else:
 // nothing freed, the metadata left alone — commits without
 // the post-state, which is still the last STATE record's: two small
 // appends and one log fsync, nothing proportional to the freelist. The
 // first transaction of a log generation is never light.
+//
+// The log keeps a region of zeros past its last record (see wal.go), and
+// a commit whose records would run past it first writes the next
+// extension — one more persistence step, no extra fsync — so every other
+// commit lands in space the file already holds, and its fsync has no new
+// file size to journal.
 //
 // The fsync rule of the commit path: a STATE-bearing commit makes pages
 // reachable, so it first flushes the page file if any page was written
@@ -86,8 +93,8 @@ import (
 // fsyncs the page file and truncates the log, making the page file alone
 // the committed state. Open adopts the last state the log's committed
 // transactions record (a crash between Commit and Sync), discards
-// uncommitted or torn tails, and then checkpoints; what it did is reported
-// through RecoveryInfo. A log with
+// uncommitted or torn tails and the zeros after them, and then
+// checkpoints; what it did is reported through RecoveryInfo. A log with
 // committed transactions supersedes the header entirely, so a crash
 // anywhere inside a checkpoint recovers cleanly; and because direct
 // writes can extend the file over the checkpointed freelist trailer, the
@@ -144,8 +151,8 @@ type FileBackend struct {
 	slotSize  int // blockSize, +pageTrailerSize from version 2 on
 
 	// Crash-injection instrumentation: persistStep() is called before
-	// every persistence side effect (page pwrite, WAL append, fsync,
-	// header rewrite). See SetCrashAfterSteps.
+	// every persistence side effect (page pwrite, log extension, WAL
+	// append, fsync, header rewrite). See SetCrashAfterSteps.
 	steps      atomic.Int64
 	crashAfter atomic.Int64
 	rollbacks  atomic.Uint64
@@ -157,11 +164,17 @@ type FileBackend struct {
 	fileSyncs  atomic.Int64
 	walSyncs   atomic.Int64
 
-	// The log's size and append counters are atomics because Commit appends
-	// under the commit gate, not under mu, while WALStats reads.
+	// walSize is where the log's records end and the next append goes. It
+	// and the append counters are atomics because Commit appends under the
+	// commit gate, not under mu, while WALStats reads.
 	walSize    atomic.Int64
 	walRecords atomic.Int64
 	walBytes   atomic.Int64
+
+	// walEnd is the log file's size: walSize and the zeros written ahead
+	// of it (see wal.go). It belongs to whoever owns the log's tail (see
+	// appendWAL).
+	walEnd int64
 
 	// extent is the page file's size as this handle's writes and
 	// checkpoints made it. Page slots that end within it have bytes on disk
@@ -311,7 +324,7 @@ func CreateFile(path string, blockSize int) (*FileBackend, error) {
 		cleanup()
 		return nil, fmt.Errorf("storage: fsync write-ahead log: %w", err)
 	}
-	fb.walSize.Store(walHeaderSize)
+	fb.setWALEnd(walHeaderSize)
 	if err := fb.Sync(); err != nil {
 		cleanup()
 		return nil, err
@@ -464,7 +477,9 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 			if err != nil {
 				return fail(err)
 			}
-			fb.walSize.Store(st.Size())
+			// Until the cut or the checkpoint below, whatever the file holds
+			// counts as written.
+			fb.setWALEnd(st.Size())
 		}
 	}
 	if len(res.txs) > 0 {
@@ -584,14 +599,15 @@ func (fb *FileBackend) resetWALFile() error {
 	if err := fb.syncWAL(); err != nil {
 		return fmt.Errorf("fsync write-ahead log: %w", err)
 	}
-	fb.walSize.Store(walHeaderSize)
+	fb.setWALEnd(walHeaderSize)
 	return nil
 }
 
 // cutWAL truncates the log to size bytes — the end of its last commit
-// marker — dropping a torn or uncommitted tail for good.
+// marker — dropping a torn or uncommitted tail, and the zeros after it,
+// for good.
 func (fb *FileBackend) cutWAL(size int64) error {
-	if size < fb.walSize.Load() {
+	if size < fb.walEnd {
 		if err := fb.wal.Truncate(size); err != nil {
 			return fmt.Errorf("truncating write-ahead log: %w", err)
 		}
@@ -599,8 +615,15 @@ func (fb *FileBackend) cutWAL(size int64) error {
 			return fmt.Errorf("fsync write-ahead log: %w", err)
 		}
 	}
-	fb.walSize.Store(size)
+	fb.setWALEnd(size)
 	return nil
+}
+
+// setWALEnd records a log file that ends at size, with no zeros after its
+// last record: the next commit writes an extension.
+func (fb *FileBackend) setWALEnd(size int64) {
+	fb.walSize.Store(size)
+	fb.walEnd = size
 }
 
 // RecoveredNotes returns the notes (see Note) of the committed
@@ -633,8 +656,9 @@ type WALStats struct {
 	// Records and Bytes count log appends since the backend was opened.
 	Records int64
 	Bytes   int64
-	// Size is the log file's current size (header included); Sync
-	// truncates it back to the 16-byte header.
+	// Size is where the log's records end (header included); the file runs
+	// on in the zeros written ahead of them. Sync truncates it back to the
+	// 16-byte header.
 	Size int64
 }
 
@@ -673,11 +697,12 @@ func (fb *FileBackend) syncWAL() error {
 
 // SetCrashAfterSteps arranges for the backend to panic with an error
 // wrapping ErrInjectedFault immediately BEFORE its n-th persistence side
-// effect (page pwrite, log append, fsync, header rewrite), counted from
-// the backend's creation, and on every attempted side effect thereafter —
-// modeling a process killed at that exact point whose file descriptors go
-// away. n <= 0 disables injection. Together with PersistSteps it lets a
-// test kill a workload at every boundary deterministically.
+// effect (page pwrite, log extension, log append, fsync, header rewrite),
+// counted from the backend's creation, and on every attempted side effect
+// thereafter — modeling a process killed at that exact point whose file
+// descriptors go away. n <= 0 disables injection. Together with
+// PersistSteps it lets a test kill a workload at every boundary
+// deterministically.
 func (fb *FileBackend) SetCrashAfterSteps(n int64) { fb.crashAfter.Store(n) }
 
 // PersistSteps returns the number of persistence side effects performed
@@ -1058,11 +1083,22 @@ func (fb *FileBackend) journalCheckpointState() {
 }
 
 // appendWAL appends recs at the log's end, one pwrite each, and fsyncs the
-// log. On an append or fsync error the log offset rewinds, so the dangling
-// (uncommitted) records are overwritten by the next append. The caller
-// owns the log's tail: it holds mu, or the commit gate.
+// log; records that would run past the zeros written ahead of them first
+// write the next extension. On an append or fsync error the log offset
+// rewinds, so the dangling (uncommitted) records are overwritten by the
+// next append. The caller owns the log's tail: it holds mu, or the commit
+// gate.
 func (fb *FileBackend) appendWAL(recs [][]byte) error {
 	start := fb.walSize.Load()
+	end := start
+	for _, rec := range recs {
+		end += int64(len(rec))
+	}
+	if end > fb.walEnd {
+		if err := fb.extendWAL(end); err != nil {
+			return err
+		}
+	}
 	for _, rec := range recs {
 		fb.persistStep()
 		if _, err := fb.wal.WriteAt(rec, fb.walSize.Load()); err != nil {
@@ -1078,6 +1114,23 @@ func (fb *FileBackend) appendWAL(recs [][]byte) error {
 		fb.walSize.Store(start)
 		return fmt.Errorf("storage: fsync write-ahead log: %w", err)
 	}
+	return nil
+}
+
+// extendWAL writes the log's next extension of zeros, walExtend bytes or
+// as many as it takes to reach need, as one persistence step. The caller
+// owns the log's tail.
+func (fb *FileBackend) extendWAL(need int64) error {
+	end := max(fb.walEnd+walExtend, need)
+	fb.persistStep()
+	for off := fb.walEnd; off < end; {
+		n, err := fb.wal.WriteAt(walZeros[:min(end-off, walExtend)], off)
+		if err != nil {
+			return fmt.Errorf("storage: extending write-ahead log: %w", err)
+		}
+		off += int64(n)
+	}
+	fb.walEnd = end
 	return nil
 }
 
@@ -1290,7 +1343,7 @@ func (fb *FileBackend) syncLocked() error {
 	if err := fb.syncPageFile(); err != nil {
 		return fmt.Errorf("storage: fsync page file: %w", err)
 	}
-	if fb.wal != nil && fb.walSize.Load() > walHeaderSize {
+	if fb.wal != nil && fb.walEnd > walHeaderSize {
 		fb.persistStep()
 		if err := fb.wal.Truncate(walHeaderSize); err != nil {
 			return fmt.Errorf("storage: truncating write-ahead log: %w", err)
@@ -1298,7 +1351,7 @@ func (fb *FileBackend) syncLocked() error {
 		if err := fb.syncWAL(); err != nil {
 			return fmt.Errorf("storage: fsync write-ahead log: %w", err)
 		}
-		fb.walSize.Store(walHeaderSize)
+		fb.setWALEnd(walHeaderSize)
 	}
 	// The checkpoint is complete: snapshot what the header now records for
 	// the next transaction's state guard, and start a fresh log generation.

@@ -37,9 +37,11 @@ func notesOf(fb *FileBackend) string {
 // TestFileBackendLightCommit: a transaction that only logs a note commits
 // as NOTE + COMMIT — three persistence steps, one log fsync, no page-file
 // fsync, no STATE — except as the first transaction of a log generation,
-// which carries the state.
+// which carries the state — and, after a checkpoint, the log's first
+// extension of zeros, one step more.
 func TestFileBackendLightCommit(t *testing.T) {
-	fb, err := CreateFile(tempIndex(t), 256)
+	path := tempIndex(t)
+	fb, err := CreateFile(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +61,11 @@ func TestFileBackendLightCommit(t *testing.T) {
 	}
 	note := string(bytes.Repeat([]byte{'n'}, 37))
 	first := measure(func() { lightCommit(t, fb, note) })
-	if first.records != 3 || first.steps != 4 || first.logSyncs != 1 || first.fileSyncs != 0 {
-		t.Errorf("first commit of the generation cost %+v, want NOTE+STATE+COMMIT and one log fsync", first)
+	if first.records != 3 || first.steps != 5 || first.logSyncs != 1 || first.fileSyncs != 0 {
+		t.Errorf("first commit of the generation cost %+v, want the first extension, NOTE+STATE+COMMIT and one log fsync", first)
+	}
+	if got := walFileSize(t, path); got != walHeaderSize+walExtend {
+		t.Fatalf("log file of %d bytes after the first commit, want the header and %d zeros", got, walExtend)
 	}
 	for i := 0; i < 100; i++ {
 		c := measure(func() { lightCommit(t, fb, note) })
@@ -159,17 +164,12 @@ func crashedWithNotes(t *testing.T) (path string, page PageID) {
 	}
 	fb.Begin()
 	fb.Note([]byte("never acknowledged"))
-	fb.SetCrashAfterSteps(fb.PersistSteps() + 3) // NOTE, COMMIT appended; the fsync dies
+	fb.SetCrashAfterSteps(fb.PersistSteps() + 3) // NOTE, COMMIT written; the fsync dies
 	expectFaultPanic(t, func() { fb.Commit() })
 	fb.Abandon()
 	// What a power cut does to an unsynced commit marker: tear it.
-	st, err := os.Stat(walPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(walPath(path), st.Size()-5); err != nil {
-		t.Fatal(err)
-	}
+	end := walRecordsEnd(t, path)
+	tearWAL(t, path, end-5, end)
 	return path, page
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -24,6 +25,51 @@ func expectFaultPanic(t *testing.T, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// walRecordsEnd returns the file offset at which the records of the log
+// beside the page file at path end. What follows is the zeros written ahead
+// of them, or nothing: the file's size says nothing about where the log
+// ends.
+func walRecordsEnd(t *testing.T, path string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(walPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := walHeaderSize
+	for {
+		_, _, size, ok := nextWALRecord(data[off:])
+		if !ok {
+			return int64(off)
+		}
+		off += size
+	}
+}
+
+// tearWAL zeros the log bytes [from, to) beside the page file at path:
+// what a power cut can leave of records whose fsync never ran.
+func tearWAL(t *testing.T, path string, from, to int64) {
+	t.Helper()
+	f, err := os.OpenFile(walPath(path), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(make([]byte, to-from), from); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// walFileSize returns the size of the log file beside the page file at
+// path: its records and the zeros written ahead of them.
+func walFileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(walPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
 }
 
 // TestFileBackendTxCommitDurable: committed transactions survive a process
@@ -113,8 +159,9 @@ func TestFileBackendTxCrashBeforeCommitRollsBack(t *testing.T) {
 	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA2}, 256))
 	fb.SetMeta([]byte("after"))
 	// Kill inside Commit after the STATE record is appended but before the
-	// commit marker: +1 flushes the page file, +2 appends STATE, +3 dies.
-	fb.SetCrashAfterSteps(fb.PersistSteps() + 3)
+	// commit marker: +1 flushes the page file, +2 writes the log's first
+	// extension, +3 appends STATE, +4 dies.
+	fb.SetCrashAfterSteps(fb.PersistSteps() + 4)
 	expectFaultPanic(t, func() { fb.Commit() })
 	fb.Abandon()
 
@@ -332,19 +379,18 @@ func TestFileBackendWALTruncatedTail(t *testing.T) {
 	fb.Begin()
 	fb.Free(a)
 	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA2}, 256))
-	// Kill at the log fsync (+4, after the page-file flush, STATE and
-	// COMMIT): the records are in the OS page cache but never forced down,
-	// so losing part of the commit record is exactly what a power cut could
-	// do.
-	fb.SetCrashAfterSteps(fb.PersistSteps() + 4)
+	// Kill at the log fsync (+5, after the page-file flush, the log's first
+	// extension, STATE and COMMIT): the records are in the OS page cache but
+	// never forced down, so losing part of the commit record is exactly what
+	// a power cut could do.
+	fb.SetCrashAfterSteps(fb.PersistSteps() + 5)
 	expectFaultPanic(t, func() { fb.Commit() })
-	walSize := fb.WALStats().Size
 	fb.Abandon()
 
-	// Tear the log: drop the last 6 bytes (inside the COMMIT record).
-	if err := os.Truncate(walPath(path), walSize-6); err != nil {
-		t.Fatal(err)
-	}
+	// Tear the log: zero the last 6 bytes of its last record (inside the
+	// COMMIT record).
+	end := walRecordsEnd(t, path)
+	tearWAL(t, path, end-6, end)
 	re, err := OpenFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -356,6 +402,93 @@ func TestFileBackendWALTruncatedTail(t *testing.T) {
 	}
 	if got := re.ReadNoCopy(a); !bytes.Equal(got, oldA) || re.NumPages() != 1 || re.PagesInUse() != 1 {
 		t.Errorf("torn transaction partially applied: %d pages, %d in use", re.NumPages(), re.PagesInUse())
+	}
+}
+
+// TestFileBackendWALExtensionCrash: light commits big enough to cross the
+// log's extensions at 64 KiB and 128 KiB, killed at the two steps only a
+// commit that extends the log has — the extension's pwrite, and the fsync
+// of the commit that carries it. Every reopen must hand back exactly the
+// acknowledged commits' notes, in order, and report no torn tail: the
+// zeros ahead of the records are not one. Killed at its fsync, the
+// commit's records are in the file as the process left them, so it comes
+// back too; torn the way a power cut can tear it — its records zeroed, the
+// extension gone — it must not.
+func TestFileBackendWALExtensionCrash(t *testing.T) {
+	note := func(i int) []byte { return []byte(fmt.Sprintf("%04d%s", i, bytes.Repeat([]byte{'x'}, 1000))) }
+	type cost struct{ steps, logSyncs, fileSyncs int64 }
+
+	// A dry run finds the commits that extend the log and prices them.
+	path := tempIndex(t)
+	fb, err := CreateFile(path, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var extending []int
+	for i := 0; len(extending) < 3; i++ {
+		size, s0, f0 := walFileSize(t, path), fb.PersistSteps(), fb.FsyncStats()
+		lightCommit(t, fb, string(note(i)))
+		if walFileSize(t, path) == size {
+			continue
+		}
+		extending = append(extending, i)
+		f1 := fb.FsyncStats()
+		c := cost{fb.PersistSteps() - s0, f1.Log - f0.Log, f1.PageFile - f0.PageFile}
+		if want := (cost{steps: 4, logSyncs: 1}); i > 0 && c != want {
+			t.Errorf("commit %d extends the log at a cost of %+v, want %+v", i, c, want)
+		}
+	}
+	if got, want := walFileSize(t, path), int64(walHeaderSize+3*walExtend); extending[0] != 0 || got != want {
+		t.Fatalf("extensions at commits %v leave a %d-byte log, want the first commit's and %d bytes", extending, got, want)
+	}
+	fb.Abandon()
+
+	for _, victim := range extending[1:] {
+		for _, kill := range []struct {
+			name     string
+			at       int64 // steps into the commit: extension, NOTE, COMMIT, fsync
+			powerCut bool
+		}{{"extension", 1, false}, {"fsync", 4, false}, {"fsync+power-cut", 4, true}} {
+			path := tempIndex(t)
+			fb, err := CreateFile(path, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < victim; i++ {
+				lightCommit(t, fb, string(note(i)))
+			}
+			recordsEnd, fileEnd := fb.WALStats().Size, walFileSize(t, path)
+			fb.Begin()
+			fb.Note(note(victim))
+			fb.SetCrashAfterSteps(fb.PersistSteps() + kill.at)
+			expectFaultPanic(t, func() { fb.Commit() })
+			fb.Abandon()
+			want := victim
+			switch {
+			case kill.powerCut:
+				tearWAL(t, path, recordsEnd, fileEnd)
+				if err := os.Truncate(walPath(path), fileEnd); err != nil {
+					t.Fatal(err)
+				}
+			case kill.at == 4:
+				want++
+			}
+
+			re, err := OpenFile(path, 0)
+			if err != nil {
+				t.Fatalf("commit %d killed at its %s: %v", victim, kill.name, err)
+			}
+			got := re.RecoveredNotes()
+			ok := len(got) == want
+			for i := 0; ok && i < want; i++ {
+				ok = bytes.Equal(got[i], note(i))
+			}
+			if ri := re.RecoveryInfo(); !ok || ri == nil || ri.ReplayedTxs != want || ri.TornTailBytes != 0 || ri.DiscardedRecords != 0 {
+				t.Errorf("commit %d killed at its %s: %d notes back (intact %v), recovery %+v; want the %d acknowledged, no torn tail",
+					victim, kill.name, len(got), ok, ri, want)
+			}
+			re.Abandon()
+		}
 	}
 }
 
@@ -372,11 +505,11 @@ func TestFileBackendWALGarbageTail(t *testing.T) {
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wf, err := os.OpenFile(walPath(path), os.O_WRONLY|os.O_APPEND, 0o644)
+	wf, err := os.OpenFile(walPath(path), os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wf.Write([]byte("garbage tail")); err != nil {
+	if _, err := wf.WriteAt([]byte("garbage tail"), walRecordsEnd(t, path)); err != nil {
 		t.Fatal(err)
 	}
 	wf.Close()

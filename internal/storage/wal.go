@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,12 +22,21 @@ import (
 //     state is then still the last STATE record's, freelist included,
 //   - one COMMIT record with a monotonically increasing sequence number,
 //
-// followed by a single fsync. A transaction is committed iff its COMMIT
-// record is fully on disk; recovery adopts the last committed state,
-// hands the committed notes to the owner in commit order, and discards
-// everything after the last commit marker. The first transaction of a log
-// generation always carries a STATE, so a log with committed transactions
-// describes the committed state without the page-file header.
+// written over zeros and made durable by a single fsync. A transaction is
+// committed iff its COMMIT record is fully on disk; recovery adopts the
+// last committed state, hands the committed notes to the owner in commit
+// order, and discards everything after the last commit marker. The first
+// transaction of a log generation always carries a STATE, so a log with
+// committed transactions describes the committed state without the
+// page-file header.
+//
+// The zero-filled region. The file runs on past its last record in zeros
+// written ahead of the records: when a commit's records would run past
+// them, that commit first writes the next extension of walExtend bytes
+// (more if its records need it) from one shared array of zeros. Every
+// other commit overwrites zeros in space the file already holds, so its
+// fsync has no new file size for the file system to journal. Only an
+// extension, a checkpoint and recovery's cut change the size.
 //
 // Wire format. The file starts with a 16-byte header (magic, version,
 // block size) and then holds length-prefixed records:
@@ -36,7 +46,10 @@ import (
 // The CRC (Castagnoli) covers the length, type and payload bytes, so a
 // torn append — a partial record at the tail, or a record whose bytes
 // never fully reached the platter — fails validation and is truncated
-// away on replay. A record that validates but decodes to nonsense (an
+// away on replay. Zero bytes after the last valid record are the log's
+// unwritten end, not a torn append (an all-zero frame never validates: the
+// CRC of zeros is not zero); a torn append is the bytes from there to the
+// last non-zero one. A record that validates but decodes to nonsense (an
 // unknown type, a freelist with duplicates) is not a torn tail: it is
 // reported as a wrapped ErrWALCorrupt and Open fails rather than guessing.
 //
@@ -55,12 +68,12 @@ import (
 // that earlier build replays and retires it.
 //
 // Checkpointing (FileBackend.Sync) rewrites the page-file header, fsyncs
-// the page file and truncates the log back to its 16-byte header: at that
-// point the page file alone describes the committed state. Notes are the
-// exception: they are the only durable copy of the changes they describe,
-// so a log that was recovered with notes in it is kept — cut at its last
-// commit marker — until the owner has consumed them (see
-// FileBackend.RecoveredNotes).
+// the page file and truncates the log back to its 16-byte header, zeros
+// and all: at that point the page file alone describes the committed
+// state. Notes are the exception: they are the only durable copy of the
+// changes they describe, so a log that was recovered with notes in it is
+// kept — cut at its last commit marker — until the owner has consumed them
+// (see FileBackend.RecoveredNotes).
 
 // castagnoli is the CRC32C table shared by WAL records and page trailers.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -89,7 +102,14 @@ const (
 	// lengths cannot overflow offset arithmetic; real payloads are at
 	// most a freelist (4 bytes/page).
 	maxWALPayload = 1 << 30
+
+	// walExtend is how far the zero-filled region grows at a time.
+	walExtend = 64 << 10
 )
+
+// walZeros is what an extension of the log writes: shared, so extending
+// allocates nothing. Never written to.
+var walZeros [walExtend]byte
 
 // encodeWALHeader returns the 16-byte log header for a page file with the
 // given block size.
@@ -212,9 +232,11 @@ type RecoveryInfo struct {
 	// commit marker — an uncommitted transaction the crash interrupted.
 	DiscardedRecords int
 	// TornTailBytes is the number of trailing bytes dropped because they
-	// failed length or checksum validation (a torn append).
+	// failed length or checksum validation (a torn append), counted up to
+	// the last non-zero byte: the zeros after it are the log's unwritten end.
 	TornTailBytes int64
-	// WALBytes is the size of the log body that was scanned.
+	// WALBytes is the written part of the log body: up to the end of its
+	// last record, or of its torn tail.
 	WALBytes int64
 }
 
@@ -277,12 +299,11 @@ func nextWALRecord(b []byte) (typ byte, payload []byte, size int, ok bool) {
 //
 // A torn tail (short or checksum-failing trailing bytes) and an
 // uncommitted trailing transaction are normal crash artifacts, reported
-// through the RecoveryInfo. A record that passes its checksum but decodes
-// to nonsense is real corruption: scanWAL returns a wrapped ErrWALCorrupt
-// and no transactions should be trusted.
-func scanWAL(data []byte, blockSize int) (walScanResult, error) {
-	var res walScanResult
-	res.info.WALBytes = int64(len(data))
+// through the RecoveryInfo; zeros after the last record are neither. A
+// record that passes its checksum but decodes to nonsense is real
+// corruption: scanWAL returns a wrapped ErrWALCorrupt and no transactions
+// should be trusted; WALBytes is still set, TornTailBytes is 0.
+func scanWAL(data []byte, blockSize int) (res walScanResult, err error) {
 	var (
 		notes    [][]byte
 		state    *walState
@@ -291,10 +312,18 @@ func scanWAL(data []byte, blockSize int) (walScanResult, error) {
 	)
 	reset := func() { notes, state, pending = nil, nil, 0 }
 	off := 0
+	defer func() {
+		// The written part runs from the last record read to the last
+		// non-zero byte: a torn tail, unless the scan stopped at corruption.
+		tail := int64(len(bytes.TrimRight(data[off:], "\x00")))
+		res.info.WALBytes = int64(off) + tail
+		if err == nil {
+			res.info.TornTailBytes = tail
+		}
+	}()
 	for off < len(data) {
 		typ, payload, size, ok := nextWALRecord(data[off:])
 		if !ok {
-			res.info.TornTailBytes = int64(len(data) - off)
 			break
 		}
 		switch typ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -129,6 +130,66 @@ func TestWALScanTornTail(t *testing.T) {
 				t.Fatalf("cut %d: truncation invisible in %+v", cut, res.info)
 			}
 		}
+	}
+}
+
+// TestWALScanZeroTail: zeros after the last record are the log's unwritten
+// end — the region commits write into — and not a torn tail. Committed
+// transactions followed by zeros replay with nothing torn; a torn record
+// followed by zeros is torn up to its last non-zero byte; a body of zeros
+// alone reports nothing, and a file whose log is such a body opens with no
+// RecoveryInfo and leaves a bare header.
+func TestWALScanZeroTail(t *testing.T) {
+	log := append(walTxBytes(1, 2, []PageID{1}, []byte("m")), walNotesBytes(2, "insert", "delete")...)
+	zeros := make([]byte, 4096)
+	torn := encodeWALNote([]byte("torn"))
+	torn = torn[:len(torn)-2]
+	tornWritten := len(bytes.TrimRight(torn, "\x00"))
+
+	for _, tc := range []struct {
+		name                string
+		body                []byte
+		txs, torn, walBytes int
+	}{
+		{"committed then zeros", append(append([]byte(nil), log...), zeros...), 2, 0, len(log)},
+		{"torn record then zeros", bytes.Join([][]byte{log, torn, zeros}, nil), 2, tornWritten, len(log) + tornWritten},
+		{"zeros alone", zeros, 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := scanWAL(tc.body, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.txs) != tc.txs || res.committedEnd != tc.walBytes-tc.torn ||
+				res.info.TornTailBytes != int64(tc.torn) || res.info.WALBytes != int64(tc.walBytes) ||
+				res.info.DiscardedRecords != 0 {
+				t.Errorf("%d txs, committed end %d, %+v; want %d txs, %d torn bytes, %d written",
+					len(res.txs), res.committedEnd, res.info, tc.txs, tc.torn, tc.walBytes)
+			}
+		})
+	}
+
+	path := tempIndex(t)
+	fb, err := CreateFile(path, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath(path), append(encodeWALHeader(256), zeros...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if ri := re.RecoveryInfo(); ri != nil {
+		t.Errorf("a log of zeros reports recovery %+v", ri)
+	}
+	if got := walFileSize(t, path); got != walHeaderSize {
+		t.Errorf("log file of %d bytes after the open's checkpoint, want the bare header", got)
 	}
 }
 
@@ -293,24 +354,34 @@ func FuzzWALScan(f *testing.F) {
 	f.Add(append(append([]byte(nil), light...), bytes.Join(both.records(), nil)...))
 	f.Add(append(append(append(append([]byte(nil), light...), walPageRecord(0, []byte{1})...), encodeWALNote([]byte("n"))...), encodeWALCommit(3)...))
 	f.Add(walNotesBytes(1, "orphan"))
+	// The zero-filled region commits write into: committed transactions
+	// followed by zeros, a torn record followed by zeros, zeros alone.
+	zeros := make([]byte, 300)
+	f.Add(append(append([]byte(nil), light...), zeros...))
+	f.Add(append(append([]byte(nil), light[:len(light)-3]...), zeros...))
+	f.Add(zeros)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const blockSize = 256
 		res, err := scanWAL(data, blockSize)
-		if res.info.WALBytes != int64(len(data)) {
-			t.Fatalf("WALBytes %d, input %d", res.info.WALBytes, len(data))
-		}
-		if res.info.TornTailBytes > int64(len(data)) || res.info.TornTailBytes < 0 {
-			t.Fatalf("TornTailBytes %d out of range", res.info.TornTailBytes)
+		// Whatever the outcome, the written part ends at a non-zero byte
+		// (the torn tail's last, if there is one), and only zeros follow it.
+		written, torn := res.info.WALBytes, res.info.TornTailBytes
+		if written > int64(len(data)) || torn < 0 || torn > written ||
+			len(bytes.TrimRight(data[written:], "\x00")) != 0 || (torn > 0 && data[written-1] == 0) {
+			t.Fatalf("WALBytes %d, TornTailBytes %d in %d bytes (err %v)", written, torn, len(data), err)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrWALCorrupt) {
 				t.Fatalf("non-sentinel error: %v", err)
 			}
+			if torn != 0 {
+				t.Fatalf("corrupt log reports %d torn bytes", torn)
+			}
 			return
 		}
-		if res.committedEnd < 0 || int64(res.committedEnd)+res.info.TornTailBytes > int64(len(data)) {
-			t.Fatalf("committedEnd %d with %d torn bytes in %d", res.committedEnd, res.info.TornTailBytes, len(data))
+		if res.committedEnd < 0 || int64(res.committedEnd)+torn > written {
+			t.Fatalf("committedEnd %d with %d torn bytes in %d written", res.committedEnd, torn, written)
 		}
 		var lastSeq uint64
 		var canonical []byte
