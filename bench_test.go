@@ -21,7 +21,6 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/hilbert"
 	"prtree/internal/pseudo"
-	"prtree/internal/rtree"
 	"prtree/internal/storage"
 	"prtree/internal/workload"
 )
@@ -355,61 +354,6 @@ func BenchmarkQueryBatch(b *testing.B) {
 				b.Fatalf("workers=%d aggregate blockIO %d != serial %d", w, lastIO, serialIO)
 			}
 		})
-	}
-}
-
-// BenchmarkLayoutFig12 runs one Fig12 query workload (1% squares on
-// grid-snapped Western data, internals pinned, capacity-0 pager) under
-// both page layouts and reports each layout's aggregate block I/O. It
-// FAILS if the compressed layout's block I/O is not strictly lower than
-// raw, or if the result sets diverge — the invariants the quantized
-// layout promises (conservative covers at interior levels, lossless or
-// raw-fallback leaves).
-func BenchmarkLayoutFig12(b *testing.B) {
-	items := dataset.Snap(dataset.Western(60000, 5), 16)
-	world := geom.ItemsMBR(items)
-	queries := workload.Squares(world, 0.01, 200, 6)
-
-	type outcome struct {
-		io       uint64
-		results  uint64
-		checksum uint64
-	}
-	run := func(b *testing.B, layout rtree.Layout) outcome {
-		disk := storage.NewDisk(storage.DefaultBlockSize)
-		pager := storage.NewPager(disk, 0)
-		tree := bulk.FromItems(bulk.LoaderPR, pager, items,
-			bulk.Options{MemoryItems: benchMem, Layout: layout})
-		tree.PinInternal()
-		var out outcome
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out = outcome{}
-			disk.ResetStats()
-			for _, q := range queries {
-				tree.Query(q, func(it geom.Item) bool {
-					out.results++
-					out.checksum += uint64(it.ID)
-					return true
-				})
-			}
-			out.io = disk.Stats().Total()
-		}
-		b.ReportMetric(float64(out.io), "blockIO/op")
-		return out
-	}
-	var raw, comp outcome
-	b.Run("raw", func(b *testing.B) { raw = run(b, rtree.LayoutRaw) })
-	b.Run("compressed", func(b *testing.B) { comp = run(b, rtree.LayoutCompressed) })
-	if raw.io == 0 || comp.io == 0 {
-		return // a sub-benchmark was filtered out; nothing to compare
-	}
-	if comp.io >= raw.io {
-		b.Fatalf("compressed blockIO %d not strictly below raw %d", comp.io, raw.io)
-	}
-	if comp.results != raw.results || comp.checksum != raw.checksum {
-		b.Fatalf("results diverged: raw (%d, %d), compressed (%d, %d)",
-			raw.results, raw.checksum, comp.results, comp.checksum)
 	}
 }
 

@@ -1,21 +1,18 @@
 // Command prbench regenerates the paper's evaluation: every figure and
 // table of Section 3 plus the Theorem 3 demonstration, the Lemma 2
-// empirical check, the page-layout sweep and the durability suite (WAL
-// build-path overhead, fault-injected recovery), printed as aligned text
-// tables and optionally emitted as machine-readable JSON.
+// empirical check and the durability suite (WAL build-path overhead,
+// fault-injected recovery), printed as aligned text tables and optionally
+// emitted as machine-readable JSON.
 //
 // Usage:
 //
 //	prbench [-scale F] [-queries N] [-mem M] [-workers W] [-seed S]
-//	        [-layout raw|compressed] [-json FILE] [-only ids] [-faults]
-//	        [-cachesweep] [-serve] [-serveaddr HOST:PORT]
+//	        [-json FILE] [-only ids] [-faults] [-serve]
+//	        [-serveaddr HOST:PORT]
 //
 // -faults is shorthand for -only faults: drive the file backend through
 // every injected failure mode (error, torn write, crash, silent stop) and
 // report what crash recovery restores.
-// -cachesweep is shorthand for -only cachesweep: serve a file-backed tree
-// at pager capacities far below the index size under each eviction policy
-// (lru, s3fifo).
 // -serve is shorthand for -only serve: load-test the sharded network
 // server (in-process by default; -serveaddr drives a running prtreeserve
 // instead) across a client-concurrency sweep, reporting qps and exact
@@ -25,9 +22,6 @@
 // the paper used 10-16.7M — scale 100 reproduces that on a large machine).
 // -workers sets the bulk-load pipeline's parallelism (default: GOMAXPROCS;
 // block-I/O counts are identical at any setting, only wall-clock changes).
-// -layout selects the on-disk page format every experiment builds with
-// (default raw, the paper's exact 36-byte-entry layout; the "layout"
-// experiment measures both formats regardless).
 // -json writes the results as JSON to the given file ("-" for stdout), the
 // producer for BENCH_*.json trajectory tracking: per-experiment rows plus
 // wall seconds and allocation counters. When the file already exists, the
@@ -50,7 +44,6 @@ import (
 	"time"
 
 	"prtree/internal/experiments"
-	"prtree/internal/rtree"
 )
 
 // jsonExperiment is one experiment's machine-readable record.
@@ -71,7 +64,6 @@ type jsonReport struct {
 	Queries      int              `json:"queries"`
 	Workers      int              `json:"workers"`
 	QueryWorkers int              `json:"qworkers"`
-	Layout       string           `json:"layout"`
 	Seed         int64            `json:"seed"`
 	TotalSeconds float64          `json:"total_seconds"`
 	Experiments  []jsonExperiment `json:"experiments"`
@@ -83,18 +75,16 @@ func main() {
 	mem := flag.Int("mem", 0, "bulk-loading memory budget in records (0 = 16384)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "bulk-load parallelism (1 = serial; I/O counts are identical at any setting)")
 	qworkers := flag.Int("qworkers", runtime.GOMAXPROCS(0), "highest worker count the query-throughput sweep reaches (I/O counts are identical at any setting)")
-	layoutFlag := flag.String("layout", "raw", "on-disk page layout for every experiment: raw (36 B entries, fanout 113) or compressed (12 B entries, fanout 338)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file (\"-\" = stdout)")
 	seed := flag.Int64("seed", 2004, "generator seed")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	faults := flag.Bool("faults", false, "run only the fault-injection recovery sweep (shorthand for -only faults)")
-	cachesweep := flag.Bool("cachesweep", false, "run only the cache-pressure sweep (shorthand for -only cachesweep)")
 	serveFlag := flag.Bool("serve", false, "run only the network-serving load test (shorthand for -only serve)")
 	compactFlag := flag.Bool("compact", false, "run only the online-compaction stall benchmark (shorthand for -only compact)")
 	serveAddr := flag.String("serveaddr", "", "serve experiment: drive this running prtreeserve binary-protocol address instead of an in-process server")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
-	for flagName, set := range map[string]*bool{"faults": faults, "cachesweep": cachesweep, "serve": serveFlag, "compact": compactFlag} {
+	for flagName, set := range map[string]*bool{"faults": faults, "serve": serveFlag, "compact": compactFlag} {
 		if !*set {
 			continue
 		}
@@ -105,19 +95,13 @@ func main() {
 		*only = flagName
 	}
 
-	layout, err := rtree.ParseLayout(*layoutFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "prbench: %v\n", err)
-		os.Exit(2)
-	}
-
 	ids := []string{
 		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15size", "fig15aspect", "fig15skewed",
 		"table1", "theorem3", "lemma2", "utilization",
 		"ablation-priority", "ablation-roundb", "ablation-cache",
-		"futurework", "throughput", "layout",
-		"faults", "cachesweep", "serve", "compact",
+		"futurework", "throughput",
+		"faults", "serve", "compact",
 	}
 	if *list {
 		for _, id := range ids {
@@ -132,7 +116,6 @@ func main() {
 		MemoryItems:  *mem,
 		Workers:      *workers,
 		QueryWorkers: *qworkers,
-		Layout:       layout,
 		Seed:         *seed,
 		ServeAddr:    *serveAddr,
 	}
@@ -174,24 +157,21 @@ func main() {
 		"ablation-cache":    experiments.AblationCache,
 		"futurework":        experiments.FutureWorkUpdates,
 		"throughput":        experiments.QueryThroughput,
-		"layout":            experiments.LayoutSweep,
 		"faults":            experiments.FaultSweep,
-		"cachesweep":        experiments.CacheSweep,
 		"serve":             experiments.Serve,
 		"compact":           experiments.Compaction,
 	}
 
 	jsonOnly := *jsonPath == "-"
 	if !jsonOnly {
-		fmt.Printf("PR-tree reproduction suite (scale=%g queries=%d workers=%d qworkers=%d layout=%s seed=%d)\n\n",
-			*scale, *queries, *workers, *qworkers, layout, *seed)
+		fmt.Printf("PR-tree reproduction suite (scale=%g queries=%d workers=%d qworkers=%d seed=%d)\n\n",
+			*scale, *queries, *workers, *qworkers, *seed)
 	}
 	report := jsonReport{
 		Scale:        *scale,
 		Queries:      *queries,
 		Workers:      *workers,
 		QueryWorkers: *qworkers,
-		Layout:       layout.String(),
 		Seed:         *seed,
 	}
 	total := time.Now()

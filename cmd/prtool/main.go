@@ -64,7 +64,6 @@ func main() {
 	in := flag.String("in", "", "input dataset (datagen -format bin)")
 	index := flag.String("index", "", "on-disk index file (create writes it, other subcommands open it)")
 	loaderName := flag.String("loader", "PR", "bulk loader: PR|H|H4|STR|TGS")
-	layoutName := flag.String("layout", "raw", "page layout: raw|compressed")
 	mem := flag.Int("mem", 0, "bulk-load memory budget in records (0 = no cap: a PR load builds in memory, other loaders use 65536; set it to make a PR load external)")
 	queries := flag.Int("queries", 100, "bench: number of queries")
 	area := flag.Float64("area", 0.01, "bench: query area fraction")
@@ -74,21 +73,12 @@ func main() {
 	nshards := flag.Int("shards", 4, "shard: number of shards")
 	partition := flag.String("partition", "hilbert", "shard: partitioning scheme: hilbert|grid")
 	cache := flag.Int("cache", 0, "page-cache capacity in pages (0 = unbounded, -1 disables)")
-	policyName := flag.String("policy", "lru", "bounded-cache eviction policy: lru|s3fifo")
 	flag.Parse()
 
 	if flag.NArg() < 1 {
 		usage()
 	}
 	loader, err := parseLoader(*loaderName)
-	if err != nil {
-		fatal(err)
-	}
-	layout, err := parseLayout(*layoutName)
-	if err != nil {
-		fatal(err)
-	}
-	policy, err := prtree.ParseEvictionPolicy(*policyName)
 	if err != nil {
 		fatal(err)
 	}
@@ -100,9 +90,7 @@ func main() {
 	}
 	opts := &prtree.Options{
 		MemoryItems:   *mem,
-		Layout:        layout,
 		CacheCapacity: capacity,
-		Eviction:      policy,
 		// Every load builds the same tree at any setting, so there is no
 		// flag: use the machine.
 		Parallelism: runtime.GOMAXPROCS(0),
@@ -121,7 +109,6 @@ func main() {
 			Shards:      *nshards,
 			Partition:   *partition,
 			Loader:      loader,
-			Layout:      layout,
 			MemoryItems: *mem,
 			Parallelism: opts.Parallelism,
 		})
@@ -364,9 +351,8 @@ func fileSize(path string, items int) string {
 	return s
 }
 
-// printCache reports the pager's cache behavior: the active eviction
-// policy and capacity plus the hit/miss/eviction counters accumulated so
-// far in this process.
+// printCache reports the pager's cache behavior: the capacity plus the
+// hit/miss/eviction counters accumulated so far in this process.
 func printCache(tree *prtree.Tree) {
 	cs := tree.CacheStats()
 	capStr := "unbounded"
@@ -376,7 +362,7 @@ func printCache(tree *prtree.Tree) {
 	case cs.Capacity > 0:
 		capStr = fmt.Sprintf("%d pages", cs.Capacity)
 	}
-	fmt.Printf("cache:        policy=%s capacity=%s\n", cs.Policy, capStr)
+	fmt.Printf("cache:        capacity=%s\n", capStr)
 	fmt.Printf("              hits=%d misses=%d evictions=%d (hit rate %.1f%%)\n",
 		cs.Hits, cs.Misses, cs.Evictions, 100*cs.HitRatio())
 }
@@ -429,17 +415,6 @@ func parseLoader(s string) (prtree.Loader, error) {
 		return prtree.TGS, nil
 	default:
 		return 0, fmt.Errorf("unknown loader %q", s)
-	}
-}
-
-func parseLayout(s string) (prtree.PageLayout, error) {
-	switch strings.ToLower(s) {
-	case "raw", "":
-		return prtree.LayoutRaw, nil
-	case "compressed":
-		return prtree.LayoutCompressed, nil
-	default:
-		return 0, fmt.Errorf("unknown layout %q", s)
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 //	prtool shard -in roads.bin -out roads.shards -shards 8
 //	prtreeserve -shards roads.shards -bind :9045 -http :9046 \
-//	            -cache 65536 -policy s3fifo -tenantcap 256 \
+//	            -cache 65536 -tenantcap 256 \
 //	            -deadline 2s -maxdeadline 30s
 //
 // Queries scatter across every shard concurrently and gather into a
@@ -36,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"prtree"
 	"prtree/internal/serve"
 )
 
@@ -45,7 +44,6 @@ func main() {
 	bind := flag.String("bind", "127.0.0.1:9045", "binary-protocol listen address")
 	httpBind := flag.String("http", "127.0.0.1:9046", "HTTP/JSON listen address (empty disables)")
 	cache := flag.Int("cache", 0, "global page-cache budget in pages, split across shards (0 = unbounded)")
-	policyName := flag.String("policy", "lru", "bounded-cache eviction policy: lru|s3fifo")
 	tenantCap := flag.Int("tenantcap", 0, "per-tenant in-flight request cap (0 = unlimited)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for requests that carry none (0 = none)")
 	maxDeadline := flag.Duration("maxdeadline", 0, "clamp on client-supplied deadlines (0 = no clamp)")
@@ -63,10 +61,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "prtreeserve: -shards is required (build one with prtool shard)")
 		os.Exit(2)
 	}
-	policy, err := prtree.ParseEvictionPolicy(*policyName)
-	if err != nil {
-		fatal(err)
-	}
 	netFaultMode, err := serve.ParseNetFaultMode(*netFault)
 	if err != nil {
 		fatal(err)
@@ -74,7 +68,6 @@ func main() {
 
 	set, err := serve.Open(*shards, serve.OpenOptions{
 		CachePages:      *cache,
-		Policy:          policy,
 		MaxRecoveries:   *maxRecoveries,
 		RecoveryBackoff: *recoveryBackoff,
 		FaultShard:      *faultShard,

@@ -35,7 +35,7 @@ func Create(path string, opts *Options) (*Tree, error) {
 		dev = o.WrapBackend(dev)
 	}
 	counting, pager := newTree(dev, o)
-	inner := rtree.New(pager, rtree.Config{Fanout: o.Fanout, Layout: o.Layout})
+	inner := rtree.New(pager, rtree.Config{Fanout: o.Fanout})
 	t := &Tree{
 		inner: inner, pager: pager, io: counting, bopts: o.bulkOptions(), path: path,
 		scratch: storage.NewScratch(path, fb.BlockSize()),
@@ -78,9 +78,8 @@ func Open(path string, opts *Options) (*Tree, error) {
 		fb.Abandon()
 		return nil, fmt.Errorf("prtree: open %s: %w", path, err)
 	}
-	cfg := inner.Config()
 	bopts := o.bulkOptions()
-	bopts.Fanout, bopts.Layout = cfg.Fanout, cfg.Layout
+	bopts.Fanout = inner.Config().Fanout
 	return &Tree{
 		inner: inner, pager: pager, io: counting, bopts: bopts, path: path,
 		scratch:  storage.NewScratch(path, fb.BlockSize()),

@@ -32,15 +32,9 @@ import (
 // Options tunes the loaders. The zero value selects the paper's setup:
 // 4 KB blocks with fanout 113 and a default memory budget.
 type Options struct {
-	// Fanout caps node entries; 0 means the block-size maximum of the
-	// layout (113 raw, 338 compressed at 4 KB).
+	// Fanout caps node entries; 0 means the block-size maximum (113 at
+	// 4 KB).
 	Fanout int
-	// Layout selects the on-disk page format every loader emits; the zero
-	// value is the paper's raw layout. Under rtree.LayoutCompressed,
-	// internal pages always compress and leaf pages compress when their
-	// coordinates quantize losslessly (falling back to raw pages
-	// otherwise), so query results are identical under both layouts.
-	Layout rtree.Layout
 	// MemoryItems is M, the number of records that fit in main memory;
 	// 0 means DefaultMemoryItems to Load, and no cap to InMemory.
 	MemoryItems int
@@ -73,7 +67,7 @@ type Options struct {
 const DefaultMemoryItems = 1 << 16
 
 func (o Options) normalized(blockSize int) Options {
-	if max := o.Layout.MaxFanout(blockSize); o.Fanout <= 0 || o.Fanout > max {
+	if max := rtree.MaxFanout(blockSize); o.Fanout <= 0 || o.Fanout > max {
 		o.Fanout = max
 	}
 	if o.MemoryItems <= 0 {
@@ -161,21 +155,6 @@ func FromItems(l Loader, pager *storage.Pager, items []geom.Item, opt Options) *
 	return Load(l, pager, storage.NewItemFileFrom(pager.Backend(), items), opt)
 }
 
-// probeLossless scans a file (one linear pass, counted I/O) and reports
-// whether every possible leaf grouping of its rectangles is guaranteed to
-// quantize losslessly under the compressed layout.
-func probeLossless(f *storage.ItemFile) bool {
-	p := geom.NewLosslessProbe()
-	r := f.Reader()
-	for {
-		it, ok := r.Next()
-		if !ok {
-			return p.Guaranteed()
-		}
-		p.Add(it.Rect)
-	}
-}
-
 // worldOf scans a file for its bounding box (one linear pass).
 func worldOf(f *storage.ItemFile) geom.Rect {
 	world := geom.EmptyRect()
@@ -191,11 +170,9 @@ func worldOf(f *storage.ItemFile) geom.Rect {
 
 // packSortedLeaves streams a sorted file into full leaves (the final leaf
 // may be partial) and returns their child entries in order. The file is
-// freed afterwards. Groups use the layout's full leaf capacity; under the
-// compressed layout a group that does not quantize losslessly becomes
-// several raw pages (WriteLeaves), which only lengthens the entry list.
+// freed afterwards.
 func packSortedLeaves(b *rtree.Builder, sorted *storage.ItemFile) []rtree.ChildEntry {
-	cap := b.LeafCapacity()
+	cap := b.Fanout()
 	leaves := make([]rtree.ChildEntry, 0, sorted.Len()/cap+1)
 	buf := make([]geom.Item, 0, cap)
 	r := sorted.Reader()
@@ -206,12 +183,12 @@ func packSortedLeaves(b *rtree.Builder, sorted *storage.ItemFile) []rtree.ChildE
 		}
 		buf = append(buf, it)
 		if len(buf) == cap {
-			leaves = append(leaves, b.WriteLeaves(buf)...)
+			leaves = append(leaves, b.WriteLeaf(buf))
 			buf = buf[:0]
 		}
 	}
 	if len(buf) > 0 {
-		leaves = append(leaves, b.WriteLeaves(buf)...)
+		leaves = append(leaves, b.WriteLeaf(buf))
 	}
 	sorted.Free()
 	return leaves

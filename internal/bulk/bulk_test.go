@@ -244,7 +244,7 @@ func TestTGSHeight(t *testing.T) {
 		{113*113 + 1, 113, 3}, {5, 2, 3}, {8, 2, 3}, {9, 2, 4},
 	}
 	for _, c := range cases {
-		if got := tgsHeight(c.n, c.fanout, c.fanout); got != c.want {
+		if got := tgsHeight(c.n, c.fanout); got != c.want {
 			t.Errorf("tgsHeight(%d,%d) = %d, want %d", c.n, c.fanout, got, c.want)
 		}
 	}

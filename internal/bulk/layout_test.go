@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"prtree/internal/geom"
@@ -28,19 +27,15 @@ func snappedItems(n int, seed int64) []geom.Item {
 	return items
 }
 
-func idSorted(items []geom.Item) []geom.Item {
-	out := append([]geom.Item(nil), items...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// TestLoadersCompressedLayout runs every loader under the compressed
-// layout on both grid-aligned and full-precision data: trees must
-// validate, answer queries identically to a raw-layout build of the same
-// input, and (on grid data) occupy fewer pages.
+// TestLoadersCompressedLayout: no loader writes a page of the compressed
+// layout earlier versions offered, not even on coordinate-snapped input,
+// the input that layout packed three times the entries of. Every loader,
+// on snapped and on full-precision data, writes pages with format flag 0
+// and at most MaxFanout entries, and builds a valid tree that holds every
+// item and answers as a brute-force scan does.
 func TestLoadersCompressedLayout(t *testing.T) {
-	loaders := []Loader{LoaderHilbert, LoaderHilbert4D, LoaderSTR, LoaderTGS, LoaderPR}
-	for _, l := range loaders {
+	fanout := rtree.MaxFanout(storage.DefaultBlockSize)
+	for _, l := range allLoaders() {
 		for _, grid := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/grid=%v", l, grid), func(t *testing.T) {
 				var items []geom.Item
@@ -49,97 +44,31 @@ func TestLoadersCompressedLayout(t *testing.T) {
 				} else {
 					items = randItems(6000, 42)
 				}
-				build := func(layout rtree.Layout) *rtree.Tree {
-					disk := storage.NewDisk(storage.DefaultBlockSize)
-					pager := storage.NewPager(disk, -1)
-					return FromItems(l, pager, items, Options{Layout: layout, MemoryItems: 1 << 14})
+				tr := loadOn(t, l, items, Options{MemoryItems: 1 << 14})
+				if err := tr.Validate(); err != nil {
+					t.Fatalf("tree invalid: %v", err)
 				}
-				raw := build(rtree.LayoutRaw)
-				comp := build(rtree.LayoutCompressed)
-				if err := comp.Validate(); err != nil {
-					t.Fatalf("compressed tree invalid: %v", err)
+				if tr.Len() != len(items) {
+					t.Fatalf("lost items: %d != %d", tr.Len(), len(items))
 				}
-				if comp.Len() != len(items) {
-					t.Fatalf("lost items: %d != %d", comp.Len(), len(items))
-				}
-				if grid && comp.Nodes() >= raw.Nodes() {
-					t.Errorf("compressed tree not smaller on grid data: %d vs %d pages", comp.Nodes(), raw.Nodes())
-				}
+				dev := tr.Pager().Backend()
+				tr.Walk(func(page storage.PageID, _ int, _ bool, entries []geom.Item) {
+					if flag := dev.PeekNoCopy(page)[1]; flag != 0 {
+						t.Fatalf("page %d has format flag %d", page, flag)
+					}
+					if len(entries) > fanout {
+						t.Fatalf("page %d holds %d entries, past the fanout %d", page, len(entries), fanout)
+					}
+				})
 				rng := rand.New(rand.NewSource(7))
 				for i := 0; i < 25; i++ {
 					x, y := rng.Float64(), rng.Float64()
 					q := geom.NewRect(x, y, x+0.05+rng.Float64()*0.1, y+0.05+rng.Float64()*0.1)
-					if err := rtree.CheckQueryAgainstBruteForce(comp, items, q); err != nil {
-						t.Fatalf("compressed: %v", err)
-					}
-					a := idSorted(raw.QueryCollect(q))
-					b := idSorted(comp.QueryCollect(q))
-					if len(a) != len(b) {
-						t.Fatalf("query %v: raw %d results, compressed %d", q, len(a), len(b))
-					}
-					for j := range a {
-						if a[j] != b[j] {
-							t.Fatalf("query %v result %d: %v != %v", q, j, a[j], b[j])
-						}
+					if err := rtree.CheckQueryAgainstBruteForce(tr, items, q); err != nil {
+						t.Fatal(err)
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestCompressedBuildWritesFewerBlocks checks the bulk-loading side of the
-// layout claim: page writes during the build drop with the higher fanout
-// (the input streams stay 36-byte records, so the sort I/O is unchanged —
-// only the emitted tree shrinks).
-func TestCompressedBuildWritesFewerBlocks(t *testing.T) {
-	items := snappedItems(20000, 9)
-	measure := func(layout rtree.Layout) (uint64, int) {
-		disk := storage.NewDisk(storage.DefaultBlockSize)
-		pager := storage.NewPager(disk, -1)
-		in := storage.NewItemFileFrom(disk, items)
-		disk.ResetStats()
-		tree := Load(LoaderHilbert, pager, in, Options{Layout: layout, MemoryItems: 1 << 14})
-		return disk.Stats().Writes, tree.Nodes()
-	}
-	rawWrites, rawPages := measure(rtree.LayoutRaw)
-	compWrites, compPages := measure(rtree.LayoutCompressed)
-	if compPages*2 >= rawPages {
-		t.Errorf("compressed pages %d not ~3x below raw %d", compPages, rawPages)
-	}
-	if compWrites >= rawWrites {
-		t.Errorf("compressed build wrote %d blocks, raw %d", compWrites, rawWrites)
-	}
-}
-
-// TestProbeLosslessDecidesTGSLeafCapacity pins the TGS capacity rule: on
-// guaranteed-lossless data TGS packs compressed-capacity leaves; on
-// full-precision data it packs raw-capacity leaves (and still validates).
-func TestProbeLosslessDecidesTGSLeafCapacity(t *testing.T) {
-	leafSizes := func(tr *rtree.Tree) (max int) {
-		tr.Walk(func(_ storage.PageID, _ int, isLeaf bool, entries []geom.Item) {
-			if isLeaf && len(entries) > max {
-				max = len(entries)
-			}
-		})
-		return max
-	}
-	build := func(items []geom.Item) *rtree.Tree {
-		disk := storage.NewDisk(storage.DefaultBlockSize)
-		return FromItems(LoaderTGS, storage.NewPager(disk, -1), items,
-			Options{Layout: rtree.LayoutCompressed, MemoryItems: 1 << 14})
-	}
-	grid := build(snappedItems(4000, 3))
-	if max := leafSizes(grid); max <= rtree.MaxFanout(storage.DefaultBlockSize) {
-		t.Errorf("TGS on guaranteed data packed leaves of at most %d (raw capacity)", max)
-	}
-	noisy := build(randItems(4000, 3))
-	if max := leafSizes(noisy); max > rtree.MaxFanout(storage.DefaultBlockSize) {
-		t.Errorf("TGS on full-precision data packed a %d-entry leaf beyond the raw capacity", max)
-	}
-	for _, tr := range []*rtree.Tree{grid, noisy} {
-		if err := tr.Validate(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // tree answers any window query in O(sqrt(N/B) + T/B) I/Os.
 func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split, Layout: opt.Layout})
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split})
 	if in.Len() == 0 {
 		in.Free()
 		return b.FinishEmpty()
@@ -38,11 +38,9 @@ func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree
 		count := 0
 		var last rtree.ChildEntry
 		pseudo.BuildExternal(cur, cfg, func(lg pseudo.LeafGroup) {
-			writeGroup(b, level, lg, func(entry rtree.ChildEntry) {
-				next.Append(toItem(entry))
-				last = entry
-				count++
-			})
+			last = writeGroup(b, level, lg)
+			next.Append(toItem(last))
+			count++
 		})
 		next.Seal()
 		if count == 1 {
@@ -71,7 +69,7 @@ func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree
 // the same order (InMemory says when a facade load takes this path).
 func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split, Layout: opt.Layout})
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split})
 	if len(items) == 0 {
 		return b.FinishEmpty()
 	}
@@ -79,7 +77,7 @@ func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tr
 	for level := 0; ; level++ {
 		next := make([]geom.Item, 0, len(cur)/opt.Fanout+1)
 		pseudo.Build(cur, opt.Fanout, true, opt.Parallelism).EachLeaf(func(lg pseudo.LeafGroup) {
-			writeGroup(b, level, lg, func(entry rtree.ChildEntry) { next = append(next, toItem(entry)) })
+			next = append(next, toItem(writeGroup(b, level, lg)))
 		})
 		if len(next) == 1 {
 			return b.Finish(toChildEntries(next)[0], level+1)
@@ -99,19 +97,14 @@ func InMemory(l Loader, n int, opt Options) bool {
 	return l == LoaderPR && (opt.MemoryItems <= 0 || opt.MemoryItems >= n)
 }
 
-// writeGroup writes one leaf group of a stage as pages and hands each
-// page's entry to add: at stage 0 the group's records become leaf pages — a
-// group may become several when the compressed layout falls back to raw,
-// and every page joins the next stage as its own bounding box — above it
-// the group's entries become one internal page.
-func writeGroup(b *rtree.Builder, level int, lg pseudo.LeafGroup, add func(rtree.ChildEntry)) {
+// writeGroup writes one leaf group of a stage as a page and returns its
+// entry: at stage 0 the group's records become a leaf page, above it the
+// group's entries become an internal page.
+func writeGroup(b *rtree.Builder, level int, lg pseudo.LeafGroup) rtree.ChildEntry {
 	if level == 0 {
-		for _, entry := range b.WriteLeaves(lg.Items) {
-			add(entry)
-		}
-		return
+		return b.WriteLeaf(lg.Items)
 	}
-	add(b.WriteInternal(toChildEntries(lg.Items)))
+	return b.WriteInternal(toChildEntries(lg.Items))
 }
 
 // toItem carries a page's entry into the next stage as a record: rect =

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"prtree/internal/geom"
-	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
@@ -24,11 +23,11 @@ func sameSquare(n int) []geom.Item {
 // TestPRTreeSliceMatchesItemFileLoad: within the memory budget the slice
 // path is the ItemFile load without the file. Over an input file on a
 // store of its own — so the tree's store receives tree pages only, as a
-// file-backed index's does — PRTree writes the same pages, byte for byte and
-// in the same order, and the same metadata as PRTreeSlice, under both
-// layouts and at Parallelism 1 and 2 (the largest input forks the kd
-// recursion, whose halves then select over one shared permutation), and
-// PRTreeSlice leaves its input as it found it.
+// file-backed index's does — PRTree writes the same raw-layout pages, byte for byte and
+// in the same order, and the same metadata as PRTreeSlice, at Parallelism 1
+// and 2 (the largest input forks the kd recursion, whose halves then select
+// over one shared permutation), and PRTreeSlice leaves its input as it
+// found it.
 func TestPRTreeSliceMatchesItemFileLoad(t *testing.T) {
 	defer allowParallelism()()
 	const b = 16
@@ -46,48 +45,46 @@ func TestPRTreeSliceMatchesItemFileLoad(t *testing.T) {
 		{"sameSquare", sameSquare(3000), b},
 		{"N=30000/default fanout", randItems(30000, 6), 0},
 	}
-	for _, layout := range []rtree.Layout{rtree.LayoutRaw, rtree.LayoutCompressed} {
-		for _, par := range []int{1, 2} {
-			for _, c := range cases {
-				t.Run(fmt.Sprintf("%v/Parallelism=%d/%s", layout, par, c.name), func(t *testing.T) {
-					opt := Options{Fanout: c.fanout, Layout: layout, Parallelism: par, MemoryItems: DefaultMemoryItems}
-					if !InMemory(LoaderPR, len(c.items), opt) || !InMemory(LoaderPR, len(c.items), Options{}) {
-						t.Fatal("InMemory refuses a PR load within its budget")
-					}
+	for _, par := range []int{1, 2} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("raw/Parallelism=%d/%s", par, c.name), func(t *testing.T) {
+				opt := Options{Fanout: c.fanout, Parallelism: par, MemoryItems: DefaultMemoryItems}
+				if !InMemory(LoaderPR, len(c.items), opt) || !InMemory(LoaderPR, len(c.items), Options{}) {
+					t.Fatal("InMemory refuses a PR load within its budget")
+				}
 
-					fileDisk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
-					fromFile := PRTree(storage.NewPager(fileDisk, -1), storage.NewItemFileFrom(tmp, c.items), opt)
-					if tmp.PagesInUse() != 0 {
-						t.Fatalf("the ItemFile load left %d temporary pages", tmp.PagesInUse())
-					}
+				fileDisk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
+				fromFile := PRTree(storage.NewPager(fileDisk, -1), storage.NewItemFileFrom(tmp, c.items), opt)
+				if tmp.PagesInUse() != 0 {
+					t.Fatalf("the ItemFile load left %d temporary pages", tmp.PagesInUse())
+				}
 
-					input := slices.Clone(c.items)
-					sliceDisk := storage.NewDisk(storage.DefaultBlockSize)
-					fromSlice := PRTreeSlice(storage.NewPager(sliceDisk, -1), c.items, opt)
-					if !slices.Equal(c.items, input) {
-						t.Fatal("PRTreeSlice wrote its input")
-					}
-					if err := fromSlice.Validate(); err != nil {
-						t.Fatal(err)
-					}
-					if fromSlice.Len() != len(c.items) {
-						t.Fatalf("slice load holds %d of %d items", fromSlice.Len(), len(c.items))
-					}
+				input := slices.Clone(c.items)
+				sliceDisk := storage.NewDisk(storage.DefaultBlockSize)
+				fromSlice := PRTreeSlice(storage.NewPager(sliceDisk, -1), c.items, opt)
+				if !slices.Equal(c.items, input) {
+					t.Fatal("PRTreeSlice wrote its input")
+				}
+				if err := fromSlice.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if fromSlice.Len() != len(c.items) {
+					t.Fatalf("slice load holds %d of %d items", fromSlice.Len(), len(c.items))
+				}
 
-					if !bytes.Equal(fromSlice.EncodeMeta(), fromFile.EncodeMeta()) {
-						t.Errorf("metadata differs: height %d root %d, ItemFile load height %d root %d",
-							fromSlice.Height(), fromSlice.Root(), fromFile.Height(), fromFile.Root())
+				if !bytes.Equal(fromSlice.EncodeMeta(), fromFile.EncodeMeta()) {
+					t.Errorf("metadata differs: height %d root %d, ItemFile load height %d root %d",
+						fromSlice.Height(), fromSlice.Root(), fromFile.Height(), fromFile.Root())
+				}
+				if sliceDisk.NumPages() != fileDisk.NumPages() {
+					t.Fatalf("slice load wrote %d pages, the ItemFile load %d", sliceDisk.NumPages(), fileDisk.NumPages())
+				}
+				for id := 0; id < sliceDisk.NumPages(); id++ {
+					if !bytes.Equal(sliceDisk.PeekNoCopy(storage.PageID(id)), fileDisk.PeekNoCopy(storage.PageID(id))) {
+						t.Fatalf("page %d differs", id)
 					}
-					if sliceDisk.NumPages() != fileDisk.NumPages() {
-						t.Fatalf("slice load wrote %d pages, the ItemFile load %d", sliceDisk.NumPages(), fileDisk.NumPages())
-					}
-					for id := 0; id < sliceDisk.NumPages(); id++ {
-						if !bytes.Equal(sliceDisk.PeekNoCopy(storage.PageID(id)), fileDisk.PeekNoCopy(storage.PageID(id))) {
-							t.Fatalf("page %d differs", id)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

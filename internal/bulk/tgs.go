@@ -22,39 +22,25 @@ import (
 // O((N/B) log2 N) block transfers.
 func TGS(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split, Layout: opt.Layout})
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split})
 	n := in.Len()
 	if n == 0 {
 		in.Free()
 		return b.FinishEmpty()
 	}
 	disk := in.Backend()
-	// TGS's top-down partition fixes the leaf group size before the groups
-	// are known, so under the compressed layout it runs one probe pass
-	// (N/B reads, dwarfed by TGS's O((N/B) log N) sort cost): when every
-	// coordinate sits on a power-of-two grid coarse enough that any subset
-	// quantizes losslessly, leaves pack at the full compressed capacity;
-	// otherwise TGS packs at the raw capacity — the size every page can
-	// hold — and takes the compressed win at the internal levels only.
-	// The stream packers (H, H4, STR, PR) decide per page instead.
-	leafCap := opt.Fanout
-	if opt.Layout == rtree.LayoutCompressed && !probeLossless(in) {
-		if raw := rtree.LayoutRaw.MaxFanout(disk.BlockSize()); raw < leafCap {
-			leafCap = raw
-		}
-	}
 	// The four orderings come from one scan of the input.
 	lists := [4]*storage.ItemFile(extsort.SortKeys(in, extsort.AxisKeys(), opt.sortConfig()))
 	in.Free()
-	t := &tgsBuilder{disk: disk, b: b, fanout: opt.Fanout, leafCap: leafCap}
-	h := tgsHeight(n, leafCap, opt.Fanout)
+	t := &tgsBuilder{disk: disk, b: b, fanout: opt.Fanout}
+	h := tgsHeight(n, opt.Fanout)
 	root := t.build(lists, h)
 	return b.Finish(root, h)
 }
 
-// tgsHeight returns the minimum height h with leafCap*fanout^(h-1) >= n.
-func tgsHeight(n, leafCap, fanout int) int {
-	h, cap := 1, leafCap
+// tgsHeight returns the minimum height h with fanout^h >= n.
+func tgsHeight(n, fanout int) int {
+	h, cap := 1, fanout
 	for cap < n {
 		h++
 		cap *= fanout
@@ -63,10 +49,9 @@ func tgsHeight(n, leafCap, fanout int) int {
 }
 
 type tgsBuilder struct {
-	disk    storage.Backend
-	b       *rtree.Builder
-	fanout  int
-	leafCap int
+	disk   storage.Backend
+	b      *rtree.Builder
+	fanout int
 }
 
 // orderKey is a point in the strict total order (coordinate, id) of one of
@@ -98,7 +83,7 @@ func (t *tgsBuilder) build(lists [4]*storage.ItemFile, h int) rtree.ChildEntry {
 		return t.b.WriteLeaf(items)
 	}
 	// m is the capacity of one height-(h-1) child subtree.
-	m := t.leafCap
+	m := t.fanout
 	for i := 0; i < h-2; i++ {
 		m *= t.fanout
 	}

@@ -177,27 +177,3 @@ func reverseBits(v uint64, k int) uint64 {
 	}
 	return out
 }
-
-// Snap quantizes every coordinate onto the uniform grid of spacing
-// 2^-bits, rounding minimums down and maximums up so each snapped
-// rectangle covers the original. This reproduces the integer-coordinate
-// regime of the real TIGER/Line data (whose coordinates are millionths of
-// a degree); grid-aligned inputs are what the compressed page layout
-// stores losslessly at the leaves.
-func Snap(items []geom.Item, bits uint) []geom.Item {
-	scale := math.Ldexp(1, int(bits))
-	inv := math.Ldexp(1, -int(bits))
-	out := make([]geom.Item, len(items))
-	for i, it := range items {
-		out[i] = geom.Item{
-			Rect: geom.Rect{
-				MinX: math.Floor(it.Rect.MinX*scale) * inv,
-				MinY: math.Floor(it.Rect.MinY*scale) * inv,
-				MaxX: math.Ceil(it.Rect.MaxX*scale) * inv,
-				MaxY: math.Ceil(it.Rect.MaxY*scale) * inv,
-			},
-			ID: it.ID,
-		}
-	}
-	return out
-}

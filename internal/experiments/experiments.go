@@ -39,10 +39,6 @@ type Config struct {
 	// experiment sweeps to (0 = GOMAXPROCS). Aggregate block-I/O is
 	// identical at every setting; only queries/sec changes.
 	QueryWorkers int
-	// Layout selects the on-disk page format every experiment builds with
-	// (default rtree.LayoutRaw, the paper's exact setup). The LayoutSweep
-	// experiment measures both layouts regardless of this setting.
-	Layout rtree.Layout
 	// Seed drives every generator.
 	Seed int64
 	// ServeAddr points the serve experiment at an already-running
@@ -54,7 +50,7 @@ type Config struct {
 
 // bulkOptions returns the loader options every experiment shares.
 func (c Config) bulkOptions() bulk.Options {
-	return bulk.Options{MemoryItems: c.MemoryItems, Parallelism: c.Workers, Layout: c.Layout}
+	return bulk.Options{MemoryItems: c.MemoryItems, Parallelism: c.Workers}
 }
 
 func (c Config) normalized() Config {
@@ -253,7 +249,5 @@ func All(cfg Config) []Table {
 		AblationCache(cfg),
 		FutureWorkUpdates(cfg),
 		QueryThroughput(cfg),
-		LayoutSweep(cfg),
-		CacheSweep(cfg),
 	}
 }

@@ -136,7 +136,6 @@ func startLocalServer(cfg Config) (*localServer, error) {
 		Partition:   serve.PartitionHilbert,
 		MemoryItems: cfg.MemoryItems,
 		Parallelism: cfg.Workers,
-		Layout:      cfg.Layout,
 	}); err != nil {
 		return fail(err)
 	}

@@ -113,9 +113,8 @@ func (t *Tree) bufferCap(s *state) int {
 // Item IDs must be unique across live items; Delete identifies items by
 // (rect, id).
 //
-// The bulk.Options passed to New — including Options.Layout — apply to
-// every static level the structure builds, so the logarithmic method runs
-// on compressed pages the same way the one-shot loaders do.
+// The bulk.Options passed to New apply to every static level the
+// structure builds.
 //
 // Queries are safe to run concurrently with each other and with
 // mutations. Mutations serialize internally, but callers that bracket
@@ -146,10 +145,10 @@ type Tree struct {
 
 // New creates an empty dynamic tree. base is the unit of the level
 // geometry — slot i holds at most base*2^i items — and the insert buffer's
-// smallest capacity (0 means one leaf's worth, i.e. the layout's fanout).
+// smallest capacity (0 means one leaf's worth, i.e. the block-size fanout).
 func New(pager *storage.Pager, opt bulk.Options, base int) *Tree {
 	if base <= 0 {
-		base = opt.Layout.MaxFanout(pager.Backend().BlockSize())
+		base = rtree.MaxFanout(pager.Backend().BlockSize())
 	}
 	t := &Tree{
 		pager: pager,

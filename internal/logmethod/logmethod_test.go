@@ -7,7 +7,6 @@ import (
 
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
-	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
@@ -291,55 +290,5 @@ func TestAmortizedInsertIO(t *testing.T) {
 	}
 	if math.IsNaN(perItem) {
 		t.Fatal("no I/O recorded")
-	}
-}
-
-// TestDynamicCompressedLayout routes the logarithmic method's static
-// levels through the compressed page layout and cross-checks queries
-// against a brute-force scan through churn.
-func TestDynamicCompressedLayout(t *testing.T) {
-	disk := storage.NewDisk(storage.DefaultBlockSize)
-	tr := New(storage.NewPager(disk, -1), bulk.Options{Layout: rtree.LayoutCompressed, MemoryItems: 1 << 14}, 0)
-	if tr.base != rtree.LayoutCompressed.MaxFanout(storage.DefaultBlockSize) {
-		t.Fatalf("default base %d, want the compressed fanout %d",
-			tr.base, rtree.LayoutCompressed.MaxFanout(storage.DefaultBlockSize))
-	}
-	rng := rand.New(rand.NewSource(77))
-	live := map[uint32]geom.Item{}
-	for i := 0; i < 4000; i++ {
-		x, y := rng.Float64(), rng.Float64()
-		it := geom.Item{Rect: geom.NewRect(x, y, x+rng.Float64()*0.01, y+rng.Float64()*0.01), ID: uint32(i)}
-		tr.Insert(it)
-		live[it.ID] = it
-		if i%5 == 2 {
-			for id, victim := range live {
-				if !tr.Delete(victim) {
-					t.Fatalf("delete %d failed", id)
-				}
-				delete(live, id)
-				break
-			}
-		}
-	}
-	if tr.Len() != len(live) {
-		t.Fatalf("Len %d, want %d", tr.Len(), len(live))
-	}
-	for i := 0; i < 25; i++ {
-		x, y := rng.Float64(), rng.Float64()
-		q := geom.NewRect(x, y, x+0.2, y+0.2)
-		got := map[uint32]bool{}
-		tr.Query(q, func(it geom.Item) bool { got[it.ID] = true; return true })
-		want := 0
-		for _, it := range live {
-			if q.Intersects(it.Rect) {
-				want++
-				if !got[it.ID] {
-					t.Fatalf("query %v missed %d", q, it.ID)
-				}
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("query %v: %d results, want %d", q, len(got), want)
-		}
 	}
 }

@@ -9,9 +9,7 @@ import (
 
 // Builder writes a tree bottom-up or top-down on behalf of the bulk
 // loaders. Every page written is counted as a block write on the disk, so
-// bulk-loading I/O is measured, not modeled. Pages are encoded in the
-// configured layout; under LayoutCompressed, leaf groups that do not
-// quantize losslessly fall back to raw pages (see WriteLeaves).
+// bulk-loading I/O is measured, not modeled.
 type Builder struct {
 	tree   *Tree
 	nItems int
@@ -28,83 +26,27 @@ func NewBuilder(pager *storage.Pager, cfg Config) *Builder {
 // Fanout returns the effective maximum entries per node.
 func (b *Builder) Fanout() int { return b.tree.cfg.Fanout }
 
-// LeafCapacity returns the most items a loader may pack per leaf group
-// (equal to Fanout; kept distinct so loaders state which bound they mean).
-func (b *Builder) LeafCapacity() int { return b.tree.cfg.Fanout }
-
-// rawLeafCapacity is what one raw-format page holds — the fallback bound
-// when a compressed leaf group does not quantize losslessly.
-func (b *Builder) rawLeafCapacity() int {
-	raw := LayoutRaw.MaxFanout(b.tree.pager.Backend().BlockSize())
-	if raw > b.tree.cfg.Fanout {
-		return b.tree.cfg.Fanout
-	}
-	return raw
-}
-
 // WriteLeaf writes one leaf page holding items and returns its child entry
 // for the level above. The page is encoded straight into the tree's
-// scratch block — no intermediate node is materialized. It panics when the
-// items cannot fit one page in any format; loaders packing groups beyond
-// the raw capacity must use WriteLeaves.
+// scratch block — no intermediate node is materialized.
 func (b *Builder) WriteLeaf(items []geom.Item) ChildEntry {
 	if len(items) == 0 || len(items) > b.tree.cfg.Fanout {
 		panic(fmt.Sprintf("rtree: leaf with %d entries (fanout %d)", len(items), b.tree.cfg.Fanout))
 	}
-	layout := b.tree.cfg.Layout
-	if layout == LayoutCompressed && len(items) > b.rawLeafCapacity() {
-		if data, mbr, ok := encodeCompressedLeaf(b.tree.buf, items); ok {
-			id := b.tree.allocPage(data)
-			b.nItems += len(items)
-			return ChildEntry{Rect: mbr, Page: id}
-		}
-		panic(fmt.Sprintf("rtree: leaf with %d entries does not quantize losslessly and exceeds the raw capacity %d (use WriteLeaves)", len(items), b.rawLeafCapacity()))
-	}
-	data, mbr := encodeLeafPage(b.tree.buf, items, layout)
+	data, mbr := encodeLeafPage(b.tree.buf, items)
 	id := b.tree.allocPage(data)
 	b.nItems += len(items)
 	return ChildEntry{Rect: mbr, Page: id}
 }
 
-// WriteLeaves writes a leaf group of up to LeafCapacity items as one page
-// when possible. Under the compressed layout a group that does not
-// quantize losslessly is split into raw-capacity chunks, each written as
-// its own (raw or compressed) page — the per-page lossless-or-raw rule —
-// so the call may return more than one child entry.
-func (b *Builder) WriteLeaves(items []geom.Item) []ChildEntry {
-	if len(items) == 0 || len(items) > b.tree.cfg.Fanout {
-		panic(fmt.Sprintf("rtree: leaf group with %d entries (capacity %d)", len(items), b.tree.cfg.Fanout))
-	}
-	rawCap := b.rawLeafCapacity()
-	if b.tree.cfg.Layout != LayoutCompressed || len(items) <= rawCap {
-		return []ChildEntry{b.WriteLeaf(items)}
-	}
-	if data, mbr, ok := encodeCompressedLeaf(b.tree.buf, items); ok {
-		id := b.tree.allocPage(data)
-		b.nItems += len(items)
-		return []ChildEntry{{Rect: mbr, Page: id}}
-	}
-	// Fallback: balanced raw-capacity chunks (ceil division, like
-	// PackLevel, so no chunk is pathologically small).
-	nChunks := (len(items) + rawCap - 1) / rawCap
-	out := make([]ChildEntry, 0, nChunks)
-	for i := 0; i < nChunks; i++ {
-		lo := i * len(items) / nChunks
-		hi := (i + 1) * len(items) / nChunks
-		out = append(out, b.WriteLeaf(items[lo:hi]))
-	}
-	return out
-}
-
 // WriteInternal writes one internal page over the given children
-// (1..Fanout entries) and returns its child entry. The entry's rectangle
-// is the page's canonical MBR — under the compressed layout, the union of
-// the conservative covers a reader of the page reconstructs.
+// (1..Fanout entries) and returns its child entry, whose rectangle is the
+// union of the children's.
 func (b *Builder) WriteInternal(children []ChildEntry) ChildEntry {
 	if len(children) == 0 || len(children) > b.tree.cfg.Fanout {
 		panic(fmt.Sprintf("rtree: internal node with %d entries (fanout %d)", len(children), b.tree.cfg.Fanout))
 	}
-	data, mbr := encodeInternalPage(b.tree.buf, children, b.tree.cfg.Layout)
+	data, mbr := encodeInternalPage(b.tree.buf, children)
 	id := b.tree.allocPage(data)
 	return ChildEntry{Rect: mbr, Page: id}
 }

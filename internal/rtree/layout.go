@@ -1,97 +1,40 @@
 package rtree
 
 import (
+	"errors"
 	"fmt"
 
 	"prtree/internal/storage"
 )
 
-// Layout selects the on-disk page format. Every page carries its own
-// format flag in the header, so trees of either layout read pages of both;
-// the Layout in Config only decides what new pages are written as.
-type Layout int
-
+// The page format: a 4-byte header (kind, format flag, uint16 count)
+// followed by 36-byte entries (four float64 coordinates plus a 4-byte
+// reference) — the paper's node, 113 entries to a 4 KB block. Every page
+// this package writes has format flag 0.
 const (
-	// LayoutRaw is the paper's exact layout: 36-byte entries (four float64
-	// coordinates plus a 4-byte pointer), max fanout 113 at 4 KB blocks.
-	LayoutRaw Layout = iota
-	// LayoutCompressed stores one exact base MBR per page plus 12-byte
-	// entries whose corners are 16-bit fixed-point offsets, rounded outward
-	// so each entry conservatively covers the true rectangle (max fanout
-	// 338 at 4 KB blocks). Internal pages always compress; leaf pages
-	// compress only when every coordinate round-trips bit-exactly and fall
-	// back to the raw format otherwise, so query results never change.
-	LayoutCompressed
+	// headerSize is the page header: kind, format flag, uint16 count.
+	headerSize = 4
+	// entrySize is the entry width (the input record width: the paper's
+	// 36-byte rectangle record).
+	entrySize = storage.ItemSize
 )
 
-// This block is the single home of the per-layout geometry. MaxFanout,
-// ItemsPerBlock-style computations and the codecs all derive from these
-// four constants; a third format must add its row here rather than scatter
-// entry math across call sites.
-const (
-	// rawHeaderSize is the raw page header: kind, flags, uint16 count.
-	rawHeaderSize = 4
-	// rawEntrySize is the raw entry width (the input record width: the
-	// paper's 36-byte rectangle record).
-	rawEntrySize = storage.ItemSize
-	// compHeaderSize extends the raw header with the exact base MBR
-	// (4 float64) the fixed-point offsets are relative to.
-	compHeaderSize = rawHeaderSize + 32
-	// compEntrySize is the compressed entry width.
-	compEntrySize = storage.QEntrySize
-)
-
-// EntrySize is the raw on-disk entry footprint, kept as a package constant
-// for callers that predate the second layout.
-const EntrySize = rawEntrySize
-
-// HeaderSize returns the page header bytes of the layout.
-func (l Layout) HeaderSize() int {
-	if l == LayoutCompressed {
-		return compHeaderSize
-	}
-	return rawHeaderSize
-}
-
-// EntrySize returns the per-entry bytes of the layout.
-func (l Layout) EntrySize() int {
-	if l == LayoutCompressed {
-		return compEntrySize
-	}
-	return rawEntrySize
-}
-
-// MaxFanout returns the maximum entries per node of the layout at the
-// given block size: 113 raw, 338 compressed for 4 KB blocks.
-func (l Layout) MaxFanout(blockSize int) int {
-	return (blockSize - l.HeaderSize()) / l.EntrySize()
-}
-
-// String returns the prbench flag spelling of the layout.
-func (l Layout) String() string {
-	switch l {
-	case LayoutRaw:
-		return "raw"
-	case LayoutCompressed:
-		return "compressed"
-	default:
-		return fmt.Sprintf("layout(%d)", int(l))
-	}
-}
-
-// ParseLayout parses the prbench flag spelling.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "raw":
-		return LayoutRaw, nil
-	case "compressed":
-		return LayoutCompressed, nil
-	}
-	return 0, fmt.Errorf("rtree: unknown layout %q (want raw or compressed)", s)
-}
-
-// MaxFanout returns the raw layout's maximum entries per node for a block
-// size (113 for 4 KB blocks) — the paper's fanout.
+// MaxFanout returns the maximum entries per node for a block size (113 for
+// 4 KB blocks) — the paper's fanout.
 func MaxFanout(blockSize int) int {
-	return LayoutRaw.MaxFanout(blockSize)
+	return (blockSize - headerSize) / entrySize
+}
+
+// errCompressedLayout reports an index written in the compressed page
+// layout earlier versions offered: a metadata record whose layout word is
+// not 0, or a page whose format flag is not 0. Those pages do not hold
+// 36-byte entries, and reading them as such would answer queries wrongly.
+var errCompressedLayout = errors.New("rtree: the compressed page layout is no longer read; rebuild the index")
+
+// checkFormat reports a page whose format flag is not 0.
+func checkFormat(id storage.PageID, v nodeView) error {
+	if flag := v.data[1]; flag != 0 {
+		return fmt.Errorf("%w (page %d has format flag %d)", errCompressedLayout, id, flag)
+	}
+	return nil
 }

@@ -1,65 +1,91 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"prtree/internal/geom"
 	"prtree/internal/storage"
 )
 
-// buildLayout packs items in slice order into a tree of the given layout
-// on its own disk of the given block size (see packOn).
-func buildLayout(tb testing.TB, items []geom.Item, layout Layout, blockSize int) *Tree {
-	tb.Helper()
-	tr := packOn(tb, storage.NewPager(storage.NewDisk(blockSize), -1), items, layout)
-	if err := tr.Validate(); err != nil {
-		tb.Fatalf("%s layout tree invalid: %v", layout, err)
+// gridItems returns rectangles whose coordinates are snapped to the 2^-bits
+// grid: many items share an edge or a corner, so ties on a query boundary
+// are common.
+func gridItems(n int, bits uint, seed int64) []geom.Item {
+	rng := rand.New(rand.NewSource(seed))
+	scale := math.Ldexp(1, int(bits))
+	inv := math.Ldexp(1, -int(bits))
+	snap := func(v float64) float64 { return math.Floor(v*scale) * inv }
+	items := make([]geom.Item, n)
+	for i := range items {
+		x, y := snap(rng.Float64()*0.9), snap(rng.Float64()*0.9)
+		items[i] = geom.Item{
+			Rect: geom.NewRect(x, y, x+snap(rng.Float64()*0.05), y+snap(rng.Float64()*0.05)),
+			ID:   uint32(i),
+		}
 	}
-	return tr
+	return items
 }
 
-// sortedByID returns items sorted by ID for order-independent comparison:
-// the two layouts pack different tree shapes, so result order may differ
-// while the result SET must not.
+// sortedByID returns items sorted by ID, for comparing result sets.
 func sortedByID(items []geom.Item) []geom.Item {
-	out := append([]geom.Item(nil), items...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := slices.Clone(items)
+	slices.SortFunc(out, func(a, b geom.Item) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-func equalItemSets(tb testing.TB, what string, a, b []geom.Item) {
+func equalItemSets(tb testing.TB, what string, got, want []geom.Item) {
 	tb.Helper()
-	a, b = sortedByID(a), sortedByID(b)
-	if len(a) != len(b) {
-		tb.Fatalf("%s: raw %d results, compressed %d", what, len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			tb.Fatalf("%s: result %d differs: raw %v, compressed %v", what, i, a[i], b[i])
-		}
+	if got, want := sortedByID(got), sortedByID(want); !slices.Equal(got, want) {
+		tb.Fatalf("%s: tree returned %d items, brute force %d, or other ones", what, len(got), len(want))
 	}
 }
 
-// xSorted returns items ordered by (minX, id) so both layouts pack the
-// same sequence.
-func xSorted(items []geom.Item) []geom.Item {
-	out := append([]geom.Item(nil), items...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rect.MinX != out[j].Rect.MinX {
-			return out[i].Rect.MinX < out[j].Rect.MinX
+// bruteFilter returns the items keep accepts, in slice order.
+func bruteFilter(items []geom.Item, keep func(geom.Rect) bool) []geom.Item {
+	var out []geom.Item
+	for _, it := range items {
+		if keep(it.Rect) {
+			out = append(out, it)
 		}
-		return out[i].ID < out[j].ID
-	})
+	}
 	return out
 }
 
-// TestLayoutEquivalenceProperty is the acceptance property: identical
-// query, k-NN and batch results between the raw and compressed layouts
-// across seeds, block sizes, and both grid-aligned (lossless leaves) and
-// full-precision (raw-fallback leaves) data.
+// checkRawPages fails if any page of tr has a format flag other than 0:
+// the only page layout is the raw one.
+func checkRawPages(tb testing.TB, tr *Tree) {
+	tb.Helper()
+	tr.Walk(func(page storage.PageID, _ int, _ bool, _ []geom.Item) {
+		if err := checkFormat(page, tr.readView(page)); err != nil {
+			tb.Fatal(err)
+		}
+	})
+}
+
+// TestLayoutTable pins the page layout: a 4-byte header and 36-byte
+// entries, so the fanout per block size is (block-4)/36.
+func TestLayoutTable(t *testing.T) {
+	for _, c := range []struct{ block, fanout int }{
+		{512, 14}, {1024, 28}, {4096, 113}, {8192, 227},
+	} {
+		if got := MaxFanout(c.block); got != c.fanout {
+			t.Errorf("MaxFanout(%d) = %d, want %d", c.block, got, c.fanout)
+		}
+	}
+	if headerSize != 4 || entrySize != 36 {
+		t.Errorf("header %d bytes, entries %d bytes; want 4 and 36", headerSize, entrySize)
+	}
+}
+
+// TestLayoutEquivalenceProperty: a packed tree on pages of the one raw
+// layout answers window, containment, k-NN and batch queries exactly as a
+// brute-force scan of its items does, across seeds, block sizes, and both
+// grid-snapped (boundary ties) and full-precision data.
 func TestLayoutEquivalenceProperty(t *testing.T) {
 	for _, blockSize := range []int{512, 1024, 4096, 8192} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -73,52 +99,45 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 						items = randItems(3000, seed)
 					}
 					items = xSorted(items)
-					raw := buildLayout(t, items, LayoutRaw, blockSize)
-					comp := buildLayout(t, items, LayoutCompressed, blockSize)
+					tr := packOn(t, storage.NewPager(storage.NewDisk(blockSize), -1), items)
+					checkRawPages(t, tr)
 
 					rng := rand.New(rand.NewSource(seed * 1000))
 					for i := 0; i < 40; i++ {
 						x, y := rng.Float64(), rng.Float64()
 						q := geom.NewRect(x, y, x+rng.Float64()*0.2, y+rng.Float64()*0.2)
-						equalItemSets(t, fmt.Sprintf("query %v", q),
-							raw.QueryCollect(q), comp.QueryCollect(q))
-						if err := CheckQueryAgainstBruteForce(comp, items, q); err != nil {
+						if err := CheckQueryAgainstBruteForce(tr, items, q); err != nil {
 							t.Fatal(err)
 						}
 
-						var rc, cc []geom.Item
-						raw.ContainmentQuery(q, func(it geom.Item) bool { rc = append(rc, it); return true })
-						comp.ContainmentQuery(q, func(it geom.Item) bool { cc = append(cc, it); return true })
-						equalItemSets(t, fmt.Sprintf("containment %v", q), rc, cc)
+						var contained []geom.Item
+						tr.ContainmentQuery(q, func(it geom.Item) bool { contained = append(contained, it); return true })
+						equalItemSets(t, fmt.Sprintf("containment %v", q), contained, bruteFilter(items, q.Contains))
 
 						k := 1 + rng.Intn(20)
-						rn, _ := raw.NearestNeighbors(x, y, k)
-						cn, _ := comp.NearestNeighbors(x, y, k)
-						if len(rn) != len(cn) {
-							t.Fatalf("knn(%g,%g,%d): %d vs %d results", x, y, k, len(rn), len(cn))
+						got, _ := tr.NearestNeighbors(x, y, k)
+						want := bruteKNN(items, x, y, k)
+						if len(got) != len(want) {
+							t.Fatalf("knn(%g,%g,%d): %d results, want %d", x, y, k, len(got), len(want))
 						}
-						for j := range rn {
-							if rn[j] != cn[j] {
-								t.Fatalf("knn(%g,%g,%d)[%d]: raw %v, compressed %v", x, y, k, j, rn[j], cn[j])
+						for j := range got {
+							// Ties may order ids differently; distances may not.
+							if got[j].Dist2 != want[j].Dist2 {
+								t.Fatalf("knn(%g,%g,%d)[%d]: dist %g, want %g", x, y, k, j, got[j].Dist2, want[j].Dist2)
 							}
 						}
 					}
 
-					// Batch equality against the sequential runs.
+					// Batch results equal the sequential runs, order included.
 					queries := make([]geom.Rect, 16)
 					for i := range queries {
 						x, y := rng.Float64(), rng.Float64()
 						queries[i] = geom.NewRect(x, y, x+0.1, y+0.1)
 					}
-					rawRes, _ := raw.SearchBatch(queries, 4)
-					compRes, _ := comp.SearchBatch(queries, 4)
-					for i := range queries {
-						equalItemSets(t, fmt.Sprintf("batch[%d]", i), rawRes[i], compRes[i])
-					}
-
-					if grid {
-						if comp.Nodes() >= raw.Nodes() {
-							t.Errorf("compressed tree not smaller: %d vs %d pages", comp.Nodes(), raw.Nodes())
+					res, _ := tr.SearchBatch(queries, 4)
+					for i, q := range queries {
+						if !slices.Equal(res[i], tr.QueryCollect(q)) {
+							t.Fatalf("batch[%d] differs from the sequential query", i)
 						}
 					}
 				})
@@ -127,11 +146,11 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestLayoutEquivalenceUnderUpdates drives identical insert/delete
-// sequences into trees of both layouts (including the R* heuristics) and
-// checks structural validity plus identical query results throughout —
-// the update path exercises leaf-capacity renegotiation, multi-way splits
-// and cover requantization.
+// TestLayoutEquivalenceUnderUpdates drives an insert/delete sequence into a
+// tree (Guttman's quadratic split and the R* heuristics) on small pages, so
+// two-way splits and condensing happen often, and checks that the tree
+// validates, keeps raw pages only, and answers as a brute-force scan of
+// the live items does.
 func TestLayoutEquivalenceUnderUpdates(t *testing.T) {
 	for _, split := range []SplitKind{QuadraticSplit, RStarSplit} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -139,10 +158,7 @@ func TestLayoutEquivalenceUnderUpdates(t *testing.T) {
 				name := fmt.Sprintf("split=%d/seed=%d/grid=%v", split, seed, grid)
 				t.Run(name, func(t *testing.T) {
 					blockSize := 1024 // small fanout: splits happen fast
-					rawDisk := storage.NewDisk(blockSize)
-					compDisk := storage.NewDisk(blockSize)
-					raw := New(storage.NewPager(rawDisk, -1), Config{Split: split, Layout: LayoutRaw})
-					comp := New(storage.NewPager(compDisk, -1), Config{Split: split, Layout: LayoutCompressed})
+					tr := New(storage.NewPager(storage.NewDisk(blockSize), -1), Config{Split: split})
 
 					var items []geom.Item
 					if grid {
@@ -153,83 +169,42 @@ func TestLayoutEquivalenceUnderUpdates(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					live := make(map[int]bool)
 					for i, it := range items {
-						raw.Insert(it)
-						comp.Insert(it)
+						tr.Insert(it)
 						live[i] = true
 						// Interleave deletions.
 						if i%7 == 3 {
 							for j := range live {
-								raw.Delete(items[j])
-								comp.Delete(items[j])
+								if !tr.Delete(items[j]) {
+									t.Fatalf("delete of live item %d failed", j)
+								}
 								delete(live, j)
 								break
 							}
 						}
 					}
-					if err := raw.Validate(); err != nil {
-						t.Fatalf("raw: %v", err)
+					if err := tr.Validate(); err != nil {
+						t.Fatal(err)
 					}
-					if err := comp.Validate(); err != nil {
-						t.Fatalf("compressed: %v", err)
+					checkRawPages(t, tr)
+					var want []geom.Item
+					for i, it := range items {
+						if live[i] {
+							want = append(want, it)
+						}
 					}
-					if raw.Len() != comp.Len() {
-						t.Fatalf("size skew: raw %d, compressed %d", raw.Len(), comp.Len())
+					if tr.Len() != len(want) {
+						t.Fatalf("tree holds %d items, %d live", tr.Len(), len(want))
 					}
 					for i := 0; i < 30; i++ {
 						x, y := rng.Float64(), rng.Float64()
 						q := geom.NewRect(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3)
-						equalItemSets(t, fmt.Sprintf("query %v", q),
-							raw.QueryCollect(q), comp.QueryCollect(q))
+						if err := CheckQueryAgainstBruteForce(tr, want, q); err != nil {
+							t.Fatal(err)
+						}
 					}
-					equalItemSets(t, "full scan", raw.Items(), comp.Items())
+					equalItemSets(t, "full scan", tr.Items(), want)
 				})
 			}
-		}
-	}
-}
-
-// TestCompressedMixedPrecisionLeaves loads a dataset that is half
-// grid-aligned and half full-precision: the compressed tree must end up
-// with a mix of compressed and raw leaf pages, all coexisting under
-// compressed internal levels, and still answer correctly.
-func TestCompressedMixedPrecisionLeaves(t *testing.T) {
-	// Spatially separated populations (grid data on the left, noisy on the
-	// right) so x-ordered leaf groups are homogeneous and both page
-	// formats appear in one tree.
-	grid := gridItems(2000, 16, 9)
-	for i := range grid {
-		// Power-of-two scaling keeps the coordinates grid-aligned.
-		grid[i].Rect.MinX *= 0.125
-		grid[i].Rect.MaxX *= 0.125
-	}
-	noisy := randItems(2000, 10)
-	for i := range noisy {
-		noisy[i].ID += 1000000
-		noisy[i].Rect.MinX = 0.5 + noisy[i].Rect.MinX*0.4
-		noisy[i].Rect.MaxX = 0.5 + noisy[i].Rect.MaxX*0.4
-	}
-	items := xSorted(append(grid, noisy...))
-	tr := buildLayout(t, items, LayoutCompressed, storage.DefaultBlockSize)
-
-	var compLeaves, rawLeaves int
-	tr.Walk(func(page storage.PageID, _ int, isLeaf bool, _ []geom.Item) {
-		if !isLeaf {
-			return
-		}
-		if pageIsCompressed(tr.pager.Read(page)) {
-			compLeaves++
-		} else {
-			rawLeaves++
-		}
-	})
-	if compLeaves == 0 || rawLeaves == 0 {
-		t.Fatalf("expected mixed leaf formats, got %d compressed / %d raw", compLeaves, rawLeaves)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 30; i++ {
-		x, y := rng.Float64(), rng.Float64()
-		if err := CheckQueryAgainstBruteForce(tr, items, geom.NewRect(x, y, x+0.2, y+0.2)); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

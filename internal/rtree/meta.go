@@ -14,7 +14,9 @@ import (
 // storage.Backend.SetMeta), so a file-backed tree reopens in place with
 // zero rebuild work. An empty tree records root NilPage and height 0.
 
-// Version 02 appended the layout word to the metadata record.
+// Version 02 appended the layout word to the metadata record. This package
+// writes 0 there, and OpenFromMeta fails a record holding anything else
+// with errCompressedLayout.
 var treeMagic = [8]byte{'P', 'R', 'T', 'R', 'E', 'E', '0', '2'}
 
 // MetaSize is the encoded size of a tree metadata record.
@@ -33,7 +35,7 @@ func (t *Tree) EncodeMeta() []byte {
 		uint64(t.cfg.Fanout),
 		uint64(t.cfg.MinFill),
 		uint64(t.cfg.Split),
-		uint64(t.cfg.Layout),
+		0, // layout: raw
 	}
 	for i, v := range words {
 		binary.LittleEndian.PutUint64(out[len(treeMagic)+8*i:], v)
@@ -64,8 +66,8 @@ func OpenFromMeta(pager *storage.Pager, meta []byte) (*Tree, error) {
 	if !empty && words[0] >= uint64(dev.NumPages()) {
 		return nil, fmt.Errorf("rtree: root page %d out of range", words[0])
 	}
-	if words[7] > uint64(LayoutCompressed) {
-		return nil, fmt.Errorf("rtree: unknown layout %d", words[7])
+	if words[7] != 0 {
+		return nil, fmt.Errorf("%w (metadata layout word %d)", errCompressedLayout, words[7])
 	}
 	t := &Tree{
 		pager: pager,
@@ -73,7 +75,6 @@ func OpenFromMeta(pager *storage.Pager, meta []byte) (*Tree, error) {
 			Fanout:  int(words[4]),
 			MinFill: int(words[5]),
 			Split:   SplitKind(words[6]),
-			Layout:  Layout(words[7]),
 		},
 		root:   storage.PageID(words[0]),
 		height: int(words[1]),
@@ -89,38 +90,30 @@ func OpenFromMeta(pager *storage.Pager, meta []byte) (*Tree, error) {
 		return nil, fmt.Errorf("rtree: implausible height %d", t.height)
 	}
 	// Sanity-check the root page header through a zero-copy view over the
-	// raw block (PeekNoCopy, so the backend's I/O accounting stays
-	// untouched) before handing the tree to callers. The block size and
+	// block (PeekNoCopy, so the backend's I/O accounting stays untouched)
+	// before handing the tree to callers. The block size and
 	// fanout come from the untrusted record too, so bound them first: the
 	// header must fit the block, and the recorded fanout must not exceed
 	// the block's real capacity — the entry-count check below then bounds
 	// rectAt/refAt indexing transitively.
-	if dev.BlockSize() < t.cfg.Layout.HeaderSize()+t.cfg.Layout.EntrySize() {
+	if dev.BlockSize() < headerSize+entrySize {
 		return nil, fmt.Errorf("rtree: block size %d cannot hold a node", dev.BlockSize())
 	}
-	if t.cfg.Fanout < 2 || t.cfg.Fanout > t.cfg.Layout.MaxFanout(dev.BlockSize()) {
-		return nil, fmt.Errorf("rtree: implausible fanout %d for %d-byte blocks under the %s layout", t.cfg.Fanout, dev.BlockSize(), t.cfg.Layout)
+	if t.cfg.Fanout < 2 || t.cfg.Fanout > MaxFanout(dev.BlockSize()) {
+		return nil, fmt.Errorf("rtree: implausible fanout %d for %d-byte blocks", t.cfg.Fanout, dev.BlockSize())
 	}
 	if empty {
 		return t, nil
 	}
-	root := makeView(dev.PeekNoCopy(t.root))
+	root := nodeView{data: dev.PeekNoCopy(t.root)}
 	if kind := root.data[0]; kind != kindLeaf && kind != kindInternal {
 		return nil, fmt.Errorf("rtree: root page %d has invalid kind %d", t.root, kind)
 	}
+	if err := checkFormat(t.root, root); err != nil {
+		return nil, err
+	}
 	if cnt := root.count(); cnt > t.cfg.Fanout {
 		return nil, fmt.Errorf("rtree: root page %d holds %d entries, fanout %d", t.root, cnt, t.cfg.Fanout)
-	}
-	// A page's header flag, not the tree config, decides its format; bound
-	// the count against the page's OWN layout so entry offsets stay inside
-	// the block even for hostile flag/count combinations (e.g. a
-	// raw-flagged page under a compressed-config fanout of 338).
-	pageLayout := LayoutRaw
-	if root.comp {
-		pageLayout = LayoutCompressed
-	}
-	if cnt := root.count(); cnt > pageLayout.MaxFanout(dev.BlockSize()) {
-		return nil, fmt.Errorf("rtree: %s root page %d holds %d entries for %d-byte blocks", pageLayout, t.root, cnt, dev.BlockSize())
 	}
 	if t.height > 1 && root.isLeaf() {
 		return nil, fmt.Errorf("rtree: root page %d is a leaf but height is %d", t.root, t.height)

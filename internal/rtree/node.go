@@ -1,10 +1,9 @@
 // Package rtree implements the paged R-tree container shared by every index
-// variant in this repository: the on-disk node layouts (the paper's exact
-// raw layout — one node per 4 KB block, 36-byte entries, max fanout 113 —
-// plus the compressed quantized-MBR layout with 12-byte entries and fanout
-// 338), the window-query engine with block-level I/O accounting, bottom-up
-// and top-down build helpers for the bulk loaders, Guttman's dynamic update
-// algorithms, and structural validation used by the tests.
+// variant in this repository: the paper's node layout (one node per 4 KB
+// block, 36-byte entries, max fanout 113), the window-query engine with
+// block-level I/O accounting, bottom-up and top-down build helpers for the
+// bulk loaders, Guttman's dynamic update algorithms, and structural
+// validation used by the tests.
 package rtree
 
 import (
@@ -20,10 +19,6 @@ const (
 	kindInternal byte = 1
 )
 
-// headerSize is the raw per-page header: kind byte, flag byte, uint16
-// count. Compressed pages extend it with the base MBR (see layout.go).
-const headerSize = rawHeaderSize
-
 // ChildEntry describes a child of an internal node: the minimal bounding
 // box of the child's subtree and the page holding the child.
 type ChildEntry struct {
@@ -31,9 +26,7 @@ type ChildEntry struct {
 	Page storage.PageID
 }
 
-// node is the in-memory form of a page. For compressed internal pages the
-// rects are the decoded conservative covers (what any reader of the page
-// sees); for raw pages and lossless compressed leaves they are exact.
+// node is the in-memory form of a page.
 type node struct {
 	kind  byte
 	rects []geom.Rect
@@ -78,10 +71,10 @@ func (n *node) remove(i int) {
 	n.refs = append(n.refs[:i], n.refs[i+1:]...)
 }
 
-// encodeRawNode serializes n into a block-sized buffer in the raw layout.
-func encodeRawNode(buf []byte, n *node) []byte {
+// encodeNode serializes n into a block-sized buffer.
+func encodeNode(buf []byte, n *node) []byte {
 	cnt := n.count()
-	need := headerSize + cnt*rawEntrySize
+	need := headerSize + cnt*entrySize
 	if need > len(buf) {
 		panic(fmt.Sprintf("rtree: node with %d entries does not fit in %d-byte block", cnt, len(buf)))
 	}
@@ -89,51 +82,19 @@ func encodeRawNode(buf []byte, n *node) []byte {
 	off := headerSize
 	for i := 0; i < cnt; i++ {
 		storage.EncodeItem(buf[off:], geom.Item{Rect: n.rects[i], ID: n.refs[i]})
-		off += rawEntrySize
+		off += entrySize
 	}
 	return buf[:need]
 }
 
-// encodeNode serializes n in the requested layout. Under LayoutCompressed,
-// internal nodes compress (and n.rects canonicalize to the decoded covers)
-// whenever their union is finite, and leaves compress when every
-// coordinate round-trips losslessly; pages that cannot compress fall back
-// to the raw format — the per-page header flag keeps readers format-aware.
-func encodeNode(buf []byte, n *node, layout Layout) []byte {
-	if layout == LayoutCompressed {
-		if n.isLeaf() {
-			if data, _, ok := encodeCompressedLeaf(buf, n.items()); ok {
-				return data
-			}
-		} else if data, ok := encodeCompressedInternalNode(buf, n); ok {
-			return data
-		}
-	}
-	return encodeRawNode(buf, n)
-}
-
 // nodeView is a zero-copy window onto a page's bytes: header fields come
 // straight from the page header and entries are decoded lazily, one at a
-// time, so a cache-hit node visit allocates nothing. For compressed pages
-// the view carries the quantizer derived from the header base MBR and
-// dequantizes entries on access. Views are values — do not take their
-// address — and borrow the pager's cached slice: they are only valid until
-// the next write to the page, so callers must not mutate the tree while
-// holding one.
+// time, so a cache-hit node visit allocates nothing. Views are values — do
+// not take their address — and borrow the pager's cached slice: they are
+// only valid until the next write to the page, so callers must not mutate
+// the tree while holding one.
 type nodeView struct {
 	data []byte
-	qz   geom.Quantizer // valid only when comp
-	comp bool
-}
-
-// makeView wraps page bytes, deriving the quantizer for compressed pages.
-func makeView(data []byte) nodeView {
-	v := nodeView{data: data}
-	if pageIsCompressed(data) {
-		v.comp = true
-		v.qz = geom.NewQuantizer(decodeBase(data))
-	}
-	return v
 }
 
 func (v nodeView) isLeaf() bool { return v.data[0] == kindLeaf }
@@ -141,45 +102,20 @@ func (v nodeView) isLeaf() bool { return v.data[0] == kindLeaf }
 func (v nodeView) count() int { return int(v.data[2]) | int(v.data[3])<<8 }
 
 // entryOff returns the byte offset of entry i.
-func (v nodeView) entryOff(i int) int {
-	if v.comp {
-		return compHeaderSize + i*compEntrySize
-	}
-	return headerSize + i*rawEntrySize
-}
+func (v nodeView) entryOff(i int) int { return headerSize + i*entrySize }
 
-// rectAt decodes entry i's rectangle: exact for raw pages and lossless
-// compressed leaves, the conservative cover for compressed internal pages.
+// rectAt decodes entry i's rectangle.
 func (v nodeView) rectAt(i int) geom.Rect {
-	if v.comp {
-		return v.qz.Dequantize(storage.DecodeQRect(v.data[v.entryOff(i):]))
-	}
 	return storage.DecodeRect(v.data[v.entryOff(i):])
-}
-
-// qrectAt returns entry i's quantized rectangle (compressed pages only),
-// for integer-domain overlap tests against a CoverQuery rectangle.
-func (v nodeView) qrectAt(i int) geom.QRect {
-	return storage.DecodeQRect(v.data[v.entryOff(i):])
 }
 
 // refAt decodes entry i's reference: a data id in leaves, a child page id
 // in internal nodes.
 func (v nodeView) refAt(i int) uint32 {
-	if v.comp {
-		return storage.DecodeQRef(v.data[v.entryOff(i):])
-	}
 	return storage.DecodeRef(v.data[v.entryOff(i):])
 }
 
 func (v nodeView) itemAt(i int) geom.Item {
-	if v.comp {
-		off := v.entryOff(i)
-		return geom.Item{
-			Rect: v.qz.Dequantize(storage.DecodeQRect(v.data[off:])),
-			ID:   storage.DecodeQRef(v.data[off:]),
-		}
-	}
 	return storage.DecodeItem(v.data[v.entryOff(i):])
 }
 
@@ -202,7 +138,7 @@ func (v nodeView) items() []geom.Item {
 	return out
 }
 
-// encodeHeader stamps the raw page header.
+// encodeHeader stamps the page header.
 func encodeHeader(buf []byte, kind byte, cnt int) {
 	buf[0] = kind
 	buf[1] = 0
@@ -210,11 +146,11 @@ func encodeHeader(buf []byte, kind byte, cnt int) {
 	buf[3] = byte(cnt >> 8)
 }
 
-// encodeRawLeafPage serializes a leaf holding items directly into a
+// encodeLeafPage serializes a leaf holding items directly into a
 // block-sized buffer, returning the encoded prefix and the leaf MBR. The
 // bulk-load builder uses it to write pages without materializing a node.
-func encodeRawLeafPage(buf []byte, items []geom.Item) ([]byte, geom.Rect) {
-	need := headerSize + len(items)*rawEntrySize
+func encodeLeafPage(buf []byte, items []geom.Item) ([]byte, geom.Rect) {
+	need := headerSize + len(items)*entrySize
 	if need > len(buf) {
 		panic(fmt.Sprintf("rtree: leaf with %d entries does not fit in %d-byte block", len(items), len(buf)))
 	}
@@ -224,26 +160,14 @@ func encodeRawLeafPage(buf []byte, items []geom.Item) ([]byte, geom.Rect) {
 	for _, it := range items {
 		storage.EncodeItem(buf[off:], it)
 		mbr = mbr.Union(it.Rect)
-		off += rawEntrySize
+		off += entrySize
 	}
 	return buf[:need], mbr
 }
 
-// encodeLeafPage serializes a leaf page in the requested layout (with the
-// lossless-or-raw rule under LayoutCompressed), returning the encoded
-// prefix and the page's canonical MBR.
-func encodeLeafPage(buf []byte, items []geom.Item, layout Layout) ([]byte, geom.Rect) {
-	if layout == LayoutCompressed {
-		if data, mbr, ok := encodeCompressedLeaf(buf, items); ok {
-			return data, mbr
-		}
-	}
-	return encodeRawLeafPage(buf, items)
-}
-
-// encodeRawInternalPage is encodeRawLeafPage for an internal node.
-func encodeRawInternalPage(buf []byte, children []ChildEntry) ([]byte, geom.Rect) {
-	need := headerSize + len(children)*rawEntrySize
+// encodeInternalPage is encodeLeafPage for an internal node.
+func encodeInternalPage(buf []byte, children []ChildEntry) ([]byte, geom.Rect) {
+	need := headerSize + len(children)*entrySize
 	if need > len(buf) {
 		panic(fmt.Sprintf("rtree: internal node with %d entries does not fit in %d-byte block", len(children), len(buf)))
 	}
@@ -253,27 +177,14 @@ func encodeRawInternalPage(buf []byte, children []ChildEntry) ([]byte, geom.Rect
 	for _, c := range children {
 		storage.EncodeItem(buf[off:], geom.Item{Rect: c.Rect, ID: uint32(c.Page)})
 		mbr = mbr.Union(c.Rect)
-		off += rawEntrySize
+		off += entrySize
 	}
 	return buf[:need], mbr
 }
 
-// encodeInternalPage serializes an internal page in the requested layout.
-// The returned MBR is canonical: for compressed pages it is the union of
-// the decoded covers (what parents must store), for raw pages the exact
-// union.
-func encodeInternalPage(buf []byte, children []ChildEntry, layout Layout) ([]byte, geom.Rect) {
-	if layout == LayoutCompressed {
-		if data, mbr, ok := encodeCompressedInternal(buf, children); ok {
-			return data, mbr
-		}
-	}
-	return encodeRawInternalPage(buf, children)
-}
-
-// decodeNode parses a page of either format into a node.
+// decodeNode parses a page into a node.
 func decodeNode(data []byte) *node {
-	v := makeView(data)
+	v := nodeView{data: data}
 	cnt := v.count()
 	n := &node{
 		kind:  data[0],

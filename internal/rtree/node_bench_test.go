@@ -16,7 +16,7 @@ func fullPage() []byte {
 		n.append(geom.NewRect(x, x*0.5, x+2, x*0.5+3), uint32(i))
 	}
 	buf := make([]byte, storage.DefaultBlockSize)
-	return append([]byte(nil), encodeNode(buf, n, LayoutRaw)...)
+	return append([]byte(nil), encodeNode(buf, n)...)
 }
 
 func TestNodeViewMatchesDecode(t *testing.T) {
@@ -51,8 +51,8 @@ func TestEncodePageHelpersMatchEncodeNode(t *testing.T) {
 	}
 	buf1 := make([]byte, storage.DefaultBlockSize)
 	buf2 := make([]byte, storage.DefaultBlockSize)
-	want := encodeNode(buf1, n, LayoutRaw)
-	got, mbr := encodeLeafPage(buf2, items, LayoutRaw)
+	want := encodeNode(buf1, n)
+	got, mbr := encodeLeafPage(buf2, items)
 	if string(got) != string(want) {
 		t.Fatal("encodeLeafPage bytes differ from encodeNode")
 	}
@@ -66,8 +66,8 @@ func TestEncodePageHelpersMatchEncodeNode(t *testing.T) {
 		children[i] = ChildEntry{Rect: items[i].Rect, Page: storage.PageID(i * 3)}
 		in.append(children[i].Rect, uint32(children[i].Page))
 	}
-	want = encodeNode(buf1, in, LayoutRaw)
-	got, mbr = encodeInternalPage(buf2, children, LayoutRaw)
+	want = encodeNode(buf1, in)
+	got, mbr = encodeInternalPage(buf2, children)
 	if string(got) != string(want) {
 		t.Fatal("encodeInternalPage bytes differ from encodeNode")
 	}

@@ -40,13 +40,6 @@ type RunOptions struct {
 // a bounded LRU. Both predicates prune identically on descent (a contained
 // entry must intersect q), so block-I/O accounting matches the paper's
 // window-query measurement for every kind.
-//
-// Compressed internal pages are filtered in the quantized integer domain:
-// the query is quantized outward once per page (CoverQuery) and entries
-// compare as four uint16 pairs, with conservative covers on both sides, so
-// no truly matching subtree is ever skipped. Leaf entries are exact under
-// both layouts (lossless compression or raw fallback), keeping reported
-// results bit-identical to the raw layout.
 func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt RunOptions) (QueryStats, error) {
 	var st QueryStats
 	if t.root == storage.NilPage {
@@ -90,18 +83,9 @@ func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt
 			continue
 		}
 		st.InternalVisited++
-		if v.comp {
-			qq := v.qz.CoverQuery(q)
-			for i := v.count() - 1; i >= 0; i-- {
-				if v.qrectAt(i).Intersects(qq) {
-					stack = append(stack, storage.PageID(v.refAt(i)))
-				}
-			}
-		} else {
-			for i := v.count() - 1; i >= 0; i-- {
-				if q.Intersects(v.rectAt(i)) {
-					stack = append(stack, storage.PageID(v.refAt(i)))
-				}
+		for i := v.count() - 1; i >= 0; i-- {
+			if q.Intersects(v.rectAt(i)) {
+				stack = append(stack, storage.PageID(v.refAt(i)))
 			}
 		}
 	}
@@ -117,10 +101,8 @@ func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt
 //
 // Ties at the k-th distance are resolved deterministically by ascending
 // item ID, so the result set is a pure function of the stored items — in
-// particular it is identical whichever page layout (and hence tree shape)
-// the items were loaded into. Compressed internal pages contribute
-// admissible lower-bound distances (their entries are conservative covers
-// of the true child MBRs), which preserves best-first correctness.
+// particular it is identical whichever loader (and hence tree shape) the
+// items were loaded with.
 func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, QueryStats, error) {
 	var st QueryStats
 	if opt.Limit > 0 && opt.Limit < k {

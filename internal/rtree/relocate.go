@@ -15,15 +15,6 @@ import (
 // reference patched, up to a new root. The old pages are the caller's to
 // free once nobody can reach them.
 
-// refOff returns the byte offset of entry i's reference: the last four
-// bytes of the entry in both layouts (raw: entry + 32, compressed: entry + 8).
-func (v nodeView) refOff(i int) int {
-	if v.comp {
-		return v.entryOff(i) + compEntrySize - 4
-	}
-	return v.entryOff(i) + rawEntrySize - 4
-}
-
 // PageSpans calls fn once for every page of the tree, children before
 // parents, with the highest page id in the subtree the page roots (its own
 // id for a leaf). Relocated(cut) copies exactly the pages whose top is at
@@ -82,7 +73,8 @@ func (t *Tree) Relocated(cut storage.PageID) (*Tree, []storage.PageID) {
 			if !patched {
 				data, patched = append([]byte(nil), v.data...), true
 			}
-			binary.LittleEndian.PutUint32(data[v.refOff(i):], uint32(moved))
+			// The reference is the entry's last four bytes.
+			binary.LittleEndian.PutUint32(data[v.entryOff(i)+entrySize-4:], uint32(moved))
 		}
 		if page < cut && !patched {
 			return page

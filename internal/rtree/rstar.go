@@ -110,58 +110,37 @@ func overlapArea(a, b geom.Rect) float64 {
 	return iv.Area()
 }
 
-// adjustPathRStar propagates writes, splits and forced reinsertions. Like
-// adjustPath, overflow is judged by overflows and splits may yield
-// more than two pieces under the compressed layout.
+// adjustPathRStar propagates writes, splits and forced reinsertions.
 func (t *Tree) adjustPathRStar(path []pathStep, targetLevel int, reinserted map[int]bool) {
-	var splits []ChildEntry
+	var split *ChildEntry
 	// Entries evicted for reinsertion, grouped with their level.
 	var evicted []orphan
 	for i := len(path) - 1; i >= 0; i-- {
 		step := path[i]
 		n := step.n
 		level := targetLevel + (len(path) - 1 - i)
-		for _, s := range splits {
-			n.append(s.Rect, uint32(s.Page))
+		if split != nil {
+			n.append(split.Rect, uint32(split.Page))
+			split = nil
 		}
-		splits = splits[:0]
-		splitUp := func(over *node) *node {
-			pieces := t.splitToFit(over)
-			t.writeNode(step.page, pieces[0])
-			for _, p := range pieces[1:] {
-				id := t.allocNode(p)
-				splits = append(splits, ChildEntry{Rect: p.mbr(), Page: id})
-			}
-			return pieces[0]
-		}
-		var written *node
 		switch {
 		case !t.overflows(n):
 			t.writeNode(step.page, n)
-			written = n
 		case i > 0 && !reinserted[level]:
 			// Forced reinsertion: evict the entries farthest from the
-			// node's center, reinsert them after the pass. The kept node
-			// can still overflow a shrunken capacity, in which case it
-			// splits as usual.
+			// node's center, reinsert them after the pass.
 			reinserted[level] = true
-			keep := t.evictFarthest(n, &evicted, level)
-			step.n = keep
-			if t.overflows(keep) {
-				written = splitUp(keep)
-			} else {
-				t.writeNode(step.page, keep)
-				written = keep
-			}
+			n = t.evictFarthest(n, &evicted, level)
+			t.writeNode(step.page, n)
 		default:
-			written = splitUp(n)
+			n, split = t.splitWrite(step.page, n)
 		}
 		if i > 0 {
 			parent := path[i-1]
-			parent.n.rects[parent.childIdx] = written.mbr()
+			parent.n.rects[parent.childIdx] = n.mbr()
 		}
 	}
-	t.growRoot(splits)
+	t.growRoot(split)
 	for _, o := range evicted {
 		t.insertRStar(o.rect, o.ref, o.level, reinserted)
 	}

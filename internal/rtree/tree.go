@@ -11,18 +11,15 @@ import (
 
 // Config tunes a tree. The zero value selects the paper's defaults.
 type Config struct {
-	// Fanout caps entries per node; 0 means the block-size maximum of the
-	// layout (113 raw, 338 compressed for 4 KB blocks).
+	// Fanout caps entries per node; 0 means the block-size maximum (113
+	// for 4 KB blocks).
 	Fanout int
 	// MinFill is the minimum entries in a non-root node before deletion
-	// triggers condensing; 0 means 2/5 of the effective leaf capacity
-	// (Guttman's m <= M/2 regime).
+	// triggers condensing; 0 means 2/5 of the fanout (Guttman's m <= M/2
+	// regime).
 	MinFill int
 	// Split selects the overflow split heuristic for dynamic inserts.
 	Split SplitKind
-	// Layout selects the on-disk page format new pages are written as;
-	// the zero value is the paper's raw layout.
-	Layout Layout
 }
 
 // SplitKind selects Guttman's node-split heuristic.
@@ -84,26 +81,17 @@ func New(pager *storage.Pager, cfg Config) *Tree {
 }
 
 func normalizeConfig(cfg *Config, blockSize int) {
-	max := cfg.Layout.MaxFanout(blockSize)
-	if cfg.Fanout <= 0 || cfg.Fanout > max {
+	if max := MaxFanout(blockSize); cfg.Fanout <= 0 || cfg.Fanout > max {
 		cfg.Fanout = max
 	}
 	if cfg.Fanout < 2 {
 		panic("rtree: fanout must be at least 2")
 	}
-	// MinFill defaults derive from the GUARANTEED leaf capacity: under the
-	// compressed layout a leaf that cannot quantize losslessly falls back
-	// to the raw format and holds only the raw maximum, so a MinFill above
-	// that would condemn valid fallback leaves to endless condensing.
-	basis := cfg.Fanout
-	if raw := LayoutRaw.MaxFanout(blockSize); cfg.Layout == LayoutCompressed && raw < basis {
-		basis = raw
-	}
 	if cfg.MinFill <= 0 {
-		cfg.MinFill = basis * 2 / 5
+		cfg.MinFill = cfg.Fanout * 2 / 5
 	}
-	if cfg.MinFill > basis/2 {
-		cfg.MinFill = basis / 2
+	if cfg.MinFill > cfg.Fanout/2 {
+		cfg.MinFill = cfg.Fanout / 2
 	}
 	if cfg.MinFill < 1 {
 		cfg.MinFill = 1
@@ -138,33 +126,11 @@ func (t *Tree) Nodes() int { return t.nNodes }
 // caller's setting): the fault is a panic on the walking goroutine, which
 // callers handle like a failed checksum, not the death of the process.
 func (t *Tree) readView(id storage.PageID) nodeView {
-	return makeView(t.pager.Read(id))
+	return nodeView{data: t.pager.Read(id)}
 }
 
-// Layout returns the on-disk format the tree writes new pages as.
-func (t *Tree) Layout() Layout { return t.cfg.Layout }
-
-// overflows reports whether n holds more entries than a page can store:
-// more than the configured fanout, or — under the compressed layout —
-// more than a raw page holds while the entries cannot be stored
-// compressed (a leaf that does not quantize losslessly, or an internal
-// node with a non-finite union). A count within the raw capacity fits
-// regardless of compressibility, so the common case skips the per-entry
-// lossless scan entirely; only nodes in the (raw, fanout] band pay it,
-// and encodeNode then re-quantizes what writeNode actually persists.
-func (t *Tree) overflows(n *node) bool {
-	if n.count() > t.cfg.Fanout {
-		return true
-	}
-	if t.cfg.Layout != LayoutCompressed ||
-		n.count() <= LayoutRaw.MaxFanout(t.pager.Backend().BlockSize()) {
-		return false
-	}
-	if n.isLeaf() {
-		return !leafQuantizesLossless(n)
-	}
-	return !internalQuantizes(n)
-}
+// overflows reports whether n holds more entries than the fanout allows.
+func (t *Tree) overflows(n *node) bool { return n.count() > t.cfg.Fanout }
 
 // readNode returns the materialized form of the page for the mutation
 // paths. The pager is always Read first — preserving hit/miss and block-I/O
@@ -184,9 +150,7 @@ func (t *Tree) readNode(id storage.PageID) *node {
 // decoded entry, and storing n afterwards keeps the cache warm for the
 // next read of the page.
 func (t *Tree) writeNode(id storage.PageID, n *node) {
-	// encodeNode canonicalizes compressed internal rects in place, so the
-	// node memoized below matches the page bytes exactly.
-	t.pager.Write(id, encodeNode(t.buf, n, t.cfg.Layout))
+	t.pager.Write(id, encodeNode(t.buf, n))
 	t.pager.StoreDecoded(id, n)
 }
 
@@ -247,7 +211,7 @@ type QueryStats struct {
 // reads node entries in place from the page cache.
 //
 // Query is the no-options form of RunWindow; see query.go for the
-// traversal-order, layout and accounting guarantees.
+// traversal-order and accounting guarantees.
 func (t *Tree) Query(q geom.Rect, fn func(geom.Item) bool) QueryStats {
 	st, _ := t.RunWindow(q, false, fn, RunOptions{})
 	return st

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -58,7 +59,7 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 		n.append(geom.NewRect(float64(i), 0, float64(i)+1, 2), uint32(i*7))
 	}
 	buf := make([]byte, storage.DefaultBlockSize)
-	got := decodeNode(encodeNode(buf, n, LayoutRaw))
+	got := decodeNode(encodeNode(buf, n))
 	if got.kind != n.kind || got.count() != n.count() {
 		t.Fatalf("kind/count mismatch")
 	}
@@ -76,7 +77,7 @@ func TestNodeCodecFullFanout(t *testing.T) {
 		n.append(geom.NewRect(0, 0, 1, 1), uint32(i))
 	}
 	buf := make([]byte, storage.DefaultBlockSize)
-	if got := decodeNode(encodeNode(buf, n, LayoutRaw)); got.count() != f {
+	if got := decodeNode(encodeNode(buf, n)); got.count() != f {
 		t.Fatalf("full node round trip count = %d", got.count())
 	}
 	n.append(geom.NewRect(0, 0, 1, 1), 999)
@@ -85,7 +86,7 @@ func TestNodeCodecFullFanout(t *testing.T) {
 			t.Error("encoding an over-full node should panic")
 		}
 	}()
-	encodeNode(buf, n, LayoutRaw)
+	encodeNode(buf, n)
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -255,6 +256,20 @@ func TestValidateDetectsBadMBR(t *testing.T) {
 	tr.writeNode(tr.root, n)
 	if err := tr.Validate(); err == nil {
 		t.Error("validate should detect corrupted MBR")
+	}
+}
+
+// TestValidateRejectsCompressedPage: Validate reports a page of the
+// compressed layout anywhere in the tree, not only at the root Open checks.
+func TestValidateRejectsCompressedPage(t *testing.T) {
+	tr := buildPacked(t, randItems(100, 11), 8)
+	leaf := storage.PageID(tr.readView(tr.root).refAt(0))
+	dev := tr.Pager().Backend()
+	page := append([]byte(nil), dev.PeekNoCopy(leaf)...)
+	page[1] = 1
+	tr.Pager().Write(leaf, page)
+	if err := tr.Validate(); !errors.Is(err, errCompressedLayout) {
+		t.Fatalf("Validate = %v, want errCompressedLayout", err)
 	}
 }
 

@@ -80,86 +80,52 @@ func (t *Tree) choosePath(r geom.Rect, targetLevel int) []pathStep {
 }
 
 // adjustPath writes the modified target node, splitting on overflow, and
-// propagates MBR updates and split entries to the root (AdjustTree).
-//
-// Overflow is judged by the overflows predicate, whose effective capacity
-// under the compressed layout shrinks to the raw-page maximum when the
-// node's entries stop being compressible; a split may therefore yield
-// more than two pieces, so sibling entries propagate as a slice.
+// propagates MBR updates and the split's new sibling to the root
+// (AdjustTree).
 func (t *Tree) adjustPath(path []pathStep) {
-	// splits holds the new sibling entries to add one level up, if any.
-	var splits []ChildEntry
+	// split is the new sibling entry to add one level up, if any.
+	var split *ChildEntry
 	for i := len(path) - 1; i >= 0; i-- {
 		step := path[i]
 		n := step.n
-		for _, s := range splits {
-			n.append(s.Rect, uint32(s.Page))
+		if split != nil {
+			n.append(split.Rect, uint32(split.Page))
+			split = nil
 		}
-		splits = splits[:0]
-		var written *node
 		if t.overflows(n) {
-			pieces := t.splitToFit(n)
-			t.writeNode(step.page, pieces[0])
-			for _, p := range pieces[1:] {
-				id := t.allocNode(p)
-				splits = append(splits, ChildEntry{Rect: p.mbr(), Page: id})
-			}
-			written = pieces[0]
+			n, split = t.splitWrite(step.page, n)
 		} else {
 			t.writeNode(step.page, n)
-			written = n
 		}
 		if i > 0 {
 			parent := path[i-1]
-			parent.n.rects[parent.childIdx] = written.mbr()
+			parent.n.rects[parent.childIdx] = n.mbr()
 		}
 	}
-	t.growRoot(splits)
+	t.growRoot(split)
 }
 
-// growRoot grows the tree while split entries remain above the old root,
-// looping in case a new root itself overflows.
-func (t *Tree) growRoot(splits []ChildEntry) {
-	for len(splits) > 0 {
-		oldRoot := t.root
-		oldRect := t.readNode(oldRoot).mbr()
-		root := &node{kind: kindInternal}
-		root.append(oldRect, uint32(oldRoot))
-		for _, s := range splits {
-			root.append(s.Rect, uint32(s.Page))
-		}
-		splits = splits[:0]
-		if t.overflows(root) {
-			pieces := t.splitToFit(root)
-			root = pieces[0]
-			for _, p := range pieces[1:] {
-				id := t.allocNode(p)
-				splits = append(splits, ChildEntry{Rect: p.mbr(), Page: id})
-			}
-		}
-		t.root = t.allocNode(root)
-		t.height++
+// growRoot puts a new root over the old one and the sibling its split
+// produced, if the split reached the root.
+func (t *Tree) growRoot(split *ChildEntry) {
+	if split == nil {
+		return
 	}
+	root := &node{kind: kindInternal}
+	root.append(t.readNode(t.root).mbr(), uint32(t.root))
+	root.append(split.Rect, uint32(split.Page))
+	t.root = t.allocNode(root)
+	t.height++
 }
 
-// splitToFit divides an overflowing node into however many pieces are
-// needed for each to satisfy its own capacity (two in the common case;
-// more when, e.g., a compressed leaf loses losslessness and drops to the
-// raw-page maximum). Pieces keep n's kind.
-func (t *Tree) splitToFit(n *node) []*node {
-	out := make([]*node, 0, 2)
-	work := []*node{n}
-	for len(work) > 0 {
-		cur := work[len(work)-1]
-		work = work[:len(work)-1]
-		if !t.overflows(cur) {
-			out = append(out, cur)
-			continue
-		}
-		left, right := t.splitNode(cur)
-		work = append(work, right, left)
-	}
-	return out
+// splitWrite splits a node that overflows by one entry in two, writes the
+// first half back to its page and the second to a new one, and returns the
+// first half and the new page's entry for the level above. Each half holds
+// at most the fanout: a split leaves at least one entry on either side.
+func (t *Tree) splitWrite(page storage.PageID, n *node) (*node, *ChildEntry) {
+	left, right := t.splitNode(n)
+	t.writeNode(page, left)
+	return left, &ChildEntry{Rect: right.mbr(), Page: t.allocNode(right)}
 }
 
 // splitNode divides an overflowing node into two per the configured

@@ -12,9 +12,9 @@ import (
 // first violation found, or nil. It verifies:
 //
 //   - every leaf sits at level 0 (uniform depth, the defining R-tree shape);
-//   - every internal entry's rectangle equals the exact MBR of its child
-//     (raw pages), or conservatively contains it (compressed pages, whose
-//     entries are outward-rounded covers);
+//   - every page has format flag 0 (a page of the compressed layout is
+//     reported as errCompressedLayout);
+//   - every internal entry's rectangle equals the exact MBR of its child;
 //   - node counts are within [1, fanout] (the root leaf may be empty);
 //   - the recorded item and node counts match the actual tree;
 //   - no page is referenced twice.
@@ -48,6 +48,9 @@ func (t *Tree) validate(id storage.PageID, level int, seen map[storage.PageID]bo
 	}
 	seen[id] = true
 	v := t.readView(id)
+	if err := checkFormat(id, v); err != nil {
+		return 0, 0, err
+	}
 	cnt := v.count()
 	if cnt > t.cfg.Fanout {
 		return 0, 0, fmt.Errorf("rtree: page %d holds %d entries, fanout %d", id, cnt, t.cfg.Fanout)
@@ -74,14 +77,7 @@ func (t *Tree) validate(id storage.PageID, level int, seen map[storage.PageID]bo
 		// The recursive child read below may refresh this page's cached
 		// bytes' residency, but never their content: reads don't write, so
 		// the view stays valid across the recursion.
-		got := t.readView(child).mbr()
-		if v.comp {
-			// Compressed entries are conservative covers of the child MBR;
-			// equality would only hold when the cover is exactly on-grid.
-			if !r.Contains(got) {
-				return 0, 0, fmt.Errorf("rtree: node %d entry %d cover %v does not contain child MBR %v", id, i, r, got)
-			}
-		} else if got != r {
+		if got := t.readView(child).mbr(); got != r {
 			return 0, 0, fmt.Errorf("rtree: node %d entry %d rect %v != child MBR %v", id, i, r, got)
 		}
 		ci, cnodes, err := t.validate(child, level-1, seen)

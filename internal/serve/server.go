@@ -719,7 +719,6 @@ type Statsz struct {
 		HitRate        float64 `json:"hit_rate"`
 		Resident       int     `json:"resident"`
 		Capacity       int     `json:"capacity"`
-		Policy         string  `json:"policy"`
 		PrefetchIssued uint64  `json:"prefetch_issued"`
 		PrefetchUsed   uint64  `json:"prefetch_used"`
 	} `json:"cache"`
@@ -769,7 +768,6 @@ func (s *Server) Statsz() Statsz {
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions = ss.Cache.Hits, ss.Cache.Misses, ss.Cache.Evictions
 		st.Cache.HitRate = ss.Cache.HitRatio()
 		st.Cache.Resident, st.Cache.Capacity = ss.Cache.Resident, ss.Cache.Capacity
-		st.Cache.Policy = ss.Cache.Policy.String()
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	s.metricsMu.RLock()

@@ -47,7 +47,6 @@ type Manifest struct {
 	Version   int         `json:"version"`
 	Partition string      `json:"partition"`
 	Loader    string      `json:"loader"`
-	Layout    string      `json:"layout"`
 	BlockSize int         `json:"block_size"`
 	Items     int         `json:"items"`
 	Shards    []ShardInfo `json:"shards"`
@@ -69,8 +68,7 @@ type BuildOptions struct {
 	// Loader bulk-loads each shard. The zero value is prtree.Hilbert
 	// (the Loader enum's first member); prtool shard defaults to PR.
 	Loader prtree.Loader
-	// Layout, BlockSize and MemoryItems pass through to prtree.Options.
-	Layout      prtree.PageLayout
+	// BlockSize and MemoryItems pass through to prtree.Options.
 	BlockSize   int
 	MemoryItems int
 	// Parallelism is the build's worker budget (clamped to GOMAXPROCS; 0
@@ -122,7 +120,6 @@ func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 		Version:   manifestVersion,
 		Partition: opt.Partition,
 		Loader:    opt.Loader.String(),
-		Layout:    layoutName(opt.Layout),
 		BlockSize: opt.BlockSize,
 		Items:     len(items),
 	}
@@ -132,7 +129,6 @@ func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 	workers := min(budget, len(parts))
 	topts := &prtree.Options{
 		BlockSize:   opt.BlockSize,
-		Layout:      opt.Layout,
 		MemoryItems: opt.MemoryItems,
 		Parallelism: budget / workers,
 	}
@@ -191,13 +187,6 @@ func writeManifest(dir string, man *Manifest) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
-}
-
-func layoutName(l prtree.PageLayout) string {
-	if l == prtree.LayoutCompressed {
-		return "compressed"
-	}
-	return "raw"
 }
 
 // sortedBy returns a copy of items ordered by (key, ID). It sorts compact
@@ -304,8 +293,6 @@ type OpenOptions struct {
 	// cached pages never exceed the budget regardless of shard count.
 	// 0 or negative means unbounded (every page stays resident).
 	CachePages int
-	// Policy selects the bounded-cache eviction policy (lru or s3fifo).
-	Policy prtree.EvictionPolicy
 
 	// MaxRecoveries caps reopen attempts per quarantine before the shard
 	// is declared permanently failed (default 5; negative retries
@@ -482,10 +469,7 @@ type Set struct {
 
 // shardOptions builds the prtree.Options one shard (re)opens with.
 func (s *Set) shardOptions(idx, attempt int) *prtree.Options {
-	o := &prtree.Options{
-		CacheCapacity: s.perCache,
-		Eviction:      s.opt.Policy,
-	}
+	o := &prtree.Options{CacheCapacity: s.perCache}
 	if hook := s.opt.wrapShard; hook != nil {
 		o.WrapBackend = func(b prtree.Backend) prtree.Backend { return hook(idx, attempt, b) }
 	}
@@ -493,8 +477,8 @@ func (s *Set) shardOptions(idx, attempt int) *prtree.Options {
 }
 
 // Open opens the sharded index directory dir. The manifest names the
-// shard files; opt controls caching (one budget across all shards),
-// eviction policy, and the failure-isolation knobs.
+// shard files; opt controls caching (one budget across all shards) and the
+// failure-isolation knobs.
 func Open(dir string, opt OpenOptions) (*Set, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -1004,8 +988,7 @@ type SetStats struct {
 
 // Stats sums the per-shard backend and pager counters and snapshots each
 // shard's health record. The cache capacity reported is the summed
-// per-shard budget of the shards currently in rotation; the policy is the
-// shared one.
+// per-shard budget of the shards currently in rotation.
 func (s *Set) Stats() SetStats {
 	st := SetStats{Shards: len(s.shards), Items: s.items}
 	first := true
@@ -1041,7 +1024,6 @@ func (s *Set) Stats() SetStats {
 		st.Cache.Evictions += cs.Evictions
 		st.Cache.Resident += cs.Resident
 		if first {
-			st.Cache.Policy = cs.Policy
 			st.Cache.Capacity = cs.Capacity
 			first = false
 		} else if cs.Capacity > 0 && st.Cache.Capacity > 0 {

@@ -333,7 +333,7 @@ func TestSharedCacheBudget(t *testing.T) {
 	if _, err := Build(dir, items, BuildOptions{Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
-	set, err := Open(dir, OpenOptions{CachePages: 8, Policy: prtree.EvictS3FIFO})
+	set, err := Open(dir, OpenOptions{CachePages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

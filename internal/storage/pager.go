@@ -2,7 +2,6 @@ package storage
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -18,8 +17,8 @@ import (
 // storage (StableReader: the page file on Linux) lends the pager views of
 // its pages, so a miss is a counted block read that copies, allocates and
 // syscalls nothing; every other backend fills a private BlockSize buffer
-// through Read. Capacity, policy and every counter are the same on both
-// paths — a view taken is one miss and one block read, exactly like a
+// through Read. Capacity, eviction order and every counter are the same on
+// both paths — a view taken is one miss and one block read, exactly like a
 // buffer filled — so the paper's numbers do not depend on the platform.
 //
 // Alongside the byte cache the pager keeps a decoded-page cache: consumers
@@ -53,17 +52,13 @@ import (
 // and disabled (capacity 0) pagers never evict, so striping cannot change
 // which accesses hit: serial accounting is bit-identical to the previous
 // global-LRU implementation, and Figures 9-12 are unaffected. A bounded
-// pager (capacity > 0) needs a global eviction order to keep its documented
-// exact eviction sequence, so it runs as a single shard under one lock —
-// still safe under concurrency, but serialized; bounded caches exist for
-// cache-pressure work (the cachesweep experiment, ablations), not the
-// unbounded throughput path. Bounded eviction is pluggable via
-// PagerOptions.Policy: exact LRU (the default, byte-for-byte the historical
-// order) or S3-FIFO (small/main/ghost queues, scan-resistant).
+// pager (capacity > 0) evicts in exact global least-recently-used order, so
+// it runs as a single shard under one lock — still safe under concurrency,
+// but serialized; bounded caches model the paper's buffer for cache-pressure
+// work, not the unbounded throughput path.
 type Pager struct {
 	dev      Backend
 	capacity int // max unpinned cached pages; <0 means unbounded, 0 disables
-	policy   EvictionPolicy
 	shards   []pagerShard
 	mask     uint32
 
@@ -74,60 +69,15 @@ type Pager struct {
 	evictions atomic.Uint64
 }
 
-// EvictionPolicy selects how a bounded pager chooses eviction victims.
-type EvictionPolicy uint8
-
-const (
-	// EvictLRU is the exact global least-recently-used order the pager has
-	// always used; bounded-cache accounting is byte-identical to it.
-	EvictLRU EvictionPolicy = iota
-	// EvictS3FIFO is the S3-FIFO policy (Yang et al., HotOS'23): a small
-	// probationary FIFO absorbs one-hit wonders, a main FIFO with lazy
-	// promotion holds the working set, and a ghost queue of recently
-	// evicted probationary ids readmits pages that prove themselves —
-	// scan-resistant where LRU lets a bulk sweep flush hot internal nodes.
-	EvictS3FIFO
-)
-
-// String implements fmt.Stringer.
-func (e EvictionPolicy) String() string {
-	switch e {
-	case EvictLRU:
-		return "lru"
-	case EvictS3FIFO:
-		return "s3fifo"
-	}
-	return fmt.Sprintf("policy(%d)", uint8(e))
-}
-
-// ParseEvictionPolicy maps the tool-facing names onto policies.
-func ParseEvictionPolicy(s string) (EvictionPolicy, error) {
-	switch s {
-	case "lru":
-		return EvictLRU, nil
-	case "s3fifo":
-		return EvictS3FIFO, nil
-	}
-	return 0, fmt.Errorf("storage: unknown eviction policy %q (want lru or s3fifo)", s)
-}
-
-// PagerOptions configures NewPagerWith beyond the capacity knob.
-type PagerOptions struct {
-	// Capacity bounds unpinned cached pages: <0 unbounded, 0 disables
-	// caching, >0 exact bounded cache.
-	Capacity int
-	// Policy selects the bounded-cache eviction policy; unbounded and
-	// disabled caches never evict, so it only matters when Capacity > 0.
-	Policy EvictionPolicy
-}
-
 // pagerShardCount is the stripe width for unbounded and capacity-0 pagers.
 // It must be a power of two (the shard index is id & mask).
 const pagerShardCount = 16
 
 type pagerShard struct {
-	mu      sync.RWMutex
-	evict   evictor // victim order over entries; non-nil only when bounded
+	mu sync.RWMutex
+	// lru orders the entries of a bounded shard, most recently used at the
+	// front; nil in unbounded and disabled pagers.
+	lru     *list.List
 	entries map[PageID]*cacheEntry
 	pinned  map[PageID][]byte
 	// stablePins marks pinned pages whose bytes are zero-copy stable views:
@@ -137,43 +87,32 @@ type pagerShard struct {
 }
 
 // cacheEntry is one unpinned cached page. In bounded pagers data is always
-// filled under the shard lock and the evictor tracks its position. In
-// unbounded pagers an entry may be in flight: ready is closed once data is
-// published, and readers that found the entry wait on it off-lock.
+// filled under the shard lock and elem is the entry's place in the shard's
+// LRU list. In unbounded pagers an entry may be in flight: ready is closed
+// once data is published, and readers that found the entry wait on it
+// off-lock.
 type cacheEntry struct {
 	id     PageID
 	data   []byte
 	stable bool          // data is a zero-copy stable view: read-only, Write replaces it
 	ready  chan struct{} // nil in bounded shards (filled synchronously)
-
-	// Evictor state (bounded shards only): the entry's position in the
-	// policy's queue (LRU list, or the s3fifo queue named by s3Queue) and
-	// the s3fifo saturating access counter.
-	elem    *list.Element
-	s3Queue uint8
-	s3Freq  uint8
+	elem   *list.Element // bounded shards only
 }
 
 // NewPager returns a pager over a backend whose cache holds at most
-// capacity unpinned pages. capacity 0 disables unpinned caching entirely;
-// a negative capacity means "unbounded". The eviction policy is LRU; use
-// NewPagerWith to choose another.
+// capacity unpinned pages, evicting the least recently used. capacity 0
+// disables unpinned caching entirely; a negative capacity means
+// "unbounded".
 func NewPager(dev Backend, capacity int) *Pager {
-	return NewPagerWith(dev, PagerOptions{Capacity: capacity})
-}
-
-// NewPagerWith returns a pager configured by opt.
-func NewPagerWith(dev Backend, opt PagerOptions) *Pager {
 	nshards := pagerShardCount
-	if opt.Capacity > 0 {
+	if capacity > 0 {
 		// A bounded cache keeps an exact global eviction order, which a
 		// striped cache cannot provide; it runs as a single shard.
 		nshards = 1
 	}
 	p := &Pager{
 		dev:      dev,
-		capacity: opt.Capacity,
-		policy:   opt.Policy,
+		capacity: capacity,
 		shards:   make([]pagerShard, nshards),
 		mask:     uint32(nshards - 1),
 	}
@@ -182,13 +121,8 @@ func NewPagerWith(dev Backend, opt PagerOptions) *Pager {
 	}
 	for i := range p.shards {
 		s := &p.shards[i]
-		if opt.Capacity > 0 {
-			switch opt.Policy {
-			case EvictS3FIFO:
-				s.evict = newS3FIFO(opt.Capacity)
-			default:
-				s.evict = newLRUEvictor()
-			}
+		if capacity > 0 {
+			s.lru = list.New()
 		}
 		s.entries = make(map[PageID]*cacheEntry)
 		s.pinned = make(map[PageID][]byte)
@@ -202,9 +136,6 @@ func (p *Pager) shard(id PageID) *pagerShard { return &p.shards[uint32(id)&p.mas
 
 // Backend returns the underlying device.
 func (p *Pager) Backend() Backend { return p.dev }
-
-// Policy returns the configured eviction policy.
-func (p *Pager) Policy() EvictionPolicy { return p.policy }
 
 // fetchDemand obtains page id's bytes for a counted demand miss: a
 // zero-copy stable view when the backend lends one, an allocated buffer
@@ -241,13 +172,13 @@ func (p *Pager) readBounded(id PageID) []byte {
 	}
 	if ce, ok := s.entries[id]; ok {
 		p.hits.Add(1)
-		s.evict.touch(ce)
+		s.lru.MoveToFront(ce.elem)
 		return ce.data
 	}
 	p.misses.Add(1)
 	data, stable := p.fetchDemand(id)
 	ce := &cacheEntry{id: id, data: data, stable: stable}
-	s.evict.insert(ce)
+	ce.elem = s.lru.PushFront(ce)
 	s.entries[id] = ce
 	p.evictLocked(s)
 	return data
@@ -356,10 +287,7 @@ func (p *Pager) Pin(id PageID) {
 		}
 		if ce, ok := s.entries[id]; ok {
 			if ce.data != nil {
-				delete(s.entries, id)
-				if s.evict != nil {
-					s.evict.remove(ce)
-				}
+				s.remove(ce)
 				s.pinned[id] = ce.data
 				if ce.stable {
 					s.stablePins[id] = struct{}{}
@@ -480,10 +408,16 @@ func (p *Pager) Invalidate(id PageID) {
 	delete(s.pinned, id)
 	delete(s.stablePins, id)
 	if ce, ok := s.entries[id]; ok {
-		if s.evict != nil {
-			s.evict.remove(ce)
-		}
-		delete(s.entries, id)
+		s.remove(ce)
+	}
+}
+
+// remove drops a cache entry for a reason other than eviction (promotion to
+// the pin set, invalidation); the caller holds the shard's lock.
+func (s *pagerShard) remove(ce *cacheEntry) {
+	delete(s.entries, ce.id)
+	if s.lru != nil {
+		s.lru.Remove(ce.elem)
 	}
 }
 
@@ -492,8 +426,8 @@ func (p *Pager) DropCache() {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
-		if s.evict != nil {
-			s.evict.reset()
+		if s.lru != nil {
+			s.lru.Init()
 		}
 		s.entries = make(map[PageID]*cacheEntry)
 		s.pinned = make(map[PageID][]byte)
@@ -521,9 +455,8 @@ type CacheStats struct {
 	PrefetchIssued uint64
 	PrefetchUsed   uint64
 
-	Resident int            // currently resident pages (pinned + cached)
-	Capacity int            // configured capacity (<0 unbounded, 0 disabled)
-	Policy   EvictionPolicy // configured eviction policy
+	Resident int // currently resident pages (pinned + cached)
+	Capacity int // configured capacity (<0 unbounded, 0 disabled)
 }
 
 // HitRatio returns hits / (hits + misses), or 0 with no traffic.
@@ -543,7 +476,6 @@ func (p *Pager) CacheStats() CacheStats {
 		Evictions: p.evictions.Load(),
 		Resident:  p.CachedPages(),
 		Capacity:  p.capacity,
-		Policy:    p.policy,
 	}
 }
 
@@ -559,13 +491,11 @@ func (p *Pager) CachedPages() int {
 	return n
 }
 
-// evictLocked trims the bounded shard to capacity; the caller holds its lock.
+// evictLocked trims the bounded shard to capacity, least recently used
+// first; the caller holds its lock.
 func (p *Pager) evictLocked(s *pagerShard) {
-	for s.evict.len() > p.capacity {
-		ce := s.evict.victim()
-		if ce == nil {
-			return
-		}
+	for s.lru.Len() > p.capacity {
+		ce := s.lru.Remove(s.lru.Back()).(*cacheEntry)
 		delete(s.entries, ce.id)
 		delete(s.decoded, ce.id)
 		p.evictions.Add(1)

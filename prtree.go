@@ -102,38 +102,24 @@ const (
 	TGS       = bulk.LoaderTGS
 )
 
-// PageLayout selects the on-disk node format.
-type PageLayout = rtree.Layout
-
-// Page layouts.
-const (
-	// LayoutRaw is the paper's exact format: 36-byte entries, fanout 113
-	// at 4 KB blocks (the default).
-	LayoutRaw = rtree.LayoutRaw
-	// LayoutCompressed stores quantized 12-byte entries against a per-page
-	// base MBR, tripling fanout (338 at 4 KB). Interior entries round
-	// outward (conservative covers); leaves compress only losslessly, so
-	// query, k-NN and batch results are identical to LayoutRaw.
-	LayoutCompressed = rtree.LayoutCompressed
-)
-
 // Options tunes a tree. The zero value (or nil) reproduces the paper's
 // setup: 4 KB blocks, 36-byte entries, fanout 113, in-memory storage.
 //
-// How a file-backed tree reads its pages is not among them: on Linux the
-// index file maps itself and the page cache holds views of the mapping, so
-// a cache miss is a counted block read that copies and allocates nothing;
-// elsewhere a miss is a checksummed pread into a fresh buffer. Results,
-// CacheStats and IOStats are the same on both.
+// Three things are not among them. Every node is the paper's page of
+// 36-byte entries. A bounded page cache evicts the least recently used
+// page. And how a file-backed tree reads its pages is fixed by the
+// platform: on Linux the index file maps itself and the page cache holds
+// views of the mapping, so a cache miss is a counted block read that
+// copies and allocates nothing; elsewhere a miss is a checksummed pread
+// into a fresh buffer. Results, CacheStats and IOStats are the same on
+// both.
 type Options struct {
 	// BlockSize is the storage block size in bytes (default 4096). Open
 	// treats a non-zero value as a requirement the index file must match.
 	BlockSize int
-	// Fanout caps entries per node (default: the layout's block-size
-	// maximum — 113 raw, 338 compressed).
+	// Fanout caps entries per node (default: the block-size maximum, 113
+	// at 4 KB).
 	Fanout int
-	// Layout selects the on-disk node format (default LayoutRaw).
-	Layout PageLayout
 	// MemoryItems is the bulk-loading memory budget M in records. 0 (the
 	// default) means no cap: a PR load of a slice — Bulk, BulkWith,
 	// BulkLoad and a Dynamic's level builds — builds in memory over a
@@ -144,12 +130,6 @@ type Options struct {
 	// CacheCapacity bounds the page cache in pages; negative means
 	// unbounded (the default), 0 disables caching entirely.
 	CacheCapacity int
-	// Eviction selects the bounded page cache's eviction policy (default
-	// EvictLRU). It only matters when CacheCapacity > 0; unbounded and
-	// disabled caches never evict. Query results and demand block-I/O
-	// totals are identical under every policy — only which pages stay
-	// resident (and hence the hit rate) changes.
-	Eviction EvictionPolicy
 	// Parallelism is the worker budget of every bulk load (clamped to
 	// GOMAXPROCS; 0 or 1 means serial): Bulk, BulkWith and BulkLoad, and
 	// on a Dynamic the carries, rebuilds and background merges. It
@@ -211,7 +191,6 @@ func (o *Options) normalized() Options {
 func (o Options) bulkOptions() bulk.Options {
 	return bulk.Options{
 		Fanout:      o.Fanout,
-		Layout:      o.Layout,
 		MemoryItems: o.MemoryItems,
 		Parallelism: o.Parallelism,
 	}
@@ -265,10 +244,7 @@ func (t *Tree) mutate(fn func()) error {
 // decorator (IOStats) and the pager every node access goes through.
 func newTree(dev storage.Backend, o Options) (*storage.Counting, *storage.Pager) {
 	counting := storage.NewCounting(dev)
-	return counting, storage.NewPagerWith(counting, storage.PagerOptions{
-		Capacity: o.CacheCapacity,
-		Policy:   o.Eviction,
-	})
+	return counting, storage.NewPager(counting, o.CacheCapacity)
 }
 
 // Bulk builds a PR-tree over items. opts may be nil for defaults.
@@ -359,9 +335,6 @@ func (t *Tree) MBR() Rect { return t.inner.MBR() }
 // Fanout returns the effective maximum entries per node.
 func (t *Tree) Fanout() int { return t.inner.Config().Fanout }
 
-// Layout returns the on-disk page layout the tree writes.
-func (t *Tree) Layout() PageLayout { return t.inner.Config().Layout }
-
 // Utilization returns the average leaf and internal node fill fractions.
 func (t *Tree) Utilization() (leaf, internal float64) { return t.inner.Utilization() }
 
@@ -380,8 +353,7 @@ func (t *Tree) ResetIOStats() {
 }
 
 // CacheStats returns the page cache's hit/miss/eviction counters plus the
-// active capacity and eviction policy. Safe to call
-// while queries run.
+// active capacity. Safe to call while queries run.
 func (t *Tree) CacheStats() CacheStats { return t.pager.CacheStats() }
 
 // SnapshotStats returns the backend's snapshot-epoch state. Safe to call

@@ -40,69 +40,67 @@ func scratchTestItems(n int, seed int64) []Item {
 	return items
 }
 
-// TestBulkLoadLeavesDenseIndexFile: whatever the loader and layout, a
-// file-backed Create + BulkLoad + Close leaves an index file that is its
-// tree and nothing else — Nodes() page slots after the header, all in
-// use, allocated from page 0 — and no scratch file beside it. The memory
+// TestBulkLoadLeavesDenseIndexFile: whatever the loader, a file-backed
+// Create + BulkLoad + Close leaves an index file that is its tree and
+// nothing else — Nodes() page slots after the header, all in use,
+// allocated from page 0 — and no scratch file beside it. The memory
 // budget is far below the input so every loader really spills.
 func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 	const blockSize = 512
 	items := scratchTestItems(3000, 5)
-	for _, layout := range []PageLayout{LayoutRaw, LayoutCompressed} {
-		for _, l := range []Loader{Hilbert, Hilbert4D, STR, TGS, PR} {
-			t.Run(fmt.Sprintf("%v/%v", layout, l), func(t *testing.T) {
-				dir := t.TempDir()
-				path := filepath.Join(dir, "dense.pr")
-				tr, err := Create(path, &Options{BlockSize: blockSize, Layout: layout, MemoryItems: 200})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.BulkLoad(l, items); err != nil {
-					t.Fatal(err)
-				}
-				if got := tr.scratch.PagesInUse(); got != 0 {
-					t.Errorf("scratch store ends the load at %d pages in use", got)
-				}
-				if tr.scratch.Stats().Total() == 0 {
-					t.Error("the load never touched its scratch store")
-				}
-				nodes := tr.Nodes()
-				if err := tr.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if ents := scratchEntries(t, dir); len(ents) != 0 {
-					t.Errorf("scratch files left after Close: %v", ents)
-				}
+	for _, l := range []Loader{Hilbert, Hilbert4D, STR, TGS, PR} {
+		t.Run("raw/"+l.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "dense.pr")
+			tr, err := Create(path, &Options{BlockSize: blockSize, MemoryItems: 200})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.BulkLoad(l, items); err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.scratch.PagesInUse(); got != 0 {
+				t.Errorf("scratch store ends the load at %d pages in use", got)
+			}
+			if tr.scratch.Stats().Total() == 0 {
+				t.Error("the load never touched its scratch store")
+			}
+			nodes := tr.Nodes()
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if ents := scratchEntries(t, dir); len(ents) != 0 {
+				t.Errorf("scratch files left after Close: %v", ents)
+			}
 
-				st, err := os.Stat(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := int64(blockSize) + int64(nodes)*int64(blockSize+8); st.Size() != want {
-					t.Errorf("index file is %d bytes, want header + %d slots = %d", st.Size(), nodes, want)
-				}
-				fb, err := storage.OpenFile(path, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fb.NumPages() != nodes || fb.PagesInUse() != nodes {
-					t.Errorf("%d pages allocated, %d in use, for a tree of %d", fb.NumPages(), fb.PagesInUse(), nodes)
-				}
-				fb.Abandon()
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(blockSize) + int64(nodes)*int64(blockSize+8); st.Size() != want {
+				t.Errorf("index file is %d bytes, want header + %d slots = %d", st.Size(), nodes, want)
+			}
+			fb, err := storage.OpenFile(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fb.NumPages() != nodes || fb.PagesInUse() != nodes {
+				t.Errorf("%d pages allocated, %d in use, for a tree of %d", fb.NumPages(), fb.PagesInUse(), nodes)
+			}
+			fb.Abandon()
 
-				re, err := Open(path, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer re.Close()
-				if re.Len() != len(items) || re.Nodes() != nodes {
-					t.Errorf("reopened %d items in %d nodes, want %d in %d", re.Len(), re.Nodes(), len(items), nodes)
-				}
-				if err := re.Validate(); err != nil {
-					t.Error(err)
-				}
-			})
-		}
+			re, err := Open(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Len() != len(items) || re.Nodes() != nodes {
+				t.Errorf("reopened %d items in %d nodes, want %d in %d", re.Len(), re.Nodes(), len(items), nodes)
+			}
+			if err := re.Validate(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

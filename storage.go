@@ -40,26 +40,6 @@ func NewFileBackend(path string, blockSize int) (Backend, error) {
 	return storage.CreateFile(path, blockSize)
 }
 
-// EvictionPolicy selects the bounded page cache's eviction policy; see
-// Options.Eviction.
-type EvictionPolicy = storage.EvictionPolicy
-
-// Eviction policies for Options.Eviction.
-const (
-	// EvictLRU is exact least-recently-used eviction (the default).
-	EvictLRU = storage.EvictLRU
-	// EvictS3FIFO is the scan-resistant S3-FIFO policy (Yang et al.,
-	// HotOS'23): a small probationary FIFO, a main FIFO with lazy
-	// promotion, and a ghost queue readmitting prematurely evicted pages.
-	EvictS3FIFO = storage.EvictS3FIFO
-)
-
-// ParseEvictionPolicy maps the tool-facing names ("lru", "s3fifo") onto
-// policies.
-func ParseEvictionPolicy(s string) (EvictionPolicy, error) {
-	return storage.ParseEvictionPolicy(s)
-}
-
 // CacheStats reports the page cache's counters; see Tree.CacheStats.
 type CacheStats = storage.CacheStats
 

@@ -1,13 +1,18 @@
 package prtree
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -55,113 +60,118 @@ func TestOptionsNormalized(t *testing.T) {
 // TestBackendEquivalence is the cross-backend property test: the same
 // dataset built on the in-memory backend and the file backend must produce
 // bit-identical window, point, containment, k-NN and batch results — and
-// identical query block-I/O — under both page layouts.
+// identical query block-I/O — on the raw page layout, the only one. On
+// either backend a counted demand read is exactly one cache miss, however
+// the page's bytes arrive. TestCrossPolicyEquivalence sweeps the cache
+// capacity.
 func TestBackendEquivalence(t *testing.T) {
-	for _, layout := range []PageLayout{LayoutRaw, LayoutCompressed} {
-		for _, seed := range []int64{3, 11} {
-			t.Run(fmt.Sprintf("layout=%v/seed=%d", layout, seed), func(t *testing.T) {
-				items := dataset.Western(6000, seed)
-				// A small bounded cache makes the block-I/O identity check
-				// below meaningful: queries keep reading real blocks instead
-				// of serving everything from a fully warmed unbounded cache.
-				// The memory budget is below the dataset so the load goes
-				// external (sort runs, grid partitions) and the build-I/O
-				// identity below has temporaries to account for.
-				opts := &Options{Layout: layout, CacheCapacity: 8, MemoryItems: 1500}
+	for _, seed := range []int64{3, 11} {
+		t.Run(fmt.Sprintf("layout=raw/seed=%d", seed), func(t *testing.T) {
+			items := dataset.Western(6000, seed)
+			// A small bounded cache makes the block-I/O identity check
+			// below meaningful: queries keep reading real blocks instead
+			// of serving everything from a fully warmed unbounded cache.
+			// The memory budget is below the dataset so the load goes
+			// external (sort runs, grid partitions) and the build-I/O
+			// identity below has temporaries to account for.
+			opts := &Options{CacheCapacity: 8, MemoryItems: 1500}
 
-				mem := Bulk(items, opts)
+			mem := Bulk(items, opts)
 
-				path := filepath.Join(t.TempDir(), "equiv.pr")
-				file, err := Create(path, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer file.Close()
-				if io := file.IOStats(); io.Total() != 0 {
-					t.Fatalf("Create did block I/O %v: an empty index owns no page", io)
-				}
-				if err := file.BulkLoad(PR, items); err != nil {
-					t.Fatal(err)
-				}
+			path := filepath.Join(t.TempDir(), "equiv.pr")
+			file, err := Create(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer file.Close()
+			if io := file.IOStats(); io.Total() != 0 {
+				t.Fatalf("Create did block I/O %v: an empty index owns no page", io)
+			}
+			if err := file.BulkLoad(PR, items); err != nil {
+				t.Fatal(err)
+			}
 
-				// Build block-I/O is the same quantity on both backends: the
-				// file-backed load's temporaries live on its scratch store,
-				// whose reads and writes IOStats still counts, and its index
-				// file took one write per tree page and nothing else.
-				buildM, buildF := mem.IOStats(), file.IOStats()
-				if buildM != buildF {
-					t.Fatalf("build block-I/O differs: in-memory %v, file-backed (index + scratch) %v", buildM, buildF)
-				}
-				if io := file.io.Stats(); int(io.Writes) != file.Nodes() || file.scratch.Stats().Total() == 0 {
-					t.Fatalf("index file took %v for a tree of %d pages; scratch store %v",
-						io, file.Nodes(), file.scratch.Stats())
-				}
+			// Build block-I/O is the same quantity on both backends: the
+			// file-backed load's temporaries live on its scratch store,
+			// whose reads and writes IOStats still counts, and its index
+			// file took one write per tree page and nothing else.
+			buildM, buildF := mem.IOStats(), file.IOStats()
+			if buildM != buildF {
+				t.Fatalf("build block-I/O differs: in-memory %v, file-backed (index + scratch) %v", buildM, buildF)
+			}
+			if io := file.io.Stats(); int(io.Writes) != file.Nodes() || file.scratch.Stats().Total() == 0 {
+				t.Fatalf("index file took %v for a tree of %d pages; scratch store %v",
+					io, file.Nodes(), file.scratch.Stats())
+			}
 
-				if mem.Len() != file.Len() || mem.Height() != file.Height() || mem.Nodes() != file.Nodes() {
-					t.Fatalf("shape differs: mem %d/%d/%d file %d/%d/%d",
-						mem.Len(), mem.Height(), mem.Nodes(), file.Len(), file.Height(), file.Nodes())
-				}
-				if err := mem.Validate(); err != nil {
-					t.Fatalf("in-memory tree invalid: %v", err)
-				}
-				if err := file.Validate(); err != nil {
-					t.Fatalf("file-backed tree invalid: %v", err)
-				}
+			if mem.Len() != file.Len() || mem.Height() != file.Height() || mem.Nodes() != file.Nodes() {
+				t.Fatalf("shape differs: mem %d/%d/%d file %d/%d/%d",
+					mem.Len(), mem.Height(), mem.Nodes(), file.Len(), file.Height(), file.Nodes())
+			}
+			if err := mem.Validate(); err != nil {
+				t.Fatalf("in-memory tree invalid: %v", err)
+			}
+			if err := file.Validate(); err != nil {
+				t.Fatalf("file-backed tree invalid: %v", err)
+			}
 
-				world := geom.ItemsMBR(items)
-				queries := workload.Squares(world, 0.005, 40, seed+1)
-				rng := rand.New(rand.NewSource(seed + 2))
+			world := geom.ItemsMBR(items)
+			queries := workload.Squares(world, 0.005, 40, seed+1)
+			rng := rand.New(rand.NewSource(seed + 2))
 
-				mem.ResetIOStats()
-				file.ResetIOStats()
-				for i, q := range queries {
-					var stM, stF QueryStats
-					gotM, errM := mem.Collect(Window(q).WithStats(&stM))
-					gotF, errF := file.Collect(Window(q).WithStats(&stF))
-					if errM != nil || errF != nil {
-						t.Fatalf("query %d errors: %v / %v", i, errM, errF)
-					}
-					if !reflect.DeepEqual(gotM, gotF) {
-						t.Fatalf("query %d: results differ across backends", i)
-					}
-					if stM != stF {
-						t.Fatalf("query %d: stats %+v vs %+v", i, stM, stF)
-					}
-
-					cm, _ := mem.Collect(Contained(q))
-					cf, _ := file.Collect(Contained(q))
-					if !reflect.DeepEqual(cm, cf) {
-						t.Fatalf("query %d: containment results differ", i)
-					}
-
-					x, y := rng.Float64(), rng.Float64()
-					if !reflect.DeepEqual(mem.SearchPoint(x, y), file.SearchPoint(x, y)) {
-						t.Fatalf("query %d: point results differ", i)
-					}
-					nm := mem.NearestNeighbors(x, y, 10)
-					nf := file.NearestNeighbors(x, y, 10)
-					if !reflect.DeepEqual(nm, nf) {
-						t.Fatalf("query %d: k-NN results differ", i)
-					}
+			mem.ResetIOStats()
+			file.ResetIOStats()
+			csM, csF := mem.CacheStats(), file.CacheStats()
+			for i, q := range queries {
+				var stM, stF QueryStats
+				gotM, errM := mem.Collect(Window(q).WithStats(&stM))
+				gotF, errF := file.Collect(Window(q).WithStats(&stF))
+				if errM != nil || errF != nil {
+					t.Fatalf("query %d errors: %v / %v", i, errM, errF)
 				}
-				ioM, ioF := mem.IOStats(), file.IOStats()
-				if ioM != ioF {
-					t.Fatalf("query block-I/O differs across backends: mem %v file %v", ioM, ioF)
+				if !reflect.DeepEqual(gotM, gotF) {
+					t.Fatalf("query %d: results differ across backends", i)
+				}
+				if stM != stF {
+					t.Fatalf("query %d: stats %+v vs %+v", i, stM, stF)
 				}
 
-				// Batch execution must agree with itself across backends too.
-				bm := mem.SearchBatch(queries, 4)
-				bf := file.SearchBatch(queries, 4)
-				if !reflect.DeepEqual(bm, bf) {
-					t.Fatal("batch results differ across backends")
+				cm, _ := mem.Collect(Contained(q))
+				cf, _ := file.Collect(Contained(q))
+				if !reflect.DeepEqual(cm, cf) {
+					t.Fatalf("query %d: containment results differ", i)
 				}
-				sm := mem.QueryBatch(queries, 4)
-				sf := file.QueryBatch(queries, 4)
-				if !reflect.DeepEqual(sm, sf) {
-					t.Fatal("batch stats differ across backends")
+
+				x, y := rng.Float64(), rng.Float64()
+				if !reflect.DeepEqual(mem.SearchPoint(x, y), file.SearchPoint(x, y)) {
+					t.Fatalf("query %d: point results differ", i)
 				}
-			})
-		}
+				nm := mem.NearestNeighbors(x, y, 10)
+				nf := file.NearestNeighbors(x, y, 10)
+				if !reflect.DeepEqual(nm, nf) {
+					t.Fatalf("query %d: k-NN results differ", i)
+				}
+			}
+			ioM, ioF := mem.IOStats(), file.IOStats()
+			if ioM != ioF {
+				t.Fatalf("query block-I/O differs across backends: mem %v file %v", ioM, ioF)
+			}
+			if m, f := mem.CacheStats().Misses-csM.Misses, file.CacheStats().Misses-csF.Misses; ioM.Reads != m || ioF.Reads != f {
+				t.Fatalf("demand reads %d / %d for %d / %d cache misses — must be one each", ioM.Reads, ioF.Reads, m, f)
+			}
+
+			// Batch execution must agree with itself across backends too.
+			bm := mem.SearchBatch(queries, 4)
+			bf := file.SearchBatch(queries, 4)
+			if !reflect.DeepEqual(bm, bf) {
+				t.Fatal("batch results differ across backends")
+			}
+			sm := mem.QueryBatch(queries, 4)
+			sf := file.QueryBatch(queries, 4)
+			if !reflect.DeepEqual(sm, sf) {
+				t.Fatal("batch stats differ across backends")
+			}
+		})
 	}
 }
 
@@ -228,63 +238,115 @@ func TestEmptyIndexOwnsNoPage(t *testing.T) {
 
 // TestCreateCloseOpen proves the persistence contract: Open after
 // Create+Close returns a tree whose Items and query results match the
-// original with zero rebuild work (no page writes at all).
+// original with zero rebuild work (no page writes at all). The index is of
+// the raw page layout, the only one.
 func TestCreateCloseOpen(t *testing.T) {
-	for _, layout := range []PageLayout{LayoutRaw, LayoutCompressed} {
-		t.Run(layout.String(), func(t *testing.T) {
-			items := dataset.Western(4000, 17)
-			path := filepath.Join(t.TempDir(), "roundtrip.pr")
+	t.Run("raw", func(t *testing.T) {
+		items := dataset.Western(4000, 17)
+		path := filepath.Join(t.TempDir(), "roundtrip.pr")
 
-			tree, err := Create(path, &Options{Layout: layout})
+		tree, err := Create(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.BulkLoad(TGS, items); err != nil {
+			t.Fatal(err)
+		}
+		wantItems := tree.Items()
+		world := geom.ItemsMBR(items)
+		queries := workload.Squares(world, 0.01, 20, 5)
+		wantResults := make([][]Item, len(queries))
+		for i, q := range queries {
+			wantResults[i] = tree.Search(q)
+		}
+		wantLen, wantHeight, wantNodes := tree.Len(), tree.Height(), tree.Nodes()
+		if err := tree.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Close(); err != nil {
+			t.Errorf("second Close: %v", err)
+		}
+
+		re, err := Open(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if re.Len() != wantLen || re.Height() != wantHeight || re.Nodes() != wantNodes {
+			t.Fatalf("reopened shape %d/%d/%d, want %d/%d/%d",
+				re.Len(), re.Height(), re.Nodes(), wantLen, wantHeight, wantNodes)
+		}
+		if got := re.Items(); !reflect.DeepEqual(got, wantItems) {
+			t.Fatal("reopened Items differ")
+		}
+		for i, q := range queries {
+			if got := re.Search(q); !reflect.DeepEqual(got, wantResults[i]) {
+				t.Fatalf("reopened query %d differs", i)
+			}
+		}
+		// Zero rebuild work: reopening and querying writes nothing.
+		if io := re.IOStats(); io.Writes != 0 {
+			t.Fatalf("reopened tree performed %d writes; want 0 (zero rebuild)", io.Writes)
+		}
+		if err := re.Validate(); err != nil {
+			t.Fatalf("reopened tree invalid: %v", err)
+		}
+
+		// Opening with a mismatched block size must fail inspectably.
+		if _, err := Open(path, &Options{BlockSize: 8192}); !errors.Is(err, ErrBlockSizeMismatch) {
+			t.Fatalf("Open with wrong block size: %v, want ErrBlockSizeMismatch", err)
+		}
+	})
+}
+
+// TestOpenRejectsCompressedLayout: an index file of the compressed page
+// layout earlier versions wrote — metadata layout word 1, or pages flagged 1
+// in header byte 1 — fails Open with an error that says to rebuild it,
+// instead of opening and reading those pages as 36-byte entries.
+func TestOpenRejectsCompressedLayout(t *testing.T) {
+	const slot = DefaultBlockSize + 8 // a page slot: the block and its CRC32C + length trailer
+	for _, tc := range []struct {
+		name  string
+		patch func(file []byte, meta int)
+	}{
+		{"meta layout word 1", func(file []byte, meta int) {
+			binary.LittleEndian.PutUint64(file[meta+8+7*8:], 1)
+		}},
+		{"root page flag 1", func(file []byte, meta int) {
+			root := int(binary.LittleEndian.Uint64(file[meta+8:]))
+			page := file[DefaultBlockSize+root*slot:][:slot]
+			page[1] = 1
+			n := binary.LittleEndian.Uint32(page[DefaultBlockSize+4:])
+			binary.LittleEndian.PutUint32(page[DefaultBlockSize:], crc32.Checksum(page[:n], crc32.MakeTable(crc32.Castagnoli)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "old.pr")
+			tree, err := Create(path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tree.BulkLoad(TGS, items); err != nil {
-				t.Fatal(err)
-			}
-			wantItems := tree.Items()
-			world := geom.ItemsMBR(items)
-			queries := workload.Squares(world, 0.01, 20, 5)
-			wantResults := make([][]Item, len(queries))
-			for i, q := range queries {
-				wantResults[i] = tree.Search(q)
-			}
-			wantLen, wantHeight, wantNodes := tree.Len(), tree.Height(), tree.Nodes()
-			if err := tree.Close(); err != nil {
+			if err := tree.BulkLoad(PR, dataset.Western(2000, 3)); err != nil {
 				t.Fatal(err)
 			}
 			if err := tree.Close(); err != nil {
-				t.Errorf("second Close: %v", err)
+				t.Fatal(err)
 			}
-
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.patch(file, bytes.Index(file[:DefaultBlockSize], []byte("PRTREE02")))
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
 			re, err := Open(path, nil)
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				re.Close()
+				t.Fatal("Open read a compressed-layout index as raw entries")
 			}
-			defer re.Close()
-			if re.Len() != wantLen || re.Height() != wantHeight || re.Nodes() != wantNodes {
-				t.Fatalf("reopened shape %d/%d/%d, want %d/%d/%d",
-					re.Len(), re.Height(), re.Nodes(), wantLen, wantHeight, wantNodes)
-			}
-			if got := re.Items(); !reflect.DeepEqual(got, wantItems) {
-				t.Fatal("reopened Items differ")
-			}
-			for i, q := range queries {
-				if got := re.Search(q); !reflect.DeepEqual(got, wantResults[i]) {
-					t.Fatalf("reopened query %d differs", i)
-				}
-			}
-			// Zero rebuild work: reopening and querying writes nothing.
-			if io := re.IOStats(); io.Writes != 0 {
-				t.Fatalf("reopened tree performed %d writes; want 0 (zero rebuild)", io.Writes)
-			}
-			if err := re.Validate(); err != nil {
-				t.Fatalf("reopened tree invalid: %v", err)
-			}
-
-			// Opening with a mismatched block size must fail inspectably.
-			if _, err := Open(path, &Options{BlockSize: 8192}); !errors.Is(err, ErrBlockSizeMismatch) {
-				t.Fatalf("Open with wrong block size: %v, want ErrBlockSizeMismatch", err)
+			if !strings.Contains(err.Error(), "compressed page layout is no longer read; rebuild the index") {
+				t.Fatalf("Open: %v", err)
 			}
 		})
 	}
