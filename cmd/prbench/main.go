@@ -80,11 +80,10 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	faults := flag.Bool("faults", false, "run only the fault-injection recovery sweep (shorthand for -only faults)")
 	serveFlag := flag.Bool("serve", false, "run only the network-serving load test (shorthand for -only serve)")
-	compactFlag := flag.Bool("compact", false, "run only the online-compaction stall benchmark (shorthand for -only compact)")
 	serveAddr := flag.String("serveaddr", "", "serve experiment: drive this running prtreeserve binary-protocol address instead of an in-process server")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
-	for flagName, set := range map[string]*bool{"faults": faults, "serve": serveFlag, "compact": compactFlag} {
+	for flagName, set := range map[string]*bool{"faults": faults, "serve": serveFlag} {
 		if !*set {
 			continue
 		}
@@ -101,7 +100,7 @@ func main() {
 		"table1", "theorem3", "lemma2", "utilization",
 		"ablation-priority", "ablation-roundb", "ablation-cache",
 		"futurework", "throughput",
-		"faults", "serve", "compact",
+		"faults", "serve",
 	}
 	if *list {
 		for _, id := range ids {
@@ -159,7 +158,6 @@ func main() {
 		"throughput":        experiments.QueryThroughput,
 		"faults":            experiments.FaultSweep,
 		"serve":             experiments.Serve,
-		"compact":           experiments.Compaction,
 	}
 
 	jsonOnly := *jsonPath == "-"
@@ -192,12 +190,6 @@ func main() {
 		}
 		if table.ID == "serve" {
 			serveErrors += tableErrors(&table)
-		}
-		if table.ID == "compact" {
-			if err := compactGate(&table); err != nil {
-				fmt.Fprintf(os.Stderr, "prbench: compact gate: %v\n", err)
-				os.Exit(1)
-			}
 		}
 		report.Experiments = append(report.Experiments, jsonExperiment{
 			ID:         table.ID,
@@ -264,47 +256,6 @@ func tableErrors(t *experiments.Table) int {
 		total += n
 	}
 	return total
-}
-
-// compactGate enforces the online-compaction acceptance criteria on the
-// compact experiment's rows: background max insert stall must be strictly
-// below the synchronous path's, and the query-result fingerprints must be
-// identical (background merges invisible to queries).
-func compactGate(t *experiments.Table) error {
-	col := func(name string) int {
-		for i, c := range t.Columns {
-			if c == name {
-				return i
-			}
-		}
-		return -1
-	}
-	mode, stall, crc := col("mode"), col("stall max ms"), col("results crc")
-	if mode < 0 || stall < 0 || crc < 0 {
-		return fmt.Errorf("missing gate columns in %v", t.Columns)
-	}
-	vals := map[string]float64{}
-	crcs := map[string]string{}
-	for _, row := range t.Rows {
-		v, err := strconv.ParseFloat(row[stall], 64)
-		if err != nil {
-			return fmt.Errorf("row %q: bad stall %q", row[mode], row[stall])
-		}
-		vals[row[mode]] = v
-		crcs[row[mode]] = row[crc]
-	}
-	if len(vals) != 2 {
-		return fmt.Errorf("want sync and background rows, got %d", len(vals))
-	}
-	if crcs["background"] != crcs["sync"] {
-		return fmt.Errorf("query results diverge: background crc %s, sync crc %s",
-			crcs["background"], crcs["sync"])
-	}
-	if vals["background"] >= vals["sync"] {
-		return fmt.Errorf("background max insert stall %.3fms not strictly below synchronous %.3fms",
-			vals["background"], vals["sync"])
-	}
-	return nil
 }
 
 // mergeReport folds the just-finished run into an existing -json file:

@@ -10,20 +10,18 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"prtree/internal/storage"
 )
 
-// Tests for the online-compaction subsystem: the property test that
-// background compaction is query-equivalent to the synchronous path, the
-// -race stress of concurrent readers during merges, and the
-// kill-at-every-step crash test for the dynamic index's persistence
-// (carries, the background epoch-swap commit, flushes).
+// Tests for the dynamic index's merges: the -race stress of concurrent
+// readers beside carries, the kill-at-every-step crash test for the dynamic
+// index's persistence (carries, deletes, a rebuild, Close), and the merge
+// counters.
 
 // dynDigest fingerprints a dynamic index's entire query surface. Window,
-// point and containment results are canonicalized by item ID (sync and
-// background runs may build different level shapes, so traversal order is
+// point and containment results are canonicalized by item ID (indexes with
+// the same contents may hold different level shapes, so traversal order is
 // not comparable — the result SET must be identical); kNN results keep
 // their order, which is deterministic (distance then ID) regardless of
 // shape.
@@ -68,96 +66,6 @@ func dynDigest(t *testing.T, d *Dynamic) uint32 {
 	return crc32.ChecksumIEEE([]byte(sb.String()))
 }
 
-// waitForMerges polls until the background compactor has completed at
-// least one merge (the supervisor runs on its own goroutine; a fast
-// all-in-memory workload can finish before it is ever scheduled).
-func waitForMerges(t *testing.T, d *Dynamic) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for d.CompactionStats().MergesCompleted == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no background merge completed: %+v", d.CompactionStats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// dynEquivWorkload applies a deterministic insert/delete/revive sequence.
-func dynEquivWorkload(d *Dynamic, seed int64) {
-	r := rand.New(rand.NewSource(seed))
-	items := crashItems(r, 400, 0)
-	for i, it := range items {
-		d.Insert(it)
-		if i > 20 && i%7 == 3 {
-			d.Delete(items[i-17]) // tombstone an item already in a component
-		}
-	}
-	// Revive two tombstoned items (re-insert of a dead ID).
-	d.Insert(items[7])
-	d.Insert(items[14])
-	d.Delete(items[21])
-}
-
-// TestDynamicBackgroundEquivalence: background compaction must yield
-// bit-identical query results (window, point, containment, kNN, batch) to
-// the synchronous path, across seeds and across the memory and file
-// backends. BlockSize 512 keeps the component base small so the workload
-// crosses many carries.
-func TestDynamicBackgroundEquivalence(t *testing.T) {
-	for _, seed := range []int64{3, 9} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			dir := t.TempDir()
-			digests := make(map[string]uint32)
-
-			for _, cfg := range []struct {
-				name       string
-				file       bool
-				background bool
-			}{
-				{"memory/sync", false, false},
-				{"memory/background", false, true},
-				{"file/sync", true, false},
-				{"file/background", true, true},
-			} {
-				opts := &Options{BlockSize: 512, BackgroundCompaction: cfg.background}
-				var d *Dynamic
-				if cfg.file {
-					var err error
-					d, err = CreateDynamic(filepath.Join(dir, strings.ReplaceAll(cfg.name, "/", "_")+".pr"), opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					d = NewDynamic(opts)
-				}
-				dynEquivWorkload(d, seed)
-				if cfg.background {
-					// Let a merge land so Install and epoch advancement are
-					// exercised before we read.
-					waitForMerges(t, d)
-					release := d.comp.Drain()
-					release()
-					if st := d.CompactionStats(); st.MergesAborted != 0 {
-						t.Errorf("%s: %d aborted merges in a fault-free run", cfg.name, st.MergesAborted)
-					}
-				}
-				digests[cfg.name] = dynDigest(t, d)
-				if err := d.Close(); err != nil {
-					t.Fatalf("%s: close: %v", cfg.name, err)
-				}
-			}
-
-			want := digests["memory/sync"]
-			for name, got := range digests {
-				if got != want {
-					t.Errorf("%s digest %08x != memory/sync %08x", name, got, want)
-				}
-			}
-		})
-	}
-}
-
 // TestDynamicParallelismIdentical: a file-backed dynamic index hands
 // Options.Parallelism to every level build — carries spill to the external
 // pipeline here, M being a few blocks — and ends in the same state at any
@@ -199,50 +107,10 @@ func TestDynamicParallelismIdentical(t *testing.T) {
 	}
 }
 
-// TestDynamicFileBackgroundReopen: a background-compacted index closes and
-// reopens to the same contents as its synchronous twin.
-func TestDynamicFileBackgroundReopen(t *testing.T) {
-	dir := t.TempDir()
-	pathBG := filepath.Join(dir, "bg.pr")
-	pathSync := filepath.Join(dir, "sync.pr")
-
-	bg, err := CreateDynamic(pathBG, &Options{BlockSize: 512, BackgroundCompaction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dynEquivWorkload(bg, 5)
-	if err := bg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	sy, err := CreateDynamic(pathSync, &Options{BlockSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dynEquivWorkload(sy, 5)
-	want := dynDigest(t, sy)
-	if err := sy.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenDynamic(pathBG, &Options{BlockSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dynDigest(t, re); got != want {
-		t.Errorf("reopened background index digest %08x, sync twin %08x", got, want)
-	}
-	if err := re.CheckPages(); err != nil {
-		t.Errorf("checksum scrub after background run: %v", err)
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDynamicConcurrentReadersDuringMerges is the -race stress: window,
 // point, containment, kNN and batch readers run continuously while a
-// writer drives inserts and deletes through many background merges.
+// writer drives inserts and deletes through many carries, each of which
+// swaps the directory and frees the levels it replaced under the readers.
 // Readers check snapshot invariants (no duplicate IDs, every result
 // intersects the query) — with the race detector on, this also proves the
 // copy-on-write path is data-race-free.
@@ -250,7 +118,7 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 	for _, backend := range []string{"memory", "file"} {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
-			opts := &Options{BlockSize: 512, BackgroundCompaction: true}
+			opts := &Options{BlockSize: 512}
 			var d *Dynamic
 			if backend == "file" {
 				var err error
@@ -265,12 +133,14 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 
 			const nItems = 1500
 			done := make(chan struct{})
-			var wg sync.WaitGroup
+			var wg, started sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				wg.Add(1)
+				started.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					r := rand.New(rand.NewSource(int64(100 + w)))
+					answered := started.Done
 					for {
 						select {
 						case <-done:
@@ -295,6 +165,7 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 						case 1:
 							d.SearchContained(q)
 							d.SearchPoint(r.Float64(), r.Float64())
+							d.CompactionStats() // counters the writer moves as it carries
 						case 2:
 							nn := d.NearestNeighbors(r.Float64(), r.Float64(), 8)
 							for i := 1; i < len(nn); i++ {
@@ -305,9 +176,14 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 						case 3:
 							d.SearchBatch([]Rect{q, NewRect(0, 0, 0.5, 0.5)}, 2)
 						}
+						if answered != nil {
+							answered()
+							answered = nil
+						}
 					}
 				}(w)
 			}
+			started.Wait() // every reader has answered once: the carries run beside them
 
 			r := rand.New(rand.NewSource(42))
 			items := crashItems(r, nItems, 0)
@@ -319,11 +195,14 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 			}
 			close(done)
 			wg.Wait()
-			waitForMerges(t, d)
 
 			// All readers drained: no epoch pins may survive.
-			if st := d.CompactionStats(); st.SnapshotReaders != 0 {
-				t.Errorf("%d snapshot readers leaked", st.SnapshotReaders)
+			st := d.CompactionStats()
+			if st.MergesCompleted < 10 {
+				t.Errorf("the writer carried %d times beside the readers, want many", st.MergesCompleted)
+			}
+			if st.SnapshotReaders != 0 || st.PinnedPages != 0 {
+				t.Errorf("%d snapshot readers and %d pinned pages leaked", st.SnapshotReaders, st.PinnedPages)
 			}
 		})
 	}
@@ -340,12 +219,10 @@ func dynCrashBackend(t *testing.T, d *Dynamic) *storage.FileBackend {
 }
 
 // dynCrashWorkload drives the dynamic index through every transaction
-// shape the compaction subsystem commits: inline carries (sync inserts
-// across a full buffer), deletes with tombstones, one manually-driven
-// background carry (build off to the side, then the epoch-swap install
-// commit — the exact transaction the compactor runs), a full flush, and a
-// tail of logged mutations that Close finds in the buffer and the
-// tombstone set.
+// shape it commits: logged inserts, carries (the inserts that fill the
+// buffer), deletes with tombstones and from the buffer, a rebuild (a full
+// flush), and a tail of logged mutations that Close finds in the buffer and
+// the tombstone set.
 func dynCrashWorkload(d *Dynamic, afterTx func()) {
 	step := func() {
 		if afterTx != nil {
@@ -356,7 +233,7 @@ func dynCrashWorkload(d *Dynamic, afterTx func()) {
 	base := d.inner.Base()
 	items := crashItems(r, 3*base+4, 0)
 	for _, it := range items {
-		d.Insert(it) // crosses >= 3 inline carries
+		d.Insert(it) // two carries: a level of base, then two merged into one
 		step()
 	}
 	for _, it := range []Item{items[1], items[base], items[2*base+1]} {
@@ -364,27 +241,12 @@ func dynCrashWorkload(d *Dynamic, afterTx func()) {
 		step()
 	}
 
-	// One background-style carry, driven deterministically: fill the
-	// buffer with inline carries off, build off to the side (page writes
-	// outside any transaction — a crash here must recover the pre-merge
-	// state), then commit the install exactly as internal/compact does.
-	d.inner.SetBackground(true)
-	extra := crashItems(r, base, 5000)
-	for _, it := range extra {
+	// One more carry, over a buffer one delete shrank and a level holding
+	// two tombstones: the merge purges them.
+	for _, it := range crashItems(r, base, 5000) {
 		d.Insert(it)
 		step()
 	}
-	job, ok := d.inner.BeginCarry()
-	if !ok {
-		panic("BeginCarry refused with a full buffer")
-	}
-	job.Build()
-	if err := d.mutate(nil, func() { job.Install() }); err != nil {
-		panic(err)
-	}
-	storage.EnsureSnapshotter(d.io).SnapshotAdvance()
-	step()
-	d.inner.SetBackground(false)
 
 	d.Flush()
 	step()
@@ -401,9 +263,9 @@ func dynCrashWorkload(d *Dynamic, afterTx func()) {
 }
 
 // TestDynamicCrashRecoveryEveryBoundary kills the dynamic index at every
-// persistence step of the workload above — including mid-background-build
-// and inside the epoch-swap install commit — reopens, and requires the
-// recovered index to match exactly one committed state.
+// persistence step of the workload above — inside every carry's level
+// build and its commit, and inside the flush's rebuild — reopens, and
+// requires the recovered index to match exactly one committed state.
 func TestDynamicCrashRecoveryEveryBoundary(t *testing.T) {
 	dir := t.TempDir()
 	opts := &Options{BlockSize: 512}
@@ -435,6 +297,9 @@ func TestDynamicCrashRecoveryEveryBoundary(t *testing.T) {
 		}
 	})
 	finalDigest := dynDigest(t, ref)
+	if st := ref.CompactionStats(); st.MergesCompleted < 3 || st.ItemsMerged <= st.ItemsAbsorbed {
+		t.Fatalf("the workload carried %d times (%+v); want the doubling and a merge of levels", st.MergesCompleted, st)
+	}
 	if err := ref.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -539,27 +404,47 @@ func TestDynamicInsertEDeleteE(t *testing.T) {
 	}
 }
 
-// TestDynamicCompactionStatsWriteAmp: counters accumulate and write
-// amplification is items-merged over items-absorbed.
+// TestDynamicCompactionStatsWriteAmp: the counters follow the carries —
+// one merge for every insert that empties the buffer, every item that left
+// the buffer absorbed exactly once, one page written for every page a carry
+// built, write amplification items merged over items absorbed — and a
+// rebuild a delete triggers counts apart, a flush not at all.
 func TestDynamicCompactionStatsWriteAmp(t *testing.T) {
-	d := NewDynamic(&Options{BlockSize: 512, BackgroundCompaction: true})
+	d := NewDynamic(&Options{BlockSize: 512})
 	defer d.Close()
 	r := rand.New(rand.NewSource(13))
-	for _, it := range crashItems(r, 600, 0) {
+	items := crashItems(r, 600, 0)
+	carries := 0
+	for _, it := range items {
 		d.Insert(it)
+		if d.BufferLen() == 0 {
+			carries++
+		}
 	}
-	waitForMerges(t, d)
-	release := d.comp.Drain()
-	release()
 	st := d.CompactionStats()
-	if st.ItemsAbsorbed == 0 {
-		t.Fatalf("no merge activity recorded: %+v", st)
+	absorbed := uint64(len(items) - d.BufferLen())
+	if st.MergesCompleted != uint64(carries) || st.ItemsAbsorbed != absorbed || st.MergesAborted != 0 || st.GCRebuilds != 0 {
+		t.Fatalf("after %d carries that took %d items out of the buffer: %+v", carries, absorbed, st)
 	}
-	if st.WriteAmplification < 1 {
-		t.Errorf("write amplification %.2f < 1 (merged %d, absorbed %d)",
+	if st.PagesRewritten != d.IOStats().Writes {
+		t.Errorf("%d pages rewritten, %d written", st.PagesRewritten, d.IOStats().Writes)
+	}
+	if st.ItemsMerged <= st.ItemsAbsorbed || st.WriteAmplification != float64(st.ItemsMerged)/float64(st.ItemsAbsorbed) {
+		t.Errorf("write amplification %.2f, merged %d, absorbed %d; want merged / absorbed, above 1",
 			st.WriteAmplification, st.ItemsMerged, st.ItemsAbsorbed)
 	}
 	if st.PinnedPages != 0 {
 		t.Errorf("%d pages still pinned with no readers", st.PinnedPages)
+	}
+	for _, it := range items[:400] {
+		d.Delete(it)
+	}
+	gc := d.CompactionStats()
+	if gc.GCRebuilds == 0 || gc.MergesCompleted != st.MergesCompleted {
+		t.Errorf("after deleting two thirds: %+v; want a tombstone rebuild and no carry", gc)
+	}
+	d.Flush()
+	if got := d.CompactionStats(); got.GCRebuilds != gc.GCRebuilds || got.MergesCompleted != gc.MergesCompleted {
+		t.Errorf("a flush moved the counters from %+v to %+v", gc, got)
 	}
 }

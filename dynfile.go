@@ -9,9 +9,9 @@ import (
 )
 
 // File-backed dynamic indexes: CreateDynamic makes a new index file,
-// InsertE/DeleteE commit each mutation durably (WAL-bracketed, like the
-// static tree's updates), Close persists in place and OpenDynamic serves it
-// again — including recovery from a crash at any point, background merges
+// InsertE/DeleteE commit each mutation durably (one transaction each, like
+// the static tree's BulkLoad), Close persists in place and OpenDynamic
+// serves it again — including recovery from a crash at any point, carries
 // included.
 //
 // The on-disk format extends the static page file: the header's metadata
@@ -22,17 +22,17 @@ import (
 // That is the saved state, and it is not rewritten by every mutation. It
 // is saved — blob and chains, inside the transaction of the change, so a
 // crash recovers either the whole old state or the whole new one — when
-// the level directory changes (a carry, a rebuild, a background merge's
-// install, a flush) and by Sync and Close. A mutation that changes only
-// the buffer or the tombstone set commits as a note in the write-ahead
-// log (storage.FileBackend.Note): "insert item" or "delete item", 37
-// bytes, one log fsync, no page write. The committed index is the last
-// saved state plus the notes logged after it; OpenDynamic finds them in a
-// log a crash left behind and runs them through the ordinary Insert and
-// Delete, in one transaction that saves the result, before anyone sees the
-// index. In particular a crash while a background merge was mid-build
-// recovers the pre-merge directory with every acknowledged mutation, and
-// the merge's half-built pages are unreferenced garbage, never corruption.
+// the level directory changes (a carry, a rebuild, a flush) and by Sync and
+// Close. A mutation that changes only the buffer or the tombstone set
+// commits as a note in the write-ahead log (storage.FileBackend.Note):
+// "insert item" or "delete item", 37 bytes, one log fsync, no page write.
+// The committed index is the last saved state plus the notes logged after
+// it; OpenDynamic finds them in a log a crash left behind and runs them
+// through the ordinary Insert and Delete, in one transaction that saves
+// the result, before anyone sees the index. In particular a crash while a carry was mid-build recovers the
+// pre-carry directory with every acknowledged mutation: the carry wrote
+// only pages the committed state holds free, so its half-built level is
+// unreferenced.
 
 // CreateDynamic makes a new (or truncates an existing) index file at path
 // and returns an empty file-backed dynamic index on it. Close persists it
@@ -56,17 +56,17 @@ func CreateDynamic(path string, opts *Options) (*Dynamic, error) {
 		fb.Abandon()
 		return nil, err
 	}
-	d.startCompaction(o)
 	return d, nil
 }
 
 // OpenDynamic reopens the dynamic index file at path. The component
 // directory and configuration come from the file; opts controls the page
-// cache and compaction, and a non-zero opts.BlockSize is validated against
-// the file's. Crash recovery happens before the index is returned: the
-// page-level replay inside storage.OpenFile, then the mutations the log
-// holds as notes (see Recovery), so an index that died at any point — mid
-// merge included — opens to its last acknowledged mutation.
+// cache and the level builds, and a non-zero opts.BlockSize is validated
+// against the file's. Crash recovery happens before the index is returned:
+// storage.OpenFile adopts the last committed state the log records, then
+// the mutations the log holds as notes run again (see Recovery), so an
+// index that died at any point — mid carry included — opens to its last
+// acknowledged mutation.
 func OpenDynamic(path string, opts *Options) (*Dynamic, error) {
 	expect := 0
 	if opts != nil {
@@ -92,14 +92,13 @@ func OpenDynamic(path string, opts *Options) (*Dynamic, error) {
 		fb.Abandon()
 		return nil, fmt.Errorf("prtree: open %s: %w", path, errors.Join(err, d.scratch.Close()))
 	}
-	d.startCompaction(o)
 	return d, nil
 }
 
-// reapplyNotes finishes crash recovery: the backend replayed the log's
-// pages and kept the log because it holds notes; the mutations noted after
-// the last save run again here, through the ordinary Insert and Delete —
-// inline carries included — in one transaction that saves the result.
+// reapplyNotes finishes crash recovery: the backend adopted the last
+// committed state and kept the log because it holds notes; the mutations
+// noted after the last save run again here, through the ordinary Insert and
+// Delete — carries included — in one transaction that saves the result.
 // Then the notes are history, and the checkpoint the backend put off at
 // open retires the log. A crash anywhere in here finds the same log, or
 // the same log with the saved result at its end, and does it again.
@@ -155,8 +154,8 @@ func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byt
 			return nil, err
 		}
 	}
-	// Level builds (inline carries, rebuilds, the compactor's merges) above
-	// an explicit MemoryItems put their temporaries on one scratch file
+	// Level builds (carries, rebuilds) above an explicit MemoryItems put
+	// their temporaries on one scratch file
 	// beside the index, kept for the handle's lifetime so a carry pays no
 	// file create and delete; the rest build in memory and never create it.
 	scratch := storage.NewScratch(path, fb.BlockSize())
@@ -207,17 +206,12 @@ func (d *Dynamic) PageCounts() (total, inUse int) { return filePageCounts(d.io) 
 // are durable when InsertE/DeleteE return, with or without Sync; what Sync
 // buys is an empty log, an index file that opens without recovery and —
 // unless readers still hold pages of a replaced level, which then go at the
-// next Sync — a file no longer than the pages it uses. While a merge builds
-// the file still grows by the size of the level being built. The index
-// remains usable. With background compaction the in-flight merge, if any,
-// is drained first.
+// next Sync — a file no longer than the pages it uses. Between Syncs a
+// carry builds its level beside the ones it replaces, so the file grows by
+// the size of the level being built. The index remains usable.
 func (d *Dynamic) Sync() error {
 	if d.closed {
 		return fmt.Errorf("prtree: Sync on closed index")
-	}
-	if c := d.comp; c != nil {
-		release := c.Drain()
-		defer release()
 	}
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -237,8 +231,7 @@ func (d *Dynamic) Sync() error {
 // transaction moves them there (logmethod's Settle, whose save names the
 // chains of the first again), so that everything past the pages in use is
 // free and the checkpoint truncates it. An index with nothing to move pays
-// for the first transaction alone. The caller holds wmu, the compactor
-// drained or stopped.
+// for the first transaction alone. The caller holds wmu.
 func (d *Dynamic) saveAndSettle() error {
 	if d.fb == nil {
 		return nil

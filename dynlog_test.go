@@ -12,7 +12,6 @@ import (
 
 // Tests for the dynamic index's logged mutations: what a mutation costs
 // between two saves of the state, that Close and Sync save atomically,
-// that a background level is on disk before the commit that publishes it,
 // that recovery's own re-apply can be killed at every step, and that a
 // log holding notes survives handles that do not understand it.
 
@@ -136,54 +135,6 @@ func killCloseAndSync(t *testing.T, seed string, opts *Options, extra Item, stri
 		}
 	}
 	return runs
-}
-
-// TestDynamicInstallFlushesBuiltLevel: a background carry builds its level
-// outside every transaction, and the install commit that makes the level
-// reachable may write no page of its own — with an empty buffer and no
-// tombstones there are no state pages. The level must be flushed before
-// that commit's marker all the same: it is the backend, not the
-// transaction, that remembers unflushed page writes.
-func TestDynamicInstallFlushesBuiltLevel(t *testing.T) {
-	d, err := CreateDynamic(filepath.Join(t.TempDir(), "install.prd"), &Options{BlockSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.inner.SetBackground(true) // inserts only fill the buffer
-	for _, it := range crashItems(rand.New(rand.NewSource(5)), d.Base(), 0) {
-		d.Insert(it)
-	}
-	if err := d.Sync(); err != nil { // everything so far is flushed, the log empty
-		t.Fatal(err)
-	}
-	job, ok := d.inner.BeginCarry()
-	if !ok {
-		t.Fatal("BeginCarry refused with a full buffer")
-	}
-	job.Build()
-	if job.BuiltNodes() == 0 {
-		t.Fatal("the build wrote no page")
-	}
-	fb := dynCrashBackend(t, d)
-	f0, w0, s0 := fb.FsyncStats(), d.IOStats().Writes, fb.PersistSteps()
-	if err := d.mutate(nil, func() { job.Install() }); err != nil {
-		t.Fatal(err)
-	}
-	f1 := fb.FsyncStats()
-	if got := d.IOStats().Writes - w0; got != 0 {
-		t.Fatalf("the install transaction wrote %d pages; the test wants one that writes none", got)
-	}
-	if f1.PageFile-f0.PageFile != 1 || f1.Log-f0.Log != 1 {
-		t.Fatalf("install commit: %d page-file fsyncs, %d log fsyncs; want the built level flushed once, then the log",
-			f1.PageFile-f0.PageFile, f1.Log-f0.Log)
-	}
-	// fsync(pages) first, then — the first commit since the Sync emptied the
-	// log — its first extension of zeros, NOTE STATE COMMIT and the log's
-	// fsync.
-	if got := fb.PersistSteps() - s0; got != 6 {
-		t.Errorf("install commit took %d persistence steps, want 6", got)
-	}
 }
 
 // TestDynamicMutationBudget: between two carries — BufferCap() inserts
@@ -345,11 +296,9 @@ func TestDynamicMutationBudget(t *testing.T) {
 }
 
 // dynCrashedWithTail builds an index whose log ends in enough logged
-// mutations that re-applying them crosses an inline carry and leaves a
-// tombstone, then kills it. With inFlight the tail was logged while a
-// background carry was mid-build (its snapshot frozen in the merging slot,
-// one of its items deleted meanwhile), the way the compactor runs.
-func dynCrashedWithTail(t *testing.T, path string, opts *Options, inFlight bool) (want uint32) {
+// mutations that re-applying them crosses a carry and leaves a tombstone,
+// then kills it.
+func dynCrashedWithTail(t *testing.T, path string, opts *Options) (want uint32) {
 	t.Helper()
 	d, err := CreateDynamic(path, opts)
 	if err != nil {
@@ -360,21 +309,10 @@ func dynCrashedWithTail(t *testing.T, path string, opts *Options, inFlight bool)
 	for _, it := range items {
 		d.Insert(it)
 	}
-	if inFlight {
-		d.inner.SetBackground(true)
-	}
 	room := d.BufferCap() - d.BufferLen() // the insert that uses it up carries
 	tail := crashItems(r, room+3, 3000)
 	for _, it := range tail[:room] {
 		d.Insert(it)
-	}
-	if inFlight {
-		job, ok := d.inner.BeginCarry()
-		if !ok {
-			t.Fatal("BeginCarry refused with a full buffer")
-		}
-		job.Build()       // never installed: the process dies first
-		d.Delete(tail[1]) // an item of the frozen snapshot: a tombstone for now
 	}
 	for _, it := range tail[room:] {
 		d.Insert(it)
@@ -391,72 +329,68 @@ func dynCrashedWithTail(t *testing.T, path string, opts *Options, inFlight bool)
 // (carries included) and checkpoints. A crash at any persistence step of
 // that — the level build's page writes, the commit's records, the
 // checkpoint — must leave a log the next open recovers from, to the digest
-// of the last acknowledged mutation. Both carry modes: the tail logged
-// with inline carries, and logged beside a background carry in flight.
+// of the last acknowledged mutation.
 func TestDynamicRecoveryCrashEveryStep(t *testing.T) {
-	for _, mode := range []struct {
-		name     string
-		inFlight bool
-	}{{"inline", false}, {"background", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := &Options{BlockSize: 512}
-			seed := filepath.Join(dir, "seed.prd")
-			want := dynCrashedWithTail(t, seed, opts, mode.inFlight)
-			work := filepath.Join(dir, "work.prd")
-			stride := int64(1)
-			if testing.Short() {
-				stride = 5
+	// The tail is logged with no carry in flight; the case keeps the name
+	// it had beside the retired background carry.
+	t.Run("inline", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := &Options{BlockSize: 512}
+		seed := filepath.Join(dir, "seed.prd")
+		want := dynCrashedWithTail(t, seed, opts)
+		work := filepath.Join(dir, "work.prd")
+		stride := int64(1)
+		if testing.Short() {
+			stride = 5
+		}
+		for k := int64(1); ; k += stride {
+			if k > 400 {
+				t.Fatalf("recovery still crashing after %d steps", k)
 			}
-			for k := int64(1); ; k += stride {
-				if k > 400 {
-					t.Fatalf("recovery still crashing after %d steps", k)
+			copyCrashFiles(t, seed, work)
+			// The hook sees the backend before recovery's re-apply runs.
+			var fb *storage.FileBackend
+			armed := *opts
+			armed.WrapBackend = func(b Backend) Backend {
+				fb, _ = storage.AsFile(b)
+				fb.SetCrashAfterSteps(fb.PersistSteps() + k)
+				return b
+			}
+			var victim *Dynamic
+			crashed := expectInjectedCrash(t, "recovery", func() (err error) {
+				victim, err = OpenDynamic(work, &armed)
+				return err
+			})
+			if !crashed {
+				// The whole recovery fits in fewer than k steps.
+				fb.SetCrashAfterSteps(0)
+				if ri := victim.Recovery(); ri == nil || ri.ReappliedNotes == 0 {
+					t.Fatalf("uninterrupted recovery reports %+v, want re-applied notes", ri)
 				}
-				copyCrashFiles(t, seed, work)
-				// The hook sees the backend before recovery's re-apply runs.
-				var fb *storage.FileBackend
-				armed := *opts
-				armed.WrapBackend = func(b Backend) Backend {
-					fb, _ = storage.AsFile(b)
-					fb.SetCrashAfterSteps(fb.PersistSteps() + k)
-					return b
+				if got := dynDigest(t, victim); got != want {
+					t.Fatalf("uninterrupted recovery: digest %08x, want %08x", got, want)
 				}
-				var victim *Dynamic
-				crashed := expectInjectedCrash(t, "recovery", func() (err error) {
-					victim, err = OpenDynamic(work, &armed)
-					return err
-				})
-				if !crashed {
-					// The whole recovery fits in fewer than k steps.
-					fb.SetCrashAfterSteps(0)
-					if ri := victim.Recovery(); ri == nil || ri.ReappliedNotes == 0 {
-						t.Fatalf("uninterrupted recovery reports %+v, want re-applied notes", ri)
-					}
-					if got := dynDigest(t, victim); got != want {
-						t.Fatalf("uninterrupted recovery: digest %08x, want %08x", got, want)
-					}
-					if err := victim.Close(); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				fb.Abandon()
-				re, err := OpenDynamic(work, opts)
-				if err != nil {
-					t.Fatalf("recovery killed at step %d: reopen: %v", k, err)
-				}
-				if got := dynDigest(t, re); got != want {
-					t.Fatalf("recovery killed at step %d: digest %08x, want %08x (recovery: %v)", k, got, want, re.Recovery())
-				}
-				if err := re.CheckPages(); err != nil {
-					t.Fatalf("recovery killed at step %d: checksum scrub: %v", k, err)
-				}
-				if err := re.Close(); err != nil {
+				if err := victim.Close(); err != nil {
 					t.Fatal(err)
 				}
+				return
 			}
-		})
-	}
+			fb.Abandon()
+			re, err := OpenDynamic(work, opts)
+			if err != nil {
+				t.Fatalf("recovery killed at step %d: reopen: %v", k, err)
+			}
+			if got := dynDigest(t, re); got != want {
+				t.Fatalf("recovery killed at step %d: digest %08x, want %08x (recovery: %v)", k, got, want, re.Recovery())
+			}
+			if err := re.CheckPages(); err != nil {
+				t.Fatalf("recovery killed at step %d: checksum scrub: %v", k, err)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestDynamicNotesSurviveForeignHandles: the log of a crashed dynamic index
@@ -469,7 +403,7 @@ func TestDynamicNotesSurviveForeignHandles(t *testing.T) {
 	dir := t.TempDir()
 	opts := &Options{BlockSize: 512}
 	path := filepath.Join(dir, "owned.prd")
-	want := dynCrashedWithTail(t, path, opts, false)
+	want := dynCrashedWithTail(t, path, opts)
 
 	for _, withSync := range []bool{false, true} {
 		fb, err := storage.OpenFile(path, 0)

@@ -27,10 +27,7 @@ func checkDirectory(t *testing.T, tr *Tree) {
 		}
 		where[it.ID] = it.Rect
 	}
-	sum := len(s.buffer) + len(s.merging)
-	for _, it := range s.merging {
-		add(it, "the merging snapshot")
-	}
+	sum := len(s.buffer)
 	for k, l := range s.levels {
 		if l == nil {
 			continue
@@ -203,41 +200,38 @@ func (d *durable) reopen(crash bool) {
 
 // TestGeneratedHistories drives generated histories — inserts, deletes,
 // revives, flushes, clean reopens that settle the file first, crashes with
-// a logged tail, and in background mode the carry protocol one step at a
-// time, installs and aborts both — and after every operation holds the
-// directory to its bookkeeping (checkDirectory), every freshly built level
-// to "holds nothing that was dead when it was built", and the answers to
-// brute force. Each history runs a second time with plain reopens, checks
-// off: after no reopen is the settled file the longer of the two.
+// a logged tail — and after every operation holds the directory to its
+// bookkeeping (checkDirectory), every freshly built level to "holds nothing
+// that was dead when it was built", and the answers to brute force. Each
+// history runs a second time with plain reopens, checks off: after no
+// reopen is the settled file the longer of the two.
 func TestGeneratedHistories(t *testing.T) {
-	for _, background := range []bool{false, true} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("background=%v/seed=%d", background, seed), func(t *testing.T) {
-				t.Parallel() // a history is a chain of fsyncs: they wait side by side
-				settled := generatedHistory(t, background, seed, true)
-				plain := generatedHistory(t, background, seed, false)
-				shorter := 0
-				for i, n := range settled {
-					if n > plain[i] {
-						t.Fatalf("after reopen %d the settled file has %d pages, the unsettled one %d", i, n, plain[i])
-					}
-					if n < plain[i] {
-						shorter++
-					}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel() // a history is a chain of fsyncs: they wait side by side
+			settled := generatedHistory(t, seed, true)
+			plain := generatedHistory(t, seed, false)
+			shorter := 0
+			for i, n := range settled {
+				if n > plain[i] {
+					t.Fatalf("after reopen %d the settled file has %d pages, the unsettled one %d", i, n, plain[i])
 				}
-				t.Logf("%d clean reopens, the settled file shorter after %d", len(settled), shorter)
-				if shorter == 0 {
-					t.Fatal("settling never shortened the file")
+				if n < plain[i] {
+					shorter++
 				}
-			})
-		}
+			}
+			t.Logf("%d clean reopens, the settled file shorter after %d", len(settled), shorter)
+			if shorter == 0 {
+				t.Fatal("settling never shortened the file")
+			}
+		})
 	}
 }
 
 // generatedHistory runs one history of TestGeneratedHistories and returns
 // the file's page count after every clean reopen. With settle the reopens
 // settle first and every check is on; without, the history is only run.
-func generatedHistory(t *testing.T, background bool, seed int64, settle bool) (pagesAfterReopen []int) {
+func generatedHistory(t *testing.T, seed int64, settle bool) (pagesAfterReopen []int) {
 	const base, ops = 8, 3000
 	rng := rand.New(rand.NewSource(seed))
 	path := filepath.Join(t.TempDir(), "history.prd")
@@ -253,8 +247,6 @@ func generatedHistory(t *testing.T, background bool, seed int64, settle bool) (p
 	var (
 		live, graveyard  []geom.Item
 		nextID           uint32
-		job              *Carry
-		built            bool
 		seen             = map[*level]bool{}
 		carries, deepest int
 		lastLevels       []*level
@@ -278,26 +270,14 @@ func generatedHistory(t *testing.T, background bool, seed int64, settle bool) (p
 		}
 	}
 	forget := func() { // every level is a new struct after a reopen
-		job, built = nil, false
-		d.tr.SetBackground(background)
 		seen = map[*level]bool{}
 		for _, l := range d.tr.st.Load().levels {
 			seen[l] = true
 		}
 	}
-	d.tr.SetBackground(background)
 
 	for op := 0; op < ops; op++ {
-		// What a level built by this op must not hold: whatever
-		// is tombstoned once the op is done — an inline merge
-		// copies nothing dead, and no op both merges and deletes —
-		// except after an install, whose level was built against
-		// the set BeginCarry kept and may hold later tombstones.
-		var installed *tombstones
 		p := rng.Intn(100)
-		if background && rng.Intn(3) == 0 {
-			p = 99 // the compactor's share of the schedule: a carry step
-		}
 		switch {
 		case p < 55:
 			x, y := rng.Float64(), rng.Float64()
@@ -321,31 +301,15 @@ func generatedHistory(t *testing.T, background bool, seed int64, settle bool) (p
 			graveyard = graveyard[:len(graveyard)-1]
 			live = append(live, it)
 			d.apply(Mutation{Item: it})
-		case p < 84 && job == nil && rng.Intn(8) == 0: // rare: a flush resets the counter
+		case p < 84 && rng.Intn(8) == 0: // rare: a flush resets the counter
 			d.transact(nil, d.tr.Flush)
-		case p < 87 && job == nil:
+		case p < 87:
 			d.reopen(false)
 			forget()
 			pagesAfterReopen = append(pagesAfterReopen, d.fb.NumPages())
 		case p < 90:
-			d.reopen(true) // a carry in flight dies with the process
+			d.reopen(true)
 			forget()
-		case background && job == nil:
-			job, _ = d.tr.BeginCarry()
-		case background && !built:
-			job.Build()
-			built = true
-		case background:
-			if rng.Intn(4) == 0 {
-				job.Abort(true)
-			} else {
-				installed = &job.dead
-				d.transact(nil, job.Install)
-			}
-			job, built = nil, false
-			if d.tr.TakeGCPending() {
-				d.transact(nil, d.tr.RunGC)
-			}
 		}
 		// The answers are checked in both runs: the probes come out of the
 		// history's own generator, and an unsettled file answers too.
@@ -355,11 +319,10 @@ func generatedHistory(t *testing.T, background bool, seed int64, settle bool) (p
 		if !settle {
 			continue
 		}
-		if installed != nil {
-			holdBuilt(*installed)
-		} else {
-			holdBuilt(d.tr.st.Load().dead)
-		}
+		// A level built by this op holds nothing tombstoned once the op is
+		// done: a merge copies nothing dead, and no op both merges and
+		// deletes.
+		holdBuilt(d.tr.st.Load().dead)
 		// The walk reads every level: after every operation while
 		// the index is small or when levels were replaced, every
 		// eighth otherwise.

@@ -39,12 +39,8 @@
 // publish copy-on-write states: a visible buffer slice is never mutated
 // in place, the tombstone set is immutable (a change derives a new one at
 // amortised small cost, see tombstones), and replaced levels are released
-// only after the new state is visible.
-//
-// Carry merges can also run off to the side: see carry.go and
-// internal/compact for the background protocol (a merge consumes a
-// snapshot of the buffer and the occupied level prefix while readers and
-// writers keep going, then installs atomically).
+// only after the new state is visible. A carry runs inline, on the insert
+// that fills the buffer, while readers go on serving the state before it.
 //
 // # Space
 //
@@ -77,16 +73,14 @@ import (
 // Copy-on-write rules: buffer is append-only — growing it in place is
 // safe (no published state can see past its own length), but removing an
 // item allocates a fresh slice; dead is an immutable set, replaced on every
-// change; levels is copied whenever an entry changes. merging is the
-// buffer snapshot an in-flight background carry consumed — still visible
-// to queries, frozen until the carry installs or aborts.
+// change; levels is copied whenever an entry changes.
 type state struct {
-	buffer  []geom.Item // live items not yet in any static level
-	merging []geom.Item // buffer snapshot owned by the in-flight carry (nil when idle)
-	levels  []*level    // levels[i] is nil or holds at most base*2^i items
-	dead    tombstones
-	live    int // live items (excludes tombstoned ones)
-	stored  int // items physically present in buffer+merging+levels
+	buffer []geom.Item // live items not yet in any static level
+	levels []*level    // levels[i] is nil or holds at most base*2^i items
+	dead   tombstones
+	live   int // live items (excludes tombstoned ones)
+	stored int // items physically present in buffer+levels
+	merged MergeStats
 }
 
 // level is one static component. It never changes once built, so its
@@ -105,7 +99,7 @@ const maxBufferLeaves = 16
 // bufferCap returns the insert buffer's capacity in state s: the number of
 // items the levels hold, within [base, maxBufferLeaves*base].
 func (t *Tree) bufferCap(s *state) int {
-	inLevels := s.stored - len(s.buffer) - len(s.merging)
+	inLevels := s.stored - len(s.buffer)
 	return min(max(inLevels, t.base), maxBufferLeaves*t.base)
 }
 
@@ -129,13 +123,8 @@ type Tree struct {
 
 	st atomic.Pointer[state]
 
-	mu         sync.Mutex    // serializes writers and carry transitions
-	idle       *sync.Cond    // broadcast when an in-flight carry installs or aborts
-	flight     bool          // a background carry is in flight
-	backgrnd   bool          // inline carries disabled; a compactor drives them
-	gcPending  bool          // a tombstone-GC rebuild is due but was deferred
-	dirChanged bool          // the level directory changed since TakeDirectoryChanged
-	kick       chan struct{} // buffered signal: buffer is full, carry wanted
+	mu         sync.Mutex // serializes writers
+	dirChanged bool       // the level directory changed since TakeDirectoryChanged
 
 	visitors sync.Pool // query-path scratch (*levelVisitor)
 
@@ -155,9 +144,7 @@ func New(pager *storage.Pager, opt bulk.Options, base int) *Tree {
 		opt:   opt,
 		base:  base,
 		snap:  storage.EnsureSnapshotter(pager.Backend()),
-		kick:  make(chan struct{}, 1),
 	}
-	t.idle = sync.NewCond(&t.mu)
 	t.st.Store(&state{})
 	return t
 }
@@ -170,9 +157,7 @@ func (t *Tree) SetScratch(s *storage.Scratch) { t.scratch = s }
 // build bulk-loads one static level over items, which it only reads. A
 // level within the memory budget (always, under the zero budget) builds in
 // memory and touches no store but the pager's; a larger one puts its input
-// file and temporaries on the scratch store. It takes no tree lock (a
-// background carry builds while writers commit), and the scratch store is
-// safe for that.
+// file and temporaries on the scratch store.
 func (t *Tree) build(items []geom.Item) *level {
 	built := &level{mbr: geom.ItemsMBR(items)}
 	if bulk.InMemory(bulk.LoaderPR, len(items), t.opt) {
@@ -197,18 +182,13 @@ func (t *Tree) build(items []geom.Item) *level {
 func (t *Tree) Base() int { return t.base }
 
 // BufferCap returns the insert buffer's capacity as the index stands: the
-// insert that brings BufferLen() up to it carries (or, in background mode,
-// asks for a carry).
+// insert that brings BufferLen() up to it carries.
 func (t *Tree) BufferCap() int { return t.bufferCap(t.st.Load()) }
-
-// BufferCeiling returns the largest capacity the buffer ever has.
-func (t *Tree) BufferCeiling() int { return maxBufferLeaves * t.base }
 
 // Len returns the number of live rectangles.
 func (t *Tree) Len() int { return t.st.Load().live }
 
-// BufferLen returns the number of items in the in-memory buffer (not
-// counting a snapshot an in-flight carry owns).
+// BufferLen returns the number of items in the in-memory buffer.
 func (t *Tree) BufferLen() int { return len(t.st.Load().buffer) }
 
 // Levels returns the number of occupied static levels (for inspection).
@@ -235,10 +215,25 @@ func (t *Tree) LevelSizes() []int {
 	return out
 }
 
+// MergeStats counts what the carries and the tombstone rebuilds did since
+// the tree was created or opened. A carry's merged items are every item it
+// took, from the buffer and from the levels it replaced, tombstoned ones
+// included. Its absorbed items are the buffer's alone: the ones new to the
+// levels. A rebuild is counted on its own, and a Flush not at all.
+type MergeStats struct {
+	Merges         uint64 // carries
+	GCRebuilds     uint64 // rebuilds a delete triggered once half the stored items were dead
+	ItemsMerged    uint64
+	ItemsAbsorbed  uint64
+	PagesRewritten uint64 // pages of the levels the carries built
+}
+
+// MergeStats returns the carry and rebuild counters. Safe to call
+// concurrently with mutations.
+func (t *Tree) MergeStats() MergeStats { return t.st.Load().merged }
+
 // Insert adds a rectangle. Amortized cost is O((log_{M/B} N)(log2 N)/B)
-// block I/Os; the worst case (a full carry) rebuilds O(N) items — unless
-// a background compactor is attached, in which case Insert only appends
-// to the buffer and the carry runs off to the side.
+// block I/Os; the worst case (a full carry) rebuilds O(N) items.
 func (t *Tree) Insert(it geom.Item) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -261,19 +256,7 @@ func (t *Tree) Insert(it geom.Item) {
 	ns.stored++
 	t.st.Store(&ns)
 	if len(ns.buffer) >= t.bufferCap(&ns) {
-		if t.backgrnd {
-			t.signalCarry()
-		} else {
-			t.carryLocked()
-		}
-	}
-}
-
-// signalCarry nudges the attached compactor without blocking.
-func (t *Tree) signalCarry() {
-	select {
-	case t.kick <- struct{}{}:
-	default:
+		t.carryLocked()
 	}
 }
 
@@ -333,32 +316,40 @@ func gather(dst []geom.Item, levels []*level, take []int, dead tombstones) (live
 }
 
 // carryLocked merges the buffer and the levels carryTarget names into one
-// new level, synchronously, dropping the tombstoned items and their
-// tombstones on the way. Caller holds t.mu with no carry in flight.
+// new level, dropping the tombstoned items and their tombstones on the way.
+// Caller holds t.mu.
 func (t *Tree) carryLocked() {
 	s := t.st.Load()
 	take, k := t.carryTarget(s.levels, len(s.buffer))
 	items, purged := gather(append([]geom.Item(nil), s.buffer...), s.levels, take, s.dead)
+	built := t.build(items)
 	ns := *s
 	ns.buffer = nil
-	ns.levels = replaced(s.levels, take, k, t.build(items))
+	ns.levels = replaced(s.levels, take, k, built)
 	ns.dead = s.dead.without(purged)
 	ns.stored -= len(purged)
+	ns.merged.Merges++
+	ns.merged.ItemsMerged += uint64(len(items) + len(purged))
+	ns.merged.ItemsAbsorbed += uint64(len(s.buffer))
+	ns.merged.PagesRewritten += uint64(built.Nodes())
 	t.st.Store(&ns)
 	t.dirChanged = true
 	// Free replaced levels only after the new state is visible, so a
-	// reader still traversing them holds epoch pins on every freed page;
-	// FreePages leaves the structs untouched for those same readers.
+	// reader still traversing them entered before the swap and holds epoch
+	// pins on every freed page; FreePages leaves the structs untouched for
+	// those same readers. Then advance the epoch: a reader entering after
+	// that loaded the new state, cannot reach the freed pages and pins none
+	// of them, so they go back to the allocator once the readers from before
+	// the swap have left.
 	for _, i := range take {
 		s.levels[i].FreePages()
 	}
+	t.snap.SnapshotAdvance()
 }
 
 // Delete removes the rectangle with the given rect and id, returning false
 // if it is not stored (or already deleted). Deletions are tombstoned; once
-// half the stored items are dead the structure rebuilds itself (the
-// rebuild is deferred while a background carry is in flight — the
-// compactor picks it up when the carry lands).
+// half the stored items are dead the structure rebuilds itself.
 func (t *Tree) Delete(it geom.Item) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -387,25 +378,14 @@ func (t *Tree) Delete(it geom.Item) bool {
 	ns.live--
 	t.st.Store(&ns)
 	if 2*ns.dead.len() >= ns.stored && ns.stored > 0 {
-		if t.flight {
-			// A background carry holds references to the levels; the GC
-			// rebuild would release them. Defer it to the compactor.
-			t.gcPending = true
-		} else {
-			t.rebuildLocked()
-		}
+		t.rebuildLocked(true)
 	}
 	return true
 }
 
-// containsStored checks whether a (rect, id) pair is physically present —
-// in the in-flight carry's buffer snapshot or in a static level.
+// containsStored checks whether a (rect, id) pair is physically present in
+// a static level.
 func (t *Tree) containsStored(s *state, it geom.Item) bool {
-	for _, m := range s.merging {
-		if m.ID == it.ID && m.Rect == it.Rect {
-			return true
-		}
-	}
 	for _, l := range s.levels {
 		if l == nil {
 			continue
@@ -425,9 +405,10 @@ func (t *Tree) containsStored(s *state, it geom.Item) bool {
 	return false
 }
 
-// rebuildLocked compacts everything live into a single fresh structure.
-// Caller holds t.mu with no carry in flight.
-func (t *Tree) rebuildLocked() {
+// rebuildLocked compacts everything live into a single fresh structure; gc
+// says a delete asked for it, and counts it in MergeStats. Caller holds
+// t.mu.
+func (t *Tree) rebuildLocked(gc bool) {
 	s := t.st.Load()
 	var all []int
 	for i, l := range s.levels {
@@ -449,14 +430,17 @@ func (t *Tree) rebuildLocked() {
 	} else {
 		ns.buffer = items
 	}
+	if gc {
+		ns.merged.GCRebuilds++
+	}
 	t.st.Store(&ns)
-	t.gcPending = false
 	t.dirChanged = true
-	for _, l := range s.levels {
+	for _, l := range s.levels { // freed and advanced as in carryLocked
 		if l != nil {
-			l.FreePages() // structs stay intact for stale-snapshot readers
+			l.FreePages()
 		}
 	}
+	t.snap.SnapshotAdvance()
 }
 
 // QueryStats aggregates the per-level query statistics.
@@ -517,7 +501,7 @@ func (t *Tree) enter() (*state, uint64) {
 // Query reports every live rectangle intersecting q. Each static level is
 // queried with its optimal PR-tree bound, so the total cost is
 // O(log(N/base) * sqrt(N/B) + T/B) I/Os. Safe to call concurrently with
-// mutations and background carries.
+// mutations.
 func (t *Tree) Query(q geom.Rect, fn func(geom.Item) bool) QueryStats {
 	s, e := t.enter()
 	defer t.snap.SnapshotLeave(e)
@@ -533,7 +517,7 @@ func (t *Tree) Contained(q geom.Rect, fn func(geom.Item) bool) QueryStats {
 
 // queryState runs a window (or containment) query against one state.
 // Buffer items are never tombstoned (Delete removes them physically), but
-// the merging snapshot and the levels must be filtered against dead.
+// the levels must be filtered against dead.
 func (t *Tree) queryState(s *state, q geom.Rect, contain bool, fn func(geom.Item) bool) QueryStats {
 	var st QueryStats
 	match := func(r geom.Rect) bool {
@@ -543,17 +527,6 @@ func (t *Tree) queryState(s *state, q geom.Rect, contain bool, fn func(geom.Item
 		return q.Intersects(r)
 	}
 	for _, it := range s.buffer {
-		if match(it.Rect) {
-			st.Results++
-			if fn != nil && !fn(it) {
-				return st
-			}
-		}
-	}
-	for _, it := range s.merging {
-		if s.dead.has(it.ID) {
-			continue
-		}
 		if match(it.Rect) {
 			st.Results++
 			if fn != nil && !fn(it) {
@@ -608,11 +581,6 @@ func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
 	}
 	for _, it := range s.buffer {
 		add(it)
-	}
-	for _, it := range s.merging {
-		if !s.dead.has(it.ID) {
-			add(it)
-		}
 	}
 	// A level's k nearest may all be tombstoned, so over-fetch by the
 	// tombstone count (the deletes since the levels' last merges: every
@@ -673,18 +641,11 @@ func pointRectDist2(x, y float64, r geom.Rect) float64 {
 }
 
 // Flush compacts the structure into a single static PR-tree (plus an empty
-// buffer), e.g. before a read-heavy phase. If a background carry is in
-// flight, Flush waits for it to land first; callers that drive carries
-// through a compactor should drain it before flushing (see
-// compact.Compactor.Drain) so the wait cannot deadlock on the caller's own
-// transaction bracket.
+// buffer), e.g. before a read-heavy phase.
 func (t *Tree) Flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for t.flight {
-		t.idle.Wait()
-	}
-	t.rebuildLocked()
+	t.rebuildLocked(false)
 }
 
 // Items returns every live rectangle.
@@ -693,11 +654,6 @@ func (t *Tree) Items() []geom.Item {
 	defer t.snap.SnapshotLeave(e)
 	out := make([]geom.Item, 0, s.live)
 	out = append(out, s.buffer...)
-	for _, it := range s.merging {
-		if !s.dead.has(it.ID) {
-			out = append(out, it)
-		}
-	}
 	for _, l := range s.levels {
 		if l == nil {
 			continue

@@ -292,3 +292,80 @@ func TestAmortizedInsertIO(t *testing.T) {
 		t.Fatal("no I/O recorded")
 	}
 }
+
+// TestLevelOutsideWindowCostsNoPage: a level's bounding box is recorded when
+// it is built (and read once when it is opened), so a window that misses the
+// box visits no node of it — it used to read the root, a counted leaf visit
+// when the level is one leaf — and k-NN skips a level that lies beyond the
+// k-th candidate it already has.
+func TestLevelOutsideWindowCostsNoPage(t *testing.T) {
+	tr := newTree(8)
+	// A level of one leaf along y=0, x in [0, 1], and a buffer far from it.
+	for i := 0; i < 8; i++ {
+		tr.Insert(geom.Item{Rect: geom.NewRect(float64(i)/8, 0, float64(i)/8+0.05, 0.05), ID: uint32(i)})
+	}
+	for i := 0; i < 5; i++ {
+		tr.Insert(geom.Item{Rect: geom.NewRect(10+float64(i), 10, 10.5+float64(i), 10.5), ID: uint32(100 + i)})
+	}
+	if tr.Levels() != 1 || tr.BufferLen() != 5 {
+		t.Fatalf("set-up: slots %v, buffer %d", tr.LevelSizes(), tr.BufferLen())
+	}
+	if st := tr.Query(geom.NewRect(9, 9, 20, 20), nil); st.NodesVisited != 0 || st.Results != 5 {
+		t.Errorf("window beside the level: %d nodes visited, %d results; want 0 and the 5 buffered", st.NodesVisited, st.Results)
+	}
+	if st := tr.Contained(geom.NewRect(9, 9, 20, 20), nil); st.NodesVisited != 0 || st.Results != 5 {
+		t.Errorf("containment beside the level: %d nodes visited, %d results; want 0 and 5", st.NodesVisited, st.Results)
+	}
+	if st := tr.Query(geom.NewRect(0, 0, 0.3, 0.3), nil); st.NodesVisited != 1 || st.LeavesVisited != 1 || st.Results != 3 {
+		t.Errorf("window inside the level: %+v; want its one leaf and 3 results", st)
+	}
+	c0 := tr.pager.CacheStats()
+	nn := tr.Nearest(12, 10.2, 3)
+	if len(nn) != 3 || nn[0].Item.ID != 102 {
+		t.Fatalf("3 nearest to the buffered cluster: %v", nn)
+	}
+	if c1 := tr.pager.CacheStats(); c1.Hits != c0.Hits || c1.Misses != c0.Misses {
+		t.Errorf("k-NN answered from the buffer read pages: %+v then %+v", c0, c1)
+	}
+	if nn := tr.Nearest(0.5, 0, 9); len(nn) != 9 || nn[8].Item.ID < 100 {
+		t.Errorf("9 nearest from inside the level: %v; want its 8 items, then a buffered one", nn)
+	}
+}
+
+// TestSwapAdvancesEpoch: the pages a directory swap frees are pinned only by
+// the readers that entered before it. Reader A enters, a carry (then a
+// rebuild) frees the levels it replaces, reader B enters, A leaves: nothing
+// is pinned any more while B is still inside, since B loaded the new state
+// and cannot reach those pages. Were the epoch left where it was, B would
+// pin them too, and overlapping readers would keep them from reuse for good.
+func TestSwapAdvancesEpoch(t *testing.T) {
+	tr := newTree(8)
+	items := randItems(16, 31)
+	for _, it := range items[:8] {
+		tr.Insert(it) // one level of 8, the buffer empty and as big
+	}
+	for _, swap := range []struct {
+		name string
+		fn   func()
+	}{
+		{"carry", func() {
+			for _, it := range items[8:] {
+				tr.Insert(it)
+			}
+		}},
+		{"rebuild", tr.Flush},
+	} {
+		_, a := tr.enter()
+		swap.fn()
+		if got := tr.snap.SnapshotStats().PinnedPages; got == 0 {
+			t.Fatalf("%s beside reader A pinned no page", swap.name)
+		}
+		_, b := tr.enter()
+		tr.snap.SnapshotLeave(a)
+		if st := tr.snap.SnapshotStats(); st.PinnedPages != 0 || st.Readers != 1 {
+			t.Errorf("after the %s, with A gone and B inside: %+v; want no page pinned", swap.name, st)
+		}
+		tr.snap.SnapshotLeave(b)
+	}
+	checkAgainstBruteForce(t, tr, items, geom.NewRect(0, 0, 2, 2))
+}

@@ -29,8 +29,8 @@ import (
 //
 // That rewrite is O(buffer + tombstones), so it is not what a mutation
 // pays. The owner (prtree.Dynamic) saves the state when the level
-// directory changes — an inline carry, a rebuild, a background carry's
-// install, a flush: TakeDirectoryChanged tells it — and when it
+// directory changes — a carry, a rebuild, a flush, a Settle:
+// TakeDirectoryChanged tells it — and when it
 // checkpoints (Sync, Close). A mutation in between, which changes the
 // buffer or the tombstone set only, is logged instead: Mutation.Note is
 // its 37-byte record for the backend's write-ahead log, SavedNote the
@@ -55,7 +55,7 @@ const (
 )
 
 // TakeDirectoryChanged reports whether the level directory changed — a
-// carry, a rebuild or an install replaced levels — since the last call,
+// carry, a rebuild or a Settle replaced levels — since the last call,
 // and forgets it. The owner asks inside the transaction bracket of every
 // mutation: true means the state must be saved in that transaction (its
 // committed pages are about to be freed), false that a note will do.
@@ -124,17 +124,15 @@ func (t *Tree) Apply(m Mutation) {
 	}
 }
 
-// savedChains describes the state chains on the device: where they start,
-// what they hold, and the state they were written for. Every mutation
+// savedChains describes the state chains on the device: where they start
+// and the state they were written for. Every mutation
 // publishes a new state, so chains whose state is still the current one
 // hold exactly its buffer and tombstones and a save may name them again
 // instead of rewriting them. Settle, which publishes a state that differs
 // in the levels' pages alone, carries the mark over to it.
 type savedChains struct {
-	of                  *state
-	bufHead, deadHead   storage.PageID
-	bufCount, deadCount int
-	stored              int // the state's stored count once its merging snapshot is folded in
+	of                *state
+	bufHead, deadHead storage.PageID
 }
 
 // SaveState brings the spill chains on dev up to the current state —
@@ -150,7 +148,7 @@ func (t *Tree) SaveState(dev storage.Backend) []byte {
 	c := &t.chains
 	meta := make([]byte, 0, dynHeaderSize+len(s.levels)*(1+rtree.MetaSize))
 	meta = append(meta, dynMagic[:]...)
-	for _, v := range [8]int{t.base, s.live, c.stored, int(c.bufHead), c.bufCount, int(c.deadHead), c.deadCount, len(s.levels)} {
+	for _, v := range [8]int{t.base, s.live, s.stored, int(c.bufHead), len(s.buffer), int(c.deadHead), s.dead.len(), len(s.levels)} {
 		meta = binary.LittleEndian.AppendUint32(meta, uint32(v))
 	}
 	for _, l := range s.levels {
@@ -167,36 +165,17 @@ func (t *Tree) SaveState(dev storage.Backend) []byte {
 // writeChains replaces the spill chains on dev with s's buffer and
 // tombstone set.
 func (t *Tree) writeChains(dev storage.Backend, s *state) {
-	// Fold the in-flight merge snapshot back into the buffer image: on
-	// recovery the carry no longer exists, so its inputs are plain buffer
-	// items again. Tombstones that target merge-snapshot items resolve
-	// physically here, exactly as Carry.Abort resolves them in memory.
-	items := make([]geom.Item, 0, len(s.buffer)+len(s.merging))
-	dead := s.dead
-	stored := s.stored
-	for _, it := range s.merging {
-		if r, gone := dead.get(it.ID); gone && r == it.Rect {
-			dead = dead.remove(it.ID)
-			stored--
-			continue
-		}
-		items = append(items, it)
-	}
-	items = append(items, s.buffer...)
-
-	// Replace the previous spill chains wholesale.
 	for _, id := range t.spill {
 		dev.Free(id)
 	}
 	t.spill = t.spill[:0]
-	deadItems := make([]geom.Item, 0, dead.len())
-	dead.each(func(id uint32, r geom.Rect) { deadItems = append(deadItems, geom.Item{ID: id, Rect: r}) })
-	bufHead, bufPages := t.writeChain(dev, items)
+	deadItems := make([]geom.Item, 0, s.dead.len())
+	s.dead.each(func(id uint32, r geom.Rect) { deadItems = append(deadItems, geom.Item{ID: id, Rect: r}) })
+	bufHead, bufPages := t.writeChain(dev, s.buffer)
 	deadHead, deadPages := t.writeChain(dev, deadItems)
 	t.spill = append(t.spill, bufPages...)
 	t.spill = append(t.spill, deadPages...)
-	t.chains = savedChains{of: s, bufHead: bufHead, deadHead: deadHead,
-		bufCount: len(items), deadCount: dead.len(), stored: stored}
+	t.chains = savedChains{of: s, bufHead: bufHead, deadHead: deadHead}
 }
 
 // writeChain packs recs into a fresh chain of state pages and returns the
@@ -327,8 +306,7 @@ func OpenState(pager *storage.Pager, opt bulk.Options, meta []byte) (*Tree, erro
 	// first SaveState after a mutation frees them when it writes
 	// replacements.
 	t.spill = append(bufPages, deadPages...)
-	t.chains = savedChains{of: s, bufHead: bufHead, deadHead: deadHead,
-		bufCount: bufCount, deadCount: deadCount, stored: stored}
+	t.chains = savedChains{of: s, bufHead: bufHead, deadHead: deadHead}
 	return t, nil
 }
 

@@ -48,15 +48,11 @@ type Settled struct {
 // and the frees of the old copies commit together. That save names the
 // state chains again instead of rewriting them (see savedChains) unless the
 // chains are among what moves. The caller excludes other writers for the
-// duration; with a background carry in flight Settle does nothing, since
-// the carry's install frees the levels it claimed by the pages they had.
+// duration.
 func (t *Tree) Settle(reusable []storage.PageID, commit func(fn func()) error) (Settled, error) {
 	t.mu.Lock()
 	s := t.st.Load()
-	cut, ok := storage.PageID(0), false
-	if !t.flight {
-		cut, ok = t.planSettle(s, reusable)
-	}
+	cut, ok := t.planSettle(s, reusable)
 	t.mu.Unlock()
 	if !ok {
 		return Settled{}, nil
@@ -121,7 +117,7 @@ func (t *Tree) planSettle(s *state, reusable []storage.PageID) (storage.PageID, 
 func (t *Tree) settleTo(s *state, cut storage.PageID) Settled {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.st.Load() != s || t.flight {
+	if t.st.Load() != s {
 		return Settled{} // the owner let a writer in after the plan: leave it be
 	}
 	ns := *s
@@ -152,11 +148,13 @@ func (t *Tree) settleTo(s *state, cut storage.PageID) Settled {
 	}
 	t.st.Store(&ns)
 	t.dirChanged = true
-	// As in carryLocked: free only once the new state is visible.
+	// As in carryLocked: free only once the new state is visible, then
+	// advance the epoch.
 	dev := t.pager.Backend()
 	for _, id := range old {
 		t.pager.Invalidate(id)
 		dev.Free(id)
 	}
+	t.snap.SnapshotAdvance()
 	return done
 }

@@ -679,9 +679,9 @@ type ShardStatsz struct {
 	Attempts    uint64 `json:"recovery_attempts"`
 	LastError   string `json:"last_error,omitempty"`
 
-	// Storage epoch state from the online-compaction machinery: the
-	// current snapshot epoch, readers holding snapshots, and freed pages
-	// pinned until those readers drain.
+	// Storage epoch state (epoch-pinned page reclamation): the current
+	// snapshot epoch, readers holding snapshots, and freed pages pinned
+	// until those readers drain.
 	SnapshotEpoch   uint64 `json:"snapshot_epoch"`
 	SnapshotReaders int    `json:"snapshot_readers"`
 	PinnedPages     int    `json:"pinned_pages"`

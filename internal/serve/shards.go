@@ -973,7 +973,7 @@ type ShardStatus struct {
 	Recoveries  uint64 // quarantined → healthy transitions
 	Attempts    uint64 // reopen attempts by the supervisor
 	LastErr     string
-	Snapshot    prtree.SnapshotStats // storage epoch state (online-compaction machinery)
+	Snapshot    prtree.SnapshotStats // storage epoch state (epoch-pinned page reclamation)
 }
 
 // SetStats aggregates the set's I/O, cache and health counters.

@@ -11,7 +11,8 @@ import (
 // until the readers that may still dereference them drain.
 type SnapshotStats struct {
 	// Epoch is the current reclamation epoch. It advances once per
-	// installed compaction (SnapshotAdvance), not per operation.
+	// directory swap of a dynamic index — a carry, a rebuild, a Settle —
+	// (SnapshotAdvance), not per operation.
 	Epoch uint64
 	// Readers is the number of snapshot readers currently inside an
 	// Enter/Leave bracket.
@@ -32,10 +33,12 @@ type SnapshotStats struct {
 // allocates fresh or long-drained pages, never a page a reader can still
 // see — without a second allocator or an undo log.
 //
-// SnapshotAdvance bumps the epoch; a compaction calls it after the
-// install commit so pins taken during the merge drain as soon as the
-// pre-install readers finish. Crash safety is free: pins live only in
-// memory, a restart has no readers, so recovery sees the plain freelist.
+// SnapshotAdvance bumps the epoch; a writer calls it once it has published
+// a new state and freed the pages of the one it replaced, so those pages
+// are pinned only by the readers that entered before the swap and go back
+// to the allocator as soon as those finish, however many readers entered
+// since. Crash safety is free: pins live only in memory, a restart has no
+// readers, so recovery sees the plain freelist.
 type Snapshotter interface {
 	// SnapshotEnter begins a snapshot read and returns the epoch token
 	// that must be passed to SnapshotLeave.
@@ -79,8 +82,9 @@ func (nopSnap) SnapshotStats() SnapshotStats { return SnapshotStats{} }
 // active is pinned at E and stays pinned until no reader with a token
 // ≤ E remains. A reader that entered after the free but in the same
 // epoch pins it too — harmless, since pins only delay reuse, and the
-// writer advances the epoch right after installing a new state, bounding
-// the overshoot to one compaction's worth of readers.
+// writer advances the epoch right after the frees of every swap, bounding
+// the overshoot to the readers that entered between one swap's store and
+// its advance.
 type epochPins struct {
 	mu     sync.Mutex
 	epoch  uint64

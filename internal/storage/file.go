@@ -80,10 +80,7 @@ import (
 //
 // The fsync rule of the commit path: a STATE-bearing commit makes pages
 // reachable, so it first flushes the page file if any page was written
-// directly since the page file's last fsync — by the transaction or by
-// anyone else (a background level build writes outside every
-// transaction; the install commit that publishes the level is the one
-// that must find its pages durable). A light commit references no page
+// since the page file's last fsync. A light commit references no page
 // and flushes only the log. FsyncStats counts both kinds.
 //
 // Sync checkpoints: it rewrites the header and freelist trailer, cuts the
@@ -111,8 +108,8 @@ import (
 // (ConsumeNotes). A handle that never looks at the notes therefore cannot
 // destroy them, and replaying the same log twice is idempotent.
 //
-// Writes outside a transaction — a background level build's — are made
-// durable by Sync or by the next STATE-bearing commit (see the fsync rule).
+// Writes outside a transaction are made durable by Sync or by the next
+// STATE-bearing commit (see the fsync rule).
 //
 // # Locks
 //
@@ -124,7 +121,7 @@ import (
 // transaction at a time.
 //
 // Commit does not hold mu while it waits for the disk: a reader's page
-// miss, or a background build's write, must not queue behind a log fsync.
+// miss must not queue behind a log fsync.
 // What it holds instead is the commit gate (commitMu, taken before mu):
 // Alloc and Free (and Sync and Close, which must find no commit half done)
 // pass it shared, Commit holds it exclusively from the moment it reads the
@@ -155,10 +152,9 @@ type FileBackend struct {
 	// append, fsync, header rewrite). See SetCrashAfterSteps.
 	steps      atomic.Int64
 	crashAfter atomic.Int64
-	rollbacks  atomic.Uint64
 
-	// pagesDirty records a direct page write (anyone's, in or out of a
-	// transaction) since the page file's last fsync; the next STATE-bearing
+	// pagesDirty records a direct page write (in or out of a transaction)
+	// since the page file's last fsync; the next STATE-bearing
 	// commit or checkpoint flushes it. fileSyncs and walSyncs count fsyncs.
 	pagesDirty atomic.Bool
 	fileSyncs  atomic.Int64
@@ -1234,20 +1230,7 @@ func (fb *FileBackend) Rollback() {
 		fb.meta = tx.prevMeta
 	}
 	fb.tx = nil
-	// Restoring the pre-transaction allocator state also revokes any page
-	// a concurrent off-transaction producer (a background compaction
-	// build) allocated while the transaction was open. Such producers
-	// watch this counter and abandon their half-built pages when it moves.
-	fb.rollbacks.Add(1)
 }
-
-// Rollbacks returns how many transactions have been rolled back over the
-// backend's lifetime. A rollback restores the committed allocator state
-// wholesale, which revokes pages allocated by anyone while the
-// transaction was open — off-transaction page producers (background
-// compaction builds) snapshot this counter before allocating and discard
-// their work without freeing when it changed underneath them.
-func (fb *FileBackend) Rollbacks() uint64 { return fb.rollbacks.Load() }
 
 // Sync implements Backend: a checkpoint. It gives up the free pages at the
 // end of the file — the run of free pages, not pinned by a snapshot reader,

@@ -95,7 +95,7 @@ func TestFileBackendLightCommit(t *testing.T) {
 }
 
 // TestFileBackendCommitFlushesAnyonesWrites: pages written directly outside
-// every transaction (a background level build) are flushed by the next
+// every transaction are flushed by the next
 // STATE-bearing commit — the one that can make them reachable — even when
 // that transaction wrote no page itself; light commits in between flush
 // only the log.
@@ -357,8 +357,8 @@ func TestFileBackendLightTxSkipsAllocatorSnapshot(t *testing.T) {
 
 // TestFileBackendCommitGate is the interleaving a commit that lets go of
 // the allocator lock during its fsync must survive (run with -race): a
-// producer outside every transaction — a background level build —
-// allocates, writes and frees pages while transactions commit. No page may
+// producer outside every transaction allocates, writes and frees pages
+// while transactions commit. No page may
 // be handed out twice, and every page must read back what its owner wrote
 // last, whether or not a transaction happened to be open.
 func TestFileBackendCommitGate(t *testing.T) {
@@ -402,7 +402,7 @@ func TestFileBackendCommitGate(t *testing.T) {
 					fb.Write(id, bytes.Repeat([]byte{v}, 256))
 					mine[id] = v
 				}
-				// Give some back, as an aborted build does.
+				// Give some back.
 				for _, id := range ids[:batch/4] {
 					fb.Free(id)
 					delete(mine, id)

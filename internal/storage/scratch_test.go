@@ -163,7 +163,7 @@ func TestRemoveScratch(t *testing.T) {
 }
 
 // TestScratchConcurrentItemFiles drives the store the way a parallel bulk
-// load (and a compactor beside a writer) does: many goroutines writing,
+// load does: many goroutines writing,
 // reading and freeing their own item files at once.
 func TestScratchConcurrentItemFiles(t *testing.T) {
 	s := NewScratch(tempIndex(t), 512)

@@ -62,7 +62,6 @@ import (
 	"sync/atomic"
 
 	"prtree/internal/bulk"
-	"prtree/internal/compact"
 	"prtree/internal/geom"
 	"prtree/internal/logmethod"
 	"prtree/internal/rtree"
@@ -132,25 +131,11 @@ type Options struct {
 	CacheCapacity int
 	// Parallelism is the worker budget of every bulk load (clamped to
 	// GOMAXPROCS; 0 or 1 means serial): Bulk, BulkWith and BulkLoad, and
-	// on a Dynamic the carries, rebuilds and background merges. It
-	// spreads the external sorts and, for the PR loader, the kd recursion
-	// of the in-memory construction. The built tree — for PR, byte for
-	// byte on a file-backed index — and the backend's I/O counts are
-	// identical at every setting.
+	// on a Dynamic the carries and rebuilds. It spreads the external sorts
+	// and, for the PR loader, the kd recursion of the in-memory
+	// construction. The built tree — for PR, byte for byte on a file-backed
+	// index — and the backend's I/O counts are identical at every setting.
 	Parallelism int
-	// BackgroundCompaction moves the dynamic index's logarithmic-method
-	// merges off the insert path: a supervisor goroutine (internal/compact)
-	// rebuilds full components on the side while readers keep serving the
-	// old ones, and installs the result as one committed transaction.
-	// Inserts then stall for at most a buffer handoff instead of a full
-	// level rebuild. Honored by NewDynamic, CreateDynamic and OpenDynamic;
-	// ignored by the static-tree constructors.
-	BackgroundCompaction bool
-	// CompactionMaxBuffer bounds insert-buffer growth while a background
-	// merge is in flight: InsertE applies backpressure once the buffer
-	// holds this many items (default twice the buffer's largest capacity,
-	// 32 leaves' worth). Only meaningful with BackgroundCompaction.
-	CompactionMaxBuffer int
 	// Backend supplies the block store trees are built on. nil (the
 	// default) means a fresh in-memory simulator of BlockSize-byte
 	// blocks. Bulk, BulkWith and NewDynamic honor it; Create and Open
@@ -383,17 +368,16 @@ func (t *Tree) Items() []Item { return t.inner.Items() }
 // immutable copy-on-write snapshot of the component directory, and the
 // storage layer's epoch pins keep a snapshot's pages byte-stable until its
 // last reader drains. Writers (InsertE, DeleteE, FlushE) serialize among
-// themselves. With Options.BackgroundCompaction the component merges run
-// on a supervisor goroutine (see CompactionStats) instead of inside
-// InsertE.
+// themselves. The component merges — the carries — run inside the InsertE
+// that fills the insert buffer (see CompactionStats), and readers go on
+// beside them.
 type Dynamic struct {
 	inner   *logmethod.Tree
 	io      *storage.Counting
 	pager   *storage.Pager
 	scratch *storage.Scratch // level-build temporaries of a file-backed index; nil otherwise
 
-	wmu      sync.Mutex // serializes writer transaction brackets
-	comp     *compact.Compactor
+	wmu      sync.Mutex           // serializes writer transaction brackets
 	fb       *storage.FileBackend // file-backed: where the state is saved and mutations are logged; nil otherwise
 	path     string               // index file path; "" for non-file backends
 	closed   bool
@@ -403,10 +387,32 @@ type Dynamic struct {
 // DynamicStats mirrors logmethod query statistics.
 type DynamicStats = logmethod.QueryStats
 
-// CompactionStats is the background compactor's counter snapshot — merge
-// outcomes, items rewritten vs newly absorbed (write amplification), and
-// the storage layer's snapshot-epoch state.
-type CompactionStats = compact.Stats
+// CompactionStats counts the dynamic index's component merges since it was
+// created or opened, beside the storage layer's snapshot-epoch state. A
+// merge is a carry, run by the insert that fills the buffer. Write
+// amplification is measured in items: every item the merges rewrote, over
+// every item they newly absorbed from the buffer — the logarithmic
+// method's rebuild factor, observed rather than derived.
+type CompactionStats struct {
+	MergesCompleted uint64 // carries
+	// MergesAborted reads 0: a carry commits with the mutation that runs
+	// it or fails with it. The field stays because the benchmark harness
+	// reports it.
+	MergesAborted  uint64
+	GCRebuilds     uint64 // rebuilds a delete triggered once half the stored items were dead
+	PagesRewritten uint64 // pages of the levels the carries built
+	ItemsMerged    uint64 // every item a carry took: the buffer's and the replaced levels', tombstoned ones included
+	ItemsAbsorbed  uint64 // of those, the buffer's: the items new to the levels
+	// WriteAmplification is ItemsMerged / ItemsAbsorbed (0 before the
+	// first merge).
+	WriteAmplification float64
+
+	// Epoch, PinnedPages and SnapshotReaders mirror the backend's
+	// SnapshotStats at collection time.
+	Epoch           uint64
+	PinnedPages     int
+	SnapshotReaders int
+}
 
 // NewDynamic creates an empty dynamic index on the backend from opts (a
 // fresh in-memory simulator when unset). opts may be nil.
@@ -418,39 +424,17 @@ func NewDynamic(opts *Options) *Dynamic {
 	}
 	counting, pager := newTree(dev, o)
 	inner := logmethod.New(pager, o.bulkOptions(), 0)
-	d := &Dynamic{inner: inner, io: counting, pager: pager}
-	d.startCompaction(o)
-	return d
+	return &Dynamic{inner: inner, io: counting, pager: pager}
 }
 
-// startCompaction wires and launches the background compactor when the
-// options ask for one. The compactor's install commits run through the
-// same wmu-serialized transaction bracket as InsertE/DeleteE.
-func (d *Dynamic) startCompaction(o Options) {
-	if !o.BackgroundCompaction {
-		return
-	}
-	d.comp = compact.New(compact.Config{
-		Tree:      d.inner,
-		Commit:    func(fn func()) error { return d.mutate(nil, fn) }, // no record to offer: saves
-		Backend:   d.io,
-		MaxBuffer: o.CompactionMaxBuffer,
-	})
-	d.comp.Start()
-}
-
-// Close stops the background compactor (waiting for an in-flight merge to
-// land or abort), persists a file-backed index in place and closes the
-// backend: the state is saved and the file's tail moved into its holes as
-// Sync does it, then the backend checkpoints and truncates — a crash
-// anywhere inside Close reopens to the last acknowledged mutation. Using
-// the index after Close is invalid. Closing twice is a no-op.
+// Close persists a file-backed index in place and closes the backend: the
+// state is saved and the file's tail moved into its holes as Sync does it,
+// then the backend checkpoints and truncates — a crash anywhere inside
+// Close reopens to the last acknowledged mutation. Using the index after
+// Close is invalid. Closing twice is a no-op.
 func (d *Dynamic) Close() error {
 	if d.closed {
 		return nil
-	}
-	if d.comp != nil {
-		d.comp.Stop()
 	}
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -462,8 +446,7 @@ func (d *Dynamic) Close() error {
 }
 
 // mutate is Tree.mutate for the dynamic index: one backend transaction
-// per mutation batch, serialized against every other writer (including
-// the background compactor's install commit).
+// per mutation batch, serialized against every other writer.
 func (d *Dynamic) mutate(m *logmethod.Mutation, fn func()) error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -484,8 +467,8 @@ func (d *Dynamic) mutate(m *logmethod.Mutation, fn func()) error {
 // state pages, rewritten by logmethod's SaveState — is saved instead when
 // fn changed the level directory (it freed the pages the committed state
 // points at, so the swap must commit with it), and when m is nil: the
-// caller has no record to offer (an install, a flush, recovery's
-// re-apply) or wants the save itself (Sync, Close). A save is followed by
+// caller has no record to offer (a flush, recovery's re-apply, a Settle)
+// or wants the save itself (Sync, Close). A save is followed by
 // logmethod.SavedNote, which makes every earlier note history.
 func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 	tx := storage.EnsureTransactional(d.io)
@@ -516,9 +499,7 @@ func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 // InsertE adds an item (amortized O((log_{M/B} N)(log2 N)/B) block I/Os)
 // and returns the transaction error, if any. On a durable backend the
 // insert — including any component rebuild the logarithmic method
-// triggers — commits as one transaction. With background compaction the
-// rebuild work happens off this path; InsertE only blocks (briefly) when
-// the insert buffer is at its in-flight-merge bound.
+// triggers — commits as one transaction.
 //
 // On a file-backed index an insert that only appends to the buffer — every
 // one but the insert that brings BufferLen() up to BufferCap() — is durable
@@ -527,11 +508,6 @@ func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 // buffer and carries, together with the new level. After a crash
 // OpenDynamic re-applies the logged inserts to the last saved state.
 func (d *Dynamic) InsertE(it Item) error {
-	if c := d.comp; c != nil {
-		// Backpressure outside the transaction bracket: the in-flight
-		// merge needs its own transaction to land.
-		c.Throttle()
-	}
 	if err := d.mutate(&logmethod.Mutation{Item: it}, func() { d.inner.Insert(it) }); err != nil {
 		return fmt.Errorf("prtree: dynamic insert: %w", err)
 	}
@@ -661,14 +637,8 @@ func (d *Dynamic) Base() int { return d.inner.Base() }
 func (d *Dynamic) LevelSizes() []int { return d.inner.LevelSizes() }
 
 // FlushE compacts the structure into a single static PR-tree, as one
-// committed transaction on a durable backend. With background compaction
-// it first waits for any in-flight merge to land and holds the compactor
-// paused for the duration.
+// committed transaction on a durable backend.
 func (d *Dynamic) FlushE() error {
-	if c := d.comp; c != nil {
-		release := c.Drain()
-		defer release()
-	}
 	if err := d.mutate(nil, func() { d.inner.Flush() }); err != nil {
 		return fmt.Errorf("prtree: dynamic flush: %w", err)
 	}
@@ -683,16 +653,24 @@ func (d *Dynamic) Flush() {
 	}
 }
 
-// CompactionStats returns the background compactor's counters plus the
-// storage layer's snapshot-epoch state. Without BackgroundCompaction the
-// merge counters are zero and only the epoch state is populated.
+// CompactionStats returns the merge counters plus the storage layer's
+// snapshot-epoch state. Safe to call while queries and mutations run.
 func (d *Dynamic) CompactionStats() CompactionStats {
-	if d.comp != nil {
-		return d.comp.Stats()
-	}
-	var st CompactionStats
+	m := d.inner.MergeStats()
 	snap := storage.EnsureSnapshotter(d.io).SnapshotStats()
-	st.Epoch, st.PinnedPages, st.SnapshotReaders = snap.Epoch, snap.PinnedPages, snap.Readers
+	st := CompactionStats{
+		MergesCompleted: m.Merges,
+		GCRebuilds:      m.GCRebuilds,
+		PagesRewritten:  m.PagesRewritten,
+		ItemsMerged:     m.ItemsMerged,
+		ItemsAbsorbed:   m.ItemsAbsorbed,
+		Epoch:           snap.Epoch,
+		PinnedPages:     snap.PinnedPages,
+		SnapshotReaders: snap.Readers,
+	}
+	if m.ItemsAbsorbed > 0 {
+		st.WriteAmplification = float64(m.ItemsMerged) / float64(m.ItemsAbsorbed)
+	}
 	return st
 }
 

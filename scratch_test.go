@@ -3,7 +3,6 @@ package prtree
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -317,72 +316,70 @@ func TestStaleScratchRemovedOnOpen(t *testing.T) {
 }
 
 // TestDynamicCarriesUseScratch: under an explicit memory budget below the
-// levels it builds, inserts that cross many carries, inline and on the
-// compactor, build every level past the budget through the handle's one
-// scratch file — kept between carries, counted in IOStats, empty whenever
-// no build runs — and Close removes it. The index reopens to the same
-// answers.
+// levels it builds, inserts that cross many carries build every level past
+// the budget through the handle's one scratch file — kept between carries,
+// counted in IOStats, empty whenever no build runs — and Close removes it.
+// The index reopens to the same answers.
 func TestDynamicCarriesUseScratch(t *testing.T) {
 	items := scratchTestItems(1200, 7)
-	for _, background := range []bool{false, true} {
-		t.Run(fmt.Sprintf("background=%v", background), func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "carry.prd")
-			// 512-byte blocks: a buffer of 14 items, so 1200 inserts carry
-			// some 85 times and reach level 6; every level above 200 items
-			// is an external load.
-			opts := &Options{BlockSize: 512, MemoryItems: 200, BackgroundCompaction: background}
-			d, err := CreateDynamic(path, opts)
-			if err != nil {
+	// Carries run inline only; the case keeps the name it had beside the
+	// retired background mode.
+	t.Run("background=false", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "carry.prd")
+		// 512-byte blocks: a buffer of 14 items, so 1200 inserts carry some 85
+		// times and reach level 6; every level above 200 items is an external
+		// load.
+		opts := &Options{BlockSize: 512, MemoryItems: 200}
+		d, err := CreateDynamic(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range items {
+			if err := d.InsertE(it); err != nil {
 				t.Fatal(err)
 			}
-			for i, it := range items {
-				if err := d.InsertE(it); err != nil {
-					t.Fatal(err)
+			if i == len(items)/2 {
+				if ents := scratchEntries(t, dir); len(ents) != 1 {
+					t.Errorf("between carries the directory holds scratch files %v, want the handle's one", ents)
 				}
-				if i == len(items)/2 {
-					if ents := scratchEntries(t, dir); !background && len(ents) != 1 {
-						t.Errorf("between carries the directory holds scratch files %v, want the handle's one", ents)
-					}
-				}
 			}
-			if err := d.Sync(); err != nil { // drains an in-flight merge
-				t.Fatal(err)
-			}
-			if got := d.scratch.PagesInUse(); got != 0 {
-				t.Errorf("scratch store holds %d pages with no build running", got)
-			}
-			sio := d.scratch.Stats()
-			if sio.Total() == 0 {
-				t.Error("no carry touched the scratch store")
-			}
-			if total := d.IOStats(); total.Writes < sio.Writes || total.Reads < sio.Reads {
-				t.Errorf("IOStats %v omits the scratch store's %v", total, sio)
-			}
-			want := d.Search(NewRect(0.2, 0.2, 0.6, 0.6))
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if ents := scratchEntries(t, dir); len(ents) != 0 {
-				t.Errorf("scratch files left after Close: %v", ents)
-			}
-			re, err := OpenDynamic(path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			if got := re.Search(NewRect(0.2, 0.2, 0.6, 0.6)); len(got) != len(want) || re.Len() != len(items) {
-				t.Errorf("reopened index answers %d of %d items, want %d of %d", len(got), re.Len(), len(want), len(items))
-			}
-		})
-	}
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.scratch.PagesInUse(); got != 0 {
+			t.Errorf("scratch store holds %d pages with no build running", got)
+		}
+		sio := d.scratch.Stats()
+		if sio.Total() == 0 {
+			t.Error("no carry touched the scratch store")
+		}
+		if total := d.IOStats(); total.Writes < sio.Writes || total.Reads < sio.Reads {
+			t.Errorf("IOStats %v omits the scratch store's %v", total, sio)
+		}
+		want := d.Search(NewRect(0.2, 0.2, 0.6, 0.6))
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ents := scratchEntries(t, dir); len(ents) != 0 {
+			t.Errorf("scratch files left after Close: %v", ents)
+		}
+		re, err := OpenDynamic(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if got := re.Search(NewRect(0.2, 0.2, 0.6, 0.6)); len(got) != len(want) || re.Len() != len(items) {
+			t.Errorf("reopened index answers %d of %d items, want %d of %d", len(got), re.Len(), len(want), len(items))
+		}
+	})
 }
 
 // TestDefaultLoadsUseNoScratch: under the default memory budget a PR load
-// of a slice builds in memory. Create + BulkLoad(PR) and a Dynamic's carries,
-// inline and on the compactor, create no scratch file and do no scratch
-// I/O, and the load allocates at most eight bytes a record beyond the
-// pages it writes.
+// of a slice builds in memory. Create + BulkLoad(PR) and a Dynamic's
+// carries create no scratch file and do no scratch I/O, and the load
+// allocates at most eight bytes a record beyond the pages it writes.
 func TestDefaultLoadsUseNoScratch(t *testing.T) {
 	noScratch := func(t *testing.T, dir string, sio IOStats) {
 		t.Helper()
@@ -425,34 +422,31 @@ func TestDefaultLoadsUseNoScratch(t *testing.T) {
 		}
 	})
 
-	for _, background := range []bool{false, true} {
-		t.Run(fmt.Sprintf("Dynamic/background=%v", background), func(t *testing.T) {
-			items := scratchTestItems(1200, 7)
-			dir := t.TempDir()
-			opts := &Options{BlockSize: 512, BackgroundCompaction: background}
-			d, err := CreateDynamic(filepath.Join(dir, "carry.prd"), opts)
-			if err != nil {
+	t.Run("Dynamic", func(t *testing.T) {
+		items := scratchTestItems(1200, 7)
+		dir := t.TempDir()
+		d, err := CreateDynamic(filepath.Join(dir, "carry.prd"), &Options{BlockSize: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		for i, it := range items {
+			if err := d.InsertE(it); err != nil {
 				t.Fatal(err)
 			}
-			defer d.Close()
-			for i, it := range items {
-				if err := d.InsertE(it); err != nil {
-					t.Fatal(err)
-				}
-				if i == len(items)/2 {
-					noScratch(t, dir, d.scratch.Stats())
-				}
+			if i == len(items)/2 {
+				noScratch(t, dir, d.scratch.Stats())
 			}
-			if err := d.Sync(); err != nil { // drains an in-flight merge
-				t.Fatal(err)
-			}
-			if len(d.LevelSizes()) < 5 {
-				t.Fatalf("levels %v: too few carries to prove anything", d.LevelSizes())
-			}
-			noScratch(t, dir, d.scratch.Stats())
-			if d.Len() != len(items) {
-				t.Errorf("index holds %d of %d items", d.Len(), len(items))
-			}
-		})
-	}
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.LevelSizes()) < 5 {
+			t.Fatalf("levels %v: too few carries to prove anything", d.LevelSizes())
+		}
+		noScratch(t, dir, d.scratch.Stats())
+		if d.Len() != len(items) {
+			t.Errorf("index holds %d of %d items", d.Len(), len(items))
+		}
+	})
 }
