@@ -378,7 +378,7 @@ func BenchmarkLogMethodInsert(b *testing.B) {
 	items := dataset.Uniform(200000, 0.001, 24)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Insert(Item{Rect: items[i%len(items)].Rect, ID: uint32(i)})
+		mustInsert(b, d, Item{Rect: items[i%len(items)].Rect, ID: uint32(i)})
 	}
 }
 

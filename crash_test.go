@@ -56,12 +56,12 @@ func crashDigest(t *testing.T, tr *Tree) uint32 {
 		}
 	}
 	for _, q := range windows {
-		dump("w", tr.Search(q))
-		dump("c", tr.SearchContained(q))
+		dump("w", collect(t, tr, Window(q)))
+		dump("c", collect(t, tr, Contained(q)))
 	}
-	dump("p", tr.SearchPoint(0.33, 0.44))
-	dump("p", tr.SearchPoint(0.71, 0.18))
-	for _, nn := range [][]Neighbor{tr.NearestNeighbors(0.2, 0.8, 10), tr.NearestNeighbors(0.9, 0.1, 10)} {
+	dump("p", collect(t, tr, Point(0.33, 0.44)))
+	dump("p", collect(t, tr, Point(0.71, 0.18)))
+	for _, nn := range [][]Neighbor{nearest(t, tr, 0.2, 0.8, 10), nearest(t, tr, 0.9, 0.1, 10)} {
 		fmt.Fprintf(&sb, "n:%d;", len(nn))
 		for _, n := range nn {
 			fmt.Fprintf(&sb, "%d,%v,%g;", n.Item.ID, n.Item.Rect, n.Dist2)

@@ -1,7 +1,6 @@
 package prtree
 
 import (
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -188,9 +187,9 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 			r := rand.New(rand.NewSource(42))
 			items := crashItems(r, nItems, 0)
 			for i, it := range items {
-				d.Insert(it)
+				mustInsert(t, d, it)
 				if i > 50 && i%11 == 5 {
-					d.Delete(items[i-37])
+					mustDelete(t, d, items[i-37])
 				}
 			}
 			close(done)
@@ -222,44 +221,55 @@ func dynCrashBackend(t *testing.T, d *Dynamic) *storage.FileBackend {
 // shape it commits: logged inserts, carries (the inserts that fill the
 // buffer), deletes with tombstones and from the buffer, a rebuild (a full
 // flush), and a tail of logged mutations that Close finds in the buffer and
-// the tombstone set.
-func dynCrashWorkload(d *Dynamic, afterTx func()) {
-	step := func() {
-		if afterTx != nil {
+// the tombstone set. It stops at the first failed commit and returns its
+// error.
+func dynCrashWorkload(d *Dynamic, afterTx func()) error {
+	step := func(err error) error {
+		if err == nil && afterTx != nil {
 			afterTx()
 		}
+		return err
+	}
+	del := func(it Item) error {
+		_, err := d.DeleteE(it)
+		return err
 	}
 	r := rand.New(rand.NewSource(11))
 	base := d.inner.Base()
 	items := crashItems(r, 3*base+4, 0)
 	for _, it := range items {
-		d.Insert(it) // two carries: a level of base, then two merged into one
-		step()
+		// Two carries: a level of base, then two merged into one.
+		if err := step(d.InsertE(it)); err != nil {
+			return err
+		}
 	}
 	for _, it := range []Item{items[1], items[base], items[2*base+1]} {
-		d.Delete(it)
-		step()
+		if err := step(del(it)); err != nil {
+			return err
+		}
 	}
 
 	// One more carry, over a buffer one delete shrank and a level holding
 	// two tombstones: the merge purges them.
 	for _, it := range crashItems(r, base, 5000) {
-		d.Insert(it)
-		step()
+		if err := step(d.InsertE(it)); err != nil {
+			return err
+		}
 	}
 
-	d.Flush()
-	step()
+	if err := step(d.FlushE()); err != nil {
+		return err
+	}
 
 	// Leave the buffer and the tombstone set non-empty, so that Close (the
 	// victim's next call) has state pages to write: its save must be as
 	// atomic as any other transaction's.
 	for _, it := range crashItems(r, 3, 9000) {
-		d.Insert(it)
-		step()
+		if err := step(d.InsertE(it)); err != nil {
+			return err
+		}
 	}
-	d.Delete(items[5]) // sits in the flushed level: a tombstone
-	step()
+	return step(del(items[5])) // sits in the flushed level: a tombstone
 }
 
 // TestDynamicCrashRecoveryEveryBoundary kills the dynamic index at every
@@ -289,13 +299,15 @@ func TestDynamicCrashRecoveryEveryBoundary(t *testing.T) {
 	committed := make(map[uint32]int)
 	committed[dynDigest(t, ref)] = 0
 	txIndex := 0
-	dynCrashWorkload(ref, func() {
+	if err := dynCrashWorkload(ref, func() {
 		txIndex++
 		dg := dynDigest(t, ref)
 		if _, seen := committed[dg]; !seen {
 			committed[dg] = txIndex
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	finalDigest := dynDigest(t, ref)
 	if st := ref.CompactionStats(); st.MergesCompleted < 3 || st.ItemsMerged <= st.ItemsAbsorbed {
 		t.Fatalf("the workload carried %d times (%+v); want the doubling and a merge of levels", st.MergesCompleted, st)
@@ -313,7 +325,9 @@ func TestDynamicCrashRecoveryEveryBoundary(t *testing.T) {
 	}
 	dfb := dynCrashBackend(t, dry)
 	start := dfb.PersistSteps()
-	dynCrashWorkload(dry, nil)
+	if err := dynCrashWorkload(dry, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := dry.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,25 +351,12 @@ func TestDynamicCrashRecoveryEveryBoundary(t *testing.T) {
 		fb := dynCrashBackend(t, victim)
 		fb.SetCrashAfterSteps(fb.PersistSteps() + k)
 
-		crashed := func() (crashed bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					err, ok := r.(error)
-					if !ok || !errors.Is(err, storage.ErrInjectedFault) {
-						t.Fatalf("step %d: panic %v, want ErrInjectedFault", k, r)
-					}
-					crashed = true
-				}
-			}()
-			dynCrashWorkload(victim, nil)
-			if err := victim.Close(); err != nil {
-				if !errors.Is(err, storage.ErrInjectedFault) {
-					t.Fatalf("step %d: close: %v", k, err)
-				}
-				return true
+		crashed := expectInjectedCrash(t, fmt.Sprintf("step %d", k), func() error {
+			if err := dynCrashWorkload(victim, nil); err != nil {
+				return err
 			}
-			return false
-		}()
+			return victim.Close()
+		})
 		if crashed {
 			fb.Abandon()
 		}
@@ -382,8 +383,7 @@ func TestDynamicCrashRecoveryEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestDynamicInsertEDeleteE: the error-returning mutation surface works
-// and the panic shims stay equivalent.
+// TestDynamicInsertEDeleteE: the error-returning mutation surface works.
 func TestDynamicInsertEDeleteE(t *testing.T) {
 	d := NewDynamic(&Options{BlockSize: 512})
 	defer d.Close()
@@ -416,7 +416,7 @@ func TestDynamicCompactionStatsWriteAmp(t *testing.T) {
 	items := crashItems(r, 600, 0)
 	carries := 0
 	for _, it := range items {
-		d.Insert(it)
+		mustInsert(t, d, it)
 		if d.BufferLen() == 0 {
 			carries++
 		}
@@ -437,13 +437,13 @@ func TestDynamicCompactionStatsWriteAmp(t *testing.T) {
 		t.Errorf("%d pages still pinned with no readers", st.PinnedPages)
 	}
 	for _, it := range items[:400] {
-		d.Delete(it)
+		mustDelete(t, d, it)
 	}
 	gc := d.CompactionStats()
 	if gc.GCRebuilds == 0 || gc.MergesCompleted != st.MergesCompleted {
 		t.Errorf("after deleting two thirds: %+v; want a tombstone rebuild and no carry", gc)
 	}
-	d.Flush()
+	mustFlush(t, d)
 	if got := d.CompactionStats(); got.GCRebuilds != gc.GCRebuilds || got.MergesCompleted != gc.MergesCompleted {
 		t.Errorf("a flush moved the counters from %+v to %+v", gc, got)
 	}

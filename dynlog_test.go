@@ -55,12 +55,12 @@ func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	items := crashItems(r, 5*d.Base()/2, 0)
 	for _, it := range items {
-		d.Insert(it)
+		mustInsert(t, d, it)
 	}
 	// Two that already sit in levels: tombstones. With the half-full buffer
 	// both state chains are non-empty.
-	d.Delete(items[0])
-	d.Delete(items[d.Base()+1])
+	mustDelete(t, d, items[0])
+	mustDelete(t, d, items[d.Base()+1])
 	dynCrashBackend(t, d).Abandon() // dies without Close: the log is the state
 	killCloseAndSync(t, seed, opts, crashItems(r, 1, 7000)[0], 1)
 }
@@ -91,7 +91,7 @@ func killCloseAndSync(t *testing.T, seed string, opts *Options, extra Item, stri
 			if err != nil {
 				t.Fatalf("%s step %d: open: %v", op, k, err)
 			}
-			victim.Insert(extra) // one more committed mutation: the state to find
+			mustInsert(t, victim, extra) // one more committed mutation: the state to find
 			want := dynDigest(t, victim)
 			fb := dynCrashBackend(t, victim)
 			run := syncOrCloseRun{steps: -fb.PersistSteps(), walRecords: -fb.WALStats().Records}
@@ -155,7 +155,7 @@ func TestDynamicMutationBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	items := crashItems(r, 2*d.Base(), 0)
 	for _, it := range items {
-		d.Insert(it) // two doublings; ends right after the second carry: the buffer is empty
+		mustInsert(t, d, it) // two doublings; ends right after the second carry: the buffer is empty
 	}
 	room := d.BufferCap()
 	if d.BufferLen() != 0 || room != len(items) {
@@ -174,25 +174,25 @@ func TestDynamicMutationBudget(t *testing.T) {
 	absent := Item{Rect: NewRect(0.5, 0.5, 0.6, 0.6), ID: 99999}
 	more := crashItems(r, room-1, 4000)
 	for i, it := range more {
-		if c := measure(func() { d.Insert(it) }); c != light {
+		if c := measure(func() { mustInsert(t, d, it) }); c != light {
 			t.Fatalf("insert %d of %d between carries cost %+v, want %+v", i, room-1, c, light)
 		}
 		switch i {
 		case 2: // an item in a level: a tombstone
-			if c := measure(func() { d.Delete(items[1]) }); c != light {
+			if c := measure(func() { mustDelete(t, d, items[1]) }); c != light {
 				t.Fatalf("tombstoning delete cost %+v, want %+v", c, light)
 			}
 		case 3: // an item in the buffer: removed physically
-			if c := measure(func() { d.Delete(more[0]) }); c != light {
+			if c := measure(func() { mustDelete(t, d, more[0]) }); c != light {
 				t.Fatalf("buffer delete cost %+v, want %+v", c, light)
 			}
 		case 4: // nothing to delete: logged all the same
 			var ok bool
-			if c := measure(func() { ok = d.Delete(absent) }); c != light || ok {
+			if c := measure(func() { ok = mustDelete(t, d, absent) }); c != light || ok {
 				t.Fatalf("delete of an absent item = %v, cost %+v; want false, %+v", ok, c, light)
 			}
 		case 5: // a revive: the tombstone goes
-			if c := measure(func() { d.Insert(items[1]) }); c != light {
+			if c := measure(func() { mustInsert(t, d, items[1]) }); c != light {
 				t.Fatalf("reviving insert cost %+v, want %+v", c, light)
 			}
 		}
@@ -203,13 +203,13 @@ func TestDynamicMutationBudget(t *testing.T) {
 	// The buffer delete left room for one more light insert; the one after
 	// it fills the buffer and carries: the state is saved with the level.
 	last := crashItems(r, 4, 8000)
-	if c := measure(func() { d.Insert(last[0]) }); c != light {
+	if c := measure(func() { mustInsert(t, d, last[0]) }); c != light {
 		t.Fatalf("last insert before the carry cost %+v, want %+v", c, light)
 	}
-	if c := measure(func() { d.Insert(last[1]) }); c.writes == 0 || c.walRecords < 3 || c.fileSyncs != 1 || d.BufferLen() != 0 {
+	if c := measure(func() { mustInsert(t, d, last[1]) }); c.writes == 0 || c.walRecords < 3 || c.fileSyncs != 1 || d.BufferLen() != 0 {
 		t.Errorf("carrying insert cost %+v and left %d items in the buffer; want page writes, a STATE, an empty buffer", c, d.BufferLen())
 	}
-	d.Insert(last[2])
+	mustInsert(t, d, last[2])
 
 	// Sync right after a committed mutation, over a file whose carries left
 	// the level in its tail and holes below: the save transaction — one
@@ -233,7 +233,7 @@ func TestDynamicMutationBudget(t *testing.T) {
 	// And over a file with nothing above the pages in use, what it always
 	// cost: the save transaction, then the checkpoint (header, freelist
 	// trailer, fsync, log truncate).
-	d.Insert(last[3])
+	mustInsert(t, d, last[3])
 	if sync := measure(doSync); sync.writes != 1 || sync.walRecords != 3 || sync.logSyncs != 2 || sync.fileSyncs != 2 {
 		t.Errorf("Sync cost %+v, want 1 state page, NOTE+STATE+COMMIT, and the checkpoint's fsyncs", sync)
 	}
@@ -257,11 +257,11 @@ func TestDynamicMutationBudget(t *testing.T) {
 		}
 		return st.Size()
 	}
-	d.Insert(crashItems(r, 1, 9000)[0])
+	mustInsert(t, d, crashItems(r, 1, 9000)[0])
 	extending := light
 	extending.steps++
 	for i, size := 0, walFile(); ; i++ {
-		c := measure(func() { d.Delete(absent) })
+		c := measure(func() { mustDelete(t, d, absent) })
 		if walFile() == size {
 			if c != light {
 				t.Fatalf("light mutation %d after the Sync cost %+v, want %+v", i, c, light)
@@ -277,9 +277,9 @@ func TestDynamicMutationBudget(t *testing.T) {
 
 	// Die with a logged tail that includes the absent delete's twin, and
 	// find every acknowledged mutation — the no-op replayed as a no-op.
-	d.Insert(crashItems(r, 1, 8003)[0])
-	d.Delete(absent)
-	d.Delete(items[2])
+	mustInsert(t, d, crashItems(r, 1, 8003)[0])
+	mustDelete(t, d, absent)
+	mustDelete(t, d, items[2])
 	want := dynDigest(t, d)
 	fb.Abandon()
 	re, err := OpenDynamic(path, opts)
@@ -307,18 +307,18 @@ func dynCrashedWithTail(t *testing.T, path string, opts *Options) (want uint32) 
 	r := rand.New(rand.NewSource(23))
 	items := crashItems(r, 2*d.Base(), 0)
 	for _, it := range items {
-		d.Insert(it)
+		mustInsert(t, d, it)
 	}
 	room := d.BufferCap() - d.BufferLen() // the insert that uses it up carries
 	tail := crashItems(r, room+3, 3000)
 	for _, it := range tail[:room] {
-		d.Insert(it)
+		mustInsert(t, d, it)
 	}
 	for _, it := range tail[room:] {
-		d.Insert(it)
+		mustInsert(t, d, it)
 	}
-	d.Delete(items[3]) // sits in a level
-	d.Delete(tail[room])
+	mustDelete(t, d, items[3]) // sits in a level
+	mustDelete(t, d, tail[room])
 	want = dynDigest(t, d)
 	dynCrashBackend(t, d).Abandon()
 	return want

@@ -31,9 +31,9 @@ func TestDynamicSettleCrashEveryStep(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	items := crashItems(r, 64*d.Base(), 0)
 	for i, it := range items {
-		d.Insert(it)
+		mustInsert(t, d, it)
 		if i%11 == 10 {
-			d.Delete(items[r.Intn(i)])
+			mustDelete(t, d, items[r.Intn(i)])
 		}
 	}
 	dynCrashBackend(t, d).Abandon() // dies without Close: the log is the state
@@ -136,11 +136,11 @@ func TestDynamicReadersBesideSync(t *testing.T) {
 	shrunk, syncs := 0, 0
 	for v, m := range schedule {
 		if m.del {
-			if !d.Delete(items[m.id]) {
+			if !mustDelete(t, d, items[m.id]) {
 				t.Errorf("mutation %d: item %d was not there to delete", v+1, m.id)
 			}
 		} else {
-			d.Insert(items[m.id])
+			mustInsert(t, d, items[m.id])
 		}
 		applied.Store(int64(v + 1))
 		if (v+1)%syncEvery == 0 {

@@ -27,7 +27,7 @@ func main() {
 			Rect: prtree.NewRect(x, y, x+0.002, y+0.002),
 			ID:   uint32(i),
 		}
-		idx.Insert(items[i])
+		check(idx.InsertE(items[i]))
 	}
 	io := idx.IOStats()
 	fmt.Printf("amortized insert cost: %.3f block I/Os per item\n",
@@ -36,12 +36,13 @@ func main() {
 	fmt.Println("\nchurn: delete 10000, insert 10000 replacements...")
 	idx.ResetIOStats()
 	for i := 0; i < 10000; i++ {
-		idx.Delete(items[i])
+		_, err := idx.DeleteE(items[i])
+		check(err)
 		x, y := rng.Float64(), rng.Float64()
-		idx.Insert(prtree.Item{
+		check(idx.InsertE(prtree.Item{
 			Rect: prtree.NewRect(x, y, x+0.002, y+0.002),
 			ID:   uint32(100000 + i),
-		})
+		}))
 	}
 	fmt.Printf("live items: %d\n", idx.Len())
 
@@ -51,7 +52,7 @@ func main() {
 		q, st.Results, st.LeavesVisited)
 
 	// Compact before a read-heavy phase: one static PR-tree again.
-	idx.Flush()
+	check(idx.FlushE())
 	st = idx.Query(q, nil)
 	fmt.Printf("after flush: %d results, %d leaf blocks (single level)\n",
 		st.Results, st.LeavesVisited)
@@ -65,19 +66,21 @@ func main() {
 	// while readers keep serving snapshot-isolated pages.
 	fmt.Printf("\npersisting a file-backed index at %s...\n", *out)
 	d, err := prtree.CreateDynamic(*out, nil)
-	if err != nil {
-		panic(err)
-	}
+	check(err)
 	for _, it := range items {
-		if err := d.InsertE(it); err != nil {
-			panic(err)
-		}
+		check(d.InsertE(it))
 	}
 	cs := d.CompactionStats()
 	fmt.Printf("merges: %d carries, %d pages written, write amp %.2f\n",
 		cs.MergesCompleted, cs.PagesRewritten, cs.WriteAmplification)
-	if err := d.Close(); err != nil {
+	check(d.Close())
+	fmt.Println("closed; reopen with prtree.OpenDynamic or compact with `prtool -index", *out, "compact`")
+}
+
+// check stops the example on a failed commit. An in-memory index never
+// fails one; a file-backed index can, on a full or failing disk.
+func check(err error) {
+	if err != nil {
 		panic(err)
 	}
-	fmt.Println("closed; reopen with prtree.OpenDynamic or compact with `prtool -index", *out, "compact`")
 }

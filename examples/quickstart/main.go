@@ -36,12 +36,14 @@ func main() {
 	// A bulk-loaded tree is read-only. Insertions and deletions go to a
 	// Dynamic index (the paper's logarithmic method), which keeps the
 	// worst-case query bound under updates.
+	// InsertE and DeleteE return the commit error of a durable index; an
+	// in-memory one never fails.
 	idx := prtree.NewDynamic(nil)
 	for _, it := range items {
-		idx.Insert(it)
+		_ = idx.InsertE(it)
 	}
-	idx.Insert(prtree.Item{Rect: prtree.NewRect(8.5, 47.3, 8.6, 47.43), ID: 6}) // Zurich
-	idx.Delete(items[0])
+	_ = idx.InsertE(prtree.Item{Rect: prtree.NewRect(8.5, 47.3, 8.6, 47.43), ID: 6}) // Zurich
+	_, _ = idx.DeleteE(items[0])
 	fmt.Printf("after update: %d rectangles, %d hits in Europe\n",
 		idx.Len(), len(idx.Search(q)))
 }

@@ -40,9 +40,6 @@ type Options struct {
 	MemoryItems int
 	// HilbertBits is the per-dimension Hilbert resolution; 0 means 16.
 	HilbertBits int
-	// Split selects the heuristic used by *subsequent dynamic updates* on
-	// the loaded tree (bulk loading itself never splits nodes).
-	Split rtree.SplitKind
 	// Parallelism bounds the bulk-load pipeline's worker pool (clamped to
 	// GOMAXPROCS; 0 or 1 means serial). Every loader produces the same
 	// tree shape and identical block-I/O counts at every setting; the

@@ -15,7 +15,7 @@ import (
 // O((N/B) log_{M/B}(N/B)) I/Os, the cheapest loader in Figure 9.
 func Hilbert2D(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split})
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
 	if in.Len() == 0 {
 		in.Free()
 		return b.FinishEmpty()
@@ -34,7 +34,7 @@ func Hilbert2D(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.T
 // Hilbert2D.
 func Hilbert4D(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split})
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
 	if in.Len() == 0 {
 		in.Free()
 		return b.FinishEmpty()

@@ -23,7 +23,7 @@ import (
 // tree answers any window query in O(sqrt(N/B) + T/B) I/Os.
 func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split})
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
 	if in.Len() == 0 {
 		in.Free()
 		return b.FinishEmpty()
@@ -69,7 +69,7 @@ func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree
 // the same order (InMemory says when a facade load takes this path).
 func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split})
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
 	if len(items) == 0 {
 		return b.FinishEmpty()
 	}

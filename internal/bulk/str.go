@@ -16,7 +16,7 @@ import (
 // paper's comparison set; it behaves like H on nice data.
 func STR(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split})
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
 	n := in.Len()
 	if n == 0 {
 		in.Free()

@@ -22,7 +22,7 @@ import (
 // O((N/B) log2 N) block transfers.
 func TGS(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout, Split: opt.Split})
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
 	n := in.Len()
 	if n == 0 {
 		in.Free()

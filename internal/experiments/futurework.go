@@ -13,38 +13,72 @@ import (
 	"prtree/internal/workload"
 )
 
+// queryTotals sums a query set's leaf visits and results on one structure.
+type queryTotals struct{ Leaves, Results int }
+
+func (q *queryTotals) add(leaves, results int) {
+	q.Leaves += leaves
+	q.Results += results
+}
+
+// pct is the paper's query metric, leaf blocks read as a percentage of T/B.
+func (q queryTotals) pct() string {
+	if q.Results == 0 {
+		return "inf"
+	}
+	return fmtPct(100 * float64(q.Leaves) / (float64(q.Results) / float64(rtree.MaxFanout(storage.DefaultBlockSize))))
+}
+
+// churnRound is one futurework row before formatting.
+type churnRound struct {
+	Guttman, RStar, Rebuilt, LogMethod queryTotals
+}
+
 // FutureWorkUpdates runs the experiment the paper's Section 4 leaves for
 // future work: bulk-load a PR-tree, then apply heuristic update algorithms
-// (Guttman quadratic and the R*-tree heuristics) under churn and watch the
-// query performance drift, compared against rebuilding from scratch and
-// against the logarithmic method that provably keeps the optimal bound.
+// (Guttman quadratic and the R*-tree heuristics, see heuristics.go) under
+// churn and watch the query performance drift, compared against rebuilding
+// from scratch and against the logarithmic method that provably keeps the
+// optimal bound.
 //
 // Each round deletes a random 25% of the live items and inserts fresh
 // replacements. The reported number is the paper's query metric (leaf
 // blocks read as a percentage of T/B) on fixed 1% window queries.
 func FutureWorkUpdates(cfg Config) Table {
-	cfg = cfg.normalized()
-	n := cfg.n(60000)
-	const rounds = 4
-
 	t := Table{
 		ID:      "futurework",
 		Title:   "Section 4 future work: PR-tree query cost under heuristic updates",
 		Columns: []string{"churn rounds", "PR+Guttman", "PR+R*", "PR rebuilt", "log method"},
 		Notes:   "25% of items replaced per round; rebuilt = fresh bulk-load of the same live set",
 	}
+	for round, r := range futureWork(cfg) {
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", round),
+			r.Guttman.pct(), r.RStar.pct(), r.Rebuilt.pct(), r.LogMethod.pct(),
+		})
+	}
+	return t
+}
+
+// futureWork runs the churn rounds and returns each round's query totals,
+// round 0 being the freshly loaded trees.
+func futureWork(cfg Config) []churnRound {
+	cfg = cfg.normalized()
+	n := cfg.n(60000)
+	const rounds = 4
 
 	base := dataset.Eastern(n, cfg.Seed)
 	queries := workload.Squares(geom.ItemsMBR(base), 0.01, cfg.Queries, cfg.Seed)
 	opt := cfg.bulkOptions()
+	load := func(items []geom.Item) *rtree.Tree {
+		return bulk.FromItems(bulk.LoaderPR,
+			storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), items, opt)
+	}
 
-	// Two dynamically updated trees over the same evolving item set.
-	guttman := bulk.FromItems(bulk.LoaderPR,
-		storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), base, opt)
-	rstarOpt := opt
-	rstarOpt.Split = rtree.RStarSplit
-	rstar := bulk.FromItems(bulk.LoaderPR,
-		storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), base, rstarOpt)
+	// Two heuristically updated trees over the same evolving item set, both
+	// starting from the bulk-loaded PR-tree.
+	loaded := load(base)
+	guttman, rstar := NewHTree(loaded, false), NewHTree(loaded, true)
 	logm := logmethod.New(
 		storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), opt, 0)
 	for _, it := range base {
@@ -56,29 +90,22 @@ func FutureWorkUpdates(cfg Config) Table {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nextID := uint32(n)
 
-	record := func(round int) {
-		rebuilt := bulk.FromItems(bulk.LoaderPR,
-			storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), live, opt)
-		cg := measureQueries(guttman, queries)
-		cr := measureQueries(rstar, queries)
-		cb := measureQueries(rebuilt, queries)
-		var logLeaves, logResults int
+	var out []churnRound
+	record := func() {
+		rebuilt := load(live)
+		var r churnRound
 		for _, q := range queries {
-			st := logm.Query(q, nil)
-			logLeaves += st.LeavesVisited
-			logResults += st.Results
+			r.Guttman.add(guttman.Count(q))
+			r.RStar.add(rstar.Count(q))
+			st := rebuilt.QueryCount(q)
+			r.Rebuilt.add(st.LeavesVisited, st.Results)
+			lst := logm.Query(q, nil)
+			r.LogMethod.add(lst.LeavesVisited, lst.Results)
 		}
-		logPct := "inf"
-		if logResults > 0 {
-			logPct = fmtPct(100 * float64(logLeaves) / (float64(logResults) / 113))
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", round),
-			fmtPct(cg.Pct), fmtPct(cr.Pct), fmtPct(cb.Pct), logPct,
-		})
+		out = append(out, r)
 	}
 
-	record(0)
+	record()
 	for round := 1; round <= rounds; round++ {
 		churn := len(live) / 4
 		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
@@ -96,7 +123,7 @@ func FutureWorkUpdates(cfg Config) Table {
 			logm.Insert(fresh[i])
 			live[i] = fresh[i]
 		}
-		record(round)
+		record()
 	}
-	return t
+	return out
 }

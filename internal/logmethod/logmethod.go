@@ -453,9 +453,9 @@ type QueryStats struct {
 // levelVisitor is pooled query-path scratch: it holds the per-query state
 // the per-level callback closes over and owns one pre-bound closure
 // (visit), created once per pooled instance. Pooling it — the same
-// treatment PR 3 gave the rtree/prtreed traversal stacks — means a
-// steady-state Query allocates nothing for its traversal plumbing, however
-// many static levels it fans across. Nested queries (issued from fn) each
+// treatment the rtree traversal stacks get — means a steady-state Query
+// allocates nothing for its traversal plumbing, however many static levels
+// it fans across. Nested queries (issued from fn) each
 // grab their own visitor.
 type levelVisitor struct {
 	dead    tombstones

@@ -19,20 +19,17 @@ func allowParallelism() func() {
 	return func() { runtime.GOMAXPROCS(old) }
 }
 
-// batchTestTree builds a tree of n random rectangles by dynamic insertion
-// on a pager with the given cache capacity.
+// batchTestTree packs n random rectangles, ordered by x, into a tree of
+// fanout 16 on a pager with the given cache capacity.
 func batchTestTree(n int, seed int64, capacity int) (*Tree, *storage.Disk) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
-	tr := New(storage.NewPager(disk, capacity), Config{Fanout: 16})
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		x, y := rng.Float64(), rng.Float64()
-		tr.Insert(geom.Item{
-			Rect: geom.NewRect(x, y, x+rng.Float64()*0.05, y+rng.Float64()*0.05),
-			ID:   uint32(i),
-		})
+	b := NewBuilder(storage.NewPager(disk, capacity), Config{Fanout: 16})
+	items := xSorted(randItems(n, seed))
+	var leaves []ChildEntry
+	for lo := 0; lo < len(items); lo += 16 {
+		leaves = append(leaves, b.WriteLeaf(items[lo:min(lo+16, len(items))]))
 	}
-	return tr, disk
+	return b.FinishPacked(leaves), disk
 }
 
 func batchTestQueries(n int, seed int64) []geom.Rect {

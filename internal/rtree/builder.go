@@ -13,27 +13,28 @@ import (
 type Builder struct {
 	tree   *Tree
 	nItems int
+	buf    []byte // the page being encoded
 }
 
 // NewBuilder prepares building a tree on pager. The builder owns the tree
 // until Finish is called.
 func NewBuilder(pager *storage.Pager, cfg Config) *Builder {
 	normalizeConfig(&cfg, pager.Backend().BlockSize())
-	t := &Tree{pager: pager, cfg: cfg, buf: make([]byte, pager.Backend().BlockSize())}
-	return &Builder{tree: t}
+	t := &Tree{pager: pager, cfg: cfg}
+	return &Builder{tree: t, buf: make([]byte, pager.Backend().BlockSize())}
 }
 
 // Fanout returns the effective maximum entries per node.
 func (b *Builder) Fanout() int { return b.tree.cfg.Fanout }
 
 // WriteLeaf writes one leaf page holding items and returns its child entry
-// for the level above. The page is encoded straight into the tree's
-// scratch block — no intermediate node is materialized.
+// for the level above. The page is encoded straight from items into the
+// builder's block buffer.
 func (b *Builder) WriteLeaf(items []geom.Item) ChildEntry {
 	if len(items) == 0 || len(items) > b.tree.cfg.Fanout {
 		panic(fmt.Sprintf("rtree: leaf with %d entries (fanout %d)", len(items), b.tree.cfg.Fanout))
 	}
-	data, mbr := encodeLeafPage(b.tree.buf, items)
+	data, mbr := encodeLeafPage(b.buf, items)
 	id := b.tree.allocPage(data)
 	b.nItems += len(items)
 	return ChildEntry{Rect: mbr, Page: id}
@@ -46,7 +47,7 @@ func (b *Builder) WriteInternal(children []ChildEntry) ChildEntry {
 	if len(children) == 0 || len(children) > b.tree.cfg.Fanout {
 		panic(fmt.Sprintf("rtree: internal node with %d entries (fanout %d)", len(children), b.tree.cfg.Fanout))
 	}
-	data, mbr := encodeInternalPage(b.tree.buf, children)
+	data, mbr := encodeInternalPage(b.buf, children)
 	id := b.tree.allocPage(data)
 	return ChildEntry{Rect: mbr, Page: id}
 }
@@ -94,12 +95,11 @@ func (b *Builder) Finish(root ChildEntry, height int) *Tree {
 	return t
 }
 
-// FinishEmpty seals an empty tree (a single empty leaf).
+// FinishEmpty seals an empty tree: like New's, it owns no page, and its
+// height is 0.
 func (b *Builder) FinishEmpty() *Tree {
 	t := b.tree
-	t.root = t.allocNode(&node{kind: kindLeaf})
-	t.height = 1
-	t.nItems = 0
+	t.root = storage.NilPage
 	b.tree = nil
 	return t
 }

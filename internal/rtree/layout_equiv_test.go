@@ -145,66 +145,3 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestLayoutEquivalenceUnderUpdates drives an insert/delete sequence into a
-// tree (Guttman's quadratic split and the R* heuristics) on small pages, so
-// two-way splits and condensing happen often, and checks that the tree
-// validates, keeps raw pages only, and answers as a brute-force scan of
-// the live items does.
-func TestLayoutEquivalenceUnderUpdates(t *testing.T) {
-	for _, split := range []SplitKind{QuadraticSplit, RStarSplit} {
-		for seed := int64(1); seed <= 3; seed++ {
-			for _, grid := range []bool{true, false} {
-				name := fmt.Sprintf("split=%d/seed=%d/grid=%v", split, seed, grid)
-				t.Run(name, func(t *testing.T) {
-					blockSize := 1024 // small fanout: splits happen fast
-					tr := New(storage.NewPager(storage.NewDisk(blockSize), -1), Config{Split: split})
-
-					var items []geom.Item
-					if grid {
-						items = gridItems(1200, 16, seed+50)
-					} else {
-						items = randItems(1200, seed+50)
-					}
-					rng := rand.New(rand.NewSource(seed))
-					live := make(map[int]bool)
-					for i, it := range items {
-						tr.Insert(it)
-						live[i] = true
-						// Interleave deletions.
-						if i%7 == 3 {
-							for j := range live {
-								if !tr.Delete(items[j]) {
-									t.Fatalf("delete of live item %d failed", j)
-								}
-								delete(live, j)
-								break
-							}
-						}
-					}
-					if err := tr.Validate(); err != nil {
-						t.Fatal(err)
-					}
-					checkRawPages(t, tr)
-					var want []geom.Item
-					for i, it := range items {
-						if live[i] {
-							want = append(want, it)
-						}
-					}
-					if tr.Len() != len(want) {
-						t.Fatalf("tree holds %d items, %d live", tr.Len(), len(want))
-					}
-					for i := 0; i < 30; i++ {
-						x, y := rng.Float64(), rng.Float64()
-						q := geom.NewRect(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3)
-						if err := CheckQueryAgainstBruteForce(tr, want, q); err != nil {
-							t.Fatal(err)
-						}
-					}
-					equalItemSets(t, "full scan", tr.Items(), want)
-				})
-			}
-		}
-	}
-}

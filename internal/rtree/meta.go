@@ -9,14 +9,16 @@ import (
 
 // Tree metadata: a small self-describing record (magic + eight words)
 // holding everything needed to reopen a tree over an existing page store —
-// the root page, shape counters and effective configuration. It is stored
-// as the superblock blob of persistent backends (see
-// storage.Backend.SetMeta), so a file-backed tree reopens in place with
-// zero rebuild work. An empty tree records root NilPage and height 0.
+// the root page, shape counters and fanout. It is stored as the superblock
+// blob of persistent backends (see storage.Backend.SetMeta), so a
+// file-backed tree reopens in place with zero rebuild work. An empty tree
+// records root NilPage and height 0.
 
 // Version 02 appended the layout word to the metadata record. This package
 // writes 0 there, and OpenFromMeta fails a record holding anything else
-// with errCompressedLayout.
+// with errCompressedLayout. Words 5 and 6 held the minimum fill and split
+// heuristic of the in-place update paths earlier versions had: they are
+// written as 0 and ignored on open, so records of either kind open alike.
 var treeMagic = [8]byte{'P', 'R', 'T', 'R', 'E', 'E', '0', '2'}
 
 // MetaSize is the encoded size of a tree metadata record.
@@ -33,8 +35,8 @@ func (t *Tree) EncodeMeta() []byte {
 		uint64(t.nItems),
 		uint64(t.nNodes),
 		uint64(t.cfg.Fanout),
-		uint64(t.cfg.MinFill),
-		uint64(t.cfg.Split),
+		0, // formerly the minimum fill
+		0, // formerly the split heuristic
 		0, // layout: raw
 	}
 	for i, v := range words {
@@ -70,17 +72,12 @@ func OpenFromMeta(pager *storage.Pager, meta []byte) (*Tree, error) {
 		return nil, fmt.Errorf("%w (metadata layout word %d)", errCompressedLayout, words[7])
 	}
 	t := &Tree{
-		pager: pager,
-		cfg: Config{
-			Fanout:  int(words[4]),
-			MinFill: int(words[5]),
-			Split:   SplitKind(words[6]),
-		},
+		pager:  pager,
+		cfg:    Config{Fanout: int(words[4])},
 		root:   storage.PageID(words[0]),
 		height: int(words[1]),
 		nItems: int(words[2]),
 		nNodes: int(words[3]),
-		buf:    make([]byte, dev.BlockSize()),
 	}
 	if empty {
 		if t.height != 0 || t.nItems != 0 || t.nNodes != 0 {

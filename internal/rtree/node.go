@@ -1,9 +1,10 @@
-// Package rtree implements the paged R-tree container shared by every index
+// Package rtree implements the paged, read-only R-tree shared by every index
 // variant in this repository: the paper's node layout (one node per 4 KB
-// block, 36-byte entries, max fanout 113), the window-query engine with
-// block-level I/O accounting, bottom-up and top-down build helpers for the
-// bulk loaders, Guttman's dynamic update algorithms, and structural
-// validation used by the tests.
+// block, 36-byte entries, max fanout 113), the builder the bulk loaders
+// write it with, the relocator that moves a built tree's pages, the query
+// engine with block-level I/O accounting, and structural validation. A
+// built tree is never updated in place; the dynamic index rebuilds instead
+// (internal/logmethod).
 package rtree
 
 import (
@@ -24,67 +25,6 @@ const (
 type ChildEntry struct {
 	Rect geom.Rect
 	Page storage.PageID
-}
-
-// node is the in-memory form of a page.
-type node struct {
-	kind  byte
-	rects []geom.Rect
-	// refs holds data ids for leaves and child page ids for internal nodes.
-	refs []uint32
-}
-
-func (n *node) isLeaf() bool { return n.kind == kindLeaf }
-func (n *node) count() int   { return len(n.rects) }
-
-func (n *node) mbr() geom.Rect {
-	out := geom.EmptyRect()
-	for _, r := range n.rects {
-		out = out.Union(r)
-	}
-	return out
-}
-
-func (n *node) items() []geom.Item {
-	out := make([]geom.Item, len(n.rects))
-	for i := range n.rects {
-		out[i] = geom.Item{Rect: n.rects[i], ID: n.refs[i]}
-	}
-	return out
-}
-
-func (n *node) children() []ChildEntry {
-	out := make([]ChildEntry, len(n.rects))
-	for i := range n.rects {
-		out[i] = ChildEntry{Rect: n.rects[i], Page: storage.PageID(n.refs[i])}
-	}
-	return out
-}
-
-func (n *node) append(r geom.Rect, ref uint32) {
-	n.rects = append(n.rects, r)
-	n.refs = append(n.refs, ref)
-}
-
-func (n *node) remove(i int) {
-	n.rects = append(n.rects[:i], n.rects[i+1:]...)
-	n.refs = append(n.refs[:i], n.refs[i+1:]...)
-}
-
-// encodeNode serializes n into a block-sized buffer.
-func encodeNode(buf []byte, n *node) []byte {
-	cnt := n.count()
-	need := headerSize + cnt*entrySize
-	if need > len(buf) {
-		panic(fmt.Sprintf("rtree: node with %d entries does not fit in %d-byte block", cnt, len(buf)))
-	}
-	encodeHeader(buf, n.kind, cnt)
-	off := headerSize
-	for i := 0; i < cnt; i++ {
-		storage.EncodeItem(buf[off:], geom.Item{Rect: n.rects[i], ID: n.refs[i]})
-		off += entrySize
-	}
-	return buf[:need]
 }
 
 // nodeView is a zero-copy window onto a page's bytes: header fields come
@@ -119,7 +59,7 @@ func (v nodeView) itemAt(i int) geom.Item {
 	return storage.DecodeItem(v.data[v.entryOff(i):])
 }
 
-// mbr unions every entry rectangle, matching (*node).mbr bit for bit.
+// mbr unions every entry rectangle.
 func (v nodeView) mbr() geom.Rect {
 	out := geom.EmptyRect()
 	for i, cnt := 0, v.count(); i < cnt; i++ {
@@ -148,7 +88,7 @@ func encodeHeader(buf []byte, kind byte, cnt int) {
 
 // encodeLeafPage serializes a leaf holding items directly into a
 // block-sized buffer, returning the encoded prefix and the leaf MBR. The
-// bulk-load builder uses it to write pages without materializing a node.
+// bulk-load builder uses it to write pages straight from its entries.
 func encodeLeafPage(buf []byte, items []geom.Item) ([]byte, geom.Rect) {
 	need := headerSize + len(items)*entrySize
 	if need > len(buf) {
@@ -180,20 +120,4 @@ func encodeInternalPage(buf []byte, children []ChildEntry) ([]byte, geom.Rect) {
 		off += entrySize
 	}
 	return buf[:need], mbr
-}
-
-// decodeNode parses a page into a node.
-func decodeNode(data []byte) *node {
-	v := nodeView{data: data}
-	cnt := v.count()
-	n := &node{
-		kind:  data[0],
-		rects: make([]geom.Rect, cnt),
-		refs:  make([]uint32, cnt),
-	}
-	for i := 0; i < cnt; i++ {
-		n.rects[i] = v.rectAt(i)
-		n.refs[i] = v.refAt(i)
-	}
-	return n
 }

@@ -3,6 +3,7 @@ package rtree
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"prtree/internal/geom"
@@ -41,31 +42,44 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadThenUpdate(t *testing.T) {
-	items := randItems(500, 3)
-	tr := buildPacked(t, items, 8)
-	got, err := reopen(tr)
+// TestOpenIgnoresRetiredConfigWords: words 5 and 6 of the metadata record
+// held the minimum fill and split heuristic of the update paths earlier
+// versions had. They are written as 0 now, and a record of the earlier
+// format — 45 and a nonzero split, as every index file of those versions
+// holds — still opens to the same tree with the same answers.
+func TestOpenIgnoresRetiredConfigWords(t *testing.T) {
+	items := randItems(3000, 5)
+	tr := buildPacked(t, items, 0)
+	meta := tr.EncodeMeta()
+	for _, w := range []int{5, 6} {
+		if v := binary.LittleEndian.Uint64(meta[len(treeMagic)+8*w:]); v != 0 {
+			t.Fatalf("word %d = %d, want 0", w, v)
+		}
+	}
+	binary.LittleEndian.PutUint64(meta[len(treeMagic)+8*5:], 45)
+	binary.LittleEndian.PutUint64(meta[len(treeMagic)+8*6:], 2)
+	got, err := OpenFromMeta(storage.NewPager(tr.Pager().Backend(), -1), meta)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// The reopened tree carries its configuration: the heuristic updates
-	// run on it.
-	extra := geom.Item{Rect: geom.NewRect(0.1, 0.1, 0.2, 0.2), ID: 9999}
-	got.Insert(extra)
-	if !got.Delete(items[0]) {
-		t.Fatal("delete on reopened tree failed")
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 500 {
-		t.Fatalf("len = %d", got.Len())
+	if got.Len() != tr.Len() || got.Height() != tr.Height() || got.Nodes() != tr.Nodes() || got.Config() != tr.Config() {
+		t.Fatalf("reopened %v (%+v), want %v (%+v)", got, got.Config(), tr, tr.Config())
+	}
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 25; i++ {
+		x, y := rng.Float64(), rng.Float64()
+		q := geom.NewRect(x, y, x+0.2, y+0.2)
+		if a, b := got.QueryCollect(q), tr.QueryCollect(q); !slices.Equal(a, b) {
+			t.Fatalf("query %v: %d results, want %d (or another order)", q, len(a), len(b))
+		}
 	}
 }
 
 // TestSaveLoadEmptyTree: an empty tree owns no page, records a root-less
-// metadata record, reopens as one, answers nothing, and takes a first
-// insert.
+// metadata record, reopens as one and answers nothing.
 func TestSaveLoadEmptyTree(t *testing.T) {
 	tr := newTestTree(t, Config{Fanout: 8})
 	if tr.Root() != storage.NilPage || tr.Pager().Backend().NumPages() != 0 {
@@ -83,13 +97,6 @@ func TestSaveLoadEmptyTree(t *testing.T) {
 	}
 	if st := got.Query(geom.NewRect(0, 0, 1, 1), nil); st != (QueryStats{}) {
 		t.Errorf("a query of an empty tree did %+v", st)
-	}
-	got.Insert(geom.Item{Rect: geom.NewRect(0.1, 0.1, 0.2, 0.2), ID: 1})
-	if got.Len() != 1 || got.Height() != 1 || got.Nodes() != 1 {
-		t.Fatalf("after the first insert: %v", got)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -156,7 +163,7 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 	tiny.Alloc()
 	meta := make([]byte, MetaSize)
 	copy(meta, treeMagic[:])
-	for i, v := range []uint64{0, 1, 0, 1, 8, 3, 0} { // root height items nodes fanout minfill split
+	for i, v := range []uint64{0, 1, 0, 1, 8} { // root height items nodes fanout
 		word(meta, i, v)
 	}
 	if _, err := OpenFromMeta(storage.NewPager(tiny, -1), meta); err == nil {

@@ -92,6 +92,5 @@ func (t *Tree) Relocated(cut storage.PageID) (*Tree, []storage.PageID) {
 		height: t.height,
 		nItems: t.nItems,
 		nNodes: t.nNodes,
-		buf:    make([]byte, len(t.buf)),
 	}, old
 }

@@ -14,54 +14,29 @@ type Config struct {
 	// Fanout caps entries per node; 0 means the block-size maximum (113
 	// for 4 KB blocks).
 	Fanout int
-	// MinFill is the minimum entries in a non-root node before deletion
-	// triggers condensing; 0 means 2/5 of the fanout (Guttman's m <= M/2
-	// regime).
-	MinFill int
-	// Split selects the overflow split heuristic for dynamic inserts.
-	Split SplitKind
 }
 
-// SplitKind selects Guttman's node-split heuristic.
-type SplitKind int
-
-const (
-	// QuadraticSplit is Guttman's quadratic-cost split (the common default).
-	QuadraticSplit SplitKind = iota
-	// LinearSplit is Guttman's linear-cost split.
-	LinearSplit
-	// RStarSplit enables the full R*-tree insertion heuristics of
-	// Beckmann et al. (reference [6] of the paper): overlap-minimizing
-	// ChooseSubtree, forced reinsertion, and the margin/overlap split.
-	RStarSplit
-)
-
 // Tree is a paged R-tree. All node accesses go through the pager so that
-// block I/O is counted on the underlying simulated disk.
+// block I/O is counted on the underlying simulated disk. A tree is written
+// once, by a Builder (or copied by Relocated), and read-only after that:
+// no page of a built tree is ever rewritten.
 //
-// Reads come in two flavors. The query paths (Query, PointQuery,
-// ContainmentQuery, NearestNeighbors, Walk, Validate, MBR) use zero-copy
-// nodeViews over the pager's cached bytes, so a cache-hit node visit
-// allocates nothing. The heuristic update paths (Insert, Delete; internal,
-// for the in-memory update experiments) materialize nodes and memoize them
-// in the pager's decoded cache, kept coherent by write-through in writeNode
-// and invalidation in freeNode and the pager itself. Both flavors call
-// Pager.Read first, so block-I/O accounting is identical to an
-// implementation that decodes eagerly.
+// The read paths (RunWindow, RunNearest and the wrappers over them, Walk,
+// Validate, MBR) use zero-copy nodeViews over the pager's cached bytes, so
+// a cache-hit node visit allocates nothing.
 //
-// An empty tree owns no page: its root is NilPage and its height 0. New
-// returns one, and Release leaves one behind; every read path treats it as
-// holding nothing.
+// An empty tree owns no page: its root is NilPage and its height 0. New,
+// every loader over zero items (Builder.FinishEmpty) and Release leave one;
+// every read path treats it as holding nothing.
 //
 // # Concurrency
 //
 // All read paths are safe for any number of concurrent goroutines:
 // per-traversal scratch (explicit stacks, k-NN heaps) is sync.Pool-backed
-// rather than tree state, and the pager underneath is lock-striped. The
-// mutation paths (Insert, Delete, Release, bulk-load builders) require
-// exclusive access — no reader or other writer may run concurrently with
-// them. QueryBatch and SearchBatch fan a slice of queries across a bounded
-// worker pool under this contract.
+// rather than tree state, and the pager underneath is lock-striped. A
+// Builder and Release require exclusive access — no reader may run
+// concurrently with them. QueryBatch and SearchBatch fan a slice of queries
+// across a bounded worker pool under this contract.
 type Tree struct {
 	pager  *storage.Pager
 	cfg    Config
@@ -69,15 +44,13 @@ type Tree struct {
 	height int // number of levels; 1 = root is a leaf
 	nItems int
 	nNodes int
-	buf    []byte    // scratch block for serialization (mutation paths only)
 	stacks sync.Pool // per-traversal scratch stacks (*[]storage.PageID)
 }
 
-// New creates an empty tree on the pager. It allocates no page; the first
-// Insert writes the root leaf.
+// New returns an empty tree on the pager. It allocates no page.
 func New(pager *storage.Pager, cfg Config) *Tree {
 	normalizeConfig(&cfg, pager.Backend().BlockSize())
-	return &Tree{pager: pager, cfg: cfg, root: storage.NilPage, buf: make([]byte, pager.Backend().BlockSize())}
+	return &Tree{pager: pager, cfg: cfg, root: storage.NilPage}
 }
 
 func normalizeConfig(cfg *Config, blockSize int) {
@@ -86,15 +59,6 @@ func normalizeConfig(cfg *Config, blockSize int) {
 	}
 	if cfg.Fanout < 2 {
 		panic("rtree: fanout must be at least 2")
-	}
-	if cfg.MinFill <= 0 {
-		cfg.MinFill = cfg.Fanout * 2 / 5
-	}
-	if cfg.MinFill > cfg.Fanout/2 {
-		cfg.MinFill = cfg.Fanout / 2
-	}
-	if cfg.MinFill < 1 {
-		cfg.MinFill = 1
 	}
 }
 
@@ -129,40 +93,8 @@ func (t *Tree) readView(id storage.PageID) nodeView {
 	return nodeView{data: t.pager.Read(id)}
 }
 
-// overflows reports whether n holds more entries than the fanout allows.
-func (t *Tree) overflows(n *node) bool { return n.count() > t.cfg.Fanout }
-
-// readNode returns the materialized form of the page for the mutation
-// paths. The pager is always Read first — preserving hit/miss and block-I/O
-// accounting exactly — and the decode is skipped when the pager still holds
-// the node decoded from those same bytes.
-func (t *Tree) readNode(id storage.PageID) *node {
-	data := t.pager.Read(id)
-	if v, ok := t.pager.Decoded(id); ok {
-		return v.(*node)
-	}
-	n := decodeNode(data)
-	t.pager.StoreDecoded(id, n)
-	return n
-}
-
-// writeNode persists n and re-memoizes it: the write drops the stale
-// decoded entry, and storing n afterwards keeps the cache warm for the
-// next read of the page.
-func (t *Tree) writeNode(id storage.PageID, n *node) {
-	t.pager.Write(id, encodeNode(t.buf, n))
-	t.pager.StoreDecoded(id, n)
-}
-
-func (t *Tree) allocNode(n *node) storage.PageID {
-	id := t.pager.Backend().Alloc()
-	t.writeNode(id, n)
-	t.nNodes++
-	return id
-}
-
 // allocPage writes pre-encoded page bytes (from encodeLeafPage /
-// encodeInternalPage) without materializing a node.
+// encodeInternalPage) to a new page.
 func (t *Tree) allocPage(data []byte) storage.PageID {
 	id := t.pager.Backend().Alloc()
 	t.pager.Write(id, data)

@@ -54,39 +54,43 @@ func TestMaxFanoutMatchesPaper(t *testing.T) {
 }
 
 func TestNodeCodecRoundTrip(t *testing.T) {
-	n := &node{kind: kindInternal}
-	for i := 0; i < 50; i++ {
-		n.append(geom.NewRect(float64(i), 0, float64(i)+1, 2), uint32(i*7))
+	children := make([]ChildEntry, 50)
+	for i := range children {
+		children[i] = ChildEntry{Rect: geom.NewRect(float64(i), 0, float64(i)+1, 2), Page: storage.PageID(i * 7)}
 	}
 	buf := make([]byte, storage.DefaultBlockSize)
-	got := decodeNode(encodeNode(buf, n))
-	if got.kind != n.kind || got.count() != n.count() {
+	data, mbr := encodeInternalPage(buf, children)
+	v := nodeView{data: data}
+	if v.isLeaf() || v.count() != len(children) {
 		t.Fatalf("kind/count mismatch")
 	}
-	for i := range n.rects {
-		if got.rects[i] != n.rects[i] || got.refs[i] != n.refs[i] {
+	for i, c := range children {
+		if v.rectAt(i) != c.Rect || storage.PageID(v.refAt(i)) != c.Page {
 			t.Fatalf("entry %d mismatch", i)
 		}
+	}
+	if mbr != v.mbr() || mbr != geom.NewRect(0, 0, 50, 2) {
+		t.Fatalf("mbr %v, view mbr %v", mbr, v.mbr())
 	}
 }
 
 func TestNodeCodecFullFanout(t *testing.T) {
-	n := &node{kind: kindLeaf}
 	f := MaxFanout(storage.DefaultBlockSize)
-	for i := 0; i < f; i++ {
-		n.append(geom.NewRect(0, 0, 1, 1), uint32(i))
+	items := make([]geom.Item, f+1)
+	for i := range items {
+		items[i] = geom.Item{Rect: geom.NewRect(0, 0, 1, 1), ID: uint32(i)}
 	}
 	buf := make([]byte, storage.DefaultBlockSize)
-	if got := decodeNode(encodeNode(buf, n)); got.count() != f {
-		t.Fatalf("full node round trip count = %d", got.count())
+	data, _ := encodeLeafPage(buf, items[:f])
+	if v := (nodeView{data: data}); !v.isLeaf() || v.count() != f || v.itemAt(f-1) != items[f-1] {
+		t.Fatalf("full node round trip: leaf %v count %d", v.isLeaf(), v.count())
 	}
-	n.append(geom.NewRect(0, 0, 1, 1), 999)
 	defer func() {
 		if recover() == nil {
 			t.Error("encoding an over-full node should panic")
 		}
 	}()
-	encodeNode(buf, n)
+	encodeLeafPage(buf, items)
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -100,9 +104,6 @@ func TestEmptyTree(t *testing.T) {
 	st := tr.QueryCount(geom.NewRect(0, 0, 1, 1))
 	if st.Results != 0 || st.NodesVisited != 0 {
 		t.Errorf("empty query stats: %+v", st)
-	}
-	if tr.Delete(geom.Item{Rect: geom.NewRect(0, 0, 1, 1), ID: 1}) {
-		t.Error("a delete from an empty tree reported success")
 	}
 	walked := 0
 	tr.Walk(func(storage.PageID, int, bool, []geom.Item) { walked++ })
@@ -248,12 +249,13 @@ func TestValidateDetectsBadMBR(t *testing.T) {
 	items := randItems(100, 11)
 	tr := buildPacked(t, items, 8)
 	// Corrupt the root: shrink its first entry's rect.
-	n := tr.readNode(tr.root)
-	if n.isLeaf() {
+	root := tr.readView(tr.root)
+	if root.isLeaf() {
 		t.Skip("tree too small")
 	}
-	n.rects[0] = geom.PointRect(0, 0)
-	tr.writeNode(tr.root, n)
+	page := append([]byte(nil), root.data...)
+	storage.EncodeItem(page[root.entryOff(0):], geom.Item{Rect: geom.PointRect(0, 0), ID: root.refAt(0)})
+	tr.Pager().Write(tr.root, page)
 	if err := tr.Validate(); err == nil {
 		t.Error("validate should detect corrupted MBR")
 	}
@@ -301,21 +303,28 @@ func TestBuilderPackLevelBalances(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	n := tr.readNode(packed[0].Page)
-	if n.count() != 3 && n.count() != 2 {
-		t.Errorf("unbalanced group of %d", n.count())
+	if cnt := tr.readView(packed[0].Page).count(); cnt != 3 && cnt != 2 {
+		t.Errorf("unbalanced group of %d", cnt)
 	}
 }
 
+// TestFinishEmpty: a builder sealed over nothing leaves the one empty tree
+// New makes — no page, height 0 — and it reads as empty everywhere.
 func TestFinishEmpty(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	b := NewBuilder(storage.NewPager(disk, -1), Config{})
 	tr := b.FinishPacked(nil)
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Errorf("empty packed tree: %v", tr)
+	if tr.Len() != 0 || tr.Height() != 0 || tr.Nodes() != 0 || tr.Root() != storage.NilPage || disk.NumPages() != 0 {
+		t.Errorf("empty packed tree: %v, root %d, %d pages", tr, tr.Root(), disk.NumPages())
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if st := tr.QueryCount(geom.NewRect(0, 0, 1, 1)); st != (QueryStats{}) {
+		t.Errorf("a query of an empty tree did %+v", st)
+	}
+	if got, _ := tr.NearestNeighbors(0, 0, 3); got != nil {
+		t.Errorf("k-NN of an empty tree = %v", got)
 	}
 }
 

@@ -1,288 +1,381 @@
-package rtree
+package rtree_test
+
+// The classical update heuristics — Guttman's ChooseLeaf, quadratic split
+// and CondenseTree, and the R* rules — run on experiments.HTree, an
+// in-memory tree copied from an rtree.Tree. These tests drive them from an
+// empty tree and from trees this package bulk-loads: after inserts and
+// deletes the tree must validate, hold exactly the live items, and count
+// window results as a brute-force scan does.
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"prtree/internal/dataset"
+	"prtree/internal/experiments"
 	"prtree/internal/geom"
+	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
-func insertAll(tr *Tree, items []geom.Item) {
+// newHTree returns an empty tree of the given fanout, updated by R* when
+// rstar is set and by Guttman's algorithms otherwise.
+func newHTree(fanout int, rstar bool) *experiments.HTree {
+	pager := storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1)
+	return experiments.NewHTree(rtree.New(pager, rtree.Config{Fanout: fanout}), rstar)
+}
+
+func insertAll(h *experiments.HTree, items []geom.Item) {
 	for _, it := range items {
-		tr.Insert(it)
+		h.Insert(it)
 	}
+}
+
+func byID(a, b geom.Item) int { return cmp.Compare(a.ID, b.ID) }
+
+// checkTree fails unless h validates, stores exactly live, and reports as
+// many items for each query as intersect it in live.
+func checkTree(t *testing.T, h *experiments.HTree, live []geom.Item, queries ...geom.Rect) {
+	t.Helper()
+	got, err := h.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := slices.Clone(got), slices.Clone(live)
+	slices.SortFunc(got, byID)
+	slices.SortFunc(want, byID)
+	if !slices.Equal(got, want) {
+		t.Fatalf("tree holds %d items, %d live, or other ones", len(got), len(want))
+	}
+	for _, q := range queries {
+		n := 0
+		for _, it := range live {
+			if q.Intersects(it.Rect) {
+				n++
+			}
+		}
+		if _, res := h.Count(q); res != n {
+			t.Fatalf("query %v: %d results, brute force %d", q, res, n)
+		}
+	}
+}
+
+func randQueries(n int, seed int64) []geom.Rect {
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([]geom.Rect, n)
+	for i := range qs {
+		qs[i] = geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
+	}
+	return qs
+}
+
+func size(t *testing.T, h *experiments.HTree) int {
+	t.Helper()
+	items, err := h.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(items)
 }
 
 func TestInsertSmall(t *testing.T) {
-	tr := newTestTree(t, Config{Fanout: 4})
-	items := randItems(10, 1)
-	insertAll(tr, items)
-	if tr.Len() != 10 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckQueryAgainstBruteForce(tr, items, geom.NewRect(0, 0, 2, 2)); err != nil {
-		t.Fatal(err)
-	}
+	h := newHTree(4, false)
+	items := rtree.RandItems(10, 1)
+	insertAll(h, items)
+	checkTree(t, h, items, geom.NewRect(0, 0, 2, 2))
 }
 
 func TestInsertGrowsHeight(t *testing.T) {
-	tr := newTestTree(t, Config{Fanout: 4})
-	items := randItems(100, 2)
-	insertAll(tr, items)
-	if tr.Height() < 3 {
-		t.Errorf("height = %d after 100 inserts at fanout 4", tr.Height())
+	h := newHTree(4, false)
+	items := rtree.RandItems(100, 2)
+	insertAll(h, items)
+	if h.Height() < 3 {
+		t.Errorf("height = %d after 100 inserts at fanout 4", h.Height())
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkTree(t, h, items)
 }
 
 func TestInsertQueryCorrectnessBothSplits(t *testing.T) {
-	for _, split := range []SplitKind{QuadraticSplit, LinearSplit} {
-		tr := newTestTree(t, Config{Fanout: 8, Split: split})
-		items := randItems(1500, 3)
-		insertAll(tr, items)
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("split %d: %v", split, err)
-		}
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < 40; i++ {
-			q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-			if err := CheckQueryAgainstBruteForce(tr, items, q); err != nil {
-				t.Fatalf("split %d: %v", split, err)
-			}
-		}
+	for _, rstar := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rstar=%v", rstar), func(t *testing.T) {
+			h := newHTree(8, rstar)
+			items := rtree.RandItems(1500, 3)
+			insertAll(h, items)
+			checkTree(t, h, items, randQueries(40, 4)...)
+		})
 	}
 }
 
 func TestInsertDuplicateRects(t *testing.T) {
-	tr := newTestTree(t, Config{Fanout: 4})
+	h := newHTree(4, false)
 	r := geom.NewRect(0.5, 0.5, 0.6, 0.6)
+	var items []geom.Item
 	for i := 0; i < 50; i++ {
-		tr.Insert(geom.Item{Rect: r, ID: uint32(i)})
+		items = append(items, geom.Item{Rect: r, ID: uint32(i)})
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got := tr.QueryCollect(r)
-	if len(got) != 50 {
-		t.Errorf("got %d duplicates back", len(got))
-	}
+	insertAll(h, items)
+	checkTree(t, h, items, r)
 }
 
 func TestDeleteBasic(t *testing.T) {
-	tr := newTestTree(t, Config{Fanout: 4})
-	items := randItems(200, 5)
-	insertAll(tr, items)
+	h := newHTree(4, false)
+	items := rtree.RandItems(200, 5)
+	insertAll(h, items)
 	for i, it := range items {
-		if !tr.Delete(it) {
+		if !h.Delete(it) {
 			t.Fatalf("delete %d failed", i)
 		}
-		if tr.Len() != len(items)-i-1 {
-			t.Fatalf("len = %d after %d deletes", tr.Len(), i+1)
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("after delete %d: %v", i, err)
+		if n := size(t, h); n != len(items)-i-1 {
+			t.Fatalf("%d items after %d deletes", n, i+1)
 		}
 	}
-	if tr.Height() != 1 || tr.Len() != 0 {
-		t.Errorf("emptied tree: %v", tr)
+	if h.Height() != 1 {
+		t.Errorf("emptied tree has height %d", h.Height())
 	}
 }
 
 func TestDeleteMissingReturnsFalse(t *testing.T) {
-	tr := newTestTree(t, Config{Fanout: 4})
-	items := randItems(50, 6)
-	insertAll(tr, items)
-	if tr.Delete(geom.Item{Rect: geom.NewRect(5, 5, 6, 6), ID: 9999}) {
+	h := newHTree(4, false)
+	items := rtree.RandItems(50, 6)
+	insertAll(h, items)
+	if h.Delete(geom.Item{Rect: geom.NewRect(5, 5, 6, 6), ID: 9999}) {
 		t.Error("deleting absent item should return false")
 	}
 	// Same rect, wrong id.
-	if tr.Delete(geom.Item{Rect: items[0].Rect, ID: 9999}) {
+	if h.Delete(geom.Item{Rect: items[0].Rect, ID: 9999}) {
 		t.Error("deleting wrong id should return false")
 	}
-	if tr.Len() != 50 {
-		t.Errorf("len changed to %d", tr.Len())
-	}
+	checkTree(t, h, items)
 }
 
 func TestDeleteThenQuery(t *testing.T) {
-	tr := newTestTree(t, Config{Fanout: 8})
-	items := randItems(800, 7)
-	insertAll(tr, items)
+	h := newHTree(8, false)
+	items := rtree.RandItems(800, 7)
+	insertAll(h, items)
 	// Delete every third item.
 	var remaining []geom.Item
 	for i, it := range items {
 		if i%3 == 0 {
-			if !tr.Delete(it) {
+			if !h.Delete(it) {
 				t.Fatalf("delete %d failed", i)
 			}
 		} else {
 			remaining = append(remaining, it)
 		}
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 30; i++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		if err := CheckQueryAgainstBruteForce(tr, remaining, q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkTree(t, h, remaining, randQueries(30, 8)...)
 }
 
 func TestMixedWorkload(t *testing.T) {
-	tr := newTestTree(t, Config{Fanout: 6})
+	h := newHTree(6, false)
 	rng := rand.New(rand.NewSource(9))
 	live := make(map[uint32]geom.Item)
+	liveItems := func() []geom.Item {
+		out := make([]geom.Item, 0, len(live))
+		for _, it := range live {
+			out = append(out, it)
+		}
+		return out
+	}
 	nextID := uint32(0)
 	for step := 0; step < 3000; step++ {
 		if len(live) == 0 || rng.Float64() < 0.6 {
 			x, y := rng.Float64(), rng.Float64()
 			it := geom.Item{Rect: geom.NewRect(x, y, x+rng.Float64()*0.1, y+rng.Float64()*0.1), ID: nextID}
 			nextID++
-			tr.Insert(it)
+			h.Insert(it)
 			live[it.ID] = it
 		} else {
 			// Delete a random live item.
 			var victim geom.Item
-			for _, it := range live {
-				victim = it
+			for _, victim = range live {
 				break
 			}
-			if !tr.Delete(victim) {
+			if !h.Delete(victim) {
 				t.Fatalf("step %d: delete failed", step)
 			}
 			delete(live, victim.ID)
 		}
 		if step%500 == 0 {
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
+			checkTree(t, h, liveItems())
 		}
 	}
-	if tr.Len() != len(live) {
-		t.Fatalf("len = %d, want %d", tr.Len(), len(live))
-	}
-	universe := make([]geom.Item, 0, len(live))
-	for _, it := range live {
-		universe = append(universe, it)
-	}
-	for i := 0; i < 20; i++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		if err := CheckQueryAgainstBruteForce(tr, universe, q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkTree(t, h, liveItems(), randQueries(20, 10)...)
 }
 
+// TestCondenseReinsertsOrphans builds a tall skinny tree at fanout 5 (nodes
+// dissolve below 2 entries), then deletes every other item, so
+// CondenseTree dissolves nodes and reinserts their entries.
 func TestCondenseReinsertsOrphans(t *testing.T) {
-	// Build a tall skinny tree, then delete a cluster to force node
-	// dissolution with subtree reinsertion.
-	tr := newTestTree(t, Config{Fanout: 4, MinFill: 2})
-	var items []geom.Item
+	h := newHTree(5, false)
+	var items, kept []geom.Item
 	for i := 0; i < 64; i++ {
 		x := float64(i)
 		items = append(items, geom.Item{Rect: geom.NewRect(x, 0, x+0.5, 0.5), ID: uint32(i)})
 	}
-	insertAll(tr, items)
-	for i := 0; i < 64; i += 2 {
-		if !tr.Delete(items[i]) {
+	insertAll(h, items)
+	for i, it := range items {
+		if i%2 == 1 {
+			kept = append(kept, it)
+			continue
+		}
+		if !h.Delete(it) {
 			t.Fatalf("delete %d failed", i)
 		}
-		if err := tr.Validate(); err != nil {
+		if _, err := h.Validate(); err != nil {
 			t.Fatalf("after delete %d: %v", i, err)
 		}
 	}
-	if tr.Len() != 32 {
-		t.Fatalf("len = %d", tr.Len())
+	var own []geom.Rect
+	for _, it := range kept {
+		own = append(own, it.Rect)
 	}
-	for i := 1; i < 64; i += 2 {
-		got := tr.QueryCollect(items[i].Rect)
-		found := false
-		for _, g := range got {
-			if g.ID == items[i].ID {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("item %d lost after condense", i)
-		}
-	}
+	checkTree(t, h, kept, own...)
 }
 
 func TestInsertIntoBulkLoadedTree(t *testing.T) {
-	items := randItems(500, 10)
-	tr := buildPacked(t, items, 8)
-	extra := randItems(200, 11)
+	items := rtree.RandItems(500, 10)
+	h := experiments.NewHTree(rtree.BuildPacked(t, items, 8), false)
+	extra := rtree.RandItems(200, 11)
 	for i := range extra {
 		extra[i].ID += 10000
-		tr.Insert(extra[i])
+		h.Insert(extra[i])
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
+	checkTree(t, h, append(slices.Clone(items), extra...), geom.NewRect(0.2, 0.2, 0.7, 0.7))
+}
+
+func TestRStarInsertSmall(t *testing.T) {
+	h := newHTree(4, true)
+	items := rtree.RandItems(50, 1)
+	insertAll(h, items)
+	checkTree(t, h, items, geom.NewRect(0, 0, 2, 2))
+}
+
+func TestRStarInsertLargeCorrect(t *testing.T) {
+	h := newHTree(16, true)
+	items := rtree.RandItems(3000, 2)
+	insertAll(h, items)
+	checkTree(t, h, items, randQueries(40, 3)...)
+}
+
+func TestRStarDeleteMixed(t *testing.T) {
+	h := newHTree(8, true)
+	items := rtree.RandItems(800, 4)
+	insertAll(h, items)
+	var remaining []geom.Item
+	for i, it := range items {
+		if i%2 == 0 {
+			if !h.Delete(it) {
+				t.Fatalf("delete %d failed", i)
+			}
+		} else {
+			remaining = append(remaining, it)
+		}
 	}
-	all := append(append([]geom.Item{}, items...), extra...)
-	if err := CheckQueryAgainstBruteForce(tr, all, geom.NewRect(0.2, 0.2, 0.7, 0.7)); err != nil {
-		t.Fatal(err)
+	checkTree(t, h, remaining, randQueries(20, 5)...)
+}
+
+func TestRStarDuplicates(t *testing.T) {
+	h := newHTree(4, true)
+	r := geom.NewRect(0.3, 0.3, 0.4, 0.4)
+	var items []geom.Item
+	for i := 0; i < 60; i++ {
+		items = append(items, geom.Item{Rect: r, ID: uint32(i)})
+	}
+	insertAll(h, items)
+	checkTree(t, h, items, r)
+}
+
+func TestRStarInsertIntoBulkLoadedTree(t *testing.T) {
+	items := rtree.RandItems(1000, 7)
+	h := experiments.NewHTree(rtree.BuildPacked(t, items, 16), true)
+	extra := rtree.RandItems(400, 8)
+	for i := range extra {
+		extra[i].ID += 50000
+		h.Insert(extra[i])
+	}
+	checkTree(t, h, append(slices.Clone(items), extra...), geom.NewRect(0.1, 0.1, 0.6, 0.6))
+}
+
+// TestRStarBeatsGuttmanOnClusteredInserts: on a clustered insertion order
+// the R* tree answers with no more leaf visits than the quadratic Guttman
+// tree (a little slack allowed), which is what its heuristics are for.
+func TestRStarBeatsGuttmanOnClusteredInserts(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	guttman, rstar := newHTree(16, false), newHTree(16, true)
+	for c := 0; c < 30; c++ {
+		cx, cy := rng.Float64(), rng.Float64()
+		for i := 0; i < 100; i++ {
+			x, y := cx+rng.NormFloat64()*0.01, cy+rng.NormFloat64()*0.01
+			it := geom.Item{Rect: geom.NewRect(x, y, x+0.001, y+0.001), ID: uint32(c*100 + i)}
+			guttman.Insert(it)
+			rstar.Insert(it)
+		}
+	}
+	var gLeaves, rLeaves int
+	for i := 0; i < 50; i++ {
+		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64()*0.2, rng.Float64()*0.2)
+		g, _ := guttman.Count(q)
+		r, _ := rstar.Count(q)
+		gLeaves, rLeaves = gLeaves+g, rLeaves+r
+	}
+	if float64(rLeaves) > 1.2*float64(gLeaves) {
+		t.Errorf("R* visited %d leaves, Guttman %d — R* should not be worse", rLeaves, gLeaves)
 	}
 }
 
-func TestDeleteFreesPages(t *testing.T) {
-	disk := storage.NewDisk(storage.DefaultBlockSize)
-	tr := New(storage.NewPager(disk, -1), Config{Fanout: 4})
-	items := randItems(300, 12)
-	insertAll(tr, items)
-	peak := tr.Nodes()
-	for _, it := range items {
-		tr.Delete(it)
-	}
-	if tr.Nodes() != 1 {
-		t.Errorf("nodes after emptying = %d (peak %d)", tr.Nodes(), peak)
-	}
-}
+// TestLayoutEquivalenceUnderUpdates drives an interleaved insert/delete
+// sequence into a tree at the fanout of a 1 KiB page, so splits and
+// condensing happen often, over full-precision and grid-snapped data (many
+// equal coordinates: the splits' tie-breaks). Cases are named by split: 0 is
+// Guttman's quadratic split, 2 the R* split.
+func TestLayoutEquivalenceUnderUpdates(t *testing.T) {
+	for _, split := range []int{0, 2} {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, grid := range []bool{true, false} {
+				name := fmt.Sprintf("split=%d/seed=%d/grid=%v", split, seed, grid)
+				t.Run(name, func(t *testing.T) {
+					pager := storage.NewPager(storage.NewDisk(1024), -1)
+					h := experiments.NewHTree(rtree.New(pager, rtree.Config{}), split == 2)
 
-func TestLinearSplitDegenerateAllEqual(t *testing.T) {
-	tr := newTestTree(t, Config{Fanout: 4, Split: LinearSplit})
-	r := geom.NewRect(1, 1, 1, 1)
-	for i := 0; i < 20; i++ {
-		tr.Insert(geom.Item{Rect: r, ID: uint32(i)})
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.QueryCollect(r); len(got) != 20 {
-		t.Errorf("got %d of 20 equal points", len(got))
-	}
-}
-
-func TestInsertIOBounded(t *testing.T) {
-	// A single insert into a bulk tree should touch O(height) nodes, not
-	// O(n). Allow generous slack for splits.
-	items := randItems(5000, 13)
-	tr := buildPacked(t, items, 16)
-	disk := tr.Pager().Backend().(*storage.Disk)
-	disk.ResetStats()
-	tr.Insert(geom.Item{Rect: geom.NewRect(0.5, 0.5, 0.51, 0.51), ID: 99999})
-	if total := disk.Stats().Total(); total > uint64(6*tr.Height()+10) {
-		t.Errorf("insert cost %d I/Os for height-%d tree", total, tr.Height())
-	}
-}
-
-// BenchmarkGuttmanInsert prices one heuristic insert (Guttman's quadratic
-// split) into a growing in-memory tree.
-func BenchmarkGuttmanInsert(b *testing.B) {
-	tree := New(storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), Config{})
-	items := dataset.Uniform(200000, 0.001, 23)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Insert(items[i%len(items)])
+					var items []geom.Item
+					if grid {
+						items = rtree.GridItems(1200, 16, seed+50)
+					} else {
+						items = rtree.RandItems(1200, seed+50)
+					}
+					live := make(map[int]bool)
+					for i, it := range items {
+						h.Insert(it)
+						live[i] = true
+						// Interleave deletions.
+						if i%7 == 3 {
+							for j := range live {
+								if !h.Delete(items[j]) {
+									t.Fatalf("delete of live item %d failed", j)
+								}
+								delete(live, j)
+								break
+							}
+						}
+					}
+					var want []geom.Item
+					for i, it := range items {
+						if live[i] {
+							want = append(want, it)
+						}
+					}
+					rng := rand.New(rand.NewSource(seed))
+					var queries []geom.Rect
+					for i := 0; i < 30; i++ {
+						x, y := rng.Float64(), rng.Float64()
+						queries = append(queries, geom.NewRect(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3))
+					}
+					checkTree(t, h, want, queries...)
+				})
+			}
+		}
 	}
 }

@@ -21,32 +21,26 @@ import (
 // both paths — a view taken is one miss and one block read, exactly like a
 // buffer filled — so the paper's numbers do not depend on the platform.
 //
-// Alongside the byte cache the pager keeps a decoded-page cache: consumers
-// that materialize an in-memory form of a page (e.g. an R-tree node) may
-// memoize it with StoreDecoded and recover it with Decoded. Decoded values
-// never substitute for Read — callers still Read first, so hit/miss and
-// block-I/O accounting are unaffected — they only skip re-parsing bytes
-// already resident. Entries are dropped whenever the bytes they were parsed
-// from change or leave the cache: on Write, Invalidate, DropCache and
-// eviction.
+// The pager caches bytes only: readers parse pages in place (rtree's
+// zero-copy node views), so there is no decoded form to keep coherent.
 //
 // # Concurrency
 //
 // A Pager is safe for use by many concurrent readers (Read, Pin lookups,
-// Decoded, HitRate, CachedPages): the cache is lock-striped across
-// power-of-two shards keyed by page id, and the hit/miss counters are
-// atomic. A cache miss uses a single-flight protocol — the first goroutine
-// to miss a page installs an in-flight entry, releases the shard lock,
-// performs the one disk read and publishes the bytes; concurrent readers of
-// the same page count a hit and wait for the fill. Consequently both the
+// HitRate, CachedPages): the cache is lock-striped across power-of-two
+// shards keyed by page id, and the hit/miss counters are atomic. A cache
+// miss uses a single-flight protocol — the first goroutine to miss a page
+// installs an in-flight entry, releases the shard lock, performs the one
+// disk read and publishes the bytes; concurrent readers of the same page
+// count a hit and wait for the fill. Consequently both the
 // hit/miss tallies and the disk's block-read counter are exactly what a
 // serial execution of the same page accesses would produce, which is what
 // keeps QueryBatch's aggregate block-I/O bit-identical to serial runs.
 //
 // Writers (Write, Invalidate, Unpin, DropCache) are individually safe to
 // call, but mutating the underlying pages while queries read them is a
-// higher-level contract violation — rtree.Tree documents that updates
-// require exclusive access.
+// higher-level contract violation: a built rtree.Tree is read-only, and a
+// page is written only before any reader can reach it.
 //
 // Two cache regimes exist. Unbounded (capacity < 0, the production default)
 // and disabled (capacity 0) pagers never evict, so striping cannot change
@@ -83,7 +77,6 @@ type pagerShard struct {
 	// stablePins marks pinned pages whose bytes are zero-copy stable views:
 	// read-only, so Write replaces them instead of writing through.
 	stablePins map[PageID]struct{}
-	decoded    map[PageID]interface{}
 }
 
 // cacheEntry is one unpinned cached page. In bounded pagers data is always
@@ -127,7 +120,6 @@ func NewPager(dev Backend, capacity int) *Pager {
 		s.entries = make(map[PageID]*cacheEntry)
 		s.pinned = make(map[PageID][]byte)
 		s.stablePins = make(map[PageID]struct{})
-		s.decoded = make(map[PageID]interface{})
 	}
 	return p
 }
@@ -326,8 +318,7 @@ func (p *Pager) Pin(id PageID) {
 }
 
 // Unpin releases a pinned page. The page leaves the cache entirely (it is
-// not demoted to the LRU), so its decoded entry goes with it. It is a no-op
-// for unpinned pages.
+// not demoted to the LRU). It is a no-op for unpinned pages.
 func (p *Pager) Unpin(id PageID) {
 	s := p.shard(id)
 	s.mu.Lock()
@@ -337,46 +328,15 @@ func (p *Pager) Unpin(id PageID) {
 	}
 	delete(s.pinned, id)
 	delete(s.stablePins, id)
-	delete(s.decoded, id)
 }
 
-// Decoded returns the memoized decoded form of page id, if any. A hit
-// guarantees the value was stored against the bytes currently cached for
-// the page (writes and invalidations drop it).
-func (p *Pager) Decoded(id PageID) (interface{}, bool) {
-	s := p.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.decoded[id]
-	return v, ok
-}
-
-// StoreDecoded memoizes the decoded form of page id. The entry is kept only
-// while the page's bytes are resident (pinned or cached): tying decoded
-// lifetime to byte residency keeps memory proportional to the configured
-// cache capacity, and a capacity-0 pager stays cache-free as configured.
-func (p *Pager) StoreDecoded(id PageID, v interface{}) {
-	s := p.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.pinned[id]; !ok {
-		if _, ok := s.entries[id]; !ok {
-			return
-		}
-	}
-	s.decoded[id] = v
-}
-
-// Write stores data to page id on disk and refreshes any cached copy. The
-// decoded entry, parsed from the overwritten bytes, is dropped; callers
-// writing an already-materialized form may StoreDecoded it again. A stable
-// (mapped) view needs no refresh: the write reaches the storage at once, in
-// a transaction or out of one, and the view shows it.
+// Write stores data to page id on disk and refreshes any cached copy. A
+// stable (mapped) view needs no refresh: the write reaches the storage at
+// once, in a transaction or out of one, and the view shows it.
 func (p *Pager) Write(id PageID, data []byte) {
 	s := p.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.decoded, id)
 	p.dev.Write(id, data)
 	if pd, ok := s.pinned[id]; ok {
 		if _, stable := s.stablePins[id]; !stable {
@@ -398,13 +358,11 @@ func refreshCopy(dst, data []byte) {
 	}
 }
 
-// Invalidate drops any cached copy of page id (bytes and decoded form)
-// without touching the disk.
+// Invalidate drops any cached copy of page id without touching the disk.
 func (p *Pager) Invalidate(id PageID) {
 	s := p.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.decoded, id)
 	delete(s.pinned, id)
 	delete(s.stablePins, id)
 	if ce, ok := s.entries[id]; ok {
@@ -421,7 +379,7 @@ func (s *pagerShard) remove(ce *cacheEntry) {
 	}
 }
 
-// DropCache empties the cache, the pin set and the decoded cache.
+// DropCache empties the cache and the pin set.
 func (p *Pager) DropCache() {
 	for i := range p.shards {
 		s := &p.shards[i]
@@ -432,7 +390,6 @@ func (p *Pager) DropCache() {
 		s.entries = make(map[PageID]*cacheEntry)
 		s.pinned = make(map[PageID][]byte)
 		s.stablePins = make(map[PageID]struct{})
-		s.decoded = make(map[PageID]interface{})
 		s.mu.Unlock()
 	}
 }
@@ -497,7 +454,6 @@ func (p *Pager) evictLocked(s *pagerShard) {
 	for s.lru.Len() > p.capacity {
 		ce := s.lru.Remove(s.lru.Back()).(*cacheEntry)
 		delete(s.entries, ce.id)
-		delete(s.decoded, ce.id)
 		p.evictions.Add(1)
 	}
 }

@@ -211,36 +211,3 @@ func TestPagerConcurrentPinDuringFill(t *testing.T) {
 		}
 	}
 }
-
-// TestPagerConcurrentDecoded exercises the decoded-node cache from many
-// goroutines: stores and lookups must be race-free and a lookup must only
-// ever observe a value stored for that page.
-func TestPagerConcurrentDecoded(t *testing.T) {
-	const (
-		pages   = 16
-		workers = 8
-	)
-	d := newPagerDisk(t, pages)
-	p := NewPager(d, -1)
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := PageID((w + i) % pages)
-				p.Read(id)
-				if v, ok := p.Decoded(id); ok {
-					if v.(*decodedProbe).gen != int(id) {
-						t.Errorf("page %d decoded as %d", id, v.(*decodedProbe).gen)
-						return
-					}
-				} else {
-					p.StoreDecoded(id, &decodedProbe{gen: int(id)})
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}

@@ -121,100 +121,3 @@ func TestPagerWriteRefreshesLRUCopy(t *testing.T) {
 		t.Errorf("refreshed page re-read from disk %d times", got)
 	}
 }
-
-type decodedProbe struct{ gen int }
-
-// storeDecoded reads the page (making it resident where possible) and
-// memoizes a probe value for it.
-func storeDecoded(p *Pager, id PageID, gen int) {
-	p.Read(id)
-	p.StoreDecoded(id, &decodedProbe{gen: gen})
-}
-
-func decodedGen(p *Pager, id PageID) (int, bool) {
-	v, ok := p.Decoded(id)
-	if !ok {
-		return 0, false
-	}
-	return v.(*decodedProbe).gen, true
-}
-
-func TestPagerDecodedRoundTrip(t *testing.T) {
-	d := newPagerDisk(t, 2)
-	p := NewPager(d, -1)
-	if _, ok := p.Decoded(0); ok {
-		t.Fatal("decoded cache should start empty")
-	}
-	storeDecoded(p, 0, 1)
-	if gen, ok := decodedGen(p, 0); !ok || gen != 1 {
-		t.Fatalf("decoded(0) = %d/%v, want 1", gen, ok)
-	}
-	if _, ok := p.Decoded(1); ok {
-		t.Error("page 1 never stored but has a decoded entry")
-	}
-}
-
-func TestPagerDecodedDroppedOnWrite(t *testing.T) {
-	d := newPagerDisk(t, 1)
-	p := NewPager(d, -1)
-	storeDecoded(p, 0, 1)
-	p.Write(0, []byte{5})
-	if _, ok := p.Decoded(0); ok {
-		t.Error("Write must drop the decoded entry for the page")
-	}
-	// Re-storing after the write (the write-through pattern) works.
-	p.StoreDecoded(0, &decodedProbe{gen: 2})
-	if gen, ok := decodedGen(p, 0); !ok || gen != 2 {
-		t.Errorf("re-stored decoded = %d/%v, want 2", gen, ok)
-	}
-}
-
-func TestPagerDecodedDroppedOnInvalidateAndDropCache(t *testing.T) {
-	d := newPagerDisk(t, 2)
-	p := NewPager(d, -1)
-	storeDecoded(p, 0, 1)
-	storeDecoded(p, 1, 1)
-	p.Invalidate(0)
-	if _, ok := p.Decoded(0); ok {
-		t.Error("Invalidate must drop the decoded entry")
-	}
-	if _, ok := p.Decoded(1); !ok {
-		t.Error("Invalidate of page 0 dropped page 1's entry")
-	}
-	p.DropCache()
-	if _, ok := p.Decoded(1); ok {
-		t.Error("DropCache must drop every decoded entry")
-	}
-}
-
-func TestPagerDecodedFollowsResidency(t *testing.T) {
-	d := newPagerDisk(t, 3)
-
-	// Capacity-0: pages are never resident, so nothing is memoized.
-	p0 := NewPager(d, 0)
-	storeDecoded(p0, 0, 1)
-	if _, ok := p0.Decoded(0); ok {
-		t.Error("capacity-0 pager memoized a decoded entry")
-	}
-
-	// Eviction from the LRU drops the decoded entry with the bytes.
-	p := NewPager(d, 1)
-	storeDecoded(p, 0, 1)
-	p.Read(1) // evicts 0
-	if _, ok := p.Decoded(0); ok {
-		t.Error("eviction must drop the decoded entry")
-	}
-
-	// Pinned pages keep their entry through pressure; Unpin drops it.
-	p.Pin(2)
-	p.StoreDecoded(2, &decodedProbe{gen: 3})
-	p.Read(0)
-	p.Read(1)
-	if gen, ok := decodedGen(p, 2); !ok || gen != 3 {
-		t.Error("pinned page lost its decoded entry under LRU pressure")
-	}
-	p.Unpin(2)
-	if _, ok := p.Decoded(2); ok {
-		t.Error("Unpin must drop the decoded entry")
-	}
-}

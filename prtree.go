@@ -44,9 +44,8 @@
 //	}
 //	_ = tree.Close() // persists in place; reopen with prtree.Open
 //
-// The v1 entry points (Query, Search, SearchPoint, SearchContained,
-// NearestNeighbors) remain as thin deprecated shims over the same
-// executor.
+// CollectNearest is Collect for a Nearest query that also returns each
+// neighbor's squared distance, and Count counts without collecting.
 //
 // The read path is safe for many concurrent goroutines — the page cache is
 // lock-striped and per-traversal scratch is pooled — and QueryBatch /
@@ -514,14 +513,6 @@ func (d *Dynamic) InsertE(it Item) error {
 	return nil
 }
 
-// Insert is InsertE for callers that treat a durable-commit failure as
-// fatal: it panics, carrying the underlying error.
-func (d *Dynamic) Insert(it Item) {
-	if err := d.InsertE(it); err != nil {
-		panic(err)
-	}
-}
-
 // DeleteE removes an item by (rect, id), reporting success and the
 // transaction error, if any. Transactional like InsertE, and logged like
 // it on a file-backed index: a delete commits as one log record unless it
@@ -533,16 +524,6 @@ func (d *Dynamic) DeleteE(it Item) (bool, error) {
 		return false, fmt.Errorf("prtree: dynamic delete: %w", err)
 	}
 	return ok, nil
-}
-
-// Delete is DeleteE for callers that treat a durable-commit failure as
-// fatal: it panics, carrying the underlying error.
-func (d *Dynamic) Delete(it Item) bool {
-	ok, err := d.DeleteE(it)
-	if err != nil {
-		panic(err)
-	}
-	return ok
 }
 
 // Query reports every live item intersecting q.
@@ -643,14 +624,6 @@ func (d *Dynamic) FlushE() error {
 		return fmt.Errorf("prtree: dynamic flush: %w", err)
 	}
 	return nil
-}
-
-// Flush is FlushE for callers that treat a durable-commit failure as
-// fatal: it panics, carrying the underlying error.
-func (d *Dynamic) Flush() {
-	if err := d.FlushE(); err != nil {
-		panic(err)
-	}
 }
 
 // CompactionStats returns the merge counters plus the storage layer's

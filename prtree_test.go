@@ -2,6 +2,7 @@ package prtree
 
 import (
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -22,6 +23,51 @@ func randItems(n int, seed int64) []Item {
 	return items
 }
 
+// collect runs q on t; a query error fails the test.
+func collect(tb testing.TB, t *Tree, q Query) []Item {
+	tb.Helper()
+	out, err := t.Collect(q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// nearest returns the k items nearest (x, y) with their distances.
+func nearest(tb testing.TB, t *Tree, x, y float64, k int) []Neighbor {
+	tb.Helper()
+	out, err := t.CollectNearest(Nearest(x, y, k))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// mustInsert, mustDelete and mustFlush are the dynamic index's mutations
+// for tests that expect every commit to succeed: an error fails the test.
+func mustInsert(tb testing.TB, d *Dynamic, it Item) {
+	tb.Helper()
+	if err := d.InsertE(it); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func mustDelete(tb testing.TB, d *Dynamic, it Item) bool {
+	tb.Helper()
+	ok, err := d.DeleteE(it)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ok
+}
+
+func mustFlush(tb testing.TB, d *Dynamic) {
+	tb.Helper()
+	if err := d.FlushE(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestBulkAndSearch(t *testing.T) {
 	items := randItems(5000, 1)
 	tree := Bulk(items, nil)
@@ -40,8 +86,8 @@ func TestBulkAndSearch(t *testing.T) {
 				want++
 			}
 		}
-		if got := tree.Search(q); len(got) != want {
-			t.Fatalf("query %d: got %d, want %d", i, len(got), want)
+		if got, _ := tree.Count(Window(q)); got != want {
+			t.Fatalf("query %d: got %d, want %d", i, got, want)
 		}
 	}
 }
@@ -62,7 +108,8 @@ func TestAllPublicLoaders(t *testing.T) {
 func TestQueryEarlyStopAndStats(t *testing.T) {
 	tree := Bulk(randItems(2000, 4), &Options{Fanout: 16})
 	count := 0
-	st := tree.Query(NewRect(0, 0, 1.1, 1.1), func(Item) bool {
+	var st QueryStats
+	_ = tree.Run(Window(NewRect(0, 0, 1.1, 1.1)).WithStats(&st), func(Item) bool {
 		count++
 		return count < 10
 	})
@@ -80,10 +127,10 @@ func TestInsertDelete(t *testing.T) {
 	items := randItems(500, 5)
 	d := NewDynamic(&Options{Fanout: 8})
 	for _, it := range items {
-		d.Insert(it)
+		mustInsert(t, d, it)
 	}
 	extra := Item{Rect: NewRect(0.4, 0.4, 0.5, 0.5), ID: 99999}
-	d.Insert(extra)
+	mustInsert(t, d, extra)
 	if d.Len() != 501 {
 		t.Fatalf("len = %d", d.Len())
 	}
@@ -96,10 +143,10 @@ func TestInsertDelete(t *testing.T) {
 	if !found {
 		t.Fatal("inserted item not found")
 	}
-	if !d.Delete(extra) {
+	if !mustDelete(t, d, extra) {
 		t.Fatal("delete failed")
 	}
-	if d.Delete(extra) {
+	if mustDelete(t, d, extra) {
 		t.Fatal("double delete succeeded")
 	}
 	if d.Len() != 500 {
@@ -114,7 +161,8 @@ func TestIOStatsAndPinning(t *testing.T) {
 		t.Fatal("no internal nodes pinned")
 	}
 	tree.ResetIOStats()
-	st := tree.Query(NewRect(0.2, 0.2, 0.4, 0.4), nil)
+	var st QueryStats
+	_ = tree.Run(Window(NewRect(0.2, 0.2, 0.4, 0.4)).WithStats(&st), nil)
 	io := tree.IOStats()
 	if io.Writes != 0 {
 		t.Errorf("query wrote %d blocks", io.Writes)
@@ -150,13 +198,13 @@ func TestDynamicIndex(t *testing.T) {
 	d := NewDynamic(&Options{Fanout: 16, MemoryItems: 4096})
 	items := randItems(800, 8)
 	for _, it := range items {
-		d.Insert(it)
+		mustInsert(t, d, it)
 	}
 	if d.Len() != 800 {
 		t.Fatalf("len = %d", d.Len())
 	}
 	for _, it := range items[:300] {
-		if !d.Delete(it) {
+		if !mustDelete(t, d, it) {
 			t.Fatal("delete failed")
 		}
 	}
@@ -173,7 +221,7 @@ func TestDynamicIndex(t *testing.T) {
 			t.Fatalf("dynamic query: got %d, want %d", len(got), want)
 		}
 	}
-	d.Flush()
+	mustFlush(t, d)
 	if d.Len() != 500 {
 		t.Errorf("len after flush = %d", d.Len())
 	}
@@ -204,8 +252,8 @@ func TestSearchPointAndContained(t *testing.T) {
 			wantPoint++
 		}
 	}
-	if got := tree.SearchPoint(x, y); len(got) != wantPoint {
-		t.Errorf("SearchPoint: got %d, want %d", len(got), wantPoint)
+	if got, _ := tree.Count(Point(x, y)); got != wantPoint {
+		t.Errorf("Point: got %d, want %d", got, wantPoint)
 	}
 	q := NewRect(0.2, 0.2, 0.8, 0.8)
 	wantCont := 0
@@ -214,15 +262,15 @@ func TestSearchPointAndContained(t *testing.T) {
 			wantCont++
 		}
 	}
-	if got := tree.SearchContained(q); len(got) != wantCont {
-		t.Errorf("SearchContained: got %d, want %d", len(got), wantCont)
+	if got, _ := tree.Count(Contained(q)); got != wantCont {
+		t.Errorf("Contained: got %d, want %d", got, wantCont)
 	}
 }
 
 func TestNearestNeighborsPublic(t *testing.T) {
 	items := randItems(1000, 15)
 	tree := Bulk(items, &Options{Fanout: 16})
-	ns := tree.NearestNeighbors(0.5, 0.5, 7)
+	ns := nearest(t, tree, 0.5, 0.5, 7)
 	if len(ns) != 7 {
 		t.Fatalf("kNN returned %d", len(ns))
 	}
@@ -270,8 +318,8 @@ func TestSearchBatchMatchesSequentialFig12(t *testing.T) {
 		wantResults := make([][]Item, len(queries))
 		wantStats := make([]QueryStats, len(queries))
 		for i, q := range queries {
-			wantResults[i] = tree.Search(q)
-			wantStats[i] = tree.Query(q, nil)
+			wantResults[i] = collect(t, tree, Window(q))
+			_ = tree.Run(Window(q).WithStats(&wantStats[i]), nil)
 		}
 		serialIO := tree.IOStats()
 		if serialIO.Reads == 0 {
@@ -341,12 +389,48 @@ func TestConcurrentIOStatsDuringBatch(t *testing.T) {
 	}
 }
 
+// TestEmptyTree: every loader over zero items leaves the one empty tree —
+// no page, height 0 — which validates and answers every query with
+// nothing; a file-backed one closes to a file of no pages and reopens.
 func TestEmptyTree(t *testing.T) {
-	tree := Bulk(nil, nil)
-	if tree.Len() != 0 {
-		t.Errorf("len = %d", tree.Len())
+	empty := func(what string, tree *Tree) {
+		t.Helper()
+		if tree.Len() != 0 || tree.Nodes() != 0 || tree.Height() != 0 {
+			t.Errorf("%s: len %d, nodes %d, height %d; want 0, 0, 0", what, tree.Len(), tree.Nodes(), tree.Height())
+		}
+		if err := tree.Validate(); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+		for _, q := range []Query{Window(NewRect(0, 0, 1, 1)), Point(0.5, 0.5), Contained(NewRect(0, 0, 1, 1)), Nearest(0.5, 0.5, 3)} {
+			if got := collect(t, tree, q); len(got) != 0 {
+				t.Errorf("%s: query answered %v", what, got)
+			}
+		}
 	}
-	if got := tree.Search(NewRect(0, 0, 1, 1)); len(got) != 0 {
-		t.Errorf("empty search = %v", got)
+	for _, l := range []Loader{PR, Hilbert, Hilbert4D, STR, TGS} {
+		empty(l.String(), BulkWith(l, nil, nil))
+		empty(l.String()+" external", BulkWith(l, nil, &Options{MemoryItems: 1024}))
+	}
+
+	path := filepath.Join(t.TempDir(), "empty.pr")
+	tree, err := Create(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(PR, nil); err != nil {
+		t.Fatal(err)
+	}
+	empty("file", tree)
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	empty("reopened", re)
+	if total, inUse := re.PageCounts(); total != 0 || inUse != 0 {
+		t.Errorf("an empty index file holds %d pages, %d in use; want none", total, inUse)
 	}
 }

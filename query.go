@@ -199,64 +199,13 @@ func (t *Tree) CollectNearest(q Query) ([]Neighbor, error) {
 	return out, err
 }
 
-// --- v1 query shims -------------------------------------------------------
-//
-// The pre-v2 entry points remain as thin wrappers over the unified
-// executor so existing callers keep working; new code should build Query
-// values instead.
-
-// Query reports every stored item intersecting q to fn (return false to
-// stop early) and returns visit statistics.
-//
-// Deprecated: use Run, Iter or Collect with a Window query; statistics
-// come from WithStats.
-func (t *Tree) Query(q Rect, fn func(Item) bool) QueryStats {
-	var st QueryStats
-	_ = t.Run(Window(q).WithStats(&st), fn)
-	return st
-}
-
-// Search returns all items intersecting q.
-//
-// Deprecated: use Collect or Iter with a Window query.
-func (t *Tree) Search(q Rect) []Item {
-	out, _ := t.Collect(Window(q))
-	return out
-}
-
-// SearchPoint returns all items containing the point (x, y).
-//
-// Deprecated: use Collect or Iter with a Point query.
-func (t *Tree) SearchPoint(x, y float64) []Item {
-	out, _ := t.Collect(Point(x, y))
-	return out
-}
-
-// SearchContained returns all items fully contained in q.
-//
-// Deprecated: use Collect or Iter with a Contained query.
-func (t *Tree) SearchContained(q Rect) []Item {
-	out, _ := t.Collect(Contained(q))
-	return out
-}
-
 // Neighbor is one nearest-neighbor result with its squared distance.
 type Neighbor = rtree.Neighbor
-
-// NearestNeighbors returns the k items closest to (x, y) in ascending
-// distance order (best-first search).
-//
-// Deprecated: use Run, Iter or Collect with a Nearest query; this shim
-// remains for callers that need the squared distances.
-func (t *Tree) NearestNeighbors(x, y float64, k int) []Neighbor {
-	out, _, _ := t.inner.RunNearest(x, y, k, rtree.RunOptions{})
-	return out
-}
 
 // QueryBatch runs every window query concurrently on up to workers
 // goroutines (bounded by GOMAXPROCS; <= 1 means serial) and returns
 // per-query statistics indexed like queries. Per-query results and stats
-// are identical to sequential Query calls at every worker count, and with
+// are identical to sequential Run calls at every worker count, and with
 // the default unbounded cache the aggregate block-I/O is bit-identical
 // too. The tree must not be mutated while a batch runs.
 func (t *Tree) QueryBatch(queries []Rect, workers int) []QueryStats {
@@ -265,7 +214,7 @@ func (t *Tree) QueryBatch(queries []Rect, workers int) []QueryStats {
 
 // SearchBatch runs every query concurrently on up to workers goroutines and
 // returns the matching items per query, indexed and ordered exactly as N
-// sequential Search calls would be. The tree must not be mutated while a
+// sequential Collect calls of Window queries would be. The tree must not be mutated while a
 // batch runs.
 func (t *Tree) SearchBatch(queries []Rect, workers int) [][]Item {
 	results, _ := t.inner.SearchBatch(queries, workers)

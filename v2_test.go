@@ -143,11 +143,11 @@ func TestBackendEquivalence(t *testing.T) {
 				}
 
 				x, y := rng.Float64(), rng.Float64()
-				if !reflect.DeepEqual(mem.SearchPoint(x, y), file.SearchPoint(x, y)) {
+				if !reflect.DeepEqual(collect(t, mem, Point(x, y)), collect(t, file, Point(x, y))) {
 					t.Fatalf("query %d: point results differ", i)
 				}
-				nm := mem.NearestNeighbors(x, y, 10)
-				nf := file.NearestNeighbors(x, y, 10)
+				nm := nearest(t, mem, x, y, 10)
+				nf := nearest(t, file, x, y, 10)
 				if !reflect.DeepEqual(nm, nf) {
 					t.Fatalf("query %d: k-NN results differ", i)
 				}
@@ -206,13 +206,13 @@ func TestEmptyIndexOwnsNoPage(t *testing.T) {
 	if n, err := re.Count(Window(world)); n != 0 || err != nil {
 		t.Errorf("window count %d (%v)", n, err)
 	}
-	if got := re.SearchContained(world); len(got) != 0 {
+	if got := collect(t, re, Contained(world)); len(got) != 0 {
 		t.Errorf("containment found %d", len(got))
 	}
-	if got := re.SearchPoint(0.5, 0.5); len(got) != 0 {
+	if got := collect(t, re, Point(0.5, 0.5)); len(got) != 0 {
 		t.Errorf("point query found %d", len(got))
 	}
-	if got := re.NearestNeighbors(0.5, 0.5, 3); len(got) != 0 {
+	if got := nearest(t, re, 0.5, 0.5, 3); len(got) != 0 {
 		t.Errorf("k-NN found %d", len(got))
 	}
 	if got := re.SearchBatch([]Rect{world, world}, 2); len(got[0])+len(got[1]) != 0 {
@@ -257,7 +257,7 @@ func TestCreateCloseOpen(t *testing.T) {
 		queries := workload.Squares(world, 0.01, 20, 5)
 		wantResults := make([][]Item, len(queries))
 		for i, q := range queries {
-			wantResults[i] = tree.Search(q)
+			wantResults[i] = collect(t, tree, Window(q))
 		}
 		wantLen, wantHeight, wantNodes := tree.Len(), tree.Height(), tree.Nodes()
 		if err := tree.Close(); err != nil {
@@ -280,7 +280,7 @@ func TestCreateCloseOpen(t *testing.T) {
 			t.Fatal("reopened Items differ")
 		}
 		for i, q := range queries {
-			if got := re.Search(q); !reflect.DeepEqual(got, wantResults[i]) {
+			if got := collect(t, re, Window(q)); !reflect.DeepEqual(got, wantResults[i]) {
 				t.Fatalf("reopened query %d differs", i)
 			}
 		}
@@ -376,7 +376,7 @@ func TestFileBackedUpdatesPersist(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := tree.Search(NewRect(0, 0, 1, 1))
+	want := collect(t, tree, Window(NewRect(0, 0, 1, 1)))
 	nodes := tree.Nodes()
 	if err := tree.Close(); err != nil {
 		t.Fatal(err)
@@ -389,7 +389,7 @@ func TestFileBackedUpdatesPersist(t *testing.T) {
 	if re.Len() != 4000 || re.Nodes() != nodes {
 		t.Fatalf("reopened Len = %d, Nodes = %d; want 4000, %d", re.Len(), re.Nodes(), nodes)
 	}
-	if got := re.Search(NewRect(0, 0, 1, 1)); !reflect.DeepEqual(got, want) {
+	if got := collect(t, re, Window(NewRect(0, 0, 1, 1))); !reflect.DeepEqual(got, want) {
 		t.Fatal("reopened search differs after updates")
 	}
 	if err := re.Validate(); err != nil {
@@ -444,19 +444,33 @@ func TestQuerySurface(t *testing.T) {
 		}
 	})
 
-	t.Run("kinds agree with v1 shims", func(t *testing.T) {
+	t.Run("kinds agree with brute force", func(t *testing.T) {
 		q := workload.Squares(world, 0.02, 1, 3)[0]
-		if got, _ := tree.Collect(Window(q)); !reflect.DeepEqual(got, tree.Search(q)) {
-			t.Error("Window/Search disagree")
-		}
-		if got, _ := tree.Collect(Contained(q)); !reflect.DeepEqual(got, tree.SearchContained(q)) {
-			t.Error("Contained/SearchContained disagree")
-		}
 		x, y := 0.3, 0.7
-		if got, _ := tree.Collect(Point(x, y)); !reflect.DeepEqual(got, tree.SearchPoint(x, y)) {
-			t.Error("Point/SearchPoint disagree")
+		for _, c := range []struct {
+			kind  string
+			query Query
+			keep  func(Rect) bool
+		}{
+			{"Window", Window(q), q.Intersects},
+			{"Contained", Contained(q), q.Contains},
+			{"Point", Point(x, y), func(r Rect) bool { return r.ContainsPoint(x, y) }},
+		} {
+			want := map[uint32]bool{}
+			for _, it := range items {
+				if c.keep(it.Rect) {
+					want[it.ID] = true
+				}
+			}
+			got := map[uint32]bool{}
+			for _, it := range collect(t, tree, c.query) {
+				got[it.ID] = true
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d results, brute force %d", c.kind, len(got), len(want))
+			}
 		}
-		want := tree.NearestNeighbors(0.5, 0.5, 9)
+		want := nearest(t, tree, 0.5, 0.5, 9)
 		got, err := tree.Collect(Nearest(0.5, 0.5, 9))
 		if err != nil || len(got) != len(want) {
 			t.Fatalf("Nearest: %d results, want %d (err %v)", len(got), len(want), err)
@@ -490,7 +504,7 @@ func TestQuerySurface(t *testing.T) {
 		if err != nil || len(got) != 4 {
 			t.Fatalf("nearest with limit: %d results (err %v)", len(got), err)
 		}
-		want := tree.NearestNeighbors(0.5, 0.5, 4)
+		want := nearest(t, tree, 0.5, 0.5, 4)
 		for i := range got {
 			if got[i] != want[i].Item {
 				t.Fatalf("limited nearest differs at %d", i)
@@ -519,7 +533,7 @@ func TestConcurrentIterFileBacked(t *testing.T) {
 	queries := workload.Squares(world, 0.01, 32, 13)
 	want := make([][]Item, len(queries))
 	for i, q := range queries {
-		want[i] = tree.Search(q)
+		want[i] = collect(t, tree, Window(q))
 	}
 
 	var wg sync.WaitGroup
