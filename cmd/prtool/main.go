@@ -13,7 +13,7 @@
 //
 //	create  bulk-load -in into the on-disk index file -index (built once,
 //	        queryable across process runs); prints the file's footprint
-//	shard   partition -in into -shards trees (space- or Hilbert-ordered)
+//	shard   partition -in into -shards trees (Hilbert-ordered)
 //	        and bulk-load them into the index directory -out, writing a
 //	        manifest prtreeserve serves from; prints each shard file's size
 //	stats   print tree shape, utilization and build I/O, and for an index
@@ -71,7 +71,6 @@ func main() {
 	limit := flag.Int("limit", 0, "query: stop after N matches (0 = all)")
 	out := flag.String("out", "", "shard: output index directory")
 	nshards := flag.Int("shards", 4, "shard: number of shards")
-	partition := flag.String("partition", "hilbert", "shard: partitioning scheme: hilbert|grid")
 	cache := flag.Int("cache", 0, "page-cache capacity in pages (0 = unbounded, -1 disables)")
 	flag.Parse()
 
@@ -107,7 +106,6 @@ func main() {
 		}
 		man, err := serve.Build(*out, items, serve.BuildOptions{
 			Shards:      *nshards,
-			Partition:   *partition,
 			Loader:      loader,
 			MemoryItems: *mem,
 			Parallelism: opts.Parallelism,
@@ -370,7 +368,7 @@ func printCache(tree *prtree.Tree) {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: prtool -in data.bin [-loader PR] stats|query x1,y1,x2,y2|bench
        prtool -in data.bin -index file.pr create
-       prtool -in data.bin -out dir -shards N [-partition hilbert|grid] shard
+       prtool -in data.bin -out dir -shards N shard
        prtool -index file.pr stats|query x1,y1,x2,y2|bench|fsck|recover
        prtool -index file.pr compact   (dynamic index files only)`)
 	os.Exit(2)

@@ -133,7 +133,6 @@ func startLocalServer(cfg Config) (*localServer, error) {
 	world := geom.ItemsMBR(items)
 	if _, err := serve.Build(dir, items, serve.BuildOptions{
 		Shards:      4,
-		Partition:   serve.PartitionHilbert,
 		MemoryItems: cfg.MemoryItems,
 		Parallelism: cfg.Workers,
 	}); err != nil {

@@ -3,10 +3,11 @@
 // 2D curve; the four-dimensional Hilbert R-tree (H4) sorts the corner
 // transform (xmin, ymin, xmax, ymax) by the 4D curve.
 //
-// The 2D path is the classic iterative quadrant-rotation algorithm; the
-// d-dimensional path is Skilling's transpose algorithm ("Programming the
-// Hilbert curve", AIP Conf. Proc. 707, 2004), which works for any number of
-// dimensions and bit depth with dims*bits <= 64.
+// The 2D path is the classic quadrant-rotation algorithm run as a
+// table-driven state machine; the d-dimensional path is Skilling's
+// transpose algorithm ("Programming the Hilbert curve", AIP Conf. Proc.
+// 707, 2004), which works for any number of dimensions and bit depth with
+// dims*bits <= 64.
 package hilbert
 
 import (
@@ -17,31 +18,50 @@ import (
 
 // Index2D returns the Hilbert index of cell (x, y) on the 2^bits x 2^bits
 // grid. bits must be in [1, 31]; x and y must be < 2^bits.
+//
+// The quadrant rotations below each level (swap the axes, and in one
+// quadrant complement them) commute and are involutions, so the classic
+// loop is a 4-state transducer over bit pairs; Index2D runs it from a
+// table, a nibble of each coordinate a step, with no data-dependent branch.
 func Index2D(x, y uint32, bits int) uint64 {
 	if bits < 1 || bits > 31 {
 		panic(fmt.Sprintf("hilbert: Index2D bits %d out of range [1,31]", bits))
 	}
+	// Leading zero levels round bits up to whole nibbles. Each emits digit
+	// 0 and swaps the axes, so the walk starts swapped after an odd number.
+	pad := -bits & 3
+	state := uint(pad & 1)
 	var d uint64
-	for s := uint32(1) << (bits - 1); s > 0; s >>= 1 {
-		var rx, ry uint32
-		if x&s > 0 {
-			rx = 1
-		}
-		if y&s > 0 {
-			ry = 1
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		// Rotate the quadrant.
-		if ry == 0 {
-			if rx == 1 {
-				x = s - 1 - (x & (s - 1)) | (x &^ (2*s - 1))
-				y = s - 1 - (y & (s - 1)) | (y &^ (2*s - 1))
-			}
-			x, y = y, x
-		}
+	for shift := bits + pad - 4; shift >= 0; shift -= 4 {
+		e := index2DTable[state<<8|uint(x>>shift&15)<<4|uint(y>>shift&15)]
+		d = d<<8 | uint64(e&0xff)
+		state = uint(e >> 8)
 	}
 	return d
 }
+
+// index2DTable maps (state, x nibble, y nibble) to the four digits those
+// levels emit (low byte) and the state after them (high byte). A state is
+// bit 0 "axes swapped" and bit 1 "axes complemented".
+var index2DTable = func() (t [4 << 8]uint16) {
+	for i := range t {
+		state := uint16(i >> 8)
+		var digits uint16
+		for level := 3; level >= 0; level-- {
+			bx, by := uint16(i>>(4+level))&1, uint16(i>>level)&1
+			if state&1 != 0 {
+				bx, by = by, bx
+			}
+			rx, ry := bx^state>>1, by^state>>1
+			digits = digits<<2 | ((3 * rx) ^ ry)
+			if ry == 0 {
+				state ^= 1 | rx<<1
+			}
+		}
+		t[i] = state<<8 | digits
+	}
+	return t
+}()
 
 // Coords2D inverts Index2D: it returns the (x, y) cell of Hilbert index d
 // on the 2^bits grid.
@@ -206,7 +226,7 @@ func NewQuantizer2D(world geom.Rect, bits int) Quantizer2D {
 
 // Key returns the Hilbert index of point (x, y).
 func (q Quantizer2D) Key(x, y float64) uint64 {
-	return Index2D(q.cell(x, q.world.MinX, q.sx), q.cell(y, q.world.MinY, q.sy), q.bits)
+	return Index2D(cell(x, q.world.MinX, q.sx, q.bits), cell(y, q.world.MinY, q.sy, q.bits), q.bits)
 }
 
 // CenterKey returns the Hilbert index of the rectangle's center — the sort
@@ -216,16 +236,9 @@ func (q Quantizer2D) CenterKey(r geom.Rect) uint64 {
 	return q.Key(cx, cy)
 }
 
-func (q Quantizer2D) cell(v, lo, scale float64) uint32 {
-	c := int64((v - lo) * scale)
-	max := int64(1)<<uint(q.bits) - 1
-	if c < 0 {
-		c = 0
-	}
-	if c > max {
-		c = max
-	}
-	return uint32(c)
+// cell maps v onto the 2^bits grid that starts at lo, clamped to the grid.
+func cell(v, lo, scale float64, bits int) uint32 {
+	return uint32(min(max(int64((v-lo)*scale), 0), int64(1)<<uint(bits)-1))
 }
 
 // Quantizer4D maps 2D rectangles onto the 4D Hilbert grid via the corner
@@ -259,22 +272,10 @@ func NewQuantizer4D(world geom.Rect, bits int) Quantizer4D {
 // Key returns the 4D Hilbert index of (xmin, ymin, xmax, ymax).
 func (q Quantizer4D) Key(r geom.Rect) uint64 {
 	coords := []uint32{
-		q.cell(r.MinX, q.world.MinX, q.sx),
-		q.cell(r.MinY, q.world.MinY, q.sy),
-		q.cell(r.MaxX, q.world.MinX, q.sx),
-		q.cell(r.MaxY, q.world.MinY, q.sy),
+		cell(r.MinX, q.world.MinX, q.sx, q.bits),
+		cell(r.MinY, q.world.MinY, q.sy, q.bits),
+		cell(r.MaxX, q.world.MinX, q.sx, q.bits),
+		cell(r.MaxY, q.world.MinY, q.sy, q.bits),
 	}
 	return Index(coords, q.bits)
-}
-
-func (q Quantizer4D) cell(v, lo, scale float64) uint32 {
-	c := int64((v - lo) * scale)
-	max := int64(1)<<uint(q.bits) - 1
-	if c < 0 {
-		c = 0
-	}
-	if c > max {
-		c = max
-	}
-	return uint32(c)
 }

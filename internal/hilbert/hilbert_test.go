@@ -1,6 +1,7 @@
 package hilbert
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,56 @@ func abs32(a, b uint32) uint32 {
 		return a - b
 	}
 	return b - a
+}
+
+// index2DRef is the classic iterative quadrant-rotation loop: the oracle
+// for Index2D's table transducer.
+func index2DRef(x, y uint32, bits int) uint64 {
+	var d uint64
+	for s := uint32(1) << (bits - 1); s > 0; s >>= 1 {
+		var rx, ry uint32
+		if x&s > 0 {
+			rx = 1
+		}
+		if y&s > 0 {
+			ry = 1
+		}
+		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
+		// Rotate the quadrant.
+		if ry == 0 {
+			if rx == 1 {
+				x = s - 1 - (x & (s - 1)) | (x &^ (2*s - 1))
+				y = s - 1 - (y & (s - 1)) | (y &^ (2*s - 1))
+			}
+			x, y = y, x
+		}
+	}
+	return d
+}
+
+// TestIndex2DMatchesRef: every cell of every grid up to 256 x 256, and a
+// million random cells each on the 2^16 grid the partitions use and the
+// largest one, get the oracle's index.
+func TestIndex2DMatchesRef(t *testing.T) {
+	for bits := 1; bits <= 8; bits++ {
+		for x := uint32(0); x < 1<<bits; x++ {
+			for y := uint32(0); y < 1<<bits; y++ {
+				if got, want := Index2D(x, y, bits), index2DRef(x, y, bits); got != want {
+					t.Fatalf("bits=%d (%d,%d): Index2D %d, oracle %d", bits, x, y, got, want)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, bits := range []int{16, 31} {
+		mask := uint32(1)<<bits - 1
+		for i := 0; i < 1_000_000; i++ {
+			x, y := rng.Uint32()&mask, rng.Uint32()&mask
+			if got, want := Index2D(x, y, bits), index2DRef(x, y, bits); got != want {
+				t.Fatalf("bits=%d (%d,%d): Index2D %d, oracle %d", bits, x, y, got, want)
+			}
+		}
+	}
 }
 
 func TestIndex2DKnownOrder2(t *testing.T) {

@@ -123,6 +123,41 @@ func TestSelectKEdges(t *testing.T) {
 	}
 }
 
+// TestSelectKSampled runs windows large enough for sampled pivots, four
+// times the threshold, under every order, on the input shapes that defeat
+// a naive pivot: sorted, reverse-sorted and organ-pipe arrangements under
+// the order selected by, and one key shared by every record.
+func TestSelectKSampled(t *testing.T) {
+	n := 4 * sampleMin
+	same := make([]geom.Item, n)
+	for i := range same {
+		same[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(n - i)}
+	}
+	for i, o := range buildOrders() {
+		sorted := randItems(n, int64(i+1))
+		slices.SortFunc(sorted, func(a, b geom.Item) int {
+			if o.less(a, b) {
+				return -1
+			}
+			return 1
+		})
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		pipe := make([]geom.Item, 0, n) // up the even ranks, down the odd ones
+		for j := 0; j < n; j += 2 {
+			pipe = append(pipe, sorted[j])
+		}
+		for j := n - 1 - n%2; j > 0; j -= 2 {
+			pipe = append(pipe, sorted[j])
+		}
+		for _, items := range [][]geom.Item{randItems(n, int64(i+9)), sorted, reversed, pipe, same} {
+			for _, k := range []int{113, n / 2, n - 113} {
+				checkSelect(t, items, k, o)
+			}
+		}
+	}
+}
+
 // TestBuildWorkersIdentical: the kd recursion forks under the worker
 // budget, and the tree must not depend on it — same leaf groups, in the
 // same order, with the same members in the same positions. Every build

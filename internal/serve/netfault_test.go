@@ -17,7 +17,7 @@ import (
 func startFaultServer(t *testing.T, cfg Config, wrap func(net.Listener) net.Listener) (string, *Server) {
 	t.Helper()
 	items := dataset.Western(2000, 3)
-	set := buildSet(t, items, 2, PartitionHilbert)
+	set := buildSet(t, items, 2)
 	cfg.Set = set
 	srv := New(cfg)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -25,7 +25,7 @@ func fastRecovery() OpenOptions {
 func buildDir(t *testing.T, items []geom.Item, shards int) string {
 	t.Helper()
 	dir := t.TempDir()
-	if _, err := Build(dir, items, BuildOptions{Shards: shards, Partition: PartitionHilbert}); err != nil {
+	if _, err := Build(dir, items, BuildOptions{Shards: shards}); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -224,7 +224,7 @@ func TestQuarantineEveryCountedOp(t *testing.T) {
 // shard.
 func TestContextCancelNotQuarantined(t *testing.T) {
 	items := dataset.Western(1500, 5)
-	set := buildSet(t, items, 3, PartitionHilbert)
+	set := buildSet(t, items, 3)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

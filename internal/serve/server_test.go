@@ -22,7 +22,7 @@ import (
 func testServer(t *testing.T, cfg Config) (*Server, *Set, string) {
 	t.Helper()
 	items := dataset.Western(2000, 17)
-	set := buildSet(t, items, 3, PartitionHilbert)
+	set := buildSet(t, items, 3)
 	cfg.Set = set
 	srv := New(cfg)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -191,7 +191,7 @@ func TestRequestCtxClamp(t *testing.T) {
 // request still completes, and Shutdown returns clean.
 func TestGracefulDrain(t *testing.T) {
 	items := dataset.Western(2000, 17)
-	set := buildSet(t, items, 3, PartitionHilbert)
+	set := buildSet(t, items, 3)
 	srv := New(Config{Set: set})
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -271,7 +271,7 @@ func TestGracefulDrain(t *testing.T) {
 // Shutdown report the context error instead of hanging.
 func TestDrainTimeout(t *testing.T) {
 	items := dataset.Western(1000, 3)
-	set := buildSet(t, items, 2, PartitionHilbert)
+	set := buildSet(t, items, 2)
 	srv := New(Config{Set: set})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)

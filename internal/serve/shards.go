@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -29,22 +27,13 @@ const ManifestName = "manifest.json"
 // manifestVersion guards the manifest schema.
 const manifestVersion = 1
 
-// Partitioning schemes for Build.
-const (
-	// PartitionHilbert orders items along a 2D Hilbert curve of their
-	// centers and cuts the order into equal-count contiguous runs: shards
-	// are spatially coherent without any grid tuning (the default).
-	PartitionHilbert = "hilbert"
-	// PartitionGrid tiles the world STR-style — ~sqrt(N) equal-count
-	// vertical slabs, each cut into equal-count cells by Y — so shard
-	// boundaries are axis-parallel.
-	PartitionGrid = "grid"
-)
-
 // Manifest describes a sharded index directory: which files hold the
 // shards and how they were built. prtool shard writes it; Open reads it.
 type Manifest struct {
-	Version   int         `json:"version"`
+	Version int `json:"version"`
+	// Partition names how items were cut into shards. Build always writes
+	// "hilbert"; earlier builds could write "grid". Open does not read it:
+	// a shard is a file and the items in it.
 	Partition string      `json:"partition"`
 	Loader    string      `json:"loader"`
 	BlockSize int         `json:"block_size"`
@@ -63,8 +52,6 @@ type BuildOptions struct {
 	// Shards is the shard count (default 4). It is clamped to the item
 	// count so no shard is empty.
 	Shards int
-	// Partition selects PartitionHilbert (default) or PartitionGrid.
-	Partition string
 	// Loader bulk-loads each shard. The zero value is prtree.Hilbert
 	// (the Loader enum's first member); prtool shard defaults to PR.
 	Loader prtree.Loader
@@ -74,17 +61,20 @@ type BuildOptions struct {
 	// Parallelism is the build's worker budget (clamped to GOMAXPROCS; 0
 	// or 1 means serial). Shards come first: up to Parallelism of them
 	// load at once, and each shard's bulk-load pipeline gets an equal
-	// share of what is left (prtree.Options.Parallelism). The shard files
-	// and the manifest are byte-identical at every setting. Each shard
-	// in flight holds its own copy of its items and its page cache, so
-	// peak memory grows by about one shard's items per extra worker.
+	// share of what is left (prtree.Options.Parallelism); the partition's
+	// keys are computed on the whole budget. The shard files and the
+	// manifest are byte-identical at every setting. A shard in flight
+	// selects over a 4-byte-a-record permutation of its items and copies
+	// none of them, so an extra worker adds about four bytes a record of
+	// its shard.
 	Parallelism int
 }
 
-// Build partitions items and bulk-loads one file-backed tree per
-// partition into dir (created if absent), then writes the manifest. Every
-// item lands in exactly one shard, so scatter-gather query results over
-// the set equal the same dataset in a single tree.
+// Build cuts items into runs of their centers' Hilbert order and
+// bulk-loads one file-backed tree per run into dir (created if absent),
+// then writes the manifest. Every item lands in exactly one shard, so
+// scatter-gather query results over the set equal the same dataset in a
+// single tree.
 func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("serve: cannot shard an empty dataset")
@@ -95,30 +85,13 @@ func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 	if opt.Shards > len(items) {
 		opt.Shards = len(items)
 	}
-	if opt.Partition == "" {
-		opt.Partition = PartitionHilbert
-	}
-	var parts [][]geom.Item
-	switch opt.Partition {
-	case PartitionHilbert:
-		parts = partitionHilbert(items, opt.Shards)
-	case PartitionGrid:
-		parts = partitionGrid(items, opt.Shards)
-	default:
-		return nil, fmt.Errorf("serve: unknown partition %q (want %s or %s)",
-			opt.Partition, PartitionHilbert, PartitionGrid)
-	}
-	for i, part := range parts {
-		if len(part) == 0 {
-			return nil, fmt.Errorf("serve: partition produced empty shard %d of %d", i, len(parts))
-		}
-	}
+	parts := partitionHilbert(items, opt.Shards, opt.Parallelism)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	man := &Manifest{
 		Version:   manifestVersion,
-		Partition: opt.Partition,
+		Partition: "hilbert",
 		Loader:    opt.Loader.String(),
 		BlockSize: opt.BlockSize,
 		Items:     len(items),
@@ -189,99 +162,78 @@ func writeManifest(dir string, man *Manifest) error {
 	return nil
 }
 
-// sortedBy returns a copy of items ordered by (key, ID). It sorts compact
-// (key, id, position) records and gathers, so the sort moves 16 bytes per
-// exchange and never touches the rectangles.
-func sortedBy[K uint64 | float64](items []geom.Item, key func(geom.Rect) K) []geom.Item {
+// hilbertBits is the partition's grid resolution: 2^16 cells a side, so a
+// center's key fits 32 bits and (key, id) one uint64.
+const hilbertBits = 16
+
+// keyChunk is how many centers one worker keys at a time.
+const keyChunk = 1 << 14
+
+// partitionHilbert cuts the Hilbert order of item centers into n
+// equal-count contiguous runs. Ties (one cell) break by ID, so the
+// partition is deterministic for any input order. The keys are computed on
+// up to workers goroutines.
+func partitionHilbert(items []geom.Item, n, workers int) [][]geom.Item {
+	q := hilbert.NewQuantizer2D(geom.ItemsMBR(items), hilbertBits)
+	keys := make([]uint32, len(items))
+	parallel.Run(workers, (len(items)+keyChunk-1)/keyChunk, func(c int) {
+		for i := c * keyChunk; i < min((c+1)*keyChunk, len(items)); i++ {
+			keys[i] = uint32(q.CenterKey(items[i].Rect))
+		}
+	})
+	return chunks(sortedBy(items, keys), n)
+}
+
+// sortedBy returns a copy of items ordered by (keys[i], ID), items equal in
+// both in input order. It sorts (key<<32 | id, position) records with a
+// stable LSD radix sort, one pass per byte of the sort key that not every
+// record shares, and then gathers: no pass moves a rectangle.
+func sortedBy(items []geom.Item, keys []uint32) []geom.Item {
 	type rec struct {
-		key K
-		id  uint32
+		key uint64
 		pos uint32
 	}
-	recs := make([]rec, len(items))
+	n := len(items)
+	var counts [8][256]int32
+	src := make([]rec, n)
 	for i, it := range items {
-		recs[i] = rec{key: key(it.Rect), id: it.ID, pos: uint32(i)}
-	}
-	slices.SortFunc(recs, func(a, b rec) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+		k := uint64(keys[i])<<32 | uint64(it.ID)
+		src[i] = rec{key: k, pos: uint32(i)}
+		for b := range counts {
+			counts[b][uint8(k>>(8*b))]++
 		}
-		return cmp.Compare(a.id, b.id)
-	})
-	sorted := make([]geom.Item, len(items))
-	for i, r := range recs {
+	}
+	dst := make([]rec, n)
+	for b := range counts {
+		c := &counts[b]
+		if int(slices.Max(c[:])) == n {
+			continue // every record has this byte
+		}
+		var sum int32
+		for v := range c {
+			sum, c[v] = sum+c[v], sum
+		}
+		for _, r := range src {
+			d := uint8(r.key >> (8 * b))
+			dst[c[d]] = r
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	sorted := make([]geom.Item, n)
+	for i, r := range src {
 		sorted[i] = items[r.pos]
 	}
 	return sorted
 }
 
-// partitionHilbert cuts the Hilbert-order of item centers into n
-// equal-count contiguous runs. Ties (identical centers) break by ID so
-// the partition is deterministic for any input order.
-func partitionHilbert(items []geom.Item, n int) [][]geom.Item {
-	q := hilbert.NewQuantizer2D(geom.ItemsMBR(items), 16)
-	return chunks(sortedBy(items, q.CenterKey), n)
-}
-
-// partitionGrid tiles by ~sqrt(n) equal-count X-slabs, each cut into
-// equal-count cells by Y, yielding exactly n non-empty tiles. Slabs and
-// cells order by center coordinate, ties by ID.
-func partitionGrid(items []geom.Item, n int) [][]geom.Item {
-	centerX := func(r geom.Rect) float64 { return r.MinX + r.MaxX }
-	centerY := func(r geom.Rect) float64 { return r.MinY + r.MaxY }
-	cols := int(math.Sqrt(float64(n)))
-	if cols < 1 {
-		cols = 1
-	}
-	slabs := chunksWeighted(sortedBy(items, centerX), cols, n)
-	var out [][]geom.Item
-	for i, slab := range slabs {
-		rows := (n / cols)
-		if i < n%cols {
-			rows++
-		}
-		out = append(out, chunks(sortedBy(slab, centerY), rows)...)
-	}
-	return out
-}
-
 // chunks splits sorted into n contiguous near-equal runs (never empty:
 // callers guarantee n <= len(sorted)).
 func chunks(sorted []geom.Item, n int) [][]geom.Item {
-	out := make([][]geom.Item, 0, n)
-	start := 0
-	for i := 0; i < n; i++ {
-		size := len(sorted) / n
-		if i < len(sorted)%n {
-			size++
-		}
-		out = append(out, sorted[start:start+size])
-		start += size
-	}
-	return out
-}
-
-// chunksWeighted splits sorted into cols runs whose sizes are proportional
-// to the number of tiles each run will be cut into (n tiles total), so
-// every final tile holds a near-equal item count.
-func chunksWeighted(sorted []geom.Item, cols, n int) [][]geom.Item {
-	out := make([][]geom.Item, 0, cols)
-	start, tilesDone := 0, 0
-	for i := 0; i < cols; i++ {
-		rows := n / cols
-		if i < n%cols {
-			rows++
-		}
-		tilesDone += rows
-		end := len(sorted) * tilesDone / n
-		if end < start+rows { // every tile must get at least one item
-			end = start + rows
-		}
-		if i == cols-1 || end > len(sorted) {
-			end = len(sorted)
-		}
-		out = append(out, sorted[start:end])
-		start = end
+	out := make([][]geom.Item, n)
+	q, r := len(sorted)/n, len(sorted)%n // the first r runs hold one more
+	for i := range out {
+		out[i] = sorted[i*q+min(i, r) : (i+1)*q+min(i+1, r)]
 	}
 	return out
 }
