@@ -208,9 +208,9 @@ func BenchmarkTheorem3(b *testing.B) {
 // --- Core micro-benchmarks ---
 
 // BenchmarkPseudoPRBuildInMemory times the in-memory build every load
-// bottoms out in, on the uniform set and on one served shard's worth of
-// the repository benchmark's dataset, serial and with the kd recursion on
-// two workers (clamped to GOMAXPROCS).
+// bottoms out in, on the uniform set, on one served shard's worth of the
+// repository benchmark's dataset and on all of it (the embedded load),
+// serial and with the kd recursion on two workers (clamped to GOMAXPROCS).
 func BenchmarkPseudoPRBuildInMemory(b *testing.B) {
 	for _, ds := range []struct {
 		name  string
@@ -218,6 +218,7 @@ func BenchmarkPseudoPRBuildInMemory(b *testing.B) {
 	}{
 		{"uniform50k", dataset.Uniform(50000, 0.001, 19)},
 		{"western54k", dataset.Western(75000, 2004)},
+		{"western216k", dataset.Western(300000, 2004)}, // the embedded benchmark's load
 	} {
 		for _, w := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", ds.name, w), func(b *testing.B) {

@@ -46,14 +46,16 @@ type Options struct {
 	// knob only spreads the CPU work across cores: sorting, key
 	// computation and node encoding of independent sort runs, and in the
 	// PR loader the kd recursion of every in-memory pseudo-PR-tree build
-	// (pseudo.Build), whose pages come out byte-identical. A sort's run
+	// (pseudo.Build) and the gathering and encoding of its first stage's
+	// leaf pages, which come out byte-identical. A sort's run
 	// formation holds one chunk of MemoryItems decoded records (40 bytes
 	// each) and one sort arena of 32 bytes a record; a parallel one holds
 	// an arena per worker and Parallelism+1 chunks — fewer in the PR and
 	// TGS loaders, which sort every chunk by all four axes from one scan
 	// of the input and so keep four workers busy per chunk (two chunks up
 	// to Parallelism 4). An in-memory build adds a four-byte permutation
-	// entry a record.
+	// entry a record, about 40 KB of peel scratch a worker at fanout 113,
+	// and, from Parallelism 2 on, a batch of 64 page buffers for stage 0.
 	Parallelism int
 }
 

@@ -63,8 +63,10 @@ func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree
 // items, which is only read, each later stage over the entries of the one
 // before — so there is no ItemFile, no external sort and no temporary on any
 // store, and opt.MemoryItems is not consulted. It allocates four bytes of
-// permutation a record, the pseudo-trees' nodes and one leaf's worth of
-// gather buffer besides the pages. When len(items) <= MemoryItems PRTree
+// permutation a record, the pseudo-trees' nodes, their peel scratch and one
+// leaf's worth of gather buffer besides the pages; stage 0's leaves are
+// gathered and encoded on opt.Parallelism workers (Builder.WriteLeaves),
+// which adds a batch of page buffers. When len(items) <= MemoryItems PRTree
 // builds the same stages in memory too, so the two write the same pages in
 // the same order (InMemory says when a facade load takes this path).
 func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
@@ -76,9 +78,17 @@ func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tr
 	cur := items
 	for level := 0; ; level++ {
 		next := make([]geom.Item, 0, len(cur)/opt.Fanout+1)
-		pseudo.Build(cur, opt.Fanout, true, opt.Parallelism).EachLeaf(func(lg pseudo.LeafGroup) {
-			next = append(next, toItem(writeGroup(b, level, lg)))
-		})
+		t := pseudo.Build(cur, opt.Fanout, true, opt.Parallelism)
+		if level == 0 {
+			leaves := t.LeafIDs()
+			b.WriteLeaves(len(leaves), opt.Parallelism, func(i int, dst []geom.Item) []geom.Item {
+				return t.Gather(dst, leaves[i])
+			}, func(e rtree.ChildEntry) { next = append(next, toItem(e)) })
+		} else {
+			t.EachLeaf(func(lg pseudo.LeafGroup) {
+				next = append(next, toItem(writeGroup(b, level, lg)))
+			})
+		}
 		if len(next) == 1 {
 			return b.Finish(toChildEntries(next)[0], level+1)
 		}

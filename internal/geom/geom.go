@@ -105,6 +105,26 @@ func (r Rect) Perimeter() float64 {
 	return (r.MaxX - r.MinX) + (r.MaxY - r.MinY)
 }
 
+// Dist2 returns the squared Euclidean distance from the point (x, y) to
+// the nearest point of r (0 if inside): the metric every nearest-neighbour
+// search ranks by.
+func (r Rect) Dist2(x, y float64) float64 {
+	var dx, dy float64
+	switch {
+	case x < r.MinX:
+		dx = r.MinX - x
+	case x > r.MaxX:
+		dx = x - r.MaxX
+	}
+	switch {
+	case y < r.MinY:
+		dy = r.MinY - y
+	case y > r.MaxY:
+		dy = y - r.MaxY
+	}
+	return dx*dx + dy*dy
+}
+
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 

@@ -19,22 +19,3 @@ func ItemsMBR(items []Item) Rect {
 	}
 	return out
 }
-
-// ItemD is the d-dimensional analogue of Item.
-type ItemD struct {
-	Rect RectD
-	ID   uint32
-}
-
-// ItemsMBRD returns the minimal bounding hyper-rectangle of a non-empty
-// slice of d-dimensional items.
-func ItemsMBRD(items []ItemD) RectD {
-	if len(items) == 0 {
-		panic("geom: ItemsMBRD of empty slice")
-	}
-	out := items[0].Rect.Clone()
-	for _, it := range items[1:] {
-		out.UnionInPlace(it.Rect)
-	}
-	return out
-}

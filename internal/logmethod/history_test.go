@@ -101,7 +101,7 @@ func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 	x, y, k := rng.Float64(), rng.Float64(), 1+rng.Intn(12)
 	want := make([]Neighbor, len(live))
 	for i, it := range live {
-		want[i] = Neighbor{Item: it, Dist2: pointRectDist2(x, y, it.Rect)}
+		want[i] = Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)}
 	}
 	want = closest(want, k)
 	if got := tr.Nearest(x, y, k); fmt.Sprint(got) != fmt.Sprint(want) {

@@ -577,7 +577,7 @@ func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
 	}
 	var cand []Neighbor
 	add := func(it geom.Item) {
-		cand = append(cand, Neighbor{Item: it, Dist2: pointRectDist2(x, y, it.Rect)})
+		cand = append(cand, Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)})
 	}
 	for _, it := range s.buffer {
 		add(it)
@@ -592,7 +592,7 @@ func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
 		}
 		// A level whose box lies beyond the k-th candidate so far holds
 		// nothing closer: skipped unread, like a window that misses it.
-		if cand = closest(cand, k); len(cand) == k && cand[k-1].Dist2 < pointRectDist2(x, y, l.mbr) {
+		if cand = closest(cand, k); len(cand) == k && cand[k-1].Dist2 < l.mbr.Dist2(x, y) {
 			continue
 		}
 		nb, _, _ := l.RunNearest(x, y, want, rtree.RunOptions{})
@@ -617,27 +617,6 @@ func closest(cand []Neighbor, k int) []Neighbor {
 		cand = cand[:k]
 	}
 	return cand
-}
-
-// pointRectDist2 returns the squared Euclidean distance from a point to
-// the nearest point of r (0 if inside) — the metric the static tree's
-// best-first search uses, duplicated here so merged results rank
-// identically.
-func pointRectDist2(x, y float64, r geom.Rect) float64 {
-	var dx, dy float64
-	switch {
-	case x < r.MinX:
-		dx = r.MinX - x
-	case x > r.MaxX:
-		dx = x - r.MaxX
-	}
-	switch {
-	case y < r.MinY:
-		dy = r.MinY - y
-	case y > r.MaxY:
-		dy = y - r.MaxY
-	}
-	return dx*dx + dy*dy
 }
 
 // Flush compacts the structure into a single static PR-tree (plus an empty

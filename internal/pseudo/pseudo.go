@@ -62,7 +62,10 @@ const forkItems = 4096
 // items is read, never written, and must stay unchanged while the tree is
 // in use: the construction selects over a permutation of its indices (four
 // bytes a record), and the nodes name their members by index into it.
-// Leaves and EachLeaf gather the members back.
+// Leaves, EachLeaf and Gather fetch the members back. Besides the
+// permutation and the nodes, each goroutine that peels a window of
+// fusedMin records or more holds peel scratch: 20·B candidates of 16 bytes
+// and 8·B positions of four (about 40 KB at B = 113).
 //
 // workers bounds the goroutines the kd recursion may occupy (clamped to
 // GOMAXPROCS; one or less means serial). The two children of a kd node are
@@ -98,15 +101,16 @@ func buildTree(items []geom.Item, b int, roundToB, priority bool, workers int) *
 		ids[i] = int32(i)
 	}
 	if priority {
-		t.Root = t.build(ids, 0, roundToB, workers)
+		t.Root = t.build(ids, 0, roundToB, workers, nil)
 	} else {
 		t.Root = t.buildKD(ids, 0, roundToB)
 	}
 	return t
 }
 
-// appendItems appends the items ids name to dst.
-func (t *Tree) appendItems(dst []geom.Item, ids []int32) []geom.Item {
+// Gather appends the items ids names — a leaf's members, from LeafIDs —
+// to dst.
+func (t *Tree) Gather(dst []geom.Item, ids []int32) []geom.Item {
 	for _, id := range ids {
 		dst = append(dst, t.items[id])
 	}
@@ -125,9 +129,9 @@ func (t *Tree) mbr(ids []int32) geom.Rect {
 // buildKD is the no-priority-leaf variant: a pure kd-tree whose leaves
 // hold at most B items.
 func (t *Tree) buildKD(ids []int32, axis int, roundToB bool) *Node {
-	n := &Node{Axis: axis & 3, Bounds: t.mbr(ids)}
+	n := &Node{Axis: axis & 3}
 	if len(ids) <= t.B {
-		n.Items = ids
+		n.Items, n.Bounds = ids, t.mbr(ids)
 		return n
 	}
 	half := len(ids) / 2
@@ -136,35 +140,32 @@ func (t *Tree) buildKD(ids []int32, axis int, roundToB bool) *Node {
 			half = r
 		}
 	}
-	selectK(t.items, ids, half, axisOrder(n.Axis))
-	n.SplitValue = t.minCoord(ids[half:], n.Axis)
+	n.SplitValue = t.splitAt(ids, half, n.Axis)
 	n.Left = t.buildKD(ids[:half:half], axis+1, roundToB)
 	n.Right = t.buildKD(ids[half:], axis+1, roundToB)
+	n.Bounds = n.Left.Bounds.Union(n.Right.Bounds)
 	return n
 }
 
-// minCoord returns the least axis coordinate among the items ids names.
-// After a kd selection it is the split value: quickselect only guarantees
-// that the left side orders before the right side element-wise, not that
-// the first right-side item is the minimum of its side.
-func (t *Tree) minCoord(ids []int32, axis int) float64 {
-	min := t.items[ids[0]].Rect.Coord(axis)
-	for _, id := range ids[1:] {
-		if v := t.items[id].Rect.Coord(axis); v < min {
-			min = v
-		}
-	}
-	return min
+// splitAt selects the kd division of ids at half on axis — the half
+// records least on it to the front — and returns the split value, the
+// least coordinate on the axis behind the division: the coordinate of
+// ids[half], which the selection leaves as the rank-half record.
+func (t *Tree) splitAt(ids []int32, half, axis int) float64 {
+	selectK(t.items, ids, half, axisOrder(axis))
+	return t.items[ids[half]].Rect.Coord(axis)
 }
 
 // build is the recursive construction over the members ids names. workers
 // is the number of goroutines this subtree may keep busy, the caller's
-// included.
-func (t *Tree) build(ids []int32, axis int, roundToB bool, workers int) *Node {
+// included, and s is the calling goroutine's peel scratch (nil until a
+// window reaches fusedMin). Bounds are taken bottom-up, from the priority
+// leaves and the children, so no pass over a window is spent on them.
+func (t *Tree) build(ids []int32, axis int, roundToB bool, workers int, s *peelScratch) *Node {
 	b := t.B
-	n := &Node{Axis: axis & 3, Bounds: t.mbr(ids)}
+	n := &Node{Axis: axis & 3}
 	if len(ids) <= b {
-		n.Items = ids
+		n.Items, n.Bounds = ids, t.mbr(ids)
 		return n
 	}
 
@@ -173,6 +174,7 @@ func (t *Tree) build(ids []int32, axis int, roundToB bool, workers int) *Node {
 		// split evenly into <= 4 priority leaves of >= len/4 >= B/4 each
 		// (footnote 2 + the "slightly smaller priority leaves" refinement),
 		// leaving no remainder.
+		n.Bounds = t.mbr(ids)
 		rest := ids
 		groups := (len(ids) + b - 1) / b
 		for dir := 0; dir < groups; dir++ {
@@ -187,12 +189,15 @@ func (t *Tree) build(ids []int32, axis int, roundToB bool, workers int) *Node {
 		return n
 	}
 
-	rest := ids
-	for dir := 0; dir < 4; dir++ {
-		selectK(t.items, rest, b, extremeOrder(dir))
-		n.Priority[dir] = rest[:b:b]
-		rest = rest[b:]
+	if len(ids) >= fusedMin && s == nil {
+		s = newPeelScratch(b)
 	}
+	t.peel(ids, s)
+	for dir := range n.Priority {
+		n.Priority[dir] = ids[dir*b : (dir+1)*b : (dir+1)*b]
+	}
+	n.Bounds = t.mbr(ids[:4*b])
+	rest := ids[4*b:]
 
 	// kd-split the remainder on the round-robin axis. Rounding the division
 	// to a multiple of B keeps kd leaves full (the paper's near-100%
@@ -205,27 +210,30 @@ func (t *Tree) build(ids []int32, axis int, roundToB bool, workers int) *Node {
 	}
 	if half == 0 || half == len(rest) {
 		// Cannot split (all remaining on one side); make a child leaf.
-		n.Left = t.build(rest, axis+1, roundToB, workers)
+		n.Left = t.build(rest, axis+1, roundToB, workers, s)
 		n.SplitValue = t.items[rest[0]].Rect.Coord(n.Axis)
+		n.Bounds = n.Bounds.Union(n.Left.Bounds)
 		return n
 	}
-	selectK(t.items, rest, half, axisOrder(n.Axis))
-	n.SplitValue = t.minCoord(rest[half:], n.Axis)
+	n.SplitValue = t.splitAt(rest, half, n.Axis)
 	left, right := rest[:half:half], rest[half:]
 	if workers < 2 || len(rest) < forkItems {
-		n.Left = t.build(left, axis+1, roundToB, workers)
-		n.Right = t.build(right, axis+1, roundToB, workers)
-		return n
+		n.Left = t.build(left, axis+1, roundToB, workers, s)
+		n.Right = t.build(right, axis+1, roundToB, workers, s)
+	} else {
+		// The halves are near-equal, so the budget splits evenly between
+		// them, and the right one, on a goroutine of its own, takes scratch
+		// of its own. Run re-raises a child's panic here once both have
+		// stopped.
+		parallel.Run(2, 2, func(i int) {
+			if i == 0 {
+				n.Left = t.build(left, axis+1, roundToB, workers/2, s)
+			} else {
+				n.Right = t.build(right, axis+1, roundToB, workers-workers/2, nil)
+			}
+		})
 	}
-	// The halves are near-equal, so the budget splits evenly between them.
-	// Run re-raises a child's panic here once both have stopped.
-	parallel.Run(2, 2, func(i int) {
-		if i == 0 {
-			n.Left = t.build(left, axis+1, roundToB, workers/2)
-		} else {
-			n.Right = t.build(right, axis+1, roundToB, workers-workers/2)
-		}
-	})
+	n.Bounds = n.Bounds.Union(n.Left.Bounds).Union(n.Right.Bounds)
 	return n
 }
 
@@ -238,33 +246,48 @@ type LeafGroup struct {
 	Dir      int  // priority direction when Priority
 }
 
-// EachLeaf calls fn with every leaf group in depth-first order (priority
-// leaves of a node before its children), which keeps spatially coherent
-// groups adjacent for the level above. Each group's items are gathered into
-// one buffer of B items that the next call reuses, so fn must not keep
-// them.
-func (t *Tree) EachLeaf(fn func(LeafGroup)) {
-	buf := make([]geom.Item, 0, t.B)
+// eachGroup calls fn with every leaf group's members in depth-first order
+// (priority leaves of a node before its children), which keeps spatially
+// coherent groups adjacent for the level above.
+func (t *Tree) eachGroup(fn func(ids []int32, priority bool, dir int)) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n == nil {
 			return
 		}
 		if n.IsLeaf() {
-			buf = t.appendItems(buf[:0], n.Items)
-			fn(LeafGroup{Items: buf})
+			fn(n.Items, false, 0)
 			return
 		}
-		for dir := 0; dir < 4; dir++ {
-			if p := n.Priority[dir]; len(p) > 0 {
-				buf = t.appendItems(buf[:0], p)
-				fn(LeafGroup{Items: buf, Priority: true, Dir: dir})
+		for dir, p := range n.Priority {
+			if len(p) > 0 {
+				fn(p, true, dir)
 			}
 		}
 		walk(n.Left)
 		walk(n.Right)
 	}
 	walk(t.Root)
+}
+
+// EachLeaf calls fn with every leaf group in eachGroup's order. Each
+// group's items are gathered into one buffer of B items that the next call
+// reuses, so fn must not keep them.
+func (t *Tree) EachLeaf(fn func(LeafGroup)) {
+	buf := make([]geom.Item, 0, t.B)
+	t.eachGroup(func(ids []int32, priority bool, dir int) {
+		buf = t.Gather(buf[:0], ids)
+		fn(LeafGroup{Items: buf, Priority: priority, Dir: dir})
+	})
+}
+
+// LeafIDs returns every leaf group's members in EachLeaf's order, as the
+// indices into the input they are: Gather fetches their records. The
+// slices alias the tree's and must not be written.
+func (t *Tree) LeafIDs() [][]int32 {
+	out := make([][]int32, 0, t.N/t.B+1) // about one a B records
+	t.eachGroup(func(ids []int32, _ bool, _ int) { out = append(out, ids) })
+	return out
 }
 
 // Leaves returns every leaf group in EachLeaf's order, each with items of
@@ -459,5 +482,5 @@ func collect(n *Node, out []int32) []int32 {
 
 // Items returns every rectangle stored in the tree.
 func (t *Tree) Items() []geom.Item {
-	return t.appendItems(nil, collect(t.Root, nil))
+	return t.Gather(nil, collect(t.Root, nil))
 }

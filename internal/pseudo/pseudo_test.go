@@ -297,7 +297,7 @@ func TestPriorityLeavesAreExtreme(t *testing.T) {
 	for _, it := range sorted[:32] {
 		want[it.ID] = true
 	}
-	for _, it := range tr.appendItems(nil, root.Priority[0]) {
+	for _, it := range tr.Gather(nil, root.Priority[0]) {
 		if !want[it.ID] {
 			t.Fatalf("root xmin leaf holds non-extreme item %d", it.ID)
 		}
@@ -411,7 +411,7 @@ func TestBoundsCoverSubtrees(t *testing.T) {
 		if n == nil {
 			return
 		}
-		for _, it := range tr.appendItems(nil, collect(n, nil)) {
+		for _, it := range tr.Gather(nil, collect(n, nil)) {
 			if !n.Bounds.Contains(it.Rect) {
 				t.Fatalf("bounds %v miss item %v", n.Bounds, it.Rect)
 			}

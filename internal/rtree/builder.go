@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"prtree/internal/geom"
+	"prtree/internal/parallel"
 	"prtree/internal/storage"
 )
 
@@ -38,6 +39,53 @@ func (b *Builder) WriteLeaf(items []geom.Item) ChildEntry {
 	id := b.tree.allocPage(data)
 	b.nItems += len(items)
 	return ChildEntry{Rect: mbr, Page: id}
+}
+
+// leafBatch is how many leaf pages WriteLeaves encodes between writes.
+const leafBatch = 64
+
+// WriteLeaves writes n leaf pages, page i holding the records gather(i,
+// dst) appends to dst, and passes each page's entry to emit in order. The
+// pages get the ids n WriteLeaf calls in order would give them and the same
+// bytes, whatever workers is; workers (clamped to GOMAXPROCS) bounds the
+// goroutines that gather and encode them, leafBatch pages at a time, while
+// the calling goroutine writes each batch in page order. gather must be
+// safe to call concurrently.
+func (b *Builder) WriteLeaves(n, workers int, gather func(i int, dst []geom.Item) []geom.Item, emit func(ChildEntry)) {
+	f := b.tree.cfg.Fanout
+	if workers = parallel.Bound(workers); workers < 2 {
+		buf := make([]geom.Item, 0, f)
+		for i := range n {
+			emit(b.WriteLeaf(gather(i, buf[:0])))
+		}
+		return
+	}
+	bs := len(b.buf)
+	arena := make([]byte, leafBatch*bs)
+	pages := make([][]byte, leafBatch)
+	mbrs := make([]geom.Rect, leafBatch)
+	counts := make([]int, leafBatch)
+	bufs := make([][]geom.Item, workers)
+	for w := range bufs {
+		bufs[w] = make([]geom.Item, 0, f)
+	}
+	for lo := 0; lo < n; lo += leafBatch {
+		m := min(leafBatch, n-lo)
+		parallel.Run(workers, workers, func(w int) {
+			for j := w * m / workers; j < (w+1)*m/workers; j++ {
+				items := gather(lo+j, bufs[w][:0])
+				if len(items) == 0 || len(items) > f {
+					panic(fmt.Sprintf("rtree: leaf with %d entries (fanout %d)", len(items), f))
+				}
+				pages[j], mbrs[j] = encodeLeafPage(arena[j*bs:(j+1)*bs], items)
+				counts[j] = len(items)
+			}
+		})
+		for j, page := range pages[:m] {
+			b.nItems += counts[j]
+			emit(ChildEntry{Rect: mbrs[j], Page: b.tree.allocPage(page)})
+		}
+	}
 }
 
 // WriteInternal writes one internal page over the given children

@@ -50,25 +50,6 @@ func (t *Tree) NearestNeighbors(x, y float64, k int) ([]Neighbor, QueryStats) {
 	return out, st
 }
 
-// pointRectDist2 returns the squared Euclidean distance from a point to
-// the nearest point of r (0 if inside).
-func pointRectDist2(x, y float64, r geom.Rect) float64 {
-	var dx, dy float64
-	switch {
-	case x < r.MinX:
-		dx = r.MinX - x
-	case x > r.MaxX:
-		dx = x - r.MaxX
-	}
-	switch {
-	case y < r.MinY:
-		dy = r.MinY - y
-	case y > r.MaxY:
-		dy = y - r.MaxY
-	}
-	return dx*dx + dy*dy
-}
-
 type distEntry struct {
 	dist2  float64
 	page   storage.PageID

@@ -69,7 +69,7 @@ func TestContainmentEarlyStop(t *testing.T) {
 func bruteKNN(items []geom.Item, x, y float64, k int) []Neighbor {
 	ns := make([]Neighbor, len(items))
 	for i, it := range items {
-		ns[i] = Neighbor{Item: it, Dist2: pointRectDist2(x, y, it.Rect)}
+		ns[i] = Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)}
 	}
 	sort.Slice(ns, func(a, b int) bool { return ns[a].Dist2 < ns[b].Dist2 })
 	if k > len(ns) {
@@ -175,7 +175,7 @@ func TestPointRectDist2(t *testing.T) {
 		{5, 2, 4}, // right
 	}
 	for _, c := range cases {
-		if got := pointRectDist2(c.x, c.y, r); got != c.want {
+		if got := r.Dist2(c.x, c.y); got != c.want {
 			t.Errorf("dist2(%g,%g) = %g, want %g", c.x, c.y, got, c.want)
 		}
 	}

@@ -149,7 +149,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 			for i, cnt := 0, v.count(); i < cnt; i++ {
 				r := v.rectAt(i)
 				heap.Push(pq, distEntry{
-					dist2: pointRectDist2(x, y, r),
+					dist2: r.Dist2(x, y),
 					item:  geom.Item{Rect: r, ID: v.refAt(i)},
 				})
 			}
@@ -157,7 +157,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 			st.InternalVisited++
 			for i, cnt := 0, v.count(); i < cnt; i++ {
 				heap.Push(pq, distEntry{
-					dist2:  pointRectDist2(x, y, v.rectAt(i)),
+					dist2:  v.rectAt(i).Dist2(x, y),
 					page:   storage.PageID(v.refAt(i)),
 					isNode: true,
 				})

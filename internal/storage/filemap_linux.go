@@ -126,7 +126,7 @@ func (pm *pageMap) unmap() {
 
 // ReadStable implements StableReader: the zero-copy demand read. A page
 // has no view before its slot has been written (there are no bytes to
-// map); Read serves it.
+// map); Read serves it. A page still in the write run goes out first.
 //
 // On version-2 files the first view of a page after each write of it
 // verifies the CRC32C trailer against the mapped bytes, and a mismatch
@@ -137,7 +137,10 @@ func (fb *FileBackend) ReadStable(id PageID) ([]byte, bool) {
 	fb.checkIDLocked(id)
 	off := fb.offset(id)
 	if off+int64(fb.slotSize) > fb.extent.Load() {
-		return nil, false
+		fb.flushRun()
+		if off+int64(fb.slotSize) > fb.extent.Load() {
+			return nil, false
+		}
 	}
 	seg := fb.pm.segment(id)
 	if seg == nil {
