@@ -5,6 +5,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -17,7 +19,9 @@ import (
 
 	"prtree"
 	"prtree/internal/dataset"
+	"prtree/internal/geom"
 	"prtree/internal/serve"
+	"prtree/internal/workload"
 )
 
 // childEnv makes the test binary run the real main instead of the tests,
@@ -32,71 +36,261 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// child is a prtreeserve process started by startServer.
+type child struct {
+	cmd              *exec.Cmd
+	stdout           *bufio.Reader
+	log              strings.Builder // stdout read so far
+	stderr           bytes.Buffer
+	binAddr, httpURL string
+}
+
+// buildShards shards items into a fresh directory.
+func buildShards(t *testing.T, items []geom.Item, shards int) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "shards")
+	if _, err := serve.Build(dir, items, serve.BuildOptions{Shards: shards, Loader: prtree.PR}); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// startServer runs main in a child process serving dir on loopback ports
+// of its choosing, with extra flags appended, and reads the addresses it
+// prints. The child is killed at the end of the test unless it has exited.
+func startServer(t *testing.T, dir string, extra ...string) *child {
+	t.Helper()
+	args := append([]string{"-shards", dir, "-bind", "127.0.0.1:0", "-http", "127.0.0.1:0"}, extra...)
+	c := &child{cmd: exec.Command(os.Args[0], args...)}
+	c.cmd.Env = append(os.Environ(), childEnv+"=1")
+	c.cmd.Stderr = &c.stderr
+	stdout, err := c.cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if c.cmd.ProcessState == nil {
+			c.cmd.Process.Kill()
+			c.cmd.Wait()
+		}
+	})
+	c.stdout = bufio.NewReader(stdout)
+	for {
+		line, err := c.stdout.ReadString('\n')
+		c.log.WriteString(line)
+		if rest, ok := strings.CutPrefix(line, "prtreeserve: binary "); ok {
+			bin, web, _ := strings.Cut(strings.TrimSpace(rest), "  http ")
+			c.binAddr, c.httpURL = bin, "http://"+web
+			return c
+		}
+		if err != nil {
+			t.Fatalf("server never printed its addresses\n%s", c.output())
+		}
+	}
+}
+
+func (c *child) output() string {
+	return fmt.Sprintf("stdout:\n%sstderr:\n%s", c.log.String(), c.stderr.String())
+}
+
+// getJSON fetches path, requires a 200 and decodes the body into v.
+func (c *child) getJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	resp, err := http.Get(c.httpURL + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v\n%s", path, err, c.output())
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v: %s", path, resp.StatusCode, err, body)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("GET %s: malformed JSON: %v\n%s", path, err, body)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func (c *child) waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: timed out\n%s", what, c.output())
+		}
+	}
+}
+
+// healthy reports whether /healthz answers 200 "ok".
+func (c *child) healthy() bool {
+	resp, err := http.Get(c.httpURL + "/healthz")
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode == http.StatusOK && strings.TrimSpace(string(body)) == "ok"
+}
+
+// drain sends SIGTERM and requires a clean exit that says so.
+func (c *child) drain(t *testing.T) {
+	t.Helper()
+	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(c.stdout)
+	c.log.Write(rest)
+	if err := c.cmd.Wait(); err != nil {
+		t.Fatalf("server exited with %v after SIGTERM\n%s", err, c.output())
+	}
+	if !strings.Contains(c.log.String(), "drained cleanly") {
+		t.Fatalf("no drain marker\n%s", c.output())
+	}
+}
+
+// queryResponse is the part of a /query answer the tests read.
+type queryResponse struct {
+	Degraded bool `json:"degraded"`
+	Count    int  `json:"count"`
+	Items    []struct {
+		Dist2 *float64 `json:"dist2"`
+	} `json:"items"`
+}
+
 // TestSignalRightAfterHealthy: the first successful /healthz probe is the
 // earliest moment an orchestrator may decide to stop the server again. A
 // SIGTERM sent at that moment must be drained, not kill the process: the
 // handler is installed before the listeners that answer the probe exist.
 func TestSignalRightAfterHealthy(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "shards")
-	if _, err := serve.Build(dir, dataset.Western(2000, 1), serve.BuildOptions{Shards: 2, Loader: prtree.PR}); err != nil {
+	dir := buildShards(t, dataset.Western(2000, 1), 2)
+	for round := 0; round < 5; round++ {
+		c := startServer(t, dir)
+		c.waitFor(t, fmt.Sprintf("round %d: healthy", round), c.healthy)
+		c.drain(t)
+	}
+}
+
+// TestServeEndToEnd drives the real server over both protocols: health,
+// an HTTP window with a limit and an HTTP nearest query, 32 binary windows
+// checked against a scan of the input, /statsz, then a clean drain.
+func TestServeEndToEnd(t *testing.T) {
+	items := dataset.Western(4000, 3)
+	c := startServer(t, buildShards(t, items, 4), "-cache", "4096", "-tenantcap", "256", "-maxdeadline", "30s")
+	c.waitFor(t, "healthy", c.healthy)
+
+	var win queryResponse
+	c.getJSON(t, "/query?op=window&rect=0.4,0.4,0.6,0.6&limit=5", &win)
+	if want := min(5, countWindow(items, geom.NewRect(0.4, 0.4, 0.6, 0.6))); win.Count != want || len(win.Items) != want || want == 0 {
+		t.Fatalf("window limit=5: count %d, %d items, want %d", win.Count, len(win.Items), want)
+	}
+	var nn queryResponse
+	c.getJSON(t, "/query?op=nearest&x=0.5&y=0.5&k=3", &nn)
+	if nn.Count != 3 || len(nn.Items) != 3 || nn.Items[0].Dist2 == nil {
+		t.Fatalf("nearest k=3: %+v", nn)
+	}
+
+	cl, err := serve.Dial(c.binAddr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 5; round++ {
-		cmd := exec.Command(os.Args[0], "-shards", dir, "-bind", "127.0.0.1:0", "-http", "127.0.0.1:0")
-		cmd.Env = append(os.Environ(), childEnv+"=1")
-		stdout, err := cmd.StdoutPipe()
+	defer cl.Close()
+	for i, r := range workload.Squares(geom.ItemsMBR(items), 0.01, 32, 77) {
+		got, err := cl.Window(r, 0)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("binary window %d: %v", i, err)
 		}
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		lines := bufio.NewReader(stdout)
-		var log strings.Builder
-		httpAddr := ""
-		for httpAddr == "" {
-			line, err := lines.ReadString('\n')
-			log.WriteString(line)
-			if i := strings.Index(line, "  http "); i >= 0 {
-				httpAddr = strings.TrimSpace(line[i+len("  http "):])
-			}
-			if err != nil {
-				break
-			}
-		}
-		if httpAddr == "" {
-			cmd.Process.Kill()
-			cmd.Wait()
-			t.Fatalf("round %d: server never printed its addresses\nstdout:\n%sstderr:\n%s", round, log.String(), stderr.String())
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Get("http://" + httpAddr + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					break
-				}
-			}
-			if time.Now().After(deadline) {
-				cmd.Process.Kill()
-				cmd.Wait()
-				t.Fatalf("round %d: never healthy: %v", round, err)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
-		rest, _ := io.ReadAll(lines)
-		log.Write(rest)
-		if err := cmd.Wait(); err != nil {
-			t.Fatalf("round %d: server exited with %v after SIGTERM\nstdout:\n%sstderr:\n%s", round, err, log.String(), stderr.String())
-		}
-		if !strings.Contains(log.String(), "drained cleanly") {
-			t.Fatalf("round %d: no drain marker\nstdout:\n%s", round, log.String())
+		if want := countWindow(items, r); len(got) != want {
+			t.Fatalf("binary window %d: %d items, want %d", i, len(got), want)
 		}
 	}
+
+	var sz serve.Statsz
+	c.getJSON(t, "/statsz", &sz)
+	if sz.Shards != 4 || sz.Items != len(items) || sz.Served < 34 || sz.Errors != 0 {
+		t.Fatalf("statsz: shards %d items %d served %d errors %d", sz.Shards, sz.Items, sz.Served, sz.Errors)
+	}
+	c.drain(t)
+}
+
+// TestServeChaos runs the server with an injected read fault on shard 1
+// and connection resets on the binary listener. Full-world HTTP windows
+// stay well-formed JSON until the shard is quarantined; the binary
+// listener loses requests to its resets but the process lives; the
+// supervisor restores the shard, /healthz returns to "ok", the full world
+// is answered complete again, and the server drains cleanly.
+func TestServeChaos(t *testing.T) {
+	items := dataset.Western(4000, 5)
+	world := geom.ItemsMBR(items)
+	c := startServer(t, buildShards(t, items, 3),
+		"-faultshard", "1", "-faultreads", "5", "-recoverybackoff", "50ms",
+		"-netfault", "reset", "-netfaultafter", "40")
+	c.waitFor(t, "healthy", c.healthy)
+
+	fullWorld := fmt.Sprintf("/query?op=window&rect=%g,%g,%g,%g", world.MinX, world.MinY, world.MaxX, world.MaxY)
+	shardSum := func(field func(serve.ShardStatsz) uint64) uint64 {
+		var sz serve.Statsz
+		c.getJSON(t, "/statsz", &sz)
+		var n uint64
+		for _, s := range sz.ShardDetail {
+			n += field(s)
+		}
+		return n
+	}
+	c.waitFor(t, "quarantine", func() bool {
+		var resp queryResponse
+		c.getJSON(t, fullWorld, &resp)
+		return shardSum(func(s serve.ShardStatsz) uint64 { return s.Quarantines }) >= 1
+	})
+
+	var cl *serve.Client
+	errs := 0
+	for i, r := range workload.Squares(world, 0.01, 100, 78) {
+		var err error
+		if cl == nil {
+			cl, err = serve.Dial(c.binAddr)
+		}
+		if err == nil {
+			_, err = cl.Window(r, 0)
+		}
+		if err != nil {
+			errs++
+			if cl != nil {
+				cl.Close()
+				cl = nil
+			}
+			t.Logf("binary window %d: %v", i, err)
+		}
+	}
+	if cl != nil {
+		cl.Close()
+	}
+	if errs == 0 {
+		t.Fatal("100 binary windows and no injected reset")
+	}
+	if err := c.cmd.Process.Signal(syscall.Signal(0)); err != nil {
+		t.Fatalf("server died under connection resets: %v\n%s", err, c.output())
+	}
+
+	c.waitFor(t, "recovery", func() bool {
+		return shardSum(func(s serve.ShardStatsz) uint64 { return s.Recoveries }) >= 1 && c.healthy()
+	})
+	var resp queryResponse
+	c.getJSON(t, fullWorld, &resp)
+	if resp.Degraded || resp.Count != len(items) {
+		t.Fatalf("after recovery: degraded %v, %d of %d items", resp.Degraded, resp.Count, len(items))
+	}
+	c.drain(t)
+}
+
+// countWindow is the oracle: how many items intersect w.
+func countWindow(items []geom.Item, w geom.Rect) int {
+	n := 0
+	for _, it := range items {
+		if it.Rect.Intersects(w) {
+			n++
+		}
+	}
+	return n
 }

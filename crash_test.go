@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"prtree/internal/dataset"
 	"prtree/internal/storage"
 )
 
@@ -319,4 +320,89 @@ func TestCheckPagesFlippedByte(t *testing.T) {
 	if err := re.CheckPages(); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("CheckPages = %v, want wrapped ErrChecksum", err)
 	}
+}
+
+// TestFaultSweepRecovery drives a file-backed tree through every mode of
+// NewFaultyBackend, placed under it with Options.WrapBackend: a committed
+// base, then rebuilds over a growing item set — one BulkLoad, one
+// transaction each; rebuild i holds i items more than the base, so the
+// recovered size names the rebuild — with the fault armed 25 counted ops
+// in, until the backend errors, dies or silently stops persisting. The
+// process then dies without a checkpoint (Abandon) and the index is
+// reopened. The honest modes (error, crash) recover exactly the last acked
+// rebuild, sound; the stop mode, a disk that acks commits it dropped,
+// recovers at most that; a torn write is a short write the checksum
+// cannot see (it covers what was written), so its reopened tree need only
+// be well formed.
+func TestFaultSweepRecovery(t *testing.T) {
+	const rebuilds = 40
+	items := dataset.Western(1000+rebuilds, 12)
+	base := len(items) - rebuilds
+	for _, mode := range []FaultMode{FaultError, FaultTorn, FaultCrash, FaultStop} {
+		path := filepath.Join(t.TempDir(), "victim.pr")
+		var faulty *storage.Faulty
+		tr, err := Create(path, &Options{WrapBackend: func(b Backend) Backend {
+			faulty = NewFaultyBackend(b, mode, 0).(*storage.Faulty) // disarmed for the base
+			return faulty
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.BulkLoad(PR, items[:base]); err != nil {
+			t.Fatalf("%s: base build: %v", mode, err)
+		}
+		if err := tr.Sync(); err != nil {
+			t.Fatalf("%s: base checkpoint: %v", mode, err)
+		}
+		faulty.Arm(25)
+		acked := 0
+		for i := 1; i <= rebuilds; i++ {
+			if err := recoverPanic(func() error { return tr.BulkLoad(PR, items[:base+i]) }); err != nil {
+				break
+			}
+			acked++
+		}
+		crashBackend(t, tr).Abandon()
+
+		re, err := Open(path, nil)
+		if err != nil {
+			t.Errorf("%s: reopen failed: %v", mode, err)
+			continue
+		}
+		recovered := re.Len() - base
+		validate := recoverPanic(re.Validate)
+		scrub := recoverPanic(re.CheckPages)
+		crashBackend(t, re).Abandon()
+		switch mode {
+		case FaultError, FaultCrash:
+			if recovered != acked {
+				t.Errorf("%s: recovered rebuild %d, acked %d", mode, recovered, acked)
+			}
+			if validate != nil {
+				t.Errorf("%s: recovered tree failed validation: %v", mode, validate)
+			}
+			if scrub != nil {
+				t.Errorf("%s: recovered file failed scrub: %v", mode, scrub)
+			}
+		case FaultStop:
+			if recovered > acked {
+				t.Errorf("stop: recovered rebuild %d > acked %d", recovered, acked)
+			}
+			if scrub != nil {
+				t.Errorf("stop: recovered file failed scrub: %v", scrub)
+			}
+		}
+		t.Logf("%s: acked %d, recovered %d, validate %v, scrub %v", mode, acked, recovered, validate, scrub)
+	}
+}
+
+// recoverPanic runs fn and returns its error, or the panic it died of as
+// one.
+func recoverPanic(fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return fn()
 }

@@ -36,8 +36,7 @@ import (
 
 // CreateDynamic makes a new (or truncates an existing) index file at path
 // and returns an empty file-backed dynamic index on it. Close persists it
-// in place; OpenDynamic reopens it. Options.Backend is ignored —
-// CreateDynamic always uses the file-backed store at path.
+// in place; OpenDynamic reopens it.
 func CreateDynamic(path string, opts *Options) (*Dynamic, error) {
 	o := opts.normalized()
 	if err := storage.RemoveScratch(path); err != nil {

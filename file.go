@@ -19,8 +19,7 @@ import (
 // Create makes a new (or truncates an existing) index file at path and
 // returns an empty file-backed tree on it, which owns no page. Fill it
 // with BulkLoad; Close (or Sync) persists the tree in place, and Open
-// reopens it with zero rebuild work. Options.Backend is ignored — Create
-// always uses the file-backed store at path.
+// reopens it with zero rebuild work.
 func Create(path string, opts *Options) (*Tree, error) {
 	o := opts.normalized()
 	if err := storage.RemoveScratch(path); err != nil {

@@ -35,17 +35,8 @@ type Config struct {
 	// serial). Block-I/O counts — the quantity every figure plots — are
 	// identical at any setting; only wall-clock changes.
 	Workers int
-	// QueryWorkers is the highest worker count the query-throughput
-	// experiment sweeps to (0 = GOMAXPROCS). Aggregate block-I/O is
-	// identical at every setting; only queries/sec changes.
-	QueryWorkers int
 	// Seed drives every generator.
 	Seed int64
-	// ServeAddr points the serve experiment at an already-running
-	// prtreeserve binary-protocol listener instead of the in-process
-	// server it builds by default. The workload is synthesized from the
-	// remote server's reported world MBR.
-	ServeAddr string
 }
 
 // bulkOptions returns the loader options every experiment shares.
@@ -228,26 +219,30 @@ func fmtDur(d time.Duration) string {
 // paperLoaders is the comparison set of the paper in presentation order.
 var paperLoaders = []bulk.Loader{bulk.LoaderHilbert, bulk.LoaderHilbert4D, bulk.LoaderPR, bulk.LoaderTGS}
 
-// All runs every experiment and returns the tables in paper order.
-func All(cfg Config) []Table {
-	return []Table{
-		Fig9(cfg),
-		Fig10(cfg),
-		Fig11(cfg),
-		Fig12(cfg),
-		Fig13(cfg),
-		Fig14(cfg),
-		Fig15Size(cfg),
-		Fig15Aspect(cfg),
-		Fig15Skewed(cfg),
-		Table1(cfg),
-		Theorem3(cfg),
-		Lemma2Check(cfg),
-		Utilization(cfg),
-		AblationPriority(cfg),
-		AblationRoundToB(cfg),
-		AblationCache(cfg),
-		FutureWorkUpdates(cfg),
-		QueryThroughput(cfg),
-	}
+// Experiment names one table of the suite and the function that builds it.
+type Experiment struct {
+	ID  string
+	Run func(Config) Table
+}
+
+// All lists every experiment in paper order; cmd/prbench runs, lists and
+// selects from it.
+var All = []Experiment{
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"fig14", Fig14},
+	{"fig15size", Fig15Size},
+	{"fig15aspect", Fig15Aspect},
+	{"fig15skewed", Fig15Skewed},
+	{"table1", Table1},
+	{"theorem3", Theorem3},
+	{"lemma2", Lemma2Check},
+	{"utilization", Utilization},
+	{"ablation-priority", AblationPriority},
+	{"ablation-roundb", AblationRoundToB},
+	{"ablation-cache", AblationCache},
+	{"futurework", FutureWorkUpdates},
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -56,29 +58,22 @@ func TestChaosGate(t *testing.T) {
 		oracle[i] = bruteWindow(items, r)
 	}
 
-	res, err := RunLoad(LoadOptions{
-		Addr:     addr,
-		Clients:  8,
-		Requests: 400,
-		Rects:    rects,
-		Oracle:   oracle,
-		Robust: &RobustOptions{
-			RetryBackoff:    time.Millisecond,
-			RetryMaxBackoff: 10 * time.Millisecond,
-		},
+	robust := DialRobust(RobustOptions{
+		Addr:            addr,
+		RetryBackoff:    time.Millisecond,
+		RetryMaxBackoff: 10 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer robust.Close()
+	res := driveWindows(addr, robust, 8, 400, "", rects, oracle)
 
 	// The gate: no response — degraded or not — may contradict the oracle.
-	if res.Wrong != 0 {
-		t.Fatalf("%d wrong results against the oracle", res.Wrong)
+	if res.wrong != 0 {
+		t.Fatalf("%d wrong results against the oracle", res.wrong)
 	}
 	// Injected resets and the mid-run quarantine may cost some requests
 	// even through retries, but the vast majority must land.
-	if res.Errors > res.Requests/10 {
-		t.Fatalf("%d/%d requests failed — unbounded error rate", res.Errors, res.Requests)
+	if res.errors > res.requests/10 {
+		t.Fatalf("%d/%d requests failed — unbounded error rate", res.errors, res.requests)
 	}
 	if !flis.Fired() {
 		t.Fatal("network fault never fired")
@@ -99,6 +94,117 @@ func TestChaosGate(t *testing.T) {
 	}
 	assertSameItems(t, "post-chaos", got, bruteWindow(items, world))
 
+	c := robust.Counters()
 	t.Logf("chaos gate: requests=%d errors=%d degraded=%d retries=%d breakerOpens=%d",
-		res.Requests, res.Errors, res.Degraded, res.Retries, res.BreakerOpens)
+		res.requests, res.errors, res.degraded, c.Retries, c.BreakerOpens)
+}
+
+// loadResult counts what driveWindows saw.
+type loadResult struct {
+	requests int // requests sent
+	errors   int // transport failures and server error responses
+	degraded int // answers missing at least one shard
+	wrong    int // answers that contradict the oracle
+}
+
+// driveWindows sends requests window queries over rects, round-robin,
+// from clients goroutines: through robust when it is non-nil, otherwise
+// each goroutine on a Client of its own that it redials after a transport
+// failure. When oracle is non-nil (one complete answer per rect) every
+// answer is checked against it with answersOracle.
+func driveWindows(addr string, robust *RobustClient, clients, requests int, tenant string, rects []geom.Rect, oracle [][]geom.Item) loadResult {
+	var (
+		mu  sync.Mutex
+		res loadResult
+		wg  sync.WaitGroup
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var out loadResult
+			var cl *Client
+			for i := c; i < requests; i += clients {
+				ri := i % len(rects)
+				req := Request{Op: OpWindow, Rect: rects[ri], Tenant: tenant}
+				var r Result
+				var err error
+				if robust != nil {
+					r, err = robust.Do(req)
+				} else {
+					if cl == nil {
+						cl, err = Dial(addr)
+					}
+					if err == nil {
+						r, err = cl.Do(req)
+					}
+					var remote *RemoteError
+					if err != nil && cl != nil && !errors.As(err, &remote) {
+						cl.Close()
+						cl = nil
+					}
+				}
+				out.requests++
+				switch {
+				case err != nil:
+					out.errors++
+					continue
+				case oracle != nil && !answersOracle(r, oracle[ri]):
+					out.wrong++
+				}
+				if r.Degraded() {
+					out.degraded++
+				}
+			}
+			if cl != nil {
+				cl.Close()
+			}
+			mu.Lock()
+			res.requests += out.requests
+			res.errors += out.errors
+			res.degraded += out.degraded
+			res.wrong += out.wrong
+			mu.Unlock()
+		}(c)
+	}
+	wg.Wait()
+	return res
+}
+
+// answersOracle checks one window answer against the complete one: a
+// complete answer must equal it (same items, same order — both sides use
+// the deterministic merge order), a degraded one must be a subset of it
+// that names at least one failed shard.
+func answersOracle(r Result, want []geom.Item) bool {
+	if len(r.Sets) != 1 {
+		return false
+	}
+	got := r.Sets[0]
+	if !r.Degraded() {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if len(r.FailedShards) == 0 {
+		return false
+	}
+	// Both sides are in merge order, so one linear pass finds each
+	// returned item in the oracle.
+	wi := 0
+	for _, it := range got {
+		for wi < len(want) && want[wi] != it {
+			wi++
+		}
+		if wi == len(want) {
+			return false
+		}
+		wi++
+	}
+	return true
 }

@@ -12,7 +12,7 @@ import (
 // Client is a binary-protocol connection to a prtreeserve server. It is
 // not safe for concurrent use: the protocol is one request frame followed
 // by one response frame, so callers wanting parallelism open one Client
-// per goroutine (as the load generator does).
+// per goroutine (or share a RobustClient, which pools them).
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader

@@ -15,8 +15,7 @@ const histBase = time.Microsecond
 
 // histGrowth is the geometric bucket growth. 1.5^46 µs ≈ 124 s, so the
 // histogram spans sub-microsecond to minutes with ~±25% resolution —
-// plenty for p50/p95/p99 on a /statsz page (the load generator computes
-// exact quantiles from raw samples instead).
+// plenty for p50/p95/p99 on a /statsz page.
 const histGrowth = 1.5
 
 // histBounds holds each bucket's upper boundary, precomputed once.

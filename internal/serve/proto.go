@@ -152,8 +152,8 @@ type Neighbor struct {
 	Dist2 float64
 }
 
-// WireStats is the OpStats result: enough for a load generator pointed at
-// a remote server to synthesize a workload over the served world.
+// WireStats is the OpStats result: enough for a client pointed at a
+// remote server to synthesize a workload over the served world.
 type WireStats struct {
 	Shards uint32
 	Items  uint64

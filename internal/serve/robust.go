@@ -118,6 +118,12 @@ func (l *latRing) p99() (time.Duration, int) {
 	return quantile(buf, 0.99), n
 }
 
+// quantile returns the q-th quantile of sorted (nearest-rank method).
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	idx := int(q*float64(len(sorted))+0.5) - 1
+	return sorted[max(0, min(idx, len(sorted)-1))]
+}
+
 // breaker is a per-address circuit breaker over consecutive transport
 // failures. Server responses — even errors — prove the transport works
 // and reset it.

@@ -446,6 +446,9 @@ func Open(dir string, opt OpenOptions) (*Set, error) {
 	if len(man.Shards) == 0 {
 		return nil, fmt.Errorf("serve: manifest lists no shards")
 	}
+	if opt.FaultReadsAfter > 0 && (opt.FaultShard < 0 || opt.FaultShard >= len(man.Shards)) {
+		return nil, fmt.Errorf("serve: fault shard %d out of range [0, %d)", opt.FaultShard, len(man.Shards))
+	}
 	perShard := -1 // unbounded
 	if opt.CachePages > 0 {
 		perShard = opt.CachePages / len(man.Shards)

@@ -345,6 +345,29 @@ func TestBuildRejects(t *testing.T) {
 	if len(man.Shards) != 3 {
 		t.Errorf("got %d shards for 3 items, want 3", len(man.Shards))
 	}
+
+	// Open rejects a fault shard the set does not have: the fault would
+	// otherwise never fire, and a chaos run would fail later as "never
+	// quarantined". With the fault off, the shard index is not read.
+	for _, tc := range []struct {
+		shard   int
+		after   int64
+		wantErr bool
+	}{
+		{shard: 3, after: 5, wantErr: true},
+		{shard: 7, after: 5, wantErr: true},
+		{shard: -1, after: 5, wantErr: true},
+		{shard: 2, after: 5},
+		{shard: 7, after: 0},
+	} {
+		set, err := Open(dir, OpenOptions{FaultShard: tc.shard, FaultReadsAfter: tc.after})
+		if (err != nil) != tc.wantErr {
+			t.Errorf("Open with fault shard %d after %d reads: err %v, want error %v", tc.shard, tc.after, err, tc.wantErr)
+		}
+		if err == nil {
+			set.Close()
+		}
+	}
 }
 
 // TestSharedCacheBudget checks the global CachePages budget is split

@@ -8,8 +8,8 @@ import (
 
 // ErrInjectedFault is the sentinel every deliberately injected failure
 // wraps — both the Faulty decorator's and FileBackend.SetCrashAfterSteps'.
-// Tests and prbench match it with errors.Is to tell an injected fault
-// from a real bug.
+// Tests match it with errors.Is to tell an injected fault from a real
+// bug.
 var ErrInjectedFault = errors.New("storage: injected fault")
 
 // FaultMode selects what a Faulty decorator does when its trigger fires.
@@ -56,8 +56,9 @@ func (m FaultMode) String() string {
 // Faulty decorates a Backend with deterministic failure injection: after
 // N counted operations (Write, Sync, Commit — the persistence path), the
 // configured fault fires. It exists so the recovery machinery is
-// exercised continuously by tests and prbench -faults instead of only by
-// real crashes. The zero trigger (0) disarms injection.
+// exercised continuously by tests (the facade's TestFaultSweepRecovery
+// drives every mode) instead of only by real crashes. The zero trigger
+// (0) disarms injection.
 //
 // Faulty is safe for the same concurrent use as its inner backend; the
 // trigger check is atomic.

@@ -22,13 +22,13 @@
 //
 // # Storage backends
 //
-// Every tree runs on a storage Backend — the block-device seam. Three
+// Every tree runs on a storage Backend — the block-device seam. Two
 // implementations ship with the package: the in-memory simulator that
-// reproduces the paper's block-I/O accounting (the default), a file-backed
-// page store for indexes that persist in place and outlive the process
-// (Create/Open/Close), and a counting decorator that turns I/O stats into
-// a wrapper any backend can carry. Custom backends plug in through
-// Options.Backend.
+// reproduces the paper's block-I/O accounting (Bulk, BulkWith, NewDynamic),
+// and a file-backed page store for indexes that persist in place and
+// outlive the process (Create/Open/Close). A counting decorator turns I/O
+// stats into a wrapper either carries, and Options.WrapBackend places a
+// decorator of the caller's under a file-backed tree.
 //
 // # Queries
 //
@@ -135,12 +135,6 @@ type Options struct {
 	// construction. The built tree — for PR, byte for byte on a file-backed
 	// index — and the backend's I/O counts are identical at every setting.
 	Parallelism int
-	// Backend supplies the block store trees are built on. nil (the
-	// default) means a fresh in-memory simulator of BlockSize-byte
-	// blocks. Bulk, BulkWith and NewDynamic honor it; Create and Open
-	// always use the file-backed store at their path. The backend's block
-	// size wins over BlockSize when both are set.
-	Backend Backend
 	// WrapBackend, when set, decorates the raw block store of a
 	// file-backed tree (Create/Open) before the counting decorator and
 	// pager are assembled on top. It is
@@ -180,9 +174,9 @@ func (o Options) bulkOptions() bulk.Options {
 	}
 }
 
-// Tree is a static R-tree on a storage backend: the in-memory simulator by
-// default, a page file when built with Create/Open, or any Backend
-// supplied via Options.Backend. It is read-only once built; BulkLoad
+// Tree is a static R-tree on a storage backend: the in-memory simulator
+// when built with Bulk/BulkWith, a page file when built with Create/Open.
+// It is read-only once built; BulkLoad
 // replaces its contents wholesale. All block I/O flows through a Counting
 // decorator, so IOStats works uniformly across backends.
 type Tree struct {
@@ -236,15 +230,11 @@ func Bulk(items []Item, opts *Options) *Tree {
 	return BulkWith(PR, items, opts)
 }
 
-// BulkWith builds a tree with the chosen loader on the backend from opts
-// (a fresh in-memory simulator when unset). opts may be nil.
+// BulkWith builds a tree with the chosen loader on a fresh in-memory
+// simulator. opts may be nil.
 func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 	o := opts.normalized()
-	dev := o.Backend
-	if dev == nil {
-		dev = storage.NewDisk(o.BlockSize)
-	}
-	counting, pager := newTree(dev, o)
+	counting, pager := newTree(storage.NewDisk(o.BlockSize), o)
 	bopts := o.bulkOptions()
 	var tr *rtree.Tree
 	if bulk.InMemory(l, len(items), bopts) {
@@ -413,15 +403,11 @@ type CompactionStats struct {
 	SnapshotReaders int
 }
 
-// NewDynamic creates an empty dynamic index on the backend from opts (a
-// fresh in-memory simulator when unset). opts may be nil.
+// NewDynamic creates an empty dynamic index on a fresh in-memory
+// simulator. opts may be nil.
 func NewDynamic(opts *Options) *Dynamic {
 	o := opts.normalized()
-	dev := o.Backend
-	if dev == nil {
-		dev = storage.NewDisk(o.BlockSize)
-	}
-	counting, pager := newTree(dev, o)
+	counting, pager := newTree(storage.NewDisk(o.BlockSize), o)
 	inner := logmethod.New(pager, o.bulkOptions(), 0)
 	return &Dynamic{inner: inner, io: counting, pager: pager}
 }

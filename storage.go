@@ -4,10 +4,11 @@ import "prtree/internal/storage"
 
 // The storage seam, re-exported: Backend is the block-device interface
 // every tree runs on, and PageID addresses one block. They alias the
-// internal types, so custom backends written against these names satisfy
-// the interface the internal pager, loaders and trees consume.
+// internal types, so a decorator written against these names (see
+// Options.WrapBackend) satisfies the interface the internal pager, loaders
+// and trees consume.
 
-// Backend is a pluggable block store; see Options.Backend. Implementations
+// Backend is a block store; see Options.WrapBackend. Implementations
 // must honor the contracts documented on the interface: zeroed pages from
 // Alloc, block-granular reads/writes, a superblock metadata blob, and
 // Sync/Close durability hooks.
@@ -19,26 +20,6 @@ type PageID = storage.PageID
 // DefaultBlockSize is the paper's disk block size: 4 KB, which holds 113
 // 36-byte rectangle entries.
 const DefaultBlockSize = storage.DefaultBlockSize
-
-// NewMemoryBackend returns the in-memory block-store simulator the paper's
-// experiments run on (block-granular I/O, allocation freelist). blockSize
-// <= 0 selects DefaultBlockSize.
-func NewMemoryBackend(blockSize int) Backend {
-	if blockSize <= 0 {
-		blockSize = storage.DefaultBlockSize
-	}
-	return storage.NewDisk(blockSize)
-}
-
-// NewFileBackend creates (or truncates) a page file at path and returns a
-// persistent Backend on it — the building block behind Create. Most
-// callers want Create/Open instead, which also manage the tree metadata.
-func NewFileBackend(path string, blockSize int) (Backend, error) {
-	if blockSize <= 0 {
-		blockSize = storage.DefaultBlockSize
-	}
-	return storage.CreateFile(path, blockSize)
-}
 
 // CacheStats reports the page cache's counters; see Tree.CacheStats.
 type CacheStats = storage.CacheStats
@@ -74,12 +55,6 @@ var (
 // RecoveryInfo describes what crash recovery did while opening an index
 // file; see Tree.Recovery.
 type RecoveryInfo = storage.RecoveryInfo
-
-// Transactional is the optional atomicity seam a custom Backend may
-// implement; mutation paths bracket their writes with Begin/Commit so a
-// durable backend can apply each mutation atomically. The built-in file
-// backend implements it with a write-ahead log.
-type Transactional = storage.Transactional
 
 // FaultMode selects what a fault-injecting backend does when it fires:
 // FaultError, FaultTorn, FaultCrash or FaultStop.
