@@ -408,7 +408,7 @@ func BenchmarkDynamicDurableMutation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fb, _ := storage.AsFile(d.io)
+		fb := d.fb
 		fresh, live := items, []Item(nil)
 		mutate := func(n int) {
 			if n%deleteEvery == 0 && len(live) > 0 {

@@ -104,14 +104,13 @@ func copyCrashFiles(t *testing.T, from, to string) {
 	}
 }
 
-// crashBackend digs the FileBackend out of a tree's decorator chain.
+// crashBackend returns a file-backed tree's index file store.
 func crashBackend(t *testing.T, tr *Tree) *storage.FileBackend {
 	t.Helper()
-	fb, ok := storage.AsFile(tr.io)
-	if !ok {
+	if tr.fb == nil {
 		t.Fatal("file-backed tree has no FileBackend")
 	}
-	return fb
+	return tr.fb
 }
 
 func TestCrashRecoveryEveryBoundary(t *testing.T) {
@@ -405,4 +404,81 @@ func recoverPanic(fn func() error) (err error) {
 		}
 	}()
 	return fn()
+}
+
+// TestWrapBackendEmbeddingKeepsAtomicity: a decorator written the obvious
+// way, a struct embedding the Backend it wraps, forwards the transaction
+// hooks with every other method, so a rebuild under it is still one
+// transaction. Killed at steps spread across the rebuild, the process
+// leaves an index that reopens to the committed base, sound: a rebuild
+// outside a transaction would reuse the base's freed pages in place.
+func TestWrapBackendEmbeddingKeepsAtomicity(t *testing.T) {
+	items := dataset.Western(5000, 36)
+	if len(items) < 3000 {
+		t.Fatalf("dataset has %d items, want at least 3000", len(items))
+	}
+	base, rebuild := items[:2000], items[:3000]
+	path := filepath.Join(t.TempDir(), "embed.pr")
+	var fb *storage.FileBackend
+	opts := &Options{BlockSize: 512, WrapBackend: func(b Backend) Backend {
+		fb, _ = storage.AsFile(b)
+		return struct{ Backend }{b}
+	}}
+	// committedBase creates the index under the wrapper and commits and
+	// checkpoints the base.
+	committedBase := func() *Tree {
+		t.Helper()
+		tr, err := Create(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.BulkLoad(PR, base); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+
+	tr := committedBase()
+	start := fb.PersistSteps()
+	if err := tr.BulkLoad(PR, rebuild); err != nil {
+		t.Fatal(err)
+	}
+	steps := fb.PersistSteps() - start
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stride := max(1, steps/24)
+	t.Logf("rebuild: %d persistence steps, killed every %d", steps, stride)
+
+	// Kill points stop short of the last step, the commit's fsync: killed
+	// there, the process has written its commit record, and the reopen
+	// reads the rebuild as committed.
+	for k := int64(1); k < steps; k += stride {
+		tr := committedBase()
+		fb.SetCrashAfterSteps(fb.PersistSteps() + k)
+		if !expectInjectedCrash(t, fmt.Sprintf("step %d", k), func() error { return tr.BulkLoad(PR, rebuild) }) {
+			t.Fatalf("step %d: the rebuild outlived its crash point", k)
+		}
+		fb.Abandon()
+
+		re, err := Open(path, nil)
+		if err != nil {
+			t.Fatalf("step %d: reopen: %v", k, err)
+		}
+		if re.Len() != len(base) {
+			t.Errorf("step %d: reopened %d items, want the committed base's %d", k, re.Len(), len(base))
+		}
+		if err := recoverPanic(re.Validate); err != nil {
+			t.Errorf("step %d: reopened tree fails Validate: %v", k, err)
+		}
+		if err := re.CheckPages(); err != nil {
+			t.Errorf("step %d: reopened file fails CheckPages: %v", k, err)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -207,14 +207,13 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 	}
 }
 
-// dynCrashBackend digs the FileBackend out of a dynamic index.
+// dynCrashBackend returns a file-backed dynamic index's index file store.
 func dynCrashBackend(t *testing.T, d *Dynamic) *storage.FileBackend {
 	t.Helper()
-	fb, ok := storage.AsFile(d.io)
-	if !ok {
+	if d.fb == nil {
 		t.Fatal("file-backed dynamic index has no FileBackend")
 	}
-	return fb
+	return d.fb
 }
 
 // dynCrashWorkload drives the dynamic index through every transaction

@@ -132,8 +132,8 @@ func (d *Dynamic) reapplyNotes() error {
 	return nil
 }
 
-// assembleDynamic stacks the backend decorators (optional WrapBackend,
-// counting, pager) and builds or reopens the logmethod tree.
+// assembleDynamic puts the pager on the store (or on what WrapBackend made
+// of it) and builds or reopens the logmethod tree.
 // meta == nil means a fresh empty tree; otherwise it is the directory blob
 // a previous SaveState wrote.
 func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byte) (*Dynamic, error) {
@@ -141,7 +141,7 @@ func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byt
 	if o.WrapBackend != nil {
 		dev = o.WrapBackend(dev)
 	}
-	counting, pager := newTree(dev, o)
+	pager := storage.NewPager(dev, o.CacheCapacity)
 	bopts := o.bulkOptions()
 	var inner *logmethod.Tree
 	if meta == nil {
@@ -159,7 +159,7 @@ func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byt
 	// file create and delete; the rest build in memory and never create it.
 	scratch := storage.NewScratch(path, fb.BlockSize())
 	inner.SetScratch(scratch)
-	return &Dynamic{inner: inner, io: counting, pager: pager, scratch: scratch, fb: fb, path: path}, nil
+	return &Dynamic{inner: inner, io: dev, pager: pager, scratch: scratch, fb: fb, path: path}, nil
 }
 
 // Path returns the index file path, or "" for non-file backends.
@@ -179,11 +179,10 @@ func (d *Dynamic) CheckPages() error {
 	if d.closed {
 		return fmt.Errorf("prtree: CheckPages on closed index")
 	}
-	fb, ok := storage.AsFile(d.io)
-	if !ok {
+	if d.fb == nil {
 		return nil
 	}
-	if err := fb.Fsck(); err != nil {
+	if err := d.fb.Fsck(); err != nil {
 		return fmt.Errorf("prtree: %w", err)
 	}
 	return nil
@@ -193,7 +192,7 @@ func (d *Dynamic) CheckPages() error {
 // those slots the index currently references (the rest sit on the free
 // list, available for reuse without growing the file). Both are zero for
 // non-file backends.
-func (d *Dynamic) PageCounts() (total, inUse int) { return filePageCounts(d.io) }
+func (d *Dynamic) PageCounts() (total, inUse int) { return filePageCounts(d.fb) }
 
 // Sync persists the index's current state — pages, allocator and the
 // component directory — through the backend and leaves the page file

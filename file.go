@@ -33,10 +33,10 @@ func Create(path string, opts *Options) (*Tree, error) {
 	if o.WrapBackend != nil {
 		dev = o.WrapBackend(dev)
 	}
-	counting, pager := newTree(dev, o)
+	pager := storage.NewPager(dev, o.CacheCapacity)
 	inner := rtree.New(pager, rtree.Config{Fanout: o.Fanout})
 	t := &Tree{
-		inner: inner, pager: pager, io: counting, bopts: o.bulkOptions(), path: path,
+		inner: inner, pager: pager, io: dev, fb: fb, bopts: o.bulkOptions(), path: path,
 		scratch: storage.NewScratch(path, fb.BlockSize()),
 	}
 	if err := t.Sync(); err != nil {
@@ -69,7 +69,7 @@ func Open(path string, opts *Options) (*Tree, error) {
 	if o.WrapBackend != nil {
 		dev = o.WrapBackend(dev)
 	}
-	counting, pager := newTree(dev, o)
+	pager := storage.NewPager(dev, o.CacheCapacity)
 	inner, err := rtree.OpenFromMeta(pager, fb.Meta())
 	if err != nil {
 		// Abandon, not Close: a failed open must not rewrite the header or
@@ -80,7 +80,7 @@ func Open(path string, opts *Options) (*Tree, error) {
 	bopts := o.bulkOptions()
 	bopts.Fanout = inner.Config().Fanout
 	return &Tree{
-		inner: inner, pager: pager, io: counting, bopts: bopts, path: path,
+		inner: inner, pager: pager, io: dev, fb: fb, bopts: bopts, path: path,
 		scratch:  storage.NewScratch(path, fb.BlockSize()),
 		recovery: fb.RecoveryInfo(),
 	}, nil
@@ -106,11 +106,10 @@ func (t *Tree) CheckPages() error {
 	if t.closed {
 		return fmt.Errorf("prtree: CheckPages on closed tree")
 	}
-	fb, ok := storage.AsFile(t.io)
-	if !ok {
+	if t.fb == nil {
 		return nil
 	}
-	if err := fb.Fsck(); err != nil {
+	if err := t.fb.Fsck(); err != nil {
 		return fmt.Errorf("prtree: %w", err)
 	}
 	return nil
@@ -121,12 +120,11 @@ func (t *Tree) CheckPages() error {
 // list, available for reuse without growing the file). Both are zero for
 // non-file backends. A freshly created index that was bulk-loaded once
 // reports total == inUse == Nodes().
-func (t *Tree) PageCounts() (total, inUse int) { return filePageCounts(t.io) }
+func (t *Tree) PageCounts() (total, inUse int) { return filePageCounts(t.fb) }
 
 // filePageCounts is PageCounts for either kind of handle.
-func filePageCounts(b storage.Backend) (total, inUse int) {
-	fb, ok := storage.AsFile(b)
-	if !ok {
+func filePageCounts(fb *storage.FileBackend) (total, inUse int) {
+	if fb == nil {
 		return 0, 0
 	}
 	return fb.NumPages(), fb.PagesInUse()

@@ -1,10 +1,7 @@
-// Package geom provides the planar and d-dimensional geometric primitives
-// used throughout the PR-tree implementation: axis-parallel rectangles,
-// intersection and containment predicates, and minimal-bounding-box algebra.
-//
-// The 2D type Rect is the workhorse of the two-dimensional index (the
-// paper's experimental setting); RectD supports the d-dimensional
-// generalization of Section 2.3.
+// Package geom provides the planar geometric primitives used throughout the
+// PR-tree implementation: axis-parallel rectangles, intersection and
+// containment predicates, and minimal-bounding-box algebra. Rect is the
+// two-dimensional index's rectangle (the paper's experimental setting).
 package geom
 
 import (

@@ -31,9 +31,9 @@
 // The component directory — buffer, static levels, tombstones — is an
 // immutable state value swapped through an atomic pointer. Readers
 // (Query, Contained, Nearest, Items, Len) load the pointer once, bracket
-// their page accesses with the backend's Snapshotter (see
-// storage.Snapshotter), and never take a lock: a level a reader is
-// traversing stays byte-stable even while a writer replaces and frees it,
+// their page accesses with the backend's snapshot hooks (see
+// storage.Backend.SnapshotEnter), and never take a lock: a level a reader
+// is traversing stays byte-stable even while a writer replaces and frees it,
 // because the freed pages are epoch-pinned until the reader drains.
 // Writers (Insert, Delete, Flush) serialize on an internal mutex and
 // publish copy-on-write states: a visible buffer slice is never mutated
@@ -118,7 +118,7 @@ type Tree struct {
 	pager   *storage.Pager
 	opt     bulk.Options
 	base    int
-	snap    storage.Snapshotter
+	snap    storage.Backend  // the pager's backend, whose snapshot hooks readers bracket with
 	scratch *storage.Scratch // where builds put their temporaries; nil = the pager's backend
 
 	st atomic.Pointer[state]
@@ -143,7 +143,7 @@ func New(pager *storage.Pager, opt bulk.Options, base int) *Tree {
 		pager: pager,
 		opt:   opt,
 		base:  base,
-		snap:  storage.EnsureSnapshotter(pager.Backend()),
+		snap:  pager.Backend(),
 	}
 	t.st.Store(&state{})
 	return t

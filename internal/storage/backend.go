@@ -1,23 +1,32 @@
 package storage
 
-// Backend is the block-device seam every tree runs on: a store of
+// Backend is the one storage contract every tree runs on: a store of
 // fixed-size pages addressed by PageID, with allocation, block-granular
-// reads and writes, an opaque superblock metadata blob, and durability
-// hooks. The in-memory Disk simulator (the paper's measurement device),
-// the file-backed page store (FileBackend) and the Counting decorator all
-// implement it, so the same worst-case-optimal tree serves simulated,
-// persistent and instrumented storage without touching the algorithms.
+// reads and writes, an opaque superblock metadata blob, transaction and
+// snapshot hooks, durability, and the store's own block-I/O counters. The
+// in-memory Disk simulator (the paper's measurement device), the
+// file-backed page store (FileBackend), a load's Scratch store and the
+// Faulty decorator all implement it — a store implements the hooks it has
+// no use for as no-ops — so the same worst-case-optimal tree serves
+// simulated and persistent storage without touching the algorithms. A
+// decorator implements the whole interface; one that embeds a Backend
+// forwards every method it does not override, transactions and snapshots
+// included.
 //
 // Contracts shared by all implementations:
 //
-//   - Alloc returns a zeroed page and is not counted as I/O by decorators;
-//     the subsequent Write is.
+//   - Every store counts its own demand I/O: one read per Read,
+//     ReadNoCopy and successful ReadStable, one write per Write. Alloc,
+//     Free and PeekNoCopy are not I/O and are never counted, and neither
+//     is anything a store does on its own behalf (a log append, a header
+//     rewrite, the batching of writes).
+//   - Alloc returns a zeroed page; the subsequent Write is the I/O.
 //   - Write may pass fewer than BlockSize bytes; the page tail is
 //     untouched. Read copies at most BlockSize bytes into buf.
 //   - ReadNoCopy returns bytes a caller must treat as read-only; the slice
 //     stays valid until the page is freed or rewritten. PeekNoCopy is the
-//     same without being counted by decorators — it exists for test
-//     assertions and open-time sanity checks, never algorithm code.
+//     same without being counted — it exists for test assertions and
+//     open-time sanity checks, never algorithm code.
 //   - Pages must have a single writer at a time and must not be accessed
 //     after Free; allocation, Free, Meta and SetMeta are safe for
 //     concurrent use, and concurrent readers of distinct or immutable
@@ -51,6 +60,52 @@ type Backend interface {
 	SetMeta(meta []byte)
 	// Meta returns the current metadata blob (nil when unset).
 	Meta() []byte
+
+	// Begin opens a transaction. Mutation paths (a dynamic index's
+	// mutations, a bulk load) bracket their page writes with Begin and
+	// Commit so a durable store can make the whole batch atomic: after
+	// Commit returns the batch survives a crash, and a crash before Commit
+	// rolls the store back to the previous committed state on reopen.
+	// Transactions do not nest. A store without durability does nothing.
+	Begin()
+	// Commit atomically and durably applies everything since Begin.
+	Commit() error
+	// Rollback discards everything since Begin (e.g. on a mid-mutation
+	// panic). Without an open transaction it is a no-op.
+	Rollback()
+
+	// SnapshotEnter begins a snapshot read and returns the epoch token
+	// that must be passed to SnapshotLeave. While any reader is inside
+	// the bracket, pages passed to Free are retired rather than recycled:
+	// they join the durable freelist as usual (so the committed on-disk
+	// state never leaks them across a crash), but Alloc refuses to hand
+	// them out again until every reader that might still hold a reference
+	// has left. The effect is copy-on-write at page granularity — a writer
+	// running concurrently with readers always allocates fresh or
+	// long-drained pages, never a page a reader can still see — without a
+	// second allocator or an undo log. Pins live only in memory: a restart
+	// has no readers, so recovery sees the plain freelist. A store whose
+	// pages no reader shares across a swap does nothing.
+	SnapshotEnter() uint64
+	// SnapshotLeave ends the snapshot read begun by the SnapshotEnter that
+	// returned epoch. Pins that no remaining reader can reference are
+	// released.
+	SnapshotLeave(epoch uint64)
+	// SnapshotAdvance moves to the next epoch. A writer calls it once it
+	// has published a new state and freed the pages of the one it
+	// replaced, so those pages are pinned only by the readers that entered
+	// before the swap; readers entering after the call never pin them.
+	SnapshotAdvance()
+	// SnapshotStats reports the current epoch, reader and pin counts.
+	SnapshotStats() SnapshotStats
+
+	// Stats returns the store's cumulative demand block I/O (see the
+	// counting contract above). The counters are atomic: Stats and
+	// ResetStats are safe while concurrent queries drive the store.
+	Stats() Stats
+	// ResetStats zeroes the counters.
+	ResetStats()
+
 	// Sync flushes pages and metadata to stable storage.
 	Sync() error
 	// Close syncs and releases the backend.
@@ -67,80 +122,19 @@ type StableReader interface {
 	ReadStable(id PageID) (data []byte, ok bool)
 }
 
-// Compile-time interface conformance.
+// Compile-time interface conformance (and, on Linux, StableReader for
+// *FileBackend: filemap_linux.go).
 var (
 	_ Backend = (*Disk)(nil)
 	_ Backend = (*FileBackend)(nil)
-	_ Backend = (*Counting)(nil)
 	_ Backend = (*Faulty)(nil)
 	_ Backend = (*Scratch)(nil)
-
-	_ Transactional = (*FileBackend)(nil)
-	_ Transactional = (*Counting)(nil)
-	_ Transactional = (*Faulty)(nil)
-
-	_ StableReader = (*Counting)(nil) // and, on Linux, *FileBackend: filemap_linux.go
-
-	_ Snapshotter = (*Disk)(nil)
-	_ Snapshotter = (*FileBackend)(nil)
-	_ Snapshotter = (*Counting)(nil)
-	_ Snapshotter = (*Faulty)(nil)
 )
 
-// Transactional is the optional atomicity seam a Backend may implement.
-// Mutation paths (a dynamic index's mutations, a bulk load) bracket their
-// page writes with Begin/Commit so a durable backend can make the whole
-// batch atomic:
-// after Commit returns the mutation survives a crash, and a crash before
-// Commit rolls the store back to the previous committed state on reopen.
-// Rollback discards an open transaction in memory (e.g. on a mid-mutation
-// panic). Backends without durability semantics simply don't implement
-// it; use EnsureTransactional to call the hooks unconditionally.
-type Transactional interface {
-	// Begin opens a transaction. Transactions do not nest.
-	Begin()
-	// Commit atomically and durably applies everything since Begin.
-	Commit() error
-	// Rollback discards everything since Begin. Without an open
-	// transaction it is a no-op.
-	Rollback()
-}
-
-// nopTx is the Transactional no-op for backends without durability.
-type nopTx struct{}
-
-func (nopTx) Begin()        {}
-func (nopTx) Commit() error { return nil }
-func (nopTx) Rollback()     {}
-
-// EnsureTransactional returns b's Transactional implementation, or a
-// no-op one, so mutation paths can bracket writes without type checks.
-// Decorators forward the interface (see Counting), so the check is on b
-// itself, not the unwrapped chain.
-func EnsureTransactional(b Backend) Transactional {
-	if tx, ok := b.(Transactional); ok {
-		return tx
-	}
-	return nopTx{}
-}
-
-// unwrapper is implemented by decorators (e.g. Counting) so helpers can
-// reach the innermost backend.
-type unwrapper interface{ Unwrap() Backend }
-
-// AsFile unwraps decorators and returns the underlying FileBackend, or
-// (nil, false) when the chain bottoms out elsewhere. It gives durability
-// tooling (fsck, recovery reporting, WAL stats) access to file-only
-// surface without widening the Backend interface.
+// AsFile returns b as the page file it is, or (nil, false) for any other
+// store, so tooling can reach file-only surface (fsck, recovery reporting,
+// WAL stats) without widening the Backend interface.
 func AsFile(b Backend) (*FileBackend, bool) {
-	for {
-		if fb, ok := b.(*FileBackend); ok {
-			return fb, true
-		}
-		u, ok := b.(unwrapper)
-		if !ok {
-			return nil, false
-		}
-		b = u.Unwrap()
-	}
+	fb, ok := b.(*FileBackend)
+	return fb, ok
 }

@@ -77,7 +77,7 @@ type Disk struct {
 	reads  atomic.Uint64
 	writes atomic.Uint64
 
-	epochPins // Snapshotter: epoch-pinned reclamation of freed pages
+	epochPins // the snapshot hooks: epoch-pinned reclamation of freed pages
 }
 
 // NewDisk returns an empty disk with the given block size.
@@ -94,8 +94,8 @@ func (d *Disk) BlockSize() int { return d.blockSize }
 // Alloc reserves a page and returns its id. The page contents are zeroed.
 // Allocation itself is not counted as I/O; the subsequent Write is. The
 // lowest freed page is recycled first; freed pages pinned by an active
-// snapshot reader (see Snapshotter) are skipped: their bytes may still be
-// dereferenced, so the next one up is taken, or the disk extends.
+// snapshot reader (see Backend.SnapshotEnter) are skipped: their bytes may
+// still be dereferenced, so the next one up is taken, or the disk extends.
 func (d *Disk) Alloc() PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -161,12 +161,12 @@ func (d *Disk) PeekNoCopy(id PageID) []byte {
 	return d.page(id)
 }
 
-// Stats returns the cumulative I/O counters.
+// Stats implements Backend: the cumulative I/O counters.
 func (d *Disk) Stats() Stats {
 	return Stats{Reads: d.reads.Load(), Writes: d.writes.Load()}
 }
 
-// ResetStats zeroes the I/O counters.
+// ResetStats implements Backend.
 func (d *Disk) ResetStats() {
 	d.reads.Store(0)
 	d.writes.Store(0)
@@ -204,6 +204,12 @@ func (d *Disk) Meta() []byte {
 	copy(out, d.meta)
 	return out
 }
+
+// Begin, Commit and Rollback implement Backend as no-ops: memory has no
+// crash to make a batch atomic against.
+func (d *Disk) Begin()        {}
+func (d *Disk) Commit() error { return nil }
+func (d *Disk) Rollback()     {}
 
 // Sync implements Backend; memory is always "durable", so it is a no-op.
 func (d *Disk) Sync() error { return nil }

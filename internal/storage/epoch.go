@@ -22,56 +22,6 @@ type SnapshotStats struct {
 	PinnedPages int
 }
 
-// Snapshotter is the optional copy-on-write capability of a Backend.
-// A snapshot reader brackets its page accesses with SnapshotEnter /
-// SnapshotLeave; while any reader is inside the bracket, pages passed to
-// Free are *retired* rather than recycled: they join the durable freelist
-// as usual (so the committed on-disk state never leaks them across a
-// crash), but Alloc refuses to hand them out again until every reader
-// that might still hold a reference has left. The effect is copy-on-write
-// at page granularity — a writer running concurrently with readers always
-// allocates fresh or long-drained pages, never a page a reader can still
-// see — without a second allocator or an undo log.
-//
-// SnapshotAdvance bumps the epoch; a writer calls it once it has published
-// a new state and freed the pages of the one it replaced, so those pages
-// are pinned only by the readers that entered before the swap and go back
-// to the allocator as soon as those finish, however many readers entered
-// since. Crash safety is free: pins live only in memory, a restart has no
-// readers, so recovery sees the plain freelist.
-type Snapshotter interface {
-	// SnapshotEnter begins a snapshot read and returns the epoch token
-	// that must be passed to SnapshotLeave.
-	SnapshotEnter() uint64
-	// SnapshotLeave ends the snapshot read begun by the SnapshotEnter
-	// that returned epoch. Pins that no remaining reader can reference
-	// are released.
-	SnapshotLeave(epoch uint64)
-	// SnapshotAdvance moves to the next epoch. Readers entering after
-	// the call never pin pages freed before it.
-	SnapshotAdvance()
-	// SnapshotStats reports the current epoch, reader and pin counts.
-	SnapshotStats() SnapshotStats
-}
-
-// EnsureSnapshotter returns b's Snapshotter implementation, or a no-op
-// one, so read paths can bracket unconditionally. Decorators forward the
-// interface (see Counting), so the check is on b itself.
-func EnsureSnapshotter(b Backend) Snapshotter {
-	if s, ok := b.(Snapshotter); ok {
-		return s
-	}
-	return nopSnap{}
-}
-
-// nopSnap is the Snapshotter no-op for backends without the capability.
-type nopSnap struct{}
-
-func (nopSnap) SnapshotEnter() uint64        { return 0 }
-func (nopSnap) SnapshotLeave(uint64)         {}
-func (nopSnap) SnapshotAdvance()             {}
-func (nopSnap) SnapshotStats() SnapshotStats { return SnapshotStats{} }
-
 // epochPins implements the epoch bookkeeping shared by Disk and
 // FileBackend. It is deliberately decoupled from the backends' own
 // locks: retire, takeLowest and trimTail are called with the owner's allocator mutex
@@ -92,7 +42,7 @@ type epochPins struct {
 	pins   map[PageID]uint64
 }
 
-// SnapshotEnter implements Snapshotter.
+// SnapshotEnter implements Backend.
 func (p *epochPins) SnapshotEnter() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -103,7 +53,7 @@ func (p *epochPins) SnapshotEnter() uint64 {
 	return p.epoch
 }
 
-// SnapshotLeave implements Snapshotter.
+// SnapshotLeave implements Backend.
 func (p *epochPins) SnapshotLeave(epoch uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -119,7 +69,7 @@ func (p *epochPins) SnapshotLeave(epoch uint64) {
 	p.drainLocked()
 }
 
-// SnapshotAdvance implements Snapshotter.
+// SnapshotAdvance implements Backend.
 func (p *epochPins) SnapshotAdvance() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -127,7 +77,7 @@ func (p *epochPins) SnapshotAdvance() {
 	p.drainLocked()
 }
 
-// SnapshotStats implements Snapshotter.
+// SnapshotStats implements Backend.
 func (p *epochPins) SnapshotStats() SnapshotStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -80,9 +80,6 @@ func NewFaulty(b Backend, mode FaultMode, triggerAfter int64) *Faulty {
 	return f
 }
 
-// Unwrap returns the wrapped backend.
-func (f *Faulty) Unwrap() Backend { return f.inner }
-
 // Ops returns the number of counted operations so far.
 func (f *Faulty) Ops() int64 { return f.ops.Load() }
 
@@ -130,10 +127,10 @@ func (f *Faulty) NumPages() int { return f.inner.NumPages() }
 // PagesInUse implements Backend.
 func (f *Faulty) PagesInUse() int { return f.inner.PagesInUse() }
 
-// Alloc implements Backend (uncounted, like decorated I/O accounting).
+// Alloc implements Backend (never an injection point).
 func (f *Faulty) Alloc() PageID { return f.inner.Alloc() }
 
-// Free implements Backend (uncounted).
+// Free implements Backend (never an injection point).
 func (f *Faulty) Free(id PageID) { f.inner.Free(id) }
 
 // InjectReads makes Read/ReadNoCopy/PeekNoCopy counted injection points
@@ -197,7 +194,7 @@ func (f *Faulty) SetMeta(meta []byte) { f.inner.SetMeta(meta) }
 // Meta implements Backend.
 func (f *Faulty) Meta() []byte { return f.inner.Meta() }
 
-// Begin implements Transactional (uncounted). Once a sticky fault has
+// Begin implements Backend (uncounted). Once a sticky fault has
 // tripped, Begin follows it: FaultStop swallows the call (a dropped
 // Commit left the inner transaction open, and the treacherous disk keeps
 // acking), FaultCrash panics like every other operation.
@@ -210,10 +207,10 @@ func (f *Faulty) Begin() {
 			panic(f.injected("begin"))
 		}
 	}
-	EnsureTransactional(f.inner).Begin()
+	f.inner.Begin()
 }
 
-// Commit implements Transactional, an injection point: FaultStop drops
+// Commit implements Backend, an injection point: FaultStop drops
 // the commit silently, FaultCrash panics, other modes return the
 // injected error.
 func (f *Faulty) Commit() error {
@@ -227,30 +224,38 @@ func (f *Faulty) Commit() error {
 			return f.injected("commit")
 		}
 	}
-	return EnsureTransactional(f.inner).Commit()
+	return f.inner.Commit()
 }
 
-// Rollback implements Transactional (uncounted; swallowed like Begin
+// Rollback implements Backend (uncounted; swallowed like Begin
 // once FaultStop has tripped).
 func (f *Faulty) Rollback() {
 	if f.mode == FaultStop && f.tripped.Load() {
 		return
 	}
-	EnsureTransactional(f.inner).Rollback()
+	f.inner.Rollback()
 }
 
-// SnapshotEnter implements Snapshotter (uncounted, never faulted —
-// snapshot bookkeeping is in-memory, not a disk operation).
-func (f *Faulty) SnapshotEnter() uint64 { return EnsureSnapshotter(f.inner).SnapshotEnter() }
+// SnapshotEnter implements Backend (uncounted, never faulted — snapshot
+// bookkeeping is in-memory, not a disk operation).
+func (f *Faulty) SnapshotEnter() uint64 { return f.inner.SnapshotEnter() }
 
-// SnapshotLeave implements Snapshotter (uncounted, never faulted).
-func (f *Faulty) SnapshotLeave(epoch uint64) { EnsureSnapshotter(f.inner).SnapshotLeave(epoch) }
+// SnapshotLeave implements Backend (uncounted, never faulted).
+func (f *Faulty) SnapshotLeave(epoch uint64) { f.inner.SnapshotLeave(epoch) }
 
-// SnapshotAdvance implements Snapshotter (uncounted, never faulted).
-func (f *Faulty) SnapshotAdvance() { EnsureSnapshotter(f.inner).SnapshotAdvance() }
+// SnapshotAdvance implements Backend (uncounted, never faulted).
+func (f *Faulty) SnapshotAdvance() { f.inner.SnapshotAdvance() }
 
-// SnapshotStats implements Snapshotter (uncounted, never faulted).
-func (f *Faulty) SnapshotStats() SnapshotStats { return EnsureSnapshotter(f.inner).SnapshotStats() }
+// SnapshotStats implements Backend (uncounted, never faulted).
+func (f *Faulty) SnapshotStats() SnapshotStats { return f.inner.SnapshotStats() }
+
+// Stats implements Backend: the inner store's counters. An operation the
+// fault stopped short of the store — a write FaultStop swallowed, a read
+// that panicked — never reached it and is not counted.
+func (f *Faulty) Stats() Stats { return f.inner.Stats() }
+
+// ResetStats implements Backend, zeroing the inner store's counters.
+func (f *Faulty) ResetStats() { f.inner.ResetStats() }
 
 // Sync implements Backend, an injection point like Commit.
 func (f *Faulty) Sync() error {

@@ -133,10 +133,12 @@ func TestFaultyCommitError(t *testing.T) {
 }
 
 // TestFaultyTransparent: a disarmed Faulty is invisible — it forwards
-// everything, including the Transactional seam over a plain Disk.
+// everything, including the transaction hooks a plain Disk implements as
+// no-ops and the inner store's I/O counters.
 func TestFaultyTransparent(t *testing.T) {
-	f := NewFaulty(NewDisk(256), FaultNone, 0)
-	f.Begin() // Disk is not Transactional: must no-op, not panic
+	disk := NewDisk(256)
+	f := NewFaulty(disk, FaultNone, 0)
+	f.Begin() // a Disk's Begin is a no-op: must not panic
 	id := f.Alloc()
 	f.Write(id, []byte{42})
 	if err := f.Commit(); err != nil {
@@ -151,8 +153,8 @@ func TestFaultyTransparent(t *testing.T) {
 	if f.Ops() != 2 { // 1 write + 1 commit
 		t.Errorf("Ops = %d, want 2", f.Ops())
 	}
-	if fb, ok := AsFile(f); ok || fb != nil {
-		t.Errorf("AsFile(Faulty over a Disk) = %v, %v; want nil, false", fb, ok)
+	if got, want := f.Stats(), disk.Stats(); got != want || got != (Stats{Reads: 1, Writes: 1}) {
+		t.Errorf("Faulty.Stats = %v, inner store %v; want reads=1 writes=1 from both", got, want)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)

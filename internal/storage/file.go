@@ -153,6 +153,12 @@ type FileBackend struct {
 	steps      atomic.Int64
 	crashAfter atomic.Int64
 
+	// reads and writes count the demand I/O of the public Read,
+	// ReadNoCopy, ReadStable and Write (see Stats), nothing this handle
+	// does on its own behalf.
+	reads  atomic.Uint64
+	writes atomic.Uint64
+
 	// pagesDirty records a direct page write (in or out of a transaction)
 	// since the page file's last fsync; the next STATE-bearing
 	// commit or checkpoint flushes it. fileSyncs and walSyncs count fsyncs.
@@ -218,7 +224,7 @@ type FileBackend struct {
 
 	tx *fileTx // the open transaction; guarded by mu
 
-	epochPins // Snapshotter: epoch-pinned reclamation of freed pages
+	epochPins // the snapshot hooks: epoch-pinned reclamation of freed pages
 }
 
 // fileTx is one open transaction: the pre-transaction state needed for
@@ -734,6 +740,19 @@ func (fb *FileBackend) crashed() bool {
 // BlockSize implements Backend.
 func (fb *FileBackend) BlockSize() int { return fb.blockSize }
 
+// Stats implements Backend: one read per Read, ReadNoCopy and view
+// ReadStable lent, one write per Write. Log appends, header rewrites and
+// the runs fresh pages go out in are the store's own and never counted.
+func (fb *FileBackend) Stats() Stats {
+	return Stats{Reads: fb.reads.Load(), Writes: fb.writes.Load()}
+}
+
+// ResetStats implements Backend.
+func (fb *FileBackend) ResetStats() {
+	fb.reads.Store(0)
+	fb.writes.Store(0)
+}
+
 // NumPages implements Backend.
 func (fb *FileBackend) NumPages() int {
 	fb.mu.RLock()
@@ -813,9 +832,10 @@ func (fb *FileBackend) Alloc() PageID {
 // crash. Later allocations recycle from the list, lowest page first; a
 // checkpoint writes it out as the file's trailer, less the free pages at
 // the file's end, which it truncates away (see Sync). While snapshot
-// readers are active the page is also retired (see Snapshotter): Alloc
-// withholds it, and the checkpoint leaves it in the file, until the readers
-// that might still dereference its bytes drain.
+// readers are active the page is also retired (see
+// Backend.SnapshotEnter): Alloc withholds it, and the checkpoint leaves it
+// in the file, until the readers that might still dereference its bytes
+// drain.
 func (fb *FileBackend) Free(id PageID) {
 	fb.commitMu.RLock()
 	defer fb.commitMu.RUnlock()
@@ -835,6 +855,7 @@ func (fb *FileBackend) Free(id PageID) {
 // is verified; a mismatch panics with an error wrapping ErrChecksum (use
 // CheckPage or Fsck for a non-panicking scan).
 func (fb *FileBackend) Read(id PageID, buf []byte) int {
+	fb.reads.Add(1)
 	if len(buf) > fb.blockSize {
 		buf = buf[:fb.blockSize]
 	}
@@ -949,9 +970,9 @@ func (fb *FileBackend) Fsck() error {
 	return nil
 }
 
-// ReadNoCopy implements Backend. Each call returns a private copy of the
-// page — still read-only to honor the shared contract; the zero-copy read
-// is ReadStable, where the platform has one.
+// ReadNoCopy implements Backend, one Read into a private copy of the page
+// — still read-only to honor the shared contract; the zero-copy read is
+// ReadStable, where the platform has one.
 func (fb *FileBackend) ReadNoCopy(id PageID) []byte {
 	buf := make([]byte, fb.blockSize)
 	fb.Read(id, buf)
@@ -982,6 +1003,7 @@ func (fb *FileBackend) Write(id PageID, data []byte) {
 	if len(data) > fb.blockSize {
 		panic(fmt.Sprintf("storage: write of %d bytes exceeds block size %d", len(data), fb.blockSize))
 	}
+	fb.writes.Add(1)
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	fb.checkIDLocked(id)
@@ -1139,7 +1161,7 @@ func (fb *FileBackend) Meta() []byte {
 	return out
 }
 
-// Begin implements Transactional: it opens a transaction. What Rollback
+// Begin implements Backend: it opens a transaction. What Rollback
 // needs of the committed allocator state is captured when the transaction
 // first touches it (see fileTx). Transactions do not nest.
 func (fb *FileBackend) Begin() {
@@ -1245,7 +1267,7 @@ func (fb *FileBackend) extendWAL(need int64) error {
 	return nil
 }
 
-// Commit implements Transactional. It makes the transaction durable and
+// Commit implements Backend. It makes the transaction durable and
 // atomic: page writes since the page file's last fsync are flushed first
 // (unless the commit is light), then the notes, the post-state (unless
 // light) and a commit marker are appended to the log and fsynced — one
@@ -1325,7 +1347,7 @@ func (fb *FileBackend) finishCommit(seq uint64) {
 	fb.tx = nil
 }
 
-// Rollback implements Transactional: it discards the open transaction,
+// Rollback implements Backend: it discards the open transaction,
 // restoring the committed allocator state and metadata. Pages freshly
 // written during the transaction are left as garbage beyond the restored
 // page count: later allocations extend over them again, and a checkpoint

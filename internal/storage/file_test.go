@@ -314,32 +314,49 @@ func TestFileBackendMetaTooLarge(t *testing.T) {
 	}
 }
 
-// TestFileBackendCounting: the Counting decorator must observe exactly the
-// caller-issued block transfers on a file backend, with Alloc uncounted.
+// TestFileBackendCounting: the page file counts exactly the caller-issued
+// block transfers — one read per Read and ReadNoCopy, one write per Write —
+// and nothing else: not Alloc, Free or PeekNoCopy, nor the log records and
+// header of a commit and a checkpoint. A Disk reports the same totals for
+// the same sequence.
 func TestFileBackendCounting(t *testing.T) {
 	fb, err := CreateFile(tempIndex(t), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCounting(fb)
-	defer c.Close()
-	id := c.Alloc()
-	c.Write(id, []byte("x"))
-	buf := make([]byte, 256)
-	c.Read(id, buf)
-	c.ReadNoCopy(id)
-	c.PeekNoCopy(id)
-	if got := c.Stats(); got.Reads != 2 || got.Writes != 1 {
-		t.Errorf("stats = %v, want reads=2 writes=1", got)
-	}
-	c.ResetStats()
-	if got := c.Stats(); got.Total() != 0 {
-		t.Errorf("stats after reset = %v", got)
-	}
-	if got, ok := AsFile(c); !ok || got != fb {
-		t.Errorf("AsFile(file-backed Counting) = %v, %v; want the page file", got, ok)
-	}
-	if _, ok := AsFile(NewCounting(NewDisk(256))); ok {
-		t.Errorf("AsFile found a page file under Counting over Disk")
+	defer fb.Close()
+	for name, dev := range map[string]Backend{"file": fb, "disk": NewDisk(256)} {
+		var want Stats
+		check := func(op string) {
+			t.Helper()
+			if got := dev.Stats(); got != want {
+				t.Errorf("%s: stats after %s = %v, want %v", name, op, got, want)
+			}
+		}
+		dev.Begin()
+		id := dev.Alloc()
+		dev.Free(dev.Alloc())
+		check("Alloc and Free")
+		dev.Write(id, []byte("x"))
+		want.Writes++
+		check("Write")
+		if err := dev.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		check("Commit and Sync")
+		dev.Read(id, make([]byte, 256))
+		want.Reads++
+		check("Read")
+		dev.ReadNoCopy(id)
+		want.Reads++
+		check("ReadNoCopy")
+		dev.PeekNoCopy(id)
+		check("PeekNoCopy")
+		dev.ResetStats()
+		want = Stats{}
+		check("ResetStats")
 	}
 }

@@ -124,9 +124,10 @@ func (pm *pageMap) unmap() {
 	pm.stuck = true
 }
 
-// ReadStable implements StableReader: the zero-copy demand read. A page
-// has no view before its slot has been written (there are no bytes to
-// map); Read serves it. A page still in the write run goes out first.
+// ReadStable implements StableReader: the zero-copy demand read, counted
+// like Read when it lends a view. A page has no view before its slot has
+// been written (there are no bytes to map); Read serves it. A page still in
+// the write run goes out first.
 //
 // On version-2 files the first view of a page after each write of it
 // verifies the CRC32C trailer against the mapped bytes, and a mismatch
@@ -151,6 +152,7 @@ func (fb *FileBackend) ReadStable(id PageID) ([]byte, bool) {
 	slot := seg.data[off-seg.off:][:fb.slotSize]
 	data := slot[:fb.blockSize:fb.blockSize]
 	if fb.version < 2 {
+		fb.reads.Add(1)
 		return data, true
 	}
 	i := int(id) - seg.first
@@ -161,5 +163,6 @@ func (fb *FileBackend) ReadStable(id PageID) ([]byte, bool) {
 		}
 		word.Or(bit)
 	}
+	fb.reads.Add(1)
 	return data, true
 }

@@ -45,11 +45,7 @@ func TestAllocLowestFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fb.Close()
-	type store interface {
-		Backend
-		Snapshotter
-	}
-	for name, dev := range map[string]store{"disk": NewDisk(256), "file": fb} {
+	for name, dev := range map[string]Backend{"disk": NewDisk(256), "file": fb} {
 		t.Run(name, func(t *testing.T) {
 			const n = 64
 			for i := 0; i < n; i++ {

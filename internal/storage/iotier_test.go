@@ -33,6 +33,9 @@ func view(t *testing.T, sr StableReader, id PageID) []byte {
 	return data
 }
 
+// TestCountingStableReadsCountDemandReads: a view the page file lends is
+// one demand read, a refused one none (the caller's fallback Read counts),
+// so a pager's miss costs one read on the page file as on a Disk.
 func TestCountingStableReadsCountDemandReads(t *testing.T) {
 	fb, err := CreateFile(tempIndex(t), 128)
 	if err != nil {
@@ -41,22 +44,27 @@ func TestCountingStableReadsCountDemandReads(t *testing.T) {
 	defer fb.Close()
 	written, blank := fb.Alloc(), fb.Alloc()
 	fb.Write(written, bytes.Repeat([]byte{1}, 128))
-	c := NewCounting(fb)
-	stableViews(t, fb)
-	sr := StableReader(c)
+	sr := stableViews(t, fb)
+	fb.ResetStats()
 	view(t, sr, written)
-	if st := c.Stats(); st.Reads != 1 {
+	if st := fb.Stats(); st.Reads != 1 {
 		t.Errorf("a view taken counted %d reads, want 1", st.Reads)
 	}
-	// A page with no view counts nothing: the caller's fallback Read does.
 	if _, ok := sr.ReadStable(blank); ok {
 		t.Fatal("a never-written page has a stable view")
 	}
-	if st := c.Stats(); st.Reads != 1 {
+	if st := fb.Stats(); st.Reads != 1 {
 		t.Errorf("a refused view counted a read: %d, want 1", st.Reads)
 	}
-	if _, ok := StableReader(NewCounting(NewDisk(128))).ReadStable(0); ok {
-		t.Error("Counting over a backend without views lent one")
+	disk := NewDisk(128)
+	onDisk := disk.Alloc()
+	disk.Write(onDisk, bytes.Repeat([]byte{1}, 128))
+	fb.ResetStats()
+	disk.ResetStats()
+	NewPager(fb, 0).Read(written)
+	NewPager(disk, 0).Read(onDisk)
+	if f, d := fb.Stats(), disk.Stats(); f != d || f.Reads != 1 {
+		t.Errorf("a pager miss counted %v on the page file, %v on a Disk; want one read each", f, d)
 	}
 }
 

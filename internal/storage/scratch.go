@@ -24,8 +24,8 @@ import (
 // removed — closed first, so the order also holds where an open file cannot
 // be unlinked — by Close, or as soon as a load that failed has left.
 //
-// A Scratch counts its block reads and writes like the Counting decorator
-// does, so a handle reports build I/O as index I/O plus scratch I/O. It is
+// A Scratch counts its block reads and writes like every Backend, so a
+// handle reports build I/O as index I/O plus scratch I/O. It is
 // safe for concurrent use under the Backend contract (several loads, and the
 // sort workers of each, may run at once). All methods except the Backend
 // page operations accept a nil receiver, which stands for "no scratch store:
@@ -143,7 +143,8 @@ func (s *Scratch) Close() error {
 	return s.removeLocked()
 }
 
-// Stats returns the cumulative block I/O on the store (zero for nil).
+// Stats implements Backend: the cumulative block I/O on the store (zero
+// for nil).
 func (s *Scratch) Stats() Stats {
 	if s == nil {
 		return Stats{}
@@ -151,7 +152,7 @@ func (s *Scratch) Stats() Stats {
 	return Stats{Reads: s.reads.Load(), Writes: s.writes.Load()}
 }
 
-// ResetStats zeroes the I/O counters.
+// ResetStats implements Backend.
 func (s *Scratch) ResetStats() {
 	if s == nil {
 		return
@@ -277,3 +278,16 @@ func (s *Scratch) Meta() []byte { return nil }
 
 // Sync implements Backend as a no-op: scratch pages are never made durable.
 func (s *Scratch) Sync() error { return nil }
+
+// Begin, Commit and Rollback implement Backend as no-ops, for the same
+// reason: a crash makes the whole store worthless.
+func (s *Scratch) Begin()        {}
+func (s *Scratch) Commit() error { return nil }
+func (s *Scratch) Rollback()     {}
+
+// The snapshot hooks implement Backend as no-ops: a temporary belongs to
+// the one load that made it, and no reader shares it.
+func (s *Scratch) SnapshotEnter() uint64        { return 0 }
+func (s *Scratch) SnapshotLeave(uint64)         {}
+func (s *Scratch) SnapshotAdvance()             {}
+func (s *Scratch) SnapshotStats() SnapshotStats { return SnapshotStats{} }

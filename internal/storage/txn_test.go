@@ -752,7 +752,7 @@ func TestFileBackendV1Readable(t *testing.T) {
 	if err := fb.Fsck(); err != nil {
 		t.Errorf("Fsck on v1: %v", err)
 	}
-	// Transactional writes work on v1 files too (no trailers).
+	// Writes in a transaction work on v1 files too (no trailers).
 	fb.Begin()
 	c := fb.Alloc()
 	fb.Write(c, bytes.Repeat([]byte{0xCC}, 256))

@@ -22,13 +22,13 @@
 //
 // # Storage backends
 //
-// Every tree runs on a storage Backend — the block-device seam. Two
+// Every tree runs on a storage Backend — the one storage contract. Two
 // implementations ship with the package: the in-memory simulator that
 // reproduces the paper's block-I/O accounting (Bulk, BulkWith, NewDynamic),
 // and a file-backed page store for indexes that persist in place and
-// outlive the process (Create/Open/Close). A counting decorator turns I/O
-// stats into a wrapper either carries, and Options.WrapBackend places a
-// decorator of the caller's under a file-backed tree.
+// outlive the process (Create/Open/Close). Each counts its own block I/O
+// (IOStats), and Options.WrapBackend places a decorator of the caller's
+// under a file-backed tree.
 //
 // # Queries
 //
@@ -136,15 +136,15 @@ type Options struct {
 	// index — and the backend's I/O counts are identical at every setting.
 	Parallelism int
 	// WrapBackend, when set, decorates the raw block store of a
-	// file-backed tree (Create/Open) before the counting decorator and
-	// pager are assembled on top. It is
-	// the seam fault-injection harnesses use to place a decorator such as
-	// NewFaultyBackend under a real on-disk tree. The wrapper should
-	// expose the wrapped backend via an Unwrap() Backend method (as the
-	// fault decorator does) so file-level tools — CheckPages, transaction
-	// brackets — keep reaching the underlying store. Only the index file
-	// is wrapped; a load's scratch file (see BulkLoad) holds nothing a
-	// fault could corrupt. Ignored by the in-memory constructors.
+	// file-backed tree (Create/Open) before the pager is assembled on top.
+	// It is the seam fault-injection harnesses use to place a decorator
+	// such as NewFaultyBackend under a real on-disk tree. A decorator
+	// implements the whole Backend — transactions, snapshots and I/O
+	// counters too — and one that embeds the Backend it wraps forwards
+	// them all. CheckPages and PageCounts read the index file itself,
+	// whatever the decorator. Only the index file is wrapped; a load's
+	// scratch file (see BulkLoad) holds nothing a fault could corrupt.
+	// Ignored by the in-memory constructors.
 	WrapBackend func(Backend) Backend
 }
 
@@ -177,13 +177,14 @@ func (o Options) bulkOptions() bulk.Options {
 // Tree is a static R-tree on a storage backend: the in-memory simulator
 // when built with Bulk/BulkWith, a page file when built with Create/Open.
 // It is read-only once built; BulkLoad
-// replaces its contents wholesale. All block I/O flows through a Counting
-// decorator, so IOStats works uniformly across backends.
+// replaces its contents wholesale. Every backend counts its own block I/O,
+// so IOStats works uniformly across backends.
 type Tree struct {
 	inner    *rtree.Tree
 	pager    *storage.Pager
-	io       *storage.Counting
-	scratch  *storage.Scratch // bulk-load temporaries of a file-backed tree; nil otherwise
+	io       storage.Backend      // the store, or what Options.WrapBackend made of it
+	fb       *storage.FileBackend // file-backed: the index file; nil otherwise
+	scratch  *storage.Scratch     // bulk-load temporaries of a file-backed tree; nil otherwise
 	bopts    bulk.Options
 	path     string // index file path; "" for non-file backends
 	closed   bool
@@ -196,33 +197,25 @@ type Tree struct {
 // out of fn (including an injected fault) rolls the backend's in-memory
 // state back to the last committed transaction before re-panicking, so
 // the on-disk index recovers cleanly even though this Tree value is no
-// longer usable. Non-transactional backends run fn unbracketed.
+// longer usable. On a backend without durability the brackets do nothing.
 func (t *Tree) mutate(fn func()) error {
-	tx := storage.EnsureTransactional(t.io)
-	tx.Begin()
+	t.io.Begin()
 	done := false
 	defer func() {
 		if !done {
-			tx.Rollback()
+			t.io.Rollback()
 		}
 	}()
 	fn()
 	t.io.SetMeta(t.inner.EncodeMeta())
 	done = true
-	if err := tx.Commit(); err != nil {
+	if err := t.io.Commit(); err != nil {
 		// The backend rolls back to the committed state; this Tree's
 		// in-memory structure has already mutated and must be reopened.
-		tx.Rollback()
+		t.io.Rollback()
 		return err
 	}
 	return nil
-}
-
-// newTree assembles the facade plumbing over a raw backend: the counting
-// decorator (IOStats) and the pager every node access goes through.
-func newTree(dev storage.Backend, o Options) (*storage.Counting, *storage.Pager) {
-	counting := storage.NewCounting(dev)
-	return counting, storage.NewPager(counting, o.CacheCapacity)
 }
 
 // Bulk builds a PR-tree over items. opts may be nil for defaults.
@@ -234,7 +227,8 @@ func Bulk(items []Item, opts *Options) *Tree {
 // simulator. opts may be nil.
 func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 	o := opts.normalized()
-	counting, pager := newTree(storage.NewDisk(o.BlockSize), o)
+	disk := storage.NewDisk(o.BlockSize)
+	pager := storage.NewPager(disk, o.CacheCapacity)
 	bopts := o.bulkOptions()
 	var tr *rtree.Tree
 	if bulk.InMemory(l, len(items), bopts) {
@@ -242,7 +236,7 @@ func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 	} else {
 		tr = bulk.FromItems(l, pager, items, bopts)
 	}
-	return &Tree{inner: tr, pager: pager, io: counting, bopts: bopts}
+	return &Tree{inner: tr, pager: pager, io: disk, bopts: bopts}
 }
 
 // BulkLoad (re)builds the tree's contents in place from items using loader
@@ -333,7 +327,7 @@ func (t *Tree) CacheStats() CacheStats { return t.pager.CacheStats() }
 // SnapshotStats returns the backend's snapshot-epoch state. Safe to call
 // while queries run.
 func (t *Tree) SnapshotStats() SnapshotStats {
-	return storage.EnsureSnapshotter(t.io).SnapshotStats()
+	return t.io.SnapshotStats()
 }
 
 // PinInternal pins every internal node in the page cache, reproducing the
@@ -362,7 +356,7 @@ func (t *Tree) Items() []Item { return t.inner.Items() }
 // beside them.
 type Dynamic struct {
 	inner   *logmethod.Tree
-	io      *storage.Counting
+	io      storage.Backend // the store, or what Options.WrapBackend made of it
 	pager   *storage.Pager
 	scratch *storage.Scratch // level-build temporaries of a file-backed index; nil otherwise
 
@@ -407,9 +401,10 @@ type CompactionStats struct {
 // simulator. opts may be nil.
 func NewDynamic(opts *Options) *Dynamic {
 	o := opts.normalized()
-	counting, pager := newTree(storage.NewDisk(o.BlockSize), o)
+	disk := storage.NewDisk(o.BlockSize)
+	pager := storage.NewPager(disk, o.CacheCapacity)
 	inner := logmethod.New(pager, o.bulkOptions(), 0)
-	return &Dynamic{inner: inner, io: counting, pager: pager}
+	return &Dynamic{inner: inner, io: disk, pager: pager}
 }
 
 // Close persists a file-backed index in place and closes the backend: the
@@ -456,12 +451,11 @@ func (d *Dynamic) mutate(m *logmethod.Mutation, fn func()) error {
 // or wants the save itself (Sync, Close). A save is followed by
 // logmethod.SavedNote, which makes every earlier note history.
 func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
-	tx := storage.EnsureTransactional(d.io)
-	tx.Begin()
+	d.io.Begin()
 	done := false
 	defer func() {
 		if !done {
-			tx.Rollback()
+			d.io.Rollback()
 		}
 	}()
 	fn()
@@ -474,8 +468,8 @@ func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 		}
 	}
 	done = true
-	if err := tx.Commit(); err != nil {
-		tx.Rollback()
+	if err := d.io.Commit(); err != nil {
+		d.io.Rollback()
 		return err
 	}
 	return nil
@@ -500,7 +494,7 @@ func (d *Dynamic) InsertE(it Item) error {
 }
 
 // DeleteE removes an item by (rect, id), reporting success and the
-// transaction error, if any. Transactional like InsertE, and logged like
+// transaction error, if any. One transaction like InsertE, and logged like
 // it on a file-backed index: a delete commits as one log record unless it
 // triggers the tombstone rebuild, which saves the state. Deleting an item
 // that is not there is logged too, and re-applies as the no-op it was.
@@ -616,7 +610,7 @@ func (d *Dynamic) FlushE() error {
 // snapshot-epoch state. Safe to call while queries and mutations run.
 func (d *Dynamic) CompactionStats() CompactionStats {
 	m := d.inner.MergeStats()
-	snap := storage.EnsureSnapshotter(d.io).SnapshotStats()
+	snap := d.io.SnapshotStats()
 	st := CompactionStats{
 		MergesCompleted: m.Merges,
 		GCRebuilds:      m.GCRebuilds,

@@ -301,10 +301,10 @@ func TestSearchBatchMatchesSequentialFig12(t *testing.T) {
 		// The facade treats CacheCapacity 0 as "default" (unbounded), so
 		// build the capacity-0 pager explicitly for the paper's
 		// nothing-cached measurement mode.
-		counting := storage.NewCounting(storage.NewDisk(storage.DefaultBlockSize))
-		pager := storage.NewPager(counting, capacity)
+		disk := storage.NewDisk(storage.DefaultBlockSize)
+		pager := storage.NewPager(disk, capacity)
 		inner := bulk.FromItems(bulk.LoaderPR, pager, items, bulk.Options{})
-		tree := &Tree{inner: inner, pager: pager, io: counting}
+		tree := &Tree{inner: inner, pager: pager, io: disk}
 		queries := workload.Squares(world, 0.01, 60, 6)
 		coldStart := func() {
 			tree.inner.Pager().DropCache()

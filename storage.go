@@ -8,9 +8,11 @@ import "prtree/internal/storage"
 // Options.WrapBackend) satisfies the interface the internal pager, loaders
 // and trees consume.
 
-// Backend is a block store; see Options.WrapBackend. Implementations
-// must honor the contracts documented on the interface: zeroed pages from
-// Alloc, block-granular reads/writes, a superblock metadata blob, and
+// Backend is a block store, the one storage contract; see
+// Options.WrapBackend. Implementations must honor the contracts documented
+// on the interface: zeroed pages from Alloc, block-granular reads/writes, a
+// superblock metadata blob, transaction and snapshot hooks (no-ops where a
+// store has no use for them), counters of the store's own block I/O, and
 // Sync/Close durability hooks.
 type Backend = storage.Backend
 
