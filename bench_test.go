@@ -20,6 +20,7 @@ import (
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
 	"prtree/internal/hilbert"
+	"prtree/internal/parallel"
 	"prtree/internal/pseudo"
 	"prtree/internal/storage"
 	"prtree/internal/workload"
@@ -311,15 +312,15 @@ func BenchmarkPRBulkLoadExternalParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryBatch measures batch window-query throughput on the Fig12
-// workload (PR-loaded Western data, 1% squares, internal nodes pinned on a
-// capacity-0 pager so every leaf visit is a counted disk read) at
-// increasing worker counts. Besides
-// wall time it reports queries/sec and blockIO/op, and FAILS if any
-// parallel run's aggregate block-I/O deviates from the serial run's — the
-// invariant the lock-striped pager's single-flight miss path guarantees.
-func BenchmarkQueryBatch(b *testing.B) {
-	// Let the pool fan out even when cores are scarce; on a multi-core
+// BenchmarkConcurrentQueries measures window-query throughput, one query
+// per goroutine, on the Fig12 workload (PR-loaded Western data, 1%
+// squares, internal nodes pinned on a capacity-0 pager so every leaf visit
+// is a counted disk read) at increasing worker counts. Besides wall time
+// it reports queries/sec and blockIO/op, and FAILS if any parallel run's
+// aggregate block-I/O deviates from the serial run's — the invariant the
+// lock-striped pager's single-flight miss path guarantees.
+func BenchmarkConcurrentQueries(b *testing.B) {
+	// Let parallel.Run fan out even when cores are scarce; on a multi-core
 	// machine this is a no-op beyond 8 and queries/sec scales with cores.
 	if runtime.GOMAXPROCS(0) < 8 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
@@ -338,11 +339,8 @@ func BenchmarkQueryBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				disk.ResetStats()
-				st := tree.QueryBatch(queries, w, nil)
+				parallel.Run(w, len(queries), func(q int) { tree.Query(queries[q], nil) })
 				lastIO = disk.Stats().Total()
-				if len(st) != len(queries) {
-					b.Fatal("lost queries")
-				}
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(lastIO), "blockIO/op")

@@ -63,7 +63,7 @@ import (
 func main() {
 	in := flag.String("in", "", "input dataset (datagen -format bin)")
 	index := flag.String("index", "", "on-disk index file (create writes it, other subcommands open it)")
-	loaderName := flag.String("loader", "PR", "bulk loader: PR|H|H4|STR|TGS")
+	loaderName := flag.String("loader", "PR", "bulk loader: PR|H|H4|TGS")
 	mem := flag.Int("mem", 0, "bulk-load memory budget in records (0 = no cap: a PR load builds in memory, other loaders use 65536; set it to make a PR load external)")
 	queries := flag.Int("queries", 100, "bench: number of queries")
 	area := flag.Float64("area", 0.01, "bench: query area fraction")
@@ -407,8 +407,6 @@ func parseLoader(s string) (prtree.Loader, error) {
 		return prtree.Hilbert, nil
 	case "H4":
 		return prtree.Hilbert4D, nil
-	case "STR":
-		return prtree.STR, nil
 	case "TGS":
 		return prtree.TGS, nil
 	default:

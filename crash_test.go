@@ -68,19 +68,16 @@ func crashDigest(t *testing.T, tr *Tree) uint32 {
 			fmt.Fprintf(&sb, "%d,%v,%g;", n.Item.ID, n.Item.Rect, n.Dist2)
 		}
 	}
-	for _, res := range tr.SearchBatch(windows, 3) {
-		dump("b", res)
-	}
 	return crc32.ChecksumIEEE([]byte(sb.String()))
 }
 
 // crashWorkload applies the deterministic mutation sequence a static tree
-// knows: three rebuilds — PR, Hilbert, STR — over different item sets, one
+// knows: three rebuilds — PR, Hilbert, TGS — over different item sets, one
 // transaction each, the first into the empty index. afterTx, when non-nil,
 // is called after every committed transaction.
 func crashWorkload(tr *Tree, afterTx func()) {
 	r := rand.New(rand.NewSource(7))
-	for i, l := range []Loader{PR, Hilbert, STR} {
+	for i, l := range []Loader{PR, Hilbert, TGS} {
 		if err := tr.BulkLoad(l, crashItems(r, 180-30*i, 1000*i)); err != nil {
 			panic(err)
 		}

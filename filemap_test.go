@@ -31,7 +31,7 @@ func TestSyncKeepsCachedViews(t *testing.T) {
 			if err := tree.BulkLoad(PR, items); err != nil {
 				t.Fatal(err)
 			}
-			tree.PinInternal()
+			tree.inner.PinInternal()
 			collect := func(want int) {
 				t.Helper()
 				got, err := tree.Collect(Window(world))

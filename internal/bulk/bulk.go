@@ -1,10 +1,9 @@
 // Package bulk implements the four R-tree bulk-loading algorithms the
 // paper compares — the packed Hilbert R-tree (H), the four-dimensional
 // Hilbert R-tree (H4), the Top-down Greedy Split R-tree (TGS) and the
-// PR-tree (PR) — plus STR as an extra baseline. Every loader consumes a
-// storage.ItemFile and performs its passes through the simulated disk, so
-// bulk-loading I/O is measured operationally, matching the accounting of
-// the paper's Figures 9-11.
+// PR-tree (PR). Every loader consumes a storage.ItemFile and performs its
+// passes through the simulated disk, so bulk-loading I/O is measured
+// operationally, matching the accounting of the paper's Figures 9-11.
 //
 // The PR loader has a second entry for records already in memory:
 // PRTreeSlice builds every stage with the exact in-memory construction over
@@ -99,8 +98,6 @@ const (
 	LoaderHilbert Loader = iota
 	// LoaderHilbert4D is the four-dimensional Hilbert R-tree (H4).
 	LoaderHilbert4D
-	// LoaderSTR is the Sort-Tile-Recursive packing of Leutenegger et al.
-	LoaderSTR
 	// LoaderTGS is the Top-down Greedy Split R-tree (TGS).
 	LoaderTGS
 	// LoaderPR is the Priority R-tree (PR), the paper's contribution.
@@ -114,8 +111,6 @@ func (l Loader) String() string {
 		return "H"
 	case LoaderHilbert4D:
 		return "H4"
-	case LoaderSTR:
-		return "STR"
 	case LoaderTGS:
 		return "TGS"
 	case LoaderPR:
@@ -133,8 +128,6 @@ func Load(l Loader, pager *storage.Pager, in *storage.ItemFile, opt Options) *rt
 		return Hilbert2D(pager, in, opt)
 	case LoaderHilbert4D:
 		return Hilbert4D(pager, in, opt)
-	case LoaderSTR:
-		return STR(pager, in, opt)
 	case LoaderTGS:
 		return TGS(pager, in, opt)
 	case LoaderPR:

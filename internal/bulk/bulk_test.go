@@ -32,10 +32,6 @@ func allowParallelism() func() {
 	return func() { runtime.GOMAXPROCS(old) }
 }
 
-func allLoaders() []Loader {
-	return []Loader{LoaderHilbert, LoaderHilbert4D, LoaderSTR, LoaderTGS, LoaderPR}
-}
-
 func loadOn(tb testing.TB, l Loader, items []geom.Item, opt Options) *rtree.Tree {
 	tb.Helper()
 	disk := storage.NewDisk(storage.DefaultBlockSize)
@@ -45,8 +41,7 @@ func loadOn(tb testing.TB, l Loader, items []geom.Item, opt Options) *rtree.Tree
 
 func TestLoaderStrings(t *testing.T) {
 	want := map[Loader]string{
-		LoaderHilbert: "H", LoaderHilbert4D: "H4", LoaderSTR: "STR",
-		LoaderTGS: "TGS", LoaderPR: "PR",
+		LoaderHilbert: "H", LoaderHilbert4D: "H4", LoaderTGS: "TGS", LoaderPR: "PR",
 	}
 	for l, s := range want {
 		if l.String() != s {
@@ -60,7 +55,7 @@ func TestLoaderStrings(t *testing.T) {
 
 func TestAllLoadersValidTrees(t *testing.T) {
 	items := randItems(5000, 1)
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		tr := loadOn(t, l, items, Options{Fanout: 16, MemoryItems: 1024})
 		if tr.Len() != len(items) {
 			t.Fatalf("%v: len = %d", l, tr.Len())
@@ -78,7 +73,7 @@ func TestAllLoadersQueryCorrect(t *testing.T) {
 	for i := range queries {
 		queries[i] = geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
 	}
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		tr := loadOn(t, l, items, Options{Fanout: 16, MemoryItems: 1024})
 		for _, q := range queries {
 			if err := rtree.CheckQueryAgainstBruteForce(tr, items, q); err != nil {
@@ -89,7 +84,7 @@ func TestAllLoadersQueryCorrect(t *testing.T) {
 }
 
 func TestAllLoadersEmptyAndTiny(t *testing.T) {
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		tr := loadOn(t, l, nil, Options{})
 		if tr.Len() != 0 || tr.Validate() != nil {
 			t.Fatalf("%v: broken empty tree", l)
@@ -106,7 +101,7 @@ func TestAllLoadersEmptyAndTiny(t *testing.T) {
 }
 
 func TestAllLoadersExactlyOneNode(t *testing.T) {
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		items := randItems(16, 5)
 		tr := loadOn(t, l, items, Options{Fanout: 16})
 		if tr.Height() != 1 {
@@ -122,7 +117,7 @@ func TestUtilizationAbove99Percent(t *testing.T) {
 	// Paper §3.3: every loader achieved > 99% space utilization. Use the
 	// real fanout (113) and a dataset large enough for many leaves.
 	items := randItems(113*150, 6)
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		tr := loadOn(t, l, items, Options{MemoryItems: 8192})
 		leaf, _ := tr.Utilization()
 		min := 0.99
@@ -194,7 +189,7 @@ func TestBuildIOFigure9(t *testing.T) {
 func TestLoadersFreeScratchSpace(t *testing.T) {
 	items := randItems(8000, 8)
 	opt := Options{Fanout: 32, MemoryItems: 2048}
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, -1)
 		tr := FromItems(l, pager, items, opt)
@@ -307,7 +302,7 @@ func TestPRTreeHandlesExtremeAspect(t *testing.T) {
 
 func TestLoadersWithDefaultOptions(t *testing.T) {
 	items := randItems(1000, 10)
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		tr := loadOn(t, l, items, Options{})
 		if tr.Config().Fanout != 113 {
 			t.Errorf("%v: default fanout = %d", l, tr.Config().Fanout)
@@ -334,7 +329,7 @@ func TestDuplicateRectsAllLoaders(t *testing.T) {
 	for i := range items {
 		items[i] = geom.Item{Rect: geom.NewRect(0.4, 0.4, 0.6, 0.6), ID: uint32(i)}
 	}
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		tr := loadOn(t, l, items, Options{Fanout: 16, MemoryItems: 1024})
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%v: %v", l, err)
@@ -359,7 +354,7 @@ func TestLoadersSerialParallelEquivalence(t *testing.T) {
 		geom.NewRect(0.5, 0.5, 0.52, 0.52),
 		geom.NewRect(0, 0, 1.1, 1.1),
 	}
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		type result struct {
 			stats   storage.Stats
 			len     int

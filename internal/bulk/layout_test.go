@@ -35,7 +35,7 @@ func snappedItems(n int, seed int64) []geom.Item {
 // item and answers as a brute-force scan does.
 func TestLoadersCompressedLayout(t *testing.T) {
 	fanout := rtree.MaxFanout(storage.DefaultBlockSize)
-	for _, l := range allLoaders() {
+	for _, l := range Loaders {
 		for _, grid := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/grid=%v", l, grid), func(t *testing.T) {
 				var items []geom.Item

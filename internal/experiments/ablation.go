@@ -60,12 +60,12 @@ func buildFromPseudo(items []geom.Item, fanout int, priority, roundToB bool) *rt
 //
 // The measured finding (recorded in EXPERIMENTS.md): the order-of-magnitude
 // robustness against the adversarial inputs comes from the corner-transform
-// kd partition itself — the kd-only variant matches or slightly beats the
-// full PR-tree at laptop scale, because on (near-)point data a kd-tree is
-// already worst-case optimal (the paper's own remark about kdB-trees). The
-// priority leaves cost a small constant here; what they buy is the *proof*:
-// Lemma 2's charging argument, and with it the guarantee for arbitrary
-// rectangle inputs, needs them.
+// kd partition itself, and the kd-only variant reads 1.3–2.1× fewer leaves
+// than the full PR-tree on all three inputs, because on (near-)point data a
+// kd-tree is already good (the paper's own remark about kdB-trees). No
+// input measured yet shows the worst-case separation; what the priority
+// leaves buy so far is the *proof*: Lemma 2's charging argument, and with
+// it the guarantee for arbitrary rectangle inputs, needs them.
 func AblationPriority(cfg Config) Table {
 	cfg = cfg.normalized()
 	t := Table{

@@ -1,7 +1,6 @@
 // Package parallel provides the bounded worker-pool discipline shared by
 // every concurrent stage in this repository: the bulk-load pipeline's sort
-// and merge fan-outs, the forked in-memory builds and shard loads, and the
-// query engine's batch executor (rtree.QueryBatch).
+// and merge fan-outs and the forked in-memory builds and shard loads.
 package parallel
 
 import (

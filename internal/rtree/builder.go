@@ -101,8 +101,8 @@ func (b *Builder) WriteInternal(children []ChildEntry) ChildEntry {
 }
 
 // PackLevel groups consecutive entries into nodes of at most Fanout
-// children — the bottom-up packing step shared by the packed Hilbert, STR
-// and PR-tree loaders. Groups are balanced so no node is underfull: the
+// children — the bottom-up packing step of the two packed Hilbert
+// loaders. Groups are balanced so no node is underfull: the
 // remainder is spread by using ceil division.
 func (b *Builder) PackLevel(children []ChildEntry) []ChildEntry {
 	f := b.tree.cfg.Fanout

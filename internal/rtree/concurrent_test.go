@@ -8,10 +8,11 @@ import (
 	"testing"
 
 	"prtree/internal/geom"
+	"prtree/internal/parallel"
 	"prtree/internal/storage"
 )
 
-// allowParallelism raises GOMAXPROCS so the worker pool actually fans out
+// allowParallelism raises GOMAXPROCS so parallel.Run actually fans out
 // even on single-CPU machines (workers are clamped to GOMAXPROCS). Returns
 // the restore function.
 func allowParallelism() func() {
@@ -19,9 +20,9 @@ func allowParallelism() func() {
 	return func() { runtime.GOMAXPROCS(old) }
 }
 
-// batchTestTree packs n random rectangles, ordered by x, into a tree of
+// concurrentTestTree packs n random rectangles, ordered by x, into a tree of
 // fanout 16 on a pager with the given cache capacity.
-func batchTestTree(n int, seed int64, capacity int) (*Tree, *storage.Disk) {
+func concurrentTestTree(n int, seed int64, capacity int) (*Tree, *storage.Disk) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	b := NewBuilder(storage.NewPager(disk, capacity), Config{Fanout: 16})
 	items := xSorted(randItems(n, seed))
@@ -32,7 +33,7 @@ func batchTestTree(n int, seed int64, capacity int) (*Tree, *storage.Disk) {
 	return b.FinishPacked(leaves), disk
 }
 
-func batchTestQueries(n int, seed int64) []geom.Rect {
+func concurrentTestQueries(n int, seed int64) []geom.Rect {
 	rng := rand.New(rand.NewSource(seed))
 	qs := make([]geom.Rect, n)
 	for i := range qs {
@@ -43,18 +44,18 @@ func batchTestQueries(n int, seed int64) []geom.Rect {
 	return qs
 }
 
-// TestQueryBatchMatchesSequential is the equivalence property test: for
-// every seed, cache capacity and worker count, SearchBatch must return the
-// same per-query items (in the same order) and the same per-query stats as
-// N sequential Query calls. With an eviction-free cache (unbounded or
-// disabled) the aggregate block-I/O must also be bit-identical to the
-// sequential run at every worker count.
-func TestQueryBatchMatchesSequential(t *testing.T) {
+// TestConcurrentQueriesMatchSequential is the equivalence property test:
+// for every seed, cache capacity and worker count, one query per goroutine
+// must return the same per-query items (in the same order) and the same
+// per-query stats as N sequential Query calls. With an eviction-free cache
+// (unbounded or disabled) the aggregate block-I/O must also be
+// bit-identical to the sequential run at every worker count.
+func TestConcurrentQueriesMatchSequential(t *testing.T) {
 	defer allowParallelism()()
 	for _, seed := range []int64{1, 7, 42} {
 		for _, capacity := range []int{-1, 0, 3} {
-			tr, disk := batchTestTree(3000, seed, capacity)
-			queries := batchTestQueries(40, seed+100)
+			tr, disk := concurrentTestTree(3000, seed, capacity)
+			queries := concurrentTestQueries(40, seed+100)
 
 			tr.Pager().DropCache()
 			disk.ResetStats()
@@ -71,8 +72,15 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 8} {
 				tr.Pager().DropCache()
 				disk.ResetStats()
-				gotItems, gotStats := tr.SearchBatch(queries, workers)
-				batchIO := disk.Stats()
+				gotItems := make([][]geom.Item, len(queries))
+				gotStats := make([]QueryStats, len(queries))
+				parallel.Run(workers, len(queries), func(i int) {
+					gotStats[i] = tr.Query(queries[i], func(it geom.Item) bool {
+						gotItems[i] = append(gotItems[i], it)
+						return true
+					})
+				})
+				concurrentIO := disk.Stats()
 
 				for i := range queries {
 					if !reflect.DeepEqual(gotStats[i], wantStats[i]) {
@@ -88,33 +96,11 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 				// serially, so total block-I/O is bit-identical. A bounded
 				// LRU interleaves evictions across workers, so only the
 				// per-query results and stats are deterministic there.
-				if capacity <= 0 && batchIO != serialIO {
+				if capacity <= 0 && concurrentIO != serialIO {
 					t.Fatalf("seed=%d cap=%d workers=%d: aggregate I/O %v, want %v",
-						seed, capacity, workers, batchIO, serialIO)
+						seed, capacity, workers, concurrentIO, serialIO)
 				}
 			}
-		}
-	}
-}
-
-// TestQueryBatchEarlyStop checks that fn returning false stops only the one
-// query, and its stats reflect the truncation.
-func TestQueryBatchEarlyStop(t *testing.T) {
-	defer allowParallelism()()
-	tr, _ := batchTestTree(2000, 3, -1)
-	queries := batchTestQueries(8, 5)
-	full, _ := tr.SearchBatch(queries, 4)
-
-	st := tr.QueryBatch(queries, 4, func(qi int, it geom.Item) bool {
-		return qi != 0 // stop query 0 at its first result
-	})
-	for i := range queries {
-		want := len(full[i])
-		if i == 0 && want > 0 {
-			want = 1
-		}
-		if st[i].Results != want {
-			t.Errorf("query %d: %d results, want %d", i, st[i].Results, want)
 		}
 	}
 }
@@ -125,8 +111,8 @@ func TestQueryBatchEarlyStop(t *testing.T) {
 // under -race in CI with -count=2.
 func TestConcurrentQueryStress(t *testing.T) {
 	defer allowParallelism()()
-	tr, disk := batchTestTree(4000, 11, -1)
-	queries := batchTestQueries(24, 13)
+	tr, disk := concurrentTestTree(4000, 11, -1)
+	queries := concurrentTestQueries(24, 13)
 
 	wantCollect := make([][]geom.Item, len(queries))
 	wantContain := make([]int, len(queries))

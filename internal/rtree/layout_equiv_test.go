@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"prtree/internal/geom"
+	"prtree/internal/parallel"
 	"prtree/internal/storage"
 )
 
@@ -83,7 +84,7 @@ func TestLayoutTable(t *testing.T) {
 }
 
 // TestLayoutEquivalenceProperty: a packed tree on pages of the one raw
-// layout answers window, containment, k-NN and batch queries exactly as a
+// layout answers window, containment, k-NN and concurrent queries exactly as a
 // brute-force scan of its items does, across seeds, block sizes, and both
 // grid-snapped (boundary ties) and full-precision data.
 func TestLayoutEquivalenceProperty(t *testing.T) {
@@ -128,16 +129,17 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 						}
 					}
 
-					// Batch results equal the sequential runs, order included.
+					// Concurrent results equal the sequential runs, order included.
 					queries := make([]geom.Rect, 16)
 					for i := range queries {
 						x, y := rng.Float64(), rng.Float64()
 						queries[i] = geom.NewRect(x, y, x+0.1, y+0.1)
 					}
-					res, _ := tr.SearchBatch(queries, 4)
+					res := make([][]geom.Item, len(queries))
+					parallel.Run(4, len(queries), func(i int) { res[i] = tr.QueryCollect(queries[i]) })
 					for i, q := range queries {
 						if !slices.Equal(res[i], tr.QueryCollect(q)) {
-							t.Fatalf("batch[%d] differs from the sequential query", i)
+							t.Fatalf("concurrent query %d differs from the sequential one", i)
 						}
 					}
 				})

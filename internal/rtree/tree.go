@@ -35,8 +35,8 @@ type Config struct {
 // per-traversal scratch (explicit stacks, k-NN heaps) is sync.Pool-backed
 // rather than tree state, and the pager underneath is lock-striped. A
 // Builder and Release require exclusive access — no reader may run
-// concurrently with them. QueryBatch and SearchBatch fan a slice of queries
-// across a bounded worker pool under this contract.
+// concurrently with them. A batch of queries is the caller's own
+// goroutines, one query each.
 type Tree struct {
 	pager  *storage.Pager
 	cfg    Config

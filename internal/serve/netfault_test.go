@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -154,29 +155,41 @@ func TestDripRequestReaped(t *testing.T) {
 }
 
 // TestMalformedFrameAccounted: a syntactically complete frame with a
-// garbage payload earns a CodeBadRequest response and a malformed-frame
-// count, not a crash or a silent drop.
+// garbage payload or a retired batch request, or a header claiming more
+// than MaxRequestFrame bytes, earns one CodeBadRequest response and a
+// malformed-frame count, then the connection closes — not a crash, a
+// silent drop or an allocation of what the header claims.
 func TestMalformedFrameAccounted(t *testing.T) {
 	addr, srv := startFaultServer(t, Config{}, nil)
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	cases := map[string][]byte{
+		"garbage payload":           {0, 0, 0, 2, 0xFF, 0xEE},
+		"retired batch op":          append(binary.BigEndian.AppendUint32(nil, uint32(len(retiredBatchRequest))), retiredBatchRequest...),
+		"header claiming 513 bytes": binary.BigEndian.AppendUint32(nil, MaxRequestFrame+1),
+		"header claiming 1 MiB":     binary.BigEndian.AppendUint32(nil, 1<<20),
 	}
-	defer conn.Close()
-	if err := WriteFrame(conn, []byte{0xFF, 0xEE}); err != nil {
-		t.Fatal(err)
+	for name, wire := range cases {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := ReadFrame(conn, MaxResponseFrame)
+		if err != nil {
+			t.Fatalf("%s: reading error response: %v", name, err)
+		}
+		if _, err := DecodeResponse(payload); err == nil {
+			t.Fatalf("%s: got an ok response", name)
+		} else if re, ok := err.(*RemoteError); !ok || re.Code != CodeBadRequest {
+			t.Fatalf("%s: got %v, want RemoteError CodeBadRequest", name, err)
+		}
+		if _, err := ReadFrame(conn, MaxResponseFrame); err != io.EOF {
+			t.Fatalf("%s: got %v after the error response, want the connection closed", name, err)
+		}
 	}
-	payload, err := ReadFrame(conn, MaxResponseFrame)
-	if err != nil {
-		t.Fatalf("reading error response: %v", err)
-	}
-	if _, err := DecodeResponse(payload); err == nil {
-		t.Fatal("garbage frame got an ok response")
-	} else if re, ok := err.(*RemoteError); !ok || re.Code != CodeBadRequest {
-		t.Fatalf("got %v, want RemoteError CodeBadRequest", err)
-	}
-	if got := srv.Statsz().MalformedFrames; got < 1 {
-		t.Fatalf("malformed frames %d, want >= 1", got)
+	if got := srv.Statsz().MalformedFrames; got < uint64(len(cases)) {
+		t.Fatalf("malformed frames %d, want >= %d", got, len(cases))
 	}
 }

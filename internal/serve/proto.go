@@ -13,7 +13,7 @@
 // by that many payload bytes. Request payloads are capped at
 // MaxRequestFrame; responses at MaxResponseFrame. A request payload is
 //
-//	op        byte     (OpWindow, OpContained, OpPoint, OpNearest, OpBatch, OpStats)
+//	op        byte     (OpWindow, OpContained, OpPoint, OpNearest, OpStats)
 //	tenantLen byte     followed by tenantLen bytes of tenant id
 //	deadline  uint32   request deadline in milliseconds (0 = server default)
 //	limit     uint32   max results per query (0 = unlimited)
@@ -21,7 +21,6 @@
 //	  window/contained  4 × float64 (minx, miny, maxx, maxy)
 //	  point             2 × float64 (x, y)
 //	  nearest           2 × float64 (x, y) + uint32 k
-//	  batch             uint32 n + n × 4 × float64 rects
 //	  stats             none
 //
 // A response payload is a status byte (0 = ok, 1 = error) and the echoed
@@ -29,8 +28,8 @@
 // message length, message bytes). An ok response carries a degraded-shards
 // section — one byte holding the count of shards that contributed nothing
 // to this result, followed by that many uint32 shard indices (zero for a
-// complete result) — and then the op's result: for window, contained,
-// point and batch a uint32 set count and per set a uint32 item count
+// complete result) — and then the op's result: for window, contained and
+// point a uint32 set count (always 1) and per set a uint32 item count
 // followed by items (uint32 id + 4 × float64 rect); for nearest one set of
 // neighbors (uint32 id + 4 × float64 rect + float64 squared distance); for
 // stats a uint32 shard count, uint64 item count and the 4 × float64 global
@@ -54,12 +53,15 @@ import (
 
 // Frame and payload limits.
 const (
-	// MaxRequestFrame caps request payloads (a 4096-rect batch is ~128 KiB).
-	MaxRequestFrame = 1 << 20
+	// MaxRequestFrame caps request payloads. The largest request is a
+	// window or contained query under a MaxTenant-byte tenant: op (1) +
+	// tenant length (1) + tenant (255) + deadline (4) + limit (4) + rect
+	// (32) = 297 bytes; a nearest query's args are 20 bytes. ReadFrame
+	// allocates what a header claims, so the cap bounds what one header
+	// can make the server allocate.
+	MaxRequestFrame = 512
 	// MaxResponseFrame caps response payloads a client will accept.
 	MaxResponseFrame = 64 << 20
-	// MaxBatch caps the rect count of one batch request.
-	MaxBatch = 4096
 	// MaxTenant caps the tenant id length (it fits the one-byte prefix).
 	MaxTenant = 255
 )
@@ -70,7 +72,6 @@ const (
 	OpContained byte = 2 // rect containment query
 	OpPoint     byte = 3 // point stabbing query
 	OpNearest   byte = 4 // k-nearest-neighbor query
-	OpBatch     byte = 5 // many window queries in one frame
 	OpStats     byte = 6 // shard count, item count, global MBR
 )
 
@@ -123,16 +124,15 @@ type Request struct {
 	DeadlineMillis uint32
 	Limit          uint32
 
-	Rect  geom.Rect   // window, contained
-	X, Y  float64     // point, nearest
-	K     uint32      // nearest
-	Rects []geom.Rect // batch
+	Rect geom.Rect // window, contained
+	X, Y float64   // point, nearest
+	K    uint32    // nearest
 }
 
 // Result is one decoded ok-response.
 type Result struct {
 	Op        byte
-	Sets      [][]geom.Item // window/contained/point: one set; batch: per query
+	Sets      [][]geom.Item // window/contained/point: one set
 	Neighbors []Neighbor    // nearest
 	Stats     *WireStats    // stats
 	// FailedShards lists the shards that contributed nothing to this
@@ -238,14 +238,6 @@ func EncodeRequest(buf []byte, req Request) ([]byte, error) {
 		buf = appendF64(buf, req.X)
 		buf = appendF64(buf, req.Y)
 		buf = appendU32(buf, req.K)
-	case OpBatch:
-		if len(req.Rects) > MaxBatch {
-			return buf, fmt.Errorf("%w: batch of %d rects exceeds %d", ErrBadFrame, len(req.Rects), MaxBatch)
-		}
-		buf = appendU32(buf, uint32(len(req.Rects)))
-		for _, r := range req.Rects {
-			buf = appendRect(buf, r)
-		}
 	case OpStats:
 	default:
 		return buf, fmt.Errorf("%w: unknown op %d", ErrBadFrame, req.Op)
@@ -328,23 +320,6 @@ func DecodeRequest(payload []byte) (Request, error) {
 	case OpNearest:
 		req.X, req.Y = r.f64(), r.f64()
 		req.K = r.u32()
-	case OpBatch:
-		n := int(r.u32())
-		if !r.ok {
-			return Request{}, fmt.Errorf("%w: truncated request", ErrBadFrame)
-		}
-		if n > MaxBatch {
-			return Request{}, fmt.Errorf("%w: batch of %d rects exceeds %d", ErrBadFrame, n, MaxBatch)
-		}
-		// The count must match the bytes actually present before any
-		// allocation happens, so a forged count cannot over-allocate.
-		if len(r.b) != n*32 {
-			return Request{}, fmt.Errorf("%w: batch count %d disagrees with payload length", ErrBadFrame, n)
-		}
-		req.Rects = make([]geom.Rect, n)
-		for i := range req.Rects {
-			req.Rects[i] = r.rect()
-		}
 	case OpStats:
 	default:
 		return Request{}, fmt.Errorf("%w: unknown op %d", ErrBadFrame, req.Op)
@@ -362,8 +337,8 @@ func DecodeRequest(payload []byte) (Request, error) {
 
 // AppendOKResponse appends an ok-response for op to buf: the degraded
 // shard list (failed may be nil for a complete result, and is truncated
-// to MaxFailedShards entries), then item sets for
-// window/contained/point/batch, neighbors for nearest, stats for stats.
+// to MaxFailedShards entries), then item sets for window/contained/point,
+// neighbors for nearest, stats for stats.
 func AppendOKResponse(buf []byte, op byte, failed []uint32, sets [][]geom.Item, nbs []Neighbor, st *WireStats) []byte {
 	buf = append(buf, statusOK, op)
 	if len(failed) > MaxFailedShards {
@@ -462,7 +437,7 @@ func DecodeResponse(payload []byte) (Result, error) {
 			return Result{}, fmt.Errorf("%w: truncated stats response", ErrBadFrame)
 		}
 		out.Stats = &st
-	case OpWindow, OpContained, OpPoint, OpBatch:
+	case OpWindow, OpContained, OpPoint:
 		nsets := int(r.u32())
 		if !r.ok || nsets > len(r.b)/4+1 {
 			return Result{}, fmt.Errorf("%w: set count disagrees with payload length", ErrBadFrame)

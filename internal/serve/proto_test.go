@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -13,28 +14,34 @@ import (
 
 func rect(a, b, c, d float64) geom.Rect { return geom.NewRect(a, b, c, d) }
 
+// retiredBatchRequest is the payload of the many-windows request, op 5,
+// that earlier protocol versions had: no tenant, deadline or limit, a
+// count of one and one rect. Op 5 is unknown now.
+var retiredBatchRequest = appendRect([]byte{5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, rect(0, 0, 1, 1))
+
 func TestRequestRoundTrip(t *testing.T) {
+	longest := strings.Repeat("t", MaxTenant)
 	reqs := []Request{
 		{Op: OpWindow, Rect: rect(1, 2, 3, 4)},
 		{Op: OpContained, Tenant: "acme", DeadlineMillis: 250, Limit: 10, Rect: rect(-5, -5, 5, 5)},
 		{Op: OpPoint, X: 3.25, Y: -7.5},
 		{Op: OpNearest, Tenant: "x", X: 0, Y: 0, K: 17},
-		{Op: OpBatch, Limit: 3, Rects: []geom.Rect{rect(0, 0, 1, 1), rect(2, 2, 3, 3)}},
-		{Op: OpBatch, Rects: []geom.Rect{}},
 		{Op: OpStats},
+		// The largest requests there are: every field at its widest.
+		{Op: OpWindow, Tenant: longest, DeadlineMillis: 1<<32 - 1, Limit: 1<<32 - 1, Rect: rect(-1e300, -1e300, 1e300, 1e300)},
+		{Op: OpNearest, Tenant: longest, DeadlineMillis: 1<<32 - 1, Limit: 1<<32 - 1, X: 1e300, Y: -1e300, K: 1<<32 - 1},
 	}
 	for _, want := range reqs {
 		buf, err := EncodeRequest(nil, want)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", want, err)
 		}
+		if len(buf) > MaxRequestFrame {
+			t.Fatalf("a %d-byte request exceeds the frame cap", len(buf))
+		}
 		got, err := DecodeRequest(buf)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
-		}
-		// Batch round-trips nil ↔ empty; normalize before comparing.
-		if len(want.Rects) == 0 {
-			want.Rects, got.Rects = nil, nil
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip: got %+v want %+v", got, want)
@@ -46,11 +53,10 @@ func TestEncodeRequestRejects(t *testing.T) {
 	if _, err := EncodeRequest(nil, Request{Op: OpWindow, Tenant: strings.Repeat("t", MaxTenant+1)}); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("oversized tenant: got %v, want ErrBadFrame", err)
 	}
-	if _, err := EncodeRequest(nil, Request{Op: OpBatch, Rects: make([]geom.Rect, MaxBatch+1)}); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("oversized batch: got %v, want ErrBadFrame", err)
-	}
-	if _, err := EncodeRequest(nil, Request{Op: 99}); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("unknown op: got %v, want ErrBadFrame", err)
+	for _, op := range []byte{5, 99} {
+		if _, err := EncodeRequest(nil, Request{Op: op}); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("unknown op %d: got %v, want ErrBadFrame", op, err)
+		}
 	}
 }
 
@@ -68,14 +74,12 @@ func TestResponseRoundTrip(t *testing.T) {
 	}{
 		{op: OpWindow, sets: [][]geom.Item{items}},
 		{op: OpPoint, sets: [][]geom.Item{{}}},
-		{op: OpBatch, sets: [][]geom.Item{items, {}, items[:1]}},
 		{op: OpNearest, nbs: nbs},
 		{op: OpNearest, nbs: nil},
 		{op: OpStats, st: st},
 		// Degraded responses carry the failed-shard indices.
 		{op: OpWindow, failed: []uint32{2}, sets: [][]geom.Item{items[:1]}},
 		{op: OpNearest, failed: []uint32{0, 3, 7}, nbs: nbs},
-		{op: OpBatch, failed: []uint32{1}, sets: [][]geom.Item{{}, {}}},
 	}
 	for _, c := range cases {
 		buf := AppendOKResponse(nil, c.op, c.failed, c.sets, c.nbs, c.st)
@@ -118,15 +122,6 @@ func TestDecodeRequestErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := EncodeRequest(nil, Request{Op: OpBatch, Rects: []geom.Rect{rect(0, 0, 1, 1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Forge the batch count far above the actual rect payload. The count
-	// sits after op(1) + tenantLen(1) + deadline(4) + limit(4).
-	forged := append([]byte(nil), batch...)
-	forged[13] = 0xff // count low byte → 255 rects claimed, 1 present
-
 	cases := []struct {
 		name    string
 		payload []byte
@@ -137,7 +132,7 @@ func TestDecodeRequestErrors(t *testing.T) {
 		{"truncated args", valid[:len(valid)-1]},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
 		{"tenant past end", []byte{OpStats, 200}},
-		{"forged batch count", forged},
+		{"retired batch op", retiredBatchRequest},
 	}
 	for _, c := range cases {
 		if _, err := DecodeRequest(c.payload); !errors.Is(err, ErrBadFrame) {
@@ -196,9 +191,11 @@ func TestReadFrame(t *testing.T) {
 		}
 	}
 	// A length prefix above the cap is rejected before any allocation.
-	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := ReadFrame(bytes.NewReader(huge), MaxRequestFrame); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized: got %v, want ErrFrameTooLarge", err)
+	for _, claim := range []uint32{MaxRequestFrame + 1, 1 << 20, 1<<32 - 1} {
+		huge := binary.BigEndian.AppendUint32(nil, claim)
+		if _, err := ReadFrame(bytes.NewReader(huge), MaxRequestFrame); !errors.Is(err, ErrFrameTooLarge) {
+			t.Errorf("header claiming %d bytes: got %v, want ErrFrameTooLarge", claim, err)
+		}
 	}
 }
 
@@ -217,13 +214,15 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	seedReq(Request{Op: OpWindow, Tenant: "t", Rect: rect(0, 0, 1, 1)})
 	seedReq(Request{Op: OpNearest, X: 1, Y: 2, K: 3})
-	seedReq(Request{Op: OpBatch, Rects: []geom.Rect{rect(0, 0, 1, 1)}})
+	// A retired batch request, framed and bare: both decode to ErrBadFrame.
+	f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(retiredBatchRequest))), retiredBatchRequest...))
+	f.Add(retiredBatchRequest)
 	seedReq(Request{Op: OpStats})
 	f.Add(AppendOKResponse(nil, OpNearest, nil, nil, []Neighbor{{Dist2: 1}}, nil))
 	f.Add(AppendErrResponse(nil, OpWindow, CodeDeadline, "late"))
 	// Degraded responses: failed-shard lists of every shape.
 	f.Add(AppendOKResponse(nil, OpWindow, []uint32{0}, [][]geom.Item{{}}, nil, nil))
-	f.Add(AppendOKResponse(nil, OpBatch, []uint32{1, 2, 250}, [][]geom.Item{{}, {}}, nil, nil))
+	f.Add(AppendOKResponse(nil, 5, []uint32{1, 2, 250}, [][]geom.Item{{}, {}}, nil, nil))
 	f.Add(AppendOKResponse(nil, OpNearest, []uint32{3}, nil, []Neighbor{{Dist2: 4}}, nil))
 	f.Add([]byte{statusOK, OpWindow, 0xff, 0, 0, 0, 1}) // forged failed count
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0})

@@ -46,10 +46,10 @@ type RobustOptions struct {
 	// allowed through — success closes the breaker, failure reopens it.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-
-	// MaxIdleConns bounds the connection pool (default 8).
-	MaxIdleConns int
 }
+
+// maxIdleConns bounds a RobustClient's pool of idle connections.
+const maxIdleConns = 8
 
 func (o RobustOptions) normalized() RobustOptions {
 	if o.MaxRetries == 0 {
@@ -69,9 +69,6 @@ func (o RobustOptions) normalized() RobustOptions {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = time.Second
-	}
-	if o.MaxIdleConns <= 0 {
-		o.MaxIdleConns = 8
 	}
 	return o
 }
@@ -209,7 +206,7 @@ func (rc *RobustClient) getConn() (*Client, error) {
 // pool is full or the client closed).
 func (rc *RobustClient) putConn(cl *Client) {
 	rc.poolMu.Lock()
-	if rc.closed || len(rc.idle) >= rc.opt.MaxIdleConns {
+	if rc.closed || len(rc.idle) >= maxIdleConns {
 		rc.poolMu.Unlock()
 		cl.Close()
 		return

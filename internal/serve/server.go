@@ -120,8 +120,6 @@ func opName(op byte) string {
 		return "point"
 	case OpNearest:
 		return "nearest"
-	case OpBatch:
-		return "batch"
 	case OpStats:
 		return "stats"
 	}
@@ -260,9 +258,6 @@ func (s *Server) runQuery(ctx context.Context, req Request) (dispatchResult, err
 		}
 		nbs, p, err := set.Nearest(ctx, req.X, req.Y, int(req.K))
 		return dispatchResult{nbs: nbs, failed: p.Failed}, err
-	case OpBatch:
-		sets, p, err := set.Batch(ctx, req.Rects, limit)
-		return dispatchResult{sets: sets, failed: p.Failed}, err
 	case OpStats:
 		return dispatchResult{stats: &WireStats{
 			Shards: uint32(set.Shards()),
@@ -462,7 +457,7 @@ func httpStatus(code uint16) int {
 	return http.StatusInternalServerError
 }
 
-// Handler returns the HTTP/JSON API: /query, /batch, /statsz, /healthz.
+// Handler returns the HTTP/JSON API: /query, /statsz, /healthz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -502,37 +497,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.serveJSON(w, req)
 	})
-	mux.HandleFunc("/batch", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		var body struct {
-			Rects          [][4]float64 `json:"rects"`
-			Tenant         string       `json:"tenant"`
-			DeadlineMillis uint32       `json:"deadline_ms"`
-			Limit          uint32       `json:"limit"`
-		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, MaxRequestFrame)).Decode(&body); err != nil {
-			s.errCount.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(body.Rects) > MaxBatch {
-			s.errCount.Add(1)
-			http.Error(w, fmt.Sprintf("batch of %d rects exceeds %d", len(body.Rects), MaxBatch), http.StatusBadRequest)
-			return
-		}
-		req := Request{
-			Op: OpBatch, Tenant: body.Tenant,
-			DeadlineMillis: body.DeadlineMillis, Limit: body.Limit,
-			Rects: make([]geom.Rect, len(body.Rects)),
-		}
-		for i, r4 := range body.Rects {
-			req.Rects[i] = geom.NewRect(r4[0], r4[1], r4[2], r4[3])
-		}
-		s.serveJSON(w, req)
-	})
 	return mux
 }
 
@@ -566,15 +530,6 @@ func (s *Server) serveJSON(w http.ResponseWriter, req Request) {
 		resp["shards"] = out.stats.Shards
 		resp["items"] = out.stats.Items
 		resp["mbr"] = [4]float64{out.stats.MBR.MinX, out.stats.MBR.MinY, out.stats.MBR.MaxX, out.stats.MBR.MaxY}
-	case OpBatch:
-		sets := make([][]httpItem, len(out.sets))
-		total := 0
-		for i, set := range out.sets {
-			sets[i] = itemsJSON(set)
-			total += len(set)
-		}
-		resp["results"] = sets
-		resp["count"] = total
 	default:
 		items := out.sets[0]
 		resp["items"] = itemsJSON(items)

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strings"
 	"testing"
 	"time"
 
@@ -346,19 +345,20 @@ func TestBinaryE2E(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 
-	res, err := cl.Do(Request{Op: OpBatch, Rects: windows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sets) != len(windows) {
-		t.Fatalf("batch: %d sets, want %d", len(res.Sets), len(windows))
-	}
-	for i, w := range windows {
+	// A window response carries exactly one set.
+	for _, w := range windows {
+		res, err := cl.Do(Request{Op: OpWindow, Rect: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Sets) != 1 {
+			t.Fatalf("window: %d sets, want 1", len(res.Sets))
+		}
 		want, _, err := set.Window(ctx, w, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameItems(t, "batch set", res.Sets[i], want)
+		assertSameItems(t, "window set", res.Sets[0], want)
 	}
 
 	// k beyond the sanity cap is a bad request, not a giant allocation.
@@ -369,7 +369,7 @@ func TestBinaryE2E(t *testing.T) {
 	}
 }
 
-// TestHTTPE2E drives the JSON API: /query, /batch, /healthz, /statsz.
+// TestHTTPE2E drives the JSON API: /query, /healthz, /statsz.
 func TestHTTPE2E(t *testing.T) {
 	srv, set, _ := testServer(t, Config{})
 	hs := httptest.NewServer(srv.Handler())
@@ -449,23 +449,6 @@ func TestHTTPE2E(t *testing.T) {
 		if code := getJSON(p, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", p, code)
 		}
-	}
-
-	// Batch POST.
-	body := fmt.Sprintf(`{"rects": [[%v,%v,%v,%v]]}`, w0.MinX, w0.MinY, w0.MaxX, w0.MaxY)
-	resp, err := http.Post(hs.URL+"/batch", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch struct {
-		Count int `json:"count"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if batch.Count != len(want) {
-		t.Fatalf("batch count %d, want %d", batch.Count, len(want))
 	}
 
 	// /statsz reflects the traffic above.

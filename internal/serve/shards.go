@@ -872,53 +872,6 @@ func (s *Set) Nearest(ctx context.Context, x, y float64, k int) ([]Neighbor, Par
 	return merged, p, nil
 }
 
-// Batch runs every window query and returns per-query merged results,
-// indexed like rects. Shards process the whole batch concurrently; a
-// shard failure drops that shard from every query of the batch (reported
-// once in the Partial).
-func (s *Set) Batch(ctx context.Context, rects []geom.Rect, limit int) ([][]geom.Item, Partial, error) {
-	perShard := make([][][]geom.Item, len(s.shards))
-	errs := s.scatter(func(i int, t *prtree.Tree) error {
-		outs := make([][]geom.Item, len(rects))
-		for qi, r := range rects {
-			q := prtree.Window(r).WithContext(ctx)
-			if limit > 0 {
-				q = q.WithLimit(limit)
-			}
-			out, err := t.Collect(q)
-			if err != nil {
-				return err
-			}
-			outs[qi] = out
-		}
-		perShard[i] = outs
-		return nil
-	})
-	p, err := s.resolve(errs)
-	if err != nil {
-		return nil, Partial{}, err
-	}
-	for _, i := range p.Failed {
-		perShard[i] = nil
-	}
-	out := make([][]geom.Item, len(rects))
-	for qi := range rects {
-		var merged []geom.Item
-		for si := range perShard {
-			if perShard[si] == nil {
-				continue
-			}
-			merged = append(merged, perShard[si][qi]...)
-		}
-		sortItems(merged)
-		if limit > 0 && len(merged) > limit {
-			merged = merged[:limit]
-		}
-		out[qi] = merged
-	}
-	return out, p, nil
-}
-
 // ShardStatus is one shard's health record in SetStats.
 type ShardStatus struct {
 	File        string

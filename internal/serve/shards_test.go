@@ -12,6 +12,7 @@ import (
 	"prtree"
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
+	"prtree/internal/parallel"
 	"prtree/internal/storage"
 	"prtree/internal/workload"
 )
@@ -133,20 +134,21 @@ func TestShardEquivalence(t *testing.T) {
 				}
 			}
 
-			// Batch matches per-rect windows.
-			sets, _, err := set.Batch(ctx, windows, 0)
-			if err != nil {
+			// One window per goroutine answers as the serial calls do.
+			concurrent := make([][]geom.Item, len(windows))
+			errs := make([]error, len(windows))
+			parallel.Run(4, len(windows), func(i int) {
+				concurrent[i], _, errs[i] = set.Window(ctx, windows[i], 0)
+			})
+			if err := errors.Join(errs...); err != nil {
 				t.Fatal(err)
-			}
-			if len(sets) != len(windows) {
-				t.Fatalf("batch returned %d sets, want %d", len(sets), len(windows))
 			}
 			for i, w := range windows {
 				single, _, err := set.Window(ctx, w, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSameItems(t, "batch", sets[i], single)
+				assertSameItems(t, "concurrent window", concurrent[i], single)
 			}
 
 			// Limits: the subset is each shard's prefix merged and

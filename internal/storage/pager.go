@@ -35,7 +35,8 @@ import (
 // count a hit and wait for the fill. Consequently both the
 // hit/miss tallies and the disk's block-read counter are exactly what a
 // serial execution of the same page accesses would produce, which is what
-// keeps QueryBatch's aggregate block-I/O bit-identical to serial runs.
+// keeps the aggregate block-I/O of concurrent queries bit-identical to
+// serial runs.
 //
 // Writers (Write, Invalidate, Unpin, DropCache) are individually safe to
 // call, but mutating the underlying pages while queries read them is a

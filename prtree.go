@@ -4,8 +4,8 @@
 // for N rectangles, block capacity B and output size T.
 //
 // The package bulk-loads PR-trees (and, for comparison, the packed Hilbert,
-// four-dimensional Hilbert, STR and Top-down Greedy Split R-trees the
-// paper benchmarks) onto a pluggable block store, answers point,
+// four-dimensional Hilbert and Top-down Greedy Split R-trees the paper
+// benchmarks) onto a pluggable block store, answers point,
 // containment and k-nearest-neighbor queries besides window queries, and
 // offers Dynamic, the logarithmic-method index the paper proposes for
 // updates (§4), which keeps the optimal query bound under insertions and
@@ -48,17 +48,15 @@
 // neighbor's squared distance, and Count counts without collecting.
 //
 // The read path is safe for many concurrent goroutines — the page cache is
-// lock-striped and per-traversal scratch is pooled — and QueryBatch /
-// SearchBatch fan a slice of queries across a bounded worker pool with
-// results identical to sequential execution. A BulkLoad requires exclusive
-// access.
+// lock-striped and per-traversal scratch is pooled — so a batch of queries
+// is the caller's own goroutines, one query each, with results identical
+// to sequential execution. A BulkLoad requires exclusive access.
 package prtree
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
@@ -91,12 +89,11 @@ func NewRect(x1, y1, x2, y2 float64) Rect { return geom.NewRect(x1, y1, x2, y2) 
 // Loader selects a bulk-loading algorithm.
 type Loader = bulk.Loader
 
-// Bulk-loading algorithms: the paper's comparison set plus STR.
+// Bulk-loading algorithms: the paper's comparison set.
 const (
 	PR        = bulk.LoaderPR
 	Hilbert   = bulk.LoaderHilbert
 	Hilbert4D = bulk.LoaderHilbert4D
-	STR       = bulk.LoaderSTR
 	TGS       = bulk.LoaderTGS
 )
 
@@ -260,7 +257,7 @@ func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 // over a permutation of items and creates no scratch file. Any other load
 // puts its input file, sort runs and every other temporary on a private
 // scratch file beside the index (path + ".scratch"), which needs transient
-// disk space of three (Hilbert, STR) to eight (PR) times the input, is
+// disk space of three (Hilbert) to eight (PR) times the input, is
 // never journaled or fsynced, and is deleted when the tree closes or the
 // load fails. IOStats counts the scratch I/O too.
 func (t *Tree) BulkLoad(l Loader, items []Item) error {
@@ -309,7 +306,7 @@ func (t *Tree) Utilization() (leaf, internal float64) { return t.inner.Utilizati
 // IOStats returns cumulative block reads/writes on the tree's backend
 // plus, for a file-backed tree, its bulk-load scratch store — so build
 // I/O is the same quantity on every backend. The counters are atomic:
-// IOStats is safe to call while queries (including QueryBatch) run.
+// IOStats is safe to call while queries run.
 func (t *Tree) IOStats() IOStats { return t.io.Stats().Add(t.scratch.Stats()) }
 
 // ResetIOStats zeroes the I/O counters (e.g. before measuring a query).
@@ -330,23 +327,15 @@ func (t *Tree) SnapshotStats() SnapshotStats {
 	return t.io.SnapshotStats()
 }
 
-// PinInternal pins every internal node in the page cache, reproducing the
-// paper's measurement setup where query I/O equals leaf blocks fetched.
-// It returns the number of pinned pages.
-func (t *Tree) PinInternal() int { return t.inner.PinInternal() }
-
 // Validate checks the structural invariants (mainly for tests and tools).
 func (t *Tree) Validate() error { return t.inner.Validate() }
-
-// Items returns every stored item by scanning the leaves.
-func (t *Tree) Items() []Item { return t.inner.Items() }
 
 // Dynamic is a fully dynamic spatial index with the PR-tree query bound,
 // built on the external logarithmic method the paper proposes for updates
 // (Sections 1.2 and 4).
 //
 // The read path (Query, Search, SearchPoint, SearchContained,
-// NearestNeighbors, SearchBatch, Len) is safe for many concurrent
+// NearestNeighbors, Len) is safe for many concurrent
 // goroutines and never blocks on writers: each query runs against an
 // immutable copy-on-write snapshot of the component directory, and the
 // storage layer's epoch pins keep a snapshot's pages byte-stable until its
@@ -538,42 +527,6 @@ func (d *Dynamic) SearchContained(q Rect) []Item {
 // distance, closest first (ties broken by item ID).
 func (d *Dynamic) NearestNeighbors(x, y float64, k int) []Neighbor {
 	return d.inner.Nearest(x, y, k)
-}
-
-// SearchBatch runs the window queries across a bounded worker pool
-// (workers clamped to [1, len(queries)]) and returns the per-query result
-// slices in input order, identical to running each Search sequentially.
-// All queries observe the same kind of snapshot isolation as single
-// queries; a concurrent writer's mutations are each either fully visible
-// to a given query or not at all.
-func (d *Dynamic) SearchBatch(queries []Rect, workers int) [][]Item {
-	out := make([][]Item, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	var next atomic.Uint32
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				out[i] = d.inner.QueryCollect(queries[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // Len returns the number of live items.

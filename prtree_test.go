@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"prtree/internal/bulk"
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
+	"prtree/internal/parallel"
 	"prtree/internal/storage"
 	"prtree/internal/workload"
 )
@@ -94,7 +96,7 @@ func TestBulkAndSearch(t *testing.T) {
 
 func TestAllPublicLoaders(t *testing.T) {
 	items := randItems(1000, 3)
-	for _, l := range []Loader{PR, Hilbert, Hilbert4D, STR, TGS} {
+	for _, l := range []Loader{PR, Hilbert, Hilbert4D, TGS} {
 		tree := BulkWith(l, items, &Options{Fanout: 16, MemoryItems: 4096})
 		if tree.Len() != 1000 {
 			t.Fatalf("%v: len = %d", l, tree.Len())
@@ -156,7 +158,7 @@ func TestInsertDelete(t *testing.T) {
 
 func TestIOStatsAndPinning(t *testing.T) {
 	tree := BulkWith(PR, randItems(5000, 6), &Options{CacheCapacity: 1})
-	pinned := tree.PinInternal()
+	pinned := tree.inner.PinInternal()
 	if pinned == 0 {
 		t.Fatal("no internal nodes pinned")
 	}
@@ -188,7 +190,7 @@ func TestTreeMetadata(t *testing.T) {
 	if leaf < 0.9 {
 		t.Errorf("leaf utilization %.2f", leaf)
 	}
-	got := tree.Items()
+	got := tree.inner.Items()
 	if len(got) != len(items) {
 		t.Errorf("Items() = %d", len(got))
 	}
@@ -281,15 +283,15 @@ func TestNearestNeighborsPublic(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSequentialFig12 is the facade-level equivalence
-// test on the Fig12 workload shape (PR-loaded TIGER-like data, square
-// window queries, internal nodes pinned): SearchBatch and QueryBatch must
-// return exactly the sequential results and stats at every worker count,
-// and the aggregate block-I/O of a cold-cache batch must be bit-identical
-// to a cold-cache sequential run.
-func TestSearchBatchMatchesSequentialFig12(t *testing.T) {
-	// Raise GOMAXPROCS so the pool fans out even on single-CPU machines
-	// (workers are clamped to GOMAXPROCS).
+// TestConcurrentQueriesMatchSequentialFig12 is the facade-level
+// equivalence test on the Fig12 workload shape (PR-loaded TIGER-like data,
+// square window queries, internal nodes pinned): one query per goroutine,
+// through Run and Count, must return exactly the sequential results and
+// stats at every worker count, and the aggregate block-I/O of a cold-cache
+// concurrent run must be bit-identical to a cold-cache sequential run.
+func TestConcurrentQueriesMatchSequentialFig12(t *testing.T) {
+	// Raise GOMAXPROCS so parallel.Run fans out even on single-CPU
+	// machines (workers are clamped to GOMAXPROCS).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	items := dataset.Western(20000, 5)
 	world := geom.ItemsMBR(items)
@@ -309,7 +311,7 @@ func TestSearchBatchMatchesSequentialFig12(t *testing.T) {
 		coldStart := func() {
 			tree.inner.Pager().DropCache()
 			if capacity == 0 {
-				tree.PinInternal()
+				tree.inner.PinInternal()
 			}
 			tree.ResetIOStats()
 		}
@@ -328,39 +330,43 @@ func TestSearchBatchMatchesSequentialFig12(t *testing.T) {
 
 		for _, workers := range []int{1, 2, 4, 8} {
 			coldStart()
-			gotResults := tree.SearchBatch(queries, workers)
-			gotStats := tree.QueryBatch(queries, workers)
-			batchIO := tree.IOStats()
+			gotResults := make([][]Item, len(queries))
+			gotStats := make([]QueryStats, len(queries))
+			// A query error would show as a mismatch below.
+			parallel.Run(workers, len(queries), func(i int) {
+				q := Window(queries[i])
+				_ = tree.Run(q, func(it Item) bool {
+					gotResults[i] = append(gotResults[i], it)
+					return true
+				})
+				_, _ = tree.Count(q.WithStats(&gotStats[i]))
+			})
+			concurrentIO := tree.IOStats()
 
 			for i := range queries {
 				if gotStats[i] != wantStats[i] {
 					t.Fatalf("cap=%d workers=%d query %d: stats %+v, want %+v",
 						capacity, workers, i, gotStats[i], wantStats[i])
 				}
-				if len(gotResults[i]) != len(wantResults[i]) {
-					t.Fatalf("cap=%d workers=%d query %d: %d results, want %d",
+				if !slices.Equal(gotResults[i], wantResults[i]) {
+					t.Fatalf("cap=%d workers=%d query %d: %d results, want %d (or order differs)",
 						capacity, workers, i, len(gotResults[i]), len(wantResults[i]))
-				}
-				for j := range gotResults[i] {
-					if gotResults[i][j] != wantResults[i][j] {
-						t.Fatalf("cap=%d workers=%d query %d: result %d differs", capacity, workers, i, j)
-					}
 				}
 			}
 			// Both intervals start cold and perform the same page accesses
-			// (SearchBatch cold, QueryBatch re-reading), so the aggregate
-			// must match the serial interval exactly.
-			if batchIO.Reads != serialIO.Reads {
-				t.Fatalf("cap=%d workers=%d: aggregate reads %d, want %d (bit-identical to serial)",
-					capacity, workers, batchIO.Reads, serialIO.Reads)
+			// (a first traversal per query, then a second re-reading), so the
+			// aggregate must match the serial interval exactly.
+			if concurrentIO != serialIO {
+				t.Fatalf("cap=%d workers=%d: aggregate I/O %v, want %v (bit-identical to serial)",
+					capacity, workers, concurrentIO, serialIO)
 			}
 		}
 	}
 }
 
 // TestConcurrentIOStatsDuringBatch reads and resets the I/O counters while
-// a batch runs — the counter race the lock-striped pager and atomic disk
-// stats fix. Run under -race in CI.
+// a batch runs, one query per goroutine — the counter race the
+// lock-striped pager and atomic disk stats fix. Run under -race in CI.
 func TestConcurrentIOStatsDuringBatch(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	items := randItems(8000, 21)
@@ -375,7 +381,7 @@ func TestConcurrentIOStatsDuringBatch(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 4; i++ {
-			tree.QueryBatch(queries, 8)
+			parallel.Run(8, len(queries), func(i int) { _, _ = tree.Count(Window(queries[i])) })
 		}
 	}()
 	for {
@@ -407,7 +413,7 @@ func TestEmptyTree(t *testing.T) {
 			}
 		}
 	}
-	for _, l := range []Loader{PR, Hilbert, Hilbert4D, STR, TGS} {
+	for _, l := range []Loader{PR, Hilbert, Hilbert4D, TGS} {
 		empty(l.String(), BulkWith(l, nil, nil))
 		empty(l.String()+" external", BulkWith(l, nil, &Options{MemoryItems: 1024}))
 	}

@@ -201,22 +201,3 @@ func (t *Tree) CollectNearest(q Query) ([]Neighbor, error) {
 
 // Neighbor is one nearest-neighbor result with its squared distance.
 type Neighbor = rtree.Neighbor
-
-// QueryBatch runs every window query concurrently on up to workers
-// goroutines (bounded by GOMAXPROCS; <= 1 means serial) and returns
-// per-query statistics indexed like queries. Per-query results and stats
-// are identical to sequential Run calls at every worker count, and with
-// the default unbounded cache the aggregate block-I/O is bit-identical
-// too. The tree must not be mutated while a batch runs.
-func (t *Tree) QueryBatch(queries []Rect, workers int) []QueryStats {
-	return t.inner.QueryBatch(queries, workers, nil)
-}
-
-// SearchBatch runs every query concurrently on up to workers goroutines and
-// returns the matching items per query, indexed and ordered exactly as N
-// sequential Collect calls of Window queries would be. The tree must not be mutated while a
-// batch runs.
-func (t *Tree) SearchBatch(queries []Rect, workers int) [][]Item {
-	results, _ := t.inner.SearchBatch(queries, workers)
-	return results
-}

@@ -47,7 +47,7 @@ func scratchTestItems(n int, seed int64) []Item {
 func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 	const blockSize = 512
 	items := scratchTestItems(3000, 5)
-	for _, l := range []Loader{Hilbert, Hilbert4D, STR, TGS, PR} {
+	for _, l := range []Loader{Hilbert, Hilbert4D, TGS, PR} {
 		t.Run("raw/"+l.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "dense.pr")

@@ -18,6 +18,7 @@ import (
 
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
+	"prtree/internal/parallel"
 	"prtree/internal/workload"
 )
 
@@ -160,16 +161,23 @@ func TestBackendEquivalence(t *testing.T) {
 				t.Fatalf("demand reads %d / %d for %d / %d cache misses — must be one each", ioM.Reads, ioF.Reads, m, f)
 			}
 
-			// Batch execution must agree with itself across backends too.
-			bm := mem.SearchBatch(queries, 4)
-			bf := file.SearchBatch(queries, 4)
-			if !reflect.DeepEqual(bm, bf) {
-				t.Fatal("batch results differ across backends")
+			// One query per goroutine agrees across backends too; the
+			// serial loop above has already checked these windows for errors.
+			concurrent := func(tr *Tree) ([][]Item, []QueryStats) {
+				out := make([][]Item, len(queries))
+				stats := make([]QueryStats, len(queries))
+				parallel.Run(4, len(queries), func(i int) {
+					out[i], _ = tr.Collect(Window(queries[i]).WithStats(&stats[i]))
+				})
+				return out, stats
 			}
-			sm := mem.QueryBatch(queries, 4)
-			sf := file.QueryBatch(queries, 4)
+			cm, sm := concurrent(mem)
+			cf, sf := concurrent(file)
+			if !reflect.DeepEqual(cm, cf) {
+				t.Fatal("concurrent results differ across backends")
+			}
 			if !reflect.DeepEqual(sm, sf) {
-				t.Fatal("batch stats differ across backends")
+				t.Fatal("concurrent stats differ across backends")
 			}
 		})
 	}
@@ -215,10 +223,10 @@ func TestEmptyIndexOwnsNoPage(t *testing.T) {
 	if got := nearest(t, re, 0.5, 0.5, 3); len(got) != 0 {
 		t.Errorf("k-NN found %d", len(got))
 	}
-	if got := re.SearchBatch([]Rect{world, world}, 2); len(got[0])+len(got[1]) != 0 {
-		t.Errorf("batch found %d", len(got[0])+len(got[1]))
+	if got := collect(t, re, Window(world)); len(got) != 0 {
+		t.Errorf("window query found %d", len(got))
 	}
-	if got := re.Items(); len(got) != 0 {
+	if got := re.inner.Items(); len(got) != 0 {
 		t.Errorf("Items() = %d", len(got))
 	}
 	if io := re.IOStats(); io.Total() != 0 {
@@ -252,7 +260,7 @@ func TestCreateCloseOpen(t *testing.T) {
 		if err := tree.BulkLoad(TGS, items); err != nil {
 			t.Fatal(err)
 		}
-		wantItems := tree.Items()
+		wantItems := tree.inner.Items()
 		world := geom.ItemsMBR(items)
 		queries := workload.Squares(world, 0.01, 20, 5)
 		wantResults := make([][]Item, len(queries))
@@ -276,7 +284,7 @@ func TestCreateCloseOpen(t *testing.T) {
 			t.Fatalf("reopened shape %d/%d/%d, want %d/%d/%d",
 				re.Len(), re.Height(), re.Nodes(), wantLen, wantHeight, wantNodes)
 		}
-		if got := re.Items(); !reflect.DeepEqual(got, wantItems) {
+		if got := re.inner.Items(); !reflect.DeepEqual(got, wantItems) {
 			t.Fatal("reopened Items differ")
 		}
 		for i, q := range queries {
