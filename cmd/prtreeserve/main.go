@@ -1,7 +1,8 @@
 // Command prtreeserve serves a sharded PR-tree index directory (built by
-// prtool shard) over the network: a length-prefixed binary protocol on
-// -bind and an HTTP/JSON API on -http, with per-tenant admission control,
-// per-request deadlines and graceful drain on SIGTERM/SIGINT.
+// prtool shard) over the network: queries on a length-prefixed binary
+// protocol on -bind, and an HTTP admin listener on -http (/healthz,
+// /statsz), with per-tenant admission control, per-request deadlines and
+// graceful drain on SIGTERM/SIGINT.
 //
 // Usage:
 //
@@ -18,7 +19,8 @@
 // supervisor reopens, scrubs and restores the shard — see -maxrecoveries
 // and -recoverybackoff. GET /statsz reports pager and IO counters,
 // per-shard health and per-endpoint latency histograms; GET /healthz is
-// the readiness probe (ok / degraded / 503 down-or-draining).
+// the readiness probe (ok / degraded / 503 down-or-draining). The admin
+// listener stays up through a drain and closes last.
 //
 // The -faultshard/-faultreads and -netfault/-netfaultafter flags inject
 // deterministic storage and network faults for chaos testing; they have
@@ -42,7 +44,7 @@ import (
 func main() {
 	shards := flag.String("shards", "", "sharded index directory (required; see prtool shard)")
 	bind := flag.String("bind", "127.0.0.1:9045", "binary-protocol listen address")
-	httpBind := flag.String("http", "127.0.0.1:9046", "HTTP/JSON listen address (empty disables)")
+	httpBind := flag.String("http", "127.0.0.1:9046", "admin listener: /healthz, /statsz (empty disables)")
 	cache := flag.Int("cache", 0, "global page-cache budget in pages, split across shards (0 = unbounded)")
 	tenantCap := flag.Int("tenantcap", 0, "per-tenant in-flight request cap (0 = unlimited)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for requests that carry none (0 = none)")

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -150,15 +151,6 @@ func (c *child) drain(t *testing.T) {
 	}
 }
 
-// queryResponse is the part of a /query answer the tests read.
-type queryResponse struct {
-	Degraded bool `json:"degraded"`
-	Count    int  `json:"count"`
-	Items    []struct {
-		Dist2 *float64 `json:"dist2"`
-	} `json:"items"`
-}
-
 // TestSignalRightAfterHealthy: the first successful /healthz probe is the
 // earliest moment an orchestrator may decide to stop the server again. A
 // SIGTERM sent at that moment must be drained, not kill the process: the
@@ -172,30 +164,34 @@ func TestSignalRightAfterHealthy(t *testing.T) {
 	}
 }
 
-// TestServeEndToEnd drives the real server over both protocols: health,
-// an HTTP window with a limit and an HTTP nearest query, 32 binary windows
-// checked against a scan of the input, /statsz, then a clean drain.
+// TestServeEndToEnd drives the real server: health on the admin port, a
+// window with a limit, a nearest query and 32 windows checked against a
+// scan of the input over the binary protocol, /statsz, then a clean drain.
 func TestServeEndToEnd(t *testing.T) {
 	items := dataset.Western(4000, 3)
 	c := startServer(t, buildShards(t, items, 4), "-cache", "4096", "-tenantcap", "256", "-maxdeadline", "30s")
 	c.waitFor(t, "healthy", c.healthy)
-
-	var win queryResponse
-	c.getJSON(t, "/query?op=window&rect=0.4,0.4,0.6,0.6&limit=5", &win)
-	if want := min(5, countWindow(items, geom.NewRect(0.4, 0.4, 0.6, 0.6))); win.Count != want || len(win.Items) != want || want == 0 {
-		t.Fatalf("window limit=5: count %d, %d items, want %d", win.Count, len(win.Items), want)
-	}
-	var nn queryResponse
-	c.getJSON(t, "/query?op=nearest&x=0.5&y=0.5&k=3", &nn)
-	if nn.Count != 3 || len(nn.Items) != 3 || nn.Items[0].Dist2 == nil {
-		t.Fatalf("nearest k=3: %+v", nn)
-	}
 
 	cl, err := serve.Dial(c.binAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	w := geom.NewRect(0.4, 0.4, 0.6, 0.6)
+	win, err := cl.Do(serve.Request{Op: serve.OpWindow, Limit: 5, Rect: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := min(5, countWindow(items, w)); len(win.Sets) != 1 || len(win.Sets[0]) != want || want == 0 {
+		t.Fatalf("window limit=5: %d sets %v, want one of %d items", len(win.Sets), win.Sets, want)
+	}
+	nn, err := cl.Nearest(0.5, 0.5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nn) != 3 || nn[0].Dist2 > nn[1].Dist2 || nn[1].Dist2 > nn[2].Dist2 {
+		t.Fatalf("nearest k=3: %+v", nn)
+	}
 	for i, r := range workload.Squares(geom.ItemsMBR(items), 0.01, 32, 77) {
 		got, err := cl.Window(r, 0)
 		if err != nil {
@@ -215,11 +211,12 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 // TestServeChaos runs the server with an injected read fault on shard 1
-// and connection resets on the binary listener. Full-world HTTP windows
-// stay well-formed JSON until the shard is quarantined; the binary
-// listener loses requests to its resets but the process lives; the
-// supervisor restores the shard, /healthz returns to "ok", the full world
-// is answered complete again, and the server drains cleanly.
+// and connection resets on the binary listener. Full-world windows go
+// through a RobustClient, whose retries absorb the resets: once shard 1 is
+// quarantined they come back degraded, naming shard 1. Plain connections
+// lose requests to the resets but the process lives; the supervisor
+// restores the shard, /healthz returns to "ok", the full world is answered
+// complete again, and the server drains cleanly.
 func TestServeChaos(t *testing.T) {
 	items := dataset.Western(4000, 5)
 	world := geom.ItemsMBR(items)
@@ -228,7 +225,16 @@ func TestServeChaos(t *testing.T) {
 		"-netfault", "reset", "-netfaultafter", "40")
 	c.waitFor(t, "healthy", c.healthy)
 
-	fullWorld := fmt.Sprintf("/query?op=window&rect=%g,%g,%g,%g", world.MinX, world.MinY, world.MaxX, world.MaxY)
+	rc := serve.DialRobust(serve.RobustOptions{Addr: c.binAddr})
+	defer rc.Close()
+	fullWorld := func() serve.Result {
+		t.Helper()
+		res, err := rc.Do(serve.Request{Op: serve.OpWindow, Rect: world})
+		if err != nil {
+			t.Fatalf("full-world window: %v\n%s", err, c.output())
+		}
+		return res
+	}
 	shardSum := func(field func(serve.ShardStatsz) uint64) uint64 {
 		var sz serve.Statsz
 		c.getJSON(t, "/statsz", &sz)
@@ -238,11 +244,12 @@ func TestServeChaos(t *testing.T) {
 		}
 		return n
 	}
-	c.waitFor(t, "quarantine", func() bool {
-		var resp queryResponse
-		c.getJSON(t, fullWorld, &resp)
-		return shardSum(func(s serve.ShardStatsz) uint64 { return s.Quarantines }) >= 1
+	c.waitFor(t, "full-world window degraded by shard 1", func() bool {
+		return slices.Contains(fullWorld().FailedShards, 1)
 	})
+	if shardSum(func(s serve.ShardStatsz) uint64 { return s.Quarantines }) < 1 {
+		t.Fatal("a degraded answer without a quarantine")
+	}
 
 	var cl *serve.Client
 	errs := 0
@@ -276,10 +283,8 @@ func TestServeChaos(t *testing.T) {
 	c.waitFor(t, "recovery", func() bool {
 		return shardSum(func(s serve.ShardStatsz) uint64 { return s.Recoveries }) >= 1 && c.healthy()
 	})
-	var resp queryResponse
-	c.getJSON(t, fullWorld, &resp)
-	if resp.Degraded || resp.Count != len(items) {
-		t.Fatalf("after recovery: degraded %v, %d of %d items", resp.Degraded, resp.Count, len(items))
+	if res := fullWorld(); res.Degraded() || len(res.Sets) != 1 || len(res.Sets[0]) != len(items) {
+		t.Fatalf("after recovery: failed shards %v, %d sets, want all %d items", res.FailedShards, len(res.Sets), len(items))
 	}
 	c.drain(t)
 }

@@ -64,17 +64,10 @@ func Float64Key(v float64) uint64 {
 // AxisKey returns a KeyFunc ordering items by the axis-th corner-transform
 // coordinate (0=xmin, 1=ymin, 2=xmax, 3=ymax), ties broken by id. Axes 2
 // and 3 sort ascending; callers wanting "maximal xmax first" iterate from
-// the tail or use ReverseAxisKey.
+// the tail.
 func AxisKey(axis int) KeyFunc {
 	return func(it geom.Item) Key {
 		return Key{Main: Float64Key(it.Rect.Coord(axis)), Tie: it.ID}
-	}
-}
-
-// ReverseAxisKey orders items by descending axis coordinate.
-func ReverseAxisKey(axis int) KeyFunc {
-	return func(it geom.Item) Key {
-		return Key{Main: ^Float64Key(it.Rect.Coord(axis)), Tie: it.ID}
 	}
 }
 
@@ -164,22 +157,6 @@ func SortKeys(in *storage.ItemFile, keys []KeyFunc, cfg Config) []*storage.ItemF
 		out[k] = runs[k][0]
 	}
 	return out
-}
-
-// SortItems sorts an in-memory slice by key (used when N <= M, where the
-// paper switches to internal-memory construction). The slice is sorted in
-// place and also returned. Each key is computed exactly once.
-func SortItems(items []geom.Item, key KeyFunc) []geom.Item {
-	if len(items) < 2 {
-		return items
-	}
-	sorted := newRunSorter(len(items)).sort(items, key)
-	out := make([]geom.Item, len(items))
-	for i := range sorted {
-		out[i] = items[sorted[i].pos]
-	}
-	copy(items, out)
-	return items
 }
 
 // runChunk is one M-record slice of the input, tagged with its position so

@@ -173,19 +173,6 @@ func TestSortDuplicateCoordinatesStableByID(t *testing.T) {
 	}
 }
 
-func TestReverseAxisKey(t *testing.T) {
-	d := storage.NewDisk(storage.DefaultBlockSize)
-	items := randItems(300, 6)
-	in := storage.NewItemFileFrom(d, items)
-	out := Sort(in, ReverseAxisKey(3), Config{MemoryItems: 400})
-	got := out.ReadAll()
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Rect.MaxY < got[i].Rect.MaxY {
-			t.Fatalf("descending sort broken at %d", i)
-		}
-	}
-}
-
 func TestUintKey(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
 	items := randItems(300, 7)
@@ -258,10 +245,9 @@ func rawBytes(d *storage.Disk, f *storage.ItemFile) []byte {
 func TestSortSerialParallelEquivalence(t *testing.T) {
 	defer allowParallelism()()
 	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
-	names := []string{"axis0", "rev3", "uint"}
+	names := []string{"axis0", "uint"}
 	keys := []KeyFunc{
 		AxisKey(0),
-		ReverseAxisKey(3),
 		UintKey(func(it geom.Item) uint64 { return uint64(it.ID) % 97 }),
 	}
 	for _, seed := range []int64{1, 7} {
@@ -384,24 +370,6 @@ func TestSortTinyMemoryPanics(t *testing.T) {
 		}
 	}()
 	Sort(in, AxisKey(0), Config{MemoryItems: 5})
-}
-
-func TestSortItemsMatchesStdSort(t *testing.T) {
-	items := randItems(1000, 11)
-	ref := make([]geom.Item, len(items))
-	copy(ref, items)
-	sort.Slice(ref, func(i, j int) bool {
-		if ref[i].Rect.MinY != ref[j].Rect.MinY {
-			return ref[i].Rect.MinY < ref[j].Rect.MinY
-		}
-		return ref[i].ID < ref[j].ID
-	})
-	SortItems(items, AxisKey(1))
-	for i := range items {
-		if items[i] != ref[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
 }
 
 // TestSortParallelWorkerPanicPropagates: a panicking KeyFunc must surface

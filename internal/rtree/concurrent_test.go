@@ -118,9 +118,10 @@ func TestConcurrentQueryStress(t *testing.T) {
 	wantContain := make([]int, len(queries))
 	for i, q := range queries {
 		wantCollect[i] = tr.QueryCollect(q)
-		wantContain[i] = tr.ContainmentQuery(q, nil).Results
+		st, _ := tr.RunWindow(q, true, nil, RunOptions{})
+		wantContain[i] = st.Results
 	}
-	wantKNN, _ := tr.NearestNeighbors(0.5, 0.5, 10)
+	wantKNN, _, _ := tr.RunNearest(0.5, 0.5, 10, RunOptions{})
 	wantMBR := tr.MBR()
 
 	const workers = 8
@@ -155,12 +156,12 @@ func TestConcurrentQueryStress(t *testing.T) {
 						return
 					}
 				case 1:
-					if got := tr.ContainmentQuery(queries[qi], nil).Results; got != wantContain[qi] {
-						t.Errorf("worker %d: ContainmentQuery(%d) = %d, want %d", w, qi, got, wantContain[qi])
+					if st, _ := tr.RunWindow(queries[qi], true, nil, RunOptions{}); st.Results != wantContain[qi] {
+						t.Errorf("worker %d: containment RunWindow(%d) = %d, want %d", w, qi, st.Results, wantContain[qi])
 						return
 					}
 				case 2:
-					got, _ := tr.NearestNeighbors(0.5, 0.5, 10)
+					got, _, _ := tr.RunNearest(0.5, 0.5, 10, RunOptions{})
 					if len(got) != len(wantKNN) {
 						t.Errorf("worker %d: kNN returned %d", w, len(got))
 						return

@@ -13,21 +13,6 @@ import (
 // search (Hjaltason & Samet's incremental algorithm), all with the same
 // block-level accounting as window queries.
 
-// PointQuery reports every stored rectangle containing the point (x, y).
-func (t *Tree) PointQuery(x, y float64, fn func(geom.Item) bool) QueryStats {
-	return t.Query(geom.PointRect(x, y), fn)
-}
-
-// ContainmentQuery reports every stored rectangle fully contained in q.
-// Traversal prunes on intersection (a containing leaf entry must intersect
-// q) and filters on containment at the leaves. Like Query, it walks
-// zero-copy views with an explicit preorder stack; fn must not mutate the
-// tree. It is the no-options containment form of RunWindow.
-func (t *Tree) ContainmentQuery(q geom.Rect, fn func(geom.Item) bool) QueryStats {
-	st, _ := t.RunWindow(q, true, fn, RunOptions{})
-	return st
-}
-
 // Neighbor is one k-nearest-neighbor result with its squared distance
 // from the query point to the rectangle (0 when the point is inside).
 type Neighbor struct {
@@ -35,20 +20,11 @@ type Neighbor struct {
 	Dist2 float64
 }
 
-// knnHeaps pools best-first search frontiers across NearestNeighbors calls
+// knnHeaps pools best-first search frontiers across RunNearest calls
 // — per-goroutine scratch, like the traversal stacks, so concurrent k-NN
 // queries never share a heap. Package-level because the heaps carry no
 // per-tree state.
 var knnHeaps = sync.Pool{New: func() interface{} { h := make(distHeap, 0, 64); return &h }}
-
-// NearestNeighbors returns the k stored rectangles closest to (x, y) in
-// ascending distance order. It is the no-options form of RunNearest; see
-// query.go for the best-first search and deterministic tie-breaking
-// guarantees.
-func (t *Tree) NearestNeighbors(x, y float64, k int) ([]Neighbor, QueryStats) {
-	out, st, _ := t.RunNearest(x, y, k, RunOptions{})
-	return out, st
-}
 
 type distEntry struct {
 	dist2  float64

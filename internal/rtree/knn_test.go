@@ -8,7 +8,7 @@ import (
 	"prtree/internal/geom"
 )
 
-func TestPointQuery(t *testing.T) {
+func TestPointStabbingWindow(t *testing.T) {
 	items := []geom.Item{
 		{Rect: geom.NewRect(0, 0, 2, 2), ID: 1},
 		{Rect: geom.NewRect(1, 1, 3, 3), ID: 2},
@@ -16,16 +16,16 @@ func TestPointQuery(t *testing.T) {
 	}
 	tr := buildPacked(t, items, 4)
 	got := map[uint32]bool{}
-	tr.PointQuery(1.5, 1.5, func(it geom.Item) bool {
+	tr.RunWindow(geom.PointRect(1.5, 1.5), false, func(it geom.Item) bool {
 		got[it.ID] = true
 		return true
-	})
+	}, RunOptions{})
 	if !got[1] || !got[2] || got[3] {
 		t.Errorf("point query results: %v", got)
 	}
 }
 
-func TestContainmentQuery(t *testing.T) {
+func TestContainmentWindow(t *testing.T) {
 	items := randItems(1000, 1)
 	tr := buildPacked(t, items, 16)
 	rng := rand.New(rand.NewSource(2))
@@ -38,10 +38,10 @@ func TestContainmentQuery(t *testing.T) {
 			}
 		}
 		got := map[uint32]bool{}
-		st := tr.ContainmentQuery(q, func(it geom.Item) bool {
+		st, _ := tr.RunWindow(q, true, func(it geom.Item) bool {
 			got[it.ID] = true
 			return true
-		})
+		}, RunOptions{})
 		if len(got) != len(want) || st.Results != len(want) {
 			t.Fatalf("containment %v: got %d, want %d", q, len(got), len(want))
 		}
@@ -57,10 +57,10 @@ func TestContainmentEarlyStop(t *testing.T) {
 	items := randItems(500, 3)
 	tr := buildPacked(t, items, 8)
 	count := 0
-	tr.ContainmentQuery(geom.NewRect(-1, -1, 2, 2), func(geom.Item) bool {
+	tr.RunWindow(geom.NewRect(-1, -1, 2, 2), true, func(geom.Item) bool {
 		count++
 		return count < 3
-	})
+	}, RunOptions{})
 	if count != 3 {
 		t.Errorf("early stop at %d", count)
 	}
@@ -85,7 +85,7 @@ func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		x, y := rng.Float64(), rng.Float64()
 		k := 1 + rng.Intn(20)
-		got, _ := tr.NearestNeighbors(x, y, k)
+		got, _, _ := tr.RunNearest(x, y, k, RunOptions{})
 		want := bruteKNN(items, x, y, k)
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: got %d results", k, len(got))
@@ -110,7 +110,7 @@ func TestNearestNeighborsInsidePointZeroDist(t *testing.T) {
 	tr := buildPacked(t, items, 8)
 	it := items[42]
 	cx, cy := it.Rect.Center()
-	got, _ := tr.NearestNeighbors(cx, cy, 1)
+	got, _, _ := tr.RunNearest(cx, cy, 1, RunOptions{})
 	if len(got) != 1 || got[0].Dist2 != 0 {
 		t.Fatalf("nearest to an inside point should be distance 0: %+v", got)
 	}
@@ -119,7 +119,7 @@ func TestNearestNeighborsInsidePointZeroDist(t *testing.T) {
 func TestNearestNeighborsKLargerThanN(t *testing.T) {
 	items := randItems(10, 7)
 	tr := buildPacked(t, items, 4)
-	got, _ := tr.NearestNeighbors(0.5, 0.5, 100)
+	got, _, _ := tr.RunNearest(0.5, 0.5, 100, RunOptions{})
 	if len(got) != 10 {
 		t.Fatalf("k>n should return all: %d", len(got))
 	}
@@ -127,12 +127,12 @@ func TestNearestNeighborsKLargerThanN(t *testing.T) {
 
 func TestNearestNeighborsEmptyAndZeroK(t *testing.T) {
 	disk := newTestTree(t, Config{Fanout: 4})
-	if got, _ := disk.NearestNeighbors(0, 0, 5); got != nil {
+	if got, _, _ := disk.RunNearest(0, 0, 5, RunOptions{}); got != nil {
 		t.Errorf("empty tree kNN = %v", got)
 	}
 	items := randItems(10, 8)
 	tr := buildPacked(t, items, 4)
-	if got, _ := tr.NearestNeighbors(0, 0, 0); got != nil {
+	if got, _, _ := tr.RunNearest(0, 0, 0, RunOptions{}); got != nil {
 		t.Errorf("k=0 kNN = %v", got)
 	}
 }
@@ -155,7 +155,7 @@ func TestNearestNeighborsPrunes(t *testing.T) {
 		return xi < xj
 	})
 	tr := buildPacked(t, items, 16)
-	_, st := tr.NearestNeighbors(0.5, 0.5, 5)
+	_, st, _ := tr.RunNearest(0.5, 0.5, 5, RunOptions{})
 	if st.NodesVisited > tr.Nodes()/10 {
 		t.Errorf("kNN visited %d of %d nodes — no pruning?", st.NodesVisited, tr.Nodes())
 	}

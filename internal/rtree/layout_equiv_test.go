@@ -112,11 +112,11 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 						}
 
 						var contained []geom.Item
-						tr.ContainmentQuery(q, func(it geom.Item) bool { contained = append(contained, it); return true })
+						tr.RunWindow(q, true, func(it geom.Item) bool { contained = append(contained, it); return true }, RunOptions{})
 						equalItemSets(t, fmt.Sprintf("containment %v", q), contained, bruteFilter(items, q.Contains))
 
 						k := 1 + rng.Intn(20)
-						got, _ := tr.NearestNeighbors(x, y, k)
+						got, _, _ := tr.RunNearest(x, y, k, RunOptions{})
 						want := bruteKNN(items, x, y, k)
 						if len(got) != len(want) {
 							t.Fatalf("knn(%g,%g,%d): %d results, want %d", x, y, k, len(got), len(want))

@@ -73,8 +73,8 @@ func TestPersistReopenProperty(t *testing.T) {
 							t.Fatalf("query %v result %d: %v != %v", q, j, a[j], b[j])
 						}
 					}
-					rn, _ := orig.NearestNeighbors(x, y, 10)
-					ln, _ := reopened.NearestNeighbors(x, y, 10)
+					rn, _, _ := orig.RunNearest(x, y, 10, RunOptions{})
+					ln, _, _ := reopened.RunNearest(x, y, 10, RunOptions{})
 					if len(rn) != len(ln) {
 						t.Fatalf("knn length %d vs %d", len(rn), len(ln))
 					}

@@ -323,7 +323,7 @@ func TestFinishEmpty(t *testing.T) {
 	if st := tr.QueryCount(geom.NewRect(0, 0, 1, 1)); st != (QueryStats{}) {
 		t.Errorf("a query of an empty tree did %+v", st)
 	}
-	if got, _ := tr.NearestNeighbors(0, 0, 3); got != nil {
+	if got, _, _ := tr.RunNearest(0, 0, 3, RunOptions{}); got != nil {
 		t.Errorf("k-NN of an empty tree = %v", got)
 	}
 }

@@ -8,38 +8,27 @@ import (
 
 // ErrOverloaded is the typed admission-control rejection: the tenant
 // already has its full cap of requests in flight. Callers test it with
-// errors.Is; the binary protocol maps it to CodeOverloaded and HTTP to
-// 429 Too Many Requests.
+// errors.Is; the binary protocol maps it to CodeOverloaded.
 var ErrOverloaded = errors.New("serve: tenant in-flight cap reached")
 
-// admission enforces a per-tenant in-flight request cap. The zero tenant
-// id shares one bucket named "default", so anonymous clients are capped
-// too rather than uncapped.
-//
-// Internally the cap is tri-state: negative means unlimited, zero rejects
-// every request (drain-to-zero), positive caps. The public Config keeps
-// its "<= 0 disables" convention; normCap translates. In-flight counts
-// are tracked even while the cap is unlimited so the cap can change at
-// runtime (SetTenantCap) without leaking or double-releasing slots held
-// by requests admitted under the old cap.
+// admission enforces a fixed per-tenant in-flight request cap. The zero
+// tenant id shares one bucket named "default", so anonymous clients are
+// capped too rather than uncapped. A nil *admission admits everything.
 type admission struct {
+	cap int // > 0, fixed for the admission's life
+
 	mu       sync.Mutex
-	cap      int
 	inflight map[string]int
 	rejected uint64
 }
 
-// normCap translates the public Config convention (<= 0 disables) into
-// the internal tri-state (negative = unlimited).
-func normCap(c int) int {
-	if c <= 0 {
-		return -1
-	}
-	return c
-}
-
+// newAdmission returns a limiter capping every tenant at cap in-flight
+// requests, or nil (no admission control) when cap <= 0.
 func newAdmission(cap int) *admission {
-	return &admission{cap: normCap(cap), inflight: make(map[string]int)}
+	if cap <= 0 {
+		return nil
+	}
+	return &admission{cap: cap, inflight: make(map[string]int)}
 }
 
 // normTenant maps the empty tenant onto the shared default bucket.
@@ -59,7 +48,7 @@ func (a *admission) acquire(tenant string) error {
 	tenant = normTenant(tenant)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.cap >= 0 && a.inflight[tenant] >= a.cap {
+	if a.inflight[tenant] >= a.cap {
 		a.rejected++
 		return fmt.Errorf("%w (tenant %q, cap %d)", ErrOverloaded, tenant, a.cap)
 	}
@@ -82,24 +71,11 @@ func (a *admission) release(tenant string) {
 	}
 }
 
-// setCap changes the cap at runtime: < 0 unlimited, 0 reject-all, > 0
-// cap. In-flight requests admitted under the old cap drain normally.
-func (a *admission) setCap(cap int) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.cap = cap
-	a.mu.Unlock()
-}
-
-// capNow returns the current cap in the internal tri-state convention.
+// capNow returns the cap, or -1 when admission control is off.
 func (a *admission) capNow() int {
 	if a == nil {
 		return -1
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.cap
 }
 

@@ -7,95 +7,16 @@ import (
 	"testing"
 )
 
-// TestAdmissionCapZeroRejectsAll: the internal tri-state's zero is
-// drain-to-zero — every request bounces, none leaks a slot.
-func TestAdmissionCapZeroRejectsAll(t *testing.T) {
-	a := newAdmission(1)
-	a.setCap(0)
-	for i := 0; i < 10; i++ {
-		if err := a.acquire("t"); !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("acquire %d under cap 0: %v, want ErrOverloaded", i, err)
-		}
-	}
-	if got := a.rejectedCount(); got != 10 {
-		t.Fatalf("rejected %d, want 10", got)
-	}
-	// Lifting the cap admits again immediately: no phantom in-flight
-	// count accumulated from the rejections.
-	a.setCap(1)
-	if err := a.acquire("t"); err != nil {
-		t.Fatalf("acquire after lifting the cap: %v", err)
-	}
-	a.release("t")
-}
-
-// TestAdmissionCapChangeDrainsInFlight: requests admitted under an old
-// cap release their slots correctly across cap changes — including a
-// change to unlimited and back — with no leak or double-release.
-func TestAdmissionCapChangeDrainsInFlight(t *testing.T) {
+// TestAdmissionConcurrentFixedCap hammers acquire/release from many
+// goroutines on three tenants under a cap of 2, so admissions and
+// rejections interleave. Run under -race this is the admission race
+// check; the invariants asserted at the end are exact accounting: every
+// attempt was admitted or rejected, the rejection counter matches what
+// callers saw, and everything admitted was released, so the in-flight map
+// is empty.
+func TestAdmissionConcurrentFixedCap(t *testing.T) {
 	a := newAdmission(2)
-	if err := a.acquire("t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.acquire("t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.acquire("t"); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("third acquire under cap 2: %v", err)
-	}
-
-	// Tighten to 1 with 2 in flight: still counted, still releasable.
-	a.setCap(1)
-	if err := a.acquire("t"); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("acquire with 2 in flight under cap 1: %v", err)
-	}
-	a.release("t")
-	// 1 in flight == new cap: still full.
-	if err := a.acquire("t"); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("acquire with 1 in flight under cap 1: %v", err)
-	}
-	a.release("t")
-	if err := a.acquire("t"); err != nil {
-		t.Fatalf("acquire with 0 in flight under cap 1: %v", err)
-	}
-
-	// Unlimited keeps counting, so flipping back to a cap sees the truth.
-	a.setCap(-1)
-	if err := a.acquire("t"); err != nil {
-		t.Fatal(err)
-	}
-	a.setCap(2)
-	if err := a.acquire("t"); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("slots acquired while unlimited were not counted: %v", err)
-	}
-	a.release("t")
-	a.release("t")
-}
-
-// TestAdmissionConcurrentCapChanges hammers acquire/release from many
-// goroutines while the cap flaps between unlimited, zero, and small
-// values. Run under -race this is the satellite's cap-vs-release race
-// check; the invariant asserted at the end is exact accounting:
-// everything admitted was released, so the in-flight map is empty.
-func TestAdmissionConcurrentCapChanges(t *testing.T) {
-	a := newAdmission(4)
 	var admitted, rejected atomic.Uint64
-	stop := make(chan struct{})
-	var flapper sync.WaitGroup
-	flapper.Add(1)
-	go func() {
-		defer flapper.Done()
-		caps := []int{4, 0, -1, 1, 2}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				a.setCap(caps[i%len(caps)])
-			}
-		}
-	}()
-
 	var workers sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		workers.Add(1)
@@ -117,8 +38,6 @@ func TestAdmissionConcurrentCapChanges(t *testing.T) {
 		}(g)
 	}
 	workers.Wait()
-	close(stop)
-	flapper.Wait()
 
 	if admitted.Load()+rejected.Load() != 8*2000 {
 		t.Fatalf("admitted %d + rejected %d != %d attempts", admitted.Load(), rejected.Load(), 8*2000)

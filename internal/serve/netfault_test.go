@@ -155,14 +155,15 @@ func TestDripRequestReaped(t *testing.T) {
 }
 
 // TestMalformedFrameAccounted: a syntactically complete frame with a
-// garbage payload or a retired batch request, or a header claiming more
-// than MaxRequestFrame bytes, earns one CodeBadRequest response and a
-// malformed-frame count, then the connection closes — not a crash, a
-// silent drop or an allocation of what the header claims.
+// garbage payload or a retired point or batch request, or a header
+// claiming more than MaxRequestFrame bytes, earns one CodeBadRequest
+// response and a malformed-frame count, then the connection closes — not
+// a crash, a silent drop or an allocation of what the header claims.
 func TestMalformedFrameAccounted(t *testing.T) {
 	addr, srv := startFaultServer(t, Config{}, nil)
 	cases := map[string][]byte{
 		"garbage payload":           {0, 0, 0, 2, 0xFF, 0xEE},
+		"retired point op":          append(binary.BigEndian.AppendUint32(nil, uint32(len(retiredPointRequest))), retiredPointRequest...),
 		"retired batch op":          append(binary.BigEndian.AppendUint32(nil, uint32(len(retiredBatchRequest))), retiredBatchRequest...),
 		"header claiming 513 bytes": binary.BigEndian.AppendUint32(nil, MaxRequestFrame+1),
 		"header claiming 1 MiB":     binary.BigEndian.AppendUint32(nil, 1<<20),

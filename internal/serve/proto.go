@@ -1,10 +1,10 @@
 // Package serve turns the PR-tree library into a network query server: a
 // sharded index directory (built by prtool shard or Build) is opened as a
 // scatter-gather Set whose shards split one global page-cache budget, and
-// Server exposes the unified query surface over two listeners — a
-// length-prefixed binary protocol and HTTP/JSON — with per-tenant
-// admission control, per-request deadlines wired to Query.WithContext,
-// graceful drain, and a /statsz endpoint reporting pager/IO counters plus
+// Server answers queries over one length-prefixed binary protocol, with
+// per-tenant admission control, per-request deadlines wired to
+// Query.WithContext and graceful drain. A separate HTTP admin listener
+// serves /healthz and /statsz, the latter reporting pager/IO counters plus
 // per-endpoint latency histograms.
 //
 // # Wire protocol
@@ -13,13 +13,12 @@
 // by that many payload bytes. Request payloads are capped at
 // MaxRequestFrame; responses at MaxResponseFrame. A request payload is
 //
-//	op        byte     (OpWindow, OpContained, OpPoint, OpNearest, OpStats)
+//	op        byte     (OpWindow, OpContained, OpNearest, OpStats)
 //	tenantLen byte     followed by tenantLen bytes of tenant id
 //	deadline  uint32   request deadline in milliseconds (0 = server default)
 //	limit     uint32   max results per query (0 = unlimited)
 //	args               op-specific, big-endian IEEE-754 floats:
 //	  window/contained  4 × float64 (minx, miny, maxx, maxy)
-//	  point             2 × float64 (x, y)
 //	  nearest           2 × float64 (x, y) + uint32 k
 //	  stats             none
 //
@@ -28,9 +27,9 @@
 // message length, message bytes). An ok response carries a degraded-shards
 // section — one byte holding the count of shards that contributed nothing
 // to this result, followed by that many uint32 shard indices (zero for a
-// complete result) — and then the op's result: for window, contained and
-// point a uint32 set count (always 1) and per set a uint32 item count
-// followed by items (uint32 id + 4 × float64 rect); for nearest one set of
+// complete result) — and then the op's result: for window and contained a
+// uint32 set count (always 1) and per set a uint32 item count followed by
+// items (uint32 id + 4 × float64 rect); for nearest one set of
 // neighbors (uint32 id + 4 × float64 rect + float64 squared distance); for
 // stats a uint32 shard count, uint64 item count and the 4 × float64 global
 // MBR.
@@ -66,11 +65,12 @@ const (
 	MaxTenant = 255
 )
 
-// Ops of the binary protocol.
+// Ops of the binary protocol: one per query executor, plus stats. Ops 3
+// and 5 are retired (a point query is the zero-area window
+// geom.PointRect builds) and decode as unknown ops.
 const (
 	OpWindow    byte = 1 // rect intersection query
 	OpContained byte = 2 // rect containment query
-	OpPoint     byte = 3 // point stabbing query
 	OpNearest   byte = 4 // k-nearest-neighbor query
 	OpStats     byte = 6 // shard count, item count, global MBR
 )
@@ -125,14 +125,14 @@ type Request struct {
 	Limit          uint32
 
 	Rect geom.Rect // window, contained
-	X, Y float64   // point, nearest
+	X, Y float64   // nearest
 	K    uint32    // nearest
 }
 
 // Result is one decoded ok-response.
 type Result struct {
 	Op        byte
-	Sets      [][]geom.Item // window/contained/point: one set
+	Sets      [][]geom.Item // window/contained: one set
 	Neighbors []Neighbor    // nearest
 	Stats     *WireStats    // stats
 	// FailedShards lists the shards that contributed nothing to this
@@ -231,9 +231,6 @@ func EncodeRequest(buf []byte, req Request) ([]byte, error) {
 	switch req.Op {
 	case OpWindow, OpContained:
 		buf = appendRect(buf, req.Rect)
-	case OpPoint:
-		buf = appendF64(buf, req.X)
-		buf = appendF64(buf, req.Y)
 	case OpNearest:
 		buf = appendF64(buf, req.X)
 		buf = appendF64(buf, req.Y)
@@ -315,8 +312,6 @@ func DecodeRequest(payload []byte) (Request, error) {
 	switch req.Op {
 	case OpWindow, OpContained:
 		req.Rect = r.rect()
-	case OpPoint:
-		req.X, req.Y = r.f64(), r.f64()
 	case OpNearest:
 		req.X, req.Y = r.f64(), r.f64()
 		req.K = r.u32()
@@ -337,7 +332,7 @@ func DecodeRequest(payload []byte) (Request, error) {
 
 // AppendOKResponse appends an ok-response for op to buf: the degraded
 // shard list (failed may be nil for a complete result, and is truncated
-// to MaxFailedShards entries), then item sets for window/contained/point,
+// to MaxFailedShards entries), then item sets for window/contained,
 // neighbors for nearest, stats for stats.
 func AppendOKResponse(buf []byte, op byte, failed []uint32, sets [][]geom.Item, nbs []Neighbor, st *WireStats) []byte {
 	buf = append(buf, statusOK, op)
@@ -437,7 +432,7 @@ func DecodeResponse(payload []byte) (Result, error) {
 			return Result{}, fmt.Errorf("%w: truncated stats response", ErrBadFrame)
 		}
 		out.Stats = &st
-	case OpWindow, OpContained, OpPoint:
+	case OpWindow, OpContained:
 		nsets := int(r.u32())
 		if !r.ok || nsets > len(r.b)/4+1 {
 			return Result{}, fmt.Errorf("%w: set count disagrees with payload length", ErrBadFrame)

@@ -19,12 +19,17 @@ func rect(a, b, c, d float64) geom.Rect { return geom.NewRect(a, b, c, d) }
 // count of one and one rect. Op 5 is unknown now.
 var retiredBatchRequest = appendRect([]byte{5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, rect(0, 0, 1, 1))
 
+// retiredPointRequest is the payload of the point-stabbing request, op 3,
+// that earlier protocol versions had: no tenant, deadline or limit, then
+// x and y. Op 3 is unknown now; a point query is a zero-area window.
+var retiredPointRequest = appendF64(appendF64([]byte{3, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 3.25), -7.5)
+
 func TestRequestRoundTrip(t *testing.T) {
 	longest := strings.Repeat("t", MaxTenant)
 	reqs := []Request{
 		{Op: OpWindow, Rect: rect(1, 2, 3, 4)},
 		{Op: OpContained, Tenant: "acme", DeadlineMillis: 250, Limit: 10, Rect: rect(-5, -5, 5, 5)},
-		{Op: OpPoint, X: 3.25, Y: -7.5},
+		{Op: OpWindow, Rect: geom.PointRect(3.25, -7.5)},
 		{Op: OpNearest, Tenant: "x", X: 0, Y: 0, K: 17},
 		{Op: OpStats},
 		// The largest requests there are: every field at its widest.
@@ -73,7 +78,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		st     *WireStats
 	}{
 		{op: OpWindow, sets: [][]geom.Item{items}},
-		{op: OpPoint, sets: [][]geom.Item{{}}},
+		{op: OpWindow, sets: [][]geom.Item{{}}},
 		{op: OpNearest, nbs: nbs},
 		{op: OpNearest, nbs: nil},
 		{op: OpStats, st: st},
@@ -132,6 +137,7 @@ func TestDecodeRequestErrors(t *testing.T) {
 		{"truncated args", valid[:len(valid)-1]},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0)},
 		{"tenant past end", []byte{OpStats, 200}},
+		{"retired point op", retiredPointRequest},
 		{"retired batch op", retiredBatchRequest},
 	}
 	for _, c := range cases {
@@ -214,9 +220,12 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	seedReq(Request{Op: OpWindow, Tenant: "t", Rect: rect(0, 0, 1, 1)})
 	seedReq(Request{Op: OpNearest, X: 1, Y: 2, K: 3})
-	// A retired batch request, framed and bare: both decode to ErrBadFrame.
-	f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(retiredBatchRequest))), retiredBatchRequest...))
-	f.Add(retiredBatchRequest)
+	// Retired point and batch requests, framed and bare: all decode to
+	// ErrBadFrame.
+	for _, retired := range [][]byte{retiredPointRequest, retiredBatchRequest} {
+		f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(retired))), retired...))
+		f.Add(retired)
+	}
 	seedReq(Request{Op: OpStats})
 	f.Add(AppendOKResponse(nil, OpNearest, nil, nil, []Neighbor{{Dist2: 1}}, nil))
 	f.Add(AppendErrResponse(nil, OpWindow, CodeDeadline, "late"))

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -69,9 +70,17 @@ func TestQuarantineDegradesAndRecovers(t *testing.T) {
 	world := geom.ItemsMBR(items)
 	dir := buildDir(t, items, 3)
 
+	// The supervisor's reopen waits for the test's go-ahead, so the
+	// quarantine lasts as long as the assertions on it below.
+	gate := make(chan struct{})
+	allowRecovery := sync.OnceFunc(func() { close(gate) })
 	opt := fastRecovery()
 	opt.wrapShard = func(idx, attempt int, b prtree.Backend) prtree.Backend {
-		if idx != 1 || attempt > 0 {
+		if idx != 1 {
+			return b
+		}
+		if attempt > 0 {
+			<-gate
 			return b
 		}
 		f := storage.NewFaulty(b, storage.FaultError, 3)
@@ -83,6 +92,7 @@ func TestQuarantineDegradesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
+	defer allowRecovery() // before Close, which waits for the supervisor
 	if set.Health() != HealthOK {
 		t.Fatalf("fresh set health %v, want ok", set.Health())
 	}
@@ -127,6 +137,7 @@ func TestQuarantineDegradesAndRecovers(t *testing.T) {
 
 	// The supervisor reopens the shard clean (attempt > 0 gets no fault)
 	// and restores it; results then match the oracle exactly.
+	allowRecovery()
 	waitHealthy(t, set, 5*time.Second)
 	got, p, err = set.Window(ctx, world, 0)
 	if err != nil || p.Degraded() {

@@ -94,12 +94,11 @@ func TestRobustNoRetryOnDegradedOrBadRequest(t *testing.T) {
 	var calls atomic.Int64
 	addr := startFakeFrameServer(t, func(req Request) []byte {
 		calls.Add(1)
-		switch req.Op {
-		case OpWindow: // degraded but answered
-			return AppendOKResponse(nil, req.Op, []uint32{1}, [][]geom.Item{{{ID: 7}}}, nil, nil)
-		default:
+		if req.Tenant == "bad" {
 			return AppendErrResponse(nil, req.Op, CodeBadRequest, "nope")
 		}
+		// Degraded but answered.
+		return AppendOKResponse(nil, req.Op, []uint32{1}, [][]geom.Item{{{ID: 7}}}, nil, nil)
 	})
 	rc := DialRobust(fastRetry(addr))
 	defer rc.Close()
@@ -112,7 +111,7 @@ func TestRobustNoRetryOnDegradedOrBadRequest(t *testing.T) {
 		t.Fatalf("failed shards %v, want [1]", res.FailedShards)
 	}
 
-	_, err = rc.Do(Request{Op: OpPoint})
+	_, err = rc.Do(Request{Op: OpWindow, Tenant: "bad"})
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Code != CodeBadRequest {
 		t.Fatalf("got %v, want RemoteError CodeBadRequest", err)
@@ -201,7 +200,7 @@ func TestRobustBreaker(t *testing.T) {
 func TestRobustHedging(t *testing.T) {
 	var stalled atomic.Bool
 	addr := startFakeFrameServer(t, func(req Request) []byte {
-		if req.Op == OpPoint && stalled.CompareAndSwap(false, true) {
+		if req.Tenant == "straggler" && stalled.CompareAndSwap(false, true) {
 			time.Sleep(400 * time.Millisecond) // the one straggler
 		}
 		return AppendOKResponse(nil, req.Op, nil, [][]geom.Item{{}}, nil, nil)
@@ -220,7 +219,7 @@ func TestRobustHedging(t *testing.T) {
 	}
 
 	start := time.Now()
-	if _, err := rc.Do(Request{Op: OpPoint}); err != nil {
+	if _, err := rc.Do(Request{Op: OpWindow, Tenant: "straggler"}); err != nil {
 		t.Fatalf("hedged request failed: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed >= 400*time.Millisecond {

@@ -10,8 +10,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +27,9 @@ type Config struct {
 	// Set is the sharded index to serve (required).
 	Set *Set
 	// TenantCap is the per-tenant in-flight request cap; <= 0 disables
-	// admission control. Requests beyond the cap are rejected with
-	// CodeOverloaded (HTTP 429) without touching the trees.
+	// admission control. The cap is fixed for the server's life. Requests
+	// beyond it are rejected with CodeOverloaded without touching the
+	// trees.
 	TenantCap int
 	// DefaultDeadline applies to requests that carry none; 0 means no
 	// implicit deadline.
@@ -43,12 +42,14 @@ type Config struct {
 	ConnTimeout time.Duration
 }
 
-// Server serves a Set over the binary protocol (ServeBinary) and HTTP
+// Server answers queries over a Set on the binary protocol (ServeBinary)
+// and serves its admin endpoints, /healthz and /statsz, over HTTP
 // (ServeWeb / Handler). Every request passes admission control, runs
 // under its deadline context (polled by the query executor at node-visit
 // granularity), and lands in per-endpoint latency histograms exposed at
 // /statsz. Shutdown drains gracefully: in-flight requests finish, new
-// ones are rejected with CodeShuttingDown.
+// ones are rejected with CodeShuttingDown, and the admin endpoints answer
+// until the drain is over.
 type Server struct {
 	cfg Config
 	adm *admission
@@ -94,7 +95,7 @@ func New(cfg Config) *Server {
 	}
 }
 
-// Errors returns the cumulative count of error responses (all transports).
+// Errors returns the cumulative count of error responses.
 func (s *Server) Errors() uint64 { return s.errCount.Load() }
 
 // Served returns the cumulative count of admitted requests.
@@ -104,11 +105,6 @@ func (s *Server) Served() uint64 { return s.served.Load() }
 // shard.
 func (s *Server) Degraded() uint64 { return s.degraded.Load() }
 
-// SetTenantCap changes the per-tenant in-flight cap at runtime: < 0
-// disables admission, 0 rejects everything, > 0 caps. Requests already in
-// flight are unaffected and release correctly under the new cap.
-func (s *Server) SetTenantCap(cap int) { s.adm.setCap(cap) }
-
 // opName maps protocol ops onto /statsz endpoint names.
 func opName(op byte) string {
 	switch op {
@@ -116,8 +112,6 @@ func opName(op byte) string {
 		return "window"
 	case OpContained:
 		return "contained"
-	case OpPoint:
-		return "point"
 	case OpNearest:
 		return "nearest"
 	case OpStats:
@@ -187,13 +181,9 @@ func errResult(code uint16, msg string) dispatchResult {
 	return dispatchResult{code: code, msg: msg}
 }
 
-// dispatch runs one decoded request end to end: drain check, admission,
-// deadline, scatter-gather, metrics. Both transports funnel through it.
+// dispatch runs one decoded, in-flight request end to end: admission,
+// deadline, scatter-gather, metrics.
 func (s *Server) dispatch(req Request) dispatchResult {
-	if !s.begin() {
-		return errResult(CodeShuttingDown, "server is draining")
-	}
-	defer s.end()
 	if err := s.adm.acquire(req.Tenant); err != nil {
 		s.errCount.Add(1)
 		return errResult(CodeOverloaded, err.Error())
@@ -248,9 +238,6 @@ func (s *Server) runQuery(ctx context.Context, req Request) (dispatchResult, err
 		return dispatchResult{sets: [][]geom.Item{items}, failed: p.Failed}, err
 	case OpContained:
 		items, p, err := set.Contained(ctx, req.Rect, limit)
-		return dispatchResult{sets: [][]geom.Item{items}, failed: p.Failed}, err
-	case OpPoint:
-		items, p, err := set.Point(ctx, req.X, req.Y, limit)
 		return dispatchResult{sets: [][]geom.Item{items}, failed: p.Failed}, err
 	case OpNearest:
 		if req.K > MaxK {
@@ -375,15 +362,17 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// respond serves one decoded request and writes its response frame. The
-// request stays in flight until the frame is flushed: Shutdown cuts every
-// connection the moment nothing is in flight, and a response still in the
-// write buffer at that moment would reach the client torn.
+// respond serves one decoded request and writes its response frame; a
+// draining server answers CodeShuttingDown. The request stays in flight
+// until the frame is flushed: Shutdown cuts every connection the moment
+// nothing is in flight, and a response still in the write buffer at that
+// moment would reach the client torn.
 func (s *Server) respond(conn net.Conn, bw *bufio.Writer, buf []byte, req Request) ([]byte, error) {
+	out := errResult(CodeShuttingDown, "server is draining")
 	if s.begin() {
 		defer s.end()
+		out = s.dispatch(req)
 	}
-	out := s.dispatch(req)
 	if out.code != 0 {
 		buf = AppendErrResponse(buf[:0], req.Op, out.code, out.msg)
 	} else {
@@ -405,10 +394,11 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// --- HTTP transport -------------------------------------------------------
+// --- admin listener -------------------------------------------------------
 
-// ServeWeb serves the HTTP/JSON API on lis until Shutdown. A nil error
-// means a clean drain.
+// ServeWeb serves the admin endpoints (Handler) on lis until Shutdown,
+// which closes it only after the binary requests have drained. A nil
+// error means a clean drain.
 func (s *Server) ServeWeb(lis net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
 	s.mu.Lock()
@@ -426,38 +416,8 @@ func (s *Server) ServeWeb(lis net.Listener) error {
 	return err
 }
 
-// httpItem is one item in a JSON response.
-type httpItem struct {
-	ID   uint32     `json:"id"`
-	Rect [4]float64 `json:"rect"`
-	// Dist2 is present only on nearest results.
-	Dist2 *float64 `json:"dist2,omitempty"`
-}
-
-func itemsJSON(items []geom.Item) []httpItem {
-	out := make([]httpItem, len(items))
-	for i, it := range items {
-		out[i] = httpItem{ID: it.ID, Rect: [4]float64{it.Rect.MinX, it.Rect.MinY, it.Rect.MaxX, it.Rect.MaxY}}
-	}
-	return out
-}
-
-// httpStatus maps protocol error codes to HTTP statuses.
-func httpStatus(code uint16) int {
-	switch code {
-	case CodeBadRequest:
-		return http.StatusBadRequest
-	case CodeOverloaded:
-		return http.StatusTooManyRequests
-	case CodeDeadline:
-		return http.StatusGatewayTimeout
-	case CodeShuttingDown, CodeUnavailable:
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
-// Handler returns the HTTP/JSON API: /query, /statsz, /healthz.
+// Handler returns the admin API: /healthz (503 "draining" during a drain,
+// 503 when every shard is down) and /statsz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -488,128 +448,7 @@ func (s *Server) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(s.Statsz())
 	})
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		req, err := httpToRequest(r)
-		if err != nil {
-			s.errCount.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.serveJSON(w, req)
-	})
 	return mux
-}
-
-// serveJSON dispatches req and writes the JSON response.
-func (s *Server) serveJSON(w http.ResponseWriter, req Request) {
-	out := s.dispatch(req)
-	if out.code != 0 {
-		http.Error(w, out.msg, httpStatus(out.code))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	resp := map[string]interface{}{"op": opName(req.Op)}
-	resp["degraded"] = len(out.failed) > 0
-	if len(out.failed) > 0 {
-		resp["failed_shards"] = out.failed
-	}
-	switch req.Op {
-	case OpNearest:
-		nbs := make([]httpItem, len(out.nbs))
-		for i, nb := range out.nbs {
-			d2 := nb.Dist2
-			nbs[i] = httpItem{
-				ID:    nb.Item.ID,
-				Rect:  [4]float64{nb.Item.Rect.MinX, nb.Item.Rect.MinY, nb.Item.Rect.MaxX, nb.Item.Rect.MaxY},
-				Dist2: &d2,
-			}
-		}
-		resp["items"] = nbs
-		resp["count"] = len(nbs)
-	case OpStats:
-		resp["shards"] = out.stats.Shards
-		resp["items"] = out.stats.Items
-		resp["mbr"] = [4]float64{out.stats.MBR.MinX, out.stats.MBR.MinY, out.stats.MBR.MaxX, out.stats.MBR.MaxY}
-	default:
-		items := out.sets[0]
-		resp["items"] = itemsJSON(items)
-		resp["count"] = len(items)
-	}
-	json.NewEncoder(w).Encode(resp)
-}
-
-// httpToRequest parses /query parameters into a Request.
-func httpToRequest(r *http.Request) (Request, error) {
-	q := r.URL.Query()
-	req := Request{Tenant: q.Get("tenant")}
-	if v := q.Get("deadline_ms"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 32)
-		if err != nil {
-			return Request{}, fmt.Errorf("bad deadline_ms: %w", err)
-		}
-		req.DeadlineMillis = uint32(n)
-	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 32)
-		if err != nil {
-			return Request{}, fmt.Errorf("bad limit: %w", err)
-		}
-		req.Limit = uint32(n)
-	}
-	op := q.Get("op")
-	if op == "" {
-		op = "window"
-	}
-	parseF := func(key string) (float64, error) {
-		v, err := strconv.ParseFloat(q.Get(key), 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s: %w", key, err)
-		}
-		return v, nil
-	}
-	switch op {
-	case "window", "contained":
-		req.Op = OpWindow
-		if op == "contained" {
-			req.Op = OpContained
-		}
-		parts := strings.Split(q.Get("rect"), ",")
-		if len(parts) != 4 {
-			return Request{}, fmt.Errorf("rect needs 4 comma-separated numbers")
-		}
-		var v [4]float64
-		for i, p := range parts {
-			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return Request{}, fmt.Errorf("bad rect: %w", err)
-			}
-			v[i] = f
-		}
-		req.Rect = geom.NewRect(v[0], v[1], v[2], v[3])
-	case "point", "nearest":
-		var err error
-		if req.X, err = parseF("x"); err != nil {
-			return Request{}, err
-		}
-		if req.Y, err = parseF("y"); err != nil {
-			return Request{}, err
-		}
-		if op == "point" {
-			req.Op = OpPoint
-		} else {
-			req.Op = OpNearest
-			k, err := strconv.ParseUint(q.Get("k"), 10, 32)
-			if err != nil {
-				return Request{}, fmt.Errorf("bad k: %w", err)
-			}
-			req.K = uint32(k)
-		}
-	case "stats":
-		req.Op = OpStats
-	default:
-		return Request{}, fmt.Errorf("unknown op %q", op)
-	}
-	return req, nil
 }
 
 // --- statsz ---------------------------------------------------------------
@@ -748,10 +587,12 @@ func (s *Server) Statsz() Statsz {
 
 // --- drain ----------------------------------------------------------------
 
-// Shutdown drains the server: listeners close, requests already being
-// served run to completion (bounded by ctx), and new requests are
-// rejected with CodeShuttingDown. It is idempotent; the first caller does
-// the work. The Set itself is not closed — that stays with the caller.
+// Shutdown drains the server: the binary listeners close, requests
+// already being served run to completion (bounded by ctx), new requests
+// are rejected with CodeShuttingDown, and idle connections are cut. The
+// admin listeners close last, so /healthz reports the drain while it
+// runs. It is idempotent; the first caller does the work. The Set itself
+// is not closed — that stays with the caller.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -769,31 +610,27 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, lis := range listeners {
 		lis.Close()
 	}
-	var httpErr error
+	// Wait for in-flight requests, then cut idle connections so their
+	// handler goroutines unblock from ReadFrame.
+	err := waitCtx(ctx, &s.inflight)
+	if err == nil {
+		s.mu.Lock()
+		conns := make([]net.Conn, 0, len(s.conns))
+		for c := range s.conns {
+			conns = append(conns, c)
+		}
+		s.mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+		err = waitCtx(ctx, &s.connWG)
+	}
 	for _, srv := range https {
-		if err := srv.Shutdown(ctx); err != nil && httpErr == nil {
-			httpErr = err
+		if herr := srv.Shutdown(ctx); herr != nil && err == nil {
+			err = herr
 		}
 	}
-
-	// Wait for in-flight binary requests, then cut idle connections so
-	// their handler goroutines unblock from ReadFrame.
-	if err := waitCtx(ctx, &s.inflight); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	if err := waitCtx(ctx, &s.connWG); err != nil {
-		return err
-	}
-	return httpErr
+	return err
 }
 
 // waitCtx waits on wg, bounded by ctx.

@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,8 +186,10 @@ func TestRequestCtxClamp(t *testing.T) {
 }
 
 // TestGracefulDrain holds a request in flight, starts Shutdown, and
-// checks: new requests on open connections get CodeShuttingDown, the held
-// request still completes, and Shutdown returns clean.
+// checks: new requests on open connections get CodeShuttingDown, the
+// admin port stays up and reports the drain (/healthz 503 "draining",
+// /statsz "draining": true), the held request still completes, Shutdown
+// returns clean, and only then does the admin port close.
 func TestGracefulDrain(t *testing.T) {
 	items := dataset.Western(2000, 17)
 	set := buildSet(t, items, 3)
@@ -207,6 +209,13 @@ func TestGracefulDrain(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.ServeBinary(lis) }()
 	addr := lis.Addr().String()
+	alis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	webDone := make(chan error, 1)
+	go func() { webDone <- srv.ServeWeb(alis) }()
+	admin := "http://" + alis.Addr().String()
 
 	held := make(chan error, 1)
 	go func() {
@@ -249,6 +258,25 @@ func TestGracefulDrain(t *testing.T) {
 	if !errors.As(err, &remote) || remote.Code != CodeShuttingDown {
 		t.Fatalf("during drain: got %v, want CodeShuttingDown", err)
 	}
+	resp, err := http.Get(admin + "/healthz")
+	if err != nil {
+		t.Fatalf("/healthz during drain: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || strings.TrimSpace(string(body)) != "draining" {
+		t.Fatalf("/healthz during drain: %d %q, want 503 \"draining\"", resp.StatusCode, body)
+	}
+	resp, err = http.Get(admin + "/statsz")
+	if err != nil {
+		t.Fatalf("/statsz during drain: %v", err)
+	}
+	var sz Statsz
+	err = json.NewDecoder(resp.Body).Decode(&sz)
+	resp.Body.Close()
+	if err != nil || !sz.Draining {
+		t.Fatalf("/statsz during drain: draining %v, %v", sz.Draining, err)
+	}
 
 	close(release)
 	if err := <-held; err != nil {
@@ -260,6 +288,13 @@ func TestGracefulDrain(t *testing.T) {
 	if err := <-serveDone; err != nil {
 		t.Fatalf("ServeBinary after drain: %v", err)
 	}
+	if err := <-webDone; err != nil {
+		t.Fatalf("ServeWeb after drain: %v", err)
+	}
+	if c, err := net.Dial("tcp", alis.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("admin port still accepts connections after Shutdown")
+	}
 	// Idempotent.
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second shutdown: %v", err)
@@ -267,7 +302,8 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestDrainTimeout checks a request that outlives the drain context makes
-// Shutdown report the context error instead of hanging.
+// Shutdown report the context error instead of hanging, and still gets
+// its answer on its connection once it finishes.
 func TestDrainTimeout(t *testing.T) {
 	items := dataset.Western(1000, 3)
 	set := buildSet(t, items, 2)
@@ -278,19 +314,35 @@ func TestDrainTimeout(t *testing.T) {
 		entered <- struct{}{}
 		<-release
 	}
-	dispatchDone := make(chan struct{})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.ServeBinary(lis) }()
+	cl, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	held := make(chan error, 1)
 	go func() {
-		srv.dispatch(Request{Op: OpStats})
-		close(dispatchDone)
+		_, err := cl.Do(Request{Op: OpStats})
+		held <- err
 	}()
 	<-entered
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err := srv.Shutdown(ctx)
+	err = srv.Shutdown(ctx)
 	close(release)
-	<-dispatchDone
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("ServeBinary after drain: %v", err)
 	}
 }
 
@@ -369,102 +421,59 @@ func TestBinaryE2E(t *testing.T) {
 	}
 }
 
-// TestHTTPE2E drives the JSON API: /query, /healthz, /statsz.
-func TestHTTPE2E(t *testing.T) {
-	srv, set, _ := testServer(t, Config{})
+// TestAdminEndpoints drives the admin API: /healthz answers, /statsz
+// reflects the binary traffic sent before it, and there is no query route.
+func TestAdminEndpoints(t *testing.T) {
+	srv, set, addr := testServer(t, Config{})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	ctx := context.Background()
-	world := set.MBR()
-	w0 := workload.Squares(world, 0.01, 1, 5)[0]
-
-	getJSON := func(path string, out interface{}) int {
+	get := func(path string) *http.Response {
 		t.Helper()
 		resp, err := http.Get(hs.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if out != nil && resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-		}
-		return resp.StatusCode
+		return resp
 	}
 
-	if code := getJSON("/healthz", nil); code != http.StatusOK {
-		t.Fatalf("/healthz: %d", code)
+	resp := get("/healthz")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: %d", resp.StatusCode)
 	}
 
-	var q struct {
-		Count int `json:"count"`
-		Items []struct {
-			ID   uint32     `json:"id"`
-			Rect [4]float64 `json:"rect"`
-		} `json:"items"`
-	}
-	path := fmt.Sprintf("/query?op=window&rect=%s", url.QueryEscape(
-		fmt.Sprintf("%v,%v,%v,%v", w0.MinX, w0.MinY, w0.MaxX, w0.MaxY)))
-	if code := getJSON(path, &q); code != http.StatusOK {
-		t.Fatalf("window: %d", code)
-	}
-	want, _, err := set.Window(ctx, w0, 0)
+	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Count != len(want) || len(q.Items) != len(want) {
-		t.Fatalf("window count %d, want %d", q.Count, len(want))
-	}
-	for i, it := range q.Items {
-		if it.ID != want[i].ID {
-			t.Fatalf("item %d id %d, want %d", i, it.ID, want[i].ID)
-		}
-	}
-
-	var nn struct {
-		Items []struct {
-			ID    uint32   `json:"id"`
-			Dist2 *float64 `json:"dist2"`
-		} `json:"items"`
-	}
-	if code := getJSON("/query?op=nearest&x=0.5&y=0.5&k=5", &nn); code != http.StatusOK {
-		t.Fatalf("nearest: %d", code)
-	}
-	wantN, _, err := set.Nearest(ctx, 0.5, 0.5, 5)
-	if err != nil {
+	defer cl.Close()
+	if _, err := cl.Window(workload.Squares(set.MBR(), 0.01, 1, 5)[0], 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(nn.Items) != len(wantN) {
-		t.Fatalf("nearest %d items, want %d", len(nn.Items), len(wantN))
-	}
-	for i, it := range nn.Items {
-		if it.ID != wantN[i].Item.ID || it.Dist2 == nil || *it.Dist2 != wantN[i].Dist2 {
-			t.Fatalf("nearest %d: %+v, want %+v", i, it, wantN[i])
-		}
+	if _, err := cl.Nearest(0.5, 0.5, 5); err != nil {
+		t.Fatal(err)
 	}
 
-	// Bad requests are 400s.
-	for _, p := range []string{"/query?op=window&rect=1,2,3", "/query?op=tango", "/query?op=nearest&x=a&y=0&k=1"} {
-		if code := getJSON(p, nil); code != http.StatusBadRequest {
-			t.Errorf("%s: %d, want 400", p, code)
-		}
-	}
-
-	// /statsz reflects the traffic above.
+	resp = get("/statsz")
 	var sz Statsz
-	if code := getJSON("/statsz", &sz); code != http.StatusOK {
-		t.Fatalf("/statsz: %d", code)
+	err = json.NewDecoder(resp.Body).Decode(&sz)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("/statsz: %d, %v", resp.StatusCode, err)
 	}
 	if sz.Shards != 3 || sz.Items != set.Len() || sz.Served == 0 {
 		t.Fatalf("statsz %+v", sz)
 	}
-	wstats, ok := sz.Endpoints["window"]
-	if !ok || wstats.Count == 0 {
-		t.Fatalf("no window endpoint stats: %+v", sz.Endpoints)
+	for _, ep := range []string{"window", "nearest"} {
+		if st, ok := sz.Endpoints[ep]; !ok || st.Count == 0 {
+			t.Fatalf("no %s endpoint stats: %+v", ep, sz.Endpoints)
+		}
 	}
-	if _, ok := sz.Endpoints["nearest"]; !ok {
-		t.Fatal("no nearest endpoint stats")
+
+	resp = get("/query?op=window&rect=0,0,1,1")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/query: %d, want 404", resp.StatusCode)
 	}
 }
 

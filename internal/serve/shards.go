@@ -354,8 +354,7 @@ func (h Health) String() string {
 }
 
 // ErrUnavailable reports a scatter-gather query with no healthy shard
-// left to run on. The binary protocol maps it to CodeUnavailable and HTTP
-// to 503 Service Unavailable.
+// left to run on. The binary protocol maps it to CodeUnavailable.
 var ErrUnavailable = errors.New("serve: no healthy shards")
 
 // errShardDown marks a leg skipped because its shard is out of rotation.
@@ -825,11 +824,6 @@ func (s *Set) Window(ctx context.Context, r geom.Rect, limit int) ([]geom.Item, 
 // Contained reports every item fully contained in r.
 func (s *Set) Contained(ctx context.Context, r geom.Rect, limit int) ([]geom.Item, Partial, error) {
 	return s.gather(ctx, func() prtree.Query { return prtree.Contained(r) }, limit)
-}
-
-// Point reports every item containing the point (x, y).
-func (s *Set) Point(ctx context.Context, x, y float64, limit int) ([]geom.Item, Partial, error) {
-	return s.gather(ctx, func() prtree.Query { return prtree.Point(x, y) }, limit)
 }
 
 // Nearest returns the k items closest to (x, y) across all healthy

@@ -97,10 +97,10 @@ func TestShardEquivalence(t *testing.T) {
 				assertSameItems(t, "contained", got, want)
 			}
 
-			// Point stabbing at window centers.
+			// Point stabbing at window centers: a zero-area window.
 			for _, w := range windows {
 				x, y := w.Center()
-				got, _, err := set.Point(ctx, x, y, 0)
+				got, _, err := set.Window(ctx, geom.PointRect(x, y), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
