@@ -318,7 +318,7 @@ func BenchmarkPRBulkLoadExternalParallel(b *testing.B) {
 // is a counted disk read) at increasing worker counts. Besides wall time
 // it reports queries/sec and blockIO/op, and FAILS if any parallel run's
 // aggregate block-I/O deviates from the serial run's — the invariant the
-// lock-striped pager's single-flight miss path guarantees.
+// pager's miss path, filled under its shard's lock, guarantees.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	// Let parallel.Run fan out even when cores are scarce; on a multi-core
 	// machine this is a no-op beyond 8 and queries/sec scales with cores.

@@ -37,8 +37,6 @@ type Options struct {
 	// MemoryItems is M, the number of records that fit in main memory;
 	// 0 means DefaultMemoryItems to Load, and no cap to InMemory.
 	MemoryItems int
-	// HilbertBits is the per-dimension Hilbert resolution; 0 means 16.
-	HilbertBits int
 	// Parallelism bounds the bulk-load pipeline's worker pool (clamped to
 	// GOMAXPROCS; 0 or 1 means serial). Every loader produces the same
 	// tree shape and identical block-I/O counts at every setting; the
@@ -58,6 +56,10 @@ type Options struct {
 	Parallelism int
 }
 
+// hilbertBits is the Hilbert loaders' resolution per dimension: 2^16 cells
+// a side, so a 4D key fills 64 bits.
+const hilbertBits = 16
+
 // DefaultMemoryItems corresponds to the paper's 64 MB of TPIE memory
 // at 36 bytes per record, scaled down to keep laptop experiments honest:
 // 2^16 records (~2.4 MB) so that external rounds actually happen at the
@@ -74,9 +76,6 @@ func (o Options) normalized(blockSize int) Options {
 	min := 4 * storage.ItemsPerBlock(blockSize)
 	if o.MemoryItems < min {
 		o.MemoryItems = min
-	}
-	if o.HilbertBits <= 0 {
-		o.HilbertBits = 16
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = 1

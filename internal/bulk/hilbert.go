@@ -20,7 +20,7 @@ func Hilbert2D(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.T
 		in.Free()
 		return b.FinishEmpty()
 	}
-	q := hilbert.NewQuantizer2D(worldOf(in), opt.HilbertBits)
+	q := hilbert.NewQuantizer2D(worldOf(in), hilbertBits)
 	sorted := extsort.Sort(in, extsort.UintKey(func(it geom.Item) uint64 {
 		return q.CenterKey(it.Rect)
 	}), opt.sortConfig())
@@ -39,7 +39,7 @@ func Hilbert4D(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.T
 		in.Free()
 		return b.FinishEmpty()
 	}
-	q := hilbert.NewQuantizer4D(worldOf(in), opt.HilbertBits)
+	q := hilbert.NewQuantizer4D(worldOf(in), hilbertBits)
 	sorted := extsort.Sort(in, extsort.UintKey(func(it geom.Item) uint64 {
 		return q.Key(it.Rect)
 	}), opt.sortConfig())

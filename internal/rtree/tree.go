@@ -33,7 +33,7 @@ type Config struct {
 //
 // All read paths are safe for any number of concurrent goroutines:
 // per-traversal scratch (explicit stacks, k-NN heaps) is sync.Pool-backed
-// rather than tree state, and the pager underneath is lock-striped. A
+// rather than tree state, and the pager underneath locks per shard. A
 // Builder and Release require exclusive access — no reader may run
 // concurrently with them. A batch of queries is the caller's own
 // goroutines, one query each.

@@ -241,8 +241,8 @@ func chunks(sorted []geom.Item, n int) [][]geom.Item {
 // OpenOptions tunes Open.
 type OpenOptions struct {
 	// CachePages is the global page-cache budget shared by the whole set:
-	// it is split evenly across the shards' lock-striped pagers, so total
-	// cached pages never exceed the budget regardless of shard count.
+	// it is split evenly across the shards' pagers, so total cached pages
+	// never exceed the budget regardless of shard count.
 	// 0 or negative means unbounded (every page stays resident).
 	CachePages int
 

@@ -34,8 +34,8 @@ import (
 // The per-page trailer makes latent sector corruption fail loudly: Read
 // verifies the checksum of every fetched block and panics with an error
 // wrapping ErrChecksum on a mismatch, and Fsck scans every in-use page
-// without panicking. Version-1 files (no trailers) remain readable and
-// writable in their original format.
+// without panicking. Open rejects a file of any other version (the
+// trailerless version 1 of earlier builds included) with ErrBadVersion.
 //
 // # Read paths
 //
@@ -144,8 +144,7 @@ type FileBackend struct {
 	wal       *os.File
 	path      string
 	blockSize int
-	version   int
-	slotSize  int // blockSize, +pageTrailerSize from version 2 on
+	slotSize  int // blockSize + pageTrailerSize
 
 	// Crash-injection instrumentation: persistStep() is called before
 	// every persistence side effect (page pwrite, log extension, WAL
@@ -275,23 +274,14 @@ var (
 var fileMagic = [6]byte{'P', 'R', 'P', 'A', 'G', 'E'}
 
 const (
-	fileVersion    = 2                     // written by CreateFile; version 1 stays readable
+	fileVersion    = 2                     // the one version written and read
 	fileHeaderSize = 6 + 2 + 4 + 4 + 4 + 4 // magic version blockSize numPages freeCount metaLen
 	maxBlockSize   = 1 << 24
 
-	// pageTrailerSize is the per-slot checksum trailer of version-2
-	// files: u32 CRC32C over data[:dataLen], u32 dataLen.
+	// pageTrailerSize is the per-slot checksum trailer: u32 CRC32C over
+	// data[:dataLen], u32 dataLen.
 	pageTrailerSize = 8
 )
-
-// slotSizeFor returns the on-disk bytes one page occupies under a format
-// version.
-func slotSizeFor(version, blockSize int) int {
-	if version >= 2 {
-		return blockSize + pageTrailerSize
-	}
-	return blockSize
-}
 
 // CreateFile creates (or truncates) a page file at path with the given
 // block size and returns an empty backend on it. The header and an empty
@@ -310,8 +300,7 @@ func CreateFile(path string, blockSize int) (*FileBackend, error) {
 		f:         f,
 		path:      path,
 		blockSize: blockSize,
-		version:   fileVersion,
-		slotSize:  slotSizeFor(fileVersion, blockSize),
+		slotSize:  blockSize + pageTrailerSize,
 		zero:      make([]byte, blockSize),
 	}
 	cleanup := func() {
@@ -387,9 +376,7 @@ func OpenFile(path string, expectBlockSize int) (*FileBackend, error) {
 // fileHeader is the fixed header's decoded fields, checked for internal
 // consistency but not yet against the file's actual size.
 type fileHeader struct {
-	version   int
 	blockSize int
-	slotSize  int
 	numPages  int
 	freeCount int
 	metaLen   int
@@ -409,9 +396,8 @@ func readFileHeader(f *os.File, expectBlockSize int) (fileHeader, error) {
 	if [6]byte(raw[0:6]) != fileMagic {
 		return hdr, fmt.Errorf("%w: %q", ErrBadMagic, raw[0:6])
 	}
-	hdr.version = int(binary.LittleEndian.Uint16(raw[6:8]))
-	if hdr.version < 1 || hdr.version > fileVersion {
-		return hdr, fmt.Errorf("%w: %d (this build reads versions 1-%d)", ErrBadVersion, hdr.version, fileVersion)
+	if v := binary.LittleEndian.Uint16(raw[6:8]); v != fileVersion {
+		return hdr, fmt.Errorf("%w: %d (this build reads version %d only)", ErrBadVersion, v, fileVersion)
 	}
 	hdr.blockSize = int(binary.LittleEndian.Uint32(raw[8:12]))
 	if hdr.blockSize < fileHeaderSize || hdr.blockSize > maxBlockSize {
@@ -421,7 +407,6 @@ func readFileHeader(f *os.File, expectBlockSize int) (fileHeader, error) {
 		return hdr, fmt.Errorf("%w: file has %d-byte blocks, caller wants %d",
 			ErrBlockSizeMismatch, hdr.blockSize, expectBlockSize)
 	}
-	hdr.slotSize = slotSizeFor(hdr.version, hdr.blockSize)
 	hdr.numPages = int(binary.LittleEndian.Uint32(raw[12:16]))
 	hdr.freeCount = int(binary.LittleEndian.Uint32(raw[16:20]))
 	hdr.metaLen = int(binary.LittleEndian.Uint32(raw[20:24]))
@@ -447,8 +432,7 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		f:         f,
 		path:      path,
 		blockSize: hdr.blockSize,
-		version:   hdr.version,
-		slotSize:  hdr.slotSize,
+		slotSize:  hdr.blockSize + pageTrailerSize,
 		zero:      make([]byte, hdr.blockSize),
 	}
 	fail := func(err error) (*FileBackend, error) {
@@ -463,7 +447,6 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 	}
 	fb.extent.Store(st.Size())
 	var res walScanResult
-	logVersion := walVersion
 	wf, err := os.OpenFile(walPath(path), os.O_RDWR, 0o644)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -482,7 +465,7 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 			if _, err := io.ReadFull(io.NewSectionReader(wf, 0, st.Size()), data); err != nil {
 				return fail(fmt.Errorf("reading write-ahead log: %w", err))
 			}
-			if logVersion, err = checkWALHeader(data, fb.blockSize); err != nil {
+			if err := checkWALHeader(data, fb.blockSize); err != nil {
 				return fail(err)
 			}
 			res, err = scanWAL(data[walHeaderSize:], fb.blockSize)
@@ -547,13 +530,6 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 	if err := fb.syncLocked(); err != nil {
 		return fail(err)
 	}
-	if logVersion != walVersion {
-		// An older build's log, now empty: stamp it with the version whose
-		// records this handle will append.
-		if err := fb.resetWALFile(); err != nil {
-			return fail(err)
-		}
-	}
 	return fb, nil
 }
 
@@ -563,10 +539,10 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 // mid-checkpoint crash the header can be ahead of the trailer, and the
 // log's last state wins instead.
 func (fb *FileBackend) loadCheckpoint(hdr fileHeader) error {
-	want := int64(hdr.blockSize) + int64(hdr.numPages)*int64(hdr.slotSize) + 4*int64(hdr.freeCount)
+	want := int64(hdr.blockSize) + int64(hdr.numPages)*int64(fb.slotSize) + 4*int64(hdr.freeCount)
 	if size := fb.extent.Load(); size < want {
 		return fmt.Errorf("%w: %d bytes on disk, header records %d pages of %d bytes (want %d bytes)",
-			ErrTruncated, size, hdr.numPages, hdr.slotSize, want)
+			ErrTruncated, size, hdr.numPages, fb.slotSize, want)
 	}
 	meta := make([]byte, hdr.metaLen)
 	if _, err := fb.f.ReadAt(meta, fileHeaderSize); err != nil {
@@ -575,7 +551,7 @@ func (fb *FileBackend) loadCheckpoint(hdr fileHeader) error {
 	free := make(freeHeap, hdr.freeCount)
 	if hdr.freeCount > 0 {
 		raw := make([]byte, 4*hdr.freeCount)
-		if _, err := fb.f.ReadAt(raw, int64(hdr.blockSize)+int64(hdr.numPages)*int64(hdr.slotSize)); err != nil {
+		if _, err := fb.f.ReadAt(raw, int64(hdr.blockSize)+int64(hdr.numPages)*int64(fb.slotSize)); err != nil {
 			return fmt.Errorf("reading freelist: %w", err)
 		}
 		seen := make(map[PageID]struct{}, hdr.freeCount)
@@ -851,9 +827,9 @@ func (fb *FileBackend) Free(id PageID) {
 	fb.free.push(id)
 }
 
-// Read implements Backend. On version-2 files the block's CRC32C trailer
-// is verified; a mismatch panics with an error wrapping ErrChecksum (use
-// CheckPage or Fsck for a non-panicking scan).
+// Read implements Backend. The block's CRC32C trailer is verified; a
+// mismatch panics with an error wrapping ErrChecksum (use CheckPage or
+// Fsck for a non-panicking scan).
 func (fb *FileBackend) Read(id PageID, buf []byte) int {
 	fb.reads.Add(1)
 	if len(buf) > fb.blockSize {
@@ -866,17 +842,15 @@ func (fb *FileBackend) Read(id PageID, buf []byte) int {
 	return fb.readVerified(id, buf)
 }
 
-// readVerified preads page id into buf and verifies its trailer (v2).
+// readVerified preads page id into buf and verifies its trailer.
 // The caller holds at least a read lock.
 func (fb *FileBackend) readVerified(id PageID, buf []byte) int {
 	n, err := fb.f.ReadAt(buf, fb.offset(id))
 	if err != nil && err != io.EOF {
 		panic(fmt.Sprintf("storage: reading page %d: %v", id, err))
 	}
-	if fb.version >= 2 {
-		if err := fb.verifyTrailer(id, buf); err != nil {
-			panic(err)
-		}
+	if err := fb.verifyTrailer(id, buf); err != nil {
+		panic(err)
 	}
 	return n
 }
@@ -924,16 +898,12 @@ func checkTrailer(id PageID, data, trailer []byte, blockSize int) error {
 }
 
 // CheckPage verifies page id's checksum trailer without panicking,
-// returning an error wrapping ErrChecksum on a mismatch. Version-1 pages
-// (no trailers) always pass.
+// returning an error wrapping ErrChecksum on a mismatch.
 func (fb *FileBackend) CheckPage(id PageID) error {
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	if int(id) >= fb.numPages {
 		return fmt.Errorf("storage: page %d out of range (have %d pages)", id, fb.numPages)
-	}
-	if fb.version < 2 {
-		return nil
 	}
 	fb.flushRun()
 	buf := make([]byte, fb.blockSize)
@@ -994,11 +964,11 @@ func (fb *FileBackend) PeekNoCopy(id PageID) []byte {
 	return buf
 }
 
-// Write implements Backend: a slot-aligned pwrite of data plus, on
-// version-2 files, its checksum trailer, in a transaction or out of one.
-// Shorter-than-block data leaves the page tail untouched. The caller owns
-// the page: it allocated it and has not published it in a committed state
-// (see the invariant on FileBackend).
+// Write implements Backend: a slot-aligned pwrite of data plus its checksum
+// trailer, in a transaction or out of one. Shorter-than-block data leaves
+// the page tail untouched. The caller owns the page: it allocated it and
+// has not published it in a committed state (see the invariant on
+// FileBackend).
 func (fb *FileBackend) Write(id PageID, data []byte) {
 	if len(data) > fb.blockSize {
 		panic(fmt.Sprintf("storage: write of %d bytes exceeds block size %d", len(data), fb.blockSize))
@@ -1062,24 +1032,18 @@ func (fb *FileBackend) writeDirect(id PageID, data []byte) {
 		return
 	}
 	fb.pwrite(data, off, id)
-	end := off + int64(len(data))
-	if fb.version >= 2 {
-		var tr [pageTrailerSize]byte
-		putTrailer(tr[:], data)
-		fb.pwrite(tr[:], off+int64(fb.blockSize), id)
-		end = off + int64(fb.slotSize)
-	}
-	fb.wrote(id, 1, end)
+	var tr [pageTrailerSize]byte
+	putTrailer(tr[:], data)
+	fb.pwrite(tr[:], off+int64(fb.blockSize), id)
+	fb.wrote(id, 1, off+int64(fb.slotSize))
 }
 
-// fillSlot encodes a page slot: data, zeros to the end of the block, and on
-// version-2 files the checksum trailer.
+// fillSlot encodes a page slot: data, zeros to the end of the block, and
+// the checksum trailer.
 func (fb *FileBackend) fillSlot(slot, data []byte) {
 	n := copy(slot, data)
 	clear(slot[n:fb.blockSize])
-	if fb.version >= 2 {
-		putTrailer(slot[fb.blockSize:], data)
-	}
+	putTrailer(slot[fb.blockSize:], data)
 }
 
 // putTrailer writes data's checksum trailer into tr.
@@ -1436,7 +1400,7 @@ func (fb *FileBackend) syncLocked() error {
 	}
 	hdr := make([]byte, fileHeaderSize+len(fb.meta))
 	copy(hdr[0:6], fileMagic[:])
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(fb.version))
+	binary.LittleEndian.PutUint16(hdr[6:8], fileVersion)
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(fb.blockSize))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(fb.numPages))
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(fb.free)))

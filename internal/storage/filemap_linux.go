@@ -129,9 +129,9 @@ func (pm *pageMap) unmap() {
 // been written (there are no bytes to map); Read serves it. A page still in
 // the write run goes out first.
 //
-// On version-2 files the first view of a page after each write of it
-// verifies the CRC32C trailer against the mapped bytes, and a mismatch
-// panics with an error wrapping ErrChecksum, as Read does on every call.
+// The first view of a page after each write of it verifies the CRC32C
+// trailer against the mapped bytes, and a mismatch panics with an error
+// wrapping ErrChecksum, as Read does on every call.
 func (fb *FileBackend) ReadStable(id PageID) ([]byte, bool) {
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
@@ -151,10 +151,6 @@ func (fb *FileBackend) ReadStable(id PageID) ([]byte, bool) {
 	}
 	slot := seg.data[off-seg.off:][:fb.slotSize]
 	data := slot[:fb.blockSize:fb.blockSize]
-	if fb.version < 2 {
-		fb.reads.Add(1)
-		return data, true
-	}
 	i := int(id) - seg.first
 	word, bit := &seg.verified[i/32], uint32(1)<<(i%32)
 	if word.Load()&bit == 0 {

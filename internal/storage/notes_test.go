@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -270,43 +271,39 @@ func TestFileBackendUnconsumedNotesOutliveTheHandle(t *testing.T) {
 }
 
 // TestFileBackendVersion1Log: a log written by a build that knew no NOTE
-// records is replayed as before, and the sidecar it leaves is stamped with
-// the version whose records this build appends.
+// records fails Open with ErrWALCorrupt, and the rejected open leaves the
+// page file and its log as they were.
 func TestFileBackendVersion1Log(t *testing.T) {
 	path := tempIndex(t)
 	fb, err := CreateFile(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := fb.Alloc()
-	oldA := bytes.Repeat([]byte{0xA1}, 256)
-	fb.Write(a, oldA)
+	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA1}, 256))
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
 	hdr := encodeWALHeader(256)
 	binary.LittleEndian.PutUint16(hdr[6:8], 1)
-	body := walTxBytes(1, 1, nil, []byte("v1"))
-	if err := os.WriteFile(walPath(path), append(hdr, body...), 0o644); err != nil {
+	log := append(hdr, walTxBytes(1, 1, nil, []byte("v1"))...)
+	if err := os.WriteFile(walPath(path), log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenFile(path, 0)
+	page, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if ri := re.RecoveryInfo(); ri == nil || ri.ReplayedTxs != 1 {
-		t.Fatalf("RecoveryInfo = %+v, want the version-1 transaction replayed", ri)
+	if re, err := OpenFile(path, 0); !errors.Is(err, ErrWALCorrupt) {
+		if re != nil {
+			re.Close()
+		}
+		t.Fatalf("OpenFile = %v, want ErrWALCorrupt", err)
 	}
-	if got := re.ReadNoCopy(a); !bytes.Equal(got, oldA) || string(re.Meta()) != "v1" {
-		t.Errorf("version-1 transaction not applied")
+	if raw, err := os.ReadFile(walPath(path)); err != nil || !bytes.Equal(raw, log) {
+		t.Errorf("rejected open changed the log (%v)", err)
 	}
-	raw, err := os.ReadFile(walPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint16(raw[6:8]); len(raw) != walHeaderSize || v != walVersion {
-		t.Errorf("sidecar after recovery: %d bytes, version %d; want an empty version-%d log", len(raw), v, walVersion)
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, page) {
+		t.Errorf("rejected open changed the page file (%v)", err)
 	}
 }
 

@@ -26,34 +26,35 @@ import (
 //
 // # Concurrency
 //
-// A Pager is safe for use by many concurrent readers (Read, Pin lookups,
-// HitRate, CachedPages): the cache is lock-striped across power-of-two
-// shards keyed by page id, and the hit/miss counters are atomic. A cache
-// miss uses a single-flight protocol — the first goroutine to miss a page
-// installs an in-flight entry, releases the shard lock, performs the one
-// disk read and publishes the bytes; concurrent readers of the same page
-// count a hit and wait for the fill. Consequently both the
-// hit/miss tallies and the disk's block-read counter are exactly what a
-// serial execution of the same page accesses would produce, which is what
-// keeps the aggregate block-I/O of concurrent queries bit-identical to
-// serial runs.
+// A Pager is safe for use by many concurrent readers (Read, Pin, HitRate,
+// CachedPages): the cache is lock-striped across power-of-two shards keyed
+// by page id, and the hit/miss counters are atomic. Every capacity takes
+// the same read path. In a shard without an LRU (unbounded or capacity 0)
+// a hit takes only the shard's read lock. A capacity-0 miss publishes
+// nothing, so it fetches with no lock held. Every other miss takes the
+// shard's write lock, probes again, and fetches and publishes the page
+// under it; a second reader of the same page waits on that lock and then
+// counts a hit. So concurrent first touches of a page are one miss and one
+// block read, and both the hit/miss tallies and the disk's block-read
+// counter are what a serial execution of the same accesses would produce —
+// which keeps the aggregate block I/O of concurrent queries bit-identical
+// to serial runs. The price: while a miss fills, hits on its shard wait.
+// A fill is a mapped view (plus its first-view checksum), a BlockSize copy
+// or one pread; an unbounded cache pays it once per page.
 //
 // Writers (Write, Invalidate, Unpin, DropCache) are individually safe to
 // call, but mutating the underlying pages while queries read them is a
 // higher-level contract violation: a built rtree.Tree is read-only, and a
 // page is written only before any reader can reach it.
 //
-// Two cache regimes exist. Unbounded (capacity < 0, the production default)
-// and disabled (capacity 0) pagers never evict, so striping cannot change
-// which accesses hit: serial accounting is bit-identical to the previous
-// global-LRU implementation, and Figures 9-12 are unaffected. A bounded
-// pager (capacity > 0) evicts in exact global least-recently-used order, so
-// it runs as a single shard under one lock — still safe under concurrency,
-// but serialized; bounded caches model the paper's buffer for cache-pressure
-// work, not the unbounded throughput path.
+// Unbounded (capacity < 0, the production default) and capacity-0 pagers
+// never evict, so striping cannot change which accesses hit. A bounded
+// pager (capacity > 0) evicts in exact global least-recently-used order,
+// so it is one shard with its LRU: every read takes its write lock. Bounded
+// caches model the paper's buffer for cache-pressure work.
 type Pager struct {
 	dev      Backend
-	capacity int // max unpinned cached pages; <0 means unbounded, 0 disables
+	capacity int // max unpinned cached pages; <0 means unbounded, 0 caches none
 	shards   []pagerShard
 	mask     uint32
 
@@ -71,7 +72,7 @@ const pagerShardCount = 16
 type pagerShard struct {
 	mu sync.RWMutex
 	// lru orders the entries of a bounded shard, most recently used at the
-	// front; nil in unbounded and disabled pagers.
+	// front; nil in unbounded and capacity-0 pagers.
 	lru     *list.List
 	entries map[PageID]*cacheEntry
 	pinned  map[PageID][]byte
@@ -80,23 +81,18 @@ type pagerShard struct {
 	stablePins map[PageID]struct{}
 }
 
-// cacheEntry is one unpinned cached page. In bounded pagers data is always
-// filled under the shard lock and elem is the entry's place in the shard's
-// LRU list. In unbounded pagers an entry may be in flight: ready is closed
-// once data is published, and readers that found the entry wait on it
-// off-lock.
+// cacheEntry is one unpinned cached page, published only once its bytes
+// are filled. In a bounded pager elem is its place in the shard's LRU.
 type cacheEntry struct {
 	id     PageID
 	data   []byte
 	stable bool          // data is a zero-copy stable view: read-only, Write replaces it
-	ready  chan struct{} // nil in bounded shards (filled synchronously)
 	elem   *list.Element // bounded shards only
 }
 
 // NewPager returns a pager over a backend whose cache holds at most
 // capacity unpinned pages, evicting the least recently used. capacity 0
-// disables unpinned caching entirely; a negative capacity means
-// "unbounded".
+// caches no unpinned page; a negative capacity means "unbounded".
 func NewPager(dev Backend, capacity int) *Pager {
 	nshards := pagerShardCount
 	if capacity > 0 {
@@ -148,173 +144,80 @@ func (p *Pager) fetchDemand(id PageID) (data []byte, stable bool) {
 // one block read) only on a cache miss. The returned slice is shared with
 // the cache and must be treated as read-only.
 func (p *Pager) Read(id PageID) []byte {
-	if p.capacity > 0 {
-		return p.readBounded(id)
+	s := p.shard(id)
+	if s.lru == nil {
+		// Without an LRU a hit changes nothing, so it needs only the read
+		// lock.
+		s.mu.RLock()
+		data, ok := s.lookup(id)
+		s.mu.RUnlock()
+		if ok {
+			p.hits.Add(1)
+			return data
+		}
+		if p.capacity == 0 {
+			// Caching disabled: nothing is published, so the fetch needs
+			// no lock, and every unpinned access is a miss, as serially.
+			p.misses.Add(1)
+			data, _ := p.fetchDemand(id)
+			return data
+		}
 	}
-	return p.readStriped(id)
-}
-
-// readBounded is the single-shard exact-order read path of bounded pagers.
-func (p *Pager) readBounded(id PageID) []byte {
-	s := &p.shards[0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if data, ok := s.pinned[id]; ok {
+	// Probe again: another reader may have filled or pinned the page since.
+	if data, ok := s.lookup(id); ok {
 		p.hits.Add(1)
 		return data
-	}
-	if ce, ok := s.entries[id]; ok {
-		p.hits.Add(1)
-		s.lru.MoveToFront(ce.elem)
-		return ce.data
 	}
 	p.misses.Add(1)
 	data, stable := p.fetchDemand(id)
 	ce := &cacheEntry{id: id, data: data, stable: stable}
-	ce.elem = s.lru.PushFront(ce)
 	s.entries[id] = ce
-	p.evictLocked(s)
+	if s.lru != nil {
+		ce.elem = s.lru.PushFront(ce)
+		p.evictLocked(s)
+	}
 	return data
 }
 
-// readStriped is the lock-striped read path of unbounded and capacity-0
-// pagers. Hits take only a shard read-lock; misses single-flight the fill.
-func (p *Pager) readStriped(id PageID) []byte {
-	s := p.shard(id)
-	for {
-		s.mu.RLock()
-		if data, ok := s.pinned[id]; ok {
-			s.mu.RUnlock()
-			p.hits.Add(1)
-			return data
-		}
-		if ce, ok := s.entries[id]; ok {
-			s.mu.RUnlock()
-			p.hits.Add(1)
-			if data := ce.wait(); data != nil {
-				return data
-			}
-			// The fill failed (the filler panicked); its entry is gone.
-			// Retry so this goroutine reads the page itself and surfaces
-			// the same error.
-			continue
-		}
-		s.mu.RUnlock()
-		break
+// lookup finds page id among the shard's pins and cached entries, moving an
+// entry of a bounded shard to the front of its LRU. The caller holds the
+// shard's lock: the write lock when the shard has an LRU.
+func (s *pagerShard) lookup(id PageID) ([]byte, bool) {
+	if data, ok := s.pinned[id]; ok {
+		return data, true
 	}
-	if p.capacity == 0 {
-		// Caching disabled: every unpinned access is a miss, exactly as it
-		// would be serially.
-		p.misses.Add(1)
-		data, _ := p.fetchDemand(id)
-		return data
+	ce, ok := s.entries[id]
+	if !ok {
+		return nil, false
 	}
-	for {
-		s.mu.Lock()
-		// Re-check under the write lock: another goroutine may have pinned,
-		// filled or begun filling the page since the read-locked probe.
-		if data, ok := s.pinned[id]; ok {
-			s.mu.Unlock()
-			p.hits.Add(1)
-			return data
-		}
-		if ce, ok := s.entries[id]; ok {
-			s.mu.Unlock()
-			p.hits.Add(1)
-			if data := ce.wait(); data != nil {
-				return data
-			}
-			continue
-		}
-		ce := &cacheEntry{id: id, ready: make(chan struct{})}
-		s.entries[id] = ce
-		s.mu.Unlock()
-		p.misses.Add(1)
-		return p.fill(s, ce)
+	if s.lru != nil {
+		s.lru.MoveToFront(ce.elem)
 	}
-}
-
-// fill performs the single demand fetch of a missed page off-lock — exactly
-// one per distinct missed page, with other shards readable meanwhile — and
-// publishes the bytes under the shard lock so lock-holding readers (Pin,
-// Write) observe them safely. If the fetch panics (e.g. an out-of-range
-// page id), the in-flight entry is removed and waiters are released to
-// retry and surface the same panic, instead of blocking forever.
-func (p *Pager) fill(s *pagerShard, ce *cacheEntry) []byte {
-	defer func() {
-		if ce.data == nil { // fetch panicked; unblock waiters
-			s.mu.Lock()
-			if s.entries[ce.id] == ce {
-				delete(s.entries, ce.id)
-			}
-			s.mu.Unlock()
-		}
-		close(ce.ready)
-	}()
-	data, stable := p.fetchDemand(ce.id)
-	s.mu.Lock()
-	ce.data = data
-	ce.stable = stable
-	s.mu.Unlock()
-	return data
-}
-
-// wait blocks until the entry's fill completes and returns the bytes, or
-// nil if the fill failed and the caller should retry.
-func (ce *cacheEntry) wait() []byte {
-	if ce.ready != nil {
-		<-ce.ready
-	}
-	return ce.data
+	return ce.data, true
 }
 
 // Pin loads page id (counting a read if absent from the cache) and keeps it
 // resident until Unpin. Pinned pages never count as query I/O after the pin.
 func (p *Pager) Pin(id PageID) {
 	s := p.shard(id)
-	for {
-		s.mu.Lock()
-		if _, ok := s.pinned[id]; ok {
-			s.mu.Unlock()
-			return
-		}
-		if ce, ok := s.entries[id]; ok {
-			if ce.data != nil {
-				s.remove(ce)
-				s.pinned[id] = ce.data
-				if ce.stable {
-					s.stablePins[id] = struct{}{}
-				}
-				s.mu.Unlock()
-				return
-			}
-			// A concurrent reader is filling this page; wait for its
-			// single disk read rather than issuing a duplicate one, then
-			// re-examine.
-			s.mu.Unlock()
-			ce.wait()
-			continue
-		}
-		if p.capacity > 0 {
-			// Bounded single-shard mode: load under the lock, exactly as
-			// the pre-striping pager did (in-flight entries must never be
-			// visible to readBounded, which assumes filled entries).
-			data, stable := p.fetchDemand(id)
-			s.pinned[id] = data
-			if stable {
-				s.stablePins[id] = struct{}{}
-			}
-			s.mu.Unlock()
-			return
-		}
-		// Striped mode: become the single-flight filler, so a Read racing
-		// this Pin neither duplicates the disk read nor leaves an orphaned
-		// cache entry behind; the next loop iteration promotes the filled
-		// entry to the pin set.
-		ce := &cacheEntry{id: id, ready: make(chan struct{})}
-		s.entries[id] = ce
-		s.mu.Unlock()
-		p.fill(s, ce)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.pinned[id]; ok {
+		return
+	}
+	var data []byte
+	var stable bool
+	if ce, ok := s.entries[id]; ok {
+		s.remove(ce)
+		data, stable = ce.data, ce.stable
+	} else {
+		data, stable = p.fetchDemand(id)
+	}
+	s.pinned[id] = data
+	if stable {
+		s.stablePins[id] = struct{}{}
 	}
 }
 
@@ -345,7 +248,7 @@ func (p *Pager) Write(id PageID, data []byte) {
 		}
 		return
 	}
-	if ce, ok := s.entries[id]; ok && ce.data != nil && !ce.stable {
+	if ce, ok := s.entries[id]; ok && !ce.stable {
 		refreshCopy(ce.data, data)
 	}
 }

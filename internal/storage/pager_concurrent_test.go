@@ -1,13 +1,43 @@
 package storage
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
 
+// pagerInputs are the backends the concurrent first-touch tests run over:
+// a Disk, and a page file, whose misses take mapped views where page files
+// map themselves and verified preads elsewhere. Each input makes n pages,
+// page i stamped with first byte i+1.
+var pagerInputs = []struct {
+	name string
+	make func(t *testing.T, n int) Backend
+}{
+	{"disk", func(t *testing.T, n int) Backend { return newPagerDisk(t, n) }},
+	{"file", newPagerFile},
+}
+
+// newPagerFile is newPagerDisk over a synced page file.
+func newPagerFile(t *testing.T, n int) Backend {
+	t.Helper()
+	fb, err := CreateFile(tempIndex(t), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fb.Close() })
+	for i := 0; i < n; i++ {
+		fb.Write(fb.Alloc(), bytes.Repeat([]byte{byte(i + 1)}, 128))
+	}
+	if err := fb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return fb
+}
+
 // TestPagerConcurrentReaders hammers an unbounded pager from many
-// goroutines with overlapping page sets — the access pattern of the batch
-// query executor (run under -race in CI). The single-flight miss path must
+// goroutines with overlapping page sets — the access pattern of concurrent
+// queries (run under -race in CI). Misses filled under the shard lock must
 // keep the counters exactly serial: one miss and one disk read per distinct
 // page, a hit for every other access.
 func TestPagerConcurrentReaders(t *testing.T) {
@@ -54,34 +84,38 @@ func TestPagerConcurrentReaders(t *testing.T) {
 
 // TestPagerConcurrentSingleFlight aims every goroutine at the same page at
 // once: exactly one disk read may happen, and every waiter must observe the
-// filled bytes.
+// filled bytes — over a Disk and over a page file's views.
 func TestPagerConcurrentSingleFlight(t *testing.T) {
-	const workers = 16
-	d := newPagerDisk(t, 1)
-	p := NewPager(d, -1)
-	d.ResetStats()
+	for _, in := range pagerInputs {
+		t.Run(in.name, func(t *testing.T) {
+			const workers = 16
+			d := in.make(t, 1)
+			p := NewPager(d, -1)
+			d.ResetStats()
 
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			<-start
-			if got := p.Read(0); got[0] != 1 {
-				t.Errorf("read returned %d", got[0])
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(workers)
+			for w := 0; w < workers; w++ {
+				go func() {
+					defer wg.Done()
+					<-start
+					if got := p.Read(0); got[0] != 1 {
+						t.Errorf("read returned %d", got[0])
+					}
+				}()
 			}
-		}()
-	}
-	close(start)
-	wg.Wait()
+			close(start)
+			wg.Wait()
 
-	if got := d.Stats().Reads; got != 1 {
-		t.Errorf("disk reads = %d, want 1", got)
-	}
-	hits, misses := p.HitRate()
-	if misses != 1 || hits != workers-1 {
-		t.Errorf("hits=%d misses=%d, want %d/1", hits, misses, workers-1)
+			if got := d.Stats().Reads; got != 1 {
+				t.Errorf("disk reads = %d, want 1", got)
+			}
+			hits, misses := p.HitRate()
+			if misses != 1 || hits != workers-1 {
+				t.Errorf("hits=%d misses=%d, want %d/1", hits, misses, workers-1)
+			}
+		})
 	}
 }
 
@@ -162,52 +196,56 @@ func TestPagerConcurrentStatsReaders(t *testing.T) {
 
 // TestPagerConcurrentPinDuringFill races Pin against readers filling the
 // same pages: whichever side gets there first must do the page's single
-// disk read (Pin joins an in-flight fill instead of duplicating it, and
-// Read joins a filling Pin), no orphaned cache entry may survive, and
-// reads after the pin must serve the pinned copy.
+// disk read (the other waits on the shard lock and finds the page), no
+// orphaned cache entry may survive, and reads after the pin must serve the
+// pinned copy — over a Disk and over a page file's views.
 func TestPagerConcurrentPinDuringFill(t *testing.T) {
-	const pages = 32
-	for round := 0; round < 20; round++ {
-		d := newPagerDisk(t, pages)
-		p := NewPager(d, -1)
-		d.ResetStats()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < pages; i++ {
-				p.Read(PageID(i))
+	for _, in := range pagerInputs {
+		t.Run(in.name, func(t *testing.T) {
+			const pages = 32
+			for round := 0; round < 20; round++ {
+				d := in.make(t, pages)
+				p := NewPager(d, -1)
+				d.ResetStats()
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < pages; i++ {
+						p.Read(PageID(i))
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					for i := pages - 1; i >= 0; i-- {
+						p.Pin(PageID(i))
+					}
+				}()
+				wg.Wait()
+				if got := d.Stats().Reads; got != pages {
+					t.Fatalf("round %d: %d disk reads for %d pages under a Pin/Read race", round, got, pages)
+				}
+				if got := p.CachedPages(); got != pages {
+					t.Fatalf("round %d: CachedPages = %d, want %d (orphaned entries?)", round, got, pages)
+				}
+				d.ResetStats()
+				for i := 0; i < pages; i++ {
+					if got := p.Read(PageID(i)); got[0] != byte(i+1) {
+						t.Fatalf("page %d content = %d", i, got[0])
+					}
+					p.Unpin(PageID(i))
+				}
+				if got := d.Stats().Reads; got != 0 {
+					t.Fatalf("round %d: %d disk reads after everything pinned/cached", round, got)
+				}
+				// After Unpin the pages must be gone entirely: an unpinned page
+				// reloads from disk (no stale orphan may answer from the cache).
+				d.ResetStats()
+				p.Read(0)
+				if got := d.Stats().Reads; got != 1 {
+					t.Fatalf("round %d: unpinned page served from a stale cache entry", round)
+				}
 			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := pages - 1; i >= 0; i-- {
-				p.Pin(PageID(i))
-			}
-		}()
-		wg.Wait()
-		if got := d.Stats().Reads; got != pages {
-			t.Fatalf("round %d: %d disk reads for %d pages under a Pin/Read race", round, got, pages)
-		}
-		if got := p.CachedPages(); got != pages {
-			t.Fatalf("round %d: CachedPages = %d, want %d (orphaned entries?)", round, got, pages)
-		}
-		d.ResetStats()
-		for i := 0; i < pages; i++ {
-			if got := p.Read(PageID(i)); got[0] != byte(i+1) {
-				t.Fatalf("page %d content = %d", i, got[0])
-			}
-			p.Unpin(PageID(i))
-		}
-		if got := d.Stats().Reads; got != 0 {
-			t.Fatalf("round %d: %d disk reads after everything pinned/cached", round, got)
-		}
-		// After Unpin the pages must be gone entirely: an unpinned page
-		// reloads from disk (no stale orphan may answer from the cache).
-		d.ResetStats()
-		p.Read(0)
-		if got := d.Stats().Reads; got != 1 {
-			t.Fatalf("round %d: unpinned page served from a stale cache entry", round)
-		}
+		})
 	}
 }

@@ -704,83 +704,45 @@ func TestFileBackendFsckSkipsFreePages(t *testing.T) {
 
 // writeV1File hand-crafts a version-1 page file (no trailers, no WAL) as
 // an old build would have left it.
-func writeV1File(t *testing.T, path string, blockSize int, pages [][]byte, meta []byte, free []PageID) {
+func writeV1File(t *testing.T, path string, blockSize int, pages [][]byte, meta []byte) {
 	t.Helper()
-	buf := make([]byte, blockSize+blockSize*len(pages)+4*len(free))
+	buf := make([]byte, blockSize+blockSize*len(pages))
 	copy(buf[0:6], fileMagic[:])
 	binary.LittleEndian.PutUint16(buf[6:8], 1)
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(blockSize))
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(pages)))
-	binary.LittleEndian.PutUint32(buf[16:20], uint32(len(free)))
 	binary.LittleEndian.PutUint32(buf[20:24], uint32(len(meta)))
 	copy(buf[fileHeaderSize:], meta)
 	for i, pg := range pages {
 		copy(buf[blockSize+i*blockSize:], pg)
-	}
-	for i, id := range free {
-		binary.LittleEndian.PutUint32(buf[blockSize+len(pages)*blockSize+4*i:], uint32(id))
 	}
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestFileBackendV1Readable: version-1 files stay fully usable — opened,
-// read, transactionally written and re-synced in their own format.
-func TestFileBackendV1Readable(t *testing.T) {
+// TestFileBackendV1Rejected: a version-1 file (no trailers) fails Open
+// with ErrBadVersion, and the rejected open neither changes it nor leaves
+// a log beside it.
+func TestFileBackendV1Rejected(t *testing.T) {
 	path := tempIndex(t)
-	pg0 := bytes.Repeat([]byte{0xAA}, 256)
-	pg1 := bytes.Repeat([]byte{0xBB}, 256)
-	writeV1File(t, path, 256, [][]byte{pg0, pg1}, []byte("v1 meta"), nil)
-
-	fb, err := OpenFile(path, 0)
+	pg := bytes.Repeat([]byte{0xAA}, 256)
+	writeV1File(t, path, 256, [][]byte{pg, pg}, []byte("v1 meta"))
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb.RecoveryInfo() != nil {
-		t.Errorf("clean v1 file reported recovery: %+v", fb.RecoveryInfo())
+	if fb, err := OpenFile(path, 0); !errors.Is(err, ErrBadVersion) {
+		if fb != nil {
+			fb.Close()
+		}
+		t.Fatalf("OpenFile = %v, want ErrBadVersion", err)
 	}
-	if got := fb.ReadNoCopy(0); !bytes.Equal(got, pg0) {
-		t.Errorf("v1 page 0 unreadable")
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, want) {
+		t.Errorf("rejected open changed the file (%v)", err)
 	}
-	if got := string(fb.Meta()); got != "v1 meta" {
-		t.Errorf("v1 meta = %q", got)
-	}
-	if err := fb.CheckPage(0); err != nil {
-		t.Errorf("CheckPage on v1: %v", err)
-	}
-	if err := fb.Fsck(); err != nil {
-		t.Errorf("Fsck on v1: %v", err)
-	}
-	// Writes in a transaction work on v1 files too (no trailers).
-	fb.Begin()
-	c := fb.Alloc()
-	fb.Write(c, bytes.Repeat([]byte{0xCC}, 256))
-	fb.SetMeta([]byte("v1 meta, page 2"))
-	if err := fb.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := re.ReadNoCopy(c); got[0] != 0xCC || string(re.Meta()) != "v1 meta, page 2" {
-		t.Errorf("v1 committed write lost")
-	}
-	if got := re.ReadNoCopy(1); !bytes.Equal(got, pg1) {
-		t.Errorf("v1 page 1 changed")
-	}
-	// The file must still be version 1 (slot math unchanged).
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint16(raw[6:8]); v != 1 {
-		t.Errorf("file version rewritten to %d", v)
+	if _, err := os.Stat(walPath(path)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("rejected open left a log: %v", err)
 	}
 }
 

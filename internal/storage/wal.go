@@ -59,13 +59,12 @@ import (
 //	COMMIT u64 seq
 //	NOTE   opaque bytes
 //
-// NOTE records arrived with log version 2. A version-1 log is a valid
-// version-2 log without them and is read as such; the header is rewritten
-// at version 2 once the log has been checkpointed away. Record type 1, a
-// PAGE image, was written by earlier builds for an in-place update; a log
-// that still holds one is from such an update that crashed before its
-// checkpoint, and fails Open with ErrWALCorrupt: opening the file once with
-// that earlier build replays and retires it.
+// The header's version is 2; a log of any other version (the NOTE-less
+// version 1 of earlier builds included) fails Open with ErrWALCorrupt.
+// Record type 1, a PAGE image, was written by earlier builds for an
+// in-place update; a log that still holds one is from such an update that
+// crashed before its checkpoint, and fails Open with ErrWALCorrupt:
+// opening the file once with that earlier build replays and retires it.
 //
 // Checkpointing (FileBackend.Sync) rewrites the page-file header, fsyncs
 // the page file and truncates the log back to its 16-byte header, zeros
@@ -87,7 +86,7 @@ var ErrWALCorrupt = errors.New("write-ahead log corrupt")
 var walMagic = [6]byte{'P', 'R', 'W', 'A', 'L', 0}
 
 const (
-	walVersion    = 2  // version 1 (no NOTE records) stays readable
+	walVersion    = 2  // the one version written and read
 	walHeaderSize = 16 // magic[6] version:u16 blockSize:u32 reserved:u32
 
 	walRecPage   byte = 1 // earlier builds only; refused (see above)
@@ -122,20 +121,18 @@ func encodeWALHeader(blockSize int) []byte {
 }
 
 // checkWALHeader validates a log header against the page file it rides
-// with and returns the log's version. A nil error means the records after
-// it may be scanned.
-func checkWALHeader(hdr []byte, blockSize int) (version int, err error) {
+// with. A nil error means the records after it may be scanned.
+func checkWALHeader(hdr []byte, blockSize int) error {
 	if [6]byte(hdr[0:6]) != walMagic {
-		return 0, fmt.Errorf("%w: bad magic %q", ErrWALCorrupt, hdr[0:6])
+		return fmt.Errorf("%w: bad magic %q", ErrWALCorrupt, hdr[0:6])
 	}
-	version = int(binary.LittleEndian.Uint16(hdr[6:8]))
-	if version < 1 || version > walVersion {
-		return 0, fmt.Errorf("%w: version %d (this build reads versions 1-%d)", ErrWALCorrupt, version, walVersion)
+	if v := binary.LittleEndian.Uint16(hdr[6:8]); v != walVersion {
+		return fmt.Errorf("%w: version %d (this build reads version %d only)", ErrWALCorrupt, v, walVersion)
 	}
 	if bs := binary.LittleEndian.Uint32(hdr[8:12]); int(bs) != blockSize {
-		return 0, fmt.Errorf("%w: log written for %d-byte blocks, page file has %d", ErrWALCorrupt, bs, blockSize)
+		return fmt.Errorf("%w: log written for %d-byte blocks, page file has %d", ErrWALCorrupt, bs, blockSize)
 	}
-	return version, nil
+	return nil
 }
 
 // appendWALRecord frames payload as one record (length, type, payload,

@@ -305,26 +305,26 @@ func TestWALHeader(t *testing.T) {
 	if len(hdr) != walHeaderSize {
 		t.Fatalf("header is %d bytes, want %d", len(hdr), walHeaderSize)
 	}
-	if v, err := checkWALHeader(hdr, 4096); err != nil || v != walVersion {
-		t.Fatalf("checkWALHeader = version %d, %v; want %d, nil", v, err, walVersion)
+	if err := checkWALHeader(hdr, 4096); err != nil {
+		t.Fatalf("checkWALHeader = %v, want nil", err)
 	}
-	if _, err := checkWALHeader(hdr, 512); !errors.Is(err, ErrWALCorrupt) {
+	if err := checkWALHeader(hdr, 512); !errors.Is(err, ErrWALCorrupt) {
 		t.Errorf("block-size mismatch: %v, want ErrWALCorrupt", err)
 	}
 	bad := append([]byte(nil), hdr...)
 	bad[0] = 'X'
-	if _, err := checkWALHeader(bad, 4096); !errors.Is(err, ErrWALCorrupt) {
+	if err := checkWALHeader(bad, 4096); !errors.Is(err, ErrWALCorrupt) {
 		t.Errorf("bad magic: %v, want ErrWALCorrupt", err)
 	}
 	vbad := append([]byte(nil), hdr...)
 	binary.LittleEndian.PutUint16(vbad[6:8], 9)
-	if _, err := checkWALHeader(vbad, 4096); !errors.Is(err, ErrWALCorrupt) {
+	if err := checkWALHeader(vbad, 4096); !errors.Is(err, ErrWALCorrupt) {
 		t.Errorf("bad version: %v, want ErrWALCorrupt", err)
 	}
 	v1 := append([]byte(nil), hdr...)
 	binary.LittleEndian.PutUint16(v1[6:8], 1)
-	if v, err := checkWALHeader(v1, 4096); err != nil || v != 1 {
-		t.Errorf("version-1 header: version %d, %v; want 1, nil", v, err)
+	if err := checkWALHeader(v1, 4096); !errors.Is(err, ErrWALCorrupt) {
+		t.Errorf("version-1 header: %v, want ErrWALCorrupt", err)
 	}
 }
 
@@ -341,7 +341,7 @@ func FuzzWALScan(f *testing.F) {
 	long := walTxBytes(3, 4, []PageID{0, 2}, bytes.Repeat([]byte{7}, 200))
 	f.Add(long)
 	f.Add(long[:len(long)-2])
-	// A version-1 log: every transaction carries its STATE, no NOTE anywhere.
+	// No NOTE anywhere: every transaction carries its STATE.
 	f.Add(append(walTxBytes(1, 1, nil, []byte("v1")), walTxBytes(2, 2, []PageID{1}, []byte("v1"))...))
 	// Version 2: a lone NOTE, light transactions after a STATE, notes beside
 	// a STATE, and the two shapes that must be corruption — a transaction

@@ -47,10 +47,11 @@
 // CollectNearest is Collect for a Nearest query that also returns each
 // neighbor's squared distance, and Count counts without collecting.
 //
-// The read path is safe for many concurrent goroutines — the page cache is
-// lock-striped and per-traversal scratch is pooled — so a batch of queries
-// is the caller's own goroutines, one query each, with results identical
-// to sequential execution. A BulkLoad requires exclusive access.
+// The read path is safe for many concurrent goroutines — the page cache
+// reads each missed page once, under its shard's lock, and per-traversal
+// scratch is pooled — so a batch of queries is the caller's own
+// goroutines, one query each, with results identical to sequential
+// execution. A BulkLoad requires exclusive access.
 package prtree
 
 import (
@@ -122,8 +123,8 @@ type Options struct {
 	// budget. A PR load above an explicit budget runs the paper's external
 	// construction, and the other loaders keep 2^16 for 0.
 	MemoryItems int
-	// CacheCapacity bounds the page cache in pages; negative means
-	// unbounded (the default), 0 disables caching entirely.
+	// CacheCapacity bounds the page cache in pages; 0 or negative means
+	// unbounded (the default).
 	CacheCapacity int
 	// Parallelism is the worker budget of every bulk load (clamped to
 	// GOMAXPROCS; 0 or 1 means serial): Bulk, BulkWith and BulkLoad, and

@@ -298,7 +298,7 @@ func TestConcurrentQueriesMatchSequentialFig12(t *testing.T) {
 	// Two nontrivial accounting regimes: capacity 0 with pinned internals is
 	// the paper's measurement mode (every leaf visit is one disk read), and
 	// the unbounded default with a cold cache charges each distinct page
-	// once through the single-flight miss path.
+	// once, its miss filled under the shard lock.
 	for _, capacity := range []int{-1, 0} {
 		// The facade treats CacheCapacity 0 as "default" (unbounded), so
 		// build the capacity-0 pager explicitly for the paper's
@@ -365,8 +365,8 @@ func TestConcurrentQueriesMatchSequentialFig12(t *testing.T) {
 }
 
 // TestConcurrentIOStatsDuringBatch reads and resets the I/O counters while
-// a batch runs, one query per goroutine — the counter race the
-// lock-striped pager and atomic disk stats fix. Run under -race in CI.
+// a batch runs, one query per goroutine — the counter race the pager's
+// and the disk's atomic counters fix. Run under -race in CI.
 func TestConcurrentIOStatsDuringBatch(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	items := randItems(8000, 21)

@@ -523,8 +523,8 @@ func TestQuerySurface(t *testing.T) {
 
 // TestConcurrentIterFileBacked runs many Iter consumers against one
 // file-backed tree simultaneously — the race-detector test for the
-// file backend + lock-striped pager + pull-iterator stack. Run under
-// -race in CI (matched by the `-run Concurrent` stress job).
+// file backend + pager + pull-iterator stack. Run under -race in CI
+// (matched by the `-run Concurrent` stress job).
 func TestConcurrentIterFileBacked(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	items := dataset.Western(8000, 31)
