@@ -440,3 +440,77 @@ func TestEmptyTree(t *testing.T) {
 		t.Errorf("an empty index file holds %d pages, %d in use; want none", total, inUse)
 	}
 }
+
+// TestHandleAfterClose holds the storage lifecycle that a static Tree and
+// a Dynamic share: what a fresh handle reports, that a second Close is a
+// no-op, and that every call that would touch the closed storage fails.
+func TestHandleAfterClose(t *testing.T) {
+	type storageHandle interface {
+		Path() string
+		PageCounts() (total, inUse int)
+		Recovery() *RecoveryInfo
+		Sync() error
+		CheckPages() error
+		Close() error
+	}
+	items := dataset.Uniform(500, 0.01, 1)
+	dir := t.TempDir()
+	cases := []struct {
+		name string
+		path string // "" in memory
+		open func(path string) (storageHandle, func() error, error)
+	}{
+		{"Bulk", "", func(string) (storageHandle, func() error, error) {
+			tr := Bulk(items, nil)
+			return tr, func() error { return tr.BulkLoad(PR, items) }, nil
+		}},
+		{"Create", filepath.Join(dir, "static.pr"), func(path string) (storageHandle, func() error, error) {
+			tr, err := Create(path, nil)
+			return tr, func() error { return tr.BulkLoad(PR, items) }, err
+		}},
+		{"NewDynamic", "", func(string) (storageHandle, func() error, error) {
+			d := NewDynamic(nil)
+			return d, func() error { return d.InsertE(items[0]) }, nil
+		}},
+		{"CreateDynamic", filepath.Join(dir, "dynamic.pr"), func(path string) (storageHandle, func() error, error) {
+			d, err := CreateDynamic(path, nil)
+			return d, func() error { return d.InsertE(items[0]) }, err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h, mutate, err := c.open(c.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Path(); got != c.path {
+				t.Errorf("Path() = %q, want %q", got, c.path)
+			}
+			total, inUse := h.PageCounts()
+			if c.path == "" && (total != 0 || inUse != 0) {
+				t.Errorf("in-memory PageCounts() = %d, %d, want 0, 0", total, inUse)
+			}
+			if inUse > total {
+				t.Errorf("PageCounts() = %d total, %d in use", total, inUse)
+			}
+			if ri := h.Recovery(); ri != nil {
+				t.Errorf("fresh Recovery() = %v, want nil", ri)
+			}
+			if err := h.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if err := h.Close(); err != nil {
+				t.Errorf("second Close: %v", err)
+			}
+			if err := h.Sync(); err == nil {
+				t.Error("Sync after Close succeeded")
+			}
+			if err := h.CheckPages(); err == nil {
+				t.Error("CheckPages after Close succeeded")
+			}
+			if err := mutate(); err == nil {
+				t.Error("mutation after Close succeeded")
+			}
+		})
+	}
+}
