@@ -71,7 +71,7 @@ func main() {
 	limit := flag.Int("limit", 0, "query: stop after N matches (0 = all)")
 	out := flag.String("out", "", "shard: output index directory")
 	nshards := flag.Int("shards", 4, "shard: number of shards")
-	cache := flag.Int("cache", 0, "page-cache capacity in pages (0 = unbounded, -1 disables)")
+	cache := flag.Int("cache", 0, "page-cache capacity in pages (0 or negative = unbounded)")
 	flag.Parse()
 
 	if flag.NArg() < 1 {
@@ -81,15 +81,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	capacity := *cache
-	if capacity < 0 {
-		capacity = 0 // Options semantics: 0 disables, unset means unbounded
-	} else if capacity == 0 {
-		capacity = -1
-	}
 	opts := &prtree.Options{
 		MemoryItems:   *mem,
-		CacheCapacity: capacity,
+		CacheCapacity: *cache,
 		// Every load builds the same tree at any setting, so there is no
 		// flag: use the machine.
 		Parallelism: runtime.GOMAXPROCS(0),
@@ -354,10 +348,7 @@ func fileSize(path string, items int) string {
 func printCache(tree *prtree.Tree) {
 	cs := tree.CacheStats()
 	capStr := "unbounded"
-	switch {
-	case cs.Capacity == 0:
-		capStr = "disabled"
-	case cs.Capacity > 0:
+	if cs.Capacity > 0 {
 		capStr = fmt.Sprintf("%d pages", cs.Capacity)
 	}
 	fmt.Printf("cache:        capacity=%s\n", capStr)

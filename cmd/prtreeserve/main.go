@@ -45,7 +45,7 @@ func main() {
 	shards := flag.String("shards", "", "sharded index directory (required; see prtool shard)")
 	bind := flag.String("bind", "127.0.0.1:9045", "binary-protocol listen address")
 	httpBind := flag.String("http", "127.0.0.1:9046", "admin listener: /healthz, /statsz (empty disables)")
-	cache := flag.Int("cache", 0, "global page-cache budget in pages, split across shards (0 = unbounded)")
+	cache := flag.Int("cache", 0, "global page-cache budget in pages, split across shards (0 = unbounded; a positive budget needs at least one page per shard)")
 	tenantCap := flag.Int("tenantcap", 0, "per-tenant in-flight request cap (0 = unlimited)")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for requests that carry none (0 = none)")
 	maxDeadline := flag.Duration("maxdeadline", 0, "clamp on client-supplied deadlines (0 = no clamp)")

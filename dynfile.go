@@ -1,11 +1,9 @@
 package prtree
 
 import (
-	"errors"
 	"fmt"
 
 	"prtree/internal/logmethod"
-	"prtree/internal/storage"
 )
 
 // File-backed dynamic indexes: CreateDynamic makes a new index file,
@@ -38,21 +36,13 @@ import (
 // and returns an empty file-backed dynamic index on it. Close persists it
 // in place; OpenDynamic reopens it.
 func CreateDynamic(path string, opts *Options) (*Dynamic, error) {
-	o := opts.normalized()
-	if err := storage.RemoveScratch(path); err != nil {
-		return nil, fmt.Errorf("prtree: create %s: %w", path, err)
-	}
-	fb, err := storage.CreateFile(path, o.BlockSize)
+	d := new(Dynamic)
+	err := d.openFile(path, opts, true, func(o Options) error {
+		d.inner = logmethod.New(d.pager, o.bulkOptions(), 0)
+		d.inner.SetScratch(d.scratch)
+		return d.Sync()
+	})
 	if err != nil {
-		return nil, fmt.Errorf("prtree: create %s: %w", path, err)
-	}
-	d, err := assembleDynamic(fb, o, path, nil)
-	if err != nil {
-		fb.Abandon()
-		return nil, fmt.Errorf("prtree: create %s: %w", path, err)
-	}
-	if err := d.Sync(); err != nil {
-		fb.Abandon()
 		return nil, err
 	}
 	return d, nil
@@ -67,29 +57,16 @@ func CreateDynamic(path string, opts *Options) (*Dynamic, error) {
 // index that died at any point — mid carry included — opens to its last
 // acknowledged mutation.
 func OpenDynamic(path string, opts *Options) (*Dynamic, error) {
-	expect := 0
-	if opts != nil {
-		expect = opts.BlockSize
-	}
-	o := opts.normalized()
-	if err := storage.RemoveScratch(path); err != nil {
-		return nil, fmt.Errorf("prtree: open %s: %w", path, err)
-	}
-	fb, err := storage.OpenFile(path, expect)
+	d := new(Dynamic)
+	err := d.openFile(path, opts, false, func(o Options) (err error) {
+		if d.inner, err = logmethod.OpenState(d.pager, o.bulkOptions(), d.fb.Meta()); err != nil {
+			return err
+		}
+		d.inner.SetScratch(d.scratch)
+		return d.reapplyNotes()
+	})
 	if err != nil {
-		return nil, fmt.Errorf("prtree: %w", err)
-	}
-	d, err := assembleDynamic(fb, o, path, fb.Meta())
-	if err != nil {
-		// Abandon, not Close: a failed open must not rewrite the header of
-		// a file it could not validate.
-		fb.Abandon()
-		return nil, fmt.Errorf("prtree: open %s: %w", path, err)
-	}
-	if err := d.reapplyNotes(); err != nil {
-		// Nor retire a log whose notes nobody applied.
-		fb.Abandon()
-		return nil, fmt.Errorf("prtree: open %s: %w", path, errors.Join(err, d.scratch.Close()))
+		return nil, err
 	}
 	return d, nil
 }
@@ -102,10 +79,6 @@ func OpenDynamic(path string, opts *Options) (*Dynamic, error) {
 // open retires the log. A crash anywhere in here finds the same log, or
 // the same log with the saved result at its end, and does it again.
 func (d *Dynamic) reapplyNotes() error {
-	if ri := d.fb.RecoveryInfo(); ri != nil {
-		info := *ri
-		d.recovery = &info
-	}
 	notes := d.fb.RecoveredNotes()
 	if len(notes) == 0 {
 		return nil
@@ -132,68 +105,6 @@ func (d *Dynamic) reapplyNotes() error {
 	return nil
 }
 
-// assembleDynamic puts the pager on the store (or on what WrapBackend made
-// of it) and builds or reopens the logmethod tree.
-// meta == nil means a fresh empty tree; otherwise it is the directory blob
-// a previous SaveState wrote.
-func assembleDynamic(fb *storage.FileBackend, o Options, path string, meta []byte) (*Dynamic, error) {
-	dev := storage.Backend(fb)
-	if o.WrapBackend != nil {
-		dev = o.WrapBackend(dev)
-	}
-	pager := storage.NewPager(dev, o.CacheCapacity)
-	bopts := o.bulkOptions()
-	var inner *logmethod.Tree
-	if meta == nil {
-		inner = logmethod.New(pager, bopts, 0)
-	} else {
-		var err error
-		inner, err = logmethod.OpenState(pager, bopts, meta)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Level builds (carries, rebuilds) above an explicit MemoryItems put
-	// their temporaries on one scratch file
-	// beside the index, kept for the handle's lifetime so a carry pays no
-	// file create and delete; the rest build in memory and never create it.
-	scratch := storage.NewScratch(path, fb.BlockSize())
-	inner.SetScratch(scratch)
-	return &Dynamic{inner: inner, io: dev, pager: pager, scratch: scratch, fb: fb, path: path}, nil
-}
-
-// Path returns the index file path, or "" for non-file backends.
-func (d *Dynamic) Path() string { return d.path }
-
-// Recovery reports what crash recovery did when this index was opened:
-// nil for a cleanly closed (or non-file) index, a populated RecoveryInfo
-// when OpenDynamic found work in the write-ahead log — ReappliedNotes is
-// the number of logged mutations it ran again on top of the last saved
-// state. The index is fully consistent either way.
-func (d *Dynamic) Recovery() *RecoveryInfo { return d.recovery }
-
-// CheckPages verifies the checksum trailer of every in-use page of a
-// file-backed dynamic index without panicking (nil for clean or non-file
-// indexes), like Tree.CheckPages.
-func (d *Dynamic) CheckPages() error {
-	if d.closed {
-		return fmt.Errorf("prtree: CheckPages on closed index")
-	}
-	if d.fb == nil {
-		return nil
-	}
-	if err := d.fb.Fsck(); err != nil {
-		return fmt.Errorf("prtree: %w", err)
-	}
-	return nil
-}
-
-// PageCounts reports the backing file's page-slot total and how many of
-// those slots the index currently references (the rest sit on the free
-// list, available for reuse without growing the file). Both are zero for
-// non-file backends.
-func (d *Dynamic) PageCounts() (total, inUse int) { return filePageCounts(d.fb) }
-
 // Sync persists the index's current state — pages, allocator and the
 // component directory — through the backend and leaves the page file
 // alone describing it: for a file-backed index one committed transaction
@@ -208,18 +119,9 @@ func (d *Dynamic) PageCounts() (total, inUse int) { return filePageCounts(d.fb) 
 // carry builds its level beside the ones it replaces, so the file grows by
 // the size of the level being built. The index remains usable.
 func (d *Dynamic) Sync() error {
-	if d.closed {
-		return fmt.Errorf("prtree: Sync on closed index")
-	}
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	if err := d.saveAndSettle(); err != nil {
-		return fmt.Errorf("prtree: sync: %w", err)
-	}
-	if err := d.io.Sync(); err != nil {
-		return fmt.Errorf("prtree: sync: %w", err)
-	}
-	return nil
+	return d.sync(d.saveAndSettle)
 }
 
 // saveAndSettle is what Sync and Close do before the backend's checkpoint.

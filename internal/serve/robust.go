@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,7 @@ import (
 var ErrBreakerOpen = errors.New("serve: circuit breaker open")
 
 // RobustOptions tunes a RobustClient. The zero value retries up to 3
-// times with 10ms initial backoff and no hedging.
+// times with 10ms initial backoff.
 type RobustOptions struct {
 	// Addr is the server's binary-protocol address.
 	Addr string
@@ -27,17 +26,6 @@ type RobustOptions struct {
 	// attempt with jitter up to RetryMaxBackoff (default 1s).
 	RetryBackoff    time.Duration
 	RetryMaxBackoff time.Duration
-
-	// Hedge enables hedged reads: when a request has been in flight
-	// longer than the client's observed p99, a second identical request
-	// races it on a fresh connection and the first response wins. Only
-	// idempotent reads go through RobustClient, so hedging is always
-	// safe here.
-	Hedge bool
-	// HedgeAfterMin is the minimum latency-sample count before hedging
-	// arms (default 32) — hedging off a cold p99 estimate would fire on
-	// everything.
-	HedgeAfterMin int
 
 	// BreakerThreshold is the consecutive transport-failure count that
 	// opens the per-address circuit breaker (default 5; negative
@@ -61,9 +49,6 @@ func (o RobustOptions) normalized() RobustOptions {
 	if o.RetryMaxBackoff <= 0 {
 		o.RetryMaxBackoff = time.Second
 	}
-	if o.HedgeAfterMin <= 0 {
-		o.HedgeAfterMin = 32
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5
 	}
@@ -75,50 +60,12 @@ func (o RobustOptions) normalized() RobustOptions {
 
 // RobustCounters snapshots a RobustClient's resilience counters.
 type RobustCounters struct {
-	Retries       uint64 // attempts after the first, per request
-	Hedges        uint64 // hedge requests launched
-	HedgeWins     uint64 // requests where the hedge answered first
+	Retries uint64 // attempts after the first, per request
+	// Hedges reads 0: the client sends one request at a time. The field
+	// stays because the benchmark harness reports it.
+	Hedges        uint64
 	BreakerOpens  uint64 // closed → open transitions
 	BreakerDenied uint64 // requests failed fast with ErrBreakerOpen
-}
-
-// latRing is a fixed-size ring of latency samples for the hedge-delay
-// estimate. Writes are mutex-held; p99 sorts a copy.
-type latRing struct {
-	mu      sync.Mutex
-	samples [256]time.Duration
-	n       int // total observed (ring index = n % len)
-}
-
-func (l *latRing) observe(d time.Duration) {
-	l.mu.Lock()
-	l.samples[l.n%len(l.samples)] = d
-	l.n++
-	l.mu.Unlock()
-}
-
-// p99 returns the ring's 99th percentile and the total sample count.
-func (l *latRing) p99() (time.Duration, int) {
-	l.mu.Lock()
-	n := l.n
-	size := n
-	if size > len(l.samples) {
-		size = len(l.samples)
-	}
-	buf := make([]time.Duration, size)
-	copy(buf, l.samples[:size])
-	l.mu.Unlock()
-	if size == 0 {
-		return 0, 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return quantile(buf, 0.99), n
-}
-
-// quantile returns the q-th quantile of sorted (nearest-rank method).
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	return sorted[max(0, min(idx, len(sorted)-1))]
 }
 
 // breaker is a per-address circuit breaker over consecutive transport
@@ -131,7 +78,7 @@ type breaker struct {
 	probing   bool
 }
 
-// RobustClient is a retrying, hedging, circuit-breaking front over the
+// RobustClient is a retrying, circuit-breaking front over the
 // binary protocol. Unlike Client it is safe for concurrent use: requests
 // draw connections from a pool, and broken connections are discarded
 // instead of poisoning later requests.
@@ -148,12 +95,9 @@ type RobustClient struct {
 	idle   []*Client
 	closed bool
 
-	lat latRing
 	brk breaker
 
 	retries       atomic.Uint64
-	hedges        atomic.Uint64
-	hedgeWins     atomic.Uint64
 	breakerOpens  atomic.Uint64
 	breakerDenied atomic.Uint64
 }
@@ -168,8 +112,6 @@ func DialRobust(opt RobustOptions) *RobustClient {
 func (rc *RobustClient) Counters() RobustCounters {
 	return RobustCounters{
 		Retries:       rc.retries.Load(),
-		Hedges:        rc.hedges.Load(),
-		HedgeWins:     rc.hedgeWins.Load(),
 		BreakerOpens:  rc.breakerOpens.Load(),
 		BreakerDenied: rc.breakerDenied.Load(),
 	}
@@ -262,24 +204,13 @@ func (rc *RobustClient) reportTransport(ok bool) {
 	}
 }
 
-// attemptOut is one attempt's outcome, raced by hedged legs.
-type attemptOut struct {
-	res Result
-	err error
-	// answered marks a server response (success or RemoteError): the
-	// authoritative outcome that wins the hedge race. Transport errors
-	// are not answers — the other leg may still produce one.
-	answered bool
-}
-
 // attempt runs req once on a pooled connection.
-func (rc *RobustClient) attempt(req Request) attemptOut {
+func (rc *RobustClient) attempt(req Request) (Result, error) {
 	cl, err := rc.getConn()
 	if err != nil {
 		rc.reportTransport(false)
-		return attemptOut{err: err}
+		return Result{}, err
 	}
-	t0 := time.Now()
 	res, err := cl.Do(req)
 	if err != nil {
 		var remote *RemoteError
@@ -287,29 +218,15 @@ func (rc *RobustClient) attempt(req Request) attemptOut {
 			// The server answered; the connection is still framed.
 			rc.reportTransport(true)
 			rc.putConn(cl)
-			return attemptOut{err: err, answered: true}
+			return Result{}, err
 		}
 		rc.reportTransport(false)
 		cl.Close()
-		return attemptOut{err: err}
+		return Result{}, err
 	}
-	rc.lat.observe(time.Since(t0))
 	rc.reportTransport(true)
 	rc.putConn(cl)
-	return attemptOut{res: res, answered: true}
-}
-
-// hedgeDelay returns the delay before a hedge fires, or 0 if hedging is
-// not armed (disabled, or not enough samples yet).
-func (rc *RobustClient) hedgeDelay() time.Duration {
-	if !rc.opt.Hedge {
-		return 0
-	}
-	p99, n := rc.lat.p99()
-	if n < rc.opt.HedgeAfterMin || p99 <= 0 {
-		return 0
-	}
-	return p99
+	return res, nil
 }
 
 // retryable reports whether err may be retried: transport failures and
@@ -322,7 +239,7 @@ func retryable(err error) bool {
 	return true // transport/framing failure
 }
 
-// Do runs req with retries, hedging and the circuit breaker. The request
+// Do runs req with retries and the circuit breaker. The request
 // deadline (DeadlineMillis) bounds the whole call including backoff:
 // when the budget is spent, the last error returns rather than another
 // retry burning a dead deadline.
@@ -342,72 +259,23 @@ func (rc *RobustClient) Do(req Request) (Result, error) {
 			}
 			return Result{}, err
 		}
-		out := rc.race(req)
-		if out.err == nil {
-			return out.res, nil
+		res, err := rc.attempt(req)
+		if err == nil {
+			return res, nil
 		}
-		lastErr = out.err
-		if out.answered && !retryable(out.err) {
-			return Result{}, out.err
-		}
-		if !retryable(out.err) || attempt >= rc.opt.MaxRetries {
-			return Result{}, out.err
+		lastErr = err
+		if !retryable(err) || attempt >= rc.opt.MaxRetries {
+			return Result{}, err
 		}
 		d := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
 		if !budget.IsZero() && time.Now().Add(d).After(budget) {
-			return Result{}, fmt.Errorf("serve: deadline budget exhausted after %d attempts: %w", attempt+1, out.err)
+			return Result{}, fmt.Errorf("serve: deadline budget exhausted after %d attempts: %w", attempt+1, err)
 		}
 		time.Sleep(d)
 		rc.retries.Add(1)
 		backoff *= 2
 		if backoff > rc.opt.RetryMaxBackoff {
 			backoff = rc.opt.RetryMaxBackoff
-		}
-	}
-}
-
-// race runs one attempt, hedged with a second identical request when the
-// first is slower than the client's observed p99. The first server
-// response wins; a pure transport error on one leg waits for the other.
-func (rc *RobustClient) race(req Request) attemptOut {
-	delay := rc.hedgeDelay()
-	if delay <= 0 {
-		return rc.attempt(req)
-	}
-	primary := make(chan attemptOut, 1)
-	go func() { primary <- rc.attempt(req) }()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	var hedge chan attemptOut
-	var timerC <-chan time.Time = timer.C
-	var firstErr *attemptOut
-	for {
-		select {
-		case out := <-primary:
-			if out.answered || hedge == nil {
-				return out
-			}
-			// Transport failure; the hedge may still answer.
-			primary = nil
-			if firstErr != nil {
-				return out
-			}
-			firstErr = &out
-		case out := <-hedge:
-			if out.answered {
-				rc.hedgeWins.Add(1)
-				return out
-			}
-			hedge = nil
-			if firstErr != nil {
-				return out
-			}
-			firstErr = &out
-		case <-timerC:
-			timerC = nil
-			rc.hedges.Add(1)
-			hedge = make(chan attemptOut, 1)
-			go func() { hedge <- rc.attempt(req) }()
 		}
 	}
 }

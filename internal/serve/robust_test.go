@@ -193,40 +193,3 @@ func TestRobustBreaker(t *testing.T) {
 		t.Fatalf("request after the breaker closed failed: %v", err)
 	}
 }
-
-// TestRobustHedging: once the latency ring is warm, a request stuck past
-// the observed p99 gets a hedge on a fresh connection, and the hedge's
-// answer wins the race instead of waiting out the straggler.
-func TestRobustHedging(t *testing.T) {
-	var stalled atomic.Bool
-	addr := startFakeFrameServer(t, func(req Request) []byte {
-		if req.Tenant == "straggler" && stalled.CompareAndSwap(false, true) {
-			time.Sleep(400 * time.Millisecond) // the one straggler
-		}
-		return AppendOKResponse(nil, req.Op, nil, [][]geom.Item{{}}, nil, nil)
-	})
-	opt := fastRetry(addr)
-	opt.Hedge = true
-	opt.HedgeAfterMin = 1
-	rc := DialRobust(opt)
-	defer rc.Close()
-
-	// Warm the p99 estimate with fast requests.
-	for i := 0; i < 32; i++ {
-		if _, err := rc.Do(Request{Op: OpWindow}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	start := time.Now()
-	if _, err := rc.Do(Request{Op: OpWindow, Tenant: "straggler"}); err != nil {
-		t.Fatalf("hedged request failed: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed >= 400*time.Millisecond {
-		t.Fatalf("hedged request waited out the straggler (%v)", elapsed)
-	}
-	c := rc.Counters()
-	if c.Hedges < 1 || c.HedgeWins < 1 {
-		t.Fatalf("counters %+v, want at least one hedge and one hedge win", c)
-	}
-}

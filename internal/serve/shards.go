@@ -242,8 +242,10 @@ func chunks(sorted []geom.Item, n int) [][]geom.Item {
 type OpenOptions struct {
 	// CachePages is the global page-cache budget shared by the whole set:
 	// it is split evenly across the shards' pagers, so total cached pages
-	// never exceed the budget regardless of shard count.
-	// 0 or negative means unbounded (every page stays resident).
+	// never exceed the budget regardless of shard count. A positive budget
+	// must give every shard at least one page: Open rejects one below the
+	// shard count. 0 or negative means unbounded (every page stays
+	// resident).
 	CachePages int
 
 	// MaxRecoveries caps reopen attempts per quarantine before the shard
@@ -450,10 +452,10 @@ func Open(dir string, opt OpenOptions) (*Set, error) {
 	}
 	perShard := -1 // unbounded
 	if opt.CachePages > 0 {
-		perShard = opt.CachePages / len(man.Shards)
-		if perShard < 1 {
-			perShard = 1
+		if opt.CachePages < len(man.Shards) {
+			return nil, fmt.Errorf("serve: cache budget %d pages is below one page for each of %d shards", opt.CachePages, len(man.Shards))
 		}
+		perShard = opt.CachePages / len(man.Shards)
 	}
 	s := &Set{
 		dir: dir, manifest: man, mbr: geom.EmptyRect(),

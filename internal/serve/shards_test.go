@@ -380,6 +380,13 @@ func TestSharedCacheBudget(t *testing.T) {
 	if _, err := Build(dir, items, BuildOptions{Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
+	// A budget below one page per shard cannot be split without exceeding
+	// it, so Open refuses it.
+	if set, err := Open(dir, OpenOptions{CachePages: 3}); err == nil {
+		got := set.Stats().Cache.Capacity
+		set.Close()
+		t.Fatalf("budget 3 over 4 shards opened with summed capacity %d, want an error", got)
+	}
 	set, err := Open(dir, OpenOptions{CachePages: 8})
 	if err != nil {
 		t.Fatal(err)

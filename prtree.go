@@ -55,7 +55,6 @@
 package prtree
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -178,42 +177,9 @@ func (o Options) bulkOptions() bulk.Options {
 // replaces its contents wholesale. Every backend counts its own block I/O,
 // so IOStats works uniformly across backends.
 type Tree struct {
-	inner    *rtree.Tree
-	pager    *storage.Pager
-	io       storage.Backend      // the store, or what Options.WrapBackend made of it
-	fb       *storage.FileBackend // file-backed: the index file; nil otherwise
-	scratch  *storage.Scratch     // bulk-load temporaries of a file-backed tree; nil otherwise
-	bopts    bulk.Options
-	path     string // index file path; "" for non-file backends
-	closed   bool
-	recovery *storage.RecoveryInfo // what crash recovery did at Open, if anything
-}
-
-// mutate brackets a rebuild in a backend transaction: Begin, run fn,
-// stage the refreshed tree metadata, Commit. On a durable backend the
-// whole rebuild is atomic — after Commit it survives a crash; a panic
-// out of fn (including an injected fault) rolls the backend's in-memory
-// state back to the last committed transaction before re-panicking, so
-// the on-disk index recovers cleanly even though this Tree value is no
-// longer usable. On a backend without durability the brackets do nothing.
-func (t *Tree) mutate(fn func()) error {
-	t.io.Begin()
-	done := false
-	defer func() {
-		if !done {
-			t.io.Rollback()
-		}
-	}()
-	fn()
-	t.io.SetMeta(t.inner.EncodeMeta())
-	done = true
-	if err := t.io.Commit(); err != nil {
-		// The backend rolls back to the committed state; this Tree's
-		// in-memory structure has already mutated and must be reopened.
-		t.io.Rollback()
-		return err
-	}
-	return nil
+	handle
+	inner *rtree.Tree
+	bopts bulk.Options
 }
 
 // Bulk builds a PR-tree over items. opts may be nil for defaults.
@@ -225,16 +191,13 @@ func Bulk(items []Item, opts *Options) *Tree {
 // simulator. opts may be nil.
 func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 	o := opts.normalized()
-	disk := storage.NewDisk(o.BlockSize)
-	pager := storage.NewPager(disk, o.CacheCapacity)
-	bopts := o.bulkOptions()
-	var tr *rtree.Tree
-	if bulk.InMemory(l, len(items), bopts) {
-		tr = bulk.PRTreeSlice(pager, items, bopts)
+	t := &Tree{handle: memHandle(o), bopts: o.bulkOptions()}
+	if bulk.InMemory(l, len(items), t.bopts) {
+		t.inner = bulk.PRTreeSlice(t.pager, items, t.bopts)
 	} else {
-		tr = bulk.FromItems(l, pager, items, bopts)
+		t.inner = bulk.FromItems(l, t.pager, items, t.bopts)
 	}
-	return &Tree{inner: tr, pager: pager, io: disk, bopts: bopts}
+	return t
 }
 
 // BulkLoad (re)builds the tree's contents in place from items using loader
@@ -267,17 +230,17 @@ func (t *Tree) BulkLoad(l Loader, items []Item) error {
 	}
 	var err error
 	if bulk.InMemory(l, len(items), t.bopts) {
-		err = t.mutate(func() {
+		err = t.txn(func() {
 			t.inner.Release()
 			t.inner = bulk.PRTreeSlice(t.pager, items, t.bopts)
-		})
+		}, t.saveMeta)
 	} else {
 		err = t.scratch.Use(func() error {
-			return t.mutate(func() {
+			return t.txn(func() {
 				t.inner.Release()
 				in := storage.NewItemFileFrom(t.scratch.Or(t.io), items)
 				t.inner = bulk.Load(l, t.pager, in, t.bopts)
-			})
+			}, t.saveMeta)
 		})
 	}
 	if err != nil {
@@ -303,20 +266,6 @@ func (t *Tree) Fanout() int { return t.inner.Config().Fanout }
 
 // Utilization returns the average leaf and internal node fill fractions.
 func (t *Tree) Utilization() (leaf, internal float64) { return t.inner.Utilization() }
-
-// IOStats returns cumulative block reads/writes on the tree's backend
-// plus, for a file-backed tree, its bulk-load scratch store — so build
-// I/O is the same quantity on every backend. The counters are atomic:
-// IOStats is safe to call while queries run.
-func (t *Tree) IOStats() IOStats { return t.io.Stats().Add(t.scratch.Stats()) }
-
-// ResetIOStats zeroes the I/O counters (e.g. before measuring a query).
-// Like IOStats it is safe to call while queries run; in-flight queries
-// simply split their I/O across the two measurement intervals.
-func (t *Tree) ResetIOStats() {
-	t.io.ResetStats()
-	t.scratch.ResetStats()
-}
 
 // CacheStats returns the page cache's hit/miss/eviction counters plus the
 // active capacity. Safe to call while queries run.
@@ -345,16 +294,9 @@ func (t *Tree) Validate() error { return t.inner.Validate() }
 // that fills the insert buffer (see CompactionStats), and readers go on
 // beside them.
 type Dynamic struct {
-	inner   *logmethod.Tree
-	io      storage.Backend // the store, or what Options.WrapBackend made of it
-	pager   *storage.Pager
-	scratch *storage.Scratch // level-build temporaries of a file-backed index; nil otherwise
-
-	wmu      sync.Mutex           // serializes writer transaction brackets
-	fb       *storage.FileBackend // file-backed: where the state is saved and mutations are logged; nil otherwise
-	path     string               // index file path; "" for non-file backends
-	closed   bool
-	recovery *storage.RecoveryInfo
+	handle // a file-backed index saves its state and logs its mutations in fb
+	inner  *logmethod.Tree
+	wmu    sync.Mutex // serializes writer transaction brackets
 }
 
 // DynamicStats mirrors logmethod query statistics.
@@ -391,10 +333,9 @@ type CompactionStats struct {
 // simulator. opts may be nil.
 func NewDynamic(opts *Options) *Dynamic {
 	o := opts.normalized()
-	disk := storage.NewDisk(o.BlockSize)
-	pager := storage.NewPager(disk, o.CacheCapacity)
-	inner := logmethod.New(pager, o.bulkOptions(), 0)
-	return &Dynamic{inner: inner, io: disk, pager: pager}
+	d := &Dynamic{handle: memHandle(o)}
+	d.inner = logmethod.New(d.pager, o.bulkOptions(), 0)
+	return d
 }
 
 // Close persists a file-backed index in place and closes the backend: the
@@ -403,20 +344,13 @@ func NewDynamic(opts *Options) *Dynamic {
 // Close reopens to the last acknowledged mutation. Using the index after
 // Close is invalid. Closing twice is a no-op.
 func (d *Dynamic) Close() error {
-	if d.closed {
-		return nil
-	}
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
-	d.closed = true
-	if err := errors.Join(d.saveAndSettle(), d.io.Close(), d.scratch.Close()); err != nil {
-		return fmt.Errorf("prtree: close: %w", err)
-	}
-	return nil
+	return d.close(d.saveAndSettle)
 }
 
-// mutate is Tree.mutate for the dynamic index: one backend transaction
-// per mutation batch, serialized against every other writer.
+// mutate runs fn as one transaction (see transact), serialized against
+// every other writer.
 func (d *Dynamic) mutate(m *logmethod.Mutation, fn func()) error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
@@ -441,28 +375,18 @@ func (d *Dynamic) mutate(m *logmethod.Mutation, fn func()) error {
 // or wants the save itself (Sync, Close). A save is followed by
 // logmethod.SavedNote, which makes every earlier note history.
 func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
-	d.io.Begin()
-	done := false
-	defer func() {
-		if !done {
-			d.io.Rollback()
+	return d.txn(fn, func() error {
+		if d.fb == nil {
+			return nil
 		}
-	}()
-	fn()
-	if d.fb != nil {
 		if changed := d.inner.TakeDirectoryChanged(); changed || m == nil {
 			d.io.SetMeta(d.inner.SaveState(d.io))
 			d.fb.Note(logmethod.SavedNote())
 		} else {
 			d.fb.Note(m.Note())
 		}
-	}
-	done = true
-	if err := d.io.Commit(); err != nil {
-		d.io.Rollback()
-		return err
-	}
-	return nil
+		return nil
+	})
 }
 
 // InsertE adds an item (amortized O((log_{M/B} N)(log2 N)/B) block I/Os)
@@ -579,14 +503,4 @@ func (d *Dynamic) CompactionStats() CompactionStats {
 		st.WriteAmplification = float64(m.ItemsMerged) / float64(m.ItemsAbsorbed)
 	}
 	return st
-}
-
-// IOStats returns cumulative block reads/writes on the index's backend
-// plus, for a file-backed index, its level-build scratch store.
-func (d *Dynamic) IOStats() IOStats { return d.io.Stats().Add(d.scratch.Stats()) }
-
-// ResetIOStats zeroes the I/O counters.
-func (d *Dynamic) ResetIOStats() {
-	d.io.ResetStats()
-	d.scratch.ResetStats()
 }

@@ -306,7 +306,7 @@ func TestConcurrentQueriesMatchSequentialFig12(t *testing.T) {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, capacity)
 		inner := bulk.FromItems(bulk.LoaderPR, pager, items, bulk.Options{})
-		tree := &Tree{inner: inner, pager: pager, io: disk}
+		tree := &Tree{handle: handle{io: disk, pager: pager}, inner: inner}
 		queries := workload.Squares(world, 0.01, 60, 6)
 		coldStart := func() {
 			tree.inner.Pager().DropCache()
