@@ -14,11 +14,13 @@ import (
 //
 // The on-disk format extends the static page file: the header's metadata
 // blob holds the logarithmic method's component directory (one static
-// PR-tree meta record per occupied level) and the heads of two chained
-// state-page lists carrying the insert buffer and the tombstone set.
+// PR-tree meta record per occupied level), then one stream of 36-byte
+// records — the insert buffer, then the tombstone set — for as long as the
+// header block has room, and the rest of the stream in one chain of state
+// pages. An index whose records fit the header block has no state page.
 //
 // That is the saved state, and it is not rewritten by every mutation. It
-// is saved — blob and chains, inside the transaction of the change, so a
+// is saved — blob and chain, inside the transaction of the change, so a
 // crash recovers either the whole old state or the whole new one — when
 // the level directory changes (a carry, a rebuild, a flush) and by Sync and
 // Close. A mutation that changes only the buffer or the tombstone set
@@ -125,11 +127,12 @@ func (d *Dynamic) Sync() error {
 }
 
 // saveAndSettle is what Sync and Close do before the backend's checkpoint.
-// One committed transaction saves the state: the chains, rewritten
-// wholesale, take the lowest holes of the file. Then, if the index's pages
-// reach into the file's tail and the holes below can take them, a second
-// transaction moves them there (logmethod's Settle, whose save names the
-// chains of the first again), so that everything past the pages in use is
+// One committed transaction saves the state: the state chain, if the
+// header block cannot hold every record, is rewritten wholesale into the
+// lowest holes of the file. Then, if the index's pages reach into the
+// file's tail and the holes below can take them, a second transaction
+// moves them there (logmethod's Settle, whose save names the chain of the
+// first again), so that everything past the pages in use is
 // free and the checkpoint truncates it. An index with nothing to move pays
 // for the first transaction alone. The caller holds wmu.
 func (d *Dynamic) saveAndSettle() error {

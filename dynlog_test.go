@@ -1,12 +1,17 @@
 package prtree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"prtree/internal/logmethod"
+	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
@@ -62,6 +67,34 @@ func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
 	mustDelete(t, d, items[0])
 	mustDelete(t, d, items[d.Base()+1])
 	dynCrashBackend(t, d).Abandon() // dies without Close: the log is the state
+	killCloseAndSync(t, seed, opts, crashItems(r, 1, 7000)[0], 1)
+}
+
+// TestDynamicCloseSyncCrashEveryStepChained is the same kill-at-every-step
+// of Close and Sync over an index whose records overflow the header block
+// into a chain of state pages, which both rewrite: a level, a buffer that
+// the extra insert leaves one short of its carry and tombstones, two state
+// pages past the blob.
+func TestDynamicCloseSyncCrashEveryStepChained(t *testing.T) {
+	dir := t.TempDir()
+	opts := &Options{BlockSize: 512}
+	seed := filepath.Join(dir, "seed.prd")
+	d, err := CreateDynamic(seed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(37))
+	items := crashItems(r, 4*d.Base()-2, 0)
+	for _, it := range items {
+		mustInsert(t, d, it)
+	}
+	for _, it := range items[:6] {
+		mustDelete(t, d, it)
+	}
+	if n := statePages(d, opts.BlockSize); n != 2 {
+		t.Fatalf("the seed's %d records need %d state pages, want 2", stateRecords(d), n)
+	}
+	dynCrashBackend(t, d).Abandon()
 	killCloseAndSync(t, seed, opts, crashItems(r, 1, 7000)[0], 1)
 }
 
@@ -212,8 +245,10 @@ func TestDynamicMutationBudget(t *testing.T) {
 	mustInsert(t, d, last[2])
 
 	// Sync right after a committed mutation, over a file whose carries left
-	// the level in its tail and holes below: the save transaction — one
-	// buffer page; the revive emptied the tombstone set — then one more
+	// the level in its tail and holes below: the save transaction — the
+	// state pages its records need beyond the header block, none for the
+	// one buffered item (the revive emptied the tombstone set), and with
+	// no page written its commit fsyncs the log alone — then one more
 	// STATE-bearing commit for the level pages copied into the holes, no
 	// more of them than the checkpoint then truncates away, and the
 	// checkpoint.
@@ -222,23 +257,26 @@ func TestDynamicMutationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The save commit fsyncs the page file only if it wrote a state page.
+	spill := int64(statePages(d, opts.BlockSize))
 	before, _ := d.PageCounts()
 	moving := measure(doSync)
 	total, inUse := d.PageCounts()
-	if copies := moving.writes - 1; copies < 1 || copies > int64(before-total) || total != inUse ||
-		moving.walRecords != 6 || moving.logSyncs != 3 || moving.fileSyncs != 3 {
-		t.Errorf("Sync over a file of %d pages cost %+v and left %d pages, %d in use; want 1 state page, copies no more than the pages returned, two NOTE+STATE+COMMIT, every page in use",
-			before, moving, total, inUse)
+	if copies := moving.writes - spill; copies < 1 || copies > int64(before-total) || total != inUse ||
+		moving.walRecords != 6 || moving.logSyncs != 3 || moving.fileSyncs != 2+min(spill, 1) {
+		t.Errorf("Sync over a file of %d pages cost %+v and left %d pages, %d in use; want %d state pages, copies no more than the pages returned, two NOTE+STATE+COMMIT, every page in use",
+			before, moving, total, inUse, spill)
 	}
 	// And over a file with nothing above the pages in use, what it always
 	// cost: the save transaction, then the checkpoint (header, freelist
 	// trailer, fsync, log truncate).
 	mustInsert(t, d, last[3])
-	if sync := measure(doSync); sync.writes != 1 || sync.walRecords != 3 || sync.logSyncs != 2 || sync.fileSyncs != 2 {
-		t.Errorf("Sync cost %+v, want 1 state page, NOTE+STATE+COMMIT, and the checkpoint's fsyncs", sync)
+	spill = int64(statePages(d, opts.BlockSize))
+	if sync := measure(doSync); sync.writes != spill || sync.walRecords != 3 || sync.logSyncs != 2 || sync.fileSyncs != 1+min(spill, 1) {
+		t.Errorf("Sync cost %+v, want %d state pages, NOTE+STATE+COMMIT, and the checkpoint's fsyncs", sync, spill)
 	}
-	// With no mutation since, the chains on disk are the state's: the save
-	// names them again and writes no page.
+	// With no mutation since, the chain on disk is the state's: the save
+	// names it again and writes no page.
 	if again := measure(doSync); again.writes != 0 {
 		t.Errorf("Sync right after Sync cost %+v, want no page written", again)
 	}
@@ -292,6 +330,179 @@ func TestDynamicMutationBudget(t *testing.T) {
 	}
 	if ri := re.Recovery(); ri == nil || ri.ReappliedNotes != 3 {
 		t.Errorf("Recovery() = %+v, want 3 re-applied notes", ri)
+	}
+}
+
+// inlineCapacity returns how many state records a save of d's state puts
+// in the header block at blockSize: the metadata blob's room after the
+// directory — a fixed 40 bytes, a byte per level slot and a tree record per
+// occupied one.
+func inlineCapacity(d *Dynamic, blockSize int) int {
+	room := storage.MetaCapacity(blockSize) - 40
+	for _, n := range d.LevelSizes() {
+		room--
+		if n > 0 {
+			room -= rtree.MetaSize
+		}
+	}
+	return room / storage.ItemSize
+}
+
+// stateRecords returns how many records a save of d's state writes: the
+// buffer's items and the tombstones.
+func stateRecords(d *Dynamic) int {
+	stored := d.BufferLen()
+	for _, n := range d.LevelSizes() {
+		stored += n
+	}
+	return d.BufferLen() + stored - d.Len()
+}
+
+// statePages returns how many state pages a save of d's state writes at
+// blockSize: the records past the header block's, packed behind each
+// page's 6-byte header.
+func statePages(d *Dynamic, blockSize int) int {
+	over := max(stateRecords(d)-inlineCapacity(d, blockSize), 0)
+	perPage := (blockSize - 6) / storage.ItemSize
+	return (over + perPage - 1) / perPage
+}
+
+// TestDynamicStatePagesOverflow: a save puts as many records as the header
+// block holds into the metadata blob and the rest, overflow of them, into
+// exactly ⌈overflow ÷ records per page⌉ state pages — the only pages a Sync
+// writes when the levels are already in place — and the file then uses
+// the levels' pages and those. It reopens to the same index.
+func TestDynamicStatePagesOverflow(t *testing.T) {
+	opts := &Options{BlockSize: 512}
+	perPage := (opts.BlockSize - 6) / storage.ItemSize
+	for _, overflow := range []int{0, 1, perPage, perPage + 1, 2*perPage + 3} {
+		path := filepath.Join(t.TempDir(), "overflow.prd")
+		d, err := CreateDynamic(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(41))
+		items := crashItems(r, 2*d.Base(), 0)
+		for _, it := range items {
+			mustInsert(t, d, it) // ends right after a carry: the buffer is empty
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		levelPages, inUse := d.PageCounts() // a compact file of the levels alone
+		if stateRecords(d) != 0 || inUse != levelPages {
+			t.Fatalf("after the carry: %d state records, %d of %d pages in use", stateRecords(d), inUse, levelPages)
+		}
+		// Buffer items short of the next carry, then tombstones, up to the
+		// header's capacity plus overflow.
+		want := inlineCapacity(d, opts.BlockSize) + overflow
+		extra, dead := crashItems(r, d.BufferCap(), 5000), 0
+		for stateRecords(d) < want {
+			if n := d.BufferLen(); n < d.BufferCap()-1 {
+				mustInsert(t, d, extra[n])
+			} else {
+				mustDelete(t, d, items[dead])
+				dead++
+			}
+		}
+		if sizes := d.LevelSizes(); sizes[len(sizes)-1] != len(items) {
+			t.Fatalf("levels %v after the mutations, want the carry's level alone", sizes)
+		}
+		pages := (overflow + perPage - 1) / perPage
+		w0 := d.IOStats().Writes
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		total, inUse := d.PageCounts()
+		if writes := int(d.IOStats().Writes - w0); writes != pages || inUse != levelPages+pages || total != inUse {
+			t.Errorf("%d records, %d past the header: Sync wrote %d pages and left %d of %d in use; want %d state pages beside %d level pages",
+				stateRecords(d), overflow, writes, inUse, total, pages, levelPages)
+		}
+		wantDigest := dynDigest(t, d)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenDynamic(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dynDigest(t, re); got != wantDigest || stateRecords(re) != want {
+			t.Errorf("overflow %d reopened to digest %08x with %d records, want %08x with %d", overflow, got, stateRecords(re), wantDigest, want)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// closedDynamicBlob makes a closed index at path — a level, tombstones
+// and a buffer whose records overflow the header block into a state page —
+// and patches the directory blob in its header block with patch.
+func closedDynamicBlob(t *testing.T, path string, opts *Options, patch func(blob []byte)) {
+	t.Helper()
+	d, err := CreateDynamic(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := crashItems(rand.New(rand.NewSource(43)), 2*d.Base()+3*d.Base()/2, 0)
+	for _, it := range items {
+		mustInsert(t, d, it)
+	}
+	mustDelete(t, d, items[0])
+	mustDelete(t, d, items[1])
+	if statePages(d, opts.BlockSize) == 0 {
+		t.Fatal("the fixture's records fit the header block")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(file[:opts.BlockSize], []byte("PRDYNA02"))
+	if at < 0 {
+		t.Fatal("no directory blob in the header block")
+	}
+	patch(file[at:opts.BlockSize])
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenDynamicHostileCounts: the header block's directory blob has no
+// checksum. One that declares 0x7FFFFFF0 buffer records and as many
+// tombstones must fail OpenDynamic with an error: the buffer used to be
+// allocated by its declared count before a record was read, and the
+// process died out of memory.
+func TestOpenDynamicHostileCounts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hostile.prd")
+	opts := &Options{BlockSize: 512}
+	closedDynamicBlob(t, path, opts, func(blob []byte) {
+		// The magic, three words (base, live, stored), then the counts.
+		binary.LittleEndian.PutUint32(blob[20:], 0x7FFFFFF0)
+		binary.LittleEndian.PutUint32(blob[24:], 0x7FFFFFF0)
+	})
+	if d, err := OpenDynamic(path, opts); err == nil {
+		d.Close()
+		t.Fatal("OpenDynamic accepted a directory declaring 2^31 records")
+	}
+}
+
+// TestOpenDynamicRetiredFormat: an index saved in the version 1 directory
+// format, which kept its records in two chains of state pages, fails
+// OpenDynamic with a bad-version error that says to rebuild it.
+func TestOpenDynamicRetiredFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.prd")
+	opts := &Options{BlockSize: 512}
+	closedDynamicBlob(t, path, opts, func(blob []byte) { copy(blob, "PRDYNA01") })
+	d, err := OpenDynamic(path, opts)
+	if err == nil {
+		d.Close()
+		t.Fatal("OpenDynamic read a PRDYNA01 directory")
+	}
+	if !errors.Is(err, ErrBadVersion) || !errors.Is(err, logmethod.ErrRetiredFormat) || !strings.Contains(err.Error(), "rebuild the index") {
+		t.Fatalf("OpenDynamic of a PRDYNA01 directory: %v, want a wrapped ErrRetiredFormat", err)
 	}
 }
 

@@ -168,6 +168,22 @@ func (d *durable) reopen(crash bool) {
 		} else if done != (Settled{}) {
 			d.t.Fatalf("a Settle that copied nothing reports %+v", done)
 		}
+		// The file holds the levels' nodes and the state pages, and those
+		// hold what the header block's blob, filled first, has no room for.
+		s, c := d.tr.st.Load(), &d.tr.chain
+		nodes, records := 0, len(s.buffer)+s.dead.len()
+		for _, l := range s.levels {
+			if l != nil {
+				nodes += l.Nodes()
+			}
+		}
+		perPage := (d.fb.BlockSize() - chainHeaderSize) / storage.ItemSize
+		full := len(d.fb.Meta())+storage.ItemSize > storage.MetaCapacity(d.fb.BlockSize())
+		if used := d.fb.PagesInUse(); used != nodes+len(c.pages) || len(c.pages) != (records-c.inline+perPage-1)/perPage ||
+			c.inline > records || (c.inline < records && !full) {
+			d.t.Fatalf("%d pages in use for %d level nodes and %d state pages; %d records, %d of them in a %d-byte blob",
+				used, nodes, len(c.pages), records, c.inline, len(d.fb.Meta()))
+		}
 		if err := d.fb.Close(); err != nil {
 			d.t.Fatal(err)
 		}

@@ -128,8 +128,7 @@ type Tree struct {
 
 	visitors sync.Pool // query-path scratch (*levelVisitor)
 
-	spill  []storage.PageID // state pages owned by the last SaveState
-	chains savedChains      // what those pages hold, and for which state
+	chain savedChain // the state pages the last SaveState owns, and for which state
 }
 
 // New creates an empty dynamic tree. base is the unit of the level

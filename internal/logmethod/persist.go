@@ -1,9 +1,10 @@
 package logmethod
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
@@ -11,47 +12,59 @@ import (
 	"prtree/internal/storage"
 )
 
-// Persistence for the dynamized tree. A saved state is split between the
-// backend's metadata blob and dedicated state pages:
+// Persistence for the dynamized tree. A saved state is one meta blob —
+// staged with SetMeta inside the caller's commit, so it swaps atomically
+// with the page writes — and, when the blob cannot hold all of it, one
+// chain of state pages:
 //
-//   - The meta blob (staged with SetMeta inside the caller's commit, so
-//     it swaps atomically with the page writes) holds the fixed-size
-//     part: magic, base, live/stored counters, the spill-chain heads,
-//     and one rtree meta record per level slot.
-//   - The buffer and the tombstone set can outgrow the meta blob's
-//     one-block budget, so their records spill into chained state pages
-//     (each page: next-pointer, count, packed 36-byte records). SaveState
-//     rewrites both chains wholesale — unless the chains on the device are
-//     the ones it wrote for this very buffer and tombstone set (no mutation
-//     since, see savedChains), in which case the blob names them again and
-//     the save writes no page: a Sync right after a Sync, and the save that
-//     follows Settle, which changes nothing but the levels' page ids.
+//   - The blob starts with a fixed part (magic, base, the live and stored
+//     counters, the buffer and tombstone counts, how many records the blob
+//     holds itself, the chain's head) and the level table, one rtree meta
+//     record per occupied level slot.
+//   - Then comes the record stream: the buffer's items, then the
+//     tombstones in id order, 36 bytes each in storage's item codec. The
+//     blob holds as many as fit the page file's header block
+//     (storage.MetaCapacity); the rest go to the chain (each page: next
+//     pointer, count, packed records). A small index saves no state page.
+//
+// SaveState rewrites the chain wholesale — unless the chain on the device
+// is the one it wrote for this very buffer and tombstone set (no mutation
+// since, see savedChain), in which case the blob names it again and the
+// save writes no page: a Sync right after a Sync, and the save that follows
+// Settle, which changes nothing but the levels' page ids.
 //
 // That rewrite is O(buffer + tombstones), so it is not what a mutation
 // pays. The owner (prtree.Dynamic) saves the state when the level
 // directory changes — a carry, a rebuild, a flush, a Settle:
-// TakeDirectoryChanged tells it — and when it
-// checkpoints (Sync, Close). A mutation in between, which changes the
-// buffer or the tombstone set only, is logged instead: Mutation.Note is
-// its 37-byte record for the backend's write-ahead log, SavedNote the
-// marker that goes with every save, and PendingMutations finds, in the
-// notes a crash left in the log, the mutations to run again through
-// Apply on top of the last saved state.
+// TakeDirectoryChanged tells it — and when it checkpoints (Sync, Close). A
+// mutation in between, which changes the buffer or the tombstone set only,
+// is logged instead: Mutation.Note is its 37-byte record for the backend's
+// write-ahead log, SavedNote the marker that goes with every save, and
+// PendingMutations finds, in the notes a crash left in the log, the
+// mutations to run again through Apply on top of the last saved state.
 //
 // SaveState must run inside a backend transaction, the one of the change
 // it records: the chain rewrite (frees + fresh pages) then commits
-// atomically with the meta swap, and a crash recovers either the whole
-// new state or the whole old one via the existing WAL replay. Outside a
+// atomically with the meta swap, and a crash recovers either the whole new
+// state or the whole old one via the existing WAL replay. Outside a
 // transaction the freed chain pages would be handed out again and
 // overwritten while the committed state still points at them.
 
-// dynMagic identifies a serialized logmethod directory (version 1).
-var dynMagic = [8]byte{'P', 'R', 'D', 'Y', 'N', 'A', '0', '1'}
+// dynMagic identifies a serialized logmethod directory (version 2);
+// retiredMagic the version 1 blob, which kept its records in two chains.
+var (
+	dynMagic     = [8]byte{'P', 'R', 'D', 'Y', 'N', 'A', '0', '2'}
+	retiredMagic = [8]byte{'P', 'R', 'D', 'Y', 'N', 'A', '0', '1'}
+)
+
+// ErrRetiredFormat reports a dynamic index saved by an earlier build, in
+// the version 1 directory format this one no longer reads. It wraps
+// storage.ErrBadVersion.
+var ErrRetiredFormat = fmt.Errorf("%w: dynamic index directory PRDYNA01 is no longer read; rebuild the index", storage.ErrBadVersion)
 
 const (
-	itemRecSize     = 4 + 4*8 // ID + 4 float64 coords
-	spillHeaderSize = 4 + 2   // next PageID + record count
-	dynHeaderSize   = 8 + 4*8 // magic + base,live,stored,bufHead,bufCount,deadHead,deadCount,nLevels
+	chainHeaderSize = 4 + 2   // next PageID + record count
+	dynHeaderSize   = 8 + 8*4 // magic + base,live,stored,bufCount,deadCount,inlineCount,chainHead,nLevels
 )
 
 // TakeDirectoryChanged reports whether the level directory changed — a
@@ -80,14 +93,16 @@ const (
 	noteSaved  byte = 3
 )
 
-// Note encodes m for the write-ahead log: the kind, then the item as the
-// state pages store it.
+// Note encodes m for the write-ahead log: the kind, then the item in the
+// record codec of the saved state.
 func (m Mutation) Note() []byte {
-	kind := noteInsert
+	note := make([]byte, 1+storage.ItemSize)
+	note[0] = noteInsert
 	if m.Delete {
-		kind = noteDelete
+		note[0] = noteDelete
 	}
-	return appendItem(append(make([]byte, 0, 1+itemRecSize), kind), m.Item)
+	storage.EncodeItem(note[1:], m.Item)
+	return note
 }
 
 // SavedNote returns the note that marks a SaveState in the log: every note
@@ -105,8 +120,8 @@ func PendingMutations(notes [][]byte) ([]Mutation, error) {
 		switch {
 		case len(n) == 1 && n[0] == noteSaved:
 			out = out[:0]
-		case len(n) == 1+itemRecSize && (n[0] == noteInsert || n[0] == noteDelete):
-			out = append(out, Mutation{Delete: n[0] == noteDelete, Item: decodeItem(n[1:])})
+		case len(n) == 1+storage.ItemSize && (n[0] == noteInsert || n[0] == noteDelete):
+			out = append(out, Mutation{Delete: n[0] == noteDelete, Item: storage.DecodeItem(n[1:])})
 		default:
 			return nil, fmt.Errorf("logmethod: note %d of %d bytes is no mutation record", i, len(n))
 		}
@@ -124,163 +139,125 @@ func (t *Tree) Apply(m Mutation) {
 	}
 }
 
-// savedChains describes the state chains on the device: where they start
-// and the state they were written for. Every mutation
-// publishes a new state, so chains whose state is still the current one
-// hold exactly its buffer and tombstones and a save may name them again
-// instead of rewriting them. Settle, which publishes a state that differs
-// in the levels' pages alone, carries the mark over to it.
-type savedChains struct {
-	of                *state
-	bufHead, deadHead storage.PageID
+// savedChain describes the state chain on the device: its pages, head
+// first, and the state and inline count it was written for. Every
+// mutation publishes a new state, so a chain whose state is still the
+// current one holds exactly the tail of its record stream, and a save
+// whose blob holds as many records as before may name it again instead of
+// rewriting it. Settle, which publishes a state that differs in the
+// levels' pages alone, carries the mark over to it.
+type savedChain struct {
+	of     *state
+	inline int
+	pages  []storage.PageID
 }
 
-// SaveState brings the spill chains on dev up to the current state —
-// rewriting them unless they already hold it — and returns the meta blob
+// SaveState brings the state chain on dev up to the current state —
+// rewriting it unless it already holds it — and returns the meta blob
 // describing the full directory. Call inside a backend transaction — the
 // one bracketing the change being persisted; stage the returned blob with
 // SetMeta before committing.
 func (t *Tree) SaveState(dev storage.Backend) []byte {
 	s := t.st.Load()
-	if t.chains.of != s {
-		t.writeChains(dev, s)
-	}
-	c := &t.chains
-	meta := make([]byte, 0, dynHeaderSize+len(s.levels)*(1+rtree.MetaSize))
-	meta = append(meta, dynMagic[:]...)
-	for _, v := range [8]int{t.base, s.live, s.stored, int(c.bufHead), len(s.buffer), int(c.deadHead), s.dead.len(), len(s.levels)} {
-		meta = binary.LittleEndian.AppendUint32(meta, uint32(v))
-	}
+	recs := slices.Grow(slices.Clone(s.buffer), s.dead.len())
+	s.dead.each(func(id uint32, r geom.Rect) { recs = append(recs, geom.Item{ID: id, Rect: r}) })
+	// The order of the tombstones is fixed, so a save that names the chain
+	// again puts the same records before it.
+	slices.SortFunc(recs[len(s.buffer):], func(a, b geom.Item) int { return cmp.Compare(a.ID, b.ID) })
+
+	var table []byte
 	for _, l := range s.levels {
 		if l == nil {
-			meta = append(meta, 0)
+			table = append(table, 0)
 			continue
 		}
-		meta = append(meta, 1)
-		meta = append(meta, l.EncodeMeta()...)
+		table = append(append(table, 1), l.EncodeMeta()...)
+	}
+	room := storage.MetaCapacity(dev.BlockSize()) - dynHeaderSize - len(table)
+	inline := min(len(recs), max(room, 0)/storage.ItemSize)
+	if t.chain.of != s || t.chain.inline != inline {
+		t.writeChain(dev, recs[inline:])
+		t.chain.of, t.chain.inline = s, inline
+	}
+
+	head := storage.NilPage
+	if len(t.chain.pages) > 0 {
+		head = t.chain.pages[0]
+	}
+	meta := make([]byte, 0, dynHeaderSize+len(table)+inline*storage.ItemSize)
+	meta = append(meta, dynMagic[:]...)
+	for _, v := range [8]int{t.base, s.live, s.stored, len(s.buffer), s.dead.len(), inline, int(head), len(s.levels)} {
+		meta = binary.LittleEndian.AppendUint32(meta, uint32(v))
+	}
+	meta = append(meta, table...)
+	for _, it := range recs[:inline] {
+		meta = meta[:len(meta)+storage.ItemSize]
+		storage.EncodeItem(meta[len(meta)-storage.ItemSize:], it)
 	}
 	return meta
 }
 
-// writeChains replaces the spill chains on dev with s's buffer and
-// tombstone set.
-func (t *Tree) writeChains(dev storage.Backend, s *state) {
-	for _, id := range t.spill {
+// writeChain replaces the state chain on dev with one packing recs.
+func (t *Tree) writeChain(dev storage.Backend, recs []geom.Item) {
+	for _, id := range t.chain.pages {
 		dev.Free(id)
 	}
-	t.spill = t.spill[:0]
-	deadItems := make([]geom.Item, 0, s.dead.len())
-	s.dead.each(func(id uint32, r geom.Rect) { deadItems = append(deadItems, geom.Item{ID: id, Rect: r}) })
-	bufHead, bufPages := t.writeChain(dev, s.buffer)
-	deadHead, deadPages := t.writeChain(dev, deadItems)
-	t.spill = append(t.spill, bufPages...)
-	t.spill = append(t.spill, deadPages...)
-	t.chains = savedChains{of: s, bufHead: bufHead, deadHead: deadHead}
-}
-
-// writeChain packs recs into a fresh chain of state pages and returns the
-// head id (NilPage when empty) plus the allocated pages.
-func (t *Tree) writeChain(dev storage.Backend, recs []geom.Item) (storage.PageID, []storage.PageID) {
-	if len(recs) == 0 {
-		return storage.NilPage, nil
-	}
-	perPage := (dev.BlockSize() - spillHeaderSize) / itemRecSize
-	if perPage <= 0 {
-		panic("logmethod: block size too small for state records")
-	}
-	nPages := (len(recs) + perPage - 1) / perPage
-	pages := make([]storage.PageID, nPages)
+	perPage := (dev.BlockSize() - chainHeaderSize) / storage.ItemSize
+	pages := make([]storage.PageID, (len(recs)+perPage-1)/perPage)
 	for i := range pages {
 		pages[i] = dev.Alloc()
 	}
-	buf := make([]byte, 0, dev.BlockSize())
-	for i := 0; i < nPages; i++ {
-		lo, hi := i*perPage, (i+1)*perPage
-		if hi > len(recs) {
-			hi = len(recs)
-		}
+	buf := make([]byte, dev.BlockSize())
+	for i, id := range pages {
+		chunk := recs[i*perPage : min((i+1)*perPage, len(recs))]
 		next := storage.NilPage
-		if i+1 < nPages {
+		if i+1 < len(pages) {
 			next = pages[i+1]
 		}
-		buf = buf[:0]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(next))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(hi-lo))
-		for _, it := range recs[lo:hi] {
-			buf = appendItem(buf, it)
+		binary.LittleEndian.PutUint32(buf, uint32(next))
+		binary.LittleEndian.PutUint16(buf[4:], uint16(len(chunk)))
+		for j, it := range chunk {
+			storage.EncodeItem(buf[chainHeaderSize+j*storage.ItemSize:], it)
 		}
-		dev.Write(pages[i], buf)
+		dev.Write(id, buf[:chainHeaderSize+len(chunk)*storage.ItemSize])
 	}
-	return pages[0], pages
-}
-
-func appendItem(buf []byte, it geom.Item) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, it.ID)
-	for _, f := range [4]float64{it.Rect.MinX, it.Rect.MinY, it.Rect.MaxX, it.Rect.MaxY} {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	return buf
-}
-
-func decodeItem(b []byte) geom.Item {
-	return geom.Item{
-		ID: binary.LittleEndian.Uint32(b),
-		Rect: geom.Rect{
-			MinX: math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
-			MinY: math.Float64frombits(binary.LittleEndian.Uint64(b[12:])),
-			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(b[20:])),
-			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(b[28:])),
-		},
-	}
+	t.chain.pages = pages
 }
 
 // OpenState reconstructs a dynamized tree from a meta blob SaveState
-// produced, reading the spill chains and reopening every level in place.
+// produced, reading the state chain and reopening every level in place.
+// Every count the blob declares is held to what the blob and the store can
+// hold before anything is sized by it, and the counts to each other.
 func OpenState(pager *storage.Pager, opt bulk.Options, meta []byte) (*Tree, error) {
+	if len(meta) >= 8 && [8]byte(meta[:8]) == retiredMagic {
+		return nil, ErrRetiredFormat
+	}
 	if len(meta) < dynHeaderSize {
 		return nil, fmt.Errorf("logmethod: metadata record of %d bytes, want >= %d", len(meta), dynHeaderSize)
 	}
 	if [8]byte(meta[:8]) != dynMagic {
 		return nil, fmt.Errorf("logmethod: bad directory magic %q", meta[:8])
 	}
-	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(meta[off:]) }
-	base := int(u32(8))
-	live := int(u32(12))
-	stored := int(u32(16))
-	bufHead := storage.PageID(u32(20))
-	bufCount := int(u32(24))
-	deadHead := storage.PageID(u32(28))
-	deadCount := int(u32(32))
-	nLevels := int(u32(36))
-	if base <= 0 {
-		return nil, fmt.Errorf("logmethod: non-positive base %d", base)
+	var w [8]int
+	for i := range w {
+		w[i] = int(binary.LittleEndian.Uint32(meta[8+4*i:]))
 	}
-
-	t := New(pager, opt, base)
-	dev := pager.Backend()
-	buffer, bufPages, err := readChain(dev, bufHead, bufCount)
-	if err != nil {
-		return nil, fmt.Errorf("logmethod: buffer chain: %w", err)
+	base, live, stored, bufCount, deadCount, inline, head, nLevels := w[0], w[1], w[2], w[3], w[4], w[5], storage.PageID(w[6]), w[7]
+	switch {
+	case base == 0:
+		return nil, fmt.Errorf("logmethod: zero base")
+	case nLevels > len(meta)-dynHeaderSize: // every slot takes a byte at least
+		return nil, fmt.Errorf("logmethod: %d level slots in a %d-byte record", nLevels, len(meta))
 	}
-	deadItems, deadPages, err := readChain(dev, deadHead, deadCount)
-	if err != nil {
-		return nil, fmt.Errorf("logmethod: tombstone chain: %w", err)
-	}
-	dead := tombstones{base: make(map[uint32]geom.Rect, len(deadItems))}
-	for _, it := range deadItems {
-		dead.base[it.ID] = it.Rect
-	}
-	dead.n = len(dead.base)
-
 	levels := make([]*level, nLevels)
 	off := dynHeaderSize
-	for i := 0; i < nLevels; i++ {
+	sum := bufCount
+	for i := range levels {
 		if off >= len(meta) {
 			return nil, fmt.Errorf("logmethod: truncated level table at slot %d", i)
 		}
-		present := meta[off]
 		off++
-		if present == 0 {
+		if meta[off-1] == 0 {
 			continue
 		}
 		if off+rtree.MetaSize > len(meta) {
@@ -291,56 +268,74 @@ func OpenState(pager *storage.Pager, opt bulk.Options, meta []byte) (*Tree, erro
 			return nil, fmt.Errorf("logmethod: level %d: %w", i, err)
 		}
 		levels[i] = &level{Tree: l, mbr: l.MBR()}
+		sum += l.Len()
 		off += rtree.MetaSize
 	}
 
-	s := &state{
-		buffer: buffer,
-		levels: levels,
-		dead:   dead,
-		live:   live,
-		stored: stored,
+	dev := pager.Backend()
+	records := bufCount + deadCount
+	perPage := (dev.BlockSize() - chainHeaderSize) / storage.ItemSize
+	switch {
+	case inline > records:
+		return nil, fmt.Errorf("logmethod: %d inline records of %d", inline, records)
+	case off+inline*storage.ItemSize != len(meta):
+		return nil, fmt.Errorf("logmethod: %d-byte record declares %d records after its %d-byte directory", len(meta), inline, off)
+	case records-inline > perPage*dev.NumPages():
+		return nil, fmt.Errorf("logmethod: %d chained records in a store of %d pages", records-inline, dev.NumPages())
+	case stored != sum:
+		return nil, fmt.Errorf("logmethod: %d items stored, the buffer and levels hold %d", stored, sum)
+	case live != stored-deadCount:
+		return nil, fmt.Errorf("logmethod: %d live items of %d stored with %d tombstones", live, stored, deadCount)
 	}
+	recs := make([]geom.Item, inline, records)
+	for i := range recs {
+		recs[i] = storage.DecodeItem(meta[off+i*storage.ItemSize:])
+	}
+	recs, pages, err := readChain(dev, head, records, recs)
+	if err != nil {
+		return nil, fmt.Errorf("logmethod: state chain: %w", err)
+	}
+	dead := tombstones{base: make(map[uint32]geom.Rect, deadCount), n: deadCount}
+	for _, it := range recs[bufCount:] {
+		if _, dup := dead.base[it.ID]; dup {
+			return nil, fmt.Errorf("logmethod: id %d tombstoned twice", it.ID)
+		}
+		dead.base[it.ID] = it.Rect
+	}
+
+	t := New(pager, opt, base)
+	// A full buffer slice: the first insert copies it off the records.
+	s := &state{buffer: recs[:bufCount:bufCount], levels: levels, dead: dead, live: live, stored: stored}
 	t.st.Store(s)
-	// The chains on disk are the committed ones and hold this state; the
-	// first SaveState after a mutation frees them when it writes
-	// replacements.
-	t.spill = append(bufPages, deadPages...)
-	t.chains = savedChains{of: s, bufHead: bufHead, deadHead: deadHead}
+	// The chain on disk is the committed one and holds this state; the first
+	// SaveState after a mutation frees it when it writes a replacement.
+	t.chain = savedChain{of: s, inline: inline, pages: pages}
 	return t, nil
 }
 
-// readChain walks a spill chain, returning its records and page ids.
-// count is the expected total, used both to pre-size and as a corruption
-// bound on the walk.
-func readChain(dev storage.Backend, head storage.PageID, count int) ([]geom.Item, []storage.PageID, error) {
-	if head == storage.NilPage {
-		if count != 0 {
-			return nil, nil, fmt.Errorf("empty chain with declared count %d", count)
-		}
-		return nil, nil, nil
-	}
-	out := make([]geom.Item, 0, count)
+// readChain appends the records of the chain at head to recs until it
+// holds want, and returns it with the chain's page ids. Every page holds
+// a record at least, so want bounds the walk.
+func readChain(dev storage.Backend, head storage.PageID, want int, recs []geom.Item) ([]geom.Item, []storage.PageID, error) {
 	var pages []storage.PageID
 	buf := make([]byte, dev.BlockSize())
 	for id := head; id != storage.NilPage; {
-		if len(pages) > count+1 {
-			return nil, nil, fmt.Errorf("chain longer than declared count %d", count)
+		if len(recs) == want || int(id) >= dev.NumPages() {
+			return nil, nil, fmt.Errorf("page %d: past the chain's %d records or the store's %d pages", id, want, dev.NumPages())
 		}
 		pages = append(pages, id)
 		dev.Read(id, buf)
-		next := storage.PageID(binary.LittleEndian.Uint32(buf))
+		id = storage.PageID(binary.LittleEndian.Uint32(buf))
 		n := int(binary.LittleEndian.Uint16(buf[4:]))
-		if spillHeaderSize+n*itemRecSize > len(buf) {
-			return nil, nil, fmt.Errorf("state page %d declares %d records", id, n)
+		if n == 0 || chainHeaderSize+n*storage.ItemSize > len(buf) || len(recs)+n > want {
+			return nil, nil, fmt.Errorf("state page %d declares %d records", pages[len(pages)-1], n)
 		}
-		for i := 0; i < n; i++ {
-			out = append(out, decodeItem(buf[spillHeaderSize+i*itemRecSize:]))
+		for i := range n {
+			recs = append(recs, storage.DecodeItem(buf[chainHeaderSize+i*storage.ItemSize:]))
 		}
-		id = next
 	}
-	if len(out) != count {
-		return nil, nil, fmt.Errorf("chain holds %d records, meta declares %d", len(out), count)
+	if len(recs) != want {
+		return nil, nil, fmt.Errorf("chain ends at %d records of %d", len(recs), want)
 	}
-	return out, pages, nil
+	return recs, pages, nil
 }

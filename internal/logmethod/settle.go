@@ -22,8 +22,8 @@ import (
 //
 // Settle plans before it acts. The smallest conceivable cut is the number
 // of pages in use, but the ancestor copies need holes too, and the state
-// chains, rewritten wholesale along with the levels when one of their pages
-// lies above the cut, need theirs; a cut that does not leave room would
+// chain, rewritten wholesale along with the levels when one of its pages
+// lies above the cut, needs its own; a cut that does not leave room would
 // push the copies past the end of the file and grow it. So the plan counts,
 // for every cut from there up, the pages a relocation would copy and the
 // reusable holes below it, and takes the first cut whose copies fit the
@@ -46,8 +46,8 @@ type Settled struct {
 // ReusablePages — and commit runs fn as one backend transaction that saves
 // the state afterwards, as every directory change is saved: the new levels
 // and the frees of the old copies commit together. That save names the
-// state chains again instead of rewriting them (see savedChains) unless the
-// chains are among what moves. The caller excludes other writers for the
+// state chain again instead of rewriting it (see savedChain) unless the
+// chain is among what moves. The caller excludes other writers for the
 // duration.
 func (t *Tree) Settle(reusable []storage.PageID, commit func(fn func()) error) (Settled, error) {
 	t.mu.Lock()
@@ -85,8 +85,8 @@ func (t *Tree) planSettle(s *state, reusable []storage.PageID) (storage.PageID, 
 			l.PageSpans(func(_, top storage.PageID) { mark(levels, used, int(top), 1) })
 		}
 	}
-	if len(t.spill) > 0 {
-		mark(chains, used, int(slices.Max(t.spill)), len(t.spill))
+	if spill := t.chain.pages; len(spill) > 0 {
+		mark(chains, used, int(slices.Max(spill)), len(spill))
 	}
 	for _, h := range reusable {
 		mark(holes, int(h)+1, n, 1)
@@ -100,9 +100,9 @@ func (t *Tree) planSettle(s *state, reusable []storage.PageID) (storage.PageID, 
 		case lv == 0:
 			// No level page at or above this cut, nor any later one. What is
 			// up there is free, and the checkpoint's own truncation returns
-			// it, or it is the chains a save has just written: the next save
-			// writes them into the holes they left, and moving them now would
-			// make every Sync of a compact file save twice.
+			// it, or it is the chain a save has just written: the next save
+			// writes its successor into the holes below, and moving it now
+			// would make every Sync of a compact file save twice.
 			return 0, false
 		case lv+ch > h: // the copies would spill past the cut
 		case lv+ch <= n-cut:
@@ -138,13 +138,13 @@ func (t *Tree) settleTo(s *state, cut storage.PageID) Settled {
 			done.Ancestors++
 		}
 	}
-	if len(t.spill) > 0 && slices.Max(t.spill) >= cut {
-		// The save of this transaction rewrites the chains, after the level
-		// copies, into the holes the plan left for them.
-		t.chains.of = nil
-		done.Chains = len(t.spill)
-	} else if t.chains.of == s {
-		t.chains.of = &ns // same buffer, same tombstones
+	if spill := t.chain.pages; len(spill) > 0 && slices.Max(spill) >= cut {
+		// The save of this transaction rewrites the chain, after the level
+		// copies, into the holes the plan left for it.
+		t.chain.of = nil
+		done.Chains = len(spill)
+	} else if t.chain.of == s {
+		t.chain.of = &ns // same buffer, same tombstones
 	}
 	t.st.Store(&ns)
 	t.dirChanged = true

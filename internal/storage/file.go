@@ -283,6 +283,11 @@ const (
 	pageTrailerSize = 8
 )
 
+// MetaCapacity returns the largest metadata blob (see SetMeta) a page file
+// of the given block size holds: the header block less its fixed fields.
+// Commit and Sync refuse a larger one.
+func MetaCapacity(blockSize int) int { return blockSize - fileHeaderSize }
+
 // CreateFile creates (or truncates) a page file at path with the given
 // block size and returns an empty backend on it. The header and an empty
 // write-ahead log (at path+".wal") are written immediately so even an
@@ -410,7 +415,7 @@ func readFileHeader(f *os.File, expectBlockSize int) (fileHeader, error) {
 	hdr.numPages = int(binary.LittleEndian.Uint32(raw[12:16]))
 	hdr.freeCount = int(binary.LittleEndian.Uint32(raw[16:20]))
 	hdr.metaLen = int(binary.LittleEndian.Uint32(raw[20:24]))
-	if hdr.metaLen > hdr.blockSize-fileHeaderSize {
+	if hdr.metaLen > MetaCapacity(hdr.blockSize) {
 		return hdr, fmt.Errorf("metadata blob of %d bytes overflows the %d-byte header block", hdr.metaLen, hdr.blockSize)
 	}
 	if hdr.freeCount > hdr.numPages {
@@ -1282,7 +1287,7 @@ func (fb *FileBackend) prepareCommit() (fileCommit, error) {
 		return c, fmt.Errorf("storage: commit on closed page file")
 	}
 	fb.flushRun()
-	if len(fb.meta) > fb.blockSize-fileHeaderSize {
+	if len(fb.meta) > MetaCapacity(fb.blockSize) {
 		return c, fmt.Errorf("storage: metadata blob of %d bytes overflows the %d-byte header block",
 			len(fb.meta), fb.blockSize)
 	}
@@ -1374,7 +1379,7 @@ func (fb *FileBackend) syncLocked() error {
 		return fmt.Errorf("storage: sync inside an open transaction")
 	}
 	fb.flushRun()
-	if len(fb.meta) > fb.blockSize-fileHeaderSize {
+	if len(fb.meta) > MetaCapacity(fb.blockSize) {
 		return fmt.Errorf("storage: metadata blob of %d bytes overflows the %d-byte header block",
 			len(fb.meta), fb.blockSize)
 	}

@@ -383,7 +383,7 @@ func decodeWALState(payload []byte, blockSize int) (*walState, error) {
 	}
 	numPages := int(binary.LittleEndian.Uint32(payload[0:4]))
 	metaLen := int(binary.LittleEndian.Uint32(payload[4:8]))
-	if metaLen > blockSize-fileHeaderSize || metaLen > len(payload)-12 {
+	if metaLen > MetaCapacity(blockSize) || metaLen > len(payload)-12 {
 		return nil, fmt.Errorf("%w: state metadata of %d bytes", ErrWALCorrupt, metaLen)
 	}
 	meta := payload[8 : 8+metaLen]

@@ -368,12 +368,13 @@ func (d *Dynamic) mutate(m *logmethod.Mutation, fn func()) error {
 // the tombstone set alone commits as that record's note and nothing else —
 // no page written, one log fsync — and is re-applied from the log if the
 // process dies before the next save. The full state — directory blob and
-// state pages, rewritten by logmethod's SaveState — is saved instead when
-// fn changed the level directory (it freed the pages the committed state
-// points at, so the swap must commit with it), and when m is nil: the
-// caller has no record to offer (a flush, recovery's re-apply, a Settle)
-// or wants the save itself (Sync, Close). A save is followed by
-// logmethod.SavedNote, which makes every earlier note history.
+// the state pages its records overflow into, rewritten by logmethod's
+// SaveState — is saved instead when fn changed the level directory (it
+// freed the pages the committed state points at, so the swap must commit
+// with it), and when m is nil: the caller has no record to offer (a flush,
+// recovery's re-apply, a Settle) or wants the save itself (Sync, Close). A
+// save is followed by logmethod.SavedNote, which makes every earlier note
+// history.
 func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 	return d.txn(fn, func() error {
 		if d.fb == nil {
@@ -397,8 +398,8 @@ func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 // On a file-backed index an insert that only appends to the buffer — every
 // one but the insert that brings BufferLen() up to BufferCap() — is durable
 // as one small record in the write-ahead log and one fsync of it; no page
-// is written. The state pages are rewritten by the insert that fills the
-// buffer and carries, together with the new level. After a crash
+// is written. The state is saved by the insert that fills the buffer and
+// carries, together with the new level. After a crash
 // OpenDynamic re-applies the logged inserts to the last saved state.
 func (d *Dynamic) InsertE(it Item) error {
 	if err := d.mutate(&logmethod.Mutation{Item: it}, func() { d.inner.Insert(it) }); err != nil {
