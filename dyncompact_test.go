@@ -1,6 +1,7 @@
 package prtree
 
 import (
+	"context"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -46,14 +47,25 @@ func dynDigest(t *testing.T, d *Dynamic) uint32 {
 			fmt.Fprintf(&sb, "%d,%v;", it.ID, it.Rect)
 		}
 	}
+	all := func(q Query) []Item {
+		out, err := d.Collect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	fmt.Fprintf(&sb, "len:%d;", d.Len())
 	for _, q := range windows {
-		dump("w", d.Search(q))
-		dump("c", d.SearchContained(q))
+		dump("w", all(Window(q)))
+		dump("c", all(Contained(q)))
 	}
-	dump("p", d.SearchPoint(0.33, 0.44))
-	dump("p", d.SearchPoint(0.71, 0.18))
-	for _, nn := range [][]Neighbor{d.NearestNeighbors(0.2, 0.8, 10), d.NearestNeighbors(0.9, 0.1, 10)} {
+	dump("p", all(Point(0.33, 0.44)))
+	dump("p", all(Point(0.71, 0.18)))
+	for _, q := range []Query{Nearest(0.2, 0.8, 10), Nearest(0.9, 0.1, 10)} {
+		nn, err := d.CollectNearest(q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fmt.Fprintf(&sb, "n:%d;", len(nn))
 		for _, n := range nn {
 			fmt.Fprintf(&sb, "%d,%v,%g;", n.Item.ID, n.Item.Rect, n.Dist2)
@@ -104,12 +116,13 @@ func TestDynamicParallelismIdentical(t *testing.T) {
 }
 
 // TestDynamicConcurrentReadersDuringMerges is the -race stress: window,
-// point, containment, kNN and batch readers run continuously while a
-// writer drives inserts and deletes through many carries, each of which
-// swaps the directory and frees the levels it replaced under the readers.
-// Readers check snapshot invariants (no duplicate IDs, every result
-// intersects the query) — with the race detector on, this also proves the
-// copy-on-write path is data-race-free.
+// point, containment and kNN readers run continuously, through the Query
+// surface with a live context and a limit, while a writer drives inserts
+// and deletes through many carries, each of which swaps the directory and
+// frees the levels it replaced under the readers. Readers check snapshot
+// invariants (no duplicate IDs, every result matches the query, a limit
+// holds, kNN comes in order) — with the race detector on, this also proves
+// the copy-on-write path is data-race-free.
 func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 	for _, backend := range []string{"memory", "file"} {
 		backend := backend
@@ -128,6 +141,8 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 			defer d.Close()
 
 			const nItems = 1500
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 			done := make(chan struct{})
 			var wg, started sync.WaitGroup
 			for w := 0; w < 4; w++ {
@@ -147,23 +162,40 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 						switch w % 4 {
 						case 0:
 							seen := make(map[uint32]bool)
-							d.Query(q, func(it Item) bool {
+							err := d.Run(Window(q).WithContext(ctx), func(it Item) bool {
 								if seen[it.ID] {
 									t.Errorf("duplicate ID %d in window result", it.ID)
 								}
 								seen[it.ID] = true
-								if it.Rect.MinX > q.MaxX || it.Rect.MaxX < q.MinX ||
-									it.Rect.MinY > q.MaxY || it.Rect.MaxY < q.MinY {
+								if !q.Intersects(it.Rect) {
 									t.Errorf("item %d outside window", it.ID)
 								}
 								return true
 							})
+							if err != nil {
+								t.Errorf("window under a live context: %v", err)
+							}
 						case 1:
-							d.SearchContained(q)
-							d.SearchPoint(r.Float64(), r.Float64())
+							n := 0
+							err := d.Run(Contained(q).WithLimit(5).WithContext(ctx), func(it Item) bool {
+								n++
+								if !q.Contains(it.Rect) {
+									t.Errorf("item %d not contained in window", it.ID)
+								}
+								return true
+							})
+							if err != nil || n > 5 {
+								t.Errorf("contained, limit 5: %d results, err %v", n, err)
+							}
+							if _, err := d.Count(Point(r.Float64(), r.Float64()).WithContext(ctx)); err != nil {
+								t.Errorf("point under a live context: %v", err)
+							}
 							d.CompactionStats() // counters the writer moves as it carries
 						case 2:
-							nn := d.NearestNeighbors(r.Float64(), r.Float64(), 8)
+							nn, err := d.CollectNearest(Nearest(r.Float64(), r.Float64(), 8).WithContext(ctx))
+							if err != nil {
+								t.Errorf("kNN under a live context: %v", err)
+							}
 							for i := 1; i < len(nn); i++ {
 								if nn[i].Dist2 < nn[i-1].Dist2 {
 									t.Errorf("kNN results out of order")

@@ -47,13 +47,14 @@ func main() {
 	fmt.Printf("live items: %d\n", idx.Len())
 
 	q := prtree.NewRect(0.4, 0.4, 0.5, 0.5)
-	st := idx.Query(q, nil)
+	var st prtree.QueryStats
+	_, _ = idx.Count(prtree.Window(q).WithStats(&st)) // no context: it cannot fail
 	fmt.Printf("query %v: %d results, %d leaf blocks across levels\n",
 		q, st.Results, st.LeavesVisited)
 
 	// Compact before a read-heavy phase: one static PR-tree again.
 	check(idx.FlushE())
-	st = idx.Query(q, nil)
+	_, _ = idx.Count(prtree.Window(q).WithStats(&st))
 	fmt.Printf("after flush: %d results, %d leaf blocks (single level)\n",
 		st.Results, st.LeavesVisited)
 

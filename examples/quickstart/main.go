@@ -44,6 +44,7 @@ func main() {
 	}
 	_ = idx.InsertE(prtree.Item{Rect: prtree.NewRect(8.5, 47.3, 8.6, 47.43), ID: 6}) // Zurich
 	_, _ = idx.DeleteE(items[0])
-	fmt.Printf("after update: %d rectangles, %d hits in Europe\n",
-		idx.Len(), len(idx.Search(q)))
+	// The same Query values run on a Dynamic as on a Tree.
+	hits, _ := idx.Count(prtree.Window(q))
+	fmt.Printf("after update: %d rectangles, %d hits in Europe\n", idx.Len(), hits)
 }

@@ -99,7 +99,7 @@ func futureWork(cfg Config) []churnRound {
 			r.RStar.add(rstar.Count(q))
 			st := rebuilt.QueryCount(q)
 			r.Rebuilt.add(st.LeavesVisited, st.Results)
-			lst := logm.Query(q, nil)
+			lst, _ := logm.RunWindow(q, false, nil, rtree.RunOptions{})
 			r.LogMethod.add(lst.LeavesVisited, lst.Results)
 		}
 		out = append(out, r)

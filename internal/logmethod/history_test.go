@@ -10,6 +10,7 @@ import (
 
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
+	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
@@ -61,10 +62,13 @@ func checkDirectory(t *testing.T, tr *Tree) {
 }
 
 // checkAnswers compares windows, containment and k-NN with brute force over
-// live. Nearest over-fetches every level by the tombstone count, which
-// purging keeps to the deletes since the level's last merge — a handful
-// where it used to be every delete since the last global rebuild; what is
-// asserted is the answer.
+// live, through the executor contract the facade drives: RunWindow and
+// RunNearest. The first window runs once more under a limit, which must
+// bring back exactly that many live items whatever the tombstoned ones the
+// window covers. Nearest over-fetches every level by the tombstone count,
+// which purging keeps to the deletes since the level's last merge — a
+// handful where it used to be every delete since the last global rebuild;
+// what is asserted is the answer.
 func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 	t.Helper()
 	if tr.Len() != len(live) {
@@ -78,10 +82,21 @@ func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out
 	}
+	run := func(q geom.Rect, contain bool, limit int) []geom.Item {
+		var out []geom.Item
+		st, err := tr.RunWindow(q, contain, func(it geom.Item) bool {
+			out = append(out, it)
+			return true
+		}, rtree.RunOptions{Limit: limit})
+		if err != nil || st.Results != len(out) {
+			t.Fatalf("window %v: %d results, stats %+v, err %v", q, len(out), st, err)
+		}
+		return out
+	}
 	for i := 0; i < 3; i++ {
 		x, y := rng.Float64(), rng.Float64()
 		q := geom.NewRect(x, y, x+rng.Float64()*0.4, y+rng.Float64()*0.4)
-		var hit, inside, gotInside []geom.Item
+		var hit, inside []geom.Item
 		for _, it := range live {
 			if q.Intersects(it.Rect) {
 				hit = append(hit, it)
@@ -90,12 +105,24 @@ func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 				inside = append(inside, it)
 			}
 		}
-		tr.Contained(q, func(it geom.Item) bool { gotInside = append(gotInside, it); return true })
-		if got, want := ids(tr.QueryCollect(q)), ids(hit); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := ids(run(q, false, 0)), ids(hit); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("window %v: ids %v, want %v", q, got, want)
 		}
-		if got, want := ids(gotInside), ids(inside); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := ids(run(q, true, 0)), ids(inside); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("containment %v: ids %v, want %v", q, got, want)
+		}
+		if i > 0 {
+			continue
+		}
+		limit := len(hit)/2 + 1
+		got, want := ids(run(q, false, limit)), ids(hit)
+		if len(got) != min(limit, len(hit)) {
+			t.Fatalf("window %v, limit %d: %d items, %d live in it", q, limit, len(got), len(hit))
+		}
+		for _, id := range got {
+			if _, ok := slices.BinarySearch(want, id); !ok {
+				t.Fatalf("window %v, limit %d: id %d is not live in it", q, limit, id)
+			}
 		}
 	}
 	x, y, k := rng.Float64(), rng.Float64(), 1+rng.Intn(12)
@@ -103,9 +130,10 @@ func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 	for i, it := range live {
 		want[i] = Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)}
 	}
-	want = closest(want, k)
-	if got := tr.Nearest(x, y, k); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("%d nearest to (%v, %v): %v, want %v", k, x, y, got, want)
+	want = rtree.Closest(want, k)
+	got, st, err := tr.RunNearest(x, y, k, rtree.RunOptions{})
+	if err != nil || st.Results != len(got) || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%d nearest to (%v, %v): %v (stats %+v, err %v), want %v", k, x, y, got, st, err, want)
 	}
 }
 

@@ -30,7 +30,7 @@
 //
 // The component directory — buffer, static levels, tombstones — is an
 // immutable state value swapped through an atomic pointer. Readers
-// (Query, Contained, Nearest, Items, Len) load the pointer once, bracket
+// (RunWindow, RunNearest, Items, Len) load the pointer once, bracket
 // their page accesses with the backend's snapshot hooks (see
 // storage.Backend.SnapshotEnter), and never take a lock: a level a reader
 // is traversing stays byte-stable even while a writer replaces and frees it,
@@ -56,7 +56,6 @@ package logmethod
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -125,8 +124,6 @@ type Tree struct {
 
 	mu         sync.Mutex // serializes writers
 	dirChanged bool       // the level directory changed since TakeDirectoryChanged
-
-	visitors sync.Pool // query-path scratch (*levelVisitor)
 
 	chain savedChain // the state pages the last SaveState owns, and for which state
 }
@@ -442,52 +439,6 @@ func (t *Tree) rebuildLocked(gc bool) {
 	t.snap.SnapshotAdvance()
 }
 
-// QueryStats aggregates the per-level query statistics.
-type QueryStats struct {
-	LeavesVisited int
-	NodesVisited  int
-	Results       int
-}
-
-// levelVisitor is pooled query-path scratch: it holds the per-query state
-// the per-level callback closes over and owns one pre-bound closure
-// (visit), created once per pooled instance. Pooling it — the same
-// treatment the rtree traversal stacks get — means a steady-state Query
-// allocates nothing for its traversal plumbing, however many static levels
-// it fans across. Nested queries (issued from fn) each
-// grab their own visitor.
-type levelVisitor struct {
-	dead    tombstones
-	st      *QueryStats
-	fn      func(geom.Item) bool
-	aborted bool
-	visit   func(geom.Item) bool
-}
-
-func (t *Tree) grabVisitor() *levelVisitor {
-	v, _ := t.visitors.Get().(*levelVisitor)
-	if v == nil {
-		v = &levelVisitor{}
-		v.visit = func(it geom.Item) bool {
-			if v.dead.has(it.ID) {
-				return true
-			}
-			v.st.Results++
-			if v.fn != nil && !v.fn(it) {
-				v.aborted = true
-				return false
-			}
-			return true
-		}
-	}
-	return v
-}
-
-func (t *Tree) releaseVisitor(v *levelVisitor) {
-	v.dead, v.st, v.fn = tombstones{}, nil, nil
-	t.visitors.Put(v)
-}
-
 // enter loads a consistent state under a snapshot-reader bracket. The
 // Enter precedes the load, so every page freed after the load is pinned
 // until leave — a level in the loaded state stays traversable even while
@@ -497,89 +448,83 @@ func (t *Tree) enter() (*state, uint64) {
 	return t.st.Load(), e
 }
 
-// Query reports every live rectangle intersecting q. Each static level is
-// queried with its optimal PR-tree bound, so the total cost is
-// O(log(N/base) * sqrt(N/B) + T/B) I/Os. Safe to call concurrently with
+// RunWindow is rtree.Tree.RunWindow over the live set: it reports every
+// live rectangle intersecting q (contained in q, when contain is set) to
+// fn, the buffer's first, then each static level's with its optimal
+// PR-tree bound, so the total cost is O(log(N/base) * sqrt(N/B) + T/B)
+// I/Os. opt.Cancel is polled before the buffer and before every node
+// visit; opt.Limit counts live results only, so tombstoned items the
+// levels still hold never use it up. Safe to call concurrently with
 // mutations.
-func (t *Tree) Query(q geom.Rect, fn func(geom.Item) bool) QueryStats {
-	s, e := t.enter()
-	defer t.snap.SnapshotLeave(e)
-	return t.queryState(s, q, false, fn)
-}
-
-// Contained reports every live rectangle fully contained in q.
-func (t *Tree) Contained(q geom.Rect, fn func(geom.Item) bool) QueryStats {
-	s, e := t.enter()
-	defer t.snap.SnapshotLeave(e)
-	return t.queryState(s, q, true, fn)
-}
-
-// queryState runs a window (or containment) query against one state.
-// Buffer items are never tombstoned (Delete removes them physically), but
-// the levels must be filtered against dead.
-func (t *Tree) queryState(s *state, q geom.Rect, contain bool, fn func(geom.Item) bool) QueryStats {
-	var st QueryStats
-	match := func(r geom.Rect) bool {
-		if contain {
-			return q.Contains(r)
+func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt rtree.RunOptions) (rtree.QueryStats, error) {
+	var st rtree.QueryStats
+	if opt.Cancel != nil {
+		if err := opt.Cancel(); err != nil {
+			return st, err
 		}
-		return q.Intersects(r)
 	}
+	s, e := t.enter()
+	defer t.snap.SnapshotLeave(e)
+	// emit counts a live result and enforces the limit; visit is emit for
+	// the levels, which must be filtered against the tombstones. Buffer
+	// items are never tombstoned (Delete removes them physically). rtree
+	// keeps neither closure, so both stay on the stack.
+	done := false // fn stopped the query, or the limit was reached
+	emit := func(it geom.Item) bool {
+		st.Results++
+		done = (fn != nil && !fn(it)) || (opt.Limit > 0 && st.Results >= opt.Limit)
+		return !done
+	}
+	visit := func(it geom.Item) bool { return s.dead.has(it.ID) || emit(it) }
 	for _, it := range s.buffer {
-		if match(it.Rect) {
-			st.Results++
-			if fn != nil && !fn(it) {
-				return st
+		if (contain && q.Contains(it.Rect)) || (!contain && q.Intersects(it.Rect)) {
+			if !emit(it) {
+				return st, nil
 			}
 		}
 	}
-	v := t.grabVisitor()
-	defer t.releaseVisitor(v)
-	v.dead, v.st, v.fn, v.aborted = s.dead, &st, fn, false
 	for _, l := range s.levels {
 		if l == nil || !q.Intersects(l.mbr) {
 			continue // a level the window misses costs no page, not even its root
 		}
-		ls, _ := l.RunWindow(q, contain, v.visit, rtree.RunOptions{})
-		st.LeavesVisited += ls.LeavesVisited
+		ls, err := l.RunWindow(q, contain, visit, rtree.RunOptions{Cancel: opt.Cancel})
 		st.NodesVisited += ls.NodesVisited
-		if v.aborted {
-			return st
+		st.LeavesVisited += ls.LeavesVisited
+		st.InternalVisited += ls.InternalVisited
+		if err != nil || done {
+			return st, err
 		}
 	}
-	return st
-}
-
-// QueryCollect returns all live rectangles intersecting q.
-func (t *Tree) QueryCollect(q geom.Rect) []geom.Item {
-	var out []geom.Item
-	t.Query(q, func(it geom.Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
+	return st, nil
 }
 
 // Neighbor is a k-nearest-neighbor result: an item and its squared
 // distance to the query point.
 type Neighbor = rtree.Neighbor
 
-// Nearest returns the k live rectangles closest to (x, y), in ascending
-// (distance, id) order — the same deterministic order the static tree's
-// best-first search emits, so dynamized results are comparable
-// bit-for-bit with a one-shot build over the same live set.
-func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
+// RunNearest is rtree.Tree.RunNearest over the live set: the k live
+// rectangles closest to (x, y), at most opt.Limit of them, in rtree.Closest
+// order — so dynamized results are comparable bit-for-bit with a one-shot
+// build over the same live set. opt.Cancel is polled before the buffer and
+// before every node visit.
+func (t *Tree) RunNearest(x, y float64, k int, opt rtree.RunOptions) ([]Neighbor, rtree.QueryStats, error) {
+	var st rtree.QueryStats
+	if opt.Limit > 0 && opt.Limit < k {
+		k = opt.Limit
+	}
+	if k <= 0 {
+		return nil, st, nil
+	}
+	if opt.Cancel != nil {
+		if err := opt.Cancel(); err != nil {
+			return nil, st, err
+		}
+	}
 	s, e := t.enter()
 	defer t.snap.SnapshotLeave(e)
-	if k <= 0 {
-		return nil
-	}
-	var cand []Neighbor
-	add := func(it geom.Item) {
-		cand = append(cand, Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)})
-	}
+	cand := make([]Neighbor, 0, len(s.buffer)+k)
 	for _, it := range s.buffer {
-		add(it)
+		cand = append(cand, Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)})
 	}
 	// A level's k nearest may all be tombstoned, so over-fetch by the
 	// tombstone count (the deletes since the levels' last merges: every
@@ -591,31 +536,25 @@ func (t *Tree) Nearest(x, y float64, k int) []Neighbor {
 		}
 		// A level whose box lies beyond the k-th candidate so far holds
 		// nothing closer: skipped unread, like a window that misses it.
-		if cand = closest(cand, k); len(cand) == k && cand[k-1].Dist2 < l.mbr.Dist2(x, y) {
+		if cand = rtree.Closest(cand, k); len(cand) == k && cand[k-1].Dist2 < l.mbr.Dist2(x, y) {
 			continue
 		}
-		nb, _, _ := l.RunNearest(x, y, want, rtree.RunOptions{})
+		nb, ls, err := l.RunNearest(x, y, want, rtree.RunOptions{Cancel: opt.Cancel})
+		st.NodesVisited += ls.NodesVisited
+		st.LeavesVisited += ls.LeavesVisited
+		st.InternalVisited += ls.InternalVisited
+		if err != nil {
+			return nil, st, err
+		}
 		for _, n := range nb {
 			if !s.dead.has(n.Item.ID) {
 				cand = append(cand, n)
 			}
 		}
 	}
-	return closest(cand, k)
-}
-
-// closest sorts cand by ascending (distance, id) and cuts it to its first k.
-func closest(cand []Neighbor, k int) []Neighbor {
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].Dist2 != cand[j].Dist2 {
-			return cand[i].Dist2 < cand[j].Dist2
-		}
-		return cand[i].Item.ID < cand[j].Item.ID
-	})
-	if len(cand) > k {
-		cand = cand[:k]
-	}
-	return cand
+	cand = rtree.Closest(cand, k)
+	st.Results = len(cand)
+	return cand, st, nil
 }
 
 // Flush compacts the structure into a single static PR-tree (plus an empty

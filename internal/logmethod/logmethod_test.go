@@ -7,6 +7,7 @@ import (
 
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
+	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
@@ -29,6 +30,23 @@ func randItems(n int, seed int64) []geom.Item {
 	return items
 }
 
+// window runs an unbounded window (contain false) or containment query on
+// tr and returns its results and statistics.
+func window(tr *Tree, q geom.Rect, contain bool) ([]geom.Item, rtree.QueryStats) {
+	var out []geom.Item
+	st, _ := tr.RunWindow(q, contain, func(it geom.Item) bool {
+		out = append(out, it)
+		return true
+	}, rtree.RunOptions{})
+	return out, st
+}
+
+// nearest runs an unbounded k-NN query on tr.
+func nearest(tr *Tree, x, y float64, k int) []Neighbor {
+	nb, _, _ := tr.RunNearest(x, y, k, rtree.RunOptions{})
+	return nb
+}
+
 func checkAgainstBruteForce(t *testing.T, tr *Tree, universe []geom.Item, q geom.Rect) {
 	t.Helper()
 	want := make(map[uint32]bool)
@@ -38,13 +56,13 @@ func checkAgainstBruteForce(t *testing.T, tr *Tree, universe []geom.Item, q geom
 		}
 	}
 	got := make(map[uint32]bool)
-	tr.Query(q, func(it geom.Item) bool {
+	tr.RunWindow(q, false, func(it geom.Item) bool {
 		if got[it.ID] {
 			t.Fatalf("duplicate result %d", it.ID)
 		}
 		got[it.ID] = true
 		return true
-	})
+	}, rtree.RunOptions{})
 	if len(got) != len(want) {
 		t.Fatalf("query %v: got %d, want %d", q, len(got), len(want))
 	}
@@ -103,7 +121,7 @@ func TestDeleteBasic(t *testing.T) {
 			t.Fatalf("len = %d after %d deletes", tr.Len(), i+1)
 		}
 	}
-	if got := tr.QueryCollect(geom.NewRect(0, 0, 2, 2)); len(got) != 0 {
+	if got, _ := window(tr, geom.NewRect(0, 0, 2, 2), false); len(got) != 0 {
 		t.Errorf("emptied tree returned %d items", len(got))
 	}
 }
@@ -192,7 +210,7 @@ func TestReviveTombstonedID(t *testing.T) {
 	if tr.Len() != 11 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	got := tr.QueryCollect(it.Rect)
+	got, _ := window(tr, it.Rect, false)
 	found := false
 	for _, g := range got {
 		if g.ID == 7 {
@@ -263,10 +281,10 @@ func TestQueryEarlyStop(t *testing.T) {
 		tr.Insert(it)
 	}
 	count := 0
-	tr.Query(geom.NewRect(0, 0, 2, 2), func(geom.Item) bool {
+	tr.RunWindow(geom.NewRect(0, 0, 2, 2), false, func(geom.Item) bool {
 		count++
 		return count < 7
-	})
+	}, rtree.RunOptions{})
 	if count != 7 {
 		t.Errorf("early stop at %d", count)
 	}
@@ -310,24 +328,24 @@ func TestLevelOutsideWindowCostsNoPage(t *testing.T) {
 	if tr.Levels() != 1 || tr.BufferLen() != 5 {
 		t.Fatalf("set-up: slots %v, buffer %d", tr.LevelSizes(), tr.BufferLen())
 	}
-	if st := tr.Query(geom.NewRect(9, 9, 20, 20), nil); st.NodesVisited != 0 || st.Results != 5 {
+	if _, st := window(tr, geom.NewRect(9, 9, 20, 20), false); st.NodesVisited != 0 || st.Results != 5 {
 		t.Errorf("window beside the level: %d nodes visited, %d results; want 0 and the 5 buffered", st.NodesVisited, st.Results)
 	}
-	if st := tr.Contained(geom.NewRect(9, 9, 20, 20), nil); st.NodesVisited != 0 || st.Results != 5 {
+	if _, st := window(tr, geom.NewRect(9, 9, 20, 20), true); st.NodesVisited != 0 || st.Results != 5 {
 		t.Errorf("containment beside the level: %d nodes visited, %d results; want 0 and 5", st.NodesVisited, st.Results)
 	}
-	if st := tr.Query(geom.NewRect(0, 0, 0.3, 0.3), nil); st.NodesVisited != 1 || st.LeavesVisited != 1 || st.Results != 3 {
+	if _, st := window(tr, geom.NewRect(0, 0, 0.3, 0.3), false); st.NodesVisited != 1 || st.LeavesVisited != 1 || st.Results != 3 {
 		t.Errorf("window inside the level: %+v; want its one leaf and 3 results", st)
 	}
 	c0 := tr.pager.CacheStats()
-	nn := tr.Nearest(12, 10.2, 3)
+	nn := nearest(tr, 12, 10.2, 3)
 	if len(nn) != 3 || nn[0].Item.ID != 102 {
 		t.Fatalf("3 nearest to the buffered cluster: %v", nn)
 	}
 	if c1 := tr.pager.CacheStats(); c1.Hits != c0.Hits || c1.Misses != c0.Misses {
 		t.Errorf("k-NN answered from the buffer read pages: %+v then %+v", c0, c1)
 	}
-	if nn := tr.Nearest(0.5, 0, 9); len(nn) != 9 || nn[8].Item.ID < 100 {
+	if nn := nearest(tr, 0.5, 0, 9); len(nn) != 9 || nn[8].Item.ID < 100 {
 		t.Errorf("9 nearest from inside the level: %v; want its 8 items, then a buffered one", nn)
 	}
 }

@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"prtree/internal/geom"
@@ -18,6 +20,22 @@ import (
 type Neighbor struct {
 	Item  geom.Item
 	Dist2 float64
+}
+
+// Closest sorts nb into the k-NN order of every read path — ascending
+// distance, ties by ascending item ID — and cuts it to its first k, so a
+// merge of several trees' answers equals one tree's over the same items.
+func Closest(nb []Neighbor, k int) []Neighbor {
+	slices.SortFunc(nb, func(a, b Neighbor) int {
+		if c := cmp.Compare(a.Dist2, b.Dist2); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Item.ID, b.Item.ID)
+	})
+	if len(nb) > k {
+		nb = nb[:k]
+	}
+	return nb
 }
 
 // knnHeaps pools best-first search frontiers across RunNearest calls

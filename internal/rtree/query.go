@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"math"
 	"runtime/debug"
-	"sort"
 
 	"prtree/internal/geom"
 	"prtree/internal/storage"
@@ -174,19 +173,13 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 		group := make([]Neighbor, 0, len(out)-i+len(ties))
 		group = append(group, out[i:]...)
 		group = append(group, ties...)
-		sort.Slice(group, func(a, b int) bool { return group[a].Item.ID < group[b].Item.ID })
-		out = append(out[:i], group[:k-i]...)
+		out = append(out[:i], Closest(group, k-i)...)
 	}
-	// Canonical order: ascending distance, ties by ID. Equal-distance items
-	// can surface in tree-shape-dependent order (one may hide in a
-	// not-yet-expanded equal-distance node while another pops), so the sort
-	// — not discovery order — defines the result sequence.
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist2 != out[b].Dist2 {
-			return out[a].Dist2 < out[b].Dist2
-		}
-		return out[a].Item.ID < out[b].Item.ID
-	})
+	// Equal-distance items can surface in tree-shape-dependent order (one
+	// may hide in a not-yet-expanded equal-distance node while another
+	// pops), so Closest's order — not discovery order — defines the result
+	// sequence.
+	out = Closest(out, k)
 	st.Results = len(out)
 	return out, st, nil
 }

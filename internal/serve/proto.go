@@ -47,6 +47,7 @@ import (
 	"io"
 	"math"
 
+	"prtree"
 	"prtree/internal/geom"
 )
 
@@ -146,11 +147,8 @@ type Result struct {
 // them is real, items homed on the failed shards are absent.
 func (r Result) Degraded() bool { return len(r.FailedShards) > 0 }
 
-// Neighbor mirrors the tree's k-NN result: an item plus squared distance.
-type Neighbor struct {
-	Item  geom.Item
-	Dist2 float64
-}
+// Neighbor is the tree's k-NN result: an item plus squared distance.
+type Neighbor = prtree.Neighbor
 
 // WireStats is the OpStats result: enough for a client pointed at a
 // remote server to synthesize a workload over the served world.

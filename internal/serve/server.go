@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -232,6 +233,13 @@ var errBadRequest = errors.New("serve: bad request")
 func (s *Server) runQuery(ctx context.Context, req Request) (dispatchResult, error) {
 	set := s.cfg.Set
 	limit := int(req.Limit)
+	// A NaN compares false with everything and every distance to an
+	// infinity ties: a traversal would answer either with arbitrary items.
+	for _, v := range [...]float64{req.Rect.MinX, req.Rect.MinY, req.Rect.MaxX, req.Rect.MaxY, req.X, req.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return dispatchResult{}, fmt.Errorf("%w: non-finite coordinate %v", errBadRequest, v)
+		}
+	}
 	switch req.Op {
 	case OpWindow:
 		items, p, err := set.Window(ctx, req.Rect, limit)
@@ -243,7 +251,11 @@ func (s *Server) runQuery(ctx context.Context, req Request) (dispatchResult, err
 		if req.K > MaxK {
 			return dispatchResult{}, fmt.Errorf("%w: k=%d exceeds %d", errBadRequest, req.K, MaxK)
 		}
-		nbs, p, err := set.Nearest(ctx, req.X, req.Y, int(req.K))
+		k := int(req.K)
+		if limit > 0 {
+			k = min(k, limit)
+		}
+		nbs, p, err := set.Nearest(ctx, req.X, req.Y, k)
 		return dispatchResult{nbs: nbs, failed: p.Failed}, err
 	case OpStats:
 		return dispatchResult{stats: &WireStats{

@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"prtree/internal/dataset"
+	"prtree/internal/geom"
 	"prtree/internal/workload"
 )
 
@@ -413,11 +416,38 @@ func TestBinaryE2E(t *testing.T) {
 		assertSameItems(t, "window set", res.Sets[0], want)
 	}
 
-	// k beyond the sanity cap is a bad request, not a giant allocation.
-	_, err = cl.Do(Request{Op: OpNearest, K: MaxK + 1})
-	var remote *RemoteError
-	if !errors.As(err, &remote) || remote.Code != CodeBadRequest {
-		t.Fatalf("huge k: got %v, want CodeBadRequest", err)
+	// A nearest request's limit caps its answer like a window's: the
+	// first Limit neighbors of the unlimited answer.
+	five, err := cl.Do(Request{Op: OpNearest, X: 0.5, Y: 0.5, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := cl.Do(Request{Op: OpNearest, X: 0.5, Y: 0.5, K: 5, Limit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(five.Neighbors) != 5 || !slices.Equal(two.Neighbors, five.Neighbors[:2]) {
+		t.Fatalf("nearest K=5 Limit=2: %v; K=5: %v", two.Neighbors, five.Neighbors)
+	}
+
+	// k beyond the sanity cap, and a coordinate that is not finite, are bad
+	// requests: not a giant allocation, not arbitrary items.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, req := range []Request{
+		{Op: OpNearest, K: MaxK + 1},
+		{Op: OpNearest, X: nan, Y: 0.5, K: 3},
+		{Op: OpNearest, X: inf, Y: 0, K: 3},
+		{Op: OpNearest, X: 0.5, Y: -inf, K: 3},
+		{Op: OpWindow, Rect: geom.Rect{MinX: nan, MinY: 0, MaxX: 1, MaxY: 1}},
+		{Op: OpWindow, Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: inf, MaxY: 1}},
+		{Op: OpContained, Rect: geom.Rect{MinX: 0, MinY: -inf, MaxX: 1, MaxY: 1}},
+		{Op: OpContained, Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: nan}},
+	} {
+		_, err = cl.Do(req)
+		var remote *RemoteError
+		if !errors.As(err, &remote) || remote.Code != CodeBadRequest {
+			t.Fatalf("%+v: got %v, want CodeBadRequest", req, err)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/hilbert"
 	"prtree/internal/parallel"
+	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
@@ -837,7 +838,7 @@ func (s *Set) Nearest(ctx context.Context, x, y float64, k int) ([]Neighbor, Par
 	if k <= 0 {
 		return nil, Partial{}, nil
 	}
-	perShard := make([][]prtree.Neighbor, len(s.shards))
+	perShard := make([][]Neighbor, len(s.shards))
 	errs := s.scatter(func(i int, t *prtree.Tree) error {
 		out, err := t.CollectNearest(prtree.Nearest(x, y, k).WithContext(ctx))
 		perShard[i] = out
@@ -852,20 +853,9 @@ func (s *Set) Nearest(ctx context.Context, x, y float64, k int) ([]Neighbor, Par
 	}
 	var merged []Neighbor
 	for _, part := range perShard {
-		for _, nb := range part {
-			merged = append(merged, Neighbor{Item: nb.Item, Dist2: nb.Dist2})
-		}
+		merged = append(merged, part...)
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Dist2 != merged[j].Dist2 {
-			return merged[i].Dist2 < merged[j].Dist2
-		}
-		return merged[i].Item.ID < merged[j].Item.ID
-	})
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, p, nil
+	return rtree.Closest(merged, k), p, nil
 }
 
 // ShardStatus is one shard's health record in SetStats.

@@ -235,8 +235,9 @@ func (p *Pager) Unpin(id PageID) {
 }
 
 // Write stores data to page id on disk and refreshes any cached copy. A
-// stable (mapped) view needs no refresh: the write reaches the storage at
-// once, in a transaction or out of one, and the view shows it.
+// cached stable (mapped) view is dropped: a reader of the page's previous
+// life may have published it after the free, and a fresh page waits in
+// the backend's write run, unseen by any view until a read flushes it.
 func (p *Pager) Write(id PageID, data []byte) {
 	s := p.shard(id)
 	s.mu.Lock()
@@ -248,8 +249,12 @@ func (p *Pager) Write(id PageID, data []byte) {
 		}
 		return
 	}
-	if ce, ok := s.entries[id]; ok && !ce.stable {
-		refreshCopy(ce.data, data)
+	if ce, ok := s.entries[id]; ok {
+		if ce.stable {
+			s.remove(ce)
+		} else {
+			refreshCopy(ce.data, data)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,5 +198,58 @@ func TestFileBackendRunConcurrent(t *testing.T) {
 	}
 	if err := fb.Fsck(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPagerWriteDropsStaleView: a page freed, cut off by a checkpoint and
+// written again as a fresh page waits in the write run, and the pager must
+// not answer a read of it with the view its cache kept from the page's
+// previous life — one a reader still traversing the freed tree published
+// after the free invalidated it. That view shows the old slot, or lies past
+// the end of the shortened file.
+func TestPagerWriteDropsStaleView(t *testing.T) {
+	fb, err := CreateFile(tempIndex(t), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	pager := NewPager(fb, -1)
+	fb.Begin()
+	a, b := fb.Alloc(), fb.Alloc()
+	pager.Write(a, pageBytes(a))
+	pager.Write(b, pageBytes(b))
+	if err := fb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	fb.Begin()
+	pager.Invalidate(b) // the free, as rtree frees a node
+	fb.Free(b)
+	pager.Read(b) // a reader of the freed tree publishes b's view again
+	if err := fb.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if fb.NumPages() != 1 {
+		t.Fatalf("the checkpoint left %d pages, want b cut off", fb.NumPages())
+	}
+	if got := fb.Alloc(); got != b {
+		t.Fatalf("reallocated page %d, want %d", got, b)
+	}
+	want := bytes.Repeat([]byte{0x5a}, 512)
+	pager.Write(b, want)
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	var got []byte
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("reading the rewritten page faulted: %v", r)
+			}
+		}()
+		got = bytes.Clone(pager.Read(b))
+	}()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the rewritten page reads %x…, want %x…", got[:8], want[:8])
 	}
 }

@@ -34,8 +34,8 @@
 //
 // The v2 query surface is one composable Query value — Window, Point,
 // Contained or Nearest, refined with WithLimit, WithContext and WithStats
-// — consumed through a callback (Run), a range-over-func iterator (Iter)
-// or a slice (Collect):
+// — consumed, on a Tree or a Dynamic alike, through a callback (Run), a
+// range-over-func iterator (Iter) or a slice (Collect):
 //
 //	tree, _ := prtree.Create("roads.pr", nil)
 //	_ = tree.BulkLoad(prtree.PR, items)
@@ -284,8 +284,8 @@ func (t *Tree) Validate() error { return t.inner.Validate() }
 // built on the external logarithmic method the paper proposes for updates
 // (Sections 1.2 and 4).
 //
-// The read path (Query, Search, SearchPoint, SearchContained,
-// NearestNeighbors, Len) is safe for many concurrent
+// The read path — the Query surface (Run, Iter, Collect, Count,
+// CollectNearest), Len — is safe for many concurrent
 // goroutines and never blocks on writers: each query runs against an
 // immutable copy-on-write snapshot of the component directory, and the
 // storage layer's epoch pins keep a snapshot's pages byte-stable until its
@@ -298,9 +298,6 @@ type Dynamic struct {
 	inner  *logmethod.Tree
 	wmu    sync.Mutex // serializes writer transaction brackets
 }
-
-// DynamicStats mirrors logmethod query statistics.
-type DynamicStats = logmethod.QueryStats
 
 // CompactionStats counts the dynamic index's component merges since it was
 // created or opened, beside the storage layer's snapshot-epoch state. A
@@ -421,38 +418,20 @@ func (d *Dynamic) DeleteE(it Item) (bool, error) {
 	return ok, nil
 }
 
-// Query reports every live item intersecting q.
-func (d *Dynamic) Query(q Rect, fn func(Item) bool) DynamicStats {
-	return d.inner.Query(q, fn)
+// Query reports every live item intersecting q to fn and returns the
+// query's node visits: Run(Window(q), fn) with its stats. It and Search
+// remain only for the benchmark harness, their last caller, and go when
+// the harness moves to the Query surface.
+func (d *Dynamic) Query(q Rect, fn func(Item) bool) QueryStats {
+	_, st, _ := run(d.exec(), Window(q), fn)
+	return st
 }
 
-// Search returns all live items intersecting q.
-func (d *Dynamic) Search(q Rect) []Item { return d.inner.QueryCollect(q) }
-
-// SearchPoint returns all live items containing the point (x, y).
-func (d *Dynamic) SearchPoint(x, y float64) []Item {
-	var out []Item
-	d.inner.Query(Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}, func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
+// Search returns all live items intersecting q: Collect(Window(q)). See
+// Query.
+func (d *Dynamic) Search(q Rect) []Item {
+	out, _ := d.Collect(Window(q))
 	return out
-}
-
-// SearchContained returns all live items fully contained in q.
-func (d *Dynamic) SearchContained(q Rect) []Item {
-	var out []Item
-	d.inner.Contained(q, func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
-}
-
-// NearestNeighbors returns the k live items nearest to (x, y) by MBR
-// distance, closest first (ties broken by item ID).
-func (d *Dynamic) NearestNeighbors(x, y float64, k int) []Neighbor {
-	return d.inner.Nearest(x, y, k)
 }
 
 // Len returns the number of live items.

@@ -1,6 +1,7 @@
 package prtree
 
 import (
+	"iter"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -25,8 +26,17 @@ func randItems(n int, seed int64) []Item {
 	return items
 }
 
+// querier is the Query surface a Tree and a Dynamic share.
+type querier interface {
+	Run(Query, func(Item) bool) error
+	Iter(Query) iter.Seq[Item]
+	Collect(Query) ([]Item, error)
+	Count(Query) (int, error)
+	CollectNearest(Query) ([]Neighbor, error)
+}
+
 // collect runs q on t; a query error fails the test.
-func collect(tb testing.TB, t *Tree, q Query) []Item {
+func collect(tb testing.TB, t querier, q Query) []Item {
 	tb.Helper()
 	out, err := t.Collect(q)
 	if err != nil {
@@ -36,7 +46,7 @@ func collect(tb testing.TB, t *Tree, q Query) []Item {
 }
 
 // nearest returns the k items nearest (x, y) with their distances.
-func nearest(tb testing.TB, t *Tree, x, y float64, k int) []Neighbor {
+func nearest(tb testing.TB, t querier, x, y float64, k int) []Neighbor {
 	tb.Helper()
 	out, err := t.CollectNearest(Nearest(x, y, k))
 	if err != nil {

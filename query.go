@@ -6,6 +6,7 @@ import (
 	"iter"
 
 	"prtree/internal/geom"
+	"prtree/internal/logmethod"
 	"prtree/internal/rtree"
 )
 
@@ -13,7 +14,8 @@ import (
 // containment or k-nearest-neighbor) plus per-query options. Build one
 // with Window, Point, Contained or Nearest, refine it with the With*
 // methods (each returns a derived value; a Query is immutable and
-// reusable), and consume it with Tree.Run, Tree.Iter or Tree.Collect:
+// reusable), and consume it with Run, Iter, Collect, Count or
+// CollectNearest on a Tree or a Dynamic:
 //
 //	q := prtree.Window(rect).WithLimit(100).WithContext(ctx)
 //	for it := range tree.Iter(q) {
@@ -102,6 +104,82 @@ func cancelPoll(ctx context.Context) func() error {
 	}
 }
 
+// searcher is the executor contract both index kinds implement: exactly
+// one of its fields is set. A *logmethod.Tree answers from its buffer and
+// levels less its tombstones, and its limit counts live results only. The
+// executors are called by their concrete types, never through an
+// interface, so a caller's callback, and what it captures, stays off the
+// heap.
+type searcher struct {
+	static  *rtree.Tree
+	dynamic *logmethod.Tree
+}
+
+func (t *Tree) exec() searcher    { return searcher{static: t.inner} }
+func (d *Dynamic) exec() searcher { return searcher{dynamic: d.inner} }
+
+// run executes q on s — the one place a query's kind picks the traversal —
+// and fills q's WithStats sink. A window, point or containment query
+// reports to fn; a Nearest query returns its neighbors instead.
+func run(s searcher, q Query, fn func(Item) bool) (nb []Neighbor, st QueryStats, err error) {
+	opt := rtree.RunOptions{Limit: q.limit, Cancel: cancelPoll(q.ctx)}
+	switch {
+	case q.kind == queryNearest && s.dynamic != nil:
+		nb, st, err = s.dynamic.RunNearest(q.x, q.y, q.k, opt)
+	case q.kind == queryNearest:
+		nb, st, err = s.static.RunNearest(q.x, q.y, q.k, opt)
+	case s.dynamic != nil:
+		st, err = s.dynamic.RunWindow(q.rect, q.kind == queryContained, fn, opt)
+	default:
+		st, err = s.static.RunWindow(q.rect, q.kind == queryContained, fn, opt)
+	}
+	if q.stats != nil {
+		*q.stats = st
+	}
+	return nb, st, err
+}
+
+// runItems is Run on s: a Nearest query's neighbors go to fn in order.
+func runItems(s searcher, q Query, fn func(Item) bool) error {
+	nb, _, err := run(s, q, fn)
+	if err == nil && fn != nil {
+		for _, n := range nb {
+			if !fn(n.Item) {
+				break
+			}
+		}
+	}
+	return err
+}
+
+func iterItems(s searcher, q Query) iter.Seq[Item] {
+	return func(yield func(Item) bool) {
+		_ = runItems(s, q, yield)
+	}
+}
+
+func collectItems(s searcher, q Query) ([]Item, error) {
+	var out []Item
+	err := runItems(s, q, func(it Item) bool {
+		out = append(out, it)
+		return true
+	})
+	return out, err
+}
+
+func countItems(s searcher, q Query) (int, error) {
+	_, st, err := run(s, q, nil)
+	return st.Results, err
+}
+
+func collectNeighbors(s searcher, q Query) ([]Neighbor, error) {
+	if q.kind != queryNearest {
+		return nil, fmt.Errorf("prtree: CollectNearest requires a Nearest query")
+	}
+	nb, _, err := run(s, q, nil)
+	return nb, err
+}
+
 // Run executes q, reporting each matching item to fn (return false to stop
 // early; fn may be nil to count only). Window and containment results come
 // in unspecified order; Nearest results in ascending distance order. The
@@ -111,31 +189,7 @@ func cancelPoll(ctx context.Context) func() error {
 //
 // fn must not mutate the tree, and Run is safe for any number of
 // concurrent callers (the read path shares no traversal state).
-func (t *Tree) Run(q Query, fn func(Item) bool) error {
-	opt := rtree.RunOptions{Limit: q.limit, Cancel: cancelPoll(q.ctx)}
-	var st QueryStats
-	var err error
-	switch q.kind {
-	case queryNearest:
-		var out []rtree.Neighbor
-		out, st, err = t.inner.RunNearest(q.x, q.y, q.k, opt)
-		if err == nil && fn != nil {
-			for _, nb := range out {
-				if !fn(nb.Item) {
-					break
-				}
-			}
-		}
-	case queryContained:
-		st, err = t.inner.RunWindow(q.rect, true, fn, opt)
-	default:
-		st, err = t.inner.RunWindow(q.rect, false, fn, opt)
-	}
-	if q.stats != nil {
-		*q.stats = st
-	}
-	return err
-}
+func (t *Tree) Run(q Query, fn func(Item) bool) error { return runItems(t.exec(), q, fn) }
 
 // Iter returns a pull iterator over q's results, for use with Go 1.23
 // range-over-func:
@@ -152,32 +206,14 @@ func (t *Tree) Run(q Query, fn func(Item) bool) error {
 // Cancellation (WithContext) ends iteration early without a signal — use
 // Run when the caller must distinguish "done" from "canceled", or attach a
 // WithStats sink and inspect it after the loop.
-func (t *Tree) Iter(q Query) iter.Seq[Item] {
-	return func(yield func(Item) bool) {
-		_ = t.Run(q, yield)
-	}
-}
+func (t *Tree) Iter(q Query) iter.Seq[Item] { return iterItems(t.exec(), q) }
 
 // Collect executes q and returns all results as a slice.
-func (t *Tree) Collect(q Query) ([]Item, error) {
-	var out []Item
-	err := t.Run(q, func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out, err
-}
+func (t *Tree) Collect(q Query) ([]Item, error) { return collectItems(t.exec(), q) }
 
 // Count executes q discarding results and returns the result count. A
-// WithStats sink on q is honored, not replaced.
-func (t *Tree) Count(q Query) (int, error) {
-	var st QueryStats
-	if q.stats == nil {
-		q.stats = &st
-	}
-	err := t.Run(q, nil)
-	return q.stats.Results, err
-}
+// WithStats sink on q is honored too.
+func (t *Tree) Count(q Query) (int, error) { return countItems(t.exec(), q) }
 
 // CollectNearest executes a Nearest query and returns the neighbors with
 // their squared distances, in ascending (distance, ID) order. It is the
@@ -185,19 +221,22 @@ func (t *Tree) Count(q Query) (int, error) {
 // per-shard k-NN results by (Dist2, ID), which Item alone cannot support —
 // and honors WithContext, WithLimit and WithStats like every other
 // consumer. Non-Nearest queries are rejected.
-func (t *Tree) CollectNearest(q Query) ([]Neighbor, error) {
-	if q.kind != queryNearest {
-		return nil, fmt.Errorf("prtree: CollectNearest requires a Nearest query")
-	}
-	out, st, err := t.inner.RunNearest(q.x, q.y, q.k, rtree.RunOptions{
-		Limit:  q.limit,
-		Cancel: cancelPoll(q.ctx),
-	})
-	if q.stats != nil {
-		*q.stats = st
-	}
-	return out, err
-}
+func (t *Tree) CollectNearest(q Query) ([]Neighbor, error) { return collectNeighbors(t.exec(), q) }
+
+// Run is Tree.Run over the index's live items.
+func (d *Dynamic) Run(q Query, fn func(Item) bool) error { return runItems(d.exec(), q, fn) }
+
+// Iter is Tree.Iter over the index's live items.
+func (d *Dynamic) Iter(q Query) iter.Seq[Item] { return iterItems(d.exec(), q) }
+
+// Collect is Tree.Collect over the index's live items.
+func (d *Dynamic) Collect(q Query) ([]Item, error) { return collectItems(d.exec(), q) }
+
+// Count is Tree.Count over the index's live items.
+func (d *Dynamic) Count(q Query) (int, error) { return countItems(d.exec(), q) }
+
+// CollectNearest is Tree.CollectNearest over the index's live items.
+func (d *Dynamic) CollectNearest(q Query) ([]Neighbor, error) { return collectNeighbors(d.exec(), q) }
 
 // Neighbor is one nearest-neighbor result with its squared distance.
 type Neighbor = rtree.Neighbor

@@ -19,6 +19,7 @@ import (
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
 	"prtree/internal/parallel"
+	"prtree/internal/rtree"
 	"prtree/internal/workload"
 )
 
@@ -413,112 +414,250 @@ func TestFileBackedUpdatesPersist(t *testing.T) {
 	}
 }
 
-// TestQuerySurface exercises the composable Query options: limits,
-// cancellation, stats sinks, Count, and the Nearest iterator order.
+// querySurfaceDynamic builds a Dynamic over items and deletes every fifth
+// of the first half, once those sit in levels: at least two levels, a
+// non-empty buffer and tombstones. Small blocks keep the buffer small
+// enough for several levels. It returns the index and its live items.
+func querySurfaceDynamic(t *testing.T, items []Item) (*Dynamic, []Item) {
+	t.Helper()
+	d := NewDynamic(&Options{BlockSize: 512})
+	for _, it := range items {
+		mustInsert(t, d, it)
+	}
+	var live []Item
+	for i, it := range items {
+		if i < len(items)/2 && i%5 == 0 {
+			if !mustDelete(t, d, it) {
+				t.Fatalf("delete %d failed", it.ID)
+			}
+			continue
+		}
+		live = append(live, it)
+	}
+	inLevels := 0
+	for _, n := range d.LevelSizes() {
+		inLevels += n
+	}
+	if levels := d.inner.Levels(); levels < 2 || d.BufferLen() == 0 || inLevels+d.BufferLen() == d.Len() {
+		t.Fatalf("set-up: slots %v, buffer %d, live %d: want 2 levels, a buffer and tombstones",
+			d.LevelSizes(), d.BufferLen(), d.Len())
+	}
+	return d, live
+}
+
+// TestQuerySurface exercises the composable Query options — limits,
+// cancellation, stats sinks, Count, every kind against brute force, the
+// iterator and the Nearest order — on both index kinds: a Tree, and a
+// Dynamic with levels, a buffer and tombstones, whose brute force runs over
+// its live items.
 func TestQuerySurface(t *testing.T) {
 	items := dataset.Western(3000, 23)
-	tree := Bulk(items, nil)
 	world := geom.ItemsMBR(items)
+	d, live := querySurfaceDynamic(t, items)
+	inputs := []struct {
+		name  string
+		index querier
+		live  []Item
+	}{
+		{"Tree", Bulk(items, nil), items},
+		{"Dynamic", d, live},
+	}
+	// bruteNearest is the k nearest live items, in Closest order.
+	bruteNearest := func(live []Item, x, y float64, k int) []Neighbor {
+		nb := make([]Neighbor, len(live))
+		for i, it := range live {
+			nb[i] = Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)}
+		}
+		return rtree.Closest(nb, k)
+	}
 
 	t.Run("limit", func(t *testing.T) {
-		var st QueryStats
-		got, err := tree.Collect(Window(world).WithLimit(7).WithStats(&st))
-		if err != nil || len(got) != 7 || st.Results != 7 {
-			t.Fatalf("limit 7: %d results, stats %+v, err %v", len(got), st, err)
-		}
-		if n, err := tree.Count(Window(world).WithLimit(0)); err != nil || n != tree.Len() {
-			t.Fatalf("limit 0 (unbounded): %d, want %d (err %v)", n, tree.Len(), err)
+		for _, in := range inputs {
+			var st QueryStats
+			got, err := in.index.Collect(Window(world).WithLimit(7).WithStats(&st))
+			if err != nil || len(got) != 7 || st.Results != 7 {
+				t.Fatalf("%s, limit 7: %d results, stats %+v, err %v", in.name, len(got), st, err)
+			}
+			if n, err := in.index.Count(Window(world).WithLimit(0)); err != nil || n != len(in.live) {
+				t.Fatalf("%s, limit 0 (unbounded): %d, want %d (err %v)", in.name, n, len(in.live), err)
+			}
+			// The window holds every tombstoned item the Dynamic keeps:
+			// only live items count toward the limit.
+			limit := len(in.live) - 1
+			got, err = in.index.Collect(Window(world).WithLimit(limit))
+			isLive := map[uint32]bool{}
+			for _, it := range in.live {
+				isLive[it.ID] = true
+			}
+			for _, it := range got {
+				if !isLive[it.ID] {
+					t.Fatalf("%s, limit %d: item %d is not live", in.name, limit, it.ID)
+				}
+				delete(isLive, it.ID)
+			}
+			if err != nil || len(got) != limit || len(isLive) != 1 {
+				t.Fatalf("%s, limit %d: %d results, %d live items left out (err %v)", in.name, limit, len(got), len(isLive), err)
+			}
 		}
 	})
 
 	t.Run("cancellation", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		var st QueryStats
-		err := tree.Run(Window(world).WithContext(ctx).WithStats(&st), nil)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled query: err = %v", err)
-		}
-		if st.NodesVisited != 0 {
-			t.Fatalf("canceled-before-start query visited %d nodes", st.NodesVisited)
-		}
-		// A live context must not interfere.
-		if _, err := tree.Collect(Window(world).WithContext(context.Background())); err != nil {
-			t.Fatalf("live context: %v", err)
-		}
-		// Nearest honors cancellation too.
-		if err := tree.Run(Nearest(0.5, 0.5, 5).WithContext(ctx), nil); !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled nearest: err = %v", err)
+		for _, in := range inputs {
+			var st QueryStats
+			err := in.index.Run(Window(world).WithContext(ctx).WithStats(&st), nil)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, canceled query: err = %v", in.name, err)
+			}
+			if st.NodesVisited != 0 || st.Results != 0 {
+				t.Fatalf("%s, canceled-before-start query: %+v", in.name, st)
+			}
+			// A live context must not interfere.
+			if _, err := in.index.Collect(Window(world).WithContext(context.Background())); err != nil {
+				t.Fatalf("%s, live context: %v", in.name, err)
+			}
+			// Nearest honors cancellation too.
+			if err := in.index.Run(Nearest(0.5, 0.5, 5).WithContext(ctx), nil); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, canceled nearest: err = %v", in.name, err)
+			}
 		}
 	})
 
 	t.Run("kinds agree with brute force", func(t *testing.T) {
 		q := workload.Squares(world, 0.02, 1, 3)[0]
 		x, y := 0.3, 0.7
-		for _, c := range []struct {
-			kind  string
-			query Query
-			keep  func(Rect) bool
-		}{
-			{"Window", Window(q), q.Intersects},
-			{"Contained", Contained(q), q.Contains},
-			{"Point", Point(x, y), func(r Rect) bool { return r.ContainsPoint(x, y) }},
-		} {
-			want := map[uint32]bool{}
-			for _, it := range items {
-				if c.keep(it.Rect) {
-					want[it.ID] = true
+		for _, in := range inputs {
+			for _, c := range []struct {
+				kind  string
+				query Query
+				keep  func(Rect) bool
+			}{
+				{"Window", Window(q), q.Intersects},
+				{"Contained", Contained(q), q.Contains},
+				{"Point", Point(x, y), func(r Rect) bool { return r.ContainsPoint(x, y) }},
+			} {
+				want := map[uint32]bool{}
+				for _, it := range in.live {
+					if c.keep(it.Rect) {
+						want[it.ID] = true
+					}
+				}
+				got := map[uint32]bool{}
+				for _, it := range collect(t, in.index, c.query) {
+					got[it.ID] = true
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s, %s: %d results, brute force %d", in.name, c.kind, len(got), len(want))
 				}
 			}
-			got := map[uint32]bool{}
-			for _, it := range collect(t, tree, c.query) {
-				got[it.ID] = true
+			want := bruteNearest(in.live, 0.5, 0.5, 9)
+			if got := nearest(t, in.index, 0.5, 0.5, 9); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, CollectNearest: %v, brute force %v", in.name, got, want)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: %d results, brute force %d", c.kind, len(got), len(want))
+			got := collect(t, in.index, Nearest(0.5, 0.5, 9))
+			if len(got) != len(want) {
+				t.Fatalf("%s, Nearest: %d results, want %d", in.name, len(got), len(want))
 			}
-		}
-		want := nearest(t, tree, 0.5, 0.5, 9)
-		got, err := tree.Collect(Nearest(0.5, 0.5, 9))
-		if err != nil || len(got) != len(want) {
-			t.Fatalf("Nearest: %d results, want %d (err %v)", len(got), len(want), err)
-		}
-		for i := range got {
-			if got[i] != want[i].Item {
-				t.Fatalf("Nearest order differs at %d", i)
+			for i := range got {
+				if got[i] != want[i].Item {
+					t.Fatalf("%s, Nearest order differs at %d", in.name, i)
+				}
 			}
 		}
 	})
 
 	t.Run("iterator early break", func(t *testing.T) {
-		var st QueryStats
-		n := 0
-		for range tree.Iter(Window(world).WithStats(&st)) {
-			n++
-			if n == 3 {
-				break
+		for _, in := range inputs {
+			var st QueryStats
+			n := 0
+			for range in.index.Iter(Window(world).WithStats(&st)) {
+				n++
+				if n == 3 {
+					break
+				}
 			}
-		}
-		if n != 3 {
-			t.Fatalf("broke after %d items", n)
-		}
-		if st.Results < 3 {
-			t.Fatalf("stats sink not filled on early break: %+v", st)
+			if n != 3 {
+				t.Fatalf("%s: broke after %d items", in.name, n)
+			}
+			if st.Results < 3 {
+				t.Fatalf("%s: stats sink not filled on early break: %+v", in.name, st)
+			}
 		}
 	})
 
 	t.Run("nearest limit", func(t *testing.T) {
-		got, err := tree.Collect(Nearest(0.5, 0.5, 9).WithLimit(4))
-		if err != nil || len(got) != 4 {
-			t.Fatalf("nearest with limit: %d results (err %v)", len(got), err)
-		}
-		want := nearest(t, tree, 0.5, 0.5, 4)
-		for i := range got {
-			if got[i] != want[i].Item {
-				t.Fatalf("limited nearest differs at %d", i)
+		for _, in := range inputs {
+			got, err := in.index.Collect(Nearest(0.5, 0.5, 9).WithLimit(4))
+			if err != nil || len(got) != 4 {
+				t.Fatalf("%s, nearest with limit: %d results (err %v)", in.name, len(got), err)
+			}
+			want := bruteNearest(in.live, 0.5, 0.5, 4)
+			for i := range got {
+				if got[i] != want[i].Item {
+					t.Fatalf("%s, limited nearest differs at %d", in.name, i)
+				}
 			}
 		}
 	})
+}
+
+// TestQueryAllocsZero pins the read path's garbage at nothing: a window or
+// containment query through Run, Iter or Count allocates nothing per query,
+// on a Tree and on a Dynamic with levels, a buffer and tombstones —
+// traversal scratch and statistics stay off the heap, and so do the
+// caller's callback and what it captures. Every call is on the concrete
+// type, as a caller makes it: through an interface the callback escapes.
+func TestQueryAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled scratch")
+	}
+	items := dataset.Western(3000, 23)
+	tree := Bulk(items, nil)
+	d, _ := querySurfaceDynamic(t, items)
+	world := geom.ItemsMBR(items)
+	q := workload.Squares(world, 0.05, 1, 3)[0]
+	for _, c := range []struct {
+		name string
+		run  func(Query) int
+	}{
+		{"Tree.Run", func(q Query) int {
+			n := 0
+			_ = tree.Run(q, func(Item) bool { n++; return true })
+			return n
+		}},
+		{"Tree.Iter", func(q Query) int {
+			n := 0
+			for range tree.Iter(q) {
+				n++
+			}
+			return n
+		}},
+		{"Tree.Count", func(q Query) int { n, _ := tree.Count(q); return n }},
+		{"Dynamic.Run", func(q Query) int {
+			n := 0
+			_ = d.Run(q, func(Item) bool { n++; return true })
+			return n
+		}},
+		{"Dynamic.Iter", func(q Query) int {
+			n := 0
+			for range d.Iter(q) {
+				n++
+			}
+			return n
+		}},
+		{"Dynamic.Count", func(q Query) int { n, _ := d.Count(q); return n }},
+		{"Dynamic.Query", func(q Query) int { return d.Query(q.rect, nil).Results }}, // a window on q's rect
+	} {
+		for _, query := range []Query{Window(q), Contained(world)} {
+			if c.run(query) == 0 {
+				t.Fatalf("%s(%+v) finds nothing", c.name, query)
+			}
+			if a := testing.AllocsPerRun(50, func() { c.run(query) }); a != 0 {
+				t.Errorf("%s(%+v) allocates %v a query; want 0", c.name, query, a)
+			}
+		}
+	}
 }
 
 // TestConcurrentIterFileBacked runs many Iter consumers against one
