@@ -22,6 +22,7 @@ import (
 	"prtree/internal/hilbert"
 	"prtree/internal/parallel"
 	"prtree/internal/pseudo"
+	"prtree/internal/rtree"
 	"prtree/internal/storage"
 	"prtree/internal/workload"
 )
@@ -72,7 +73,7 @@ func benchQueries(b *testing.B, l bulk.Loader, items []geom.Item, queries []geom
 	for i := 0; i < b.N; i++ {
 		leaves, results = 0, 0
 		for _, q := range queries {
-			st := tree.QueryCount(q)
+			st, _ := tree.RunWindow(q, false, nil, rtree.RunOptions{})
 			leaves += st.LeavesVisited
 			results += st.Results
 		}
@@ -238,40 +239,49 @@ func BenchmarkPRBulkLoadExternal(b *testing.B) {
 	b.Run("uniform50k", func(b *testing.B) {
 		benchBuild(b, bulk.LoaderPR, dataset.Uniform(50000, 0.001, 20))
 	})
-	// The benchmark's embedded set-up: a file-backed index, serial. Under
-	// an explicit M = 65536 the load is external, its temporaries on the
-	// scratch store beside the index; under the default budget it builds in
-	// memory and writes tree pages only. blockIO/op is what IOStats reports
-	// (index file plus scratch store); B/op is the load's allocation, the
-	// sort arenas included. The default load FAILS above 2,000 blockIO/op or
-	// 2 MB allocated.
+	// The benchmark's embedded set-up: a file-backed index, serial. At
+	// M = 65536 it is the paper's external load, which the facade no longer
+	// runs: bulk.Load onto the index file's pager, its input and
+	// temporaries on the scratch store beside the index. The default is the
+	// facade's BulkLoad, which builds in memory and writes tree pages only.
+	// blockIO/op is what IOStats reports (index file plus scratch store);
+	// B/op is the load's allocation, the sort arenas included. The default
+	// load FAILS above 2,000 blockIO/op or 2 MB allocated.
 	items := dataset.Western(300000, 2004)
 	b.Run("western216k/M=65536", func(b *testing.B) {
-		benchFileLoad(b, items, &Options{MemoryItems: 65536})
+		benchFileLoad(b, items, func(tree *Tree) error {
+			return tree.scratch.Use(func() error {
+				return tree.txn(func() {
+					in := storage.NewItemFileFrom(tree.scratch, items)
+					tree.inner = bulk.Load(PR, tree.pager, in, bulk.Options{MemoryItems: 65536})
+				}, tree.saveMeta)
+			})
+		})
 	})
 	b.Run("western216k/default", func(b *testing.B) {
-		if io, alloc := benchFileLoad(b, items, nil); io > 2000 || alloc > 2<<20 {
-			b.Fatalf("a default-budget load costs %d block I/Os and %d bytes allocated; budget 2,000 and 2 MB", io, alloc)
+		io, alloc := benchFileLoad(b, items, func(tree *Tree) error { return tree.BulkLoad(PR, items) })
+		if io > 2000 || alloc > 2<<20 {
+			b.Fatalf("a default load costs %d block I/Os and %d bytes allocated; budget 2,000 and 2 MB", io, alloc)
 		}
 	})
 }
 
-// benchFileLoad creates a file-backed index and PR-loads items into it once
-// per iteration, and returns the last load's block I/O and the bytes the
-// loads allocated on average.
-func benchFileLoad(b *testing.B, items []Item, opts *Options) (io, alloc uint64) {
+// benchFileLoad creates a file-backed index and loads items into it with
+// load once per iteration, and returns the last load's block I/O and the
+// bytes the loads allocated on average.
+func benchFileLoad(b *testing.B, items []Item, load func(*Tree) error) (io, alloc uint64) {
 	b.ReportAllocs()
 	var total uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tree, err := Create(filepath.Join(b.TempDir(), fmt.Sprintf("w%d.pr", i)), opts)
+		tree, err := Create(filepath.Join(b.TempDir(), fmt.Sprintf("w%d.pr", i)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		b.StartTimer()
-		if err := tree.BulkLoad(PR, items); err != nil {
+		if err := load(tree); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -339,7 +349,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				disk.ResetStats()
-				parallel.Run(w, len(queries), func(q int) { tree.Query(queries[q], nil) })
+				parallel.Run(w, len(queries), func(q int) { tree.RunWindow(queries[q], false, nil, rtree.RunOptions{}) })
 				lastIO = disk.Stats().Total()
 			}
 			b.StopTimer()
@@ -365,7 +375,7 @@ func BenchmarkWindowQueryPR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := tree.QueryCount(queries[i%len(queries)])
+		st, _ := tree.RunWindow(queries[i%len(queries)], false, nil, rtree.RunOptions{})
 		if st.Results < 0 {
 			b.Fatal("impossible")
 		}

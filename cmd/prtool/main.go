@@ -12,7 +12,10 @@
 // Subcommands:
 //
 //	create  bulk-load -in into the on-disk index file -index (built once,
-//	        queryable across process runs); prints the file's footprint
+//	        queryable across process runs); prints the file's footprint.
+//	        A PR load builds in memory; an H, H4 or TGS load keeps its
+//	        temporaries in <index>.scratch while it runs. Either way only
+//	        the index and its .wal remain afterwards
 //	shard   partition -in into -shards trees (Hilbert-ordered)
 //	        and bulk-load them into the index directory -out, writing a
 //	        manifest prtreeserve serves from; prints each shard file's size
@@ -64,7 +67,6 @@ func main() {
 	in := flag.String("in", "", "input dataset (datagen -format bin)")
 	index := flag.String("index", "", "on-disk index file (create writes it, other subcommands open it)")
 	loaderName := flag.String("loader", "PR", "bulk loader: PR|H|H4|TGS")
-	mem := flag.Int("mem", 0, "bulk-load memory budget in records (0 = no cap: a PR load builds in memory, other loaders use 65536; set it to make a PR load external)")
 	queries := flag.Int("queries", 100, "bench: number of queries")
 	area := flag.Float64("area", 0.01, "bench: query area fraction")
 	seed := flag.Int64("seed", 1, "bench: query seed")
@@ -82,7 +84,6 @@ func main() {
 		fatal(err)
 	}
 	opts := &prtree.Options{
-		MemoryItems:   *mem,
 		CacheCapacity: *cache,
 		// Every load builds the same tree at any setting, so there is no
 		// flag: use the machine.
@@ -101,7 +102,6 @@ func main() {
 		man, err := serve.Build(*out, items, serve.BuildOptions{
 			Shards:      *nshards,
 			Loader:      loader,
-			MemoryItems: *mem,
 			Parallelism: opts.Parallelism,
 		})
 		if err != nil {

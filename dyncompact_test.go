@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
@@ -75,9 +77,10 @@ func dynDigest(t *testing.T, d *Dynamic) uint32 {
 }
 
 // TestDynamicParallelismIdentical: a file-backed dynamic index hands
-// Options.Parallelism to every level build — carries spill to the external
-// pipeline here, M being a few blocks — and ends in the same state at any
-// setting: level occupancy, page counts, block I/O and every answer.
+// Options.Parallelism to every level build, each an in-memory PR build
+// whose kd recursion forks on a large enough level, and ends in the same
+// state at any setting: level occupancy, page counts, block I/O and every
+// answer.
 func TestDynamicParallelismIdentical(t *testing.T) {
 	// Let Parallelism 4 mean four workers on a smaller machine too.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -87,10 +90,10 @@ func TestDynamicParallelismIdentical(t *testing.T) {
 		io           IOStats
 		digest       uint32
 	}
-	items := scratchTestItems(700, 5)
+	items := scratchTestItems(9000, 5)
 	run := func(parallelism int) outcome {
 		path := filepath.Join(t.TempDir(), "par.prd")
-		d, err := CreateDynamic(path, &Options{BlockSize: 512, MemoryItems: 64, Parallelism: parallelism})
+		d, err := CreateDynamic(path, &Options{BlockSize: 512, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,6 +107,11 @@ func TestDynamicParallelismIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+		}
+		// The largest carry must reach the kd recursion's fork, which needs
+		// 4,096 items left beside the root's four priority leaves.
+		if top := slices.Max(d.LevelSizes()); top < 4096+4*rtree.MaxFanout(512) {
+			t.Fatalf("largest level holds %d items: no carry reached the parallel fork", top)
 		}
 		out := outcome{levels: fmt.Sprint(d.LevelSizes()), io: d.IOStats(), digest: dynDigest(t, d)}
 		out.total, out.inUse = d.PageCounts()

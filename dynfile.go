@@ -41,7 +41,6 @@ func CreateDynamic(path string, opts *Options) (*Dynamic, error) {
 	d := new(Dynamic)
 	err := d.openFile(path, opts, true, func(o Options) error {
 		d.inner = logmethod.New(d.pager, o.bulkOptions(), 0)
-		d.inner.SetScratch(d.scratch)
 		return d.Sync()
 	})
 	if err != nil {
@@ -64,7 +63,6 @@ func OpenDynamic(path string, opts *Options) (*Dynamic, error) {
 		if d.inner, err = logmethod.OpenState(d.pager, o.bulkOptions(), d.fb.Meta()); err != nil {
 			return err
 		}
-		d.inner.SetScratch(d.scratch)
 		return d.reapplyNotes()
 	})
 	if err != nil {

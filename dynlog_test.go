@@ -48,7 +48,9 @@ func expectInjectedCrash(t *testing.T, what string, fn func() error) (crashed bo
 // checkpoint's header was durable, so a crash inside Close left a log that
 // still pointed at the old chain heads and an index that did not open.
 // Kill both at every persistence step; the reopen must succeed and hold
-// exactly the last committed state.
+// exactly the last committed state. Here every record fits the header
+// block, so the index has no state page;
+// TestDynamicCloseSyncCrashEveryStepChained covers a chain of them.
 func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
 	dir := t.TempDir()
 	opts := &Options{BlockSize: 512}
@@ -62,10 +64,13 @@ func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
 	for _, it := range items {
 		mustInsert(t, d, it)
 	}
-	// Two that already sit in levels: tombstones. With the half-full buffer
-	// both state chains are non-empty.
+	// Two that already sit in levels: tombstones. The half-full buffer and
+	// the tombstones fit the header block beside the directory.
 	mustDelete(t, d, items[0])
 	mustDelete(t, d, items[d.Base()+1])
+	if n := statePages(d, opts.BlockSize); n != 0 {
+		t.Fatalf("the seed's %d records need %d state pages, want none", stateRecords(d), n)
+	}
 	dynCrashBackend(t, d).Abandon() // dies without Close: the log is the state
 	killCloseAndSync(t, seed, opts, crashItems(r, 1, 7000)[0], 1)
 }

@@ -17,18 +17,18 @@ import (
 // NOTE, STATE and COMMIT records only, never a page image.
 
 // handle is the storage an index stands on, shared by Tree and Dynamic:
-// the store, the pager over it and, for an index file, the file itself and
-// the scratch store its loads put their temporaries on. It opens, commits
-// to and reports on that storage; the index on top says what a commit
-// publishes.
+// the store, the pager over it and, for an index file, the file itself and,
+// for a Tree's, the scratch store its loads put their temporaries on. It
+// opens, commits to and reports on that storage; the index on top says what
+// a commit publishes.
 type handle struct {
 	io    storage.Backend      // the store, or what Options.WrapBackend made of it
 	pager *storage.Pager       // the page cache over io
 	fb    *storage.FileBackend // file-backed: the index file; nil otherwise
-	// scratch holds the temporaries of loads and level builds a file-backed
-	// index does not run in memory (see Tree.BulkLoad), kept for the
-	// handle's lifetime so a carry pays no file create and delete; nil
-	// otherwise.
+	// scratch holds the temporaries of a file-backed Tree's H, H4 and TGS
+	// loads (see Tree.BulkLoad), kept for the handle's lifetime so a
+	// reload pays no file create and delete; nil otherwise. A Dynamic
+	// builds every level in memory and has none.
 	scratch  *storage.Scratch
 	path     string // index file path; "" for non-file backends
 	closed   bool
@@ -74,7 +74,6 @@ func (h *handle) openFile(path string, opts *Options, create bool, build func(Op
 		h.io = o.WrapBackend(h.io)
 	}
 	h.pager = storage.NewPager(h.io, o.CacheCapacity)
-	h.scratch = storage.NewScratch(path, fb.BlockSize())
 	if ri := fb.RecoveryInfo(); ri != nil {
 		info := *ri // a copy: OpenDynamic adds ReappliedNotes to it
 		h.recovery = &info
@@ -188,7 +187,7 @@ func (h *handle) PageCounts() (total, inUse int) {
 }
 
 // IOStats returns cumulative block reads/writes on the index's backend
-// plus, for a file-backed index, its scratch store — so build I/O is the
+// plus, for a file-backed Tree, its scratch store — so build I/O is the
 // same quantity on every backend. The counters are atomic: IOStats is safe
 // to call while queries run.
 func (h *handle) IOStats() IOStats { return h.io.Stats().Add(h.scratch.Stats()) }
@@ -208,8 +207,9 @@ func (h *handle) ResetIOStats() {
 func Create(path string, opts *Options) (*Tree, error) {
 	t := new(Tree)
 	err := t.openFile(path, opts, true, func(o Options) error {
-		t.inner = rtree.New(t.pager, rtree.Config{Fanout: o.Fanout})
+		t.inner = rtree.New(t.pager, rtree.Config{})
 		t.bopts = o.bulkOptions()
+		t.scratch = storage.NewScratch(path, t.fb.BlockSize())
 		return t.Sync()
 	})
 	if err != nil {
@@ -232,6 +232,7 @@ func Open(path string, opts *Options) (*Tree, error) {
 		}
 		t.bopts = o.bulkOptions()
 		t.bopts.Fanout = t.inner.Config().Fanout
+		t.scratch = storage.NewScratch(path, t.fb.BlockSize())
 		return nil
 	})
 	if err != nil {

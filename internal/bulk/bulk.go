@@ -7,10 +7,10 @@
 //
 // The PR loader has a second entry for records already in memory:
 // PRTreeSlice builds every stage with the exact in-memory construction over
-// a permutation of the slice, and writes nothing but tree pages. The
-// facade's loads of a slice take it whenever InMemory says so — under the
-// zero (uncapped) budget always — and the ItemFile path otherwise; within
-// the budget both build the same tree.
+// a permutation of the slice, and writes nothing but tree pages. Every
+// facade PR load of a slice takes it; within the budget it builds the same
+// tree as the ItemFile path, which the other loaders and the paper's
+// experiments, which price the external construction, keep.
 //
 // An ItemFile load touches two stores. Finished tree pages go to the pager's
 // backend, through rtree.Builder and nothing else. Everything temporary —
@@ -34,8 +34,8 @@ type Options struct {
 	// Fanout caps node entries; 0 means the block-size maximum (113 at
 	// 4 KB).
 	Fanout int
-	// MemoryItems is M, the number of records that fit in main memory;
-	// 0 means DefaultMemoryItems to Load, and no cap to InMemory.
+	// MemoryItems is M, the number of records that fit in main memory
+	// (0 means DefaultMemoryItems). PRTreeSlice does not consult it.
 	MemoryItems int
 	// Parallelism bounds the bulk-load pipeline's worker pool (clamped to
 	// GOMAXPROCS; 0 or 1 means serial). Every loader produces the same

@@ -1,6 +1,7 @@
 package bulk
 
 import (
+	"bytes"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -334,7 +335,7 @@ func TestDuplicateRectsAllLoaders(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%v: %v", l, err)
 		}
-		if got := tr.QueryCount(geom.NewRect(0.5, 0.5, 0.5, 0.5)); got.Results != 600 {
+		if got, _ := tr.RunWindow(geom.NewRect(0.5, 0.5, 0.5, 0.5), false, nil, rtree.RunOptions{}); got.Results != 600 {
 			t.Fatalf("%v: found %d of 600 duplicates", l, got.Results)
 		}
 	}
@@ -370,7 +371,7 @@ func TestLoadersSerialParallelEquivalence(t *testing.T) {
 			tr := Load(l, pager, in, Options{Fanout: 16, MemoryItems: 1024, Parallelism: par})
 			r := result{stats: disk.Stats(), len: tr.Len(), height: tr.Height()}
 			for i, q := range queries {
-				st := tr.QueryCount(q)
+				st, _ := tr.RunWindow(q, false, nil, rtree.RunOptions{})
 				r.results[i] = st.Results
 				r.leaves[i] = st.LeavesVisited
 			}
@@ -380,6 +381,42 @@ func TestLoadersSerialParallelEquivalence(t *testing.T) {
 		for _, par := range []int{2, 4} {
 			if got := measure(par); got != serial {
 				t.Errorf("%v: parallelism %d diverges from serial:\n got %+v\nwant %+v", l, par, got, serial)
+			}
+		}
+	}
+}
+
+// TestExternalPRParallelismByteIdentical: an external PR load (input well
+// above M, recursion leaves above the in-memory fork threshold) whose
+// temporaries live on a store of their own, as a file-backed index's do on
+// its scratch file, writes the same tree pages, byte for byte and in the
+// same order, for the same block I/O at every Parallelism.
+func TestExternalPRParallelismByteIdentical(t *testing.T) {
+	// Let Parallelism 8 mean eight workers on a smaller machine too.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	items := randItems(40000, 11)
+	var want *storage.Disk
+	var wantMeta []byte
+	var wantIO storage.Stats
+	for _, p := range []int{1, 2, 8} {
+		disk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
+		in := storage.NewItemFileFrom(tmp, items)
+		tmp.ResetStats()
+		tr := PRTree(storage.NewPager(disk, -1), in, Options{MemoryItems: 12000, Parallelism: p})
+		io, meta := disk.Stats().Add(tmp.Stats()), tr.EncodeMeta()
+		if p == 1 {
+			want, wantMeta, wantIO = disk, meta, io
+			continue
+		}
+		if io != wantIO {
+			t.Errorf("Parallelism=%d: block I/O %v, serial load %v", p, io, wantIO)
+		}
+		if !bytes.Equal(meta, wantMeta) || disk.NumPages() != want.NumPages() {
+			t.Fatalf("Parallelism=%d: %d pages and metadata %x, serial load %d and %x", p, disk.NumPages(), meta, want.NumPages(), wantMeta)
+		}
+		for id := storage.PageID(0); int(id) < disk.NumPages(); id++ {
+			if !bytes.Equal(disk.PeekNoCopy(id), want.PeekNoCopy(id)) {
+				t.Fatalf("Parallelism=%d: page %d differs from the serial load's", p, id)
 			}
 		}
 	}

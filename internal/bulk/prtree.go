@@ -68,7 +68,7 @@ func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree
 // gathered and encoded on opt.Parallelism workers (Builder.WriteLeaves),
 // which adds a batch of page buffers. When len(items) <= MemoryItems PRTree
 // builds the same stages in memory too, so the two write the same pages in
-// the same order (InMemory says when a facade load takes this path).
+// the same order. Every facade PR load of a slice takes this path.
 func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
 	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
@@ -97,14 +97,6 @@ func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tr
 		}
 		cur = next
 	}
-}
-
-// InMemory reports whether a facade load of n records held in a slice
-// builds with PRTreeSlice: a PR load whose budget is 0 (no cap) or covers
-// the input. Every other load goes through an ItemFile and Load, where a
-// zero budget means DefaultMemoryItems.
-func InMemory(l Loader, n int, opt Options) bool {
-	return l == LoaderPR && (opt.MemoryItems <= 0 || opt.MemoryItems >= n)
 }
 
 // writeGroup writes one leaf group of a stage as a page and returns its

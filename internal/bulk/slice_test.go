@@ -49,10 +49,6 @@ func TestPRTreeSliceMatchesItemFileLoad(t *testing.T) {
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("raw/Parallelism=%d/%s", par, c.name), func(t *testing.T) {
 				opt := Options{Fanout: c.fanout, Parallelism: par, MemoryItems: DefaultMemoryItems}
-				if !InMemory(LoaderPR, len(c.items), opt) || !InMemory(LoaderPR, len(c.items), Options{}) {
-					t.Fatal("InMemory refuses a PR load within its budget")
-				}
-
 				fileDisk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
 				fromFile := PRTree(storage.NewPager(fileDisk, -1), storage.NewItemFileFrom(tmp, c.items), opt)
 				if tmp.PagesInUse() != 0 {
@@ -85,26 +81,6 @@ func TestPRTreeSliceMatchesItemFileLoad(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestInMemoryBudget: the slice path is the PR loader's, under the zero
-// budget or one that covers the input; everything else loads from a file.
-func TestInMemoryBudget(t *testing.T) {
-	for _, c := range []struct {
-		l    Loader
-		n, m int
-		want bool
-	}{
-		{LoaderPR, 1 << 20, 0, true},
-		{LoaderPR, 5000, 5000, true},
-		{LoaderPR, 5001, 5000, false},
-		{LoaderHilbert, 10, 0, false},
-		{LoaderTGS, 10, 1000, false},
-	} {
-		if got := InMemory(c.l, c.n, Options{MemoryItems: c.m}); got != c.want {
-			t.Errorf("InMemory(%v, n=%d, M=%d) = %v, want %v", c.l, c.n, c.m, got, c.want)
 		}
 	}
 }

@@ -176,7 +176,7 @@ func AblationCache(cfg Config) Table {
 		disk.ResetStats()
 		leaves := 0
 		for _, q := range queries {
-			st := tr.QueryCount(q)
+			st, _ := tr.RunWindow(q, false, nil, rtree.RunOptions{})
 			leaves += st.LeavesVisited
 		}
 		t.Rows = append(t.Rows, []string{

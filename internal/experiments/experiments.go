@@ -158,7 +158,7 @@ func measureQueries(tree *rtree.Tree, queries []geom.Rect) queryCost {
 	fanout := tree.Config().Fanout
 	var totalLeaves, totalResults int
 	for _, q := range queries {
-		st := tree.QueryCount(q)
+		st, _ := tree.RunWindow(q, false, nil, rtree.RunOptions{})
 		totalLeaves += st.LeavesVisited
 		totalResults += st.Results
 	}

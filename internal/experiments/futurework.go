@@ -97,7 +97,7 @@ func futureWork(cfg Config) []churnRound {
 		for _, q := range queries {
 			r.Guttman.add(guttman.Count(q))
 			r.RStar.add(rstar.Count(q))
-			st := rebuilt.QueryCount(q)
+			st, _ := rebuilt.RunWindow(q, false, nil, rtree.RunOptions{})
 			r.Rebuilt.add(st.LeavesVisited, st.Results)
 			lst, _ := logm.RunWindow(q, false, nil, rtree.RunOptions{})
 			r.LogMethod.add(lst.LeavesVisited, lst.Results)

@@ -114,11 +114,10 @@ func (t *Tree) bufferCap(s *state) int {
 // mutations in backend transactions (see prtree.Dynamic) must serialize
 // those brackets themselves — backend transactions do not nest.
 type Tree struct {
-	pager   *storage.Pager
-	opt     bulk.Options
-	base    int
-	snap    storage.Backend  // the pager's backend, whose snapshot hooks readers bracket with
-	scratch *storage.Scratch // where builds put their temporaries; nil = the pager's backend
+	pager *storage.Pager
+	opt   bulk.Options
+	base  int
+	snap  storage.Backend // the pager's backend, whose snapshot hooks readers bracket with
 
 	st atomic.Pointer[state]
 
@@ -145,30 +144,18 @@ func New(pager *storage.Pager, opt bulk.Options, base int) *Tree {
 	return t
 }
 
-// SetScratch makes every later level build that has temporaries (see
-// build) put them on s instead of the pager's backend, which then receives
-// finished tree pages only. Call it before the first mutation.
-func (t *Tree) SetScratch(s *storage.Scratch) { t.scratch = s }
-
-// build bulk-loads one static level over items, which it only reads. A
-// level within the memory budget (always, under the zero budget) builds in
-// memory and touches no store but the pager's; a larger one puts its input
-// file and temporaries on the scratch store.
+// build bulk-loads one static level over items, which it only reads. It
+// touches no store but the pager's. A level builds in memory unless the
+// options set an explicit budget it exceeds (the experiments' M, which
+// prices the external construction; a Dynamic never sets one): then it
+// takes the external construction, input and temporaries on the pager's
+// backend.
 func (t *Tree) build(items []geom.Item) *level {
 	built := &level{mbr: geom.ItemsMBR(items)}
-	if bulk.InMemory(bulk.LoaderPR, len(items), t.opt) {
+	if m := t.opt.MemoryItems; m > 0 && len(items) > m {
+		built.Tree = bulk.FromItems(bulk.LoaderPR, t.pager, items, t.opt)
+	} else {
 		built.Tree = bulk.PRTreeSlice(t.pager, items, t.opt)
-		return built
-	}
-	err := t.scratch.Use(func() error {
-		in := storage.NewItemFileFrom(t.scratch.Or(t.pager.Backend()), items)
-		built.Tree = bulk.Load(bulk.LoaderPR, t.pager, in, t.opt)
-		return nil
-	})
-	if err != nil {
-		// Only the scratch file's creation can fail here; like every other
-		// backend I/O failure inside a mutation it surfaces as a panic.
-		panic(err)
 	}
 	return built
 }
@@ -387,13 +374,13 @@ func (t *Tree) containsStored(s *state, it geom.Item) bool {
 			continue
 		}
 		found := false
-		l.Query(it.Rect, func(got geom.Item) bool {
+		l.RunWindow(it.Rect, false, func(got geom.Item) bool {
 			if got.ID == it.ID && got.Rect == it.Rect {
 				found = true
 				return false
 			}
 			return true
-		})
+		}, rtree.RunOptions{})
 		if found {
 			return true
 		}

@@ -62,7 +62,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 			wantItems := make([][]geom.Item, len(queries))
 			wantStats := make([]QueryStats, len(queries))
 			for i, q := range queries {
-				wantStats[i] = tr.Query(q, func(it geom.Item) bool {
+				wantStats[i] = window(tr, q, func(it geom.Item) bool {
 					wantItems[i] = append(wantItems[i], it)
 					return true
 				})
@@ -75,7 +75,7 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 				gotItems := make([][]geom.Item, len(queries))
 				gotStats := make([]QueryStats, len(queries))
 				parallel.Run(workers, len(queries), func(i int) {
-					gotStats[i] = tr.Query(queries[i], func(it geom.Item) bool {
+					gotStats[i] = window(tr, queries[i], func(it geom.Item) bool {
 						gotItems[i] = append(gotItems[i], it)
 						return true
 					})
@@ -117,7 +117,7 @@ func TestConcurrentQueryStress(t *testing.T) {
 	wantCollect := make([][]geom.Item, len(queries))
 	wantContain := make([]int, len(queries))
 	for i, q := range queries {
-		wantCollect[i] = tr.QueryCollect(q)
+		wantCollect[i] = windowItems(tr, q)
 		st, _ := tr.RunWindow(q, true, nil, RunOptions{})
 		wantContain[i] = st.Results
 	}
@@ -151,8 +151,8 @@ func TestConcurrentQueryStress(t *testing.T) {
 				qi := (w + rep) % len(queries)
 				switch rep % 4 {
 				case 0:
-					if got := tr.QueryCollect(queries[qi]); !reflect.DeepEqual(got, wantCollect[qi]) {
-						t.Errorf("worker %d: QueryCollect(%d) diverged", w, qi)
+					if got := windowItems(tr, queries[qi]); !reflect.DeepEqual(got, wantCollect[qi]) {
+						t.Errorf("worker %d: windowItems(%d) diverged", w, qi)
 						return
 					}
 				case 1:

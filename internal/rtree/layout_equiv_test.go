@@ -136,9 +136,9 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 						queries[i] = geom.NewRect(x, y, x+0.1, y+0.1)
 					}
 					res := make([][]geom.Item, len(queries))
-					parallel.Run(4, len(queries), func(i int) { res[i] = tr.QueryCollect(queries[i]) })
+					parallel.Run(4, len(queries), func(i int) { res[i] = windowItems(tr, queries[i]) })
 					for i, q := range queries {
-						if !slices.Equal(res[i], tr.QueryCollect(q)) {
+						if !slices.Equal(res[i], windowItems(tr, q)) {
 							t.Fatalf("concurrent query %d differs from the sequential one", i)
 						}
 					}

@@ -63,8 +63,8 @@ func TestPersistReopenProperty(t *testing.T) {
 					q := geom.NewRect(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3)
 					// Same tree shape on both sides, so even the
 					// result ORDER must match exactly.
-					a := orig.QueryCollect(q)
-					b := reopened.QueryCollect(q)
+					a := windowItems(orig, q)
+					b := windowItems(reopened, q)
 					if len(a) != len(b) {
 						t.Fatalf("query %v: %d vs %d results", q, len(a), len(b))
 					}

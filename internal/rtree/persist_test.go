@@ -72,7 +72,7 @@ func TestOpenIgnoresRetiredConfigWords(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		x, y := rng.Float64(), rng.Float64()
 		q := geom.NewRect(x, y, x+0.2, y+0.2)
-		if a, b := got.QueryCollect(q), tr.QueryCollect(q); !slices.Equal(a, b) {
+		if a, b := windowItems(got, q), windowItems(tr, q); !slices.Equal(a, b) {
 			t.Fatalf("query %v: %d results, want %d (or another order)", q, len(a), len(b))
 		}
 	}
@@ -95,7 +95,7 @@ func TestSaveLoadEmptyTree(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if st := got.Query(geom.NewRect(0, 0, 1, 1), nil); st != (QueryStats{}) {
+	if st := window(got, geom.NewRect(0, 0, 1, 1), nil); st != (QueryStats{}) {
 		t.Errorf("a query of an empty tree did %+v", st)
 	}
 }

@@ -136,34 +136,6 @@ type QueryStats struct {
 	Results         int
 }
 
-// Query reports every stored item intersecting q to fn, in unspecified
-// order. fn returning false stops the query early. The returned stats count
-// node visits regardless of cache state; block-level I/O is tracked by the
-// backend underneath the pager. fn must not mutate the tree: the traversal
-// reads node entries in place from the page cache.
-//
-// Query is the no-options form of RunWindow; see query.go for the
-// traversal-order and accounting guarantees.
-func (t *Tree) Query(q geom.Rect, fn func(geom.Item) bool) QueryStats {
-	st, _ := t.RunWindow(q, false, fn, RunOptions{})
-	return st
-}
-
-// QueryCollect returns all items intersecting q.
-func (t *Tree) QueryCollect(q geom.Rect) []geom.Item {
-	var out []geom.Item
-	t.Query(q, func(it geom.Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
-}
-
-// QueryCount returns only the query statistics, discarding results.
-func (t *Tree) QueryCount(q geom.Rect) QueryStats {
-	return t.Query(q, nil)
-}
-
 // Walk visits every node top-down, calling fn with the node's page, level
 // (0 = leaf level) and entries. Internal entries carry child page ids in
 // Item.ID. Walk is intended for inspection, validation and pinning.

@@ -101,7 +101,7 @@ func TestEmptyTree(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Errorf("empty tree invalid: %v", err)
 	}
-	st := tr.QueryCount(geom.NewRect(0, 0, 1, 1))
+	st := window(tr, geom.NewRect(0, 0, 1, 1), nil)
 	if st.Results != 0 || st.NodesVisited != 0 {
 		t.Errorf("empty query stats: %+v", st)
 	}
@@ -134,7 +134,7 @@ func TestQueryEarlyStop(t *testing.T) {
 	items := randItems(500, 3)
 	tr := buildPacked(t, items, 8)
 	count := 0
-	tr.Query(geom.NewRect(0, 0, 1, 1), func(geom.Item) bool {
+	window(tr, geom.NewRect(0, 0, 1, 1), func(geom.Item) bool {
 		count++
 		return count < 10
 	})
@@ -146,7 +146,7 @@ func TestQueryEarlyStop(t *testing.T) {
 func TestQueryStatsLeafAccounting(t *testing.T) {
 	items := randItems(1000, 4)
 	tr := buildPacked(t, items, 10)
-	st := tr.QueryCount(geom.NewRect(0, 0, 1.1, 1.1))
+	st := window(tr, geom.NewRect(0, 0, 1.1, 1.1), nil)
 	if st.Results != 1000 {
 		t.Errorf("full query results = %d", st.Results)
 	}
@@ -221,7 +221,7 @@ func TestPinInternalMakesQueriesLeafOnly(t *testing.T) {
 		t.Fatal("expected internal nodes to pin")
 	}
 	disk.ResetStats()
-	st := tr.QueryCount(geom.NewRect(0.2, 0.2, 0.4, 0.4))
+	st := window(tr, geom.NewRect(0.2, 0.2, 0.4, 0.4), nil)
 	reads := disk.Stats().Reads
 	if int(reads) != st.LeavesVisited {
 		t.Errorf("disk reads %d != leaves visited %d with pinned internals", reads, st.LeavesVisited)
@@ -320,7 +320,7 @@ func TestFinishEmpty(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if st := tr.QueryCount(geom.NewRect(0, 0, 1, 1)); st != (QueryStats{}) {
+	if st := window(tr, geom.NewRect(0, 0, 1, 1), nil); st != (QueryStats{}) {
 		t.Errorf("a query of an empty tree did %+v", st)
 	}
 	if got, _, _ := tr.RunNearest(0, 0, 3, RunOptions{}); got != nil {
@@ -339,7 +339,7 @@ func TestQueryIOEqualsNodesWithoutCache(t *testing.T) {
 	}
 	tr := b.FinishPacked(leaves)
 	disk.ResetStats()
-	st := tr.QueryCount(geom.NewRect(0.1, 0.1, 0.3, 0.3))
+	st := window(tr, geom.NewRect(0.1, 0.1, 0.3, 0.3), nil)
 	if got := disk.Stats().Reads; int(got) != st.NodesVisited {
 		t.Errorf("uncached reads %d != nodes visited %d", got, st.NodesVisited)
 	}
@@ -385,4 +385,21 @@ func TestTreeMBRCoversAll(t *testing.T) {
 			t.Fatalf("tree MBR %v misses %v", m, it.Rect)
 		}
 	}
+}
+
+// window runs a plain window query and returns its stats.
+func window(tr *Tree, q geom.Rect, fn func(geom.Item) bool) QueryStats {
+	st, _ := tr.RunWindow(q, false, fn, RunOptions{})
+	return st
+}
+
+// windowItems returns every item a plain window query reports, in
+// traversal order.
+func windowItems(tr *Tree, q geom.Rect) []geom.Item {
+	var out []geom.Item
+	window(tr, q, func(it geom.Item) bool {
+		out = append(out, it)
+		return true
+	})
+	return out
 }

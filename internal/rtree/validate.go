@@ -101,14 +101,14 @@ func CheckQueryAgainstBruteForce(t *Tree, universe []geom.Item, q geom.Rect) err
 		}
 	}
 	got := make(map[uint32]geom.Rect)
-	t.Query(q, func(it geom.Item) bool {
+	t.RunWindow(q, false, func(it geom.Item) bool {
 		if _, dup := got[it.ID]; dup {
 			// Duplicate report: flag via sentinel entry.
 			got[^uint32(0)] = it.Rect
 		}
 		got[it.ID] = it.Rect
 		return true
-	})
+	}, RunOptions{})
 	if len(got) != len(want) {
 		return fmt.Errorf("query %v: got %d results, want %d", q, len(got), len(want))
 	}

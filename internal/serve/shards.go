@@ -56,9 +56,8 @@ type BuildOptions struct {
 	// Loader bulk-loads each shard. The zero value is prtree.Hilbert
 	// (the Loader enum's first member); prtool shard defaults to PR.
 	Loader prtree.Loader
-	// BlockSize and MemoryItems pass through to prtree.Options.
-	BlockSize   int
-	MemoryItems int
+	// BlockSize passes through to prtree.Options.
+	BlockSize int
 	// Parallelism is the build's worker budget (clamped to GOMAXPROCS; 0
 	// or 1 means serial). Shards come first: up to Parallelism of them
 	// load at once, and each shard's bulk-load pipeline gets an equal
@@ -101,11 +100,7 @@ func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 	// over is divided among their pipelines instead of multiplying it.
 	budget := parallel.Bound(opt.Parallelism)
 	workers := min(budget, len(parts))
-	topts := &prtree.Options{
-		BlockSize:   opt.BlockSize,
-		MemoryItems: opt.MemoryItems,
-		Parallelism: budget / workers,
-	}
+	topts := &prtree.Options{BlockSize: opt.BlockSize, Parallelism: budget / workers}
 	man.Shards = make([]ShardInfo, len(parts))
 	for i, part := range parts {
 		man.Shards[i] = ShardInfo{File: fmt.Sprintf("shard-%03d.pr", i), Items: len(part)}

@@ -22,12 +22,12 @@ import (
 // reusable immediately, so the file stays about as large as the biggest set
 // of temporaries alive at once. The file is created by the first Use and
 // removed — closed first, so the order also holds where an open file cannot
-// be unlinked — by Close, or as soon as a load that failed has left.
+// be unlinked — by Close, or as soon as a load that failed leaves Use.
 //
 // A Scratch counts its block reads and writes like every Backend, so a
-// handle reports build I/O as index I/O plus scratch I/O. It is
-// safe for concurrent use under the Backend contract (several loads, and the
-// sort workers of each, may run at once). All methods except the Backend
+// handle reports build I/O as index I/O plus scratch I/O. Its page
+// operations are safe for concurrent use under the Backend contract (the
+// sort workers of one load run at once). All methods except the Backend
 // page operations accept a nil receiver, which stands for "no scratch store:
 // temporaries share the tree's backend" — the in-memory handles.
 type Scratch struct {
@@ -37,12 +37,10 @@ type Scratch struct {
 	reads  atomic.Uint64
 	writes atomic.Uint64
 
-	mu     sync.RWMutex
-	f      *os.File // nil outside Use, and again once the file is removed
-	valid  []int32  // bytes written to each page since its last Alloc
-	free   []PageID
-	users  int  // loads inside Use
-	failed bool // a load failed; remove the file when the last user leaves
+	mu    sync.RWMutex
+	f     *os.File // nil before the first Use, and again once the file is removed
+	valid []int32  // bytes written to each page since its last Alloc
+	free  []PageID
 }
 
 // ScratchPath returns the scratch file path of the index file at indexPath.
@@ -73,50 +71,46 @@ func (s *Scratch) Or(b Backend) Backend {
 
 // Use brackets one bulk load: fn may allocate pages on the store, and must
 // have freed them when it returns. A load that returns an error or panics
-// may have leaked pages, so the file is removed once no other load is still
-// inside Use; successful loads keep it for the next one. The error is fn's,
-// or the failure to create the file. On the nil store Use just runs fn.
+// may have leaked pages, so the file is removed as it leaves; a successful
+// load keeps it for the next one. Loads on one store do not overlap (the
+// sort workers inside one may). The error is fn's, or the failure to create
+// the file. On the nil store Use just runs fn.
 func (s *Scratch) Use(fn func() error) (err error) {
 	if s == nil {
 		return fn()
 	}
-	if err := s.enter(); err != nil {
+	if err := s.open(); err != nil {
 		return err
 	}
 	failed := true // until fn returns: a panic leaves it set
-	defer func() { s.leave(failed) }()
+	defer func() {
+		if failed {
+			s.Close() // best effort: the next open deletes what remains
+		}
+	}()
 	err = fn()
 	failed = err != nil
 	return err
 }
 
-func (s *Scratch) enter() error {
+// open creates the file unless a successful load left it in place.
+func (s *Scratch) open() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		f, err := os.OpenFile(s.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("storage: creating scratch file: %w", err)
-		}
-		s.f = f
+	if s.f != nil {
+		return nil
 	}
-	s.users++
+	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("storage: creating scratch file: %w", err)
+	}
+	s.f = f
 	return nil
-}
-
-func (s *Scratch) leave(failed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.users--
-	s.failed = s.failed || failed
-	if s.users == 0 && s.failed {
-		s.removeLocked() // best effort: the next open deletes what remains
-	}
 }
 
 // removeLocked closes and deletes the file and forgets every page.
 func (s *Scratch) removeLocked() error {
-	s.valid, s.free, s.failed = nil, nil, false
+	s.valid, s.free = nil, nil
 	if s.f == nil {
 		return nil
 	}

@@ -71,8 +71,8 @@ func TestScratchLifecycle(t *testing.T) {
 }
 
 // TestScratchFailedLoadRemovesFile: a load that errors or panics takes the
-// file (and the pages it leaked) with it — but only once no other load is
-// still using the store.
+// file (and the pages it leaked) with it, and the store is still good for
+// the next load.
 func TestScratchFailedLoadRemovesFile(t *testing.T) {
 	index := tempIndex(t)
 	s := NewScratch(index, 256)
@@ -83,34 +83,18 @@ func TestScratchFailedLoadRemovesFile(t *testing.T) {
 	if scratchExists(t, index) || s.NumPages() != 0 {
 		t.Fatalf("failed load left the file (or %d pages) behind", s.NumPages())
 	}
-
-	// A panicking load inside a healthy one: the healthy load keeps its
-	// pages readable, and the file goes when it leaves.
-	err := s.Use(func() error {
-		mine := s.Alloc()
-		s.Write(mine, []byte("still here"))
-		func() {
-			defer func() { recover() }()
-			s.Use(func() error { s.Alloc(); panic("load died") })
-		}()
-		if !scratchExists(t, index) {
-			t.Error("a dying load removed the file under a running one")
-		}
-		if got := s.ReadNoCopy(mine); !bytes.HasPrefix(got, []byte("still here")) {
-			t.Error("running load lost its page")
-		}
-		s.Free(mine)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	func() {
+		defer func() { recover() }()
+		s.Use(func() error { s.Alloc(); panic("load died") })
+	}()
+	if scratchExists(t, index) || s.NumPages() != 0 {
+		t.Fatalf("panicking load left the file (or %d pages) behind", s.NumPages())
 	}
-	if scratchExists(t, index) {
-		t.Error("file outlived the last user of a store with a failed load")
-	}
-	// The store is still good for the next load.
 	if err := s.Use(func() error { s.Free(s.Alloc()); return nil }); err != nil {
 		t.Fatal(err)
+	}
+	if !scratchExists(t, index) {
+		t.Error("a successful load after a failed one has no file")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -163,17 +147,17 @@ func TestRemoveScratch(t *testing.T) {
 }
 
 // TestScratchConcurrentItemFiles drives the store the way a parallel bulk
-// load does: many goroutines writing,
-// reading and freeing their own item files at once.
+// load does: inside one Use, many goroutines writing, reading and freeing
+// their own item files at once.
 func TestScratchConcurrentItemFiles(t *testing.T) {
 	s := NewScratch(tempIndex(t), 512)
 	const workers, rounds, n = 8, 20, 300
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			err := s.Use(func() error {
+	err := s.Use(func() error {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
 				for r := 0; r < rounds; r++ {
 					items := make([]geom.Item, n)
 					for i := range items {
@@ -186,18 +170,18 @@ func TestScratchConcurrentItemFiles(t *testing.T) {
 					for i := range items {
 						if got[i] != items[i] {
 							t.Errorf("worker %d round %d: record %d read back as %v", w, r, i, got[i])
-							return nil
+							return
 						}
 					}
 				}
-				return nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	if s.PagesInUse() != 0 {
 		t.Errorf("%d pages still in use", s.PagesInUse())
 	}

@@ -100,37 +100,32 @@ const (
 // Options tunes a tree. The zero value (or nil) reproduces the paper's
 // setup: 4 KB blocks, 36-byte entries, fanout 113, in-memory storage.
 //
-// Three things are not among them. Every node is the paper's page of
-// 36-byte entries. A bounded page cache evicts the least recently used
-// page. And how a file-backed tree reads its pages is fixed by the
-// platform: on Linux the index file maps itself and the page cache holds
-// views of the mapping, so a cache miss is a counted block read that
-// copies and allocates nothing; elsewhere a miss is a checksummed pread
-// into a fresh buffer. Results, CacheStats and IOStats are the same on
-// both.
+// Four things are not among them. Every node is the paper's page of
+// 36-byte entries, as many as the block holds, so the fanout follows from
+// BlockSize. A PR load of a slice — Bulk, BulkWith, BulkLoad and a
+// Dynamic's level builds — builds in memory over a permutation of it,
+// with no temporaries, since the slice is resident already; the other
+// loaders run their external passes at a fixed memory budget of 2^16
+// records. A bounded page cache evicts the least recently used page. And
+// how a file-backed tree reads its pages is fixed by the platform: on
+// Linux the index file maps itself and the page cache holds views of the
+// mapping, so a cache miss is a counted block read that copies and
+// allocates nothing; elsewhere a miss is a checksummed pread into a fresh
+// buffer. Results, CacheStats and IOStats are the same on both.
 type Options struct {
 	// BlockSize is the storage block size in bytes (default 4096). Open
 	// treats a non-zero value as a requirement the index file must match.
 	BlockSize int
-	// Fanout caps entries per node (default: the block-size maximum, 113
-	// at 4 KB).
-	Fanout int
-	// MemoryItems is the bulk-loading memory budget M in records. 0 (the
-	// default) means no cap: a PR load of a slice — Bulk, BulkWith,
-	// BulkLoad and a Dynamic's level builds — builds in memory over a
-	// permutation of it, with no temporaries; so does one within an explicit
-	// budget. A PR load above an explicit budget runs the paper's external
-	// construction, and the other loaders keep 2^16 for 0.
-	MemoryItems int
 	// CacheCapacity bounds the page cache in pages; 0 or negative means
 	// unbounded (the default).
 	CacheCapacity int
 	// Parallelism is the worker budget of every bulk load (clamped to
 	// GOMAXPROCS; 0 or 1 means serial): Bulk, BulkWith and BulkLoad, and
 	// on a Dynamic the carries and rebuilds. It spreads the external sorts
-	// and, for the PR loader, the kd recursion of the in-memory
-	// construction. The built tree — for PR, byte for byte on a file-backed
-	// index — and the backend's I/O counts are identical at every setting.
+	// of the H, H4 and TGS loaders and, for the PR loader, the kd recursion
+	// of the in-memory construction. The built tree — for PR, byte for byte
+	// on a file-backed index — and the backend's I/O counts are identical
+	// at every setting.
 	Parallelism int
 	// WrapBackend, when set, decorates the raw block store of a
 	// file-backed tree (Create/Open) before the pager is assembled on top.
@@ -164,11 +159,7 @@ func (o *Options) normalized() Options {
 
 // bulkOptions translates the public knobs for the internal loaders.
 func (o Options) bulkOptions() bulk.Options {
-	return bulk.Options{
-		Fanout:      o.Fanout,
-		MemoryItems: o.MemoryItems,
-		Parallelism: o.Parallelism,
-	}
+	return bulk.Options{Parallelism: o.Parallelism}
 }
 
 // Tree is a static R-tree on a storage backend: the in-memory simulator
@@ -182,28 +173,39 @@ type Tree struct {
 	bopts bulk.Options
 }
 
-// Bulk builds a PR-tree over items. opts may be nil for defaults.
+// Bulk builds a PR-tree over items. opts may be nil for defaults. Every
+// item's rectangle must be valid (see BulkLoad); Bulk does not check.
 func Bulk(items []Item, opts *Options) *Tree {
 	return BulkWith(PR, items, opts)
 }
 
 // BulkWith builds a tree with the chosen loader on a fresh in-memory
-// simulator. opts may be nil.
+// simulator. opts may be nil. Every item's rectangle must be valid (see
+// BulkLoad); BulkWith does not check, and an invalid one is stored but no
+// query finds it.
 func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 	o := opts.normalized()
 	t := &Tree{handle: memHandle(o), bopts: o.bulkOptions()}
-	if bulk.InMemory(l, len(items), t.bopts) {
-		t.inner = bulk.PRTreeSlice(t.pager, items, t.bopts)
-	} else {
-		t.inner = bulk.FromItems(l, t.pager, items, t.bopts)
-	}
+	t.inner = t.load(l, t.io, items)
 	return t
+}
+
+// load builds a tree over items with loader l on t's pager. A PR load
+// builds in memory; any other writes items to an input file on tmp, the
+// store its temporaries share, and runs the loader's external passes.
+func (t *Tree) load(l Loader, tmp storage.Backend, items []Item) *rtree.Tree {
+	if l == PR {
+		return bulk.PRTreeSlice(t.pager, items, t.bopts)
+	}
+	return bulk.Load(l, t.pager, storage.NewItemFileFrom(tmp, items), t.bopts)
 }
 
 // BulkLoad (re)builds the tree's contents in place from items using loader
 // l: existing pages are released back to the backend and the new tree is
 // built on the same storage, so a file-backed index is rebuilt within its
-// file. The tree must not be queried concurrently.
+// file. The tree must not be queried concurrently. An item whose rectangle
+// is not valid — a NaN coordinate, or a minimum above its maximum — fails
+// the load with an error before anything is written.
 //
 // On a durable backend the rebuild is one transaction: a crash mid-load
 // recovers to the previous tree, and only Commit's success publishes the
@@ -216,32 +218,33 @@ func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 //
 // Scratch space: a file-backed tree writes only finished tree pages to its
 // index file, so a load into a freshly created index leaves an index file
-// of exactly Nodes() pages. A PR load under the default MemoryItems (or
-// within an explicit one) has no temporaries at all: it builds in memory
-// over a permutation of items and creates no scratch file. Any other load
-// puts its input file, sort runs and every other temporary on a private
-// scratch file beside the index (path + ".scratch"), which needs transient
-// disk space of three (Hilbert) to eight (PR) times the input, is
-// never journaled or fsynced, and is deleted when the tree closes or the
-// load fails. IOStats counts the scratch I/O too.
+// of exactly Nodes() pages. A PR load has no temporaries at all: it builds
+// in memory over a permutation of items and creates no scratch file. An H,
+// H4 or TGS load puts its input file, sort runs and every other temporary
+// on a private scratch file beside the index (path + ".scratch"), which
+// needs transient disk space of about three times the input, is never
+// journaled or fsynced, and is deleted when the tree closes or the load
+// fails. IOStats counts the scratch I/O too.
 func (t *Tree) BulkLoad(l Loader, items []Item) error {
 	if t.closed {
 		return fmt.Errorf("prtree: BulkLoad on closed tree")
 	}
-	var err error
-	if bulk.InMemory(l, len(items), t.bopts) {
-		err = t.txn(func() {
+	for i, it := range items {
+		if !it.Rect.Valid() {
+			return fmt.Errorf("prtree: bulk load: item %d (id %d) has invalid rectangle %v", i, it.ID, it.Rect)
+		}
+	}
+	build := func() error {
+		return t.txn(func() {
 			t.inner.Release()
-			t.inner = bulk.PRTreeSlice(t.pager, items, t.bopts)
+			t.inner = t.load(l, t.scratch.Or(t.io), items)
 		}, t.saveMeta)
+	}
+	var err error
+	if l == PR {
+		err = build()
 	} else {
-		err = t.scratch.Use(func() error {
-			return t.txn(func() {
-				t.inner.Release()
-				in := storage.NewItemFileFrom(t.scratch.Or(t.io), items)
-				t.inner = bulk.Load(l, t.pager, in, t.bopts)
-			}, t.saveMeta)
-		})
+		err = t.scratch.Use(build)
 	}
 	if err != nil {
 		return fmt.Errorf("prtree: bulk load: %w", err)
@@ -398,7 +401,13 @@ func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 // is written. The state is saved by the insert that fills the buffer and
 // carries, together with the new level. After a crash
 // OpenDynamic re-applies the logged inserts to the last saved state.
+//
+// An item whose rectangle is not valid (see BulkLoad) is refused with an
+// error and nothing is logged.
 func (d *Dynamic) InsertE(it Item) error {
+	if !it.Rect.Valid() {
+		return fmt.Errorf("prtree: dynamic insert: item %d has invalid rectangle %v", it.ID, it.Rect)
+	}
 	if err := d.mutate(&logmethod.Mutation{Item: it}, func() { d.inner.Insert(it) }); err != nil {
 		return fmt.Errorf("prtree: dynamic insert: %w", err)
 	}

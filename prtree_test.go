@@ -2,6 +2,7 @@ package prtree
 
 import (
 	"iter"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -107,7 +108,7 @@ func TestBulkAndSearch(t *testing.T) {
 func TestAllPublicLoaders(t *testing.T) {
 	items := randItems(1000, 3)
 	for _, l := range []Loader{PR, Hilbert, Hilbert4D, TGS} {
-		tree := BulkWith(l, items, &Options{Fanout: 16, MemoryItems: 4096})
+		tree := BulkWith(l, items, &Options{BlockSize: 580})
 		if tree.Len() != 1000 {
 			t.Fatalf("%v: len = %d", l, tree.Len())
 		}
@@ -117,8 +118,66 @@ func TestAllPublicLoaders(t *testing.T) {
 	}
 }
 
+// TestInvalidRectRejected: BulkLoad and InsertE refuse an item whose
+// rectangle has a NaN coordinate or an inverted extent, and leave the index
+// as it was. Stored, such an item would count in Len while no query could
+// find it and no DeleteE remove it.
+func TestInvalidRectRejected(t *testing.T) {
+	items := randItems(2000, 12)
+	for _, bad := range []Rect{
+		{MinX: math.NaN(), MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
+		{MinX: 0.3, MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
+	} {
+		withBad := slices.Clone(items)
+		withBad[1000].Rect = bad
+		dir := t.TempDir()
+		tree, err := Create(filepath.Join(dir, "bad.pr"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.BulkLoad(PR, items[:1000]); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []Loader{PR, Hilbert} {
+			if err := tree.BulkLoad(l, withBad); err == nil {
+				t.Errorf("%v: BulkLoad accepted an item with rectangle %v", l, bad)
+			}
+		}
+		if n, _ := tree.Count(Window(NewRect(0, 0, 2, 2))); tree.Len() != 1000 || n != 1000 {
+			t.Errorf("after the refused loads: Len %d, full window %d; want the first load's 1000", tree.Len(), n)
+		}
+		if err := tree.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		path := filepath.Join(dir, "bad.prd")
+		d, err := CreateDynamic(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items[:100] {
+			mustInsert(t, d, it)
+		}
+		if err := d.InsertE(Item{Rect: bad, ID: 5000}); err == nil {
+			t.Errorf("InsertE accepted rectangle %v", bad)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if d, err = OpenDynamic(path, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := d.Count(Window(NewRect(0, 0, 2, 2))); d.Len() != 100 || n != 100 {
+			t.Errorf("reopened after the refused insert: Len %d, full window %d; want 100", d.Len(), n)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestQueryEarlyStopAndStats(t *testing.T) {
-	tree := Bulk(randItems(2000, 4), &Options{Fanout: 16})
+	tree := Bulk(randItems(2000, 4), &Options{BlockSize: 580})
 	count := 0
 	var st QueryStats
 	_ = tree.Run(Window(NewRect(0, 0, 1.1, 1.1)).WithStats(&st), func(Item) bool {
@@ -137,7 +196,7 @@ func TestQueryEarlyStopAndStats(t *testing.T) {
 // has no such methods.
 func TestInsertDelete(t *testing.T) {
 	items := randItems(500, 5)
-	d := NewDynamic(&Options{Fanout: 8})
+	d := NewDynamic(&Options{BlockSize: 292})
 	for _, it := range items {
 		mustInsert(t, d, it)
 	}
@@ -207,7 +266,7 @@ func TestTreeMetadata(t *testing.T) {
 }
 
 func TestDynamicIndex(t *testing.T) {
-	d := NewDynamic(&Options{Fanout: 16, MemoryItems: 4096})
+	d := NewDynamic(&Options{BlockSize: 580})
 	items := randItems(800, 8)
 	for _, it := range items {
 		mustInsert(t, d, it)
@@ -256,7 +315,7 @@ func TestNilAndZeroOptions(t *testing.T) {
 
 func TestSearchPointAndContained(t *testing.T) {
 	items := randItems(2000, 14)
-	tree := Bulk(items, &Options{Fanout: 16})
+	tree := Bulk(items, &Options{BlockSize: 580})
 	x, y := 0.5, 0.5
 	wantPoint := 0
 	for _, it := range items {
@@ -281,7 +340,7 @@ func TestSearchPointAndContained(t *testing.T) {
 
 func TestNearestNeighborsPublic(t *testing.T) {
 	items := randItems(1000, 15)
-	tree := Bulk(items, &Options{Fanout: 16})
+	tree := Bulk(items, &Options{BlockSize: 580})
 	ns := nearest(t, tree, 0.5, 0.5, 7)
 	if len(ns) != 7 {
 		t.Fatalf("kNN returned %d", len(ns))
@@ -425,7 +484,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	for _, l := range []Loader{PR, Hilbert, Hilbert4D, TGS} {
 		empty(l.String(), BulkWith(l, nil, nil))
-		empty(l.String()+" external", BulkWith(l, nil, &Options{MemoryItems: 1024}))
 	}
 
 	path := filepath.Join(t.TempDir(), "empty.pr")

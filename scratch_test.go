@@ -42,8 +42,9 @@ func scratchTestItems(n int, seed int64) []Item {
 // TestBulkLoadLeavesDenseIndexFile: whatever the loader, a file-backed
 // Create + BulkLoad + Close leaves an index file that is its tree and
 // nothing else — Nodes() page slots after the header, all in use,
-// allocated from page 0 — and no scratch file beside it. The memory
-// budget is far below the input so every loader really spills.
+// allocated from page 0 — and no scratch file beside it. The H, H4 and TGS
+// loads put their input and temporaries on the scratch store; the PR load
+// builds in memory and never touches it.
 func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 	const blockSize = 512
 	items := scratchTestItems(3000, 5)
@@ -51,7 +52,7 @@ func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 		t.Run("raw/"+l.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "dense.pr")
-			tr, err := Create(path, &Options{BlockSize: blockSize, MemoryItems: 200})
+			tr, err := Create(path, &Options{BlockSize: blockSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +62,8 @@ func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 			if got := tr.scratch.PagesInUse(); got != 0 {
 				t.Errorf("scratch store ends the load at %d pages in use", got)
 			}
-			if tr.scratch.Stats().Total() == 0 {
-				t.Error("the load never touched its scratch store")
+			if used := tr.scratch.Stats().Total() != 0; used != (l != PR) {
+				t.Errorf("%v load: scratch store did %v of I/O", l, tr.scratch.Stats())
 			}
 			nodes := tr.Nodes()
 			if err := tr.Close(); err != nil {
@@ -103,9 +104,10 @@ func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 	}
 }
 
-// TestBulkLoadParallelismByteIdentical: an external PR load (input well
-// above M, recursion leaves above the in-memory fork threshold) writes the
-// same index file for the same block I/O at every Parallelism.
+// TestBulkLoadParallelismByteIdentical: a PR load large enough that its kd
+// recursion forks writes the same index file for the same block I/O at
+// every Parallelism. TestExternalPRParallelismByteIdentical in
+// internal/bulk holds the external construction to the same.
 func TestBulkLoadParallelismByteIdentical(t *testing.T) {
 	// Let Parallelism 8 mean eight workers on a smaller machine too.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
@@ -114,7 +116,7 @@ func TestBulkLoadParallelismByteIdentical(t *testing.T) {
 	var wantIO IOStats
 	for _, p := range []int{1, 2, 8} {
 		path := filepath.Join(t.TempDir(), "par.pr")
-		tr, err := Create(path, &Options{MemoryItems: 12000, Parallelism: p})
+		tr, err := Create(path, &Options{Parallelism: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,16 +147,16 @@ func TestBulkLoadParallelismByteIdentical(t *testing.T) {
 // TestFailedLoadRemovesScratch: a load that dies — an injected backend
 // fault mid-build, a kill at a persistence step, a commit that returns an
 // error — removes its scratch file on the way out, before anyone closes
-// the handle.
+// the handle. The load is a Hilbert one: a PR load has no scratch file.
 func TestFailedLoadRemovesScratch(t *testing.T) {
 	items := scratchTestItems(2000, 6)
 	opts := func(wrap func(Backend) Backend) *Options {
-		return &Options{BlockSize: 512, MemoryItems: 200, WrapBackend: wrap}
+		return &Options{BlockSize: 512, WrapBackend: wrap}
 	}
 	load := func(t *testing.T, tr *Tree) (err error, panicked any) {
 		t.Helper()
 		defer func() { panicked = recover() }()
-		return tr.BulkLoad(PR, items), nil
+		return tr.BulkLoad(Hilbert, items), nil
 	}
 	check := func(t *testing.T, dir string, tr *Tree) {
 		t.Helper()
@@ -222,7 +224,7 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := dryFaulty.Ops()
-		if err := dry.BulkLoad(PR, items); err != nil {
+		if err := dry.BulkLoad(Hilbert, items); err != nil {
 			t.Fatal(err)
 		}
 		spent := dryFaulty.Ops() - before
@@ -315,11 +317,11 @@ func TestStaleScratchRemovedOnOpen(t *testing.T) {
 	gone("a failed Open")
 }
 
-// TestDynamicCarriesUseScratch: under an explicit memory budget below the
-// levels it builds, inserts that cross many carries build every level past
-// the budget through the handle's one scratch file — kept between carries,
-// counted in IOStats, empty whenever no build runs — and Close removes it.
-// The index reopens to the same answers.
+// TestDynamicCarriesUseScratch: a file-backed Dynamic builds every level
+// in memory, so its carries use no scratch store at all. Inserts that
+// cross many carries, a flush, a Sync, a Close and a reopen that carries
+// again leave no scratch file at any point, and IOStats is the index
+// file's I/O alone.
 func TestDynamicCarriesUseScratch(t *testing.T) {
 	items := scratchTestItems(1200, 7)
 	// Carries run inline only; the case keeps the name it had beside the
@@ -327,64 +329,77 @@ func TestDynamicCarriesUseScratch(t *testing.T) {
 	t.Run("background=false", func(t *testing.T) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "carry.prd")
+		noScratch := func(when string, d *Dynamic) {
+			t.Helper()
+			if ents := scratchEntries(t, dir); len(ents) != 0 {
+				t.Errorf("%s: the directory holds scratch files %v", when, ents)
+			}
+			if d.scratch != nil {
+				t.Errorf("%s: the dynamic index has a scratch store", when)
+			}
+		}
 		// 512-byte blocks: a buffer of 14 items, so 1200 inserts carry some 85
-		// times and reach level 6; every level above 200 items is an external
-		// load.
-		opts := &Options{BlockSize: 512, MemoryItems: 200}
+		// times and reach level 6.
+		opts := &Options{BlockSize: 512}
 		d, err := CreateDynamic(path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, it := range items {
+		for i, it := range items[:1000] {
 			if err := d.InsertE(it); err != nil {
 				t.Fatal(err)
 			}
-			if i == len(items)/2 {
-				if ents := scratchEntries(t, dir); len(ents) != 1 {
-					t.Errorf("between carries the directory holds scratch files %v, want the handle's one", ents)
-				}
+			if i == 500 {
+				noScratch("between carries", d)
 			}
+		}
+		if len(d.LevelSizes()) < 5 {
+			t.Fatalf("levels %v: too few carries to prove anything", d.LevelSizes())
+		}
+		if err := d.FlushE(); err != nil {
+			t.Fatal(err)
 		}
 		if err := d.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if got := d.scratch.PagesInUse(); got != 0 {
-			t.Errorf("scratch store holds %d pages with no build running", got)
+		noScratch("after a flush and a Sync", d)
+		if d.IOStats() != d.io.Stats() {
+			t.Errorf("IOStats %v is not the index file's %v", d.IOStats(), d.io.Stats())
 		}
-		sio := d.scratch.Stats()
-		if sio.Total() == 0 {
-			t.Error("no carry touched the scratch store")
-		}
-		if total := d.IOStats(); total.Writes < sio.Writes || total.Reads < sio.Reads {
-			t.Errorf("IOStats %v omits the scratch store's %v", total, sio)
-		}
-		want := d.Search(NewRect(0.2, 0.2, 0.6, 0.6))
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
-		}
-		if ents := scratchEntries(t, dir); len(ents) != 0 {
-			t.Errorf("scratch files left after Close: %v", ents)
 		}
 		re, err := OpenDynamic(path, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer re.Close()
-		if got := re.Search(NewRect(0.2, 0.2, 0.6, 0.6)); len(got) != len(want) || re.Len() != len(items) {
-			t.Errorf("reopened index answers %d of %d items, want %d of %d", len(got), re.Len(), len(want), len(items))
+		for _, it := range items[1000:] {
+			if err := re.InsertE(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		noScratch("after a reopen and more carries", re)
+		if re.Len() != len(items) {
+			t.Errorf("index holds %d of %d items", re.Len(), len(items))
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ents := scratchEntries(t, dir); len(ents) != 0 {
+			t.Errorf("scratch files left after Close: %v", ents)
 		}
 	})
 }
 
-// TestDefaultLoadsUseNoScratch: under the default memory budget a PR load
-// of a slice builds in memory. Create + BulkLoad(PR) and a Dynamic's
-// carries create no scratch file and do no scratch I/O, and the load
-// allocates at most eight bytes a record beyond the pages it writes.
+// TestDefaultLoadsUseNoScratch: a PR load of a slice builds in memory.
+// Create + BulkLoad(PR) and a Dynamic's carries create no scratch file and
+// do no scratch I/O, and the load allocates at most eight bytes a record
+// beyond the pages it writes.
 func TestDefaultLoadsUseNoScratch(t *testing.T) {
 	noScratch := func(t *testing.T, dir string, sio IOStats) {
 		t.Helper()
 		if ents := scratchEntries(t, dir); len(ents) != 0 {
-			t.Errorf("scratch files %v beside a default-budget index", ents)
+			t.Errorf("scratch files %v beside the index", ents)
 		}
 		if sio.Total() != 0 {
 			t.Errorf("scratch store did %v of I/O", sio)
@@ -392,8 +407,8 @@ func TestDefaultLoadsUseNoScratch(t *testing.T) {
 	}
 
 	t.Run("BulkLoad", func(t *testing.T) {
-		// Above the old default budget of 2^16, so the parent's load was
-		// external.
+		// Above bulk.DefaultMemoryItems, the budget the external loaders
+		// run at.
 		items := scratchTestItems(80000, 8)
 		dir := t.TempDir()
 		tr, err := Create(filepath.Join(dir, "static.pr"), nil)

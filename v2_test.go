@@ -73,10 +73,7 @@ func TestBackendEquivalence(t *testing.T) {
 			// A small bounded cache makes the block-I/O identity check
 			// below meaningful: queries keep reading real blocks instead
 			// of serving everything from a fully warmed unbounded cache.
-			// The memory budget is below the dataset so the load goes
-			// external (sort runs, grid partitions) and the build-I/O
-			// identity below has temporaries to account for.
-			opts := &Options{CacheCapacity: 8, MemoryItems: 1500}
+			opts := &Options{CacheCapacity: 8}
 
 			mem := Bulk(items, opts)
 
@@ -93,15 +90,14 @@ func TestBackendEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Build block-I/O is the same quantity on both backends: the
-			// file-backed load's temporaries live on its scratch store,
-			// whose reads and writes IOStats still counts, and its index
-			// file took one write per tree page and nothing else.
+			// Build block-I/O is the same quantity on both backends: a PR
+			// load builds in memory, so each backend took one write per
+			// tree page and nothing else, and the scratch store none.
 			buildM, buildF := mem.IOStats(), file.IOStats()
 			if buildM != buildF {
 				t.Fatalf("build block-I/O differs: in-memory %v, file-backed (index + scratch) %v", buildM, buildF)
 			}
-			if io := file.io.Stats(); int(io.Writes) != file.Nodes() || file.scratch.Stats().Total() == 0 {
+			if io := file.io.Stats(); int(io.Writes) != file.Nodes() || io.Reads != 0 || file.scratch.Stats().Total() != 0 {
 				t.Fatalf("index file took %v for a tree of %d pages; scratch store %v",
 					io, file.Nodes(), file.scratch.Stats())
 			}
