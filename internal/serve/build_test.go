@@ -15,6 +15,7 @@ import (
 	"prtree"
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
+	"prtree/internal/hilbert"
 )
 
 // dirFiles reads every regular file of dir.
@@ -126,55 +127,97 @@ func BenchmarkShardBuild(b *testing.B) {
 	}
 }
 
-// TestSortedByMatchesComparisonSort: the radix sort orders by (key, ID)
-// exactly as a comparison sort does, keeps records equal in both in input
-// order, and handles the empty and the one-record input.
-func TestSortedByMatchesComparisonSort(t *testing.T) {
+// TestPartitionHilbertMatchesSort: each run of the partition holds exactly
+// the items of its run of a comparison sort by (key, ID), items equal in
+// both in input order, lists them in bucket order, and is the same list at
+// every worker budget. The crowded case puts every cut inside one bucket of
+// thousands of records; at 40,000 items the keying and scatter passes cut
+// the input into two blocks.
+func TestPartitionHilbertMatchesSort(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rng := rand.New(rand.NewSource(5))
+	at := func(x, y float64, id uint32) geom.Item { return geom.Item{Rect: geom.PointRect(x, y), ID: id} }
+	gen := func(n int, f func(i int) geom.Item) []geom.Item {
+		items := make([]geom.Item, n)
+		for i := range items {
+			items[i] = f(i)
+		}
+		return items
+	}
 	for _, tc := range []struct {
-		name      string
-		n         int
-		keys, ids int64 // keys and ids drawn from [0, keys) and [0, ids)
+		name  string
+		items []geom.Item
 	}{
-		{"empty", 0, 1, 1},
-		{"one", 1, 1, 1},
-		{"distinct", 5000, 1 << 32, 1 << 32},
-		{"equal keys", 5000, 1, 1 << 32},
-		{"equal key and id", 5000, 7, 5},
+		{"one", gen(1, func(int) geom.Item { return at(1, 2, 3) })},
+		{"distinct", gen(40000, func(int) geom.Item { return at(rng.Float64(), rng.Float64(), rng.Uint32()) })},
+		{"equal keys", gen(5000, func(int) geom.Item { return at(1, 1, rng.Uint32()) })},
+		{"equal key and id", gen(5000, func(int) geom.Item { return at(float64(rng.Intn(7)), 0, uint32(rng.Intn(5))) })},
+		{"crowded bucket", gen(40000, func(i int) geom.Item {
+			if i%4000 == 0 { // a few spread points span the world [0, 1]^2
+				return at(float64(i%8000)/4000, float64(i/8000%2), rng.Uint32())
+			}
+			// One bucket is a 256-cell square of the 65,536-cell side, so
+			// this corner of the world's middle holds every other item.
+			return at(0.5+0.003*rng.Float64(), 0.5+0.003*rng.Float64(), uint32(rng.Intn(100)))
+		})},
 	} {
-		items := make([]geom.Item, tc.n)
-		keys := make([]uint32, tc.n)
-		for i := range items {
-			// The rectangle records the input position, so stability shows.
-			items[i] = geom.Item{Rect: geom.NewRect(float64(i), 0, float64(i), 0), ID: uint32(rng.Int63n(tc.ids))}
-			keys[i] = uint32(rng.Int63n(tc.keys))
+		items := tc.items
+		q := hilbert.NewQuantizer2D(geom.ItemsMBR(items), hilbertBits)
+		keys := make([]uint32, len(items))
+		ref := make([]uint32, len(items))
+		for i, it := range items {
+			keys[i] = uint32(q.CenterKey(it.Rect))
+			ref[i] = uint32(i)
 		}
-		type rec struct {
-			key uint32
-			it  geom.Item
-		}
-		want := make([]rec, tc.n)
-		for i := range items {
-			want[i] = rec{keys[i], items[i]}
-		}
-		slices.SortStableFunc(want, func(a, b rec) int {
-			return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.it.ID, b.it.ID))
+		slices.SortStableFunc(ref, func(a, b uint32) int {
+			return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(items[a].ID, items[b].ID))
 		})
-		got := sortedBy(items, keys)
-		if len(got) != tc.n {
-			t.Fatalf("%s: %d items back, want %d", tc.name, len(got), tc.n)
+		if tc.name == "crowded bucket" {
+			if lo, hi := keys[ref[len(ref)/8]]>>(32-bucketBits), keys[ref[len(ref)*7/8]]>>(32-bucketBits); lo != hi {
+				t.Fatalf("crowded bucket: the middle three quarters span buckets %d to %d", lo, hi)
+			}
 		}
-		for i := range want {
-			if got[i] != want[i].it {
-				t.Fatalf("%s: position %d holds %v, comparison sort has %v", tc.name, i, got[i], want[i].it)
+		for _, n := range []int{1, 2, 3, 4, 7} {
+			if n > len(items) {
+				continue
+			}
+			var serial [][]uint32
+			for _, p := range []int{1, 2, 8} {
+				name := fmt.Sprintf("%s/n=%d/Parallelism=%d", tc.name, n, p)
+				got := partitionHilbert(items, n, p)
+				if len(got) != n {
+					t.Fatalf("%s: %d runs, want %d", name, len(got), n)
+				}
+				if p == 1 {
+					serial = got
+				} else if !slices.EqualFunc(got, serial, slices.Equal) {
+					t.Errorf("%s: runs differ from the serial partition's", name)
+				}
+				rest := ref
+				for i, run := range got {
+					size := len(items) / n
+					if i < len(items)%n {
+						size++
+					}
+					want := slices.Clone(rest[:size])
+					rest = rest[size:]
+					slices.Sort(want)
+					have := slices.Sorted(slices.Values(run))
+					if !slices.Equal(have, want) {
+						t.Fatalf("%s: run %d holds %d items, not the %d of the sort's run %d", name, i, len(have), len(want), i)
+					}
+					if !slices.IsSortedFunc(run, func(a, b uint32) int { return cmp.Compare(keys[a]>>(32-bucketBits), keys[b]>>(32-bucketBits)) }) {
+						t.Errorf("%s: run %d is not in bucket order", name, i)
+					}
+				}
 			}
 		}
 	}
 }
 
-// BenchmarkPartitionHilbert times the partition alone — keys, sort and
-// gather — over the repository benchmark's dataset, serial and on every
-// core.
+// BenchmarkPartitionHilbert times the partition alone — keys, bucket
+// counts, scatter and the sorts of the buckets the cuts fall in — over the
+// repository benchmark's dataset, serial and on every core.
 func BenchmarkPartitionHilbert(b *testing.B) {
 	items := dataset.Western(300_000, 2004)
 	for _, p := range []int{1, runtime.GOMAXPROCS(0)} {

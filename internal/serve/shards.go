@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -61,12 +62,13 @@ type BuildOptions struct {
 	// Parallelism is the build's worker budget (clamped to GOMAXPROCS; 0
 	// or 1 means serial). Shards come first: up to Parallelism of them
 	// load at once, and each shard's bulk-load pipeline gets an equal
-	// share of what is left (prtree.Options.Parallelism); the partition's
-	// keys are computed on the whole budget. The shard files and the
-	// manifest are byte-identical at every setting. A shard in flight
-	// selects over a 4-byte-a-record permutation of its items and copies
-	// none of them, so an extra worker adds about four bytes a record of
-	// its shard.
+	// share of what is left (prtree.Options.Parallelism). The partition's
+	// passes — keying, bucket counting and scattering, and the sorts of the
+	// buckets its cuts fall in — run on the whole budget. The shard files
+	// and the manifest are byte-identical at every setting. A shard in
+	// flight gathers its items into a slice of its own and selects over a
+	// 4-byte-a-record permutation of it, so an extra worker adds about 44
+	// bytes a record of its shard.
 	Parallelism int
 }
 
@@ -84,6 +86,11 @@ func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 	}
 	if opt.Shards > len(items) {
 		opt.Shards = len(items)
+	}
+	for i, it := range items {
+		if !it.Rect.Valid() {
+			return nil, fmt.Errorf("serve: item %d (id %d) has invalid rectangle %v", i, it.ID, it.Rect)
+		}
 	}
 	parts := partitionHilbert(items, opt.Shards, opt.Parallelism)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -115,7 +122,7 @@ func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 			return
 		}
 		created[i] = true
-		if err := tree.BulkLoad(opt.Loader, parts[i]); err != nil {
+		if err := tree.BulkLoad(opt.Loader, gather(items, parts[i])); err != nil {
 			tree.Close() // the load's error is the one to report
 			errs[i] = err
 			return
@@ -159,77 +166,107 @@ func writeManifest(dir string, man *Manifest) error {
 }
 
 // hilbertBits is the partition's grid resolution: 2^16 cells a side, so a
-// center's key fits 32 bits and (key, id) one uint64.
+// center's key fits 32 bits.
 const hilbertBits = 16
 
-// keyChunk is how many centers one worker keys at a time.
-const keyChunk = 1 << 14
+// bucketBits is how many of a key's top bits pick its bucket. The partition
+// orders buckets by counting and sorts only the buckets a cut falls in: at
+// 16 bits a bucket is a 256-by-256-cell square of the grid, and the
+// benchmark's 216k rectangles average a few a bucket.
+const bucketBits = 16
 
-// partitionHilbert cuts the Hilbert order of item centers into n
-// equal-count contiguous runs. Ties (one cell) break by ID, so the
-// partition is deterministic for any input order. The keys are computed on
-// up to workers goroutines.
-func partitionHilbert(items []geom.Item, n, workers int) [][]geom.Item {
+// minBlock is the fewest centers a block of the keying and scatter passes
+// covers (unless there are fewer in all), so that a block's histogram is
+// small beside its work.
+const minBlock = 1 << 14
+
+// partitionHilbert cuts the order of item centers by (Hilbert key, ID),
+// items equal in both in input order, into n equal-count contiguous runs
+// and returns the positions of each run's items. It sorts nothing whole: a
+// counting pass over the top bucketBits of each key puts the positions in
+// bucket order (bucket, then position), and only the buckets a cut falls
+// strictly inside are ordered exactly. A run therefore holds exactly the
+// items of its run of the full order, listed in bucket order — approximately
+// Hilbert order. The keying and scatter passes run on up to workers
+// goroutines over contiguous blocks of the input, and the result does not
+// depend on how many there are. Callers guarantee 0 < n <= len(items).
+func partitionHilbert(items []geom.Item, n, workers int) [][]uint32 {
+	const shift = 32 - bucketBits
 	q := hilbert.NewQuantizer2D(geom.ItemsMBR(items), hilbertBits)
 	keys := make([]uint32, len(items))
-	parallel.Run(workers, (len(items)+keyChunk-1)/keyChunk, func(c int) {
-		for i := c * keyChunk; i < min((c+1)*keyChunk, len(items)); i++ {
-			keys[i] = uint32(q.CenterKey(items[i].Rect))
+	blocks := max(1, min(parallel.Bound(workers), len(items)/minBlock))
+	block := func(b int) (lo, hi int) { return b * len(items) / blocks, (b + 1) * len(items) / blocks }
+	// counts[b][k] is how many of block b's keys fall in bucket k, until the
+	// prefix sum below turns it into where block b's first one goes.
+	counts := make([][1 << bucketBits]uint32, blocks)
+	parallel.Run(workers, blocks, func(b int) {
+		c := &counts[b]
+		lo, hi := block(b)
+		for i := lo; i < hi; i++ {
+			k := uint32(q.CenterKey(items[i].Rect))
+			keys[i] = k
+			c[k>>shift]++
 		}
 	})
-	return chunks(sortedBy(items, keys), n)
-}
-
-// sortedBy returns a copy of items ordered by (keys[i], ID), items equal in
-// both in input order. It sorts (key<<32 | id, position) records with a
-// stable LSD radix sort, one pass per byte of the sort key that not every
-// record shares, and then gathers: no pass moves a rectangle.
-func sortedBy(items []geom.Item, keys []uint32) []geom.Item {
-	type rec struct {
-		key uint64
-		pos uint32
-	}
-	n := len(items)
-	var counts [8][256]int32
-	src := make([]rec, n)
-	for i, it := range items {
-		k := uint64(keys[i])<<32 | uint64(it.ID)
-		src[i] = rec{key: k, pos: uint32(i)}
+	// Bucket-major, block-minor: within a bucket, positions ascend.
+	var sum uint32
+	for k := range 1 << bucketBits {
 		for b := range counts {
-			counts[b][uint8(k>>(8*b))]++
+			c := counts[b][k]
+			counts[b][k] = sum
+			sum += c
 		}
 	}
-	dst := make([]rec, n)
-	for b := range counts {
-		c := &counts[b]
-		if int(slices.Max(c[:])) == n {
-			continue // every record has this byte
-		}
-		var sum int32
-		for v := range c {
-			sum, c[v] = sum+c[v], sum
-		}
-		for _, r := range src {
-			d := uint8(r.key >> (8 * b))
-			dst[c[d]] = r
-			c[d]++
-		}
-		src, dst = dst, src
+	// The runs' bounds, and the span of each bucket an inner bound falls
+	// strictly inside (counts[0][k] is where bucket k starts).
+	bounds := make([]int, n+1)
+	per, extra := len(items)/n, len(items)%n // the first extra runs hold one more
+	for i := range bounds {
+		bounds[i] = i*per + min(i, extra)
 	}
-	sorted := make([]geom.Item, n)
-	for i, r := range src {
-		sorted[i] = items[r.pos]
+	start := func(k int) int {
+		if k == 1<<bucketBits {
+			return len(items)
+		}
+		return int(counts[0][k])
 	}
-	return sorted
+	var spans [][2]int
+	for _, c := range bounds[1:n] {
+		k := sort.Search(1<<bucketBits, func(k int) bool { return start(k) > c }) - 1
+		if start(k) == c {
+			continue // the cut is a bucket boundary
+		}
+		if len(spans) == 0 || spans[len(spans)-1][0] != start(k) {
+			spans = append(spans, [2]int{start(k), start(k + 1)})
+		}
+	}
+	order := make([]uint32, len(items))
+	parallel.Run(workers, blocks, func(b int) {
+		next := &counts[b]
+		lo, hi := block(b)
+		for i := lo; i < hi; i++ {
+			k := keys[i] >> shift
+			order[next[k]] = uint32(i)
+			next[k]++
+		}
+	})
+	parallel.Run(workers, len(spans), func(s int) {
+		slices.SortFunc(order[spans[s][0]:spans[s][1]], func(a, b uint32) int {
+			return cmp.Or(cmp.Compare(keys[a], keys[b]), cmp.Compare(items[a].ID, items[b].ID), cmp.Compare(a, b))
+		})
+	})
+	parts := make([][]uint32, n)
+	for i := range parts {
+		parts[i] = order[bounds[i]:bounds[i+1]]
+	}
+	return parts
 }
 
-// chunks splits sorted into n contiguous near-equal runs (never empty:
-// callers guarantee n <= len(sorted)).
-func chunks(sorted []geom.Item, n int) [][]geom.Item {
-	out := make([][]geom.Item, n)
-	q, r := len(sorted)/n, len(sorted)%n // the first r runs hold one more
-	for i := range out {
-		out[i] = sorted[i*q+min(i, r) : (i+1)*q+min(i+1, r)]
+// gather copies the items at positions pos, in that order.
+func gather(items []geom.Item, pos []uint32) []geom.Item {
+	out := make([]geom.Item, len(pos))
+	for i, p := range pos {
+		out[i] = items[p]
 	}
 	return out
 }
@@ -443,6 +480,20 @@ func Open(dir string, opt OpenOptions) (*Set, error) {
 	if len(man.Shards) == 0 {
 		return nil, fmt.Errorf("serve: manifest lists no shards")
 	}
+	// A shard file is a file of dir, and each is one shard: a name that
+	// reached outside dir would open another set's file, and a repeated one
+	// would serve its items twice and another shard's never.
+	files := make(map[string]bool, len(man.Shards))
+	for _, si := range man.Shards {
+		if !filepath.IsLocal(si.File) {
+			return nil, fmt.Errorf("serve: manifest names shard file %q outside the set's directory", si.File)
+		}
+		name := filepath.Clean(si.File)
+		if files[name] {
+			return nil, fmt.Errorf("serve: manifest lists shard file %q twice", si.File)
+		}
+		files[name] = true
+	}
 	if opt.FaultReadsAfter > 0 && (opt.FaultShard < 0 || opt.FaultShard >= len(man.Shards)) {
 		return nil, fmt.Errorf("serve: fault shard %d out of range [0, %d)", opt.FaultShard, len(man.Shards))
 	}
@@ -467,10 +518,18 @@ func Open(dir string, opt OpenOptions) (*Set, error) {
 		}
 		sh.tree = tree
 		s.shards = append(s.shards, sh)
+		if n != si.Items {
+			s.Close()
+			return nil, fmt.Errorf("serve: shard %s holds %d items, manifest says %d", si.File, n, si.Items)
+		}
 		s.items += n
 		if n > 0 {
 			s.mbr = s.mbr.Union(mbr)
 		}
+	}
+	if s.items != man.Items {
+		s.Close()
+		return nil, fmt.Errorf("serve: shards hold %d items, manifest says %d", s.items, man.Items)
 	}
 	return s, nil
 }

@@ -4,8 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -333,6 +338,61 @@ func TestOpenGridManifest(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsManifest: Open opens only what a manifest of its own
+// directory can name — each shard a distinct file inside it — and only if
+// the files hold the items the manifest counts. The escaping names point at
+// a real shard file of another set, so only the name check stops them.
+func TestOpenRejectsManifest(t *testing.T) {
+	root := t.TempDir()
+	dir, other := filepath.Join(root, "set"), filepath.Join(root, "x")
+	items := dataset.Western(500, 9)
+	man, err := Build(dir, items, BuildOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(other, items, BuildOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(m *Manifest)
+		want string
+	}{
+		{"relative escape", func(m *Manifest) { m.Shards[0].File = "../x/shard-000.pr" }, "outside the set's directory"},
+		{"absolute", func(m *Manifest) { m.Shards[0].File = filepath.Join(other, "shard-000.pr") }, "outside the set's directory"},
+		{"empty", func(m *Manifest) { m.Shards[1].File = "" }, "outside the set's directory"},
+		{"repeated", func(m *Manifest) { m.Shards[1] = m.Shards[0] }, "twice"},
+		{"repeated after cleaning", func(m *Manifest) { m.Shards[1].File = "./" + m.Shards[0].File }, "twice"},
+		{"shard count", func(m *Manifest) { m.Shards[1].Items++; m.Items++ }, "holds"},
+		{"total", func(m *Manifest) { m.Items-- }, "shards hold"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := *man
+			m.Shards = slices.Clone(man.Shards)
+			tc.edit(&m)
+			if err := writeManifest(dir, &m); err != nil {
+				t.Fatal(err)
+			}
+			set, err := Open(dir, OpenOptions{})
+			if err == nil {
+				set.Close()
+				t.Fatalf("manifest %+v opened", m)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("got error %v, want one saying %q", err, tc.want)
+			}
+		})
+	}
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	set, err := Open(dir, OpenOptions{})
+	if err != nil {
+		t.Fatalf("the built manifest: %v", err)
+	}
+	set.Close()
+}
+
 func TestBuildRejects(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Build(dir, nil, BuildOptions{}); err == nil {
@@ -346,6 +406,18 @@ func TestBuildRejects(t *testing.T) {
 	}
 	if len(man.Shards) != 3 {
 		t.Errorf("got %d shards for 3 items, want 3", len(man.Shards))
+	}
+	// An invalid rectangle fails the build before anything is written, and
+	// the error names its index in the caller's slice.
+	bad := slices.Clone(items)
+	bad[57].Rect.MaxY = math.NaN()
+	badDir := filepath.Join(t.TempDir(), "set")
+	want := fmt.Sprintf("item 57 (id %d) has invalid rectangle", bad[57].ID)
+	if _, err := Build(badDir, bad, BuildOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("NaN rectangle: got error %v, want one naming %q", err, want)
+	}
+	if _, err := os.Stat(badDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed build left its directory behind: %v", err)
 	}
 
 	// Open rejects a fault shard the set does not have: the fault would
@@ -433,7 +505,7 @@ func TestShardingTax(t *testing.T) {
 	single := prtree.BulkWith(prtree.PR, items, nil)
 	var shards []*prtree.Tree
 	for _, part := range partitionHilbert(items, 4, 1) {
-		shards = append(shards, prtree.BulkWith(prtree.PR, part, nil))
+		shards = append(shards, prtree.BulkWith(prtree.PR, gather(items, part), nil))
 	}
 	leaves := func(tree *prtree.Tree, q geom.Rect) int {
 		var st prtree.QueryStats
