@@ -7,6 +7,7 @@
 //
 //	prbench [-scale F] [-queries N] [-mem M] [-workers W] [-seed S]
 //	        [-json FILE] [-only ids] [-list]
+//	prbench -check FILE [-only ids]
 //
 // -scale multiplies the default dataset sizes (~120k rectangles at 1.0;
 // the paper used 10-16.7M — scale 100 reproduces that on a large machine).
@@ -21,6 +22,13 @@
 // one experiment without regenerating the whole suite.
 // -only selects a comma-separated subset of experiment ids, e.g.
 // "fig9,table1"; -list prints them all.
+//
+// -check FILE reruns every experiment a -json file records (or the -only
+// subset of them) at the file's scale, query count, worker count and seed,
+// and compares each table's title, columns, notes and every cell exactly —
+// all but the wall-clock cells (a number followed by "s") and the
+// per-table seconds and allocation counters. It prints each differing
+// cell and exits 1 if any differs.
 package main
 
 import (
@@ -28,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -67,6 +76,7 @@ func main() {
 	seed := flag.Int64("seed", 2004, "generator seed")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
+	check := flag.String("check", "", "rerun the experiments this -json file records and compare every counted cell")
 	flag.Parse()
 	if *list {
 		for _, e := range experiments.All {
@@ -93,6 +103,13 @@ func main() {
 				os.Exit(2)
 			}
 		}
+	}
+
+	if *check != "" {
+		if !checkReport(*check, want) {
+			os.Exit(1)
+		}
+		return
 	}
 
 	jsonOnly := *jsonPath == "-"
@@ -179,6 +196,7 @@ func mergeReport(path string, fresh jsonReport) jsonReport {
 	}
 	merged := fresh
 	merged.Experiments = nil
+	merged.TotalSeconds = 0
 	for _, e := range prev.Experiments {
 		if ne, ok := reran[e.ID]; ok {
 			merged.Experiments = append(merged.Experiments, ne)
@@ -192,5 +210,97 @@ func mergeReport(path string, fresh jsonReport) jsonReport {
 			merged.Experiments = append(merged.Experiments, e)
 		}
 	}
+	for _, e := range merged.Experiments {
+		merged.TotalSeconds += e.Seconds
+	}
 	return merged
+}
+
+// timingCell matches a wall-clock cell such as "0.05s": the one kind of
+// cell -check does not compare.
+var timingCell = regexp.MustCompile(`^[0-9][0-9,]*(\.[0-9]+)?s$`)
+
+// checkReport reruns the experiments the report at path records (those in
+// want, when it is not empty) with the report's parameters and prints
+// every difference from the recorded tables. It reports whether there was
+// none.
+func checkReport(path string, want map[string]bool) bool {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "prbench: %v\n", err)
+		return false
+	}
+	var rec jsonReport
+	if err := json.Unmarshal(data, &rec); err != nil {
+		fmt.Fprintf(os.Stderr, "prbench: %s is not a prbench report: %v\n", path, err)
+		return false
+	}
+	cfg := experiments.Config{Scale: rec.Scale, Queries: rec.Queries, Workers: rec.Workers, Seed: rec.Seed}
+	fmt.Printf("checking %s (scale=%g queries=%d workers=%d seed=%d)\n", path, rec.Scale, rec.Queries, rec.Workers, rec.Seed)
+	ok, checked := true, 0
+	for _, r := range rec.Experiments {
+		if len(want) > 0 && !want[r.ID] {
+			continue
+		}
+		i := slices.IndexFunc(experiments.All, func(e experiments.Experiment) bool { return e.ID == r.ID })
+		if i < 0 {
+			fmt.Printf("%s: no such experiment\n", r.ID)
+			ok = false
+			continue
+		}
+		start := time.Now()
+		got := experiments.All[i].Run(cfg)
+		cells, diffs := diffTable(r, got)
+		checked++
+		for _, d := range diffs {
+			fmt.Printf("%s: %s\n", r.ID, d)
+		}
+		ok = ok && len(diffs) == 0
+		fmt.Printf("%s: %d cells compared, %d differences (%.1fs)\n", r.ID, cells, len(diffs), time.Since(start).Seconds())
+	}
+	if checked == 0 {
+		fmt.Println("no experiment checked")
+		return false
+	}
+	return ok
+}
+
+// diffTable compares a recorded table with a fresh run of it and returns
+// how many cells it compared and a line for each difference.
+func diffTable(rec jsonExperiment, got experiments.Table) (cells int, diffs []string) {
+	field := func(what, r, g string) {
+		if r != g {
+			diffs = append(diffs, fmt.Sprintf("%s: recorded %q, got %q", what, r, g))
+		}
+	}
+	field("title", rec.Title, got.Title)
+	field("notes", rec.Notes, got.Notes)
+	field("columns", strings.Join(rec.Columns, " | "), strings.Join(got.Columns, " | "))
+	field("rows", fmt.Sprint(len(rec.Rows)), fmt.Sprint(len(got.Rows)))
+	for i := range min(len(rec.Rows), len(got.Rows)) {
+		r, g := rec.Rows[i], got.Rows[i]
+		row := fmt.Sprint(i)
+		if len(r) > 0 {
+			row += " (" + r[0] + ")"
+		}
+		for j := range max(len(r), len(g)) {
+			var rc, gc string
+			if j < len(r) {
+				rc = r[j]
+			}
+			if j < len(g) {
+				gc = g[j]
+			}
+			if timingCell.MatchString(rc) && timingCell.MatchString(gc) {
+				continue
+			}
+			cells++
+			col := fmt.Sprint(j)
+			if j < len(rec.Columns) {
+				col = rec.Columns[j]
+			}
+			field(fmt.Sprintf("row %s, column %q", row, col), rc, gc)
+		}
+	}
+	return cells, diffs
 }

@@ -13,9 +13,8 @@
 //
 //	create  bulk-load -in into the on-disk index file -index (built once,
 //	        queryable across process runs); prints the file's footprint.
-//	        A PR load builds in memory; an H, H4 or TGS load keeps its
-//	        temporaries in <index>.scratch while it runs. Either way only
-//	        the index and its .wal remain afterwards
+//	        Every loader builds in memory and writes tree pages only: the
+//	        index and its .wal are the only files
 //	shard   partition -in into -shards trees (Hilbert-ordered)
 //	        and bulk-load them into the index directory -out, writing a
 //	        manifest prtreeserve serves from; prints each shard file's size
@@ -137,7 +136,7 @@ func main() {
 		if err := tree.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("created %s: %d items with loader %v (%d reads, %d writes, temporaries included)\n",
+		fmt.Printf("created %s: %d items with loader %v (%d reads, %d writes)\n",
 			*index, len(items), loader, buildIO.Reads, buildIO.Writes)
 		fmt.Printf("pages %d in use of %d allocated, %s\n", inUse, total, fileSize(*index, len(items)))
 		return
@@ -214,7 +213,7 @@ func main() {
 		fmt.Printf("leaf fill:     %.2f%%\n", 100*leaf)
 		fmt.Printf("internal fill: %.2f%%\n", 100*internal)
 		if tree.Path() == "" {
-			fmt.Printf("build I/O:     %d reads, %d writes (temporaries included)\n",
+			fmt.Printf("build I/O:     %d reads, %d writes\n",
 				buildIO.Reads, buildIO.Writes)
 		}
 		if err := tree.Validate(); err != nil {

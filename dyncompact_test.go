@@ -1,6 +1,7 @@
 package prtree
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/crc32"
@@ -38,12 +39,8 @@ func dynDigest(t *testing.T, d *Dynamic) uint32 {
 	}
 	var sb strings.Builder
 	dump := func(kind string, items []Item) {
-		sorted := append([]Item(nil), items...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && sorted[j].ID < sorted[j-1].ID; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
-		}
+		sorted := slices.Clone(items)
+		slices.SortStableFunc(sorted, func(a, b Item) int { return cmp.Compare(a.ID, b.ID) })
 		fmt.Fprintf(&sb, "%s:%d;", kind, len(sorted))
 		for _, it := range sorted {
 			fmt.Fprintf(&sb, "%d,%v;", it.ID, it.Rect)

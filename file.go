@@ -17,20 +17,14 @@ import (
 // NOTE, STATE and COMMIT records only, never a page image.
 
 // handle is the storage an index stands on, shared by Tree and Dynamic:
-// the store, the pager over it and, for an index file, the file itself and,
-// for a Tree's, the scratch store its loads put their temporaries on. It
+// the store, the pager over it and, for an index file, the file itself. It
 // opens, commits to and reports on that storage; the index on top says what
 // a commit publishes.
 type handle struct {
-	io    storage.Backend      // the store, or what Options.WrapBackend made of it
-	pager *storage.Pager       // the page cache over io
-	fb    *storage.FileBackend // file-backed: the index file; nil otherwise
-	// scratch holds the temporaries of a file-backed Tree's H, H4 and TGS
-	// loads (see Tree.BulkLoad), kept for the handle's lifetime so a
-	// reload pays no file create and delete; nil otherwise. A Dynamic
-	// builds every level in memory and has none.
-	scratch  *storage.Scratch
-	path     string // index file path; "" for non-file backends
+	io       storage.Backend      // the store, or what Options.WrapBackend made of it
+	pager    *storage.Pager       // the page cache over io
+	fb       *storage.FileBackend // file-backed: the index file; nil otherwise
+	path     string               // index file path; "" for non-file backends
 	closed   bool
 	recovery *storage.RecoveryInfo // what crash recovery did at open, if anything
 }
@@ -44,10 +38,10 @@ func memHandle(o Options) handle {
 // openFile assembles h on the index file at path: a new (or truncated)
 // one when create is set, else the existing one, which storage.OpenFile
 // recovers to its last commit (a non-zero opts.BlockSize must match it).
-// A stale scratch file beside it goes first. build then puts the index on
-// h's pager. If build fails the file is abandoned, not closed: a failed
-// open must neither rewrite the header of a file it could not validate
-// nor retire a log whose notes nobody applied.
+// build then puts the index on h's pager. If build fails the file is
+// abandoned, not closed: a failed open must neither rewrite the header of
+// a file it could not validate nor retire a log whose notes nobody
+// applied.
 func (h *handle) openFile(path string, opts *Options, create bool, build func(Options) error) error {
 	op, expect := "open", 0
 	if create {
@@ -56,9 +50,6 @@ func (h *handle) openFile(path string, opts *Options, create bool, build func(Op
 		expect = opts.BlockSize
 	}
 	o := opts.normalized()
-	if err := storage.RemoveScratch(path); err != nil {
-		return fmt.Errorf("prtree: %s %s: %w", op, path, err)
-	}
 	var fb *storage.FileBackend
 	var err error
 	if create {
@@ -80,7 +71,7 @@ func (h *handle) openFile(path string, opts *Options, create bool, build func(Op
 	}
 	if err := build(o); err != nil {
 		fb.Abandon()
-		return fmt.Errorf("prtree: %s %s: %w", op, path, errors.Join(err, h.scratch.Close()))
+		return fmt.Errorf("prtree: %s %s: %w", op, path, err)
 	}
 	return nil
 }
@@ -130,14 +121,13 @@ func (h *handle) sync(save func() error) error {
 	return nil
 }
 
-// close runs save, then closes the backend and the scratch store. Closing
-// twice is a no-op.
+// close runs save, then closes the backend. Closing twice is a no-op.
 func (h *handle) close(save func() error) error {
 	if h.closed {
 		return nil
 	}
 	h.closed = true
-	if err := errors.Join(save(), h.io.Close(), h.scratch.Close()); err != nil {
+	if err := errors.Join(save(), h.io.Close()); err != nil {
 		return fmt.Errorf("prtree: close: %w", err)
 	}
 	return nil
@@ -186,19 +176,15 @@ func (h *handle) PageCounts() (total, inUse int) {
 	return h.fb.NumPages(), h.fb.PagesInUse()
 }
 
-// IOStats returns cumulative block reads/writes on the index's backend
-// plus, for a file-backed Tree, its scratch store — so build I/O is the
-// same quantity on every backend. The counters are atomic: IOStats is safe
-// to call while queries run.
-func (h *handle) IOStats() IOStats { return h.io.Stats().Add(h.scratch.Stats()) }
+// IOStats returns cumulative block reads/writes on the index's backend:
+// the index's own pages, which are all a load writes, on every backend.
+// The counters are atomic: IOStats is safe to call while queries run.
+func (h *handle) IOStats() IOStats { return h.io.Stats() }
 
 // ResetIOStats zeroes the I/O counters (e.g. before measuring a query).
 // Like IOStats it is safe to call while queries run; in-flight queries
 // simply split their I/O across the two measurement intervals.
-func (h *handle) ResetIOStats() {
-	h.io.ResetStats()
-	h.scratch.ResetStats()
-}
+func (h *handle) ResetIOStats() { h.io.ResetStats() }
 
 // Create makes a new (or truncates an existing) index file at path and
 // returns an empty file-backed tree on it, which owns no page. Fill it
@@ -209,7 +195,6 @@ func Create(path string, opts *Options) (*Tree, error) {
 	err := t.openFile(path, opts, true, func(o Options) error {
 		t.inner = rtree.New(t.pager, rtree.Config{})
 		t.bopts = o.bulkOptions()
-		t.scratch = storage.NewScratch(path, t.fb.BlockSize())
 		return t.Sync()
 	})
 	if err != nil {
@@ -232,7 +217,6 @@ func Open(path string, opts *Options) (*Tree, error) {
 		}
 		t.bopts = o.bulkOptions()
 		t.bopts.Fanout = t.inner.Config().Fanout
-		t.scratch = storage.NewScratch(path, t.fb.BlockSize())
 		return nil
 	})
 	if err != nil {

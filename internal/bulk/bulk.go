@@ -1,24 +1,24 @@
 // Package bulk implements the four R-tree bulk-loading algorithms the
 // paper compares — the packed Hilbert R-tree (H), the four-dimensional
 // Hilbert R-tree (H4), the Top-down Greedy Split R-tree (TGS) and the
-// PR-tree (PR). Every loader consumes a storage.ItemFile and performs its
-// passes through the simulated disk, so bulk-loading I/O is measured
-// operationally, matching the accounting of the paper's Figures 9-11.
+// PR-tree (PR) — each with two entries.
 //
-// The PR loader has a second entry for records already in memory:
-// PRTreeSlice builds every stage with the exact in-memory construction over
-// a permutation of the slice, and writes nothing but tree pages. Every
-// facade PR load of a slice takes it; within the budget it builds the same
-// tree as the ItemFile path, which the other loaders and the paper's
-// experiments, which price the external construction, keep.
+// Load consumes a storage.ItemFile and performs the loader's external
+// passes through the simulated disk at a memory budget of
+// Options.MemoryItems records, so bulk-loading I/O is measured
+// operationally, matching the accounting of the paper's Figures 9-11. It
+// touches two stores. Finished tree pages go to the pager's backend,
+// through rtree.Builder and nothing else. Everything temporary — sort runs,
+// sorted lists, grid partitions, the files between stages — goes to the
+// store the input file lives on (in.Backend()). When that is the pager's
+// own backend (FromItems; the paper's set-up) one device sees all the I/O.
 //
-// An ItemFile load touches two stores. Finished tree pages go to the pager's
-// backend, through rtree.Builder and nothing else. Everything temporary —
-// sort runs, sorted lists, grid partitions, the files between stages —
-// goes to the store the input file lives on (in.Backend()). When that is
-// the pager's own backend (FromItems; the paper's set-up) one device sees
-// all the I/O; a file-backed index hands in a file on its scratch store
-// instead, and its index file holds exactly the tree.
+// LoadSlice builds from records already in memory, over permutations of
+// the slice: no ItemFile, no temporary on any store, nothing written but
+// tree pages, and MemoryItems is not consulted. Every facade load of a
+// slice takes it. H and H4 write the pages Load writes; so does TGS when no
+// two records tie on a coordinate and their id, and PR while the input fits
+// in MemoryItems.
 package bulk
 
 import (
@@ -35,16 +35,17 @@ type Options struct {
 	// 4 KB).
 	Fanout int
 	// MemoryItems is M, the number of records that fit in main memory
-	// (0 means DefaultMemoryItems). PRTreeSlice does not consult it.
+	// (0 means DefaultMemoryItems). LoadSlice does not consult it.
 	MemoryItems int
 	// Parallelism bounds the bulk-load pipeline's worker pool (clamped to
 	// GOMAXPROCS; 0 or 1 means serial). Every loader produces the same
 	// tree shape and identical block-I/O counts at every setting; the
 	// knob only spreads the CPU work across cores: sorting, key
-	// computation and node encoding of independent sort runs, and in the
-	// PR loader the kd recursion of every in-memory pseudo-PR-tree build
-	// (pseudo.Build) and the gathering and encoding of its first stage's
-	// leaf pages, which come out byte-identical. A sort's run
+	// computation and node encoding of independent sort runs, in the PR
+	// loader the kd recursion of every in-memory pseudo-PR-tree build
+	// (pseudo.Build), in LoadSlice's TGS the four sorts, and in LoadSlice's
+	// PR, H and H4 the gathering and encoding of the leaf pages, which come
+	// out byte-identical. A sort's run
 	// formation holds one chunk of MemoryItems decoded records (40 bytes
 	// each) and one sort arena of 32 bytes a record; a parallel one holds
 	// an arena per worker and Parallelism+1 chunks — fewer in the PR and
@@ -123,14 +124,27 @@ func (l Loader) String() string {
 // consuming in; temporaries go to in's store, and every one is freed.
 func Load(l Loader, pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	switch l {
-	case LoaderHilbert:
-		return Hilbert2D(pager, in, opt)
-	case LoaderHilbert4D:
-		return Hilbert4D(pager, in, opt)
+	case LoaderHilbert, LoaderHilbert4D:
+		return hilbertLoad(l, pager, in, opt)
 	case LoaderTGS:
 		return TGS(pager, in, opt)
 	case LoaderPR:
 		return PRTree(pager, in, opt)
+	default:
+		panic("bulk: unknown loader")
+	}
+}
+
+// LoadSlice bulk-loads a tree over items with the chosen algorithm in
+// memory (see the package doc); items is only read.
+func LoadSlice(l Loader, pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
+	switch l {
+	case LoaderHilbert, LoaderHilbert4D:
+		return hilbertSlice(l, pager, items, opt)
+	case LoaderTGS:
+		return tgsSlice(pager, items, opt)
+	case LoaderPR:
+		return PRTreeSlice(pager, items, opt)
 	default:
 		panic("bulk: unknown loader")
 	}

@@ -3,7 +3,6 @@ package bulk
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -199,37 +198,26 @@ func TestLoadersFreeScratchSpace(t *testing.T) {
 				l, disk.PagesInUse(), tr.Nodes())
 		}
 
-		// The same load with its input on a scratch store: every temporary
-		// follows the input there and is freed, the tree's device holds
-		// nothing but the tree — densely, since no temporary ever took a
-		// page id — and the two stores together do the same block I/O.
-		treeDisk := storage.NewDisk(storage.DefaultBlockSize)
-		scratch := storage.NewScratch(filepath.Join(t.TempDir(), "index.pr"), storage.DefaultBlockSize)
-		var split *rtree.Tree
-		err := scratch.Use(func() error {
-			in := storage.NewItemFileFrom(scratch, items)
-			split = Load(l, storage.NewPager(treeDisk, -1), in, opt)
-			if scratch.PagesInUse() != 0 {
-				t.Errorf("%v: scratch store ends at %d pages in use (scratch leaked)", l, scratch.PagesInUse())
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		// The same load with its input on a store of its own: every
+		// temporary follows the input there and is freed, the tree's
+		// device holds nothing but the tree — densely, since no temporary
+		// ever took a page id — and the two stores together do the same
+		// block I/O.
+		treeDisk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
+		split := Load(l, storage.NewPager(treeDisk, -1), storage.NewItemFileFrom(tmp, items), opt)
+		if tmp.PagesInUse() != 0 {
+			t.Errorf("%v: the input's store ends at %d pages in use (scratch leaked)", l, tmp.PagesInUse())
 		}
 		if treeDisk.NumPages() != split.Nodes() || treeDisk.PagesInUse() != split.Nodes() {
 			t.Errorf("%v: tree device has %d pages, %d in use, for %d tree nodes",
 				l, treeDisk.NumPages(), treeDisk.PagesInUse(), split.Nodes())
 		}
 		if split.Nodes() != tr.Nodes() || split.Height() != tr.Height() {
-			t.Errorf("%v: shape %d nodes / height %d with a scratch store, %d / %d without",
+			t.Errorf("%v: shape %d nodes / height %d with a store for the input, %d / %d without",
 				l, split.Nodes(), split.Height(), tr.Nodes(), tr.Height())
 		}
-		if got, want := treeDisk.Stats().Add(scratch.Stats()), disk.Stats(); got != want {
-			t.Errorf("%v: block I/O %v across tree device and scratch store, %v on one device", l, got, want)
-		}
-		if err := scratch.Close(); err != nil {
-			t.Fatal(err)
+		if got, want := treeDisk.Stats().Add(tmp.Stats()), disk.Stats(); got != want {
+			t.Errorf("%v: block I/O %v across tree device and input store, %v on one device", l, got, want)
 		}
 	}
 }
@@ -388,9 +376,9 @@ func TestLoadersSerialParallelEquivalence(t *testing.T) {
 
 // TestExternalPRParallelismByteIdentical: an external PR load (input well
 // above M, recursion leaves above the in-memory fork threshold) whose
-// temporaries live on a store of their own, as a file-backed index's do on
-// its scratch file, writes the same tree pages, byte for byte and in the
-// same order, for the same block I/O at every Parallelism.
+// temporaries live on a store of their own writes the same tree pages,
+// byte for byte and in the same order, for the same block I/O at every
+// Parallelism.
 func TestExternalPRParallelismByteIdentical(t *testing.T) {
 	// Let Parallelism 8 mean eight workers on a smaller machine too.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))

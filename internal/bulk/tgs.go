@@ -20,6 +20,13 @@ import (
 // rewrites the four sorted lists, which is why TGS measures an order of
 // magnitude more bulk-loading I/O than H (Figure 9): effectively
 // O((N/B) log2 N) block transfers.
+//
+// The lists are sorted by (coordinate, id), and a partition sends left the
+// records that order before the cut's first record on the cut's axis. So
+// no two records may tie on a coordinate and their id: a run of tied
+// records that spans a cut goes wholly right, and the nodes come out
+// malformed. Unique ids guarantee it; LoadSlice's TGS, which cuts at
+// positions, has no such precondition.
 func TGS(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
 	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
@@ -28,14 +35,30 @@ func TGS(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
 		in.Free()
 		return b.FinishEmpty()
 	}
-	disk := in.Backend()
 	// The four orderings come from one scan of the input.
-	lists := [4]*storage.ItemFile(extsort.SortKeys(in, extsort.AxisKeys(), opt.sortConfig()))
+	lists := tgsFiles(extsort.SortKeys(in, extsort.AxisKeys(), opt.sortConfig()))
 	in.Free()
-	t := &tgsBuilder{disk: disk, b: b, fanout: opt.Fanout}
+	t := &tgsBuilder{b: b, fanout: opt.Fanout}
 	h := tgsHeight(n, opt.Fanout)
-	root := t.build(lists, h)
-	return b.Finish(root, h)
+	return b.Finish(t.build(&lists, h), h)
+}
+
+// tgsSlice is TGS over a slice: the four orderings are permutations of
+// items sorted by (coordinate, id, position), sorted on up to
+// opt.Parallelism workers, and a partition cuts them at the cut's
+// position, so tied records split like any others. Without ties it writes
+// the pages TGS writes.
+func tgsSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
+	opt = opt.normalized(pager.Backend().BlockSize())
+	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
+	if len(items) == 0 {
+		return b.FinishEmpty()
+	}
+	p := &tgsPerm{items: items, left: make([]bool, len(items)), tmp: make([]int32, len(items))}
+	copy(p.ord[:], extsort.Orders(items, extsort.AxisKeys(), opt.Parallelism))
+	t := &tgsBuilder{b: b, fanout: opt.Fanout}
+	h := tgsHeight(len(items), opt.Fanout)
+	return b.Finish(t.build(p, h), h)
 }
 
 // tgsHeight returns the minimum height h with fanout^h >= n.
@@ -48,39 +71,35 @@ func tgsHeight(n, fanout int) int {
 	return h
 }
 
+// tgsLists is one set of records in the four orderings TGS cuts along: a
+// file of each on a store (TGS) or a permutation of each over a slice
+// (tgsSlice).
+type tgsLists interface {
+	// len is the number of records in the set.
+	len() int
+	// each calls fn on the records of ordering d, in order.
+	each(d int, fn func(geom.Item))
+	// split divides the set in two: the first pos records of ordering
+	// axis, first being the one after them, and the rest. Every ordering
+	// of each part stays sorted. The set is consumed.
+	split(axis, pos int, first geom.Item) (left, right tgsLists)
+	// leaf returns the records in ordering 0, appended to dst, and
+	// consumes the set.
+	leaf(dst []geom.Item) []geom.Item
+}
+
 type tgsBuilder struct {
-	disk   storage.Backend
 	b      *rtree.Builder
 	fanout int
+	buf    []geom.Item // one leaf's records
 }
 
-// orderKey is a point in the strict total order (coordinate, id) of one of
-// the four orderings.
-type orderKey struct {
-	v   float64
-	tie uint32
-}
-
-func (k orderKey) less(o orderKey) bool {
-	if k.v != o.v {
-		return k.v < o.v
-	}
-	return k.tie < o.tie
-}
-
-func tgsKey(it geom.Item, axis int) orderKey {
-	return orderKey{v: it.Rect.Coord(axis), tie: it.ID}
-}
-
-// build constructs a subtree of the given height over the rectangles in
-// lists (all four sorted orderings of the same set) and returns its entry.
-func (t *tgsBuilder) build(lists [4]*storage.ItemFile, h int) rtree.ChildEntry {
+// build constructs a subtree of the given height over s and returns its
+// entry.
+func (t *tgsBuilder) build(s tgsLists, h int) rtree.ChildEntry {
 	if h == 1 {
-		items := lists[0].ReadAll()
-		for d := 0; d < 4; d++ {
-			lists[d].Free()
-		}
-		return t.b.WriteLeaf(items)
+		t.buf = s.leaf(t.buf[:0])
+		return t.b.WriteLeaf(t.buf)
 	}
 	// m is the capacity of one height-(h-1) child subtree.
 	m := t.fanout
@@ -88,52 +107,46 @@ func (t *tgsBuilder) build(lists [4]*storage.ItemFile, h int) rtree.ChildEntry {
 		m *= t.fanout
 	}
 	var children []rtree.ChildEntry
-	t.partition(lists, m, h, &children)
+	t.partition(s, m, h, &children)
 	return t.b.WriteInternal(children)
 }
 
-// partition recursively binary-splits the set until pieces hold at most m
+// partition recursively binary-splits s until pieces hold at most m
 // records, then builds each piece as a height-(h-1) subtree.
-func (t *tgsBuilder) partition(lists [4]*storage.ItemFile, m, h int, children *[]rtree.ChildEntry) {
-	n := lists[0].Len()
-	if n <= m {
-		*children = append(*children, t.build(lists, h-1))
+func (t *tgsBuilder) partition(s tgsLists, m, h int, children *[]rtree.ChildEntry) {
+	if s.len() <= m {
+		*children = append(*children, t.build(s, h-1))
 		return
 	}
-	axis, cut := t.bestCut(lists, m)
-	left, right := t.splitLists(lists, axis, cut)
+	left, right := s.split(t.bestCut(s, m))
 	t.partition(left, m, h, children)
 	t.partition(right, m, h, children)
 }
 
 // bestCut evaluates, for each of the four orderings, every cut position at
-// a multiple of m records, and returns the ordering and cut key minimizing
-// the sum of the areas of the two bounding boxes (one scan per ordering).
-func (t *tgsBuilder) bestCut(lists [4]*storage.ItemFile, m int) (int, orderKey) {
-	n := lists[0].Len()
-	nc := (n + m - 1) / m // number of chunks
-	bestAxis, bestCost := -1, 0.0
-	var bestKey orderKey
+// a multiple of m records, and returns the ordering, position and first
+// record after the cut minimizing the sum of the areas of the two bounding
+// boxes (one scan per ordering).
+func (t *tgsBuilder) bestCut(s tgsLists, m int) (axis, pos int, first geom.Item) {
+	nc := (s.len() + m - 1) / m // number of chunks
+	chunkMBR := make([]geom.Rect, nc)
+	chunkFirst := make([]geom.Item, nc)
+	suffix := make([]geom.Rect, nc+1)
+	axis, bestCost := -1, 0.0
 	for d := 0; d < 4; d++ {
-		chunkMBR := make([]geom.Rect, nc)
-		firstKey := make([]orderKey, nc)
 		for i := range chunkMBR {
 			chunkMBR[i] = geom.EmptyRect()
 		}
-		r := lists[d].Reader()
-		for i := 0; ; i++ {
-			it, ok := r.Next()
-			if !ok {
-				break
-			}
+		i := 0
+		s.each(d, func(it geom.Item) {
 			c := i / m
 			if i%m == 0 {
-				firstKey[c] = tgsKey(it, d)
+				chunkFirst[c] = it
 			}
 			chunkMBR[c] = chunkMBR[c].Union(it.Rect)
-		}
+			i++
+		})
 		// Prefix/suffix bounding boxes over chunks.
-		suffix := make([]geom.Rect, nc+1)
 		suffix[nc] = geom.EmptyRect()
 		for i := nc - 1; i >= 0; i-- {
 			suffix[i] = suffix[i+1].Union(chunkMBR[i])
@@ -142,36 +155,107 @@ func (t *tgsBuilder) bestCut(lists [4]*storage.ItemFile, m int) (int, orderKey) 
 		for c := 1; c < nc; c++ {
 			prefix = prefix.Union(chunkMBR[c-1])
 			cost := prefix.Area() + suffix[c].Area()
-			if bestAxis == -1 || cost < bestCost {
-				bestAxis, bestCost, bestKey = d, cost, firstKey[c]
+			if axis == -1 || cost < bestCost {
+				axis, bestCost, pos, first = d, cost, c*m, chunkFirst[c]
 			}
 		}
 	}
-	return bestAxis, bestKey
+	return axis, pos, first
 }
 
-// splitLists rewrites the four sorted lists into two sets: items ordering
-// strictly before cut on axis go left. Each output list stays sorted
-// because the scan preserves order.
-func (t *tgsBuilder) splitLists(lists [4]*storage.ItemFile, axis int, cut orderKey) (left, right [4]*storage.ItemFile) {
+// tgsFiles is a set as four sorted files on the store of the input's.
+type tgsFiles [4]*storage.ItemFile
+
+func (f *tgsFiles) len() int { return f[0].Len() }
+
+func (f *tgsFiles) each(d int, fn func(geom.Item)) {
+	r := f[d].Reader()
+	for it, ok := r.Next(); ok; it, ok = r.Next() {
+		fn(it)
+	}
+}
+
+// split rewrites the four lists into two sets: records ordering strictly
+// before first on axis go left. Each output list stays sorted because the
+// scan preserves order.
+func (f *tgsFiles) split(axis, _ int, first geom.Item) (tgsLists, tgsLists) {
+	key := extsort.AxisKey(axis)
+	cut := key(first)
+	var left, right tgsFiles
 	for d := 0; d < 4; d++ {
-		left[d] = storage.NewItemFile(t.disk)
-		right[d] = storage.NewItemFile(t.disk)
-		r := lists[d].Reader()
-		for {
-			it, ok := r.Next()
-			if !ok {
-				break
-			}
-			if tgsKey(it, axis).less(cut) {
+		disk := f[d].Backend()
+		left[d], right[d] = storage.NewItemFile(disk), storage.NewItemFile(disk)
+		f.each(d, func(it geom.Item) {
+			if key(it).Less(cut) {
 				left[d].Append(it)
 			} else {
 				right[d].Append(it)
 			}
-		}
+		})
 		left[d].Seal()
 		right[d].Seal()
-		lists[d].Free()
+		f[d].Free()
 	}
-	return left, right
+	return &left, &right
+}
+
+func (f *tgsFiles) leaf(dst []geom.Item) []geom.Item {
+	dst = append(dst, f[0].ReadAll()...)
+	for d := 0; d < 4; d++ {
+		f[d].Free()
+	}
+	return dst
+}
+
+// tgsPerm is a set as four orderings of positions in items. The sets of
+// one load share their backing arrays: a split partitions each ordering in
+// place, and left and tmp are scratch that no two splits use at once.
+type tgsPerm struct {
+	items []geom.Item
+	ord   [4][]int32
+	left  []bool  // by position: the record goes left in the running split
+	tmp   []int32 // the right part of an ordering while it is partitioned
+}
+
+func (p *tgsPerm) len() int { return len(p.ord[0]) }
+
+func (p *tgsPerm) each(d int, fn func(geom.Item)) {
+	for _, i := range p.ord[d] {
+		fn(p.items[i])
+	}
+}
+
+// split partitions every ordering stably into the records among the first
+// pos of ordering axis and the rest.
+func (p *tgsPerm) split(axis, pos int, _ geom.Item) (tgsLists, tgsLists) {
+	for _, i := range p.ord[axis][:pos] {
+		p.left[i] = true
+	}
+	left, right := *p, *p
+	for d, ord := range p.ord {
+		if d != axis {
+			k, rest := 0, p.tmp[:0]
+			for _, i := range ord {
+				if p.left[i] {
+					ord[k] = i
+					k++
+				} else {
+					rest = append(rest, i)
+				}
+			}
+			copy(ord[k:], rest)
+		}
+		left.ord[d], right.ord[d] = ord[:pos], ord[pos:]
+	}
+	for _, i := range left.ord[axis] {
+		p.left[i] = false
+	}
+	return &left, &right
+}
+
+func (p *tgsPerm) leaf(dst []geom.Item) []geom.Item {
+	for _, i := range p.ord[0] {
+		dst = append(dst, p.items[i])
+	}
+	return dst
 }

@@ -2,7 +2,6 @@ package extsort
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"prtree/internal/dataset"
@@ -43,40 +42,31 @@ func BenchmarkExtSort(b *testing.B) {
 // BenchmarkSortAxes measures what the PR and TGS loaders start with: the
 // four corner-transform orderings of the benchmark's dataset (216k
 // rectangles, default M of 2^16: four runs a key, one merge pass) from one
-// SortKeys call, on a scratch file as a file-backed load has it. B/op
-// (-benchmem) is dominated by the run-formation buffers — chunks of decoded
-// records and the per-worker sort arenas — and by the page buffers of the
-// scratch store's reads.
+// SortKeys call, on a simulated disk. B/op (-benchmem) is dominated by the
+// run-formation buffers: chunks of decoded records and the per-worker sort
+// arenas.
 func BenchmarkSortAxes(b *testing.B) {
 	const m = 1 << 16
 	items := dataset.Western(300000, 2004)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			sc := storage.NewScratch(filepath.Join(b.TempDir(), "axes.pr"), storage.DefaultBlockSize)
-			defer sc.Close()
+			d := storage.NewDisk(storage.DefaultBlockSize)
+			in := storage.NewItemFileFrom(d, items)
 			var lastIO uint64
-			err := sc.Use(func() error {
-				in := storage.NewItemFileFrom(sc, items)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sc.ResetStats()
-					lists := SortKeys(in, AxisKeys(), Config{MemoryItems: m, Workers: workers})
-					lastIO = sc.Stats().Total()
-					b.StopTimer()
-					for _, f := range lists {
-						if f.Len() != len(items) {
-							b.Fatalf("lost records: %d != %d", f.Len(), len(items))
-						}
-						f.Free()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.ResetStats()
+				lists := SortKeys(in, AxisKeys(), Config{MemoryItems: m, Workers: workers})
+				lastIO = d.Stats().Total()
+				b.StopTimer()
+				for _, f := range lists {
+					if f.Len() != len(items) {
+						b.Fatalf("lost records: %d != %d", f.Len(), len(items))
 					}
-					b.StartTimer()
+					f.Free()
 				}
-				in.Free()
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
+				b.StartTimer()
 			}
 			b.ReportMetric(float64(lastIO), "blockIO/op")
 		})

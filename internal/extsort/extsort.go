@@ -280,6 +280,32 @@ func fillChunk(r *storage.ItemReader, buf []geom.Item, m int) []geom.Item {
 	return buf
 }
 
+// Orders returns, for each key, the positions of items in the order Sort
+// writes them by that key: by key, equal keys in input order. It is run
+// formation's in-memory sort over the whole slice, the keys sorted on up
+// to workers goroutines (bounded by GOMAXPROCS), each with an arena of 32
+// bytes a record that it reuses for every key it sorts; each result adds
+// four bytes a record.
+func Orders(items []geom.Item, keys []KeyFunc, workers int) [][]int32 {
+	w := min(parallel.Bound(workers), len(keys))
+	arenas := make(chan *runSorter, w)
+	for range w {
+		arenas <- newRunSorter(len(items))
+	}
+	out := make([][]int32, len(keys))
+	parallel.Run(w, len(keys), func(k int) {
+		s := <-arenas
+		recs := s.sort(items, keys[k])
+		perm := make([]int32, len(recs))
+		for i, r := range recs {
+			perm[i] = int32(r.pos)
+		}
+		out[k] = perm
+		arenas <- s
+	})
+	return out
+}
+
 // runSorter is one worker's scratch arena: the two record slices are
 // reused for every run the worker forms, so steady-state run formation
 // allocates nothing beyond the run files themselves.

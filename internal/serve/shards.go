@@ -148,7 +148,9 @@ func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 	return man, nil
 }
 
-// writeManifest persists the manifest atomically (write + rename).
+// writeManifest persists the manifest atomically and durably: it writes
+// and fsyncs a temporary file, renames it over the manifest, then syncs
+// the directory, so a crash leaves the old manifest or the new one.
 func writeManifest(dir string, man *Manifest) error {
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
@@ -156,11 +158,25 @@ func writeManifest(dir string, man *Manifest) error {
 	}
 	data = append(data, '\n')
 	tmp := filepath.Join(dir, ManifestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
-		return fmt.Errorf("serve: %w", err)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, ManifestName))
+	}
+	if err == nil {
+		err = storage.SyncDir(dir)
+	}
+	if err != nil {
+		return fmt.Errorf("serve: writing manifest: %w", err)
 	}
 	return nil
 }

@@ -311,6 +311,24 @@ func TestBuildManifest(t *testing.T) {
 	}
 }
 
+// TestBuildSyncsDirectory: a set is durable once Build returns. Each shard
+// file's creation syncs the directory, and the manifest is fsynced under a
+// temporary name, renamed into place and the directory synced again, so
+// Build of three shards syncs it four times and leaves no temporary.
+func TestBuildSyncsDirectory(t *testing.T) {
+	dir := t.TempDir()
+	before := storage.DirSyncs()
+	if _, err := Build(dir, dataset.Western(500, 9), BuildOptions{Shards: 3, Loader: prtree.PR}); err != nil {
+		t.Fatal(err)
+	}
+	if got := storage.DirSyncs() - before; got != 4 {
+		t.Errorf("Build synced the directory %d times, want 4", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ManifestName+".tmp")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("temporary manifest: %v", err)
+	}
+}
+
 // TestOpenGridManifest: a set whose manifest names the grid partition,
 // which earlier builds could write, still opens and answers in full.
 func TestOpenGridManifest(t *testing.T) {

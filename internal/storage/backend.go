@@ -5,8 +5,8 @@ package storage
 // reads and writes, an opaque superblock metadata blob, transaction and
 // snapshot hooks, durability, and the store's own block-I/O counters. The
 // in-memory Disk simulator (the paper's measurement device), the
-// file-backed page store (FileBackend), a load's Scratch store and the
-// Faulty decorator all implement it — a store implements the hooks it has
+// file-backed page store (FileBackend) and the Faulty decorator all
+// implement it — a store implements the hooks it has
 // no use for as no-ops — so the same worst-case-optimal tree serves
 // simulated and persistent storage without touching the algorithms. A
 // decorator implements the whole interface; one that embeds a Backend
@@ -128,7 +128,6 @@ var (
 	_ Backend = (*Disk)(nil)
 	_ Backend = (*FileBackend)(nil)
 	_ Backend = (*Faulty)(nil)
-	_ Backend = (*Scratch)(nil)
 )
 
 // AsFile returns b as the page file it is, or (nil, false) for any other

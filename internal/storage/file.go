@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -290,8 +292,9 @@ func MetaCapacity(blockSize int) int { return blockSize - fileHeaderSize }
 
 // CreateFile creates (or truncates) a page file at path with the given
 // block size and returns an empty backend on it. The header and an empty
-// write-ahead log (at path+".wal") are written immediately so even an
-// empty index file is openable after a crash.
+// write-ahead log (at path+".wal") are written immediately, and their
+// directory synced once both exist, so even an empty index file is
+// openable after a crash.
 func CreateFile(path string, blockSize int) (*FileBackend, error) {
 	if blockSize < fileHeaderSize || blockSize > maxBlockSize {
 		return nil, fmt.Errorf("storage: create %s: block size %d outside [%d, %d]",
@@ -335,17 +338,49 @@ func CreateFile(path string, blockSize int) (*FileBackend, error) {
 		cleanup()
 		return nil, err
 	}
+	if err := SyncDir(filepath.Dir(path)); err != nil {
+		cleanup()
+		return nil, err
+	}
 	return fb, nil
+}
+
+// dirSyncs counts SyncDir calls, for tests.
+var dirSyncs atomic.Int64
+
+// DirSyncs returns how many times SyncDir has run in this process.
+func DirSyncs() int64 { return dirSyncs.Load() }
+
+// SyncDir fsyncs the directory dir, which makes the files created, renamed
+// or removed in it durable: an fsync of a file covers its contents, not
+// its name. Windows cannot sync a directory; there it does nothing.
+func SyncDir(dir string) error {
+	dirSyncs.Add(1)
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("storage: sync directory: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("storage: sync directory %s: %w", dir, err)
+	}
+	return nil
 }
 
 // walPath returns the sidecar log path for a page file.
 func walPath(pagePath string) string { return pagePath + ".wal" }
 
 // RemoveFiles deletes the page file at path together with its write-ahead
-// log and its scratch file. Files that do not exist are not an error.
+// log. Files that do not exist are not an error.
 func RemoveFiles(path string) error {
 	var errs []error
-	for _, p := range []string{path, walPath(path), ScratchPath(path)} {
+	for _, p := range []string{path, walPath(path)} {
 		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
 			errs = append(errs, err)
 		}

@@ -360,3 +360,32 @@ func TestFileBackendCounting(t *testing.T) {
 		check("ResetStats")
 	}
 }
+
+// TestCreateFileSyncsDirectory: the names of a new page file and its log
+// are durable only once their directory is synced, so CreateFile syncs it,
+// once, after both exist. Opening an existing file creates no name.
+func TestCreateFileSyncsDirectory(t *testing.T) {
+	path := tempIndex(t)
+	before := DirSyncs()
+	fb, err := CreateFile(path, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := DirSyncs() - before; got != 1 {
+		t.Errorf("CreateFile synced its directory %d times, want 1", got)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before = DirSyncs()
+	if fb, err = OpenFile(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	if got := DirSyncs() - before; got != 0 {
+		t.Errorf("OpenFile synced a directory %d times", got)
+	}
+	if err := SyncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Error("SyncDir of a missing directory succeeded")
+	}
+}

@@ -93,7 +93,7 @@ func NewItemFileFrom(dev Backend, items []geom.Item) *ItemFile {
 
 // Backend returns the store the file lives on. Code that consumes a file
 // puts its own temporaries there too, so a caller chooses where a whole
-// pipeline's scratch space goes by choosing where its input file is.
+// pipeline's temporaries go by choosing where its input file is.
 func (f *ItemFile) Backend() Backend { return f.dev }
 
 // Len returns the number of records in the file.

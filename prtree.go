@@ -102,16 +102,16 @@ const (
 //
 // Four things are not among them. Every node is the paper's page of
 // 36-byte entries, as many as the block holds, so the fanout follows from
-// BlockSize. A PR load of a slice — Bulk, BulkWith, BulkLoad and a
-// Dynamic's level builds — builds in memory over a permutation of it,
-// with no temporaries, since the slice is resident already; the other
-// loaders run their external passes at a fixed memory budget of 2^16
-// records. A bounded page cache evicts the least recently used page. And
-// how a file-backed tree reads its pages is fixed by the platform: on
-// Linux the index file maps itself and the page cache holds views of the
-// mapping, so a cache miss is a counted block read that copies and
-// allocates nothing; elsewhere a miss is a checksummed pread into a fresh
-// buffer. Results, CacheStats and IOStats are the same on both.
+// BlockSize. A load of a slice — Bulk, BulkWith, BulkLoad and a Dynamic's
+// level builds — builds in memory over permutations of it, with no
+// temporaries, since the slice is resident already, so there is no memory
+// budget to set. A bounded page cache evicts the least recently used
+// page. And how a file-backed tree reads its pages is fixed by the
+// platform: on Linux the index file maps itself and the page cache holds
+// views of the mapping, so a cache miss is a counted block read that
+// copies and allocates nothing; elsewhere a miss is a checksummed pread
+// into a fresh buffer. Results, CacheStats and IOStats are the same on
+// both.
 type Options struct {
 	// BlockSize is the storage block size in bytes (default 4096). Open
 	// treats a non-zero value as a requirement the index file must match.
@@ -121,11 +121,11 @@ type Options struct {
 	CacheCapacity int
 	// Parallelism is the worker budget of every bulk load (clamped to
 	// GOMAXPROCS; 0 or 1 means serial): Bulk, BulkWith and BulkLoad, and
-	// on a Dynamic the carries and rebuilds. It spreads the external sorts
-	// of the H, H4 and TGS loaders and, for the PR loader, the kd recursion
-	// of the in-memory construction. The built tree — for PR, byte for byte
-	// on a file-backed index — and the backend's I/O counts are identical
-	// at every setting.
+	// on a Dynamic the carries and rebuilds. It spreads the encoding of
+	// the leaf pages, TGS's four sorts and, for the PR loader, the kd
+	// recursion of the construction. The built tree — byte for byte on a
+	// file-backed index — and the backend's I/O counts are identical at
+	// every setting.
 	Parallelism int
 	// WrapBackend, when set, decorates the raw block store of a
 	// file-backed tree (Create/Open) before the pager is assembled on top.
@@ -134,9 +134,7 @@ type Options struct {
 	// implements the whole Backend — transactions, snapshots and I/O
 	// counters too — and one that embeds the Backend it wraps forwards
 	// them all. CheckPages and PageCounts read the index file itself,
-	// whatever the decorator. Only the index file is wrapped; a load's
-	// scratch file (see BulkLoad) holds nothing a fault could corrupt.
-	// Ignored by the in-memory constructors.
+	// whatever the decorator. Ignored by the in-memory constructors.
 	WrapBackend func(Backend) Backend
 }
 
@@ -186,18 +184,8 @@ func Bulk(items []Item, opts *Options) *Tree {
 func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 	o := opts.normalized()
 	t := &Tree{handle: memHandle(o), bopts: o.bulkOptions()}
-	t.inner = t.load(l, t.io, items)
+	t.inner = bulk.LoadSlice(l, t.pager, items, t.bopts)
 	return t
-}
-
-// load builds a tree over items with loader l on t's pager. A PR load
-// builds in memory; any other writes items to an input file on tmp, the
-// store its temporaries share, and runs the loader's external passes.
-func (t *Tree) load(l Loader, tmp storage.Backend, items []Item) *rtree.Tree {
-	if l == PR {
-		return bulk.PRTreeSlice(t.pager, items, t.bopts)
-	}
-	return bulk.Load(l, t.pager, storage.NewItemFileFrom(tmp, items), t.bopts)
 }
 
 // BulkLoad (re)builds the tree's contents in place from items using loader
@@ -216,15 +204,12 @@ func (t *Tree) load(l Loader, tmp storage.Backend, items []Item) *rtree.Tree {
 // free pages that end the file. A created index owns no page until its
 // first load, which therefore writes exactly Nodes() pages from page 0.
 //
-// Scratch space: a file-backed tree writes only finished tree pages to its
-// index file, so a load into a freshly created index leaves an index file
-// of exactly Nodes() pages. A PR load has no temporaries at all: it builds
-// in memory over a permutation of items and creates no scratch file. An H,
-// H4 or TGS load puts its input file, sort runs and every other temporary
-// on a private scratch file beside the index (path + ".scratch"), which
-// needs transient disk space of about three times the input, is never
-// journaled or fsynced, and is deleted when the tree closes or the load
-// fails. IOStats counts the scratch I/O too.
+// Every loader builds in memory over permutations of items, which it only
+// reads, and writes nothing but finished tree pages: a load makes no
+// temporary file, so a file-backed index stays two files, path and
+// path + ".wal", and a load into a freshly created index leaves an index
+// file of exactly Nodes() pages, allocated from page 0. IOStats counts
+// those page writes and nothing else.
 func (t *Tree) BulkLoad(l Loader, items []Item) error {
 	if t.closed {
 		return fmt.Errorf("prtree: BulkLoad on closed tree")
@@ -234,18 +219,10 @@ func (t *Tree) BulkLoad(l Loader, items []Item) error {
 			return fmt.Errorf("prtree: bulk load: item %d (id %d) has invalid rectangle %v", i, it.ID, it.Rect)
 		}
 	}
-	build := func() error {
-		return t.txn(func() {
-			t.inner.Release()
-			t.inner = t.load(l, t.scratch.Or(t.io), items)
-		}, t.saveMeta)
-	}
-	var err error
-	if l == PR {
-		err = build()
-	} else {
-		err = t.scratch.Use(build)
-	}
+	err := t.txn(func() {
+		t.inner.Release()
+		t.inner = bulk.LoadSlice(l, t.pager, items, t.bopts)
+	}, t.saveMeta)
 	if err != nil {
 		return fmt.Errorf("prtree: bulk load: %w", err)
 	}

@@ -1,6 +1,7 @@
 package prtree
 
 import (
+	"fmt"
 	"iter"
 	"math"
 	"math/rand"
@@ -114,6 +115,53 @@ func TestAllPublicLoaders(t *testing.T) {
 		}
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("%v: %v", l, err)
+		}
+	}
+}
+
+// TestLoadersTiedRecords: every loader builds a valid tree that holds and
+// finds every record when records tie on every coordinate and their id —
+// 3,000 copies of one item, and 5,000 records on 400 unit squares with 50
+// ids — at fanout 16 and the default, through BulkWith and through Create
+// and BulkLoad. TGS built nodes of no or too many entries here when its
+// partition cut by (coordinate, id) alone.
+func TestLoadersTiedRecords(t *testing.T) {
+	same := make([]Item, 3000)
+	for i := range same {
+		same[i] = Item{Rect: NewRect(3, 4, 5, 6), ID: 7}
+	}
+	tied := make([]Item, 5000)
+	for i := range tied {
+		x, y := float64(i%20), float64(i%400/20)
+		tied[i] = Item{Rect: NewRect(x, y, x+1, y+1), ID: uint32(i % 50)}
+	}
+	check := func(t *testing.T, tree *Tree, items []Item) {
+		t.Helper()
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		n, err := tree.Count(Window(NewRect(-1, -1, 100, 100)))
+		if err != nil || tree.Len() != len(items) || n != len(items) {
+			t.Fatalf("Len %d, Count %d (%v) for %d items", tree.Len(), n, err, len(items))
+		}
+	}
+	for _, l := range []Loader{PR, Hilbert, Hilbert4D, TGS} {
+		for _, bs := range []int{580, 0} {
+			for name, items := range map[string][]Item{"same": same, "tied": tied} {
+				t.Run(fmt.Sprintf("%v/BlockSize=%d/%s", l, bs, name), func(t *testing.T) {
+					opts := &Options{BlockSize: bs}
+					check(t, BulkWith(l, items, opts), items)
+					tree, err := Create(filepath.Join(t.TempDir(), "tied.pr"), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer tree.Close()
+					if err := tree.BulkLoad(l, items); err != nil {
+						t.Fatal(err)
+					}
+					check(t, tree, items)
+				})
+			}
 		}
 	}
 }

@@ -2,8 +2,10 @@ package prtree
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
+	"math"
 
 	"prtree/internal/geom"
 	"prtree/internal/logmethod"
@@ -120,10 +122,15 @@ func (d *Dynamic) exec() searcher { return searcher{dynamic: d.inner} }
 
 // run executes q on s — the one place a query's kind picks the traversal —
 // and fills q's WithStats sink. A window, point or containment query
-// reports to fn; a Nearest query returns its neighbors instead.
+// reports to fn; a Nearest query returns its neighbors instead. A NaN or
+// infinite coordinate fails the query before it starts: a NaN compares
+// false with everything and every distance to an infinity ties, so a
+// traversal would answer with arbitrary items.
 func run(s searcher, q Query, fn func(Item) bool) (nb []Neighbor, st QueryStats, err error) {
 	opt := rtree.RunOptions{Limit: q.limit, Cancel: cancelPoll(q.ctx)}
 	switch {
+	case !finite(q.rect.MinX, q.rect.MinY, q.rect.MaxX, q.rect.MaxY, q.x, q.y):
+		err = errNonFinite
 	case q.kind == queryNearest && s.dynamic != nil:
 		nb, st, err = s.dynamic.RunNearest(q.x, q.y, q.k, opt)
 	case q.kind == queryNearest:
@@ -137,6 +144,17 @@ func run(s searcher, q Query, fn func(Item) bool) (nb []Neighbor, st QueryStats,
 		*q.stats = st
 	}
 	return nb, st, err
+}
+
+var errNonFinite = errors.New("prtree: query coordinate is NaN or infinite")
+
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // runItems is Run on s: a Nearest query's neighbors go to fn in order.
@@ -182,10 +200,12 @@ func collectNeighbors(s searcher, q Query) ([]Neighbor, error) {
 
 // Run executes q, reporting each matching item to fn (return false to stop
 // early; fn may be nil to count only). Window and containment results come
-// in unspecified order; Nearest results in ascending distance order. The
-// only error source is query cancellation: a non-nil error is the
-// context's (context.Canceled or context.DeadlineExceeded), wrapped
-// statistics land in the WithStats sink regardless.
+// in unspecified order; Nearest results in ascending distance order. A
+// query with a NaN or infinite coordinate fails with an error before any
+// traversal; otherwise the only error source is query cancellation: a
+// non-nil error is the context's (context.Canceled or
+// context.DeadlineExceeded), and statistics land in the WithStats sink
+// regardless.
 //
 // fn must not mutate the tree, and Run is safe for any number of
 // concurrent callers (the read path shares no traversal state).

@@ -7,26 +7,31 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
+	"slices"
 	"testing"
 
 	"prtree/internal/storage"
 )
 
-// scratchEntries lists the directory entries that look like scratch files.
-func scratchEntries(t *testing.T, dir string) []string {
+// indexFiles fails the test unless dir holds exactly the index files at
+// the given names and their write-ahead logs: a load makes no other file.
+func indexFiles(t *testing.T, dir string, names ...string) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
+	var got, want []string
 	for _, e := range ents {
-		if strings.Contains(e.Name(), ".scratch") {
-			out = append(out, e.Name())
-		}
+		got = append(got, e.Name())
 	}
-	return out
+	for _, n := range names {
+		want = append(want, n, n+".wal")
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("the directory holds %v, want %v", got, want)
+	}
 }
 
 func scratchTestItems(n int, seed int64) []Item {
@@ -42,9 +47,9 @@ func scratchTestItems(n int, seed int64) []Item {
 // TestBulkLoadLeavesDenseIndexFile: whatever the loader, a file-backed
 // Create + BulkLoad + Close leaves an index file that is its tree and
 // nothing else — Nodes() page slots after the header, all in use,
-// allocated from page 0 — and no scratch file beside it. The H, H4 and TGS
-// loads put their input and temporaries on the scratch store; the PR load
-// builds in memory and never touches it.
+// allocated from page 0 — and no file but the index and its log. Every
+// loader builds in memory, so the load's block I/O is the tree's page
+// writes and nothing else.
 func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 	const blockSize = 512
 	items := scratchTestItems(3000, 5)
@@ -59,19 +64,15 @@ func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 			if err := tr.BulkLoad(l, items); err != nil {
 				t.Fatal(err)
 			}
-			if got := tr.scratch.PagesInUse(); got != 0 {
-				t.Errorf("scratch store ends the load at %d pages in use", got)
-			}
-			if used := tr.scratch.Stats().Total() != 0; used != (l != PR) {
-				t.Errorf("%v load: scratch store did %v of I/O", l, tr.scratch.Stats())
-			}
+			indexFiles(t, dir, "dense.pr")
 			nodes := tr.Nodes()
+			if io := tr.IOStats(); io != (IOStats{Writes: uint64(nodes)}) {
+				t.Errorf("%v load did %v of block I/O for a tree of %d pages", l, io, nodes)
+			}
 			if err := tr.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if ents := scratchEntries(t, dir); len(ents) != 0 {
-				t.Errorf("scratch files left after Close: %v", ents)
-			}
+			indexFiles(t, dir, "dense.pr")
 
 			st, err := os.Stat(path)
 			if err != nil {
@@ -146,182 +147,119 @@ func TestBulkLoadParallelismByteIdentical(t *testing.T) {
 
 // TestFailedLoadRemovesScratch: a load that dies — an injected backend
 // fault mid-build, a kill at a persistence step, a commit that returns an
-// error — removes its scratch file on the way out, before anyone closes
-// the handle. The load is a Hilbert one: a PR load has no scratch file.
+// error — leaves no file behind but the index and its log, whatever the
+// loader: there is no temporary file to remove.
 func TestFailedLoadRemovesScratch(t *testing.T) {
 	items := scratchTestItems(2000, 6)
 	opts := func(wrap func(Backend) Backend) *Options {
 		return &Options{BlockSize: 512, WrapBackend: wrap}
 	}
-	load := func(t *testing.T, tr *Tree) (err error, panicked any) {
+	load := func(t *testing.T, tr *Tree, l Loader) (err error, panicked any) {
 		t.Helper()
 		defer func() { panicked = recover() }()
-		return tr.BulkLoad(Hilbert, items), nil
+		return tr.BulkLoad(l, items), nil
 	}
-	check := func(t *testing.T, dir string, tr *Tree) {
-		t.Helper()
-		if tr.scratch.Stats().Writes == 0 {
-			t.Error("the load failed before it reached its scratch store; the test proves nothing")
-		}
-		if ents := scratchEntries(t, dir); len(ents) != 0 {
-			t.Errorf("failed load left %v behind", ents)
+
+	// eachLoader runs fn as a subtest for every loader.
+	eachLoader := func(t *testing.T, fn func(t *testing.T, l Loader)) {
+		for _, l := range []Loader{Hilbert, Hilbert4D, TGS, PR} {
+			t.Run(l.String(), func(t *testing.T) { fn(t, l) })
 		}
 	}
 
 	t.Run("faulty-crash", func(t *testing.T) {
-		dir := t.TempDir()
-		tr, err := Create(filepath.Join(dir, "f.pr"), opts(func(b Backend) Backend {
-			// Ops 1-2 are Create's root write and sync; the fault fires a
-			// few tree-page writes into the load.
-			return NewFaultyBackend(b, FaultCrash, 12)
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, p := load(t, tr)
-		if perr, ok := p.(error); !ok || !errors.Is(perr, ErrInjectedFault) {
-			t.Fatalf("load panicked with %v, want an injected fault", p)
-		}
-		check(t, dir, tr)
-		crashBackend(t, tr).Abandon()
+		eachLoader(t, func(t *testing.T, l Loader) {
+			dir := t.TempDir()
+			tr, err := Create(filepath.Join(dir, "f.pr"), opts(func(b Backend) Backend {
+				// Ops 1-2 are Create's root write and sync; the fault fires
+				// a few tree-page writes into the load.
+				return NewFaultyBackend(b, FaultCrash, 12)
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, p := load(t, tr, l)
+			if perr, ok := p.(error); !ok || !errors.Is(perr, ErrInjectedFault) {
+				t.Fatalf("load panicked with %v, want an injected fault", p)
+			}
+			indexFiles(t, dir, "f.pr")
+			crashBackend(t, tr).Abandon()
+		})
 	})
 
 	t.Run("crash-after-steps", func(t *testing.T) {
-		dir := t.TempDir()
-		tr, err := Create(filepath.Join(dir, "s.pr"), opts(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb := crashBackend(t, tr)
-		fb.SetCrashAfterSteps(fb.PersistSteps() + 10)
-		_, p := load(t, tr)
-		if perr, ok := p.(error); !ok || !errors.Is(perr, ErrInjectedFault) {
-			t.Fatalf("load panicked with %v, want an injected fault", p)
-		}
-		check(t, dir, tr)
-		fb.Abandon()
+		eachLoader(t, func(t *testing.T, l Loader) {
+			dir := t.TempDir()
+			tr, err := Create(filepath.Join(dir, "s.pr"), opts(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb := crashBackend(t, tr)
+			fb.SetCrashAfterSteps(fb.PersistSteps() + 10)
+			_, p := load(t, tr, l)
+			if perr, ok := p.(error); !ok || !errors.Is(perr, ErrInjectedFault) {
+				t.Fatalf("load panicked with %v, want an injected fault", p)
+			}
+			indexFiles(t, dir, "s.pr")
+			fb.Abandon()
+		})
 	})
 
 	t.Run("commit-error", func(t *testing.T) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "e.pr")
-		var faulty *storage.Faulty
-		tr, err := Create(path, opts(func(b Backend) Backend {
-			faulty = storage.NewFaulty(b, storage.FaultError, 0)
-			return faulty
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Dry run on a sibling file to learn how many counted operations a
-		// load spends, then fail the last one: the commit.
-		var dryFaulty *storage.Faulty
-		dry, err := Create(filepath.Join(dir, "dry.pr"), opts(func(b Backend) Backend {
-			dryFaulty = storage.NewFaulty(b, storage.FaultNone, 0)
-			return dryFaulty
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := dryFaulty.Ops()
-		if err := dry.BulkLoad(Hilbert, items); err != nil {
-			t.Fatal(err)
-		}
-		spent := dryFaulty.Ops() - before
-		if err := dry.Close(); err != nil {
-			t.Fatal(err)
-		}
-		faulty.Arm(spent)
-		err, p := load(t, tr)
-		if p != nil || !errors.Is(err, ErrInjectedFault) {
-			t.Fatalf("load = %v (panic %v), want the commit's injected error", err, p)
-		}
-		check(t, dir, tr)
-		crashBackend(t, tr).Abandon()
-		// The failed commit rolled back: the file still opens to the empty
-		// tree Create committed.
-		re, err := Open(path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer re.Close()
-		if re.Len() != 0 {
-			t.Errorf("recovered %d items from a load whose commit failed", re.Len())
-		}
+		eachLoader(t, func(t *testing.T, l Loader) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "e.pr")
+			var faulty *storage.Faulty
+			tr, err := Create(path, opts(func(b Backend) Backend {
+				faulty = storage.NewFaulty(b, storage.FaultError, 0)
+				return faulty
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Dry run on a sibling file to learn how many counted operations
+			// a load spends, then fail the last one: the commit.
+			var dryFaulty *storage.Faulty
+			dry, err := Create(filepath.Join(dir, "dry.pr"), opts(func(b Backend) Backend {
+				dryFaulty = storage.NewFaulty(b, storage.FaultNone, 0)
+				return dryFaulty
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := dryFaulty.Ops()
+			if err := dry.BulkLoad(l, items); err != nil {
+				t.Fatal(err)
+			}
+			spent := dryFaulty.Ops() - before
+			if err := dry.Close(); err != nil {
+				t.Fatal(err)
+			}
+			faulty.Arm(spent)
+			err, p := load(t, tr, l)
+			if p != nil || !errors.Is(err, ErrInjectedFault) {
+				t.Fatalf("load = %v (panic %v), want the commit's injected error", err, p)
+			}
+			indexFiles(t, dir, "dry.pr", "e.pr")
+			crashBackend(t, tr).Abandon()
+			// The failed commit rolled back: the file still opens to the
+			// empty tree Create committed.
+			re, err := Open(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Len() != 0 {
+				t.Errorf("recovered %d items from a load whose commit failed", re.Len())
+			}
+		})
 	})
 }
 
-// TestStaleScratchRemovedOnOpen: every file-backed constructor deletes the
-// scratch file a killed process left behind before it does anything else.
-func TestStaleScratchRemovedOnOpen(t *testing.T) {
-	dir := t.TempDir()
-	plant := func(path string) {
-		t.Helper()
-		if err := os.WriteFile(storage.ScratchPath(path), []byte("left by a killed process"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gone := func(what string) {
-		t.Helper()
-		if ents := scratchEntries(t, dir); len(ents) != 0 {
-			t.Errorf("%s left stale %v in place", what, ents)
-		}
-	}
-
-	static := filepath.Join(dir, "static.pr")
-	plant(static)
-	tr, err := Create(static, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone("Create")
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	plant(static)
-	if tr, err = Open(static, nil); err != nil {
-		t.Fatal(err)
-	}
-	gone("Open")
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	dyn := filepath.Join(dir, "dyn.prd")
-	plant(dyn)
-	d, err := CreateDynamic(dyn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone("CreateDynamic")
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	plant(dyn)
-	if d, err = OpenDynamic(dyn, nil); err != nil {
-		t.Fatal(err)
-	}
-	gone("OpenDynamic")
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A failed open of something that is no index must still have cleaned up.
-	junk := filepath.Join(dir, "junk.pr")
-	if err := os.WriteFile(junk, []byte("not an index"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	plant(junk)
-	if _, err := Open(junk, nil); err == nil {
-		t.Fatal("Open accepted a junk file")
-	}
-	gone("a failed Open")
-}
-
 // TestDynamicCarriesUseScratch: a file-backed Dynamic builds every level
-// in memory, so its carries use no scratch store at all. Inserts that
+// in memory, so its carries use no scratch file at all. Inserts that
 // cross many carries, a flush, a Sync, a Close and a reopen that carries
-// again leave no scratch file at any point, and IOStats is the index
-// file's I/O alone.
+// again leave no file but the index and its log at any point.
 func TestDynamicCarriesUseScratch(t *testing.T) {
 	items := scratchTestItems(1200, 7)
 	// Carries run inline only; the case keeps the name it had beside the
@@ -329,15 +267,6 @@ func TestDynamicCarriesUseScratch(t *testing.T) {
 	t.Run("background=false", func(t *testing.T) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "carry.prd")
-		noScratch := func(when string, d *Dynamic) {
-			t.Helper()
-			if ents := scratchEntries(t, dir); len(ents) != 0 {
-				t.Errorf("%s: the directory holds scratch files %v", when, ents)
-			}
-			if d.scratch != nil {
-				t.Errorf("%s: the dynamic index has a scratch store", when)
-			}
-		}
 		// 512-byte blocks: a buffer of 14 items, so 1200 inserts carry some 85
 		// times and reach level 6.
 		opts := &Options{BlockSize: 512}
@@ -350,7 +279,7 @@ func TestDynamicCarriesUseScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i == 500 {
-				noScratch("between carries", d)
+				indexFiles(t, dir, "carry.prd")
 			}
 		}
 		if len(d.LevelSizes()) < 5 {
@@ -362,10 +291,7 @@ func TestDynamicCarriesUseScratch(t *testing.T) {
 		if err := d.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		noScratch("after a flush and a Sync", d)
-		if d.IOStats() != d.io.Stats() {
-			t.Errorf("IOStats %v is not the index file's %v", d.IOStats(), d.io.Stats())
-		}
+		indexFiles(t, dir, "carry.prd")
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -378,34 +304,23 @@ func TestDynamicCarriesUseScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		noScratch("after a reopen and more carries", re)
+		indexFiles(t, dir, "carry.prd")
 		if re.Len() != len(items) {
 			t.Errorf("index holds %d of %d items", re.Len(), len(items))
 		}
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if ents := scratchEntries(t, dir); len(ents) != 0 {
-			t.Errorf("scratch files left after Close: %v", ents)
-		}
+		indexFiles(t, dir, "carry.prd")
 	})
 }
 
 // TestDefaultLoadsUseNoScratch: a PR load of a slice builds in memory.
-// Create + BulkLoad(PR) and a Dynamic's carries create no scratch file and
-// do no scratch I/O, and the load allocates at most eight bytes a record
-// beyond the pages it writes.
+// Create + BulkLoad(PR) and a Dynamic's carries create no file but the
+// index and its log, the load's block I/O is its tree's page writes, and
+// the load allocates at most eight bytes a record beyond the pages it
+// writes.
 func TestDefaultLoadsUseNoScratch(t *testing.T) {
-	noScratch := func(t *testing.T, dir string, sio IOStats) {
-		t.Helper()
-		if ents := scratchEntries(t, dir); len(ents) != 0 {
-			t.Errorf("scratch files %v beside the index", ents)
-		}
-		if sio.Total() != 0 {
-			t.Errorf("scratch store did %v of I/O", sio)
-		}
-	}
-
 	t.Run("BulkLoad", func(t *testing.T) {
 		// Above bulk.DefaultMemoryItems, the budget the external loaders
 		// run at.
@@ -422,7 +337,10 @@ func TestDefaultLoadsUseNoScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&m1)
-		noScratch(t, dir, tr.scratch.Stats())
+		indexFiles(t, dir, "static.pr")
+		if io := tr.IOStats(); io != (IOStats{Writes: uint64(tr.Nodes())}) {
+			t.Errorf("the load did %v of block I/O for a tree of %d pages", io, tr.Nodes())
+		}
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +368,7 @@ func TestDefaultLoadsUseNoScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i == len(items)/2 {
-				noScratch(t, dir, d.scratch.Stats())
+				indexFiles(t, dir, "carry.prd")
 			}
 		}
 		if err := d.Sync(); err != nil {
@@ -459,7 +377,7 @@ func TestDefaultLoadsUseNoScratch(t *testing.T) {
 		if len(d.LevelSizes()) < 5 {
 			t.Fatalf("levels %v: too few carries to prove anything", d.LevelSizes())
 		}
-		noScratch(t, dir, d.scratch.Stats())
+		indexFiles(t, dir, "carry.prd")
 		if d.Len() != len(items) {
 			t.Errorf("index holds %d of %d items", d.Len(), len(items))
 		}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -90,16 +91,15 @@ func TestBackendEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Build block-I/O is the same quantity on both backends: a PR
-			// load builds in memory, so each backend took one write per
-			// tree page and nothing else, and the scratch store none.
+			// Build block-I/O is the same quantity on both backends: a load
+			// builds in memory, so each backend took one write per tree
+			// page and nothing else.
 			buildM, buildF := mem.IOStats(), file.IOStats()
 			if buildM != buildF {
-				t.Fatalf("build block-I/O differs: in-memory %v, file-backed (index + scratch) %v", buildM, buildF)
+				t.Fatalf("build block-I/O differs: in-memory %v, file-backed %v", buildM, buildF)
 			}
-			if io := file.io.Stats(); int(io.Writes) != file.Nodes() || io.Reads != 0 || file.scratch.Stats().Total() != 0 {
-				t.Fatalf("index file took %v for a tree of %d pages; scratch store %v",
-					io, file.Nodes(), file.scratch.Stats())
+			if int(buildF.Writes) != file.Nodes() || buildF.Reads != 0 {
+				t.Fatalf("index file took %v for a tree of %d pages", buildF, file.Nodes())
 			}
 
 			if mem.Len() != file.Len() || mem.Height() != file.Height() || mem.Nodes() != file.Nodes() {
@@ -407,6 +407,59 @@ func TestFileBackedUpdatesPersist(t *testing.T) {
 	// checkpoints cut off the second one's: the file is the live tree.
 	if total, inUse := re.PageCounts(); inUse != nodes || total != nodes {
 		t.Errorf("%d pages, %d in use, for a tree of %d", total, inUse, nodes)
+	}
+}
+
+// TestQueryRejectsNonFinite: a query with a NaN or infinite coordinate —
+// a window, point or containment corner, a nearest-neighbor center —
+// fails on a Tree and on a Dynamic through every consumer before any
+// traversal: Run calls nothing back and returns an error, Iter yields
+// nothing, Collect, Count and CollectNearest return no results and an
+// error, and a WithStats sink reads zero visits.
+func TestQueryRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	items := dataset.Western(2000, 5)
+	d, _ := querySurfaceDynamic(t, items)
+	queries := map[string]Query{
+		"Window/NaN":    Window(Rect{MinX: nan, MaxX: 1, MaxY: 1}),
+		"Window/+Inf":   Window(Rect{MaxX: inf, MaxY: 1}),
+		"Point/NaN":     Point(nan, 0.5),
+		"Point/-Inf":    Point(0.5, -inf),
+		"Contained/NaN": Contained(Rect{MaxX: 1, MinY: nan, MaxY: 1}),
+		"Contained/Inf": Contained(Rect{MaxX: 1, MaxY: inf}),
+		"Nearest/NaN":   Nearest(nan, 0, 3),
+		"Nearest/+Inf":  Nearest(inf, 0, 3),
+		"Nearest/-Inf":  Nearest(0, -inf, 3),
+	}
+	for index, s := range map[string]querier{"Tree": Bulk(items, nil), "Dynamic": d} {
+		for name, q := range queries {
+			t.Run(index+"/"+name, func(t *testing.T) {
+				st := QueryStats{NodesVisited: -1}
+				q := q.WithStats(&st)
+				called := 0
+				if err := s.Run(q, func(Item) bool { called++; return true }); err == nil || called != 0 {
+					t.Errorf("Run: %d results, error %v", called, err)
+				}
+				if st != (QueryStats{}) {
+					t.Errorf("Run: stats %+v, want no visit", st)
+				}
+				for range s.Iter(q) {
+					called++
+				}
+				if called != 0 {
+					t.Errorf("Iter yielded %d items", called)
+				}
+				if out, err := s.Collect(q); err == nil || len(out) != 0 {
+					t.Errorf("Collect: %d items, error %v", len(out), err)
+				}
+				if n, err := s.Count(q); err == nil || n != 0 {
+					t.Errorf("Count: %d, error %v", n, err)
+				}
+				if nb, err := s.CollectNearest(q); err == nil || len(nb) != 0 {
+					t.Errorf("CollectNearest: %d neighbors, error %v", len(nb), err)
+				}
+			})
+		}
 	}
 }
 
