@@ -341,7 +341,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	world := geom.ItemsMBR(items)
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, 0) // leaf reads always hit the disk, as in the paper's setup
-	tree := bulk.FromItems(bulk.LoaderPR, pager, items, bulk.Options{MemoryItems: benchMem})
+	tree := bulk.LoadSlice(bulk.LoaderPR, pager, items, bulk.Options{})
 	queries := workload.Squares(world, 0.01, 400, 6)
 	tree.PinInternal()
 	var serialIO uint64
@@ -371,8 +371,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 func BenchmarkWindowQueryPR(b *testing.B) {
 	items := dataset.Uniform(100000, 0.001, 21)
 	disk := storage.NewDisk(storage.DefaultBlockSize)
-	tree := bulk.FromItems(bulk.LoaderPR, storage.NewPager(disk, -1), items,
-		bulk.Options{MemoryItems: benchMem})
+	tree := bulk.LoadSlice(bulk.LoaderPR, storage.NewPager(disk, -1), items, bulk.Options{})
 	queries := workload.Squares(geom.NewRect(0, 0, 1, 1), 0.001, 100, 22)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	prbench [-scale F] [-queries N] [-mem M] [-workers W] [-seed S]
+//	prbench [-scale F] [-queries N] [-workers W] [-seed S]
 //	        [-json FILE] [-only ids] [-list]
 //	prbench -check FILE [-only ids]
 //
@@ -13,6 +13,9 @@
 // the paper used 10-16.7M — scale 100 reproduces that on a large machine).
 // -workers sets the bulk-load pipeline's parallelism (default: GOMAXPROCS;
 // block-I/O counts are identical at any setting, only wall-clock changes).
+// Every query table builds its trees in memory, as the library does, PR's
+// by the exact construction of the paper's §2.1; fig9–11 price the external
+// construction at a fixed M of 2^14 records.
 // -json writes the results as JSON to the given file ("-" for stdout), the
 // producer for BENCH_*.json trajectory tracking: per-experiment rows plus
 // wall seconds and allocation counters. When the file already exists, the
@@ -70,7 +73,6 @@ type jsonReport struct {
 func main() {
 	scale := flag.Float64("scale", 1.0, "dataset size multiplier")
 	queries := flag.Int("queries", 100, "window queries per measurement point")
-	mem := flag.Int("mem", 0, "bulk-loading memory budget in records (0 = 16384)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "bulk-load parallelism (1 = serial; I/O counts are identical at any setting)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file (\"-\" = stdout)")
 	seed := flag.Int64("seed", 2004, "generator seed")
@@ -85,13 +87,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{
-		Scale:       *scale,
-		Queries:     *queries,
-		MemoryItems: *mem,
-		Workers:     *workers,
-		Seed:        *seed,
-	}
+	cfg := experiments.Config{Scale: *scale, Queries: *queries, Workers: *workers, Seed: *seed}
 	want := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {

@@ -11,7 +11,8 @@
 // through rtree.Builder and nothing else. Everything temporary — sort runs,
 // sorted lists, grid partitions, the files between stages — goes to the
 // store the input file lives on (in.Backend()). When that is the pager's
-// own backend (FromItems; the paper's set-up) one device sees all the I/O.
+// own backend (the paper's set-up, and prbench's fig9–11) one device sees
+// all the I/O.
 //
 // LoadSlice builds from records already in memory, over permutations of
 // the slice: no ItemFile, no temporary on any store, nothing written but
@@ -35,7 +36,8 @@ type Options struct {
 	// 4 KB).
 	Fanout int
 	// MemoryItems is M, the number of records that fit in main memory
-	// (0 means DefaultMemoryItems). LoadSlice does not consult it.
+	// (0 means DefaultMemoryItems). Only the external loaders (Load) read
+	// it; LoadSlice, and with it every facade load, does not.
 	MemoryItems int
 	// Parallelism bounds the bulk-load pipeline's worker pool (clamped to
 	// GOMAXPROCS; 0 or 1 means serial). Every loader produces the same
@@ -152,13 +154,6 @@ func LoadSlice(l Loader, pager *storage.Pager, items []geom.Item, opt Options) *
 
 // Loaders lists every algorithm in the paper's presentation order.
 var Loaders = []Loader{LoaderHilbert, LoaderHilbert4D, LoaderPR, LoaderTGS}
-
-// FromItems is a convenience wrapper: it writes items to a fresh file on
-// the pager's disk (counting the writes) and bulk-loads it, so input,
-// temporaries and tree share one backend.
-func FromItems(l Loader, pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
-	return Load(l, pager, storage.NewItemFileFrom(pager.Backend(), items), opt)
-}
 
 // worldOf scans a file for its bounding box (one linear pass).
 func worldOf(f *storage.ItemFile) geom.Rect {

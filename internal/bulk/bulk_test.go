@@ -36,7 +36,7 @@ func loadOn(tb testing.TB, l Loader, items []geom.Item, opt Options) *rtree.Tree
 	tb.Helper()
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
-	return FromItems(l, pager, items, opt)
+	return Load(l, pager, storage.NewItemFileFrom(disk, items), opt)
 }
 
 func TestLoaderStrings(t *testing.T) {
@@ -192,7 +192,7 @@ func TestLoadersFreeScratchSpace(t *testing.T) {
 	for _, l := range Loaders {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, -1)
-		tr := FromItems(l, pager, items, opt)
+		tr := Load(l, pager, storage.NewItemFileFrom(disk, items), opt)
 		if disk.PagesInUse() != tr.Nodes() {
 			t.Errorf("%v: %d pages in use for %d tree nodes (scratch leaked)",
 				l, disk.PagesInUse(), tr.Nodes())

@@ -97,10 +97,9 @@ func AblationPriority(cfg Config) Table {
 	for _, set := range sets {
 		with := buildFromPseudo(set.items, 113, true, true)
 		without := buildFromPseudo(set.items, 113, false, true)
-		h := buildTree(bulk.LoaderHilbert, set.items, cfg.bulkOptions())
 		cw := measureQueries(with, set.queries)
 		cwo := measureQueries(without, set.queries)
-		ch := measureQueries(h.tree, set.queries)
+		ch := measureQueries(loadTree(bulk.LoaderHilbert, set.items, cfg.bulkOptions()), set.queries)
 		t.Rows = append(t.Rows, []string{
 			set.name,
 			fmt.Sprintf("%.1f%%", 100*cw.LeafFrac),
@@ -166,8 +165,7 @@ func AblationCache(cfg Config) Table {
 	for _, pin := range []bool{true, false} {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, 0)
-		in := storage.NewItemFileFrom(disk, items)
-		tr := bulk.Load(bulk.LoaderPR, pager, in, cfg.bulkOptions())
+		tr := bulk.LoadSlice(bulk.LoaderPR, pager, items, cfg.bulkOptions())
 		name := "no cache"
 		if pin {
 			tr.PinInternal()

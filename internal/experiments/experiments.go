@@ -29,8 +29,6 @@ type Config struct {
 	// Queries is the number of window queries per measurement point
 	// (paper: 100).
 	Queries int
-	// MemoryItems is the bulk-loading memory budget M in records.
-	MemoryItems int
 	// Workers bounds the bulk-load pipeline's parallelism (0 or 1 =
 	// serial). Block-I/O counts — the quantity every figure plots — are
 	// identical at any setting; only wall-clock changes.
@@ -41,7 +39,7 @@ type Config struct {
 
 // bulkOptions returns the loader options every experiment shares.
 func (c Config) bulkOptions() bulk.Options {
-	return bulk.Options{MemoryItems: c.MemoryItems, Parallelism: c.Workers}
+	return bulk.Options{Parallelism: c.Workers}
 }
 
 func (c Config) normalized() Config {
@@ -50,13 +48,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Queries <= 0 {
 		c.Queries = 100
-	}
-	if c.MemoryItems <= 0 {
-		// Smaller than the library default so that even the smallest
-		// dataset in the suite exceeds M and every loader runs its
-		// external path — otherwise the PR loader's in-memory shortcut
-		// puts a discontinuity into the Figure 10 scaling series.
-		c.MemoryItems = 1 << 14
 	}
 	if c.Seed == 0 {
 		c.Seed = 2004 // SIGMOD 2004
@@ -129,18 +120,35 @@ type buildResult struct {
 	dur  time.Duration
 }
 
-// buildTree bulk-loads items with the given loader on a fresh disk,
-// measuring the build's block I/O and wall time. Writing the input file is
-// excluded from the measurement (the paper's inputs pre-exist on disk).
+// externalM is M, in records, for the tables that price the external
+// construction (fig9–11). Smaller than the library default, so that even
+// the smallest dataset of those tables at scale 1 exceeds it and every
+// loader runs its external passes — otherwise PR's in-memory shortcut puts
+// a discontinuity into the Figure 10 scaling series. BENCH_fig12.json is
+// recorded at it.
+const externalM = 1 << 14
+
+// buildTree bulk-loads items with the given loader's external construction
+// at M = externalM on a fresh disk, measuring the build's block I/O and
+// wall time. Writing the input file is excluded from the measurement (the
+// paper's inputs pre-exist on disk).
 func buildTree(l bulk.Loader, items []geom.Item, opt bulk.Options) buildResult {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
 	in := storage.NewItemFileFrom(disk, items)
 	disk.ResetStats()
 	start := time.Now()
+	opt.MemoryItems = externalM
 	tree := bulk.Load(l, pager, in, opt)
 	dur := time.Since(start)
 	return buildResult{tree: tree, io: disk.Stats(), dur: dur}
+}
+
+// loadTree builds items with the given loader in memory onto a fresh disk,
+// as Tree and Dynamic do: every query table measures the tree the library
+// ships, PR's being the exact construction of the paper's §2.1.
+func loadTree(l bulk.Loader, items []geom.Item, opt bulk.Options) *rtree.Tree {
+	return bulk.LoadSlice(l, storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), items, opt)
 }
 
 // queryCost measures a query set like the paper: internal nodes are

@@ -13,7 +13,7 @@ import (
 
 // tinyCfg keeps experiment smoke tests fast.
 func tinyCfg() Config {
-	return Config{Scale: 0.02, Queries: 10, MemoryItems: 4096, Seed: 7}
+	return Config{Scale: 0.02, Queries: 10, Seed: 7}
 }
 
 func parsePct(t *testing.T, s string) float64 {
@@ -68,7 +68,7 @@ func TestFig9ShapeAndOrdering(t *testing.T) {
 	// its external rounds (at n <= M the PR loader degenerates to a single
 	// in-memory pass and is cheaper than H's mandatory sort).
 	cfg := tinyCfg()
-	cfg.Scale = 0.1 // n = 12000 > MemoryItems = 4096
+	cfg.Scale = 0.15 // n = 18000 > externalM = 16384
 	tb := Fig9(cfg)
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -146,9 +146,8 @@ func TestFig15SizeExtremesFavorExtentAware(t *testing.T) {
 	}
 	items := dataset.Size(200000, 0.2, 7)
 	queries := workload.Squares(geom.NewRect(0, 0, 1, 1), 0.01, 20, 8)
-	opt := bulk.Options{MemoryItems: 1 << 16}
-	h := measureQueries(buildTree(bulk.LoaderHilbert, items, opt).tree, queries)
-	h4 := measureQueries(buildTree(bulk.LoaderHilbert4D, items, opt).tree, queries)
+	h := measureQueries(loadTree(bulk.LoaderHilbert, items, bulk.Options{}), queries)
+	h4 := measureQueries(loadTree(bulk.LoaderHilbert4D, items, bulk.Options{}), queries)
 	if h4.Pct >= h.Pct {
 		t.Errorf("size(0.2): H4 (%.0f%%) should beat H (%.0f%%)", h4.Pct, h.Pct)
 	}
@@ -254,9 +253,9 @@ func TestUtilizationTable(t *testing.T) {
 
 func TestMeasureQueriesZeroOutput(t *testing.T) {
 	items := dataset.Size(2000, 0.001, 1)
-	r := buildTree(bulk.LoaderPR, items, bulk.Options{Fanout: 16, MemoryItems: 4096})
+	tr := loadTree(bulk.LoaderPR, items, bulk.Options{Fanout: 16})
 	// A far-away query: zero output, Pct = +Inf handled.
-	c := measureQueries(r.tree, []geom.Rect{geom.NewRect(5, 5, 6, 6)})
+	c := measureQueries(tr, []geom.Rect{geom.NewRect(5, 5, 6, 6)})
 	if c.AvgResults != 0 {
 		t.Fatal("expected zero results")
 	}
@@ -268,8 +267,7 @@ func TestMeasureQueriesZeroOutput(t *testing.T) {
 func TestQueryFigureTBPositive(t *testing.T) {
 	items := dataset.Eastern(3000, 3)
 	qs := workload.Squares(geom.ItemsMBR(items), 0.01, 5, 4)
-	r := buildTree(bulk.LoaderHilbert, items, bulk.Options{MemoryItems: 4096})
-	c := measureQueries(r.tree, qs)
+	c := measureQueries(loadTree(bulk.LoaderHilbert, items, bulk.Options{}), qs)
 	if c.AvgResults <= 0 || c.AvgLeaves <= 0 {
 		t.Errorf("degenerate measurement: %+v", c)
 	}

@@ -6,6 +6,7 @@ import (
 	"prtree/internal/bulk"
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
+	"prtree/internal/rtree"
 	"prtree/internal/workload"
 )
 
@@ -107,18 +108,17 @@ func queryFigure(id, title string, cfg Config, items []geom.Item, areas []float6
 	for _, l := range paperLoaders {
 		t.Columns = append(t.Columns, l.String())
 	}
-	trees := make(map[bulk.Loader]*buildResult)
+	trees := make(map[bulk.Loader]*rtree.Tree)
 	for _, l := range paperLoaders {
-		r := buildTree(l, items, opt)
-		trees[l] = &r
+		trees[l] = loadTree(l, items, opt)
 	}
 	for qi, area := range areas {
 		queries := workload.Squares(world, area, cfg.Queries, cfg.Seed+int64(qi))
 		row := []string{fmt.Sprintf("%.2f%%", area*100), ""}
 		var tb float64
 		for _, l := range paperLoaders {
-			c := measureQueries(trees[l].tree, queries)
-			tb = c.AvgResults / float64(trees[l].tree.Config().Fanout)
+			c := measureQueries(trees[l], queries)
+			tb = c.AvgResults / float64(trees[l].Config().Fanout)
 			row = append(row, fmtPct(c.Pct))
 		}
 		row[1] = fmt.Sprintf("%.0f", tb)
@@ -166,9 +166,9 @@ func Fig14(cfg Config) Table {
 		row := []string{fmt.Sprintf("%d", len(items)), ""}
 		var tb float64
 		for _, l := range paperLoaders {
-			r := buildTree(l, items, opt)
-			c := measureQueries(r.tree, queries)
-			tb = c.AvgResults / float64(r.tree.Config().Fanout)
+			tr := loadTree(l, items, opt)
+			c := measureQueries(tr, queries)
+			tb = c.AvgResults / float64(tr.Config().Fanout)
 			row = append(row, fmtPct(c.Pct))
 		}
 		row[1] = fmt.Sprintf("%.0f", tb)
@@ -199,9 +199,9 @@ func Fig15Size(cfg Config) Table {
 		row := []string{fmt.Sprintf("%g", ms), ""}
 		var tb float64
 		for _, l := range paperLoaders {
-			r := buildTree(l, items, opt)
-			c := measureQueries(r.tree, queries)
-			tb = c.AvgResults / float64(r.tree.Config().Fanout)
+			tr := loadTree(l, items, opt)
+			c := measureQueries(tr, queries)
+			tb = c.AvgResults / float64(tr.Config().Fanout)
 			row = append(row, fmtPct(c.Pct))
 		}
 		row[1] = fmt.Sprintf("%.0f", tb)
@@ -232,9 +232,9 @@ func Fig15Aspect(cfg Config) Table {
 		row := []string{fmt.Sprintf("%g", a), ""}
 		var tb float64
 		for _, l := range paperLoaders {
-			r := buildTree(l, items, opt)
-			c := measureQueries(r.tree, queries)
-			tb = c.AvgResults / float64(r.tree.Config().Fanout)
+			tr := loadTree(l, items, opt)
+			c := measureQueries(tr, queries)
+			tb = c.AvgResults / float64(tr.Config().Fanout)
 			row = append(row, fmtPct(c.Pct))
 		}
 		row[1] = fmt.Sprintf("%.0f", tb)
@@ -265,9 +265,9 @@ func Fig15Skewed(cfg Config) Table {
 		row := []string{fmt.Sprintf("%d", c), ""}
 		var tb float64
 		for _, l := range paperLoaders {
-			r := buildTree(l, items, opt)
-			qc := measureQueries(r.tree, queries)
-			tb = qc.AvgResults / float64(r.tree.Config().Fanout)
+			tr := loadTree(l, items, opt)
+			qc := measureQueries(tr, queries)
+			tb = qc.AvgResults / float64(tr.Config().Fanout)
 			row = append(row, fmtPct(qc.Pct))
 		}
 		row[1] = fmt.Sprintf("%.0f", tb)

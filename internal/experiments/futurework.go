@@ -70,10 +70,7 @@ func futureWork(cfg Config) []churnRound {
 	base := dataset.Eastern(n, cfg.Seed)
 	queries := workload.Squares(geom.ItemsMBR(base), 0.01, cfg.Queries, cfg.Seed)
 	opt := cfg.bulkOptions()
-	load := func(items []geom.Item) *rtree.Tree {
-		return bulk.FromItems(bulk.LoaderPR,
-			storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), items, opt)
-	}
+	load := func(items []geom.Item) *rtree.Tree { return loadTree(bulk.LoaderPR, items, opt) }
 
 	// Two heuristically updated trees over the same evolving item set, both
 	// starting from the bulk-loaded PR-tree.

@@ -31,8 +31,7 @@ func Table1(cfg Config) Table {
 		queries[i] = dataset.ClusterProbe(clOpt, cfg.Seed+int64(i))
 	}
 	for _, l := range paperLoaders {
-		r := buildTree(l, items, opt)
-		c := measureQueries(r.tree, queries)
+		c := measureQueries(loadTree(l, items, opt), queries)
 		t.Rows = append(t.Rows, []string{
 			l.String(),
 			fmt.Sprintf("%.0f", c.AvgLeaves),
@@ -65,8 +64,7 @@ func Theorem3(cfg Config) Table {
 		queries = append(queries, dataset.WorstCaseProbe(n, b, i))
 	}
 	for _, l := range paperLoaders {
-		r := buildTree(l, items, opt)
-		c := measureQueries(r.tree, queries)
+		c := measureQueries(loadTree(l, items, opt), queries)
 		if c.AvgResults != 0 {
 			t.Notes += fmt.Sprintf(" WARNING: %v reported %g results", l, c.AvgResults)
 		}
@@ -132,13 +130,13 @@ func Utilization(cfg Config) Table {
 		Notes:   "paper: above 99% for all methods (with M ~ 1.9M records; small M adds boundary leaves)",
 	}
 	for _, l := range paperLoaders {
-		r := buildTree(l, items, opt)
-		leaf, _ := r.tree.Utilization()
+		tr := loadTree(l, items, opt)
+		leaf, _ := tr.Utilization()
 		t.Rows = append(t.Rows, []string{
 			l.String(),
 			fmt.Sprintf("%.2f%%", 100*leaf),
-			fmt.Sprintf("%d", r.tree.Nodes()),
-			fmt.Sprintf("%d", r.tree.Height()),
+			fmt.Sprintf("%d", tr.Nodes()),
+			fmt.Sprintf("%d", tr.Height()),
 		})
 	}
 	return t

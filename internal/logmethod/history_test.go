@@ -283,7 +283,7 @@ func generatedHistory(t *testing.T, seed int64, settle bool) (pagesAfterReopen [
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := bulk.Options{MemoryItems: 4096}
+	opt := bulk.Options{}
 	d := &durable{t: t, path: path, opt: opt, fb: fb, tr: New(storage.NewPager(fb, -1), opt, base), settle: settle}
 	d.transact(nil, func() {})
 	defer func() { d.fb.Abandon() }()

@@ -144,20 +144,10 @@ func New(pager *storage.Pager, opt bulk.Options, base int) *Tree {
 	return t
 }
 
-// build bulk-loads one static level over items, which it only reads. It
-// touches no store but the pager's. A level builds in memory unless the
-// options set an explicit budget it exceeds (the experiments' M, which
-// prices the external construction; a Dynamic never sets one): then it
-// takes the external construction, input and temporaries on the pager's
-// backend.
+// build bulk-loads one static level over items, which it only reads, in
+// memory (bulk.PRTreeSlice). It touches no store but the pager's.
 func (t *Tree) build(items []geom.Item) *level {
-	built := &level{mbr: geom.ItemsMBR(items)}
-	if m := t.opt.MemoryItems; m > 0 && len(items) > m {
-		built.Tree = bulk.FromItems(bulk.LoaderPR, t.pager, items, t.opt)
-	} else {
-		built.Tree = bulk.PRTreeSlice(t.pager, items, t.opt)
-	}
-	return built
+	return &level{Tree: bulk.PRTreeSlice(t.pager, items, t.opt), mbr: geom.ItemsMBR(items)}
 }
 
 // Base returns the unit of the level geometry: slot i holds at most

@@ -14,7 +14,7 @@ import (
 func newTree(base int) *Tree {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
-	return New(pager, bulk.Options{Fanout: 16, MemoryItems: 4096}, base)
+	return New(pager, bulk.Options{Fanout: 16}, base)
 }
 
 func randItems(n int, seed int64) []geom.Item {
@@ -178,7 +178,7 @@ func TestMixedWorkloadMatchesBruteForce(t *testing.T) {
 func TestTombstoneRebuildReclaimsSpace(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
-	tr := New(pager, bulk.Options{Fanout: 16, MemoryItems: 4096}, 16)
+	tr := New(pager, bulk.Options{Fanout: 16}, 16)
 	items := randItems(1000, 6)
 	for _, it := range items {
 		tr.Insert(it)
@@ -295,7 +295,7 @@ func TestAmortizedInsertIO(t *testing.T) {
 	// n * treeHeight that per-item inserts into a static tree would cost.
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
-	tr := New(pager, bulk.Options{MemoryItems: 1 << 14}, 0)
+	tr := New(pager, bulk.Options{}, 0)
 	items := randItems(20000, 10)
 	disk.ResetStats()
 	for _, it := range items {

@@ -422,7 +422,7 @@ func TestConcurrentQueriesMatchSequentialFig12(t *testing.T) {
 		// nothing-cached measurement mode.
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, capacity)
-		inner := bulk.FromItems(bulk.LoaderPR, pager, items, bulk.Options{})
+		inner := bulk.LoadSlice(bulk.LoaderPR, pager, items, bulk.Options{})
 		tree := &Tree{handle: handle{io: disk, pager: pager}, inner: inner}
 		queries := workload.Squares(world, 0.01, 60, 6)
 		coldStart := func() {
