@@ -218,6 +218,11 @@ func (h *HTree) insertAt(e hentry, level int, reinserted map[int]bool) {
 // set, R*'s rule first: the one whose overlap with its siblings grows the
 // least. Two kinds of overlap term are exactly zero and skipped: every term
 // when the child already covers r, and any sibling the grown child misses.
+// No term is negative — the grown child covers the child, and rounding
+// keeps its intersections at least as wide and tall — so a running sum
+// never falls, and a child's sum stops once it passes the best so far: that
+// child cannot be chosen. The terms still add in entry order, so every sum
+// that decides is the full one, bit for bit.
 func choose(n *hnode, r geom.Rect, overlap bool) int {
 	best := -1
 	var bestOv, bestEnl, bestArea float64
@@ -227,7 +232,9 @@ func choose(n *hnode, r geom.Rect, overlap bool) int {
 		if overlap && grown != e.rect {
 			for j, s := range n.es {
 				if j != i && grown.Intersects(s.rect) {
-					ov += overlapArea(grown, s.rect) - overlapArea(e.rect, s.rect)
+					if ov += overlapArea(grown, s.rect) - overlapArea(e.rect, s.rect); best != -1 && ov > bestOv {
+						break
+					}
 				}
 			}
 		}
@@ -240,12 +247,15 @@ func choose(n *hnode, r geom.Rect, overlap bool) int {
 	return best
 }
 
+// overlapArea is the area of a ∩ b, 0 when they are disjoint: the same
+// float as a.Intersect(b)'s Area, without building the rectangle.
 func overlapArea(a, b geom.Rect) float64 {
-	iv, ok := a.Intersect(b)
-	if !ok {
+	w := min(a.MaxX, b.MaxX) - max(a.MinX, b.MinX)
+	h := min(a.MaxY, b.MaxY) - max(a.MinY, b.MinY)
+	if w < 0 || h < 0 {
 		return 0
 	}
-	return iv.Area()
+	return w * h
 }
 
 // evictFarthest removes the rstarReinsertFraction of n's entries whose

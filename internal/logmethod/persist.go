@@ -318,13 +318,12 @@ func OpenState(pager *storage.Pager, opt bulk.Options, meta []byte) (*Tree, erro
 // a record at least, so want bounds the walk.
 func readChain(dev storage.Backend, head storage.PageID, want int, recs []geom.Item) ([]geom.Item, []storage.PageID, error) {
 	var pages []storage.PageID
-	buf := make([]byte, dev.BlockSize())
 	for id := head; id != storage.NilPage; {
 		if len(recs) == want || int(id) >= dev.NumPages() {
 			return nil, nil, fmt.Errorf("page %d: past the chain's %d records or the store's %d pages", id, want, dev.NumPages())
 		}
 		pages = append(pages, id)
-		dev.Read(id, buf)
+		buf := dev.ReadNoCopy(id)
 		id = storage.PageID(binary.LittleEndian.Uint32(buf))
 		n := int(binary.LittleEndian.Uint16(buf[4:]))
 		if n == 0 || chainHeaderSize+n*storage.ItemSize > len(buf) || len(recs)+n > want {

@@ -166,6 +166,52 @@ func (t *Tree) Walk(fn func(page storage.PageID, level int, isLeaf bool, entries
 	}
 }
 
+// LeafCost is ExpectedLeaves' answer: the expected number of leaves a
+// window meets, and the three sums of the leaf MBRs the unclipped form of
+// that expectation is made of.
+type LeafCost struct {
+	Expected      float64 // leaves a window meets, in expectation
+	Leaves        int     // leaf count
+	Area          float64 // Σ leaf MBR area
+	HalfPerimeter float64 // Σ leaf MBR half-perimeter
+}
+
+// ExpectedLeaves returns the exact expected number of t's leaves that a
+// w×h window meets when the window's lower-left corner is uniform over
+// world shrunk by (w, h), X × Y = [MinX, MaxX−w] × [MinY, MaxY−h]: the
+// cost of a query whose internal nodes are all cached. The window meets
+// leaf i with probability |[x₁−w, x₂] ∩ X| · |[y₁−h, y₂] ∩ Y| ÷ (|X|·|Y|),
+// clipped at the world's edge; unclipped, the sum is (Σ area + w·Σ height
+// + h·Σ width + Leaves·w·h) ÷ (|X|·|Y|). It reads every leaf once through
+// the pager, and writes nothing.
+func ExpectedLeaves(t *Tree, world geom.Rect, w, h float64) LeafCost {
+	var c LeafCost
+	t.Walk(func(_ storage.PageID, _ int, isLeaf bool, entries []geom.Item) {
+		if !isLeaf {
+			return
+		}
+		m := geom.ItemsMBR(entries)
+		c.Leaves++
+		c.Area += m.Area()
+		c.HalfPerimeter += m.Perimeter()
+		c.Expected += hitChance(m.MinX-w, m.MaxX, world.MinX, world.MaxX-w) *
+			hitChance(m.MinY-h, m.MaxY, world.MinY, world.MaxY-h)
+	})
+	return c
+}
+
+// hitChance is the probability that a point uniform over [lo, hi] lies in
+// [a, b]; an empty or one-point [lo, hi] is the point lo.
+func hitChance(a, b, lo, hi float64) float64 {
+	if hi <= lo {
+		if a <= lo && lo <= b {
+			return 1
+		}
+		return 0
+	}
+	return max(0, min(b, hi)-max(a, lo)) / (hi - lo)
+}
+
 // Items returns every stored item by scanning the leaves.
 func (t *Tree) Items() []geom.Item {
 	out := make([]geom.Item, 0, t.nItems)

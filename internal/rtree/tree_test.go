@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -402,4 +403,58 @@ func windowItems(tr *Tree, q geom.Rect) []geom.Item {
 		return true
 	})
 	return out
+}
+
+// TestExpectedLeavesMatchesMonteCarlo holds ExpectedLeaves to the mean
+// leaf count of random windows placed as it assumes, within four standard
+// errors of that mean, for a wide window and a square one that reach the
+// world's edge. Its three sums are held to the leaves themselves.
+func TestExpectedLeavesMatchesMonteCarlo(t *testing.T) {
+	// Sort-tile-recursive order: 15 slabs by x, each by y, so that leaves
+	// are small and the windows' edges cut through them.
+	items := randItems(3000, 21)
+	sort.Slice(items, func(i, j int) bool { return items[i].Rect.MinX < items[j].Rect.MinX })
+	for lo := 0; lo < len(items); lo += 200 {
+		slab := items[lo:min(lo+200, len(items))]
+		sort.Slice(slab, func(i, j int) bool { return slab[i].Rect.MinY < slab[j].Rect.MinY })
+	}
+	tree := buildPacked(t, items, 20)
+	world := geom.ItemsMBR(items)
+	var leaves int
+	var area, half float64
+	tree.Walk(func(_ storage.PageID, _ int, isLeaf bool, entries []geom.Item) {
+		if isLeaf {
+			m := geom.ItemsMBR(entries)
+			leaves, area, half = leaves+1, area+m.Area(), half+m.Perimeter()
+		}
+	})
+	rng := rand.New(rand.NewSource(2004))
+	for _, c := range []struct{ w, h float64 }{
+		{0.3 * world.Width(), 0.05 * world.Height()},
+		{0.1 * world.Width(), 0.1 * world.Height()},
+	} {
+		got := ExpectedLeaves(tree, world, c.w, c.h)
+		if got.Leaves != leaves || got.Area != area || got.HalfPerimeter != half {
+			t.Errorf("%gx%g: sums %d / %g / %g, the leaves hold %d / %g / %g",
+				c.w, c.h, got.Leaves, got.Area, got.HalfPerimeter, leaves, area, half)
+		}
+		const windows = 4000
+		var sum, sumSq float64
+		for range windows {
+			x := world.MinX + rng.Float64()*(world.Width()-c.w)
+			y := world.MinY + rng.Float64()*(world.Height()-c.h)
+			st, err := tree.RunWindow(geom.NewRect(x, y, x+c.w, y+c.h), false, func(geom.Item) bool { return true }, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := float64(st.LeavesVisited)
+			sum, sumSq = sum+n, sumSq+n*n
+		}
+		mean := sum / windows
+		stderr := math.Sqrt((sumSq/windows - mean*mean) / (windows - 1))
+		t.Logf("%gx%g: expected %.3f leaves, %d windows met %.3f ± %.3f", c.w, c.h, got.Expected, windows, mean, stderr)
+		if math.Abs(got.Expected-mean) > 4*stderr {
+			t.Errorf("%gx%g: expected %.3f leaves, %d windows met %.3f ± %.3f", c.w, c.h, got.Expected, windows, mean, stderr)
+		}
+	}
 }

@@ -15,18 +15,19 @@ package storage
 //
 // Contracts shared by all implementations:
 //
-//   - Every store counts its own demand I/O: one read per Read,
-//     ReadNoCopy and successful ReadStable, one write per Write. Alloc,
-//     Free and PeekNoCopy are not I/O and are never counted, and neither
-//     is anything a store does on its own behalf (a log append, a header
+//   - ReadNoCopy is the one counted demand read: every store counts one
+//     read per ReadNoCopy and one write per Write. Alloc, Free and
+//     PeekNoCopy are not I/O and are never counted, and neither is
+//     anything a store does on its own behalf (a log append, a header
 //     rewrite, the batching of writes).
+//   - ReadNoCopy lends bytes the caller treats as read-only, readable
+//     until Close: the store's own page where it has one (a Disk's slice,
+//     a mapped view), which shows a later Write, or else a private copy,
+//     which does not. PeekNoCopy is the same, uncounted, for test
+//     assertions and open-time sanity checks, never algorithm code.
 //   - Alloc returns a zeroed page; the subsequent Write is the I/O.
 //   - Write may pass fewer than BlockSize bytes; the page tail is
-//     untouched. Read copies at most BlockSize bytes into buf.
-//   - ReadNoCopy returns bytes a caller must treat as read-only; the slice
-//     stays valid until the page is freed or rewritten. PeekNoCopy is the
-//     same without being counted — it exists for test assertions and
-//     open-time sanity checks, never algorithm code.
+//     untouched.
 //   - Pages must have a single writer at a time and must not be accessed
 //     after Free; allocation, Free, Meta and SetMeta are safe for
 //     concurrent use, and concurrent readers of distinct or immutable
@@ -46,9 +47,8 @@ type Backend interface {
 	Alloc() PageID
 	// Free returns a page to the allocator.
 	Free(id PageID)
-	// Read copies page id into buf and returns the number of bytes copied.
-	Read(id PageID, buf []byte) int
-	// ReadNoCopy returns the page contents without copying (read-only).
+	// ReadNoCopy returns the page contents, read-only, counting one block
+	// read.
 	ReadNoCopy(id PageID) []byte
 	// PeekNoCopy returns the page contents without counting I/O.
 	PeekNoCopy(id PageID) []byte
@@ -112,18 +112,7 @@ type Backend interface {
 	Close() error
 }
 
-// StableReader is the optional zero-copy capability of a backend that maps
-// its own storage (FileBackend on Linux): a demand read (counted like Read)
-// returning a view that stays valid, and coherent with every Write, until
-// the backend is closed — no read buffer, no copy, no syscall. ok=false
-// means the page has no stable view (it lies beyond the written extent) and
-// the caller must fall back to Read.
-type StableReader interface {
-	ReadStable(id PageID) (data []byte, ok bool)
-}
-
-// Compile-time interface conformance (and, on Linux, StableReader for
-// *FileBackend: filemap_linux.go).
+// Compile-time interface conformance.
 var (
 	_ Backend = (*Disk)(nil)
 	_ Backend = (*FileBackend)(nil)

@@ -141,22 +141,16 @@ func (d *Disk) Write(id PageID, data []byte) {
 	d.writes.Add(1)
 }
 
-// Read copies page id into buf (which must hold at least BlockSize bytes),
-// counting one block read, and returns the number of bytes copied.
-func (d *Disk) Read(id PageID, buf []byte) int {
-	d.reads.Add(1)
-	return copy(buf, d.page(id))
-}
-
 // ReadNoCopy returns the page's backing slice without copying, counting one
-// block read. The caller must treat the result as read-only.
+// block read. The caller must treat the result as read-only; a later Write
+// of the page shows through it.
 func (d *Disk) ReadNoCopy(id PageID) []byte {
 	d.reads.Add(1)
 	return d.page(id)
 }
 
 // PeekNoCopy returns the page contents without counting I/O. It exists for
-// test assertions and cache internals; algorithm code must use Read.
+// test assertions; algorithm code must use ReadNoCopy.
 func (d *Disk) PeekNoCopy(id PageID) []byte {
 	return d.page(id)
 }

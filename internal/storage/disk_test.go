@@ -10,9 +10,8 @@ func TestDiskAllocWriteRead(t *testing.T) {
 	id := d.Alloc()
 	data := []byte("hello block")
 	d.Write(id, data)
-	buf := make([]byte, 64)
-	n := d.Read(id, buf)
-	if n != 64 {
+	buf := d.ReadNoCopy(id)
+	if n := len(buf); n != 64 {
 		t.Errorf("read %d bytes, want 64", n)
 	}
 	if !bytes.Equal(buf[:len(data)], data) {
@@ -65,7 +64,7 @@ func TestDiskBadPagePanics(t *testing.T) {
 			t.Error("read of unallocated page should panic")
 		}
 	}()
-	d.Read(PageID(5), make([]byte, 8))
+	d.ReadNoCopy(PageID(5))
 }
 
 func TestDiskStatsResetAndSub(t *testing.T) {
@@ -73,8 +72,8 @@ func TestDiskStatsResetAndSub(t *testing.T) {
 	id := d.Alloc()
 	d.Write(id, []byte{1})
 	before := d.Stats()
-	d.Read(id, make([]byte, 16))
-	d.Read(id, make([]byte, 16))
+	d.ReadNoCopy(id)
+	d.ReadNoCopy(id)
 	delta := d.Stats().Sub(before)
 	if delta.Reads != 2 || delta.Writes != 0 {
 		t.Errorf("delta = %v", delta)

@@ -23,8 +23,7 @@ func TestSnapshotPinsDisk(t *testing.T) {
 		t.Fatalf("Alloc recycled pinned page %d under an active snapshot", a)
 	}
 	// The pinned page's bytes must still be readable.
-	buf := make([]byte, 64)
-	d.Read(a, buf)
+	buf := d.ReadNoCopy(a)
 	if string(buf[:10]) != "live bytes" {
 		t.Fatalf("pinned page lost its bytes: %q", buf[:10])
 	}

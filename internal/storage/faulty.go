@@ -133,7 +133,7 @@ func (f *Faulty) Alloc() PageID { return f.inner.Alloc() }
 // Free implements Backend (never an injection point).
 func (f *Faulty) Free(id PageID) { f.inner.Free(id) }
 
-// InjectReads makes Read/ReadNoCopy/PeekNoCopy counted injection points
+// InjectReads makes ReadNoCopy and PeekNoCopy counted injection points
 // too (they are uncounted pass-throughs by default: the write path is the
 // usual durability surface under test). A firing read always panics with
 // an error wrapping ErrInjectedFault regardless of mode — reads have no
@@ -150,14 +150,8 @@ func (f *Faulty) readStep() {
 	}
 }
 
-// Read implements Backend. Reads are uncounted pass-throughs unless
+// ReadNoCopy implements Backend. Reads are uncounted pass-throughs unless
 // InjectReads armed them as injection points.
-func (f *Faulty) Read(id PageID, buf []byte) int {
-	f.readStep()
-	return f.inner.Read(id, buf)
-}
-
-// ReadNoCopy implements Backend.
 func (f *Faulty) ReadNoCopy(id PageID) []byte {
 	f.readStep()
 	return f.inner.ReadNoCopy(id)

@@ -145,8 +145,7 @@ func TestFaultyTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Rollback()
-	buf := make([]byte, 256)
-	f.Read(id, buf)
+	buf := f.ReadNoCopy(id)
 	if buf[0] != 42 {
 		t.Error("forwarded write lost")
 	}

@@ -33,7 +33,7 @@ import (
 //	                        (u32 CRC32C over data[:dataLen], u32 dataLen)
 //	trailer                 freeCount little-endian u32 freelist entries
 //
-// The per-page trailer makes latent sector corruption fail loudly: Read
+// The per-page trailer makes latent sector corruption fail loudly: a read
 // verifies the checksum of every fetched block and panics with an error
 // wrapping ErrChecksum on a mismatch, and Fsck scans every in-use page
 // without panicking. Open rejects a file of any other version (the
@@ -41,16 +41,16 @@ import (
 //
 // # Read paths
 //
-// There are two, and the platform picks. On Linux the backend maps its own
-// page file read-only and shared, and lends views of it (ReadStable, the
-// StableReader capability the pager looks for): a page read copies,
-// allocates and syscalls nothing, and its checksum is verified once per
-// content — on the first view after every write of the page — not once per
-// read. The mapping only grows and is released at Close or Abandon, so a
-// view stays valid for the handle's lifetime, across Sync and any growth
-// of the file (see filemap_linux.go). Everywhere else, and for the pages
-// the mapping cannot serve (never written), Read's verified pread is the
-// path.
+// ReadNoCopy, the counted demand read, has two, and the platform picks. On
+// Linux the backend maps its own page file read-only and shared, and lends
+// views of it: a page read copies, allocates and syscalls nothing, and its
+// checksum is verified once per content — on the first view after every
+// write of the page — not once per read. The mapping only grows and is
+// released at Close or Abandon, so a view stays valid for the handle's
+// lifetime, across Sync and any growth of the file (see filemap_linux.go).
+// Everywhere else, and for the pages the mapping cannot serve (never
+// written, or a map that failed), the path is Read's verified pread into a
+// private copy.
 //
 // # Durability
 //
@@ -155,8 +155,8 @@ type FileBackend struct {
 	crashAfter atomic.Int64
 
 	// reads and writes count the demand I/O of the public Read,
-	// ReadNoCopy, ReadStable and Write (see Stats), nothing this handle
-	// does on its own behalf.
+	// ReadNoCopy and Write (see Stats), nothing this handle does on its
+	// own behalf.
 	reads  atomic.Uint64
 	writes atomic.Uint64
 
@@ -266,10 +266,15 @@ var (
 	// ErrTruncated reports a page file shorter than its header's recorded
 	// geometry requires.
 	ErrTruncated = errors.New("page file truncated")
+	// ErrCorrupt reports a page file whose header or freelist trailer
+	// contradicts itself: a block size no page file has, a metadata blob
+	// or freelist larger than the header allows, a freelist entry out of
+	// range or listed twice.
+	ErrCorrupt = errors.New("page file corrupt")
 	// ErrChecksum reports a page whose stored CRC32C trailer does not
 	// match its contents — latent corruption caught at read time. It is
-	// returned (wrapped) by Fsck and CheckPage and carried by the panic
-	// Read raises on a poisoned block.
+	// returned (wrapped) by Fsck and CheckPage and carried by the panic a
+	// read raises on a poisoned block.
 	ErrChecksum = errors.New("page checksum mismatch")
 )
 
@@ -431,7 +436,7 @@ func readFileHeader(f *os.File, expectBlockSize int) (fileHeader, error) {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return hdr, fmt.Errorf("short header read: %w", err)
+		return hdr, fmt.Errorf("%w: short header read: %w", ErrTruncated, err)
 	}
 	if [6]byte(raw[0:6]) != fileMagic {
 		return hdr, fmt.Errorf("%w: %q", ErrBadMagic, raw[0:6])
@@ -441,7 +446,7 @@ func readFileHeader(f *os.File, expectBlockSize int) (fileHeader, error) {
 	}
 	hdr.blockSize = int(binary.LittleEndian.Uint32(raw[8:12]))
 	if hdr.blockSize < fileHeaderSize || hdr.blockSize > maxBlockSize {
-		return hdr, fmt.Errorf("implausible block size %d", hdr.blockSize)
+		return hdr, fmt.Errorf("%w: implausible block size %d", ErrCorrupt, hdr.blockSize)
 	}
 	if expectBlockSize != 0 && expectBlockSize != hdr.blockSize {
 		return hdr, fmt.Errorf("%w: file has %d-byte blocks, caller wants %d",
@@ -451,10 +456,10 @@ func readFileHeader(f *os.File, expectBlockSize int) (fileHeader, error) {
 	hdr.freeCount = int(binary.LittleEndian.Uint32(raw[16:20]))
 	hdr.metaLen = int(binary.LittleEndian.Uint32(raw[20:24]))
 	if hdr.metaLen > MetaCapacity(hdr.blockSize) {
-		return hdr, fmt.Errorf("metadata blob of %d bytes overflows the %d-byte header block", hdr.metaLen, hdr.blockSize)
+		return hdr, fmt.Errorf("%w: metadata blob of %d bytes overflows the %d-byte header block", ErrCorrupt, hdr.metaLen, hdr.blockSize)
 	}
 	if hdr.freeCount > hdr.numPages {
-		return hdr, fmt.Errorf("freelist of %d entries exceeds %d pages", hdr.freeCount, hdr.numPages)
+		return hdr, fmt.Errorf("%w: freelist of %d entries exceeds %d pages", ErrCorrupt, hdr.freeCount, hdr.numPages)
 	}
 	return hdr, nil
 }
@@ -468,6 +473,16 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 	if err != nil {
 		return nil, err
 	}
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if st.Size() < int64(hdr.blockSize) {
+		// Every checkpoint, the first at creation, leaves the header's
+		// whole block on disk; nothing sized by the header is made before
+		// the file is known to hold it.
+		return nil, fmt.Errorf("%w: %d bytes on disk, the header block is %d bytes", ErrTruncated, st.Size(), hdr.blockSize)
+	}
 	fb := &FileBackend{
 		f:         f,
 		path:      path,
@@ -479,10 +494,6 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		if fb.wal != nil {
 			fb.wal.Close()
 		}
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
 		return nil, err
 	}
 	fb.extent.Store(st.Size())
@@ -598,12 +609,12 @@ func (fb *FileBackend) loadCheckpoint(hdr fileHeader) error {
 		for i := range free {
 			v := binary.LittleEndian.Uint32(raw[4*i:])
 			if int(v) >= hdr.numPages {
-				return fmt.Errorf("freelist entry %d out of range (%d pages)", v, hdr.numPages)
+				return fmt.Errorf("%w: freelist entry %d out of range (%d pages)", ErrCorrupt, v, hdr.numPages)
 			}
 			if _, dup := seen[PageID(v)]; dup {
 				// A duplicated entry would hand the same live block out
 				// of Alloc twice; refuse rather than corrupt silently.
-				return fmt.Errorf("freelist entry %d duplicated", v)
+				return fmt.Errorf("%w: freelist entry %d duplicated", ErrCorrupt, v)
 			}
 			seen[PageID(v)] = struct{}{}
 			free[i] = PageID(v)
@@ -756,9 +767,9 @@ func (fb *FileBackend) crashed() bool {
 // BlockSize implements Backend.
 func (fb *FileBackend) BlockSize() int { return fb.blockSize }
 
-// Stats implements Backend: one read per Read, ReadNoCopy and view
-// ReadStable lent, one write per Write. Log appends, header rewrites and
-// the runs fresh pages go out in are the store's own and never counted.
+// Stats implements Backend: one read per Read and ReadNoCopy, one write
+// per Write. Log appends, header rewrites and the runs fresh pages go out
+// in are the store's own and never counted.
 func (fb *FileBackend) Stats() Stats {
 	return Stats{Reads: fb.reads.Load(), Writes: fb.writes.Load()}
 }
@@ -867,9 +878,11 @@ func (fb *FileBackend) Free(id PageID) {
 	fb.free.push(id)
 }
 
-// Read implements Backend. The block's CRC32C trailer is verified; a
-// mismatch panics with an error wrapping ErrChecksum (use CheckPage or
-// Fsck for a non-panicking scan).
+// Read copies page id into buf, counting one block read, and returns the
+// number of bytes copied: at most BlockSize. The block's CRC32C trailer is
+// verified; a mismatch panics with an error wrapping ErrChecksum (use
+// CheckPage or Fsck for a non-panicking scan). It is ReadNoCopy's fallback
+// where the page has no view, and the pread the benchmark times alone.
 func (fb *FileBackend) Read(id PageID, buf []byte) int {
 	fb.reads.Add(1)
 	if len(buf) > fb.blockSize {
@@ -980,10 +993,12 @@ func (fb *FileBackend) Fsck() error {
 	return nil
 }
 
-// ReadNoCopy implements Backend, one Read into a private copy of the page
-// — still read-only to honor the shared contract; the zero-copy read is
-// ReadStable, where the platform has one.
+// ReadNoCopy implements Backend: the page's mapped view where it has one
+// (see view), otherwise one Read into a private copy of the page.
 func (fb *FileBackend) ReadNoCopy(id PageID) []byte {
+	if data := fb.view(id); data != nil {
+		return data
+	}
 	buf := make([]byte, fb.blockSize)
 	fb.Read(id, buf)
 	return buf

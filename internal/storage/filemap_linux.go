@@ -43,8 +43,6 @@ type mapSegment struct {
 // segment however they grow.
 const minMapSegment = 1 << 20
 
-var _ StableReader = (*FileBackend)(nil)
-
 // segment returns the segment that maps page id, or nil.
 func (pm *pageMap) segment(id PageID) *mapSegment {
 	segs := pm.segs.Load()
@@ -124,15 +122,16 @@ func (pm *pageMap) unmap() {
 	pm.stuck = true
 }
 
-// ReadStable implements StableReader: the zero-copy demand read, counted
-// like Read when it lends a view. A page has no view before its slot has
-// been written (there are no bytes to map); Read serves it. A page still in
-// the write run goes out first.
+// view is ReadNoCopy's zero-copy path: page id's bytes in the mapping,
+// counted as one read, or nil, uncounted, where the page has no view. A
+// page has none before its slot has been written (there are no bytes to
+// map), nor once a map has failed; Read serves it. A page still in the
+// write run goes out first.
 //
 // The first view of a page after each write of it verifies the CRC32C
 // trailer against the mapped bytes, and a mismatch panics with an error
 // wrapping ErrChecksum, as Read does on every call.
-func (fb *FileBackend) ReadStable(id PageID) ([]byte, bool) {
+func (fb *FileBackend) view(id PageID) []byte {
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	fb.checkIDLocked(id)
@@ -140,13 +139,13 @@ func (fb *FileBackend) ReadStable(id PageID) ([]byte, bool) {
 	if off+int64(fb.slotSize) > fb.extent.Load() {
 		fb.flushRun()
 		if off+int64(fb.slotSize) > fb.extent.Load() {
-			return nil, false
+			return nil
 		}
 	}
 	seg := fb.pm.segment(id)
 	if seg == nil {
 		if seg = fb.growMap(id); seg == nil {
-			return nil, false
+			return nil
 		}
 	}
 	slot := seg.data[off-seg.off:][:fb.slotSize]
@@ -160,5 +159,5 @@ func (fb *FileBackend) ReadStable(id PageID) ([]byte, bool) {
 		word.Or(bit)
 	}
 	fb.reads.Add(1)
-	return data, true
+	return data
 }

@@ -2,10 +2,12 @@
 
 package storage
 
-// pageMap is empty where the page file does not map itself: FileBackend has
-// no ReadStable there, the pager finds no StableReader, and every read is
-// Read's verified pread.
+// pageMap is empty where the page file does not map itself: every
+// ReadNoCopy is Read's verified pread into a private copy.
 type pageMap struct{}
 
 func (*pageMap) unverify(PageID) {}
 func (*pageMap) unmap()          {}
+
+// view lends no page: there is no mapping.
+func (*FileBackend) view(PageID) []byte { return nil }

@@ -5,38 +5,39 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 )
 
 // The page file's two read paths — Read's verified pread everywhere, and
-// on platforms that have it the views ReadStable lends out of the file's
+// on platforms that have it the views ReadNoCopy lends out of the file's
 // own mapping — must agree on every page.
 
-// stableViews returns b's zero-copy capability, or skips the test on a
-// platform whose page files do not map themselves.
-func stableViews(t *testing.T, b Backend) StableReader {
+// needMapping skips the test on a platform whose page files do not map
+// themselves.
+func needMapping(t *testing.T) {
 	t.Helper()
-	sr, ok := b.(StableReader)
-	if !ok {
+	if runtime.GOOS != "linux" {
 		t.Skip("page files do not map themselves on this platform")
 	}
-	return sr
 }
 
-// view is ReadStable for a page that must have a view.
-func view(t *testing.T, sr StableReader, id PageID) []byte {
+// viewOf is ReadNoCopy of a page that must lend a view of the file's own
+// mapping.
+func viewOf(t *testing.T, fb *FileBackend, id PageID) []byte {
 	t.Helper()
-	data, ok := sr.ReadStable(id)
-	if !ok {
-		t.Fatalf("page %d has no stable view", id)
+	data := fb.ReadNoCopy(id)
+	if !fb.lendsView(id, data) {
+		t.Fatalf("ReadNoCopy of page %d lent no view of the mapping", id)
 	}
 	return data
 }
 
-// TestCountingStableReadsCountDemandReads: a view the page file lends is
-// one demand read, a refused one none (the caller's fallback Read counts),
-// so a pager's miss costs one read on the page file as on a Disk.
-func TestCountingStableReadsCountDemandReads(t *testing.T) {
+// TestCountingReadNoCopyCountsDemandReads: a view the page file lends is
+// one demand read, a page without a view one read too (its pread copy), and
+// only the lent view is the mapping, so a pager's miss costs one read on
+// the page file as on a Disk.
+func TestCountingReadNoCopyCountsDemandReads(t *testing.T) {
 	fb, err := CreateFile(tempIndex(t), 128)
 	if err != nil {
 		t.Fatal(err)
@@ -44,17 +45,23 @@ func TestCountingStableReadsCountDemandReads(t *testing.T) {
 	defer fb.Close()
 	written, blank := fb.Alloc(), fb.Alloc()
 	fb.Write(written, bytes.Repeat([]byte{1}, 128))
-	sr := stableViews(t, fb)
+	needMapping(t)
 	fb.ResetStats()
-	view(t, sr, written)
+	viewOf(t, fb, written)
 	if st := fb.Stats(); st.Reads != 1 {
 		t.Errorf("a view taken counted %d reads, want 1", st.Reads)
 	}
-	if _, ok := sr.ReadStable(blank); ok {
-		t.Fatal("a never-written page has a stable view")
+	if fb.view(blank) != nil {
+		t.Fatal("a never-written page has a view")
 	}
 	if st := fb.Stats(); st.Reads != 1 {
 		t.Errorf("a refused view counted a read: %d, want 1", st.Reads)
+	}
+	if got := fb.ReadNoCopy(blank); !bytes.Equal(got, make([]byte, 128)) {
+		t.Errorf("a never-written page reads %x…, want zeros", got[:8])
+	}
+	if st := fb.Stats(); st.Reads != 2 {
+		t.Errorf("the pread copy of a page without a view counted %d reads in all, want 2", st.Reads)
 	}
 	disk := NewDisk(128)
 	onDisk := disk.Alloc()
@@ -91,22 +98,19 @@ func TestFileReadBlocksMatchesPerPageReads(t *testing.T) {
 	order := append(append([]PageID{}, ids...), blank)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-	sr, _ := Backend(fb).(StableReader)
+	maps := runtime.GOOS == "linux"
 	for _, id := range order {
 		got := make([]byte, 256)
 		fb.Read(id, got)
 		if !bytes.Equal(got, want[id]) {
 			t.Errorf("Read of page %d diverges from what was written", id)
 		}
-		if sr == nil {
-			continue
+		v := fb.ReadNoCopy(id)
+		if lent := fb.lendsView(id, v); maps && lent != (id != blank) {
+			t.Errorf("page %d: view lent = %v", id, lent)
 		}
-		v, ok := sr.ReadStable(id)
-		if ok != (id != blank) {
-			t.Errorf("page %d: stable view = %v", id, ok)
-		}
-		if ok && !bytes.Equal(v, got) {
-			t.Errorf("stable view of page %d diverges from Read", id)
+		if !bytes.Equal(v, got) {
+			t.Errorf("ReadNoCopy of page %d diverges from Read", id)
 		}
 	}
 }
@@ -164,14 +168,14 @@ func TestFileReadBlocksChecksumPanic(t *testing.T) {
 
 // --- The mapping ---
 
-func newMmapFixture(t *testing.T, blockSize, pages int) (*FileBackend, StableReader, []PageID) {
+func newMmapFixture(t *testing.T, blockSize, pages int) (*FileBackend, []PageID) {
 	t.Helper()
+	needMapping(t)
 	fb, err := CreateFile(tempIndex(t), blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fb.Close() })
-	sr := stableViews(t, fb)
 	ids := make([]PageID, pages)
 	for i := range ids {
 		ids[i] = fb.Alloc()
@@ -180,28 +184,28 @@ func newMmapFixture(t *testing.T, blockSize, pages int) (*FileBackend, StableRea
 	if err := fb.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	return fb, sr, ids
+	return fb, ids
 }
 
 func TestMmapReadsMatchFileReads(t *testing.T) {
-	fb, sr, ids := newMmapFixture(t, 256, 10)
+	fb, ids := newMmapFixture(t, 256, 10)
 	for _, id := range ids {
 		want := make([]byte, 256)
 		fb.Read(id, want)
-		if !bytes.Equal(view(t, sr, id), want) {
-			t.Errorf("stable view of page %d diverges", id)
+		if !bytes.Equal(viewOf(t, fb, id), want) {
+			t.Errorf("view of page %d diverges", id)
 		}
 	}
 }
 
 func TestMmapWriteCoherence(t *testing.T) {
-	fb, sr, ids := newMmapFixture(t, 128, 3)
+	fb, ids := newMmapFixture(t, 128, 3)
 	id := ids[1]
-	before := view(t, sr, id)
+	before := viewOf(t, fb, id)
 	fb.Write(id, bytes.Repeat([]byte{0x7e}, 128))
 	want := bytes.Repeat([]byte{0x7e}, 128)
-	if !bytes.Equal(view(t, sr, id), want) {
-		t.Error("stable view is stale after the write")
+	if !bytes.Equal(viewOf(t, fb, id), want) {
+		t.Error("view is stale after the write")
 	}
 	if !bytes.Equal(before, want) {
 		t.Error("a view taken before the write does not show it")
@@ -216,14 +220,14 @@ func TestMmapWriteCoherence(t *testing.T) {
 // any Sync.
 func TestMmapGrowthKeepsViews(t *testing.T) {
 	const blockSize = 4096
-	fb, sr, ids := newMmapFixture(t, blockSize, 300)
-	old := view(t, sr, ids[0])
+	fb, ids := newMmapFixture(t, blockSize, 300)
+	old := viewOf(t, fb, ids[0])
 	var last PageID
 	for i := 0; i < 9*len(ids); i++ {
 		last = fb.Alloc()
 		fb.Write(last, bytes.Repeat([]byte{0x42}, blockSize))
 	}
-	if v := view(t, sr, last); v[0] != 0x42 || v[blockSize-1] != 0x42 {
+	if v := viewOf(t, fb, last); v[0] != 0x42 || v[blockSize-1] != 0x42 {
 		t.Errorf("view of an appended page before Sync = %#x", v[0])
 	}
 	if err := fb.Sync(); err != nil {
@@ -232,7 +236,7 @@ func TestMmapGrowthKeepsViews(t *testing.T) {
 	if old[0] != 1 || old[blockSize-1] != 1 {
 		t.Errorf("view taken before the file grew reads %#x after Sync, want 1", old[0])
 	}
-	if v := view(t, sr, ids[0]); &v[0] != &old[0] {
+	if v := viewOf(t, fb, ids[0]); &v[0] != &old[0] {
 		t.Error("page 0 moved to another mapping")
 	}
 	fb.Write(ids[0], bytes.Repeat([]byte{0x17}, blockSize))
@@ -242,6 +246,7 @@ func TestMmapGrowthKeepsViews(t *testing.T) {
 }
 
 func TestMmapChecksumVerifiedOnce(t *testing.T) {
+	needMapping(t)
 	blockSize := 128
 	path := tempIndex(t)
 	fb, err := CreateFile(path, blockSize)
@@ -259,21 +264,20 @@ func TestMmapChecksumVerifiedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Abandon()
-	sr := stableViews(t, re)
 	func() {
 		defer func() {
 			r := recover()
 			err, ok := r.(error)
 			if !ok || !errors.Is(err, ErrChecksum) {
-				t.Fatalf("stable read of corrupt page: panic %v, want ErrChecksum", r)
+				t.Fatalf("view of corrupt page: panic %v, want ErrChecksum", r)
 			}
 		}()
-		sr.ReadStable(id)
-		t.Fatal("stable read of corrupt page did not panic")
+		viewOf(t, re, id)
+		t.Fatal("view of corrupt page did not panic")
 	}()
 	// A write is new content: it re-arms the check, and good bytes pass.
 	re.Write(id, bytes.Repeat([]byte{7}, blockSize))
-	if v := view(t, sr, id); v[0] != 7 {
+	if v := viewOf(t, re, id); v[0] != 7 {
 		t.Errorf("view after rewrite sees %d, want 7", v[0])
 	}
 }

@@ -11,15 +11,15 @@ import (
 // the reported query cost is the number of leaf blocks fetched.
 //
 // The cache is read-only: writers go directly to the backend. Writing
-// through the pager refreshes the cached copy.
+// through the pager drops the cached entry, so the next read is a miss.
 //
-// What the cache holds depends on the backend. A backend that maps its own
-// storage (StableReader: the page file on Linux) lends the pager views of
-// its pages, so a miss is a counted block read that copies, allocates and
-// syscalls nothing; every other backend fills a private BlockSize buffer
-// through Read. Capacity, eviction order and every counter are the same on
-// both paths — a view taken is one miss and one block read, exactly like a
-// buffer filled — so the paper's numbers do not depend on the platform.
+// The cache holds what the backend's ReadNoCopy lends, one counted block
+// read per miss: a Disk's own page slice, a page file's mapped view on
+// Linux, a verified private copy where a page file has no view. So a miss
+// on a Disk or a mapped page file copies and allocates nothing, and an
+// in-memory tree's cache holds no second copy of its pages. Capacity,
+// eviction order and every counter are the same whatever the backend
+// lends, so the paper's numbers do not depend on the platform.
 //
 // The pager caches bytes only: readers parse pages in place (rtree's
 // zero-copy node views), so there is no decoded form to keep coherent.
@@ -39,8 +39,9 @@ import (
 // counter are what a serial execution of the same accesses would produce —
 // which keeps the aggregate block I/O of concurrent queries bit-identical
 // to serial runs. The price: while a miss fills, hits on its shard wait.
-// A fill is a mapped view (plus its first-view checksum), a BlockSize copy
-// or one pread; an unbounded cache pays it once per page.
+// A fill is one ReadNoCopy: a slice lookup, a mapped view (plus its
+// first-view checksum) or one pread; an unbounded cache pays it once per
+// page.
 //
 // Writers (Write, Invalidate, Unpin, DropCache) are individually safe to
 // call, but mutating the underlying pages while queries read them is a
@@ -58,8 +59,6 @@ type Pager struct {
 	shards   []pagerShard
 	mask     uint32
 
-	stable StableReader // non-nil when dev offers zero-copy stable views
-
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
@@ -76,18 +75,14 @@ type pagerShard struct {
 	lru     *list.List
 	entries map[PageID]*cacheEntry
 	pinned  map[PageID][]byte
-	// stablePins marks pinned pages whose bytes are zero-copy stable views:
-	// read-only, so Write replaces them instead of writing through.
-	stablePins map[PageID]struct{}
 }
 
 // cacheEntry is one unpinned cached page, published only once its bytes
 // are filled. In a bounded pager elem is its place in the shard's LRU.
 type cacheEntry struct {
-	id     PageID
-	data   []byte
-	stable bool          // data is a zero-copy stable view: read-only, Write replaces it
-	elem   *list.Element // bounded shards only
+	id   PageID
+	data []byte
+	elem *list.Element // bounded shards only
 }
 
 // NewPager returns a pager over a backend whose cache holds at most
@@ -106,9 +101,6 @@ func NewPager(dev Backend, capacity int) *Pager {
 		shards:   make([]pagerShard, nshards),
 		mask:     uint32(nshards - 1),
 	}
-	if sr, ok := dev.(StableReader); ok {
-		p.stable = sr
-	}
 	for i := range p.shards {
 		s := &p.shards[i]
 		if capacity > 0 {
@@ -116,7 +108,6 @@ func NewPager(dev Backend, capacity int) *Pager {
 		}
 		s.entries = make(map[PageID]*cacheEntry)
 		s.pinned = make(map[PageID][]byte)
-		s.stablePins = make(map[PageID]struct{})
 	}
 	return p
 }
@@ -125,20 +116,6 @@ func (p *Pager) shard(id PageID) *pagerShard { return &p.shards[uint32(id)&p.mas
 
 // Backend returns the underlying device.
 func (p *Pager) Backend() Backend { return p.dev }
-
-// fetchDemand obtains page id's bytes for a counted demand miss: a
-// zero-copy stable view when the backend lends one, an allocated buffer
-// filled by one Read otherwise.
-func (p *Pager) fetchDemand(id PageID) (data []byte, stable bool) {
-	if p.stable != nil {
-		if d, ok := p.stable.ReadStable(id); ok {
-			return d, true
-		}
-	}
-	d := make([]byte, p.dev.BlockSize())
-	p.dev.Read(id, d)
-	return d, false
-}
 
 // Read returns the contents of page id, fetching from disk (and counting
 // one block read) only on a cache miss. The returned slice is shared with
@@ -159,8 +136,7 @@ func (p *Pager) Read(id PageID) []byte {
 			// Caching disabled: nothing is published, so the fetch needs
 			// no lock, and every unpinned access is a miss, as serially.
 			p.misses.Add(1)
-			data, _ := p.fetchDemand(id)
-			return data
+			return p.dev.ReadNoCopy(id)
 		}
 	}
 	s.mu.Lock()
@@ -171,8 +147,8 @@ func (p *Pager) Read(id PageID) []byte {
 		return data
 	}
 	p.misses.Add(1)
-	data, stable := p.fetchDemand(id)
-	ce := &cacheEntry{id: id, data: data, stable: stable}
+	data := p.dev.ReadNoCopy(id)
+	ce := &cacheEntry{id: id, data: data}
 	s.entries[id] = ce
 	if s.lru != nil {
 		ce.elem = s.lru.PushFront(ce)
@@ -207,17 +183,11 @@ func (p *Pager) Pin(id PageID) {
 	if _, ok := s.pinned[id]; ok {
 		return
 	}
-	var data []byte
-	var stable bool
 	if ce, ok := s.entries[id]; ok {
 		s.remove(ce)
-		data, stable = ce.data, ce.stable
+		s.pinned[id] = ce.data
 	} else {
-		data, stable = p.fetchDemand(id)
-	}
-	s.pinned[id] = data
-	if stable {
-		s.stablePins[id] = struct{}{}
+		s.pinned[id] = p.dev.ReadNoCopy(id)
 	}
 }
 
@@ -231,39 +201,28 @@ func (p *Pager) Unpin(id PageID) {
 		return
 	}
 	delete(s.pinned, id)
-	delete(s.stablePins, id)
 }
 
-// Write stores data to page id on disk and refreshes any cached copy. A
-// cached stable (mapped) view is dropped: a reader of the page's previous
-// life may have published it after the free, and a fresh page waits in
-// the backend's write run, unseen by any view until a read flushes it.
+// Write stores data to page id on disk and drops any cached entry, so the
+// next read fetches the new bytes: what ReadNoCopy lent before may be a
+// private copy, or a view of the page's previous life that a reader
+// published after the free, while a fresh page waits in a page file's
+// write run, unseen by any view until a read flushes it. A pinned page
+// stays pinned: its bytes are taken again with ReadNoCopy, a counted read.
+// No tree rewrites a live page — copy-on-write writes fresh pages, and
+// rtree frees a node only after invalidating it — so neither costs a
+// query a read.
 func (p *Pager) Write(id PageID, data []byte) {
 	s := p.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p.dev.Write(id, data)
-	if pd, ok := s.pinned[id]; ok {
-		if _, stable := s.stablePins[id]; !stable {
-			refreshCopy(pd, data)
-		}
+	if _, ok := s.pinned[id]; ok {
+		s.pinned[id] = p.dev.ReadNoCopy(id)
 		return
 	}
 	if ce, ok := s.entries[id]; ok {
-		if ce.stable {
-			s.remove(ce)
-		} else {
-			refreshCopy(ce.data, data)
-		}
-	}
-}
-
-// refreshCopy overwrites dst with data, zero-filling the tail beyond it so
-// the cached copy matches the disk page exactly.
-func refreshCopy(dst, data []byte) {
-	copy(dst, data)
-	for i := len(data); i < len(dst); i++ {
-		dst[i] = 0
+		s.remove(ce)
 	}
 }
 
@@ -273,7 +232,6 @@ func (p *Pager) Invalidate(id PageID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.pinned, id)
-	delete(s.stablePins, id)
 	if ce, ok := s.entries[id]; ok {
 		s.remove(ce)
 	}
@@ -298,7 +256,6 @@ func (p *Pager) DropCache() {
 		}
 		s.entries = make(map[PageID]*cacheEntry)
 		s.pinned = make(map[PageID][]byte)
-		s.stablePins = make(map[PageID]struct{})
 		s.mu.Unlock()
 	}
 }

@@ -85,19 +85,25 @@ func TestPagerPinSurvivesEvictionAndWrite(t *testing.T) {
 		t.Errorf("pinned read touched the disk %d times", got)
 	}
 
-	// Write refreshes the pinned copy in place and zero-fills the tail
-	// beyond the written data.
+	// Write keeps the page pinned: it takes the new bytes again, one
+	// counted read, and later reads of the pin touch the disk no more.
 	p.Write(0, []byte{9, 8})
+	if got := d.Stats().Reads; got != 1 {
+		t.Errorf("writing a pinned page read it %d times, want 1", got)
+	}
 	got := p.Read(0)
 	if got[0] != 9 || got[1] != 8 {
-		t.Errorf("pinned copy not refreshed: % x", got[:2])
+		t.Errorf("pinned page not refreshed: % x", got[:2])
 	}
 	if !bytes.Equal(got[2:], make([]byte, len(got)-2)) {
-		t.Errorf("pinned copy tail not zero-filled: % x", got[2:])
+		t.Errorf("pinned page tail not zero: % x", got[2:])
 	}
-	// The refreshed copy must match the disk exactly.
+	// The pinned bytes must match the disk exactly.
 	if !bytes.Equal(got, d.PeekNoCopy(0)) {
-		t.Error("pinned copy diverged from disk after Write")
+		t.Error("pinned page diverged from disk after Write")
+	}
+	if got := d.Stats().Reads; got != 1 {
+		t.Errorf("reading the rewritten pin touched the disk: %d reads, want 1", got)
 	}
 
 	p.Unpin(0)
@@ -108,16 +114,47 @@ func TestPagerPinSurvivesEvictionAndWrite(t *testing.T) {
 	}
 }
 
-func TestPagerWriteRefreshesLRUCopy(t *testing.T) {
-	d := newPagerDisk(t, 2)
-	p := NewPager(d, -1)
-	p.Read(0)
-	p.Write(0, []byte{7})
-	d.ResetStats()
-	if got := p.Read(0); got[0] != 7 {
-		t.Errorf("cached copy = %d after Write, want 7", got[0])
+// TestPagerWriteDropsCachedPage: a write through the pager drops the
+// cached entry, so the next read returns the new bytes for one counted
+// read — on a Disk, whose page the cache shares, and on a page file, whose
+// view or copy it holds.
+func TestPagerWriteDropsCachedPage(t *testing.T) {
+	fb, err := CreateFile(tempIndex(t), 32)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := d.Stats().Reads; got != 0 {
-		t.Errorf("refreshed page re-read from disk %d times", got)
+	defer fb.Close()
+	fb.Write(fb.Alloc(), []byte{1})
+	for name, dev := range map[string]Backend{"disk": newPagerDisk(t, 2), "file": fb} {
+		p := NewPager(dev, -1)
+		p.Read(0)
+		p.Write(0, []byte{7})
+		dev.ResetStats()
+		if got := p.Read(0); got[0] != 7 {
+			t.Errorf("%s: page reads %d after Write, want 7", name, got[0])
+		}
+		if got := p.Read(0); got[0] != 7 {
+			t.Errorf("%s: page reads %d from the cache, want 7", name, got[0])
+		}
+		if got := dev.Stats().Reads; got != 1 {
+			t.Errorf("%s: the rewritten page cost %d reads, want 1", name, got)
+		}
+	}
+}
+
+// TestPagerCachesDiskPages: an unbounded pager over a Disk holds the Disk's
+// own page bytes, not a second copy of them.
+func TestPagerCachesDiskPages(t *testing.T) {
+	d := newPagerDisk(t, 3)
+	p := NewPager(d, -1)
+	for id := PageID(0); id < 3; id++ {
+		p.Read(id)
+		if got := p.Read(id); &got[0] != &d.PeekNoCopy(id)[0] {
+			t.Errorf("page %d: the cache holds a copy, not the Disk's page", id)
+		}
+	}
+	p.Pin(0)
+	if got := p.Read(0); &got[0] != &d.PeekNoCopy(0)[0] {
+		t.Error("page 0: the pin holds a copy, not the Disk's page")
 	}
 }

@@ -40,6 +40,9 @@ var (
 	// ErrTruncated reports an index file shorter than its header's
 	// recorded geometry requires.
 	ErrTruncated = storage.ErrTruncated
+	// ErrCorrupt reports an index file whose header or freelist
+	// contradicts itself.
+	ErrCorrupt = storage.ErrCorrupt
 	// ErrChecksum reports a page whose stored CRC32C does not match its
 	// contents — latent sector corruption caught at read time. CheckPages
 	// returns it wrapped; the read path panics with it.

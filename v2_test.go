@@ -17,10 +17,12 @@ import (
 	"sync"
 	"testing"
 
+	"prtree/internal/bulk"
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
 	"prtree/internal/parallel"
 	"prtree/internal/rtree"
+	"prtree/internal/storage"
 	"prtree/internal/workload"
 )
 
@@ -706,6 +708,33 @@ func TestQueryAllocsZero(t *testing.T) {
 				t.Errorf("%s(%+v) allocates %v a query; want 0", c.name, query, a)
 			}
 		}
+	}
+}
+
+// TestUncachedDiskWindowAllocsZero: a pager that caches nothing over an
+// in-memory Disk answers a window without allocating. Every node visit is
+// a miss, and the miss takes the Disk's own page bytes rather than a
+// BlockSize copy of them.
+func TestUncachedDiskWindowAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled scratch")
+	}
+	items := dataset.Western(3000, 23)
+	disk := storage.NewDisk(storage.DefaultBlockSize)
+	tree := bulk.PRTreeSlice(storage.NewPager(disk, 0), items, bulk.Options{})
+	q := workload.Squares(geom.ItemsMBR(items), 0.05, 1, 3)[0]
+	n := 0
+	count := func(geom.Item) bool { n++; return true }
+	disk.ResetStats()
+	st, err := tree.RunWindow(q, false, count, rtree.RunOptions{})
+	if err != nil || n == 0 || st.NodesVisited < 2 {
+		t.Fatalf("the window found %d items over %d nodes (%v); want a multi-node query", n, st.NodesVisited, err)
+	}
+	if reads := disk.Stats().Reads; reads != uint64(st.NodesVisited) {
+		t.Fatalf("%d nodes visited cost %d block reads; want one each", st.NodesVisited, reads)
+	}
+	if a := testing.AllocsPerRun(50, func() { _, _ = tree.RunWindow(q, false, count, rtree.RunOptions{}) }); a != 0 {
+		t.Errorf("a window over %d nodes allocates %v a query; want 0", st.NodesVisited, a)
 	}
 }
 
