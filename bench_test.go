@@ -18,6 +18,7 @@ import (
 
 	"prtree/internal/bulk"
 	"prtree/internal/dataset"
+	"prtree/internal/extmem"
 	"prtree/internal/geom"
 	"prtree/internal/hilbert"
 	"prtree/internal/parallel"
@@ -31,27 +32,23 @@ const benchMem = 1 << 14 // bulk-loading memory budget (records)
 
 var benchLoaders = []bulk.Loader{bulk.LoaderHilbert, bulk.LoaderHilbert4D, bulk.LoaderPR, bulk.LoaderTGS}
 
-// benchBuild bulk-loads items once per iteration, reporting block I/O.
+// benchBuild bulk-loads items with l's external construction once per
+// iteration, reporting block I/O.
 func benchBuild(b *testing.B, l bulk.Loader, items []geom.Item) {
-	benchBuildOpt(b, l, items, bulk.Options{MemoryItems: benchMem})
-}
-
-func benchBuildOpt(b *testing.B, l bulk.Loader, items []geom.Item, opt bulk.Options) uint64 {
 	b.Helper()
 	var lastIO uint64
 	for i := 0; i < b.N; i++ {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, -1)
-		in := storage.NewItemFileFrom(disk, items)
+		in := extmem.NewItemFileFrom(disk, items)
 		disk.ResetStats()
-		tree := bulk.Load(l, pager, in, opt)
+		tree := extmem.Load(l, pager, in, extmem.Options{MemoryItems: benchMem})
 		lastIO = disk.Stats().Total()
 		if tree.Len() != len(items) {
 			b.Fatalf("lost items: %d != %d", tree.Len(), len(items))
 		}
 	}
 	b.ReportMetric(float64(lastIO), "blockIO/op")
-	return lastIO
 }
 
 // benchQueries builds once, then measures query cost per iteration.
@@ -59,8 +56,8 @@ func benchQueries(b *testing.B, l bulk.Loader, items []geom.Item, queries []geom
 	b.Helper()
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
-	in := storage.NewItemFileFrom(disk, items)
-	tree := bulk.Load(l, pager, in, bulk.Options{MemoryItems: benchMem})
+	in := extmem.NewItemFileFrom(disk, items)
+	tree := extmem.Load(l, pager, in, extmem.Options{MemoryItems: benchMem})
 	totalLeafNodes := 0
 	tree.Walk(func(_ storage.PageID, _ int, isLeaf bool, _ []geom.Item) {
 		if isLeaf {
@@ -241,7 +238,7 @@ func BenchmarkPRBulkLoadExternal(b *testing.B) {
 	})
 	// The benchmark's embedded set-up: a file-backed index, serial. At
 	// M = 65536 it is the paper's external load, which the facade does not
-	// run: bulk.Load onto the index file's pager, its input and
+	// run: extmem.Load onto the index file's pager, its input and
 	// temporaries on a simulated disk of their own. The default is the
 	// facade's BulkLoad, which builds in memory and writes tree pages only.
 	// blockIO/op is the index file's I/O plus the temporaries' disk's;
@@ -252,8 +249,8 @@ func BenchmarkPRBulkLoadExternal(b *testing.B) {
 		benchFileLoad(b, items, func(tree *Tree) (uint64, error) {
 			tmp := storage.NewDisk(storage.DefaultBlockSize)
 			err := tree.txn(func() {
-				in := storage.NewItemFileFrom(tmp, items)
-				tree.inner = bulk.Load(PR, tree.pager, in, bulk.Options{MemoryItems: 65536})
+				in := extmem.NewItemFileFrom(tmp, items)
+				tree.inner = extmem.Load(PR, tree.pager, in, extmem.Options{MemoryItems: 65536})
 			}, tree.saveMeta)
 			return tmp.Stats().Total(), err
 		})
@@ -300,28 +297,6 @@ func benchFileLoad(b *testing.B, items []Item, load func(*Tree) (uint64, error))
 	}
 	b.ReportMetric(float64(io), "blockIO/op")
 	return io, total / uint64(b.N)
-}
-
-// BenchmarkPRBulkLoadExternalParallel is the serial uniform50k benchmark
-// above with the pipeline's worker pool engaged (workers are clamped to
-// GOMAXPROCS, raised here so that they do fan out). It FAILS if blockIO/op
-// differs between worker counts — only wall-clock may change.
-func BenchmarkPRBulkLoadExternalParallel(b *testing.B) {
-	if runtime.GOMAXPROCS(0) < 8 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	}
-	items := dataset.Uniform(50000, 0.001, 20)
-	var first uint64
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			io := benchBuildOpt(b, bulk.LoaderPR, items, bulk.Options{MemoryItems: benchMem, Parallelism: w})
-			if first == 0 {
-				first = io
-			} else if io != first {
-				b.Fatalf("workers=%d: blockIO %d differs from the %d of the first worker count run", w, io, first)
-			}
-		})
-	}
 }
 
 // BenchmarkConcurrentQueries measures window-query throughput, one query

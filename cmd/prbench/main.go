@@ -11,8 +11,9 @@
 //
 // -scale multiplies the default dataset sizes (~120k rectangles at 1.0;
 // the paper used 10-16.7M — scale 100 reproduces that on a large machine).
-// -workers sets the bulk-load pipeline's parallelism (default: GOMAXPROCS;
-// block-I/O counts are identical at any setting, only wall-clock changes).
+// -workers sets the parallelism of the in-memory builds (default:
+// GOMAXPROCS; counted cells are identical at any setting, only wall-clock
+// changes); fig9–11's external builds are serial at any setting.
 // Every query table builds its trees in memory, as the library does, PR's
 // by the exact construction of the paper's §2.1; fig9–11 price the external
 // construction at a fixed M of 2^14 records.
@@ -73,7 +74,7 @@ type jsonReport struct {
 func main() {
 	scale := flag.Float64("scale", 1.0, "dataset size multiplier")
 	queries := flag.Int("queries", 100, "window queries per measurement point")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "bulk-load parallelism (1 = serial; I/O counts are identical at any setting)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallelism of the in-memory builds (1 = serial; fig9–11's external builds are serial; counted cells are identical at any setting)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file (\"-\" = stdout)")
 	seed := flag.Int64("seed", 2004, "generator seed")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")

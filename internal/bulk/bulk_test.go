@@ -1,16 +1,21 @@
-package bulk
+package bulk_test
 
 import (
-	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"prtree/internal/bulk"
 	"prtree/internal/dataset"
+	"prtree/internal/extmem"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
+
+// The loaders' tests here build with the external constructions
+// (extmem.Load) — their memory budget forces external rounds — and hold
+// the in-memory ones (bulk.LoadSlice) to the same pages (slice_test.go).
 
 func randItems(n int, seed int64) []geom.Item {
 	rng := rand.New(rand.NewSource(seed))
@@ -32,31 +37,19 @@ func allowParallelism() func() {
 	return func() { runtime.GOMAXPROCS(old) }
 }
 
-func loadOn(tb testing.TB, l Loader, items []geom.Item, opt Options) *rtree.Tree {
+// loadOn bulk-loads items with l's external construction, its input and
+// temporaries on the tree's device.
+func loadOn(tb testing.TB, l bulk.Loader, items []geom.Item, opt extmem.Options) *rtree.Tree {
 	tb.Helper()
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
-	return Load(l, pager, storage.NewItemFileFrom(disk, items), opt)
-}
-
-func TestLoaderStrings(t *testing.T) {
-	want := map[Loader]string{
-		LoaderHilbert: "H", LoaderHilbert4D: "H4", LoaderTGS: "TGS", LoaderPR: "PR",
-	}
-	for l, s := range want {
-		if l.String() != s {
-			t.Errorf("loader %d = %q, want %q", l, l.String(), s)
-		}
-	}
-	if Loader(99).String() != "?" {
-		t.Error("unknown loader should print ?")
-	}
+	return extmem.Load(l, pager, extmem.NewItemFileFrom(disk, items), opt)
 }
 
 func TestAllLoadersValidTrees(t *testing.T) {
 	items := randItems(5000, 1)
-	for _, l := range Loaders {
-		tr := loadOn(t, l, items, Options{Fanout: 16, MemoryItems: 1024})
+	for _, l := range bulk.Loaders {
+		tr := loadOn(t, l, items, extmem.Options{Fanout: 16, MemoryItems: 1024})
 		if tr.Len() != len(items) {
 			t.Fatalf("%v: len = %d", l, tr.Len())
 		}
@@ -73,8 +66,8 @@ func TestAllLoadersQueryCorrect(t *testing.T) {
 	for i := range queries {
 		queries[i] = geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
 	}
-	for _, l := range Loaders {
-		tr := loadOn(t, l, items, Options{Fanout: 16, MemoryItems: 1024})
+	for _, l := range bulk.Loaders {
+		tr := loadOn(t, l, items, extmem.Options{Fanout: 16, MemoryItems: 1024})
 		for _, q := range queries {
 			if err := rtree.CheckQueryAgainstBruteForce(tr, items, q); err != nil {
 				t.Fatalf("%v: %v", l, err)
@@ -84,13 +77,13 @@ func TestAllLoadersQueryCorrect(t *testing.T) {
 }
 
 func TestAllLoadersEmptyAndTiny(t *testing.T) {
-	for _, l := range Loaders {
-		tr := loadOn(t, l, nil, Options{})
+	for _, l := range bulk.Loaders {
+		tr := loadOn(t, l, nil, extmem.Options{})
 		if tr.Len() != 0 || tr.Validate() != nil {
 			t.Fatalf("%v: broken empty tree", l)
 		}
 		one := randItems(1, 4)
-		tr = loadOn(t, l, one, Options{})
+		tr = loadOn(t, l, one, extmem.Options{})
 		if tr.Len() != 1 || tr.Height() != 1 {
 			t.Fatalf("%v: single-item tree len=%d h=%d", l, tr.Len(), tr.Height())
 		}
@@ -101,9 +94,9 @@ func TestAllLoadersEmptyAndTiny(t *testing.T) {
 }
 
 func TestAllLoadersExactlyOneNode(t *testing.T) {
-	for _, l := range Loaders {
+	for _, l := range bulk.Loaders {
 		items := randItems(16, 5)
-		tr := loadOn(t, l, items, Options{Fanout: 16})
+		tr := loadOn(t, l, items, extmem.Options{Fanout: 16})
 		if tr.Height() != 1 {
 			t.Fatalf("%v: height %d for exactly-full leaf", l, tr.Height())
 		}
@@ -117,11 +110,11 @@ func TestUtilizationAbove99Percent(t *testing.T) {
 	// Paper §3.3: every loader achieved > 99% space utilization. Use the
 	// real fanout (113) and a dataset large enough for many leaves.
 	items := randItems(113*150, 6)
-	for _, l := range Loaders {
-		tr := loadOn(t, l, items, Options{MemoryItems: 8192})
+	for _, l := range bulk.Loaders {
+		tr := loadOn(t, l, items, extmem.Options{MemoryItems: 8192})
 		leaf, _ := tr.Utilization()
 		min := 0.99
-		if l == LoaderTGS || l == LoaderPR {
+		if l == bulk.LoaderTGS || l == bulk.LoaderPR {
 			// TGS rounds subtree sizes to powers of B (one underfull node
 			// per level); PR's kd leaves round to B with one remainder per
 			// in-memory subtree. Both still stay very high.
@@ -136,15 +129,15 @@ func TestUtilizationAbove99Percent(t *testing.T) {
 // buildCost bulk-loads items with each loader on a fresh in-memory disk —
 // input, temporaries and tree on the one device, the paper's set-up — and
 // returns the block I/Os of each load.
-func buildCost(t *testing.T, items []geom.Item, opt Options, loaders ...Loader) map[Loader]uint64 {
+func buildCost(t *testing.T, items []geom.Item, opt extmem.Options, loaders ...bulk.Loader) map[bulk.Loader]uint64 {
 	t.Helper()
-	cost := map[Loader]uint64{}
+	cost := map[bulk.Loader]uint64{}
 	for _, l := range loaders {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, -1)
-		in := storage.NewItemFileFrom(disk, items)
+		in := extmem.NewItemFileFrom(disk, items)
 		disk.ResetStats()
-		tr := Load(l, pager, in, opt)
+		tr := extmem.Load(l, pager, in, opt)
 		cost[l] = disk.Stats().Total()
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%v: %v", l, err)
@@ -159,17 +152,17 @@ func TestBuildIOOrdering(t *testing.T) {
 	// small the first round's regions need a second external round and are
 	// handed four lists each; measured 4.23x H (5.43x when the input was
 	// scanned four times and every region got four lists).
-	cost := buildCost(t, randItems(40000, 7), Options{Fanout: 113, MemoryItems: 4096},
-		LoaderHilbert, LoaderPR, LoaderTGS)
-	if !(cost[LoaderHilbert] < cost[LoaderPR] && cost[LoaderPR] < cost[LoaderTGS]) {
+	cost := buildCost(t, randItems(40000, 7), extmem.Options{Fanout: 113, MemoryItems: 4096},
+		bulk.LoaderHilbert, bulk.LoaderPR, bulk.LoaderTGS)
+	if !(cost[bulk.LoaderHilbert] < cost[bulk.LoaderPR] && cost[bulk.LoaderPR] < cost[bulk.LoaderTGS]) {
 		t.Errorf("I/O ordering violated: H=%d PR=%d TGS=%d",
-			cost[LoaderHilbert], cost[LoaderPR], cost[LoaderTGS])
+			cost[bulk.LoaderHilbert], cost[bulk.LoaderPR], cost[bulk.LoaderTGS])
 	}
-	if 10*cost[LoaderPR] > 45*cost[LoaderHilbert] {
-		t.Errorf("PR build cost %d is more than 4.5x H %d", cost[LoaderPR], cost[LoaderHilbert])
+	if 10*cost[bulk.LoaderPR] > 45*cost[bulk.LoaderHilbert] {
+		t.Errorf("PR build cost %d is more than 4.5x H %d", cost[bulk.LoaderPR], cost[bulk.LoaderHilbert])
 	}
-	if cost[LoaderTGS] < 2*cost[LoaderPR] {
-		t.Errorf("TGS cost %d suspiciously close to PR %d", cost[LoaderTGS], cost[LoaderPR])
+	if cost[bulk.LoaderTGS] < 2*cost[bulk.LoaderPR] {
+		t.Errorf("TGS cost %d suspiciously close to PR %d", cost[bulk.LoaderTGS], cost[bulk.LoaderPR])
 	}
 }
 
@@ -178,21 +171,21 @@ func TestBuildIOOrdering(t *testing.T) {
 // in the paper, one external round suffices: the benchmark's 216k
 // rectangles at the default M. Measured 37,176 against 13,402 = 2.77x.
 func TestBuildIOFigure9(t *testing.T) {
-	cost := buildCost(t, dataset.Western(300000, 2004), Options{}, LoaderHilbert, LoaderPR)
-	if cost[LoaderPR] > 3*cost[LoaderHilbert] {
-		t.Errorf("PR build cost %d is more than 3x H %d", cost[LoaderPR], cost[LoaderHilbert])
+	cost := buildCost(t, dataset.Western(300000, 2004), extmem.Options{}, bulk.LoaderHilbert, bulk.LoaderPR)
+	if cost[bulk.LoaderPR] > 3*cost[bulk.LoaderHilbert] {
+		t.Errorf("PR build cost %d is more than 3x H %d", cost[bulk.LoaderPR], cost[bulk.LoaderHilbert])
 	}
-	t.Logf("PR %d, H %d block I/Os: %.2fx", cost[LoaderPR], cost[LoaderHilbert],
-		float64(cost[LoaderPR])/float64(cost[LoaderHilbert]))
+	t.Logf("PR %d, H %d block I/Os: %.2fx", cost[bulk.LoaderPR], cost[bulk.LoaderHilbert],
+		float64(cost[bulk.LoaderPR])/float64(cost[bulk.LoaderHilbert]))
 }
 
 func TestLoadersFreeScratchSpace(t *testing.T) {
 	items := randItems(8000, 8)
-	opt := Options{Fanout: 32, MemoryItems: 2048}
-	for _, l := range Loaders {
+	opt := extmem.Options{Fanout: 32, MemoryItems: 2048}
+	for _, l := range bulk.Loaders {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		pager := storage.NewPager(disk, -1)
-		tr := Load(l, pager, storage.NewItemFileFrom(disk, items), opt)
+		tr := extmem.Load(l, pager, extmem.NewItemFileFrom(disk, items), opt)
 		if disk.PagesInUse() != tr.Nodes() {
 			t.Errorf("%v: %d pages in use for %d tree nodes (scratch leaked)",
 				l, disk.PagesInUse(), tr.Nodes())
@@ -204,7 +197,7 @@ func TestLoadersFreeScratchSpace(t *testing.T) {
 		// ever took a page id — and the two stores together do the same
 		// block I/O.
 		treeDisk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
-		split := Load(l, storage.NewPager(treeDisk, -1), storage.NewItemFileFrom(tmp, items), opt)
+		split := extmem.Load(l, storage.NewPager(treeDisk, -1), extmem.NewItemFileFrom(tmp, items), opt)
 		if tmp.PagesInUse() != 0 {
 			t.Errorf("%v: the input's store ends at %d pages in use (scratch leaked)", l, tmp.PagesInUse())
 		}
@@ -218,18 +211,6 @@ func TestLoadersFreeScratchSpace(t *testing.T) {
 		}
 		if got, want := treeDisk.Stats().Add(tmp.Stats()), disk.Stats(); got != want {
 			t.Errorf("%v: block I/O %v across tree device and input store, %v on one device", l, got, want)
-		}
-	}
-}
-
-func TestTGSHeight(t *testing.T) {
-	cases := []struct{ n, fanout, want int }{
-		{1, 113, 1}, {113, 113, 1}, {114, 113, 2}, {113 * 113, 113, 2},
-		{113*113 + 1, 113, 3}, {5, 2, 3}, {8, 2, 3}, {9, 2, 4},
-	}
-	for _, c := range cases {
-		if got := tgsHeight(c.n, c.fanout); got != c.want {
-			t.Errorf("tgsHeight(%d,%d) = %d, want %d", c.n, c.fanout, got, c.want)
 		}
 	}
 }
@@ -248,7 +229,7 @@ func TestTGSPrefersVerticalCutOnColumns(t *testing.T) {
 			id++
 		}
 	}
-	tr := loadOn(t, LoaderTGS, items, Options{Fanout: 16})
+	tr := loadOn(t, bulk.LoaderTGS, items, extmem.Options{Fanout: 16})
 	// Every leaf should span exactly one column (width 0).
 	bad := 0
 	tr.Walk(func(_ storage.PageID, _ int, isLeaf bool, entries []geom.Item) {
@@ -277,7 +258,7 @@ func TestPRTreeHandlesExtremeAspect(t *testing.T) {
 			items[i] = geom.Item{Rect: geom.NewRect(x, y, x+1e-5, y+0.5), ID: uint32(i)}
 		}
 	}
-	tr := loadOn(t, LoaderPR, items, Options{Fanout: 16, MemoryItems: 1024})
+	tr := loadOn(t, bulk.LoaderPR, items, extmem.Options{Fanout: 16, MemoryItems: 1024})
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +272,8 @@ func TestPRTreeHandlesExtremeAspect(t *testing.T) {
 
 func TestLoadersWithDefaultOptions(t *testing.T) {
 	items := randItems(1000, 10)
-	for _, l := range Loaders {
-		tr := loadOn(t, l, items, Options{})
+	for _, l := range bulk.Loaders {
+		tr := loadOn(t, l, items, extmem.Options{})
 		if tr.Config().Fanout != 113 {
 			t.Errorf("%v: default fanout = %d", l, tr.Config().Fanout)
 		}
@@ -305,8 +286,8 @@ func TestLoadersWithDefaultOptions(t *testing.T) {
 func TestLoadConsumesInput(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
-	in := storage.NewItemFileFrom(disk, randItems(500, 11))
-	tr := Load(LoaderHilbert, pager, in, Options{Fanout: 16})
+	in := extmem.NewItemFileFrom(disk, randItems(500, 11))
+	tr := extmem.Load(bulk.LoaderHilbert, pager, in, extmem.Options{Fanout: 16})
 	// Input pages must have been freed.
 	if disk.PagesInUse() != tr.Nodes() {
 		t.Errorf("input not freed: %d pages in use, %d tree nodes", disk.PagesInUse(), tr.Nodes())
@@ -318,94 +299,13 @@ func TestDuplicateRectsAllLoaders(t *testing.T) {
 	for i := range items {
 		items[i] = geom.Item{Rect: geom.NewRect(0.4, 0.4, 0.6, 0.6), ID: uint32(i)}
 	}
-	for _, l := range Loaders {
-		tr := loadOn(t, l, items, Options{Fanout: 16, MemoryItems: 1024})
+	for _, l := range bulk.Loaders {
+		tr := loadOn(t, l, items, extmem.Options{Fanout: 16, MemoryItems: 1024})
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%v: %v", l, err)
 		}
 		if got, _ := tr.RunWindow(geom.NewRect(0.5, 0.5, 0.5, 0.5), false, nil, rtree.RunOptions{}); got.Results != 600 {
 			t.Fatalf("%v: found %d of 600 duplicates", l, got.Results)
-		}
-	}
-}
-
-// TestLoadersSerialParallelEquivalence checks the pipeline's determinism
-// guarantee end to end: every loader must report identical disk read/write
-// counters, build a tree of the same height and size, and answer queries
-// identically at every Parallelism setting. (Page ids may differ — page
-// allocation order is scheduling-dependent — so tree bytes are compared
-// through query results, not raw pages.)
-func TestLoadersSerialParallelEquivalence(t *testing.T) {
-	defer allowParallelism()()
-	items := randItems(9000, 5)
-	queries := []geom.Rect{
-		geom.NewRect(0.1, 0.1, 0.3, 0.4),
-		geom.NewRect(0.5, 0.5, 0.52, 0.52),
-		geom.NewRect(0, 0, 1.1, 1.1),
-	}
-	for _, l := range Loaders {
-		type result struct {
-			stats   storage.Stats
-			len     int
-			height  int
-			results [3]int
-			leaves  [3]int
-		}
-		measure := func(par int) result {
-			disk := storage.NewDisk(storage.DefaultBlockSize)
-			pager := storage.NewPager(disk, -1)
-			in := storage.NewItemFileFrom(disk, items)
-			disk.ResetStats()
-			tr := Load(l, pager, in, Options{Fanout: 16, MemoryItems: 1024, Parallelism: par})
-			r := result{stats: disk.Stats(), len: tr.Len(), height: tr.Height()}
-			for i, q := range queries {
-				st, _ := tr.RunWindow(q, false, nil, rtree.RunOptions{})
-				r.results[i] = st.Results
-				r.leaves[i] = st.LeavesVisited
-			}
-			return r
-		}
-		serial := measure(1)
-		for _, par := range []int{2, 4} {
-			if got := measure(par); got != serial {
-				t.Errorf("%v: parallelism %d diverges from serial:\n got %+v\nwant %+v", l, par, got, serial)
-			}
-		}
-	}
-}
-
-// TestExternalPRParallelismByteIdentical: an external PR load (input well
-// above M, recursion leaves above the in-memory fork threshold) whose
-// temporaries live on a store of their own writes the same tree pages,
-// byte for byte and in the same order, for the same block I/O at every
-// Parallelism.
-func TestExternalPRParallelismByteIdentical(t *testing.T) {
-	// Let Parallelism 8 mean eight workers on a smaller machine too.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	items := randItems(40000, 11)
-	var want *storage.Disk
-	var wantMeta []byte
-	var wantIO storage.Stats
-	for _, p := range []int{1, 2, 8} {
-		disk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
-		in := storage.NewItemFileFrom(tmp, items)
-		tmp.ResetStats()
-		tr := PRTree(storage.NewPager(disk, -1), in, Options{MemoryItems: 12000, Parallelism: p})
-		io, meta := disk.Stats().Add(tmp.Stats()), tr.EncodeMeta()
-		if p == 1 {
-			want, wantMeta, wantIO = disk, meta, io
-			continue
-		}
-		if io != wantIO {
-			t.Errorf("Parallelism=%d: block I/O %v, serial load %v", p, io, wantIO)
-		}
-		if !bytes.Equal(meta, wantMeta) || disk.NumPages() != want.NumPages() {
-			t.Fatalf("Parallelism=%d: %d pages and metadata %x, serial load %d and %x", p, disk.NumPages(), meta, want.NumPages(), wantMeta)
-		}
-		for id := storage.PageID(0); int(id) < disk.NumPages(); id++ {
-			if !bytes.Equal(disk.PeekNoCopy(id), want.PeekNoCopy(id)) {
-				t.Fatalf("Parallelism=%d: page %d differs from the serial load's", p, id)
-			}
 		}
 	}
 }

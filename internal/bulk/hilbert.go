@@ -1,16 +1,15 @@
 package bulk
 
 import (
-	"prtree/internal/extsort"
 	"prtree/internal/geom"
 	"prtree/internal/hilbert"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
-// hilbertKey returns the sort key of loader l, H or H4, over the world
+// HilbertKey returns the sort key of loader l, H or H4, over the world
 // box.
-func hilbertKey(l Loader, world geom.Rect) func(geom.Item) uint64 {
+func HilbertKey(l Loader, world geom.Rect) func(geom.Item) uint64 {
 	if l == LoaderHilbert {
 		q := hilbert.NewQuantizer2D(world, hilbertBits)
 		return func(it geom.Item) uint64 { return q.CenterKey(it.Rect) }
@@ -19,38 +18,23 @@ func hilbertKey(l Loader, world geom.Rect) func(geom.Item) uint64 {
 	return func(it geom.Item) uint64 { return q.Key(it.Rect) }
 }
 
-// hilbertLoad bulk-loads a packed Hilbert R-tree: rectangles are sorted
+// hilbertSlice bulk-loads a packed Hilbert R-tree: rectangles are sorted
 // along a Hilbert curve, placed into full leaves in that order, and the
 // upper levels are packed bottom-up. H is the packed Hilbert R-tree of
 // Kamel and Faloutsos, which orders rectangles by the Hilbert value of
 // their centers; H4 maps them to the 4D points (xmin, ymin, xmax, ymax)
-// and sorts along the 4D curve, so its order is extent-aware. Cost: one
-// scan for the world box, one external sort, one packing pass —
-// O((N/B) log_{M/B}(N/B)) I/Os, the cheapest loaders in Figure 9.
-func hilbertLoad(l Loader, pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
-	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
-	if in.Len() == 0 {
-		in.Free()
-		return b.FinishEmpty()
-	}
-	sorted := extsort.Sort(in, extsort.UintKey(hilbertKey(l, worldOf(in))), opt.sortConfig())
-	in.Free()
-	return b.FinishPacked(packSortedLeaves(b, sorted))
-}
-
-// hilbertSlice is hilbertLoad over a slice: it keys every record once,
-// sorts a permutation by (key, id, position) — the order extsort.Sort
-// writes — and packs the leaves in that order, gathering and encoding them
-// on opt.Parallelism workers.
+// and sorts along the 4D curve, so its order is extent-aware. It keys
+// every record once, sorts a permutation by (key, id, position) and packs
+// the leaves in that order, gathering and encoding them on
+// opt.Parallelism workers.
 func hilbertSlice(l Loader, pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
 	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
 	if len(items) == 0 {
 		return b.FinishEmpty()
 	}
-	key := extsort.UintKey(hilbertKey(l, geom.ItemsMBR(items)))
-	perm := extsort.Orders(items, []extsort.KeyFunc{key}, 1)[0]
+	key := UintKey(HilbertKey(l, geom.ItemsMBR(items)))
+	perm := Orders(items, []KeyFunc{key}, 1)[0]
 	f := opt.Fanout
 	n := (len(perm) + f - 1) / f
 	leaves := make([]rtree.ChildEntry, 0, n)

@@ -1,4 +1,4 @@
-package bulk
+package bulk_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"prtree/internal/bulk"
+	"prtree/internal/extmem"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
@@ -35,7 +37,7 @@ func snappedItems(n int, seed int64) []geom.Item {
 // item and answers as a brute-force scan does.
 func TestLoadersCompressedLayout(t *testing.T) {
 	fanout := rtree.MaxFanout(storage.DefaultBlockSize)
-	for _, l := range Loaders {
+	for _, l := range bulk.Loaders {
 		for _, grid := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/grid=%v", l, grid), func(t *testing.T) {
 				var items []geom.Item
@@ -44,7 +46,7 @@ func TestLoadersCompressedLayout(t *testing.T) {
 				} else {
 					items = randItems(6000, 42)
 				}
-				tr := loadOn(t, l, items, Options{MemoryItems: 1 << 14})
+				tr := loadOn(t, l, items, extmem.Options{MemoryItems: 1 << 14})
 				if err := tr.Validate(); err != nil {
 					t.Fatalf("tree invalid: %v", err)
 				}

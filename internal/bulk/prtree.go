@@ -7,68 +7,25 @@ import (
 	"prtree/internal/storage"
 )
 
-// PRTree bulk-loads a Priority R-tree (Section 2.2 of the paper). The tree
-// is built in stages bottom-up: stage 0 partitions the input rectangles
-// into the leaves of a pseudo-PR-tree; stage i >= 1 partitions the bounding
-// boxes of level i-1's nodes with a fresh pseudo-PR-tree whose leaves
-// become level i; the pseudo trees' internal kd-nodes are discarded. The
-// construction stops when the remaining bounding boxes fit in one node,
-// which becomes the root.
+// PRTreeSlice bulk-loads a Priority R-tree (Section 2.2 of the paper). The
+// tree is built in stages bottom-up: stage 0 partitions the input
+// rectangles into the leaves of a pseudo-PR-tree; stage i >= 1 partitions
+// the bounding boxes of level i-1's nodes with a fresh pseudo-PR-tree whose
+// leaves become level i; the pseudo trees' internal kd-nodes are
+// discarded. The construction stops when the remaining bounding boxes fit
+// in one node, which becomes the root. The resulting tree answers any
+// window query in O(sqrt(N/B) + T/B) I/Os.
 //
-// Each stage runs the external grid algorithm (O((n/B) log_{M/B}(n/B))
-// I/Os on a stage of n rectangles), so the whole bulk-load costs
-// O((N/B) log_{M/B}(N/B)) I/Os — about 2.5x the Hilbert loaders in the
-// paper's Figure 9, 2.8x measured here when one external round suffices
-// (TestBuildIOFigure9), and far below TGS. The resulting
-// tree answers any window query in O(sqrt(N/B) + T/B) I/Os.
-func PRTree(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
-	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
-	if in.Len() == 0 {
-		in.Free()
-		return b.FinishEmpty()
-	}
-	disk := in.Backend()
-	cfg := pseudo.ExternalConfig{B: opt.Fanout, M: opt.MemoryItems, Workers: opt.Parallelism}
-
-	cur := in
-	level := 0
-	for {
-		next := storage.NewItemFile(disk)
-		count := 0
-		var last rtree.ChildEntry
-		pseudo.BuildExternal(cur, cfg, func(lg pseudo.LeafGroup) {
-			last = writeGroup(b, level, lg)
-			next.Append(toItem(last))
-			count++
-		})
-		next.Seal()
-		if count == 1 {
-			next.Free()
-			return b.Finish(last, level+1)
-		}
-		if count <= opt.Fanout {
-			entries := toChildEntries(next.ReadAll())
-			next.Free()
-			root := b.WriteInternal(entries)
-			return b.Finish(root, level+2)
-		}
-		cur = next
-		level++
-	}
-}
-
-// PRTreeSlice is PRTree over a slice: every stage builds its pseudo-PR-tree
-// in memory (pseudo.Build) — the records of stage 0 over a permutation of
-// items, which is only read, each later stage over the entries of the one
-// before — so there is no ItemFile, no external sort and no temporary on any
-// store, and opt.MemoryItems is not consulted. It allocates four bytes of
-// permutation a record, the pseudo-trees' nodes, their peel scratch and one
-// leaf's worth of gather buffer besides the pages; stage 0's leaves are
+// Every stage builds its pseudo-PR-tree in memory (pseudo.Build): the
+// records of stage 0 over a permutation of items, which is only read, each
+// later stage over the entries of the one before. It allocates four bytes
+// of permutation a record, the pseudo-trees' nodes, their peel scratch and
+// one leaf's worth of gather buffer besides the pages; stage 0's leaves are
 // gathered and encoded on opt.Parallelism workers (Builder.WriteLeaves),
-// which adds a batch of page buffers. When len(items) <= MemoryItems PRTree
-// builds the same stages in memory too, so the two write the same pages in
-// the same order. Every facade PR load of a slice takes this path.
+// which adds a batch of page buffers. The external construction
+// (extmem.Load) builds the same stages in memory while its input fits its
+// memory budget, so the two then write the same pages in the same order.
+// Every facade PR load of a slice takes this path.
 func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
 	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
@@ -86,7 +43,7 @@ func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tr
 			}, func(e rtree.ChildEntry) { next = append(next, toItem(e)) })
 		} else {
 			t.EachLeaf(func(lg pseudo.LeafGroup) {
-				next = append(next, toItem(writeGroup(b, level, lg)))
+				next = append(next, toItem(WriteGroup(b, level, lg.Items)))
 			})
 		}
 		if len(next) == 1 {
@@ -99,14 +56,15 @@ func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tr
 	}
 }
 
-// writeGroup writes one leaf group of a stage as a page and returns its
-// entry: at stage 0 the group's records become a leaf page, above it the
-// group's entries become an internal page.
-func writeGroup(b *rtree.Builder, level int, lg pseudo.LeafGroup) rtree.ChildEntry {
+// WriteGroup writes one leaf group of a PR-tree stage as a page and returns
+// its entry: at stage 0 the group's records become a leaf page, above it
+// the group's records — each a page's entry carried up as a record, rect =
+// node MBR, id = node page — become an internal page.
+func WriteGroup(b *rtree.Builder, level int, items []geom.Item) rtree.ChildEntry {
 	if level == 0 {
-		return b.WriteLeaf(lg.Items)
+		return b.WriteLeaf(items)
 	}
-	return b.WriteInternal(toChildEntries(lg.Items))
+	return b.WriteInternal(toChildEntries(items))
 }
 
 // toItem carries a page's entry into the next stage as a record: rect =

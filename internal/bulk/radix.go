@@ -1,10 +1,9 @@
-package extsort
+package bulk
 
 // sortRec is what the radix sort moves: a record's precomputed Key and its
-// position in the chunk being sorted, 16 bytes in all. Run formation
-// computes every key exactly once, sorts these, and gathers the 40-byte
-// records from the chunk in the sorted order of positions — the records
-// themselves are never moved by a sorting pass.
+// position in the slice being sorted, 16 bytes in all. Orders computes
+// every key exactly once and sorts these; the 40-byte records themselves
+// are never moved by a sorting pass.
 type sortRec struct {
 	main uint64
 	tie  uint32

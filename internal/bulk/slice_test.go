@@ -1,4 +1,4 @@
-package bulk
+package bulk_test
 
 import (
 	"bytes"
@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 
+	"prtree/internal/bulk"
+	"prtree/internal/extmem"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
@@ -24,11 +26,12 @@ func sameSquare(n int) []geom.Item {
 // TestPRTreeSliceMatchesItemFileLoad: within the memory budget the slice
 // path is the ItemFile load without the file. Over an input file on a
 // store of its own — so the tree's store receives tree pages only, as a
-// file-backed index's does — PRTree writes the same raw-layout pages, byte for byte and
-// in the same order, and the same metadata as PRTreeSlice, at Parallelism 1
-// and 2 (the largest input forks the kd recursion, whose halves then select
-// over one shared permutation), and PRTreeSlice leaves its input as it
-// found it.
+// file-backed index's does — extmem.Load writes the same raw-layout
+// pages, byte for byte and in the same order, and the same metadata as
+// PRTreeSlice at Parallelism 1 and 2 (the largest input forks the kd
+// recursion, whose halves then select over one shared permutation), and
+// PRTreeSlice leaves its input as it found it. The ItemFile load of each
+// input is built once and compared against both.
 func TestPRTreeSliceMatchesItemFileLoad(t *testing.T) {
 	defer allowParallelism()()
 	const b = 16
@@ -46,19 +49,16 @@ func TestPRTreeSliceMatchesItemFileLoad(t *testing.T) {
 		{"sameSquare", sameSquare(3000), b},
 		{"N=30000/default fanout", randItems(30000, 6), 0},
 	}
-	for _, par := range []int{1, 2} {
-		for _, c := range cases {
+	for _, c := range cases {
+		var ref *fileLoad
+		for _, par := range []int{1, 2} {
 			t.Run(fmt.Sprintf("raw/Parallelism=%d/%s", par, c.name), func(t *testing.T) {
-				opt := Options{Fanout: c.fanout, Parallelism: par, MemoryItems: DefaultMemoryItems}
-				fileDisk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
-				fromFile := PRTree(storage.NewPager(fileDisk, -1), storage.NewItemFileFrom(tmp, c.items), opt)
-				if tmp.PagesInUse() != 0 {
-					t.Fatalf("the ItemFile load left %d temporary pages", tmp.PagesInUse())
+				if ref == nil {
+					ref = loadFile(t, bulk.LoaderPR, c.items, extmem.Options{Fanout: c.fanout, MemoryItems: extmem.DefaultMemoryItems})
 				}
-
 				input := slices.Clone(c.items)
 				sliceDisk := storage.NewDisk(storage.DefaultBlockSize)
-				fromSlice := PRTreeSlice(storage.NewPager(sliceDisk, -1), c.items, opt)
+				fromSlice := bulk.PRTreeSlice(storage.NewPager(sliceDisk, -1), c.items, bulk.Options{Fanout: c.fanout, Parallelism: par})
 				if !slices.Equal(c.items, input) {
 					t.Fatal("PRTreeSlice wrote its input")
 				}
@@ -69,10 +69,29 @@ func TestPRTreeSliceMatchesItemFileLoad(t *testing.T) {
 					t.Fatalf("slice load holds %d of %d items", fromSlice.Len(), len(c.items))
 				}
 
-				sameTree(t, fromSlice, sliceDisk, fromFile, fileDisk)
+				sameTree(t, fromSlice, sliceDisk, ref.tree, ref.disk)
 			})
 		}
 	}
+}
+
+// fileLoad is an ItemFile load's tree and the device holding its pages.
+type fileLoad struct {
+	tree *rtree.Tree
+	disk *storage.Disk
+}
+
+// loadFile loads items with l's external construction over an input file
+// on a store of its own, and fails the test unless every temporary on that
+// store was freed.
+func loadFile(t *testing.T, l bulk.Loader, items []geom.Item, opt extmem.Options) *fileLoad {
+	t.Helper()
+	disk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
+	tree := extmem.Load(l, storage.NewPager(disk, -1), extmem.NewItemFileFrom(tmp, items), opt)
+	if tmp.PagesInUse() != 0 {
+		t.Fatalf("the ItemFile load left %d temporary pages", tmp.PagesInUse())
+	}
+	return &fileLoad{tree, disk}
 }
 
 // sameTree fails the test unless the slice load's tree and pages are the
@@ -104,13 +123,15 @@ func tiedItems(n int) []geom.Item {
 	return items
 }
 
-// TestLoadSliceMatchesItemFileLoad: LoadSlice's H, H4 and TGS are Load
-// without the file. Over an input file on a store of its own, Load writes
-// the same pages, byte for byte and in the same order, and the same
-// metadata as LoadSlice, at fanout 16 and the default, Parallelism 1 and
-// 2; LoadSlice leaves its input as it found it. The Hilbert loaders match
-// on tied inputs too; TGS's external partition needs records distinct in
-// (coordinate, id), which randItems' are.
+// TestLoadSliceMatchesItemFileLoad: LoadSlice's H, H4 and TGS are the
+// external loads without the file. Over an input file on a store of its
+// own, extmem.Load writes the same pages, byte for byte and in the same
+// order, and the same metadata as LoadSlice, at fanout 16 and the default,
+// Parallelism 1 and 2; LoadSlice leaves its input as it found it. The
+// external load of each (loader, fanout, input) is built once and compared
+// against both. The Hilbert loaders match on tied inputs too; TGS's
+// external partition needs records distinct in (coordinate, id), which
+// randItems' are.
 func TestLoadSliceMatchesItemFileLoad(t *testing.T) {
 	defer allowParallelism()()
 	type input struct {
@@ -122,21 +143,22 @@ func TestLoadSliceMatchesItemFileLoad(t *testing.T) {
 		inputs = append(inputs, input{fmt.Sprintf("N=%d", n), randItems(n, int64(i+1))})
 	}
 	tied := []input{{"sameSquare", sameSquare(3000)}, {"tied", tiedItems(5000)}}
-	for _, l := range []Loader{LoaderHilbert, LoaderHilbert4D, LoaderTGS} {
+	for _, l := range []bulk.Loader{bulk.LoaderHilbert, bulk.LoaderHilbert4D, bulk.LoaderTGS} {
 		cases := inputs
-		if l != LoaderTGS {
+		if l != bulk.LoaderTGS {
 			cases = append(slices.Clip(inputs), tied...)
 		}
-		for _, par := range []int{1, 2} {
-			for _, fanout := range []int{16, 0} {
-				for _, c := range cases {
+		for _, fanout := range []int{16, 0} {
+			for _, c := range cases {
+				var ref *fileLoad
+				for _, par := range []int{1, 2} {
 					t.Run(fmt.Sprintf("%v/Parallelism=%d/fanout=%d/%s", l, par, fanout, c.name), func(t *testing.T) {
-						opt := Options{Fanout: fanout, Parallelism: par}
-						fileDisk, tmp := storage.NewDisk(storage.DefaultBlockSize), storage.NewDisk(storage.DefaultBlockSize)
-						fromFile := Load(l, storage.NewPager(fileDisk, -1), storage.NewItemFileFrom(tmp, c.items), opt)
+						if ref == nil {
+							ref = loadFile(t, l, c.items, extmem.Options{Fanout: fanout})
+						}
 						input := slices.Clone(c.items)
 						sliceDisk := storage.NewDisk(storage.DefaultBlockSize)
-						fromSlice := LoadSlice(l, storage.NewPager(sliceDisk, -1), c.items, opt)
+						fromSlice := bulk.LoadSlice(l, storage.NewPager(sliceDisk, -1), c.items, bulk.Options{Fanout: fanout, Parallelism: par})
 						if !slices.Equal(c.items, input) {
 							t.Fatal("LoadSlice wrote its input")
 						}
@@ -146,7 +168,7 @@ func TestLoadSliceMatchesItemFileLoad(t *testing.T) {
 						if fromSlice.Len() != len(c.items) {
 							t.Fatalf("slice load holds %d of %d items", fromSlice.Len(), len(c.items))
 						}
-						sameTree(t, fromSlice, sliceDisk, fromFile, fileDisk)
+						sameTree(t, fromSlice, sliceDisk, ref.tree, ref.disk)
 					})
 				}
 			}

@@ -1,53 +1,15 @@
 package bulk
 
 import (
-	"prtree/internal/extsort"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
-// TGS bulk-loads the Top-down Greedy Split R-tree of García, López and
-// Leutenegger, in the variant the paper benchmarks: to build a node, the
-// set is repeatedly divided in two with binary partitions until at most B
-// subsets of (roughly) equal size remain, and each binary partition picks —
-// among the four orderings xmin, ymin, xmax, ymax and O(B) candidate cut
-// positions — the cut minimizing the sum of the areas of the two resulting
-// bounding boxes. Subset sizes are powers of B (one remainder set), so one
-// node per level may be underfull.
-//
-// Every cost evaluation scans the candidate ordering and every partition
-// rewrites the four sorted lists, which is why TGS measures an order of
-// magnitude more bulk-loading I/O than H (Figure 9): effectively
-// O((N/B) log2 N) block transfers.
-//
-// The lists are sorted by (coordinate, id), and a partition sends left the
-// records that order before the cut's first record on the cut's axis. So
-// no two records may tie on a coordinate and their id: a run of tied
-// records that spans a cut goes wholly right, and the nodes come out
-// malformed. Unique ids guarantee it; LoadSlice's TGS, which cuts at
-// positions, has no such precondition.
-func TGS(pager *storage.Pager, in *storage.ItemFile, opt Options) *rtree.Tree {
-	opt = opt.normalized(pager.Backend().BlockSize())
-	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
-	n := in.Len()
-	if n == 0 {
-		in.Free()
-		return b.FinishEmpty()
-	}
-	// The four orderings come from one scan of the input.
-	lists := tgsFiles(extsort.SortKeys(in, extsort.AxisKeys(), opt.sortConfig()))
-	in.Free()
-	t := &tgsBuilder{b: b, fanout: opt.Fanout}
-	h := tgsHeight(n, opt.Fanout)
-	return b.Finish(t.build(&lists, h), h)
-}
-
-// tgsSlice is TGS over a slice: the four orderings are permutations of
-// items sorted by (coordinate, id, position), sorted on up to
+// tgsSlice is BuildTGS over a slice: the four orderings are permutations
+// of items sorted by (coordinate, id, position), sorted on up to
 // opt.Parallelism workers, and a partition cuts them at the cut's
-// position, so tied records split like any others. Without ties it writes
-// the pages TGS writes.
+// position, so tied records split like any others.
 func tgsSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree {
 	opt = opt.normalized(pager.Backend().BlockSize())
 	b := rtree.NewBuilder(pager, rtree.Config{Fanout: opt.Fanout})
@@ -55,10 +17,28 @@ func tgsSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tree 
 		return b.FinishEmpty()
 	}
 	p := &tgsPerm{items: items, left: make([]bool, len(items)), tmp: make([]int32, len(items))}
-	copy(p.ord[:], extsort.Orders(items, extsort.AxisKeys(), opt.Parallelism))
-	t := &tgsBuilder{b: b, fanout: opt.Fanout}
-	h := tgsHeight(len(items), opt.Fanout)
-	return b.Finish(t.build(p, h), h)
+	copy(p.ord[:], Orders(items, AxisKeys(), opt.Parallelism))
+	return BuildTGS(b, p)
+}
+
+// BuildTGS writes the Top-down Greedy Split R-tree of García, López and
+// Leutenegger over the non-empty set s onto b and finishes it, in the
+// variant the paper benchmarks: to build a node, the set is repeatedly
+// divided in two with binary partitions until at most B subsets of
+// (roughly) equal size remain, and each binary partition picks — among the
+// four orderings xmin, ymin, xmax, ymax and O(B) candidate cut positions —
+// the cut minimizing the sum of the areas of the two resulting bounding
+// boxes. Subset sizes are powers of B (one remainder set), so one
+// node per level may be underfull.
+//
+// Every cost evaluation scans the candidate ordering and every partition
+// rewrites the four sorted lists, which is why the external TGS measures
+// an order of magnitude more bulk-loading I/O than H (Figure 9):
+// effectively O((N/B) log2 N) block transfers.
+func BuildTGS(b *rtree.Builder, s TGSLists) *rtree.Tree {
+	t := &tgsBuilder{b: b, fanout: b.Fanout()}
+	h := tgsHeight(s.Len(), t.fanout)
+	return b.Finish(t.build(s, h), h)
 }
 
 // tgsHeight returns the minimum height h with fanout^h >= n.
@@ -71,21 +51,21 @@ func tgsHeight(n, fanout int) int {
 	return h
 }
 
-// tgsLists is one set of records in the four orderings TGS cuts along: a
-// file of each on a store (TGS) or a permutation of each over a slice
-// (tgsSlice).
-type tgsLists interface {
-	// len is the number of records in the set.
-	len() int
-	// each calls fn on the records of ordering d, in order.
-	each(d int, fn func(geom.Item))
-	// split divides the set in two: the first pos records of ordering
+// TGSLists is one set of records in the four orderings TGS cuts along,
+// each sorted by (coordinate, id): a permutation of each over a slice
+// (tgsSlice) or a file of each on a store (package extmem).
+type TGSLists interface {
+	// Len is the number of records in the set.
+	Len() int
+	// Each calls fn on the records of ordering d, in order.
+	Each(d int, fn func(geom.Item))
+	// Split divides the set in two: the first pos records of ordering
 	// axis, first being the one after them, and the rest. Every ordering
 	// of each part stays sorted. The set is consumed.
-	split(axis, pos int, first geom.Item) (left, right tgsLists)
-	// leaf returns the records in ordering 0, appended to dst, and
+	Split(axis, pos int, first geom.Item) (left, right TGSLists)
+	// Leaf returns the records in ordering 0, appended to dst, and
 	// consumes the set.
-	leaf(dst []geom.Item) []geom.Item
+	Leaf(dst []geom.Item) []geom.Item
 }
 
 type tgsBuilder struct {
@@ -96,9 +76,9 @@ type tgsBuilder struct {
 
 // build constructs a subtree of the given height over s and returns its
 // entry.
-func (t *tgsBuilder) build(s tgsLists, h int) rtree.ChildEntry {
+func (t *tgsBuilder) build(s TGSLists, h int) rtree.ChildEntry {
 	if h == 1 {
-		t.buf = s.leaf(t.buf[:0])
+		t.buf = s.Leaf(t.buf[:0])
 		return t.b.WriteLeaf(t.buf)
 	}
 	// m is the capacity of one height-(h-1) child subtree.
@@ -113,12 +93,12 @@ func (t *tgsBuilder) build(s tgsLists, h int) rtree.ChildEntry {
 
 // partition recursively binary-splits s until pieces hold at most m
 // records, then builds each piece as a height-(h-1) subtree.
-func (t *tgsBuilder) partition(s tgsLists, m, h int, children *[]rtree.ChildEntry) {
-	if s.len() <= m {
+func (t *tgsBuilder) partition(s TGSLists, m, h int, children *[]rtree.ChildEntry) {
+	if s.Len() <= m {
 		*children = append(*children, t.build(s, h-1))
 		return
 	}
-	left, right := s.split(t.bestCut(s, m))
+	left, right := s.Split(t.bestCut(s, m))
 	t.partition(left, m, h, children)
 	t.partition(right, m, h, children)
 }
@@ -127,8 +107,8 @@ func (t *tgsBuilder) partition(s tgsLists, m, h int, children *[]rtree.ChildEntr
 // a multiple of m records, and returns the ordering, position and first
 // record after the cut minimizing the sum of the areas of the two bounding
 // boxes (one scan per ordering).
-func (t *tgsBuilder) bestCut(s tgsLists, m int) (axis, pos int, first geom.Item) {
-	nc := (s.len() + m - 1) / m // number of chunks
+func (t *tgsBuilder) bestCut(s TGSLists, m int) (axis, pos int, first geom.Item) {
+	nc := (s.Len() + m - 1) / m // number of chunks
 	chunkMBR := make([]geom.Rect, nc)
 	chunkFirst := make([]geom.Item, nc)
 	suffix := make([]geom.Rect, nc+1)
@@ -138,7 +118,7 @@ func (t *tgsBuilder) bestCut(s tgsLists, m int) (axis, pos int, first geom.Item)
 			chunkMBR[i] = geom.EmptyRect()
 		}
 		i := 0
-		s.each(d, func(it geom.Item) {
+		s.Each(d, func(it geom.Item) {
 			c := i / m
 			if i%m == 0 {
 				chunkFirst[c] = it
@@ -163,50 +143,6 @@ func (t *tgsBuilder) bestCut(s tgsLists, m int) (axis, pos int, first geom.Item)
 	return axis, pos, first
 }
 
-// tgsFiles is a set as four sorted files on the store of the input's.
-type tgsFiles [4]*storage.ItemFile
-
-func (f *tgsFiles) len() int { return f[0].Len() }
-
-func (f *tgsFiles) each(d int, fn func(geom.Item)) {
-	r := f[d].Reader()
-	for it, ok := r.Next(); ok; it, ok = r.Next() {
-		fn(it)
-	}
-}
-
-// split rewrites the four lists into two sets: records ordering strictly
-// before first on axis go left. Each output list stays sorted because the
-// scan preserves order.
-func (f *tgsFiles) split(axis, _ int, first geom.Item) (tgsLists, tgsLists) {
-	key := extsort.AxisKey(axis)
-	cut := key(first)
-	var left, right tgsFiles
-	for d := 0; d < 4; d++ {
-		disk := f[d].Backend()
-		left[d], right[d] = storage.NewItemFile(disk), storage.NewItemFile(disk)
-		f.each(d, func(it geom.Item) {
-			if key(it).Less(cut) {
-				left[d].Append(it)
-			} else {
-				right[d].Append(it)
-			}
-		})
-		left[d].Seal()
-		right[d].Seal()
-		f[d].Free()
-	}
-	return &left, &right
-}
-
-func (f *tgsFiles) leaf(dst []geom.Item) []geom.Item {
-	dst = append(dst, f[0].ReadAll()...)
-	for d := 0; d < 4; d++ {
-		f[d].Free()
-	}
-	return dst
-}
-
 // tgsPerm is a set as four orderings of positions in items. The sets of
 // one load share their backing arrays: a split partitions each ordering in
 // place, and left and tmp are scratch that no two splits use at once.
@@ -217,9 +153,9 @@ type tgsPerm struct {
 	tmp   []int32 // the right part of an ordering while it is partitioned
 }
 
-func (p *tgsPerm) len() int { return len(p.ord[0]) }
+func (p *tgsPerm) Len() int { return len(p.ord[0]) }
 
-func (p *tgsPerm) each(d int, fn func(geom.Item)) {
+func (p *tgsPerm) Each(d int, fn func(geom.Item)) {
 	for _, i := range p.ord[d] {
 		fn(p.items[i])
 	}
@@ -227,7 +163,7 @@ func (p *tgsPerm) each(d int, fn func(geom.Item)) {
 
 // split partitions every ordering stably into the records among the first
 // pos of ordering axis and the rest.
-func (p *tgsPerm) split(axis, pos int, _ geom.Item) (tgsLists, tgsLists) {
+func (p *tgsPerm) Split(axis, pos int, _ geom.Item) (TGSLists, TGSLists) {
 	for _, i := range p.ord[axis][:pos] {
 		p.left[i] = true
 	}
@@ -253,7 +189,7 @@ func (p *tgsPerm) split(axis, pos int, _ geom.Item) (tgsLists, tgsLists) {
 	return &left, &right
 }
 
-func (p *tgsPerm) leaf(dst []geom.Item) []geom.Item {
+func (p *tgsPerm) Leaf(dst []geom.Item) []geom.Item {
 	for _, i := range p.ord[0] {
 		dst = append(dst, p.items[i])
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"prtree/internal/bulk"
+	"prtree/internal/extmem"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
@@ -29,9 +30,10 @@ type Config struct {
 	// Queries is the number of window queries per measurement point
 	// (paper: 100).
 	Queries int
-	// Workers bounds the bulk-load pipeline's parallelism (0 or 1 =
-	// serial). Block-I/O counts — the quantity every figure plots — are
-	// identical at any setting; only wall-clock changes.
+	// Workers bounds the parallelism of the in-memory builds (0 or 1 =
+	// serial): every query table's loads and the pseudo-PR-trees of the
+	// Lemma 2 tables. The external builds of fig9–11 are serial. Counted
+	// cells are identical at any setting; only wall-clock changes.
 	Workers int
 	// Seed drives every generator.
 	Seed int64
@@ -129,17 +131,16 @@ type buildResult struct {
 const externalM = 1 << 14
 
 // buildTree bulk-loads items with the given loader's external construction
-// at M = externalM on a fresh disk, measuring the build's block I/O and
+// (package extmem, serial) at M = externalM on a fresh disk, measuring the build's block I/O and
 // wall time. Writing the input file is excluded from the measurement (the
 // paper's inputs pre-exist on disk).
-func buildTree(l bulk.Loader, items []geom.Item, opt bulk.Options) buildResult {
+func buildTree(l bulk.Loader, items []geom.Item) buildResult {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
-	in := storage.NewItemFileFrom(disk, items)
+	in := extmem.NewItemFileFrom(disk, items)
 	disk.ResetStats()
 	start := time.Now()
-	opt.MemoryItems = externalM
-	tree := bulk.Load(l, pager, in, opt)
+	tree := extmem.Load(l, pager, in, extmem.Options{MemoryItems: externalM})
 	dur := time.Since(start)
 	return buildResult{tree: tree, io: disk.Stats(), dur: dur}
 }

@@ -18,7 +18,6 @@ func Fig9(cfg Config) Table {
 	cfg = cfg.normalized()
 	east := dataset.Eastern(cfg.n(120000), cfg.Seed)
 	west := dataset.Western(cfg.n(120000), cfg.Seed)
-	opt := cfg.bulkOptions()
 	t := Table{
 		ID:      "fig9",
 		Title:   "Bulk-loading performance on TIGER-like data (I/Os and seconds)",
@@ -26,8 +25,8 @@ func Fig9(cfg Config) Table {
 	}
 	cost := map[bulk.Loader][2]uint64{}
 	for _, l := range paperLoaders {
-		rw := buildTree(l, west, opt)
-		re := buildTree(l, east, opt)
+		rw := buildTree(l, west)
+		re := buildTree(l, east)
 		cost[l] = [2]uint64{rw.io.Total(), re.io.Total()}
 		t.Rows = append(t.Rows, []string{
 			l.String(),
@@ -47,7 +46,6 @@ func Fig9(cfg Config) Table {
 func Fig10(cfg Config) Table {
 	cfg = cfg.normalized()
 	regions := dataset.EasternRegions(cfg.n(120000), cfg.Seed)
-	opt := cfg.bulkOptions()
 	t := Table{
 		ID:    "fig10",
 		Title: "Bulk-loading I/Os vs dataset size (Eastern prefixes)",
@@ -60,7 +58,7 @@ func Fig10(cfg Config) Table {
 	for _, l := range paperLoaders {
 		row := []string{l.String()}
 		for _, items := range regions {
-			res := buildTree(l, items, opt)
+			res := buildTree(l, items)
 			row = append(row, fmtInt(res.io.Total()))
 		}
 		t.Rows = append(t.Rows, row)
@@ -73,7 +71,6 @@ func Fig10(cfg Config) Table {
 func Fig11(cfg Config) Table {
 	cfg = cfg.normalized()
 	n := cfg.n(60000)
-	opt := cfg.bulkOptions()
 	t := Table{
 		ID:      "fig11",
 		Title:   "TGS bulk-loading cost across synthetic distributions",
@@ -81,8 +78,8 @@ func Fig11(cfg Config) Table {
 		Notes:   "paper: TGS cost varies strongly with distribution; PR does not",
 	}
 	addRow := func(name string, items []geom.Item) {
-		rt := buildTree(bulk.LoaderTGS, items, opt)
-		rp := buildTree(bulk.LoaderPR, items, opt)
+		rt := buildTree(bulk.LoaderTGS, items)
+		rp := buildTree(bulk.LoaderPR, items)
 		t.Rows = append(t.Rows, []string{name, fmtInt(rt.io.Total()), fmtDur(rt.dur), fmtInt(rp.io.Total())})
 	}
 	for i, ms := range []float64{0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2} {

@@ -1,70 +1,21 @@
-package storage
+package extmem
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"prtree/internal/geom"
+	"prtree/internal/storage"
 )
 
-// ItemSize is the on-disk footprint of one rectangle record: four float64
-// coordinates plus a 4-byte object pointer — the paper's 36-byte layout.
-const ItemSize = 36
-
-// ItemsPerBlock returns how many records fit in one block of the given size
-// (113 for the default 4 KB block, matching the paper's fanout).
-func ItemsPerBlock(blockSize int) int { return blockSize / ItemSize }
-
-// EncodeItem serializes it into buf, which must hold ItemSize bytes.
-func EncodeItem(buf []byte, it geom.Item) {
-	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(it.Rect.MinX))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(it.Rect.MinY))
-	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(it.Rect.MaxX))
-	binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(it.Rect.MaxY))
-	binary.LittleEndian.PutUint32(buf[32:], it.ID)
-}
-
-// DecodeRect deserializes only the rectangle of a record written by
-// EncodeItem. It is the zero-copy read path's workhorse: intersection tests
-// against page bytes decode the rect without touching the id.
-func DecodeRect(buf []byte) geom.Rect {
-	return geom.Rect{
-		MinX: math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])),
-		MinY: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
-		MaxX: math.Float64frombits(binary.LittleEndian.Uint64(buf[16:])),
-		MaxY: math.Float64frombits(binary.LittleEndian.Uint64(buf[24:])),
-	}
-}
-
-// DecodeRef deserializes only the 4-byte pointer of a record written by
-// EncodeItem.
-func DecodeRef(buf []byte) uint32 {
-	return binary.LittleEndian.Uint32(buf[32:])
-}
-
-// DecodeItem deserializes a record written by EncodeItem.
-func DecodeItem(buf []byte) geom.Item {
-	return geom.Item{
-		Rect: geom.Rect{
-			MinX: math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])),
-			MinY: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
-			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(buf[16:])),
-			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(buf[24:])),
-		},
-		ID: binary.LittleEndian.Uint32(buf[32:]),
-	}
-}
-
 // ItemFile is a sequential file of Items stored in whole blocks on a
-// storage Backend —
-// the TPIE "stream" the paper's bulk-loading algorithms operate on. Appends
-// buffer one block in memory and spill to disk when full; reads scan block
-// by block. All spills and scans count block I/O on the underlying Disk.
+// storage.Backend, in storage's record encoding — the TPIE "stream" the
+// paper's external constructions operate on. Appends buffer one block in
+// memory and spill to the store when full; reads scan block by block.
+// Every spill and scan counts block I/O on the store.
 type ItemFile struct {
-	dev      Backend
+	dev      storage.Backend
 	perBlock int
-	pages    []PageID
+	pages    []storage.PageID
 	n        int    // total records, including those in wbuf
 	wbuf     []byte // current partially filled block
 	wcount   int    // records in wbuf
@@ -72,17 +23,17 @@ type ItemFile struct {
 }
 
 // NewItemFile returns an empty item file on the backend.
-func NewItemFile(dev Backend) *ItemFile {
+func NewItemFile(dev storage.Backend) *ItemFile {
 	return &ItemFile{
 		dev:      dev,
-		perBlock: ItemsPerBlock(dev.BlockSize()),
+		perBlock: storage.ItemsPerBlock(dev.BlockSize()),
 		wbuf:     make([]byte, dev.BlockSize()),
 	}
 }
 
 // NewItemFileFrom builds a sealed item file holding the given items,
 // counting the block writes needed to store them.
-func NewItemFileFrom(dev Backend, items []geom.Item) *ItemFile {
+func NewItemFileFrom(dev storage.Backend, items []geom.Item) *ItemFile {
 	f := NewItemFile(dev)
 	for _, it := range items {
 		f.Append(it)
@@ -94,7 +45,7 @@ func NewItemFileFrom(dev Backend, items []geom.Item) *ItemFile {
 // Backend returns the store the file lives on. Code that consumes a file
 // puts its own temporaries there too, so a caller chooses where a whole
 // pipeline's temporaries go by choosing where its input file is.
-func (f *ItemFile) Backend() Backend { return f.dev }
+func (f *ItemFile) Backend() storage.Backend { return f.dev }
 
 // Len returns the number of records in the file.
 func (f *ItemFile) Len() int { return f.n }
@@ -111,9 +62,9 @@ func (f *ItemFile) Blocks() int {
 // Append adds a record to the end of the file. It panics after Seal.
 func (f *ItemFile) Append(it geom.Item) {
 	if f.sealed {
-		panic("storage: append to sealed ItemFile")
+		panic("extmem: append to sealed ItemFile")
 	}
-	EncodeItem(f.wbuf[f.wcount*ItemSize:], it)
+	storage.EncodeItem(f.wbuf[f.wcount*storage.ItemSize:], it)
 	f.wcount++
 	f.n++
 	if f.wcount == f.perBlock {
@@ -121,14 +72,14 @@ func (f *ItemFile) Append(it geom.Item) {
 	}
 }
 
-// AppendRaw adds one pre-encoded record (the first ItemSize bytes of rec)
-// to the end of the file without a decode/encode round trip. It panics
-// after Seal.
+// AppendRaw adds one pre-encoded record (the first storage.ItemSize bytes
+// of rec) to the end of the file without a decode/encode round trip. It
+// panics after Seal.
 func (f *ItemFile) AppendRaw(rec []byte) {
 	if f.sealed {
-		panic("storage: append to sealed ItemFile")
+		panic("extmem: append to sealed ItemFile")
 	}
-	copy(f.wbuf[f.wcount*ItemSize:], rec[:ItemSize])
+	copy(f.wbuf[f.wcount*storage.ItemSize:], rec[:storage.ItemSize])
 	f.wcount++
 	f.n++
 	if f.wcount == f.perBlock {
@@ -143,20 +94,20 @@ func (f *ItemFile) AppendRaw(rec []byte) {
 // The I/O count is the same as appending the records one at a time.
 func (f *ItemFile) AppendRawBlock(block []byte, count int) {
 	if f.sealed {
-		panic("storage: append to sealed ItemFile")
+		panic("extmem: append to sealed ItemFile")
 	}
-	if count*ItemSize > len(block) {
-		panic(fmt.Sprintf("storage: raw block of %d bytes holds fewer than %d records", len(block), count))
+	if count*storage.ItemSize > len(block) {
+		panic(fmt.Sprintf("extmem: raw block of %d bytes holds fewer than %d records", len(block), count))
 	}
 	if f.wcount == 0 && count == f.perBlock {
 		id := f.dev.Alloc()
-		f.dev.Write(id, block[:count*ItemSize])
+		f.dev.Write(id, block[:count*storage.ItemSize])
 		f.pages = append(f.pages, id)
 		f.n += count
 		return
 	}
 	for i := 0; i < count; i++ {
-		f.AppendRaw(block[i*ItemSize:])
+		f.AppendRaw(block[i*storage.ItemSize:])
 	}
 }
 
@@ -166,13 +117,13 @@ func (f *ItemFile) AppendRawBlock(block []byte, count int) {
 // the file is freed. The file must be sealed.
 func (f *ItemFile) RawBlock(b int) (data []byte, count int) {
 	if !f.sealed {
-		panic("storage: RawBlock on unsealed ItemFile")
+		panic("extmem: RawBlock on unsealed ItemFile")
 	}
 	count = f.perBlock
 	if b == len(f.pages)-1 {
 		count = f.n - b*f.perBlock
 	}
-	return f.dev.ReadNoCopy(f.pages[b])[:count*ItemSize], count
+	return f.dev.ReadNoCopy(f.pages[b])[:count*storage.ItemSize], count
 }
 
 // Seal flushes the final partial block and freezes the file for reading.
@@ -189,7 +140,7 @@ func (f *ItemFile) Seal() {
 
 func (f *ItemFile) flush() {
 	id := f.dev.Alloc()
-	f.dev.Write(id, f.wbuf[:f.wcount*ItemSize])
+	f.dev.Write(id, f.wbuf[:f.wcount*storage.ItemSize])
 	f.pages = append(f.pages, id)
 	f.wcount = 0
 }
@@ -208,7 +159,7 @@ func (f *ItemFile) Free() {
 // The file must be sealed.
 func (f *ItemFile) Reader() *ItemReader {
 	if !f.sealed {
-		panic("storage: Reader on unsealed ItemFile")
+		panic("extmem: Reader on unsealed ItemFile")
 	}
 	return &ItemReader{f: f, block: -1}
 }
@@ -241,9 +192,9 @@ func (r *ItemReader) Next() (it geom.Item, ok bool) {
 		r.buf = r.f.dev.ReadNoCopy(r.f.pages[b])
 		r.block = b
 	}
-	off := (r.pos % r.f.perBlock) * ItemSize
+	off := (r.pos % r.f.perBlock) * storage.ItemSize
 	r.pos++
-	return DecodeItem(r.buf[off:]), true
+	return storage.DecodeItem(r.buf[off:]), true
 }
 
 // NextRaw returns the next record's encoded bytes without decoding,
@@ -258,16 +209,16 @@ func (r *ItemReader) NextRaw() (rec []byte, ok bool) {
 		r.buf = r.f.dev.ReadNoCopy(r.f.pages[b])
 		r.block = b
 	}
-	off := (r.pos % r.f.perBlock) * ItemSize
+	off := (r.pos % r.f.perBlock) * storage.ItemSize
 	r.pos++
-	return r.buf[off : off+ItemSize], true
+	return r.buf[off : off+storage.ItemSize], true
 }
 
 // Seek positions the reader at global record index pos. The block holding
 // pos is fetched lazily by the next call to Next.
 func (r *ItemReader) Seek(pos int) {
 	if pos < 0 || pos > r.f.n {
-		panic(fmt.Sprintf("storage: seek %d out of range [0,%d]", pos, r.f.n))
+		panic(fmt.Sprintf("extmem: seek %d out of range [0,%d]", pos, r.f.n))
 	}
 	r.pos = pos
 	r.block = -1

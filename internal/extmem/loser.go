@@ -1,6 +1,7 @@
-package extsort
+package extmem
 
 import (
+	"prtree/internal/bulk"
 	"prtree/internal/storage"
 )
 
@@ -9,13 +10,13 @@ import (
 // page and flow to the output without a decode/encode round trip; only the
 // key extraction decodes.
 type mergeSource struct {
-	r    *storage.ItemReader
-	key  Key
+	r    *ItemReader
+	key  bulk.Key
 	rec  []byte
 	done bool
 }
 
-func (s *mergeSource) advance(key KeyFunc) {
+func (s *mergeSource) advance(key bulk.KeyFunc) {
 	rec, ok := s.r.NextRaw()
 	if !ok {
 		s.done = true
@@ -68,8 +69,7 @@ func (t *loserTree) build(n int) int32 {
 
 // beats reports whether source a wins the match against source b. An
 // exhausted source loses to everything; equal keys go to the lower run
-// index, which keeps the merge stable and byte-identical across serial and
-// parallel executions.
+// index, which keeps the merge stable.
 func (t *loserTree) beats(a, b int32) bool {
 	if t.src[a].done {
 		return false
@@ -108,8 +108,8 @@ func (t *loserTree) winner() int32 {
 // mergeRuns merges the sorted runs into one sorted file and frees them.
 // A single-run group (the tail of a pass) is copied block-by-block — the
 // same reads and writes as a record-at-a-time copy, without decoding.
-func mergeRuns(disk storage.Backend, runs []*storage.ItemFile, key KeyFunc) *storage.ItemFile {
-	out := storage.NewItemFile(disk)
+func mergeRuns(disk storage.Backend, runs []*ItemFile, key bulk.KeyFunc) *ItemFile {
+	out := NewItemFile(disk)
 	if len(runs) == 1 {
 		run := runs[0]
 		for b := 0; b < run.Blocks(); b++ {

@@ -1,44 +1,28 @@
-package pseudo
+package extmem
 
 import (
 	"math"
 	"sort"
 
-	"prtree/internal/extsort"
+	"prtree/internal/bulk"
 	"prtree/internal/geom"
+	"prtree/internal/pseudo"
 	"prtree/internal/storage"
 )
 
-// ExternalConfig parameterizes the grid-based external construction.
-type ExternalConfig struct {
-	B int // leaf capacity (records per block)
-	M int // records that fit in main memory
-	// Workers bounds the construction's parallelism (clamped to
-	// GOMAXPROCS; zero or one means serial): the grid stage's four axis
-	// orderings come from one extsort.SortKeys call, which spreads the
-	// (chunk, axis) sorts of its run formation and the merge groups of all
-	// four axes over the budget, and every in-memory build (an input or a
-	// recursion leaf of at most M records) spreads its kd recursion over
-	// it (see Build). Block-I/O counts and the emitted leaf groups — their
-	// order, members and the order within each — are identical at every
-	// worker count. The axis-sort phase holds about M*40 bytes of decoded
-	// chunk plus M*32 bytes of sort arena when serial, one arena per
-	// worker and (Workers/4 rounded up)+1 chunks otherwise; an in-memory
-	// build adds four bytes a record (see Build).
-	Workers int
-}
-
-// BuildExternal partitions the rectangles of in into pseudo-PR-tree leaf
-// groups using the external grid algorithm of Section 2.1: four sorted
-// lists, a z^4 in-memory grid with z = Theta(M^(1/4)) to build Theta(log M)
-// kd levels per round, priority-leaf filling by filtering, and distribution
+// BuildPseudo partitions the rectangles of in into the leaf groups of a
+// pseudo-PR-tree with leaf capacity b, at a memory budget of m records,
+// using the external grid algorithm of Section 2.1: four sorted lists, a
+// z^4 in-memory grid with z = Theta(M^(1/4)) to build Theta(log M) kd
+// levels per round, priority-leaf filling by filtering, and distribution
 // to the recursive subproblems of what each will read: all four sorted
 // lists to a subproblem that needs another external round, the xmin list
 // alone to one that fits in memory (the in-memory construction sorts
 // nothing). The four lists come from one scan of the input. Every pass
-// streams through storage.ItemFile so the O((N/B) log_{M/B}(N/B)) I/O cost
-// is measured on the disk. The sorted lists and the recursion's partitions
-// go on the store the input lives on.
+// streams through an ItemFile so the O((N/B) log_{M/B}(N/B)) I/O cost is
+// measured on the store. The sorted lists and the recursion's partitions
+// go on the store the input lives on; the in-memory subproblems are
+// pseudo.Build's, serial.
 //
 // The kd divisions follow the paper's external variant: priority
 // rectangles are not removed before the division is computed (the query
@@ -46,37 +30,36 @@ type ExternalConfig struct {
 // of its parent's points). The input file is consumed and freed. emit must
 // not keep a group's items past the call: the in-memory builds gather each
 // group into one reused buffer.
-func BuildExternal(in *storage.ItemFile, cfg ExternalConfig, emit func(LeafGroup)) {
+func BuildPseudo(in *ItemFile, b, m int, emit func(pseudo.LeafGroup)) {
 	disk := in.Backend()
-	if cfg.B < 1 {
-		panic("pseudo: external build with B < 1")
+	if b < 1 {
+		panic("extmem: external build with B < 1")
 	}
 	perBlock := storage.ItemsPerBlock(disk.BlockSize())
-	if cfg.M < 4*perBlock {
-		panic("pseudo: external build with M below four blocks")
+	if m < 4*perBlock {
+		panic("extmem: external build with M below four blocks")
 	}
-	if in.Len() <= cfg.M {
+	if in.Len() <= m {
 		items := in.ReadAll()
 		in.Free()
-		emitInMemory(items, cfg, emit)
+		emitInMemory(items, b, emit)
 		return
 	}
-	lists := sortAxes(in, cfg)
+	lists := sortAxes(in, m)
 	in.Free()
-	e := &externalBuilder{disk: disk, cfg: cfg, emit: emit}
+	e := &externalBuilder{disk: disk, b: b, m: m, emit: emit}
 	e.recurse(lists, 0)
 }
 
 // sortAxes produces the four corner-transform orderings of in from one
 // scan of it.
-func sortAxes(in *storage.ItemFile, cfg ExternalConfig) [4]*storage.ItemFile {
-	scfg := extsort.Config{MemoryItems: cfg.M, Workers: cfg.Workers}
-	return [4]*storage.ItemFile(extsort.SortKeys(in, extsort.AxisKeys(), scfg))
+func sortAxes(in *ItemFile, m int) [4]*ItemFile {
+	return [4]*ItemFile(SortKeys(in, bulk.AxisKeys(), m))
 }
 
 // freeLists frees the lists of a subproblem; one that fits in memory was
 // handed list 0 only.
-func freeLists(lists [4]*storage.ItemFile) {
+func freeLists(lists [4]*ItemFile) {
 	for _, f := range lists {
 		if f != nil {
 			f.Free()
@@ -84,8 +67,8 @@ func freeLists(lists [4]*storage.ItemFile) {
 	}
 }
 
-func emitInMemory(items []geom.Item, cfg ExternalConfig, emit func(LeafGroup)) {
-	Build(items, cfg.B, true, cfg.Workers).EachLeaf(emit)
+func emitInMemory(items []geom.Item, b int, emit func(pseudo.LeafGroup)) {
+	pseudo.Build(items, b, true, 1).EachLeaf(emit)
 }
 
 // key2 is a point in one dimension of the strict total order
@@ -147,8 +130,8 @@ type extNode struct {
 
 type externalBuilder struct {
 	disk storage.Backend
-	cfg  ExternalConfig
-	emit func(LeafGroup)
+	b, m int // leaf capacity, memory budget in records
+	emit func(pseudo.LeafGroup)
 
 	// displaced counts, over all rounds, the records a priority heap
 	// evicted after having admitted them: the work the fill order decides.
@@ -158,7 +141,7 @@ type externalBuilder struct {
 	slabs        [4][]slab
 	nextID       int32
 	counts       map[cellKey]int
-	lists        [4]*storage.ItemFile
+	lists        [4]*ItemFile
 	nodes        []extNode
 	regions      []region
 	regionCounts []int // records of each region, priority leaves included
@@ -168,16 +151,16 @@ type externalBuilder struct {
 // recurse builds the subproblem whose records are in lists — all four
 // orderings, or list 0 alone when the caller knew it fits in memory — and
 // frees them.
-func (e *externalBuilder) recurse(lists [4]*storage.ItemFile, axis int) {
+func (e *externalBuilder) recurse(lists [4]*ItemFile, axis int) {
 	n := lists[0].Len()
 	if n == 0 {
 		freeLists(lists)
 		return
 	}
-	if n <= e.cfg.M {
+	if n <= e.m {
 		items := lists[0].ReadAll()
 		freeLists(lists)
-		emitInMemory(items, e.cfg, e.emit)
+		emitInMemory(items, e.b, e.emit)
 		return
 	}
 
@@ -195,7 +178,7 @@ func (e *externalBuilder) recurse(lists [4]*storage.ItemFile, axis int) {
 		// in-memory construction despite the memory budget.
 		items := lists[0].ReadAll()
 		freeLists(lists)
-		emitInMemory(items, e.cfg, e.emit)
+		emitInMemory(items, e.b, e.emit)
 		return
 	}
 
@@ -211,7 +194,7 @@ func (e *externalBuilder) recurse(lists [4]*storage.ItemFile, axis int) {
 // kdLevels picks how many kd levels to build this round: log2(z) with
 // z = Theta(M^(1/4)), clamped to keep at least one level.
 func (e *externalBuilder) kdLevels(n int) int {
-	z := int(math.Floor(math.Pow(float64(e.cfg.M), 0.25)))
+	z := int(math.Floor(math.Pow(float64(e.m), 0.25)))
 	if z < 2 {
 		z = 2
 	}
@@ -240,7 +223,7 @@ func fullRegion() region {
 // buildGrid reads the z-quantiles of each sorted list, initializes the
 // slab structures, and counts every item into its grid cell with one scan.
 func (e *externalBuilder) buildGrid(n int) {
-	z := int(math.Floor(math.Pow(float64(e.cfg.M), 0.25)))
+	z := int(math.Floor(math.Pow(float64(e.m), 0.25)))
 	if z < 2 {
 		z = 2
 	}
@@ -314,7 +297,7 @@ func (e *externalBuilder) cellOf(it geom.Item) cellKey {
 // round-robin axis until depth levels are built or the region fits in
 // memory. It returns a node index (>= 0) or ~regionIndex (< 0).
 func (e *externalBuilder) buildSubtree(r region, total, depth, levels int) int {
-	if depth >= levels || total <= e.cfg.M/2 {
+	if depth >= levels || total <= e.m/2 {
 		return e.leafRegion(r, total)
 	}
 	axis := (e.axis0 + depth) & 3
@@ -328,7 +311,7 @@ func (e *externalBuilder) buildSubtree(r region, total, depth, levels int) int {
 	idx := len(e.nodes)
 	e.nodes = append(e.nodes, extNode{axis: axis, key: key})
 	for dir := 0; dir < 4; dir++ {
-		e.nodes[idx].pq[dir] = newPrioHeap(dir, e.cfg.B)
+		e.nodes[idx].pq[dir] = newPrioHeap(dir, e.b)
 	}
 	l := e.buildSubtree(leftR, leftCount, depth+1, levels)
 	rgt := e.buildSubtree(rightR, total-leftCount, depth+1, levels)
@@ -476,7 +459,7 @@ func (e *externalBuilder) slabIndexByID(d int, id int32) int {
 			return i
 		}
 	}
-	panic("pseudo: slab id not found")
+	panic("extmem: slab id not found")
 }
 
 // fillPriorityLeaves passes every item through the kd-subtree, maintaining
@@ -543,7 +526,7 @@ func (e *externalBuilder) filter(node int, cur geom.Item) {
 				pq.push(cur)
 				return
 			}
-			if pq.ord.less(cur, pq.items[0]) {
+			if pq.ord.Less(cur, pq.items[0]) {
 				cur = pq.replaceTop(cur)
 				e.displaced++
 			}
@@ -573,13 +556,13 @@ func (e *externalBuilder) placedIDs() map[uint32]bool {
 // sorted). A region of at most M records is built in memory from list 0 and
 // gets no other; lists 1-3 go to the regions that need another external
 // round, and are not even scanned when the round has none.
-func (e *externalBuilder) distribute(placed map[uint32]bool) [][4]*storage.ItemFile {
-	out := make([][4]*storage.ItemFile, len(e.regions))
+func (e *externalBuilder) distribute(placed map[uint32]bool) [][4]*ItemFile {
+	out := make([][4]*ItemFile, len(e.regions))
 	for d := 0; d < 4; d++ {
 		wanted := false
 		for i := range out {
-			if d == 0 || e.regionCounts[i] > e.cfg.M {
-				out[i][d] = storage.NewItemFile(e.disk)
+			if d == 0 || e.regionCounts[i] > e.m {
+				out[i][d] = NewItemFile(e.disk)
 				wanted = true
 			}
 		}
@@ -624,7 +607,7 @@ func (e *externalBuilder) routeToRegion(it geom.Item) int {
 // finish emits the round's priority leaves and recurses into leaf regions
 // in depth-first order. The builder's per-round state is copied out first
 // because recursion reuses it.
-func (e *externalBuilder) finish(root int, outLists [][4]*storage.ItemFile, axis, levels int) {
+func (e *externalBuilder) finish(root int, outLists [][4]*ItemFile, axis, levels int) {
 	nodes := make([]extNode, len(e.nodes))
 	copy(nodes, e.nodes)
 	regionDepth := make([]int, len(e.regions))
@@ -649,7 +632,7 @@ func (e *externalBuilder) finish(root int, outLists [][4]*storage.ItemFile, axis
 		n := nodes[idx]
 		for dir := 0; dir < 4; dir++ {
 			if items := n.pq[dir].items; len(items) > 0 {
-				e.emit(LeafGroup{Items: items, Priority: true, Dir: dir})
+				e.emit(pseudo.LeafGroup{Items: items, Priority: true, Dir: dir})
 			}
 		}
 		dfs(n.left)
@@ -664,11 +647,11 @@ func (e *externalBuilder) finish(root int, outLists [][4]*storage.ItemFile, axis
 type prioHeap struct {
 	items []geom.Item
 	cap   int
-	ord   order // ord.less(a, b): a is strictly more extreme than b
+	ord   pseudo.Order // ord.Less(a, b): a is strictly more extreme than b
 }
 
 func newPrioHeap(dir, capacity int) *prioHeap {
-	return &prioHeap{cap: capacity, ord: extremeOrder(dir)}
+	return &prioHeap{cap: capacity, ord: pseudo.ExtremeOrder(dir)}
 }
 
 // push adds it and sifts it up.
@@ -676,7 +659,7 @@ func (h *prioHeap) push(it geom.Item) {
 	h.items = append(h.items, it)
 	for j := len(h.items) - 1; j > 0; {
 		parent := (j - 1) / 2
-		if !h.ord.less(h.items[parent], h.items[j]) {
+		if !h.ord.Less(h.items[parent], h.items[j]) {
 			break
 		}
 		h.items[parent], h.items[j] = h.items[j], h.items[parent]
@@ -693,10 +676,10 @@ func (h *prioHeap) replaceTop(it geom.Item) geom.Item {
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && h.ord.less(h.items[j], h.items[r]) {
+		if r := j + 1; r < n && h.ord.Less(h.items[j], h.items[r]) {
 			j = r // the less extreme child
 		}
-		if !h.ord.less(h.items[i], h.items[j]) {
+		if !h.ord.Less(h.items[i], h.items[j]) {
 			break
 		}
 		h.items[i], h.items[j] = h.items[j], h.items[i]

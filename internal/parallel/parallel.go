@@ -1,6 +1,6 @@
 // Package parallel provides the bounded worker-pool discipline shared by
-// every concurrent stage in this repository: the bulk-load pipeline's sort
-// and merge fan-outs and the forked in-memory builds and shard loads.
+// every concurrent stage in this repository: the in-memory builds' sorts,
+// forked kd recursions and leaf encoding, and the shard loads.
 package parallel
 
 import (

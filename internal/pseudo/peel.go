@@ -58,7 +58,7 @@ func (t *Tree) peel(ids []int32, s *peelScratch) {
 		return
 	}
 	for dir, rest := 0, ids; dir < 4; dir++ {
-		selectK(t.items, rest, t.B, extremeOrder(dir))
+		selectK(t.items, rest, t.B, ExtremeOrder(dir))
 		rest = rest[t.B:]
 	}
 }
@@ -67,7 +67,7 @@ func (t *Tree) peel(ids []int32, s *peelScratch) {
 // starting from the thresholds thr, and reports whether it peeled: it
 // does not only on keys no threshold admits (NaN).
 //
-// Direction d's leaf is the b most extreme records under extremeOrder(d)
+// Direction d's leaf is the b most extreme records under ExtremeOrder(d)
 // once the d leaves before it are gone, so it lies within the window's
 // (d+1)·b most extreme records in that order. The pass keeps, per
 // direction, every record whose key reaches the direction's threshold in a

@@ -16,7 +16,7 @@ import (
 func refPeel(items []geom.Item, ids []int32, b int) (leaves [4][]int32, rest []int32) {
 	rest = slices.Clone(ids)
 	for dir := range leaves {
-		o := extremeOrder(dir)
+		o := ExtremeOrder(dir)
 		slices.SortFunc(rest, func(x, y int32) int {
 			a, c := &items[x], &items[y]
 			if before(o.key(a), a.ID, x, o.key(c), c.ID, y) {
@@ -75,7 +75,7 @@ func adversarialInputs(n int) map[string][]geom.Item {
 		o := axisOrder(axis)
 		up := slices.Clone(base)
 		slices.SortFunc(up, func(a, b geom.Item) int {
-			if o.less(a, b) {
+			if o.Less(a, b) {
 				return -1
 			}
 			return 1
@@ -152,7 +152,7 @@ func TestPeelFusedSeedFallback(t *testing.T) {
 		var exact, oneLeaf [4]float64
 		for d := range exact {
 			keys := make([]float64, n)
-			o := extremeOrder(d)
+			o := ExtremeOrder(d)
 			for i := range items {
 				keys[i] = o.key(&items[i])
 			}
@@ -189,7 +189,7 @@ func TestPartitionsMatchSortReference(t *testing.T) {
 			for r, v := range sorted {
 				rank[v] = r
 			}
-			for _, part := range []func([]geom.Item, []int32, int, int, int, order) int{partitionFew, partitionHalf} {
+			for _, part := range []func([]geom.Item, []int32, int, int, int, Order) int{partitionFew, partitionHalf} {
 				for _, pivot := range []int{0, n / 3, n - 1} {
 					ids := identity(n)
 					pv := ids[pivot]

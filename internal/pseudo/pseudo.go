@@ -182,7 +182,7 @@ func (t *Tree) build(ids []int32, axis int, roundToB bool, workers int, s *peelS
 			if dir == groups-1 {
 				take = len(rest)
 			}
-			selectK(t.items, rest, take, extremeOrder(dir))
+			selectK(t.items, rest, take, ExtremeOrder(dir))
 			n.Priority[dir] = rest[:take:take]
 			rest = rest[take:]
 		}
@@ -414,7 +414,7 @@ func (t *Tree) validate(n *Node) (int, error) {
 			continue
 		}
 		count += len(p)
-		less := extremeOrder(dir).less
+		less := ExtremeOrder(dir).Less
 		// Find the least extreme member of p.
 		worst := t.items[p[0]]
 		inLeaf := make(map[int32]bool, len(p))

@@ -27,10 +27,10 @@ func randItems(n int, seed int64) []geom.Item {
 
 // buildOrders lists every order the construction selects under: the four
 // priority directions and the four kd axes.
-func buildOrders() []order {
-	var out []order
+func buildOrders() []Order {
+	var out []Order
 	for d := 0; d < 4; d++ {
-		out = append(out, extremeOrder(d), axisOrder(d))
+		out = append(out, ExtremeOrder(d), axisOrder(d))
 	}
 	return out
 }
@@ -40,10 +40,10 @@ func buildOrders() []order {
 // the permutation names must read as the sorted input, so ids[:k] names
 // exactly the k first and no index was lost or duplicated. items itself
 // must come back untouched.
-func checkSelect(t *testing.T, items []geom.Item, k int, o order) {
+func checkSelect(t *testing.T, items []geom.Item, k int, o Order) {
 	t.Helper()
 	byOrder := func(s []geom.Item) {
-		sort.SliceStable(s, func(i, j int) bool { return o.less(s[i], s[j]) })
+		sort.SliceStable(s, func(i, j int) bool { return o.Less(s[i], s[j]) })
 	}
 	input := slices.Clone(items)
 	ids := make([]int32, len(items))
@@ -136,7 +136,7 @@ func TestSelectKSampled(t *testing.T) {
 	for i, o := range buildOrders() {
 		sorted := randItems(n, int64(i+1))
 		slices.SortFunc(sorted, func(a, b geom.Item) int {
-			if o.less(a, b) {
+			if o.Less(a, b) {
 				return -1
 			}
 			return 1

@@ -4,8 +4,10 @@
 // leaves holding the B most extreme rectangles in each direction. It
 // provides the exact in-memory construction (a keyed selection kernel over
 // a permutation of the read-only input, with the kd recursion spread over a
-// bounded number of workers), the I/O-efficient external grid
-// construction, and a window-query engine used to verify Lemma 2.
+// bounded number of workers) and a window-query engine used to verify
+// Lemma 2. The I/O-efficient external grid construction is package
+// extmem's; it builds its in-memory subproblems here and compares with
+// ExtremeOrder.
 //
 // The in-memory construction spends its time in passes over node windows,
 // each reading records through the permutation. A node of fusedMin records
@@ -20,37 +22,38 @@ package pseudo
 
 import "prtree/internal/geom"
 
-// order is one of the construction's strict total orders on items: one
+// Order is one of the construction's strict total orders on items: one
 // corner-transform coordinate, ascending or descending, ties broken by
 // ascending id and then, in the in-memory construction, by index into the
 // input (see before). It is a value, so the selection loop compares keys
 // inline instead of calling a comparator.
-type order struct {
+type Order struct {
 	axis int     // corner-transform coordinate, 0..3
 	sign float64 // +1 ascending, -1 descending
 }
 
-// extremeOrder is "more extreme first" along a priority direction:
+// ExtremeOrder is "more extreme first" along a priority direction:
 // directions 0 and 1 (xmin, ymin) prefer small coordinates, directions 2
 // and 3 (xmax, ymax) prefer large ones.
-func extremeOrder(dir int) order {
+func ExtremeOrder(dir int) Order {
 	if dir < 2 {
-		return order{axis: dir, sign: 1}
+		return Order{axis: dir, sign: 1}
 	}
-	return order{axis: dir, sign: -1}
+	return Order{axis: dir, sign: -1}
 }
 
 // axisOrder is ascending by the corner-transform coordinate — the kd-split
 // order.
-func axisOrder(axis int) order { return order{axis: axis & 3, sign: 1} }
+func axisOrder(axis int) Order { return Order{axis: axis & 3, sign: 1} }
 
 // key is the item's coordinate under o, negated for descending orders so
 // that every order compares (key, id) ascending.
-func (o order) key(it *geom.Item) float64 { return it.Rect.Coord(o.axis) * o.sign }
+func (o Order) key(it *geom.Item) float64 { return it.Rect.Coord(o.axis) * o.sign }
 
-// less reports whether a orders strictly before b on key and id, which is
-// all the external construction compares.
-func (o order) less(a, b geom.Item) bool {
+// Less reports whether a orders strictly before b on key and id: the
+// comparison of the external construction's priority heaps
+// (package extmem).
+func (o Order) Less(a, b geom.Item) bool {
 	av, bv := o.key(&a), o.key(&b)
 	if av != bv {
 		return av < bv
@@ -84,7 +87,7 @@ const (
 // partially-partitioned permutations the construction itself produces; the
 // permutation it leaves depends only on the input, never on who else is
 // running.
-func selectK(items []geom.Item, ids []int32, k int, o order) {
+func selectK(items []geom.Item, ids []int32, k int, o Order) {
 	if k <= 0 || k >= len(ids) {
 		return
 	}
@@ -119,7 +122,7 @@ func selectK(items []geom.Item, ids []int32, k int, o order) {
 // k: of sampleSize records drawn by xorshift from seed, the one sampleGap
 // ranks past k's rank among them toward the window's nearer end, so the
 // side of the pivot that holds k is usually the smaller one.
-func samplePivot(items []geom.Item, ids []int32, lo, hi, k int, o order, seed uint64) int {
+func samplePivot(items []geom.Item, ids []int32, lo, hi, k int, o Order, seed uint64) int {
 	var s [sampleSize]struct { // in order under o
 		key float64
 		id  uint32
@@ -158,7 +161,7 @@ func before(ak float64, aid uint32, av int32, bk float64, bid uint32, bv int32) 
 // under o: the records before it to the front, then the pivot, then the
 // rest, and returns the pivot's new position. Only the records before the
 // pivot move, so when they are few — a peel's B — the pass only reads.
-func partitionFew(items []geom.Item, ids []int32, lo, hi, pivot int, o order) int {
+func partitionFew(items []geom.Item, ids []int32, lo, hi, pivot int, o Order) int {
 	last := hi - 1
 	ids[pivot], ids[last] = ids[last], ids[pivot]
 	pv := ids[last]
@@ -179,7 +182,7 @@ func partitionFew(items []geom.Item, ids []int32, lo, hi, pivot int, o order) in
 // partitionHalf is partitionFew without a branch on the comparison: every
 // record is written once and the front grows by the comparison's outcome,
 // which a kd median's coin-flip comparisons would otherwise mispredict.
-func partitionHalf(items []geom.Item, ids []int32, lo, hi, pivot int, o order) int {
+func partitionHalf(items []geom.Item, ids []int32, lo, hi, pivot int, o Order) int {
 	last := hi - 1
 	ids[pivot], ids[last] = ids[last], ids[pivot]
 	pv := ids[last]

@@ -3,14 +3,12 @@ package storage
 import (
 	"sync"
 	"testing"
-
-	"prtree/internal/geom"
 )
 
 // TestDiskConcurrentProducers hammers Alloc/Write/ReadNoCopy/Free from
-// many goroutines — the access pattern of the parallel bulk-load pipeline
-// (run under -race in CI). Counter totals and page accounting must come
-// out exactly as if the operations had run serially.
+// many goroutines, concurrent users of one store (run under -race in CI).
+// Counter totals and page accounting must come out exactly as if the
+// operations had run serially.
 func TestDiskConcurrentProducers(t *testing.T) {
 	const (
 		workers   = 8
@@ -55,39 +53,5 @@ func TestDiskConcurrentProducers(t *testing.T) {
 	}
 	if n := d.NumPages(); n < d.PagesInUse() || n > workers*perWorker {
 		t.Errorf("NumPages = %d outside [%d, %d]", n, d.PagesInUse(), workers*perWorker)
-	}
-}
-
-// TestItemFilesConcurrentAppend writes many files concurrently on one disk
-// — each file has a single owner, the disk is shared — and verifies every
-// file round-trips and the freelist reuses pages across Free/Alloc.
-func TestItemFilesConcurrentAppend(t *testing.T) {
-	const files = 6
-	d := NewDisk(DefaultBlockSize)
-	per := ItemsPerBlock(DefaultBlockSize)
-	n := per*3 + 7
-	var wg sync.WaitGroup
-	wg.Add(files)
-	for fi := 0; fi < files; fi++ {
-		go func(fi int) {
-			defer wg.Done()
-			f := NewItemFile(d)
-			for i := 0; i < n; i++ {
-				f.Append(geom.Item{Rect: geom.NewRect(float64(fi), float64(i), float64(fi)+1, float64(i)+1), ID: uint32(fi*1000 + i)})
-			}
-			f.Seal()
-			got := f.ReadAll()
-			for i, it := range got {
-				if it.ID != uint32(fi*1000+i) {
-					t.Errorf("file %d record %d: id %d", fi, i, it.ID)
-					return
-				}
-			}
-			f.Free()
-		}(fi)
-	}
-	wg.Wait()
-	if d.PagesInUse() != 0 {
-		t.Errorf("%d pages leaked", d.PagesInUse())
 	}
 }

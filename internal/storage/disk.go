@@ -61,9 +61,8 @@ func (s Stats) String() string {
 //
 // A Disk is safe for concurrent use by multiple goroutines: allocation and
 // the freelist are mutex-protected and the I/O counters are atomic, so
-// concurrent producers (e.g. the parallel bulk-load pipeline's sort
-// workers) see the same counter totals as a serial execution of the same
-// operations. Individual pages are not synchronized — each page must have
+// concurrent users (e.g. concurrent queries) see the same counter totals
+// as a serial execution of the same operations. Individual pages are not synchronized — each page must have
 // a single writer at a time, and a page's bytes must not be read after it
 // is Freed; files uphold this by owning their pages.
 type Disk struct {

@@ -541,6 +541,9 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 			}
 			res.info.ReplayedTxs++
 		}
+		if err := fb.checkAdoptedState(); err != nil {
+			return fail(err)
+		}
 		fb.free.init()
 		fb.walHasState = true
 		// The notes alias the scanned buffer, which lives as long as they do.
@@ -582,6 +585,30 @@ func openAndRecover(f *os.File, path string, expectBlockSize int) (*FileBackend,
 		return fail(err)
 	}
 	return fb, nil
+}
+
+// checkAdoptedState holds the state adopted from the log to the commit
+// path's flush rule: every page a committed state reaches was flushed
+// before its commit marker, so a page at or past the page file's last
+// whole slot can only be on that state's free list. A state that claims
+// more pages than that fails Open with ErrWALCorrupt before anything is
+// sized by it or written.
+func (fb *FileBackend) checkAdoptedState() error {
+	slots := int((fb.extent.Load() - int64(fb.blockSize)) / int64(fb.slotSize))
+	if fb.numPages <= slots {
+		return nil
+	}
+	beyond := 0
+	for _, id := range fb.free {
+		if int(id) >= slots {
+			beyond++
+		}
+	}
+	if beyond != fb.numPages-slots {
+		return fmt.Errorf("%w: logged state of %d pages reaches %d past the page file's %d slots",
+			ErrWALCorrupt, fb.numPages, fb.numPages-slots-beyond, slots)
+	}
+	return nil
 }
 
 // loadCheckpoint reads the committed state (geometry, freelist, metadata)

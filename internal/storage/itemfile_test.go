@@ -1,49 +1,17 @@
-package storage
+package storage_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
-	"testing/quick"
 
+	"prtree/internal/extmem"
 	"prtree/internal/geom"
+	"prtree/internal/storage"
 )
 
-func TestItemCodecRoundTrip(t *testing.T) {
-	it := geom.Item{Rect: geom.NewRect(1.5, -2.25, 3.75, 4.125), ID: 0xdeadbeef}
-	buf := make([]byte, ItemSize)
-	EncodeItem(buf, it)
-	got := DecodeItem(buf)
-	if got != it {
-		t.Errorf("round trip = %+v, want %+v", got, it)
-	}
-}
-
-func TestItemCodecQuick(t *testing.T) {
-	prop := func(a, b, c, d float64, id uint32) bool {
-		it := geom.Item{Rect: geom.Rect{MinX: a, MinY: b, MaxX: c, MaxY: d}, ID: id}
-		buf := make([]byte, ItemSize)
-		EncodeItem(buf, it)
-		got := DecodeItem(buf)
-		// NaN != NaN, so compare bit patterns via re-encoding.
-		buf2 := make([]byte, ItemSize)
-		EncodeItem(buf2, got)
-		for i := range buf {
-			if buf[i] != buf2[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestItemsPerBlock(t *testing.T) {
-	if got := ItemsPerBlock(DefaultBlockSize); got != 113 {
-		t.Errorf("ItemsPerBlock(4096) = %d, want 113 (paper's fanout)", got)
-	}
-}
+// The ItemFile tests stay beside the record encoding whose blocks they
+// write; the file itself is extmem's.
 
 func randItems(n int, seed int64) []geom.Item {
 	rng := rand.New(rand.NewSource(seed))
@@ -59,9 +27,9 @@ func randItems(n int, seed int64) []geom.Item {
 }
 
 func TestItemFileRoundTrip(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
+	d := storage.NewDisk(storage.DefaultBlockSize)
 	items := randItems(1000, 1)
-	f := NewItemFileFrom(d, items)
+	f := extmem.NewItemFileFrom(d, items)
 	if f.Len() != 1000 {
 		t.Fatalf("len = %d", f.Len())
 	}
@@ -77,20 +45,20 @@ func TestItemFileRoundTrip(t *testing.T) {
 }
 
 func TestItemFileBlockCount(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	per := ItemsPerBlock(DefaultBlockSize)
-	f := NewItemFileFrom(d, randItems(per*3+1, 2))
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	f := extmem.NewItemFileFrom(d, randItems(per*3+1, 2))
 	if f.Blocks() != 4 {
 		t.Errorf("blocks = %d, want 4", f.Blocks())
 	}
 }
 
 func TestItemFileIOAccounting(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	per := ItemsPerBlock(DefaultBlockSize)
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
 	n := per * 5
 	d.ResetStats()
-	f := NewItemFileFrom(d, randItems(n, 3))
+	f := extmem.NewItemFileFrom(d, randItems(n, 3))
 	if w := d.Stats().Writes; w != 5 {
 		t.Errorf("writing %d items should cost 5 block writes, got %d", n, w)
 	}
@@ -102,8 +70,8 @@ func TestItemFileIOAccounting(t *testing.T) {
 }
 
 func TestItemFileSealSemantics(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	f := NewItemFile(d)
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	f := extmem.NewItemFile(d)
 	f.Append(geom.Item{Rect: geom.NewRect(0, 0, 1, 1), ID: 1})
 	f.Seal()
 	f.Seal() // idempotent
@@ -116,8 +84,8 @@ func TestItemFileSealSemantics(t *testing.T) {
 }
 
 func TestItemFileReaderUnsealedPanics(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	f := NewItemFile(d)
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	f := extmem.NewItemFile(d)
 	defer func() {
 		if recover() == nil {
 			t.Error("Reader on unsealed file should panic")
@@ -127,9 +95,9 @@ func TestItemFileReaderUnsealedPanics(t *testing.T) {
 }
 
 func TestItemReaderSeek(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
+	d := storage.NewDisk(storage.DefaultBlockSize)
 	items := randItems(500, 4)
-	f := NewItemFileFrom(d, items)
+	f := extmem.NewItemFileFrom(d, items)
 	r := f.ReaderAt(250)
 	it, ok := r.Next()
 	if !ok || it != items[250] {
@@ -152,8 +120,8 @@ func TestItemReaderSeek(t *testing.T) {
 }
 
 func TestItemFileFree(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	f := NewItemFileFrom(d, randItems(300, 5))
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	f := extmem.NewItemFileFrom(d, randItems(300, 5))
 	used := d.PagesInUse()
 	f.Free()
 	if d.PagesInUse() != used-3 {
@@ -165,8 +133,8 @@ func TestItemFileFree(t *testing.T) {
 }
 
 func TestItemFileEmpty(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	f := NewItemFileFrom(d, nil)
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	f := extmem.NewItemFileFrom(d, nil)
 	if f.Len() != 0 || f.Blocks() != 0 {
 		t.Errorf("empty file: len=%d blocks=%d", f.Len(), f.Blocks())
 	}
@@ -176,9 +144,9 @@ func TestItemFileEmpty(t *testing.T) {
 }
 
 func TestItemFilePartialBlock(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
+	d := storage.NewDisk(storage.DefaultBlockSize)
 	items := randItems(7, 6)
-	f := NewItemFileFrom(d, items)
+	f := extmem.NewItemFileFrom(d, items)
 	got := f.ReadAll()
 	for i := range items {
 		if got[i] != items[i] {
@@ -188,13 +156,13 @@ func TestItemFilePartialBlock(t *testing.T) {
 }
 
 func TestAppendRawMatchesAppend(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	a, b := NewItemFile(d), NewItemFile(d)
-	var rec [ItemSize]byte
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	a, b := extmem.NewItemFile(d), extmem.NewItemFile(d)
+	var rec [storage.ItemSize]byte
 	for i := 0; i < 300; i++ {
 		it := geom.Item{Rect: geom.NewRect(float64(i), 0, float64(i)+1, 2), ID: uint32(i)}
 		a.Append(it)
-		EncodeItem(rec[:], it)
+		storage.EncodeItem(rec[:], it)
 		b.AppendRaw(rec[:])
 	}
 	a.Seal()
@@ -208,16 +176,16 @@ func TestAppendRawMatchesAppend(t *testing.T) {
 }
 
 func TestRawBlockAndAppendRawBlockCopy(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	per := ItemsPerBlock(DefaultBlockSize)
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
 	n := per*2 + 5 // two full blocks plus a partial tail
-	src := NewItemFile(d)
+	src := extmem.NewItemFile(d)
 	for i := 0; i < n; i++ {
 		src.Append(geom.Item{Rect: geom.NewRect(0, 0, 1, 1), ID: uint32(i)})
 	}
 	src.Seal()
 	d.ResetStats()
-	dst := NewItemFile(d)
+	dst := extmem.NewItemFile(d)
 	for b := 0; b < src.Blocks(); b++ {
 		data, count := src.RawBlock(b)
 		dst.AppendRawBlock(data, count)
@@ -241,14 +209,14 @@ func TestRawBlockAndAppendRawBlockCopy(t *testing.T) {
 }
 
 func TestAppendRawBlockIntoPartialBuffer(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	per := ItemsPerBlock(DefaultBlockSize)
-	src := NewItemFile(d)
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	src := extmem.NewItemFile(d)
 	for i := 0; i < per; i++ {
 		src.Append(geom.Item{Rect: geom.NewRect(0, 0, 1, 1), ID: uint32(i)})
 	}
 	src.Seal()
-	dst := NewItemFile(d)
+	dst := extmem.NewItemFile(d)
 	dst.Append(geom.Item{Rect: geom.NewRect(0, 0, 1, 1), ID: 9999}) // misalign
 	data, count := src.RawBlock(0)
 	dst.AppendRawBlock(data, count)
@@ -260,9 +228,9 @@ func TestAppendRawBlockIntoPartialBuffer(t *testing.T) {
 }
 
 func TestNextRawMatchesNext(t *testing.T) {
-	d := NewDisk(DefaultBlockSize)
-	per := ItemsPerBlock(DefaultBlockSize)
-	f := NewItemFile(d)
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	f := extmem.NewItemFile(d)
 	n := per + 13
 	for i := 0; i < n; i++ {
 		f.Append(geom.Item{Rect: geom.NewRect(float64(i), 1, float64(i)+2, 3), ID: uint32(i)})
@@ -278,8 +246,42 @@ func TestNextRawMatchesNext(t *testing.T) {
 		if !ok1 {
 			break
 		}
-		if DecodeItem(rec) != it {
-			t.Fatalf("raw record decodes to %+v, want %+v", DecodeItem(rec), it)
+		if storage.DecodeItem(rec) != it {
+			t.Fatalf("raw record decodes to %+v, want %+v", storage.DecodeItem(rec), it)
 		}
+	}
+}
+
+// TestItemFilesConcurrentAppend writes many files concurrently on one disk
+// — each file has a single owner, the disk is shared — and verifies every
+// file round-trips and the freelist reuses pages across Free/Alloc.
+func TestItemFilesConcurrentAppend(t *testing.T) {
+	const files = 6
+	d := storage.NewDisk(storage.DefaultBlockSize)
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	n := per*3 + 7
+	var wg sync.WaitGroup
+	wg.Add(files)
+	for fi := 0; fi < files; fi++ {
+		go func(fi int) {
+			defer wg.Done()
+			f := extmem.NewItemFile(d)
+			for i := 0; i < n; i++ {
+				f.Append(geom.Item{Rect: geom.NewRect(float64(fi), float64(i), float64(fi)+1, float64(i)+1), ID: uint32(fi*1000 + i)})
+			}
+			f.Seal()
+			got := f.ReadAll()
+			for i, it := range got {
+				if it.ID != uint32(fi*1000+i) {
+					t.Errorf("file %d record %d: id %d", fi, i, it.ID)
+					return
+				}
+			}
+			f.Free()
+		}(fi)
+	}
+	wg.Wait()
+	if d.PagesInUse() != 0 {
+		t.Errorf("%d pages leaked", d.PagesInUse())
 	}
 }

@@ -615,6 +615,67 @@ func TestFileBackendWALCorruptFailsOpen(t *testing.T) {
 	}
 }
 
+// TestFileBackendWALStateBeyondFile: a logged STATE is held to the flush
+// rule. One that claims 2^30 pages over a fresh file fails Open with
+// ErrWALCorrupt and leaves both files as they were — before, it opened and
+// its checkpoint extended the file, sparse, to 283 GB. A state whose pages
+// past the file's last whole slot are all free still opens.
+func TestFileBackendWALStateBeyondFile(t *testing.T) {
+	path := tempIndex(t)
+	fb, err := CreateFile(path, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA1}, 256))
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sizes := func() (int64, int64) {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wst, err := os.Stat(walPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size(), wst.Size()
+	}
+	writeLog := func(numPages int, free []PageID) {
+		t.Helper()
+		log := append(encodeWALHeader(256), walTxBytes(1, numPages, free, nil)...)
+		if err := os.WriteFile(walPath(path), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	writeLog(1<<30, nil)
+	size, walSize := sizes()
+	if _, err := OpenFile(path, 0); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("Open of a state of 2^30 pages over a one-page file = %v, want ErrWALCorrupt", err)
+	}
+	if s, w := sizes(); s != size || w != walSize {
+		t.Errorf("the refused open changed the files: %d and %d bytes, were %d and %d", s, w, size, walSize)
+	}
+
+	// Pages 1 and 2 lie past the file's one slot; 2 is free, 1 is not.
+	writeLog(3, []PageID{2})
+	if _, err := OpenFile(path, 0); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("Open of a state reaching an unflushed page = %v, want ErrWALCorrupt", err)
+	}
+	writeLog(3, []PageID{1, 2})
+	fb, err = OpenFile(path, 0)
+	if err != nil {
+		t.Fatalf("Open of a state whose pages past the file are free: %v", err)
+	}
+	if got := fb.PagesInUse(); got != 1 {
+		t.Errorf("%d pages in use, want 1", got)
+	}
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFileBackendChecksumFlip: flipping one byte of a stored page is
 // caught by CheckPage/Fsck (wrapped error) and by Read (panic carrying
 // the same sentinel).

@@ -107,8 +107,7 @@ func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 
 // TestBulkLoadParallelismByteIdentical: a PR load large enough that its kd
 // recursion forks writes the same index file for the same block I/O at
-// every Parallelism. TestExternalPRParallelismByteIdentical in
-// internal/bulk holds the external construction to the same.
+// every Parallelism.
 func TestBulkLoadParallelismByteIdentical(t *testing.T) {
 	// Let Parallelism 8 mean eight workers on a smaller machine too.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
@@ -322,7 +321,7 @@ func TestDynamicCarriesUseScratch(t *testing.T) {
 // writes.
 func TestDefaultLoadsUseNoScratch(t *testing.T) {
 	t.Run("BulkLoad", func(t *testing.T) {
-		// Above bulk.DefaultMemoryItems, the budget the external loaders
+		// Above extmem.DefaultMemoryItems, the budget the external loaders
 		// run at.
 		items := scratchTestItems(80000, 8)
 		dir := t.TempDir()
