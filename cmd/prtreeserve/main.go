@@ -21,10 +21,6 @@
 // per-shard health and per-endpoint latency histograms; GET /healthz is
 // the readiness probe (ok / degraded / 503 down-or-draining). The admin
 // listener stays up through a drain and closes last.
-//
-// The -faultshard/-faultreads and -netfault/-netfaultafter flags inject
-// deterministic storage and network faults for chaos testing; they have
-// no place in production.
 package main
 
 import (
@@ -53,27 +49,16 @@ func main() {
 	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "how long graceful drain waits for in-flight requests")
 	maxRecoveries := flag.Int("maxrecoveries", 5, "reopen attempts per quarantined shard before it is declared failed (negative = retry forever)")
 	recoveryBackoff := flag.Duration("recoverybackoff", 100*time.Millisecond, "initial shard-recovery retry delay (doubles per attempt, capped)")
-	faultShard := flag.Int("faultshard", 0, "chaos: shard index for -faultreads")
-	faultReads := flag.Int64("faultreads", 0, "chaos: inject a read fault into shard -faultshard after N page reads (0 = off)")
-	netFault := flag.String("netfault", "none", "chaos: network fault on the binary listener: none|reset|torn|stall|drip")
-	netFaultAfter := flag.Int64("netfaultafter", 0, "chaos: response frames before the network fault fires")
 	flag.Parse()
 
 	if *shards == "" {
 		fmt.Fprintln(os.Stderr, "prtreeserve: -shards is required (build one with prtool shard)")
 		os.Exit(2)
 	}
-	netFaultMode, err := serve.ParseNetFaultMode(*netFault)
-	if err != nil {
-		fatal(err)
-	}
-
 	set, err := serve.Open(*shards, serve.OpenOptions{
 		CachePages:      *cache,
 		MaxRecoveries:   *maxRecoveries,
 		RecoveryBackoff: *recoveryBackoff,
-		FaultShard:      *faultShard,
-		FaultReadsAfter: *faultReads,
 	})
 	if err != nil {
 		fatal(err)
@@ -109,11 +94,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	addr := blis.Addr()
-	if netFaultMode != serve.NetFaultNone {
-		fmt.Printf("prtreeserve: CHAOS — injecting %s network faults after %d frames\n", netFaultMode, *netFaultAfter)
-		blis = serve.NewFaultyListener(blis, serve.NetFault{Mode: netFaultMode, After: *netFaultAfter})
-	}
 	serveOn("binary", srv.ServeBinary, blis)
 	httpAddr := ""
 	if *httpBind != "" {
@@ -126,7 +106,7 @@ func main() {
 	}
 
 	fmt.Printf("prtreeserve: serving %d shards (%d items) from %s\n", set.Shards(), set.Len(), *shards)
-	fmt.Printf("prtreeserve: binary %s  http %s\n", addr, orNone(httpAddr))
+	fmt.Printf("prtreeserve: binary %s  http %s\n", blis.Addr(), orNone(httpAddr))
 
 	got := <-sig
 	fmt.Printf("prtreeserve: %v — draining (in-flight requests finish, new ones rejected)\n", got)

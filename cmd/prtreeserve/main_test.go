@@ -12,7 +12,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -206,85 +205,6 @@ func TestServeEndToEnd(t *testing.T) {
 	c.getJSON(t, "/statsz", &sz)
 	if sz.Shards != 4 || sz.Items != len(items) || sz.Served < 34 || sz.Errors != 0 {
 		t.Fatalf("statsz: shards %d items %d served %d errors %d", sz.Shards, sz.Items, sz.Served, sz.Errors)
-	}
-	c.drain(t)
-}
-
-// TestServeChaos runs the server with an injected read fault on shard 1
-// and connection resets on the binary listener. Full-world windows go
-// through a RobustClient, whose retries absorb the resets: once shard 1 is
-// quarantined they come back degraded, naming shard 1. Plain connections
-// lose requests to the resets but the process lives; the supervisor
-// restores the shard, /healthz returns to "ok", the full world is answered
-// complete again, and the server drains cleanly.
-func TestServeChaos(t *testing.T) {
-	items := dataset.Western(4000, 5)
-	world := geom.ItemsMBR(items)
-	c := startServer(t, buildShards(t, items, 3),
-		"-faultshard", "1", "-faultreads", "5", "-recoverybackoff", "50ms",
-		"-netfault", "reset", "-netfaultafter", "40")
-	c.waitFor(t, "healthy", c.healthy)
-
-	rc := serve.DialRobust(serve.RobustOptions{Addr: c.binAddr})
-	defer rc.Close()
-	fullWorld := func() serve.Result {
-		t.Helper()
-		res, err := rc.Do(serve.Request{Op: serve.OpWindow, Rect: world})
-		if err != nil {
-			t.Fatalf("full-world window: %v\n%s", err, c.output())
-		}
-		return res
-	}
-	shardSum := func(field func(serve.ShardStatsz) uint64) uint64 {
-		var sz serve.Statsz
-		c.getJSON(t, "/statsz", &sz)
-		var n uint64
-		for _, s := range sz.ShardDetail {
-			n += field(s)
-		}
-		return n
-	}
-	c.waitFor(t, "full-world window degraded by shard 1", func() bool {
-		return slices.Contains(fullWorld().FailedShards, 1)
-	})
-	if shardSum(func(s serve.ShardStatsz) uint64 { return s.Quarantines }) < 1 {
-		t.Fatal("a degraded answer without a quarantine")
-	}
-
-	var cl *serve.Client
-	errs := 0
-	for i, r := range workload.Squares(world, 0.01, 100, 78) {
-		var err error
-		if cl == nil {
-			cl, err = serve.Dial(c.binAddr)
-		}
-		if err == nil {
-			_, err = cl.Window(r, 0)
-		}
-		if err != nil {
-			errs++
-			if cl != nil {
-				cl.Close()
-				cl = nil
-			}
-			t.Logf("binary window %d: %v", i, err)
-		}
-	}
-	if cl != nil {
-		cl.Close()
-	}
-	if errs == 0 {
-		t.Fatal("100 binary windows and no injected reset")
-	}
-	if err := c.cmd.Process.Signal(syscall.Signal(0)); err != nil {
-		t.Fatalf("server died under connection resets: %v\n%s", err, c.output())
-	}
-
-	c.waitFor(t, "recovery", func() bool {
-		return shardSum(func(s serve.ShardStatsz) uint64 { return s.Recoveries }) >= 1 && c.healthy()
-	})
-	if res := fullWorld(); res.Degraded() || len(res.Sets) != 1 || len(res.Sets[0]) != len(items) {
-		t.Fatalf("after recovery: failed shards %v, %d sets, want all %d items", res.FailedShards, len(res.Sets), len(items))
 	}
 	c.drain(t)
 }

@@ -1,77 +1,22 @@
 package prtree
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
 	"prtree/internal/rtree"
-	"prtree/internal/storage"
 )
 
 // Tests for the dynamic index's merges: the -race stress of concurrent
 // readers beside carries, the kill-at-every-step crash test for the dynamic
 // index's persistence (carries, deletes, a rebuild, Close), and the merge
 // counters.
-
-// dynDigest fingerprints a dynamic index's entire query surface. Window,
-// point and containment results are canonicalized by item ID (indexes with
-// the same contents may hold different level shapes, so traversal order is
-// not comparable — the result SET must be identical); kNN results keep
-// their order, which is deterministic (distance then ID) regardless of
-// shape.
-func dynDigest(t *testing.T, d *Dynamic) uint32 {
-	t.Helper()
-	windows := []Rect{
-		NewRect(0.1, 0.1, 0.4, 0.4),
-		NewRect(0.5, 0.5, 0.9, 0.9),
-		NewRect(0.25, 0.6, 0.35, 0.95),
-		NewRect(0, 0, 1, 1),
-		NewRect(0.42, 0.13, 0.58, 0.27),
-	}
-	var sb strings.Builder
-	dump := func(kind string, items []Item) {
-		sorted := slices.Clone(items)
-		slices.SortStableFunc(sorted, func(a, b Item) int { return cmp.Compare(a.ID, b.ID) })
-		fmt.Fprintf(&sb, "%s:%d;", kind, len(sorted))
-		for _, it := range sorted {
-			fmt.Fprintf(&sb, "%d,%v;", it.ID, it.Rect)
-		}
-	}
-	all := func(q Query) []Item {
-		out, err := d.Collect(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	fmt.Fprintf(&sb, "len:%d;", d.Len())
-	for _, q := range windows {
-		dump("w", all(Window(q)))
-		dump("c", all(Contained(q)))
-	}
-	dump("p", all(Point(0.33, 0.44)))
-	dump("p", all(Point(0.71, 0.18)))
-	for _, q := range []Query{Nearest(0.2, 0.8, 10), Nearest(0.9, 0.1, 10)} {
-		nn, err := d.CollectNearest(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&sb, "n:%d;", len(nn))
-		for _, n := range nn {
-			fmt.Fprintf(&sb, "%d,%v,%g;", n.Item.ID, n.Item.Rect, n.Dist2)
-		}
-	}
-	return crc32.ChecksumIEEE([]byte(sb.String()))
-}
 
 // TestDynamicParallelismIdentical: a file-backed dynamic index hands
 // Options.Parallelism to every level build, each an in-memory PR build
@@ -110,7 +55,7 @@ func TestDynamicParallelismIdentical(t *testing.T) {
 		if top := slices.Max(d.LevelSizes()); top < 4096+4*rtree.MaxFanout(512) {
 			t.Fatalf("largest level holds %d items: no carry reached the parallel fork", top)
 		}
-		out := outcome{levels: fmt.Sprint(d.LevelSizes()), io: d.IOStats(), digest: dynDigest(t, d)}
+		out := outcome{levels: fmt.Sprint(d.LevelSizes()), io: d.IOStats(), digest: indexDigest(t, d)}
 		out.total, out.inUse = d.PageCounts()
 		return out
 	}
@@ -242,15 +187,6 @@ func TestDynamicConcurrentReadersDuringMerges(t *testing.T) {
 	}
 }
 
-// dynCrashBackend returns a file-backed dynamic index's index file store.
-func dynCrashBackend(t *testing.T, d *Dynamic) *storage.FileBackend {
-	t.Helper()
-	if d.fb == nil {
-		t.Fatal("file-backed dynamic index has no FileBackend")
-	}
-	return d.fb
-}
-
 // dynCrashWorkload drives the dynamic index through every transaction
 // shape it commits: logged inserts, carries (the inserts that fill the
 // buffer), deletes with tombstones and from the buffer, a rebuild (a full
@@ -311,110 +247,22 @@ func dynCrashWorkload(d *Dynamic, afterTx func()) error {
 // build and its commit, and inside the flush's rebuild — reopens, and
 // requires the recovered index to match exactly one committed state.
 func TestDynamicCrashRecoveryEveryBoundary(t *testing.T) {
-	dir := t.TempDir()
 	opts := &Options{BlockSize: 512}
-
-	pristine := filepath.Join(dir, "pristine.prd")
-	d, err := CreateDynamic(pristine, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference run: the digest of every committed state.
-	refPath := filepath.Join(dir, "ref.prd")
-	copyCrashFiles(t, pristine, refPath)
-	ref, err := OpenDynamic(refPath, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed := make(map[uint32]int)
-	committed[dynDigest(t, ref)] = 0
-	txIndex := 0
-	if err := dynCrashWorkload(ref, func() {
-		txIndex++
-		dg := dynDigest(t, ref)
-		if _, seen := committed[dg]; !seen {
-			committed[dg] = txIndex
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	finalDigest := dynDigest(t, ref)
-	if st := ref.CompactionStats(); st.MergesCompleted < 3 || st.ItemsMerged <= st.ItemsAbsorbed {
-		t.Fatalf("the workload carried %d times (%+v); want the doubling and a merge of levels", st.MergesCompleted, st)
-	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Dry run: count persistence steps.
-	dryPath := filepath.Join(dir, "dry.prd")
-	copyCrashFiles(t, pristine, dryPath)
-	dry, err := OpenDynamic(dryPath, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dfb := dynCrashBackend(t, dry)
-	start := dfb.PersistSteps()
-	if err := dynCrashWorkload(dry, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := dry.Close(); err != nil {
-		t.Fatal(err)
-	}
-	totalSteps := dfb.PersistSteps() - start
-	if totalSteps < 20 {
-		t.Fatalf("workload spent only %d persistence steps; instrumentation broken?", totalSteps)
-	}
-	t.Logf("workload: %d persistence steps, %d distinct committed states", totalSteps, len(committed))
-
 	stride := int64(1)
 	if testing.Short() {
 		stride = 7
 	}
-	workPath := filepath.Join(dir, "crash.prd")
-	for k := int64(1); k <= totalSteps; k += stride {
-		copyCrashFiles(t, pristine, workPath)
-		victim, err := OpenDynamic(workPath, opts)
-		if err != nil {
-			t.Fatalf("step %d: open: %v", k, err)
-		}
-		fb := dynCrashBackend(t, victim)
-		fb.SetCrashAfterSteps(fb.PersistSteps() + k)
-
-		crashed := expectInjectedCrash(t, fmt.Sprintf("step %d", k), func() error {
-			if err := dynCrashWorkload(victim, nil); err != nil {
+	killWorkload(t, stride, func(path string) (*Dynamic, error) { return CreateDynamic(path, opts) },
+		func(path string) (*Dynamic, error) { return OpenDynamic(path, opts) },
+		func(d *Dynamic, afterTx func()) error {
+			if err := dynCrashWorkload(d, afterTx); err != nil {
 				return err
 			}
-			return victim.Close()
-		})
-		if crashed {
-			fb.Abandon()
-		}
-
-		re, err := OpenDynamic(workPath, opts)
-		if err != nil {
-			t.Fatalf("step %d: reopen after crash: %v", k, err)
-		}
-		dg := dynDigest(t, re)
-		if crashed {
-			if _, ok := committed[dg]; !ok {
-				t.Fatalf("step %d: recovered state matches no committed state (recovery: %v)",
-					k, re.Recovery())
+			if st := d.CompactionStats(); st.MergesCompleted < 3 || st.ItemsMerged <= st.ItemsAbsorbed {
+				t.Fatalf("the workload carried %d times (%+v); want the doubling and a merge of levels", st.MergesCompleted, st)
 			}
-		} else if dg != finalDigest {
-			t.Fatalf("step %d: uncrashed run diverged from the reference", k)
-		}
-		if err := re.CheckPages(); err != nil {
-			t.Fatalf("step %d: checksum scrub after recovery: %v", k, err)
-		}
-		if err := re.Close(); err != nil {
-			t.Fatalf("step %d: close reopened: %v", k, err)
-		}
-	}
+			return nil
+		})
 }
 
 // TestDynamicInsertEDeleteE: the error-returning mutation surface works.

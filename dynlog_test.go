@@ -20,28 +20,6 @@ import (
 // that recovery's own re-apply can be killed at every step, and that a
 // log holding notes survives handles that do not understand it.
 
-// expectInjectedCrash runs fn and reports whether it died of an injected
-// fault; any other panic fails the test.
-func expectInjectedCrash(t *testing.T, what string, fn func() error) (crashed bool) {
-	t.Helper()
-	defer func() {
-		if r := recover(); r != nil {
-			err, ok := r.(error)
-			if !ok || !errors.Is(err, storage.ErrInjectedFault) {
-				t.Fatalf("%s: panic %v, want ErrInjectedFault", what, r)
-			}
-			crashed = true
-		}
-	}()
-	if err := fn(); err != nil {
-		if !errors.Is(err, storage.ErrInjectedFault) {
-			t.Fatalf("%s: %v", what, err)
-		}
-		return true
-	}
-	return false
-}
-
 // TestDynamicCloseSyncCrashEveryStep: Close and Sync rewrite the state
 // pages, and used to do so outside any transaction — the committed chains'
 // pages were freed, handed out again and overwritten in place before the
@@ -52,27 +30,21 @@ func expectInjectedCrash(t *testing.T, what string, fn func() error) (crashed bo
 // block, so the index has no state page;
 // TestDynamicCloseSyncCrashEveryStepChained covers a chain of them.
 func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
-	dir := t.TempDir()
-	opts := &Options{BlockSize: 512}
-	seed := filepath.Join(dir, "seed.prd")
-	d, err := CreateDynamic(seed, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(31))
-	items := crashItems(r, 5*d.Base()/2, 0)
-	for _, it := range items {
-		mustInsert(t, d, it)
-	}
-	// Two that already sit in levels: tombstones. The half-full buffer and
-	// the tombstones fit the header block beside the directory.
-	mustDelete(t, d, items[0])
-	mustDelete(t, d, items[d.Base()+1])
-	if n := statePages(d, opts.BlockSize); n != 0 {
-		t.Fatalf("the seed's %d records need %d state pages, want none", stateRecords(d), n)
-	}
-	dynCrashBackend(t, d).Abandon() // dies without Close: the log is the state
-	killCloseAndSync(t, seed, opts, crashItems(r, 1, 7000)[0], 1)
+	killCloseAndSync(t, 1, func(d *Dynamic) Item {
+		r := rand.New(rand.NewSource(31))
+		items := crashItems(r, 5*d.Base()/2, 0)
+		for _, it := range items {
+			mustInsert(t, d, it)
+		}
+		// Two that already sit in levels: tombstones. The half-full buffer
+		// and the tombstones fit the header block beside the directory.
+		mustDelete(t, d, items[0])
+		mustDelete(t, d, items[d.Base()+1])
+		if n := statePages(d, 512); n != 0 {
+			t.Fatalf("the seed's %d records need %d state pages, want none", stateRecords(d), n)
+		}
+		return crashItems(r, 1, 7000)[0]
+	})
 }
 
 // TestDynamicCloseSyncCrashEveryStepChained is the same kill-at-every-step
@@ -81,26 +53,20 @@ func TestDynamicCloseSyncCrashEveryStep(t *testing.T) {
 // the extra insert leaves one short of its carry and tombstones, two state
 // pages past the blob.
 func TestDynamicCloseSyncCrashEveryStepChained(t *testing.T) {
-	dir := t.TempDir()
-	opts := &Options{BlockSize: 512}
-	seed := filepath.Join(dir, "seed.prd")
-	d, err := CreateDynamic(seed, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(37))
-	items := crashItems(r, 4*d.Base()-2, 0)
-	for _, it := range items {
-		mustInsert(t, d, it)
-	}
-	for _, it := range items[:6] {
-		mustDelete(t, d, it)
-	}
-	if n := statePages(d, opts.BlockSize); n != 2 {
-		t.Fatalf("the seed's %d records need %d state pages, want 2", stateRecords(d), n)
-	}
-	dynCrashBackend(t, d).Abandon()
-	killCloseAndSync(t, seed, opts, crashItems(r, 1, 7000)[0], 1)
+	killCloseAndSync(t, 1, func(d *Dynamic) Item {
+		r := rand.New(rand.NewSource(37))
+		items := crashItems(r, 4*d.Base()-2, 0)
+		for _, it := range items {
+			mustInsert(t, d, it)
+		}
+		for _, it := range items[:6] {
+			mustDelete(t, d, it)
+		}
+		if n := statePages(d, 512); n != 2 {
+			t.Fatalf("the seed's %d records need %d state pages, want 2", stateRecords(d), n)
+		}
+		return crashItems(r, 1, 7000)[0]
+	})
 }
 
 // syncOrCloseRun is what an uninterrupted Sync or Close did to the file.
@@ -110,67 +76,64 @@ type syncOrCloseRun struct {
 	pagesAfter, pagesInUseAfter int
 }
 
-// killCloseAndSync opens the index a dead process left at seed, commits one
-// more insert and kills Close, then Sync, before every stride-th of their
-// persistence steps. Every reopen must find the last committed state and a
-// clean scrub. It returns what the uninterrupted run of each did.
-func killCloseAndSync(t *testing.T, seed string, opts *Options, extra Item, stride int64) map[string]syncOrCloseRun {
+// killCloseAndSync creates a dynamic index at 512-byte blocks, runs history
+// on it and kills the process: the log is the state. It then opens that
+// index, commits history's extra item, and kills Close, then Sync, before
+// every stride-th of their persistence steps. Every reopen must find the
+// last committed state and a clean scrub. It returns what the
+// uninterrupted run of each did.
+func killCloseAndSync(t *testing.T, stride int64, history func(d *Dynamic) (extra Item)) map[string]syncOrCloseRun {
 	t.Helper()
+	opts := &Options{BlockSize: 512}
+	seed := filepath.Join(t.TempDir(), "seed.prd")
+	d, err := CreateDynamic(seed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := history(d)
+	d.fileBackend(t).Abandon()
 	runs := make(map[string]syncOrCloseRun)
 	for _, op := range []string{"Close", "Sync"} {
 		work := filepath.Join(filepath.Dir(seed), op+".prd")
-		survived := false
-		for k := int64(1); !survived; k += stride {
-			if k > 2000 {
-				t.Fatalf("%s still crashing after %d steps", op, k)
-			}
-			copyCrashFiles(t, seed, work)
-			victim, err := OpenDynamic(work, opts)
-			if err != nil {
-				t.Fatalf("%s step %d: open: %v", op, k, err)
-			}
-			mustInsert(t, victim, extra) // one more committed mutation: the state to find
-			want := dynDigest(t, victim)
-			fb := dynCrashBackend(t, victim)
-			run := syncOrCloseRun{steps: -fb.PersistSteps(), walRecords: -fb.WALStats().Records}
-			run.pagesBefore, _ = victim.PageCounts()
-			fb.SetCrashAfterSteps(fb.PersistSteps() + k)
-			crashed := expectInjectedCrash(t, op, func() error {
+		var victim *Dynamic
+		var want uint32
+		var run syncOrCloseRun
+		crashSweep[*Dynamic]{
+			name: op, seed: seed, work: work, stride: stride, steps: 2000,
+			kill: func(arm func(*storage.FileBackend)) (err error) {
+				if victim, err = OpenDynamic(work, opts); err != nil {
+					return err
+				}
+				mustInsert(t, victim, extra) // one more committed mutation: the state to find
+				want = indexDigest(t, victim)
+				fb := victim.fileBackend(t)
+				run = syncOrCloseRun{steps: -fb.PersistSteps(), walRecords: -fb.WALStats().Records}
+				run.pagesBefore, _ = victim.PageCounts()
+				arm(fb)
 				if op == "Sync" {
 					return victim.Sync()
 				}
 				return victim.Close()
-			})
-			if crashed {
-				fb.Abandon()
-			} else {
-				survived = true
-				fb.SetCrashAfterSteps(0)
+			},
+			survived: func(fb *storage.FileBackend) {
 				run.steps += fb.PersistSteps()
 				run.walRecords += fb.WALStats().Records
 				if err := victim.Close(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			re, err := OpenDynamic(work, opts)
-			if err != nil {
-				t.Fatalf("%s killed at step %d: reopen: %v", op, k, err)
-			}
-			if got := dynDigest(t, re); got != want {
-				t.Fatalf("%s killed at step %d: reopened to digest %08x, last committed state is %08x (recovery: %v)",
-					op, k, got, want, re.Recovery())
-			}
-			if err := re.CheckPages(); err != nil {
-				t.Fatalf("%s killed at step %d: checksum scrub: %v", op, k, err)
-			}
-			if survived {
-				run.pagesAfter, run.pagesInUseAfter = re.PageCounts()
-				runs[op] = run
-			}
-			if err := re.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
+			},
+			reopen: func() (*Dynamic, error) { return OpenDynamic(work, opts) },
+			check: func(what string, crashed bool, re *Dynamic) {
+				if got := indexDigest(t, re); got != want {
+					t.Fatalf("%s: reopened to digest %08x, last committed state is %08x (recovery: %v)",
+						what, got, want, re.Recovery())
+				}
+				if !crashed {
+					run.pagesAfter, run.pagesInUseAfter = re.PageCounts()
+					runs[op] = run
+				}
+			},
+		}.run(t)
 	}
 	return runs
 }
@@ -199,7 +162,7 @@ func TestDynamicMutationBudget(t *testing.T) {
 	if d.BufferLen() != 0 || room != len(items) {
 		t.Fatalf("buffer holds %d items of %d, want the state right after a carry: none of %d", d.BufferLen(), room, len(items))
 	}
-	fb := dynCrashBackend(t, d)
+	fb := d.fileBackend(t)
 	type cost struct{ steps, writes, walBytes, walRecords, logSyncs, fileSyncs int64 }
 	measure := func(fn func()) cost {
 		s0, io0, w0, f0 := fb.PersistSteps(), d.IOStats(), fb.WALStats(), fb.FsyncStats()
@@ -323,14 +286,14 @@ func TestDynamicMutationBudget(t *testing.T) {
 	mustInsert(t, d, crashItems(r, 1, 8003)[0])
 	mustDelete(t, d, absent)
 	mustDelete(t, d, items[2])
-	want := dynDigest(t, d)
+	want := indexDigest(t, d)
 	fb.Abandon()
 	re, err := OpenDynamic(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := dynDigest(t, re); got != want {
+	if got := indexDigest(t, re); got != want {
 		t.Errorf("recovered digest %08x, want %08x", got, want)
 	}
 	if ri := re.Recovery(); ri == nil || ri.ReappliedNotes != 3 {
@@ -423,7 +386,7 @@ func TestDynamicStatePagesOverflow(t *testing.T) {
 			t.Errorf("%d records, %d past the header: Sync wrote %d pages and left %d of %d in use; want %d state pages beside %d level pages",
 				stateRecords(d), overflow, writes, inUse, total, pages, levelPages)
 		}
-		wantDigest := dynDigest(t, d)
+		wantDigest := indexDigest(t, d)
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +394,7 @@ func TestDynamicStatePagesOverflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := dynDigest(t, re); got != wantDigest || stateRecords(re) != want {
+		if got := indexDigest(t, re); got != wantDigest || stateRecords(re) != want {
 			t.Errorf("overflow %d reopened to digest %08x with %d records, want %08x with %d", overflow, got, stateRecords(re), wantDigest, want)
 		}
 		if err := re.Close(); err != nil {
@@ -535,8 +498,8 @@ func dynCrashedWithTail(t *testing.T, path string, opts *Options) (want uint32) 
 	}
 	mustDelete(t, d, items[3]) // sits in a level
 	mustDelete(t, d, tail[room])
-	want = dynDigest(t, d)
-	dynCrashBackend(t, d).Abandon()
+	want = indexDigest(t, d)
+	d.fileBackend(t).Abandon()
 	return want
 }
 
@@ -552,60 +515,45 @@ func TestDynamicRecoveryCrashEveryStep(t *testing.T) {
 	t.Run("inline", func(t *testing.T) {
 		dir := t.TempDir()
 		opts := &Options{BlockSize: 512}
-		seed := filepath.Join(dir, "seed.prd")
+		seed, work := filepath.Join(dir, "seed.prd"), filepath.Join(dir, "work.prd")
 		want := dynCrashedWithTail(t, seed, opts)
-		work := filepath.Join(dir, "work.prd")
 		stride := int64(1)
 		if testing.Short() {
 			stride = 5
 		}
-		for k := int64(1); ; k += stride {
-			if k > 400 {
-				t.Fatalf("recovery still crashing after %d steps", k)
-			}
-			copyCrashFiles(t, seed, work)
-			// The hook sees the backend before recovery's re-apply runs.
-			var fb *storage.FileBackend
-			armed := *opts
-			armed.WrapBackend = func(b Backend) Backend {
-				fb, _ = storage.AsFile(b)
-				fb.SetCrashAfterSteps(fb.PersistSteps() + k)
-				return b
-			}
-			var victim *Dynamic
-			crashed := expectInjectedCrash(t, "recovery", func() (err error) {
+		var victim *Dynamic
+		crashSweep[*Dynamic]{
+			name: "recovery", seed: seed, work: work, stride: stride, steps: 400,
+			kill: func(arm func(*storage.FileBackend)) (err error) {
+				// The hook sees the backend before recovery's re-apply runs.
+				armed := *opts
+				armed.WrapBackend = func(b Backend) Backend {
+					fb, _ := storage.AsFile(b)
+					arm(fb)
+					return b
+				}
 				victim, err = OpenDynamic(work, &armed)
 				return err
-			})
-			if !crashed {
+			},
+			survived: func(*storage.FileBackend) {
 				// The whole recovery fits in fewer than k steps.
-				fb.SetCrashAfterSteps(0)
 				if ri := victim.Recovery(); ri == nil || ri.ReappliedNotes == 0 {
 					t.Fatalf("uninterrupted recovery reports %+v, want re-applied notes", ri)
 				}
-				if got := dynDigest(t, victim); got != want {
+				if got := indexDigest(t, victim); got != want {
 					t.Fatalf("uninterrupted recovery: digest %08x, want %08x", got, want)
 				}
 				if err := victim.Close(); err != nil {
 					t.Fatal(err)
 				}
-				return
-			}
-			fb.Abandon()
-			re, err := OpenDynamic(work, opts)
-			if err != nil {
-				t.Fatalf("recovery killed at step %d: reopen: %v", k, err)
-			}
-			if got := dynDigest(t, re); got != want {
-				t.Fatalf("recovery killed at step %d: digest %08x, want %08x (recovery: %v)", k, got, want, re.Recovery())
-			}
-			if err := re.CheckPages(); err != nil {
-				t.Fatalf("recovery killed at step %d: checksum scrub: %v", k, err)
-			}
-			if err := re.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
+			},
+			reopen: func() (*Dynamic, error) { return OpenDynamic(work, opts) },
+			check: func(what string, _ bool, re *Dynamic) {
+				if got := indexDigest(t, re); got != want {
+					t.Fatalf("%s: digest %08x, want %08x (recovery: %v)", what, got, want, re.Recovery())
+				}
+			},
+		}.run(t)
 	})
 }
 
@@ -647,7 +595,7 @@ func TestDynamicNotesSurviveForeignHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dynDigest(t, re); got != want {
+	if got := indexDigest(t, re); got != want {
 		t.Errorf("after foreign handles: digest %08x, want %08x (recovery: %v)", got, want, re.Recovery())
 	}
 	if ri := re.Recovery(); ri == nil || ri.ReappliedNotes == 0 {
@@ -665,7 +613,7 @@ func TestDynamicNotesSurviveForeignHandles(t *testing.T) {
 	if re.Recovery() != nil {
 		t.Errorf("reopen after a clean close reports recovery: %v", re.Recovery())
 	}
-	if got := dynDigest(t, re); got != want {
+	if got := indexDigest(t, re); got != want {
 		t.Errorf("clean reopen: digest %08x, want %08x", got, want)
 	}
 }

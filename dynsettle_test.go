@@ -22,26 +22,22 @@ import (
 // steps (every seventh with -short), the index reopens to the last committed
 // digest with a clean scrub.
 func TestDynamicSettleCrashEveryStep(t *testing.T) {
-	opts := &Options{BlockSize: 512}
-	seed := filepath.Join(t.TempDir(), "seed.prd")
-	d, err := CreateDynamic(seed, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(41))
-	items := crashItems(r, 64*d.Base(), 0)
-	for i, it := range items {
-		mustInsert(t, d, it)
-		if i%11 == 10 {
-			mustDelete(t, d, items[r.Intn(i)])
-		}
-	}
-	dynCrashBackend(t, d).Abandon() // dies without Close: the log is the state
 	stride := int64(3)
 	if testing.Short() {
 		stride = 7
 	}
-	for op, run := range killCloseAndSync(t, seed, opts, crashItems(r, 1, 1<<20)[0], stride) {
+	history := func(d *Dynamic) Item {
+		r := rand.New(rand.NewSource(41))
+		items := crashItems(r, 64*d.Base(), 0)
+		for i, it := range items {
+			mustInsert(t, d, it)
+			if i%11 == 10 {
+				mustDelete(t, d, items[r.Intn(i)])
+			}
+		}
+		return crashItems(r, 1, 1<<20)[0]
+	}
+	for op, run := range killCloseAndSync(t, stride, history) {
 		t.Logf("%s: %d persistence steps, %d log records, %d pages before, %d after, %d in use",
 			op, run.steps, run.walRecords, run.pagesBefore, run.pagesAfter, run.pagesInUseAfter)
 		if run.walRecords != 6 || run.pagesAfter != run.pagesInUseAfter || 3*run.pagesAfter > 2*run.pagesBefore {

@@ -66,37 +66,55 @@ func AxisKeys() []KeyFunc {
 // Orders returns, for each key, the positions of items in key order, equal
 // keys in input order: each key computed once a record, an LSD radix sort
 // over 16-byte (key, position) records. The keys are sorted on up to
-// workers goroutines (bounded by GOMAXPROCS), each with an arena of 32
-// bytes a record that it reuses for every key it sorts; each result adds
-// four bytes a record.
+// workers goroutines (bounded by GOMAXPROCS), each in a SortArena of its
+// own that it reuses for every key it sorts; each result adds four bytes a
+// record.
 func Orders(items []geom.Item, keys []KeyFunc, workers int) [][]int32 {
 	w := min(parallel.Bound(workers), len(keys))
-	arenas := make(chan *sortArena, w)
+	arenas := make(chan *SortArena, w)
 	for range w {
-		arenas <- &sortArena{recs: make([]sortRec, len(items)), scratch: make([]sortRec, len(items))}
+		arenas <- new(SortArena)
 	}
 	out := make([][]int32, len(keys))
 	parallel.Run(w, len(keys), func(k int) {
-		s := <-arenas
-		recs := s.recs[:len(items)]
-		for i := range items {
-			key := keys[k](items[i])
-			recs[i] = sortRec{main: key.Main, tie: key.Tie, pos: uint32(i)}
-		}
-		recs = sortRecs(recs, s.scratch)
+		a := <-arenas
+		recs := a.sort(items, keys[k])
 		perm := make([]int32, len(recs))
 		for i, r := range recs {
 			perm[i] = int32(r.pos)
 		}
 		out[k] = perm
-		arenas <- s
+		arenas <- a
 	})
 	return out
 }
 
-// sortArena is one worker's scratch: the two record slices the radix sort
-// moves between.
-type sortArena struct {
-	recs    []sortRec
-	scratch []sortRec
+// SortArena is the scratch of one sorting goroutine: the two record slices
+// the radix sort moves between, 32 bytes a record. It grows to the largest
+// input it has sorted, so a caller that keeps one across the chunks it
+// sorts allocates it once.
+type SortArena struct {
+	recs, scratch []sortRec
+}
+
+// Sort hands fn the positions of items in key order, equal keys in input
+// order, sorting in a's scratch.
+func (a *SortArena) Sort(items []geom.Item, key KeyFunc, fn func(pos int32)) {
+	for _, r := range a.sort(items, key) {
+		fn(int32(r.pos))
+	}
+}
+
+// sort returns items' records in key order, in a's storage.
+func (a *SortArena) sort(items []geom.Item, key KeyFunc) []sortRec {
+	n := len(items)
+	if cap(a.recs) < n {
+		a.recs, a.scratch = make([]sortRec, n), make([]sortRec, n)
+	}
+	recs := a.recs[:n]
+	for i := range items {
+		k := key(items[i])
+		recs[i] = sortRec{main: k.Main, tie: k.Tie, pos: uint32(i)}
+	}
+	return sortRecs(recs, a.scratch[:n])
 }

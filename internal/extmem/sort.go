@@ -71,6 +71,7 @@ func formRuns(disk storage.Backend, in *ItemFile, keys []bulk.KeyFunc, m int) []
 	}
 	r := in.Reader()
 	chunk := make([]geom.Item, 0, min(m, in.Len()))
+	var arena bulk.SortArena // one for every chunk
 	for idx := range nRuns {
 		chunk = chunk[:0]
 		for len(chunk) < m {
@@ -80,11 +81,9 @@ func formRuns(disk storage.Backend, in *ItemFile, keys []bulk.KeyFunc, m int) []
 			}
 			chunk = append(chunk, it)
 		}
-		for k, perm := range bulk.Orders(chunk, keys, 1) {
+		for k, key := range keys {
 			run := NewItemFile(disk)
-			for _, p := range perm {
-				run.Append(chunk[p])
-			}
+			arena.Sort(chunk, key, func(p int32) { run.Append(chunk[p]) })
 			run.Seal()
 			runs[k][idx] = run
 		}

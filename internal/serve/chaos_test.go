@@ -4,31 +4,44 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"prtree"
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
+	"prtree/internal/storage"
 	"prtree/internal/workload"
 )
 
-// TestChaosGate is the CI chaos gate, in-process: one shard is
-// fault-injected mid-run through the public chaos knobs while the
-// listener periodically resets connections, and a robust-client load run
-// must produce ZERO wrong results against the oracle — every response is
-// either exact or a correctly-flagged degraded subset — with a bounded
-// error rate and eventual recovery to full health.
+// TestChaosGate is the CI chaos gate, in-process: one shard's first open
+// goes through a read fault that fires after five page reads — past
+// Open's root read, early into the load — while the listener periodically resets
+// connections, and a robust-client load run must produce ZERO wrong
+// results against the oracle — every response is either exact or a
+// correctly-flagged degraded subset — with a bounded error rate and
+// eventual recovery to full health: the supervisor reopens the shard
+// clean, /healthz reads "ok", and the server drains cleanly.
 func TestChaosGate(t *testing.T) {
 	items := dataset.Western(4000, 99)
 	world := geom.ItemsMBR(items)
 	dir := buildDir(t, items, 3)
 
 	set, err := Open(dir, OpenOptions{
-		FaultShard:         1,
-		FaultReadsAfter:    5, // past Open's root read, early into the load
 		RecoveryBackoff:    time.Millisecond,
 		RecoveryMaxBackoff: 5 * time.Millisecond,
+		wrapShard: func(idx, attempt int, b prtree.Backend) prtree.Backend {
+			if idx != 1 || attempt > 0 {
+				return b
+			}
+			f := storage.NewFaulty(b, storage.FaultError, 5)
+			f.InjectReads(true)
+			return f
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +54,9 @@ func TestChaosGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := lis.Addr().String()
-	flis := NewFaultyListener(lis, NetFault{Mode: NetFaultReset, After: 30})
+	flis := &faultyListener{Listener: lis, fault: netFault{mode: netFaultReset, after: 30}}
 	go srv.ServeBinary(flis)
-	defer func() {
+	defer func() { // a no-op once the drain below has run
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
@@ -75,7 +88,7 @@ func TestChaosGate(t *testing.T) {
 	if res.errors > res.requests/10 {
 		t.Fatalf("%d/%d requests failed — unbounded error rate", res.errors, res.requests)
 	}
-	if !flis.Fired() {
+	if !flis.fired.Load() {
 		t.Fatal("network fault never fired")
 	}
 
@@ -94,9 +107,21 @@ func TestChaosGate(t *testing.T) {
 	}
 	assertSameItems(t, "post-chaos", got, bruteWindow(items, world))
 
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if body := strings.TrimSpace(rec.Body.String()); rec.Code != http.StatusOK || body != "ok" {
+		t.Fatalf("post-chaos /healthz: %d %q, want 200 ok", rec.Code, body)
+	}
+
 	c := robust.Counters()
 	t.Logf("chaos gate: requests=%d errors=%d degraded=%d retries=%d breakerOpens=%d",
 		res.requests, res.errors, res.degraded, c.Retries, c.BreakerOpens)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain after chaos: %v", err)
+	}
 }
 
 // loadResult counts what driveWindows saw.

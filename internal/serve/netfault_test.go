@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,8 +14,111 @@ import (
 	"prtree/internal/geom"
 )
 
+// Network faults are the wire-level complement of storage.Faulty:
+// deterministic, countable, and aimed at the server's connection handling
+// rather than its disks. A faultyListener wraps a net.Listener so every
+// accepted connection injects the configured fault on its write side: the
+// server under test is on the other end of these connections, so wrapping
+// a client's connection in a faultyConn torments the server's reads, while
+// wrapping the server's listener torments its writes and the client's
+// reads.
+
+// netFaultMode selects what a faulty connection does when its trigger
+// fires.
+type netFaultMode int
+
+const (
+	// netFaultReset closes the connection abruptly on the triggering
+	// write — the client sees a mid-conversation reset.
+	netFaultReset netFaultMode = iota
+	// netFaultTorn writes half of the triggering frame and closes: the
+	// peer reads a length prefix whose payload never fully arrives.
+	netFaultTorn
+	// netFaultDrip writes one byte at a time with a delay between bytes
+	// from the trigger on — the classic slow loris. A server-side read
+	// deadline starves it out.
+	netFaultDrip
+)
+
+func (m netFaultMode) String() string {
+	return [...]string{"reset", "torn", "drip"}[m]
+}
+
+// netFault configures a faultyListener.
+type netFault struct {
+	mode netFaultMode
+	// after is the number of counted writes (≈ frames: each response is
+	// one buffered flush) across all connections between firings. Reset
+	// and torn fire periodically — on the after+1-th write and every
+	// after+1 writes after that — so a chaos run suffers a bounded,
+	// nonzero failure rate instead of one blip or total loss. Drip
+	// latches: from the after+1-th write on, the connection drips every
+	// write.
+	after int64
+	// drip is the pause between dripped bytes.
+	drip time.Duration
+}
+
+// faultyListener injects its fault into every accepted connection. All of
+// them share one write counter, so "the 100th response frame this server
+// sends" is a single deterministic trigger regardless of connection count.
+type faultyListener struct {
+	net.Listener
+	fault  netFault
+	writes atomic.Int64
+	fired  atomic.Bool
+}
+
+func (l *faultyListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &faultyConn{Conn: conn, lis: l}, nil
+}
+
+// faultyConn injects its listener's fault into Write. Reads pass through:
+// the interesting failures for a server are on its response path, and a
+// drip models the peer producing slowly.
+type faultyConn struct {
+	net.Conn
+	lis    *faultyListener
+	sticky atomic.Bool // drip latched for this conn
+}
+
+func (c *faultyConn) Write(p []byte) (int, error) {
+	l := c.lis
+	n := l.writes.Add(1)
+	period := max(l.fault.after+1, 1)
+	fire := n%period == 0
+	if l.fault.mode == netFaultDrip {
+		fire = c.sticky.Load() || n >= period
+	}
+	if !fire {
+		return c.Conn.Write(p)
+	}
+	l.fired.Store(true)
+	switch l.fault.mode {
+	case netFaultReset:
+		c.Conn.Close()
+		return 0, errors.New("serve: injected connection reset")
+	case netFaultTorn:
+		written, _ := c.Conn.Write(p[:len(p)/2])
+		c.Conn.Close()
+		return written, errors.New("serve: injected torn frame")
+	}
+	c.sticky.Store(true)
+	for i := range p {
+		if _, err := c.Conn.Write(p[i : i+1]); err != nil {
+			return i, err
+		}
+		time.Sleep(l.fault.drip)
+	}
+	return len(p), nil
+}
+
 // startFaultServer serves a small healthy set on a loopback listener,
-// optionally wrapped (FaultyListener), and tears everything down with the
+// optionally wrapped (faultyListener), and tears everything down with the
 // test.
 func startFaultServer(t *testing.T, cfg Config, wrap func(net.Listener) net.Listener) (string, *Server) {
 	t.Helper()
@@ -54,11 +159,11 @@ func oneWindow(addr string, w geom.Rect) error {
 // transport errors but the server survives — fresh connections keep
 // getting correct answers between firings.
 func TestFaultyListenerPeriodic(t *testing.T) {
-	for _, mode := range []NetFaultMode{NetFaultReset, NetFaultTorn} {
+	for _, mode := range []netFaultMode{netFaultReset, netFaultTorn} {
 		t.Run(mode.String(), func(t *testing.T) {
-			var flis *FaultyListener
+			var flis *faultyListener
 			addr, srv := startFaultServer(t, Config{}, func(l net.Listener) net.Listener {
-				flis = NewFaultyListener(l, NetFault{Mode: mode, After: 4})
+				flis = &faultyListener{Listener: l, fault: netFault{mode: mode, after: 4}}
 				return flis
 			})
 			world := srv.cfg.Set.MBR()
@@ -75,7 +180,7 @@ func TestFaultyListenerPeriodic(t *testing.T) {
 					}
 				}
 			}
-			if !flis.Fired() {
+			if !flis.fired.Load() {
 				t.Fatal("fault never fired")
 			}
 			if failed == 0 {
@@ -122,7 +227,7 @@ func TestSlowLorisReaped(t *testing.T) {
 }
 
 // TestDripRequestReaped: a client dripping its request one byte per 50ms
-// (via NewFaultyConn) can never finish a frame inside the 100ms conn
+// (through a faultyConn) can never finish a frame inside the 100ms conn
 // deadline; the server drops it.
 func TestDripRequestReaped(t *testing.T) {
 	addr, srv := startFaultServer(t, Config{ConnTimeout: 100 * time.Millisecond}, nil)
@@ -131,7 +236,7 @@ func TestDripRequestReaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := NewFaultyConn(raw, NetFault{Mode: NetFaultDrip, Stall: 50 * time.Millisecond})
+	conn := &faultyConn{Conn: raw, lis: &faultyListener{fault: netFault{mode: netFaultDrip, drip: 50 * time.Millisecond}}}
 	defer conn.Close()
 
 	req, err := EncodeRequest(nil, Request{Op: OpWindow, Rect: srv.cfg.Set.MBR()})

@@ -307,18 +307,7 @@ type OpenOptions struct {
 	RecoveryBackoff    time.Duration
 	RecoveryMaxBackoff time.Duration
 
-	// FaultShard and FaultReadsAfter are the chaos knobs behind
-	// prtreeserve -faultshard/-faultreads: with FaultReadsAfter > 0, shard
-	// FaultShard is opened over a fault-injecting backend that panics
-	// (wrapping storage.ErrInjectedFault, exactly like a real checksum
-	// mismatch) on its FaultReadsAfter-th page read. The fault arms on the
-	// first open only — the recovery supervisor reopens the shard clean —
-	// so one injected failure exercises the whole quarantine → recover →
-	// restore cycle.
-	FaultShard      int
-	FaultReadsAfter int64
-
-	// wrapShard generalizes the chaos knobs for tests: when set, every
+	// wrapShard is the tests' fault-injection seam: when set, every
 	// (re)open of shard idx routes its backend through this hook. attempt
 	// is 0 for the initial Open and counts recovery reopens from 1.
 	wrapShard func(idx, attempt int, b prtree.Backend) prtree.Backend
@@ -334,17 +323,6 @@ func (o OpenOptions) normalized() OpenOptions {
 	}
 	if o.RecoveryMaxBackoff <= 0 {
 		o.RecoveryMaxBackoff = 10 * time.Second
-	}
-	if o.FaultReadsAfter > 0 && o.wrapShard == nil {
-		target, after := o.FaultShard, o.FaultReadsAfter
-		o.wrapShard = func(idx, attempt int, b prtree.Backend) prtree.Backend {
-			if idx != target || attempt > 0 {
-				return b
-			}
-			f := storage.NewFaulty(b, storage.FaultError, after)
-			f.InjectReads(true)
-			return f
-		}
 	}
 	return o
 }
@@ -509,9 +487,6 @@ func Open(dir string, opt OpenOptions) (*Set, error) {
 			return nil, fmt.Errorf("serve: manifest lists shard file %q twice", si.File)
 		}
 		files[name] = true
-	}
-	if opt.FaultReadsAfter > 0 && (opt.FaultShard < 0 || opt.FaultShard >= len(man.Shards)) {
-		return nil, fmt.Errorf("serve: fault shard %d out of range [0, %d)", opt.FaultShard, len(man.Shards))
 	}
 	perShard := -1 // unbounded
 	if opt.CachePages > 0 {

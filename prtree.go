@@ -129,8 +129,9 @@ type Options struct {
 	Parallelism int
 	// WrapBackend, when set, decorates the raw block store of a
 	// file-backed tree (Create/Open) before the pager is assembled on top.
-	// It is the seam fault-injection harnesses use to place a decorator
-	// such as NewFaultyBackend under a real on-disk tree. A decorator
+	// It is the one seam for fault injection: the tests place
+	// internal/storage's Faulty decorator under a real on-disk tree here,
+	// and the facade exports no fault injector of its own. A decorator
 	// implements the whole Backend — transactions, snapshots and I/O
 	// counters too — and one that embeds the Backend it wraps forwards
 	// them all. CheckPages and PageCounts read the index file itself,

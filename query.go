@@ -223,8 +223,9 @@ func (t *Tree) Run(q Query, fn func(Item) bool) error { return runItems(t.exec()
 // k results before the first yield (best-first search must see every
 // boundary candidate), so bound its work with a smaller k or WithLimit
 // rather than an early break.
-// Cancellation (WithContext) ends iteration early without a signal — use
-// Run when the caller must distinguish "done" from "canceled", or attach a
+// Iter reports no error: a query with a NaN or infinite coordinate
+// yields nothing, and cancellation (WithContext) ends iteration early
+// without a signal — use Run or Collect to see either error, or attach a
 // WithStats sink and inspect it after the loop.
 func (t *Tree) Iter(q Query) iter.Seq[Item] { return iterItems(t.exec(), q) }
 

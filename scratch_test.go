@@ -172,17 +172,17 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 			tr, err := Create(filepath.Join(dir, "f.pr"), opts(func(b Backend) Backend {
 				// Ops 1-2 are Create's root write and sync; the fault fires
 				// a few tree-page writes into the load.
-				return NewFaultyBackend(b, FaultCrash, 12)
+				return storage.NewFaulty(b, storage.FaultCrash, 12)
 			}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, p := load(t, tr, l)
-			if perr, ok := p.(error); !ok || !errors.Is(perr, ErrInjectedFault) {
+			if perr, ok := p.(error); !ok || !errors.Is(perr, storage.ErrInjectedFault) {
 				t.Fatalf("load panicked with %v, want an injected fault", p)
 			}
 			indexFiles(t, dir, "f.pr")
-			crashBackend(t, tr).Abandon()
+			tr.fileBackend(t).Abandon()
 		})
 	})
 
@@ -193,10 +193,10 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fb := crashBackend(t, tr)
+			fb := tr.fileBackend(t)
 			fb.SetCrashAfterSteps(fb.PersistSteps() + 10)
 			_, p := load(t, tr, l)
-			if perr, ok := p.(error); !ok || !errors.Is(perr, ErrInjectedFault) {
+			if perr, ok := p.(error); !ok || !errors.Is(perr, storage.ErrInjectedFault) {
 				t.Fatalf("load panicked with %v, want an injected fault", p)
 			}
 			indexFiles(t, dir, "s.pr")
@@ -236,11 +236,11 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 			}
 			faulty.Arm(spent)
 			err, p := load(t, tr, l)
-			if p != nil || !errors.Is(err, ErrInjectedFault) {
+			if p != nil || !errors.Is(err, storage.ErrInjectedFault) {
 				t.Fatalf("load = %v (panic %v), want the commit's injected error", err, p)
 			}
 			indexFiles(t, dir, "dry.pr", "e.pr")
-			crashBackend(t, tr).Abandon()
+			tr.fileBackend(t).Abandon()
 			// The failed commit rolled back: the file still opens to the
 			// empty tree Create committed.
 			re, err := Open(path, nil)

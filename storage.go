@@ -52,32 +52,8 @@ var (
 	// framing or checksum at the end of the log — is a normal crash
 	// artifact, silently truncated, not this error.)
 	ErrWALCorrupt = storage.ErrWALCorrupt
-	// ErrInjectedFault is the sentinel wrapped by every failure a Faulty
-	// backend (or a file backend's crash point) injects deliberately.
-	ErrInjectedFault = storage.ErrInjectedFault
 )
 
 // RecoveryInfo describes what crash recovery did while opening an index
 // file; see Tree.Recovery.
 type RecoveryInfo = storage.RecoveryInfo
-
-// FaultMode selects what a fault-injecting backend does when it fires:
-// FaultError, FaultTorn, FaultCrash or FaultStop.
-type FaultMode = storage.FaultMode
-
-// Fault-injection modes for NewFaultyBackend.
-const (
-	FaultNone  = storage.FaultNone
-	FaultError = storage.FaultError
-	FaultTorn  = storage.FaultTorn
-	FaultCrash = storage.FaultCrash
-	FaultStop  = storage.FaultStop
-)
-
-// NewFaultyBackend wraps a backend with deterministic failure injection:
-// after triggerAfter counted operations (writes, syncs, commits) the
-// configured fault fires, wrapping ErrInjectedFault. It exists for
-// torture tests; see the storage.Faulty documentation for the modes.
-func NewFaultyBackend(b Backend, mode FaultMode, triggerAfter int64) Backend {
-	return storage.NewFaulty(b, mode, triggerAfter)
-}
