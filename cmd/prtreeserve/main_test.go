@@ -22,6 +22,7 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/serve"
 	"prtree/internal/workload"
+	"prtree/internal/zoo"
 )
 
 // childEnv makes the test binary run the real main instead of the tests,
@@ -181,7 +182,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := min(5, countWindow(items, w)); len(win.Sets) != 1 || len(win.Sets[0]) != want || want == 0 {
+	if want := min(5, zoo.Expect(items, zoo.Query{Rect: w}).Len()); len(win.Sets) != 1 || len(win.Sets[0]) != want || want == 0 {
 		t.Fatalf("window limit=5: %d sets %v, want one of %d items", len(win.Sets), win.Sets, want)
 	}
 	nn, err := cl.Nearest(0.5, 0.5, 3)
@@ -196,7 +197,7 @@ func TestServeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("binary window %d: %v", i, err)
 		}
-		if want := countWindow(items, r); len(got) != want {
+		if want := zoo.Expect(items, zoo.Query{Rect: r}).Len(); len(got) != want {
 			t.Fatalf("binary window %d: %d items, want %d", i, len(got), want)
 		}
 	}
@@ -207,15 +208,4 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("statsz: shards %d items %d served %d errors %d", sz.Shards, sz.Items, sz.Served, sz.Errors)
 	}
 	c.drain(t)
-}
-
-// countWindow is the oracle: how many items intersect w.
-func countWindow(items []geom.Item, w geom.Rect) int {
-	n := 0
-	for _, it := range items {
-		if it.Rect.Intersects(w) {
-			n++
-		}
-	}
-	return n
 }

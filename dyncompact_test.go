@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"prtree/internal/rtree"
+	"prtree/internal/zoo"
 )
 
 // Tests for the dynamic index's merges: the -race stress of concurrent
@@ -32,7 +33,7 @@ func TestDynamicParallelismIdentical(t *testing.T) {
 		io           IOStats
 		digest       uint32
 	}
-	items := scratchTestItems(9000, 5)
+	items := zoo.Uniform(9000, 0.01, 5)
 	run := func(parallelism int) outcome {
 		path := filepath.Join(t.TempDir(), "par.prd")
 		d, err := CreateDynamic(path, &Options{BlockSize: 512, Parallelism: parallelism})

@@ -11,23 +11,25 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // The loaders' tests here build with the external constructions
 // (extmem.Load) — their memory budget forces external rounds — and hold
 // the in-memory ones (bulk.LoadSlice) to the same pages (slice_test.go).
 
-func randItems(n int, seed int64) []geom.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]geom.Item, n)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		items[i] = geom.Item{
-			Rect: geom.NewRect(x, y, x+rng.Float64()*0.01, y+rng.Float64()*0.01),
-			ID:   uint32(i),
-		}
+// checkWindow fails unless tr answers the window q as brute force over
+// items does.
+func checkWindow(tb testing.TB, tr *rtree.Tree, items []geom.Item, q geom.Rect) {
+	tb.Helper()
+	var got []geom.Item
+	tr.RunWindow(q, false, func(it geom.Item) bool {
+		got = append(got, it)
+		return true
+	}, rtree.RunOptions{})
+	if err := zoo.Expect(items, zoo.Query{Rect: q}).Check(got); err != nil {
+		tb.Fatalf("window %v: %v", q, err)
 	}
-	return items
 }
 
 // allowParallelism raises GOMAXPROCS so the worker pool actually fans out
@@ -47,7 +49,7 @@ func loadOn(tb testing.TB, l bulk.Loader, items []geom.Item, opt extmem.Options)
 }
 
 func TestAllLoadersValidTrees(t *testing.T) {
-	items := randItems(5000, 1)
+	items := zoo.Uniform(5000, 0.01, 1)
 	for _, l := range bulk.Loaders {
 		tr := loadOn(t, l, items, extmem.Options{Fanout: 16, MemoryItems: 1024})
 		if tr.Len() != len(items) {
@@ -60,7 +62,7 @@ func TestAllLoadersValidTrees(t *testing.T) {
 }
 
 func TestAllLoadersQueryCorrect(t *testing.T) {
-	items := randItems(3000, 2)
+	items := zoo.Uniform(3000, 0.01, 2)
 	rng := rand.New(rand.NewSource(3))
 	queries := make([]geom.Rect, 25)
 	for i := range queries {
@@ -69,9 +71,7 @@ func TestAllLoadersQueryCorrect(t *testing.T) {
 	for _, l := range bulk.Loaders {
 		tr := loadOn(t, l, items, extmem.Options{Fanout: 16, MemoryItems: 1024})
 		for _, q := range queries {
-			if err := rtree.CheckQueryAgainstBruteForce(tr, items, q); err != nil {
-				t.Fatalf("%v: %v", l, err)
-			}
+			checkWindow(t, tr, items, q)
 		}
 	}
 }
@@ -82,20 +82,18 @@ func TestAllLoadersEmptyAndTiny(t *testing.T) {
 		if tr.Len() != 0 || tr.Validate() != nil {
 			t.Fatalf("%v: broken empty tree", l)
 		}
-		one := randItems(1, 4)
+		one := zoo.Uniform(1, 0.01, 4)
 		tr = loadOn(t, l, one, extmem.Options{})
 		if tr.Len() != 1 || tr.Height() != 1 {
 			t.Fatalf("%v: single-item tree len=%d h=%d", l, tr.Len(), tr.Height())
 		}
-		if err := rtree.CheckQueryAgainstBruteForce(tr, one, geom.NewRect(0, 0, 2, 2)); err != nil {
-			t.Fatalf("%v: %v", l, err)
-		}
+		checkWindow(t, tr, one, geom.NewRect(0, 0, 2, 2))
 	}
 }
 
 func TestAllLoadersExactlyOneNode(t *testing.T) {
 	for _, l := range bulk.Loaders {
-		items := randItems(16, 5)
+		items := zoo.Uniform(16, 0.01, 5)
 		tr := loadOn(t, l, items, extmem.Options{Fanout: 16})
 		if tr.Height() != 1 {
 			t.Fatalf("%v: height %d for exactly-full leaf", l, tr.Height())
@@ -109,7 +107,7 @@ func TestAllLoadersExactlyOneNode(t *testing.T) {
 func TestUtilizationAbove99Percent(t *testing.T) {
 	// Paper §3.3: every loader achieved > 99% space utilization. Use the
 	// real fanout (113) and a dataset large enough for many leaves.
-	items := randItems(113*150, 6)
+	items := zoo.Uniform(113*150, 0.01, 6)
 	for _, l := range bulk.Loaders {
 		tr := loadOn(t, l, items, extmem.Options{MemoryItems: 8192})
 		leaf, _ := tr.Utilization()
@@ -152,7 +150,7 @@ func TestBuildIOOrdering(t *testing.T) {
 	// small the first round's regions need a second external round and are
 	// handed four lists each; measured 4.23x H (5.43x when the input was
 	// scanned four times and every region got four lists).
-	cost := buildCost(t, randItems(40000, 7), extmem.Options{Fanout: 113, MemoryItems: 4096},
+	cost := buildCost(t, zoo.Uniform(40000, 0.01, 7), extmem.Options{Fanout: 113, MemoryItems: 4096},
 		bulk.LoaderHilbert, bulk.LoaderPR, bulk.LoaderTGS)
 	if !(cost[bulk.LoaderHilbert] < cost[bulk.LoaderPR] && cost[bulk.LoaderPR] < cost[bulk.LoaderTGS]) {
 		t.Errorf("I/O ordering violated: H=%d PR=%d TGS=%d",
@@ -180,7 +178,7 @@ func TestBuildIOFigure9(t *testing.T) {
 }
 
 func TestLoadersFreeScratchSpace(t *testing.T) {
-	items := randItems(8000, 8)
+	items := zoo.Uniform(8000, 0.01, 8)
 	opt := extmem.Options{Fanout: 32, MemoryItems: 2048}
 	for _, l := range bulk.Loaders {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
@@ -264,14 +262,12 @@ func TestPRTreeHandlesExtremeAspect(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		if err := rtree.CheckQueryAgainstBruteForce(tr, items, q); err != nil {
-			t.Fatal(err)
-		}
+		checkWindow(t, tr, items, q)
 	}
 }
 
 func TestLoadersWithDefaultOptions(t *testing.T) {
-	items := randItems(1000, 10)
+	items := zoo.Uniform(1000, 0.01, 10)
 	for _, l := range bulk.Loaders {
 		tr := loadOn(t, l, items, extmem.Options{})
 		if tr.Config().Fanout != 113 {
@@ -286,7 +282,7 @@ func TestLoadersWithDefaultOptions(t *testing.T) {
 func TestLoadConsumesInput(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
-	in := extmem.NewItemFileFrom(disk, randItems(500, 11))
+	in := extmem.NewItemFileFrom(disk, zoo.Uniform(500, 0.01, 11))
 	tr := extmem.Load(bulk.LoaderHilbert, pager, in, extmem.Options{Fanout: 16})
 	// Input pages must have been freed.
 	if disk.PagesInUse() != tr.Nodes() {

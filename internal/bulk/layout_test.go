@@ -2,7 +2,6 @@ package bulk_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -11,23 +10,8 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
-
-// snappedItems returns TIGER-ish rectangles on the 2^-16 grid.
-func snappedItems(n int, seed int64) []geom.Item {
-	rng := rand.New(rand.NewSource(seed))
-	inv := math.Ldexp(1, -16)
-	snap := func(v float64) float64 { return math.Floor(v*65536) * inv }
-	items := make([]geom.Item, n)
-	for i := range items {
-		x, y := snap(rng.Float64()*0.9), snap(rng.Float64()*0.9)
-		items[i] = geom.Item{
-			Rect: geom.NewRect(x, y, x+snap(rng.Float64()*0.01), y+snap(rng.Float64()*0.01)),
-			ID:   uint32(i),
-		}
-	}
-	return items
-}
 
 // TestLoadersCompressedLayout: no loader writes a page of the compressed
 // layout earlier versions offered, not even on coordinate-snapped input,
@@ -42,9 +26,9 @@ func TestLoadersCompressedLayout(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/grid=%v", l, grid), func(t *testing.T) {
 				var items []geom.Item
 				if grid {
-					items = snappedItems(6000, 42)
+					items = zoo.Snapped(6000, 16, 0.01, 42)
 				} else {
-					items = randItems(6000, 42)
+					items = zoo.Uniform(6000, 0.01, 42)
 				}
 				tr := loadOn(t, l, items, extmem.Options{MemoryItems: 1 << 14})
 				if err := tr.Validate(); err != nil {
@@ -66,9 +50,7 @@ func TestLoadersCompressedLayout(t *testing.T) {
 				for i := 0; i < 25; i++ {
 					x, y := rng.Float64(), rng.Float64()
 					q := geom.NewRect(x, y, x+0.05+rng.Float64()*0.1, y+0.05+rng.Float64()*0.1)
-					if err := rtree.CheckQueryAgainstBruteForce(tr, items, q); err != nil {
-						t.Fatal(err)
-					}
+					checkWindow(t, tr, items, q)
 				}
 			})
 		}

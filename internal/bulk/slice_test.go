@@ -11,17 +11,8 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
-
-// sameSquare returns n copies of one record, id included: no order
-// separates them, so every selection runs on one long equal run.
-func sameSquare(n int) []geom.Item {
-	items := make([]geom.Item, n)
-	for i := range items {
-		items[i] = geom.Item{Rect: geom.NewRect(3, 4, 5, 6), ID: 7}
-	}
-	return items
-}
 
 // TestPRTreeSliceMatchesItemFileLoad: within the memory budget the slice
 // path is the ItemFile load without the file. Over an input file on a
@@ -41,13 +32,13 @@ func TestPRTreeSliceMatchesItemFileLoad(t *testing.T) {
 		fanout int
 	}{
 		{"N=0", nil, b},
-		{"N=1", randItems(1, 1), b},
-		{"N=B", randItems(b, 2), b},
-		{"N=4B", randItems(4*b, 3), b},
-		{"N=4B+1", randItems(4*b+1, 4), b},
-		{"N=3000", randItems(3000, 5), b},
-		{"sameSquare", sameSquare(3000), b},
-		{"N=30000/default fanout", randItems(30000, 6), 0},
+		{"N=1", zoo.Uniform(1, 0.01, 1), b},
+		{"N=B", zoo.Uniform(b, 0.01, 2), b},
+		{"N=4B", zoo.Uniform(4*b, 0.01, 3), b},
+		{"N=4B+1", zoo.Uniform(4*b+1, 0.01, 4), b},
+		{"N=3000", zoo.Uniform(3000, 0.01, 5), b},
+		{"sameSquare", zoo.Twins(3000), b},
+		{"N=30000/default fanout", zoo.Uniform(30000, 0.01, 6), 0},
 	}
 	for _, c := range cases {
 		var ref *fileLoad
@@ -131,7 +122,7 @@ func tiedItems(n int) []geom.Item {
 // external load of each (loader, fanout, input) is built once and compared
 // against both. The Hilbert loaders match on tied inputs too; TGS's
 // external partition needs records distinct in (coordinate, id), which
-// randItems' are.
+// zoo.Uniform's are.
 func TestLoadSliceMatchesItemFileLoad(t *testing.T) {
 	defer allowParallelism()()
 	type input struct {
@@ -140,9 +131,9 @@ func TestLoadSliceMatchesItemFileLoad(t *testing.T) {
 	}
 	var inputs []input
 	for i, n := range []int{0, 1, 16, 4*16 + 1, 3000, 30000} {
-		inputs = append(inputs, input{fmt.Sprintf("N=%d", n), randItems(n, int64(i+1))})
+		inputs = append(inputs, input{fmt.Sprintf("N=%d", n), zoo.Uniform(n, 0.01, int64(i+1))})
 	}
-	tied := []input{{"sameSquare", sameSquare(3000)}, {"tied", tiedItems(5000)}}
+	tied := []input{{"sameSquare", zoo.Twins(3000)}, {"tied", tiedItems(5000)}}
 	for _, l := range []bulk.Loader{bulk.LoaderHilbert, bulk.LoaderHilbert4D, bulk.LoaderTGS} {
 		cases := inputs
 		if l != bulk.LoaderTGS {

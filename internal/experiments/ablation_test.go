@@ -7,6 +7,7 @@ import (
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
+	"prtree/internal/zoo"
 )
 
 func TestBuildFromPseudoValid(t *testing.T) {
@@ -20,8 +21,13 @@ func TestBuildFromPseudoValid(t *testing.T) {
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("priority=%v round=%v: %v", priority, round, err)
 			}
-			if err := rtree.CheckQueryAgainstBruteForce(tr, items,
-				geom.NewRect(0.2, 0.2, 0.6, 0.6)); err != nil {
+			q := geom.NewRect(0.2, 0.2, 0.6, 0.6)
+			var got []geom.Item
+			tr.RunWindow(q, false, func(it geom.Item) bool {
+				got = append(got, it)
+				return true
+			}, rtree.RunOptions{})
+			if err := zoo.Expect(items, zoo.Query{Rect: q}).Check(got); err != nil {
 				t.Fatalf("priority=%v round=%v: %v", priority, round, err)
 			}
 		}

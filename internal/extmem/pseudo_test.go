@@ -1,7 +1,12 @@
 package extmem
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,25 +14,13 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/pseudo"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
-// randItems and western are the pseudo-PR-tree tests' inputs; checkPartition
-// and checkRootLeavesExtreme the checks those tests (internal/pseudo) hold
-// BuildPseudo's output to, for the tests here that read the builder's
-// state as well.
-
-func randItems(n int, seed int64) []geom.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]geom.Item, n)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		items[i] = geom.Item{
-			Rect: geom.NewRect(x, y, x+rng.Float64()*0.02, y+rng.Float64()*0.02),
-			ID:   uint32(i),
-		}
-	}
-	return items
-}
+// The tests of the external grid construction, BuildPseudo: those that
+// read its output only, and those that read the builder's state too.
+// checkPartition and checkRootLeavesExtreme are the checks both hold its
+// output to.
 
 var western = sync.OnceValue(func() []geom.Item { return dataset.Western(300000, 2004) })
 
@@ -168,7 +161,7 @@ func TestExternalOneListRegions(t *testing.T) {
 	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
 	blocks := func(n int) int { return (n + per - 1) / per }
 
-	items := randItems(9000, 13)
+	items := zoo.Uniform(9000, 0.02, 13)
 	m := 20 * per // 2260: N just under 4M
 	e, groups, sorted, done := runExternal(items, per, m)
 	checkPartition(t, items, groups, per)
@@ -200,7 +193,7 @@ func TestExternalOneListRegions(t *testing.T) {
 	}
 
 	// First round of a load that needs two: every region is above M.
-	items = randItems(30000, 14)
+	items = zoo.Uniform(30000, 0.02, 14)
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	e = &externalBuilder{disk: disk, b: per, m: m, emit: func(pseudo.LeafGroup) {}}
 	e.lists = sortAxes(NewItemFileFrom(disk, items), m)
@@ -226,4 +219,211 @@ func TestExternalOneListRegions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// collectExternal runs BuildPseudo and gathers the emitted groups.
+func collectExternal(t *testing.T, items []geom.Item, b, m int) (*storage.Disk, []pseudo.LeafGroup) {
+	t.Helper()
+	disk := storage.NewDisk(storage.DefaultBlockSize)
+	in := NewItemFileFrom(disk, items)
+	var groups []pseudo.LeafGroup
+	BuildPseudo(in, b, m, func(lg pseudo.LeafGroup) {
+		// Copy: builder may reuse backing arrays.
+		cp := make([]geom.Item, len(lg.Items))
+		copy(cp, lg.Items)
+		groups = append(groups, pseudo.LeafGroup{Items: cp, Priority: lg.Priority, Dir: lg.Dir})
+	})
+	return disk, groups
+}
+
+func TestExternalSmallFallsBackToInMemory(t *testing.T) {
+	items := zoo.Uniform(500, 0.02, 1)
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	_, groups := collectExternal(t, items, 16, 10*per)
+	checkPartition(t, items, groups, 16)
+}
+
+func TestExternalLargePartition(t *testing.T) {
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	items := zoo.Uniform(20000, 0.02, 2)
+	m := 20 * per // 2260 records in memory; forces several external rounds
+	_, groups := collectExternal(t, items, per, m)
+	checkPartition(t, items, groups, per)
+}
+
+func TestExternalTinyMemoryManyRounds(t *testing.T) {
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	items := zoo.Uniform(8000, 0.02, 3)
+	m := 5 * per
+	_, groups := collectExternal(t, items, per, m)
+	checkPartition(t, items, groups, per)
+}
+
+func TestExternalPriorityGroupsAreExtreme(t *testing.T) {
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	items := zoo.Uniform(20000, 0.02, 4)
+	_, groups := collectExternal(t, items, per, 20*per)
+	checkRootLeavesExtreme(t, items, groups, per)
+}
+
+func TestExternalMostGroupsFull(t *testing.T) {
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	items := zoo.Uniform(30000, 0.02, 5)
+	_, groups := collectExternal(t, items, per, 30*per)
+	full := 0
+	for _, lg := range groups {
+		if len(lg.Items) == per {
+			full++
+		}
+	}
+	if frac := float64(full) / float64(len(groups)); frac < 0.85 {
+		t.Errorf("only %.2f of groups are full", frac)
+	}
+}
+
+func TestExternalIOWithinSortBound(t *testing.T) {
+	// The whole build should cost a small constant times the sort cost.
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	n := 30000
+	items := zoo.Uniform(n, 0.02, 6)
+	disk := storage.NewDisk(storage.DefaultBlockSize)
+	in := NewItemFileFrom(disk, items)
+	disk.ResetStats()
+	BuildPseudo(in, per, 30*per, func(pseudo.LeafGroup) {})
+	total := disk.Stats().Total()
+	nBlocks := uint64((n + per - 1) / per)
+	// One input scan, four lists through run formation and one merge pass,
+	// then two rounds, the second over four lists a region: 7,584 I/Os
+	// measured (28.5 per input block; 9,774 before the input was scanned
+	// once and in-memory regions got one list), allowed 15 % more.
+	if limit := uint64(7584 * 115 / 100); total > limit {
+		t.Errorf("external build cost %d I/Os for %d blocks, want at most %d", total, nBlocks, limit)
+	}
+}
+
+func TestExternalFreesIntermediateFiles(t *testing.T) {
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	items := zoo.Uniform(12000, 0.02, 7)
+	disk := storage.NewDisk(storage.DefaultBlockSize)
+	in := NewItemFileFrom(disk, items)
+	BuildPseudo(in, per, 12*per, func(pseudo.LeafGroup) {})
+	if disk.PagesInUse() != 0 {
+		t.Errorf("%d pages leaked after external build", disk.PagesInUse())
+	}
+}
+
+func TestExternalClusteredData(t *testing.T) {
+	// Clustered data (non-uniform) exercises unbalanced grid cells.
+	rng := rand.New(rand.NewSource(10))
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	var items []geom.Item
+	for c := 0; c < 20; c++ {
+		cx, cy := rng.Float64(), rng.Float64()
+		for i := 0; i < 600; i++ {
+			x := cx + rng.NormFloat64()*1e-4
+			y := cy + rng.NormFloat64()*1e-4
+			items = append(items, geom.Item{Rect: geom.PointRect(x, y), ID: uint32(len(items))})
+		}
+	}
+	_, groups := collectExternal(t, items, per, 12*per)
+	checkPartition(t, items, groups, per)
+}
+
+func TestExternalSkewedOneDimension(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	items := make([]geom.Item, 9000)
+	for i := range items {
+		x := rng.Float64()
+		y := math.Pow(rng.Float64(), 9)
+		items[i] = geom.Item{Rect: geom.PointRect(x, y), ID: uint32(i)}
+	}
+	_, groups := collectExternal(t, items, per, 10*per)
+	checkPartition(t, items, groups, per)
+}
+
+func TestExternalPanicsOnBadConfig(t *testing.T) {
+	disk := storage.NewDisk(storage.DefaultBlockSize)
+	in := NewItemFileFrom(disk, zoo.Uniform(10, 0.02, 12))
+	defer func() {
+		if recover() == nil {
+			t.Error("tiny memory should panic")
+		}
+	}()
+	BuildPseudo(in, 16, 10, func(pseudo.LeafGroup) {})
+}
+
+func TestExternalEmptyInput(t *testing.T) {
+	disk := storage.NewDisk(storage.DefaultBlockSize)
+	in := NewItemFileFrom(disk, nil)
+	calls := 0
+	BuildPseudo(in, 16, 4*storage.ItemsPerBlock(storage.DefaultBlockSize), func(pseudo.LeafGroup) { calls++ })
+	if calls != 0 {
+		t.Errorf("empty input emitted %d groups", calls)
+	}
+}
+
+// TestExternalLeafSetGolden pins the leaf groups — members and emission
+// order — to digests computed at commit a134b71, the last one whose
+// external build sorted four times, handed every region four lists and
+// filled the priority heaps in xmin order. Only the order of records
+// inside the priority leaves of external rounds may differ from that
+// commit; the digest leaves exactly that out. The last case is the
+// benchmark's set-up as a default-budget facade load builds it: the exact
+// in-memory construction over the whole set (the external path takes it
+// for an input within M); on the benchmark its tree reads 5 % fewer leaves
+// a query than the external round's.
+func TestExternalLeafSetGolden(t *testing.T) {
+	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
+	cases := []struct {
+		name   string
+		items  []geom.Item
+		b, m   int
+		groups int
+		digest string
+	}{
+		{name: "one round", items: zoo.Uniform(6000, 0.02, 21), b: per, m: 2000, groups: 56, digest: "c69f7829cddbf19f"},
+		{name: "two rounds", items: zoo.Uniform(30000, 0.02, 23), b: per, m: 20 * per, groups: 268, digest: "b03ababfd020ca81"},
+		{name: "many rounds", items: zoo.Uniform(20000, 0.02, 22), b: 16, m: 4 * per, groups: 1277, digest: "a26d63c0d4038a0f"},
+		{name: "duplicate-key fallback", items: zoo.Twins(3000), b: per, m: 8 * per, groups: 27, digest: "8e155cf29d13942e"},
+		// The benchmark's set-up: one round at the default M.
+		{name: "western/M=65536", items: western(), b: per, m: 65536, groups: 1916, digest: "d2666d6bc2720217"},
+		{name: "western/in-memory", items: western(), b: per, m: len(western()), groups: 1912, digest: "2c0ba6c4cc730a3f"},
+	}
+	for _, c := range cases {
+		disk := storage.NewDisk(storage.DefaultBlockSize)
+		in := NewItemFileFrom(disk, c.items)
+		var groups []pseudo.LeafGroup
+		BuildPseudo(in, c.b, c.m, func(lg pseudo.LeafGroup) {
+			groups = append(groups, pseudo.LeafGroup{Items: append([]geom.Item(nil), lg.Items...)})
+		})
+		if got := leafSetDigest(groups); got != c.digest || len(groups) != c.groups {
+			t.Errorf("%s: %d groups with digest %s, want %d with %s", c.name, len(groups), got, c.groups, c.digest)
+		}
+	}
+}
+
+// leafSetDigest hashes what the construction decides and nothing else: for
+// each emitted group in emission order, its size and its member ids in
+// ascending order (u32-LE each, sha256, first 8 bytes). The order of
+// records inside a group is deliberately not part of it.
+func leafSetDigest(groups []pseudo.LeafGroup) string {
+	h := sha256.New()
+	var w [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(w[:], v)
+		h.Write(w[:])
+	}
+	for _, lg := range groups {
+		ids := make([]uint32, len(lg.Items))
+		for i, it := range lg.Items {
+			ids[i] = it.ID
+		}
+		slices.Sort(ids)
+		put(uint32(len(ids)))
+		for _, id := range ids {
+			put(id)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }

@@ -5,13 +5,13 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
-	"sort"
 	"testing"
 
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // checkDirectory holds one state to the directory's bookkeeping: stored
@@ -74,14 +74,6 @@ func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 	if tr.Len() != len(live) {
 		t.Fatalf("Len %d, want %d", tr.Len(), len(live))
 	}
-	ids := func(items []geom.Item) []uint32 {
-		out := make([]uint32, len(items))
-		for i, it := range items {
-			out[i] = it.ID
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
 	run := func(q geom.Rect, contain bool, limit int) []geom.Item {
 		var out []geom.Item
 		st, err := tr.RunWindow(q, contain, func(it geom.Item) bool {
@@ -96,32 +88,13 @@ func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 	for i := 0; i < 3; i++ {
 		x, y := rng.Float64(), rng.Float64()
 		q := geom.NewRect(x, y, x+rng.Float64()*0.4, y+rng.Float64()*0.4)
-		var hit, inside []geom.Item
-		for _, it := range live {
-			if q.Intersects(it.Rect) {
-				hit = append(hit, it)
-			}
-			if q.Contains(it.Rect) {
-				inside = append(inside, it)
-			}
+		qs := []zoo.Query{{Rect: q}, {Kind: zoo.Contained, Rect: q}}
+		if i == 0 {
+			qs = append(qs, zoo.Query{Rect: q, Limit: zoo.Expect(live, qs[0]).Len()/2 + 1})
 		}
-		if got, want := ids(run(q, false, 0)), ids(hit); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("window %v: ids %v, want %v", q, got, want)
-		}
-		if got, want := ids(run(q, true, 0)), ids(inside); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("containment %v: ids %v, want %v", q, got, want)
-		}
-		if i > 0 {
-			continue
-		}
-		limit := len(hit)/2 + 1
-		got, want := ids(run(q, false, limit)), ids(hit)
-		if len(got) != min(limit, len(hit)) {
-			t.Fatalf("window %v, limit %d: %d items, %d live in it", q, limit, len(got), len(hit))
-		}
-		for _, id := range got {
-			if _, ok := slices.BinarySearch(want, id); !ok {
-				t.Fatalf("window %v, limit %d: id %d is not live in it", q, limit, id)
+		for _, zq := range qs {
+			if err := zoo.Expect(live, zq).Check(run(q, zq.Kind == zoo.Contained, zq.Limit)); err != nil {
+				t.Fatalf("%v: %v", zq, err)
 			}
 		}
 	}

@@ -2,32 +2,19 @@ package logmethod
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 func newTree(base int) *Tree {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
 	return New(pager, bulk.Options{Fanout: 16}, base)
-}
-
-func randItems(n int, seed int64) []geom.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]geom.Item, n)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		items[i] = geom.Item{
-			Rect: geom.NewRect(x, y, x+rng.Float64()*0.02, y+rng.Float64()*0.02),
-			ID:   uint32(i),
-		}
-	}
-	return items
 }
 
 // window runs an unbounded window (contain false) or containment query on
@@ -47,45 +34,13 @@ func nearest(tr *Tree, x, y float64, k int) []Neighbor {
 	return nb
 }
 
-func checkAgainstBruteForce(t *testing.T, tr *Tree, universe []geom.Item, q geom.Rect) {
+// checkWindow fails unless tr answers the window q as brute force over
+// universe does.
+func checkWindow(t *testing.T, tr *Tree, universe []geom.Item, q geom.Rect) {
 	t.Helper()
-	want := make(map[uint32]bool)
-	for _, it := range universe {
-		if q.Intersects(it.Rect) {
-			want[it.ID] = true
-		}
-	}
-	got := make(map[uint32]bool)
-	tr.RunWindow(q, false, func(it geom.Item) bool {
-		if got[it.ID] {
-			t.Fatalf("duplicate result %d", it.ID)
-		}
-		got[it.ID] = true
-		return true
-	}, rtree.RunOptions{})
-	if len(got) != len(want) {
-		t.Fatalf("query %v: got %d, want %d", q, len(got), len(want))
-	}
-	for id := range want {
-		if !got[id] {
-			t.Fatalf("query %v: missing %d", q, id)
-		}
-	}
-}
-
-func TestInsertAndQuery(t *testing.T) {
-	tr := newTree(8)
-	items := randItems(500, 1)
-	for _, it := range items {
-		tr.Insert(it)
-	}
-	if tr.Len() != 500 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 30; i++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		checkAgainstBruteForce(t, tr, items, q)
+	got, _ := window(tr, q, false)
+	if err := zoo.Expect(universe, zoo.Query{Rect: q}).Check(got); err != nil {
+		t.Fatalf("query %v: %v", q, err)
 	}
 }
 
@@ -106,7 +61,7 @@ func TestBinaryCounterLevels(t *testing.T) {
 
 func TestDeleteBasic(t *testing.T) {
 	tr := newTree(8)
-	items := randItems(200, 3)
+	items := zoo.Uniform(200, 0.02, 3)
 	for _, it := range items {
 		tr.Insert(it)
 	}
@@ -128,7 +83,7 @@ func TestDeleteBasic(t *testing.T) {
 
 func TestDeleteMissing(t *testing.T) {
 	tr := newTree(8)
-	items := randItems(50, 4)
+	items := zoo.Uniform(50, 0.02, 4)
 	for _, it := range items {
 		tr.Insert(it)
 	}
@@ -140,46 +95,11 @@ func TestDeleteMissing(t *testing.T) {
 	}
 }
 
-func TestMixedWorkloadMatchesBruteForce(t *testing.T) {
-	tr := newTree(16)
-	rng := rand.New(rand.NewSource(5))
-	live := make(map[uint32]geom.Item)
-	next := uint32(0)
-	for step := 0; step < 4000; step++ {
-		if len(live) == 0 || rng.Float64() < 0.6 {
-			x, y := rng.Float64(), rng.Float64()
-			it := geom.Item{Rect: geom.NewRect(x, y, x+0.03, y+0.03), ID: next}
-			next++
-			tr.Insert(it)
-			live[it.ID] = it
-		} else {
-			for _, it := range live {
-				if !tr.Delete(it) {
-					t.Fatalf("step %d: delete failed", step)
-				}
-				delete(live, it.ID)
-				break
-			}
-		}
-	}
-	if tr.Len() != len(live) {
-		t.Fatalf("len = %d, want %d", tr.Len(), len(live))
-	}
-	universe := make([]geom.Item, 0, len(live))
-	for _, it := range live {
-		universe = append(universe, it)
-	}
-	for i := 0; i < 25; i++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		checkAgainstBruteForce(t, tr, universe, q)
-	}
-}
-
 func TestTombstoneRebuildReclaimsSpace(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
 	tr := New(pager, bulk.Options{Fanout: 16}, 16)
-	items := randItems(1000, 6)
+	items := zoo.Uniform(1000, 0.02, 6)
 	for _, it := range items {
 		tr.Insert(it)
 	}
@@ -192,7 +112,7 @@ func TestTombstoneRebuildReclaimsSpace(t *testing.T) {
 		t.Errorf("pages in use %d did not shrink from peak %d", disk.PagesInUse(), peak)
 	}
 	universe := items[900:]
-	checkAgainstBruteForce(t, tr, universe, geom.NewRect(0, 0, 2, 2))
+	checkWindow(t, tr, universe, geom.NewRect(0, 0, 2, 2))
 }
 
 func TestReviveTombstonedID(t *testing.T) {
@@ -240,7 +160,7 @@ func TestReviveWithDifferentRectPanics(t *testing.T) {
 
 func TestFlushCompactsToOneLevel(t *testing.T) {
 	tr := newTree(8)
-	items := randItems(300, 7)
+	items := zoo.Uniform(300, 0.02, 7)
 	for _, it := range items {
 		tr.Insert(it)
 	}
@@ -248,12 +168,12 @@ func TestFlushCompactsToOneLevel(t *testing.T) {
 	if tr.Levels() > 1 {
 		t.Errorf("flush left %d levels", tr.Levels())
 	}
-	checkAgainstBruteForce(t, tr, items, geom.NewRect(0.2, 0.2, 0.8, 0.8))
+	checkWindow(t, tr, items, geom.NewRect(0.2, 0.2, 0.8, 0.8))
 }
 
 func TestItemsReturnsLive(t *testing.T) {
 	tr := newTree(8)
-	items := randItems(100, 8)
+	items := zoo.Uniform(100, 0.02, 8)
 	for _, it := range items {
 		tr.Insert(it)
 	}
@@ -277,7 +197,7 @@ func TestItemsReturnsLive(t *testing.T) {
 
 func TestQueryEarlyStop(t *testing.T) {
 	tr := newTree(8)
-	for _, it := range randItems(300, 9) {
+	for _, it := range zoo.Uniform(300, 0.02, 9) {
 		tr.Insert(it)
 	}
 	count := 0
@@ -296,7 +216,7 @@ func TestAmortizedInsertIO(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, -1)
 	tr := New(pager, bulk.Options{}, 0)
-	items := randItems(20000, 10)
+	items := zoo.Uniform(20000, 0.02, 10)
 	disk.ResetStats()
 	for _, it := range items {
 		tr.Insert(it)
@@ -358,7 +278,7 @@ func TestLevelOutsideWindowCostsNoPage(t *testing.T) {
 // pin them too, and overlapping readers would keep them from reuse for good.
 func TestSwapAdvancesEpoch(t *testing.T) {
 	tr := newTree(8)
-	items := randItems(16, 31)
+	items := zoo.Uniform(16, 0.02, 31)
 	for _, it := range items[:8] {
 		tr.Insert(it) // one level of 8, the buffer empty and as big
 	}
@@ -385,5 +305,5 @@ func TestSwapAdvancesEpoch(t *testing.T) {
 		}
 		tr.snap.SnapshotLeave(b)
 	}
-	checkAgainstBruteForce(t, tr, items, geom.NewRect(0, 0, 2, 2))
+	checkWindow(t, tr, items, geom.NewRect(0, 0, 2, 2))
 }

@@ -9,6 +9,7 @@ import (
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // savedBlob returns the blob of a state saved on a fresh store of 512-byte
@@ -18,7 +19,7 @@ import (
 func savedBlob(n int) (*storage.Disk, []byte) {
 	disk := storage.NewDisk(512)
 	tr := New(storage.NewPager(disk, -1), bulk.Options{}, 64)
-	for _, it := range randItems(n, 5) {
+	for _, it := range zoo.Uniform(n, 0.02, 5) {
 		tr.Insert(it)
 	}
 	return disk, tr.SaveState(disk)
@@ -42,7 +43,7 @@ func TestSaveStateFillsHeaderFirst(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d records: %v", n, err)
 		}
-		if got, want := tr.Items(), randItems(n, 5); len(got) != n || (n > 0 && !equalItems(got, want)) {
+		if got, want := tr.Items(), zoo.Uniform(n, 0.02, 5); len(got) != n || (n > 0 && !equalItems(got, want)) {
 			t.Errorf("%d records reopened to %d items", n, len(got))
 		}
 		if again := tr.SaveState(disk); !bytes.Equal(again, meta) || disk.PagesInUse() != pages {
@@ -55,7 +56,7 @@ func TestSaveStateFillsHeaderFirst(t *testing.T) {
 	// the blob before it.
 	disk := storage.NewDisk(512)
 	tr := New(storage.NewPager(disk, -1), bulk.Options{}, 16)
-	items := randItems(40, 7) // a level of 32, a buffer of 8
+	items := zoo.Uniform(40, 0.02, 7) // a level of 32, a buffer of 8
 	for _, it := range items {
 		tr.Insert(it)
 	}
@@ -102,7 +103,7 @@ func TestOpenStateRejectsHostileCounts(t *testing.T) {
 	fixture := func(n int) (*storage.Disk, *Tree, []byte) {
 		disk := storage.NewDisk(512)
 		tr := New(storage.NewPager(disk, -1), bulk.Options{}, 16)
-		items := randItems(n, 9)
+		items := zoo.Uniform(n, 0.02, 9)
 		for _, it := range items {
 			tr.Insert(it)
 		}
@@ -195,8 +196,8 @@ func FuzzOpenState(f *testing.F) {
 // notes, never a panic and nothing allocated out of proportion to them.
 func FuzzPendingMutations(f *testing.F) {
 	note := func(b []byte) []byte { return append([]byte{byte(len(b))}, b...) }
-	ins := Mutation{Item: randItems(1, 3)[0]}.Note()
-	del := Mutation{Delete: true, Item: randItems(1, 4)[0]}.Note()
+	ins := Mutation{Item: zoo.Uniform(1, 0.02, 3)[0]}.Note()
+	del := Mutation{Delete: true, Item: zoo.Uniform(1, 0.02, 4)[0]}.Note()
 	f.Add([]byte{})
 	f.Add(bytes.Join([][]byte{note(ins), note(del), note(SavedNote()), note(ins)}, nil))
 	f.Add(note(ins[:20]))

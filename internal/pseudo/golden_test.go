@@ -12,6 +12,7 @@ import (
 
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
+	"prtree/internal/zoo"
 )
 
 // western returns the benchmark's dataset, generated once per test binary.
@@ -87,7 +88,7 @@ func TestBuildDigestGolden(t *testing.T) {
 		digest string
 	}{
 		{name: "western216k", items: western(), digest: "83db17fcdfd6f64c"},
-		{name: "grid60k", items: gridItems(60000, 33), digest: "6b14ff878c124440"},
+		{name: "grid60k", items: zoo.Lattice(60000, 33), digest: "6b14ff878c124440"},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 2} {

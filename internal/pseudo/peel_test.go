@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prtree/internal/geom"
+	"prtree/internal/zoo"
 )
 
 // refPeel is the sort-based reference for peel: direction by direction,
@@ -70,7 +71,7 @@ func checkPeel(t *testing.T, name string, items []geom.Item, ids []int32, b int,
 // from behind the one before it.
 func adversarialInputs(n int) map[string][]geom.Item {
 	out := map[string][]geom.Item{}
-	base := randItems(n, int64(n))
+	base := zoo.Uniform(n, 0.02, int64(n))
 	for axis := 0; axis < 4; axis++ {
 		o := axisOrder(axis)
 		up := slices.Clone(base)
@@ -90,7 +91,7 @@ func adversarialInputs(n int) map[string][]geom.Item {
 		same[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(n - i)}
 	}
 	out["all-equal"] = same
-	out["grid"] = gridItems(n, 5)
+	out["grid"] = zoo.Lattice(n, 5)
 	out["random"] = base
 	diag := make([]geom.Item, n)
 	for i, j := range rand.New(rand.NewSource(9)).Perm(n) {

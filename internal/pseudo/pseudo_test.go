@@ -10,20 +10,8 @@ import (
 	"testing/quick"
 
 	"prtree/internal/geom"
+	"prtree/internal/zoo"
 )
-
-func randItems(n int, seed int64) []geom.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]geom.Item, n)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		items[i] = geom.Item{
-			Rect: geom.NewRect(x, y, x+rng.Float64()*0.02, y+rng.Float64()*0.02),
-			ID:   uint32(i),
-		}
-	}
-	return items
-}
 
 // buildOrders lists every order the construction selects under: the four
 // priority directions and the four kd axes.
@@ -71,31 +59,19 @@ func checkSelect(t *testing.T, items []geom.Item, k int, o Order) {
 	}
 }
 
-// gridItems draws coordinates from a handful of values, so every order
-// sees long runs of equal coordinates that only the id separates.
-func gridItems(n int, seed int64) []geom.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]geom.Item, n)
-	for i := range items {
-		x, y := float64(rng.Intn(5)), float64(rng.Intn(5))
-		items[i] = geom.Item{Rect: geom.NewRect(x, y, x+float64(rng.Intn(3)), y+float64(rng.Intn(3))), ID: uint32(i)}
-	}
-	return items
-}
-
 func TestSelectKPartitions(t *testing.T) {
 	for i, o := range buildOrders() {
-		checkSelect(t, randItems(500, int64(i+1)), 100, o)
-		checkSelect(t, gridItems(500, int64(i+1)), 100, o)
+		checkSelect(t, zoo.Uniform(500, 0.02, int64(i+1)), 100, o)
+		checkSelect(t, zoo.Lattice(500, int64(i+1)), 100, o)
 	}
 }
 
 func TestSelectKQuick(t *testing.T) {
 	orders := buildOrders()
 	prop := func(seed int64, kRaw, oRaw uint8, dup bool) bool {
-		items := randItems(64, seed)
+		items := zoo.Uniform(64, 0.02, seed)
 		if dup {
-			items = gridItems(64, seed)
+			items = zoo.Lattice(64, seed)
 		}
 		checkSelect(t, items, int(kRaw)%65, orders[int(oRaw)%len(orders)])
 		return !t.Failed()
@@ -112,7 +88,7 @@ func TestSelectKEdges(t *testing.T) {
 		same[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(len(same) - i)}
 		twins[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(i % 2)}
 	}
-	inputs := [][]geom.Item{randItems(10, 1), gridItems(40, 2), same, twins, randItems(1, 3), nil}
+	inputs := [][]geom.Item{zoo.Uniform(10, 0.02, 1), zoo.Lattice(40, 2), same, twins, zoo.Uniform(1, 0.02, 3), nil}
 	for _, o := range buildOrders() {
 		for _, items := range inputs {
 			n := len(items)
@@ -134,7 +110,7 @@ func TestSelectKSampled(t *testing.T) {
 		same[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(n - i)}
 	}
 	for i, o := range buildOrders() {
-		sorted := randItems(n, int64(i+1))
+		sorted := zoo.Uniform(n, 0.02, int64(i+1))
 		slices.SortFunc(sorted, func(a, b geom.Item) int {
 			if o.Less(a, b) {
 				return -1
@@ -150,7 +126,7 @@ func TestSelectKSampled(t *testing.T) {
 		for j := n - 1 - n%2; j > 0; j -= 2 {
 			pipe = append(pipe, sorted[j])
 		}
-		for _, items := range [][]geom.Item{randItems(n, int64(i+9)), sorted, reversed, pipe, same} {
+		for _, items := range [][]geom.Item{zoo.Uniform(n, 0.02, int64(i+9)), sorted, reversed, pipe, same} {
 			for _, k := range []int{113, n / 2, n - 113} {
 				checkSelect(t, items, k, o)
 			}
@@ -170,8 +146,8 @@ func TestBuildWorkersIdentical(t *testing.T) {
 		items []geom.Item
 		b     int
 	}{
-		{"random", randItems(20000, 7), 64},
-		{"duplicates", gridItems(10000, 8), 113},
+		{"random", zoo.Uniform(20000, 0.02, 7), 64},
+		{"duplicates", zoo.Lattice(10000, 8), 113},
 	} {
 		input := slices.Clone(tc.items)
 		var want []LeafGroup
@@ -207,7 +183,7 @@ func TestBuildSizes(t *testing.T) {
 		{1, 8}, {8, 8}, {9, 8}, {20, 8}, {32, 8}, {33, 8},
 		{100, 8}, {1000, 8}, {5000, 16}, {200, 1}, {500, 113},
 	} {
-		items := randItems(tc.n, int64(tc.n))
+		items := zoo.Uniform(tc.n, 0.02, int64(tc.n))
 		tr := Build(items, tc.b, false, 1)
 		if tr.N != tc.n {
 			t.Fatalf("n=%d b=%d: N=%d", tc.n, tc.b, tr.N)
@@ -235,7 +211,7 @@ func TestBuildEmpty(t *testing.T) {
 }
 
 func TestBuildRoundToBFillsLeaves(t *testing.T) {
-	items := randItems(113*40, 42)
+	items := zoo.Uniform(113*40, 0.02, 42)
 	tr := Build(items, 113, true, 1)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -258,7 +234,7 @@ func TestBuildRoundToBFillsLeaves(t *testing.T) {
 }
 
 func TestLeavesPartitionItems(t *testing.T) {
-	items := randItems(3000, 7)
+	items := zoo.Uniform(3000, 0.02, 7)
 	tr := Build(items, 16, false, 1)
 	seen := make(map[uint32]bool)
 	for _, lg := range tr.Leaves() {
@@ -278,7 +254,7 @@ func TestLeavesPartitionItems(t *testing.T) {
 }
 
 func TestPriorityLeavesAreExtreme(t *testing.T) {
-	items := randItems(2000, 8)
+	items := zoo.Uniform(2000, 0.02, 8)
 	tr := Build(items, 32, false, 1)
 	root := tr.Root
 	if root.IsLeaf() {
@@ -307,31 +283,8 @@ func TestPriorityLeavesAreExtreme(t *testing.T) {
 	}
 }
 
-func TestQueryMatchesBruteForce(t *testing.T) {
-	items := randItems(4000, 9)
-	tr := Build(items, 16, true, 1)
-	rng := rand.New(rand.NewSource(10))
-	for i := 0; i < 60; i++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		want := 0
-		for _, it := range items {
-			if q.Intersects(it.Rect) {
-				want++
-			}
-		}
-		got := make(map[uint32]bool)
-		st := tr.Query(q, func(it geom.Item) bool {
-			got[it.ID] = true
-			return true
-		})
-		if len(got) != want || st.Results != want {
-			t.Fatalf("query %d: got %d (stats %d), want %d", i, len(got), st.Results, want)
-		}
-	}
-}
-
 func TestQueryEarlyStop(t *testing.T) {
-	items := randItems(1000, 11)
+	items := zoo.Uniform(1000, 0.02, 11)
 	tr := Build(items, 16, false, 1)
 	count := 0
 	tr.Query(geom.NewRect(0, 0, 2, 2), func(geom.Item) bool {
@@ -400,11 +353,11 @@ func TestBuildBadCapacityPanics(t *testing.T) {
 			t.Error("B=0 should panic")
 		}
 	}()
-	Build(randItems(10, 1), 0, false, 1)
+	Build(zoo.Uniform(10, 0.02, 1), 0, false, 1)
 }
 
 func TestBoundsCoverSubtrees(t *testing.T) {
-	items := randItems(2000, 12)
+	items := zoo.Uniform(2000, 0.02, 12)
 	tr := Build(items, 16, false, 1)
 	var walk func(n *Node)
 	walk = func(n *Node) {

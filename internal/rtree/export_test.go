@@ -2,7 +2,5 @@ package rtree
 
 // Test helpers shared with the external tests in package rtree_test.
 var (
-	RandItems   = randItems
-	GridItems   = gridItems
 	BuildPacked = buildPacked
 )

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prtree/internal/geom"
+	"prtree/internal/zoo"
 )
 
 func TestPointStabbingWindow(t *testing.T) {
@@ -26,35 +27,25 @@ func TestPointStabbingWindow(t *testing.T) {
 }
 
 func TestContainmentWindow(t *testing.T) {
-	items := randItems(1000, 1)
+	items := zoo.Uniform(1000, 0.05, 1)
 	tr := buildPacked(t, items, 16)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 25; i++ {
 		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		want := map[uint32]bool{}
-		for _, it := range items {
-			if q.Contains(it.Rect) {
-				want[it.ID] = true
-			}
-		}
-		got := map[uint32]bool{}
+		var got []geom.Item
 		st, _ := tr.RunWindow(q, true, func(it geom.Item) bool {
-			got[it.ID] = true
+			got = append(got, it)
 			return true
 		}, RunOptions{})
-		if len(got) != len(want) || st.Results != len(want) {
-			t.Fatalf("containment %v: got %d, want %d", q, len(got), len(want))
-		}
-		for id := range want {
-			if !got[id] {
-				t.Fatalf("containment missing %d", id)
-			}
+		want := zoo.Expect(items, zoo.Query{Kind: zoo.Contained, Rect: q})
+		if err := want.Check(got); err != nil || st.Results != want.Len() {
+			t.Fatalf("containment %v: %v, %d results counted", q, err, st.Results)
 		}
 	}
 }
 
 func TestContainmentEarlyStop(t *testing.T) {
-	items := randItems(500, 3)
+	items := zoo.Uniform(500, 0.05, 3)
 	tr := buildPacked(t, items, 8)
 	count := 0
 	tr.RunWindow(geom.NewRect(-1, -1, 2, 2), true, func(geom.Item) bool {
@@ -66,47 +57,8 @@ func TestContainmentEarlyStop(t *testing.T) {
 	}
 }
 
-func bruteKNN(items []geom.Item, x, y float64, k int) []Neighbor {
-	ns := make([]Neighbor, len(items))
-	for i, it := range items {
-		ns[i] = Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)}
-	}
-	sort.Slice(ns, func(a, b int) bool { return ns[a].Dist2 < ns[b].Dist2 })
-	if k > len(ns) {
-		k = len(ns)
-	}
-	return ns[:k]
-}
-
-func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
-	items := randItems(2000, 4)
-	tr := buildPacked(t, items, 16)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 30; i++ {
-		x, y := rng.Float64(), rng.Float64()
-		k := 1 + rng.Intn(20)
-		got, _, _ := tr.RunNearest(x, y, k, RunOptions{})
-		want := bruteKNN(items, x, y, k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d results", k, len(got))
-		}
-		for j := range got {
-			// Distances must match exactly in order (ties may permute ids).
-			if got[j].Dist2 != want[j].Dist2 {
-				t.Fatalf("k=%d result %d: dist %g, want %g", k, j, got[j].Dist2, want[j].Dist2)
-			}
-		}
-		// Ascending order.
-		for j := 1; j < len(got); j++ {
-			if got[j].Dist2 < got[j-1].Dist2 {
-				t.Fatalf("results not sorted at %d", j)
-			}
-		}
-	}
-}
-
 func TestNearestNeighborsInsidePointZeroDist(t *testing.T) {
-	items := randItems(300, 6)
+	items := zoo.Uniform(300, 0.05, 6)
 	tr := buildPacked(t, items, 8)
 	it := items[42]
 	cx, cy := it.Rect.Center()
@@ -117,7 +69,7 @@ func TestNearestNeighborsInsidePointZeroDist(t *testing.T) {
 }
 
 func TestNearestNeighborsKLargerThanN(t *testing.T) {
-	items := randItems(10, 7)
+	items := zoo.Uniform(10, 0.05, 7)
 	tr := buildPacked(t, items, 4)
 	got, _, _ := tr.RunNearest(0.5, 0.5, 100, RunOptions{})
 	if len(got) != 10 {
@@ -130,7 +82,7 @@ func TestNearestNeighborsEmptyAndZeroK(t *testing.T) {
 	if got, _, _ := disk.RunNearest(0, 0, 5, RunOptions{}); got != nil {
 		t.Errorf("empty tree kNN = %v", got)
 	}
-	items := randItems(10, 8)
+	items := zoo.Uniform(10, 0.05, 8)
 	tr := buildPacked(t, items, 4)
 	if got, _, _ := tr.RunNearest(0, 0, 0, RunOptions{}); got != nil {
 		t.Errorf("k=0 kNN = %v", got)
@@ -141,7 +93,7 @@ func TestNearestNeighborsPrunes(t *testing.T) {
 	// Best-first search on a spatially packed tree should touch far fewer
 	// nodes than the whole tree for small k. (buildPacked packs in slice
 	// order, so sort by a serpentine grid order first for locality.)
-	items := randItems(20000, 9)
+	items := zoo.Uniform(20000, 0.05, 9)
 	sort.Slice(items, func(i, j int) bool {
 		xi, yi := items[i].Rect.Center()
 		xj, yj := items[j].Rect.Center()

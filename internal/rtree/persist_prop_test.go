@@ -7,12 +7,13 @@ import (
 
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // TestLoadRejectsRawFlaggedOversizedRoot: a root page whose count is past
 // what a block holds must be refused, not indexed past the block.
 func TestLoadRejectsRawFlaggedOversizedRoot(t *testing.T) {
-	tr := packOn(t, storage.NewPager(storage.NewDisk(4096), -1), xSorted(randItems(113*20, 1)))
+	tr := packOn(t, storage.NewPager(storage.NewDisk(4096), -1), xSorted(zoo.Uniform(113*20, 0.05, 1)))
 	if tr.readView(tr.Root()).isLeaf() {
 		t.Fatal("test premise: the root is a leaf")
 	}
@@ -36,9 +37,9 @@ func TestPersistReopenProperty(t *testing.T) {
 			t.Run(fmt.Sprintf("block=%d/raw/seed=%d", blockSize, seed), func(t *testing.T) {
 				var items []geom.Item
 				if seed%2 == 1 {
-					items = gridItems(2500, 16, seed)
+					items = zoo.Snapped(2500, 16, 0.05, seed)
 				} else {
-					items = randItems(2500, seed)
+					items = zoo.Uniform(2500, 0.05, seed)
 				}
 				items = xSorted(items)
 				orig := packOn(t, storage.NewPager(storage.NewDisk(blockSize), -1), items)

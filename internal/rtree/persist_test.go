@@ -8,6 +8,7 @@ import (
 
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // A tree persists as its pages plus its metadata record: a file-backed
@@ -21,7 +22,7 @@ func reopen(tr *Tree) (*Tree, error) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	items := randItems(3000, 1)
+	items := zoo.Uniform(3000, 0.05, 1)
 	tr := buildPacked(t, items, 16)
 	got, err := reopen(tr)
 	if err != nil {
@@ -36,9 +37,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 25; i++ {
 		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		if err := CheckQueryAgainstBruteForce(got, items, q); err != nil {
-			t.Fatal(err)
-		}
+		checkWindow(t, got, items, q)
 	}
 }
 
@@ -48,7 +47,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // format — 45 and a nonzero split, as every index file of those versions
 // holds — still opens to the same tree with the same answers.
 func TestOpenIgnoresRetiredConfigWords(t *testing.T) {
-	items := randItems(3000, 5)
+	items := zoo.Uniform(3000, 0.05, 5)
 	tr := buildPacked(t, items, 0)
 	meta := tr.EncodeMeta()
 	for _, w := range []int{5, 6} {
@@ -125,7 +124,7 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 		disk := storage.NewDisk(storage.DefaultBlockSize)
 		b := NewBuilder(storage.NewPager(disk, -1), Config{Fanout: 8})
 		var leaves []ChildEntry
-		items := randItems(n, 21)
+		items := zoo.Uniform(n, 0.05, 21)
 		for lo := 0; lo < len(items); lo += 8 {
 			leaves = append(leaves, b.WriteLeaf(items[lo:min(lo+8, len(items))]))
 		}
@@ -172,7 +171,7 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 }
 
 func TestLoadRejectsTruncated(t *testing.T) {
-	tr := buildPacked(t, randItems(200, 4), 8)
+	tr := buildPacked(t, zoo.Uniform(200, 0.05, 4), 8)
 	meta := tr.EncodeMeta()
 	for _, cut := range []int{0, 10, len(meta) / 2, len(meta) - 4} {
 		if _, err := OpenFromMeta(storage.NewPager(tr.Pager().Backend(), -1), meta[:cut]); err == nil {

@@ -9,6 +9,7 @@ import (
 
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // packOn packs items in slice order into a tree of the block-size fanout
@@ -61,7 +62,7 @@ func TestRelocated(t *testing.T) {
 	const blockSize = 512
 	for height, n := range map[int]int{1: 10, 2: 120, 3: 2200} {
 		t.Run(fmt.Sprintf("raw/height=%d", height), func(t *testing.T) {
-			items := xSorted(gridItems(n, 12, int64(n)))
+			items := xSorted(zoo.Snapped(n, 12, 0.05, int64(n)))
 			build := func() (*storage.Disk, *Tree, []storage.PageID) {
 				disk := storage.NewDisk(blockSize)
 				pager := storage.NewPager(disk, -1)

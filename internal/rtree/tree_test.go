@@ -9,25 +9,13 @@ import (
 
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 func newTestTree(t *testing.T, cfg Config) *Tree {
 	t.Helper()
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	return New(storage.NewPager(disk, -1), cfg)
-}
-
-func randItems(n int, seed int64) []geom.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]geom.Item, n)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		items[i] = geom.Item{
-			Rect: geom.NewRect(x, y, x+rng.Float64()*0.05, y+rng.Float64()*0.05),
-			ID:   uint32(i),
-		}
-	}
-	return items
 }
 
 // buildPacked bulk-loads items in slice order with full leaves — a trivial
@@ -51,6 +39,21 @@ func buildPacked(tb testing.TB, items []geom.Item, fanout int) *Tree {
 func TestMaxFanoutMatchesPaper(t *testing.T) {
 	if got := MaxFanout(storage.DefaultBlockSize); got != 113 {
 		t.Errorf("MaxFanout(4096) = %d, want 113", got)
+	}
+}
+
+// TestLayoutTable pins the page layout: a 4-byte header and 36-byte
+// entries, so the fanout per block size is (block-4)/36.
+func TestLayoutTable(t *testing.T) {
+	for _, c := range []struct{ block, fanout int }{
+		{512, 14}, {1024, 28}, {4096, 113}, {8192, 227},
+	} {
+		if got := MaxFanout(c.block); got != c.fanout {
+			t.Errorf("MaxFanout(%d) = %d, want %d", c.block, got, c.fanout)
+		}
+	}
+	if headerSize != 4 || entrySize != 36 {
+		t.Errorf("header %d bytes, entries %d bytes; want 4 and 36", headerSize, entrySize)
 	}
 }
 
@@ -114,7 +117,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestPackedBuildAndQuery(t *testing.T) {
-	items := randItems(2000, 1)
+	items := zoo.Uniform(2000, 0.05, 1)
 	tr := buildPacked(t, items, 16)
 	if tr.Len() != 2000 {
 		t.Fatalf("len = %d", tr.Len())
@@ -125,14 +128,12 @@ func TestPackedBuildAndQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 50; i++ {
 		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		if err := CheckQueryAgainstBruteForce(tr, items, q); err != nil {
-			t.Fatal(err)
-		}
+		checkWindow(t, tr, items, q)
 	}
 }
 
 func TestQueryEarlyStop(t *testing.T) {
-	items := randItems(500, 3)
+	items := zoo.Uniform(500, 0.05, 3)
 	tr := buildPacked(t, items, 8)
 	count := 0
 	window(tr, geom.NewRect(0, 0, 1, 1), func(geom.Item) bool {
@@ -145,7 +146,7 @@ func TestQueryEarlyStop(t *testing.T) {
 }
 
 func TestQueryStatsLeafAccounting(t *testing.T) {
-	items := randItems(1000, 4)
+	items := zoo.Uniform(1000, 0.05, 4)
 	tr := buildPacked(t, items, 10)
 	st := window(tr, geom.NewRect(0, 0, 1.1, 1.1), nil)
 	if st.Results != 1000 {
@@ -162,7 +163,7 @@ func TestQueryStatsLeafAccounting(t *testing.T) {
 func TestHeightGrowth(t *testing.T) {
 	// fanout 4: 4^h leaves; 256 items over full leaves of 4 -> 64 leaves ->
 	// 16 -> 4 -> 1: height 4.
-	items := randItems(256, 5)
+	items := zoo.Uniform(256, 0.05, 5)
 	tr := buildPacked(t, items, 4)
 	if tr.Height() != 4 {
 		t.Errorf("height = %d, want 4", tr.Height())
@@ -170,7 +171,7 @@ func TestHeightGrowth(t *testing.T) {
 }
 
 func TestSingleLeafTree(t *testing.T) {
-	items := randItems(5, 6)
+	items := zoo.Uniform(5, 0.05, 6)
 	tr := buildPacked(t, items, 16)
 	if tr.Height() != 1 {
 		t.Errorf("height = %d, want 1", tr.Height())
@@ -178,13 +179,11 @@ func TestSingleLeafTree(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckQueryAgainstBruteForce(tr, items, geom.NewRect(0, 0, 2, 2)); err != nil {
-		t.Fatal(err)
-	}
+	checkWindow(t, tr, items, geom.NewRect(0, 0, 2, 2))
 }
 
 func TestItemsRoundTrip(t *testing.T) {
-	items := randItems(300, 7)
+	items := zoo.Uniform(300, 0.05, 7)
 	tr := buildPacked(t, items, 9)
 	got := tr.Items()
 	if len(got) != len(items) {
@@ -199,7 +198,7 @@ func TestItemsRoundTrip(t *testing.T) {
 }
 
 func TestUtilizationPacked(t *testing.T) {
-	items := randItems(113*10, 8)
+	items := zoo.Uniform(113*10, 0.05, 8)
 	tr := buildPacked(t, items, 0) // default fanout 113
 	leaf, _ := tr.Utilization()
 	if leaf < 0.99 {
@@ -211,7 +210,7 @@ func TestPinInternalMakesQueriesLeafOnly(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, 0) // no LRU: only pins persist
 	b := NewBuilder(pager, Config{Fanout: 8})
-	items := randItems(512, 9)
+	items := zoo.Uniform(512, 0.05, 9)
 	var leaves []ChildEntry
 	for lo := 0; lo < len(items); lo += 8 {
 		leaves = append(leaves, b.WriteLeaf(items[lo:lo+8]))
@@ -230,7 +229,7 @@ func TestPinInternalMakesQueriesLeafOnly(t *testing.T) {
 }
 
 func TestWalkLevels(t *testing.T) {
-	items := randItems(256, 10)
+	items := zoo.Uniform(256, 0.05, 10)
 	tr := buildPacked(t, items, 4)
 	levelKind := map[int]bool{}
 	tr.Walk(func(_ storage.PageID, level int, isLeaf bool, _ []geom.Item) {
@@ -247,7 +246,7 @@ func TestWalkLevels(t *testing.T) {
 }
 
 func TestValidateDetectsBadMBR(t *testing.T) {
-	items := randItems(100, 11)
+	items := zoo.Uniform(100, 0.05, 11)
 	tr := buildPacked(t, items, 8)
 	// Corrupt the root: shrink its first entry's rect.
 	root := tr.readView(tr.root)
@@ -265,7 +264,7 @@ func TestValidateDetectsBadMBR(t *testing.T) {
 // TestValidateRejectsCompressedPage: Validate reports a page of the
 // compressed layout anywhere in the tree, not only at the root Open checks.
 func TestValidateRejectsCompressedPage(t *testing.T) {
-	tr := buildPacked(t, randItems(100, 11), 8)
+	tr := buildPacked(t, zoo.Uniform(100, 0.05, 11), 8)
 	leaf := storage.PageID(tr.readView(tr.root).refAt(0))
 	dev := tr.Pager().Backend()
 	page := append([]byte(nil), dev.PeekNoCopy(leaf)...)
@@ -284,13 +283,13 @@ func TestBuilderRejectsBadCounts(t *testing.T) {
 			t.Error("oversized leaf should panic")
 		}
 	}()
-	b.WriteLeaf(randItems(5, 12))
+	b.WriteLeaf(zoo.Uniform(5, 0.05, 12))
 }
 
 func TestBuilderPackLevelBalances(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	b := NewBuilder(storage.NewPager(disk, -1), Config{Fanout: 4})
-	items := randItems(4*5, 13)
+	items := zoo.Uniform(4*5, 0.05, 13)
 	var leaves []ChildEntry
 	for lo := 0; lo < len(items); lo += 4 {
 		leaves = append(leaves, b.WriteLeaf(items[lo:lo+4]))
@@ -333,7 +332,7 @@ func TestQueryIOEqualsNodesWithoutCache(t *testing.T) {
 	disk := storage.NewDisk(storage.DefaultBlockSize)
 	pager := storage.NewPager(disk, 0)
 	b := NewBuilder(pager, Config{Fanout: 8})
-	items := randItems(512, 14)
+	items := zoo.Uniform(512, 0.05, 14)
 	var leaves []ChildEntry
 	for lo := 0; lo < len(items); lo += 8 {
 		leaves = append(leaves, b.WriteLeaf(items[lo:lo+8]))
@@ -347,7 +346,7 @@ func TestQueryIOEqualsNodesWithoutCache(t *testing.T) {
 }
 
 func TestReleaseResetsCounters(t *testing.T) {
-	items := randItems(256, 16)
+	items := zoo.Uniform(256, 0.05, 16)
 	tr := buildPacked(t, items, 4)
 	if tr.Height() < 2 || tr.Nodes() < 2 {
 		t.Fatalf("test tree too small: %v", tr)
@@ -378,7 +377,7 @@ func TestMBREmptyTree(t *testing.T) {
 }
 
 func TestTreeMBRCoversAll(t *testing.T) {
-	items := randItems(200, 15)
+	items := zoo.Uniform(200, 0.05, 15)
 	tr := buildPacked(t, items, 8)
 	m := tr.MBR()
 	for _, it := range items {
@@ -405,6 +404,15 @@ func windowItems(tr *Tree, q geom.Rect) []geom.Item {
 	return out
 }
 
+// checkWindow fails unless tr answers the window q as brute force over
+// items does.
+func checkWindow(tb testing.TB, tr *Tree, items []geom.Item, q geom.Rect) {
+	tb.Helper()
+	if err := zoo.Expect(items, zoo.Query{Rect: q}).Check(windowItems(tr, q)); err != nil {
+		tb.Fatalf("window %v: %v", q, err)
+	}
+}
+
 // TestExpectedLeavesMatchesMonteCarlo holds ExpectedLeaves to the mean
 // leaf count of random windows placed as it assumes, within four standard
 // errors of that mean, for a wide window and a square one that reach the
@@ -412,7 +420,7 @@ func windowItems(tr *Tree, q geom.Rect) []geom.Item {
 func TestExpectedLeavesMatchesMonteCarlo(t *testing.T) {
 	// Sort-tile-recursive order: 15 slabs by x, each by y, so that leaves
 	// are small and the windows' edges cut through them.
-	items := randItems(3000, 21)
+	items := zoo.Uniform(3000, 0.05, 21)
 	sort.Slice(items, func(i, j int) bool { return items[i].Rect.MinX < items[j].Rect.MinX })
 	for lo := 0; lo < len(items); lo += 200 {
 		slab := items[lo:min(lo+200, len(items))]

@@ -18,6 +18,7 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // newHTree returns an empty tree of the given fanout, updated by R* when
@@ -50,12 +51,7 @@ func checkTree(t *testing.T, h *experiments.HTree, live []geom.Item, queries ...
 		t.Fatalf("tree holds %d items, %d live, or other ones", len(got), len(want))
 	}
 	for _, q := range queries {
-		n := 0
-		for _, it := range live {
-			if q.Intersects(it.Rect) {
-				n++
-			}
-		}
+		n := zoo.Expect(live, zoo.Query{Rect: q}).Len()
 		if _, res := h.Count(q); res != n {
 			t.Fatalf("query %v: %d results, brute force %d", q, res, n)
 		}
@@ -82,14 +78,14 @@ func size(t *testing.T, h *experiments.HTree) int {
 
 func TestInsertSmall(t *testing.T) {
 	h := newHTree(4, false)
-	items := rtree.RandItems(10, 1)
+	items := zoo.Uniform(10, 0.05, 1)
 	insertAll(h, items)
 	checkTree(t, h, items, geom.NewRect(0, 0, 2, 2))
 }
 
 func TestInsertGrowsHeight(t *testing.T) {
 	h := newHTree(4, false)
-	items := rtree.RandItems(100, 2)
+	items := zoo.Uniform(100, 0.05, 2)
 	insertAll(h, items)
 	if h.Height() < 3 {
 		t.Errorf("height = %d after 100 inserts at fanout 4", h.Height())
@@ -101,7 +97,7 @@ func TestInsertQueryCorrectnessBothSplits(t *testing.T) {
 	for _, rstar := range []bool{false, true} {
 		t.Run(fmt.Sprintf("rstar=%v", rstar), func(t *testing.T) {
 			h := newHTree(8, rstar)
-			items := rtree.RandItems(1500, 3)
+			items := zoo.Uniform(1500, 0.05, 3)
 			insertAll(h, items)
 			checkTree(t, h, items, randQueries(40, 4)...)
 		})
@@ -121,7 +117,7 @@ func TestInsertDuplicateRects(t *testing.T) {
 
 func TestDeleteBasic(t *testing.T) {
 	h := newHTree(4, false)
-	items := rtree.RandItems(200, 5)
+	items := zoo.Uniform(200, 0.05, 5)
 	insertAll(h, items)
 	for i, it := range items {
 		if !h.Delete(it) {
@@ -138,7 +134,7 @@ func TestDeleteBasic(t *testing.T) {
 
 func TestDeleteMissingReturnsFalse(t *testing.T) {
 	h := newHTree(4, false)
-	items := rtree.RandItems(50, 6)
+	items := zoo.Uniform(50, 0.05, 6)
 	insertAll(h, items)
 	if h.Delete(geom.Item{Rect: geom.NewRect(5, 5, 6, 6), ID: 9999}) {
 		t.Error("deleting absent item should return false")
@@ -152,7 +148,7 @@ func TestDeleteMissingReturnsFalse(t *testing.T) {
 
 func TestDeleteThenQuery(t *testing.T) {
 	h := newHTree(8, false)
-	items := rtree.RandItems(800, 7)
+	items := zoo.Uniform(800, 0.05, 7)
 	insertAll(h, items)
 	// Delete every third item.
 	var remaining []geom.Item
@@ -236,9 +232,9 @@ func TestCondenseReinsertsOrphans(t *testing.T) {
 }
 
 func TestInsertIntoBulkLoadedTree(t *testing.T) {
-	items := rtree.RandItems(500, 10)
+	items := zoo.Uniform(500, 0.05, 10)
 	h := experiments.NewHTree(rtree.BuildPacked(t, items, 8), false)
-	extra := rtree.RandItems(200, 11)
+	extra := zoo.Uniform(200, 0.05, 11)
 	for i := range extra {
 		extra[i].ID += 10000
 		h.Insert(extra[i])
@@ -248,21 +244,21 @@ func TestInsertIntoBulkLoadedTree(t *testing.T) {
 
 func TestRStarInsertSmall(t *testing.T) {
 	h := newHTree(4, true)
-	items := rtree.RandItems(50, 1)
+	items := zoo.Uniform(50, 0.05, 1)
 	insertAll(h, items)
 	checkTree(t, h, items, geom.NewRect(0, 0, 2, 2))
 }
 
 func TestRStarInsertLargeCorrect(t *testing.T) {
 	h := newHTree(16, true)
-	items := rtree.RandItems(3000, 2)
+	items := zoo.Uniform(3000, 0.05, 2)
 	insertAll(h, items)
 	checkTree(t, h, items, randQueries(40, 3)...)
 }
 
 func TestRStarDeleteMixed(t *testing.T) {
 	h := newHTree(8, true)
-	items := rtree.RandItems(800, 4)
+	items := zoo.Uniform(800, 0.05, 4)
 	insertAll(h, items)
 	var remaining []geom.Item
 	for i, it := range items {
@@ -289,9 +285,9 @@ func TestRStarDuplicates(t *testing.T) {
 }
 
 func TestRStarInsertIntoBulkLoadedTree(t *testing.T) {
-	items := rtree.RandItems(1000, 7)
+	items := zoo.Uniform(1000, 0.05, 7)
 	h := experiments.NewHTree(rtree.BuildPacked(t, items, 16), true)
-	extra := rtree.RandItems(400, 8)
+	extra := zoo.Uniform(400, 0.05, 8)
 	for i := range extra {
 		extra[i].ID += 50000
 		h.Insert(extra[i])
@@ -323,59 +319,5 @@ func TestRStarBeatsGuttmanOnClusteredInserts(t *testing.T) {
 	}
 	if float64(rLeaves) > 1.2*float64(gLeaves) {
 		t.Errorf("R* visited %d leaves, Guttman %d — R* should not be worse", rLeaves, gLeaves)
-	}
-}
-
-// TestLayoutEquivalenceUnderUpdates drives an interleaved insert/delete
-// sequence into a tree at the fanout of a 1 KiB page, so splits and
-// condensing happen often, over full-precision and grid-snapped data (many
-// equal coordinates: the splits' tie-breaks). Cases are named by split: 0 is
-// Guttman's quadratic split, 2 the R* split.
-func TestLayoutEquivalenceUnderUpdates(t *testing.T) {
-	for _, split := range []int{0, 2} {
-		for seed := int64(1); seed <= 3; seed++ {
-			for _, grid := range []bool{true, false} {
-				name := fmt.Sprintf("split=%d/seed=%d/grid=%v", split, seed, grid)
-				t.Run(name, func(t *testing.T) {
-					pager := storage.NewPager(storage.NewDisk(1024), -1)
-					h := experiments.NewHTree(rtree.New(pager, rtree.Config{}), split == 2)
-
-					var items []geom.Item
-					if grid {
-						items = rtree.GridItems(1200, 16, seed+50)
-					} else {
-						items = rtree.RandItems(1200, seed+50)
-					}
-					live := make(map[int]bool)
-					for i, it := range items {
-						h.Insert(it)
-						live[i] = true
-						// Interleave deletions.
-						if i%7 == 3 {
-							for j := range live {
-								if !h.Delete(items[j]) {
-									t.Fatalf("delete of live item %d failed", j)
-								}
-								delete(live, j)
-								break
-							}
-						}
-					}
-					var want []geom.Item
-					for i, it := range items {
-						if live[i] {
-							want = append(want, it)
-						}
-					}
-					rng := rand.New(rand.NewSource(seed))
-					var queries []geom.Rect
-					for i := 0; i < 30; i++ {
-						x, y := rng.Float64(), rng.Float64()
-						queries = append(queries, geom.NewRect(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3))
-					}
-					checkTree(t, h, want, queries...)
-				})
-			}
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"prtree/internal/geom"
 	"prtree/internal/storage"
 )
 
@@ -88,38 +87,4 @@ func (t *Tree) validate(id storage.PageID, level int, seen map[storage.PageID]bo
 		nodes += cnodes
 	}
 	return items, nodes, nil
-}
-
-// CheckQueryAgainstBruteForce compares the tree's window-query output with
-// a brute-force scan over universe and returns an error describing the
-// first discrepancy. It is a test helper shared by all loader test suites.
-func CheckQueryAgainstBruteForce(t *Tree, universe []geom.Item, q geom.Rect) error {
-	want := make(map[uint32]geom.Rect)
-	for _, it := range universe {
-		if q.Intersects(it.Rect) {
-			want[it.ID] = it.Rect
-		}
-	}
-	got := make(map[uint32]geom.Rect)
-	t.RunWindow(q, false, func(it geom.Item) bool {
-		if _, dup := got[it.ID]; dup {
-			// Duplicate report: flag via sentinel entry.
-			got[^uint32(0)] = it.Rect
-		}
-		got[it.ID] = it.Rect
-		return true
-	}, RunOptions{})
-	if len(got) != len(want) {
-		return fmt.Errorf("query %v: got %d results, want %d", q, len(got), len(want))
-	}
-	for id, r := range want {
-		gr, ok := got[id]
-		if !ok {
-			return fmt.Errorf("query %v: missing item %d (%v)", q, id, r)
-		}
-		if gr != r {
-			return fmt.Errorf("query %v: item %d rect %v, want %v", q, id, gr, r)
-		}
-	}
-	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/storage"
 	"prtree/internal/workload"
+	"prtree/internal/zoo"
 )
 
 // TestChaosGate is the CI chaos gate, in-process: one shard's first open
@@ -68,7 +69,7 @@ func TestChaosGate(t *testing.T) {
 	rects = append(rects, world)
 	oracle := make([][]geom.Item, len(rects))
 	for i, r := range rects {
-		oracle[i] = bruteWindow(items, r)
+		oracle[i] = zoo.Expect(items, zoo.Query{Rect: r}).Items()
 	}
 
 	robust := DialRobust(RobustOptions{
@@ -105,7 +106,7 @@ func TestChaosGate(t *testing.T) {
 	if err != nil || p.Degraded() {
 		t.Fatalf("post-chaos window: partial=%v err=%v", p, err)
 	}
-	assertSameItems(t, "post-chaos", got, bruteWindow(items, world))
+	assertSameItems(t, "post-chaos", got, zoo.Expect(items, zoo.Query{Rect: world}).Items())
 
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))

@@ -11,6 +11,7 @@ import (
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // fastRecovery are OpenOptions that make supervisor retries near-instant
@@ -30,19 +31,6 @@ func buildDir(t *testing.T, items []geom.Item, shards int) string {
 		t.Fatal(err)
 	}
 	return dir
-}
-
-// bruteWindow is the oracle: the full window result computed straight
-// from the item slice, in the set's deterministic merge order.
-func bruteWindow(items []geom.Item, w geom.Rect) []geom.Item {
-	var out []geom.Item
-	for _, it := range items {
-		if it.Rect.Intersects(w) {
-			out = append(out, it)
-		}
-	}
-	sortItems(out)
-	return out
 }
 
 // waitHealthy polls until the set is back to HealthOK or the deadline
@@ -98,7 +86,7 @@ func TestQuarantineDegradesAndRecovers(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	oracle := bruteWindow(items, world)
+	oracle := zoo.Expect(items, zoo.Query{Rect: world}).Items()
 
 	// The full-world window forces reads on every shard; the armed fault
 	// fires on shard 1's 4th page read.
@@ -144,6 +132,18 @@ func TestQuarantineDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("post-recovery window: partial=%v err=%v", p, err)
 	}
 	assertSameItems(t, "post-recovery", got, oracle)
+	x, y := world.Center()
+	nb, p, err := set.Nearest(ctx, x, y, 25)
+	if err != nil || p.Degraded() {
+		t.Fatalf("post-recovery nearest: partial=%v err=%v", p, err)
+	}
+	near := make([]geom.Item, len(nb))
+	for i, n := range nb {
+		near[i] = n.Item
+	}
+	if err := zoo.Expect(items, zoo.Query{Kind: zoo.Nearest, X: x, Y: y, K: 25}).Check(near); err != nil {
+		t.Fatalf("post-recovery nearest: %v", err)
+	}
 
 	st := set.Stats()
 	sd := st.Status[1]
@@ -163,7 +163,7 @@ func TestQuarantineEveryCountedOp(t *testing.T) {
 	world := geom.ItemsMBR(items)
 	dir := buildDir(t, items, 2)
 	ctx := context.Background()
-	oracle := bruteWindow(items, world)
+	oracle := zoo.Expect(items, zoo.Query{Rect: world}).Items()
 
 	// First pass: count shard 0's read ops for one full-world window. The
 	// fault stays disarmed (trigger 0) through Open — Open itself reads
@@ -331,7 +331,7 @@ func TestPermanentFailure(t *testing.T) {
 	if !p.Degraded() || len(p.Failed) != 1 || p.Failed[0] != 1 {
 		t.Fatalf("partial %v, want shard 1 failed", p)
 	}
-	oracle := bruteWindow(items, world)
+	oracle := zoo.Expect(items, zoo.Query{Rect: world}).Items()
 	if len(got) == 0 || len(got) >= len(oracle) {
 		t.Fatalf("degraded result has %d of %d items", len(got), len(oracle))
 	}

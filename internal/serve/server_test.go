@@ -219,6 +219,14 @@ func TestGracefulDrain(t *testing.T) {
 	webDone := make(chan error, 1)
 	go func() { webDone <- srv.ServeWeb(alis) }()
 	admin := "http://" + alis.Addr().String()
+	// Wait until ServeWeb serves: one that first runs after Shutdown has
+	// raised the drain flag closes its listener unserved, and the probes
+	// during the drain below would find the port refused.
+	if resp, err := http.Get(admin + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz before the drain: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
 
 	held := make(chan error, 1)
 	go func() {
@@ -301,6 +309,18 @@ func TestGracefulDrain(t *testing.T) {
 	// Idempotent.
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+	// An admin listener handed over after Shutdown is closed, not served.
+	late, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ServeWeb(late); err == nil || !strings.Contains(err.Error(), "draining") {
+		t.Fatalf("ServeWeb after Shutdown: %v, want the draining error", err)
+	}
+	if c, err := net.Dial("tcp", late.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("a listener ServeWeb refused still accepts connections")
 	}
 }
 

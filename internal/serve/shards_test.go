@@ -17,25 +17,9 @@ import (
 	"prtree"
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
-	"prtree/internal/parallel"
 	"prtree/internal/storage"
 	"prtree/internal/workload"
 )
-
-// singleTree bulk-loads items into one file-backed tree, the reference
-// every sharded result must match bit for bit.
-func singleTree(t *testing.T, items []geom.Item) *prtree.Tree {
-	t.Helper()
-	tree, err := prtree.Create(filepath.Join(t.TempDir(), "single.pr"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.BulkLoad(prtree.Hilbert, items); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tree.Close() })
-	return tree
-}
 
 func buildSet(t *testing.T, items []geom.Item, shards int) *Set {
 	t.Helper()
@@ -49,219 +33,6 @@ func buildSet(t *testing.T, items []geom.Item, shards int) *Set {
 	}
 	t.Cleanup(func() { set.Close() })
 	return set
-}
-
-// TestShardEquivalence is the acceptance property: every query kind over
-// every shard count returns results bit-identical to the same dataset
-// served from one tree.
-func TestShardEquivalence(t *testing.T) {
-	items := dataset.Western(3000, 42)
-	n := len(items)
-	world := geom.ItemsMBR(items)
-	tree := singleTree(t, items)
-	ctx := context.Background()
-
-	windows := workload.Squares(world, 0.01, 8, 7)
-	big := workload.Squares(world, 0.05, 4, 11)
-
-	for _, shards := range []int{1, 3, 4} {
-		t.Run(fmt.Sprintf("hilbert/%d", shards), func(t *testing.T) {
-			set := buildSet(t, items, shards)
-			if set.Len() != n {
-				t.Fatalf("set holds %d items, want %d", set.Len(), n)
-			}
-			if set.MBR() != world {
-				t.Fatalf("set MBR %v, want %v", set.MBR(), world)
-			}
-
-			// Window: intersection queries.
-			for _, w := range windows {
-				got, _, err := set.Window(ctx, w, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := tree.Collect(prtree.Window(w))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sortItems(want)
-				assertSameItems(t, "window", got, want)
-			}
-
-			// Containment.
-			for _, w := range big {
-				got, _, err := set.Contained(ctx, w, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := tree.Collect(prtree.Contained(w))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sortItems(want)
-				assertSameItems(t, "contained", got, want)
-			}
-
-			// Point stabbing at window centers: a zero-area window.
-			for _, w := range windows {
-				x, y := w.Center()
-				got, _, err := set.Window(ctx, geom.PointRect(x, y), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := tree.Collect(prtree.Point(x, y))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sortItems(want)
-				assertSameItems(t, "point", got, want)
-			}
-
-			// k-NN at several centers and k values, including k beyond
-			// any single shard's item count.
-			for _, k := range []int{1, 10, n/shards + 5} {
-				x, y := windows[0].Center()
-				got, _, err := set.Nearest(ctx, x, y, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := tree.CollectNearest(prtree.Nearest(x, y, k))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("nearest k=%d: %d results, want %d", k, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].Item != want[i].Item || got[i].Dist2 != want[i].Dist2 {
-						t.Fatalf("nearest k=%d: result %d = %+v, want %+v", k, i, got[i], want[i])
-					}
-				}
-			}
-
-			// One window per goroutine answers as the serial calls do.
-			concurrent := make([][]geom.Item, len(windows))
-			errs := make([]error, len(windows))
-			parallel.Run(4, len(windows), func(i int) {
-				concurrent[i], _, errs[i] = set.Window(ctx, windows[i], 0)
-			})
-			if err := errors.Join(errs...); err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range windows {
-				single, _, err := set.Window(ctx, w, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameItems(t, "concurrent window", concurrent[i], single)
-			}
-
-			// Limits: the subset is each shard's prefix merged and
-			// trimmed — deterministic (repeatable) and drawn from the
-			// full result, though not necessarily its global prefix.
-			full, _, err := set.Window(ctx, big[0], 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(full) > 3 {
-				lim, _, err := set.Window(ctx, big[0], 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(lim) != 3 {
-					t.Fatalf("limit: got %d items, want 3", len(lim))
-				}
-				inFull := make(map[geom.Item]bool, len(full))
-				for _, it := range full {
-					inFull[it] = true
-				}
-				for i, it := range lim {
-					if !inFull[it] {
-						t.Fatalf("limit: item %v not in the full result", it)
-					}
-					if i > 0 && lim[i-1].ID >= it.ID {
-						t.Fatalf("limit: results out of order at %d", i)
-					}
-				}
-				again, _, err := set.Window(ctx, big[0], 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameItems(t, "limit determinism", again, lim)
-			}
-		})
-	}
-
-	// Post-recovery bit-identity: a shard is fault-injected mid-query,
-	// quarantined, and auto-recovered; every query kind must then match
-	// the single tree exactly again, as if the failure never happened.
-	t.Run("post-recovery", func(t *testing.T) {
-		dir := t.TempDir()
-		if _, err := Build(dir, items, BuildOptions{Shards: 3}); err != nil {
-			t.Fatal(err)
-		}
-		var faulty *storage.Faulty
-		opt := OpenOptions{
-			RecoveryBackoff:    time.Millisecond,
-			RecoveryMaxBackoff: 5 * time.Millisecond,
-		}
-		opt.wrapShard = func(idx, attempt int, b prtree.Backend) prtree.Backend {
-			if idx != 1 || attempt > 0 {
-				return b
-			}
-			f := storage.NewFaulty(b, storage.FaultError, 0)
-			f.InjectReads(true)
-			faulty = f
-			return f
-		}
-		set, err := Open(dir, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer set.Close()
-
-		faulty.Arm(2)
-		if _, p, err := set.Window(ctx, world, 0); err != nil || !p.Degraded() {
-			t.Fatalf("armed window: partial=%v err=%v, want degraded", p, err)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for set.Health() != HealthOK && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if set.Health() != HealthOK {
-			t.Fatalf("set never recovered: %+v", set.Stats().Status)
-		}
-
-		for _, w := range windows {
-			got, p, err := set.Window(ctx, w, 0)
-			if err != nil || p.Degraded() {
-				t.Fatalf("post-recovery window: partial=%v err=%v", p, err)
-			}
-			want, err := tree.Collect(prtree.Window(w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sortItems(want)
-			assertSameItems(t, "post-recovery window", got, want)
-		}
-		x, y := windows[0].Center()
-		got, p, err := set.Nearest(ctx, x, y, 25)
-		if err != nil || p.Degraded() {
-			t.Fatalf("post-recovery nearest: partial=%v err=%v", p, err)
-		}
-		want, err := tree.CollectNearest(prtree.Nearest(x, y, 25))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("post-recovery nearest: %d results, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Item != want[i].Item || got[i].Dist2 != want[i].Dist2 {
-				t.Fatalf("post-recovery nearest: result %d = %+v, want %+v", i, got[i], want[i])
-			}
-		}
-	})
 }
 
 func assertSameItems(t *testing.T, label string, got, want []geom.Item) {

@@ -13,6 +13,7 @@ import (
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // TestTruncatedShardDegradesNotDies: a shard file cut short under a live set
@@ -37,7 +38,7 @@ func TestTruncatedShardDegradesNotDies(t *testing.T) {
 	}
 	defer set.Close()
 	ctx := context.Background()
-	oracle := bruteWindow(items, world)
+	oracle := zoo.Expect(items, zoo.Query{Rect: world}).Items()
 	// Warm every shard's cache: the views are taken now, the pages go later.
 	if got, p, err := set.Window(ctx, world, 0); err != nil || p.Degraded() || len(got) != len(oracle) {
 		t.Fatalf("healthy window: %d items (want %d), partial %+v, err %v", len(got), len(oracle), p, err)

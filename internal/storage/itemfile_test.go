@@ -1,34 +1,21 @@
 package storage_test
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
 	"prtree/internal/extmem"
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // The ItemFile tests stay beside the record encoding whose blocks they
 // write; the file itself is extmem's.
 
-func randItems(n int, seed int64) []geom.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]geom.Item, n)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		items[i] = geom.Item{
-			Rect: geom.NewRect(x, y, x+rng.Float64()*0.01, y+rng.Float64()*0.01),
-			ID:   uint32(i),
-		}
-	}
-	return items
-}
-
 func TestItemFileRoundTrip(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
-	items := randItems(1000, 1)
+	items := zoo.Uniform(1000, 0.01, 1)
 	f := extmem.NewItemFileFrom(d, items)
 	if f.Len() != 1000 {
 		t.Fatalf("len = %d", f.Len())
@@ -47,7 +34,7 @@ func TestItemFileRoundTrip(t *testing.T) {
 func TestItemFileBlockCount(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
 	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
-	f := extmem.NewItemFileFrom(d, randItems(per*3+1, 2))
+	f := extmem.NewItemFileFrom(d, zoo.Uniform(per*3+1, 0.01, 2))
 	if f.Blocks() != 4 {
 		t.Errorf("blocks = %d, want 4", f.Blocks())
 	}
@@ -58,7 +45,7 @@ func TestItemFileIOAccounting(t *testing.T) {
 	per := storage.ItemsPerBlock(storage.DefaultBlockSize)
 	n := per * 5
 	d.ResetStats()
-	f := extmem.NewItemFileFrom(d, randItems(n, 3))
+	f := extmem.NewItemFileFrom(d, zoo.Uniform(n, 0.01, 3))
 	if w := d.Stats().Writes; w != 5 {
 		t.Errorf("writing %d items should cost 5 block writes, got %d", n, w)
 	}
@@ -96,7 +83,7 @@ func TestItemFileReaderUnsealedPanics(t *testing.T) {
 
 func TestItemReaderSeek(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
-	items := randItems(500, 4)
+	items := zoo.Uniform(500, 0.01, 4)
 	f := extmem.NewItemFileFrom(d, items)
 	r := f.ReaderAt(250)
 	it, ok := r.Next()
@@ -121,7 +108,7 @@ func TestItemReaderSeek(t *testing.T) {
 
 func TestItemFileFree(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
-	f := extmem.NewItemFileFrom(d, randItems(300, 5))
+	f := extmem.NewItemFileFrom(d, zoo.Uniform(300, 0.01, 5))
 	used := d.PagesInUse()
 	f.Free()
 	if d.PagesInUse() != used-3 {
@@ -145,7 +132,7 @@ func TestItemFileEmpty(t *testing.T) {
 
 func TestItemFilePartialBlock(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
-	items := randItems(7, 6)
+	items := zoo.Uniform(7, 0.01, 6)
 	f := extmem.NewItemFileFrom(d, items)
 	got := f.ReadAll()
 	for i := range items {

@@ -16,17 +16,8 @@ import (
 	"prtree/internal/parallel"
 	"prtree/internal/storage"
 	"prtree/internal/workload"
+	"prtree/internal/zoo"
 )
-
-func randItems(n int, seed int64) []Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]Item, n)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		items[i] = Item{Rect: NewRect(x, y, x+rng.Float64()*0.02, y+rng.Float64()*0.02), ID: uint32(i)}
-	}
-	return items
-}
 
 // querier is the Query surface a Tree and a Dynamic share.
 type querier interface {
@@ -82,43 +73,6 @@ func mustFlush(tb testing.TB, d *Dynamic) {
 	}
 }
 
-func TestBulkAndSearch(t *testing.T) {
-	items := randItems(5000, 1)
-	tree := Bulk(items, nil)
-	if tree.Len() != 5000 {
-		t.Fatalf("len = %d", tree.Len())
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 25; i++ {
-		q := NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		want := 0
-		for _, it := range items {
-			if q.Intersects(it.Rect) {
-				want++
-			}
-		}
-		if got, _ := tree.Count(Window(q)); got != want {
-			t.Fatalf("query %d: got %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestAllPublicLoaders(t *testing.T) {
-	items := randItems(1000, 3)
-	for _, l := range []Loader{PR, Hilbert, Hilbert4D, TGS} {
-		tree := BulkWith(l, items, &Options{BlockSize: 580})
-		if tree.Len() != 1000 {
-			t.Fatalf("%v: len = %d", l, tree.Len())
-		}
-		if err := tree.Validate(); err != nil {
-			t.Fatalf("%v: %v", l, err)
-		}
-	}
-}
-
 // TestLoadersTiedRecords: every loader builds a valid tree that holds and
 // finds every record when records tie on every coordinate and their id —
 // 3,000 copies of one item, and 5,000 records on 400 unit squares with 50
@@ -171,7 +125,7 @@ func TestLoadersTiedRecords(t *testing.T) {
 // as it was. Stored, such an item would count in Len while no query could
 // find it and no DeleteE remove it.
 func TestInvalidRectRejected(t *testing.T) {
-	items := randItems(2000, 12)
+	items := zoo.Uniform(2000, 0.02, 12)
 	for _, bad := range []Rect{
 		{MinX: math.NaN(), MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
 		{MinX: 0.3, MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
@@ -225,7 +179,7 @@ func TestInvalidRectRejected(t *testing.T) {
 }
 
 func TestQueryEarlyStopAndStats(t *testing.T) {
-	tree := Bulk(randItems(2000, 4), &Options{BlockSize: 580})
+	tree := Bulk(zoo.Uniform(2000, 0.02, 4), &Options{BlockSize: 580})
 	count := 0
 	var st QueryStats
 	_ = tree.Run(Window(NewRect(0, 0, 1.1, 1.1)).WithStats(&st), func(Item) bool {
@@ -243,7 +197,7 @@ func TestQueryEarlyStopAndStats(t *testing.T) {
 // TestInsertDelete: item-by-item updates go to a Dynamic; a static tree
 // has no such methods.
 func TestInsertDelete(t *testing.T) {
-	items := randItems(500, 5)
+	items := zoo.Uniform(500, 0.02, 5)
 	d := NewDynamic(&Options{BlockSize: 292})
 	for _, it := range items {
 		mustInsert(t, d, it)
@@ -274,7 +228,7 @@ func TestInsertDelete(t *testing.T) {
 }
 
 func TestIOStatsAndPinning(t *testing.T) {
-	tree := BulkWith(PR, randItems(5000, 6), &Options{CacheCapacity: 1})
+	tree := BulkWith(PR, zoo.Uniform(5000, 0.02, 6), &Options{CacheCapacity: 1})
 	pinned := tree.inner.PinInternal()
 	if pinned == 0 {
 		t.Fatal("no internal nodes pinned")
@@ -292,7 +246,7 @@ func TestIOStatsAndPinning(t *testing.T) {
 }
 
 func TestTreeMetadata(t *testing.T) {
-	items := randItems(3000, 7)
+	items := zoo.Uniform(3000, 0.02, 7)
 	tree := Bulk(items, nil)
 	if tree.Height() < 1 || tree.Nodes() < 1 {
 		t.Errorf("height=%d nodes=%d", tree.Height(), tree.Nodes())
@@ -315,7 +269,7 @@ func TestTreeMetadata(t *testing.T) {
 
 func TestDynamicIndex(t *testing.T) {
 	d := NewDynamic(&Options{BlockSize: 580})
-	items := randItems(800, 8)
+	items := zoo.Uniform(800, 0.02, 8)
 	for _, it := range items {
 		mustInsert(t, d, it)
 	}
@@ -330,14 +284,8 @@ func TestDynamicIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20; i++ {
 		q := NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		want := 0
-		for _, it := range items[300:] {
-			if q.Intersects(it.Rect) {
-				want++
-			}
-		}
-		if got := d.Search(q); len(got) != want {
-			t.Fatalf("dynamic query: got %d, want %d", len(got), want)
+		if err := zoo.Expect(items[300:], zoo.Query{Rect: q}).Check(d.Search(q)); err != nil {
+			t.Fatalf("dynamic query %v: %v", q, err)
 		}
 	}
 	mustFlush(t, d)
@@ -354,49 +302,10 @@ func TestDynamicIndex(t *testing.T) {
 }
 
 func TestNilAndZeroOptions(t *testing.T) {
-	a := Bulk(randItems(100, 10), nil)
-	b := Bulk(randItems(100, 10), &Options{})
+	a := Bulk(zoo.Uniform(100, 0.02, 10), nil)
+	b := Bulk(zoo.Uniform(100, 0.02, 10), &Options{})
 	if a.Height() != b.Height() || a.Nodes() != b.Nodes() {
 		t.Error("nil and zero options should agree")
-	}
-}
-
-func TestSearchPointAndContained(t *testing.T) {
-	items := randItems(2000, 14)
-	tree := Bulk(items, &Options{BlockSize: 580})
-	x, y := 0.5, 0.5
-	wantPoint := 0
-	for _, it := range items {
-		if it.Rect.ContainsPoint(x, y) {
-			wantPoint++
-		}
-	}
-	if got, _ := tree.Count(Point(x, y)); got != wantPoint {
-		t.Errorf("Point: got %d, want %d", got, wantPoint)
-	}
-	q := NewRect(0.2, 0.2, 0.8, 0.8)
-	wantCont := 0
-	for _, it := range items {
-		if q.Contains(it.Rect) {
-			wantCont++
-		}
-	}
-	if got, _ := tree.Count(Contained(q)); got != wantCont {
-		t.Errorf("Contained: got %d, want %d", got, wantCont)
-	}
-}
-
-func TestNearestNeighborsPublic(t *testing.T) {
-	items := randItems(1000, 15)
-	tree := Bulk(items, &Options{BlockSize: 580})
-	ns := nearest(t, tree, 0.5, 0.5, 7)
-	if len(ns) != 7 {
-		t.Fatalf("kNN returned %d", len(ns))
-	}
-	for i := 1; i < len(ns); i++ {
-		if ns[i].Dist2 < ns[i-1].Dist2 {
-			t.Fatal("kNN results not sorted")
-		}
 	}
 }
 
@@ -486,7 +395,7 @@ func TestConcurrentQueriesMatchSequentialFig12(t *testing.T) {
 // and the disk's atomic counters fix. Run under -race in CI.
 func TestConcurrentIOStatsDuringBatch(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	items := randItems(8000, 21)
+	items := zoo.Uniform(8000, 0.02, 21)
 	tree := Bulk(items, nil)
 	queries := make([]Rect, 64)
 	rng := rand.New(rand.NewSource(22))

@@ -3,7 +3,6 @@ package prtree
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // indexFiles fails the test unless dir holds exactly the index files at
@@ -34,16 +34,6 @@ func indexFiles(t *testing.T, dir string, names ...string) {
 	}
 }
 
-func scratchTestItems(n int, seed int64) []Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]Item, n)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		items[i] = Item{Rect: NewRect(x, y, x+rng.Float64()*0.01, y+rng.Float64()*0.01), ID: uint32(i)}
-	}
-	return items
-}
-
 // TestBulkLoadLeavesDenseIndexFile: whatever the loader, a file-backed
 // Create + BulkLoad + Close leaves an index file that is its tree and
 // nothing else — Nodes() page slots after the header, all in use,
@@ -52,7 +42,7 @@ func scratchTestItems(n int, seed int64) []Item {
 // writes and nothing else.
 func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 	const blockSize = 512
-	items := scratchTestItems(3000, 5)
+	items := zoo.Uniform(3000, 0.01, 5)
 	for _, l := range []Loader{Hilbert, Hilbert4D, TGS, PR} {
 		t.Run("raw/"+l.String(), func(t *testing.T) {
 			dir := t.TempDir()
@@ -111,7 +101,7 @@ func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 func TestBulkLoadParallelismByteIdentical(t *testing.T) {
 	// Let Parallelism 8 mean eight workers on a smaller machine too.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	items := scratchTestItems(40000, 11)
+	items := zoo.Uniform(40000, 0.01, 11)
 	var wantFile []byte
 	var wantIO IOStats
 	for _, p := range []int{1, 2, 8} {
@@ -149,7 +139,7 @@ func TestBulkLoadParallelismByteIdentical(t *testing.T) {
 // error — leaves no file behind but the index and its log, whatever the
 // loader: there is no temporary file to remove.
 func TestFailedLoadRemovesScratch(t *testing.T) {
-	items := scratchTestItems(2000, 6)
+	items := zoo.Uniform(2000, 0.01, 6)
 	opts := func(wrap func(Backend) Backend) *Options {
 		return &Options{BlockSize: 512, WrapBackend: wrap}
 	}
@@ -260,7 +250,7 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 // cross many carries, a flush, a Sync, a Close and a reopen that carries
 // again leave no file but the index and its log at any point.
 func TestDynamicCarriesUseScratch(t *testing.T) {
-	items := scratchTestItems(1200, 7)
+	items := zoo.Uniform(1200, 0.01, 7)
 	// Carries run inline only; the case keeps the name it had beside the
 	// retired background mode.
 	t.Run("background=false", func(t *testing.T) {
@@ -323,7 +313,7 @@ func TestDefaultLoadsUseNoScratch(t *testing.T) {
 	t.Run("BulkLoad", func(t *testing.T) {
 		// Above extmem.DefaultMemoryItems, the budget the external loaders
 		// run at.
-		items := scratchTestItems(80000, 8)
+		items := zoo.Uniform(80000, 0.01, 8)
 		dir := t.TempDir()
 		tr, err := Create(filepath.Join(dir, "static.pr"), nil)
 		if err != nil {
@@ -355,7 +345,7 @@ func TestDefaultLoadsUseNoScratch(t *testing.T) {
 	})
 
 	t.Run("Dynamic", func(t *testing.T) {
-		items := scratchTestItems(1200, 7)
+		items := zoo.Uniform(1200, 0.01, 7)
 		dir := t.TempDir()
 		d, err := CreateDynamic(filepath.Join(dir, "carry.prd"), &Options{BlockSize: 512})
 		if err != nil {

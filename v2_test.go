@@ -2,6 +2,7 @@ package prtree
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,10 +22,10 @@ import (
 	"prtree/internal/bulk"
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
-	"prtree/internal/parallel"
 	"prtree/internal/rtree"
 	"prtree/internal/storage"
 	"prtree/internal/workload"
+	"prtree/internal/zoo"
 )
 
 // TestOptionsNormalized is the table test over nil/zero/negative options
@@ -57,126 +59,6 @@ func TestOptionsNormalized(t *testing.T) {
 				return c
 			}()) {
 				t.Errorf("normalized mutated its receiver")
-			}
-		})
-	}
-}
-
-// TestBackendEquivalence is the cross-backend property test: the same
-// dataset built on the in-memory backend and the file backend must produce
-// bit-identical window, point, containment, k-NN and batch results — and
-// identical query block-I/O — on the raw page layout, the only one. On
-// either backend a counted demand read is exactly one cache miss, however
-// the page's bytes arrive. TestCrossPolicyEquivalence sweeps the cache
-// capacity.
-func TestBackendEquivalence(t *testing.T) {
-	for _, seed := range []int64{3, 11} {
-		t.Run(fmt.Sprintf("layout=raw/seed=%d", seed), func(t *testing.T) {
-			items := dataset.Western(6000, seed)
-			// A small bounded cache makes the block-I/O identity check
-			// below meaningful: queries keep reading real blocks instead
-			// of serving everything from a fully warmed unbounded cache.
-			opts := &Options{CacheCapacity: 8}
-
-			mem := Bulk(items, opts)
-
-			path := filepath.Join(t.TempDir(), "equiv.pr")
-			file, err := Create(path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer file.Close()
-			if io := file.IOStats(); io.Total() != 0 {
-				t.Fatalf("Create did block I/O %v: an empty index owns no page", io)
-			}
-			if err := file.BulkLoad(PR, items); err != nil {
-				t.Fatal(err)
-			}
-
-			// Build block-I/O is the same quantity on both backends: a load
-			// builds in memory, so each backend took one write per tree
-			// page and nothing else.
-			buildM, buildF := mem.IOStats(), file.IOStats()
-			if buildM != buildF {
-				t.Fatalf("build block-I/O differs: in-memory %v, file-backed %v", buildM, buildF)
-			}
-			if int(buildF.Writes) != file.Nodes() || buildF.Reads != 0 {
-				t.Fatalf("index file took %v for a tree of %d pages", buildF, file.Nodes())
-			}
-
-			if mem.Len() != file.Len() || mem.Height() != file.Height() || mem.Nodes() != file.Nodes() {
-				t.Fatalf("shape differs: mem %d/%d/%d file %d/%d/%d",
-					mem.Len(), mem.Height(), mem.Nodes(), file.Len(), file.Height(), file.Nodes())
-			}
-			if err := mem.Validate(); err != nil {
-				t.Fatalf("in-memory tree invalid: %v", err)
-			}
-			if err := file.Validate(); err != nil {
-				t.Fatalf("file-backed tree invalid: %v", err)
-			}
-
-			world := geom.ItemsMBR(items)
-			queries := workload.Squares(world, 0.005, 40, seed+1)
-			rng := rand.New(rand.NewSource(seed + 2))
-
-			mem.ResetIOStats()
-			file.ResetIOStats()
-			csM, csF := mem.CacheStats(), file.CacheStats()
-			for i, q := range queries {
-				var stM, stF QueryStats
-				gotM, errM := mem.Collect(Window(q).WithStats(&stM))
-				gotF, errF := file.Collect(Window(q).WithStats(&stF))
-				if errM != nil || errF != nil {
-					t.Fatalf("query %d errors: %v / %v", i, errM, errF)
-				}
-				if !reflect.DeepEqual(gotM, gotF) {
-					t.Fatalf("query %d: results differ across backends", i)
-				}
-				if stM != stF {
-					t.Fatalf("query %d: stats %+v vs %+v", i, stM, stF)
-				}
-
-				cm, _ := mem.Collect(Contained(q))
-				cf, _ := file.Collect(Contained(q))
-				if !reflect.DeepEqual(cm, cf) {
-					t.Fatalf("query %d: containment results differ", i)
-				}
-
-				x, y := rng.Float64(), rng.Float64()
-				if !reflect.DeepEqual(collect(t, mem, Point(x, y)), collect(t, file, Point(x, y))) {
-					t.Fatalf("query %d: point results differ", i)
-				}
-				nm := nearest(t, mem, x, y, 10)
-				nf := nearest(t, file, x, y, 10)
-				if !reflect.DeepEqual(nm, nf) {
-					t.Fatalf("query %d: k-NN results differ", i)
-				}
-			}
-			ioM, ioF := mem.IOStats(), file.IOStats()
-			if ioM != ioF {
-				t.Fatalf("query block-I/O differs across backends: mem %v file %v", ioM, ioF)
-			}
-			if m, f := mem.CacheStats().Misses-csM.Misses, file.CacheStats().Misses-csF.Misses; ioM.Reads != m || ioF.Reads != f {
-				t.Fatalf("demand reads %d / %d for %d / %d cache misses — must be one each", ioM.Reads, ioF.Reads, m, f)
-			}
-
-			// One query per goroutine agrees across backends too; the
-			// serial loop above has already checked these windows for errors.
-			concurrent := func(tr *Tree) ([][]Item, []QueryStats) {
-				out := make([][]Item, len(queries))
-				stats := make([]QueryStats, len(queries))
-				parallel.Run(4, len(queries), func(i int) {
-					out[i], _ = tr.Collect(Window(queries[i]).WithStats(&stats[i]))
-				})
-				return out, stats
-			}
-			cm, sm := concurrent(mem)
-			cf, sf := concurrent(file)
-			if !reflect.DeepEqual(cm, cf) {
-				t.Fatal("concurrent results differ across backends")
-			}
-			if !reflect.DeepEqual(sm, sf) {
-				t.Fatal("concurrent stats differ across backends")
 			}
 		})
 	}
@@ -232,7 +114,7 @@ func TestEmptyIndexOwnsNoPage(t *testing.T) {
 		t.Errorf("queries of an empty index did block I/O %v", io)
 	}
 
-	if err := re.BulkLoad(PR, randItems(3000, 41)); err != nil {
+	if err := re.BulkLoad(PR, zoo.Uniform(3000, 0.02, 41)); err != nil {
 		t.Fatal(err)
 	}
 	if total, inUse := re.PageCounts(); total != re.Nodes() || inUse != re.Nodes() {
@@ -513,14 +395,6 @@ func TestQuerySurface(t *testing.T) {
 		{"Tree", Bulk(items, nil), items},
 		{"Dynamic", d, live},
 	}
-	// bruteNearest is the k nearest live items, in Closest order.
-	bruteNearest := func(live []Item, x, y float64, k int) []Neighbor {
-		nb := make([]Neighbor, len(live))
-		for i, it := range live {
-			nb[i] = Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)}
-		}
-		return rtree.Closest(nb, k)
-	}
 
 	t.Run("limit", func(t *testing.T) {
 		for _, in := range inputs {
@@ -577,42 +451,31 @@ func TestQuerySurface(t *testing.T) {
 
 	t.Run("kinds agree with brute force", func(t *testing.T) {
 		q := workload.Squares(world, 0.02, 1, 3)[0]
-		x, y := 0.3, 0.7
 		for _, in := range inputs {
 			for _, c := range []struct {
-				kind  string
 				query Query
-				keep  func(Rect) bool
+				want  zoo.Query
 			}{
-				{"Window", Window(q), q.Intersects},
-				{"Contained", Contained(q), q.Contains},
-				{"Point", Point(x, y), func(r Rect) bool { return r.ContainsPoint(x, y) }},
+				{Window(q), zoo.Query{Rect: q}},
+				{Contained(q), zoo.Query{Kind: zoo.Contained, Rect: q}},
+				{Point(0.3, 0.7), zoo.Query{Rect: geom.PointRect(0.3, 0.7)}},
+				{Nearest(0.5, 0.5, 9), zoo.Query{Kind: zoo.Nearest, X: 0.5, Y: 0.5, K: 9}},
 			} {
-				want := map[uint32]bool{}
-				for _, it := range in.live {
-					if c.keep(it.Rect) {
-						want[it.ID] = true
-					}
-				}
-				got := map[uint32]bool{}
-				for _, it := range collect(t, in.index, c.query) {
-					got[it.ID] = true
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s, %s: %d results, brute force %d", in.name, c.kind, len(got), len(want))
+				if err := zoo.Expect(in.live, c.want).Check(collect(t, in.index, c.query)); err != nil {
+					t.Errorf("%s, %v: %v", in.name, c.want, err)
 				}
 			}
-			want := bruteNearest(in.live, 0.5, 0.5, 9)
-			if got := nearest(t, in.index, 0.5, 0.5, 9); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, CollectNearest: %v, brute force %v", in.name, got, want)
+			// Ties in distance come in ID order, and Collect yields what
+			// CollectNearest returns.
+			nb := nearest(t, in.index, 0.5, 0.5, 9)
+			if !slices.IsSortedFunc(nb, func(a, b Neighbor) int {
+				return cmp.Or(cmp.Compare(a.Dist2, b.Dist2), cmp.Compare(a.Item.ID, b.Item.ID))
+			}) {
+				t.Fatalf("%s, CollectNearest: %v out of (distance, ID) order", in.name, nb)
 			}
-			got := collect(t, in.index, Nearest(0.5, 0.5, 9))
-			if len(got) != len(want) {
-				t.Fatalf("%s, Nearest: %d results, want %d", in.name, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i].Item {
-					t.Fatalf("%s, Nearest order differs at %d", in.name, i)
+			for i, it := range collect(t, in.index, Nearest(0.5, 0.5, 9)) {
+				if it != nb[i].Item {
+					t.Fatalf("%s, Nearest order differs from CollectNearest's at %d", in.name, i)
 				}
 			}
 		}
@@ -643,10 +506,12 @@ func TestQuerySurface(t *testing.T) {
 			if err != nil || len(got) != 4 {
 				t.Fatalf("%s, nearest with limit: %d results (err %v)", in.name, len(got), err)
 			}
-			want := bruteNearest(in.live, 0.5, 0.5, 4)
-			for i := range got {
-				if got[i] != want[i].Item {
-					t.Fatalf("%s, limited nearest differs at %d", in.name, i)
+			if err := zoo.Expect(in.live, zoo.Query{Kind: zoo.Nearest, X: 0.5, Y: 0.5, K: 4}).Check(got); err != nil {
+				t.Fatalf("%s, nearest with limit: %v", in.name, err)
+			}
+			for i, n := range nearest(t, in.index, 0.5, 0.5, 9)[:4] {
+				if got[i] != n.Item {
+					t.Fatalf("%s, limited nearest differs from the unlimited one's prefix at %d", in.name, i)
 				}
 			}
 		}
