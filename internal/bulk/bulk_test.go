@@ -1,7 +1,6 @@
 package bulk_test
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -17,20 +16,6 @@ import (
 // The loaders' tests here build with the external constructions
 // (extmem.Load) — their memory budget forces external rounds — and hold
 // the in-memory ones (bulk.LoadSlice) to the same pages (slice_test.go).
-
-// checkWindow fails unless tr answers the window q as brute force over
-// items does.
-func checkWindow(tb testing.TB, tr *rtree.Tree, items []geom.Item, q geom.Rect) {
-	tb.Helper()
-	var got []geom.Item
-	tr.RunWindow(q, false, func(it geom.Item) bool {
-		got = append(got, it)
-		return true
-	}, rtree.RunOptions{})
-	if err := zoo.Expect(items, zoo.Query{Rect: q}).Check(got); err != nil {
-		tb.Fatalf("window %v: %v", q, err)
-	}
-}
 
 // allowParallelism raises GOMAXPROCS so the worker pool actually fans out
 // even on single-CPU machines (Parallelism is clamped to GOMAXPROCS).
@@ -63,15 +48,12 @@ func TestAllLoadersValidTrees(t *testing.T) {
 
 func TestAllLoadersQueryCorrect(t *testing.T) {
 	items := zoo.Uniform(3000, 0.01, 2)
-	rng := rand.New(rand.NewSource(3))
-	queries := make([]geom.Rect, 25)
-	for i := range queries {
-		queries[i] = geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-	}
 	for _, l := range bulk.Loaders {
 		tr := loadOn(t, l, items, extmem.Options{Fanout: 16, MemoryItems: 1024})
-		for _, q := range queries {
-			checkWindow(t, tr, items, q)
+		for _, q := range zoo.Windows(25, 3) {
+			if err := zoo.Expect(items, zoo.Query{Rect: q}).CheckScan(func(f func(geom.Item) bool) { tr.RunWindow(q, false, f, rtree.RunOptions{}) }); err != nil {
+				t.Fatalf("window %v: %v", q, err)
+			}
 		}
 	}
 }
@@ -87,7 +69,10 @@ func TestAllLoadersEmptyAndTiny(t *testing.T) {
 		if tr.Len() != 1 || tr.Height() != 1 {
 			t.Fatalf("%v: single-item tree len=%d h=%d", l, tr.Len(), tr.Height())
 		}
-		checkWindow(t, tr, one, geom.NewRect(0, 0, 2, 2))
+		w := geom.NewRect(0, 0, 2, 2)
+		if err := zoo.Expect(one, zoo.Query{Rect: w}).CheckScan(func(f func(geom.Item) bool) { tr.RunWindow(w, false, f, rtree.RunOptions{}) }); err != nil {
+			t.Fatalf("window %v: %v", w, err)
+		}
 	}
 }
 
@@ -245,24 +230,16 @@ func TestTGSPrefersVerticalCutOnColumns(t *testing.T) {
 }
 
 func TestPRTreeHandlesExtremeAspect(t *testing.T) {
-	// Long skinny rectangles: PR must stay valid and correct.
-	rng := rand.New(rand.NewSource(9))
-	items := make([]geom.Item, 4000)
-	for i := range items {
-		x, y := rng.Float64(), rng.Float64()
-		if i%2 == 0 {
-			items[i] = geom.Item{Rect: geom.NewRect(x, y, x+0.5, y+1e-5), ID: uint32(i)}
-		} else {
-			items[i] = geom.Item{Rect: geom.NewRect(x, y, x+1e-5, y+0.5), ID: uint32(i)}
-		}
-	}
+	// Long thin segments: PR must stay valid and correct.
+	items := zoo.Cross(4000, 0.5, 9)
 	tr := loadOn(t, bulk.LoaderPR, items, extmem.Options{Fanout: 16, MemoryItems: 1024})
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		checkWindow(t, tr, items, q)
+	for _, q := range zoo.Windows(20, 10) {
+		if err := zoo.Expect(items, zoo.Query{Rect: q}).CheckScan(func(f func(geom.Item) bool) { tr.RunWindow(q, false, f, rtree.RunOptions{}) }); err != nil {
+			t.Fatalf("window %v: %v", q, err)
+		}
 	}
 }
 
@@ -291,10 +268,7 @@ func TestLoadConsumesInput(t *testing.T) {
 }
 
 func TestDuplicateRectsAllLoaders(t *testing.T) {
-	items := make([]geom.Item, 600)
-	for i := range items {
-		items[i] = geom.Item{Rect: geom.NewRect(0.4, 0.4, 0.6, 0.6), ID: uint32(i)}
-	}
+	items := zoo.Copies(600, geom.NewRect(0.4, 0.4, 0.6, 0.6))
 	for _, l := range bulk.Loaders {
 		tr := loadOn(t, l, items, extmem.Options{Fanout: 16, MemoryItems: 1024})
 		if err := tr.Validate(); err != nil {

@@ -50,7 +50,9 @@ func TestLoadersCompressedLayout(t *testing.T) {
 				for i := 0; i < 25; i++ {
 					x, y := rng.Float64(), rng.Float64()
 					q := geom.NewRect(x, y, x+0.05+rng.Float64()*0.1, y+0.05+rng.Float64()*0.1)
-					checkWindow(t, tr, items, q)
+					if err := zoo.Expect(items, zoo.Query{Rect: q}).CheckScan(func(f func(geom.Item) bool) { tr.RunWindow(q, false, f, rtree.RunOptions{}) }); err != nil {
+						t.Fatalf("window %v: %v", q, err)
+					}
 				}
 			})
 		}

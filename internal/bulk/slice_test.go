@@ -103,17 +103,6 @@ func sameTree(t *testing.T, fromSlice *rtree.Tree, sliceDisk *storage.Disk, from
 	}
 }
 
-// tiedItems returns n records on 400 unit squares with 50 ids: every
-// record ties with others on each coordinate and its id.
-func tiedItems(n int) []geom.Item {
-	items := make([]geom.Item, n)
-	for i := range items {
-		x, y := float64(i%20), float64(i%400/20)
-		items[i] = geom.Item{Rect: geom.NewRect(x, y, x+1, y+1), ID: uint32(i % 50)}
-	}
-	return items
-}
-
 // TestLoadSliceMatchesItemFileLoad: LoadSlice's H, H4 and TGS are the
 // external loads without the file. Over an input file on a store of its
 // own, extmem.Load writes the same pages, byte for byte and in the same
@@ -133,7 +122,7 @@ func TestLoadSliceMatchesItemFileLoad(t *testing.T) {
 	for i, n := range []int{0, 1, 16, 4*16 + 1, 3000, 30000} {
 		inputs = append(inputs, input{fmt.Sprintf("N=%d", n), zoo.Uniform(n, 0.01, int64(i+1))})
 	}
-	tied := []input{{"sameSquare", zoo.Twins(3000)}, {"tied", tiedItems(5000)}}
+	tied := []input{{"sameSquare", zoo.Twins(3000)}, {"tied", zoo.Tied(5000)}}
 	for _, l := range []bulk.Loader{bulk.LoaderHilbert, bulk.LoaderHilbert4D, bulk.LoaderTGS} {
 		cases := inputs
 		if l != bulk.LoaderTGS {

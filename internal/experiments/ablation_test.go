@@ -22,12 +22,7 @@ func TestBuildFromPseudoValid(t *testing.T) {
 				t.Fatalf("priority=%v round=%v: %v", priority, round, err)
 			}
 			q := geom.NewRect(0.2, 0.2, 0.6, 0.6)
-			var got []geom.Item
-			tr.RunWindow(q, false, func(it geom.Item) bool {
-				got = append(got, it)
-				return true
-			}, rtree.RunOptions{})
-			if err := zoo.Expect(items, zoo.Query{Rect: q}).Check(got); err != nil {
+			if err := zoo.Expect(items, zoo.Query{Rect: q}).CheckScan(func(f func(geom.Item) bool) { tr.RunWindow(q, false, f, rtree.RunOptions{}) }); err != nil {
 				t.Fatalf("priority=%v round=%v: %v", priority, round, err)
 			}
 		}

@@ -26,28 +26,15 @@ var western = sync.OnceValue(func() []geom.Item { return dataset.Western(300000,
 
 func checkPartition(t *testing.T, items []geom.Item, groups []pseudo.LeafGroup, b int) {
 	t.Helper()
-	seen := make(map[uint32]geom.Rect)
+	var all []geom.Item
 	for _, lg := range groups {
-		if len(lg.Items) == 0 {
-			t.Fatal("empty group emitted")
+		if len(lg.Items) == 0 || len(lg.Items) > b {
+			t.Fatalf("group of %d items, capacity %d", len(lg.Items), b)
 		}
-		if len(lg.Items) > b {
-			t.Fatalf("group of %d exceeds capacity %d", len(lg.Items), b)
-		}
-		for _, it := range lg.Items {
-			if _, dup := seen[it.ID]; dup {
-				t.Fatalf("item %d emitted twice", it.ID)
-			}
-			seen[it.ID] = it.Rect
-		}
+		all = append(all, lg.Items...)
 	}
-	if len(seen) != len(items) {
-		t.Fatalf("groups cover %d of %d items", len(seen), len(items))
-	}
-	for _, it := range items {
-		if r, ok := seen[it.ID]; !ok || r != it.Rect {
-			t.Fatalf("item %d missing or corrupted", it.ID)
-		}
+	if !slices.Equal(zoo.Sorted(all), zoo.Sorted(items)) {
+		t.Fatalf("groups hold %d items, not the %d input items once each", len(all), len(items))
 	}
 }
 
@@ -108,20 +95,6 @@ func runExternal(items []geom.Item, b, m int) (e *externalBuilder, groups []pseu
 	return e, groups, sorted, disk.Stats()
 }
 
-// diagonal returns n rectangles whose four coordinates all rise with the
-// id — equal squares along the diagonal, or points on it when side is 0.
-// All four sorted lists are then the same list, and an in-order scan of
-// any of them is the worst order there is for two of the four heaps of
-// every node: each rectangle beats all before it.
-func diagonal(n int, side float64) []geom.Item {
-	items := make([]geom.Item, n)
-	for i := range items {
-		v := float64(i)
-		items[i] = geom.Item{Rect: geom.NewRect(v, v, v+side, v+side), ID: uint32(i)}
-	}
-	return items
-}
-
 // TestExternalFillOrder: the priority heaps are fed out of order, so the
 // number of rectangles a heap admits and later evicts in one external
 // round is about 4B log(N/B) a kd node whatever N is (30,000 to 35,000
@@ -136,8 +109,10 @@ func TestExternalFillOrder(t *testing.T) {
 		m     int
 	}{
 		{"western", western(), 65536},
-		{"diagonal squares", diagonal(100000, 1), 30000},
-		{"diagonal points", diagonal(100000, 0), 30000},
+		// An in-order scan of a diagonal's one sorted list is the worst
+		// order for two of the four heaps of every node.
+		{"diagonal squares", zoo.Diagonal(100000, 1), 30000},
+		{"diagonal points", zoo.Diagonal(100000, 0), 30000},
 	}
 	for _, c := range cases {
 		e, groups, _, _ := runExternal(c.items, per, c.m)

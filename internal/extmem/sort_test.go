@@ -2,11 +2,13 @@ package extmem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"prtree/internal/bulk"
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/zoo"
 )
 
 // sortInput returns n small rectangles spread over [-500, 500)^2, ids
@@ -79,18 +81,8 @@ func TestSortPreservesMultiset(t *testing.T) {
 	items := sortInput(777, 4)
 	in := NewItemFileFrom(d, items)
 	out := Sort(in, bulk.AxisKey(1), 400)
-	got := out.ReadAll()
-	seen := make(map[uint32]geom.Item, len(got))
-	for _, it := range got {
-		seen[it.ID] = it
-	}
-	if len(seen) != len(items) {
-		t.Fatalf("lost items: %d unique of %d", len(seen), len(items))
-	}
-	for _, it := range items {
-		if seen[it.ID] != it {
-			t.Fatalf("item %d corrupted", it.ID)
-		}
+	if got := zoo.Sorted(out.ReadAll()); !slices.Equal(got, items) {
+		t.Fatalf("sort returned %d items, not the %d it was given", len(got), len(items))
 	}
 }
 
@@ -110,10 +102,8 @@ func TestSortEmptyAndSingle(t *testing.T) {
 
 func TestSortDuplicateCoordinatesStableByID(t *testing.T) {
 	d := storage.NewDisk(storage.DefaultBlockSize)
-	items := make([]geom.Item, 100)
-	for i := range items {
-		items[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(99 - i)}
-	}
+	items := zoo.Copies(100, geom.NewRect(1, 2, 3, 4))
+	slices.Reverse(items)
 	in := NewItemFileFrom(d, items)
 	out := Sort(in, bulk.AxisKey(0), 400)
 	got := out.ReadAll()

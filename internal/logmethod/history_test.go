@@ -99,11 +99,10 @@ func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 		}
 	}
 	x, y, k := rng.Float64(), rng.Float64(), 1+rng.Intn(12)
-	want := make([]Neighbor, len(live))
-	for i, it := range live {
-		want[i] = Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)}
+	var want []Neighbor
+	for _, it := range zoo.Expect(live, zoo.Query{Kind: zoo.Nearest, X: x, Y: y, K: k}).Ranked() {
+		want = append(want, Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)})
 	}
-	want = rtree.Closest(want, k)
 	got, st, err := tr.RunNearest(x, y, k, rtree.RunOptions{})
 	if err != nil || st.Results != len(got) || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%d nearest to (%v, %v): %v (stats %+v, err %v), want %v", k, x, y, got, st, err, want)

@@ -2,6 +2,7 @@ package logmethod
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"prtree/internal/bulk"
@@ -32,16 +33,6 @@ func window(tr *Tree, q geom.Rect, contain bool) ([]geom.Item, rtree.QueryStats)
 func nearest(tr *Tree, x, y float64, k int) []Neighbor {
 	nb, _, _ := tr.RunNearest(x, y, k, rtree.RunOptions{})
 	return nb
-}
-
-// checkWindow fails unless tr answers the window q as brute force over
-// universe does.
-func checkWindow(t *testing.T, tr *Tree, universe []geom.Item, q geom.Rect) {
-	t.Helper()
-	got, _ := window(tr, q, false)
-	if err := zoo.Expect(universe, zoo.Query{Rect: q}).Check(got); err != nil {
-		t.Fatalf("query %v: %v", q, err)
-	}
 }
 
 func TestBinaryCounterLevels(t *testing.T) {
@@ -112,7 +103,10 @@ func TestTombstoneRebuildReclaimsSpace(t *testing.T) {
 		t.Errorf("pages in use %d did not shrink from peak %d", disk.PagesInUse(), peak)
 	}
 	universe := items[900:]
-	checkWindow(t, tr, universe, geom.NewRect(0, 0, 2, 2))
+	w := geom.NewRect(0, 0, 2, 2)
+	if err := zoo.Expect(universe, zoo.Query{Rect: w}).CheckScan(func(f func(geom.Item) bool) { tr.RunWindow(w, false, f, rtree.RunOptions{}) }); err != nil {
+		t.Fatalf("query %v: %v", w, err)
+	}
 }
 
 func TestReviveTombstonedID(t *testing.T) {
@@ -130,14 +124,7 @@ func TestReviveTombstonedID(t *testing.T) {
 	if tr.Len() != 11 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	got, _ := window(tr, it.Rect, false)
-	found := false
-	for _, g := range got {
-		if g.ID == 7 {
-			found = true
-		}
-	}
-	if !found {
+	if got, _ := window(tr, it.Rect, false); !slices.Contains(got, it) {
 		t.Error("revived item not found")
 	}
 }
@@ -168,7 +155,10 @@ func TestFlushCompactsToOneLevel(t *testing.T) {
 	if tr.Levels() > 1 {
 		t.Errorf("flush left %d levels", tr.Levels())
 	}
-	checkWindow(t, tr, items, geom.NewRect(0.2, 0.2, 0.8, 0.8))
+	w := geom.NewRect(0.2, 0.2, 0.8, 0.8)
+	if err := zoo.Expect(items, zoo.Query{Rect: w}).CheckScan(func(f func(geom.Item) bool) { tr.RunWindow(w, false, f, rtree.RunOptions{}) }); err != nil {
+		t.Fatalf("query %v: %v", w, err)
+	}
 }
 
 func TestItemsReturnsLive(t *testing.T) {
@@ -180,18 +170,8 @@ func TestItemsReturnsLive(t *testing.T) {
 	for _, it := range items[:40] {
 		tr.Delete(it)
 	}
-	got := tr.Items()
-	if len(got) != 60 {
-		t.Fatalf("items = %d", len(got))
-	}
-	seen := map[uint32]bool{}
-	for _, it := range got {
-		seen[it.ID] = true
-	}
-	for _, it := range items[:40] {
-		if seen[it.ID] {
-			t.Fatalf("deleted item %d still listed", it.ID)
-		}
+	if got := zoo.Sorted(tr.Items()); !slices.Equal(got, items[40:]) {
+		t.Fatalf("Items returned %d items, not the 60 live ones", len(got))
 	}
 }
 
@@ -305,5 +285,8 @@ func TestSwapAdvancesEpoch(t *testing.T) {
 		}
 		tr.snap.SnapshotLeave(b)
 	}
-	checkWindow(t, tr, items, geom.NewRect(0, 0, 2, 2))
+	w := geom.NewRect(0, 0, 2, 2)
+	if err := zoo.Expect(items, zoo.Query{Rect: w}).CheckScan(func(f func(geom.Item) bool) { tr.RunWindow(w, false, f, rtree.RunOptions{}) }); err != nil {
+		t.Fatalf("query %v: %v", w, err)
+	}
 }

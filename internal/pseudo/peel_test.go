@@ -86,18 +86,12 @@ func adversarialInputs(n int) map[string][]geom.Item {
 		out[fmt.Sprintf("axis%d-asc", axis)] = up
 		out[fmt.Sprintf("axis%d-desc", axis)] = down
 	}
-	same := make([]geom.Item, n)
-	for i := range same {
-		same[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(n - i)}
-	}
-	out["all-equal"] = same
+	out["all-equal"] = zoo.Copies(n, geom.NewRect(1, 2, 3, 4))
+	slices.Reverse(out["all-equal"])
 	out["grid"] = zoo.Lattice(n, 5)
 	out["random"] = base
-	diag := make([]geom.Item, n)
-	for i, j := range rand.New(rand.NewSource(9)).Perm(n) {
-		x := float64(j)
-		diag[i] = geom.Item{Rect: geom.NewRect(x, x, x+2, x+2), ID: uint32(i)}
-	}
+	diag := zoo.Diagonal(n, 2)
+	rand.New(rand.NewSource(9)).Shuffle(n, func(i, j int) { diag[i], diag[j] = diag[j], diag[i] })
 	out["diagonal"] = diag
 	return out
 }

@@ -82,11 +82,11 @@ func TestSelectKQuick(t *testing.T) {
 }
 
 func TestSelectKEdges(t *testing.T) {
-	same := make([]geom.Item, 40)  // one rectangle, distinct ids
-	twins := make([]geom.Item, 40) // all-equal keys: ids repeat too
-	for i := range same {
-		same[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(len(same) - i)}
-		twins[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(i % 2)}
+	same := zoo.Copies(40, geom.NewRect(1, 2, 3, 4)) // one rectangle, distinct ids
+	slices.Reverse(same)
+	twins := zoo.Copies(40, geom.NewRect(1, 2, 3, 4)) // all-equal keys: ids repeat too
+	for i := range twins {
+		twins[i].ID %= 2
 	}
 	inputs := [][]geom.Item{zoo.Uniform(10, 0.02, 1), zoo.Lattice(40, 2), same, twins, zoo.Uniform(1, 0.02, 3), nil}
 	for _, o := range buildOrders() {
@@ -105,10 +105,8 @@ func TestSelectKEdges(t *testing.T) {
 // the order selected by, and one key shared by every record.
 func TestSelectKSampled(t *testing.T) {
 	n := 4 * sampleMin
-	same := make([]geom.Item, n)
-	for i := range same {
-		same[i] = geom.Item{Rect: geom.NewRect(1, 2, 3, 4), ID: uint32(n - i)}
-	}
+	same := zoo.Copies(n, geom.NewRect(1, 2, 3, 4))
+	slices.Reverse(same)
 	for i, o := range buildOrders() {
 		sorted := zoo.Uniform(n, 0.02, int64(i+1))
 		slices.SortFunc(sorted, func(a, b geom.Item) int {
@@ -236,20 +234,15 @@ func TestBuildRoundToBFillsLeaves(t *testing.T) {
 func TestLeavesPartitionItems(t *testing.T) {
 	items := zoo.Uniform(3000, 0.02, 7)
 	tr := Build(items, 16, false, 1)
-	seen := make(map[uint32]bool)
+	var all []geom.Item
 	for _, lg := range tr.Leaves() {
 		if len(lg.Items) == 0 || len(lg.Items) > 16 {
 			t.Fatalf("leaf size %d", len(lg.Items))
 		}
-		for _, it := range lg.Items {
-			if seen[it.ID] {
-				t.Fatalf("item %d in two leaves", it.ID)
-			}
-			seen[it.ID] = true
-		}
+		all = append(all, lg.Items...)
 	}
-	if len(seen) != len(items) {
-		t.Fatalf("leaves cover %d of %d items", len(seen), len(items))
+	if !slices.Equal(zoo.Sorted(all), items) {
+		t.Fatalf("leaves hold %d items, not the %d built, each once", len(all), len(items))
 	}
 }
 
@@ -333,10 +326,7 @@ func TestLemma2QueryBound(t *testing.T) {
 }
 
 func TestBuildManyDuplicates(t *testing.T) {
-	items := make([]geom.Item, 500)
-	for i := range items {
-		items[i] = geom.Item{Rect: geom.NewRect(0.5, 0.5, 0.6, 0.6), ID: uint32(i)}
-	}
+	items := zoo.Copies(500, geom.NewRect(0.5, 0.5, 0.6, 0.6))
 	tr := Build(items, 8, true, 1)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)

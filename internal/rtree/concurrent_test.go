@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"sync"
@@ -33,17 +32,6 @@ func concurrentTestTree(n int, seed int64, capacity int) (*Tree, *storage.Disk) 
 	return b.FinishPacked(leaves), disk
 }
 
-func concurrentTestQueries(n int, seed int64) []geom.Rect {
-	rng := rand.New(rand.NewSource(seed))
-	qs := make([]geom.Rect, n)
-	for i := range qs {
-		x, y := rng.Float64(), rng.Float64()
-		s := rng.Float64() * 0.3
-		qs[i] = geom.NewRect(x, y, x+s, y+s)
-	}
-	return qs
-}
-
 // TestConcurrentQueryStress runs every read-path flavor from many
 // goroutines against one shared tree while another goroutine reads and
 // resets the I/O counters — the full concurrent read contract, exercised
@@ -51,7 +39,7 @@ func concurrentTestQueries(n int, seed int64) []geom.Rect {
 func TestConcurrentQueryStress(t *testing.T) {
 	defer allowParallelism()()
 	tr, disk := concurrentTestTree(4000, 11, -1)
-	queries := concurrentTestQueries(24, 13)
+	queries := zoo.Windows(24, 13)
 
 	wantCollect := make([][]geom.Item, len(queries))
 	wantContain := make([]int, len(queries))

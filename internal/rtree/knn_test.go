@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -16,29 +15,20 @@ func TestPointStabbingWindow(t *testing.T) {
 		{Rect: geom.NewRect(5, 5, 6, 6), ID: 3},
 	}
 	tr := buildPacked(t, items, 4)
-	got := map[uint32]bool{}
-	tr.RunWindow(geom.PointRect(1.5, 1.5), false, func(it geom.Item) bool {
-		got[it.ID] = true
-		return true
-	}, RunOptions{})
-	if !got[1] || !got[2] || got[3] {
-		t.Errorf("point query results: %v", got)
+	p := geom.PointRect(1.5, 1.5)
+	if err := zoo.Expect(items, zoo.Query{Rect: p}).CheckScan(func(f func(geom.Item) bool) { window(tr, p, f) }); err != nil {
+		t.Errorf("point query: %v", err)
 	}
 }
 
 func TestContainmentWindow(t *testing.T) {
 	items := zoo.Uniform(1000, 0.05, 1)
 	tr := buildPacked(t, items, 16)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 25; i++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		var got []geom.Item
-		st, _ := tr.RunWindow(q, true, func(it geom.Item) bool {
-			got = append(got, it)
-			return true
-		}, RunOptions{})
+	for _, q := range zoo.Windows(25, 2) {
+		var st QueryStats
 		want := zoo.Expect(items, zoo.Query{Kind: zoo.Contained, Rect: q})
-		if err := want.Check(got); err != nil || st.Results != want.Len() {
+		err := want.CheckScan(func(f func(geom.Item) bool) { st, _ = tr.RunWindow(q, true, f, RunOptions{}) })
+		if err != nil || st.Results != want.Len() {
 			t.Fatalf("containment %v: %v, %d results counted", q, err, st.Results)
 		}
 	}

@@ -34,10 +34,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 25; i++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		checkWindow(t, got, items, q)
+	for _, q := range zoo.Windows(25, 2) {
+		if err := zoo.Expect(items, zoo.Query{Rect: q}).CheckScan(func(f func(geom.Item) bool) { window(got, q, f) }); err != nil {
+			t.Fatalf("window %v: %v", q, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -80,10 +81,7 @@ func TestNodeCodecRoundTrip(t *testing.T) {
 
 func TestNodeCodecFullFanout(t *testing.T) {
 	f := MaxFanout(storage.DefaultBlockSize)
-	items := make([]geom.Item, f+1)
-	for i := range items {
-		items[i] = geom.Item{Rect: geom.NewRect(0, 0, 1, 1), ID: uint32(i)}
-	}
+	items := zoo.Copies(f+1, geom.NewRect(0, 0, 1, 1))
 	buf := make([]byte, storage.DefaultBlockSize)
 	data, _ := encodeLeafPage(buf, items[:f])
 	if v := (nodeView{data: data}); !v.isLeaf() || v.count() != f || v.itemAt(f-1) != items[f-1] {
@@ -125,10 +123,10 @@ func TestPackedBuildAndQuery(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("invalid tree: %v", err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 50; i++ {
-		q := geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		checkWindow(t, tr, items, q)
+	for _, q := range zoo.Windows(50, 2) {
+		if err := zoo.Expect(items, zoo.Query{Rect: q}).CheckScan(func(f func(geom.Item) bool) { window(tr, q, f) }); err != nil {
+			t.Fatalf("window %v: %v", q, err)
+		}
 	}
 }
 
@@ -179,21 +177,17 @@ func TestSingleLeafTree(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	checkWindow(t, tr, items, geom.NewRect(0, 0, 2, 2))
+	w := geom.NewRect(0, 0, 2, 2)
+	if err := zoo.Expect(items, zoo.Query{Rect: w}).CheckScan(func(f func(geom.Item) bool) { window(tr, w, f) }); err != nil {
+		t.Fatalf("window %v: %v", w, err)
+	}
 }
 
 func TestItemsRoundTrip(t *testing.T) {
 	items := zoo.Uniform(300, 0.05, 7)
 	tr := buildPacked(t, items, 9)
-	got := tr.Items()
-	if len(got) != len(items) {
-		t.Fatalf("Items len = %d", len(got))
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i].ID < got[j].ID })
-	for i := range items {
-		if got[i] != items[i] {
-			t.Fatalf("item %d mismatch", i)
-		}
+	if got := zoo.Sorted(tr.Items()); !slices.Equal(got, items) {
+		t.Fatalf("Items returned %d items, not the %d loaded", len(got), len(items))
 	}
 }
 
@@ -402,15 +396,6 @@ func windowItems(tr *Tree, q geom.Rect) []geom.Item {
 		return true
 	})
 	return out
-}
-
-// checkWindow fails unless tr answers the window q as brute force over
-// items does.
-func checkWindow(tb testing.TB, tr *Tree, items []geom.Item, q geom.Rect) {
-	tb.Helper()
-	if err := zoo.Expect(items, zoo.Query{Rect: q}).Check(windowItems(tr, q)); err != nil {
-		tb.Fatalf("window %v: %v", q, err)
-	}
 }
 
 // TestExpectedLeavesMatchesMonteCarlo holds ExpectedLeaves to the mean

@@ -8,8 +8,8 @@ package rtree_test
 // window results as a brute-force scan does.
 
 import (
-	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -34,8 +34,6 @@ func insertAll(h *experiments.HTree, items []geom.Item) {
 	}
 }
 
-func byID(a, b geom.Item) int { return cmp.Compare(a.ID, b.ID) }
-
 // checkTree fails unless h validates, stores exactly live, and reports as
 // many items for each query as intersect it in live.
 func checkTree(t *testing.T, h *experiments.HTree, live []geom.Item, queries ...geom.Rect) {
@@ -44,10 +42,7 @@ func checkTree(t *testing.T, h *experiments.HTree, live []geom.Item, queries ...
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := slices.Clone(got), slices.Clone(live)
-	slices.SortFunc(got, byID)
-	slices.SortFunc(want, byID)
-	if !slices.Equal(got, want) {
+	if got, want := zoo.Sorted(got), zoo.Sorted(live); !slices.Equal(got, want) {
 		t.Fatalf("tree holds %d items, %d live, or other ones", len(got), len(want))
 	}
 	for _, q := range queries {
@@ -56,24 +51,6 @@ func checkTree(t *testing.T, h *experiments.HTree, live []geom.Item, queries ...
 			t.Fatalf("query %v: %d results, brute force %d", q, res, n)
 		}
 	}
-}
-
-func randQueries(n int, seed int64) []geom.Rect {
-	rng := rand.New(rand.NewSource(seed))
-	qs := make([]geom.Rect, n)
-	for i := range qs {
-		qs[i] = geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-	}
-	return qs
-}
-
-func size(t *testing.T, h *experiments.HTree) int {
-	t.Helper()
-	items, err := h.Validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(items)
 }
 
 func TestInsertSmall(t *testing.T) {
@@ -99,7 +76,7 @@ func TestInsertQueryCorrectnessBothSplits(t *testing.T) {
 			h := newHTree(8, rstar)
 			items := zoo.Uniform(1500, 0.05, 3)
 			insertAll(h, items)
-			checkTree(t, h, items, randQueries(40, 4)...)
+			checkTree(t, h, items, zoo.Windows(40, 4)...)
 		})
 	}
 }
@@ -107,10 +84,7 @@ func TestInsertQueryCorrectnessBothSplits(t *testing.T) {
 func TestInsertDuplicateRects(t *testing.T) {
 	h := newHTree(4, false)
 	r := geom.NewRect(0.5, 0.5, 0.6, 0.6)
-	var items []geom.Item
-	for i := 0; i < 50; i++ {
-		items = append(items, geom.Item{Rect: r, ID: uint32(i)})
-	}
+	items := zoo.Copies(50, r)
 	insertAll(h, items)
 	checkTree(t, h, items, r)
 }
@@ -123,9 +97,7 @@ func TestDeleteBasic(t *testing.T) {
 		if !h.Delete(it) {
 			t.Fatalf("delete %d failed", i)
 		}
-		if n := size(t, h); n != len(items)-i-1 {
-			t.Fatalf("%d items after %d deletes", n, i+1)
-		}
+		checkTree(t, h, items[i+1:])
 	}
 	if h.Height() != 1 {
 		t.Errorf("emptied tree has height %d", h.Height())
@@ -161,26 +133,18 @@ func TestDeleteThenQuery(t *testing.T) {
 			remaining = append(remaining, it)
 		}
 	}
-	checkTree(t, h, remaining, randQueries(30, 8)...)
+	checkTree(t, h, remaining, zoo.Windows(30, 8)...)
 }
 
 func TestMixedWorkload(t *testing.T) {
 	h := newHTree(6, false)
 	rng := rand.New(rand.NewSource(9))
+	items := zoo.Uniform(3000, 0.1, 9)
 	live := make(map[uint32]geom.Item)
-	liveItems := func() []geom.Item {
-		out := make([]geom.Item, 0, len(live))
-		for _, it := range live {
-			out = append(out, it)
-		}
-		return out
-	}
-	nextID := uint32(0)
 	for step := 0; step < 3000; step++ {
 		if len(live) == 0 || rng.Float64() < 0.6 {
-			x, y := rng.Float64(), rng.Float64()
-			it := geom.Item{Rect: geom.NewRect(x, y, x+rng.Float64()*0.1, y+rng.Float64()*0.1), ID: nextID}
-			nextID++
+			it := items[0]
+			items = items[1:]
 			h.Insert(it)
 			live[it.ID] = it
 		} else {
@@ -195,10 +159,10 @@ func TestMixedWorkload(t *testing.T) {
 			delete(live, victim.ID)
 		}
 		if step%500 == 0 {
-			checkTree(t, h, liveItems())
+			checkTree(t, h, slices.Collect(maps.Values(live)))
 		}
 	}
-	checkTree(t, h, liveItems(), randQueries(20, 10)...)
+	checkTree(t, h, slices.Collect(maps.Values(live)), zoo.Windows(20, 10)...)
 }
 
 // TestCondenseReinsertsOrphans builds a tall skinny tree at fanout 5 (nodes
@@ -253,7 +217,7 @@ func TestRStarInsertLargeCorrect(t *testing.T) {
 	h := newHTree(16, true)
 	items := zoo.Uniform(3000, 0.05, 2)
 	insertAll(h, items)
-	checkTree(t, h, items, randQueries(40, 3)...)
+	checkTree(t, h, items, zoo.Windows(40, 3)...)
 }
 
 func TestRStarDeleteMixed(t *testing.T) {
@@ -270,16 +234,13 @@ func TestRStarDeleteMixed(t *testing.T) {
 			remaining = append(remaining, it)
 		}
 	}
-	checkTree(t, h, remaining, randQueries(20, 5)...)
+	checkTree(t, h, remaining, zoo.Windows(20, 5)...)
 }
 
 func TestRStarDuplicates(t *testing.T) {
 	h := newHTree(4, true)
 	r := geom.NewRect(0.3, 0.3, 0.4, 0.4)
-	var items []geom.Item
-	for i := 0; i < 60; i++ {
-		items = append(items, geom.Item{Rect: r, ID: uint32(i)})
-	}
+	items := zoo.Copies(60, r)
 	insertAll(h, items)
 	checkTree(t, h, items, r)
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -67,9 +68,9 @@ func TestChaosGate(t *testing.T) {
 	// every shard), and the oracle holds each rect's complete answer.
 	rects := workload.Squares(world, 0.02, 15, 5)
 	rects = append(rects, world)
-	oracle := make([][]geom.Item, len(rects))
+	oracle := make([]*zoo.Want, len(rects))
 	for i, r := range rects {
-		oracle[i] = zoo.Expect(items, zoo.Query{Rect: r}).Items()
+		oracle[i] = zoo.Expect(items, zoo.Query{Rect: r})
 	}
 
 	robust := DialRobust(RobustOptions{
@@ -138,7 +139,7 @@ type loadResult struct {
 // each goroutine on a Client of its own that it redials after a transport
 // failure. When oracle is non-nil (one complete answer per rect) every
 // answer is checked against it with answersOracle.
-func driveWindows(addr string, robust *RobustClient, clients, requests int, tenant string, rects []geom.Rect, oracle [][]geom.Item) loadResult {
+func driveWindows(addr string, robust *RobustClient, clients, requests int, tenant string, rects []geom.Rect, oracle []*zoo.Want) loadResult {
 	var (
 		mu  sync.Mutex
 		res loadResult
@@ -199,38 +200,15 @@ func driveWindows(addr string, robust *RobustClient, clients, requests int, tena
 
 // answersOracle checks one window answer against the complete one: a
 // complete answer must equal it (same items, same order — both sides use
-// the deterministic merge order), a degraded one must be a subset of it
-// that names at least one failed shard.
-func answersOracle(r Result, want []geom.Item) bool {
+// the deterministic merge order), a degraded one must be a subset of it,
+// in merge order, that names at least one failed shard.
+func answersOracle(r Result, want *zoo.Want) bool {
 	if len(r.Sets) != 1 {
 		return false
 	}
 	got := r.Sets[0]
 	if !r.Degraded() {
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(got, want.Items())
 	}
-	if len(r.FailedShards) == 0 {
-		return false
-	}
-	// Both sides are in merge order, so one linear pass finds each
-	// returned item in the oracle.
-	wi := 0
-	for _, it := range got {
-		for wi < len(want) && want[wi] != it {
-			wi++
-		}
-		if wi == len(want) {
-			return false
-		}
-		wi++
-	}
-	return true
+	return len(r.FailedShards) > 0 && slices.IsSortedFunc(got, zoo.Less) && want.CheckSubset(got) == nil
 }

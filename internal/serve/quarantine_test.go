@@ -11,6 +11,7 @@ import (
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
 	"prtree/internal/storage"
+	"prtree/internal/workload"
 	"prtree/internal/zoo"
 )
 
@@ -107,14 +108,8 @@ func TestQuarantineDegradesAndRecovers(t *testing.T) {
 	if len(got) >= len(oracle) {
 		t.Fatalf("degraded result has %d items, oracle %d — nothing missing?", len(got), len(oracle))
 	}
-	inOracle := make(map[geom.Item]bool, len(oracle))
-	for _, it := range oracle {
-		inOracle[it] = true
-	}
-	for _, it := range got {
-		if !inOracle[it] {
-			t.Fatalf("degraded result invented item %v", it)
-		}
+	if err := zoo.Expect(items, zoo.Query{Rect: world}).CheckSubset(got); err != nil {
+		t.Fatalf("degraded result: %v", err)
 	}
 
 	// While quarantined, further queries keep succeeding (degraded) and
@@ -124,25 +119,27 @@ func TestQuarantineDegradesAndRecovers(t *testing.T) {
 	}
 
 	// The supervisor reopens the shard clean (attempt > 0 gets no fault)
-	// and restores it; results then match the oracle exactly.
+	// and restores it; results then match the oracle exactly: the world
+	// and eight small windows item for item in merge order, and the 25
+	// nearest ranked by (distance², ID), each with its distance.
 	allowRecovery()
 	waitHealthy(t, set, 5*time.Second)
-	got, p, err = set.Window(ctx, world, 0)
-	if err != nil || p.Degraded() {
-		t.Fatalf("post-recovery window: partial=%v err=%v", p, err)
+	for _, w := range append(workload.Squares(world, 0.01, 8, 22), world) {
+		got, p, err := set.Window(ctx, w, 0)
+		if err != nil || p.Degraded() {
+			t.Fatalf("post-recovery window: partial=%v err=%v", p, err)
+		}
+		assertSameItems(t, "post-recovery window", got, zoo.Expect(items, zoo.Query{Rect: w}).Items())
 	}
-	assertSameItems(t, "post-recovery", got, oracle)
 	x, y := world.Center()
 	nb, p, err := set.Nearest(ctx, x, y, 25)
-	if err != nil || p.Degraded() {
-		t.Fatalf("post-recovery nearest: partial=%v err=%v", p, err)
+	if err != nil || p.Degraded() || len(nb) != 25 {
+		t.Fatalf("post-recovery nearest: %d results, partial=%v err=%v", len(nb), p, err)
 	}
-	near := make([]geom.Item, len(nb))
-	for i, n := range nb {
-		near[i] = n.Item
-	}
-	if err := zoo.Expect(items, zoo.Query{Kind: zoo.Nearest, X: x, Y: y, K: 25}).Check(near); err != nil {
-		t.Fatalf("post-recovery nearest: %v", err)
+	for i, it := range zoo.Expect(items, zoo.Query{Kind: zoo.Nearest, X: x, Y: y, K: 25}).Ranked() {
+		if want := (Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)}); nb[i] != want {
+			t.Fatalf("post-recovery nearest: result %d = %+v, brute force %+v", i, nb[i], want)
+		}
 	}
 
 	st := set.Stats()

@@ -83,6 +83,16 @@ func Queries(items []geom.Item, count int, seed int64) []Query {
 	return qs
 }
 
+// Windows returns n windows whose corners are uniform in the unit square.
+func Windows(n int, seed int64) []geom.Rect {
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([]geom.Rect, n)
+	for i := range qs {
+		qs[i] = geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
+	}
+	return qs
+}
+
 // Less is the canonical item order: by ID, then by rectangle. It is the
 // order a served Set merges its shards' results in.
 func Less(a, b geom.Item) int {
@@ -105,8 +115,8 @@ type Want struct {
 	// set is the answer in canonical order: for Window and Contained every
 	// matching item, for Nearest every item no farther than the K-th.
 	set []geom.Item
-	// dists is Nearest's K smallest squared distances, ascending.
-	dists []float64
+	// top is Nearest's ranked answer: the K nearest items by (distance², Less).
+	top []geom.Item
 }
 
 // Expect answers q by scanning items.
@@ -121,14 +131,11 @@ func Expect(items []geom.Item, q Query) *Want {
 		slices.SortFunc(w.set, Less)
 		return w
 	}
-	all := make([]float64, len(items))
-	for i, it := range items {
-		all[i] = it.Rect.Dist2(q.X, q.Y)
-	}
-	slices.Sort(all)
-	w.dists = all[:min(max(q.K, 0), len(all))]
+	d := func(it geom.Item) float64 { return it.Rect.Dist2(q.X, q.Y) }
+	w.top = slices.SortedFunc(slices.Values(items), func(a, b geom.Item) int { return cmp.Or(cmp.Compare(d(a), d(b)), Less(a, b)) })
+	w.top = w.top[:min(max(q.K, 0), len(w.top))]
 	for _, it := range items {
-		if len(w.dists) > 0 && it.Rect.Dist2(q.X, q.Y) <= w.dists[len(w.dists)-1] {
+		if len(w.top) > 0 && d(it) <= d(w.top[len(w.top)-1]) {
 			w.set = append(w.set, it)
 		}
 	}
@@ -141,10 +148,15 @@ func Expect(items []geom.Item, q Query) *Want {
 // farther than the K-th nearest.
 func (w *Want) Items() []geom.Item { return w.set }
 
+// Ranked is a Nearest query's answer in the order the library documents
+// for k-NN: the min(K, N) nearest items by ascending (distance², ID), so a
+// tie at the K-th distance goes to the lowest IDs.
+func (w *Want) Ranked() []geom.Item { return w.top }
+
 // Len is the answer's size T: min(K, N) for a Nearest query.
 func (w *Want) Len() int {
 	if w.q.Kind == Nearest {
-		return len(w.dists)
+		return len(w.top)
 	}
 	return len(w.set)
 }
@@ -153,7 +165,8 @@ func (w *Want) Len() int {
 //   - Window and Contained: got is the answer, in any order;
 //   - with a limit: min(limit, T) distinct items of the answer;
 //   - Nearest: min(K, N) distinct items, ascending in distance, whose
-//     distances are the K smallest (ties may name any of the tied items).
+//     distances are the K smallest (ties may name any of the tied items;
+//     Ranked is the one answer that breaks them by ID).
 func (w *Want) Check(got []geom.Item) error {
 	want := w.Len()
 	if w.q.Limit > 0 {
@@ -166,12 +179,37 @@ func (w *Want) Check(got []geom.Item) error {
 		return err
 	}
 	for i, it := range got {
-		if w.q.Kind == Nearest && it.Rect.Dist2(w.q.X, w.q.Y) != w.dists[i] {
+		if w.q.Kind == Nearest && it.Rect.Dist2(w.q.X, w.q.Y) != w.top[i].Rect.Dist2(w.q.X, w.q.Y) {
 			return fmt.Errorf("result %d (item %d) at distance² %v, brute force's %d-th nearest at %v",
-				i, it.ID, it.Rect.Dist2(w.q.X, w.q.Y), i, w.dists[i])
+				i, it.ID, it.Rect.Dist2(w.q.X, w.q.Y), i, w.top[i].Rect.Dist2(w.q.X, w.q.Y))
 		}
 	}
 	return nil
+}
+
+// CheckRanked is Check, and for a Nearest query it also requires got to
+// be Ranked: ties broken by ID, as the library documents for k-NN.
+func (w *Want) CheckRanked(got []geom.Item) error {
+	if err := w.Check(got); err != nil || w.q.Kind != Nearest {
+		return err
+	}
+	for i := range got {
+		if got[i] != w.top[i] {
+			return fmt.Errorf("result %d is item %d, brute force's (distance², ID) order has item %d", i, got[i].ID, w.top[i].ID)
+		}
+	}
+	return nil
+}
+
+// CheckScan runs scan, which reports the query's answer to yield until
+// yield returns false, and checks what it reported as Check does.
+func (w *Want) CheckScan(scan func(yield func(geom.Item) bool)) error {
+	var got []geom.Item
+	scan(func(it geom.Item) bool {
+		got = append(got, it)
+		return true
+	})
+	return w.Check(got)
 }
 
 // CheckSubset returns nil if got holds distinct items of the answer: what

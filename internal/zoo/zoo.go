@@ -10,7 +10,6 @@
 package zoo
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -93,6 +92,39 @@ func Twins(n int) []geom.Item {
 	return items
 }
 
+// Copies returns n items on the one rectangle r, with IDs 0..n-1: only
+// the ID separates them.
+func Copies(n int, r geom.Rect) []geom.Item {
+	items := make([]geom.Item, n)
+	for i := range items {
+		items[i] = geom.Item{Rect: r, ID: uint32(i)}
+	}
+	return items
+}
+
+// Tied returns n records on 400 unit squares with 50 IDs: every record
+// ties with others on each coordinate and on its ID.
+func Tied(n int) []geom.Item {
+	items := make([]geom.Item, n)
+	for i := range items {
+		x, y := float64(i%20), float64(i%400/20)
+		items[i] = geom.Item{Rect: geom.NewRect(x, y, x+1, y+1), ID: uint32(i % 50)}
+	}
+	return items
+}
+
+// Diagonal returns n squares of the given side, points when it is 0, whose
+// four coordinates all rise with the ID: sorted on any of them the items
+// are one list, in which each beats all before it.
+func Diagonal(n int, side float64) []geom.Item {
+	items := make([]geom.Item, n)
+	for i := range items {
+		v := float64(i)
+		items[i] = geom.Item{Rect: geom.NewRect(v, v, v+side, v+side), ID: uint32(i)}
+	}
+	return items
+}
+
 // coords returns n rectangles whose four coordinates are drawn from pick,
 // so the degenerate inputs below differ only in the values they draw.
 func coords(n int, seed int64, pick func(*rand.Rand) float64) []geom.Item {
@@ -153,14 +185,4 @@ var Entries = []Entry{
 	{"subnormal", func(n int, seed int64) []geom.Item {
 		return coords(n, seed, func(r *rand.Rand) float64 { return math.SmallestNonzeroFloat64 * float64(r.Intn(4096)) })
 	}},
-}
-
-// Lookup returns the entry called name; it panics on a name the zoo lacks.
-func Lookup(name string) Entry {
-	for _, e := range Entries {
-		if e.Name == name {
-			return e
-		}
-	}
-	panic(fmt.Sprintf("zoo: no entry %q", name))
 }

@@ -80,15 +80,7 @@ func mustFlush(tb testing.TB, d *Dynamic) {
 // and BulkLoad. TGS built nodes of no or too many entries here when its
 // partition cut by (coordinate, id) alone.
 func TestLoadersTiedRecords(t *testing.T) {
-	same := make([]Item, 3000)
-	for i := range same {
-		same[i] = Item{Rect: NewRect(3, 4, 5, 6), ID: 7}
-	}
-	tied := make([]Item, 5000)
-	for i := range tied {
-		x, y := float64(i%20), float64(i%400/20)
-		tied[i] = Item{Rect: NewRect(x, y, x+1, y+1), ID: uint32(i % 50)}
-	}
+	same, tied := zoo.Twins(3000), zoo.Tied(5000)
 	check := func(t *testing.T, tree *Tree, items []Item) {
 		t.Helper()
 		if err := tree.Validate(); err != nil {
@@ -281,9 +273,7 @@ func TestDynamicIndex(t *testing.T) {
 			t.Fatal("delete failed")
 		}
 	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 20; i++ {
-		q := NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
+	for _, q := range zoo.Windows(20, 9) {
 		if err := zoo.Expect(items[300:], zoo.Query{Rect: q}).Check(d.Search(q)); err != nil {
 			t.Fatalf("dynamic query %v: %v", q, err)
 		}

@@ -2,7 +2,6 @@ package prtree
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -14,7 +13,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -382,9 +380,14 @@ func querySurfaceDynamic(t *testing.T, items []Item) (*Dynamic, []Item) {
 // cancellation, stats sinks, Count, every kind against brute force, the
 // iterator and the Nearest order — on both index kinds: a Tree, and a
 // Dynamic with levels, a buffer and tombstones, whose brute force runs over
-// its live items.
+// its live items. Twenty records share one rectangle, so k-NN at its
+// center ties at the K-th distance, where the lowest IDs must win.
 func TestQuerySurface(t *testing.T) {
 	items := dataset.Western(3000, 23)
+	for i := 1; i < len(items); i += 150 {
+		items[i].Rect = items[0].Rect
+	}
+	tx, ty := items[0].Rect.Center()
 	world := geom.ItemsMBR(items)
 	d, live := querySurfaceDynamic(t, items)
 	inputs := []struct {
@@ -410,18 +413,11 @@ func TestQuerySurface(t *testing.T) {
 			// only live items count toward the limit.
 			limit := len(in.live) - 1
 			got, err = in.index.Collect(Window(world).WithLimit(limit))
-			isLive := map[uint32]bool{}
-			for _, it := range in.live {
-				isLive[it.ID] = true
+			if err == nil {
+				err = zoo.Expect(in.live, zoo.Query{Rect: world, Limit: limit}).Check(got)
 			}
-			for _, it := range got {
-				if !isLive[it.ID] {
-					t.Fatalf("%s, limit %d: item %d is not live", in.name, limit, it.ID)
-				}
-				delete(isLive, it.ID)
-			}
-			if err != nil || len(got) != limit || len(isLive) != 1 {
-				t.Fatalf("%s, limit %d: %d results, %d live items left out (err %v)", in.name, limit, len(got), len(isLive), err)
+			if err != nil {
+				t.Fatalf("%s, limit %d: %v", in.name, limit, err)
 			}
 		}
 	})
@@ -460,23 +456,19 @@ func TestQuerySurface(t *testing.T) {
 				{Contained(q), zoo.Query{Kind: zoo.Contained, Rect: q}},
 				{Point(0.3, 0.7), zoo.Query{Rect: geom.PointRect(0.3, 0.7)}},
 				{Nearest(0.5, 0.5, 9), zoo.Query{Kind: zoo.Nearest, X: 0.5, Y: 0.5, K: 9}},
+				{Nearest(tx, ty, 9), zoo.Query{Kind: zoo.Nearest, X: tx, Y: ty, K: 9}},
 			} {
-				if err := zoo.Expect(in.live, c.want).Check(collect(t, in.index, c.query)); err != nil {
+				if err := zoo.Expect(in.live, c.want).CheckRanked(collect(t, in.index, c.query)); err != nil {
 					t.Errorf("%s, %v: %v", in.name, c.want, err)
 				}
 			}
-			// Ties in distance come in ID order, and Collect yields what
-			// CollectNearest returns.
-			nb := nearest(t, in.index, 0.5, 0.5, 9)
-			if !slices.IsSortedFunc(nb, func(a, b Neighbor) int {
-				return cmp.Or(cmp.Compare(a.Dist2, b.Dist2), cmp.Compare(a.Item.ID, b.Item.ID))
-			}) {
-				t.Fatalf("%s, CollectNearest: %v out of (distance, ID) order", in.name, nb)
+			// CollectNearest reports the same items with their distances.
+			var want []Neighbor
+			for _, it := range zoo.Expect(in.live, zoo.Query{Kind: zoo.Nearest, X: tx, Y: ty, K: 9}).Ranked() {
+				want = append(want, Neighbor{Item: it, Dist2: it.Rect.Dist2(tx, ty)})
 			}
-			for i, it := range collect(t, in.index, Nearest(0.5, 0.5, 9)) {
-				if it != nb[i].Item {
-					t.Fatalf("%s, Nearest order differs from CollectNearest's at %d", in.name, i)
-				}
+			if got := nearest(t, in.index, tx, ty, 9); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, CollectNearest: %v, brute force %v", in.name, got, want)
 			}
 		}
 	})
@@ -506,13 +498,8 @@ func TestQuerySurface(t *testing.T) {
 			if err != nil || len(got) != 4 {
 				t.Fatalf("%s, nearest with limit: %d results (err %v)", in.name, len(got), err)
 			}
-			if err := zoo.Expect(in.live, zoo.Query{Kind: zoo.Nearest, X: 0.5, Y: 0.5, K: 4}).Check(got); err != nil {
+			if err := zoo.Expect(in.live, zoo.Query{Kind: zoo.Nearest, X: 0.5, Y: 0.5, K: 4}).CheckRanked(got); err != nil {
 				t.Fatalf("%s, nearest with limit: %v", in.name, err)
-			}
-			for i, n := range nearest(t, in.index, 0.5, 0.5, 9)[:4] {
-				if got[i] != n.Item {
-					t.Fatalf("%s, limited nearest differs from the unlimited one's prefix at %d", in.name, i)
-				}
 			}
 		}
 	})
