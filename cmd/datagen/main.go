@@ -40,14 +40,11 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		defer f.Close()
 		w = f
 	}
 	bw := bufio.NewWriter(w)
-	defer bw.Flush()
 
 	switch *format {
 	case "bin":
@@ -55,20 +52,38 @@ func main() {
 		for _, it := range items {
 			storage.EncodeItem(buf, it)
 			if _, err := bw.Write(buf); err != nil {
-				fmt.Fprintln(os.Stderr, "datagen:", err)
-				os.Exit(1)
+				fail(err)
 			}
 		}
 	case "csv":
-		fmt.Fprintln(bw, "minx,miny,maxx,maxy,id")
+		if _, err := fmt.Fprintln(bw, "minx,miny,maxx,maxy,id"); err != nil {
+			fail(err)
+		}
 		for _, it := range items {
-			fmt.Fprintf(bw, "%g,%g,%g,%g,%d\n",
-				it.Rect.MinX, it.Rect.MinY, it.Rect.MaxX, it.Rect.MaxY, it.ID)
+			if _, err := fmt.Fprintf(bw, "%g,%g,%g,%g,%d\n",
+				it.Rect.MinX, it.Rect.MinY, it.Rect.MaxX, it.Rect.MaxY, it.ID); err != nil {
+				fail(err)
+			}
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "datagen: unknown format %q\n", *format)
 		os.Exit(2)
 	}
+	// A full or failing disk shows at the flush or the close, not before.
+	if err := bw.Flush(); err != nil {
+		fail(err)
+	}
+	if *out != "" {
+		if err := w.Close(); err != nil {
+			fail(err)
+		}
+	}
+}
+
+// fail reports a failed write and exits 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "datagen:", err)
+	os.Exit(1)
 }
 
 func generate(kind string, n int, param float64, seed int64) ([]geom.Item, error) {

@@ -51,10 +51,11 @@ type distEntry struct {
 	item   geom.Item
 }
 
+// distHeap is the best-first frontier: a binary min-heap on less, with
+// typed push and pop so an entry is never boxed into an interface.
 type distHeap []distEntry
 
-func (h distHeap) Len() int { return len(h) }
-func (h distHeap) Less(i, j int) bool {
+func (h distHeap) less(i, j int) bool {
 	if h[i].dist2 != h[j].dist2 {
 		return h[i].dist2 < h[j].dist2
 	}
@@ -69,12 +70,40 @@ func (h distHeap) Less(i, j int) bool {
 	}
 	return false
 }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distEntry)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *distHeap) push(e distEntry) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() distEntry {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	return top
 }

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"math"
 	"runtime/debug"
 
@@ -114,17 +113,17 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 	pq := knnHeaps.Get().(*distHeap)
 	defer func() { *pq = (*pq)[:0]; knnHeaps.Put(pq) }()
 	*pq = (*pq)[:0]
-	heap.Push(pq, distEntry{dist2: 0, page: t.root, isNode: true})
+	pq.push(distEntry{dist2: 0, page: t.root, isNode: true})
 	out := make([]Neighbor, 0, k)
 	// Once k results are held, keep draining entries at exactly the k-th
 	// distance so every boundary candidate surfaces; ties collects them.
 	kth := math.Inf(1)
 	var ties []Neighbor
-	for pq.Len() > 0 {
+	for len(*pq) > 0 {
 		if len(out) == k && (*pq)[0].dist2 > kth {
 			break
 		}
-		e := heap.Pop(pq).(distEntry)
+		e := pq.pop()
 		if !e.isNode {
 			if len(out) < k {
 				out = append(out, Neighbor{Item: e.item, Dist2: e.dist2})
@@ -147,7 +146,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 			st.LeavesVisited++
 			for i, cnt := 0, v.count(); i < cnt; i++ {
 				r := v.rectAt(i)
-				heap.Push(pq, distEntry{
+				pq.push(distEntry{
 					dist2: r.Dist2(x, y),
 					item:  geom.Item{Rect: r, ID: v.refAt(i)},
 				})
@@ -155,7 +154,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 		} else {
 			st.InternalVisited++
 			for i, cnt := 0, v.count(); i < cnt; i++ {
-				heap.Push(pq, distEntry{
+				pq.push(distEntry{
 					dist2:  v.rectAt(i).Dist2(x, y),
 					page:   storage.PageID(v.refAt(i)),
 					isNode: true,

@@ -511,6 +511,9 @@ func TestQuerySurface(t *testing.T) {
 // traversal scratch and statistics stay off the heap, and so do the
 // caller's callback and what it captures. Every call is on the concrete
 // type, as a caller makes it: through an interface the callback escapes.
+// A Nearest query allocates its answer and nothing per candidate: one
+// slice on a Tree; on a Dynamic its candidates, each level's answer and
+// the candidates' growth.
 func TestQueryAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch")
@@ -520,44 +523,52 @@ func TestQueryAllocsZero(t *testing.T) {
 	d, _ := querySurfaceDynamic(t, items)
 	world := geom.ItemsMBR(items)
 	q := workload.Squares(world, 0.05, 1, 3)[0]
+	treeKNN, dynKNN := 1.0, float64(1+2*d.inner.Levels())
 	for _, c := range []struct {
-		name string
-		run  func(Query) int
+		name    string
+		run     func(Query) int
+		nearest float64 // the allocations a Nearest query may make; 0: not run
 	}{
 		{"Tree.Run", func(q Query) int {
 			n := 0
 			_ = tree.Run(q, func(Item) bool { n++; return true })
 			return n
-		}},
+		}, treeKNN},
 		{"Tree.Iter", func(q Query) int {
 			n := 0
 			for range tree.Iter(q) {
 				n++
 			}
 			return n
-		}},
-		{"Tree.Count", func(q Query) int { n, _ := tree.Count(q); return n }},
+		}, treeKNN},
+		{"Tree.Count", func(q Query) int { n, _ := tree.Count(q); return n }, treeKNN},
 		{"Dynamic.Run", func(q Query) int {
 			n := 0
 			_ = d.Run(q, func(Item) bool { n++; return true })
 			return n
-		}},
+		}, dynKNN},
 		{"Dynamic.Iter", func(q Query) int {
 			n := 0
 			for range d.Iter(q) {
 				n++
 			}
 			return n
-		}},
-		{"Dynamic.Count", func(q Query) int { n, _ := d.Count(q); return n }},
-		{"Dynamic.Query", func(q Query) int { return d.Query(q.rect, nil).Results }}, // a window on q's rect
+		}, dynKNN},
+		{"Dynamic.Count", func(q Query) int { n, _ := d.Count(q); return n }, dynKNN},
+		{"Dynamic.Query", func(q Query) int { return d.Query(q.rect, nil).Results }, 0}, // a window on q's rect
 	} {
-		for _, query := range []Query{Window(q), Contained(world)} {
+		for _, query := range []Query{Window(q), Contained(world), Nearest(0.5, 0.5, 1), Nearest(0.5, 0.5, 10), Nearest(0.5, 0.5, 100)} {
+			bound := 0.0
+			if query.kind == queryNearest {
+				if bound = c.nearest; bound == 0 {
+					continue
+				}
+			}
 			if c.run(query) == 0 {
 				t.Fatalf("%s(%+v) finds nothing", c.name, query)
 			}
-			if a := testing.AllocsPerRun(50, func() { c.run(query) }); a != 0 {
-				t.Errorf("%s(%+v) allocates %v a query; want 0", c.name, query, a)
+			if a := testing.AllocsPerRun(50, func() { c.run(query) }); a > bound {
+				t.Errorf("%s(%+v) allocates %v a query; want at most %v", c.name, query, a, bound)
 			}
 		}
 	}
