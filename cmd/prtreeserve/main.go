@@ -11,9 +11,9 @@
 //	            -cache 65536 -tenantcap 256 \
 //	            -deadline 2s -maxdeadline 30s
 //
-// Queries scatter across every shard concurrently and gather into a
-// deterministic merged order; results are bit-identical to the same
-// dataset served from one tree. A shard that fails mid-query (backend
+// A query runs on every shard in turn, on its connection's goroutine, and
+// the shards' answers are merged into a deterministic order; results are
+// bit-identical to the same dataset served from one tree. A shard that fails mid-query (backend
 // error, checksum mismatch) is quarantined instead of failing the query:
 // responses degrade to the healthy subset (and say so), and a background
 // supervisor reopens, scrubs and restores the shard — see -maxrecoveries

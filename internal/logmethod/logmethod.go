@@ -499,13 +499,15 @@ func (t *Tree) RunNearest(x, y float64, k int, opt rtree.RunOptions) ([]Neighbor
 	}
 	s, e := t.enter()
 	defer t.snap.SnapshotLeave(e)
-	cand := make([]Neighbor, 0, len(s.buffer)+k)
+	cp := candidates.Get().(*[]Neighbor)
+	cand := (*cp)[:0]
+	defer func() { *cp = cand[:0]; candidates.Put(cp) }()
 	for _, it := range s.buffer {
 		cand = append(cand, Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)})
 	}
 	// A level's k nearest may all be tombstoned, so over-fetch by the
 	// tombstone count (the deletes since the levels' last merges: every
-	// merge purges); the merge below filters and truncates.
+	// merge purges); the filter below drops them and the merge truncates.
 	want := k + s.dead.len()
 	for _, l := range s.levels {
 		if l == nil {
@@ -516,23 +518,34 @@ func (t *Tree) RunNearest(x, y float64, k int, opt rtree.RunOptions) ([]Neighbor
 		if cand = rtree.Closest(cand, k); len(cand) == k && cand[k-1].Dist2 < l.mbr.Dist2(x, y) {
 			continue
 		}
-		nb, ls, err := l.RunNearest(x, y, want, rtree.RunOptions{Cancel: opt.Cancel})
+		base := len(cand)
+		var ls rtree.QueryStats
+		var err error
+		cand, ls, err = l.AppendNearest(cand, x, y, want, rtree.RunOptions{Cancel: opt.Cancel})
 		st.NodesVisited += ls.NodesVisited
 		st.LeavesVisited += ls.LeavesVisited
 		st.InternalVisited += ls.InternalVisited
 		if err != nil {
 			return nil, st, err
 		}
-		for _, n := range nb {
+		live := base
+		for _, n := range cand[base:] {
 			if !s.dead.has(n.Item.ID) {
-				cand = append(cand, n)
+				cand[live] = n
+				live++
 			}
 		}
+		cand = cand[:live]
 	}
 	cand = rtree.Closest(cand, k)
 	st.Results = len(cand)
-	return cand, st, nil
+	return append(make([]Neighbor, 0, len(cand)), cand...), st, nil
 }
+
+// candidates pools RunNearest's candidate lists: each query appends the
+// buffer's items and every level's answer to one, so a k-NN query
+// allocates its answer and nothing else.
+var candidates = sync.Pool{New: func() any { return new([]Neighbor) }}
 
 // Flush compacts the structure into a single static PR-tree (plus an empty
 // buffer), e.g. before a read-heavy phase.

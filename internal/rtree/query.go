@@ -102,33 +102,49 @@ func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt
 // particular it is identical whichever loader (and hence tree shape) the
 // items were loaded with.
 func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, QueryStats, error) {
+	n := min(k, t.nItems) // the answer's size at most
+	if opt.Limit > 0 {
+		n = min(n, opt.Limit)
+	}
+	var dst []Neighbor // nil for an answer that must be empty
+	if n > 0 {
+		dst = make([]Neighbor, 0, n)
+	}
+	return t.AppendNearest(dst, x, y, k, opt)
+}
+
+// AppendNearest is RunNearest appending its answer to dst: it returns dst
+// extended by the neighbors in RunNearest's order, or dst unchanged when
+// the query is canceled. A caller that keeps dst between queries pays for
+// no answer slice.
+func (t *Tree) AppendNearest(dst []Neighbor, x, y float64, k int, opt RunOptions) ([]Neighbor, QueryStats, error) {
 	var st QueryStats
 	if opt.Limit > 0 && opt.Limit < k {
 		k = opt.Limit
 	}
 	if k <= 0 || t.nItems == 0 {
-		return nil, st, nil
+		return dst, st, nil
 	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) // see readView
 	pq := knnHeaps.Get().(*distHeap)
 	defer func() { *pq = (*pq)[:0]; knnHeaps.Put(pq) }()
 	*pq = (*pq)[:0]
 	pq.push(distEntry{dist2: 0, page: t.root, isNode: true})
-	out := make([]Neighbor, 0, k)
+	base := len(dst) // the answer is dst[base:]
 	// Once k results are held, keep draining entries at exactly the k-th
 	// distance so every boundary candidate surfaces; ties collects them.
 	kth := math.Inf(1)
 	var ties []Neighbor
 	for len(*pq) > 0 {
-		if len(out) == k && (*pq)[0].dist2 > kth {
+		if len(dst)-base == k && (*pq)[0].dist2 > kth {
 			break
 		}
 		e := pq.pop()
 		if !e.isNode {
-			if len(out) < k {
-				out = append(out, Neighbor{Item: e.item, Dist2: e.dist2})
-				if len(out) == k {
-					kth = out[k-1].Dist2
+			if len(dst)-base < k {
+				dst = append(dst, Neighbor{Item: e.item, Dist2: e.dist2})
+				if len(dst)-base == k {
+					kth = e.dist2
 				}
 			} else if e.dist2 == kth {
 				ties = append(ties, Neighbor{Item: e.item, Dist2: e.dist2})
@@ -137,7 +153,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 		}
 		if opt.Cancel != nil {
 			if err := opt.Cancel(); err != nil {
-				return nil, st, err
+				return dst[:base], st, err
 			}
 		}
 		v := t.readView(e.page)
@@ -165,20 +181,20 @@ func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, Quer
 	if len(ties) > 0 {
 		// Re-select the boundary: among every item at the k-th distance,
 		// keep the smallest IDs.
-		i := len(out)
-		for i > 0 && out[i-1].Dist2 == kth {
+		i := len(dst)
+		for i > base && dst[i-1].Dist2 == kth {
 			i--
 		}
-		group := make([]Neighbor, 0, len(out)-i+len(ties))
-		group = append(group, out[i:]...)
+		group := make([]Neighbor, 0, len(dst)-i+len(ties))
+		group = append(group, dst[i:]...)
 		group = append(group, ties...)
-		out = append(out[:i], Closest(group, k-i)...)
+		dst = append(dst[:i], Closest(group, k-(i-base))...)
 	}
 	// Equal-distance items can surface in tree-shape-dependent order (one
 	// may hide in a not-yet-expanded equal-distance node while another
 	// pops), so Closest's order — not discovery order — defines the result
 	// sequence.
-	out = Closest(out, k)
-	st.Results = len(out)
-	return out, st, nil
+	Closest(dst[base:], k)
+	st.Results = len(dst) - base
+	return dst, st, nil
 }

@@ -38,6 +38,25 @@
 // prefixes and truncated payloads return the typed errors ErrTornFrame,
 // ErrFrameTooLarge and ErrBadFrame — never a panic, and never an
 // allocation larger than the configured frame cap.
+//
+// # How a query is served
+//
+// A connection's requests are served in order on its own goroutine, and
+// so are a query's legs: the shards in rotation are queried one after
+// another on that goroutine. A window or containment query appends every
+// leg's answer, through Tree.Run, to one buffer with each leg's end
+// recorded; a leg that fails is cut off the buffer, contributes nothing
+// and is listed in the response. Each leg is sorted in place by (ID,
+// rect), and a k-way merge of the legs writes the answer, cut to the
+// request's limit, straight into the response frame. That buffer and the
+// response frame are a scratch the request takes from a pool and returns
+// once the frame is flushed, so the scratch held tracks the requests in
+// flight, not the connections open; a connection reads each request frame
+// into a buffer of its own, at most MaxRequestFrame bytes. A warm server
+// answers a window or containment request without allocating. Set.Window
+// and Set.Contained take the same path with a throwaway scratch. A k-NN
+// query's legs run in turn too, and each shard's top k are merged by
+// (dist², ID).
 package serve
 
 import (
@@ -46,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"prtree"
 	"prtree/internal/geom"
@@ -171,20 +191,36 @@ func (e *RemoteError) Error() string {
 
 // ReadFrame reads one length-prefixed frame from r, rejecting payloads
 // above max before allocating anything. io.EOF is returned only at a clean
-// frame boundary; a connection cut mid-frame is ErrTornFrame.
+// frame boundary; a connection cut mid-frame is ErrTornFrame. The payload
+// is freshly allocated; a server connection reads its requests with
+// readFrame into a buffer it keeps.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var buf []byte
+	return readFrame(r, &buf, max)
+}
+
+// readFrame is ReadFrame reading into *buf, which it grows to the frame's
+// size when it is smaller: the payload it returns aliases *buf and is
+// valid until the next read into it.
+func readFrame(r io.Reader, buf *[]byte, max int) ([]byte, error) {
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4)
+	}
+	hdr := (*buf)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: header: %v", ErrTornFrame, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if int64(n) > int64(max) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
 	}
-	payload := make([]byte, n)
+	if cap(*buf) < int(n) {
+		*buf = make([]byte, n)
+	}
+	payload := (*buf)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrTornFrame, err)
 	}
@@ -200,6 +236,18 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+// frameStart begins a whole frame in buf's storage: the length prefix,
+// which frameEnd fills in once the payload has been appended after it.
+// A frame built so goes out in one write and allocates nothing once buf
+// has held one as large.
+func frameStart(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// frameEnd sets the length prefix of a frame begun by frameStart.
+func frameEnd(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
 }
 
 // --- request encoding -----------------------------------------------------
@@ -333,14 +381,7 @@ func DecodeRequest(payload []byte) (Request, error) {
 // to MaxFailedShards entries), then item sets for window/contained,
 // neighbors for nearest, stats for stats.
 func AppendOKResponse(buf []byte, op byte, failed []uint32, sets [][]geom.Item, nbs []Neighbor, st *WireStats) []byte {
-	buf = append(buf, statusOK, op)
-	if len(failed) > MaxFailedShards {
-		failed = failed[:MaxFailedShards]
-	}
-	buf = append(buf, byte(len(failed)))
-	for _, idx := range failed {
-		buf = appendU32(buf, idx)
-	}
+	buf = appendOKHead(buf, op, failed)
 	switch op {
 	case OpNearest:
 		buf = appendU32(buf, uint32(len(nbs)))
@@ -358,10 +399,43 @@ func AppendOKResponse(buf []byte, op byte, failed []uint32, sets [][]geom.Item, 
 		for _, set := range sets {
 			buf = appendU32(buf, uint32(len(set)))
 			for _, it := range set {
-				buf = appendU32(buf, it.ID)
-				buf = appendRect(buf, it.Rect)
+				buf = appendItem(buf, it)
 			}
 		}
+	}
+	return buf
+}
+
+// appendOKHead appends what every ok-response starts with: the status, the
+// op and the degraded-shard list, truncated to MaxFailedShards entries.
+func appendOKHead(buf []byte, op byte, failed []uint32) []byte {
+	buf = append(buf, statusOK, op)
+	if len(failed) > MaxFailedShards {
+		failed = failed[:MaxFailedShards]
+	}
+	buf = append(buf, byte(len(failed)))
+	for _, idx := range failed {
+		buf = appendU32(buf, idx)
+	}
+	return buf
+}
+
+func appendItem(buf []byte, it geom.Item) []byte {
+	return appendRect(appendU32(buf, it.ID), it.Rect)
+}
+
+// itemBytes is one item's wire size: uint32 id + 4 × float64 rect.
+const itemBytes = 36
+
+// appendMerged appends the ok-response AppendOKResponse writes for a
+// window or containment op whose one set is l's merge, taking the items
+// from the merge as it yields them: no merged copy is made.
+func appendMerged(buf []byte, op byte, failed []uint32, l *legs) []byte {
+	buf = slices.Grow(appendOKHead(buf, op, failed), 8+itemBytes*l.left)
+	buf = appendU32(buf, 1) // one set
+	buf = appendU32(buf, uint32(l.left))
+	for it, ok := l.next(); ok; it, ok = l.next() {
+		buf = appendItem(buf, it)
 	}
 	return buf
 }
@@ -438,7 +512,7 @@ func DecodeResponse(payload []byte) (Result, error) {
 		out.Sets = make([][]geom.Item, 0, nsets)
 		for s := 0; s < nsets; s++ {
 			n := int(r.u32())
-			if !r.ok || n > len(r.b)/36 {
+			if !r.ok || n > len(r.b)/itemBytes {
 				return Result{}, fmt.Errorf("%w: item count disagrees with payload length", ErrBadFrame)
 			}
 			set := make([]geom.Item, n)

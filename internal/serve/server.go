@@ -10,12 +10,13 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"prtree/internal/geom"
+	"prtree"
 )
 
 // MaxK caps the k of one nearest request; larger values are rejected as
@@ -152,7 +153,8 @@ func (s *Server) end() { s.inflight.Done() }
 
 // requestCtx builds the request's deadline context: the client's deadline
 // (clamped to MaxDeadline) or the server default when the client sent
-// none. The cancel func must always be called.
+// none. A request with no deadline runs under context.Background, which
+// costs nothing to make or poll. The cancel func must always be called.
 func (s *Server) requestCtx(deadlineMillis uint32) (context.Context, context.CancelFunc) {
 	d := time.Duration(deadlineMillis) * time.Millisecond
 	if d == 0 {
@@ -162,14 +164,14 @@ func (s *Server) requestCtx(deadlineMillis uint32) (context.Context, context.Can
 		d = s.cfg.MaxDeadline
 	}
 	if d <= 0 {
-		return context.WithCancel(context.Background())
+		return context.Background(), func() {}
 	}
 	return context.WithTimeout(context.Background(), d)
 }
 
 // dispatchResult is the transport-independent outcome of one request.
 type dispatchResult struct {
-	sets   [][]geom.Item
+	legs   *legs // a window or containment answer, ready to merge
 	nbs    []Neighbor
 	stats  *WireStats
 	failed []uint32 // shards missing from a degraded result
@@ -183,8 +185,9 @@ func errResult(code uint16, msg string) dispatchResult {
 }
 
 // dispatch runs one decoded, in-flight request end to end: admission,
-// deadline, scatter-gather, metrics.
-func (s *Server) dispatch(req Request) dispatchResult {
+// deadline, scatter-gather, metrics. A window or containment query gathers
+// in l.
+func (s *Server) dispatch(req Request, l *legs) dispatchResult {
 	if err := s.adm.acquire(req.Tenant); err != nil {
 		s.errCount.Add(1)
 		return errResult(CodeOverloaded, err.Error())
@@ -200,7 +203,7 @@ func (s *Server) dispatch(req Request) dispatchResult {
 	m := s.endpoint(opName(req.Op))
 	m.count.Add(1)
 	start := time.Now()
-	out, err := s.runQuery(ctx, req)
+	out, err := s.runQuery(ctx, req, l)
 	m.hist.Observe(time.Since(start))
 	if err != nil {
 		m.errors.Add(1)
@@ -227,10 +230,10 @@ func (s *Server) dispatch(req Request) dispatchResult {
 // errBadRequest marks semantic request errors (valid frame, bad values).
 var errBadRequest = errors.New("serve: bad request")
 
-// runQuery executes the op against the set. A degraded scatter-gather
-// (some shards quarantined mid-query) is a success whose failed slice
-// names the missing shards, not an error.
-func (s *Server) runQuery(ctx context.Context, req Request) (dispatchResult, error) {
+// runQuery executes the op against the set, a window or containment query
+// into l. A degraded scatter-gather (some shards quarantined mid-query) is
+// a success whose failed slice names the missing shards, not an error.
+func (s *Server) runQuery(ctx context.Context, req Request, l *legs) (dispatchResult, error) {
 	set := s.cfg.Set
 	limit := int(req.Limit)
 	// A NaN compares false with everything and every distance to an
@@ -241,12 +244,13 @@ func (s *Server) runQuery(ctx context.Context, req Request) (dispatchResult, err
 		}
 	}
 	switch req.Op {
-	case OpWindow:
-		items, p, err := set.Window(ctx, req.Rect, limit)
-		return dispatchResult{sets: [][]geom.Item{items}, failed: p.Failed}, err
-	case OpContained:
-		items, p, err := set.Contained(ctx, req.Rect, limit)
-		return dispatchResult{sets: [][]geom.Item{items}, failed: p.Failed}, err
+	case OpWindow, OpContained:
+		q := prtree.Window(req.Rect)
+		if req.Op == OpContained {
+			q = prtree.Contained(req.Rect)
+		}
+		p, err := set.collect(ctx, q, limit, l)
+		return dispatchResult{legs: l, failed: p.Failed}, err
 	case OpNearest:
 		if req.K > MaxK {
 			return dispatchResult{}, fmt.Errorf("%w: k=%d exceeds %d", errBadRequest, req.K, MaxK)
@@ -313,11 +317,32 @@ func (s *Server) ServeBinary(lis net.Listener) error {
 	}
 }
 
+// serverConn is one binary connection and the request frame it read last,
+// which it reads the next one into (requests are at most MaxRequestFrame
+// bytes).
+type serverConn struct {
+	s    *Server
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	in   []byte
+}
+
+// scratch is what one request gathers its legs in and writes its response
+// frame into. A request takes one from scratches and puts it back once its
+// frame is flushed, so the scratch held tracks the requests in flight, not
+// the connections open, and the collector may reclaim it; a warm server
+// answers a window or containment request without allocating.
+type scratch struct {
+	legs  legs
+	frame []byte
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
 // handleConn serves one binary connection: one request frame in, one
-// response frame out, strictly in order. With Config.ConnTimeout set,
-// every frame read and every response write runs under a conn deadline,
-// so a peer that stalls mid-frame or drips bytes (slow loris) is cut off
-// instead of pinning a goroutine and a socket forever.
+// response frame out, strictly in order, every query's legs run in turn on
+// this goroutine.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -325,78 +350,85 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var buf []byte
-	for {
-		if s.cfg.ConnTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.ConnTimeout))
-		}
-		payload, err := ReadFrame(br, MaxRequestFrame)
-		if err != nil {
-			// EOF and torn frames mean the peer is gone; an oversized
-			// frame gets one error response before the connection drops
-			// (the stream position is unrecoverable either way).
-			if errors.Is(err, ErrTornFrame) {
-				s.malformed.Add(1)
-			}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, ErrTornFrame) {
-				if !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
-					s.malformed.Add(1)
-				}
-				s.errCount.Add(1)
-				buf = AppendErrResponse(buf[:0], 0, CodeBadRequest, err.Error())
-				if s.cfg.ConnTimeout > 0 {
-					conn.SetWriteDeadline(time.Now().Add(s.cfg.ConnTimeout))
-				}
-				if WriteFrame(bw, buf) == nil {
-					bw.Flush()
-				}
-			}
-			return
-		}
-		req, err := DecodeRequest(payload)
-		if err != nil {
-			s.malformed.Add(1)
-			s.errCount.Add(1)
-			buf = AppendErrResponse(buf[:0], 0, CodeBadRequest, err.Error())
-			if s.cfg.ConnTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.cfg.ConnTimeout))
-			}
-			if WriteFrame(bw, buf) == nil {
-				bw.Flush()
-			}
-			return
-		}
-		if buf, err = s.respond(conn, bw, buf, req); err != nil {
-			return
-		}
+	c := &serverConn{s: s, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	for c.serveOne() == nil {
 	}
 }
 
-// respond serves one decoded request and writes its response frame; a
-// draining server answers CodeShuttingDown. The request stays in flight
-// until the frame is flushed: Shutdown cuts every connection the moment
-// nothing is in flight, and a response still in the write buffer at that
-// moment would reach the client torn.
-func (s *Server) respond(conn net.Conn, bw *bufio.Writer, buf []byte, req Request) ([]byte, error) {
-	out := errResult(CodeShuttingDown, "server is draining")
-	if s.begin() {
-		defer s.end()
-		out = s.dispatch(req)
-	}
-	if out.code != 0 {
-		buf = AppendErrResponse(buf[:0], req.Op, out.code, out.msg)
-	} else {
-		buf = AppendOKResponse(buf[:0], req.Op, out.failed, out.sets, out.nbs, out.stats)
-	}
+// serveOne reads one request frame and writes its response; an error
+// means the connection is done. With Config.ConnTimeout set, the frame
+// read and the response write run under a conn deadline, so a peer that
+// stalls mid-frame or drips bytes (slow loris) is cut off instead of
+// pinning a goroutine and a socket forever.
+func (c *serverConn) serveOne() error {
+	s := c.s
 	if s.cfg.ConnTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.ConnTimeout))
+		c.conn.SetReadDeadline(time.Now().Add(s.cfg.ConnTimeout))
 	}
-	if err := WriteFrame(bw, buf); err != nil {
-		return buf, err
+	payload, err := readFrame(c.br, &c.in, MaxRequestFrame)
+	if err != nil {
+		// EOF and torn frames mean the peer is gone; an oversized
+		// frame gets one error response before the connection drops
+		// (the stream position is unrecoverable either way).
+		if errors.Is(err, ErrTornFrame) {
+			s.malformed.Add(1)
+		}
+		if !errors.Is(err, io.EOF) && !errors.Is(err, ErrTornFrame) {
+			if !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
+				s.malformed.Add(1)
+			}
+			s.errCount.Add(1)
+			c.write(AppendErrResponse(frameStart(nil), 0, CodeBadRequest, err.Error()))
+		}
+		return err
 	}
-	return buf, bw.Flush()
+	req, err := DecodeRequest(payload)
+	if err != nil {
+		s.malformed.Add(1)
+		s.errCount.Add(1)
+		c.write(AppendErrResponse(frameStart(nil), 0, CodeBadRequest, err.Error()))
+		return err
+	}
+	return c.respond(req)
+}
+
+// respond serves one decoded request and writes its response frame; a
+// draining server answers CodeShuttingDown. A window or containment answer
+// is merged straight into the frame. The request stays in flight until the
+// frame is flushed: Shutdown cuts every connection the moment nothing is
+// in flight, and a response still in the write buffer at that moment would
+// reach the client torn.
+func (c *serverConn) respond(req Request) error {
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	out := errResult(CodeShuttingDown, "server is draining")
+	if c.s.begin() {
+		defer c.s.end()
+		out = c.s.dispatch(req, &sc.legs)
+	}
+	frame := frameStart(sc.frame)
+	switch {
+	case out.code != 0:
+		frame = AppendErrResponse(frame, req.Op, out.code, out.msg)
+	case out.legs != nil:
+		frame = appendMerged(frame, req.Op, out.failed, out.legs)
+	default:
+		frame = AppendOKResponse(frame, req.Op, out.failed, nil, out.nbs, out.stats)
+	}
+	sc.frame = frame
+	return c.write(frame)
+}
+
+// write finishes a frame begun by frameStart and writes and flushes it,
+// under the write deadline when ConnTimeout is set.
+func (c *serverConn) write(frame []byte) error {
+	if c.s.cfg.ConnTimeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.s.cfg.ConnTimeout))
+	}
+	if _, err := c.bw.Write(frameEnd(frame)); err != nil {
+		return err
+	}
+	return c.bw.Flush()
 }
 
 // isTimeout reports whether err is a net timeout (an expired conn
@@ -531,6 +563,13 @@ type Statsz struct {
 	Admission struct {
 		TenantCap int `json:"tenant_cap"`
 	} `json:"admission"`
+	// Runtime is the serving process's garbage: completed GC cycles and the
+	// bytes of heap objects, live or not yet swept, read through
+	// runtime/metrics, which stops no goroutine.
+	Runtime struct {
+		GCCycles  uint64 `json:"gc_cycles"`
+		HeapBytes uint64 `json:"heap_bytes"`
+	} `json:"runtime"`
 
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 }
@@ -552,6 +591,9 @@ func (s *Server) Statsz() Statsz {
 		Endpoints:       make(map[string]EndpointStats),
 	}
 	st.Admission.TenantCap = s.adm.capNow()
+	rt := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(rt)
+	st.Runtime.GCCycles, st.Runtime.HeapBytes = rt[0].Value.Uint64(), rt[1].Value.Uint64()
 	if set := s.cfg.Set; set != nil {
 		ss := set.Stats()
 		st.Health = set.Health().String()

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -23,9 +24,15 @@ import (
 // listener is started on a loopback port; the caller gets its address.
 func testServer(t *testing.T, cfg Config) (*Server, *Set, string) {
 	t.Helper()
-	items := dataset.Western(2000, 17)
-	set := buildSet(t, items, 3)
-	cfg.Set = set
+	cfg.Set = buildSet(t, dataset.Western(2000, 17), 3)
+	srv, addr := serveSet(t, cfg)
+	return srv, cfg.Set, addr
+}
+
+// serveSet starts a Server over cfg.Set on a loopback port and returns it
+// and the binary listener's address; the test's cleanup drains it.
+func serveSet(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
 	srv := New(cfg)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -43,7 +50,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *Set, string) {
 			t.Errorf("ServeBinary returned %v after drain", err)
 		}
 	})
-	return srv, set, lis.Addr().String()
+	return srv, lis.Addr().String()
 }
 
 func TestAdmissionUnit(t *testing.T) {
@@ -518,6 +525,15 @@ func TestAdminEndpoints(t *testing.T) {
 		if st, ok := sz.Endpoints[ep]; !ok || st.Count == 0 {
 			t.Fatalf("no %s endpoint stats: %+v", ep, sz.Endpoints)
 		}
+	}
+	// The runtime record is the process's own: heap in use, and a GC
+	// counter that a forced cycle moves.
+	if sz.Runtime.HeapBytes == 0 {
+		t.Fatalf("statsz runtime %+v: no heap bytes", sz.Runtime)
+	}
+	runtime.GC()
+	if after := srv.Statsz().Runtime.GCCycles; after <= sz.Runtime.GCCycles {
+		t.Fatalf("statsz gc_cycles %d after a forced GC, %d before", after, sz.Runtime.GCCycles)
 	}
 
 	resp = get("/query?op=window&rect=0,0,1,1")

@@ -424,8 +424,9 @@ func (sh *shard) lastErrString() string {
 }
 
 // Set is an open sharded index: N file-backed trees queried scatter-gather
-// with results merged into a deterministic order. All read methods are
-// safe for any number of concurrent callers.
+// — the shards one after another on the caller's goroutine — with results
+// merged into a deterministic order. All read methods are safe for any
+// number of concurrent callers.
 //
 // The set survives shard failures: a leg that hits a backend error or
 // checksum panic quarantines its shard instead of failing the query, the
@@ -642,7 +643,7 @@ func panicToError(i int, p interface{}) error {
 // leg runs fn against shard i if it is in rotation, converting read-path
 // panics into errors. The shard lock is read-held for the whole leg so
 // the recovery supervisor never swaps the tree under a live traversal.
-func (s *Set) leg(i int, fn func(i int, t *prtree.Tree) error) (err error) {
+func (s *Set) leg(i int, fn func(t *prtree.Tree) error) (err error) {
 	sh := s.shards[i]
 	if ShardState(sh.state.Load()) != ShardHealthy {
 		return errShardDown
@@ -657,27 +658,7 @@ func (s *Set) leg(i int, fn func(i int, t *prtree.Tree) error) (err error) {
 			err = panicToError(i, p)
 		}
 	}()
-	return fn(i, sh.tree)
-}
-
-// scatter runs fn once per shard concurrently and returns the per-shard
-// errors for resolve to classify.
-func (s *Set) scatter(fn func(i int, t *prtree.Tree) error) []error {
-	errs := make([]error, len(s.shards))
-	if len(s.shards) == 1 {
-		errs[0] = s.leg(0, fn)
-		return errs
-	}
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = s.leg(i, fn)
-		}(i)
-	}
-	wg.Wait()
-	return errs
+	return fn(sh.tree)
 }
 
 // resolve classifies the per-shard leg errors of one query. Context
@@ -685,9 +666,10 @@ func (s *Set) scatter(fn func(i int, t *prtree.Tree) error) []error {
 // query's error and never count against a shard. Real backend failures
 // quarantine the shard (kicking off its recovery supervisor) and degrade
 // the response instead of failing it; only when every shard is out does
-// the query fail, with ErrUnavailable.
-func (s *Set) resolve(errs []error) (Partial, error) {
-	var p Partial
+// the query fail, with ErrUnavailable. The failed shards are appended to
+// failed, whose storage the returned Partial holds.
+func (s *Set) resolve(errs []error, failed []uint32) (Partial, error) {
+	p := Partial{Failed: failed[:0]}
 	var ctxErr error
 	for i, err := range errs {
 		if err == nil {
@@ -803,102 +785,144 @@ func (s *Set) reopenShard(sh *shard, attempt int) (err error) {
 	return nil
 }
 
-// sortItems puts gathered results into the set's deterministic order:
-// ascending (ID, MinX, MinY, MaxX, MaxY).
-func sortItems(items []geom.Item) {
-	sort.Slice(items, func(i, j int) bool {
-		a, b := items[i], items[j]
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		if a.Rect.MinX != b.Rect.MinX {
-			return a.Rect.MinX < b.Rect.MinX
-		}
-		if a.Rect.MinY != b.Rect.MinY {
-			return a.Rect.MinY < b.Rect.MinY
-		}
-		if a.Rect.MaxX != b.Rect.MaxX {
-			return a.Rect.MaxX < b.Rect.MaxX
-		}
-		return a.Rect.MaxY < b.Rect.MaxY
-	})
+// legs is the scratch one window or containment query gathers in. The
+// shards' answers are appended in turn to one buffer, leg i at
+// items[ends[i-1]:ends[i]] (the first from 0), and each leg is sorted in
+// place by itemOrder; next then merges them. A served request takes one
+// from the server's scratch pool, so once the pool holds scratch as large
+// as an answer, the query allocates nothing; Set.Window and Set.Contained
+// use a throwaway one.
+type legs struct {
+	items  []geom.Item
+	ends   []int
+	heads  []int // the merge's cursor in each leg
+	errs   []error
+	failed []uint32
+	left   int // items the merge is still to yield
 }
 
-// gather collects one query across every healthy shard and merges the
-// results in deterministic order, applying limit after the merge. The
-// returned Partial lists shards missing from the result.
-func (s *Set) gather(ctx context.Context, build func() prtree.Query, limit int) ([]geom.Item, Partial, error) {
-	perShard := make([][]geom.Item, len(s.shards))
-	errs := s.scatter(func(i int, t *prtree.Tree) error {
-		q := build().WithContext(ctx)
-		if limit > 0 {
-			// Each shard can satisfy at most the whole limit; the merge
-			// trims the union deterministically below.
-			q = q.WithLimit(limit)
+// itemOrder is the set's deterministic result order: ascending (ID, MinX,
+// MinY, MaxX, MaxY).
+func itemOrder(a, b geom.Item) int {
+	switch {
+	case a.ID != b.ID:
+		return cmp.Compare(a.ID, b.ID)
+	case a.Rect.MinX != b.Rect.MinX:
+		return cmp.Compare(a.Rect.MinX, b.Rect.MinX)
+	case a.Rect.MinY != b.Rect.MinY:
+		return cmp.Compare(a.Rect.MinY, b.Rect.MinY)
+	case a.Rect.MaxX != b.Rect.MaxX:
+		return cmp.Compare(a.Rect.MaxX, b.Rect.MaxX)
+	}
+	return cmp.Compare(a.Rect.MaxY, b.Rect.MaxY)
+}
+
+// collect runs q on every shard in rotation, one after another on the
+// caller's goroutine, into l, and readies l's merge: the answer is the
+// first limit items (all of them if limit <= 0) of the legs' union in
+// itemOrder. The returned Partial lists shards missing from the answer and
+// shares l's storage.
+func (s *Set) collect(ctx context.Context, q prtree.Query, limit int, l *legs) (Partial, error) {
+	// Each shard can satisfy at most the whole limit; the merge trims the
+	// union deterministically.
+	q = q.WithContext(ctx).WithLimit(limit)
+	l.items, l.ends, l.heads, l.errs = l.items[:0], l.ends[:0], l.heads[:0], l.errs[:0]
+	add := func(it geom.Item) bool {
+		l.items = append(l.items, it)
+		return true
+	}
+	run := func(t *prtree.Tree) error { return t.Run(q, add) }
+	for i := range s.shards {
+		start := len(l.items)
+		err := s.leg(i, run)
+		if err != nil {
+			l.items = l.items[:start] // a failed leg contributes nothing, even partially
 		}
-		out, err := t.Collect(q)
-		perShard[i] = out
-		return err
-	})
-	p, err := s.resolve(errs)
+		slices.SortFunc(l.items[start:], itemOrder)
+		l.heads = append(l.heads, start)
+		l.ends = append(l.ends, len(l.items))
+		l.errs = append(l.errs, err)
+	}
+	p, err := s.resolve(l.errs, l.failed)
+	if err != nil {
+		l.left = 0
+		return Partial{}, err
+	}
+	l.failed = p.Failed[:0]
+	l.left = len(l.items)
+	if limit > 0 {
+		l.left = min(l.left, limit)
+	}
+	return p, nil
+}
+
+// next yields the merge's next item, the least in itemOrder of the legs'
+// heads, until the answer is complete.
+func (l *legs) next() (geom.Item, bool) {
+	if l.left == 0 {
+		return geom.Item{}, false
+	}
+	best := -1
+	for i, h := range l.heads {
+		if h < l.ends[i] && (best < 0 || itemOrder(l.items[h], l.items[l.heads[best]]) < 0) {
+			best = i
+		}
+	}
+	it := l.items[l.heads[best]]
+	l.heads[best]++
+	l.left--
+	return it, true
+}
+
+// gather runs q through collect with a throwaway scratch and returns the
+// merged answer.
+func (s *Set) gather(ctx context.Context, q prtree.Query, limit int) ([]geom.Item, Partial, error) {
+	var l legs
+	p, err := s.collect(ctx, q, limit, &l)
 	if err != nil {
 		return nil, Partial{}, err
 	}
-	for _, i := range p.Failed {
-		perShard[i] = nil // a failed leg contributes nothing, even partially
+	out := make([]geom.Item, 0, l.left)
+	for it, ok := l.next(); ok; it, ok = l.next() {
+		out = append(out, it)
 	}
-	n := 0
-	for _, part := range perShard {
-		n += len(part)
-	}
-	merged := make([]geom.Item, 0, n)
-	for _, part := range perShard {
-		merged = append(merged, part...)
-	}
-	sortItems(merged)
-	if limit > 0 && len(merged) > limit {
-		merged = merged[:limit]
-	}
-	return merged, p, nil
+	return out, p, nil
 }
 
 // Window reports every item intersecting r, merged across shards into
 // ascending ID order. limit <= 0 means unlimited; with a limit the first
 // `limit` items of the merged order are returned.
 func (s *Set) Window(ctx context.Context, r geom.Rect, limit int) ([]geom.Item, Partial, error) {
-	return s.gather(ctx, func() prtree.Query { return prtree.Window(r) }, limit)
+	return s.gather(ctx, prtree.Window(r), limit)
 }
 
 // Contained reports every item fully contained in r.
 func (s *Set) Contained(ctx context.Context, r geom.Rect, limit int) ([]geom.Item, Partial, error) {
-	return s.gather(ctx, func() prtree.Query { return prtree.Contained(r) }, limit)
+	return s.gather(ctx, prtree.Contained(r), limit)
 }
 
 // Nearest returns the k items closest to (x, y) across all healthy
 // shards, in ascending (distance, ID) order — exactly the single-tree
-// result when the set is whole: each shard reports its local top k and
-// the merge keeps the global top k under the tree's own deterministic
-// tie-breaking.
+// result when the set is whole: each shard reports its local top k, one
+// after another on the caller's goroutine, and the merge keeps the global
+// top k under the tree's own deterministic tie-breaking.
 func (s *Set) Nearest(ctx context.Context, x, y float64, k int) ([]Neighbor, Partial, error) {
 	if k <= 0 {
 		return nil, Partial{}, nil
 	}
-	perShard := make([][]Neighbor, len(s.shards))
-	errs := s.scatter(func(i int, t *prtree.Tree) error {
-		out, err := t.CollectNearest(prtree.Nearest(x, y, k).WithContext(ctx))
-		perShard[i] = out
-		return err
-	})
-	p, err := s.resolve(errs)
+	q := prtree.Nearest(x, y, k).WithContext(ctx)
+	var merged []Neighbor
+	errs := make([]error, len(s.shards))
+	for i := range s.shards {
+		errs[i] = s.leg(i, func(t *prtree.Tree) error {
+			nb, err := t.CollectNearest(q)
+			merged = append(merged, nb...)
+			return err
+		})
+	}
+	p, err := s.resolve(errs, nil)
 	if err != nil {
 		return nil, Partial{}, err
-	}
-	for _, i := range p.Failed {
-		perShard[i] = nil
-	}
-	var merged []Neighbor
-	for _, part := range perShard {
-		merged = append(merged, part...)
 	}
 	return rtree.Closest(merged, k), p, nil
 }

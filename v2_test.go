@@ -511,9 +511,8 @@ func TestQuerySurface(t *testing.T) {
 // traversal scratch and statistics stay off the heap, and so do the
 // caller's callback and what it captures. Every call is on the concrete
 // type, as a caller makes it: through an interface the callback escapes.
-// A Nearest query allocates its answer and nothing per candidate: one
-// slice on a Tree; on a Dynamic its candidates, each level's answer and
-// the candidates' growth.
+// A Nearest query allocates its answer and nothing else, on a Tree and on
+// a Dynamic, whose levels append to one pooled candidate list.
 func TestQueryAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch")
@@ -523,7 +522,7 @@ func TestQueryAllocsZero(t *testing.T) {
 	d, _ := querySurfaceDynamic(t, items)
 	world := geom.ItemsMBR(items)
 	q := workload.Squares(world, 0.05, 1, 3)[0]
-	treeKNN, dynKNN := 1.0, float64(1+2*d.inner.Levels())
+	const knn = 1.0 // the answer
 	for _, c := range []struct {
 		name    string
 		run     func(Query) int
@@ -533,28 +532,28 @@ func TestQueryAllocsZero(t *testing.T) {
 			n := 0
 			_ = tree.Run(q, func(Item) bool { n++; return true })
 			return n
-		}, treeKNN},
+		}, knn},
 		{"Tree.Iter", func(q Query) int {
 			n := 0
 			for range tree.Iter(q) {
 				n++
 			}
 			return n
-		}, treeKNN},
-		{"Tree.Count", func(q Query) int { n, _ := tree.Count(q); return n }, treeKNN},
+		}, knn},
+		{"Tree.Count", func(q Query) int { n, _ := tree.Count(q); return n }, knn},
 		{"Dynamic.Run", func(q Query) int {
 			n := 0
 			_ = d.Run(q, func(Item) bool { n++; return true })
 			return n
-		}, dynKNN},
+		}, knn},
 		{"Dynamic.Iter", func(q Query) int {
 			n := 0
 			for range d.Iter(q) {
 				n++
 			}
 			return n
-		}, dynKNN},
-		{"Dynamic.Count", func(q Query) int { n, _ := d.Count(q); return n }, dynKNN},
+		}, knn},
+		{"Dynamic.Count", func(q Query) int { n, _ := d.Count(q); return n }, knn},
 		{"Dynamic.Query", func(q Query) int { return d.Query(q.rect, nil).Results }, 0}, // a window on q's rect
 	} {
 		for _, query := range []Query{Window(q), Contained(world), Nearest(0.5, 0.5, 1), Nearest(0.5, 0.5, 10), Nearest(0.5, 0.5, 100)} {
