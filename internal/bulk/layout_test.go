@@ -13,13 +13,14 @@ import (
 	"prtree/internal/zoo"
 )
 
-// TestLoadersCompressedLayout: no loader writes a page of the compressed
-// layout earlier versions offered, not even on coordinate-snapped input,
-// the input that layout packed three times the entries of. Every loader,
-// on snapped and on full-precision data, writes pages with format flag 0
-// and at most MaxFanout entries, and builds a valid tree that holds every
-// item and answers as a brute-force scan does.
-func TestLoadersCompressedLayout(t *testing.T) {
+// TestLoadersWrite36ByteEntryPages: every loader writes the one page
+// layout there is, the paper's node of 36-byte entries, even on
+// coordinate-snapped input, which the compressed layout of earlier
+// versions packed three times the entries of. On snapped and on
+// full-precision data every page has format flag 0 and at most MaxFanout
+// entries, and the tree is valid, holds every item and answers as a
+// brute-force scan does.
+func TestLoadersWrite36ByteEntryPages(t *testing.T) {
 	fanout := rtree.MaxFanout(storage.DefaultBlockSize)
 	for _, l := range bulk.Loaders {
 		for _, grid := range []bool{true, false} {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -37,7 +38,7 @@ func (r *loopReader) Read(p []byte) (int, error) {
 // the legs, the merge into the response frame and the flush.
 func pipedConn(srv *Server, out io.Writer) (*serverConn, *loopReader) {
 	r := &loopReader{}
-	return &serverConn{s: srv, br: bufio.NewReader(r), bw: bufio.NewWriter(out)}, r
+	return &serverConn{s: srv, br: bufio.NewReader(r), w: out}, r
 }
 
 func requestFrame(t *testing.T, req Request) []byte {
@@ -54,7 +55,8 @@ func requestFrame(t *testing.T, req Request) []byte {
 // four-shard set — the frame read into the connection's buffer, the legs
 // on the connection's goroutine, the merge and the response frame in the
 // pooled scratch. The containment request answers every item, so the warm
-// scratch is as large as the set.
+// scratch's legs are as large as the set; its frame spans two chunks, and
+// the pooled frame stays one chunk.
 func TestServeWindowAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch")
@@ -83,7 +85,45 @@ func TestServeWindowAllocsZero(t *testing.T) {
 		if a := testing.AllocsPerRun(50, func() { out.Reset(); _ = c.serveOne() }); a != 0 {
 			t.Errorf("op %d limit %d (%d items): %v allocations a request; want 0", req.Op, req.Limit, len(res.Sets[0]), a)
 		}
+		if req.Op == OpContained && req.Limit == 0 {
+			if out.Len() <= chunkBytes {
+				t.Fatalf("the set-sized frame of %d bytes fits one chunk of %d", out.Len(), chunkBytes)
+			}
+			sc := scratches.Get().(*scratch)
+			if cap(sc.frame) > chunkBytes {
+				t.Errorf("after a frame of %d bytes the pooled frame holds %d bytes; want at most the chunk, %d", out.Len(), cap(sc.frame), chunkBytes)
+			}
+			scratches.Put(sc)
+		}
 	}
+}
+
+// writeLog is a connection's response side that keeps the size of every
+// write.
+type writeLog struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// chunked reports whether the frame written went out in chunks as the
+// server cuts them: one write for a frame of up to chunkBytes, else full
+// chunks — none past chunkBytes, none with room left for another record
+// of recordBytes — and a last, shorter one.
+func (w *writeLog) chunked(recordBytes int) error {
+	if w.Len() <= chunkBytes && len(w.writes) != 1 {
+		return fmt.Errorf("a frame of %d bytes went out in %d writes; want 1", w.Len(), len(w.writes))
+	}
+	for i, n := range w.writes {
+		if n == 0 || n > chunkBytes || (i < len(w.writes)-1 && n+recordBytes <= chunkBytes) {
+			return fmt.Errorf("write %d of %d is %d bytes (chunk %d, record %d)", i+1, len(w.writes), n, chunkBytes, recordBytes)
+		}
+	}
+	return nil
 }
 
 // TestStreamedFrameMatchesUnion: the response frame a connection merges
@@ -93,8 +133,19 @@ func TestServeWindowAllocsZero(t *testing.T) {
 // expected frame is built without the legs or the merge. Every zoo entry
 // is served at 1, 3 and 4 shards, every window and containment query at
 // limits 0, 1 and 7, whole and with the last shard out of rotation, when
-// the frame must list it and hold only the other shards' items.
+// the frame must list it and hold only the other shards' items. A larger
+// set's whole answer spans three chunks or more; at the limits that end
+// its frame on the first chunk's last item and one item later it must go
+// out in one write and in two, and its nearest answer of 2,000 neighbors
+// is held to AppendOKResponse across a chunk boundary too.
 func TestStreamedFrameMatchesUnion(t *testing.T) {
+	type input struct {
+		name    string
+		items   []geom.Item
+		qs      []zoo.Query
+		chunked bool // the whole answer spans three chunks or more
+	}
+	var inputs []input
 	for e, entry := range zoo.Entries {
 		items := entry.Gen(400, int64(e))
 		var qs []zoo.Query
@@ -103,10 +154,38 @@ func TestStreamedFrameMatchesUnion(t *testing.T) {
 				qs = append(qs, q)
 			}
 		}
+		inputs = append(inputs, input{name: entry.Name, items: items, qs: qs})
+	}
+	big := zoo.Uniform(6000, 0.01, 56)
+	world := geom.ItemsMBR(big)
+	inputs = append(inputs, input{"uniform6000", big, []zoo.Query{{Kind: zoo.Window, Rect: world}, {Kind: zoo.Contained, Rect: world}}, true})
+
+	for _, in := range inputs {
 		for _, shards := range []int{1, 3, 4} {
-			set := buildSet(t, items, shards)
-			var out bytes.Buffer
+			set := buildSet(t, in.items, shards)
+			var out writeLog
 			c, r := pipedConn(New(Config{Set: set}), &out)
+			// serve sends req and holds its frame to want, and to the
+			// chunks recordBytes cuts it in; it returns the writes made.
+			serve := func(label string, req Request, want []byte, recordBytes int) int {
+				out.Reset()
+				out.writes = out.writes[:0]
+				r.frame, r.off = requestFrame(t, req), 0
+				if err := c.serveOne(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				frame := out.Bytes()
+				if len(frame) < 4 || int(binary.BigEndian.Uint32(frame)) != len(frame)-4 {
+					t.Fatalf("%s: frame of %d bytes has a bad length prefix", label, len(frame))
+				}
+				if !bytes.Equal(frame[4:], want) {
+					t.Fatalf("%s: streamed payload of %d bytes differs from AppendOKResponse's %d", label, len(frame)-4, len(want))
+				}
+				if err := out.chunked(recordBytes); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				return len(out.writes)
+			}
 			for _, degraded := range []bool{false, true} {
 				if degraded && shards == 1 {
 					continue // an answer without its only shard is an error
@@ -117,9 +196,16 @@ func TestStreamedFrameMatchesUnion(t *testing.T) {
 					last.state.Store(int32(ShardQuarantined))
 					failed = []uint32{uint32(last.idx)}
 				}
-				for _, q := range qs {
-					for _, limit := range []int{0, 1, 7} {
-						label := fmt.Sprintf("%s shards=%d degraded=%v %v limit=%d", entry.Name, shards, degraded, q, limit)
+				limits := []int{0, 1, 7}
+				// The most items the first chunk holds after the frame's
+				// length prefix, head and set and item counts.
+				first := (chunkBytes - 4 - 3 - 4*len(failed) - 8) / itemBytes
+				if in.chunked {
+					limits = append(limits, first, first+1)
+				}
+				for _, q := range in.qs {
+					for _, limit := range limits {
+						label := fmt.Sprintf("%s shards=%d degraded=%v %v limit=%d", in.name, shards, degraded, q, limit)
 						op, pq := OpWindow, prtree.Window(q.Rect)
 						if q.Kind == zoo.Contained {
 							op, pq = OpContained, prtree.Contained(q.Rect)
@@ -140,24 +226,27 @@ func TestStreamedFrameMatchesUnion(t *testing.T) {
 							union = union[:limit]
 						}
 						want := AppendOKResponse(nil, op, failed, [][]geom.Item{union}, nil, nil)
-
-						out.Reset()
-						r.frame, r.off = requestFrame(t, Request{Op: op, Rect: q.Rect, Limit: uint32(limit)}), 0
-						if err := c.serveOne(); err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						frame := out.Bytes()
-						if len(frame) < 4 || int(binary.BigEndian.Uint32(frame)) != len(frame)-4 {
-							t.Fatalf("%s: frame of %d bytes has a bad length prefix", label, len(frame))
-						}
-						if !bytes.Equal(frame[4:], want) {
-							t.Fatalf("%s: streamed payload of %d bytes differs from AppendOKResponse's %d", label, len(frame)-4, len(want))
-						}
+						writes := serve(label, Request{Op: op, Rect: q.Rect, Limit: uint32(limit)}, want, itemBytes)
 						if !degraded && limit == 0 {
-							if err := zoo.Expect(items, zoo.Query{Kind: q.Kind, Rect: q.Rect}).Check(union); err != nil {
+							if err := zoo.Expect(in.items, zoo.Query{Kind: q.Kind, Rect: q.Rect}).Check(union); err != nil {
 								t.Fatalf("%s: the shards' union: %v", label, err)
 							}
 						}
+						if in.chunked && (limit == 0 && writes < 3 || limit == first && writes != 1 || limit == first+1 && writes != 2) {
+							t.Fatalf("%s: %d items went out in %d writes", label, len(union), writes)
+						}
+					}
+				}
+				if in.chunked {
+					x, y := (world.MinX+world.MaxX)/2, (world.MinY+world.MaxY)/2
+					nbs, _, err := set.Nearest(context.Background(), x, y, 2000)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s shards=%d degraded=%v nearest k=2000", in.name, shards, degraded)
+					want := AppendOKResponse(nil, OpNearest, failed, nil, nbs, nil)
+					if writes := serve(label, Request{Op: OpNearest, X: x, Y: y, K: 2000}, want, neighborBytes); writes != 2 {
+						t.Fatalf("%s: %d writes; want 2", label, writes)
 					}
 				}
 			}

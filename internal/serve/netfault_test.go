@@ -6,12 +6,14 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"prtree/internal/dataset"
 	"prtree/internal/geom"
+	"prtree/internal/zoo"
 )
 
 // Network faults are the wire-level complement of storage.Faulty:
@@ -47,14 +49,16 @@ func (m netFaultMode) String() string {
 // netFault configures a faultyListener.
 type netFault struct {
 	mode netFaultMode
-	// after is the number of counted writes (≈ frames: each response is
-	// one buffered flush) across all connections between firings. Reset
-	// and torn fire periodically — on the after+1-th write and every
-	// after+1 writes after that — so a chaos run suffers a bounded,
-	// nonzero failure rate instead of one blip or total loss. Drip
-	// latches: from the after+1-th write on, the connection drips every
-	// write.
+	// after is the number of counted writes across all connections
+	// between firings: a response is one write, or one per chunk when its
+	// frame is longer than chunkBytes. Reset and torn fire periodically —
+	// on the after+1-th write and every after+1 writes after that — so a
+	// chaos run suffers a bounded, nonzero failure rate instead of one
+	// blip or total loss. Drip latches: from the after+1-th write on, the
+	// connection drips every write.
 	after int64
+	// once fires reset or torn on the after+1-th write only.
+	once bool
 	// drip is the pause between dripped bytes.
 	drip time.Duration
 }
@@ -91,6 +95,9 @@ func (c *faultyConn) Write(p []byte) (int, error) {
 	n := l.writes.Add(1)
 	period := max(l.fault.after+1, 1)
 	fire := n%period == 0
+	if l.fault.once {
+		fire = n == period
+	}
 	if l.fault.mode == netFaultDrip {
 		fire = c.sticky.Load() || n >= period
 	}
@@ -117,12 +124,11 @@ func (c *faultyConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// startFaultServer serves a small healthy set on a loopback listener,
-// optionally wrapped (faultyListener), and tears everything down with the
-// test.
-func startFaultServer(t *testing.T, cfg Config, wrap func(net.Listener) net.Listener) (string, *Server) {
+// startFaultServer serves items as a healthy two-shard set on a loopback
+// listener, optionally wrapped (faultyListener), and tears everything down
+// with the test.
+func startFaultServer(t *testing.T, items []geom.Item, cfg Config, wrap func(net.Listener) net.Listener) (string, *Server) {
 	t.Helper()
-	items := dataset.Western(2000, 3)
 	set := buildSet(t, items, 2)
 	cfg.Set = set
 	srv := New(cfg)
@@ -157,22 +163,54 @@ func oneWindow(addr string, w geom.Rect) error {
 // TestFaultyListenerPeriodic: with the server's listener injecting
 // periodic resets or torn response frames, individual requests fail with
 // transport errors but the server survives — fresh connections keep
-// getting correct answers between firings.
+// getting correct answers between firings, and a write cut short is not a
+// malformed frame. A frame longer than a chunk is several writes: torn
+// after its first chunk, the client reads a length prefix whose payload
+// stops short, and the next connection gets the whole answer.
 func TestFaultyListenerPeriodic(t *testing.T) {
-	for _, mode := range []netFaultMode{netFaultReset, netFaultTorn} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		items []geom.Item
+		fault netFault
+	}{
+		{"reset", dataset.Western(2000, 3), netFault{mode: netFaultReset, after: 4}},
+		{"torn", dataset.Western(2000, 3), netFault{mode: netFaultTorn, after: 4}},
+		// 4,320 items, so a world window's frame is three chunks; the first
+		// request's second write is torn.
+		{"torn-after-first-chunk", dataset.Western(6000, 3), netFault{mode: netFaultTorn, after: 1, once: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			var flis *faultyListener
-			addr, srv := startFaultServer(t, Config{}, func(l net.Listener) net.Listener {
-				flis = &faultyListener{Listener: l, fault: netFault{mode: mode, after: 4}}
+			addr, srv := startFaultServer(t, tc.items, Config{}, func(l net.Listener) net.Listener {
+				flis = &faultyListener{Listener: l, fault: tc.fault}
 				return flis
 			})
 			world := srv.cfg.Set.MBR()
+			want := zoo.Expect(tc.items, zoo.Query{Kind: zoo.Window, Rect: world}).Items()
+			window := func() error {
+				cl, err := Dial(addr)
+				if err != nil {
+					return err
+				}
+				defer cl.Close()
+				res, err := cl.Do(Request{Op: OpWindow, Rect: world})
+				if err != nil {
+					return err
+				}
+				if len(res.Sets) != 1 || !slices.Equal(res.Sets[0], want) {
+					t.Fatalf("a request the fault missed: %d sets, not the oracle's %d items", len(res.Sets), len(want))
+				}
+				return nil
+			}
 
 			var ok, failed int
 			var okAfterFail bool
 			for i := 0; i < 40; i++ {
-				if err := oneWindow(addr, world); err != nil {
+				if err := window(); err != nil {
 					failed++
+					if tc.fault.once && !errors.Is(err, ErrTornFrame) {
+						t.Fatalf("request %d: %v; want a torn frame", i, err)
+					}
 				} else {
 					ok++
 					if failed > 0 {
@@ -186,8 +224,14 @@ func TestFaultyListenerPeriodic(t *testing.T) {
 			if failed == 0 {
 				t.Fatal("no request saw the injected fault")
 			}
+			if tc.fault.once && (failed != 1 || len(want)*itemBytes <= chunkBytes) {
+				t.Fatalf("%d requests failed, answers of %d items; want only the one torn, across chunks", failed, len(want))
+			}
 			if !okAfterFail {
 				t.Fatalf("no request succeeded after a fault (ok=%d failed=%d)", ok, failed)
+			}
+			if got := srv.Statsz().MalformedFrames; got != 0 {
+				t.Fatalf("%d malformed frames; a write cut short is not one", got)
 			}
 		})
 	}
@@ -198,7 +242,7 @@ func TestFaultyListenerPeriodic(t *testing.T) {
 // pinning a handler goroutine forever, and the stall is accounted as a
 // malformed frame. The server keeps serving well-formed clients.
 func TestSlowLorisReaped(t *testing.T) {
-	addr, srv := startFaultServer(t, Config{ConnTimeout: 100 * time.Millisecond}, nil)
+	addr, srv := startFaultServer(t, dataset.Western(2000, 3), Config{ConnTimeout: 100 * time.Millisecond}, nil)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -230,7 +274,7 @@ func TestSlowLorisReaped(t *testing.T) {
 // (through a faultyConn) can never finish a frame inside the 100ms conn
 // deadline; the server drops it.
 func TestDripRequestReaped(t *testing.T) {
-	addr, srv := startFaultServer(t, Config{ConnTimeout: 100 * time.Millisecond}, nil)
+	addr, srv := startFaultServer(t, dataset.Western(2000, 3), Config{ConnTimeout: 100 * time.Millisecond}, nil)
 
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -265,7 +309,7 @@ func TestDripRequestReaped(t *testing.T) {
 // response and a malformed-frame count, then the connection closes — not
 // a crash, a silent drop or an allocation of what the header claims.
 func TestMalformedFrameAccounted(t *testing.T) {
-	addr, srv := startFaultServer(t, Config{}, nil)
+	addr, srv := startFaultServer(t, dataset.Western(2000, 3), Config{}, nil)
 	cases := map[string][]byte{
 		"garbage payload":           {0, 0, 0, 2, 0xFF, 0xEE},
 		"retired point op":          append(binary.BigEndian.AppendUint32(nil, uint32(len(retiredPointRequest))), retiredPointRequest...),

@@ -48,15 +48,22 @@
 // recorded; a leg that fails is cut off the buffer, contributes nothing
 // and is listed in the response. Each leg is sorted in place by (ID,
 // rect), and a k-way merge of the legs writes the answer, cut to the
-// request's limit, straight into the response frame. That buffer and the
-// response frame are a scratch the request takes from a pool and returns
-// once the frame is flushed, so the scratch held tracks the requests in
-// flight, not the connections open; a connection reads each request frame
-// into a buffer of its own, at most MaxRequestFrame bytes. A warm server
-// answers a window or containment request without allocating. Set.Window
-// and Set.Contained take the same path with a throwaway scratch. A k-NN
-// query's legs run in turn too, and each shard's top k are merged by
-// (dist², ID).
+// request's limit, straight into the response frame. The frame streams: its
+// length prefix is known from the head and the merge's count before the
+// first byte goes out, and it is built and written in chunks of at most
+// 64 KiB, so an answer of any size passes through one chunk buffer and an
+// answer of up to one chunk goes out in a single write. Every error and
+// every degraded-shard decision is made before the first byte. That legs
+// buffer and the chunk are a scratch the request takes from a pool and
+// returns once its last chunk is written, so the scratch held tracks the
+// requests in flight, not the connections open: per request in flight the
+// pool holds the legs buffer, sized to the largest answer it gathered, and
+// one chunk. A connection reads each request frame into a buffer of its
+// own, at most MaxRequestFrame bytes. A warm server answers a window or
+// containment request without allocating. Set.Window and Set.Contained take
+// the same path with a throwaway scratch. A k-NN query's legs run in turn
+// too, each shard's top k are merged by (dist², ID), and its answer streams
+// through the same chunk.
 package serve
 
 import (
@@ -65,7 +72,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"prtree"
 	"prtree/internal/geom"
@@ -238,10 +244,9 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// frameStart begins a whole frame in buf's storage: the length prefix,
-// which frameEnd fills in once the payload has been appended after it.
-// A frame built so goes out in one write and allocates nothing once buf
-// has held one as large.
+// frameStart begins a frame in buf's storage: the length prefix, which
+// frameEnd fills in once the payload has been appended after it, or
+// writeChunked before the first chunk goes out.
 func frameStart(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
 
 // frameEnd sets the length prefix of a frame begun by frameStart.
@@ -386,9 +391,7 @@ func AppendOKResponse(buf []byte, op byte, failed []uint32, sets [][]geom.Item, 
 	case OpNearest:
 		buf = appendU32(buf, uint32(len(nbs)))
 		for _, nb := range nbs {
-			buf = appendU32(buf, nb.Item.ID)
-			buf = appendRect(buf, nb.Item.Rect)
-			buf = appendF64(buf, nb.Dist2)
+			buf = appendNeighbor(buf, nb)
 		}
 	case OpStats:
 		buf = appendU32(buf, st.Shards)
@@ -424,20 +427,69 @@ func appendItem(buf []byte, it geom.Item) []byte {
 	return appendRect(appendU32(buf, it.ID), it.Rect)
 }
 
-// itemBytes is one item's wire size: uint32 id + 4 × float64 rect.
-const itemBytes = 36
+func appendNeighbor(buf []byte, nb Neighbor) []byte {
+	return appendF64(appendItem(buf, nb.Item), nb.Dist2)
+}
 
-// appendMerged appends the ok-response AppendOKResponse writes for a
-// window or containment op whose one set is l's merge, taking the items
-// from the merge as it yields them: no merged copy is made.
-func appendMerged(buf []byte, op byte, failed []uint32, l *legs) []byte {
-	buf = slices.Grow(appendOKHead(buf, op, failed), 8+itemBytes*l.left)
-	buf = appendU32(buf, 1) // one set
-	buf = appendU32(buf, uint32(l.left))
-	for it, ok := l.next(); ok; it, ok = l.next() {
-		buf = appendItem(buf, it)
+// Wire sizes of one item (uint32 id + 4 × float64 rect) and of one
+// neighbor (an item + float64 squared distance).
+const (
+	itemBytes     = 36
+	neighborBytes = itemBytes + 8
+)
+
+// chunkBytes is the most of one response frame the server holds at once:
+// a window, containment or nearest answer goes to the connection in chunks
+// of at most this size, each built in the request's pooled scratch, so what
+// a request in flight holds for its frame is this constant, not its answer.
+// 64 KiB amortises a write over 1,820 items; bufio's 4 KiB costs a syscall
+// every 113.
+const chunkBytes = 64 << 10
+
+// writeChunked writes one ok-response frame to w: b holds its start, the
+// length prefix from frameStart and the head, and n records of size bytes
+// each follow, put appending the next one. The length prefix is set before
+// the first byte goes out. The frame is built in b's storage, never more
+// than chunkBytes of it: b is written out whenever the next record would
+// carry it past chunkBytes, and what is left at the end, so a frame of up
+// to chunkBytes is one write. The first failed write ends it.
+func writeChunked(w io.Writer, b []byte, n, size int, put func([]byte) []byte) error {
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4+n*size))
+	for range n {
+		if len(b)+size > chunkBytes {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+		b = put(b)
 	}
-	return buf
+	_, err := w.Write(b)
+	return err
+}
+
+// writeMerged writes to w, built in buf's storage, the frame of the
+// ok-response AppendOKResponse encodes for a window or containment op
+// whose one set is l's merge, taking the items from the merge as it yields
+// them: no merged copy is made.
+func writeMerged(w io.Writer, buf []byte, op byte, failed []uint32, l *legs) error {
+	b := appendOKHead(frameStart(buf), op, failed)
+	b = appendU32(appendU32(b, 1), uint32(l.left)) // one set, of l.left items
+	return writeChunked(w, b, l.left, itemBytes, func(b []byte) []byte {
+		it, _ := l.next()
+		return appendItem(b, it)
+	})
+}
+
+// writeNearest writes to w, built in buf's storage, the frame of the
+// ok-response AppendOKResponse encodes for a nearest op answered by nbs.
+func writeNearest(w io.Writer, buf []byte, failed []uint32, nbs []Neighbor) error {
+	b := appendU32(appendOKHead(frameStart(buf), OpNearest, failed), uint32(len(nbs)))
+	return writeChunked(w, b, len(nbs), neighborBytes, func(b []byte) []byte {
+		b = appendNeighbor(b, nbs[0])
+		nbs = nbs[1:]
+		return b
+	})
 }
 
 // AppendErrResponse appends an error response to buf.
@@ -489,7 +541,7 @@ func DecodeResponse(payload []byte) (Result, error) {
 	switch op {
 	case OpNearest:
 		n := int(r.u32())
-		if !r.ok || len(r.b) != n*44 {
+		if !r.ok || len(r.b) != n*neighborBytes {
 			return Result{}, fmt.Errorf("%w: neighbor count disagrees with payload length", ErrBadFrame)
 		}
 		out.Neighbors = make([]Neighbor, n)

@@ -39,8 +39,8 @@ type Config struct {
 	// MaxDeadline clamps client-supplied deadlines; 0 means no clamp.
 	MaxDeadline time.Duration
 	// ConnTimeout bounds how long one binary connection may sit between
-	// frames, and how long one response write may take — the slow-loris
-	// guard. 0 means no per-connection deadlines.
+	// frames, and how long writing one response, all its chunks, may take
+	// — the slow-loris guard. 0 means no per-connection deadlines.
 	ConnTimeout time.Duration
 }
 
@@ -319,26 +319,30 @@ func (s *Server) ServeBinary(lis net.Listener) error {
 
 // serverConn is one binary connection and the request frame it read last,
 // which it reads the next one into (requests are at most MaxRequestFrame
-// bytes).
+// bytes). Responses go to w, the connection itself: every frame is built
+// whole or in chunks before it is written, so there is nothing to buffer.
 type serverConn struct {
 	s    *Server
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
+	w    io.Writer
 	in   []byte
 }
 
-// scratch is what one request gathers its legs in and writes its response
-// frame into. A request takes one from scratches and puts it back once its
-// frame is flushed, so the scratch held tracks the requests in flight, not
-// the connections open, and the collector may reclaim it; a warm server
-// answers a window or containment request without allocating.
+// scratch is what one request gathers its legs in and builds its response
+// frame in, one chunk at a time: frame is made at chunkBytes and never
+// grows, whatever the answer's size. A request takes one from
+// scratches and puts it back once its last chunk is written, so what the
+// pool holds is, per request in flight, a legs buffer sized to the largest
+// answer it gathered and one chunk, not anything per open connection, and
+// the collector may reclaim it; a warm server answers a window or
+// containment request without allocating.
 type scratch struct {
 	legs  legs
 	frame []byte
 }
 
-var scratches = sync.Pool{New: func() any { return new(scratch) }}
+var scratches = sync.Pool{New: func() any { return &scratch{frame: make([]byte, 0, chunkBytes)} }}
 
 // handleConn serves one binary connection: one request frame in, one
 // response frame out, strictly in order, every query's legs run in turn on
@@ -350,7 +354,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	c := &serverConn{s: s, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	c := &serverConn{s: s, conn: conn, br: bufio.NewReader(conn), w: conn}
 	for c.serveOne() == nil {
 	}
 }
@@ -393,11 +397,15 @@ func (c *serverConn) serveOne() error {
 }
 
 // respond serves one decoded request and writes its response frame; a
-// draining server answers CodeShuttingDown. A window or containment answer
-// is merged straight into the frame. The request stays in flight until the
-// frame is flushed: Shutdown cuts every connection the moment nothing is
-// in flight, and a response still in the write buffer at that moment would
-// reach the client torn.
+// draining server answers CodeShuttingDown. Everything the frame says —
+// an error, or which shards a degraded answer is missing — is decided
+// before its first byte. A window or containment answer then streams from
+// the merge, and a nearest answer from its list, in chunks of at most
+// chunkBytes built in the pooled scratch; an error or stats frame is one
+// small write. The request
+// stays in flight until its last chunk is written: Shutdown cuts every
+// connection the moment nothing is in flight, and a response cut between
+// two chunks would reach the client torn.
 func (c *serverConn) respond(req Request) error {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
@@ -406,29 +414,33 @@ func (c *serverConn) respond(req Request) error {
 		defer c.s.end()
 		out = c.s.dispatch(req, &sc.legs)
 	}
-	frame := frameStart(sc.frame)
 	switch {
 	case out.code != 0:
-		frame = AppendErrResponse(frame, req.Op, out.code, out.msg)
-	case out.legs != nil:
-		frame = appendMerged(frame, req.Op, out.failed, out.legs)
-	default:
-		frame = AppendOKResponse(frame, req.Op, out.failed, nil, out.nbs, out.stats)
+		return c.write(AppendErrResponse(frameStart(sc.frame), req.Op, out.code, out.msg))
+	case req.Op == OpStats:
+		return c.write(AppendOKResponse(frameStart(sc.frame), req.Op, out.failed, nil, nil, out.stats))
 	}
-	sc.frame = frame
-	return c.write(frame)
+	c.writeDeadline()
+	if req.Op == OpNearest {
+		return writeNearest(c.w, sc.frame, out.failed, out.nbs)
+	}
+	return writeMerged(c.w, sc.frame, req.Op, out.failed, out.legs)
 }
 
-// write finishes a frame begun by frameStart and writes and flushes it,
-// under the write deadline when ConnTimeout is set.
-func (c *serverConn) write(frame []byte) error {
+// writeDeadline bounds the response about to be written by ConnTimeout,
+// when it is set: every chunk of the frame must be out before it.
+func (c *serverConn) writeDeadline() {
 	if c.s.cfg.ConnTimeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.s.cfg.ConnTimeout))
 	}
-	if _, err := c.bw.Write(frameEnd(frame)); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+}
+
+// write finishes a frame begun by frameStart and writes it, under the
+// write deadline when ConnTimeout is set.
+func (c *serverConn) write(frame []byte) error {
+	c.writeDeadline()
+	_, err := c.w.Write(frameEnd(frame))
+	return err
 }
 
 // isTimeout reports whether err is a net timeout (an expired conn

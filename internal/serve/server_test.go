@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -198,10 +199,12 @@ func TestRequestCtxClamp(t *testing.T) {
 // TestGracefulDrain holds a request in flight, starts Shutdown, and
 // checks: new requests on open connections get CodeShuttingDown, the
 // admin port stays up and reports the drain (/healthz 503 "draining",
-// /statsz "draining": true), the held request still completes, Shutdown
-// returns clean, and only then does the admin port close.
+// /statsz "draining": true), the held request still completes — its
+// answer, every item, is a frame of three chunks, none of which the drain
+// may cut off — Shutdown returns clean, and only then does the admin port
+// close.
 func TestGracefulDrain(t *testing.T) {
-	items := dataset.Western(2000, 17)
+	items := dataset.Western(6000, 17)
 	set := buildSet(t, items, 3)
 	srv := New(Config{Set: set})
 	entered := make(chan struct{}, 1)
@@ -243,7 +246,10 @@ func TestGracefulDrain(t *testing.T) {
 			return
 		}
 		defer cl.Close()
-		_, err = cl.Do(Request{Op: OpWindow, Tenant: "slow", Rect: set.MBR()})
+		res, err := cl.Do(Request{Op: OpWindow, Tenant: "slow", Rect: set.MBR()})
+		if err == nil && (len(res.Sets) != 1 || len(res.Sets[0]) != len(items) || len(items)*itemBytes <= 2*chunkBytes) {
+			err = fmt.Errorf("%d sets; want one of all %d items, a frame of three chunks", len(res.Sets), len(items))
+		}
 		held <- err
 	}()
 	<-entered
