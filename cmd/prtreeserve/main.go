@@ -14,10 +14,10 @@
 // A query runs on every shard in turn, on its connection's goroutine, and
 // the shards' answers are merged into a deterministic order; results are
 // bit-identical to the same dataset served from one tree. The merged
-// answer streams to the client in chunks of at most 64 KiB, so a request
-// in flight holds its gathered answer and one chunk, never a response
-// frame as large as the answer, and no memory stays with an idle
-// connection. A shard that fails mid-query (backend
+// window or containment answer streams to the client in chunks of at most
+// 64 KiB, so a request in flight holds its gathered answer and at most one
+// chunk, never a response frame as large as the answer, and no memory
+// stays with an idle connection. A shard that fails mid-query (backend
 // error, checksum mismatch) is quarantined instead of failing the query:
 // responses degrade to the healthy subset (and say so), and a background
 // supervisor reopens, scrubs and restores the shard — see -maxrecoveries

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -35,7 +34,7 @@ func (r *loopReader) Read(p []byte) (int, error) {
 // pipedConn is a server connection without a socket: its requests come
 // from the returned reader, its responses go to out. serveOne on it is the
 // connection's whole per-request path — frame read, decode, admission,
-// the legs, the merge into the response frame and the flush.
+// the legs, the merge into the response frame and its writes.
 func pipedConn(srv *Server, out io.Writer) (*serverConn, *loopReader) {
 	r := &loopReader{}
 	return &serverConn{s: srv, br: bufio.NewReader(r), w: out}, r
@@ -112,15 +111,15 @@ func (w *writeLog) Write(p []byte) (int, error) {
 
 // chunked reports whether the frame written went out in chunks as the
 // server cuts them: one write for a frame of up to chunkBytes, else full
-// chunks — none past chunkBytes, none with room left for another record
-// of recordBytes — and a last, shorter one.
-func (w *writeLog) chunked(recordBytes int) error {
+// chunks — none past chunkBytes, none with room left for another item —
+// and a last, shorter one.
+func (w *writeLog) chunked() error {
 	if w.Len() <= chunkBytes && len(w.writes) != 1 {
 		return fmt.Errorf("a frame of %d bytes went out in %d writes; want 1", w.Len(), len(w.writes))
 	}
 	for i, n := range w.writes {
-		if n == 0 || n > chunkBytes || (i < len(w.writes)-1 && n+recordBytes <= chunkBytes) {
-			return fmt.Errorf("write %d of %d is %d bytes (chunk %d, record %d)", i+1, len(w.writes), n, chunkBytes, recordBytes)
+		if n == 0 || n > chunkBytes || (i < len(w.writes)-1 && n+itemBytes <= chunkBytes) {
+			return fmt.Errorf("write %d of %d is %d bytes (chunk %d, item %d)", i+1, len(w.writes), n, chunkBytes, itemBytes)
 		}
 	}
 	return nil
@@ -136,8 +135,7 @@ func (w *writeLog) chunked(recordBytes int) error {
 // the frame must list it and hold only the other shards' items. A larger
 // set's whole answer spans three chunks or more; at the limits that end
 // its frame on the first chunk's last item and one item later it must go
-// out in one write and in two, and its nearest answer of 2,000 neighbors
-// is held to AppendOKResponse across a chunk boundary too.
+// out in one write and in two.
 func TestStreamedFrameMatchesUnion(t *testing.T) {
 	type input struct {
 		name    string
@@ -166,8 +164,8 @@ func TestStreamedFrameMatchesUnion(t *testing.T) {
 			var out writeLog
 			c, r := pipedConn(New(Config{Set: set}), &out)
 			// serve sends req and holds its frame to want, and to the
-			// chunks recordBytes cuts it in; it returns the writes made.
-			serve := func(label string, req Request, want []byte, recordBytes int) int {
+			// chunks the server cuts; it returns the writes made.
+			serve := func(label string, req Request, want []byte) int {
 				out.Reset()
 				out.writes = out.writes[:0]
 				r.frame, r.off = requestFrame(t, req), 0
@@ -181,7 +179,7 @@ func TestStreamedFrameMatchesUnion(t *testing.T) {
 				if !bytes.Equal(frame[4:], want) {
 					t.Fatalf("%s: streamed payload of %d bytes differs from AppendOKResponse's %d", label, len(frame)-4, len(want))
 				}
-				if err := out.chunked(recordBytes); err != nil {
+				if err := out.chunked(); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				return len(out.writes)
@@ -226,7 +224,7 @@ func TestStreamedFrameMatchesUnion(t *testing.T) {
 							union = union[:limit]
 						}
 						want := AppendOKResponse(nil, op, failed, [][]geom.Item{union}, nil, nil)
-						writes := serve(label, Request{Op: op, Rect: q.Rect, Limit: uint32(limit)}, want, itemBytes)
+						writes := serve(label, Request{Op: op, Rect: q.Rect, Limit: uint32(limit)}, want)
 						if !degraded && limit == 0 {
 							if err := zoo.Expect(in.items, zoo.Query{Kind: q.Kind, Rect: q.Rect}).Check(union); err != nil {
 								t.Fatalf("%s: the shards' union: %v", label, err)
@@ -235,18 +233,6 @@ func TestStreamedFrameMatchesUnion(t *testing.T) {
 						if in.chunked && (limit == 0 && writes < 3 || limit == first && writes != 1 || limit == first+1 && writes != 2) {
 							t.Fatalf("%s: %d items went out in %d writes", label, len(union), writes)
 						}
-					}
-				}
-				if in.chunked {
-					x, y := (world.MinX+world.MaxX)/2, (world.MinY+world.MaxY)/2
-					nbs, _, err := set.Nearest(context.Background(), x, y, 2000)
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("%s shards=%d degraded=%v nearest k=2000", in.name, shards, degraded)
-					want := AppendOKResponse(nil, OpNearest, failed, nil, nbs, nil)
-					if writes := serve(label, Request{Op: OpNearest, X: x, Y: y, K: 2000}, want, neighborBytes); writes != 2 {
-						t.Fatalf("%s: %d writes; want 2", label, writes)
 					}
 				}
 			}

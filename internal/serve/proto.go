@@ -58,12 +58,13 @@
 // returns once its last chunk is written, so the scratch held tracks the
 // requests in flight, not the connections open: per request in flight the
 // pool holds the legs buffer, sized to the largest answer it gathered, and
-// one chunk. A connection reads each request frame into a buffer of its
-// own, at most MaxRequestFrame bytes. A warm server answers a window or
-// containment request without allocating. Set.Window and Set.Contained take
-// the same path with a throwaway scratch. A k-NN query's legs run in turn
-// too, each shard's top k are merged by (dist², ID), and its answer streams
-// through the same chunk.
+// a chunk sized to the largest frame it wrote, at most 64 KiB. A
+// connection reads each request frame into a buffer of its own, at most
+// MaxRequestFrame bytes. A warm server answers a window or containment
+// request without allocating. Set.Window and Set.Contained take the same
+// path with a throwaway scratch. A k-NN query's legs run in turn too, each
+// shard's top k are merged by (dist², ID), and its answer is one frame
+// built whole.
 package serve
 
 import (
@@ -246,7 +247,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // frameStart begins a frame in buf's storage: the length prefix, which
 // frameEnd fills in once the payload has been appended after it, or
-// writeChunked before the first chunk goes out.
+// writeMerged before the first chunk goes out.
 func frameStart(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
 
 // frameEnd sets the length prefix of a frame begun by frameStart.
@@ -391,7 +392,9 @@ func AppendOKResponse(buf []byte, op byte, failed []uint32, sets [][]geom.Item, 
 	case OpNearest:
 		buf = appendU32(buf, uint32(len(nbs)))
 		for _, nb := range nbs {
-			buf = appendNeighbor(buf, nb)
+			buf = appendU32(buf, nb.Item.ID)
+			buf = appendRect(buf, nb.Item.Rect)
+			buf = appendF64(buf, nb.Dist2)
 		}
 	case OpStats:
 		buf = appendU32(buf, st.Shards)
@@ -427,69 +430,44 @@ func appendItem(buf []byte, it geom.Item) []byte {
 	return appendRect(appendU32(buf, it.ID), it.Rect)
 }
 
-func appendNeighbor(buf []byte, nb Neighbor) []byte {
-	return appendF64(appendItem(buf, nb.Item), nb.Dist2)
-}
-
-// Wire sizes of one item (uint32 id + 4 × float64 rect) and of one
-// neighbor (an item + float64 squared distance).
-const (
-	itemBytes     = 36
-	neighborBytes = itemBytes + 8
-)
+// itemBytes is one item's wire size: uint32 id + 4 × float64 rect.
+const itemBytes = 36
 
 // chunkBytes is the most of one response frame the server holds at once:
-// a window, containment or nearest answer goes to the connection in chunks
-// of at most this size, each built in the request's pooled scratch, so what
-// a request in flight holds for its frame is this constant, not its answer.
-// 64 KiB amortises a write over 1,820 items; bufio's 4 KiB costs a syscall
-// every 113.
+// a window or containment answer goes to the connection in chunks of at
+// most this size, each built in the request's pooled scratch, so what a
+// request in flight holds for its frame is at most this constant, not its
+// answer. 64 KiB amortises a write over 1,820 items; bufio's 4 KiB costs a
+// syscall every 113.
 const chunkBytes = 64 << 10
 
-// writeChunked writes one ok-response frame to w: b holds its start, the
-// length prefix from frameStart and the head, and n records of size bytes
-// each follow, put appending the next one. The length prefix is set before
-// the first byte goes out. The frame is built in b's storage, never more
-// than chunkBytes of it: b is written out whenever the next record would
-// carry it past chunkBytes, and what is left at the end, so a frame of up
-// to chunkBytes is one write. The first failed write ends it.
-func writeChunked(w io.Writer, b []byte, n, size int, put func([]byte) []byte) error {
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4+n*size))
-	for range n {
-		if len(b)+size > chunkBytes {
+// writeMerged writes to w the frame of the ok-response AppendOKResponse
+// encodes for a window or containment op whose one set is l's merge,
+// taking the items from the merge as it yields them: no merged copy is
+// made. The length prefix is set from the head and l.left before the first
+// byte goes out. The frame is built in buf's storage, grown if it must be
+// to the frame's size but never past chunkBytes, and returned for reuse:
+// it is written out whenever the next item would carry it past chunkBytes,
+// and what is left at the end, so a frame of up to chunkBytes is one
+// write. The first failed write ends it.
+func writeMerged(w io.Writer, buf []byte, op byte, failed []uint32, l *legs) ([]byte, error) {
+	b := appendOKHead(frameStart(buf), op, failed)
+	b = appendU32(appendU32(b, 1), uint32(l.left)) // one set, of l.left items
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4+itemBytes*l.left))
+	if want := min(len(b)+itemBytes*l.left, chunkBytes); cap(b) < want {
+		b = append(make([]byte, 0, want), b...)
+	}
+	for it, ok := l.next(); ok; it, ok = l.next() {
+		if len(b)+itemBytes > chunkBytes {
 			if _, err := w.Write(b); err != nil {
-				return err
+				return b, err
 			}
 			b = b[:0]
 		}
-		b = put(b)
+		b = appendItem(b, it)
 	}
 	_, err := w.Write(b)
-	return err
-}
-
-// writeMerged writes to w, built in buf's storage, the frame of the
-// ok-response AppendOKResponse encodes for a window or containment op
-// whose one set is l's merge, taking the items from the merge as it yields
-// them: no merged copy is made.
-func writeMerged(w io.Writer, buf []byte, op byte, failed []uint32, l *legs) error {
-	b := appendOKHead(frameStart(buf), op, failed)
-	b = appendU32(appendU32(b, 1), uint32(l.left)) // one set, of l.left items
-	return writeChunked(w, b, l.left, itemBytes, func(b []byte) []byte {
-		it, _ := l.next()
-		return appendItem(b, it)
-	})
-}
-
-// writeNearest writes to w, built in buf's storage, the frame of the
-// ok-response AppendOKResponse encodes for a nearest op answered by nbs.
-func writeNearest(w io.Writer, buf []byte, failed []uint32, nbs []Neighbor) error {
-	b := appendU32(appendOKHead(frameStart(buf), OpNearest, failed), uint32(len(nbs)))
-	return writeChunked(w, b, len(nbs), neighborBytes, func(b []byte) []byte {
-		b = appendNeighbor(b, nbs[0])
-		nbs = nbs[1:]
-		return b
-	})
+	return b, err
 }
 
 // AppendErrResponse appends an error response to buf.
@@ -541,7 +519,7 @@ func DecodeResponse(payload []byte) (Result, error) {
 	switch op {
 	case OpNearest:
 		n := int(r.u32())
-		if !r.ok || len(r.b) != n*neighborBytes {
+		if !r.ok || len(r.b) != n*44 {
 			return Result{}, fmt.Errorf("%w: neighbor count disagrees with payload length", ErrBadFrame)
 		}
 		out.Neighbors = make([]Neighbor, n)

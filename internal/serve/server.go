@@ -330,19 +330,22 @@ type serverConn struct {
 }
 
 // scratch is what one request gathers its legs in and builds its response
-// frame in, one chunk at a time: frame is made at chunkBytes and never
-// grows, whatever the answer's size. A request takes one from
-// scratches and puts it back once its last chunk is written, so what the
-// pool holds is, per request in flight, a legs buffer sized to the largest
-// answer it gathered and one chunk, not anything per open connection, and
-// the collector may reclaim it; a warm server answers a window or
-// containment request without allocating.
+// frame in. A window or containment frame is built one chunk at a time:
+// frame grows to the frame's size the first time it must, but never past
+// chunkBytes, whatever the answer's size; any other frame is built whole,
+// in frame's storage if it fits, and not kept. A request takes a
+// scratch from scratches and puts it back once its last chunk is written,
+// so what the pool holds is, per request in flight, a legs buffer sized to
+// the largest answer it gathered and a frame of at most one chunk, sized
+// to the largest it wrote, not anything per open connection, and the
+// collector may reclaim it; a warm server answers a window or containment
+// request without allocating.
 type scratch struct {
 	legs  legs
 	frame []byte
 }
 
-var scratches = sync.Pool{New: func() any { return &scratch{frame: make([]byte, 0, chunkBytes)} }}
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // handleConn serves one binary connection: one request frame in, one
 // response frame out, strictly in order, every query's legs run in turn on
@@ -400,12 +403,11 @@ func (c *serverConn) serveOne() error {
 // draining server answers CodeShuttingDown. Everything the frame says —
 // an error, or which shards a degraded answer is missing — is decided
 // before its first byte. A window or containment answer then streams from
-// the merge, and a nearest answer from its list, in chunks of at most
-// chunkBytes built in the pooled scratch; an error or stats frame is one
-// small write. The request
-// stays in flight until its last chunk is written: Shutdown cuts every
-// connection the moment nothing is in flight, and a response cut between
-// two chunks would reach the client torn.
+// the merge in chunks of at most chunkBytes built in the pooled scratch;
+// any other frame is one write. The request stays in flight until its last
+// chunk is written: Shutdown cuts every connection the moment nothing is
+// in flight, and a response cut between two chunks would reach the client
+// torn.
 func (c *serverConn) respond(req Request) error {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
@@ -417,14 +419,13 @@ func (c *serverConn) respond(req Request) error {
 	switch {
 	case out.code != 0:
 		return c.write(AppendErrResponse(frameStart(sc.frame), req.Op, out.code, out.msg))
-	case req.Op == OpStats:
-		return c.write(AppendOKResponse(frameStart(sc.frame), req.Op, out.failed, nil, nil, out.stats))
+	case out.legs == nil:
+		return c.write(AppendOKResponse(frameStart(sc.frame), req.Op, out.failed, nil, out.nbs, out.stats))
 	}
 	c.writeDeadline()
-	if req.Op == OpNearest {
-		return writeNearest(c.w, sc.frame, out.failed, out.nbs)
-	}
-	return writeMerged(c.w, sc.frame, req.Op, out.failed, out.legs)
+	var err error
+	sc.frame, err = writeMerged(c.w, sc.frame, req.Op, out.failed, out.legs)
+	return err
 }
 
 // writeDeadline bounds the response about to be written by ConnTimeout,
