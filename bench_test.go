@@ -243,7 +243,7 @@ func BenchmarkPRBulkLoadExternal(b *testing.B) {
 	// facade's BulkLoad, which builds in memory and writes tree pages only.
 	// blockIO/op is the index file's I/O plus the temporaries' disk's;
 	// B/op is the load's allocation, the sort arenas included. The default
-	// load FAILS above 2,000 blockIO/op or 2 MB allocated.
+	// load's budget is TestPRBulkLoadBudget's.
 	items := dataset.Western(300000, 2004)
 	b.Run("western216k/M=65536", func(b *testing.B) {
 		benchFileLoad(b, items, func(tree *Tree) (uint64, error) {
@@ -256,36 +256,52 @@ func BenchmarkPRBulkLoadExternal(b *testing.B) {
 		})
 	})
 	b.Run("western216k/default", func(b *testing.B) {
-		io, alloc := benchFileLoad(b, items, func(tree *Tree) (uint64, error) { return 0, tree.BulkLoad(PR, items) })
-		if io > 2000 || alloc > 2<<20 {
-			b.Fatalf("a default load costs %d block I/Os and %d bytes allocated; budget 2,000 and 2 MB", io, alloc)
-		}
+		benchFileLoad(b, items, func(tree *Tree) (uint64, error) { return 0, tree.BulkLoad(PR, items) })
 	})
 }
 
+// TestPRBulkLoadBudget: the facade's default BulkLoad of the benchmark's
+// embedded set-up — Western 300,000 (216,000 rectangles) onto a fresh
+// file-backed index, serial — costs at most 2,000 block I/Os and allocates
+// at most 2 MB. It builds in memory and writes tree pages only, one block
+// write a page.
+func TestPRBulkLoadBudget(t *testing.T) {
+	items := dataset.Western(300000, 2004)
+	tree, err := Create(filepath.Join(t.TempDir(), "w.pr"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err = tree.BulkLoad(PR, items)
+	runtime.ReadMemStats(&m1)
+	if err != nil || tree.Len() != len(items) {
+		t.Fatalf("loaded %d of %d items: %v", tree.Len(), len(items), err)
+	}
+	if io, alloc := tree.IOStats().Total(), m1.TotalAlloc-m0.TotalAlloc; io > 2000 || alloc > 2<<20 {
+		t.Fatalf("a default load costs %d block I/Os and %d bytes allocated; budget 2,000 and 2 MB", io, alloc)
+	}
+}
+
 // benchFileLoad creates a file-backed index and loads items into it with
-// load once per iteration, and returns the last load's block I/O — the
-// index file's plus the block I/O load reports it did elsewhere — and the
-// bytes the loads allocated on average.
-func benchFileLoad(b *testing.B, items []Item, load func(*Tree) (uint64, error)) (io, alloc uint64) {
+// load once per iteration, and reports the last load's block I/O — the
+// index file's plus the block I/O load reports it did elsewhere.
+func benchFileLoad(b *testing.B, items []Item, load func(*Tree) (uint64, error)) {
 	b.ReportAllocs()
-	var total uint64
+	var io uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tree, err := Create(filepath.Join(b.TempDir(), fmt.Sprintf("w%d.pr", i)), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
 		b.StartTimer()
 		elsewhere, err := load(tree)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		runtime.ReadMemStats(&m1)
-		total += m1.TotalAlloc - m0.TotalAlloc
 		io = tree.IOStats().Total() + elsewhere
 		if tree.Len() != len(items) {
 			b.Fatalf("lost items: %d != %d", tree.Len(), len(items))
@@ -296,7 +312,6 @@ func benchFileLoad(b *testing.B, items []Item, load func(*Tree) (uint64, error))
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(io), "blockIO/op")
-	return io, total / uint64(b.N)
 }
 
 // BenchmarkConcurrentQueries measures window-query throughput, one query

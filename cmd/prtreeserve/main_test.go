@@ -185,20 +185,20 @@ func TestServeEndToEnd(t *testing.T) {
 	if want := min(5, zoo.Expect(items, zoo.Query{Rect: w}).Len()); len(win.Sets) != 1 || len(win.Sets[0]) != want || want == 0 {
 		t.Fatalf("window limit=5: %d sets %v, want one of %d items", len(win.Sets), win.Sets, want)
 	}
-	nn, err := cl.Nearest(0.5, 0.5, 3)
+	res, err := cl.Do(serve.Request{Op: serve.OpNearest, X: 0.5, Y: 0.5, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nn) != 3 || nn[0].Dist2 > nn[1].Dist2 || nn[1].Dist2 > nn[2].Dist2 {
+	if nn := res.Neighbors; len(nn) != 3 || nn[0].Dist2 > nn[1].Dist2 || nn[1].Dist2 > nn[2].Dist2 {
 		t.Fatalf("nearest k=3: %+v", nn)
 	}
 	for i, r := range workload.Squares(geom.ItemsMBR(items), 0.01, 32, 77) {
-		got, err := cl.Window(r, 0)
-		if err != nil {
-			t.Fatalf("binary window %d: %v", i, err)
+		res, err := cl.Do(serve.Request{Op: serve.OpWindow, Rect: r})
+		if err != nil || len(res.Sets) != 1 {
+			t.Fatalf("binary window %d: %d sets (%v); want one", i, len(res.Sets), err)
 		}
-		if want := zoo.Expect(items, zoo.Query{Rect: r}).Len(); len(got) != want {
-			t.Fatalf("binary window %d: %d items, want %d", i, len(got), want)
+		if want := zoo.Expect(items, zoo.Query{Rect: r}).Len(); len(res.Sets[0]) != want {
+			t.Fatalf("binary window %d: %d items, want %d", i, len(res.Sets[0]), want)
 		}
 	}
 

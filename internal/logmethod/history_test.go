@@ -63,7 +63,7 @@ func checkDirectory(t *testing.T, tr *Tree) {
 
 // checkAnswers compares windows, containment and k-NN with brute force over
 // live, through the executor contract the facade drives: RunWindow and
-// RunNearest. The first window runs once more under a limit, which must
+// AppendNearest. The first window runs once more under a limit, which must
 // bring back exactly that many live items whatever the tombstoned ones the
 // window covers. Nearest over-fetches every level by the tombstone count,
 // which purging keeps to the deletes since the level's last merge — a
@@ -103,7 +103,7 @@ func checkAnswers(t *testing.T, tr *Tree, live []geom.Item, rng *rand.Rand) {
 	for _, it := range zoo.Expect(live, zoo.Query{Kind: zoo.Nearest, X: x, Y: y, K: k}).Ranked() {
 		want = append(want, Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)})
 	}
-	got, st, err := tr.RunNearest(x, y, k, rtree.RunOptions{})
+	got, st, err := tr.AppendNearest(nil, x, y, k, rtree.RunOptions{})
 	if err != nil || st.Results != len(got) || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%d nearest to (%v, %v): %v (stats %+v, err %v), want %v", k, x, y, got, st, err, want)
 	}

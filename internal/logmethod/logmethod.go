@@ -30,7 +30,7 @@
 //
 // The component directory — buffer, static levels, tombstones — is an
 // immutable state value swapped through an atomic pointer. Readers
-// (RunWindow, RunNearest, Items, Len) load the pointer once, bracket
+// (RunWindow, AppendNearest, Items, Len) load the pointer once, bracket
 // their page accesses with the backend's snapshot hooks (see
 // storage.Backend.SnapshotEnter), and never take a lock: a level a reader
 // is traversing stays byte-stable even while a writer replaces and frees it,
@@ -479,22 +479,23 @@ func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt
 // distance to the query point.
 type Neighbor = rtree.Neighbor
 
-// RunNearest is rtree.Tree.RunNearest over the live set: the k live
-// rectangles closest to (x, y), at most opt.Limit of them, in rtree.Closest
-// order — so dynamized results are comparable bit-for-bit with a one-shot
-// build over the same live set. opt.Cancel is polled before the buffer and
-// before every node visit.
-func (t *Tree) RunNearest(x, y float64, k int, opt rtree.RunOptions) ([]Neighbor, rtree.QueryStats, error) {
+// AppendNearest is rtree.Tree.AppendNearest over the live set: it appends
+// to dst the k live rectangles closest to (x, y), at most opt.Limit of
+// them, in rtree.Closest order — so dynamized results are comparable
+// bit-for-bit with a one-shot build over the same live set — or returns
+// dst unchanged when the query is canceled. opt.Cancel is polled before
+// the buffer and before every node visit.
+func (t *Tree) AppendNearest(dst []Neighbor, x, y float64, k int, opt rtree.RunOptions) ([]Neighbor, rtree.QueryStats, error) {
 	var st rtree.QueryStats
 	if opt.Limit > 0 && opt.Limit < k {
 		k = opt.Limit
 	}
 	if k <= 0 {
-		return nil, st, nil
+		return dst, st, nil
 	}
 	if opt.Cancel != nil {
 		if err := opt.Cancel(); err != nil {
-			return nil, st, err
+			return dst, st, err
 		}
 	}
 	s, e := t.enter()
@@ -526,7 +527,7 @@ func (t *Tree) RunNearest(x, y float64, k int, opt rtree.RunOptions) ([]Neighbor
 		st.LeavesVisited += ls.LeavesVisited
 		st.InternalVisited += ls.InternalVisited
 		if err != nil {
-			return nil, st, err
+			return dst, st, err
 		}
 		live := base
 		for _, n := range cand[base:] {
@@ -539,12 +540,12 @@ func (t *Tree) RunNearest(x, y float64, k int, opt rtree.RunOptions) ([]Neighbor
 	}
 	cand = rtree.Closest(cand, k)
 	st.Results = len(cand)
-	return append(make([]Neighbor, 0, len(cand)), cand...), st, nil
+	return append(dst, cand...), st, nil
 }
 
-// candidates pools RunNearest's candidate lists: each query appends the
-// buffer's items and every level's answer to one, so a k-NN query
-// allocates its answer and nothing else.
+// candidates pools AppendNearest's candidate lists: each query appends
+// the buffer's items and every level's answer to one, so a k-NN query
+// allocates nothing but dst's growth.
 var candidates = sync.Pool{New: func() any { return new([]Neighbor) }}
 
 // Flush compacts the structure into a single static PR-tree (plus an empty

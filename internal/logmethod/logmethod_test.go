@@ -31,7 +31,7 @@ func window(tr *Tree, q geom.Rect, contain bool) ([]geom.Item, rtree.QueryStats)
 
 // nearest runs an unbounded k-NN query on tr.
 func nearest(tr *Tree, x, y float64, k int) []Neighbor {
-	nb, _, _ := tr.RunNearest(x, y, k, rtree.RunOptions{})
+	nb, _, _ := tr.AppendNearest(nil, x, y, k, rtree.RunOptions{})
 	return nb
 }
 

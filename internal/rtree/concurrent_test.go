@@ -48,7 +48,7 @@ func TestConcurrentQueryStress(t *testing.T) {
 		st, _ := tr.RunWindow(q, true, nil, RunOptions{})
 		wantContain[i] = st.Results
 	}
-	wantKNN, _, _ := tr.RunNearest(0.5, 0.5, 10, RunOptions{})
+	wantKNN, _, _ := tr.AppendNearest(nil, 0.5, 0.5, 10, RunOptions{})
 	wantMBR := tr.MBR()
 
 	const workers = 8
@@ -64,7 +64,7 @@ func TestConcurrentQueryStress(t *testing.T) {
 			default:
 			}
 			_ = disk.Stats()
-			_, _ = tr.Pager().HitRate()
+			_ = tr.Pager().CacheStats()
 			disk.ResetStats()
 		}
 	}()
@@ -88,7 +88,7 @@ func TestConcurrentQueryStress(t *testing.T) {
 						return
 					}
 				case 2:
-					got, _, _ := tr.RunNearest(0.5, 0.5, 10, RunOptions{})
+					got, _, _ := tr.AppendNearest(nil, 0.5, 0.5, 10, RunOptions{})
 					if len(got) != len(wantKNN) {
 						t.Errorf("worker %d: kNN returned %d", w, len(got))
 						return

@@ -38,7 +38,7 @@ func Closest(nb []Neighbor, k int) []Neighbor {
 	return nb
 }
 
-// knnHeaps pools best-first search frontiers across RunNearest calls
+// knnHeaps pools best-first search frontiers across AppendNearest calls
 // — per-goroutine scratch, like the traversal stacks, so concurrent k-NN
 // queries never share a heap. Package-level because the heaps carry no
 // per-tree state.

@@ -52,7 +52,7 @@ func TestNearestNeighborsInsidePointZeroDist(t *testing.T) {
 	tr := buildPacked(t, items, 8)
 	it := items[42]
 	cx, cy := it.Rect.Center()
-	got, _, _ := tr.RunNearest(cx, cy, 1, RunOptions{})
+	got, _, _ := tr.AppendNearest(nil, cx, cy, 1, RunOptions{})
 	if len(got) != 1 || got[0].Dist2 != 0 {
 		t.Fatalf("nearest to an inside point should be distance 0: %+v", got)
 	}
@@ -61,7 +61,7 @@ func TestNearestNeighborsInsidePointZeroDist(t *testing.T) {
 func TestNearestNeighborsKLargerThanN(t *testing.T) {
 	items := zoo.Uniform(10, 0.05, 7)
 	tr := buildPacked(t, items, 4)
-	got, _, _ := tr.RunNearest(0.5, 0.5, 100, RunOptions{})
+	got, _, _ := tr.AppendNearest(nil, 0.5, 0.5, 100, RunOptions{})
 	if len(got) != 10 {
 		t.Fatalf("k>n should return all: %d", len(got))
 	}
@@ -69,12 +69,12 @@ func TestNearestNeighborsKLargerThanN(t *testing.T) {
 
 func TestNearestNeighborsEmptyAndZeroK(t *testing.T) {
 	disk := newTestTree(t, Config{Fanout: 4})
-	if got, _, _ := disk.RunNearest(0, 0, 5, RunOptions{}); got != nil {
+	if got, _, _ := disk.AppendNearest(nil, 0, 0, 5, RunOptions{}); got != nil {
 		t.Errorf("empty tree kNN = %v", got)
 	}
 	items := zoo.Uniform(10, 0.05, 8)
 	tr := buildPacked(t, items, 4)
-	if got, _, _ := tr.RunNearest(0, 0, 0, RunOptions{}); got != nil {
+	if got, _, _ := tr.AppendNearest(nil, 0, 0, 0, RunOptions{}); got != nil {
 		t.Errorf("k=0 kNN = %v", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestNearestNeighborsPrunes(t *testing.T) {
 		return xi < xj
 	})
 	tr := buildPacked(t, items, 16)
-	_, st, _ := tr.RunNearest(0.5, 0.5, 5, RunOptions{})
+	_, st, _ := tr.AppendNearest(nil, 0.5, 0.5, 5, RunOptions{})
 	if st.NodesVisited > tr.Nodes()/10 {
 		t.Errorf("kNN visited %d of %d nodes — no pruning?", st.NodesVisited, tr.Nodes())
 	}

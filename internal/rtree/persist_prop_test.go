@@ -74,8 +74,8 @@ func TestPersistReopenProperty(t *testing.T) {
 							t.Fatalf("query %v result %d: %v != %v", q, j, a[j], b[j])
 						}
 					}
-					rn, _, _ := orig.RunNearest(x, y, 10, RunOptions{})
-					ln, _, _ := reopened.RunNearest(x, y, 10, RunOptions{})
+					rn, _, _ := orig.AppendNearest(nil, x, y, 10, RunOptions{})
+					ln, _, _ := reopened.AppendNearest(nil, x, y, 10, RunOptions{})
 					if len(rn) != len(ln) {
 						t.Fatalf("knn length %d vs %d", len(rn), len(ln))
 					}

@@ -10,7 +10,7 @@ import (
 
 // This file is the unified query executor behind every spatial read path:
 // window, point (a degenerate window), containment and k-nearest-neighbor
-// queries all run through RunWindow / RunNearest with per-query options —
+// queries all run through RunWindow / AppendNearest with per-query options —
 // cooperative cancellation polled at node-visit granularity and a result
 // limit — so the public facade can expose one composable query surface
 // without duplicating traversals.
@@ -91,32 +91,18 @@ func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt
 	return st, nil
 }
 
-// RunNearest returns the k stored rectangles closest to (x, y) in
-// ascending distance order, using best-first search: a global priority
-// queue over node bounding-box distances guarantees no node is read unless
-// it could contain one of the k answers. opt.Cancel is polled before every
+// AppendNearest appends to dst the k stored rectangles closest to (x, y)
+// in ascending distance order and returns it, or returns dst unchanged
+// when the query is canceled; a caller that keeps dst between queries pays
+// for no answer slice. It uses best-first search: a global priority queue
+// over node bounding-box distances guarantees no node is read unless it
+// could contain one of the k answers. opt.Cancel is polled before every
 // node visit; opt.Limit caps the result count below k.
 //
 // Ties at the k-th distance are resolved deterministically by ascending
 // item ID, so the result set is a pure function of the stored items — in
 // particular it is identical whichever loader (and hence tree shape) the
 // items were loaded with.
-func (t *Tree) RunNearest(x, y float64, k int, opt RunOptions) ([]Neighbor, QueryStats, error) {
-	n := min(k, t.nItems) // the answer's size at most
-	if opt.Limit > 0 {
-		n = min(n, opt.Limit)
-	}
-	var dst []Neighbor // nil for an answer that must be empty
-	if n > 0 {
-		dst = make([]Neighbor, 0, n)
-	}
-	return t.AppendNearest(dst, x, y, k, opt)
-}
-
-// AppendNearest is RunNearest appending its answer to dst: it returns dst
-// extended by the neighbors in RunNearest's order, or dst unchanged when
-// the query is canceled. A caller that keeps dst between queries pays for
-// no answer slice.
 func (t *Tree) AppendNearest(dst []Neighbor, x, y float64, k int, opt RunOptions) ([]Neighbor, QueryStats, error) {
 	var st QueryStats
 	if opt.Limit > 0 && opt.Limit < k {

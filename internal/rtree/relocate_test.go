@@ -49,7 +49,7 @@ func pagesOf(tr *Tree) []storage.PageID {
 	return out
 }
 
-// TestRelocated moves raw-layout trees of heights 1 to 3 to below cuts
+// TestRelocated moves trees of heights 1 to 3 to below cuts
 // from 0 to past their last page, on a store whose low half is holes
 // (a released tree's pages) with the tree in the tail, as a carry leaves a
 // level. The relocated tree validates and lists the same items in the same
@@ -61,7 +61,7 @@ func pagesOf(tr *Tree) []storage.PageID {
 func TestRelocated(t *testing.T) {
 	const blockSize = 512
 	for height, n := range map[int]int{1: 10, 2: 120, 3: 2200} {
-		t.Run(fmt.Sprintf("raw/height=%d", height), func(t *testing.T) {
+		t.Run(fmt.Sprintf("height=%d", height), func(t *testing.T) {
 			items := xSorted(zoo.Snapped(n, 12, 0.05, int64(n)))
 			build := func() (*storage.Disk, *Tree, []storage.PageID) {
 				disk := storage.NewDisk(blockSize)

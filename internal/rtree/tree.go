@@ -21,7 +21,7 @@ type Config struct {
 // once, by a Builder (or copied by Relocated), and read-only after that:
 // no page of a built tree is ever rewritten.
 //
-// The read paths (RunWindow, RunNearest and the wrappers over them, Walk,
+// The read paths (RunWindow, AppendNearest and the wrappers over them, Walk,
 // Validate, MBR) use zero-copy nodeViews over the pager's cached bytes, so
 // a cache-hit node visit allocates nothing.
 //

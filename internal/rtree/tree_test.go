@@ -317,7 +317,7 @@ func TestFinishEmpty(t *testing.T) {
 	if st := window(tr, geom.NewRect(0, 0, 1, 1), nil); st != (QueryStats{}) {
 		t.Errorf("a query of an empty tree did %+v", st)
 	}
-	if got, _, _ := tr.RunNearest(0, 0, 3, RunOptions{}); got != nil {
+	if got, _, _ := tr.AppendNearest(nil, 0, 0, 3, RunOptions{}); got != nil {
 		t.Errorf("k-NN of an empty tree = %v", got)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net"
 	"time"
-
-	"prtree/internal/geom"
 )
 
 // Client is a binary-protocol connection to a prtreeserve server. It is
@@ -58,37 +56,4 @@ func (c *Client) Do(req Request) (Result, error) {
 		return Result{}, fmt.Errorf("serve: reading response: %w", err)
 	}
 	return DecodeResponse(payload)
-}
-
-// Window runs one window query.
-func (c *Client) Window(r geom.Rect, limit uint32) ([]geom.Item, error) {
-	res, err := c.Do(Request{Op: OpWindow, Rect: r, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Sets) != 1 {
-		return nil, fmt.Errorf("%w: window response with %d sets", ErrBadFrame, len(res.Sets))
-	}
-	return res.Sets[0], nil
-}
-
-// Nearest runs one k-NN query.
-func (c *Client) Nearest(x, y float64, k uint32) ([]Neighbor, error) {
-	res, err := c.Do(Request{Op: OpNearest, X: x, Y: y, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return res.Neighbors, nil
-}
-
-// Stats fetches the server's shard count, item count and world MBR.
-func (c *Client) Stats() (WireStats, error) {
-	res, err := c.Do(Request{Op: OpStats})
-	if err != nil {
-		return WireStats{}, err
-	}
-	if res.Stats == nil {
-		return WireStats{}, fmt.Errorf("%w: stats response without stats", ErrBadFrame)
-	}
-	return *res.Stats, nil
 }

@@ -43,28 +43,26 @@
 //
 // A connection's requests are served in order on its own goroutine, and
 // so are a query's legs: the shards in rotation are queried one after
-// another on that goroutine. A window or containment query appends every
-// leg's answer, through Tree.Run, to one buffer with each leg's end
-// recorded; a leg that fails is cut off the buffer, contributes nothing
-// and is listed in the response. Each leg is sorted in place by (ID,
-// rect), and a k-way merge of the legs writes the answer, cut to the
-// request's limit, straight into the response frame. The frame streams: its
+// another on that goroutine, each appending its answer through Tree.Run to
+// one buffer with its end recorded; a leg that fails is cut off the buffer,
+// contributes nothing and is listed in the response. A window or
+// containment leg is then sorted in place by (ID, rect); a k-NN leg, its
+// shard's top k, arrives in (distance², ID) order. A k-way merge in that
+// order writes the answer, cut to the request's limit (k for k-NN),
+// straight into the response frame. Every answer kind streams: the frame's
 // length prefix is known from the head and the merge's count before the
-// first byte goes out, and it is built and written in chunks of at most
-// 64 KiB, so an answer of any size passes through one chunk buffer and an
-// answer of up to one chunk goes out in a single write. Every error and
-// every degraded-shard decision is made before the first byte. That legs
-// buffer and the chunk are a scratch the request takes from a pool and
-// returns once its last chunk is written, so the scratch held tracks the
-// requests in flight, not the connections open: per request in flight the
-// pool holds the legs buffer, sized to the largest answer it gathered, and
-// a chunk sized to the largest frame it wrote, at most 64 KiB. A
-// connection reads each request frame into a buffer of its own, at most
-// MaxRequestFrame bytes. A warm server answers a window or containment
-// request without allocating. Set.Window and Set.Contained take the same
-// path with a throwaway scratch. A k-NN query's legs run in turn too, each
-// shard's top k are merged by (dist², ID), and its answer is one frame
-// built whole.
+// first byte, every error and degraded-shard decision is made before it,
+// and the frame is built and written in chunks of at most 64 KiB, so an
+// answer of up to one chunk is one write. Only stats and error frames are
+// built whole. The legs buffer and the chunk are a scratch the request
+// takes from a pool and returns once its last chunk is written: per
+// request in flight the pool holds a legs buffer, sized to the largest
+// answer it gathered, and at most one chunk, sized to the largest frame it
+// wrote, and nothing per open connection but the request frame it reads
+// into, at most MaxRequestFrame bytes. A warm server answers a window,
+// containment or k-NN request without allocating. Set.Window,
+// Set.Contained and Set.Nearest take the same path with a throwaway
+// scratch.
 package serve
 
 import (
@@ -433,38 +431,50 @@ func appendItem(buf []byte, it geom.Item) []byte {
 // itemBytes is one item's wire size: uint32 id + 4 × float64 rect.
 const itemBytes = 36
 
+// neighborBytes is one neighbor's wire size: an item + float64 distance².
+const neighborBytes = itemBytes + 8
+
 // chunkBytes is the most of one response frame the server holds at once:
-// a window or containment answer goes to the connection in chunks of at
-// most this size, each built in the request's pooled scratch, so what a
+// a window, containment or k-NN answer goes to the connection in chunks of
+// at most this size, each built in the request's pooled scratch, so what a
 // request in flight holds for its frame is at most this constant, not its
 // answer. 64 KiB amortises a write over 1,820 items; bufio's 4 KiB costs a
 // syscall every 113.
 const chunkBytes = 64 << 10
 
 // writeMerged writes to w the frame of the ok-response AppendOKResponse
-// encodes for a window or containment op whose one set is l's merge,
+// encodes for op whose answer is l's merge — a window or containment op's
+// one set, or a k-NN op's neighbors with their distances recomputed —
 // taking the items from the merge as it yields them: no merged copy is
 // made. The length prefix is set from the head and l.left before the first
 // byte goes out. The frame is built in buf's storage, grown if it must be
 // to the frame's size but never past chunkBytes, and returned for reuse:
-// it is written out whenever the next item would carry it past chunkBytes,
-// and what is left at the end, so a frame of up to chunkBytes is one
-// write. The first failed write ends it.
+// it is written out whenever the next record would carry it past
+// chunkBytes, and what is left at the end, so a frame of up to chunkBytes
+// is one write. The first failed write ends it.
 func writeMerged(w io.Writer, buf []byte, op byte, failed []uint32, l *legs) ([]byte, error) {
 	b := appendOKHead(frameStart(buf), op, failed)
-	b = appendU32(appendU32(b, 1), uint32(l.left)) // one set, of l.left items
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4+itemBytes*l.left))
-	if want := min(len(b)+itemBytes*l.left, chunkBytes); cap(b) < want {
+	size := neighborBytes
+	if !l.near {
+		size = itemBytes
+		b = appendU32(b, 1) // one set
+	}
+	b = appendU32(b, uint32(l.left))
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4+size*l.left))
+	if want := min(len(b)+size*l.left, chunkBytes); cap(b) < want {
 		b = append(make([]byte, 0, want), b...)
 	}
 	for it, ok := l.next(); ok; it, ok = l.next() {
-		if len(b)+itemBytes > chunkBytes {
+		if len(b)+size > chunkBytes {
 			if _, err := w.Write(b); err != nil {
 				return b, err
 			}
 			b = b[:0]
 		}
 		b = appendItem(b, it)
+		if l.near {
+			b = appendF64(b, it.Rect.Dist2(l.x, l.y))
+		}
 	}
 	_, err := w.Write(b)
 	return b, err
@@ -519,7 +529,7 @@ func DecodeResponse(payload []byte) (Result, error) {
 	switch op {
 	case OpNearest:
 		n := int(r.u32())
-		if !r.ok || len(r.b) != n*44 {
+		if !r.ok || len(r.b) != n*neighborBytes {
 			return Result{}, fmt.Errorf("%w: neighbor count disagrees with payload length", ErrBadFrame)
 		}
 		out.Neighbors = make([]Neighbor, n)

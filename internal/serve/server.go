@@ -15,8 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"prtree"
 )
 
 // MaxK caps the k of one nearest request; larger values are rejected as
@@ -171,8 +169,7 @@ func (s *Server) requestCtx(deadlineMillis uint32) (context.Context, context.Can
 
 // dispatchResult is the transport-independent outcome of one request.
 type dispatchResult struct {
-	legs   *legs // a window or containment answer, ready to merge
-	nbs    []Neighbor
+	legs   *legs // a window, containment or k-NN answer, ready to merge
 	stats  *WireStats
 	failed []uint32 // shards missing from a degraded result
 	code   uint16   // 0 = ok
@@ -185,8 +182,7 @@ func errResult(code uint16, msg string) dispatchResult {
 }
 
 // dispatch runs one decoded, in-flight request end to end: admission,
-// deadline, scatter-gather, metrics. A window or containment query gathers
-// in l.
+// deadline, scatter-gather, metrics. A query gathers in l.
 func (s *Server) dispatch(req Request, l *legs) dispatchResult {
 	if err := s.adm.acquire(req.Tenant); err != nil {
 		s.errCount.Add(1)
@@ -230,9 +226,9 @@ func (s *Server) dispatch(req Request, l *legs) dispatchResult {
 // errBadRequest marks semantic request errors (valid frame, bad values).
 var errBadRequest = errors.New("serve: bad request")
 
-// runQuery executes the op against the set, a window or containment query
-// into l. A degraded scatter-gather (some shards quarantined mid-query) is
-// a success whose failed slice names the missing shards, not an error.
+// runQuery executes the op against the set, a query into l. A degraded
+// scatter-gather (some shards quarantined mid-query) is a success whose
+// failed slice names the missing shards, not an error.
 func (s *Server) runQuery(ctx context.Context, req Request, l *legs) (dispatchResult, error) {
 	set := s.cfg.Set
 	limit := int(req.Limit)
@@ -244,23 +240,17 @@ func (s *Server) runQuery(ctx context.Context, req Request, l *legs) (dispatchRe
 		}
 	}
 	switch req.Op {
-	case OpWindow, OpContained:
-		q := prtree.Window(req.Rect)
-		if req.Op == OpContained {
-			q = prtree.Contained(req.Rect)
-		}
-		p, err := set.collect(ctx, q, limit, l)
-		return dispatchResult{legs: l, failed: p.Failed}, err
 	case OpNearest:
 		if req.K > MaxK {
 			return dispatchResult{}, fmt.Errorf("%w: k=%d exceeds %d", errBadRequest, req.K, MaxK)
 		}
-		k := int(req.K)
-		if limit > 0 {
-			k = min(k, limit)
+		if limit == 0 || int(req.K) < limit {
+			limit = int(req.K) // a k-NN answer is its first k items
 		}
-		nbs, p, err := set.Nearest(ctx, req.X, req.Y, k)
-		return dispatchResult{nbs: nbs, failed: p.Failed}, err
+		fallthrough
+	case OpWindow, OpContained:
+		p, err := set.collect(ctx, req.Op, req.Rect, req.X, req.Y, limit, l)
+		return dispatchResult{legs: l, failed: p.Failed}, err
 	case OpStats:
 		return dispatchResult{stats: &WireStats{
 			Shards: uint32(set.Shards()),
@@ -330,16 +320,16 @@ type serverConn struct {
 }
 
 // scratch is what one request gathers its legs in and builds its response
-// frame in. A window or containment frame is built one chunk at a time:
-// frame grows to the frame's size the first time it must, but never past
-// chunkBytes, whatever the answer's size; any other frame is built whole,
-// in frame's storage if it fits, and not kept. A request takes a
-// scratch from scratches and puts it back once its last chunk is written,
-// so what the pool holds is, per request in flight, a legs buffer sized to
-// the largest answer it gathered and a frame of at most one chunk, sized
-// to the largest it wrote, not anything per open connection, and the
-// collector may reclaim it; a warm server answers a window or containment
-// request without allocating.
+// frame in. A window, containment or k-NN frame is built one chunk at a
+// time: frame grows to the frame's size the first time it must, but never
+// past chunkBytes, whatever the answer's size; a stats or error frame is
+// built whole, in frame's storage if it fits, and not kept. A request
+// takes a scratch from scratches and puts it back once its last chunk is
+// written, so what the pool holds is, per request in flight, a legs buffer
+// sized to the largest answer it gathered and at most one chunk, sized to
+// the largest frame it wrote, not anything per open connection, and the
+// collector may reclaim it; a warm server answers a window, containment or
+// k-NN request without allocating.
 type scratch struct {
 	legs  legs
 	frame []byte
@@ -402,12 +392,12 @@ func (c *serverConn) serveOne() error {
 // respond serves one decoded request and writes its response frame; a
 // draining server answers CodeShuttingDown. Everything the frame says —
 // an error, or which shards a degraded answer is missing — is decided
-// before its first byte. A window or containment answer then streams from
-// the merge in chunks of at most chunkBytes built in the pooled scratch;
-// any other frame is one write. The request stays in flight until its last
-// chunk is written: Shutdown cuts every connection the moment nothing is
-// in flight, and a response cut between two chunks would reach the client
-// torn.
+// before its first byte. A window, containment or k-NN answer then streams
+// from the merge in chunks of at most chunkBytes built in the pooled
+// scratch; a stats or error frame is one write. The request stays in
+// flight until its last chunk is written: Shutdown cuts every connection
+// the moment nothing is in flight, and a response cut between two chunks
+// would reach the client torn.
 func (c *serverConn) respond(req Request) error {
 	sc := scratches.Get().(*scratch)
 	defer scratches.Put(sc)
@@ -420,7 +410,7 @@ func (c *serverConn) respond(req Request) error {
 	case out.code != 0:
 		return c.write(AppendErrResponse(frameStart(sc.frame), req.Op, out.code, out.msg))
 	case out.legs == nil:
-		return c.write(AppendOKResponse(frameStart(sc.frame), req.Op, out.failed, nil, out.nbs, out.stats))
+		return c.write(AppendOKResponse(frameStart(sc.frame), req.Op, out.failed, nil, nil, out.stats))
 	}
 	c.writeDeadline()
 	var err error

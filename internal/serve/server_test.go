@@ -397,21 +397,22 @@ func TestBinaryE2E(t *testing.T) {
 	defer cl.Close()
 
 	for _, w := range windows {
-		got, err := cl.Window(w, 0)
-		if err != nil {
-			t.Fatal(err)
+		res, err := cl.Do(Request{Op: OpWindow, Rect: w})
+		if err != nil || len(res.Sets) != 1 {
+			t.Fatalf("window: %d sets (%v); want one", len(res.Sets), err)
 		}
 		want, _, err := set.Window(ctx, w, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameItems(t, "window", got, want)
+		assertSameItems(t, "window", res.Sets[0], want)
 	}
 
-	gotN, err := cl.Nearest(0.5, 0.5, 10)
+	res, err := cl.Do(Request{Op: OpNearest, X: 0.5, Y: 0.5, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotN := res.Neighbors
 	wantN, _, err := set.Nearest(ctx, 0.5, 0.5, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -425,11 +426,11 @@ func TestBinaryE2E(t *testing.T) {
 		}
 	}
 
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
+	res, err = cl.Do(Request{Op: OpStats})
+	if err != nil || res.Stats == nil {
+		t.Fatalf("stats: %+v (%v)", res, err)
 	}
-	if st.Shards != 3 || int(st.Items) != set.Len() || st.MBR != world {
+	if st := res.Stats; st.Shards != 3 || int(st.Items) != set.Len() || st.MBR != world {
 		t.Fatalf("stats %+v", st)
 	}
 
@@ -510,10 +511,10 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Window(workload.Squares(set.MBR(), 0.01, 1, 5)[0], 0); err != nil {
+	if _, err := cl.Do(Request{Op: OpWindow, Rect: workload.Squares(set.MBR(), 0.01, 1, 5)[0]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Nearest(0.5, 0.5, 5); err != nil {
+	if _, err := cl.Do(Request{Op: OpNearest, X: 0.5, Y: 0.5, K: 5}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -19,7 +19,6 @@ import (
 	"prtree/internal/geom"
 	"prtree/internal/hilbert"
 	"prtree/internal/parallel"
-	"prtree/internal/rtree"
 	"prtree/internal/storage"
 )
 
@@ -785,20 +784,23 @@ func (s *Set) reopenShard(sh *shard, attempt int) (err error) {
 	return nil
 }
 
-// legs is the scratch one window or containment query gathers in. The
-// shards' answers are appended in turn to one buffer, leg i at
-// items[ends[i-1]:ends[i]] (the first from 0), and each leg is sorted in
-// place by itemOrder; next then merges them. A served request takes one
-// from the server's scratch pool, so once the pool holds scratch as large
-// as an answer, the query allocates nothing; Set.Window and Set.Contained
-// use a throwaway one.
+// legs is the scratch one query gathers in. The shards' answers are
+// appended in turn to one buffer, leg i at items[ends[i-1]:ends[i]] (the
+// first from 0); a window or containment leg is then sorted in place by
+// itemOrder, and a k-NN leg arrives in (distance², ID) order. next then
+// merges them. A served request takes one from the server's scratch pool,
+// so once the pool holds scratch as large as an answer, the query
+// allocates nothing; Set.Window, Set.Contained and Set.Nearest use a
+// throwaway one.
 type legs struct {
 	items  []geom.Item
 	ends   []int
 	heads  []int // the merge's cursor in each leg
 	errs   []error
 	failed []uint32
-	left   int // items the merge is still to yield
+	left   int     // items the merge is still to yield
+	near   bool    // a k-NN answer, merged by (distance², ID) from (x, y)
+	x, y   float64 // the k-NN query's point
 }
 
 // itemOrder is the set's deterministic result order: ascending (ID, MinX,
@@ -817,16 +819,28 @@ func itemOrder(a, b geom.Item) int {
 	return cmp.Compare(a.Rect.MaxY, b.Rect.MaxY)
 }
 
-// collect runs q on every shard in rotation, one after another on the
-// caller's goroutine, into l, and readies l's merge: the answer is the
-// first limit items (all of them if limit <= 0) of the legs' union in
-// itemOrder. The returned Partial lists shards missing from the answer and
-// shares l's storage.
-func (s *Set) collect(ctx context.Context, q prtree.Query, limit int, l *legs) (Partial, error) {
+// collect runs the op's query on every shard in rotation, one after
+// another on the caller's goroutine, into l, and readies l's merge: the
+// answer is the first limit items (all of them if limit <= 0) of the legs'
+// union in itemOrder, for OpWindow and OpContained over r. For OpNearest
+// it is the first limit items in (distance², ID) order from (x, y), the
+// limit being k; k <= 0 answers nothing and runs no leg. The returned
+// Partial lists shards missing from the answer and shares l's storage.
+func (s *Set) collect(ctx context.Context, op byte, r geom.Rect, x, y float64, limit int, l *legs) (Partial, error) {
+	l.items, l.ends, l.heads, l.errs = l.items[:0], l.ends[:0], l.heads[:0], l.errs[:0]
+	l.near, l.x, l.y, l.left = op == OpNearest, x, y, 0
+	q := prtree.Window(r)
+	switch {
+	case op == OpContained:
+		q = prtree.Contained(r)
+	case l.near && limit <= 0:
+		return Partial{}, nil
+	case l.near:
+		q = prtree.Nearest(x, y, limit)
+	}
 	// Each shard can satisfy at most the whole limit; the merge trims the
 	// union deterministically.
 	q = q.WithContext(ctx).WithLimit(limit)
-	l.items, l.ends, l.heads, l.errs = l.items[:0], l.ends[:0], l.heads[:0], l.errs[:0]
 	add := func(it geom.Item) bool {
 		if len(l.items) == cap(l.items) {
 			// Double: a run of ever larger answers then allocates about
@@ -843,14 +857,15 @@ func (s *Set) collect(ctx context.Context, q prtree.Query, limit int, l *legs) (
 		if err != nil {
 			l.items = l.items[:start] // a failed leg contributes nothing, even partially
 		}
-		slices.SortFunc(l.items[start:], itemOrder)
+		if !l.near {
+			slices.SortFunc(l.items[start:], itemOrder)
+		}
 		l.heads = append(l.heads, start)
 		l.ends = append(l.ends, len(l.items))
 		l.errs = append(l.errs, err)
 	}
 	p, err := s.resolve(l.errs, l.failed)
 	if err != nil {
-		l.left = 0
 		return Partial{}, err
 	}
 	l.failed = p.Failed[:0]
@@ -861,15 +876,28 @@ func (s *Set) collect(ctx context.Context, q prtree.Query, limit int, l *legs) (
 	return p, nil
 }
 
-// next yields the merge's next item, the least in itemOrder of the legs'
-// heads, until the answer is complete.
+// before reports whether a precedes b in the merge: by itemOrder, or for a
+// k-NN answer by (distance², ID), the distance recomputed with the
+// executor's own Rect.Dist2.
+func (l *legs) before(a, b geom.Item) bool {
+	if !l.near {
+		return itemOrder(a, b) < 0
+	}
+	if da, db := a.Rect.Dist2(l.x, l.y), b.Rect.Dist2(l.x, l.y); da != db {
+		return da < db
+	}
+	return a.ID < b.ID
+}
+
+// next yields the merge's next item, the first of the legs' heads, until
+// the answer is complete.
 func (l *legs) next() (geom.Item, bool) {
 	if l.left == 0 {
 		return geom.Item{}, false
 	}
 	best := -1
 	for i, h := range l.heads {
-		if h < l.ends[i] && (best < 0 || itemOrder(l.items[h], l.items[l.heads[best]]) < 0) {
+		if h < l.ends[i] && (best < 0 || l.before(l.items[h], l.items[l.heads[best]])) {
 			best = i
 		}
 	}
@@ -879,11 +907,11 @@ func (l *legs) next() (geom.Item, bool) {
 	return it, true
 }
 
-// gather runs q through collect with a throwaway scratch and returns the
-// merged answer.
-func (s *Set) gather(ctx context.Context, q prtree.Query, limit int) ([]geom.Item, Partial, error) {
+// gather runs the op's query through collect with a throwaway scratch and
+// returns the merged answer.
+func (s *Set) gather(ctx context.Context, op byte, r geom.Rect, x, y float64, limit int) ([]geom.Item, Partial, error) {
 	var l legs
-	p, err := s.collect(ctx, q, limit, &l)
+	p, err := s.collect(ctx, op, r, x, y, limit, &l)
 	if err != nil {
 		return nil, Partial{}, err
 	}
@@ -898,38 +926,29 @@ func (s *Set) gather(ctx context.Context, q prtree.Query, limit int) ([]geom.Ite
 // ascending ID order. limit <= 0 means unlimited; with a limit the first
 // `limit` items of the merged order are returned.
 func (s *Set) Window(ctx context.Context, r geom.Rect, limit int) ([]geom.Item, Partial, error) {
-	return s.gather(ctx, prtree.Window(r), limit)
+	return s.gather(ctx, OpWindow, r, 0, 0, limit)
 }
 
 // Contained reports every item fully contained in r.
 func (s *Set) Contained(ctx context.Context, r geom.Rect, limit int) ([]geom.Item, Partial, error) {
-	return s.gather(ctx, prtree.Contained(r), limit)
+	return s.gather(ctx, OpContained, r, 0, 0, limit)
 }
 
 // Nearest returns the k items closest to (x, y) across all healthy
 // shards, in ascending (distance, ID) order — exactly the single-tree
-// result when the set is whole: each shard reports its local top k, one
-// after another on the caller's goroutine, and the merge keeps the global
-// top k under the tree's own deterministic tie-breaking.
+// result when the set is whole: each shard reports its local top k and
+// the merge keeps the global top k under the tree's own deterministic
+// tie-breaking.
 func (s *Set) Nearest(ctx context.Context, x, y float64, k int) ([]Neighbor, Partial, error) {
-	if k <= 0 {
-		return nil, Partial{}, nil
-	}
-	q := prtree.Nearest(x, y, k).WithContext(ctx)
-	var merged []Neighbor
-	errs := make([]error, len(s.shards))
-	for i := range s.shards {
-		errs[i] = s.leg(i, func(t *prtree.Tree) error {
-			nb, err := t.CollectNearest(q)
-			merged = append(merged, nb...)
-			return err
-		})
-	}
-	p, err := s.resolve(errs, nil)
+	items, p, err := s.gather(ctx, OpNearest, geom.Rect{}, x, y, k)
 	if err != nil {
 		return nil, Partial{}, err
 	}
-	return rtree.Closest(merged, k), p, nil
+	nb := make([]Neighbor, len(items))
+	for i, it := range items {
+		nb[i] = Neighbor{Item: it, Dist2: it.Rect.Dist2(x, y)}
+	}
+	return nb, p, nil
 }
 
 // ShardStatus is one shard's health record in SetStats.

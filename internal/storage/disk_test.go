@@ -117,7 +117,7 @@ func TestPagerCacheHit(t *testing.T) {
 	if d.Stats().Reads != 1 {
 		t.Errorf("cached reads should cost 1 disk read, got %d", d.Stats().Reads)
 	}
-	hits, misses := p.HitRate()
+	hits, misses := hitsMisses(p)
 	if hits != 2 || misses != 1 {
 		t.Errorf("hits=%d misses=%d", hits, misses)
 	}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -26,22 +25,22 @@ import (
 //
 // # Concurrency
 //
-// A Pager is safe for use by many concurrent readers (Read, Pin, HitRate,
-// CachedPages): the cache is lock-striped across power-of-two shards keyed
-// by page id, and the hit/miss counters are atomic. Every capacity takes
-// the same read path. In a shard without an LRU (unbounded or capacity 0)
-// a hit takes only the shard's read lock. A capacity-0 miss publishes
-// nothing, so it fetches with no lock held. Every other miss takes the
-// shard's write lock, probes again, and fetches and publishes the page
-// under it; a second reader of the same page waits on that lock and then
-// counts a hit. So concurrent first touches of a page are one miss and one
-// block read, and both the hit/miss tallies and the disk's block-read
-// counter are what a serial execution of the same accesses would produce —
-// which keeps the aggregate block I/O of concurrent queries bit-identical
-// to serial runs. The price: while a miss fills, hits on its shard wait.
-// A fill is one ReadNoCopy: a slice lookup, a mapped view (plus its
-// first-view checksum) or one pread; an unbounded cache pays it once per
-// page.
+// A Pager is safe for use by many concurrent readers (Read, Pin,
+// CacheStats, CachedPages): the cache is lock-striped across power-of-two
+// shards keyed by page id, and the hit/miss counters are atomic. Every
+// capacity takes the same read path. In a shard without an LRU (unbounded
+// or capacity 0) a hit takes only the shard's read lock. A capacity-0 miss
+// publishes nothing, so it fetches with no lock held. Every other miss
+// takes the shard's write lock, probes again, and fetches and publishes
+// the page under it; a second reader of the same page waits on that lock
+// and then counts a hit. So concurrent first touches of a page are one
+// miss and one block read, and both the hit/miss tallies and the disk's
+// block-read counter are what a serial execution of the same accesses
+// would produce — which keeps the aggregate block I/O of concurrent
+// queries bit-identical to serial runs. The price: while a miss fills,
+// hits on its shard wait. A fill is one ReadNoCopy: a slice lookup, a
+// mapped view (plus its first-view checksum) or one pread; an unbounded
+// cache pays it once per page.
 //
 // Writers (Write, Invalidate, Unpin, DropCache) are individually safe to
 // call, but mutating the underlying pages while queries read them is a
@@ -70,19 +69,36 @@ const pagerShardCount = 16
 
 type pagerShard struct {
 	mu sync.RWMutex
-	// lru orders the entries of a bounded shard, most recently used at the
-	// front; nil in unbounded and capacity-0 pagers.
-	lru     *list.List
+	// lru heads a bounded shard's ring of entries, the most recently used
+	// at lru.next, the least at lru.prev; nil in unbounded and capacity-0
+	// pagers.
+	lru     *cacheEntry
 	entries map[PageID]*cacheEntry
 	pinned  map[PageID][]byte
 }
 
 // cacheEntry is one unpinned cached page, published only once its bytes
-// are filled. In a bounded pager elem is its place in the shard's LRU.
+// are filled. In a bounded shard it is a link of the LRU ring, and a miss
+// that evicts reuses the evicted entry, so it allocates nothing.
 type cacheEntry struct {
-	id   PageID
-	data []byte
-	elem *list.Element // bounded shards only
+	id         PageID
+	data       []byte
+	prev, next *cacheEntry // bounded shards only
+}
+
+// ring returns the head of an empty LRU ring.
+func ring() *cacheEntry {
+	e := new(cacheEntry)
+	e.prev, e.next = e, e
+	return e
+}
+
+func (e *cacheEntry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
+
+// linkAfter puts e into the ring just after at.
+func (e *cacheEntry) linkAfter(at *cacheEntry) {
+	e.prev, e.next = at, at.next
+	at.next.prev, at.next = e, e
 }
 
 // NewPager returns a pager over a backend whose cache holds at most
@@ -104,7 +120,7 @@ func NewPager(dev Backend, capacity int) *Pager {
 	for i := range p.shards {
 		s := &p.shards[i]
 		if capacity > 0 {
-			s.lru = list.New()
+			s.lru = ring()
 		}
 		s.entries = make(map[PageID]*cacheEntry)
 		s.pinned = make(map[PageID][]byte)
@@ -148,11 +164,21 @@ func (p *Pager) Read(id PageID) []byte {
 	}
 	p.misses.Add(1)
 	data := p.dev.ReadNoCopy(id)
-	ce := &cacheEntry{id: id, data: data}
+	var ce *cacheEntry
+	if s.lru != nil && len(s.entries) >= p.capacity {
+		// Full: the least recently used entry is evicted and carries the
+		// new page.
+		ce = s.lru.prev
+		ce.unlink()
+		delete(s.entries, ce.id)
+		p.evictions.Add(1)
+	} else {
+		ce = new(cacheEntry)
+	}
+	ce.id, ce.data = id, data
 	s.entries[id] = ce
 	if s.lru != nil {
-		ce.elem = s.lru.PushFront(ce)
-		p.evictLocked(s)
+		ce.linkAfter(s.lru)
 	}
 	return data
 }
@@ -169,7 +195,8 @@ func (s *pagerShard) lookup(id PageID) ([]byte, bool) {
 		return nil, false
 	}
 	if s.lru != nil {
-		s.lru.MoveToFront(ce.elem)
+		ce.unlink()
+		ce.linkAfter(s.lru)
 	}
 	return ce.data, true
 }
@@ -242,7 +269,7 @@ func (p *Pager) Invalidate(id PageID) {
 func (s *pagerShard) remove(ce *cacheEntry) {
 	delete(s.entries, ce.id)
 	if s.lru != nil {
-		s.lru.Remove(ce.elem)
+		ce.unlink()
 	}
 }
 
@@ -252,18 +279,12 @@ func (p *Pager) DropCache() {
 		s := &p.shards[i]
 		s.mu.Lock()
 		if s.lru != nil {
-			s.lru.Init()
+			s.lru = ring()
 		}
 		s.entries = make(map[PageID]*cacheEntry)
 		s.pinned = make(map[PageID][]byte)
 		s.mu.Unlock()
 	}
-}
-
-// HitRate returns cache hits and misses since construction. It is safe to
-// call while queries run; the two counters are loaded independently.
-func (p *Pager) HitRate() (hits, misses uint64) {
-	return p.hits.Load(), p.misses.Load()
 }
 
 // CacheStats is the pager's cumulative cache-behavior snapshot.
@@ -312,14 +333,4 @@ func (p *Pager) CachedPages() int {
 		s.mu.RUnlock()
 	}
 	return n
-}
-
-// evictLocked trims the bounded shard to capacity, least recently used
-// first; the caller holds its lock.
-func (p *Pager) evictLocked(s *pagerShard) {
-	for s.lru.Len() > p.capacity {
-		ce := s.lru.Remove(s.lru.Back()).(*cacheEntry)
-		delete(s.entries, ce.id)
-		p.evictions.Add(1)
-	}
 }

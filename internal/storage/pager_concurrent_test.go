@@ -67,7 +67,7 @@ func TestPagerConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 
-	hits, misses := p.HitRate()
+	hits, misses := hitsMisses(p)
 	if misses != pages {
 		t.Errorf("misses = %d, want %d (one per distinct page)", misses, pages)
 	}
@@ -111,7 +111,7 @@ func TestPagerConcurrentSingleFlight(t *testing.T) {
 			if got := d.Stats().Reads; got != 1 {
 				t.Errorf("disk reads = %d, want 1", got)
 			}
-			hits, misses := p.HitRate()
+			hits, misses := hitsMisses(p)
 			if misses != 1 || hits != workers-1 {
 				t.Errorf("hits=%d misses=%d, want %d/1", hits, misses, workers-1)
 			}
@@ -154,7 +154,7 @@ func TestPagerConcurrentCapacityZero(t *testing.T) {
 	if got := d.Stats().Reads; got != workers*perWorker {
 		t.Errorf("disk reads = %d, want %d (unpinned reads are uncached)", got, workers*perWorker)
 	}
-	hits, misses := p.HitRate()
+	hits, misses := hitsMisses(p)
 	if hits != workers*perWorker || misses != workers*perWorker {
 		t.Errorf("hits=%d misses=%d, want %d/%d", hits, misses, workers*perWorker, workers*perWorker)
 	}
@@ -178,7 +178,7 @@ func TestPagerConcurrentStatsReaders(t *testing.T) {
 				return
 			default:
 			}
-			h, m := p.HitRate()
+			h, m := hitsMisses(p)
 			if h+m > 0 && p.CachedPages() > pages {
 				t.Error("impossible cache census")
 				return

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// hitsMisses returns p's hit and miss counters.
+func hitsMisses(p *Pager) (hits, misses uint64) {
+	cs := p.CacheStats()
+	return cs.Hits, cs.Misses
+}
+
 // newPagerDisk allocates n pages stamped with a recognizable first byte.
 func newPagerDisk(t *testing.T, n int) *Disk {
 	t.Helper()
@@ -25,7 +31,7 @@ func TestPagerHitMissAccounting(t *testing.T) {
 	p.Read(0)
 	p.Read(1)
 	p.Read(0)
-	hits, misses := p.HitRate()
+	hits, misses := hitsMisses(p)
 	if hits != 2 || misses != 2 {
 		t.Errorf("hits=%d misses=%d, want 2/2", hits, misses)
 	}

@@ -198,7 +198,7 @@ func logmethodAnswerer(tr *logmethod.Tree) answerer {
 	return func(ctx context.Context, q zoo.Query) ([]geom.Item, error) {
 		opt := rtree.RunOptions{Limit: q.Limit, Cancel: ctx.Err}
 		if q.Kind == zoo.Nearest {
-			nb, _, err := tr.RunNearest(q.X, q.Y, q.K, opt)
+			nb, _, err := tr.AppendNearest(nil, q.X, q.Y, q.K, opt)
 			return neighborItems(nb, q, err)
 		}
 		var out []geom.Item

@@ -117,7 +117,10 @@ type Options struct {
 	// treats a non-zero value as a requirement the index file must match.
 	BlockSize int
 	// CacheCapacity bounds the page cache in pages; 0 or negative means
-	// unbounded (the default).
+	// unbounded (the default). It bounds the pager's entries and so its
+	// misses and evictions, not the process's resident memory: on Linux a
+	// cached page is a view of the index file's mapping, and every page
+	// once touched stays resident in the mapping after its eviction.
 	CacheCapacity int
 	// Parallelism is the worker budget of every bulk load (clamped to
 	// GOMAXPROCS; 0 or 1 means serial): Bulk, BulkWith and BulkLoad, and
@@ -410,7 +413,7 @@ func (d *Dynamic) DeleteE(it Item) (bool, error) {
 // remain only for the benchmark harness, their last caller, and go when
 // the harness moves to the Query surface.
 func (d *Dynamic) Query(q Rect, fn func(Item) bool) QueryStats {
-	_, st, _ := run(d.exec(), Window(q), fn)
+	st, _ := run(d.exec(), Window(q), fn, nil)
 	return st
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"sync"
 
 	"prtree/internal/geom"
 	"prtree/internal/logmethod"
@@ -121,20 +122,36 @@ func (t *Tree) exec() searcher    { return searcher{static: t.inner} }
 func (d *Dynamic) exec() searcher { return searcher{dynamic: d.inner} }
 
 // run executes q on s — the one place a query's kind picks the traversal —
-// and fills q's WithStats sink. A window, point or containment query
-// reports to fn; a Nearest query returns its neighbors instead. A NaN or
-// infinite coordinate fails the query before it starts: a NaN compares
-// false with everything and every distance to an infinity ties, so a
-// traversal would answer with arbitrary items.
-func run(s searcher, q Query, fn func(Item) bool) (nb []Neighbor, st QueryStats, err error) {
+// reports each result to fn (nil to count only) and fills q's WithStats
+// sink. A Nearest query's neighbors wait in pooled scratch until they are
+// yielded, so it allocates no answer unless keep is non-nil: then *keep is
+// set to a copy of them, the caller's own. A NaN or infinite coordinate
+// fails the query before it starts: a NaN compares false with everything
+// and every distance to an infinity ties, so a traversal would answer with
+// arbitrary items.
+func run(s searcher, q Query, fn func(Item) bool, keep *[]Neighbor) (st QueryStats, err error) {
 	opt := rtree.RunOptions{Limit: q.limit, Cancel: cancelPoll(q.ctx)}
 	switch {
 	case !finite(q.rect.MinX, q.rect.MinY, q.rect.MaxX, q.rect.MaxY, q.x, q.y):
 		err = errNonFinite
-	case q.kind == queryNearest && s.dynamic != nil:
-		nb, st, err = s.dynamic.RunNearest(q.x, q.y, q.k, opt)
 	case q.kind == queryNearest:
-		nb, st, err = s.static.RunNearest(q.x, q.y, q.k, opt)
+		p := neighbors.Get().(*[]Neighbor)
+		nb := (*p)[:0]
+		if s.dynamic != nil {
+			nb, st, err = s.dynamic.AppendNearest(nb, q.x, q.y, q.k, opt)
+		} else {
+			nb, st, err = s.static.AppendNearest(nb, q.x, q.y, q.k, opt)
+		}
+		if keep != nil {
+			*keep = append([]Neighbor(nil), nb...)
+		}
+		for _, n := range nb {
+			if fn == nil || !fn(n.Item) {
+				break
+			}
+		}
+		*p = nb[:0]
+		neighbors.Put(p)
 	case s.dynamic != nil:
 		st, err = s.dynamic.RunWindow(q.rect, q.kind == queryContained, fn, opt)
 	default:
@@ -143,8 +160,11 @@ func run(s searcher, q Query, fn func(Item) bool) (nb []Neighbor, st QueryStats,
 	if q.stats != nil {
 		*q.stats = st
 	}
-	return nb, st, err
+	return st, err
 }
+
+// neighbors pools the neighbors of Nearest queries.
+var neighbors = sync.Pool{New: func() any { return new([]Neighbor) }}
 
 var errNonFinite = errors.New("prtree: query coordinate is NaN or infinite")
 
@@ -157,16 +177,8 @@ func finite(vs ...float64) bool {
 	return true
 }
 
-// runItems is Run on s: a Nearest query's neighbors go to fn in order.
 func runItems(s searcher, q Query, fn func(Item) bool) error {
-	nb, _, err := run(s, q, fn)
-	if err == nil && fn != nil {
-		for _, n := range nb {
-			if !fn(n.Item) {
-				break
-			}
-		}
-	}
+	_, err := run(s, q, fn, nil)
 	return err
 }
 
@@ -186,15 +198,15 @@ func collectItems(s searcher, q Query) ([]Item, error) {
 }
 
 func countItems(s searcher, q Query) (int, error) {
-	_, st, err := run(s, q, nil)
+	st, err := run(s, q, nil, nil)
 	return st.Results, err
 }
 
-func collectNeighbors(s searcher, q Query) ([]Neighbor, error) {
+func collectNeighbors(s searcher, q Query) (nb []Neighbor, err error) {
 	if q.kind != queryNearest {
 		return nil, fmt.Errorf("prtree: CollectNearest requires a Nearest query")
 	}
-	nb, _, err := run(s, q, nil)
+	_, err = run(s, q, nil, &nb)
 	return nb, err
 }
 

@@ -505,14 +505,15 @@ func TestQuerySurface(t *testing.T) {
 	})
 }
 
-// TestQueryAllocsZero pins the read path's garbage at nothing: a window or
-// containment query through Run, Iter or Count allocates nothing per query,
-// on a Tree and on a Dynamic with levels, a buffer and tombstones —
-// traversal scratch and statistics stay off the heap, and so do the
-// caller's callback and what it captures. Every call is on the concrete
+// TestQueryAllocsZero pins the read path's garbage at nothing: a window,
+// containment or Nearest query through Run, Iter or Count allocates
+// nothing per query, on a Tree and on a Dynamic with levels, a buffer and
+// tombstones — traversal scratch and statistics stay off the heap, and so
+// do the caller's callback and what it captures. Every call is on the concrete
 // type, as a caller makes it: through an interface the callback escapes.
-// A Nearest query allocates its answer and nothing else, on a Tree and on
-// a Dynamic, whose levels append to one pooled candidate list.
+// A Nearest query's neighbors wait in pooled scratch until they are
+// yielded, on a Dynamic after its levels append to one pooled candidate
+// list; CollectNearest allocates only the answer it returns.
 func TestQueryAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch")
@@ -522,52 +523,57 @@ func TestQueryAllocsZero(t *testing.T) {
 	d, _ := querySurfaceDynamic(t, items)
 	world := geom.ItemsMBR(items)
 	q := workload.Squares(world, 0.05, 1, 3)[0]
-	const knn = 1.0 // the answer
 	for _, c := range []struct {
 		name    string
 		run     func(Query) int
-		nearest float64 // the allocations a Nearest query may make; 0: not run
+		nearest bool // whether it runs Nearest queries
 	}{
 		{"Tree.Run", func(q Query) int {
 			n := 0
 			_ = tree.Run(q, func(Item) bool { n++; return true })
 			return n
-		}, knn},
+		}, true},
 		{"Tree.Iter", func(q Query) int {
 			n := 0
 			for range tree.Iter(q) {
 				n++
 			}
 			return n
-		}, knn},
-		{"Tree.Count", func(q Query) int { n, _ := tree.Count(q); return n }, knn},
+		}, true},
+		{"Tree.Count", func(q Query) int { n, _ := tree.Count(q); return n }, true},
 		{"Dynamic.Run", func(q Query) int {
 			n := 0
 			_ = d.Run(q, func(Item) bool { n++; return true })
 			return n
-		}, knn},
+		}, true},
 		{"Dynamic.Iter", func(q Query) int {
 			n := 0
 			for range d.Iter(q) {
 				n++
 			}
 			return n
-		}, knn},
-		{"Dynamic.Count", func(q Query) int { n, _ := d.Count(q); return n }, knn},
-		{"Dynamic.Query", func(q Query) int { return d.Query(q.rect, nil).Results }, 0}, // a window on q's rect
+		}, true},
+		{"Dynamic.Count", func(q Query) int { n, _ := d.Count(q); return n }, true},
+		{"Dynamic.Query", func(q Query) int { return d.Query(q.rect, nil).Results }, false}, // a window on q's rect
 	} {
 		for _, query := range []Query{Window(q), Contained(world), Nearest(0.5, 0.5, 1), Nearest(0.5, 0.5, 10), Nearest(0.5, 0.5, 100)} {
-			bound := 0.0
-			if query.kind == queryNearest {
-				if bound = c.nearest; bound == 0 {
-					continue
-				}
+			if query.kind == queryNearest && !c.nearest {
+				continue
 			}
 			if c.run(query) == 0 {
 				t.Fatalf("%s(%+v) finds nothing", c.name, query)
 			}
-			if a := testing.AllocsPerRun(50, func() { c.run(query) }); a > bound {
-				t.Errorf("%s(%+v) allocates %v a query; want at most %v", c.name, query, a, bound)
+			if a := testing.AllocsPerRun(50, func() { c.run(query) }); a != 0 {
+				t.Errorf("%s(%+v) allocates %v a query; want 0", c.name, query, a)
+			}
+		}
+	}
+	// CollectNearest allocates the answer it hands over, once.
+	for _, k := range []int{1, 10, 100} {
+		q := Nearest(0.5, 0.5, k)
+		for name, collect := range map[string]func(Query) ([]Neighbor, error){"Tree": tree.CollectNearest, "Dynamic": d.CollectNearest} {
+			if a := testing.AllocsPerRun(50, func() { _, _ = collect(q) }); a != 1 {
+				t.Errorf("%s.CollectNearest at k %d allocates %v a query; want 1, its answer", name, k, a)
 			}
 		}
 	}
@@ -576,27 +582,37 @@ func TestQueryAllocsZero(t *testing.T) {
 // TestUncachedDiskWindowAllocsZero: a pager that caches nothing over an
 // in-memory Disk answers a window without allocating. Every node visit is
 // a miss, and the miss takes the Disk's own page bytes rather than a
-// BlockSize copy of them.
+// BlockSize copy of them. A bounded pager holding a tenth of the tree's
+// nodes allocates nothing either, though its misses evict: the evicted
+// entry carries the page that replaces it.
 func TestUncachedDiskWindowAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled scratch")
 	}
 	items := dataset.Western(3000, 23)
-	disk := storage.NewDisk(storage.DefaultBlockSize)
-	tree := bulk.PRTreeSlice(storage.NewPager(disk, 0), items, bulk.Options{})
+	nodes := bulk.PRTreeSlice(storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), items, bulk.Options{}).Nodes()
 	q := workload.Squares(geom.ItemsMBR(items), 0.05, 1, 3)[0]
-	n := 0
-	count := func(geom.Item) bool { n++; return true }
-	disk.ResetStats()
-	st, err := tree.RunWindow(q, false, count, rtree.RunOptions{})
-	if err != nil || n == 0 || st.NodesVisited < 2 {
-		t.Fatalf("the window found %d items over %d nodes (%v); want a multi-node query", n, st.NodesVisited, err)
-	}
-	if reads := disk.Stats().Reads; reads != uint64(st.NodesVisited) {
-		t.Fatalf("%d nodes visited cost %d block reads; want one each", st.NodesVisited, reads)
-	}
-	if a := testing.AllocsPerRun(50, func() { _, _ = tree.RunWindow(q, false, count, rtree.RunOptions{}) }); a != 0 {
-		t.Errorf("a window over %d nodes allocates %v a query; want 0", st.NodesVisited, a)
+	for _, capacity := range []int{0, nodes / 10} {
+		disk := storage.NewDisk(storage.DefaultBlockSize)
+		pager := storage.NewPager(disk, capacity)
+		tree := bulk.PRTreeSlice(pager, items, bulk.Options{})
+		n := 0
+		count := func(geom.Item) bool { n++; return true }
+		disk.ResetStats()
+		st, err := tree.RunWindow(q, false, count, rtree.RunOptions{})
+		if err != nil || n == 0 || st.NodesVisited < 2 {
+			t.Fatalf("capacity %d: the window found %d items over %d nodes (%v); want a multi-node query", capacity, n, st.NodesVisited, err)
+		}
+		cs := pager.CacheStats()
+		if reads := disk.Stats().Reads; reads != cs.Misses || capacity == 0 && reads != uint64(st.NodesVisited) {
+			t.Fatalf("capacity %d: %d nodes visited cost %d block reads and %d misses; want one a miss, and one a node uncached", capacity, st.NodesVisited, reads, cs.Misses)
+		}
+		if capacity > 0 && cs.Evictions == 0 {
+			t.Fatalf("capacity %d of %d nodes: a window over %d nodes evicts nothing", capacity, nodes, st.NodesVisited)
+		}
+		if a := testing.AllocsPerRun(50, func() { _, _ = tree.RunWindow(q, false, count, rtree.RunOptions{}) }); a != 0 {
+			t.Errorf("capacity %d: a window over %d nodes allocates %v a query; want 0", capacity, st.NodesVisited, a)
+		}
 	}
 }
 
