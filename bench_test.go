@@ -181,10 +181,10 @@ func BenchmarkFig15Skewed(b *testing.B) {
 // --- Table 1: CLUSTER with skinny probes ---
 
 func BenchmarkTable1Cluster(b *testing.B) {
-	items := dataset.Cluster(50000, dataset.ClusterOptions{}, 17)
+	items := dataset.Cluster(50000, 17)
 	queries := make([]geom.Rect, 20)
 	for i := range queries {
-		queries[i] = dataset.ClusterProbe(dataset.ClusterOptions{}, int64(18+i))
+		queries[i] = dataset.ClusterProbe(int64(18 + i))
 	}
 	for _, l := range benchLoaders {
 		b.Run(l.String(), func(b *testing.B) { benchQueries(b, l, items, queries) })

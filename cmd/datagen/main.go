@@ -115,7 +115,7 @@ func generate(kind string, n int, param float64, seed int64) ([]geom.Item, error
 		}
 		return dataset.Skewed(n, c, seed), nil
 	case "cluster":
-		return dataset.Cluster(n, dataset.ClusterOptions{}, seed), nil
+		return dataset.Cluster(n, seed), nil
 	case "worstcase":
 		return dataset.WorstCase(n, 113), nil
 	case "uniform":

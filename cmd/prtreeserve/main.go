@@ -20,8 +20,9 @@
 // as the answer, and no memory stays with an idle connection. A shard that fails mid-query (backend
 // error, checksum mismatch) is quarantined instead of failing the query:
 // responses degrade to the healthy subset (and say so), and a background
-// supervisor reopens, scrubs and restores the shard — see -maxrecoveries
-// and -recoverybackoff. GET /statsz reports pager and IO counters,
+// supervisor reopens, scrubs and restores the shard, with up to 5 reopen
+// attempts backing off from 100ms and doubling up to 10s before it declares
+// the shard failed. GET /statsz reports pager and IO counters,
 // per-shard health and per-endpoint latency histograms; GET /healthz is
 // the readiness probe (ok / degraded / 503 down-or-draining). The admin
 // listener stays up through a drain and closes last.
@@ -41,29 +42,26 @@ import (
 	"prtree/internal/serve"
 )
 
+var (
+	shards       = flag.String("shards", "", "sharded index directory (required; see prtool shard)")
+	bind         = flag.String("bind", "127.0.0.1:9045", "binary-protocol listen address")
+	httpBind     = flag.String("http", "127.0.0.1:9046", "admin listener: /healthz, /statsz (empty disables)")
+	cache        = flag.Int("cache", 0, "global page-cache budget in pages, split across shards (0 = unbounded; a positive budget needs at least one page per shard)")
+	tenantCap    = flag.Int("tenantcap", 0, "per-tenant in-flight request cap (0 = unlimited)")
+	deadline     = flag.Duration("deadline", 0, "default per-request deadline for requests that carry none (0 = none)")
+	maxDeadline  = flag.Duration("maxdeadline", 0, "clamp on client-supplied deadlines (0 = no clamp)")
+	connTimeout  = flag.Duration("conntimeout", 0, "per-connection frame read/write deadline, the slow-loris guard (0 = none)")
+	drainTimeout = flag.Duration("draintimeout", 30*time.Second, "how long graceful drain waits for in-flight requests")
+)
+
 func main() {
-	shards := flag.String("shards", "", "sharded index directory (required; see prtool shard)")
-	bind := flag.String("bind", "127.0.0.1:9045", "binary-protocol listen address")
-	httpBind := flag.String("http", "127.0.0.1:9046", "admin listener: /healthz, /statsz (empty disables)")
-	cache := flag.Int("cache", 0, "global page-cache budget in pages, split across shards (0 = unbounded; a positive budget needs at least one page per shard)")
-	tenantCap := flag.Int("tenantcap", 0, "per-tenant in-flight request cap (0 = unlimited)")
-	deadline := flag.Duration("deadline", 0, "default per-request deadline for requests that carry none (0 = none)")
-	maxDeadline := flag.Duration("maxdeadline", 0, "clamp on client-supplied deadlines (0 = no clamp)")
-	connTimeout := flag.Duration("conntimeout", 0, "per-connection frame read/write deadline, the slow-loris guard (0 = none)")
-	drainTimeout := flag.Duration("draintimeout", 30*time.Second, "how long graceful drain waits for in-flight requests")
-	maxRecoveries := flag.Int("maxrecoveries", 5, "reopen attempts per quarantined shard before it is declared failed (negative = retry forever)")
-	recoveryBackoff := flag.Duration("recoverybackoff", 100*time.Millisecond, "initial shard-recovery retry delay (doubles per attempt, capped)")
 	flag.Parse()
 
 	if *shards == "" {
 		fmt.Fprintln(os.Stderr, "prtreeserve: -shards is required (build one with prtool shard)")
 		os.Exit(2)
 	}
-	set, err := serve.Open(*shards, serve.OpenOptions{
-		CachePages:      *cache,
-		MaxRecoveries:   *maxRecoveries,
-		RecoveryBackoff: *recoveryBackoff,
-	})
+	set, err := serve.Open(*shards, serve.OpenOptions{CachePages: *cache})
 	if err != nil {
 		fatal(err)
 	}

@@ -6,12 +6,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -148,6 +150,22 @@ func (c *child) drain(t *testing.T) {
 	}
 	if !strings.Contains(c.log.String(), "drained cleanly") {
 		t.Fatalf("no drain marker\n%s", c.output())
+	}
+}
+
+// TestFlagSet pins the command's flags. Each knob is a cost in docs, tests
+// and configurations, so one comes back only through an edit of this list;
+// the recovery and retry policies are fixed in internal/serve.
+func TestFlagSet(t *testing.T) {
+	var got []string
+	flag.CommandLine.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got = append(got, f.Name)
+		}
+	})
+	want := []string{"bind", "cache", "conntimeout", "deadline", "draintimeout", "http", "maxdeadline", "shards", "tenantcap"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags %v, want %v", got, want)
 	}
 }
 

@@ -16,8 +16,8 @@ func main() {
 	const b = 113
 
 	fmt.Println("--- CLUSTER: 1000-point clusters on a line, skinny probes (paper Table 1) ---")
-	clItems := dataset.Cluster(100000, dataset.ClusterOptions{}, 1)
-	probe := dataset.ClusterProbe(dataset.ClusterOptions{}, 1)
+	clItems := dataset.Cluster(100000, 1)
+	probe := dataset.ClusterProbe(1)
 	for _, loader := range []prtree.Loader{prtree.Hilbert, prtree.Hilbert4D, prtree.PR, prtree.TGS} {
 		tree := prtree.BulkWith(loader, clItems, nil)
 		var st prtree.QueryStats

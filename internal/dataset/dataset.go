@@ -2,8 +2,8 @@
 // study (Section 3.2): the four synthetic classes size(max_side),
 // aspect(a), skewed(c) and cluster, the worst-case bit-reversal grid of
 // Theorem 3, and a seeded synthetic stand-in for the TIGER/Line road data
-// (the substitution is documented in DESIGN.md §3). All generators are
-// deterministic in their seed.
+// (TigerLike). Fixed parameters, such as the paper's cluster sizes, are
+// constants. All generators are deterministic in their seed.
 package dataset
 
 import (
@@ -76,48 +76,39 @@ func Skewed(n, c int, seed int64) []geom.Item {
 	return items
 }
 
-// ClusterOptions parameterizes the cluster dataset. The paper uses 10 000
-// clusters of 1 000 points in 1e-5 x 1e-5 squares with centers equally
-// spaced on a horizontal line.
-type ClusterOptions struct {
-	Clusters int     // number of clusters; 0 means n/1000 (min 10)
-	Side     float64 // cluster square side; 0 means 1e-5
-}
+// The paper's cluster dataset is 10 000 clusters of 1 000 points each,
+// in clusterSide x clusterSide squares whose centers are equally spaced on
+// the horizontal line y = 0.5. Cluster scales it by keeping
+// pointsPerCluster, with at least minClusters clusters.
+const (
+	clusterSide      = 1e-5
+	pointsPerCluster = 1000
+	minClusters      = 10
+)
 
 // Cluster generates the paper's cluster dataset scaled to n points.
-func Cluster(n int, opt ClusterOptions, seed int64) []geom.Item {
-	if opt.Clusters <= 0 {
-		opt.Clusters = n / 1000
-		if opt.Clusters < 10 {
-			opt.Clusters = 10
-		}
-	}
-	if opt.Side <= 0 {
-		opt.Side = 1e-5
-	}
+func Cluster(n int, seed int64) []geom.Item {
+	clusters := max(n/pointsPerCluster, minClusters)
 	rng := rand.New(rand.NewSource(seed))
 	items := make([]geom.Item, n)
 	for i := range items {
-		c := i % opt.Clusters
-		cx := (float64(c) + 0.5) / float64(opt.Clusters)
+		c := i % clusters
+		cx := (float64(c) + 0.5) / float64(clusters)
 		cy := 0.5
-		x := cx + (rng.Float64()-0.5)*opt.Side
-		y := cy + (rng.Float64()-0.5)*opt.Side
+		x := cx + (rng.Float64()-0.5)*clusterSide
+		y := cy + (rng.Float64()-0.5)*clusterSide
 		items[i] = geom.Item{Rect: geom.PointRect(x, y), ID: uint32(i)}
 	}
 	return items
 }
 
 // ClusterProbe returns a long skinny horizontal query of area height*width
-// that passes through every cluster of the dataset built with opt, as in
-// the paper's Table 1 experiment (area 1e-7 over width 1).
-func ClusterProbe(opt ClusterOptions, seed int64) geom.Rect {
-	if opt.Side <= 0 {
-		opt.Side = 1e-5
-	}
+// that passes through every cluster of the Cluster dataset, as in the
+// paper's Table 1 experiment (area 1e-7 over width 1).
+func ClusterProbe(seed int64) geom.Rect {
 	rng := rand.New(rand.NewSource(seed))
 	height := 1e-7
-	y := 0.5 + (rng.Float64()-0.5)*(opt.Side-2*height)
+	y := 0.5 + (rng.Float64()-0.5)*(clusterSide-2*height)
 	return geom.NewRect(0, y, 1, y+height)
 }
 

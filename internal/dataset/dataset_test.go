@@ -80,7 +80,7 @@ func TestAspectDataset(t *testing.T) {
 			if math.Abs(area-1e-6) > 1e-9 {
 				t.Fatalf("aspect(%g) area = %g", a, area)
 			}
-			ar := it.Rect.AspectRatio()
+			ar := max(it.Rect.Width(), it.Rect.Height()) / min(it.Rect.Width(), it.Rect.Height())
 			if math.Abs(ar-a)/a > 0.01 {
 				t.Fatalf("aspect(%g) ratio = %g", a, ar)
 			}
@@ -127,8 +127,7 @@ func TestSkewedDataset(t *testing.T) {
 }
 
 func TestClusterDataset(t *testing.T) {
-	opt := ClusterOptions{}
-	items := Cluster(20000, opt, 4)
+	items := Cluster(20000, 4)
 	if len(items) != 20000 {
 		t.Fatalf("len = %d", len(items))
 	}
@@ -141,7 +140,7 @@ func TestClusterDataset(t *testing.T) {
 	}
 	// The probe must intersect points from every cluster region but can
 	// be answered with tiny output relative to n.
-	probe := ClusterProbe(opt, 4)
+	probe := ClusterProbe(4)
 	hits := 0
 	for _, it := range items {
 		if probe.Intersects(it.Rect) {
@@ -214,7 +213,7 @@ func TestReverseBits(t *testing.T) {
 }
 
 func TestTigerLike(t *testing.T) {
-	items := TigerLike(10000, TigerOptions{}, 5)
+	items := TigerLike(10000, 0, 5)
 	if len(items) != 10000 {
 		t.Fatalf("len = %d", len(items))
 	}

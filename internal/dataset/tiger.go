@@ -8,44 +8,27 @@ import (
 	"prtree/internal/geom"
 )
 
-// TigerOptions parameterizes the synthetic stand-in for the TIGER/Line
-// road data (see DESIGN.md §3 for the substitution rationale). The
-// generator reproduces the statistics the paper relies on: bounding boxes
-// of short road segments — small extents, often high aspect ratio — mildly
-// clustered around urban areas over a sparse rural background.
-type TigerOptions struct {
-	// UrbanFraction is the share of segments in urban clusters (default 0.7).
-	UrbanFraction float64
-	// Centers is the number of urban centers (default max(20, n/4000)).
-	Centers int
-	// MeanSegment is the mean road-segment length (default 0.0015).
-	MeanSegment float64
-}
+// The synthetic stand-in for the TIGER/Line road data reproduces the
+// statistics the paper relies on: bounding boxes of short road segments —
+// small extents, often high aspect ratio — mildly clustered around urban
+// areas over a sparse rural background.
+const (
+	urbanFraction = 0.7    // share of segments in urban clusters
+	meanSegment   = 0.0015 // mean road-segment length
+)
 
-func (o TigerOptions) normalized(n int) TigerOptions {
-	if o.UrbanFraction <= 0 || o.UrbanFraction >= 1 {
-		o.UrbanFraction = 0.7
+// TigerLike generates n road-segment bounding boxes in the unit square,
+// clustered around the given number of urban centers; centers ≤ 0 means
+// max(20, n/4000).
+func TigerLike(n, centers int, seed int64) []geom.Item {
+	if centers <= 0 {
+		centers = max(n/4000, 20)
 	}
-	if o.Centers <= 0 {
-		o.Centers = n / 4000
-		if o.Centers < 20 {
-			o.Centers = 20
-		}
-	}
-	if o.MeanSegment <= 0 {
-		o.MeanSegment = 0.0015
-	}
-	return o
-}
-
-// TigerLike generates n road-segment bounding boxes in the unit square.
-func TigerLike(n int, opt TigerOptions, seed int64) []geom.Item {
-	opt = opt.normalized(n)
 	rng := rand.New(rand.NewSource(seed))
 	type center struct{ x, y, sigma float64 }
-	centers := make([]center, opt.Centers)
-	for i := range centers {
-		centers[i] = center{
+	cs := make([]center, centers)
+	for i := range cs {
+		cs[i] = center{
 			x:     rng.Float64(),
 			y:     rng.Float64(),
 			sigma: 0.005 + rng.Float64()*0.03,
@@ -54,8 +37,8 @@ func TigerLike(n int, opt TigerOptions, seed int64) []geom.Item {
 	items := make([]geom.Item, 0, n)
 	for len(items) < n {
 		var cx, cy float64
-		if rng.Float64() < opt.UrbanFraction {
-			c := centers[rng.Intn(len(centers))]
+		if rng.Float64() < urbanFraction {
+			c := cs[rng.Intn(len(cs))]
 			cx = c.x + rng.NormFloat64()*c.sigma
 			cy = c.y + rng.NormFloat64()*c.sigma
 		} else {
@@ -66,7 +49,7 @@ func TigerLike(n int, opt TigerOptions, seed int64) []geom.Item {
 		}
 		// A short segment with an exponential length distribution; its
 		// bounding box is thin, often axis-aligned (roads follow grids).
-		length := rng.ExpFloat64() * opt.MeanSegment
+		length := rng.ExpFloat64() * meanSegment
 		if length > 0.05 {
 			continue
 		}
@@ -93,13 +76,13 @@ func TigerLike(n int, opt TigerOptions, seed int64) []geom.Item {
 // Eastern returns the stand-in for the Eastern TIGER dataset (16 states,
 // the paper's largest input) scaled to n rectangles.
 func Eastern(n int, seed int64) []geom.Item {
-	return TigerLike(n, TigerOptions{}, seed)
+	return TigerLike(n, 0, seed)
 }
 
 // Western returns the stand-in for the Western TIGER dataset (5 states,
 // ~72% of Eastern's size in the paper) scaled relative to n.
 func Western(n int, seed int64) []geom.Item {
-	return TigerLike(n*72/100, TigerOptions{Centers: n / 8000}, seed+1)
+	return TigerLike(n*72/100, n/8000, seed+1)
 }
 
 // EasternRegions divides the Eastern dataset into five vertical regions of

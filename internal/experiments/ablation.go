@@ -80,10 +80,9 @@ func AblationPriority(cfg Config) Table {
 		queries []geom.Rect
 	}
 	n := cfg.n(100000)
-	cl := dataset.ClusterOptions{}
 	sets := []probeSet{
 		{name: "worstcase", items: dataset.WorstCase(n, 113)},
-		{name: "cluster", items: dataset.Cluster(n, cl, cfg.Seed)},
+		{name: "cluster", items: dataset.Cluster(n, cfg.Seed)},
 		{
 			name:    "aspect(1e4)",
 			items:   dataset.Aspect(n, 1e4, cfg.Seed),
@@ -92,7 +91,7 @@ func AblationPriority(cfg Config) Table {
 	}
 	for i := 0; i < cfg.Queries; i++ {
 		sets[0].queries = append(sets[0].queries, dataset.WorstCaseProbe(n, 113, i))
-		sets[1].queries = append(sets[1].queries, dataset.ClusterProbe(cl, cfg.Seed+int64(i)))
+		sets[1].queries = append(sets[1].queries, dataset.ClusterProbe(cfg.Seed+int64(i)))
 	}
 	for _, set := range sets {
 		with := buildFromPseudo(set.items, 113, true, true)

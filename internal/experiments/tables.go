@@ -16,8 +16,7 @@ import (
 func Table1(cfg Config) Table {
 	cfg = cfg.normalized()
 	n := cfg.n(200000)
-	clOpt := dataset.ClusterOptions{}
-	items := dataset.Cluster(n, clOpt, cfg.Seed)
+	items := dataset.Cluster(n, cfg.Seed)
 	opt := cfg.bulkOptions()
 	t := Table{
 		ID:      "table1",
@@ -28,7 +27,7 @@ func Table1(cfg Config) Table {
 	// The paper averages 100 random probes through all clusters.
 	queries := make([]geom.Rect, cfg.Queries)
 	for i := range queries {
-		queries[i] = dataset.ClusterProbe(clOpt, cfg.Seed+int64(i))
+		queries[i] = dataset.ClusterProbe(cfg.Seed + int64(i))
 	}
 	for _, l := range paperLoaders {
 		c := measureQueries(loadTree(l, items, opt), queries)

@@ -224,9 +224,6 @@ func (r *ItemReader) Seek(pos int) {
 	r.block = -1
 }
 
-// Pos returns the index of the next record to be returned.
-func (r *ItemReader) Pos() int { return r.pos }
-
 // ReadAll drains a sealed file into a slice, counting the scan's reads.
 func (f *ItemFile) ReadAll() []geom.Item {
 	out := make([]geom.Item, 0, f.n)

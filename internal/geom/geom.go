@@ -52,11 +52,6 @@ func (r Rect) Contains(s Rect) bool {
 		r.MinY <= s.MinY && s.MaxY <= r.MaxY
 }
 
-// ContainsPoint reports whether the point (x, y) lies in r.
-func (r Rect) ContainsPoint(x, y float64) bool {
-	return r.MinX <= x && x <= r.MaxX && r.MinY <= y && y <= r.MaxY
-}
-
 // Union returns the minimal bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
 	// Direct comparisons rather than math.Min/Max: this is the hottest
@@ -139,22 +134,6 @@ func (r Rect) EnlargementArea(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
 }
 
-// AspectRatio returns max(width, height) / min(width, height). It returns
-// +Inf for rectangles with a zero-length side and 1 for points.
-func (r Rect) AspectRatio() float64 {
-	w, h := r.Width(), r.Height()
-	if w < h {
-		w, h = h, w
-	}
-	if h == 0 {
-		if w == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return w / h
-}
-
 // Coord returns one of the four defining coordinates of r addressed by axis:
 // 0 -> MinX, 1 -> MinY, 2 -> MaxX, 3 -> MaxY. This is the corner transform
 // R -> (xmin, ymin, xmax, ymax) used by the pseudo-PR-tree; the axis order
@@ -188,12 +167,6 @@ func MBR(rects []Rect) Rect {
 		out = out.Union(r)
 	}
 	return out
-}
-
-// WorldRect returns a rectangle covering every valid rectangle.
-func WorldRect() Rect {
-	inf := math.Inf(1)
-	return Rect{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}
 }
 
 // EmptyRect returns the identity element for Union: a rectangle that any

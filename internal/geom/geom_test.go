@@ -22,11 +22,8 @@ func TestPointRect(t *testing.T) {
 	if p.Area() != 0 {
 		t.Errorf("point rect area = %g, want 0", p.Area())
 	}
-	if !p.ContainsPoint(2, 3) {
-		t.Error("point rect should contain its own point")
-	}
-	if p.AspectRatio() != 1 {
-		t.Errorf("point aspect = %g, want 1", p.AspectRatio())
+	if want := (Rect{2, 3, 2, 3}); p != want || !p.Valid() {
+		t.Errorf("point rect = %v, want the valid %v", p, want)
 	}
 }
 
@@ -111,18 +108,6 @@ func TestEnlargementArea(t *testing.T) {
 	}
 }
 
-func TestAspectRatio(t *testing.T) {
-	if a := NewRect(0, 0, 10, 1).AspectRatio(); a != 10 {
-		t.Errorf("aspect = %g, want 10", a)
-	}
-	if a := NewRect(0, 0, 1, 10).AspectRatio(); a != 10 {
-		t.Errorf("aspect = %g, want 10", a)
-	}
-	if a := NewRect(0, 0, 5, 0).AspectRatio(); !math.IsInf(a, 1) {
-		t.Errorf("segment aspect = %g, want +Inf", a)
-	}
-}
-
 func TestCoordAxes(t *testing.T) {
 	r := Rect{1, 2, 3, 4}
 	want := [4]float64{1, 2, 3, 4}
@@ -163,13 +148,6 @@ func TestEmptyRectAbsorbs(t *testing.T) {
 	r := NewRect(1, 2, 3, 4)
 	if got := e.Union(r); got != r {
 		t.Errorf("EmptyRect.Union(%v) = %v", r, got)
-	}
-}
-
-func TestWorldRectContainsEverything(t *testing.T) {
-	w := WorldRect()
-	if !w.Contains(NewRect(-1e300, -1e300, 1e300, 1e300)) {
-		t.Error("world rect should contain huge rect")
 	}
 }
 

@@ -118,22 +118,18 @@ func (t *Tree) AppendNearest(dst []Neighbor, x, y float64, k int, opt RunOptions
 	pq.push(distEntry{dist2: 0, page: t.root, isNode: true})
 	base := len(dst) // the answer is dst[base:]
 	// Once k results are held, keep draining entries at exactly the k-th
-	// distance so every boundary candidate surfaces; ties collects them.
+	// distance so every boundary candidate surfaces: they join the answer,
+	// and Closest below keeps the smallest IDs among them.
 	kth := math.Inf(1)
-	var ties []Neighbor
 	for len(*pq) > 0 {
-		if len(dst)-base == k && (*pq)[0].dist2 > kth {
+		if len(dst)-base >= k && (*pq)[0].dist2 > kth {
 			break
 		}
 		e := pq.pop()
 		if !e.isNode {
-			if len(dst)-base < k {
-				dst = append(dst, Neighbor{Item: e.item, Dist2: e.dist2})
-				if len(dst)-base == k {
-					kth = e.dist2
-				}
-			} else if e.dist2 == kth {
-				ties = append(ties, Neighbor{Item: e.item, Dist2: e.dist2})
+			dst = append(dst, Neighbor{Item: e.item, Dist2: e.dist2})
+			if len(dst)-base == k {
+				kth = e.dist2
 			}
 			continue
 		}
@@ -164,23 +160,11 @@ func (t *Tree) AppendNearest(dst []Neighbor, x, y float64, k int, opt RunOptions
 			}
 		}
 	}
-	if len(ties) > 0 {
-		// Re-select the boundary: among every item at the k-th distance,
-		// keep the smallest IDs.
-		i := len(dst)
-		for i > base && dst[i-1].Dist2 == kth {
-			i--
-		}
-		group := make([]Neighbor, 0, len(dst)-i+len(ties))
-		group = append(group, dst[i:]...)
-		group = append(group, ties...)
-		dst = append(dst[:i], Closest(group, k-(i-base))...)
-	}
 	// Equal-distance items can surface in tree-shape-dependent order (one
 	// may hide in a not-yet-expanded equal-distance node while another
 	// pops), so Closest's order — not discovery order — defines the result
-	// sequence.
-	Closest(dst[base:], k)
+	// sequence and which ties make the cut.
+	dst = dst[:base+len(Closest(dst[base:], k))]
 	st.Results = len(dst) - base
 	return dst, st, nil
 }

@@ -34,8 +34,7 @@ func TestChaosGate(t *testing.T) {
 	dir := buildDir(t, items, 3)
 
 	set, err := Open(dir, OpenOptions{
-		RecoveryBackoff:    time.Millisecond,
-		RecoveryMaxBackoff: 5 * time.Millisecond,
+		backoff: backoff{first: time.Millisecond, max: 5 * time.Millisecond},
 		wrapShard: func(idx, attempt int, b prtree.Backend) prtree.Backend {
 			if idx != 1 || attempt > 0 {
 				return b
@@ -73,11 +72,7 @@ func TestChaosGate(t *testing.T) {
 		oracle[i] = zoo.Expect(items, zoo.Query{Rect: r})
 	}
 
-	robust := DialRobust(RobustOptions{
-		Addr:            addr,
-		RetryBackoff:    time.Millisecond,
-		RetryMaxBackoff: 10 * time.Millisecond,
-	})
+	robust := DialRobust(RobustOptions{Addr: addr, backoff: backoff{first: time.Millisecond, max: 10 * time.Millisecond}})
 	defer robust.Close()
 	res := driveWindows(addr, robust, 8, 400, "", rects, oracle)
 

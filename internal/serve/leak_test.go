@@ -61,7 +61,7 @@ func TestSetCloseLeavesNoGoroutine(t *testing.T) {
 	dir := buildDir(t, items, 3)
 	baseline := runtime.NumGoroutine()
 
-	opt := OpenOptions{RecoveryBackoff: 20 * time.Millisecond, RecoveryMaxBackoff: time.Minute}
+	opt := OpenOptions{backoff: backoff{first: 20 * time.Millisecond, max: time.Minute}}
 	// Every shard fails its third read, and every reopen its first.
 	opt.wrapShard = func(idx, attempt int, b prtree.Backend) prtree.Backend {
 		after := int64(3)

@@ -18,10 +18,7 @@ import (
 // fastRecovery are OpenOptions that make supervisor retries near-instant
 // for tests.
 func fastRecovery() OpenOptions {
-	return OpenOptions{
-		RecoveryBackoff:    time.Millisecond,
-		RecoveryMaxBackoff: 5 * time.Millisecond,
-	}
+	return OpenOptions{backoff: backoff{first: time.Millisecond, max: 5 * time.Millisecond}}
 }
 
 // buildDir shards items into a fresh temp directory and returns it.
@@ -256,8 +253,8 @@ func TestContextCancelNotQuarantined(t *testing.T) {
 }
 
 // TestPermanentFailure: a shard whose every reopen also fails exhausts
-// MaxRecoveries and lands in ShardFailed; the set stays degraded and
-// keeps serving the healthy shards.
+// its maxRecoveries attempts and lands in ShardFailed; the set stays
+// degraded and keeps serving the healthy shards.
 func TestPermanentFailure(t *testing.T) {
 	items := dataset.Western(800, 13)
 	world := geom.ItemsMBR(items)
@@ -265,7 +262,6 @@ func TestPermanentFailure(t *testing.T) {
 
 	var faulty *storage.Faulty
 	opt := fastRecovery()
-	opt.MaxRecoveries = 2
 	opt.wrapShard = func(idx, attempt int, b prtree.Backend) prtree.Backend {
 		if idx != 1 {
 			return b
@@ -299,7 +295,7 @@ func TestPermanentFailure(t *testing.T) {
 		t.Fatal("shard 1 never quarantined")
 	}
 
-	// Every reopen faults during the scrub, so after MaxRecoveries the
+	// Every reopen faults during the scrub, so after maxRecoveries the
 	// shard is declared failed for good.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -313,8 +309,8 @@ func TestPermanentFailure(t *testing.T) {
 	if sd.State != ShardFailed {
 		t.Fatalf("shard 1 state %v after exhausted recoveries, want failed (%+v)", sd.State, sd)
 	}
-	if sd.Attempts != 2 {
-		t.Fatalf("shard 1 made %d attempts, want exactly MaxRecoveries=2", sd.Attempts)
+	if sd.Attempts != maxRecoveries {
+		t.Fatalf("shard 1 made %d attempts, want exactly maxRecoveries=%d", sd.Attempts, maxRecoveries)
 	}
 	if sd.Recoveries != 0 {
 		t.Fatalf("shard 1 claims %d recoveries while permanently failed", sd.Recoveries)
@@ -348,7 +344,6 @@ func TestAllShardsDown(t *testing.T) {
 
 	faulties := make([]*storage.Faulty, 2)
 	opt := fastRecovery()
-	opt.MaxRecoveries = 1
 	opt.wrapShard = func(idx, attempt int, b prtree.Backend) prtree.Backend {
 		trigger := int64(0)
 		if attempt > 0 {
@@ -371,7 +366,7 @@ func TestAllShardsDown(t *testing.T) {
 	}
 
 	// One armed query takes out both shards at once; reopens (trigger 1)
-	// keep failing until MaxRecoveries marks them failed for good.
+	// keep failing until maxRecoveries marks them failed for good.
 	ctx := context.Background()
 	set.Window(ctx, world, 0)
 	deadline := time.Now().Add(10 * time.Second)

@@ -14,48 +14,50 @@ import (
 // client refuses to touch it until the cooldown allows a probe.
 var ErrBreakerOpen = errors.New("serve: circuit breaker open")
 
-// RobustOptions tunes a RobustClient. The zero value retries up to 3
-// times with 10ms initial backoff.
+// The client's retry and breaker policy is fixed.
+const (
+	// maxRetries caps a request's attempts after its first.
+	maxRetries = 3
+	// breakerThreshold is the run of consecutive transport failures that
+	// opens the circuit breaker. While it is open, Do fails fast with
+	// ErrBreakerOpen; after the cool-off one probe goes through, and its
+	// success closes the breaker while its failure reopens it.
+	breakerThreshold = 5
+	// maxIdleConns bounds a RobustClient's pool of idle connections.
+	maxIdleConns = 8
+)
+
+// retryBackoff spaces a request's retries: 10ms, doubled per retry up to
+// 1s. An open breaker fails fast for that longest delay, 1s, and then lets
+// one probe through.
+var retryBackoff = backoff{first: 10 * time.Millisecond, max: time.Second}
+
+// RobustOptions configures a RobustClient.
 type RobustOptions struct {
 	// Addr is the server's binary-protocol address.
 	Addr string
-	// MaxRetries caps retry attempts after the first (default 3; negative
-	// disables retries).
-	MaxRetries int
-	// RetryBackoff is the initial retry delay (default 10ms), doubled per
-	// attempt with jitter up to RetryMaxBackoff (default 1s).
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
 
-	// BreakerThreshold is the consecutive transport-failure count that
-	// opens the per-address circuit breaker (default 5; negative
-	// disables). While open, Do fails fast with ErrBreakerOpen until
-	// BreakerCooldown (default 1s) passes; then one probe request is
-	// allowed through — success closes the breaker, failure reopens it.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// backoff, when set, replaces retryBackoff and with it the breaker's
+	// cool-off: the package's tests shorten their waits with it.
+	backoff backoff
 }
 
-// maxIdleConns bounds a RobustClient's pool of idle connections.
-const maxIdleConns = 8
+// backoff is a retry loop's delays: the first, doubled after each failed
+// attempt up to max, each with up to half again of random jitter so that
+// many callers failing at once do not come back in step.
+type backoff struct{ first, max time.Duration }
 
-func (o RobustOptions) normalized() RobustOptions {
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
+// or returns b, or def when b is unset.
+func (b backoff) or(def backoff) backoff {
+	if b.first <= 0 {
+		return def
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 10 * time.Millisecond
-	}
-	if o.RetryMaxBackoff <= 0 {
-		o.RetryMaxBackoff = time.Second
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = time.Second
-	}
-	return o
+	return b
+}
+
+// jittered returns d plus up to half of d again at random.
+func jittered(d time.Duration) time.Duration {
+	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
 // RobustCounters snapshots a RobustClient's resilience counters.
@@ -89,7 +91,8 @@ type breaker struct {
 // problem behind extra load, exactly when the serving side can least
 // afford it.
 type RobustClient struct {
-	opt RobustOptions
+	addr    string
+	backoff backoff
 
 	poolMu sync.Mutex
 	idle   []*Client
@@ -105,7 +108,7 @@ type RobustClient struct {
 // DialRobust returns a RobustClient for opt.Addr. No connection is opened
 // until the first request.
 func DialRobust(opt RobustOptions) *RobustClient {
-	return &RobustClient{opt: opt.normalized()}
+	return &RobustClient{addr: opt.Addr, backoff: opt.backoff.or(retryBackoff)}
 }
 
 // Counters snapshots the client's resilience counters.
@@ -141,7 +144,7 @@ func (rc *RobustClient) getConn() (*Client, error) {
 		return cl, nil
 	}
 	rc.poolMu.Unlock()
-	return Dial(rc.opt.Addr)
+	return Dial(rc.addr)
 }
 
 // putConn returns a healthy connection to the pool (closing it if the
@@ -159,9 +162,6 @@ func (rc *RobustClient) putConn(cl *Client) {
 
 // allow reports whether the breaker admits a request right now.
 func (rc *RobustClient) allow() bool {
-	if rc.opt.BreakerThreshold < 0 {
-		return true
-	}
 	b := &rc.brk
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -183,9 +183,6 @@ func (rc *RobustClient) allow() bool {
 // reportTransport records one attempt's transport outcome. ok covers any
 // server response, error responses included — the wire worked.
 func (rc *RobustClient) reportTransport(ok bool) {
-	if rc.opt.BreakerThreshold < 0 {
-		return
-	}
 	b := &rc.brk
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -196,11 +193,11 @@ func (rc *RobustClient) reportTransport(ok bool) {
 		return
 	}
 	b.fails++
-	if b.fails >= rc.opt.BreakerThreshold {
+	if b.fails >= breakerThreshold {
 		if b.openUntil.IsZero() {
 			rc.breakerOpens.Add(1)
 		}
-		b.openUntil = time.Now().Add(rc.opt.BreakerCooldown)
+		b.openUntil = time.Now().Add(rc.backoff.max)
 	}
 }
 
@@ -248,12 +245,12 @@ func (rc *RobustClient) Do(req Request) (Result, error) {
 	if req.DeadlineMillis > 0 {
 		budget = time.Now().Add(time.Duration(req.DeadlineMillis) * time.Millisecond)
 	}
-	backoff := rc.opt.RetryBackoff
+	delay := rc.backoff.first
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if !rc.allow() {
 			rc.breakerDenied.Add(1)
-			err := fmt.Errorf("%w: %s", ErrBreakerOpen, rc.opt.Addr)
+			err := fmt.Errorf("%w: %s", ErrBreakerOpen, rc.addr)
 			if lastErr != nil {
 				err = fmt.Errorf("%w (last error: %v)", ErrBreakerOpen, lastErr)
 			}
@@ -264,18 +261,15 @@ func (rc *RobustClient) Do(req Request) (Result, error) {
 			return res, nil
 		}
 		lastErr = err
-		if !retryable(err) || attempt >= rc.opt.MaxRetries {
+		if !retryable(err) || attempt >= maxRetries {
 			return Result{}, err
 		}
-		d := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
+		d := jittered(delay)
 		if !budget.IsZero() && time.Now().Add(d).After(budget) {
 			return Result{}, fmt.Errorf("serve: deadline budget exhausted after %d attempts: %w", attempt+1, err)
 		}
 		time.Sleep(d)
 		rc.retries.Add(1)
-		backoff *= 2
-		if backoff > rc.opt.RetryMaxBackoff {
-			backoff = rc.opt.RetryMaxBackoff
-		}
+		delay = min(2*delay, rc.backoff.max)
 	}
 }

@@ -49,12 +49,10 @@ func startFakeFrameServer(t *testing.T, handle func(Request) []byte) string {
 	return lis.Addr().String()
 }
 
+// fastRetry are RobustOptions whose retries, and breaker cool-off, take
+// milliseconds.
 func fastRetry(addr string) RobustOptions {
-	return RobustOptions{
-		Addr:            addr,
-		RetryBackoff:    time.Millisecond,
-		RetryMaxBackoff: 5 * time.Millisecond,
-	}
+	return RobustOptions{Addr: addr, backoff: backoff{first: time.Millisecond, max: 5 * time.Millisecond}}
 }
 
 // TestRobustRetriesOverload: CodeOverloaded rejections are retried with
@@ -160,32 +158,32 @@ func TestRobustBreaker(t *testing.T) {
 		}
 	}()
 
-	opt := fastRetry(lis.Addr().String())
-	opt.MaxRetries = -1 // one attempt per Do: transitions stay countable
-	opt.BreakerThreshold = 3
-	opt.BreakerCooldown = 20 * time.Millisecond
+	// The cool-off is long enough that the retry sleeps below end inside it.
+	opt := RobustOptions{Addr: lis.Addr().String(), backoff: backoff{first: time.Millisecond, max: 100 * time.Millisecond}}
 	rc := DialRobust(opt)
 	defer rc.Close()
 
-	for i := 0; i < 3; i++ {
-		if _, err := rc.Do(Request{Op: OpWindow}); err == nil {
-			t.Fatalf("request %d against a hanging-up server succeeded", i)
-		} else if errors.Is(err, ErrBreakerOpen) {
-			t.Fatalf("request %d denied before the threshold", i)
-		}
+	// The first request fails its attempt and every retry: maxRetries+1
+	// transport failures, one short of the threshold.
+	if _, err := rc.Do(Request{Op: OpWindow}); err == nil {
+		t.Fatal("request against a hanging-up server succeeded")
+	} else if errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("request denied before the threshold: %v", err)
 	}
+	// The second request's first attempt is the breakerThreshold-th
+	// failure: the breaker opens, and its retry is failed fast.
 	if _, err := rc.Do(Request{Op: OpWindow}); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("got %v, want ErrBreakerOpen after %d failures", err, opt.BreakerThreshold)
+		t.Fatalf("got %v, want ErrBreakerOpen after %d failures", err, breakerThreshold)
 	}
 	c := rc.Counters()
-	if c.BreakerOpens != 1 || c.BreakerDenied != 1 {
-		t.Fatalf("counters %+v, want 1 open and 1 denial", c)
+	if c.BreakerOpens != 1 || c.BreakerDenied != 1 || c.Retries != maxRetries+1 {
+		t.Fatalf("counters %+v, want 1 open, 1 denial and %d retries", c, maxRetries+1)
 	}
 
-	// Heal the server; after the cooldown one probe goes through, closes
+	// Heal the server; after the cool-off one probe goes through, closes
 	// the breaker, and traffic flows again.
 	healthy.Store(true)
-	time.Sleep(opt.BreakerCooldown + 5*time.Millisecond)
+	time.Sleep(opt.backoff.max + 5*time.Millisecond)
 	if _, err := rc.Do(Request{Op: OpWindow}); err != nil {
 		t.Fatalf("probe after cooldown failed: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -37,7 +36,6 @@ type Manifest struct {
 	// a shard is a file and the items in it.
 	Partition string      `json:"partition"`
 	Loader    string      `json:"loader"`
-	BlockSize int         `json:"block_size"`
 	Items     int         `json:"items"`
 	Shards    []ShardInfo `json:"shards"`
 }
@@ -56,8 +54,6 @@ type BuildOptions struct {
 	// Loader bulk-loads each shard. The zero value is prtree.Hilbert
 	// (the Loader enum's first member); prtool shard defaults to PR.
 	Loader prtree.Loader
-	// BlockSize passes through to prtree.Options.
-	BlockSize int
 	// Parallelism is the build's worker budget (clamped to GOMAXPROCS; 0
 	// or 1 means serial). Shards come first: up to Parallelism of them
 	// load at once, and each shard's bulk-load pipeline gets an equal
@@ -99,14 +95,13 @@ func Build(dir string, items []geom.Item, opt BuildOptions) (*Manifest, error) {
 		Version:   manifestVersion,
 		Partition: "hilbert",
 		Loader:    opt.Loader.String(),
-		BlockSize: opt.BlockSize,
 		Items:     len(items),
 	}
 	// One budget, shards first: what the concurrent shard builds leave
 	// over is divided among their pipelines instead of multiplying it.
 	budget := parallel.Bound(opt.Parallelism)
 	workers := min(budget, len(parts))
-	topts := &prtree.Options{BlockSize: opt.BlockSize, Parallelism: budget / workers}
+	topts := &prtree.Options{Parallelism: budget / workers}
 	man.Shards = make([]ShardInfo, len(parts))
 	for i, part := range parts {
 		man.Shards[i] = ShardInfo{File: fmt.Sprintf("shard-%03d.pr", i), Items: len(part)}
@@ -286,6 +281,13 @@ func gather(items []geom.Item, pos []uint32) []geom.Item {
 	return out
 }
 
+// A quarantined shard's supervisor makes at most maxRecoveries reopen
+// attempts, spaced by recoveryBackoff (100ms, doubled per attempt up to
+// 10s), before it declares the shard failed.
+const maxRecoveries = 5
+
+var recoveryBackoff = backoff{first: 100 * time.Millisecond, max: 10 * time.Second}
+
 // OpenOptions tunes Open.
 type OpenOptions struct {
 	// CachePages is the global page-cache budget shared by the whole set:
@@ -296,34 +298,13 @@ type OpenOptions struct {
 	// resident).
 	CachePages int
 
-	// MaxRecoveries caps reopen attempts per quarantine before the shard
-	// is declared permanently failed (default 5; negative retries
-	// forever).
-	MaxRecoveries int
-	// RecoveryBackoff is the supervisor's initial retry delay (default
-	// 100ms); each failed reopen doubles it, with jitter, up to
-	// RecoveryMaxBackoff (default 10s).
-	RecoveryBackoff    time.Duration
-	RecoveryMaxBackoff time.Duration
-
+	// backoff, when set, replaces recoveryBackoff: the package's tests
+	// shorten the supervisor's waits with it.
+	backoff backoff
 	// wrapShard is the tests' fault-injection seam: when set, every
 	// (re)open of shard idx routes its backend through this hook. attempt
 	// is 0 for the initial Open and counts recovery reopens from 1.
 	wrapShard func(idx, attempt int, b prtree.Backend) prtree.Backend
-}
-
-// normalized fills in recovery defaults.
-func (o OpenOptions) normalized() OpenOptions {
-	if o.MaxRecoveries == 0 {
-		o.MaxRecoveries = 5
-	}
-	if o.RecoveryBackoff <= 0 {
-		o.RecoveryBackoff = 100 * time.Millisecond
-	}
-	if o.RecoveryMaxBackoff <= 0 {
-		o.RecoveryMaxBackoff = 10 * time.Second
-	}
-	return o
 }
 
 // ShardState is one shard's position in the rotation.
@@ -336,7 +317,7 @@ const (
 	// or checksum failure; a supervisor goroutine is trying to bring them
 	// back (close → reopen → WAL replay → scrub).
 	ShardQuarantined
-	// ShardFailed shards exhausted MaxRecoveries reopen attempts and stay
+	// ShardFailed shards exhausted their reopen attempts and stay
 	// out of rotation until the set is reopened.
 	ShardFailed
 )
@@ -430,8 +411,8 @@ func (sh *shard) lastErrString() string {
 // The set survives shard failures: a leg that hits a backend error or
 // checksum panic quarantines its shard instead of failing the query, the
 // response reports which shards are missing (Partial), and a background
-// supervisor works to bring the shard back — see OpenOptions'
-// MaxRecoveries/RecoveryBackoff knobs and the Health method.
+// supervisor works to bring the shard back — see maxRecoveries and the
+// Health method.
 type Set struct {
 	dir      string
 	manifest Manifest
@@ -488,6 +469,7 @@ func Open(dir string, opt OpenOptions) (*Set, error) {
 		}
 		files[name] = true
 	}
+	opt.backoff = opt.backoff.or(recoveryBackoff)
 	perShard := -1 // unbounded
 	if opt.CachePages > 0 {
 		if opt.CachePages < len(man.Shards) {
@@ -497,7 +479,7 @@ func Open(dir string, opt OpenOptions) (*Set, error) {
 	}
 	s := &Set{
 		dir: dir, manifest: man, mbr: geom.EmptyRect(),
-		opt: opt.normalized(), perCache: perShard,
+		opt: opt, perCache: perShard,
 		done: make(chan struct{}),
 	}
 	for i, si := range man.Shards {
@@ -719,18 +701,17 @@ func (s *Set) quarantine(i int, cause error) {
 // supervise is the per-quarantine recovery loop: close the broken tree,
 // reopen it (replaying any WAL tail), scrub it, and put the shard back in
 // rotation — retrying with capped exponential backoff plus jitter, and
-// declaring the shard permanently failed after MaxRecoveries attempts.
+// declaring the shard permanently failed after maxRecoveries attempts.
 func (s *Set) supervise(sh *shard) {
 	defer s.superWG.Done()
-	backoff := s.opt.RecoveryBackoff
+	delay := s.opt.backoff.first
 	for attempt := 1; ; attempt++ {
 		// Jittered sleep, aborted by Close. Jitter keeps a fleet of
 		// supervisors (many shards failing at once) from thundering back.
-		d := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
 		select {
 		case <-s.done:
 			return
-		case <-time.After(d):
+		case <-time.After(jittered(delay)):
 		}
 		sh.attempts.Add(1)
 		err := s.reopenShard(sh, attempt)
@@ -740,14 +721,11 @@ func (s *Set) supervise(sh *shard) {
 			return
 		}
 		sh.setLastErr(err)
-		if s.opt.MaxRecoveries >= 0 && attempt >= s.opt.MaxRecoveries {
+		if attempt >= maxRecoveries {
 			sh.state.Store(int32(ShardFailed))
 			return
 		}
-		backoff *= 2
-		if backoff > s.opt.RecoveryMaxBackoff {
-			backoff = s.opt.RecoveryMaxBackoff
-		}
+		delay = min(2*delay, s.opt.backoff.max)
 	}
 }
 

@@ -30,9 +30,7 @@ func TestTruncatedShardDegradesNotDies(t *testing.T) {
 	world := geom.ItemsMBR(items)
 	dir := buildDir(t, items, 3)
 
-	opt := fastRecovery()
-	opt.MaxRecoveries = 3
-	set, err := Open(dir, opt)
+	set, err := Open(dir, fastRecovery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +75,8 @@ func TestTruncatedShardDegradesNotDies(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st.Attempts != uint64(opt.MaxRecoveries) {
-		t.Errorf("%d reopen attempts, want %d", st.Attempts, opt.MaxRecoveries)
+	if st.Attempts != maxRecoveries {
+		t.Errorf("%d reopen attempts, want %d", st.Attempts, maxRecoveries)
 	}
 	if !strings.Contains(st.LastErr, storage.ErrTruncated.Error()) {
 		t.Errorf("recovery reports %q, want %q", st.LastErr, storage.ErrTruncated)

@@ -198,10 +198,10 @@ func TestPagerPinNeverEvicted(t *testing.T) {
 	if d.Stats().Reads != 30 {
 		t.Errorf("want 30 disk reads, got %d", d.Stats().Reads)
 	}
-	p.Unpin(ids[0])
+	p.Invalidate(ids[0])
 	_ = p.Read(ids[0])
 	if d.Stats().Reads != 31 {
-		t.Errorf("after unpin read should hit disk, got %d", d.Stats().Reads)
+		t.Errorf("after Invalidate a read should hit disk, got %d", d.Stats().Reads)
 	}
 }
 

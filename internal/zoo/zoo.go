@@ -154,7 +154,7 @@ var Entries = []Entry{
 	{"snapped16", func(n int, seed int64) []geom.Item { return Snapped(n, 16, 0.05, seed) }},
 	{"lattice", Lattice},
 	{"western", dataset.Western},
-	{"cluster", func(n int, seed int64) []geom.Item { return dataset.Cluster(n, dataset.ClusterOptions{}, seed) }},
+	{"cluster", func(n int, seed int64) []geom.Item { return dataset.Cluster(n, seed) }},
 	{"cross", func(n int, seed int64) []geom.Item { return Cross(n, 0.3, seed) }},
 	{"points", func(n int, seed int64) []geom.Item {
 		items := Uniform(n, 0, seed)

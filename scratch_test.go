@@ -44,7 +44,7 @@ func TestBulkLoadLeavesDenseIndexFile(t *testing.T) {
 	const blockSize = 512
 	items := zoo.Uniform(3000, 0.01, 5)
 	for _, l := range []Loader{Hilbert, Hilbert4D, TGS, PR} {
-		t.Run("raw/"+l.String(), func(t *testing.T) {
+		t.Run(l.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "dense.pr")
 			tr, err := Create(path, &Options{BlockSize: blockSize})

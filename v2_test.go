@@ -568,6 +568,42 @@ func TestQueryAllocsZero(t *testing.T) {
 			}
 		}
 	}
+	// Items tied at the k-th distance join the answer in pooled scratch
+	// until it is cut to k: 40 copies of one rectangle centred on the query
+	// point, among uniform items.
+	tied := zoo.Uniform(2000, 0.01, 29)
+	for i := range 40 {
+		tied = append(tied, Item{Rect: geom.NewRect(0.49, 0.49, 0.51, 0.51), ID: uint32(2000 + i)})
+	}
+	tiedTree := Bulk(tied, nil)
+	tiedDyn, _ := querySurfaceDynamic(t, tied)
+	for _, c := range []struct {
+		name string
+		run  func(Query) int
+	}{
+		{"Tree.Run", func(q Query) int {
+			n := 0
+			_ = tiedTree.Run(q, func(Item) bool { n++; return true })
+			return n
+		}},
+		{"Tree.Count", func(q Query) int { n, _ := tiedTree.Count(q); return n }},
+		{"Dynamic.Run", func(q Query) int {
+			n := 0
+			_ = tiedDyn.Run(q, func(Item) bool { n++; return true })
+			return n
+		}},
+		{"Dynamic.Count", func(q Query) int { n, _ := tiedDyn.Count(q); return n }},
+	} {
+		for _, k := range []int{1, 10, 100} {
+			q := Nearest(0.5, 0.5, k)
+			if n := c.run(q); n != k {
+				t.Fatalf("%s over ties at k %d finds %d", c.name, k, n)
+			}
+			if a := testing.AllocsPerRun(50, func() { c.run(q) }); a != 0 {
+				t.Errorf("%s over ties at k %d allocates %v a query; want 0", c.name, k, a)
+			}
+		}
+	}
 	// CollectNearest allocates the answer it hands over, once.
 	for _, k := range []int{1, 10, 100} {
 		q := Nearest(0.5, 0.5, k)
