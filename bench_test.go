@@ -320,7 +320,7 @@ func benchFileLoad(b *testing.B, items []Item, load func(*Tree) (uint64, error))
 // is a counted disk read) at increasing worker counts. Besides wall time
 // it reports queries/sec and blockIO/op, and FAILS if any parallel run's
 // aggregate block-I/O deviates from the serial run's — the invariant the
-// pager's miss path, filled under its shard's lock, guarantees.
+// pager's miss path, filled under the pager's lock, guarantees.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	// Let parallel.Run fan out even when cores are scarce; on a multi-core
 	// machine this is a no-op beyond 8 and queries/sec scales with cores.

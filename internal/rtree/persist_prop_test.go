@@ -27,14 +27,14 @@ func TestLoadRejectsRawFlaggedOversizedRoot(t *testing.T) {
 }
 
 // TestPersistReopenProperty is the persistence acceptance property:
-// bulk-built trees of the raw page layout, across block sizes and seeds,
-// on grid-snapped and full-precision data, must reopen from their metadata
-// record over their pages with their structural invariants intact
-// (Validate walks every page) and bit-identical query results.
+// bulk-built trees, across block sizes and seeds, on grid-snapped and
+// full-precision data, must reopen from their metadata record over their
+// pages with their structural invariants intact (Validate walks every
+// page) and bit-identical query results.
 func TestPersistReopenProperty(t *testing.T) {
 	for _, blockSize := range []int{512, 1024, 4096, 8192} {
 		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("block=%d/raw/seed=%d", blockSize, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("block=%d/seed=%d", blockSize, seed), func(t *testing.T) {
 				var items []geom.Item
 				if seed%2 == 1 {
 					items = zoo.Snapped(2500, 16, 0.05, seed)

@@ -26,71 +26,56 @@ import (
 // # Concurrency
 //
 // A Pager is safe for use by many concurrent readers (Read, Pin,
-// CacheStats, CachedPages): the cache is lock-striped across power-of-two
-// shards keyed by page id, and the hit/miss counters are atomic. Every
-// capacity takes the same read path. In a shard without an LRU (unbounded
-// or capacity 0) a hit takes only the shard's read lock. A capacity-0 miss
-// publishes nothing, so it fetches with no lock held. Every other miss
-// takes the shard's write lock, probes again, and fetches and publishes
-// the page under it; a second reader of the same page waits on that lock
-// and then counts a hit. So concurrent first touches of a page are one
-// miss and one block read, and both the hit/miss tallies and the disk's
+// CacheStats, CachedPages): one lock guards one map of entries, pinned and
+// cached alike, and the hit/miss counters are atomic. Without an LRU
+// (unbounded or capacity 0) a hit takes only the read lock, and a
+// capacity-0 miss, which publishes nothing, fetches with no lock held.
+// Every other read takes the write lock; a miss probes again, then fetches
+// and publishes the page under it, so a second reader of the same page
+// waits and then counts a hit. So concurrent first touches of a page are
+// one miss and one block read, and the hit/miss tallies and the disk's
 // block-read counter are what a serial execution of the same accesses
-// would produce — which keeps the aggregate block I/O of concurrent
-// queries bit-identical to serial runs. The price: while a miss fills,
-// hits on its shard wait. A fill is one ReadNoCopy: a slice lookup, a
-// mapped view (plus its first-view checksum) or one pread; an unbounded
-// cache pays it once per page.
+// would produce: the aggregate block I/O of concurrent queries is
+// bit-identical to serial runs. The price: while a miss fills, hits wait.
+// A fill is one ReadNoCopy: a slice lookup, a mapped view (plus its
+// first-view checksum) or one pread; an unbounded cache pays it once per
+// page.
 //
-// Writers (Write, Invalidate, DropCache) are individually safe to
-// call, but mutating the underlying pages while queries read them is a
+// Writers (Write, Invalidate, DropCache) are individually safe to call,
+// but mutating the underlying pages while queries read them is a
 // higher-level contract violation: a built rtree.Tree is read-only, and a
-// page is written only before any reader can reach it.
+// page is written only before any reader can reach it. So Write stores
+// its bytes with no lock held, and takes the write lock only to drop or
+// refresh the page's entry: a carry's page writes do not stall readers.
 //
-// Unbounded (capacity < 0, the production default) and capacity-0 pagers
-// never evict, so striping cannot change which accesses hit. A bounded
-// pager (capacity > 0) evicts in exact global least-recently-used order,
-// so it is one shard with its LRU: every read takes its write lock. Bounded
-// caches model the paper's buffer for cache-pressure work.
+// A bounded pager (capacity > 0) evicts unpinned entries in exact
+// least-recently-used order. Bounded caches model the paper's buffer for
+// cache-pressure work.
 type Pager struct {
 	dev      Backend
 	capacity int // max unpinned cached pages; <0 means unbounded, 0 caches none
-	shards   []pagerShard
-	mask     uint32
+
+	mu sync.RWMutex
+	// lru heads a bounded pager's ring of unpinned entries, the most
+	// recently used at lru.next, the least at lru.prev; nil in unbounded
+	// and capacity-0 pagers.
+	lru      *cacheEntry
+	entries  map[PageID]*cacheEntry
+	unpinned int // entries not pinned: what capacity bounds
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
-// pagerShardCount is the stripe width for unbounded and capacity-0 pagers.
-// It must be a power of two (the shard index is id & mask).
-const pagerShardCount = 16
-
-type pagerShard struct {
-	mu sync.RWMutex
-	// lru heads a bounded shard's ring of entries, the most recently used
-	// at lru.next, the least at lru.prev; nil in unbounded and capacity-0
-	// pagers.
-	lru     *cacheEntry
-	entries map[PageID]*cacheEntry
-	pinned  map[PageID][]byte
-}
-
-// cacheEntry is one unpinned cached page, published only once its bytes
-// are filled. In a bounded shard it is a link of the LRU ring, and a miss
-// that evicts reuses the evicted entry, so it allocates nothing.
+// cacheEntry is one resident page, published only once its bytes are
+// filled. An unpinned entry of a bounded pager is a link of the LRU ring,
+// and a miss that evicts reuses the evicted entry, so it allocates nothing.
 type cacheEntry struct {
 	id         PageID
 	data       []byte
-	prev, next *cacheEntry // bounded shards only
-}
-
-// ring returns the head of an empty LRU ring.
-func ring() *cacheEntry {
-	e := new(cacheEntry)
-	e.prev, e.next = e, e
-	return e
+	pinned     bool
+	prev, next *cacheEntry // unpinned entries of bounded pagers only
 }
 
 func (e *cacheEntry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
@@ -105,30 +90,13 @@ func (e *cacheEntry) linkAfter(at *cacheEntry) {
 // capacity unpinned pages, evicting the least recently used. capacity 0
 // caches no unpinned page; a negative capacity means "unbounded".
 func NewPager(dev Backend, capacity int) *Pager {
-	nshards := pagerShardCount
+	p := &Pager{dev: dev, capacity: capacity, entries: make(map[PageID]*cacheEntry)}
 	if capacity > 0 {
-		// A bounded cache keeps an exact global eviction order, which a
-		// striped cache cannot provide; it runs as a single shard.
-		nshards = 1
-	}
-	p := &Pager{
-		dev:      dev,
-		capacity: capacity,
-		shards:   make([]pagerShard, nshards),
-		mask:     uint32(nshards - 1),
-	}
-	for i := range p.shards {
-		s := &p.shards[i]
-		if capacity > 0 {
-			s.lru = ring()
-		}
-		s.entries = make(map[PageID]*cacheEntry)
-		s.pinned = make(map[PageID][]byte)
+		p.lru = new(cacheEntry)
+		p.lru.prev, p.lru.next = p.lru, p.lru // an empty ring
 	}
 	return p
 }
-
-func (p *Pager) shard(id PageID) *pagerShard { return &p.shards[uint32(id)&p.mask] }
 
 // Backend returns the underlying device.
 func (p *Pager) Backend() Backend { return p.dev }
@@ -137,13 +105,12 @@ func (p *Pager) Backend() Backend { return p.dev }
 // one block read) only on a cache miss. The returned slice is shared with
 // the cache and must be treated as read-only.
 func (p *Pager) Read(id PageID) []byte {
-	s := p.shard(id)
-	if s.lru == nil {
+	if p.lru == nil {
 		// Without an LRU a hit changes nothing, so it needs only the read
 		// lock.
-		s.mu.RLock()
-		data, ok := s.lookup(id)
-		s.mu.RUnlock()
+		p.mu.RLock()
+		data, ok := p.lookup(id)
+		p.mu.RUnlock()
 		if ok {
 			p.hits.Add(1)
 			return data
@@ -155,48 +122,46 @@ func (p *Pager) Read(id PageID) []byte {
 			return p.dev.ReadNoCopy(id)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	// Probe again: another reader may have filled or pinned the page since.
-	if data, ok := s.lookup(id); ok {
+	if data, ok := p.lookup(id); ok {
 		p.hits.Add(1)
 		return data
 	}
 	p.misses.Add(1)
 	data := p.dev.ReadNoCopy(id)
 	var ce *cacheEntry
-	if s.lru != nil && len(s.entries) >= p.capacity {
+	if p.lru != nil && p.unpinned >= p.capacity {
 		// Full: the least recently used entry is evicted and carries the
 		// new page.
-		ce = s.lru.prev
+		ce = p.lru.prev
 		ce.unlink()
-		delete(s.entries, ce.id)
+		delete(p.entries, ce.id)
 		p.evictions.Add(1)
 	} else {
 		ce = new(cacheEntry)
+		p.unpinned++
 	}
 	ce.id, ce.data = id, data
-	s.entries[id] = ce
-	if s.lru != nil {
-		ce.linkAfter(s.lru)
+	p.entries[id] = ce
+	if p.lru != nil {
+		ce.linkAfter(p.lru)
 	}
 	return data
 }
 
-// lookup finds page id among the shard's pins and cached entries, moving an
-// entry of a bounded shard to the front of its LRU. The caller holds the
-// shard's lock: the write lock when the shard has an LRU.
-func (s *pagerShard) lookup(id PageID) ([]byte, bool) {
-	if data, ok := s.pinned[id]; ok {
-		return data, true
-	}
-	ce, ok := s.entries[id]
+// lookup finds page id's entry, moving an unpinned entry of a bounded pager
+// to the front of its LRU. The caller holds the lock: the write lock when
+// the pager has an LRU.
+func (p *Pager) lookup(id PageID) ([]byte, bool) {
+	ce, ok := p.entries[id]
 	if !ok {
 		return nil, false
 	}
-	if s.lru != nil {
+	if p.lru != nil && !ce.pinned {
 		ce.unlink()
-		ce.linkAfter(s.lru)
+		ce.linkAfter(p.lru)
 	}
 	return ce.data, true
 }
@@ -206,17 +171,14 @@ func (s *pagerShard) lookup(id PageID) ([]byte, bool) {
 // count as query I/O after the pin. rtree's PinInternal pins a tree's
 // internal nodes this way, and a node's pin goes when the node is freed.
 func (p *Pager) Pin(id PageID) {
-	s := p.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.pinned[id]; ok {
-		return
-	}
-	if ce, ok := s.entries[id]; ok {
-		s.remove(ce)
-		s.pinned[id] = ce.data
-	} else {
-		s.pinned[id] = p.dev.ReadNoCopy(id)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ce, ok := p.entries[id]
+	if !ok {
+		p.entries[id] = &cacheEntry{id: id, data: p.dev.ReadNoCopy(id), pinned: true}
+	} else if !ce.pinned {
+		p.unlist(ce)
+		ce.pinned = true
 	}
 }
 
@@ -230,51 +192,52 @@ func (p *Pager) Pin(id PageID) {
 // rtree frees a node only after invalidating it — so neither costs a
 // query a read.
 func (p *Pager) Write(id PageID, data []byte) {
-	s := p.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	p.dev.Write(id, data)
-	if _, ok := s.pinned[id]; ok {
-		s.pinned[id] = p.dev.ReadNoCopy(id)
-		return
-	}
-	if ce, ok := s.entries[id]; ok {
-		s.remove(ce)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ce, ok := p.entries[id]; ok && ce.pinned {
+		ce.data = p.dev.ReadNoCopy(id)
+	} else if ok {
+		p.remove(ce)
 	}
 }
 
 // Invalidate drops any cached copy of page id without touching the disk.
 func (p *Pager) Invalidate(id PageID) {
-	s := p.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.pinned, id)
-	if ce, ok := s.entries[id]; ok {
-		s.remove(ce)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ce, ok := p.entries[id]; ok {
+		p.remove(ce)
 	}
 }
 
-// remove drops a cache entry for a reason other than eviction (promotion to
-// the pin set, invalidation); the caller holds the shard's lock.
-func (s *pagerShard) remove(ce *cacheEntry) {
-	delete(s.entries, ce.id)
-	if s.lru != nil {
+// remove drops an entry for a reason other than eviction; the caller holds
+// the write lock.
+func (p *Pager) remove(ce *cacheEntry) {
+	delete(p.entries, ce.id)
+	if !ce.pinned {
+		p.unlist(ce)
+	}
+}
+
+// unlist takes an unpinned entry out of the LRU and out of the count that
+// capacity bounds; the caller holds the write lock.
+func (p *Pager) unlist(ce *cacheEntry) {
+	p.unpinned--
+	if p.lru != nil {
 		ce.unlink()
 	}
 }
 
 // DropCache empties the cache and the pin set.
 func (p *Pager) DropCache() {
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		if s.lru != nil {
-			s.lru = ring()
-		}
-		s.entries = make(map[PageID]*cacheEntry)
-		s.pinned = make(map[PageID][]byte)
-		s.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.lru != nil {
+		p.lru.prev, p.lru.next = p.lru, p.lru
 	}
+	p.entries = make(map[PageID]*cacheEntry)
+	p.unpinned = 0
 }
 
 // CacheStats is the pager's cumulative cache-behavior snapshot.
@@ -315,12 +278,7 @@ func (p *Pager) CacheStats() CacheStats {
 
 // CachedPages returns the number of resident pages (pinned + cached).
 func (p *Pager) CachedPages() int {
-	n := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.RLock()
-		n += len(s.pinned) + len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.entries)
 }

@@ -37,7 +37,7 @@ func newPagerFile(t *testing.T, n int) Backend {
 
 // TestPagerConcurrentReaders hammers an unbounded pager from many
 // goroutines with overlapping page sets — the access pattern of concurrent
-// queries (run under -race in CI). Misses filled under the shard lock must
+// queries (run under -race in CI). Misses filled under the pager's lock must
 // keep the counters exactly serial: one miss and one disk read per distinct
 // page, a hit for every other access.
 func TestPagerConcurrentReaders(t *testing.T) {
@@ -196,7 +196,7 @@ func TestPagerConcurrentStatsReaders(t *testing.T) {
 
 // TestPagerConcurrentPinDuringFill races Pin against readers filling the
 // same pages: whichever side gets there first must do the page's single
-// disk read (the other waits on the shard lock and finds the page), no
+// disk read (the other waits on the pager's lock and finds the page), no
 // orphaned cache entry may survive, and reads after the pin must serve the
 // pinned copy — over a Disk and over a page file's views.
 func TestPagerConcurrentPinDuringFill(t *testing.T) {
@@ -248,5 +248,29 @@ func TestPagerConcurrentPinDuringFill(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPagerConcurrentDropCache empties a bounded pager while a reader
+// reads through it (run under -race in CI): the reader's path must not
+// race with the reset of the LRU, and every read counts once.
+func TestPagerConcurrentDropCache(t *testing.T) {
+	p := NewPager(newPagerDisk(t, 8), 2)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			p.DropCache()
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if got := p.Read(PageID(i % 8)); got[0] != byte(i%8+1) {
+			t.Fatalf("page %d content = %d", i%8, got[0])
+		}
+	}
+	wg.Wait()
+	if hits, misses := hitsMisses(p); hits+misses != 2000 {
+		t.Errorf("hits+misses = %d, want 2000", hits+misses)
 	}
 }

@@ -2,6 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -162,5 +165,119 @@ func TestPagerCachesDiskPages(t *testing.T) {
 	p.Pin(0)
 	if got := p.Read(0); &got[0] != &d.PeekNoCopy(0)[0] {
 		t.Error("page 0: the pin holds a copy, not the Disk's page")
+	}
+}
+
+// pagerModel is the reference a Pager is checked against: the pages' bytes,
+// the pin set and the unpinned cached pages, most recently used first.
+type pagerModel struct {
+	capacity                       int
+	pages                          [][]byte
+	pins                           map[PageID]bool
+	lru                            []PageID
+	hits, misses, evictions, reads uint64
+}
+
+// drop takes id out of the unpinned cache; it reports whether id was there.
+func (m *pagerModel) drop(id PageID) bool {
+	i := slices.Index(m.lru, id)
+	if i >= 0 {
+		m.lru = slices.Delete(m.lru, i, i+1)
+	}
+	return i >= 0
+}
+
+func (m *pagerModel) read(id PageID) []byte {
+	switch {
+	case m.pins[id]:
+		m.hits++
+	case m.drop(id):
+		m.hits++
+		m.lru = slices.Insert(m.lru, 0, id)
+	default:
+		m.misses++
+		m.reads++
+		if m.capacity != 0 {
+			if m.capacity > 0 && len(m.lru) == m.capacity {
+				m.lru = m.lru[:len(m.lru)-1]
+				m.evictions++
+			}
+			m.lru = slices.Insert(m.lru, 0, id)
+		}
+	}
+	return m.pages[id]
+}
+
+func (m *pagerModel) pin(id PageID) {
+	if !m.pins[id] && !m.drop(id) {
+		m.reads++
+	}
+	m.pins[id] = true
+}
+
+func (m *pagerModel) write(id PageID, data []byte) {
+	copy(m.pages[id], data)
+	if m.pins[id] {
+		m.reads++
+	}
+	m.drop(id)
+}
+
+// TestPagerHistories runs seeded random histories of every pager operation
+// at each kind of capacity and checks the pager against pagerModel after
+// each step: the bytes a read returns, the hit, miss and eviction counts,
+// the resident pages and the disk's block reads, all exact.
+func TestPagerHistories(t *testing.T) {
+	const pages, blockSize = 12, 16
+	for _, capacity := range []int{-1, 0, 1, 2, 5} {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			d := NewDisk(blockSize)
+			m := &pagerModel{capacity: capacity, pins: map[PageID]bool{}}
+			for i := 0; i < pages; i++ {
+				d.Alloc()
+				m.pages = append(m.pages, make([]byte, blockSize))
+			}
+			p := NewPager(d, capacity)
+			for step := 0; step < 400; step++ {
+				id := PageID(rng.Intn(pages))
+				var op string
+				switch r := rng.Intn(100); {
+				case r < 55:
+					op = "read"
+					if got, want := p.Read(id), m.read(id); !bytes.Equal(got, want) {
+						t.Fatalf("capacity %d seed %d step %d: read of page %d = % x, want % x", capacity, seed, step, id, got, want)
+					}
+				case r < 67:
+					op = "pin"
+					p.Pin(id)
+					m.pin(id)
+				case r < 85:
+					data := make([]byte, blockSize)
+					if r >= 76 {
+						data = data[:1+rng.Intn(blockSize-1)]
+					}
+					rng.Read(data)
+					op = fmt.Sprintf("write of %d bytes", len(data))
+					p.Write(id, data)
+					m.write(id, data)
+				case r < 97:
+					op = "invalidate"
+					p.Invalidate(id)
+					delete(m.pins, id)
+					m.drop(id)
+				default:
+					op, id = "drop cache", 0
+					p.DropCache()
+					m.pins, m.lru = map[PageID]bool{}, nil
+				}
+				cs := p.CacheStats()
+				got := [...]uint64{cs.Hits, cs.Misses, cs.Evictions, uint64(p.CachedPages()), d.Stats().Reads}
+				want := [...]uint64{m.hits, m.misses, m.evictions, uint64(len(m.pins) + len(m.lru)), m.reads}
+				if got != want {
+					t.Fatalf("capacity %d seed %d step %d, %s of page %d: hits, misses, evictions, resident, disk reads = %v, want %v", capacity, seed, step, op, id, got, want)
+				}
+			}
+		}
 	}
 }

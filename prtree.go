@@ -48,7 +48,7 @@
 // neighbor's squared distance, and Count counts without collecting.
 //
 // The read path is safe for many concurrent goroutines — the page cache
-// reads each missed page once, under its shard's lock, and per-traversal
+// reads each missed page once, under the pager's lock, and per-traversal
 // scratch is pooled — so a batch of queries is the caller's own
 // goroutines, one query each, with results identical to sequential
 // execution. A BulkLoad requires exclusive access.

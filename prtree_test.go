@@ -314,7 +314,7 @@ func TestConcurrentQueriesMatchSequentialFig12(t *testing.T) {
 	// Two nontrivial accounting regimes: capacity 0 with pinned internals is
 	// the paper's measurement mode (every leaf visit is one disk read), and
 	// the unbounded default with a cold cache charges each distinct page
-	// once, its miss filled under the shard lock.
+	// once, its miss filled under the pager's lock.
 	for _, capacity := range []int{-1, 0} {
 		// The facade treats CacheCapacity 0 as "default" (unbounded), so
 		// build the capacity-0 pager explicitly for the paper's

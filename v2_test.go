@@ -652,6 +652,35 @@ func TestUncachedDiskWindowAllocsZero(t *testing.T) {
 	}
 }
 
+// TestPagerReplayCounts pins the pager's counters over a serial replay of
+// 20,000 1 % windows after PinInternal, with a bounded cache of a tenth of
+// the tree's nodes and with an unbounded one. Every count is exact, so a
+// change to eviction order, pin accounting or the miss path shows here.
+func TestPagerReplayCounts(t *testing.T) {
+	items := dataset.Western(30000, 2004)
+	nodes := bulk.PRTreeSlice(storage.NewPager(storage.NewDisk(storage.DefaultBlockSize), -1), items, bulk.Options{}).Nodes()
+	queries := workload.Squares(geom.ItemsMBR(items), 0.01, 20000, 7)
+	for _, want := range []struct {
+		stats storage.CacheStats
+		reads uint64 // block reads after PinInternal
+	}{
+		{storage.CacheStats{Hits: 74625, Misses: 114200, Evictions: 114178, Resident: 22, Capacity: nodes / 10}, 114005},
+		{storage.CacheStats{Hits: 188630, Misses: 195, Resident: 195, Capacity: -1}, 0},
+	} {
+		disk := storage.NewDisk(storage.DefaultBlockSize)
+		pager := storage.NewPager(disk, want.stats.Capacity)
+		tree := bulk.PRTreeSlice(pager, items, bulk.Options{})
+		tree.PinInternal()
+		disk.ResetStats()
+		for _, q := range queries {
+			tree.RunWindow(q, false, nil, rtree.RunOptions{})
+		}
+		if got, reads := pager.CacheStats(), disk.Stats().Reads; nodes != 195 || got != want.stats || reads != want.reads {
+			t.Errorf("%d nodes, capacity %d: %+v and %d block reads; want 195 nodes, %+v and %d", nodes, want.stats.Capacity, got, reads, want.stats, want.reads)
+		}
+	}
+}
+
 // TestConcurrentIterFileBacked runs many Iter consumers against one
 // file-backed tree simultaneously — the race-detector test for the
 // file backend + pager + pull-iterator stack. Run under -race in CI
