@@ -1,6 +1,7 @@
 package prtree
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -392,27 +393,28 @@ func TestCheckPagesFlippedByte(t *testing.T) {
 	}
 }
 
-// TestFaultSweepRecovery drives a file-backed tree through every mode of
-// storage.Faulty, placed under it with Options.WrapBackend: a committed
-// base, then rebuilds over a growing item set — one BulkLoad, one
-// transaction each; rebuild i holds i items more than the base, so the
+// TestFaultSweepRecovery drives a file-backed tree through the error and
+// stop modes of storage.Faulty, placed under it with Options.WrapBackend,
+// and through a kill at a persistence step (SetCrashAfterSteps): a
+// committed base, then rebuilds over a growing item set — one BulkLoad,
+// one transaction each; rebuild i holds i items more than the base, so the
 // recovered size names the rebuild — with the fault armed 25 counted ops
-// in, until the backend errors, dies or silently stops persisting. The
-// process then dies without a checkpoint (Abandon) and the index is
-// reopened. The honest modes (error, crash) recover exactly the last acked
-// rebuild, sound; the stop mode, a disk that acks commits it dropped,
-// recovers at most that; a torn write is a short write the checksum
-// cannot see (it covers what was written), so its reopened tree need only
-// be well formed.
+// or persistence steps in, until the backend errors, dies or silently
+// stops persisting. The process then dies without a checkpoint (Abandon)
+// and the index is reopened. The honest faults (error, crash) recover
+// exactly the last acked rebuild, sound; the stop mode, a disk that acks
+// commits it dropped, recovers at most that.
 func TestFaultSweepRecovery(t *testing.T) {
 	const rebuilds = 40
 	items := dataset.Western(1000+rebuilds, 12)
 	base := len(items) - rebuilds
-	for _, mode := range []storage.FaultMode{storage.FaultError, storage.FaultTorn, storage.FaultCrash, storage.FaultStop} {
+	for _, mode := range []string{"error", "crash", "stop"} {
 		path := filepath.Join(t.TempDir(), "victim.pr")
 		var faulty *storage.Faulty
 		tr, err := Create(path, &Options{WrapBackend: func(b Backend) Backend {
-			faulty = storage.NewFaulty(b, mode, 0) // disarmed for the base
+			// "crash" gets the zero mode, FaultNone, which only counts.
+			fm := map[string]storage.FaultMode{"error": storage.FaultError, "stop": storage.FaultStop}[mode]
+			faulty = storage.NewFaulty(b, fm, 0) // disarmed for the base
 			return faulty
 		}})
 		if err != nil {
@@ -424,7 +426,11 @@ func TestFaultSweepRecovery(t *testing.T) {
 		if err := tr.Sync(); err != nil {
 			t.Fatalf("%s: base checkpoint: %v", mode, err)
 		}
-		faulty.Arm(25)
+		if fb := tr.fileBackend(t); mode == "crash" {
+			fb.SetCrashAfterSteps(fb.PersistSteps() + 25)
+		} else {
+			faulty.Arm(25)
+		}
 		acked := 0
 		for i := 1; i <= rebuilds; i++ {
 			if err := recoverPanic(func() error { return tr.BulkLoad(PR, items[:base+i]) }); err != nil {
@@ -444,7 +450,7 @@ func TestFaultSweepRecovery(t *testing.T) {
 		scrub := recoverPanic(re.CheckPages)
 		re.fileBackend(t).Abandon()
 		switch mode {
-		case storage.FaultError, storage.FaultCrash:
+		case "error", "crash":
 			if recovered != acked {
 				t.Errorf("%s: recovered rebuild %d, acked %d", mode, recovered, acked)
 			}
@@ -454,7 +460,7 @@ func TestFaultSweepRecovery(t *testing.T) {
 			if scrub != nil {
 				t.Errorf("%s: recovered file failed scrub: %v", mode, scrub)
 			}
-		case storage.FaultStop:
+		case "stop":
 			if recovered > acked {
 				t.Errorf("stop: recovered rebuild %d > acked %d", recovered, acked)
 			}
@@ -463,6 +469,146 @@ func TestFaultSweepRecovery(t *testing.T) {
 			}
 		}
 		t.Logf("%s: acked %d, recovered %d, validate %v, scrub %v", mode, acked, recovered, validate, scrub)
+	}
+}
+
+// failCommit is a decorator written the way a user would write one, by
+// embedding the Backend it wraps; once armed, it fails the next Commit.
+type failCommit struct {
+	Backend
+	armed bool
+}
+
+func (f *failCommit) Commit() error {
+	if f.armed {
+		f.armed = false
+		return fmt.Errorf("%w: commit", storage.ErrInjectedFault)
+	}
+	return f.Backend.Commit()
+}
+
+// TestFailedChangeClosesIndex: a change whose commit fails closes the
+// index, on a Tree and on a Dynamic, whether the change carries or only
+// logs a note. The failing call returns the error; every later change and
+// Sync fails; Close returns nil and leaves both files as the failure left
+// them; and the file reopens to the last committed state, holding exactly
+// the acknowledged items. Input refused before the transaction leaves the
+// index open.
+func TestFailedChangeClosesIndex(t *testing.T) {
+	items := crashItems(rand.New(rand.NewSource(60)), 600, 0)
+	var fc *failCommit
+	opts := &Options{BlockSize: 512, WrapBackend: func(b Backend) Backend {
+		fc = &failCommit{Backend: b}
+		return fc
+	}}
+	files := func(t *testing.T, path string) []byte {
+		page, err1 := os.ReadFile(path)
+		log, err2 := os.ReadFile(path + ".wal")
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		return append(page, log...)
+	}
+	type op struct {
+		name string
+		fn   func() error
+	}
+	// fails runs fail, whose commit the decorator fails, on x, which
+	// holds acked as committed, and checks everything after it.
+	fails := func(t *testing.T, path string, x crashIndex, acked []Item, fail func() error,
+		later []op, reopen func() (crashIndex, error)) {
+		want := indexDigest(t, x)
+		fc.armed = true
+		if err := fail(); !errors.Is(err, storage.ErrInjectedFault) {
+			t.Fatalf("the failing change returned %v, want the injected error", err)
+		}
+		failed := files(t, path)
+		for _, o := range later {
+			switch err := recoverPanic(o.fn); {
+			case err == nil:
+				t.Errorf("%s after the failed change succeeded", o.name)
+			case strings.HasPrefix(err.Error(), "panic: "):
+				t.Fatalf("%s after the failed change: %v", o.name, err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if err := x.Close(); err != nil {
+				t.Errorf("Close %d = %v, want nil", i+1, err)
+			}
+		}
+		if !bytes.Equal(files(t, path), failed) {
+			t.Error("the index files changed after the failed change")
+		}
+		re, err := reopen()
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer re.Close()
+		got := collect(t, re, Window(NewRect(-1, -1, 2, 2)))
+		slices.SortFunc(got, func(a, b Item) int { return cmp.Compare(a.ID, b.ID) })
+		if !slices.Equal(got, acked) {
+			t.Errorf("reopened with %d items, want the %d acknowledged", len(got), len(acked))
+		}
+		if err := re.CheckPages(); err != nil {
+			t.Errorf("CheckPages: %v", err)
+		}
+		if d := indexDigest(t, re); d != want { // indexDigest validates a Tree
+			t.Errorf("reopened to digest %08x, the last committed state is %08x", d, want)
+		}
+	}
+
+	t.Run("tree-bulkload", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "t.pr")
+		tr, err := Create(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := items[:300]
+		if err := tr.BulkLoad(PR, base); err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]Item{{Rect: Rect{MinX: 1, MaxX: 0}}}, items...)
+		if err := tr.BulkLoad(PR, bad); err == nil {
+			t.Fatal("a load with an invalid rectangle succeeded")
+		}
+		fails(t, path, tr, base, func() error { return tr.BulkLoad(PR, items) },
+			[]op{{"BulkLoad", func() error { return tr.BulkLoad(PR, base) }}, {"Sync", tr.Sync}},
+			func() (crashIndex, error) { return Open(path, nil) })
+	})
+
+	for _, carry := range []bool{true, false} {
+		t.Run(fmt.Sprintf("dynamic-insert/carry=%v", carry), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "d.prd")
+			d, err := CreateDynamic(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			insert := func() error { n++; return d.InsertE(items[n-1]) }
+			for n < 300 || (d.BufferLen()+1 == d.BufferCap()) != carry {
+				if err := insert(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d.InsertE(Item{Rect: Rect{MinX: 1, MaxX: 0}}) == nil {
+				t.Fatal("an insert with an invalid rectangle succeeded")
+			}
+			if ok, err := d.DeleteE(items[len(items)-1]); ok || err != nil {
+				t.Fatalf("deleting a missing item = %v, %v; want false, nil", ok, err)
+			}
+			merges := d.CompactionStats().MergesCompleted
+			fails(t, path, d, items[:n], insert,
+				[]op{
+					{"InsertE", func() error { return d.InsertE(items[n]) }},
+					{"DeleteE", func() error { _, err := d.DeleteE(items[0]); return err }},
+					{"FlushE", d.FlushE},
+					{"Sync", d.Sync},
+				},
+				func() (crashIndex, error) { return OpenDynamic(path, nil) })
+			if ran := d.CompactionStats().MergesCompleted > merges; ran != carry {
+				t.Errorf("the failed insert carried: %v, want %v", ran, carry)
+			}
+		})
 	}
 }
 

@@ -77,32 +77,31 @@ func (h *handle) openFile(path string, opts *Options, create bool, build func(Op
 }
 
 // txn brackets a change in one backend transaction: Begin, run fn, let
-// save stage what the commit publishes (its error rolls back), Commit. On
-// a durable backend the change is atomic — after Commit it survives a
-// crash; a panic out of fn (including an injected fault) rolls the
-// backend's in-memory state back to the last committed transaction before
-// re-panicking, so the on-disk index recovers cleanly even though the
-// value on top is no longer usable. On a backend without durability the
-// brackets do nothing.
+// save stage what the commit publishes, Commit. On a durable backend the
+// change is atomic — after Commit it survives a crash. A change that does
+// not commit — fn panics (an injected fault included), save fails or
+// Commit does — closes the index: the structure in memory has changed and
+// nothing restores it, so the backend is rolled back, which ends it, and
+// every later change and Sync fails. Close then writes nothing, and the
+// file reopens to the last commit. In memory the brackets do nothing, but
+// the index closes all the same.
 func (h *handle) txn(fn func(), save func() error) error {
 	h.io.Begin()
-	done := false
+	committed := false
 	defer func() {
-		if !done {
+		if !committed {
 			h.io.Rollback()
+			h.closed = true
 		}
 	}()
 	fn()
 	if err := save(); err != nil {
 		return err
 	}
-	done = true
 	if err := h.io.Commit(); err != nil {
-		// The backend rolls back to the committed state; the index's
-		// in-memory structure has already changed and must be reopened.
-		h.io.Rollback()
 		return err
 	}
+	committed = true
 	return nil
 }
 
@@ -121,13 +120,15 @@ func (h *handle) sync(save func() error) error {
 	return nil
 }
 
-// close runs save, then closes the backend. Closing twice is a no-op.
+// close runs save, unless the index is closed already, then closes the
+// backend, which a second time does nothing.
 func (h *handle) close(save func() error) error {
-	if h.closed {
-		return nil
+	var err error
+	if !h.closed {
+		h.closed = true
+		err = save()
 	}
-	h.closed = true
-	if err := errors.Join(save(), h.io.Close()); err != nil {
+	if err := errors.Join(err, h.io.Close()); err != nil {
 		return fmt.Errorf("prtree: close: %w", err)
 	}
 	return nil
@@ -239,5 +240,6 @@ func (t *Tree) Sync() error { return t.sync(t.saveMeta) }
 
 // Close persists the tree (like Sync) and releases the backend. A
 // file-backed tree closed cleanly reopens with Open; using the tree after
-// Close is invalid. Closing twice is a no-op.
+// Close is invalid. After a BulkLoad that did not commit, Close writes
+// nothing and returns nil. Closing twice is a no-op.
 func (t *Tree) Close() error { return t.close(t.saveMeta) }

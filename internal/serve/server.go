@@ -519,13 +519,6 @@ type ShardStatsz struct {
 	Recoveries  uint64 `json:"recoveries"`
 	Attempts    uint64 `json:"recovery_attempts"`
 	LastError   string `json:"last_error,omitempty"`
-
-	// Storage epoch state (epoch-pinned page reclamation): the current
-	// snapshot epoch, readers holding snapshots, and freed pages pinned
-	// until those readers drain.
-	SnapshotEpoch   uint64 `json:"snapshot_epoch"`
-	SnapshotReaders int    `json:"snapshot_readers"`
-	PinnedPages     int    `json:"pinned_pages"`
 }
 
 // Statsz is the /statsz document: server, shard, IO/cache and per-endpoint
@@ -603,16 +596,13 @@ func (s *Server) Statsz() Statsz {
 		st.Shards, st.Healthy, st.Items = ss.Shards, ss.Healthy, ss.Items
 		for _, sd := range ss.Status {
 			st.ShardDetail = append(st.ShardDetail, ShardStatsz{
-				File:            sd.File,
-				State:           sd.State.String(),
-				Errors:          sd.Errors,
-				Quarantines:     sd.Quarantines,
-				Recoveries:      sd.Recoveries,
-				Attempts:        sd.Attempts,
-				LastError:       sd.LastErr,
-				SnapshotEpoch:   sd.Snapshot.Epoch,
-				SnapshotReaders: sd.Snapshot.Readers,
-				PinnedPages:     sd.Snapshot.PinnedPages,
+				File:        sd.File,
+				State:       sd.State.String(),
+				Errors:      sd.Errors,
+				Quarantines: sd.Quarantines,
+				Recoveries:  sd.Recoveries,
+				Attempts:    sd.Attempts,
+				LastError:   sd.LastErr,
 			})
 		}
 		st.IO.Reads, st.IO.Writes = ss.IO.Reads, ss.IO.Writes

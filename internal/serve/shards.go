@@ -938,7 +938,6 @@ type ShardStatus struct {
 	Recoveries  uint64 // quarantined → healthy transitions
 	Attempts    uint64 // reopen attempts by the supervisor
 	LastErr     string
-	Snapshot    prtree.SnapshotStats // storage epoch state (epoch-pinned page reclamation)
 }
 
 // SetStats aggregates the set's I/O, cache and health counters.
@@ -970,15 +969,13 @@ func (s *Set) Stats() SetStats {
 		if status.State == ShardHealthy {
 			st.Healthy++
 		}
+		st.Status = append(st.Status, status)
 		sh.mu.RLock()
 		t := sh.tree
 		if t == nil {
 			sh.mu.RUnlock()
-			st.Status = append(st.Status, status)
 			continue
 		}
-		status.Snapshot = t.SnapshotStats()
-		st.Status = append(st.Status, status)
 		io := t.IOStats()
 		st.IO.Reads += io.Reads
 		st.IO.Writes += io.Writes

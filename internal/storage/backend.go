@@ -70,8 +70,11 @@ type Backend interface {
 	Begin()
 	// Commit atomically and durably applies everything since Begin.
 	Commit() error
-	// Rollback discards everything since Begin (e.g. on a mid-mutation
-	// panic). Without an open transaction it is a no-op.
+	// Rollback declares the store done: a transaction did not commit (its
+	// Commit failed, or the change panicked). It restores nothing; the
+	// owner may only read the store or Close it, and a durable store's
+	// Close then writes nothing, so the next open recovers the last
+	// commit. A store without durability does nothing.
 	Rollback()
 
 	// SnapshotEnter begins a snapshot read and returns the epoch token
@@ -108,7 +111,8 @@ type Backend interface {
 
 	// Sync flushes pages and metadata to stable storage.
 	Sync() error
-	// Close syncs and releases the backend.
+	// Close syncs and releases the backend; after Rollback it only
+	// releases it. Closing twice is a no-op.
 	Close() error
 }
 

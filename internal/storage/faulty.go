@@ -22,14 +22,6 @@ const (
 	// ErrInjectedFault (Write, whose interface has no error path,
 	// panics with the same wrapped error).
 	FaultError
-	// FaultTorn truncates the triggering Write to half a block — a torn
-	// page — and lets every later operation through untouched. Syncs and
-	// commits triggering FaultTorn degrade to FaultError.
-	FaultTorn
-	// FaultCrash panics with an error wrapping ErrInjectedFault on the
-	// triggering operation and on every operation after it, modeling a
-	// killed process whose store is gone.
-	FaultCrash
 	// FaultStop silently swallows the triggering operation and every
 	// later Write/Sync/Commit — persistence stops, no error surfaces.
 	// The most treacherous disk: reads still work, writes go nowhere.
@@ -42,10 +34,6 @@ func (m FaultMode) String() string {
 		return "none"
 	case FaultError:
 		return "error"
-	case FaultTorn:
-		return "torn"
-	case FaultCrash:
-		return "crash"
 	case FaultStop:
 		return "stop"
 	default:
@@ -55,10 +43,10 @@ func (m FaultMode) String() string {
 
 // Faulty decorates a Backend with deterministic failure injection: after
 // N counted operations (Write, Sync, Commit — the persistence path), the
-// configured fault fires. It exists so the recovery machinery is
-// exercised continuously by tests (the facade's TestFaultSweepRecovery
-// drives every mode) instead of only by real crashes. The zero trigger
-// (0) disarms injection.
+// configured fault fires. It models a live disk that errs or stops
+// persisting; a killed process is FileBackend.SetCrashAfterSteps. Tests
+// drive both (the facade's TestFaultSweepRecovery). The zero trigger (0)
+// disarms injection.
 //
 // Faulty is safe for the same concurrent use as its inner backend; the
 // trigger check is atomic.
@@ -98,20 +86,16 @@ func (f *Faulty) Arm(n int64) {
 }
 
 // step counts one operation and reports whether the fault fires on it.
-// FaultError and FaultTorn fire exactly once, at the trigger; the sticky
-// modes (FaultCrash, FaultStop) keep firing on every operation after it.
+// FaultError fires exactly once, at the trigger; FaultStop keeps firing on
+// every operation after it.
 func (f *Faulty) step() bool {
 	n := f.ops.Add(1)
 	t := f.trigger.Load()
-	sticky := f.mode == FaultCrash || f.mode == FaultStop
 	fire := t > 0 && n == t
 	if fire {
 		f.tripped.Store(true)
 	}
-	if !fire && sticky && f.tripped.Load() {
-		fire = true
-	}
-	return fire
+	return fire || f.mode == FaultStop && f.tripped.Load()
 }
 
 func (f *Faulty) injected(op string) error {
@@ -164,19 +148,14 @@ func (f *Faulty) PeekNoCopy(id PageID) []byte {
 }
 
 // Write implements Backend, applying the configured fault when triggered:
-// FaultTorn truncates this write to half a block, FaultStop drops it,
-// FaultCrash and FaultError panic (Write has no error return).
+// FaultStop drops the write, FaultError panics (Write has no error
+// return).
 func (f *Faulty) Write(id PageID, data []byte) {
 	if f.step() {
-		switch f.mode {
-		case FaultTorn:
-			f.inner.Write(id, data[:len(data)/2])
+		if f.mode == FaultStop {
 			return
-		case FaultStop:
-			return
-		default:
-			panic(f.injected("write"))
 		}
+		panic(f.injected("write"))
 	}
 	f.inner.Write(id, data)
 }
@@ -188,35 +167,24 @@ func (f *Faulty) SetMeta(meta []byte) { f.inner.SetMeta(meta) }
 // Meta implements Backend.
 func (f *Faulty) Meta() []byte { return f.inner.Meta() }
 
-// Begin implements Backend (uncounted). Once a sticky fault has
-// tripped, Begin follows it: FaultStop swallows the call (a dropped
-// Commit left the inner transaction open, and the treacherous disk keeps
-// acking), FaultCrash panics like every other operation.
+// Begin implements Backend (uncounted). Once FaultStop has tripped, Begin
+// is swallowed: a dropped Commit left the inner transaction open, and the
+// treacherous disk keeps acking.
 func (f *Faulty) Begin() {
-	if f.tripped.Load() {
-		switch f.mode {
-		case FaultStop:
-			return
-		case FaultCrash:
-			panic(f.injected("begin"))
-		}
+	if f.mode == FaultStop && f.tripped.Load() {
+		return
 	}
 	f.inner.Begin()
 }
 
-// Commit implements Backend, an injection point: FaultStop drops
-// the commit silently, FaultCrash panics, other modes return the
-// injected error.
+// Commit implements Backend, an injection point: FaultStop drops the
+// commit silently, FaultError returns the injected error.
 func (f *Faulty) Commit() error {
 	if f.step() {
-		switch f.mode {
-		case FaultStop:
+		if f.mode == FaultStop {
 			return nil
-		case FaultCrash:
-			panic(f.injected("commit"))
-		default:
-			return f.injected("commit")
 		}
+		return f.injected("commit")
 	}
 	return f.inner.Commit()
 }
@@ -254,14 +222,10 @@ func (f *Faulty) ResetStats() { f.inner.ResetStats() }
 // Sync implements Backend, an injection point like Commit.
 func (f *Faulty) Sync() error {
 	if f.step() {
-		switch f.mode {
-		case FaultStop:
+		if f.mode == FaultStop {
 			return nil
-		case FaultCrash:
-			panic(f.injected("sync"))
-		default:
-			return f.injected("sync")
 		}
+		return f.injected("sync")
 	}
 	return f.inner.Sync()
 }

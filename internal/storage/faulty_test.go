@@ -26,46 +26,6 @@ func TestFaultyError(t *testing.T) {
 	expectFaultPanic(t, func() { f2.Write(id, []byte{1}) })
 }
 
-// TestFaultyTorn: the triggering write lands as half a block; later
-// writes are whole again.
-func TestFaultyTorn(t *testing.T) {
-	disk := NewDisk(256)
-	f := NewFaulty(disk, FaultTorn, 2)
-	a := f.Alloc()
-	b := f.Alloc()
-	full := bytes.Repeat([]byte{0xAB}, 256)
-	f.Write(a, full) // op 1: intact
-	f.Write(b, full) // op 2: torn
-	if got := disk.ReadNoCopy(a); !bytes.Equal(got, full) {
-		t.Error("pre-trigger write damaged")
-	}
-	got := disk.ReadNoCopy(b)
-	if !bytes.Equal(got[:128], full[:128]) {
-		t.Error("torn write lost its head")
-	}
-	for _, by := range got[128:] {
-		if by != 0 {
-			t.Error("torn write filled its tail")
-			break
-		}
-	}
-	c := f.Alloc()
-	f.Write(c, full) // post-trigger: intact again
-	if got := disk.ReadNoCopy(c); !bytes.Equal(got, full) {
-		t.Error("post-trigger write damaged")
-	}
-}
-
-// TestFaultyCrashSticky: FaultCrash keeps killing every operation after
-// the trigger, like a dead process's file descriptors.
-func TestFaultyCrashSticky(t *testing.T) {
-	f := NewFaulty(NewDisk(256), FaultCrash, 1)
-	id := f.Alloc()
-	expectFaultPanic(t, func() { f.Write(id, []byte{1}) })
-	expectFaultPanic(t, func() { f.Write(id, []byte{2}) })
-	expectFaultPanic(t, func() { f.Sync() })
-}
-
 // TestFaultyStop: FaultStop silently swallows persistence from the
 // trigger on — the treacherous disk that acknowledges and drops.
 func TestFaultyStop(t *testing.T) {
@@ -105,10 +65,11 @@ func TestFaultyArm(t *testing.T) {
 }
 
 // TestFaultyCommitError: a FaultError on Commit leaves the inner file
-// backend's transaction open for Rollback, and the store recovers to the
-// committed state.
+// backend's transaction open; Rollback ends the handle, whose Close writes
+// nothing, and the file reopens to the committed state.
 func TestFaultyCommitError(t *testing.T) {
-	fb, err := CreateFile(tempIndex(t), 256)
+	path := tempIndex(t)
+	fb, err := CreateFile(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +85,19 @@ func TestFaultyCommitError(t *testing.T) {
 		t.Fatalf("Commit = %v, want ErrInjectedFault", err)
 	}
 	f.Rollback()
-	if got := fb.NumPages(); got != 1 {
-		t.Errorf("NumPages = %d after rollback, want 1", got)
+	if err := f.Sync(); err == nil {
+		t.Error("Sync after Rollback succeeded")
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+	re, err := OpenFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.NumPages(); got != 1 {
+		t.Errorf("reopened with %d pages, want the committed 1", got)
 	}
 }
 

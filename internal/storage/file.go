@@ -61,7 +61,8 @@ import (
 //   - writes go straight to the page file: by the invariant they land on
 //     fresh or committed-free pages, which no committed state reads;
 //   - pages freed by the transaction stay out of the allocator until it
-//     commits, so their committed bytes survive a rollback or a crash;
+//     commits, so their committed bytes survive a crash or a failed
+//     commit;
 //   - Note logs opaque bytes of the owner with the transaction — a logical
 //     record of a change that touched no page;
 //   - Commit flushes the page file, writes the notes, the post-state
@@ -113,6 +114,13 @@ import (
 // Writes outside a transaction are made durable by Sync or by the next
 // STATE-bearing commit (see the fsync rule).
 //
+// A transaction that does not commit ends the handle: Rollback undoes
+// nothing, it marks the handle failed. A failed handle still reads, but
+// refuses Begin, Commit and Sync, and its Close releases both files
+// without writing, like Abandon; the next Open recovers the last commit
+// from the log. An injected crash (see SetCrashAfterSteps) fails the
+// handle the same way.
+//
 // # Locks
 //
 // Like Disk, a FileBackend is safe for concurrent use. mu guards the
@@ -153,6 +161,10 @@ type FileBackend struct {
 	// append, fsync, header rewrite). See SetCrashAfterSteps.
 	steps      atomic.Int64
 	crashAfter atomic.Int64
+
+	// failed is set by Rollback and by an injected crash: the handle
+	// commits, syncs and flushes its run no more (see "# Durability").
+	failed atomic.Bool
 
 	// reads and writes count the demand I/O of the public Read,
 	// ReadNoCopy and Write (see Stats), nothing this handle does on its
@@ -228,23 +240,12 @@ type FileBackend struct {
 	epochPins // the snapshot hooks: epoch-pinned reclamation of freed pages
 }
 
-// fileTx is one open transaction: the pre-transaction state needed for
-// rollback, the pages it freed and the owner's notes.
-//
-// The freelist as it stood at Begin is captured before Alloc first takes
-// a page off it, and not at Begin: nothing else changes fb.free while a
-// transaction is open (Free parks pages in freed), and a transaction that
-// only logs a note never needs the copy.
+// fileTx is one open transaction: the pages it freed, the owner's notes
+// and whether it set the metadata.
 type fileTx struct {
-	prevNumPages int
-	prevMeta     []byte // the metadata at Begin, saved by the first SetMeta
-	metaSet      bool
-
-	snapped  bool
-	prevFree freeHeap
-
-	freed freeHeap // pages freed during the transaction
-	notes [][]byte
+	metaSet bool
+	freed   freeHeap // pages freed during the transaction
+	notes   [][]byte
 }
 
 // light reports whether the transaction did nothing but log notes, so its
@@ -776,19 +777,14 @@ func (fb *FileBackend) SetCrashAfterSteps(n int64) { fb.crashAfter.Store(n) }
 func (fb *FileBackend) PersistSteps() int64 { return fb.steps.Load() }
 
 // persistStep counts one persistence side effect and panics if a crash
-// point is armed and reached. Once tripped, every later step panics too.
+// point is armed and reached, failing the handle: it stands for a process
+// that is gone. Once tripped, every later step panics too.
 func (fb *FileBackend) persistStep() {
 	n := fb.steps.Add(1)
 	if c := fb.crashAfter.Load(); c > 0 && n >= c {
+		fb.failed.Store(true)
 		panic(fmt.Errorf("%w: killed at persistence step %d", ErrInjectedFault, n))
 	}
-}
-
-// crashed reports whether an injected crash has tripped: the handle
-// stands for a process that is gone, and performs nothing more.
-func (fb *FileBackend) crashed() bool {
-	c := fb.crashAfter.Load()
-	return c > 0 && fb.steps.Load() >= c
 }
 
 // BlockSize implements Backend.
@@ -857,24 +853,18 @@ func (fb *FileBackend) checkIDLocked(id PageID) {
 //
 // During a transaction only pages free in the last committed state are
 // recycled; pages freed within the transaction still hold content a crash
-// must be able to roll back to, and become allocatable after Commit.
+// must be able to recover, and become allocatable after Commit.
 func (fb *FileBackend) Alloc() PageID {
 	fb.commitMu.RLock()
 	defer fb.commitMu.RUnlock()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if len(fb.free) > 0 {
-		if tx := fb.tx; tx != nil && !tx.snapped {
-			tx.snapped = true
-			tx.prevFree = append(freeHeap(nil), fb.free...)
-		}
-		if id, ok := fb.takeLowest(&fb.free); ok {
-			// The zero fill is a direct write: it must be durable by the
-			// commit that makes the page reachable even if nobody writes the
-			// page.
-			fb.writeDirect(id, fb.zero)
-			return id
-		}
+	if id, ok := fb.takeLowest(&fb.free); ok {
+		// The zero fill is a direct write: it must be durable by the
+		// commit that makes the page reachable even if nobody writes the
+		// page.
+		fb.writeDirect(id, fb.zero)
+		return id
 	}
 	id := PageID(fb.numPages)
 	fb.numPages++
@@ -1171,11 +1161,11 @@ func (fb *FileBackend) flushRun() {
 }
 
 // flushRunLocked writes the run's slots with one pwrite and empties it; a
-// handle that has crashed (see SetCrashAfterSteps) drops it unwritten.
-// The run stays pending until its bytes are in the file, so a reader that
-// finds none pending reads them there. The caller holds runMu.
+// failed handle (see Rollback) drops it unwritten. The run stays pending
+// until its bytes are in the file, so a reader that finds none pending
+// reads them there. The caller holds runMu.
 func (fb *FileBackend) flushRunLocked() {
-	if n := fb.runLen; n > 0 && !fb.crashed() {
+	if n := fb.runLen; n > 0 && !fb.failed.Load() {
 		fb.pwrite(fb.run[:n*fb.slotSize], fb.offset(fb.runFirst), fb.runFirst)
 		fb.wrote(fb.runFirst, n, fb.offset(fb.runFirst+PageID(n)))
 	}
@@ -1188,9 +1178,8 @@ func (fb *FileBackend) flushRunLocked() {
 func (fb *FileBackend) SetMeta(meta []byte) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if tx := fb.tx; tx != nil && !tx.metaSet {
-		tx.metaSet = true
-		tx.prevMeta = append([]byte(nil), fb.meta...)
+	if fb.tx != nil {
+		fb.tx.metaSet = true
 	}
 	fb.meta = append(fb.meta[:0], meta...)
 }
@@ -1207,19 +1196,18 @@ func (fb *FileBackend) Meta() []byte {
 	return out
 }
 
-// Begin implements Backend: it opens a transaction. What Rollback
-// needs of the committed allocator state is captured when the transaction
-// first touches it (see fileTx). Transactions do not nest.
+// Begin implements Backend: it opens a transaction. Transactions do not
+// nest, and a closed or failed handle opens none.
 func (fb *FileBackend) Begin() {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if fb.closed {
-		panic("storage: begin on closed page file")
+	if fb.closed || fb.failed.Load() {
+		panic("storage: begin on closed or failed page file")
 	}
 	if fb.tx != nil {
 		panic("storage: nested transaction on page file")
 	}
-	fb.tx = &fileTx{prevNumPages: fb.numPages}
+	fb.tx = &fileTx{}
 	// The first transaction of a log generation re-journals the
 	// checkpointed state before any page write: direct writes to fresh
 	// pages extend the file over the on-disk freelist trailer, and a crash
@@ -1321,7 +1309,8 @@ func (fb *FileBackend) extendWAL(need int64) error {
 //
 // The disk is waited for under the commit gate, not under mu: readers and
 // writers go on, Alloc and Free wait (see "# Locks"). On an error the
-// transaction stays open for the caller to Rollback.
+// transaction stays open for the caller to Rollback, which ends the
+// handle.
 func (fb *FileBackend) Commit() error {
 	fb.commitMu.Lock()
 	defer fb.commitMu.Unlock()
@@ -1360,8 +1349,8 @@ func (fb *FileBackend) prepareCommit() (fileCommit, error) {
 	if tx == nil {
 		return c, fmt.Errorf("storage: commit without begin")
 	}
-	if fb.closed {
-		return c, fmt.Errorf("storage: commit on closed page file")
+	if fb.closed || fb.failed.Load() {
+		return c, fmt.Errorf("storage: commit on closed or failed page file")
 	}
 	fb.flushRun()
 	if len(fb.meta) > MetaCapacity(fb.blockSize) {
@@ -1393,28 +1382,15 @@ func (fb *FileBackend) finishCommit(seq uint64) {
 	fb.tx = nil
 }
 
-// Rollback implements Backend: it discards the open transaction,
-// restoring the committed allocator state and metadata. Pages freshly
-// written during the transaction are left as garbage beyond the restored
-// page count: later allocations extend over them again, and a checkpoint
-// taken first cuts them off (it truncates the file to its recorded size).
-// A Rollback with no open transaction is a no-op.
+// Rollback implements Backend: it ends the handle. It flushes the run, so
+// readers still traversing what the transaction wrote read it, and marks
+// the handle failed (see "# Durability"); it restores nothing. The file
+// holds the last commit, which the next Open recovers from the log.
 func (fb *FileBackend) Rollback() {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	tx := fb.tx
-	if tx == nil {
-		return
-	}
 	fb.flushRun()
-	fb.numPages = tx.prevNumPages
-	if tx.snapped {
-		fb.free = tx.prevFree
-	}
-	if tx.metaSet {
-		fb.meta = tx.prevMeta
-	}
-	fb.tx = nil
+	fb.failed.Store(true)
 }
 
 // Sync implements Backend: a checkpoint. It gives up the free pages at the
@@ -1449,8 +1425,8 @@ func (fb *FileBackend) Sync() error {
 }
 
 func (fb *FileBackend) syncLocked() error {
-	if fb.closed {
-		return fmt.Errorf("storage: sync on closed page file")
+	if fb.closed || fb.failed.Load() {
+		return fmt.Errorf("storage: sync on closed or failed page file")
 	}
 	if fb.tx != nil {
 		return fmt.Errorf("storage: sync inside an open transaction")
@@ -1540,6 +1516,10 @@ func (fb *FileBackend) syncLocked() error {
 func (fb *FileBackend) Abandon() {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
+	fb.abandonLocked()
+}
+
+func (fb *FileBackend) abandonLocked() {
 	if fb.closed {
 		return
 	}
@@ -1555,14 +1535,16 @@ func (fb *FileBackend) Abandon() {
 	}
 }
 
-// Close implements Backend: it checkpoints (Sync) and closes the file.
-// Closing an already closed backend is a no-op.
+// Close implements Backend: it checkpoints (Sync) and closes the file. A
+// failed handle is abandoned instead: it writes nothing. Closing an
+// already closed backend is a no-op.
 func (fb *FileBackend) Close() error {
 	fb.commitMu.RLock() // a commit in flight finishes first
 	defer fb.commitMu.RUnlock()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if fb.closed {
+	if fb.closed || fb.failed.Load() {
+		fb.abandonLocked()
 		return nil
 	}
 	defer fb.pm.unmap()

@@ -307,10 +307,10 @@ func TestFileBackendVersion1Log(t *testing.T) {
 	}
 }
 
-// TestFileBackendLightTxSkipsAllocatorSnapshot: Begin no longer copies the
-// freelist nor builds the committed-free set; a transaction that only logs
-// a note never needs them, so its cost does not grow with the freelist.
-func TestFileBackendLightTxSkipsAllocatorSnapshot(t *testing.T) {
+// TestFileBackendLightTxAllocatesLittle: a transaction that only logs a
+// note copies no freelist and builds no set of it, so its cost does not
+// grow with the freelist.
+func TestFileBackendLightTxAllocatesLittle(t *testing.T) {
 	fb, err := CreateFile(tempIndex(t), 256)
 	if err != nil {
 		t.Fatal(err)
@@ -342,13 +342,6 @@ func TestFileBackendLightTxSkipsAllocatorSnapshot(t *testing.T) {
 	// A copy of 1,000 page ids alone is 4 KB, the set some 40 KB.
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per > 2048 {
 		t.Errorf("a light transaction beside 1,000 free pages allocates %d bytes", per)
-	}
-	// The snapshot is still taken when needed: rollback restores the list.
-	fb.Begin()
-	got := fb.Alloc()
-	fb.Rollback()
-	if again := fb.Alloc(); again != got {
-		t.Errorf("Alloc after rollback = %d, want %d back", again, got)
 	}
 }
 

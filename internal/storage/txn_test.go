@@ -185,14 +185,16 @@ func TestFileBackendTxCrashBeforeCommitRollsBack(t *testing.T) {
 	}
 }
 
-// TestFileBackendTxRollback: Rollback restores allocator state and
-// metadata, and the backend stays fully usable.
+// TestFileBackendTxRollback: Rollback ends the handle. It restores
+// nothing: what the transaction wrote stays readable, run included. The
+// failed handle refuses Begin, Commit and Sync, its Close writes nothing,
+// and the file reopens to the last commit.
 func TestFileBackendTxRollback(t *testing.T) {
-	fb, err := CreateFile(tempIndex(t), 256)
+	path := tempIndex(t)
+	fb, err := CreateFile(path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fb.Close()
 	a := fb.Alloc()
 	oldA := bytes.Repeat([]byte{0xA1}, 256)
 	fb.Write(a, oldA)
@@ -205,36 +207,58 @@ func TestFileBackendTxRollback(t *testing.T) {
 	fb.Free(a)
 	c := fb.Alloc()
 	fb.Write(c, bytes.Repeat([]byte{0xA2}, 256))
-	if got := fb.ReadNoCopy(c); got[0] != 0xA2 {
-		t.Errorf("transactional read did not see the write")
-	}
-	fb.Alloc()
 	fb.SetMeta([]byte("doomed"))
 	fb.Rollback()
+	if got := fb.ReadNoCopy(c); got[0] != 0xA2 {
+		t.Errorf("the rolled-back transaction's page reads %#x, want its write", got[0])
+	}
+	files := func() []byte {
+		page, err1 := os.ReadFile(path)
+		log, err2 := os.ReadFile(walPath(path))
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		return append(page, log...)
+	}
+	before := files()
 
-	if got := fb.ReadNoCopy(a); !bytes.Equal(got, oldA) {
-		t.Errorf("rolled-back transaction damaged page a")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Begin on a failed handle did not panic")
+			}
+		}()
+		fb.Begin()
+	}()
+	if err := fb.Commit(); err == nil {
+		t.Error("Commit on a failed handle succeeded")
 	}
-	if got := fb.NumPages(); got != 1 {
-		t.Errorf("NumPages = %d after rollback, want 1", got)
+	if err := fb.Sync(); err == nil {
+		t.Error("Sync on a failed handle succeeded")
 	}
-	if got := fb.PagesInUse(); got != 1 {
-		t.Errorf("PagesInUse = %d after rollback, want 1", got)
+	if err := fb.Close(); err != nil {
+		t.Fatalf("Close of a failed handle = %v, want nil", err)
 	}
-	if got := string(fb.Meta()); got != "before" {
-		t.Errorf("meta = %q after rollback, want %q", got, "before")
+	if err := fb.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
+	}
+	if !bytes.Equal(files(), before) {
+		t.Error("Close of a failed handle wrote to its files")
 	}
 
-	// The next transaction must work normally.
-	fb.Begin()
-	c = fb.Alloc()
-	fb.Write(c, bytes.Repeat([]byte{0xA3}, 256))
-	fb.SetMeta([]byte("after"))
-	if err := fb.Commit(); err != nil {
+	re, err := OpenFile(path, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fb.ReadNoCopy(c); got[0] != 0xA3 {
-		t.Errorf("post-rollback commit lost")
+	defer re.Close()
+	if got := re.ReadNoCopy(a); !bytes.Equal(got, oldA) {
+		t.Errorf("the rolled-back transaction damaged page a")
+	}
+	if re.NumPages() != 1 || re.PagesInUse() != 1 {
+		t.Errorf("reopened with %d pages, %d in use; want 1, 1", re.NumPages(), re.PagesInUse())
+	}
+	if got := string(re.Meta()); got != "before" {
+		t.Errorf("reopened meta = %q, want %q", got, "before")
 	}
 }
 

@@ -78,11 +78,6 @@ type QueryStats = rtree.QueryStats
 // IOStats counts block reads and writes on the tree's storage backend.
 type IOStats = storage.Stats
 
-// SnapshotStats reports the storage layer's epoch state: the current
-// snapshot epoch, how many readers hold snapshots, and how many freed
-// pages are pinned (withheld from reuse) until those readers drain.
-type SnapshotStats = storage.SnapshotStats
-
 // NewRect builds a rectangle from two corners in any order.
 func NewRect(x1, y1, x2, y2 float64) Rect { return geom.NewRect(x1, y1, x2, y2) }
 
@@ -201,12 +196,15 @@ func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 //
 // On a durable backend the rebuild is one transaction: a crash mid-load
 // recovers to the previous tree, and only Commit's success publishes the
-// new one. The new tree is written beside the old one, never over it: the
-// old tree's pages join the free list with the commit, so after rebuilding
-// a non-empty index the file holds both trees' page slots; the freed ones
-// are recycled by later allocations, and a checkpoint gives back only the
-// free pages that end the file. A created index owns no page until its
-// first load, which therefore writes exactly Nodes() pages from page 0.
+// new one. A load that does not commit — its commit fails, or it panics —
+// returns the error (or re-panics) and the tree is closed; reopen the
+// file, which holds the previous tree. The new tree is written beside the
+// old one, never over it: the old tree's pages join the free list with the
+// commit, so after rebuilding a non-empty index the file holds both trees'
+// page slots; the freed ones are recycled by later allocations, and a
+// checkpoint gives back only the free pages that end the file. A created
+// index owns no page until its first load, which therefore writes exactly
+// Nodes() pages from page 0.
 //
 // Every loader builds in memory over permutations of items, which it only
 // reads, and writes nothing but finished tree pages: a load makes no
@@ -255,12 +253,6 @@ func (t *Tree) Utilization() (leaf, internal float64) { return t.inner.Utilizati
 // active capacity. Safe to call while queries run.
 func (t *Tree) CacheStats() CacheStats { return t.pager.CacheStats() }
 
-// SnapshotStats returns the backend's snapshot-epoch state. Safe to call
-// while queries run.
-func (t *Tree) SnapshotStats() SnapshotStats {
-	return t.io.SnapshotStats()
-}
-
 // Validate checks the structural invariants (mainly for tests and tools).
 func (t *Tree) Validate() error { return t.inner.Validate() }
 
@@ -277,6 +269,12 @@ func (t *Tree) Validate() error { return t.inner.Validate() }
 // themselves. The component merges — the carries — run inside the InsertE
 // that fills the insert buffer (see CompactionStats), and readers go on
 // beside them.
+//
+// A mutation that does not commit — its commit fails, or it panics — is
+// not acknowledged, and the index is closed: every later mutation and
+// Sync fails, and Close writes nothing. Reopen the file, which holds every
+// acknowledged mutation. Input refused before the transaction, such as an
+// invalid rectangle, leaves the index open.
 type Dynamic struct {
 	handle // a file-backed index saves its state and logs its mutations in fb
 	inner  *logmethod.Tree

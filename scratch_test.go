@@ -156,13 +156,17 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 		}
 	}
 
+	// A write fault on a live disk panics out of the load: the load does
+	// not commit, so the tree is closed, and its Close leaves the file to
+	// reopen to the empty tree Create committed.
 	t.Run("faulty-crash", func(t *testing.T) {
 		eachLoader(t, func(t *testing.T, l Loader) {
 			dir := t.TempDir()
-			tr, err := Create(filepath.Join(dir, "f.pr"), opts(func(b Backend) Backend {
-				// Ops 1-2 are Create's root write and sync; the fault fires
-				// a few tree-page writes into the load.
-				return storage.NewFaulty(b, storage.FaultCrash, 12)
+			path := filepath.Join(dir, "f.pr")
+			tr, err := Create(path, opts(func(b Backend) Backend {
+				// Op 1 is Create's sync; the fault fires at the load's
+				// eleventh tree-page write.
+				return storage.NewFaulty(b, storage.FaultError, 12)
 			}))
 			if err != nil {
 				t.Fatal(err)
@@ -172,7 +176,20 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 				t.Fatalf("load panicked with %v, want an injected fault", p)
 			}
 			indexFiles(t, dir, "f.pr")
-			tr.fileBackend(t).Abandon()
+			if err := tr.BulkLoad(l, items); err == nil {
+				t.Error("a load after the failed one succeeded")
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Len() != 0 {
+				t.Errorf("recovered %d items from a load that panicked", re.Len())
+			}
 		})
 	})
 
