@@ -682,3 +682,58 @@ func TestWrapBackendEmbeddingKeepsAtomicity(t *testing.T) {
 		},
 	}.run(t)
 }
+
+// TestOpenMissingLog: an index whose log is gone since its last checkpoint
+// opens to that checkpoint with a fresh log, which carries the next commit
+// through a crash (see openWithoutLog).
+func TestOpenMissingLog(t *testing.T) {
+	openWithoutLog(t, func(wal string) error { return os.Remove(wal) })
+}
+
+// TestOpenLogCutBelowHeader: the same for a log cut shorter than its
+// header, which holds no commit.
+func TestOpenLogCutBelowHeader(t *testing.T) {
+	openWithoutLog(t, func(wal string) error { return os.Truncate(wal, 10) })
+}
+
+// openWithoutLog checkpoints a dynamic index, damages its log, and
+// requires the reopen to answer with the checkpoint's digest; then one
+// insert commits, the process dies without a checkpoint, and the next
+// reopen re-applies the insert from the fresh log.
+func openWithoutLog(t *testing.T, damage func(wal string) error) {
+	items := crashItems(rand.New(rand.NewSource(35)), 301, 0)
+	path := filepath.Join(t.TempDir(), "d.prd")
+	d, err := CreateDynamic(path, &Options{BlockSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items[:300] {
+		mustInsert(t, d, it)
+	}
+	want := indexDigest(t, d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := damage(path + ".wal"); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = OpenDynamic(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := indexDigest(t, d); got != want {
+		t.Fatalf("opened to digest %08x, the checkpoint's is %08x", got, want)
+	}
+	mustInsert(t, d, items[300])
+	want = indexDigest(t, d)
+	d.fileBackend(t).Abandon()
+	if d, err = OpenDynamic(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := indexDigest(t, d); got != want {
+		t.Errorf("reopened after the crash to digest %08x, the committed insert's is %08x", got, want)
+	}
+	if r := d.Recovery(); r == nil || r.ReappliedNotes != 1 {
+		t.Errorf("recovery %+v, want the one insert re-applied", r)
+	}
+}

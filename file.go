@@ -79,10 +79,10 @@ func (h *handle) openFile(path string, opts *Options, create bool, build func(Op
 // txn brackets a change in one backend transaction: Begin, run fn, let
 // save stage what the commit publishes, Commit. On a durable backend the
 // change is atomic — after Commit it survives a crash. A change that does
-// not commit — fn panics (an injected fault included), save fails or
-// Commit does — closes the index: the structure in memory has changed and
-// nothing restores it, so the backend is rolled back, which ends it, and
-// every later change and Sync fails. Close then writes nothing, and the
+// not commit — fn panics, save fails or Commit does (a failed write's
+// error included) — closes the index: the structure in memory has changed
+// and nothing restores it, so the backend is rolled back, which ends it,
+// and every later change and Sync fails. Close then writes nothing, and the
 // file reopens to the last commit. In memory the brackets do nothing, but
 // the index closes all the same.
 func (h *handle) txn(fn func(), save func() error) error {

@@ -35,6 +35,9 @@ package storage
 //   - Sync makes all written pages and the metadata blob durable (a no-op
 //     for memory-only backends). Close syncs and releases the resources;
 //     a closed backend must not be used again.
+//   - A durable store's first failed write, truncate or fsync ends it with
+//     its error, which Commit and Sync return; it persists nothing more,
+//     and its Close writes nothing and returns nil.
 type Backend interface {
 	// BlockSize returns the page size in bytes.
 	BlockSize() int
@@ -53,7 +56,7 @@ type Backend interface {
 	// PeekNoCopy returns the page contents without counting I/O.
 	PeekNoCopy(id PageID) []byte
 	// Write stores data into page id. len(data) must not exceed BlockSize;
-	// shorter data leaves the page tail untouched.
+	// shorter data leaves the page tail untouched. A failed write is lost.
 	Write(id PageID, data []byte)
 	// SetMeta replaces the backend's superblock metadata blob (the tree
 	// root descriptor for persistent backends).
@@ -68,13 +71,15 @@ type Backend interface {
 	// rolls the store back to the previous committed state on reopen.
 	// Transactions do not nest. A store without durability does nothing.
 	Begin()
-	// Commit atomically and durably applies everything since Begin.
+	// Commit atomically and durably applies everything since Begin, or
+	// returns the error that ended the store.
 	Commit() error
 	// Rollback declares the store done: a transaction did not commit (its
 	// Commit failed, or the change panicked). It restores nothing; the
 	// owner may only read the store or Close it, and a durable store's
 	// Close then writes nothing, so the next open recovers the last
-	// commit. A store without durability does nothing.
+	// commit; one that a failure ended writes nothing here either. A store
+	// without durability does nothing.
 	Rollback()
 
 	// SnapshotEnter begins a snapshot read and returns the epoch token
@@ -109,7 +114,8 @@ type Backend interface {
 	// ResetStats zeroes the counters.
 	ResetStats()
 
-	// Sync flushes pages and metadata to stable storage.
+	// Sync flushes pages and metadata to stable storage, or returns the
+	// error that ended the store.
 	Sync() error
 	// Close syncs and releases the backend; after Rollback it only
 	// releases it. Closing twice is a no-op.

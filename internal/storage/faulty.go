@@ -19,8 +19,8 @@ const (
 	// FaultNone never fires; the decorator only counts operations.
 	FaultNone FaultMode = iota
 	// FaultError makes Sync/Commit return an error wrapping
-	// ErrInjectedFault (Write, whose interface has no error path,
-	// panics with the same wrapped error).
+	// ErrInjectedFault; a Write, which has no error path, is dropped and
+	// fails every later Commit and Sync, as a page file's failed write does.
 	FaultError
 	// FaultStop silently swallows the triggering operation and every
 	// later Write/Sync/Commit — persistence stops, no error surfaces.
@@ -58,6 +58,7 @@ type Faulty struct {
 	trigger   atomic.Int64
 	tripped   atomic.Bool
 	readFault atomic.Bool
+	lostWrite atomic.Bool // a FaultError Write was dropped: Commit and Sync fail
 }
 
 // NewFaulty wraps b. The fault fires on the triggerAfter-th counted
@@ -148,14 +149,12 @@ func (f *Faulty) PeekNoCopy(id PageID) []byte {
 }
 
 // Write implements Backend, applying the configured fault when triggered:
-// FaultStop drops the write, FaultError panics (Write has no error
-// return).
+// the write is dropped, and under FaultError every later Commit and Sync
+// fails with the injected error.
 func (f *Faulty) Write(id PageID, data []byte) {
 	if f.step() {
-		if f.mode == FaultStop {
-			return
-		}
-		panic(f.injected("write"))
+		f.lostWrite.Store(f.mode != FaultStop)
+		return
 	}
 	f.inner.Write(id, data)
 }
@@ -178,9 +177,9 @@ func (f *Faulty) Begin() {
 }
 
 // Commit implements Backend, an injection point: FaultStop drops the
-// commit silently, FaultError returns the injected error.
+// commit silently, FaultError (or a dropped Write) returns the error.
 func (f *Faulty) Commit() error {
-	if f.step() {
+	if f.step() || f.lostWrite.Load() {
 		if f.mode == FaultStop {
 			return nil
 		}
@@ -221,7 +220,7 @@ func (f *Faulty) ResetStats() { f.inner.ResetStats() }
 
 // Sync implements Backend, an injection point like Commit.
 func (f *Faulty) Sync() error {
-	if f.step() {
+	if f.step() || f.lostWrite.Load() {
 		if f.mode == FaultStop {
 			return nil
 		}

@@ -7,7 +7,8 @@ import (
 )
 
 // TestFaultyError: FaultError surfaces on the error-returning entry
-// points and panics on Write (which has none).
+// points; a Write, which has none, does not happen, and every later Commit
+// and Sync returns its error.
 func TestFaultyError(t *testing.T) {
 	f := NewFaulty(NewDisk(256), FaultError, 1)
 	if err := f.Sync(); !errors.Is(err, ErrInjectedFault) {
@@ -21,9 +22,21 @@ func TestFaultyError(t *testing.T) {
 		t.Fatalf("second Sync = %v, want nil", err)
 	}
 
-	f2 := NewFaulty(NewDisk(256), FaultError, 1)
+	disk := NewDisk(256)
+	f2 := NewFaulty(disk, FaultError, 1)
 	id := f2.Alloc()
-	expectFaultPanic(t, func() { f2.Write(id, []byte{1}) })
+	f2.Write(id, []byte{1})
+	if got := disk.ReadNoCopy(id); got[0] != 0 {
+		t.Error("the failed write reached the disk")
+	}
+	for i := 0; i < 2; i++ {
+		if err := f2.Commit(); !errors.Is(err, ErrInjectedFault) {
+			t.Errorf("Commit %d after the failed write = %v, want ErrInjectedFault", i+1, err)
+		}
+		if err := f2.Sync(); !errors.Is(err, ErrInjectedFault) {
+			t.Errorf("Sync %d after the failed write = %v, want ErrInjectedFault", i+1, err)
+		}
+	}
 }
 
 // TestFaultyStop: FaultStop silently swallows persistence from the

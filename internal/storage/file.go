@@ -114,12 +114,13 @@ import (
 // Writes outside a transaction are made durable by Sync or by the next
 // STATE-bearing commit (see the fsync rule).
 //
-// A transaction that does not commit ends the handle: Rollback undoes
-// nothing, it marks the handle failed. A failed handle still reads, but
-// refuses Begin, Commit and Sync, and its Close releases both files
-// without writing, like Abandon; the next Open recovers the last commit
-// from the log. An injected crash (see SetCrashAfterSteps) fails the
-// handle the same way.
+// One rule covers every failure: the first page pwrite, log append or
+// extension, truncate or fsync that errs fails the handle with its error,
+// as a Rollback (it undoes nothing) and an injected crash do. A failed
+// handle still reads but persists nothing: its run is dropped, writes are
+// skipped, Begin opens nothing, Commit and Sync return the error, and
+// Close releases both files like Abandon and returns nil. The next Open
+// recovers the last commit from the log.
 //
 // # Locks
 //
@@ -144,11 +145,11 @@ import (
 // block size, truncated page data, out-of-range or duplicated freelist
 // entries, an untrustworthy log) is reported as a wrapped, inspectable
 // error — see ErrBadMagic, ErrBadVersion, ErrBlockSizeMismatch,
-// ErrTruncated and ErrWALCorrupt. Runtime I/O failures on a validated
-// file (e.g. the file shrinking underneath a running process, a checksum
-// mismatch on a read) panic, mirroring the Disk's out-of-range page
-// panics; the panic value is an error wrapping ErrChecksum when the cause
-// is a failed page verification.
+// ErrTruncated and ErrWALCorrupt; a failed write fails the handle (see
+// "# Durability"). Only reads panic: a short read or a checksum mismatch on
+// a validated file (e.g. one shrinking under a running process), as the
+// Disk's out-of-range pages do, with an error wrapping ErrChecksum when
+// the cause is a failed page verification.
 type FileBackend struct {
 	f         *os.File
 	wal       *os.File
@@ -162,9 +163,8 @@ type FileBackend struct {
 	steps      atomic.Int64
 	crashAfter atomic.Int64
 
-	// failed is set by Rollback and by an injected crash: the handle
-	// commits, syncs and flushes its run no more (see "# Durability").
-	failed atomic.Bool
+	// failure is the error that failed the handle (see "# Durability").
+	failure atomic.Pointer[error]
 
 	// reads and writes count the demand I/O of the public Read,
 	// ReadNoCopy and Write (see Stats), nothing this handle does on its
@@ -655,11 +655,8 @@ func (fb *FileBackend) loadCheckpoint(hdr fileHeader) error {
 	return nil
 }
 
-// resetWALFile truncates the log to a fresh header.
+// resetWALFile writes a fresh header over a log shorter than one.
 func (fb *FileBackend) resetWALFile() error {
-	if err := fb.wal.Truncate(0); err != nil {
-		return fmt.Errorf("truncating write-ahead log: %w", err)
-	}
 	if _, err := fb.wal.WriteAt(encodeWALHeader(fb.blockSize), 0); err != nil {
 		return fmt.Errorf("writing log header: %w", err)
 	}
@@ -765,26 +762,40 @@ func (fb *FileBackend) syncWAL() error {
 // SetCrashAfterSteps arranges for the backend to panic with an error
 // wrapping ErrInjectedFault immediately BEFORE its n-th persistence side
 // effect (page pwrite, log extension, log append, fsync, header rewrite),
-// counted from the backend's creation, and on every attempted side effect
-// thereafter — modeling a process killed at that exact point whose file
-// descriptors go away. n <= 0 disables injection. Together with
-// PersistSteps it lets a test kill a workload at every boundary
-// deterministically.
+// counted from the backend's creation, failing the handle — modeling a
+// process killed at that exact point whose file descriptors go away. n <= 0
+// disables injection. Together with PersistSteps it lets a test kill a
+// workload at every boundary deterministically.
 func (fb *FileBackend) SetCrashAfterSteps(n int64) { fb.crashAfter.Store(n) }
 
 // PersistSteps returns the number of persistence side effects performed
-// (or refused) so far.
+// (or refused by an injected crash) so far.
 func (fb *FileBackend) PersistSteps() int64 { return fb.steps.Load() }
 
 // persistStep counts one persistence side effect and panics if a crash
 // point is armed and reached, failing the handle: it stands for a process
-// that is gone. Once tripped, every later step panics too.
+// that is gone.
 func (fb *FileBackend) persistStep() {
 	n := fb.steps.Add(1)
 	if c := fb.crashAfter.Load(); c > 0 && n >= c {
-		fb.failed.Store(true)
-		panic(fmt.Errorf("%w: killed at persistence step %d", ErrInjectedFault, n))
+		err := fmt.Errorf("%w: killed at persistence step %d", ErrInjectedFault, n)
+		fb.fail(err)
+		panic(err)
 	}
+}
+
+// fail fails the handle with err, unless it failed, and returns its error.
+func (fb *FileBackend) fail(err error) error {
+	fb.failure.CompareAndSwap(nil, &err)
+	return *fb.failure.Load()
+}
+
+// failed returns the error that failed the handle, or nil.
+func (fb *FileBackend) failed() error {
+	if err := fb.failure.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // BlockSize implements Backend.
@@ -1071,8 +1082,11 @@ const runSlots = 16
 // before any read, commit, sync, close or rollback, so nothing but a
 // crash can tell that its pages went out late: their persistence steps
 // are counted here, one a page, and a crash drops the run as it would the
-// pwrites not yet issued.
+// pwrites not yet issued. A failed handle writes nothing.
 func (fb *FileBackend) writeDirect(id PageID, data []byte) {
+	if fb.failed() != nil {
+		return
+	}
 	fb.persistStep()
 	fb.runMu.Lock()
 	defer fb.runMu.Unlock()
@@ -1099,15 +1113,16 @@ func (fb *FileBackend) writeDirect(id PageID, data []byte) {
 	if len(data) == fb.blockSize {
 		slot := fb.run[:fb.slotSize]
 		fb.fillSlot(slot, data)
-		fb.pwrite(slot, off, id)
-		fb.wrote(id, 1, off+int64(fb.slotSize))
+		if fb.pwrite(slot, off, id) {
+			fb.wrote(id, 1, off+int64(fb.slotSize))
+		}
 		return
 	}
-	fb.pwrite(data, off, id)
 	var tr [pageTrailerSize]byte
 	putTrailer(tr[:], data)
-	fb.pwrite(tr[:], off+int64(fb.blockSize), id)
-	fb.wrote(id, 1, off+int64(fb.slotSize))
+	if fb.pwrite(data, off, id) && fb.pwrite(tr[:], off+int64(fb.blockSize), id) {
+		fb.wrote(id, 1, off+int64(fb.slotSize))
+	}
 }
 
 // fillSlot encodes a page slot: data, zeros to the end of the block, and
@@ -1124,11 +1139,14 @@ func putTrailer(tr, data []byte) {
 	binary.LittleEndian.PutUint32(tr[4:8], uint32(len(data)))
 }
 
-// pwrite writes b at off, panicking as a page write does on failure.
-func (fb *FileBackend) pwrite(b []byte, off int64, id PageID) {
+// pwrite writes b at off and reports whether it did; a write that fails
+// fails the handle.
+func (fb *FileBackend) pwrite(b []byte, off int64, id PageID) bool {
 	if _, err := fb.f.WriteAt(b, off); err != nil {
-		panic(fmt.Sprintf("storage: writing page %d: %v", id, err))
+		fb.fail(fmt.Errorf("storage: writing page %d: %w", id, err))
+		return false
 	}
+	return true
 }
 
 // wrote records that the n slots from page id on are in the file, up to
@@ -1161,12 +1179,11 @@ func (fb *FileBackend) flushRun() {
 }
 
 // flushRunLocked writes the run's slots with one pwrite and empties it; a
-// failed handle (see Rollback) drops it unwritten. The run stays pending
-// until its bytes are in the file, so a reader that finds none pending
-// reads them there. The caller holds runMu.
+// failed handle drops it unwritten. The run stays pending until its bytes
+// are in the file, so a reader that finds none pending reads them there.
+// The caller holds runMu.
 func (fb *FileBackend) flushRunLocked() {
-	if n := fb.runLen; n > 0 && !fb.failed.Load() {
-		fb.pwrite(fb.run[:n*fb.slotSize], fb.offset(fb.runFirst), fb.runFirst)
+	if n := fb.runLen; n > 0 && fb.failed() == nil && fb.pwrite(fb.run[:n*fb.slotSize], fb.offset(fb.runFirst), fb.runFirst) {
 		fb.wrote(fb.runFirst, n, fb.offset(fb.runFirst+PageID(n)))
 	}
 	fb.runLen = 0
@@ -1201,22 +1218,28 @@ func (fb *FileBackend) Meta() []byte {
 func (fb *FileBackend) Begin() {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if fb.closed || fb.failed.Load() {
-		panic("storage: begin on closed or failed page file")
+	if fb.closed || fb.failed() != nil {
+		return
 	}
 	if fb.tx != nil {
 		panic("storage: nested transaction on page file")
 	}
-	fb.tx = &fileTx{}
 	// The first transaction of a log generation re-journals the
 	// checkpointed state before any page write: direct writes to fresh
 	// pages extend the file over the on-disk freelist trailer, and a crash
 	// mid-transaction must still find the committed freelist somewhere —
 	// in the log, which Open prefers over the header once it holds a
-	// committed state.
+	// committed state: the state, as a committed empty transaction. An
+	// append that fails fails the handle.
 	if !fb.walHasState && len(fb.ckpt.free) > 0 {
-		fb.journalCheckpointState()
+		tx := walTx{seq: fb.walSeq + 1, state: &fb.ckpt}
+		if fb.appendWAL(tx.records()) != nil {
+			return
+		}
+		fb.walSeq++
+		fb.walHasState = true
 	}
+	fb.tx = &fileTx{}
 }
 
 // Note logs data — opaque to the backend — with the open transaction: it
@@ -1236,28 +1259,12 @@ func (fb *FileBackend) Note(data []byte) {
 	}
 }
 
-// journalCheckpointState appends the last checkpoint's state as a
-// committed (empty) transaction and fsyncs it. I/O failures panic: the
-// caller is Begin, which has no error path, and a log that cannot be
-// appended to cannot honor any later Commit either.
-func (fb *FileBackend) journalCheckpointState() {
-	tx := walTx{seq: fb.walSeq + 1, state: &fb.ckpt}
-	if err := fb.appendWAL(tx.records()); err != nil {
-		panic(fmt.Sprintf("storage: journaling checkpoint state: %v", err))
-	}
-	fb.walSeq++
-	fb.walHasState = true
-}
-
 // appendWAL appends recs at the log's end, one pwrite each, and fsyncs the
 // log; records that would run past the zeros written ahead of them first
-// write the next extension. On an append or fsync error the log offset
-// rewinds, so the dangling (uncommitted) records are overwritten by the
-// next append. The caller owns the log's tail: it holds mu, or the commit
-// gate.
+// write the next extension. An append or fsync that fails fails the
+// handle. The caller owns the log's tail: it holds mu, or the commit gate.
 func (fb *FileBackend) appendWAL(recs [][]byte) error {
-	start := fb.walSize.Load()
-	end := start
+	end := fb.walSize.Load()
 	for _, rec := range recs {
 		end += int64(len(rec))
 	}
@@ -1269,8 +1276,7 @@ func (fb *FileBackend) appendWAL(recs [][]byte) error {
 	for _, rec := range recs {
 		fb.persistStep()
 		if _, err := fb.wal.WriteAt(rec, fb.walSize.Load()); err != nil {
-			fb.walSize.Store(start)
-			return fmt.Errorf("storage: appending to write-ahead log: %w", err)
+			return fb.fail(fmt.Errorf("storage: appending to write-ahead log: %w", err))
 		}
 		fb.walSize.Add(int64(len(rec)))
 		fb.walRecords.Add(1)
@@ -1278,8 +1284,7 @@ func (fb *FileBackend) appendWAL(recs [][]byte) error {
 	}
 	fb.persistStep()
 	if err := fb.syncWAL(); err != nil {
-		fb.walSize.Store(start)
-		return fmt.Errorf("storage: fsync write-ahead log: %w", err)
+		return fb.fail(fmt.Errorf("storage: fsync write-ahead log: %w", err))
 	}
 	return nil
 }
@@ -1293,7 +1298,7 @@ func (fb *FileBackend) extendWAL(need int64) error {
 	for off := fb.walEnd; off < end; {
 		n, err := fb.wal.WriteAt(walZeros[:min(end-off, walExtend)], off)
 		if err != nil {
-			return fmt.Errorf("storage: extending write-ahead log: %w", err)
+			return fb.fail(fmt.Errorf("storage: extending write-ahead log: %w", err))
 		}
 		off += int64(n)
 	}
@@ -1309,8 +1314,7 @@ func (fb *FileBackend) extendWAL(need int64) error {
 //
 // The disk is waited for under the commit gate, not under mu: readers and
 // writers go on, Alloc and Free wait (see "# Locks"). On an error the
-// transaction stays open for the caller to Rollback, which ends the
-// handle.
+// transaction stays open for the caller to Rollback.
 func (fb *FileBackend) Commit() error {
 	fb.commitMu.Lock()
 	defer fb.commitMu.Unlock()
@@ -1321,7 +1325,7 @@ func (fb *FileBackend) Commit() error {
 	if c.flushPages {
 		fb.persistStep()
 		if err := fb.syncPageFile(); err != nil {
-			return fmt.Errorf("storage: fsync page file before commit: %w", err)
+			return fb.fail(fmt.Errorf("storage: fsync page file before commit: %w", err))
 		}
 	}
 	if err := fb.appendWAL(c.recs); err != nil {
@@ -1345,14 +1349,17 @@ func (fb *FileBackend) prepareCommit() (fileCommit, error) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	var c fileCommit
-	tx := fb.tx
-	if tx == nil {
-		return c, fmt.Errorf("storage: commit without begin")
-	}
-	if fb.closed || fb.failed.Load() {
-		return c, fmt.Errorf("storage: commit on closed or failed page file")
+	if fb.closed {
+		return c, errors.New("storage: commit on closed page file")
 	}
 	fb.flushRun()
+	if err := fb.failed(); err != nil {
+		return c, err
+	}
+	tx := fb.tx
+	if tx == nil {
+		return c, errors.New("storage: commit without begin")
+	}
 	if len(fb.meta) > MetaCapacity(fb.blockSize) {
 		return c, fmt.Errorf("storage: metadata blob of %d bytes overflows the %d-byte header block",
 			len(fb.meta), fb.blockSize)
@@ -1382,15 +1389,15 @@ func (fb *FileBackend) finishCommit(seq uint64) {
 	fb.tx = nil
 }
 
-// Rollback implements Backend: it ends the handle. It flushes the run, so
-// readers still traversing what the transaction wrote read it, and marks
-// the handle failed (see "# Durability"); it restores nothing. The file
-// holds the last commit, which the next Open recovers from the log.
+// Rollback implements Backend: it ends the handle. It flushes the run (a
+// failed handle writes nothing), so readers still traversing what the
+// transaction wrote read it, and fails the handle; it restores nothing.
+// The file holds the last commit, which the next Open recovers.
 func (fb *FileBackend) Rollback() {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
 	fb.flushRun()
-	fb.failed.Store(true)
+	fb.fail(errors.New("storage: a transaction did not commit"))
 }
 
 // Sync implements Backend: a checkpoint. It gives up the free pages at the
@@ -1425,13 +1432,16 @@ func (fb *FileBackend) Sync() error {
 }
 
 func (fb *FileBackend) syncLocked() error {
-	if fb.closed || fb.failed.Load() {
-		return fmt.Errorf("storage: sync on closed or failed page file")
-	}
-	if fb.tx != nil {
-		return fmt.Errorf("storage: sync inside an open transaction")
+	if fb.closed {
+		return errors.New("storage: sync on closed page file")
 	}
 	fb.flushRun()
+	if err := fb.failed(); err != nil {
+		return err
+	}
+	if fb.tx != nil {
+		return errors.New("storage: sync inside an open transaction")
+	}
 	if len(fb.meta) > MetaCapacity(fb.blockSize) {
 		return fmt.Errorf("storage: metadata blob of %d bytes overflows the %d-byte header block",
 			len(fb.meta), fb.blockSize)
@@ -1449,7 +1459,7 @@ func (fb *FileBackend) syncLocked() error {
 	if fb.notesPending {
 		fb.persistStep()
 		if err := fb.syncPageFile(); err != nil {
-			return fmt.Errorf("storage: fsync page file: %w", err)
+			return fb.fail(fmt.Errorf("storage: fsync page file: %w", err))
 		}
 		return nil
 	}
@@ -1466,7 +1476,7 @@ func (fb *FileBackend) syncLocked() error {
 	copy(hdr[fileHeaderSize:], fb.meta)
 	fb.persistStep()
 	if _, err := fb.f.WriteAt(hdr, 0); err != nil {
-		return fmt.Errorf("storage: writing page-file header: %w", err)
+		return fb.fail(fmt.Errorf("storage: writing page-file header: %w", err))
 	}
 	end := int64(fb.blockSize) + int64(fb.numPages)*int64(fb.slotSize)
 	if len(fb.free) > 0 {
@@ -1476,25 +1486,25 @@ func (fb *FileBackend) syncLocked() error {
 		}
 		fb.persistStep()
 		if _, err := fb.f.WriteAt(trailer, end); err != nil {
-			return fmt.Errorf("storage: writing freelist trailer: %w", err)
+			return fb.fail(fmt.Errorf("storage: writing freelist trailer: %w", err))
 		}
 		end += int64(4 * len(fb.free))
 	}
 	if err := fb.f.Truncate(end); err != nil {
-		return fmt.Errorf("storage: truncating page file: %w", err)
+		return fb.fail(fmt.Errorf("storage: truncating page file: %w", err))
 	}
 	fb.extent.Store(end)
 	fb.persistStep()
 	if err := fb.syncPageFile(); err != nil {
-		return fmt.Errorf("storage: fsync page file: %w", err)
+		return fb.fail(fmt.Errorf("storage: fsync page file: %w", err))
 	}
-	if fb.wal != nil && fb.walEnd > walHeaderSize {
+	if fb.walEnd > walHeaderSize {
 		fb.persistStep()
 		if err := fb.wal.Truncate(walHeaderSize); err != nil {
-			return fmt.Errorf("storage: truncating write-ahead log: %w", err)
+			return fb.fail(fmt.Errorf("storage: truncating write-ahead log: %w", err))
 		}
 		if err := fb.syncWAL(); err != nil {
-			return fmt.Errorf("storage: fsync write-ahead log: %w", err)
+			return fb.fail(fmt.Errorf("storage: fsync write-ahead log: %w", err))
 		}
 		fb.setWALEnd(walHeaderSize)
 	}
@@ -1519,9 +1529,11 @@ func (fb *FileBackend) Abandon() {
 	fb.abandonLocked()
 }
 
-func (fb *FileBackend) abandonLocked() {
+// abandonLocked releases the files as they are and returns what closing
+// them returned.
+func (fb *FileBackend) abandonLocked() error {
 	if fb.closed {
-		return
+		return nil
 	}
 	fb.runMu.Lock()
 	fb.runLen = 0 // what a dying process had not written, it never writes
@@ -1529,43 +1541,21 @@ func (fb *FileBackend) abandonLocked() {
 	fb.runMu.Unlock()
 	fb.closed = true
 	fb.pm.unmap()
-	fb.f.Close()
-	if fb.wal != nil {
-		fb.wal.Close()
-	}
+	return errors.Join(fb.f.Close(), fb.wal.Close())
 }
 
-// Close implements Backend: it checkpoints (Sync) and closes the file. A
-// failed handle is abandoned instead: it writes nothing. Closing an
+// Close implements Backend: it checkpoints (Sync) and releases the files as
+// Abandon does, returning what either step returned. A failed handle is
+// only abandoned: it writes nothing and Close returns nil. Closing an
 // already closed backend is a no-op.
 func (fb *FileBackend) Close() error {
 	fb.commitMu.RLock() // a commit in flight finishes first
 	defer fb.commitMu.RUnlock()
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if fb.closed || fb.failed.Load() {
+	if fb.closed || fb.failed() != nil {
 		fb.abandonLocked()
 		return nil
 	}
-	defer fb.pm.unmap()
-	if err := fb.syncLocked(); err != nil {
-		fb.closed = true
-		fb.f.Close()
-		if fb.wal != nil {
-			fb.wal.Close()
-		}
-		return err
-	}
-	fb.closed = true
-	var werr error
-	if fb.wal != nil {
-		werr = fb.wal.Close()
-	}
-	if err := fb.f.Close(); err != nil {
-		return fmt.Errorf("storage: closing page file: %w", err)
-	}
-	if werr != nil {
-		return fmt.Errorf("storage: closing write-ahead log: %w", werr)
-	}
-	return nil
+	return errors.Join(fb.syncLocked(), fb.abandonLocked())
 }

@@ -187,8 +187,9 @@ func TestFileBackendTxCrashBeforeCommitRollsBack(t *testing.T) {
 
 // TestFileBackendTxRollback: Rollback ends the handle. It restores
 // nothing: what the transaction wrote stays readable, run included. The
-// failed handle refuses Begin, Commit and Sync, its Close writes nothing,
-// and the file reopens to the last commit.
+// failed handle's Begin opens nothing and its writes are skipped, Commit
+// and Sync fail, its Close writes nothing, and the file reopens to the
+// last commit.
 func TestFileBackendTxRollback(t *testing.T) {
 	path := tempIndex(t)
 	fb, err := CreateFile(path, 256)
@@ -222,14 +223,8 @@ func TestFileBackendTxRollback(t *testing.T) {
 	}
 	before := files()
 
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Begin on a failed handle did not panic")
-			}
-		}()
-		fb.Begin()
-	}()
+	fb.Begin() // opens nothing
+	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA3}, 256))
 	if err := fb.Commit(); err == nil {
 		t.Error("Commit on a failed handle succeeded")
 	}
@@ -260,6 +255,123 @@ func TestFileBackendTxRollback(t *testing.T) {
 	if got := string(re.Meta()); got != "before" {
 		t.Errorf("reopened meta = %q, want %q", got, "before")
 	}
+}
+
+// TestFileBackendFailedWriteFailsHandle: a write the OS refuses — a page
+// run's pwrite, a log append, the log extension of Begin's re-journaled
+// checkpoint, a checkpoint's header rewrite — fails the handle with its
+// error, not a panic. The handle then persists nothing: Begin opens
+// nothing, its writes are skipped, Commit and Sync return the error, Close
+// returns nil twice and leaves the files as the failure did, and they
+// reopen to the last commit. A file the handle can only read makes the
+// fault: its descriptor is swapped for a read-only one.
+func TestFileBackendFailedWriteFailsHandle(t *testing.T) {
+	readOnly := func(t *testing.T, f **os.File) {
+		ro, err := os.Open((*f).Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw := *f
+		t.Cleanup(func() { rw.Close() })
+		*f = ro
+	}
+	for _, c := range []struct {
+		name, step string
+		fail       func(t *testing.T, fb *FileBackend) error
+	}{
+		{"run", "writing page", func(t *testing.T, fb *FileBackend) error {
+			readOnly(t, &fb.f)
+			fb.Begin()
+			id := fb.Alloc()
+			fb.Write(id, pageBytes(id))
+			return fb.Commit()
+		}},
+		{"log-append", "appending to write-ahead log", func(t *testing.T, fb *FileBackend) error {
+			readOnly(t, &fb.wal)
+			fb.Begin()
+			fb.Note([]byte("note"))
+			return fb.Commit()
+		}},
+		{"log-extension", "extending write-ahead log", func(t *testing.T, fb *FileBackend) error {
+			readOnly(t, &fb.wal)
+			fb.Begin() // re-journals the checkpoint's free list, in a new extension
+			return fb.Commit()
+		}},
+		{"checkpoint", "writing page-file header", func(t *testing.T, fb *FileBackend) error {
+			readOnly(t, &fb.f)
+			return fb.Sync()
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := tempIndex(t)
+			fb, err := CreateFile(path, 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb.Begin()
+			for i := 0; i < 3; i++ {
+				id := fb.Alloc()
+				fb.Write(id, pageBytes(id))
+			}
+			fb.Free(0)
+			fb.SetMeta([]byte("committed"))
+			if err := fb.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if c.name == "log-extension" {
+				if err := fb.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = c.fail(t, fb)
+			var pathErr *os.PathError
+			if !errors.As(err, &pathErr) || !strings.Contains(err.Error(), c.step) {
+				t.Fatalf("the failing call returned %v, want the OS error of %s", err, c.step)
+			}
+			fb.Rollback()
+			failed := append(readFile(t, path), readFile(t, walPath(path))...)
+			fb.Begin()
+			id := fb.Alloc()
+			fb.Write(id, pageBytes(id))
+			fb.Note([]byte("later"))
+			if got := fb.Commit(); got != err {
+				t.Errorf("a later Commit returned %v, want the failed write's %v", got, err)
+			}
+			if got := fb.Sync(); got != err {
+				t.Errorf("a later Sync returned %v, want the failed write's %v", got, err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := fb.Close(); err != nil {
+					t.Errorf("Close %d = %v, want nil", i+1, err)
+				}
+			}
+			if !bytes.Equal(append(readFile(t, path), readFile(t, walPath(path))...), failed) {
+				t.Error("the failed handle wrote to its files")
+			}
+			re, err := OpenFile(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.NumPages() != 3 || re.PagesInUse() != 2 || string(re.Meta()) != "committed" {
+				t.Errorf("reopened with %d pages, %d in use, meta %q; want 3, 2, %q",
+					re.NumPages(), re.PagesInUse(), re.Meta(), "committed")
+			}
+			if err := re.Fsck(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// readFile returns the bytes of the file at path.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestFileBackendTxAllocDoesNotRecycleTxFreed: pages freed inside a

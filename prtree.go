@@ -196,9 +196,9 @@ func BulkWith(l Loader, items []Item, opts *Options) *Tree {
 //
 // On a durable backend the rebuild is one transaction: a crash mid-load
 // recovers to the previous tree, and only Commit's success publishes the
-// new one. A load that does not commit — its commit fails, or it panics —
-// returns the error (or re-panics) and the tree is closed; reopen the
-// file, which holds the previous tree. The new tree is written beside the
+// new one. A load that does not commit — a write or the commit fails, a
+// full disk included, or a failed read or injected kill panics — returns
+// the error (or re-panics) and the tree is closed; reopen the file. The new tree is written beside the
 // old one, never over it: the old tree's pages join the free list with the
 // commit, so after rebuilding a non-empty index the file holds both trees'
 // page slots; the freed ones are recycled by later allocations, and a
@@ -270,8 +270,9 @@ func (t *Tree) Validate() error { return t.inner.Validate() }
 // that fills the insert buffer (see CompactionStats), and readers go on
 // beside them.
 //
-// A mutation that does not commit — its commit fails, or it panics — is
-// not acknowledged, and the index is closed: every later mutation and
+// A mutation that does not commit — a write or the commit fails, or a
+// failed read or injected kill panics — is not acknowledged, and the index
+// is closed: every later mutation and
 // Sync fails, and Close writes nothing. Reopen the file, which holds every
 // acknowledged mutation. Input refused before the transaction, such as an
 // invalid rectangle, leaves the index open.

@@ -156,9 +156,9 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 		}
 	}
 
-	// A write fault on a live disk panics out of the load: the load does
-	// not commit, so the tree is closed, and its Close leaves the file to
-	// reopen to the empty tree Create committed.
+	// A write fault on a live disk fails the load with its error: the
+	// load does not commit, so the tree is closed, and its Close leaves the
+	// file to reopen to the empty tree Create committed.
 	t.Run("faulty-crash", func(t *testing.T) {
 		eachLoader(t, func(t *testing.T, l Loader) {
 			dir := t.TempDir()
@@ -171,9 +171,8 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, p := load(t, tr, l)
-			if perr, ok := p.(error); !ok || !errors.Is(perr, storage.ErrInjectedFault) {
-				t.Fatalf("load panicked with %v, want an injected fault", p)
+			if err, p := load(t, tr, l); p != nil || !errors.Is(err, storage.ErrInjectedFault) {
+				t.Fatalf("load = %v (panic %v), want the failed write's injected error", err, p)
 			}
 			indexFiles(t, dir, "f.pr")
 			if err := tr.BulkLoad(l, items); err == nil {
@@ -193,10 +192,14 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 		})
 	})
 
+	// A kill at a persistence step panics out of the load, which the
+	// rollback ends: the tree is closed, and the file reopens to the empty
+	// tree Create committed.
 	t.Run("crash-after-steps", func(t *testing.T) {
 		eachLoader(t, func(t *testing.T, l Loader) {
 			dir := t.TempDir()
-			tr, err := Create(filepath.Join(dir, "s.pr"), opts(nil))
+			path := filepath.Join(dir, "s.pr")
+			tr, err := Create(path, opts(nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +210,20 @@ func TestFailedLoadRemovesScratch(t *testing.T) {
 				t.Fatalf("load panicked with %v, want an injected fault", p)
 			}
 			indexFiles(t, dir, "s.pr")
-			fb.Abandon()
+			if err := tr.BulkLoad(l, items); err == nil {
+				t.Error("a load after the killed one succeeded")
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Len() != 0 {
+				t.Errorf("recovered %d items from a load that was killed", re.Len())
+			}
 		})
 	})
 
