@@ -170,12 +170,15 @@ func (p *sizeProbe) probe() {
 	}
 }
 
-func (p *sizeProbe) Alloc() storage.PageID                { defer p.probe(); return p.Backend.Alloc() }
-func (p *sizeProbe) Write(id storage.PageID, data []byte) { defer p.probe(); p.Backend.Write(id, data) }
-func (p *sizeProbe) Begin()                               { defer p.probe(); p.Backend.Begin() }
-func (p *sizeProbe) Commit() error                        { defer p.probe(); return p.Backend.Commit() }
-func (p *sizeProbe) Sync() error                          { defer p.probe(); return p.Backend.Sync() }
-func (p *sizeProbe) Close() error                         { defer p.probe(); return p.Backend.Close() }
+func (p *sizeProbe) Alloc() storage.PageID { defer p.probe(); return p.Backend.Alloc() }
+func (p *sizeProbe) Write(id storage.PageID, pages ...[]byte) {
+	defer p.probe()
+	p.Backend.Write(id, pages...)
+}
+func (p *sizeProbe) Begin()        { defer p.probe(); p.Backend.Begin() }
+func (p *sizeProbe) Commit() error { defer p.probe(); return p.Backend.Commit() }
+func (p *sizeProbe) Sync() error   { defer p.probe(); return p.Backend.Sync() }
+func (p *sizeProbe) Close() error  { defer p.probe(); return p.Backend.Close() }
 
 // dryRun runs the history without a limit and returns the limits to sweep:
 // every size either file reached, and one byte less.

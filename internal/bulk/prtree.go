@@ -19,10 +19,10 @@ import (
 // Every stage builds its pseudo-PR-tree in memory (pseudo.Build): the
 // records of stage 0 over a permutation of items, which is only read, each
 // later stage over the entries of the one before. It allocates four bytes
-// of permutation a record, the pseudo-trees' nodes, their peel scratch and
-// one leaf's worth of gather buffer besides the pages; stage 0's leaves are
-// gathered and encoded on opt.Parallelism workers (Builder.WriteLeaves),
-// which adds a batch of page buffers. The external construction
+// of permutation a record, the pseudo-trees' nodes and their peel scratch
+// besides the pages; stage 0's leaves are gathered and encoded a batch at a
+// time on opt.Parallelism workers (Builder.WriteLeaves), which adds one
+// leaf's worth of gather buffer a worker. The external construction
 // (extmem.Load) builds the same stages in memory while its input fits its
 // memory budget, so the two then write the same pages in the same order.
 // Every facade PR load of a slice takes this path.
@@ -43,40 +43,19 @@ func PRTreeSlice(pager *storage.Pager, items []geom.Item, opt Options) *rtree.Tr
 			}, func(e rtree.ChildEntry) { next = append(next, toItem(e)) })
 		} else {
 			t.EachLeaf(func(lg pseudo.LeafGroup) {
-				next = append(next, toItem(WriteGroup(b, level, lg.Items)))
+				next = append(next, toItem(b.WriteGroup(level, lg.Items)))
 			})
 		}
 		if len(next) == 1 {
-			return b.Finish(toChildEntries(next)[0], level+1)
+			return b.Finish(rtree.ChildEntry{Rect: next[0].Rect, Page: storage.PageID(next[0].ID)}, level+1)
 		}
 		if len(next) <= opt.Fanout {
-			return b.Finish(b.WriteInternal(toChildEntries(next)), level+2)
+			return b.Finish(b.WriteGroup(level+1, next), level+2)
 		}
 		cur = next
 	}
 }
 
-// WriteGroup writes one leaf group of a PR-tree stage as a page and returns
-// its entry: at stage 0 the group's records become a leaf page, above it
-// the group's records — each a page's entry carried up as a record, rect =
-// node MBR, id = node page — become an internal page.
-func WriteGroup(b *rtree.Builder, level int, items []geom.Item) rtree.ChildEntry {
-	if level == 0 {
-		return b.WriteLeaf(items)
-	}
-	return b.WriteInternal(toChildEntries(items))
-}
-
 // toItem carries a page's entry into the next stage as a record: rect =
 // node MBR, id = node page.
 func toItem(e rtree.ChildEntry) geom.Item { return geom.Item{Rect: e.Rect, ID: uint32(e.Page)} }
-
-// toChildEntries reinterprets bounding-box items produced by a previous
-// stage (rect = node MBR, id = node page) as child entries.
-func toChildEntries(items []geom.Item) []rtree.ChildEntry {
-	out := make([]rtree.ChildEntry, len(items))
-	for i, it := range items {
-		out[i] = rtree.ChildEntry{Rect: it.Rect, Page: storage.PageID(it.ID)}
-	}
-	return out
-}

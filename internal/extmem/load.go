@@ -97,7 +97,7 @@ func prLoad(pager *storage.Pager, in *ItemFile, opt Options) *rtree.Tree {
 		next := NewItemFile(disk)
 		var last rtree.ChildEntry
 		BuildPseudo(cur, opt.Fanout, opt.MemoryItems, func(lg pseudo.LeafGroup) {
-			last = bulk.WriteGroup(b, level, lg.Items)
+			last = b.WriteGroup(level, lg.Items)
 			next.Append(geom.Item{Rect: last.Rect, ID: uint32(last.Page)})
 		})
 		next.Seal()
@@ -108,7 +108,7 @@ func prLoad(pager *storage.Pager, in *ItemFile, opt Options) *rtree.Tree {
 		if next.Len() <= opt.Fanout {
 			entries := next.ReadAll()
 			next.Free()
-			return b.Finish(bulk.WriteGroup(b, level+1, entries), level+2)
+			return b.Finish(b.WriteGroup(level+1, entries), level+2)
 		}
 		cur = next
 	}

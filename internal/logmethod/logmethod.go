@@ -321,39 +321,73 @@ func (t *Tree) carryLocked() {
 }
 
 // Delete removes the rectangle with the given rect and id, returning false
-// if it is not stored (or already deleted). Deletions are tombstoned; once
-// half the stored items are dead the structure rebuilds itself.
+// if it is not stored (or already deleted): Find, then Remove. Deletions
+// are tombstoned; once half the stored items are dead the structure
+// rebuilds itself.
 func (t *Tree) Delete(it geom.Item) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	at, ok := t.Find(it)
+	if ok {
+		t.removeLocked(at)
+	}
+	return ok
+}
+
+// Stored is where Find found a live item: in the state it searched, at an
+// index of that state's insert buffer, or in a static level (buf -1).
+type Stored struct {
+	s    *state
+	buf  int
+	item geom.Item
+}
+
+// Find reports where it, matched by rect and id, is stored live, and false
+// if it is not stored (or already deleted). It changes nothing; the
+// answer holds for Remove until the next change.
+func (t *Tree) Find(it geom.Item) (Stored, bool) {
 	s := t.st.Load()
 	if s.dead.has(it.ID) {
-		return false
+		return Stored{}, false
 	}
-	// Fast path: still in the buffer. Removal copies — the old slice may
-	// be visible to in-flight readers.
 	for i, b := range s.buffer {
 		if b.ID == it.ID && b.Rect == it.Rect {
-			ns := *s
-			ns.buffer = make([]geom.Item, 0, len(s.buffer)-1)
-			ns.buffer = append(append(ns.buffer, s.buffer[:i]...), s.buffer[i+1:]...)
-			ns.live--
-			ns.stored--
-			t.st.Store(&ns)
-			return true
+			return Stored{s, i, it}, true
 		}
 	}
-	if !t.containsStored(s, it) {
-		return false
+	return Stored{s, -1, it}, t.containsStored(s, it)
+}
+
+// Remove deletes the item Find found at at, as Delete does. It panics if
+// the tree changed since that Find.
+func (t *Tree) Remove(at Stored) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.removeLocked(at)
+}
+
+// removeLocked is Remove; the caller holds t.mu.
+func (t *Tree) removeLocked(at Stored) {
+	s := at.s
+	if s != t.st.Load() {
+		panic("logmethod: Remove of an item found before the last change")
 	}
 	ns := *s
-	ns.dead = s.dead.add(it.ID, it.Rect)
 	ns.live--
+	if at.buf >= 0 {
+		// Still in the buffer. Removal copies — the old slice may be
+		// visible to in-flight readers.
+		ns.buffer = make([]geom.Item, 0, len(s.buffer)-1)
+		ns.buffer = append(append(ns.buffer, s.buffer[:at.buf]...), s.buffer[at.buf+1:]...)
+		ns.stored--
+		t.st.Store(&ns)
+		return
+	}
+	ns.dead = s.dead.add(at.item.ID, at.item.Rect)
 	t.st.Store(&ns)
 	if 2*ns.dead.len() >= ns.stored && ns.stored > 0 {
 		t.rebuildLocked(true)
 	}
-	return true
 }
 
 // containsStored checks whether a (rect, id) pair is physically present in

@@ -86,15 +86,17 @@ func encodeHeader(buf []byte, kind byte, cnt int) {
 	buf[3] = byte(cnt >> 8)
 }
 
-// encodeLeafPage serializes a leaf holding items directly into a
-// block-sized buffer, returning the encoded prefix and the leaf MBR. The
-// bulk-load builder uses it to write pages straight from its entries.
-func encodeLeafPage(buf []byte, items []geom.Item) ([]byte, geom.Rect) {
+// encodeItemsPage serializes a node of the given kind whose entries are
+// items (an internal node's: rect = child MBR, id = child page) directly
+// into a block-sized buffer, returning the encoded prefix and the node's
+// MBR. The bulk-load builder uses it to write pages straight from its
+// entries.
+func encodeItemsPage(buf []byte, kind byte, items []geom.Item) ([]byte, geom.Rect) {
 	need := headerSize + len(items)*entrySize
 	if need > len(buf) {
-		panic(fmt.Sprintf("rtree: leaf with %d entries does not fit in %d-byte block", len(items), len(buf)))
+		panic(fmt.Sprintf("rtree: node with %d entries does not fit in %d-byte block", len(items), len(buf)))
 	}
-	encodeHeader(buf, kindLeaf, len(items))
+	encodeHeader(buf, kind, len(items))
 	mbr := geom.EmptyRect()
 	off := headerSize
 	for _, it := range items {
@@ -105,7 +107,7 @@ func encodeLeafPage(buf []byte, items []geom.Item) ([]byte, geom.Rect) {
 	return buf[:need], mbr
 }
 
-// encodeInternalPage is encodeLeafPage for an internal node.
+// encodeInternalPage is encodeItemsPage for an internal node over children.
 func encodeInternalPage(buf []byte, children []ChildEntry) ([]byte, geom.Rect) {
 	need := headerSize + len(children)*entrySize
 	if need > len(buf) {

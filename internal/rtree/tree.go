@@ -93,15 +93,6 @@ func (t *Tree) readView(id storage.PageID) nodeView {
 	return nodeView{data: t.pager.Read(id)}
 }
 
-// allocPage writes pre-encoded page bytes (from encodeLeafPage /
-// encodeInternalPage) to a new page.
-func (t *Tree) allocPage(data []byte) storage.PageID {
-	id := t.pager.Backend().Alloc()
-	t.pager.Write(id, data)
-	t.nNodes++
-	return id
-}
-
 func (t *Tree) freeNode(id storage.PageID) {
 	t.pager.Invalidate(id)
 	t.pager.Backend().Free(id)

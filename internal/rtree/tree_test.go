@@ -83,7 +83,7 @@ func TestNodeCodecFullFanout(t *testing.T) {
 	f := MaxFanout(storage.DefaultBlockSize)
 	items := zoo.Copies(f+1, geom.NewRect(0, 0, 1, 1))
 	buf := make([]byte, storage.DefaultBlockSize)
-	data, _ := encodeLeafPage(buf, items[:f])
+	data, _ := encodeItemsPage(buf, kindLeaf, items[:f])
 	if v := (nodeView{data: data}); !v.isLeaf() || v.count() != f || v.itemAt(f-1) != items[f-1] {
 		t.Fatalf("full node round trip: leaf %v count %d", v.isLeaf(), v.count())
 	}
@@ -92,7 +92,7 @@ func TestNodeCodecFullFanout(t *testing.T) {
 			t.Error("encoding an over-full node should panic")
 		}
 	}()
-	encodeLeafPage(buf, items)
+	encodeItemsPage(buf, kindLeaf, items)
 }
 
 func TestEmptyTree(t *testing.T) {

@@ -16,18 +16,22 @@ package storage
 // Contracts shared by all implementations:
 //
 //   - ReadNoCopy is the one counted demand read: every store counts one
-//     read per ReadNoCopy and one write per Write. Alloc, Free and
-//     PeekNoCopy are not I/O and are never counted, and neither is
-//     anything a store does on its own behalf (a log append, a header
-//     rewrite, the batching of writes).
+//     read per ReadNoCopy and one write per page a Write stores. Alloc,
+//     Free and PeekNoCopy are not I/O and are never counted, and neither
+//     is anything a store does on its own behalf (a log append, a header
+//     rewrite).
 //   - ReadNoCopy lends bytes the caller treats as read-only, readable
 //     until Close: the store's own page where it has one (a Disk's slice,
 //     a mapped view), which shows a later Write, or else a private copy,
 //     which does not. PeekNoCopy is the same, uncounted, for test
 //     assertions and open-time sanity checks, never algorithm code.
 //   - Alloc returns a zeroed page; the subsequent Write is the I/O.
-//   - Write may pass fewer than BlockSize bytes; the page tail is
-//     untouched.
+//   - Write may pass fewer than BlockSize bytes for a page; the page tail
+//     is untouched. A page is in the store when Write returns: nothing
+//     waits for a later call to write it.
+//   - Write of several pages stores them in consecutive pages, as that
+//     many Writes would; the pages are fresh from Alloc, so a short one's
+//     tail reads zeros.
 //   - Pages must have a single writer at a time and must not be accessed
 //     after Free; allocation, Free, Meta and SetMeta are safe for
 //     concurrent use, and concurrent readers of distinct or immutable
@@ -55,9 +59,11 @@ type Backend interface {
 	ReadNoCopy(id PageID) []byte
 	// PeekNoCopy returns the page contents without counting I/O.
 	PeekNoCopy(id PageID) []byte
-	// Write stores data into page id. len(data) must not exceed BlockSize;
-	// shorter data leaves the page tail untouched. A failed write is lost.
-	Write(id PageID, data []byte)
+	// Write stores pages[i] into page id+i. No page may exceed BlockSize;
+	// a shorter one leaves its page's tail untouched. A durable store
+	// writes a run of consecutive pages with one write. A failed write is
+	// lost.
+	Write(id PageID, pages ...[]byte)
 	// SetMeta replaces the backend's superblock metadata blob (the tree
 	// root descriptor for persistent backends).
 	SetMeta(meta []byte)

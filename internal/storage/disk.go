@@ -130,14 +130,16 @@ func (d *Disk) page(id PageID) []byte {
 	return d.pages[id]
 }
 
-// Write stores data into page id, counting one block write. data must not
-// exceed the block size; shorter data leaves the page tail untouched.
-func (d *Disk) Write(id PageID, data []byte) {
-	if len(data) > d.blockSize {
-		panic(fmt.Sprintf("storage: write of %d bytes exceeds block size %d", len(data), d.blockSize))
+// Write stores pages[i] into page id+i, counting one block write a page. No
+// page may exceed the block size; a shorter one leaves its tail untouched.
+func (d *Disk) Write(id PageID, pages ...[]byte) {
+	for i, data := range pages {
+		if len(data) > d.blockSize {
+			panic(fmt.Sprintf("storage: write of %d bytes exceeds block size %d", len(data), d.blockSize))
+		}
+		copy(d.page(id+PageID(i)), data)
+		d.writes.Add(1)
 	}
-	copy(d.page(id), data)
-	d.writes.Add(1)
 }
 
 // ReadNoCopy returns the page's backing slice without copying, counting one

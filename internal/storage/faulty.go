@@ -42,11 +42,11 @@ func (m FaultMode) String() string {
 }
 
 // Faulty decorates a Backend with deterministic failure injection: after
-// N counted operations (Write, Sync, Commit — the persistence path), the
-// configured fault fires. It models a live disk that errs or stops
-// persisting; a killed process is FileBackend.SetCrashAfterSteps. Tests
-// drive both (the facade's TestFaultSweepRecovery). The zero trigger (0)
-// disarms injection.
+// N counted operations (each page a Write stores, Sync, Commit — the
+// persistence path), the configured fault fires. It models a live disk
+// that errs or stops persisting; a killed process is
+// FileBackend.SetCrashAfterSteps. Tests drive both (the facade's
+// TestFaultSweepRecovery). The zero trigger (0) disarms injection.
 //
 // Faulty is safe for the same concurrent use as its inner backend; the
 // trigger check is atomic.
@@ -148,15 +148,18 @@ func (f *Faulty) PeekNoCopy(id PageID) []byte {
 	return f.inner.PeekNoCopy(id)
 }
 
-// Write implements Backend, applying the configured fault when triggered:
-// the write is dropped, and under FaultError every later Commit and Sync
-// fails with the injected error.
-func (f *Faulty) Write(id PageID, data []byte) {
-	if f.step() {
-		f.lostWrite.Store(f.mode != FaultStop)
-		return
+// Write implements Backend, one counted operation a page, each forwarded
+// on its own, applying the configured fault when triggered: the page is
+// dropped, and under FaultError every later Commit and Sync fails with the
+// injected error.
+func (f *Faulty) Write(id PageID, pages ...[]byte) {
+	for i, data := range pages {
+		if f.step() {
+			f.lostWrite.Store(f.mode != FaultStop)
+			continue
+		}
+		f.inner.Write(id+PageID(i), data)
 	}
-	f.inner.Write(id, data)
 }
 
 // SetMeta implements Backend (uncounted; persisted by Commit/Sync, which

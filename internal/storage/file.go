@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -66,13 +67,13 @@ import (
 //   - Note logs opaque bytes of the owner with the transaction — a logical
 //     record of a change that touched no page;
 //   - Commit flushes the page file, writes the notes, the post-state
-//     (allocator + metadata) and a commit marker over the zeros past the
-//     log's last record, and fsyncs the log once.
+//     (allocator + metadata) and a commit marker with one write over the
+//     zeros past the log's last record, and fsyncs the log once.
 //
 // A light transaction — one that logged notes and did nothing else:
 // nothing freed, the metadata left alone — commits without
-// the post-state, which is still the last STATE record's: two small
-// appends and one log fsync, nothing proportional to the freelist. The
+// the post-state, which is still the last STATE record's: one small
+// append and one log fsync, nothing proportional to the freelist. The
 // first transaction of a log generation is never light.
 //
 // The log keeps a region of zeros past its last record (see wal.go), and
@@ -117,8 +118,8 @@ import (
 // One rule covers every failure: the first page pwrite, log append or
 // extension, truncate or fsync that errs fails the handle with its error,
 // as a Rollback (it undoes nothing) and an injected crash do. A failed
-// handle still reads but persists nothing: its run is dropped, writes are
-// skipped, Begin opens nothing, Commit and Sync return the error, and
+// handle still reads but persists nothing: writes are skipped, Begin
+// opens nothing, Commit and Sync return the error, and
 // Close releases both files like Abandon and returns nil. The next Open
 // recovers the last commit from the log.
 //
@@ -127,7 +128,8 @@ import (
 // Like Disk, a FileBackend is safe for concurrent use. mu guards the
 // allocator, the freelist, the metadata blob and the open transaction;
 // page reads and writes hold it shared around pread/pwrite, which are
-// safe from many goroutines. Individual pages keep the single-writer /
+// safe from many goroutines; a page write that formats slots also takes
+// scratchMu, so those go out one at a time. Individual pages keep the single-writer /
 // no-use-after-Free contract; Begin, Commit and Rollback delimit one
 // transaction at a time.
 //
@@ -198,15 +200,11 @@ type FileBackend struct {
 	extent atomic.Int64
 	pm     pageMap // the file's mapping of itself; empty on platforms without one
 
-	// The run: fresh page slots written since the last flush, consecutive
-	// from runFirst, encoded in run and not yet in the file (see
-	// writeDirect). runMu guards them and is taken after mu; runPending
-	// lets a read see a run without taking it.
-	runMu      sync.Mutex
-	run        []byte
-	runFirst   PageID
-	runLen     int
-	runPending atomic.Bool
+	// scratch is where writeDirect formats the slots of one Write. It holds
+	// them for that call only; scratchMu, taken after mu, lends it to one
+	// call at a time.
+	scratchMu sync.Mutex
+	scratch   []byte
 
 	// commitMu is the commit gate (see "# Locks"); it is taken before mu.
 	commitMu sync.RWMutex
@@ -245,7 +243,8 @@ type FileBackend struct {
 type fileTx struct {
 	metaSet bool
 	freed   freeHeap // pages freed during the transaction
-	notes   [][]byte
+	notes   []byte   // NOTE records, framed as Note was called
+	nNotes  int
 }
 
 // light reports whether the transaction did nothing but log notes, so its
@@ -802,8 +801,8 @@ func (fb *FileBackend) failed() error {
 func (fb *FileBackend) BlockSize() int { return fb.blockSize }
 
 // Stats implements Backend: one read per Read and ReadNoCopy, one write
-// per Write. Log appends, header rewrites and the runs fresh pages go out
-// in are the store's own and never counted.
+// per page a Write stores. Log appends and header rewrites are the
+// store's own and never counted.
 func (fb *FileBackend) Stats() Stats {
 	return Stats{Reads: fb.reads.Load(), Writes: fb.writes.Load()}
 }
@@ -857,10 +856,11 @@ func (fb *FileBackend) checkIDLocked(id PageID) {
 // Alloc implements Backend. The lowest reusable free page is recycled
 // first, so live pages gather at the start of the file and a checkpoint can
 // cut the free ones off its end (see Sync). Recycled pages are zeroed in
-// place (their old bytes are stale data); fresh pages extend the file lazily — reads past
-// EOF already yield zeros, the first Write extends the file, and the next
-// checkpoint's truncate materializes any unwritten tail — so a bulk load's
-// pages go out in runs of runSlots pages a pwrite (see writeDirect).
+// place (their old bytes are stale data); fresh pages extend the file
+// lazily — reads past EOF already yield zeros, the first Write extends the
+// file, and the next checkpoint's truncate materializes any unwritten
+// tail — so a Write of consecutive fresh pages is one pwrite (see
+// writeDirect).
 //
 // During a transaction only pages free in the last committed state are
 // recycled; pages freed within the transaction still hold content a crash
@@ -874,7 +874,7 @@ func (fb *FileBackend) Alloc() PageID {
 		// The zero fill is a direct write: it must be durable by the
 		// commit that makes the page reachable even if nobody writes the
 		// page.
-		fb.writeDirect(id, fb.zero)
+		fb.writeDirect(id, [][]byte{fb.zero})
 		return id
 	}
 	id := PageID(fb.numPages)
@@ -919,7 +919,6 @@ func (fb *FileBackend) Read(id PageID, buf []byte) int {
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	fb.checkIDLocked(id)
-	fb.flushRun()
 	return fb.readVerified(id, buf)
 }
 
@@ -986,7 +985,6 @@ func (fb *FileBackend) CheckPage(id PageID) error {
 	if int(id) >= fb.numPages {
 		return fmt.Errorf("storage: page %d out of range (have %d pages)", id, fb.numPages)
 	}
-	fb.flushRun()
 	buf := make([]byte, fb.blockSize)
 	if _, err := fb.f.ReadAt(buf, fb.offset(id)); err != nil && err != io.EOF {
 		return fmt.Errorf("storage: reading page %d: %w", id, err)
@@ -1040,88 +1038,70 @@ func (fb *FileBackend) PeekNoCopy(id PageID) []byte {
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
 	fb.checkIDLocked(id)
-	fb.flushRun()
 	if _, err := fb.f.ReadAt(buf, fb.offset(id)); err != nil && err != io.EOF {
 		panic(fmt.Sprintf("storage: reading page %d: %v", id, err))
 	}
 	return buf
 }
 
-// Write implements Backend: a slot-aligned pwrite of data plus its checksum
-// trailer, in a transaction or out of one. Shorter-than-block data leaves
-// the page tail untouched. The caller owns the page: it allocated it and
-// has not published it in a committed state (see the invariant on
-// FileBackend).
-func (fb *FileBackend) Write(id PageID, data []byte) {
-	if len(data) > fb.blockSize {
-		panic(fmt.Sprintf("storage: write of %d bytes exceeds block size %d", len(data), fb.blockSize))
+// Write implements Backend: pages[i] and its checksum trailer go into page
+// id+i's slot, in a transaction or out of one, and are in the file when
+// Write returns. The caller owns the pages: it allocated them and has not
+// published them in a committed state (see the invariant on FileBackend).
+func (fb *FileBackend) Write(id PageID, pages ...[]byte) {
+	for _, data := range pages {
+		if len(data) > fb.blockSize {
+			panic(fmt.Sprintf("storage: write of %d bytes exceeds block size %d", len(data), fb.blockSize))
+		}
 	}
-	fb.writes.Add(1)
+	if len(pages) == 0 {
+		return
+	}
+	fb.writes.Add(uint64(len(pages)))
 	fb.mu.RLock()
 	defer fb.mu.RUnlock()
-	fb.checkIDLocked(id)
-	fb.writeDirect(id, data)
+	fb.checkIDLocked(id + PageID(len(pages)-1))
+	fb.writeDirect(id, pages)
 }
 
-// runSlots is the most fresh page slots a run holds before it goes out:
-// enough that a bulk load issues one page pwrite for 16 pages, few enough
-// (66 KB at 4 KB blocks) that the buffer fits a default load's allocation
-// budget of 8 bytes a record from 80,000 records on.
-const runSlots = 16
-
-// writeDirect puts data and its trailer into page id's slot and marks the
-// page file as holding bytes only an fsync makes durable. The caller holds
-// at least a read lock (geometry is stable).
+// writeDirect puts pages[i] and its trailer into page id+i's slot and marks
+// the page file as holding bytes only an fsync makes durable. The caller
+// holds at least a read lock (geometry is stable).
 //
-// A fresh page — its slot lies beyond every byte in the file, so there is
-// no tail to keep — joins the run when it follows the run's last page, and
-// a full run goes out as one pwrite. Anything else flushes the run first
-// and then writes its slot with one pwrite (data, the zero tail a fresh
-// slot reads anyway, trailer; or a whole block and its trailer), or two
-// when a short write must leave an old tail untouched. The run is flushed
-// before any read, commit, sync, close or rollback, so nothing but a
-// crash can tell that its pages went out late: their persistence steps
-// are counted here, one a page, and a crash drops the run as it would the
-// pwrites not yet issued. A failed handle writes nothing.
-func (fb *FileBackend) writeDirect(id PageID, data []byte) {
+// The slots — data, zeros to the end of the block, trailer — are formatted
+// in a scratch buffer and go out with one pwrite. Only one short page over
+// a slot the file already holds is written as two, its data and its
+// trailer, so that the old tail stays. Every page is one persistence step,
+// all taken before the pwrite, so an injected crash inside a batch writes
+// none of it. A failed handle writes nothing.
+func (fb *FileBackend) writeDirect(id PageID, pages [][]byte) {
 	if fb.failed() != nil {
 		return
 	}
-	fb.persistStep()
-	fb.runMu.Lock()
-	defer fb.runMu.Unlock()
-	if fb.runLen > 0 && id != fb.runFirst+PageID(fb.runLen) {
-		fb.flushRunLocked()
-	}
-	fresh := fb.offset(id) >= fb.extent.Load()
-	if fb.run == nil {
-		fb.run = make([]byte, runSlots*fb.slotSize)
-	}
-	if fresh {
-		if fb.runLen == 0 {
-			fb.runFirst = id
-		}
-		fb.fillSlot(fb.run[fb.runLen*fb.slotSize:][:fb.slotSize], data)
-		fb.runLen++
-		fb.runPending.Store(true)
-		if fb.runLen == runSlots {
-			fb.flushRunLocked()
-		}
-		return
+	for range pages {
+		fb.persistStep()
 	}
 	off := fb.offset(id)
-	if len(data) == fb.blockSize {
-		slot := fb.run[:fb.slotSize]
-		fb.fillSlot(slot, data)
-		if fb.pwrite(slot, off, id) {
+	if data := pages[0]; len(pages) == 1 && len(data) < fb.blockSize && off < fb.extent.Load() {
+		var tr [pageTrailerSize]byte
+		putTrailer(tr[:], data)
+		if fb.pwrite(data, off, id) && fb.pwrite(tr[:], off+int64(fb.blockSize), id) {
 			fb.wrote(id, 1, off+int64(fb.slotSize))
 		}
 		return
 	}
-	var tr [pageTrailerSize]byte
-	putTrailer(tr[:], data)
-	if fb.pwrite(data, off, id) && fb.pwrite(tr[:], off+int64(fb.blockSize), id) {
-		fb.wrote(id, 1, off+int64(fb.slotSize))
+	n := len(pages) * fb.slotSize
+	fb.scratchMu.Lock()
+	defer fb.scratchMu.Unlock()
+	if len(fb.scratch) < n {
+		fb.scratch = make([]byte, n)
+	}
+	buf := fb.scratch[:n]
+	for i, data := range pages {
+		fb.fillSlot(buf[i*fb.slotSize:][:fb.slotSize], data)
+	}
+	if fb.pwrite(buf, off, id) {
+		fb.wrote(id, len(pages), off+int64(n))
 	}
 }
 
@@ -1167,29 +1147,6 @@ func (fb *FileBackend) wrote(id PageID, n int, end int64) {
 	fb.pagesDirty.Store(true)
 }
 
-// flushRun writes out the run, if there is one. The caller holds at least
-// a read lock.
-func (fb *FileBackend) flushRun() {
-	if !fb.runPending.Load() {
-		return
-	}
-	fb.runMu.Lock()
-	defer fb.runMu.Unlock()
-	fb.flushRunLocked()
-}
-
-// flushRunLocked writes the run's slots with one pwrite and empties it; a
-// failed handle drops it unwritten. The run stays pending until its bytes
-// are in the file, so a reader that finds none pending reads them there.
-// The caller holds runMu.
-func (fb *FileBackend) flushRunLocked() {
-	if n := fb.runLen; n > 0 && fb.failed() == nil && fb.pwrite(fb.run[:n*fb.slotSize], fb.offset(fb.runFirst), fb.runFirst) {
-		fb.wrote(fb.runFirst, n, fb.offset(fb.runFirst+PageID(n)))
-	}
-	fb.runLen = 0
-	fb.runPending.Store(false)
-}
-
 // SetMeta implements Backend. The blob is persisted by the next Commit or
 // Sync and must fit the header block alongside the fixed header.
 func (fb *FileBackend) SetMeta(meta []byte) {
@@ -1233,7 +1190,7 @@ func (fb *FileBackend) Begin() {
 	// append that fails fails the handle.
 	if !fb.walHasState && len(fb.ckpt.free) > 0 {
 		tx := walTx{seq: fb.walSeq + 1, state: &fb.ckpt}
-		if fb.appendWAL(tx.records()) != nil {
+		if fb.appendWAL(tx.records(nil), 2) != nil {
 			return
 		}
 		fb.walSeq++
@@ -1254,34 +1211,31 @@ func (fb *FileBackend) Begin() {
 func (fb *FileBackend) Note(data []byte) {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if fb.tx != nil {
-		fb.tx.notes = append(fb.tx.notes, append([]byte(nil), data...))
+	if tx := fb.tx; tx != nil {
+		tx.notes = appendWALRecord(tx.notes, walRecNote, data)
+		tx.nNotes++
 	}
 }
 
-// appendWAL appends recs at the log's end, one pwrite each, and fsyncs the
-// log; records that would run past the zeros written ahead of them first
-// write the next extension. An append or fsync that fails fails the
-// handle. The caller owns the log's tail: it holds mu, or the commit gate.
-func (fb *FileBackend) appendWAL(recs [][]byte) error {
-	end := fb.walSize.Load()
-	for _, rec := range recs {
-		end += int64(len(rec))
-	}
-	if end > fb.walEnd {
+// appendWAL appends recs, n records framed in one buffer, at the log's end
+// with one pwrite and fsyncs the log; records that would run past the
+// zeros written ahead of them first write the next extension. An append or
+// fsync that fails fails the handle. The caller owns the log's tail: it
+// holds mu, or the commit gate.
+func (fb *FileBackend) appendWAL(recs []byte, n int) error {
+	at := fb.walSize.Load()
+	if end := at + int64(len(recs)); end > fb.walEnd {
 		if err := fb.extendWAL(end); err != nil {
 			return err
 		}
 	}
-	for _, rec := range recs {
-		fb.persistStep()
-		if _, err := fb.wal.WriteAt(rec, fb.walSize.Load()); err != nil {
-			return fb.fail(fmt.Errorf("storage: appending to write-ahead log: %w", err))
-		}
-		fb.walSize.Add(int64(len(rec)))
-		fb.walRecords.Add(1)
-		fb.walBytes.Add(int64(len(rec)))
+	fb.persistStep()
+	if _, err := fb.wal.WriteAt(recs, at); err != nil {
+		return fb.fail(fmt.Errorf("storage: appending to write-ahead log: %w", err))
 	}
+	fb.walSize.Add(int64(len(recs)))
+	fb.walRecords.Add(int64(n))
+	fb.walBytes.Add(int64(len(recs)))
 	fb.persistStep()
 	if err := fb.syncWAL(); err != nil {
 		return fb.fail(fmt.Errorf("storage: fsync write-ahead log: %w", err))
@@ -1328,7 +1282,7 @@ func (fb *FileBackend) Commit() error {
 			return fb.fail(fmt.Errorf("storage: fsync page file before commit: %w", err))
 		}
 	}
-	if err := fb.appendWAL(c.recs); err != nil {
+	if err := fb.appendWAL(c.recs, c.n); err != nil {
 		return err
 	}
 	fb.finishCommit(c.seq)
@@ -1338,7 +1292,8 @@ func (fb *FileBackend) Commit() error {
 // fileCommit is what prepareCommit hands to the rest of Commit.
 type fileCommit struct {
 	seq        uint64
-	recs       [][]byte
+	recs       []byte // the framed records
+	n          int    // how many
 	flushPages bool
 }
 
@@ -1352,7 +1307,6 @@ func (fb *FileBackend) prepareCommit() (fileCommit, error) {
 	if fb.closed {
 		return c, errors.New("storage: commit on closed page file")
 	}
-	fb.flushRun()
 	if err := fb.failed(); err != nil {
 		return c, err
 	}
@@ -1365,14 +1319,17 @@ func (fb *FileBackend) prepareCommit() (fileCommit, error) {
 			len(fb.meta), fb.blockSize)
 	}
 	c.seq = fb.walSeq + 1
-	wtx := walTx{seq: c.seq, notes: tx.notes}
+	wtx := walTx{seq: c.seq}
+	c.n = tx.nNotes + 1
 	if !fb.walHasState || !tx.light() {
 		free := make([]PageID, 0, len(fb.free)+len(tx.freed))
 		free = append(append(free, fb.free...), tx.freed...)
 		wtx.state = &walState{numPages: fb.numPages, free: free, meta: fb.meta}
 		c.flushPages = fb.pagesDirty.Load()
+		c.n++
 	}
-	c.recs = wtx.records()
+	// Clipped: the records get a buffer of their own, and tx.notes stays.
+	c.recs = wtx.records(slices.Clip(tx.notes))
 	return c, nil
 }
 
@@ -1389,14 +1346,10 @@ func (fb *FileBackend) finishCommit(seq uint64) {
 	fb.tx = nil
 }
 
-// Rollback implements Backend: it ends the handle. It flushes the run (a
-// failed handle writes nothing), so readers still traversing what the
-// transaction wrote read it, and fails the handle; it restores nothing.
-// The file holds the last commit, which the next Open recovers.
+// Rollback implements Backend: it fails the handle and restores nothing.
+// Readers still traversing what the transaction wrote read it in the file,
+// which holds the last commit for the next Open to recover.
 func (fb *FileBackend) Rollback() {
-	fb.mu.Lock()
-	defer fb.mu.Unlock()
-	fb.flushRun()
 	fb.fail(errors.New("storage: a transaction did not commit"))
 }
 
@@ -1435,7 +1388,6 @@ func (fb *FileBackend) syncLocked() error {
 	if fb.closed {
 		return errors.New("storage: sync on closed page file")
 	}
-	fb.flushRun()
 	if err := fb.failed(); err != nil {
 		return err
 	}
@@ -1535,10 +1487,6 @@ func (fb *FileBackend) abandonLocked() error {
 	if fb.closed {
 		return nil
 	}
-	fb.runMu.Lock()
-	fb.runLen = 0 // what a dying process had not written, it never writes
-	fb.runPending.Store(false)
-	fb.runMu.Unlock()
 	fb.closed = true
 	fb.pm.unmap()
 	return errors.Join(fb.f.Close(), fb.wal.Close())

@@ -125,8 +125,7 @@ func (pm *pageMap) unmap() {
 // view is ReadNoCopy's zero-copy path: page id's bytes in the mapping,
 // counted as one read, or nil, uncounted, where the page has no view. A
 // page has none before its slot has been written (there are no bytes to
-// map), nor once a map has failed; Read serves it. A page still in the
-// write run goes out first.
+// map), nor once a map has failed; Read serves it.
 //
 // The first view of a page after each write of it verifies the CRC32C
 // trailer against the mapped bytes, and a mismatch panics with an error
@@ -137,10 +136,7 @@ func (fb *FileBackend) view(id PageID) []byte {
 	fb.checkIDLocked(id)
 	off := fb.offset(id)
 	if off+int64(fb.slotSize) > fb.extent.Load() {
-		fb.flushRun()
-		if off+int64(fb.slotSize) > fb.extent.Load() {
-			return nil
-		}
+		return nil
 	}
 	seg := fb.pm.segment(id)
 	if seg == nil {

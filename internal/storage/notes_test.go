@@ -36,8 +36,8 @@ func notesOf(fb *FileBackend) string {
 }
 
 // TestFileBackendLightCommit: a transaction that only logs a note commits
-// as NOTE + COMMIT — three persistence steps, one log fsync, no page-file
-// fsync, no STATE — except as the first transaction of a log generation,
+// as NOTE + COMMIT in one write — two persistence steps, one log fsync, no
+// page-file fsync, no STATE — except as the first transaction of a log generation,
 // which carries the state — and, after a checkpoint, the log's first
 // extension of zeros, one step more.
 func TestFileBackendLightCommit(t *testing.T) {
@@ -62,7 +62,7 @@ func TestFileBackendLightCommit(t *testing.T) {
 	}
 	note := string(bytes.Repeat([]byte{'n'}, 37))
 	first := measure(func() { lightCommit(t, fb, note) })
-	if first.records != 3 || first.steps != 5 || first.logSyncs != 1 || first.fileSyncs != 0 {
+	if first.records != 3 || first.steps != 3 || first.logSyncs != 1 || first.fileSyncs != 0 {
 		t.Errorf("first commit of the generation cost %+v, want the first extension, NOTE+STATE+COMMIT and one log fsync", first)
 	}
 	if got := walFileSize(t, path); got != walHeaderSize+walExtend {
@@ -70,7 +70,7 @@ func TestFileBackendLightCommit(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		c := measure(func() { lightCommit(t, fb, note) })
-		if want := (cost{steps: 3, records: 2, bytes: 63, logSyncs: 1}); c != want {
+		if want := (cost{steps: 2, records: 2, bytes: 63, logSyncs: 1}); c != want {
 			t.Fatalf("light commit %d cost %+v, want %+v", i, c, want)
 		}
 	}
@@ -127,8 +127,8 @@ func TestFileBackendCommitFlushesAnyonesWrites(t *testing.T) {
 		t.Fatalf("publishing commit did %d page-file fsyncs, want 1", f.PageFile-f0.PageFile)
 	}
 	// The flush is the commit's first step, before any record is appended.
-	if got := fb.PersistSteps() - steps; got != 4 {
-		t.Errorf("publishing commit took %d steps, want fsync(pages) STATE COMMIT fsync(log)", got)
+	if got := fb.PersistSteps() - steps; got != 3 {
+		t.Errorf("publishing commit took %d steps, want fsync(pages), STATE+COMMIT in one write, fsync(log)", got)
 	}
 
 	// Nothing written since: the next STATE-bearing commit flushes no page.
@@ -165,7 +165,7 @@ func crashedWithNotes(t *testing.T) (path string, page PageID) {
 	}
 	fb.Begin()
 	fb.Note([]byte("never acknowledged"))
-	fb.SetCrashAfterSteps(fb.PersistSteps() + 3) // NOTE, COMMIT written; the fsync dies
+	fb.SetCrashAfterSteps(fb.PersistSteps() + 2) // NOTE and COMMIT written; the fsync dies
 	expectFaultPanic(t, func() { fb.Commit() })
 	fb.Abandon()
 	// What a power cut does to an unsynced commit marker: tear it.

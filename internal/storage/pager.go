@@ -182,23 +182,24 @@ func (p *Pager) Pin(id PageID) {
 	}
 }
 
-// Write stores data to page id on disk and drops any cached entry, so the
-// next read fetches the new bytes: what ReadNoCopy lent before may be a
-// private copy, or a view of the page's previous life that a reader
-// published after the free, while a fresh page waits in a page file's
-// write run, unseen by any view until a read flushes it. A pinned page
+// Write stores pages[i] to page id+i on disk (see Backend.Write) and drops
+// any cached entry of each, so the next read fetches the new bytes: what
+// ReadNoCopy lent before may be a private copy, or a view of the page's
+// previous life that a reader published after the free. A pinned page
 // stays pinned: its bytes are taken again with ReadNoCopy, a counted read.
 // No tree rewrites a live page — copy-on-write writes fresh pages, and
 // rtree frees a node only after invalidating it — so neither costs a
 // query a read.
-func (p *Pager) Write(id PageID, data []byte) {
-	p.dev.Write(id, data)
+func (p *Pager) Write(id PageID, pages ...[]byte) {
+	p.dev.Write(id, pages...)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ce, ok := p.entries[id]; ok && ce.pinned {
-		ce.data = p.dev.ReadNoCopy(id)
-	} else if ok {
-		p.remove(ce)
+	for i := range pages {
+		if ce, ok := p.entries[id+PageID(i)]; ok && ce.pinned {
+			ce.data = p.dev.ReadNoCopy(ce.id)
+		} else if ok {
+			p.remove(ce)
+		}
 	}
 }
 

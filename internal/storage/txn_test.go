@@ -158,12 +158,15 @@ func TestFileBackendTxCrashBeforeCommitRollsBack(t *testing.T) {
 	fb.Free(a)
 	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA2}, 256))
 	fb.SetMeta([]byte("after"))
-	// Kill inside Commit after the STATE record is appended but before the
-	// commit marker: +1 flushes the page file, +2 writes the log's first
-	// extension, +3 appends STATE, +4 dies.
+	// Kill inside Commit at the log fsync — +1 flushes the page file, +2
+	// writes the log's first extension, +3 writes STATE and COMMIT, +4
+	// dies — and lose the commit marker the way a power cut can: the
+	// STATE record reached the disk, the COMMIT record's bytes did not.
 	fb.SetCrashAfterSteps(fb.PersistSteps() + 4)
 	expectFaultPanic(t, func() { fb.Commit() })
 	fb.Abandon()
+	end := walRecordsEnd(t, path)
+	tearWAL(t, path, end-walRecOverhead-8, end)
 
 	re, err := OpenFile(path, 0)
 	if err != nil {
@@ -515,11 +518,11 @@ func TestFileBackendWALTruncatedTail(t *testing.T) {
 	fb.Begin()
 	fb.Free(a)
 	fb.Write(fb.Alloc(), bytes.Repeat([]byte{0xA2}, 256))
-	// Kill at the log fsync (+5, after the page-file flush, the log's first
-	// extension, STATE and COMMIT): the records are in the OS page cache but
-	// never forced down, so losing part of the commit record is exactly what
-	// a power cut could do.
-	fb.SetCrashAfterSteps(fb.PersistSteps() + 5)
+	// Kill at the log fsync (+4, after the page-file flush, the log's first
+	// extension and the write of STATE and COMMIT): the records are in the
+	// OS page cache but never forced down, so losing part of the commit
+	// record is exactly what a power cut could do.
+	fb.SetCrashAfterSteps(fb.PersistSteps() + 4)
 	expectFaultPanic(t, func() { fb.Commit() })
 	fb.Abandon()
 
@@ -570,7 +573,7 @@ func TestFileBackendWALExtensionCrash(t *testing.T) {
 		extending = append(extending, i)
 		f1 := fb.FsyncStats()
 		c := cost{fb.PersistSteps() - s0, f1.Log - f0.Log, f1.PageFile - f0.PageFile}
-		if want := (cost{steps: 4, logSyncs: 1}); i > 0 && c != want {
+		if want := (cost{steps: 3, logSyncs: 1}); i > 0 && c != want {
 			t.Errorf("commit %d extends the log at a cost of %+v, want %+v", i, c, want)
 		}
 	}
@@ -582,9 +585,9 @@ func TestFileBackendWALExtensionCrash(t *testing.T) {
 	for _, victim := range extending[1:] {
 		for _, kill := range []struct {
 			name     string
-			at       int64 // steps into the commit: extension, NOTE, COMMIT, fsync
+			at       int64 // steps into the commit: extension, NOTE and COMMIT, fsync
 			powerCut bool
-		}{{"extension", 1, false}, {"fsync", 4, false}, {"fsync+power-cut", 4, true}} {
+		}{{"extension", 1, false}, {"fsync", 3, false}, {"fsync+power-cut", 3, true}} {
 			path := tempIndex(t)
 			fb, err := CreateFile(path, 256)
 			if err != nil {
@@ -606,7 +609,7 @@ func TestFileBackendWALExtensionCrash(t *testing.T) {
 				if err := os.Truncate(walPath(path), fileEnd); err != nil {
 					t.Fatal(err)
 				}
-			case kill.at == 4:
+			case kill.at == 3:
 				want++
 			}
 

@@ -22,13 +22,14 @@ import (
 //     state is then still the last STATE record's, freelist included,
 //   - one COMMIT record with a monotonically increasing sequence number,
 //
-// written over zeros and made durable by a single fsync. A transaction is
-// committed iff its COMMIT record is fully on disk; recovery adopts the
-// last committed state, hands the committed notes to the owner in commit
-// order, and discards everything after the last commit marker. The first
-// transaction of a log generation always carries a STATE, so a log with
-// committed transactions describes the committed state without the
-// page-file header.
+// framed in one buffer, written over zeros with one write and made
+// durable by a single fsync. A transaction is committed iff its COMMIT
+// record is fully on disk; recovery adopts the last committed state,
+// hands the committed notes to the owner in commit order, and discards
+// everything after the last commit marker. The first transaction of a
+// log generation always carries a STATE, so a log with committed
+// transactions describes the committed state without the page-file
+// header.
 //
 // The zero-filled region. The file runs on past its last record in zeros
 // written ahead of the records: when a commit's records would run past
@@ -170,9 +171,6 @@ func encodeWALState(numPages int, free []PageID, meta []byte) []byte {
 	return appendWALRecord(nil, walRecState, payload)
 }
 
-// encodeWALNote frames one opaque note of the backend's owner.
-func encodeWALNote(data []byte) []byte { return appendWALRecord(nil, walRecNote, data) }
-
 // encodeWALCommit frames a commit marker.
 func encodeWALCommit(seq uint64) []byte {
 	var payload [8]byte
@@ -195,17 +193,17 @@ type walTx struct {
 	state *walState
 }
 
-// records frames the transaction the way Commit appends it: notes, the
-// state unless the transaction is light, the commit marker.
-func (tx *walTx) records() [][]byte {
-	recs := make([][]byte, 0, len(tx.notes)+2)
+// records appends the transaction to dst, framed the way Commit writes it
+// in one buffer: notes, the state unless the transaction is light, the
+// commit marker.
+func (tx *walTx) records(dst []byte) []byte {
 	for _, note := range tx.notes {
-		recs = append(recs, encodeWALNote(note))
+		dst = appendWALRecord(dst, walRecNote, note)
 	}
 	if st := tx.state; st != nil {
-		recs = append(recs, encodeWALState(st.numPages, st.free, st.meta))
+		dst = append(dst, encodeWALState(st.numPages, st.free, st.meta)...)
 	}
-	return append(recs, encodeWALCommit(tx.seq))
+	return append(dst, encodeWALCommit(tx.seq)...)
 }
 
 // RecoveryInfo reports what crash recovery found and did when a page

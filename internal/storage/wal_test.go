@@ -13,7 +13,7 @@ import (
 // walTxBytes frames one committed transaction for tests.
 func walTxBytes(seq uint64, numPages int, free []PageID, meta []byte) []byte {
 	tx := walTx{seq: seq, state: &walState{numPages: numPages, free: free, meta: meta}}
-	return bytes.Join(tx.records(), nil)
+	return tx.records(nil)
 }
 
 // walPageRecord frames a PAGE record the way earlier builds journaled an
@@ -24,13 +24,16 @@ func walPageRecord(id PageID, data []byte) []byte {
 	return appendWALRecord(nil, walRecPage, append(payload, data...))
 }
 
+// encodeWALNote frames one opaque note of the backend's owner.
+func encodeWALNote(data []byte) []byte { return appendWALRecord(nil, walRecNote, data) }
+
 // walNotesBytes frames one light transaction: notes and a commit marker.
 func walNotesBytes(seq uint64, notes ...string) []byte {
 	tx := walTx{seq: seq}
 	for _, n := range notes {
 		tx.notes = append(tx.notes, []byte(n))
 	}
-	return bytes.Join(tx.records(), nil)
+	return tx.records(nil)
 }
 
 // TestWALScanNotes: NOTE records come back with their transactions, in
@@ -41,7 +44,7 @@ func TestWALScanNotes(t *testing.T) {
 	tx1 := walTxBytes(1, 2, []PageID{1}, []byte("m1"))
 	tx2 := walNotesBytes(2, "insert a", "insert b")
 	both := walTx{seq: 3, notes: [][]byte{[]byte("saved")}, state: &walState{numPages: 3, meta: []byte("m3")}}
-	tx3 := bytes.Join(both.records(), nil)
+	tx3 := both.records(nil)
 	tx4 := walNotesBytes(4, "delete a")
 	log := bytes.Join([][]byte{tx1, tx2, tx3, tx4}, nil)
 	tail := encodeWALNote([]byte("never committed"))
@@ -351,7 +354,7 @@ func FuzzWALScan(f *testing.F) {
 	f.Add(light)
 	f.Add(light[:len(light)-3])
 	both := walTx{seq: 3, notes: [][]byte{[]byte("saved")}, state: &walState{numPages: 2}}
-	f.Add(append(append([]byte(nil), light...), bytes.Join(both.records(), nil)...))
+	f.Add(append(append([]byte(nil), light...), both.records(nil)...))
 	f.Add(append(append(append(append([]byte(nil), light...), walPageRecord(0, []byte{1})...), encodeWALNote([]byte("n"))...), encodeWALCommit(3)...))
 	f.Add(walNotesBytes(1, "orphan"))
 	// The zero-filled region commits write into: committed transactions
@@ -390,7 +393,7 @@ func FuzzWALScan(f *testing.F) {
 				t.Fatalf("non-monotonic commit seq %d after %d", tx.seq, lastSeq)
 			}
 			lastSeq = tx.seq
-			canonical = append(canonical, bytes.Join(tx.records(), nil)...)
+			canonical = append(canonical, tx.records(nil)...)
 			if tx.state == nil {
 				// A light transaction: notes, nothing else, never first.
 				if i == 0 || len(tx.notes) == 0 {

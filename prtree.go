@@ -55,6 +55,7 @@
 package prtree
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -329,13 +330,16 @@ func (d *Dynamic) Close() error {
 	return d.close(d.saveAndSettle)
 }
 
+// errClosed is a change's error on a closed index.
+var errClosed = errors.New("prtree: index is closed")
+
 // mutate runs fn as one transaction (see transact), serialized against
 // every other writer.
 func (d *Dynamic) mutate(m *logmethod.Mutation, fn func()) error {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()
 	if d.closed {
-		return fmt.Errorf("prtree: index is closed")
+		return errClosed
 	}
 	return d.transact(m, fn)
 }
@@ -397,14 +401,22 @@ func (d *Dynamic) InsertE(it Item) error {
 // DeleteE removes an item by (rect, id), reporting success and the
 // transaction error, if any. One transaction like InsertE, and logged like
 // it on a file-backed index: a delete commits as one log record unless it
-// triggers the tombstone rebuild, which saves the state. Deleting an item
-// that is not there is logged too, and re-applies as the no-op it was.
+// triggers the tombstone rebuild, which saves the state. An item that is
+// not stored opens no transaction: DeleteE returns (false, nil).
 func (d *Dynamic) DeleteE(it Item) (bool, error) {
-	var ok bool
-	if err := d.mutate(&logmethod.Mutation{Delete: true, Item: it}, func() { ok = d.inner.Delete(it) }); err != nil {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	if d.closed {
+		return false, fmt.Errorf("prtree: dynamic delete: %w", errClosed)
+	}
+	at, ok := d.inner.Find(it)
+	if !ok {
+		return false, nil
+	}
+	if err := d.transact(&logmethod.Mutation{Delete: true, Item: it}, func() { d.inner.Remove(at) }); err != nil {
 		return false, fmt.Errorf("prtree: dynamic delete: %w", err)
 	}
-	return ok, nil
+	return true, nil
 }
 
 // Query reports every live item intersecting q to fn and returns the
