@@ -146,8 +146,9 @@ func AblationRoundToB(cfg Config) Table {
 }
 
 // AblationCache reproduces the paper's footnote 5: with all internal nodes
-// cached the query cost is the leaf fetches; disabling the cache adds only
-// the internal-node reads, which are few.
+// cached the query cost is the leaf fetches; disabling the cache adds the
+// internal-node reads, 5.35 a query beside 22.4 leaf reads at the recorded
+// scale (24 % more blocks), and leaves the leaf reads as they are.
 func AblationCache(cfg Config) Table {
 	cfg = cfg.normalized()
 	items := dataset.Eastern(cfg.n(100000), cfg.Seed)
@@ -156,7 +157,7 @@ func AblationCache(cfg Config) Table {
 		ID:      "ablation-cache",
 		Title:   "Ablation: internal-node cache on vs off (paper footnote 5)",
 		Columns: []string{"cache", "avg blocks read", "avg leaf blocks"},
-		Notes:   "the cache has little effect on window queries: internal levels are a small fraction",
+		Notes:   "without the cache a query also reads the internal nodes on its paths, a quarter more blocks at the recorded scale; its leaf reads, the paper's metric, do not change",
 	}
 	// Both variants run on pagers without an LRU (capacity 0) so every
 	// uncached node access hits the disk; the first pins the internal

@@ -16,17 +16,17 @@ import (
 
 // checkDirectory holds one state to the directory's bookkeeping: stored
 // counts exactly the items physically present, every tombstone names one of
-// them outside the buffer, no id is stored twice, slot k holds at most
-// base<<k items inside the box recorded for it.
+// them outside the buffer, no item is stored twice and no id is live twice,
+// slot k holds at most base<<k items inside the box recorded for it.
 func checkDirectory(t *testing.T, tr *Tree) {
 	t.Helper()
 	s := tr.st.Load()
-	where := make(map[uint32]geom.Rect) // items a tombstone may name
+	where := make(map[geom.Item]string) // every stored item, and where it is
 	add := func(it geom.Item, what string) {
-		if _, dup := where[it.ID]; dup {
-			t.Fatalf("id %d is stored twice (second copy in %s)", it.ID, what)
+		if first, dup := where[it]; dup {
+			t.Fatalf("item %d %v is stored twice (in %s and %s)", it.ID, it.Rect, first, what)
 		}
-		where[it.ID] = it.Rect
+		where[it] = what
 	}
 	sum := len(s.buffer)
 	for k, l := range s.levels {
@@ -45,16 +45,26 @@ func checkDirectory(t *testing.T, tr *Tree) {
 			}
 		}
 	}
+	for _, it := range s.buffer {
+		add(it, "the buffer")
+	}
 	if s.stored != sum || s.live != sum-s.dead.len() {
 		t.Fatalf("stored %d live %d; %d items present, %d tombstones", s.stored, s.live, sum, s.dead.len())
 	}
-	s.dead.each(func(id uint32, r geom.Rect) {
-		if got, ok := where[id]; !ok || got != r {
-			t.Fatalf("tombstone %d %v names no stored item (found %v %v)", id, r, got, ok)
+	s.dead.each(func(it geom.Item) {
+		if what, ok := where[it]; !ok || what == "the buffer" {
+			t.Fatalf("tombstone %d %v names no item stored in a level (found in %q)", it.ID, it.Rect, what)
 		}
 	})
-	for _, it := range s.buffer {
-		add(it, "the buffer") // and so not tombstoned: every tombstone matched above
+	liveIDs := make(map[uint32]bool, s.live)
+	for it := range where {
+		if s.dead.has(it) {
+			continue
+		}
+		if liveIDs[it.ID] {
+			t.Fatalf("id %d is live twice", it.ID)
+		}
+		liveIDs[it.ID] = true
 	}
 	if c := tr.bufferCap(s); c < tr.base || c > maxBufferLeaves*tr.base {
 		t.Fatalf("buffer capacity %d outside [%d, %d]", c, tr.base, maxBufferLeaves*tr.base)
@@ -215,12 +225,13 @@ func (d *durable) reopen(crash bool) {
 }
 
 // TestGeneratedHistories drives generated histories — inserts, deletes,
-// revives, flushes, clean reopens that settle the file first, crashes with
-// a logged tail — and after every operation holds the directory to its
-// bookkeeping (checkDirectory), every freshly built level to "holds nothing
-// that was dead when it was built", and the answers to brute force. Each
-// history runs a second time with plain reopens, checks off: after no
-// reopen is the settled file the longer of the two.
+// revives, re-inserts of a deleted id with a fresh rect, flushes, clean
+// reopens that settle the file first, crashes with a logged tail — and
+// after every operation holds the directory to its bookkeeping
+// (checkDirectory), every freshly built level to "holds nothing that was
+// dead when it was built", and the answers to brute force. Each history
+// runs a second time with plain reopens, checks off: after no reopen is the
+// settled file the longer of the two.
 func TestGeneratedHistories(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -279,7 +290,7 @@ func generatedHistory(t *testing.T, seed int64, settle bool) (pagesAfterReopen [
 			seen[l] = true
 			carries++
 			for _, it := range l.Items() {
-				if dead.has(it.ID) {
+				if dead.has(it) {
 					t.Fatalf("slot %d was built with item %d, dead at the time", k, it.ID)
 				}
 			}
@@ -310,11 +321,17 @@ func generatedHistory(t *testing.T, seed int64, settle bool) (pagesAfterReopen [
 			d.apply(Mutation{Delete: true, Item: it})
 		case p < 83 && len(graveyard) > 0:
 			// A revive if the item is still tombstoned, a plain
-			// insert if a merge has purged it since.
+			// insert if a merge has purged it since. One time in two
+			// the id comes back with a fresh rect instead: a new item
+			// beside the old one's tombstone, if it still has one.
 			j := rng.Intn(len(graveyard))
 			it := graveyard[j]
 			graveyard[j] = graveyard[len(graveyard)-1]
 			graveyard = graveyard[:len(graveyard)-1]
+			if p >= 79 {
+				x, y := rng.Float64(), rng.Float64()
+				it.Rect = geom.NewRect(x, y, x+rng.Float64()*0.05, y+rng.Float64()*0.05)
+			}
 			live = append(live, it)
 			d.apply(Mutation{Item: it})
 		case p < 84 && rng.Intn(8) == 0: // rare: a flush resets the counter

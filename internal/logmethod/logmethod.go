@@ -55,7 +55,6 @@
 package logmethod
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -103,8 +102,9 @@ func (t *Tree) bufferCap(s *state) int {
 }
 
 // Tree is a dynamic spatial index over the logarithmic method.
-// Item IDs must be unique across live items; Delete identifies items by
-// (rect, id).
+// Item IDs must be unique across live items. Delete identifies items by
+// (rect, id) and its tombstone names the item, so a deleted item's id may
+// come back with any rect: with its own it revives the stored copy.
 //
 // The bulk.Options passed to New apply to every static level the
 // structure builds.
@@ -211,14 +211,9 @@ func (t *Tree) Insert(it geom.Item) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.st.Load()
-	if r, ok := s.dead.get(it.ID); ok {
-		// Reinserting a tombstoned id revives it only if the rect matches;
-		// otherwise the id would be ambiguous.
-		if r != it.Rect {
-			panic(fmt.Sprintf("logmethod: id %d reused with different rect", it.ID))
-		}
+	if s.dead.has(it) { // a revive; its id with another rect is a new item
 		ns := *s
-		ns.dead = s.dead.remove(it.ID)
+		ns.dead = s.dead.remove(it)
 		ns.live++
 		t.st.Store(&ns)
 		return
@@ -278,7 +273,7 @@ func replaced(levels []*level, take []int, k int, built *level) []*level {
 func gather(dst []geom.Item, levels []*level, take []int, dead tombstones) (live, purged []geom.Item) {
 	for _, i := range take {
 		for _, it := range levels[i].Items() {
-			if dead.has(it.ID) {
+			if dead.has(it) {
 				purged = append(purged, it)
 			} else {
 				dst = append(dst, it)
@@ -347,7 +342,7 @@ type Stored struct {
 // answer holds for Remove until the next change.
 func (t *Tree) Find(it geom.Item) (Stored, bool) {
 	s := t.st.Load()
-	if s.dead.has(it.ID) {
+	if s.dead.has(it) {
 		return Stored{}, false
 	}
 	for i, b := range s.buffer {
@@ -383,7 +378,7 @@ func (t *Tree) removeLocked(at Stored) {
 		t.st.Store(&ns)
 		return
 	}
-	ns.dead = s.dead.add(at.item.ID, at.item.Rect)
+	ns.dead = s.dead.add(at.item)
 	t.st.Store(&ns)
 	if 2*ns.dead.len() >= ns.stored && ns.stored > 0 {
 		t.rebuildLocked(true)
@@ -486,7 +481,7 @@ func (t *Tree) RunWindow(q geom.Rect, contain bool, fn func(geom.Item) bool, opt
 		done = (fn != nil && !fn(it)) || (opt.Limit > 0 && st.Results >= opt.Limit)
 		return !done
 	}
-	visit := func(it geom.Item) bool { return s.dead.has(it.ID) || emit(it) }
+	visit := func(it geom.Item) bool { return s.dead.has(it) || emit(it) }
 	for _, it := range s.buffer {
 		if (contain && q.Contains(it.Rect)) || (!contain && q.Intersects(it.Rect)) {
 			if !emit(it) {
@@ -565,7 +560,7 @@ func (t *Tree) AppendNearest(dst []Neighbor, x, y float64, k int, opt rtree.RunO
 		}
 		live := base
 		for _, n := range cand[base:] {
-			if !s.dead.has(n.Item.ID) {
+			if !s.dead.has(n.Item) {
 				cand[live] = n
 				live++
 			}
@@ -601,7 +596,7 @@ func (t *Tree) Items() []geom.Item {
 			continue
 		}
 		for _, it := range l.Items() {
-			if !s.dead.has(it.ID) {
+			if !s.dead.has(it) {
 				out = append(out, it)
 			}
 		}

@@ -129,20 +129,25 @@ func TestReviveTombstonedID(t *testing.T) {
 	}
 }
 
-func TestReviveWithDifferentRectPanics(t *testing.T) {
+// TestReinsertDeletedIDWithNewRect: a tombstone names the item deleted, so
+// the id of a deleted item that a level still stores comes back with
+// another rect as a new item, and the old one stays dead.
+func TestReinsertDeletedIDWithNewRect(t *testing.T) {
 	tr := newTree(4)
-	it := geom.Item{Rect: geom.NewRect(0.1, 0.1, 0.2, 0.2), ID: 7}
-	tr.Insert(it)
+	old := geom.Item{Rect: geom.NewRect(0.1, 0.1, 0.2, 0.2), ID: 7}
+	tr.Insert(old)
 	for i := 0; i < 10; i++ {
 		tr.Insert(geom.Item{Rect: geom.PointRect(float64(i), 5), ID: uint32(100 + i)})
 	}
-	tr.Delete(it)
-	defer func() {
-		if recover() == nil {
-			t.Error("id reuse with different rect should panic")
-		}
-	}()
-	tr.Insert(geom.Item{Rect: geom.NewRect(0.5, 0.5, 0.6, 0.6), ID: 7})
+	tr.Delete(old)
+	reused := geom.Item{Rect: geom.NewRect(0.5, 0.5, 0.6, 0.6), ID: 7}
+	tr.Insert(reused)
+	if tr.Len() != 11 || tr.Delete(old) {
+		t.Fatalf("len %d after the reuse, or the old item deleted twice", tr.Len())
+	}
+	if got, _ := window(tr, geom.NewRect(0, 0, 1, 1), false); !slices.Equal(got, []geom.Item{reused}) {
+		t.Fatalf("the unit square holds %v, want only the new item", got)
+	}
 }
 
 func TestFlushCompactsToOneLevel(t *testing.T) {

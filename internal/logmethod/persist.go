@@ -22,10 +22,11 @@ import (
 //     holds itself, the chain's head) and the level table, one rtree meta
 //     record per occupied level slot.
 //   - Then comes the record stream: the buffer's items, then the
-//     tombstones in id order, 36 bytes each in storage's item codec. The
-//     blob holds as many as fit the page file's header block
-//     (storage.MetaCapacity); the rest go to the chain (each page: next
-//     pointer, count, packed records). A small index saves no state page.
+//     tombstones, the items deletes named, in (id, rect) order, 36 bytes
+//     each in storage's item codec. The blob holds as many as fit the
+//     page file's header block (storage.MetaCapacity); the rest go to the
+//     chain (each page: next pointer, count, packed records). A small
+//     index saves no state page.
 //
 // SaveState rewrites the chain wholesale — unless the chain on the device
 // is the one it wrote for this very buffer and tombstone set (no mutation
@@ -160,10 +161,14 @@ type savedChain struct {
 func (t *Tree) SaveState(dev storage.Backend) []byte {
 	s := t.st.Load()
 	recs := slices.Grow(slices.Clone(s.buffer), s.dead.len())
-	s.dead.each(func(id uint32, r geom.Rect) { recs = append(recs, geom.Item{ID: id, Rect: r}) })
+	s.dead.each(func(it geom.Item) { recs = append(recs, it) })
 	// The order of the tombstones is fixed, so a save that names the chain
 	// again puts the same records before it.
-	slices.SortFunc(recs[len(s.buffer):], func(a, b geom.Item) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(recs[len(s.buffer):], func(a, b geom.Item) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID),
+			cmp.Compare(a.Rect.MinX, b.Rect.MinX), cmp.Compare(a.Rect.MinY, b.Rect.MinY),
+			cmp.Compare(a.Rect.MaxX, b.Rect.MaxX), cmp.Compare(a.Rect.MaxY, b.Rect.MaxY))
+	})
 
 	var table []byte
 	for _, l := range s.levels {
@@ -295,12 +300,12 @@ func OpenState(pager *storage.Pager, opt bulk.Options, meta []byte) (*Tree, erro
 	if err != nil {
 		return nil, fmt.Errorf("logmethod: state chain: %w", err)
 	}
-	dead := tombstones{base: make(map[uint32]geom.Rect, deadCount), n: deadCount}
+	dead := tombstones{base: make(map[geom.Item]struct{}, deadCount), n: deadCount}
 	for _, it := range recs[bufCount:] {
-		if _, dup := dead.base[it.ID]; dup {
-			return nil, fmt.Errorf("logmethod: id %d tombstoned twice", it.ID)
+		if _, dup := dead.base[it]; dup {
+			return nil, fmt.Errorf("logmethod: item %d %v tombstoned twice", it.ID, it.Rect)
 		}
-		dead.base[it.ID] = it.Rect
+		dead.base[it] = struct{}{}
 	}
 
 	t := New(pager, opt, base)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prtree/internal/bulk"
+	"prtree/internal/geom"
 	"prtree/internal/storage"
 	"prtree/internal/zoo"
 )
@@ -104,7 +105,7 @@ func TestOpenStateRejectsHostileCounts(t *testing.T) {
 	}
 	type patch struct {
 		name string
-		word int // of the fixed part; -1: the last inline record's id
+		word int // of the fixed part; -1: the last inline record becomes a copy of the one before
 		v    uint32
 	}
 	for _, n := range []int{40, 52} {
@@ -125,19 +126,60 @@ func TestOpenStateRejectsHostileCounts(t *testing.T) {
 			{"zero base", 0, 0},
 		}
 		if n == 40 { // the tombstones are the blob's last two records
-			patches = append(patches, patch{"duplicate tombstone", -1, binary.LittleEndian.Uint32(meta[len(meta)-2*storage.ItemSize+32:])})
+			patches = append(patches, patch{"item tombstoned twice", -1, 0})
 		}
 		for _, p := range patches {
 			bad := append([]byte(nil), meta...)
 			if p.word >= 0 {
 				binary.LittleEndian.PutUint32(bad[8+4*p.word:], p.v)
 			} else {
-				binary.LittleEndian.PutUint32(bad[len(bad)-storage.ItemSize+32:], p.v)
+				copy(bad[len(bad)-storage.ItemSize:], bad[len(bad)-2*storage.ItemSize:])
 			}
 			if _, err := OpenState(storage.NewPager(disk, -1), bulk.Options{}, bad); err == nil {
 				t.Errorf("fixture of %d, %s: opened", n, p.name)
 			}
 		}
+	}
+}
+
+// sharedIDBlob returns the blob of a state on a fresh store of 512-byte
+// blocks whose two tombstones share an id: an item deleted from a level of
+// 100, its id inserted again with another rect, carried into a level of 64
+// beside it and deleted there too. Both tombstones are in the blob.
+func sharedIDBlob(t testing.TB) (*storage.Disk, *Tree, []byte) {
+	disk := storage.NewDisk(512)
+	tr := New(storage.NewPager(disk, -1), bulk.Options{}, 4)
+	items := zoo.Uniform(164, 0.02, 11)
+	for _, it := range items[:100] {
+		tr.Insert(it)
+	}
+	tr.Flush()
+	reused := geom.Item{Rect: geom.NewRect(0.5, 0.5, 0.51, 0.51), ID: items[0].ID}
+	tr.Delete(items[0])
+	tr.Insert(reused)
+	for _, it := range items[101:] {
+		tr.Insert(it)
+	}
+	tr.Delete(reused)
+	meta := tr.SaveState(disk)
+	if sizes, dead := tr.LevelSizes(), tr.st.Load().dead.len(); !slices.Equal(sizes, []int{0, 0, 0, 0, 64, 100}) || dead != 2 || tr.BufferLen() != 0 || len(tr.chain.pages) != 0 {
+		t.Fatalf("slots %v, %d tombstones, buffer %d, %d state pages: want the reused id's two items dead in levels 4 and 5, and no state page",
+			sizes, dead, tr.BufferLen(), len(tr.chain.pages))
+	}
+	return disk, tr, meta
+}
+
+// TestOpenStateTombstonesShareID: a state whose two tombstones share an id
+// opens to the same live items. (The same item tombstoned twice does not:
+// TestOpenStateRejectsHostileCounts.)
+func TestOpenStateTombstonesShareID(t *testing.T) {
+	disk, tr, meta := sharedIDBlob(t)
+	re, err := OpenState(storage.NewPager(disk, -1), bulk.Options{}, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := zoo.Sorted(re.Items()), zoo.Sorted(tr.Items()); re.Len() != 162 || !slices.Equal(got, want) {
+		t.Fatalf("reopened to %d live items (Len %d), want the 162 saved", len(got), re.Len())
 	}
 }
 
@@ -163,6 +205,8 @@ func FuzzOpenState(f *testing.F) {
 		}
 		f.Add(meta, page)
 	}
+	_, _, shared := sharedIDBlob(f)
+	f.Add(shared, []byte{})
 	f.Fuzz(func(t *testing.T, meta, page []byte) {
 		disk := storage.NewDisk(512)
 		disk.Write(disk.Alloc(), page[:min(len(page), 512)])

@@ -1,82 +1,70 @@
 package logmethod
 
-import "prtree/internal/geom"
+import (
+	"maps"
 
-// tombstones is an immutable set of deleted-but-still-stored items, id →
-// rect. Every state carries one by value and readers look ids up without
-// a lock, so a change never touches a published set: add and remove
-// return a new one.
+	"prtree/internal/geom"
+)
+
+// tombstones is an immutable set of deleted-but-still-stored items. A
+// tombstone is the item Delete named, rect and id, so it hides exactly one
+// stored copy: a deleted item's id may come back with another rect as a new
+// item while the old one waits for its merge, and both may then be dead at
+// once. Every state carries one set by value and readers look items up
+// without a lock, so a change never touches a published set: add and
+// remove return a new one.
 //
 // Copying a map per change is O(tombstones) — more than a whole durable
 // commit once a few thousand are outstanding. So a set is two maps: a
 // base shared, untouched, by every set derived from it, and a small delta
-// of the changes since that base was made (a tombstone added, or a base
-// entry revived). A change copies the delta only; when the delta has
-// outgrown √(2·base) entries — the size at which copying it costs what
-// rebuilding the base does, amortised over the changes in between — the
-// next change folds it into a fresh base. A lookup asks the delta first,
-// then the base.
+// of the items whose membership differs from the base's (a tombstone
+// added, or a base entry revived). A change copies the delta only; when
+// the delta has outgrown √(2·base) entries — the size at which copying it
+// costs what rebuilding the base does, amortised over the changes in
+// between — the next change folds it into a fresh base. An item is in the
+// set if it is in exactly one of the two.
 type tombstones struct {
-	base  map[uint32]geom.Rect
-	delta map[uint32]tombChange
+	base  map[geom.Item]struct{}
+	delta map[geom.Item]struct{}
 	n     int // entries in the set
-}
-
-// tombChange is one delta entry: the id is dead with this rect, or —
-// revived — no longer dead although the base still lists it.
-type tombChange struct {
-	rect    geom.Rect
-	revived bool
 }
 
 // minTombDelta keeps small sets from folding on every change.
 const minTombDelta = 32
 
-// get returns id's tombstone, if it has one.
-func (ts tombstones) get(id uint32) (geom.Rect, bool) {
-	if c, ok := ts.delta[id]; ok {
-		return c.rect, !c.revived
-	}
-	r, ok := ts.base[id]
-	return r, ok
-}
-
-// has reports whether id is tombstoned.
-func (ts tombstones) has(id uint32) bool {
-	_, ok := ts.get(id)
-	return ok
+// has reports whether it is tombstoned.
+func (ts tombstones) has(it geom.Item) bool {
+	_, inBase := ts.base[it]
+	_, flipped := ts.delta[it]
+	return inBase != flipped
 }
 
 // len returns the number of tombstones.
 func (ts tombstones) len() int { return ts.n }
 
 // each calls fn for every tombstone, in no particular order.
-func (ts tombstones) each(fn func(id uint32, r geom.Rect)) {
-	for id, c := range ts.delta {
-		if !c.revived {
-			fn(id, c.rect)
+func (ts tombstones) each(fn func(geom.Item)) {
+	for it := range ts.delta {
+		if _, inBase := ts.base[it]; !inBase {
+			fn(it)
 		}
 	}
-	for id, r := range ts.base {
-		if _, changed := ts.delta[id]; !changed {
-			fn(id, r)
+	for it := range ts.base {
+		if _, revived := ts.delta[it]; !revived {
+			fn(it)
 		}
 	}
 }
 
-// add returns the set with id tombstoned at r. id must not be in the set.
-func (ts tombstones) add(id uint32, r geom.Rect) tombstones {
-	return ts.with(id, tombChange{rect: r}, ts.n+1)
-}
+// add returns the set with it tombstoned. it must not be in the set.
+func (ts tombstones) add(it geom.Item) tombstones { return ts.flip(it, ts.n+1) }
 
-// remove returns the set without id, which must be in it.
-func (ts tombstones) remove(id uint32) tombstones {
-	return ts.with(id, tombChange{revived: true}, ts.n-1)
-}
+// remove returns the set without it, which must be in it.
+func (ts tombstones) remove(it geom.Item) tombstones { return ts.flip(it, ts.n-1) }
 
 // without returns the set minus gone, all of which must be in it — what a
 // merge does with the tombstones of the items it did not copy. One fresh
-// base in O(set), not a derived set per id.
+// base in O(set), not a derived set per item.
 func (ts tombstones) without(gone []geom.Item) tombstones {
 	if len(gone) == 0 {
 		return ts
@@ -84,29 +72,32 @@ func (ts tombstones) without(gone []geom.Item) tombstones {
 	if len(gone) == ts.n {
 		return tombstones{}
 	}
-	base := make(map[uint32]geom.Rect, ts.n)
-	ts.each(func(id uint32, r geom.Rect) { base[id] = r })
+	base := ts.folded()
 	for _, it := range gone {
-		delete(base, it.ID)
+		delete(base, it)
 	}
 	return tombstones{base: base, n: len(base)}
 }
 
-// with returns the set after one change, n entries large.
-func (ts tombstones) with(id uint32, c tombChange, n int) tombstones {
+// folded returns the set's items as one fresh map.
+func (ts tombstones) folded() map[geom.Item]struct{} {
+	base := make(map[geom.Item]struct{}, ts.n)
+	ts.each(func(it geom.Item) { base[it] = struct{}{} })
+	return base
+}
+
+// flip returns the set, n entries large, with it added if it was not in
+// the set and removed if it was.
+func (ts tombstones) flip(it geom.Item, n int) tombstones {
 	if d := len(ts.delta); d >= minTombDelta && d*d > 2*len(ts.base) {
-		base := make(map[uint32]geom.Rect, n)
-		ts.each(func(id uint32, r geom.Rect) { base[id] = r })
-		ts = tombstones{base: base, n: ts.n}
+		ts = tombstones{base: ts.folded(), n: ts.n}
 	}
-	delta := make(map[uint32]tombChange, len(ts.delta)+1)
-	for k, v := range ts.delta {
-		delta[k] = v
-	}
-	if _, inBase := ts.base[id]; c.revived && !inBase {
-		delete(delta, id) // it only ever lived in the delta
+	delta := make(map[geom.Item]struct{}, len(ts.delta)+1)
+	maps.Copy(delta, ts.delta)
+	if _, flipped := delta[it]; flipped {
+		delete(delta, it) // back to what the base says
 	} else {
-		delta[id] = c
+		delta[it] = struct{}{}
 	}
 	return tombstones{base: ts.base, delta: delta, n: n}
 }

@@ -1,6 +1,7 @@
 package logmethod
 
 import (
+	"maps"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -11,57 +12,55 @@ import (
 )
 
 // TestTombstonesMatchMap drives the two-map set and a plain map through
-// the same random adds, revives and re-adds — across many folds of the
-// delta into the base — and requires the same contents throughout, and
-// that a set handed out earlier never changes.
+// the same random adds, revives and re-adds — of items that share their
+// ids three to one, across many folds of the delta into the base — and
+// requires the same contents throughout, and that a set handed out earlier
+// never changes.
 func TestTombstonesMatchMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	rect := func(id uint32) geom.Rect { return geom.NewRect(float64(id), 0, float64(id)+1, 1) }
+	item := func(k int) geom.Item {
+		return geom.Item{Rect: geom.NewRect(float64(k), 0, float64(k)+1, 1), ID: uint32(k / 3)}
+	}
 	var ts tombstones
-	ref := make(map[uint32]geom.Rect)
+	ref := make(map[geom.Item]bool)
 	type snap struct {
 		ts  tombstones
-		ref map[uint32]geom.Rect
+		ref map[geom.Item]bool
 	}
 	var snaps []snap
-	check := func(ts tombstones, ref map[uint32]geom.Rect) {
+	check := func(ts tombstones, ref map[geom.Item]bool) {
 		t.Helper()
 		if ts.len() != len(ref) {
 			t.Fatalf("len %d, want %d", ts.len(), len(ref))
 		}
 		n := 0
-		ts.each(func(id uint32, r geom.Rect) {
+		ts.each(func(it geom.Item) {
 			n++
-			if want, ok := ref[id]; !ok || want != r {
-				t.Fatalf("each yields %d %v, the map has %v %v", id, r, want, ok)
+			if !ref[it] {
+				t.Fatalf("each yields %v, which the map has not", it)
 			}
 		})
 		if n != len(ref) {
 			t.Fatalf("each yields %d entries, want %d", n, len(ref))
 		}
-		for id := uint32(0); id < 600; id++ {
-			r, ok := ts.get(id)
-			if want, wok := ref[id]; ok != wok || r != want || ts.has(id) != wok {
-				t.Fatalf("get(%d) = %v %v, want %v %v", id, r, ok, want, wok)
+		for k := range 600 {
+			if it := item(k); ts.has(it) != ref[it] {
+				t.Fatalf("has(%v) = %v, want %v", it, ts.has(it), ref[it])
 			}
 		}
 	}
 	for step := 0; step < 6000; step++ {
-		id := uint32(rng.Intn(600))
-		if _, dead := ref[id]; dead {
-			ts = ts.remove(id)
-			delete(ref, id)
+		it := item(rng.Intn(600))
+		if ref[it] {
+			ts = ts.remove(it)
+			delete(ref, it)
 		} else {
-			ts = ts.add(id, rect(id))
-			ref[id] = rect(id)
+			ts = ts.add(it)
+			ref[it] = true
 		}
 		if step%500 == 0 {
 			check(ts, ref)
-			cp := make(map[uint32]geom.Rect, len(ref))
-			for k, v := range ref {
-				cp[k] = v
-			}
-			snaps = append(snaps, snap{ts, cp})
+			snaps = append(snaps, snap{ts, maps.Clone(ref)})
 		}
 	}
 	check(ts, ref)

@@ -388,6 +388,9 @@ func (d *Dynamic) transact(m *logmethod.Mutation, fn func()) error {
 //
 // An item whose rectangle is not valid (see BulkLoad) is refused with an
 // error and nothing is logged.
+//
+// A deleted item's ID may be inserted again with any rectangle: with the
+// deleted item's own it revives that item, with another it adds a new one.
 func (d *Dynamic) InsertE(it Item) error {
 	if !it.Rect.Valid() {
 		return fmt.Errorf("prtree: dynamic insert: item %d has invalid rectangle %v", it.ID, it.Rect)
@@ -402,7 +405,8 @@ func (d *Dynamic) InsertE(it Item) error {
 // transaction error, if any. One transaction like InsertE, and logged like
 // it on a file-backed index: a delete commits as one log record unless it
 // triggers the tombstone rebuild, which saves the state. An item that is
-// not stored opens no transaction: DeleteE returns (false, nil).
+// not stored opens no transaction: DeleteE returns (false, nil). A
+// tombstone names the item, so its ID is free at once (see InsertE).
 func (d *Dynamic) DeleteE(it Item) (bool, error) {
 	d.wmu.Lock()
 	defer d.wmu.Unlock()

@@ -291,6 +291,115 @@ func TestDynamicIndex(t *testing.T) {
 	}
 }
 
+// TestDynamicReusesDeletedID: a deleted item's ID may come back with any
+// rectangle. Here the item sits in a level larger than the buffer, so the
+// carry that takes its ID's new rectangle into a level leaves the old
+// one's alone, and then the new item is deleted too: two tombstones of one
+// ID, each hiding its own item. In memory and on file the answers hold to
+// brute force after every step; on file also after a kill right after the
+// reuse insert's log fsync (OpenDynamic re-applies it from its note), after
+// Sync, and after Close and OpenDynamic.
+func TestDynamicReusesDeletedID(t *testing.T) {
+	opts := &Options{BlockSize: 512}
+	for _, onFile := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "file"}[onFile], func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "reuse.prd")
+			d := NewDynamic(opts)
+			if onFile {
+				var err error
+				if d, err = CreateDynamic(path, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer func() { d.Close() }()
+			reopen := func(crash bool) {
+				t.Helper()
+				if crash {
+					d.fileBackend(t).Abandon()
+				} else if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if d, err = OpenDynamic(path, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := rand.New(rand.NewSource(63))
+			items := crashItems(r, 16*d.Base()+50, 0) // one level the buffer never reaches
+			for _, it := range items {
+				mustInsert(t, d, it)
+			}
+			mustFlush(t, d)
+			old := items[5]
+			reused := Item{Rect: NewRect(0.9, 0.05, 0.93, 0.08), ID: old.ID}
+			if !mustDelete(t, d, old) {
+				t.Fatal("the stored item was not deleted")
+			}
+			mustInsert(t, d, reused)
+			live := append(slices.Delete(slices.Clone(items), 5, 6), reused)
+			holdDynamicTo(t, d, live, old, reused)
+			if onFile {
+				reopen(true)
+				if ri := d.Recovery(); ri == nil || ri.ReappliedNotes != 2 {
+					t.Fatalf("Recovery() = %+v, want the delete and the reuse insert re-applied", ri)
+				}
+				holdDynamicTo(t, d, live, old, reused)
+			}
+			fill := crashItems(r, d.BufferCap()-d.BufferLen(), len(items))
+			for _, it := range fill {
+				mustInsert(t, d, it)
+			}
+			live = append(live, fill...)
+			if sizes := d.LevelSizes(); d.BufferLen() != 0 || len(sizes) < 2 || sizes[len(sizes)-1] != len(items) {
+				t.Fatalf("buffer %d, slots %v: want the carry beside the flushed level of %d", d.BufferLen(), sizes, len(items))
+			}
+			holdDynamicTo(t, d, live, old, reused)
+			if !mustDelete(t, d, reused) || mustDelete(t, d, old) {
+				t.Fatal("the new item was not deleted, or the old one was deleted again")
+			}
+			live = slices.DeleteFunc(live, func(it Item) bool { return it == reused })
+			holdDynamicTo(t, d, live, old, reused)
+			if onFile {
+				if err := d.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				holdDynamicTo(t, d, live, old, reused)
+				reopen(false)
+				holdDynamicTo(t, d, live, old, reused)
+			}
+		})
+	}
+}
+
+// holdDynamicTo requires d's Len, windows and Counts over old's and
+// reused's rectangles and beyond, and its nearest neighbours of both, to be
+// brute force's over live.
+func holdDynamicTo(t *testing.T, d *Dynamic, live []Item, old, reused Item) {
+	t.Helper()
+	if d.Len() != len(live) {
+		t.Fatalf("Len %d, want %d", d.Len(), len(live))
+	}
+	for _, q := range []Rect{old.Rect, reused.Rect, NewRect(0, 0, 1, 1), NewRect(0.2, 0.1, 0.6, 0.5)} {
+		want := zoo.Expect(live, zoo.Query{Rect: q})
+		if err := want.Check(collect(t, d, Window(q))); err != nil {
+			t.Fatalf("window %v: %v", q, err)
+		}
+		if n, err := d.Count(Window(q)); err != nil || n != want.Len() {
+			t.Fatalf("count %v: %d (err %v), want %d", q, n, err, want.Len())
+		}
+	}
+	for _, it := range []Item{old, reused} {
+		x, y := it.Rect.MinX, it.Rect.MinY
+		var want []Neighbor
+		for _, n := range zoo.Expect(live, zoo.Query{Kind: zoo.Nearest, X: x, Y: y, K: 5}).Ranked() {
+			want = append(want, Neighbor{Item: n, Dist2: n.Rect.Dist2(x, y)})
+		}
+		if got := nearest(t, d, x, y, 5); !slices.Equal(got, want) {
+			t.Fatalf("5 nearest to (%v, %v): %v, want %v", x, y, got, want)
+		}
+	}
+}
+
 func TestNilAndZeroOptions(t *testing.T) {
 	a := Bulk(zoo.Uniform(100, 0.02, 10), nil)
 	b := Bulk(zoo.Uniform(100, 0.02, 10), &Options{})

@@ -125,10 +125,9 @@ func TestEmptyIndexOwnsNoPage(t *testing.T) {
 
 // TestCreateCloseOpen proves the persistence contract: Open after
 // Create+Close returns a tree whose Items and query results match the
-// original with zero rebuild work (no page writes at all). The index is of
-// the raw page layout, the only one.
+// original with zero rebuild work (no page writes at all).
 func TestCreateCloseOpen(t *testing.T) {
-	t.Run("raw", func(t *testing.T) {
+	t.Run("persist", func(t *testing.T) {
 		items := dataset.Western(4000, 17)
 		path := filepath.Join(t.TempDir(), "roundtrip.pr")
 
